@@ -157,15 +157,11 @@ func runQuery(args []string) error {
 	}
 
 	// Verify the proof against the kit's recorded source configuration.
-	cfg, err := kit.SourceConfig()
+	cfgBytes, err := kit.SourceConfigBytes()
 	if err != nil {
 		return err
 	}
-	roots := make(map[string][]byte, len(cfg.Orgs))
-	for _, org := range cfg.Orgs {
-		roots[org.OrgID] = org.RootCertPEM
-	}
-	verifier, err := msp.NewVerifier(roots)
+	verifier, err := msp.VerifierForConfig(cfgBytes)
 	if err != nil {
 		return err
 	}

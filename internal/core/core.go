@@ -385,22 +385,18 @@ func (c *Client) openResponse(q *wire.Query, resp *wire.QueryResponse, policyExp
 
 // preVerify checks the proof client-side against the locally recorded
 // source configuration, failing fast before a doomed transaction is
-// submitted. Absent configuration is not an error here — the destination
-// peers will reject the transaction anyway.
+// submitted. A source with no recorded configuration is not an error here —
+// the destination peers will reject the transaction anyway — but any other
+// failure to read the configuration is: it must not silently skip the check.
 func (c *Client) preVerify(q *wire.Query, bundle *proof.Bundle, policyExpr string) error {
 	cfgBytes, err := c.gateway.EvaluateString(syscc.CMDACName, syscc.CMDACGetNetworkConfig, q.TargetNetwork)
+	if errors.Is(err, syscc.ErrNoConfig) {
+		return nil
+	}
 	if err != nil {
-		return nil // no recorded config to check against yet
+		return fmt.Errorf("core: read recorded config of %q: %w", q.TargetNetwork, err)
 	}
-	cfg, err := wire.UnmarshalNetworkConfig(cfgBytes)
-	if err != nil {
-		return fmt.Errorf("core: recorded config: %w", err)
-	}
-	roots := make(map[string][]byte, len(cfg.Orgs))
-	for _, org := range cfg.Orgs {
-		roots[org.OrgID] = org.RootCertPEM
-	}
-	verifier, err := msp.NewVerifier(roots)
+	verifier, err := msp.VerifierForConfig(cfgBytes)
 	if err != nil {
 		return err
 	}

@@ -13,8 +13,10 @@ import (
 	"repro/internal/msp"
 	"repro/internal/orderer"
 	"repro/internal/policy"
+	"repro/internal/proof"
 	"repro/internal/relay"
 	"repro/internal/syscc"
+	"repro/internal/wire"
 )
 
 // sourceCC exposes documents cross-network with the two-call adaptation.
@@ -365,5 +367,37 @@ func BenchmarkRemoteQueryEndToEnd(b *testing.B) {
 		if _, err := client.RemoteQuery(context.Background(), spec); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// preVerify skips the client-side check only when the local CMDAC holds no
+// configuration for the source; any other failure to read it is reported,
+// never mistaken for "nothing to check against".
+func TestPreVerifySkipsOnlyWhenNoConfigRecorded(t *testing.T) {
+	w := buildWorld(t)
+	client, err := NewClient(w.dest, "seller-bank-org", "c")
+	if err != nil {
+		t.Fatalf("NewClient: %v", err)
+	}
+	// An empty bundle satisfies no policy, so nil means the check was skipped.
+	unverifiable := &proof.Bundle{SourceNetwork: "source-net"}
+	policyExpr := "AND('seller-org.peer','carrier-org.peer')"
+
+	if err := client.preVerify(&wire.Query{TargetNetwork: "unrecorded-net"}, unverifiable, policyExpr); err != nil {
+		t.Fatalf("no recorded configuration: err = %v, want the check skipped", err)
+	}
+	if err := client.preVerify(&wire.Query{TargetNetwork: "source-net"}, unverifiable, policyExpr); !errors.Is(err, proof.ErrPolicyUnsatisfied) {
+		t.Fatalf("recorded configuration: err = %v, want the bundle refused", err)
+	}
+
+	// A gateway onto a network with no CMDAC at all: the read fails for a
+	// reason other than an absent record.
+	bare := fabric.NewNetwork("bare-net", orderer.Config{BatchSize: 1})
+	if _, err := bare.AddOrg("seller-bank-org", 1); err != nil {
+		t.Fatalf("AddOrg: %v", err)
+	}
+	client.gateway = bare.Gateway(client.identity)
+	if err := client.preVerify(&wire.Query{TargetNetwork: "source-net"}, unverifiable, policyExpr); !errors.Is(err, chaincode.ErrNotFound) {
+		t.Fatalf("failing gateway: err = %v, want the read error propagated", err)
 	}
 }

@@ -64,11 +64,21 @@ func (k *ClientKit) Key() (*ecdsa.PrivateKey, error) {
 	return cryptoutil.ParsePrivateKey(k.KeyPKCS8)
 }
 
-// SourceConfig decodes the recorded source network configuration.
-func (k *ClientKit) SourceConfig() (*wire.NetworkConfig, error) {
+// SourceConfigBytes returns the recorded source network configuration as
+// the marshalled wire.NetworkConfig it was provisioned with.
+func (k *ClientKit) SourceConfigBytes() ([]byte, error) {
 	raw, err := base64.StdEncoding.DecodeString(k.SourceConfigB64)
 	if err != nil {
 		return nil, fmt.Errorf("deploy: source config: %w", err)
+	}
+	return raw, nil
+}
+
+// SourceConfig decodes the recorded source network configuration.
+func (k *ClientKit) SourceConfig() (*wire.NetworkConfig, error) {
+	raw, err := k.SourceConfigBytes()
+	if err != nil {
+		return nil, err
 	}
 	return wire.UnmarshalNetworkConfig(raw)
 }

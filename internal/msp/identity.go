@@ -6,26 +6,37 @@ import (
 	"encoding/pem"
 	"errors"
 	"fmt"
-	"time"
+	"sync"
 
 	"repro/internal/cryptoutil"
 )
 
 // Identity is a key pair plus the certificate binding it to an organization
 // member. Peers hold identities to sign attestations; clients hold them to
-// authenticate cross-network queries.
+// authenticate cross-network queries. An Identity is shared by pointer and
+// must not be copied after first use.
 type Identity struct {
 	Name  string
 	OrgID string
 	Role  Role
 	Cert  *x509.Certificate
 	Key   *ecdsa.PrivateKey
+
+	pemOnce sync.Once
+	certPEM []byte
 }
 
 // CertPEM returns the PEM encoding of the identity's certificate, the form
 // carried in wire messages so remote networks can authenticate the holder.
+// It is encoded once; every call returns the same bytes, which callers must
+// treat as read-only.
 func (id *Identity) CertPEM() []byte {
-	return pem.EncodeToMemory(&pem.Block{Type: "CERTIFICATE", Bytes: id.Cert.Raw})
+	id.pemOnce.Do(func() { id.certPEM = encodeCertPEM(id.Cert) })
+	return id.certPEM
+}
+
+func encodeCertPEM(cert *x509.Certificate) []byte {
+	return pem.EncodeToMemory(&pem.Block{Type: "CERTIFICATE", Bytes: cert.Raw})
 }
 
 // Sign signs msg with the identity's private key.
@@ -38,9 +49,39 @@ func (id *Identity) PublicKey() *ecdsa.PublicKey {
 	return &id.Key.PublicKey
 }
 
+const (
+	// parsedCertsMax bounds the parse memo. Requester and attestor
+	// certificates arrive from other networks, so the table must not grow
+	// with the number of distinct certificates ever presented.
+	parsedCertsMax = 1024
+	// memoPEMMax is the longest input the parse memo keeps: the key is the
+	// whole input, and pem.Decode ignores trailing bytes a hostile sender
+	// could pad a certificate with.
+	memoPEMMax = 16 << 10
+)
+
+var parsedCerts = memo[*x509.Certificate]{max: parsedCertsMax}
+
 // ParseCertPEM decodes a PEM certificate as produced by CertPEM or
-// CA.RootCertPEM.
+// CA.RootCertPEM. Each distinct input is parsed once per process: the
+// result is memoised by the exact input bytes and shared between callers,
+// who must not modify the returned certificate. Failures are not
+// remembered.
 func ParseCertPEM(pemBytes []byte) (*x509.Certificate, error) {
+	if cert, ok := parsedCerts.get(pemBytes); ok {
+		return cert, nil
+	}
+	cert, err := parseCertPEM(pemBytes)
+	if err != nil {
+		return nil, err
+	}
+	if len(pemBytes) <= memoPEMMax {
+		parsedCerts.put(pemBytes, cert)
+	}
+	return cert, nil
+}
+
+func parseCertPEM(pemBytes []byte) (*x509.Certificate, error) {
 	block, _ := pem.Decode(pemBytes)
 	if block == nil || block.Type != "CERTIFICATE" {
 		return nil, errors.New("msp: no CERTIFICATE block in PEM input")
@@ -52,88 +93,25 @@ func ParseCertPEM(pemBytes []byte) (*x509.Certificate, error) {
 	return cert, nil
 }
 
+// PublicKeyFromPEM returns the ECDSA public key a PEM certificate
+// certifies, without authenticating the certificate. Relays and the ECC use
+// it to encrypt a response to the requester named in a query.
+func PublicKeyFromPEM(pemBytes []byte) (*ecdsa.PublicKey, error) {
+	cert, err := ParseCertPEM(pemBytes)
+	if err != nil {
+		return nil, err
+	}
+	pub, ok := cert.PublicKey.(*ecdsa.PublicKey)
+	if !ok {
+		return nil, errors.New("msp: certificate key is not ECDSA")
+	}
+	return pub, nil
+}
+
 // CertInfo is the identity information extracted from a verified
 // certificate.
 type CertInfo struct {
 	Name  string
 	OrgID string
 	Role  Role
-}
-
-// Verifier authenticates certificates against a set of organization root
-// certificates. A destination network constructs a Verifier from the source
-// network's recorded configuration to validate proof signers (§3.3, §4.3).
-type Verifier struct {
-	pool  *x509.CertPool
-	roots map[string]*x509.Certificate // orgID -> root
-}
-
-// NewVerifier builds a Verifier from PEM root certificates keyed by
-// organization ID.
-func NewVerifier(rootsPEM map[string][]byte) (*Verifier, error) {
-	v := &Verifier{
-		pool:  x509.NewCertPool(),
-		roots: make(map[string]*x509.Certificate, len(rootsPEM)),
-	}
-	for orgID, pemBytes := range rootsPEM {
-		cert, err := ParseCertPEM(pemBytes)
-		if err != nil {
-			return nil, fmt.Errorf("msp: root for org %q: %w", orgID, err)
-		}
-		v.pool.AddCert(cert)
-		v.roots[orgID] = cert
-	}
-	return v, nil
-}
-
-// Orgs returns the organization IDs this verifier knows about.
-func (v *Verifier) Orgs() []string {
-	orgs := make([]string, 0, len(v.roots))
-	for orgID := range v.roots {
-		orgs = append(orgs, orgID)
-	}
-	return orgs
-}
-
-// Verify checks that cert chains to one of the known organization roots and
-// is currently valid, returning the certified name, organization and role.
-func (v *Verifier) Verify(cert *x509.Certificate) (CertInfo, error) {
-	opts := x509.VerifyOptions{
-		Roots:     v.pool,
-		KeyUsages: []x509.ExtKeyUsage{x509.ExtKeyUsageAny},
-	}
-	if _, err := cert.Verify(opts); err != nil {
-		var certErr x509.CertificateInvalidError
-		if errors.As(err, &certErr) && certErr.Reason == x509.Expired {
-			return CertInfo{}, ErrExpired
-		}
-		return CertInfo{}, fmt.Errorf("%w: %v", ErrUnknownIssuer, err)
-	}
-	now := time.Now()
-	if now.Before(cert.NotBefore) || now.After(cert.NotAfter) {
-		return CertInfo{}, ErrExpired
-	}
-	info := CertInfo{Name: cert.Subject.CommonName}
-	if len(cert.Subject.Organization) > 0 {
-		info.OrgID = cert.Subject.Organization[0]
-	}
-	if len(cert.Subject.OrganizationalUnit) > 0 {
-		role, err := ParseRole(cert.Subject.OrganizationalUnit[0])
-		if err == nil {
-			info.Role = role
-		}
-	}
-	if _, known := v.roots[info.OrgID]; !known {
-		return CertInfo{}, fmt.Errorf("%w: org %q has no recorded root", ErrUnknownIssuer, info.OrgID)
-	}
-	return info, nil
-}
-
-// VerifyPEM is Verify over a PEM-encoded certificate.
-func (v *Verifier) VerifyPEM(pemBytes []byte) (CertInfo, error) {
-	cert, err := ParseCertPEM(pemBytes)
-	if err != nil {
-		return CertInfo{}, err
-	}
-	return v.Verify(cert)
 }

@@ -13,7 +13,6 @@ import (
 	"crypto/rand"
 	"crypto/x509"
 	"crypto/x509/pkix"
-	"encoding/pem"
 	"errors"
 	"fmt"
 	"math/big"
@@ -80,6 +79,7 @@ type CA struct {
 	orgID  string
 	key    *ecdsa.PrivateKey
 	cert   *x509.Certificate
+	pem    []byte // PEM encoding of cert, encoded once
 	serial int64
 }
 
@@ -109,17 +109,16 @@ func NewCA(orgID string) (*CA, error) {
 	if err != nil {
 		return nil, fmt.Errorf("msp: parse CA cert: %w", err)
 	}
-	return &CA{orgID: orgID, key: key, cert: cert, serial: 1}, nil
+	return &CA{orgID: orgID, key: key, cert: cert, pem: encodeCertPEM(cert), serial: 1}, nil
 }
 
 // OrgID returns the organization this CA anchors.
 func (ca *CA) OrgID() string { return ca.orgID }
 
 // RootCertPEM returns the PEM encoding of the CA root certificate. This is
-// the artifact shared between networks during interop configuration.
-func (ca *CA) RootCertPEM() []byte {
-	return pem.EncodeToMemory(&pem.Block{Type: "CERTIFICATE", Bytes: ca.cert.Raw})
-}
+// the artifact shared between networks during interop configuration. Every
+// call returns the same bytes, which callers must treat as read-only.
+func (ca *CA) RootCertPEM() []byte { return ca.pem }
 
 // Issue creates a new identity (key pair plus certificate) for a named
 // member of the organization with the given role.

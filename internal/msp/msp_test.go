@@ -61,8 +61,8 @@ func TestVerifierRejectsUnknownOrg(t *testing.T) {
 	caB, _ := NewCA("org-b")
 	idB, _ := caB.Issue("peerB", RolePeer)
 
-	// org-b's root is in the pool but keyed under a different org: the
-	// chain validates but the subject org is not recorded.
+	// Only org-a's root is recorded: a subject naming org-b has no root to
+	// chain to.
 	v, _ := NewVerifier(map[string][]byte{
 		"org-a": caA.RootCertPEM(),
 	})

@@ -68,7 +68,7 @@ func (d *Driver) Query(ctx context.Context, q *wire.Query) (*wire.QueryResponse,
 	if _, err := d.net.Authorize(q.RequestingNetwork, q.RequesterCertPEM, q.Contract, q.Function); err != nil {
 		return nil, err
 	}
-	clientPub, err := RequesterKey(q.RequesterCertPEM)
+	clientPub, err := msp.PublicKeyFromPEM(q.RequesterCertPEM)
 	if err != nil {
 		return nil, err
 	}

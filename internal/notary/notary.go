@@ -10,7 +10,6 @@
 package notary
 
 import (
-	"crypto/ecdsa"
 	"errors"
 	"fmt"
 	"sync"
@@ -68,7 +67,7 @@ type Network struct {
 	vault    map[string]fact
 	views    map[string]ViewFunc // "contract/function" -> view
 	rules    policy.RuleSet
-	foreign  map[string]*wire.NetworkConfig
+	foreign  map[string][]byte // networkID -> recorded wire.NetworkConfig bytes
 }
 
 // NewNetwork creates an empty notary network.
@@ -77,7 +76,7 @@ func NewNetwork(id string) *Network {
 		id:      id,
 		vault:   make(map[string]fact),
 		views:   make(map[string]ViewFunc),
-		foreign: make(map[string]*wire.NetworkConfig),
+		foreign: make(map[string][]byte),
 	}
 }
 
@@ -187,7 +186,7 @@ func (n *Network) Revoke(rule policy.AccessRule) bool {
 func (n *Network) RecordForeignConfig(cfg *wire.NetworkConfig) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.foreign[cfg.NetworkID] = cfg
+	n.foreign[cfg.NetworkID] = cfg.Marshal()
 }
 
 // Authorize authenticates a foreign requester certificate against the
@@ -195,16 +194,12 @@ func (n *Network) RecordForeignConfig(cfg *wire.NetworkConfig) {
 // returning the requester's organization.
 func (n *Network) Authorize(requestingNetwork string, certPEM []byte, contract, function string) (string, error) {
 	n.mu.RLock()
-	cfg, ok := n.foreign[requestingNetwork]
+	cfgBytes, ok := n.foreign[requestingNetwork]
 	n.mu.RUnlock()
 	if !ok {
 		return "", fmt.Errorf("%w: no recorded configuration for %q", ErrAccessDenied, requestingNetwork)
 	}
-	roots := make(map[string][]byte, len(cfg.Orgs))
-	for _, org := range cfg.Orgs {
-		roots[org.OrgID] = org.RootCertPEM
-	}
-	verifier, err := msp.NewVerifier(roots)
+	verifier, err := msp.VerifierForConfig(cfgBytes)
 	if err != nil {
 		return "", err
 	}
@@ -237,17 +232,4 @@ func (n *Network) ExportConfig() *wire.NetworkConfig {
 		})
 	}
 	return cfg
-}
-
-// RequesterKey extracts the ECDSA public key from a requester certificate.
-func RequesterKey(certPEM []byte) (*ecdsa.PublicKey, error) {
-	cert, err := msp.ParseCertPEM(certPEM)
-	if err != nil {
-		return nil, err
-	}
-	pub, ok := cert.PublicKey.(*ecdsa.PublicKey)
-	if !ok {
-		return nil, errors.New("notary: requester key is not ECDSA")
-	}
-	return pub, nil
 }

@@ -743,13 +743,9 @@ func (d *FabricDriver) SubscribeEvents(ctx context.Context, eventName string, de
 }
 
 func requesterPublicKey(certPEM []byte) (*ecdsa.PublicKey, error) {
-	cert, err := msp.ParseCertPEM(certPEM)
+	pub, err := msp.PublicKeyFromPEM(certPEM)
 	if err != nil {
 		return nil, fmt.Errorf("relay: requester certificate: %w", err)
-	}
-	pub, ok := cert.PublicKey.(*ecdsa.PublicKey)
-	if !ok {
-		return nil, errors.New("relay: requester certificate key is not ECDSA")
 	}
 	return pub, nil
 }

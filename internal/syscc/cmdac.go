@@ -6,6 +6,7 @@ import (
 	"fmt"
 
 	"repro/internal/chaincode"
+	"repro/internal/msp"
 	"repro/internal/policy"
 	"repro/internal/proof"
 	"repro/internal/statedb"
@@ -94,7 +95,7 @@ func (c *CMDAC) getNetworkConfig(stub chaincode.Stub) ([]byte, error) {
 		return nil, err
 	}
 	if cfg == nil {
-		return nil, fmt.Errorf("syscc: no recorded configuration for network %q", args[0])
+		return nil, fmt.Errorf("%w for network %q", ErrNoConfig, args[0])
 	}
 	return cfg, nil
 }
@@ -207,9 +208,9 @@ func (c *CMDAC) validateProof(stub chaincode.Stub) ([]byte, error) {
 		return nil, err
 	}
 	if cfgBytes == nil {
-		return nil, fmt.Errorf("syscc: no recorded configuration for network %q", sourceNetwork)
+		return nil, fmt.Errorf("%w for network %q", ErrNoConfig, sourceNetwork)
 	}
-	verifier, err := verifierFromConfig(cfgBytes)
+	verifier, err := msp.VerifierForConfig(cfgBytes)
 	if err != nil {
 		return nil, err
 	}

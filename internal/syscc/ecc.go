@@ -10,7 +10,6 @@
 package syscc
 
 import (
-	"crypto/ecdsa"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -20,7 +19,6 @@ import (
 	"repro/internal/msp"
 	"repro/internal/policy"
 	"repro/internal/statedb"
-	"repro/internal/wire"
 )
 
 // Deployment names for the system contracts.
@@ -63,6 +61,9 @@ var (
 	ErrBadArgs = errors.New("syscc: bad arguments")
 	// ErrUnknownFunction is returned for unsupported function names.
 	ErrUnknownFunction = errors.New("syscc: unknown function")
+	// ErrNoConfig is returned by the CMDAC when no configuration is
+	// recorded for the named network.
+	ErrNoConfig = errors.New("syscc: no recorded configuration")
 )
 
 // ECC is the Exposure Control Chaincode.
@@ -206,7 +207,7 @@ func (e *ECC) authorize(stub chaincode.Stub) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("syscc: fetch config for %q: %w", networkID, err)
 	}
-	verifier, err := verifierFromConfig(cfgBytes)
+	verifier, err := msp.VerifierForConfig(cfgBytes)
 	if err != nil {
 		return nil, err
 	}
@@ -233,25 +234,9 @@ func (e *ECC) encrypt(stub chaincode.Stub) ([]byte, error) {
 	if len(args) != 2 {
 		return nil, fmt.Errorf("%w: EncryptForRequester expects 2 args", ErrBadArgs)
 	}
-	cert, err := msp.ParseCertPEM(args[0])
+	pub, err := msp.PublicKeyFromPEM(args[0])
 	if err != nil {
 		return nil, fmt.Errorf("syscc: requester cert: %w", err)
 	}
-	pub, ok := cert.PublicKey.(*ecdsa.PublicKey)
-	if !ok {
-		return nil, errors.New("syscc: requester cert key is not ECDSA")
-	}
 	return cryptoutil.Encrypt(pub, args[1])
-}
-
-func verifierFromConfig(cfgBytes []byte) (*msp.Verifier, error) {
-	cfg, err := wire.UnmarshalNetworkConfig(cfgBytes)
-	if err != nil {
-		return nil, fmt.Errorf("syscc: recorded network config: %w", err)
-	}
-	roots := make(map[string][]byte, len(cfg.Orgs))
-	for _, org := range cfg.Orgs {
-		roots[org.OrgID] = org.RootCertPEM
-	}
-	return msp.NewVerifier(roots)
 }

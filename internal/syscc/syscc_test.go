@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"encoding/pem"
+	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -417,4 +418,63 @@ func TestCMDACValidateProofReplayRejected(t *testing.T) {
 
 func pemOf(der []byte) []byte {
 	return pem.EncodeToMemory(&pem.Block{Type: "CERTIFICATE", Bytes: der})
+}
+
+// The verifier and its verdicts are memoised by the recorded configuration's
+// bytes, so a configuration transaction takes effect on the very next call:
+// an org dropped by SetNetworkConfig is refused by ECC.Authorize and
+// CMDAC.ValidateProof even though both had just authenticated it.
+func TestConfigRotationDropsOrgOnNextCall(t *testing.T) {
+	tb := newTestBed(t)
+	tb.recordConfig(t)
+	tb.recordPolicy(t, policy.VerificationPolicy{
+		Network: "tradelens", Expr: "OR('seller-org.peer','carrier-org.peer')",
+	})
+	for _, org := range []string{"seller-org", "carrier-org"} {
+		rule := policy.AccessRule{Network: "tradelens", Org: org, Chaincode: "SomeCC", Function: "ReadDoc"}
+		ruleJSON, _ := rule.Marshal()
+		if _, err := tb.admin.Submit(ECCName, ECCAddRule, ruleJSON); err != nil {
+			t.Fatalf("AddAccessRule: %v", err)
+		}
+	}
+	carrierClient, _ := tb.carrierCA.Issue("carrier-client", msp.RoleClient)
+	carrierPeer, _ := tb.carrierCA.Issue("carrier-org-peer0", msp.RolePeer)
+	sellerPeer, _ := tb.sellerCA.Issue("seller-org-peer0", msp.RolePeer)
+
+	authorize := func() error {
+		_, err := tb.admin.Evaluate(ECCName, ECCAuthorize,
+			[]byte("tradelens"), carrierClient.CertPEM(), []byte("SomeCC"), []byte("ReadDoc"))
+		return err
+	}
+	validate := func(attestor *msp.Identity) error {
+		nonce, _ := cryptoutil.NewNonce()
+		_, err := tb.admin.Submit(CMDACName, CMDACValidateProof,
+			[]byte("tradelens"), []byte("default"), []byte("TradeLensCC"), []byte("GetBillOfLading"),
+			buildBundleFor(t, []byte("B/L-77"), nonce, attestor), []byte("po-1001"))
+		return err
+	}
+
+	// Twice each, so the second call is answered from remembered verdicts.
+	for i := 0; i < 2; i++ {
+		if err := authorize(); err != nil {
+			t.Fatalf("Authorize under the two-org config: %v", err)
+		}
+		if err := validate(carrierPeer); err != nil {
+			t.Fatalf("ValidateProof under the two-org config: %v", err)
+		}
+	}
+
+	sellerOnly := &wire.NetworkConfig{NetworkID: "tradelens", Platform: "fabric", Orgs: tb.sourceCfg.Orgs[:1]}
+	if _, err := tb.admin.Submit(CMDACName, CMDACSetNetworkConfig, sellerOnly.Marshal()); err != nil {
+		t.Fatalf("SetNetworkConfig: %v", err)
+	}
+	if err := authorize(); !errors.Is(err, ErrAccessDenied) {
+		t.Fatalf("Authorize for the dropped org: err = %v", err)
+	}
+	if err := validate(carrierPeer); !errors.Is(err, proof.ErrBadAttestation) {
+		t.Fatalf("ValidateProof attested by the dropped org: err = %v", err)
+	}
+	if err := validate(sellerPeer); err != nil {
+		t.Fatalf("ValidateProof attested by the remaining org: %v", err)
+	}
 }
