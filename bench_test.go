@@ -786,23 +786,6 @@ func BenchmarkP5TransportRTT(b *testing.B) {
 	})
 	b.Run("tcp", func(b *testing.B) {
 		transport := &relay.TCPTransport{}
-		target := relay.New("net", registry, transport)
-		server, err := relay.NewTCPServer(target, "127.0.0.1:0")
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer server.Close()
-		probe := relay.New("probe", registry, transport)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := probe.Ping(ctx, server.Addr()); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("tcp-pooled", func(b *testing.B) {
-		transport := &relay.PooledTCPTransport{}
 		defer transport.Close()
 		target := relay.New("net", registry, transport)
 		server, err := relay.NewTCPServer(target, "127.0.0.1:0")

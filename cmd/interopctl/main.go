@@ -88,6 +88,7 @@ func runQuery(args []string) error {
 		return fmt.Errorf("unknown -registry format %q (expected 'auto', 'journal' or 'flat')", *format)
 	}
 	transport := &relay.TCPTransport{DialTimeout: 5 * time.Second, IOTimeout: 30 * time.Second}
+	defer transport.Close()
 	var relayOpts []relay.Option
 	if *hedge > 0 {
 		relayOpts = append(relayOpts, relay.WithHedging(*hedge, 2))

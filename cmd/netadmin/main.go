@@ -91,6 +91,7 @@ func status(dir string, registry relay.Registry, probeTimeout time.Duration) err
 	sort.Strings(networks)
 
 	transport := &relay.TCPTransport{DialTimeout: 2 * time.Second, IOTimeout: 5 * time.Second}
+	defer transport.Close()
 	probe := relay.New("netadmin", registry, transport)
 
 	fmt.Printf("registry: %s\n", registryLabel(dir, registry))

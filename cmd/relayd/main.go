@@ -107,6 +107,7 @@ func run() error {
 		return fmt.Errorf("unknown -registry format %q (expected 'journal' or 'flat')", *registryFormat)
 	}
 	transport := &relay.TCPTransport{DialTimeout: 5 * time.Second, IOTimeout: 30 * time.Second}
+	defer transport.Close()
 
 	// Boot the source network with its relay.
 	stl, err := tradelens.BuildNetwork(registry, transport)

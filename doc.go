@@ -162,7 +162,7 @@
 //   - internal/core        — application-facing interop layer: EnableInterop,
 //     Client (RemoteQuery/RemoteInvoke/RemoteQueryBatch), governance ops
 //   - internal/relay       — relay service, discovery, transports (in-process
-//     hub, TCP, pooled TCP), hedged fan-out, pluggable drivers
+//     hub, multiplexed TCP), hedged fan-out, pluggable drivers
 //   - internal/wire        — network-neutral protocol codec and messages
 //   - internal/proof       — attestation proofs and verification
 //   - internal/policy      — access-control rules and verification policies

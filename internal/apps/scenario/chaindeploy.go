@@ -162,11 +162,13 @@ func (d *TCPChainDeployment) AllServers() []*TCPRelayServer {
 	return all
 }
 
-// Close tears every server down and stops both networks' orderers.
+// Close tears every server down, closes the relays' shared transport and
+// stops both networks' orderers.
 func (d *TCPChainDeployment) Close() {
 	for _, s := range d.AllServers() {
 		_ = s.Close()
 	}
+	d.Transport.Close()
 	if d.World != nil {
 		_ = d.World.STL.Fabric.Orderer().Stop()
 		_ = d.World.SWT.Fabric.Orderer().Stop()

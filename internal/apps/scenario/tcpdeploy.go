@@ -157,12 +157,14 @@ func (d *TCPDeployment) AllServers() []*TCPRelayServer {
 	return all
 }
 
-// Close tears every server down and stops both networks' orderers, so a
-// pipelined deployment leaves no cutter goroutine behind.
+// Close tears every server down, closes the relays' shared transport and
+// stops both networks' orderers, so a deployment leaves no connection
+// reader or pipelined cutter goroutine behind.
 func (d *TCPDeployment) Close() {
 	for _, s := range d.AllServers() {
 		_ = s.Close()
 	}
+	d.Transport.Close()
 	if d.World != nil {
 		_ = d.World.STL.Fabric.Orderer().Stop()
 		_ = d.World.SWT.Fabric.Orderer().Stop()

@@ -59,7 +59,7 @@ type TxDriver interface {
 // guard, the source relay deduplicates invokes by request ID (see
 // handleInvoke), so a retried request that reaches a relay which already
 // committed replays the original response instead of re-executing. That
-// cache protects the pooled transport's same-address stale-connection
+// cache protects the TCP transport's same-address lost-connection
 // retry, and lets an application retry safely by setting the same
 // q.RequestID explicitly (a fresh ID is generated only when it is empty).
 func (r *Relay) Invoke(ctx context.Context, q *wire.Query) (*wire.QueryResponse, error) {

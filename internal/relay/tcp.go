@@ -1,99 +1,113 @@
 package relay
 
 import (
+	"bufio"
 	"context"
+	"errors"
 	"fmt"
 	"net"
+	"os"
 	"sync"
+	"syscall"
 	"time"
 
 	"repro/internal/wire"
 )
 
-// TCPTransport sends envelopes over TCP using the wire framing, one
-// connection per request. This stands in for the paper's gRPC channel; the
-// request/response semantics are identical.
+// TCPTransport sends envelopes over TCP using the wire framing. It stands
+// in for the paper's gRPC channel: one persistent connection per relay
+// address carries every request to it, each frame tagged so replies are
+// matched to their requests and may complete out of order. The zero value
+// is ready to use; Close releases the connections.
+//
+// Error contract, which the at-most-once rule (sendAtMostOnce) rests on:
+//
+//   - A failed dial is ErrUnreachable: the envelope provably reached no
+//     relay, so the caller may fail over to another address. A connection
+//     found closed by its peer before the request is written (peerHungUp:
+//     the peer restarted, or dropped it while idle) is replaced by a fresh
+//     dial inside the same Send, and that dial failing is ErrUnreachable
+//     too.
+//   - A connection that dies, or a write that fails, with requests in
+//     flight is ambiguous: every pending Send gets an error that is not
+//     ErrUnreachable, because its envelope may have been executed.
+//   - Such a Send is resent at most once, to the same address, and only if
+//     the connection was already established when the Send picked it up
+//     (the usual cause is a peer that restarted or dropped an idle
+//     connection) and the envelope is not a MsgEvent. The resend reaches
+//     the same relay process: queries and pings are idempotent outright,
+//     invokes are deduplicated there by request ID (handleInvoke replay
+//     cache), subscribes by subscription ID; a resent MsgEvent would be
+//     delivered to the subscriber twice. If the redial fails, the original
+//     error is returned, never the redial's ErrUnreachable.
+//   - A Send whose context ends, or that waits out IOTimeout, abandons its
+//     tag and leaves the connection to the other requests on it; the late
+//     reply is dropped.
 type TCPTransport struct {
-	// DialTimeout bounds connection establishment. Zero means 5s. The
-	// context's deadline applies on top when sooner.
+	// DialTimeout bounds connection establishment. Zero means 5s.
 	DialTimeout time.Duration
-	// IOTimeout bounds each request round-trip. Zero means 30s. The
-	// context's deadline applies on top when sooner.
+	// IOTimeout bounds each request round-trip, and each frame write.
+	// Zero means 30s. The context's deadline applies on top when sooner.
 	IOTimeout time.Duration
+
+	mu        sync.Mutex
+	conns     map[string]*muxConn // by address; an entry may still be dialling
+	closed    bool
+	dialCtx   context.Context // cancelled by Close, so it never waits out a dial
+	stopDials context.CancelFunc
+	readers   sync.WaitGroup
 }
 
 var _ Transport = (*TCPTransport)(nil)
 
-// ioDeadline returns the connection deadline for a round-trip: the sooner
-// of now+ioTimeout and the context's own deadline.
-func ioDeadline(ctx context.Context, ioTimeout time.Duration) time.Time {
-	deadline := time.Now().Add(ioTimeout)
-	if ctxDeadline, ok := ctx.Deadline(); ok && ctxDeadline.Before(deadline) {
-		deadline = ctxDeadline
-	}
-	return deadline
-}
+// errConnLost marks the ambiguous failures: the request was (or may have
+// been) written to a connection that then failed.
+var errConnLost = errors.New("relay: connection lost")
 
-// watchCancel interrupts blocked connection I/O when ctx is cancelled by
-// forcing the deadline into the past. The returned stop func must be called
-// once the round-trip completes; it blocks until the watcher has exited, so
-// the watcher can never touch the connection afterwards (a stale async set
-// would poison a connection already returned to a pool).
-func watchCancel(ctx context.Context, conn net.Conn) (stop func()) {
-	if ctx.Done() == nil {
-		return func() {}
-	}
-	finished := make(chan struct{})
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		select {
-		case <-ctx.Done():
-			select {
-			case <-finished:
-				// Round-trip already complete; leave the conn alone.
-			default:
-				conn.SetDeadline(time.Unix(1, 0)) // unblock pending reads/writes
-			}
-		case <-finished:
-		}
-	}()
-	return func() {
-		close(finished)
-		<-done
-	}
+// errNotSent marks a connection found dead before the request was written
+// to it: like a failed dial, provably not delivered.
+var errNotSent = errors.New("connection closed before the request was sent")
+
+// muxConn is one persistent connection and the requests in flight on it.
+type muxConn struct {
+	addr string
+
+	// ready is closed when the dial has finished; dialErr, conn and raw are
+	// written before that and read-only after.
+	ready   chan struct{}
+	dialErr error
+	conn    net.Conn
+	raw     syscall.RawConn // conn's descriptor, for peerHungUp
+
+	// wmu serialises frame writes, and the hang-up probe before them.
+	wmu    sync.Mutex
+	probe  func(fd uintptr) // sets hungUp; built once so a Send allocates no closure
+	hungUp bool
+
+	mu      sync.Mutex
+	lost    error                  // non-nil once the connection has failed
+	nextTag uint64                 // last tag issued
+	pending map[uint64]chan []byte // tag → the Send waiting for its reply frame
 }
 
 // Send implements Transport.
 func (t *TCPTransport) Send(ctx context.Context, addr string, env *wire.Envelope) (*wire.Envelope, error) {
-	dialTimeout := t.DialTimeout
-	if dialTimeout <= 0 {
-		dialTimeout = 5 * time.Second
+	request := env.MarshalFrame()
+	frame, reused, err := t.roundTrip(ctx, addr, request)
+	if err != nil && reused && errors.Is(err, errConnLost) && ctx.Err() == nil && env.Type != wire.MsgEvent {
+		var retryErr error
+		frame, _, retryErr = t.roundTrip(ctx, addr, request)
+		if retryErr == nil {
+			err = nil
+		} else if !errors.Is(retryErr, ErrUnreachable) {
+			// Keep the first error when the redial failed: the first
+			// attempt may have delivered the envelope, so the caller must
+			// not read "provably never delivered" out of the second.
+			err = retryErr
+		}
 	}
-	ioTimeout := t.IOTimeout
-	if ioTimeout <= 0 {
-		ioTimeout = 30 * time.Second
-	}
-	dialer := &net.Dialer{Timeout: dialTimeout}
-	conn, err := dialer.DialContext(ctx, "tcp", addr)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %s: %w", ErrUnreachable, addr, err)
-	}
-	defer conn.Close()
-	if err := conn.SetDeadline(ioDeadline(ctx, ioTimeout)); err != nil {
-		return nil, fmt.Errorf("relay: set deadline: %w", err)
-	}
-	// Started after SetDeadline: a cancellation landing between the two
-	// would otherwise have its forced past-deadline overwritten. A watcher
-	// started on an already-cancelled context fires immediately.
-	stop := watchCancel(ctx, conn)
-	defer stop()
-	if err := wire.WriteFrame(conn, env.Marshal()); err != nil {
-		return nil, fmt.Errorf("relay: send to %s: %w", addr, wrapCtxErr(ctx, err))
-	}
-	frame, err := wire.ReadFrame(conn)
-	if err != nil {
-		return nil, fmt.Errorf("relay: reply from %s: %w", addr, wrapCtxErr(ctx, err))
+		return nil, err
 	}
 	reply, err := wire.UnmarshalEnvelope(frame)
 	if err != nil {
@@ -102,25 +116,260 @@ func (t *TCPTransport) Send(ctx context.Context, addr string, env *wire.Envelope
 	return reply, nil
 }
 
-// wrapCtxErr substitutes the context's error for an I/O timeout caused by
-// cancellation or deadline expiry, so callers can match context.Canceled
-// and context.DeadlineExceeded with errors.Is. The explicit deadline check
-// covers the race where the connection deadline (derived from the context)
-// fires a moment before the context's own timer.
-func wrapCtxErr(ctx context.Context, err error) error {
-	if ctxErr := ctx.Err(); ctxErr != nil {
-		return ctxErr
+// roundTrip writes request to addr's connection, dialling it if need be,
+// and waits for the reply frame. reused reports that the connection was
+// already established when this call picked it up.
+func (t *TCPTransport) roundTrip(ctx context.Context, addr string, request wire.Frame) (frame []byte, reused bool, err error) {
+	ioTimeout := t.IOTimeout
+	if ioTimeout <= 0 {
+		ioTimeout = 30 * time.Second
 	}
-	if deadline, ok := ctx.Deadline(); ok && !time.Now().Before(deadline) {
-		return context.DeadlineExceeded
+	var (
+		c     *muxConn
+		tag   uint64
+		reply chan []byte
+	)
+	for {
+		if c, reused, err = t.established(ctx, addr); err != nil {
+			return nil, false, err
+		}
+		tag, reply, err = t.write(c, request, reused, ioTimeout)
+		if !errors.Is(err, errNotSent) {
+			break
+		}
+		if !reused {
+			return nil, false, fmt.Errorf("%w: %s: %w", ErrUnreachable, addr, err)
+		}
+		// An established connection that died idle (its peer restarted, or
+		// dropped it): nothing was written, so start over on a fresh one.
 	}
-	return err
+	if err != nil {
+		return nil, reused, err
+	}
+
+	// The context's own deadline, when sooner, already bounds the wait.
+	var timeout <-chan time.Time
+	if deadline, ok := ctx.Deadline(); !ok || time.Until(deadline) > ioTimeout {
+		timer := time.NewTimer(ioTimeout)
+		defer timer.Stop()
+		timeout = timer.C
+	}
+	select {
+	case frame, ok := <-reply:
+		if !ok {
+			return nil, reused, c.lostErr()
+		}
+		return frame, reused, nil
+	case <-ctx.Done():
+		c.abandon(tag)
+		return nil, reused, fmt.Errorf("relay: reply from %s: %w", addr, ctx.Err())
+	case <-timeout:
+		c.abandon(tag)
+		return nil, reused, fmt.Errorf("relay: reply from %s: %w", addr, os.ErrDeadlineExceeded)
+	}
 }
+
+// established returns addr's connection once its dial has succeeded.
+// reused reports that it already had when this call picked it up.
+func (t *TCPTransport) established(ctx context.Context, addr string) (c *muxConn, reused bool, err error) {
+	if err := ctx.Err(); err != nil {
+		return nil, false, err
+	}
+	if c, err = t.connTo(addr); err != nil {
+		return nil, false, err
+	}
+	select {
+	case <-c.ready:
+		reused = true
+	default:
+		select {
+		case <-c.ready:
+		case <-ctx.Done():
+			return nil, false, fmt.Errorf("%w: %s: %w", ErrUnreachable, addr, ctx.Err())
+		}
+	}
+	return c, reused, c.dialErr
+}
+
+// write registers a new tag on c and writes request under it. An error
+// wrapping errNotSent means c was found dead first and nothing was
+// written; any other error means c failed with the frame possibly out.
+// probe asks for the kernel's word on the peer before writing (see
+// peerHungUp), which a connection this Send just watched being dialled
+// does not need.
+func (t *TCPTransport) write(c *muxConn, request wire.Frame, probe bool, ioTimeout time.Duration) (tag uint64, reply chan []byte, err error) {
+	reply = make(chan []byte, 1) // the reader never blocks on an abandoned tag
+	c.mu.Lock()
+	if c.lost != nil {
+		c.mu.Unlock()
+		return 0, nil, fmt.Errorf("%w: %w", errNotSent, c.lost)
+	}
+	c.nextTag++
+	tag = c.nextTag
+	c.pending[tag] = reply
+	c.mu.Unlock()
+
+	c.wmu.Lock()
+	if probe && (c.raw.Control(c.probe) != nil || c.hungUp) {
+		c.wmu.Unlock()
+		t.fail(c, errors.New("closed by peer"))
+		return 0, nil, fmt.Errorf("%w: closed by peer", errNotSent)
+	}
+	// A write blocks only when the peer has stopped draining the socket;
+	// the frame may then be half-sent, so a timeout here fails the
+	// connection rather than the one request.
+	err = c.conn.SetWriteDeadline(time.Now().Add(ioTimeout))
+	if err == nil {
+		err = wire.WriteFrame(c.conn, tag, request)
+	}
+	c.wmu.Unlock()
+	if err != nil {
+		t.fail(c, err)
+		return 0, nil, c.lostErr()
+	}
+	return tag, reply, nil
+}
+
+// connTo returns addr's connection, starting its dial if there is none.
+// Concurrent first uses share the one dial, which runs under DialTimeout
+// alone — not under the context of whichever caller happened to start it.
+func (t *TCPTransport) connTo(addr string) (*muxConn, error) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.closed {
+		return nil, fmt.Errorf("%w: %s: transport closed", ErrUnreachable, addr)
+	}
+	if c := t.conns[addr]; c != nil {
+		return c, nil
+	}
+	if t.conns == nil {
+		t.conns = make(map[string]*muxConn)
+		t.dialCtx, t.stopDials = context.WithCancel(context.Background())
+	}
+	c := &muxConn{addr: addr, ready: make(chan struct{}), pending: make(map[uint64]chan []byte)}
+	c.probe = func(fd uintptr) { c.hungUp = peerHungUp(fd) }
+	t.conns[addr] = c
+	t.readers.Add(1)
+	go t.run(t.dialCtx, c)
+	return c, nil
+}
+
+// run is the connection's goroutine: it dials, then delivers reply frames
+// to the Sends waiting on their tags until the connection fails.
+func (t *TCPTransport) run(dialCtx context.Context, c *muxConn) {
+	defer t.readers.Done()
+	dialTimeout := t.DialTimeout
+	if dialTimeout <= 0 {
+		dialTimeout = 5 * time.Second
+	}
+	dialer := net.Dialer{Timeout: dialTimeout}
+	conn, err := dialer.DialContext(dialCtx, "tcp", c.addr)
+	if err == nil {
+		if c.raw, err = conn.(*net.TCPConn).SyscallConn(); err != nil {
+			conn.Close()
+		}
+	}
+	if err != nil {
+		c.dialErr = fmt.Errorf("%w: %s: %w", ErrUnreachable, c.addr, err)
+		t.forget(c)
+		close(c.ready)
+		return
+	}
+	c.conn = conn
+	close(c.ready)
+
+	r := bufio.NewReader(conn)
+	for {
+		tag, frame, err := wire.ReadFrame(r)
+		if err != nil {
+			t.fail(c, err)
+			return
+		}
+		c.mu.Lock()
+		reply := c.pending[tag]
+		delete(c.pending, tag)
+		c.mu.Unlock()
+		if reply != nil { // else abandoned, or a tag this side never issued
+			reply <- frame
+		}
+	}
+}
+
+// fail retires c, so the next Send to its address redials, then marks it
+// lost and fails every Send pending on it. In that order: a Send that finds
+// c lost and resends must not be handed c again.
+func (t *TCPTransport) fail(c *muxConn, cause error) {
+	t.forget(c)
+	c.mu.Lock()
+	if c.lost == nil {
+		c.lost = cause
+		for tag, reply := range c.pending {
+			close(reply)
+			delete(c.pending, tag)
+		}
+	}
+	c.mu.Unlock()
+	c.conn.Close()
+}
+
+// forget drops c from the connection table unless a successor has already
+// taken its address.
+func (t *TCPTransport) forget(c *muxConn) {
+	t.mu.Lock()
+	if t.conns[c.addr] == c {
+		delete(t.conns, c.addr)
+	}
+	t.mu.Unlock()
+}
+
+func (c *muxConn) lostErr() error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return fmt.Errorf("%w: %s: %w", errConnLost, c.addr, c.lost)
+}
+
+// abandon gives up on tag's reply; the reader drops it if it still comes.
+func (c *muxConn) abandon(tag uint64) {
+	c.mu.Lock()
+	delete(c.pending, tag)
+	c.mu.Unlock()
+}
+
+// Close closes every connection, fails the Sends pending on them, and
+// returns once the connection goroutines have exited. Later Sends fail
+// with ErrUnreachable.
+func (t *TCPTransport) Close() {
+	t.mu.Lock()
+	t.closed = true
+	conns := t.conns
+	t.conns = nil
+	if t.stopDials != nil {
+		t.stopDials()
+	}
+	t.mu.Unlock()
+	for _, c := range conns {
+		<-c.ready // prompt: the dial context is cancelled
+		if c.dialErr == nil {
+			t.fail(c, errors.New("transport closed"))
+		}
+	}
+	t.readers.Wait()
+}
+
+// maxConnInFlight bounds the requests one connection may have in service
+// at once. When it is reached the server stops reading the connection, so
+// a peer that floods frames is throttled by TCP back-pressure rather than
+// answered with a goroutine per frame.
+const maxConnInFlight = 256
 
 // TCPServer accepts relay connections and dispatches envelopes to a Relay.
 type TCPServer struct {
 	relay    *Relay
 	listener net.Listener
+
+	// ctx parents every connection's serving context; Close cancels it.
+	ctx    context.Context
+	cancel context.CancelFunc
 
 	mu     sync.Mutex
 	conns  map[net.Conn]struct{}
@@ -141,6 +390,7 @@ func NewTCPServer(r *Relay, addr string) (*TCPServer, error) {
 		conns:    make(map[net.Conn]struct{}),
 		done:     make(chan struct{}),
 	}
+	s.ctx, s.cancel = context.WithCancel(context.Background())
 	go s.acceptLoop()
 	return s, nil
 }
@@ -169,39 +419,71 @@ func (s *TCPServer) acceptLoop() {
 		go func() {
 			defer handlers.Done()
 			s.serveConn(conn)
+			s.mu.Lock()
+			delete(s.conns, conn)
+			s.mu.Unlock()
 		}()
 	}
 }
 
+// serveConn reads frames until the connection fails, serving each in its
+// own goroutine and writing its reply under the request's tag, so a slow
+// proof build does not hold up a cache hit queued behind it. Requests run
+// under a context that ends when the peer hangs up or the server closes:
+// work for a requester that is gone is abandoned, not completed.
 func (s *TCPServer) serveConn(conn net.Conn) {
+	ctx, cancel := context.WithCancel(s.ctx)
+	var (
+		requests sync.WaitGroup
+		wmu      sync.Mutex // serialises reply writes
+		inFlight = make(chan struct{}, maxConnInFlight)
+	)
 	defer func() {
+		// Close before cancelling: a request cut short must not get its
+		// "context canceled" out as a reply the requester would take for
+		// the relay's answer. A dead connection it can fail over from.
 		conn.Close()
-		s.mu.Lock()
-		delete(s.conns, conn)
-		s.mu.Unlock()
+		cancel()
+		requests.Wait()
 	}()
+	r := bufio.NewReader(conn)
 	for {
-		frame, err := wire.ReadFrame(conn)
+		tag, frame, err := wire.ReadFrame(r)
 		if err != nil {
 			return // clean EOF and read/framing errors alike drop the connection
 		}
-		env, err := wire.UnmarshalEnvelope(frame)
-		var reply *wire.Envelope
-		if err != nil {
-			reply = errEnvelope("", fmt.Sprintf("malformed envelope: %v", err))
-		} else {
-			// The requester's remaining budget arrives in the envelope's
-			// DeadlineUnixNano; HandleEnvelope narrows this context by it.
-			reply = s.relay.HandleEnvelope(context.Background(), env)
-		}
-		if err := wire.WriteFrame(conn, reply.Marshal()); err != nil {
+		select {
+		case inFlight <- struct{}{}:
+		case <-ctx.Done():
 			return
 		}
+		requests.Add(1)
+		go func() {
+			defer requests.Done()
+			defer func() { <-inFlight }()
+			reply := s.serve(ctx, frame).MarshalFrame()
+			wmu.Lock()
+			err := wire.WriteFrame(conn, tag, reply)
+			wmu.Unlock()
+			if err != nil {
+				conn.Close() // the frame may be half-written; the read loop ends with it
+			}
+		}()
 	}
 }
 
-// Close stops accepting, closes open connections and waits for handler
-// goroutines to exit.
+func (s *TCPServer) serve(ctx context.Context, frame []byte) *wire.Envelope {
+	env, err := wire.UnmarshalEnvelope(frame)
+	if err != nil {
+		return errEnvelope("", fmt.Sprintf("malformed envelope: %v", err))
+	}
+	// The requester's remaining budget arrives in the envelope's
+	// DeadlineUnixNano; HandleEnvelope narrows this context by it.
+	return s.relay.HandleEnvelope(ctx, env)
+}
+
+// Close stops accepting, closes open connections, cancels the requests in
+// service on them and waits for their goroutines to exit.
 func (s *TCPServer) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -214,6 +496,7 @@ func (s *TCPServer) Close() error {
 	for conn := range s.conns {
 		conn.Close()
 	}
+	s.cancel() // after the connections are closed; see serveConn
 	s.mu.Unlock()
 	<-s.done
 	return err

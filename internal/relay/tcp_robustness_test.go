@@ -2,8 +2,11 @@ package relay
 
 import (
 	"context"
+	"errors"
 	"net"
+	"os"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -28,10 +31,10 @@ func TestTCPServerGarbageFrame(t *testing.T) {
 	defer conn.Close()
 	_ = conn.SetDeadline(time.Now().Add(5 * time.Second))
 
-	if err := wire.WriteFrame(conn, []byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF}); err != nil {
+	if err := wire.WriteFrame(conn, 41, wire.NewFrame([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF})); err != nil {
 		t.Fatalf("WriteFrame: %v", err)
 	}
-	frame, err := wire.ReadFrame(conn)
+	tag, frame, err := wire.ReadFrame(conn)
 	if err != nil {
 		t.Fatalf("ReadFrame: %v", err)
 	}
@@ -39,22 +42,49 @@ func TestTCPServerGarbageFrame(t *testing.T) {
 	if err != nil {
 		t.Fatalf("UnmarshalEnvelope: %v", err)
 	}
-	if env.Type != wire.MsgError {
-		t.Fatalf("reply type = %v", env.Type)
+	if tag != 41 || env.Type != wire.MsgError {
+		t.Fatalf("reply = tag %d type %v, want tag 41 type %v", tag, env.Type, wire.MsgError)
 	}
 
 	// The same connection still serves valid requests.
 	ping := &wire.Envelope{Version: wire.ProtocolVersion, Type: wire.MsgPing, RequestID: "p"}
-	if err := wire.WriteFrame(conn, ping.Marshal()); err != nil {
+	if err := wire.WriteFrame(conn, 42, ping.MarshalFrame()); err != nil {
 		t.Fatalf("WriteFrame ping: %v", err)
 	}
-	frame, err = wire.ReadFrame(conn)
+	tag, frame, err = wire.ReadFrame(conn)
 	if err != nil {
 		t.Fatalf("ReadFrame pong: %v", err)
 	}
 	env, _ = wire.UnmarshalEnvelope(frame)
-	if env.Type != wire.MsgPong {
-		t.Fatalf("pong type = %v", env.Type)
+	if tag != 42 || env.Type != wire.MsgPong {
+		t.Fatalf("reply = tag %d type %v, want tag 42 type %v", tag, env.Type, wire.MsgPong)
+	}
+}
+
+// TestTCPServerRejectsUntaggedFrame: a peer speaking the bare
+// length-prefix framing gets its connection closed at once — not a hang
+// while the server waits for header bytes that framing never sends.
+func TestTCPServerRejectsUntaggedFrame(t *testing.T) {
+	reg := NewStaticRegistry()
+	r := New("net", reg, &TCPTransport{})
+	server, err := NewTCPServer(r, "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("NewTCPServer: %v", err)
+	}
+	defer server.Close()
+
+	conn, err := net.Dial("tcp", server.Addr())
+	if err != nil {
+		t.Fatalf("Dial: %v", err)
+	}
+	defer conn.Close()
+	_ = conn.SetDeadline(time.Now().Add(5 * time.Second))
+	// An empty legacy frame: all four bytes that framing would ever send.
+	if _, err := conn.Write([]byte{0x00, 0x00, 0x00, 0x00}); err != nil {
+		t.Fatalf("Write: %v", err)
+	}
+	if n, err := conn.Read(make([]byte, 16)); err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("Read = %d bytes, %v; want the connection closed by the server", n, err)
 	}
 }
 
@@ -73,8 +103,8 @@ func TestTCPServerAbruptDisconnect(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Dial: %v", err)
 	}
-	// Write a header promising 1000 bytes, send 3, vanish.
-	_, _ = conn.Write([]byte{0x00, 0x00, 0x03, 0xE8, 0x01, 0x02, 0x03})
+	// Write a header promising 1000 bytes under tag 1, send 3, vanish.
+	_, _ = conn.Write([]byte{0x80, 0x00, 0x03, 0xE8, 0, 0, 0, 0, 0, 0, 0, 1, 0x01, 0x02, 0x03})
 	conn.Close()
 
 	probe := New("probe", reg, &TCPTransport{})
@@ -83,10 +113,13 @@ func TestTCPServerAbruptDisconnect(t *testing.T) {
 	}
 }
 
-// TestTCPServerConcurrentClients hammers the server with parallel pings.
+// TestTCPServerConcurrentClients hammers the server with parallel pings
+// that all share one transport, so one connection.
 func TestTCPServerConcurrentClients(t *testing.T) {
 	reg := NewStaticRegistry()
-	r := New("net", reg, &TCPTransport{})
+	transport := &TCPTransport{DialTimeout: time.Second, IOTimeout: 5 * time.Second}
+	defer transport.Close()
+	r := New("net", reg, transport)
 	server, err := NewTCPServer(r, "127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("NewTCPServer: %v", err)
@@ -99,8 +132,8 @@ func TestTCPServerConcurrentClients(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			probe := New("probe", reg, &TCPTransport{})
-			for i := 0; i < 20; i++ {
+			probe := New("probe", reg, transport)
+			for i := 0; i < 25; i++ {
 				if err := probe.Ping(context.Background(), server.Addr()); err != nil {
 					errs <- err
 					return
@@ -140,4 +173,114 @@ func TestTCPServerCloseIdempotent(t *testing.T) {
 	if err := probe.Ping(context.Background(), server.Addr()); err == nil {
 		t.Fatal("closed server still answers")
 	}
+}
+
+// gateDriver parks every request whose Function is "stall" until release
+// is closed or the serving context ends; anything else it answers at once,
+// echoing the Function back as the result.
+type gateDriver struct {
+	entered   chan struct{} // one token per parked request
+	cancelled chan struct{} // one token per parked request whose context ended
+	release   chan struct{}
+	invokes   atomic.Int64
+}
+
+func newGateRelay(discovery Discovery, transport Transport) (*Relay, *gateDriver) {
+	// Channel capacity: more tokens than any test parks requests.
+	d := &gateDriver{entered: make(chan struct{}, 64), cancelled: make(chan struct{}, 64), release: make(chan struct{})}
+	r := New("srcnet", discovery, transport)
+	r.RegisterDriver("srcnet", d)
+	return r, d
+}
+
+func (d *gateDriver) Platform() string { return "test" }
+
+func (d *gateDriver) Query(ctx context.Context, q *wire.Query) (*wire.QueryResponse, error) {
+	if q.Function == "stall" {
+		d.entered <- struct{}{}
+		select {
+		case <-d.release:
+		case <-ctx.Done():
+			d.cancelled <- struct{}{}
+			return nil, ctx.Err()
+		}
+	}
+	return &wire.QueryResponse{RequestID: q.RequestID, EncryptedResult: []byte(q.Function)}, nil
+}
+
+func (d *gateDriver) Invoke(ctx context.Context, q *wire.Query) (*wire.QueryResponse, error) {
+	d.invokes.Add(1)
+	return d.Query(ctx, q)
+}
+
+// gateEnvelope is a request for a gateDriver relay.
+func gateEnvelope(typ wire.MsgType, requestID, function string) *wire.Envelope {
+	q := &wire.Query{RequestID: requestID, TargetNetwork: "srcnet", Contract: "cc", Function: function}
+	return &wire.Envelope{Version: wire.ProtocolVersion, Type: typ, RequestID: requestID, Payload: q.Marshal()}
+}
+
+// awaitToken fails the test unless a token arrives on ch soon.
+func awaitToken(t *testing.T, ch <-chan struct{}, what string) {
+	t.Helper()
+	select {
+	case <-ch:
+	case <-time.After(5 * time.Second):
+		t.Fatalf("timed out waiting for %s", what)
+	}
+}
+
+// TestTCPServerCancelsInFlightOnHangup: a request whose requester hangs up
+// is abandoned — its serving context ends as soon as the server sees the
+// connection close, instead of the work running to completion for nobody.
+func TestTCPServerCancelsInFlightOnHangup(t *testing.T) {
+	r, gate := newGateRelay(NewStaticRegistry(), &TCPTransport{})
+	server, err := NewTCPServer(r, "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("NewTCPServer: %v", err)
+	}
+	defer server.Close()
+	defer close(gate.release) // first, or a handler that was not cancelled pins Close
+
+	conn, err := net.Dial("tcp", server.Addr())
+	if err != nil {
+		t.Fatalf("Dial: %v", err)
+	}
+	if err := wire.WriteFrame(conn, 1, gateEnvelope(wire.MsgQuery, "q", "stall").MarshalFrame()); err != nil {
+		t.Fatalf("WriteFrame: %v", err)
+	}
+	awaitToken(t, gate.entered, "the request to reach the driver")
+	conn.Close()
+	awaitToken(t, gate.cancelled, "the hang-up to cancel the in-flight request")
+}
+
+// TestTCPServerCloseDoesNotWaitOutStalledHandler: Close cancels what is in
+// service rather than waiting for it to finish on its own.
+func TestTCPServerCloseDoesNotWaitOutStalledHandler(t *testing.T) {
+	r, gate := newGateRelay(NewStaticRegistry(), &TCPTransport{})
+	server, err := NewTCPServer(r, "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("NewTCPServer: %v", err)
+	}
+	conn, err := net.Dial("tcp", server.Addr())
+	if err != nil {
+		t.Fatalf("Dial: %v", err)
+	}
+	defer conn.Close()
+	if err := wire.WriteFrame(conn, 1, gateEnvelope(wire.MsgQuery, "q", "stall").MarshalFrame()); err != nil {
+		t.Fatalf("WriteFrame: %v", err)
+	}
+	awaitToken(t, gate.entered, "the request to reach the driver")
+
+	closed := make(chan error, 1)
+	go func() { closed <- server.Close() }()
+	select {
+	case err := <-closed:
+		if err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		close(gate.release) // unpin the handler so the test binary can exit
+		t.Fatal("Close waited on a stalled handler")
+	}
+	awaitToken(t, gate.cancelled, "Close to cancel the in-flight request")
 }

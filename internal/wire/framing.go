@@ -2,6 +2,7 @@ package wire
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 )
@@ -10,40 +11,95 @@ import (
 // query result plus its proof; see maxFieldLen for the per-field bound.
 const MaxFrameSize = 96 << 20 // 96 MiB
 
-// WriteFrame writes a length-prefixed frame to w: a 4-byte big-endian length
-// followed by the payload. This is the transport framing relays use over
-// TCP in place of the paper's gRPC streams.
-func WriteFrame(w io.Writer, payload []byte) error {
-	if len(payload) > MaxFrameSize {
-		return fmt.Errorf("%w: frame of %d bytes", ErrTooLarge, len(payload))
+// ErrUntaggedFrame reports a frame header without the tagged-format marker:
+// the peer speaks some other framing, and the connection cannot be resynced.
+var ErrUntaggedFrame = errors.New("wire: untagged frame")
+
+// Frame header: a 4-byte big-endian word holding the payload length with
+// frameTagged set, then the 8-byte big-endian tag. Lengths never reach the
+// marker bit (MaxFrameSize < 1<<31), so a bare length prefix — any framing
+// without the marker — is told apart from the first four bytes, and a peer
+// that expects a bare length reads this header as an oversized frame.
+const (
+	frameHeaderLen = 12
+	frameTagged    = 1 << 31
+)
+
+// Frame is a payload with room for the frame header in front of it, in one
+// buffer: WriteFrame fills the header in and the whole frame leaves in a
+// single Write — one syscall and one segment train on a TCP_NODELAY socket,
+// nothing for a concurrent writer to interleave with, and no copy of the
+// payload to get it behind its header. Envelope.MarshalFrame encodes into
+// one directly.
+type Frame []byte
+
+// NewFrame copies an already-encoded payload into a Frame.
+func NewFrame(payload []byte) Frame {
+	f := make(Frame, frameHeaderLen+len(payload))
+	copy(f[frameHeaderLen:], payload)
+	return f
+}
+
+// WriteFrame writes f to w under tag. The tag is the transport's
+// correlation handle — a reply frame carries the tag of its request, so
+// many round-trips share one connection and complete out of order. It
+// lives in the frame header and not in the Envelope so envelope bytes (and
+// everything signed over them) do not depend on the connection they ride.
+// This is the transport framing relays use over TCP in place of the paper's
+// gRPC streams. A Frame may be written again, under another tag.
+func WriteFrame(w io.Writer, tag uint64, f Frame) error {
+	length := len(f) - frameHeaderLen
+	if length < 0 {
+		return fmt.Errorf("%w: frame without header room", ErrMalformed)
 	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return fmt.Errorf("write frame header: %w", err)
+	if length > MaxFrameSize {
+		return fmt.Errorf("%w: frame of %d bytes", ErrTooLarge, length)
 	}
-	if _, err := w.Write(payload); err != nil {
-		return fmt.Errorf("write frame payload: %w", err)
+	binary.BigEndian.PutUint32(f[:4], uint32(length)|frameTagged)
+	binary.BigEndian.PutUint64(f[4:frameHeaderLen], tag)
+	if _, err := w.Write(f); err != nil {
+		return fmt.Errorf("write frame: %w", err)
 	}
 	return nil
 }
 
-// ReadFrame reads one length-prefixed frame from r.
-func ReadFrame(r io.Reader) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+// ReadFrame reads one frame from r. A stream that ends cleanly between
+// frames yields io.EOF; one that ends inside a frame yields a wrapped
+// io.ErrUnexpectedEOF.
+func ReadFrame(r io.Reader) (tag uint64, payload []byte, err error) {
+	var hdr [frameHeaderLen]byte
+	// The marker word is read and checked on its own: a peer with another
+	// framing may never send the rest of a header.
+	if _, err := io.ReadFull(r, hdr[:4]); err != nil {
 		if err == io.EOF {
-			return nil, io.EOF
+			return 0, nil, io.EOF
 		}
-		return nil, fmt.Errorf("read frame header: %w", err)
+		return 0, nil, fmt.Errorf("read frame header: %w", err)
 	}
-	length := binary.BigEndian.Uint32(hdr[:])
+	word := binary.BigEndian.Uint32(hdr[:4])
+	if word&frameTagged == 0 {
+		return 0, nil, fmt.Errorf("%w: header %#08x", ErrUntaggedFrame, word)
+	}
+	length := word &^ frameTagged
 	if length > MaxFrameSize {
-		return nil, fmt.Errorf("%w: frame of %d bytes", ErrTooLarge, length)
+		return 0, nil, fmt.Errorf("%w: frame of %d bytes", ErrTooLarge, length)
 	}
-	payload := make([]byte, length)
+	if _, err := io.ReadFull(r, hdr[4:]); err != nil {
+		return 0, nil, fmt.Errorf("read frame header: %w", noCleanEOF(err))
+	}
+	payload = make([]byte, length)
 	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, fmt.Errorf("read frame payload: %w", err)
+		return 0, nil, fmt.Errorf("read frame payload: %w", noCleanEOF(err))
 	}
-	return payload, nil
+	return binary.BigEndian.Uint64(hdr[4:]), payload, nil
+}
+
+// noCleanEOF turns the io.EOF that io.ReadFull reports when a stream ends
+// exactly at a read boundary into io.ErrUnexpectedEOF: inside a frame no
+// boundary is a clean end.
+func noCleanEOF(err error) error {
+	if err == io.EOF {
+		return io.ErrUnexpectedEOF
+	}
+	return err
 }

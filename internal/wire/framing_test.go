@@ -9,60 +9,131 @@ import (
 
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	payloads := [][]byte{
-		[]byte("first"),
-		{},
-		bytes.Repeat([]byte{0xAB}, 10_000),
+	frames := []struct {
+		tag     uint64
+		payload []byte
+	}{
+		{1, []byte("first")},
+		{0, []byte{}},
+		{1, []byte("same tag again")}, // tags are the caller's business
+		{^uint64(0), bytes.Repeat([]byte{0xAB}, 10_000)},
 	}
-	for _, p := range payloads {
-		if err := WriteFrame(&buf, p); err != nil {
+	for _, f := range frames {
+		if err := WriteFrame(&buf, f.tag, NewFrame(f.payload)); err != nil {
 			t.Fatalf("WriteFrame: %v", err)
 		}
 	}
-	for i, want := range payloads {
-		got, err := ReadFrame(&buf)
+	for i, want := range frames {
+		tag, got, err := ReadFrame(&buf)
 		if err != nil {
 			t.Fatalf("ReadFrame %d: %v", i, err)
 		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("frame %d mismatch", i)
+		if tag != want.tag || !bytes.Equal(got, want.payload) {
+			t.Fatalf("frame %d = tag %d, %d bytes; want tag %d, %d bytes", i, tag, len(got), want.tag, len(want.payload))
 		}
 	}
-	if _, err := ReadFrame(&buf); err != io.EOF {
+	if _, _, err := ReadFrame(&buf); err != io.EOF {
 		t.Fatalf("expected io.EOF at end, got %v", err)
 	}
 }
 
-func TestReadFrameTruncatedHeader(t *testing.T) {
-	r := bytes.NewReader([]byte{0, 0})
-	if _, err := ReadFrame(r); err == nil || err == io.EOF {
-		t.Fatalf("truncated header gave %v", err)
-	}
-}
-
-func TestReadFrameTruncatedPayload(t *testing.T) {
+// TestReadFrameTruncated cuts a valid frame at every length short of whole:
+// only the empty stream is a clean io.EOF, every other cut is an error that
+// is not io.EOF, so a reader can tell a hang-up between frames from one
+// inside a frame.
+func TestReadFrameTruncated(t *testing.T) {
 	var buf bytes.Buffer
-	_ = WriteFrame(&buf, []byte("full payload"))
-	data := buf.Bytes()[:buf.Len()-3]
-	if _, err := ReadFrame(bytes.NewReader(data)); err == nil {
-		t.Fatal("truncated payload accepted")
+	if err := WriteFrame(&buf, 7, NewFrame([]byte("full payload"))); err != nil {
+		t.Fatalf("WriteFrame: %v", err)
+	}
+	whole := buf.Bytes()
+	for cut := 0; cut < len(whole); cut++ {
+		_, _, err := ReadFrame(bytes.NewReader(whole[:cut]))
+		if cut == 0 {
+			if err != io.EOF {
+				t.Fatalf("empty stream gave %v, want io.EOF", err)
+			}
+			continue
+		}
+		if err == nil || errors.Is(err, io.EOF) || !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Fatalf("cut at %d of %d gave %v, want io.ErrUnexpectedEOF", cut, len(whole), err)
+		}
 	}
 }
 
 func TestReadFrameOversized(t *testing.T) {
 	hdr := []byte{0xFF, 0xFF, 0xFF, 0xFF}
-	if _, err := ReadFrame(bytes.NewReader(hdr)); !errors.Is(err, ErrTooLarge) {
+	if _, _, err := ReadFrame(bytes.NewReader(hdr)); !errors.Is(err, ErrTooLarge) {
 		t.Fatalf("oversized frame gave %v", err)
 	}
 }
 
+// TestReadFrameUntagged: a bare 4-byte length prefix (the framing before
+// tags) is refused from its first word, without waiting for more bytes.
+func TestReadFrameUntagged(t *testing.T) {
+	legacy := []byte{0x00, 0x00, 0x00, 0x05, 'h', 'e', 'l', 'l', 'o'}
+	for _, stream := range [][]byte{legacy, legacy[:4]} {
+		if _, _, err := ReadFrame(bytes.NewReader(stream)); !errors.Is(err, ErrUntaggedFrame) {
+			t.Fatalf("untagged frame gave %v", err)
+		}
+	}
+}
+
 func TestWriteFrameOversized(t *testing.T) {
-	// Construct a fake oversized slice header without allocating 96 MiB:
-	// allocate just over the limit only if the limit is small enough to be
-	// practical; otherwise skip.
-	payload := make([]byte, MaxFrameSize+1)
 	var buf bytes.Buffer
-	if err := WriteFrame(&buf, payload); !errors.Is(err, ErrTooLarge) {
+	if err := WriteFrame(&buf, 1, make(Frame, frameHeaderLen+MaxFrameSize+1)); !errors.Is(err, ErrTooLarge) {
 		t.Fatalf("oversized write gave %v", err)
+	}
+	if err := WriteFrame(&buf, 1, Frame("short")); !errors.Is(err, ErrMalformed) {
+		t.Fatalf("frame without header room gave %v", err)
+	}
+	if buf.Len() != 0 {
+		t.Fatalf("%d bytes of a refused frame were written", buf.Len())
+	}
+}
+
+// countingWriter records how the frame reached it.
+type countingWriter struct {
+	writes int
+	first  *byte
+	bytes.Buffer
+}
+
+func (w *countingWriter) Write(p []byte) (int, error) {
+	if w.writes++; w.writes == 1 && len(p) > 0 {
+		w.first = &p[0]
+	}
+	return w.Buffer.Write(p)
+}
+
+// TestWriteFrameSingleWriteNoCopy: an envelope marshalled as a frame
+// reaches the writer in one Write of that very buffer — header and payload
+// together, so no 12-byte segment of its own on a TCP_NODELAY socket and
+// nothing for a concurrent writer to land between, and no copy made to get
+// the payload behind its header. The payload is byte-identical to Marshal:
+// the tag rides in the header, never in the envelope.
+func TestWriteFrameSingleWriteNoCopy(t *testing.T) {
+	env := &Envelope{Version: ProtocolVersion, Type: MsgQuery, RequestID: "req", Payload: bytes.Repeat([]byte{0x5A}, 4096)}
+	frame := env.MarshalFrame()
+	var w countingWriter
+	if err := WriteFrame(&w, 9, frame); err != nil {
+		t.Fatalf("WriteFrame: %v", err)
+	}
+	if w.writes != 1 || w.first != &frame[0] {
+		t.Fatalf("frame reached the writer in %d writes (first at %p, frame at %p); want 1 write of the frame itself", w.writes, w.first, &frame[0])
+	}
+	tag, payload, err := ReadFrame(&w.Buffer)
+	if err != nil || tag != 9 {
+		t.Fatalf("ReadFrame = tag %d, %v", tag, err)
+	}
+	if !bytes.Equal(payload, env.Marshal()) {
+		t.Fatal("frame payload differs from Envelope.Marshal")
+	}
+	// The same frame goes out again under another tag (a resend).
+	if err := WriteFrame(&w, 10, frame); err != nil {
+		t.Fatalf("WriteFrame again: %v", err)
+	}
+	if tag, again, err := ReadFrame(&w.Buffer); err != nil || tag != 10 || !bytes.Equal(again, payload) {
+		t.Fatalf("rewritten frame = tag %d, %d bytes, %v", tag, len(again), err)
 	}
 }

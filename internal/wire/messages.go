@@ -97,8 +97,22 @@ type Envelope struct {
 }
 
 // Marshal encodes the envelope.
-func (m *Envelope) Marshal() []byte {
-	e := NewEncoder(16 + len(m.RequestID) + len(m.Payload))
+func (m *Envelope) Marshal() []byte { return m.marshal(0) }
+
+// MarshalFrame encodes the envelope straight into a Frame, so the transport
+// sends it without copying it behind a header.
+func (m *Envelope) MarshalFrame() Frame { return m.marshal(frameHeaderLen) }
+
+// marshal encodes the envelope after headroom zero bytes.
+func (m *Envelope) marshal(headroom int) []byte {
+	// Sized so the buffer never regrows: 56 bytes cover every key, length
+	// prefix and scalar at its widest (the two deadline varints alone are
+	// 22), each hop adds its key and length prefix.
+	size := headroom + 56 + len(m.RequestID) + len(m.Payload)
+	for _, hop := range m.Route {
+		size += 4 + len(hop)
+	}
+	e := &Encoder{buf: make([]byte, headroom, size)}
 	e.Uint(1, m.Version)
 	e.Uint(2, uint64(m.Type))
 	e.String(3, m.RequestID)
