@@ -114,24 +114,41 @@ func BenchmarkE1EndToEndQuery(b *testing.B) {
 
 // BenchmarkE2EncryptionOverhead isolates the confidentiality cost the
 // paper's design pays so untrusted relays learn nothing: a full attestation
-// (sign + encrypt metadata + encrypt result) versus the bare signature an
-// encryption-free design would use.
+// (sign + seal metadata + seal result) versus the bare signature an
+// encryption-free design would use. The cold arm builds with a fresh
+// Builder every time, so each envelope pays a session keygen plus ECDH
+// agreement — what per-query ECIES costs; the warm arm reuses one builder,
+// the steady state of a requester that queries again within a session.
 func BenchmarkE2EncryptionOverhead(b *testing.B) {
 	ca, _ := msp.NewCA("org")
 	attestor, _ := ca.Issue("peer0", msp.RolePeer)
+	attestors := []*msp.Identity{attestor}
 	clientKey, _ := cryptoutil.GenerateKey()
 	nonce, _ := cryptoutil.NewNonce()
 	qd := proof.QueryDigest("net", "default", "cc", "fn", nil, nonce)
 	result := make([]byte, 4096)
-	now := time.Now()
+	specs := []proof.Spec{{
+		NetworkID: "net", QueryDigest: qd, PolicyDigest: proof.PolicyDigest("'org'"), Result: result,
+		Nonce: nonce, ClientPub: &clientKey.PublicKey, RequesterLabel: "client", Now: time.Now(),
+	}}
 
-	b.Run("attestation-with-encryption", func(b *testing.B) {
+	b.Run("attestation-with-encryption-cold", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := proof.BuildAttestationPinned(attestor, "net", qd, nil, result, nonce, &clientKey.PublicKey, now); err != nil {
+			if _, err := proof.NewBuilder(0, nil).Build(ctx, specs, attestors); err != nil {
 				b.Fatal(err)
 			}
-			if _, err := proof.EncryptResult(&clientKey.PublicKey, result); err != nil {
+		}
+	})
+	b.Run("attestation-with-encryption-warm", func(b *testing.B) {
+		builder := proof.NewBuilder(time.Hour, nil)
+		if _, err := builder.Build(ctx, specs, attestors); err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := builder.Build(ctx, specs, attestors); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -178,16 +195,16 @@ func BenchmarkE3ProofValidation(b *testing.B) {
 			verifier, _ := msp.NewVerifier(roots)
 			clientKey, _ := cryptoutil.GenerateKey()
 			nonce, _ := cryptoutil.NewNonce()
-			q := &wire.Query{TargetNetwork: "net", Ledger: "default", Contract: "cc", Function: "fn", Nonce: nonce}
-			qd := proof.QueryDigestOf(q)
-			result := make([]byte, 4096)
-			encResult, _ := proof.EncryptResult(&clientKey.PublicKey, result)
-			resp := &wire.QueryResponse{EncryptedResult: encResult}
-			for _, id := range identities {
-				att, _ := proof.BuildAttestationPinned(id, "net", qd, nil, result, nonce, &clientKey.PublicKey, time.Now())
-				resp.Attestations = append(resp.Attestations, att)
+			q := &wire.Query{TargetNetwork: "net", Ledger: "default", Contract: "cc", Function: "fn", Nonce: nonce, PolicyExpr: policyExpr}
+			qd, pin := proof.QueryDigestOf(q), proof.PolicyDigest(policyExpr)
+			resps, err := proof.NewBuilder(0, nil).Build(ctx, []proof.Spec{{
+				NetworkID: "net", QueryDigest: qd, PolicyDigest: pin, Result: make([]byte, 4096),
+				Nonce: nonce, ClientPub: &clientKey.PublicKey, Now: time.Now(),
+			}}, identities)
+			if err != nil {
+				b.Fatal(err)
 			}
-			bundle, err := proof.OpenResponse(clientKey, q, resp)
+			bundle, err := proof.OpenResponse(clientKey, q, resps[0])
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -195,7 +212,7 @@ func BenchmarkE3ProofValidation(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := proof.Verify(bundle, verifier, vp, qd, nil); err != nil {
+				if err := proof.Verify(bundle, verifier, vp, qd, pin); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -444,39 +461,37 @@ func BenchmarkE8BatchedAttestation(b *testing.B) {
 
 // BenchmarkE9SessionedECIES measures ECIES amortization on the batched
 // cold-query path. Each iteration fires `width` concurrent cold queries
-// through one Merkle window (as in E8) and the sweep compares three
-// encryption regimes on the same driver:
+// through one Merkle window (as in E8) and the sweep compares two session
+// states on the same driver:
 //
-//   - classic: sessioned mode off — every envelope pays a fresh ephemeral
-//     keygen plus ECDH agreement, attestors+1 per query.
-//   - session-cold: the session pool is replaced before every window, so
-//     each window starts with no cached secrets: (attestors+1) agreements
-//     per window, amortized to (attestors+1)/width per query.
-//   - session-warm: one long-lived pool — the warm-poller steady state,
-//     where every window after the first seals under cached secrets and
-//     ECDH per query goes to ~0.
+//   - session-cold: every window comes from a requester identity the driver
+//     has never seen, so each window pays (attestors+1) agreements, amortized
+//     to (attestors+1)/width per query. Per-query ECIES would pay
+//     attestors+1 per query.
+//   - session-warm: one long-lived requester — the warm-poller steady
+//     state, where every window after the first seals under cached secrets
+//     and ECDH per query goes to ~0.
 //
 // ecdh/query is measured from the driver's own crypto-op counters, not
 // modeled.
 func BenchmarkE9SessionedECIES(b *testing.B) {
-	w, actors := tradeWorld(b)
-	client := actors.SWTSeller.Client()
+	w, _ := tradeWorld(b)
 	for _, width := range []int{8, 64} {
-		for _, mode := range []string{"classic", "session-cold", "session-warm"} {
+		for _, mode := range []string{"session-cold", "session-warm"} {
 			b.Run(fmt.Sprintf("window-%d/%s", width, mode), func(b *testing.B) {
 				// maxPending = width: windows flush when full, the 50ms
 				// timer is only a straggler backstop (see E8).
 				w.STL.Driver.ConfigureAttestationBatching(50*time.Millisecond, width)
 				defer w.STL.Driver.ConfigureAttestationBatching(0, 0)
-				switch mode {
-				case "classic":
-					w.STL.Driver.ConfigureSessionedECIES(0)
-				default:
-					w.STL.Driver.ConfigureSessionedECIES(time.Hour)
-				}
-				defer w.STL.Driver.ConfigureSessionedECIES(cryptoutil.DefaultSessionTTL)
 
-				runWindow := func() {
+				newClient := func() *core.Client {
+					actors, err := w.NewActors()
+					if err != nil {
+						b.Fatal(err)
+					}
+					return actors.SWTSeller.Client()
+				}
+				runWindow := func(client *core.Client) {
 					var wg sync.WaitGroup
 					errs := make([]error, width)
 					for q := 0; q < width; q++ {
@@ -495,21 +510,24 @@ func BenchmarkE9SessionedECIES(b *testing.B) {
 						}
 					}
 				}
+				client := newClient()
 				if mode == "session-warm" {
 					// Pay the one-time agreements outside the measurement:
 					// the steady state being measured is the warm poller.
-					runWindow()
+					runWindow(client)
 				}
 				ecdhBefore, _, _ := w.STL.Driver.CryptoOps()
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if mode == "session-cold" {
-						// A fresh pool discards every cached secret: this
-						// window is the first one its requesters ever hit.
-						w.STL.Driver.ConfigureSessionedECIES(time.Hour)
+					if mode == "session-cold" && i > 0 {
+						// A new certificate is a new session label: this
+						// window is the first one its requester ever hit.
+						b.StopTimer()
+						client = newClient()
+						b.StartTimer()
 					}
-					runWindow()
+					runWindow(client)
 				}
 				b.StopTimer()
 				ecdhAfter, _, _ := w.STL.Driver.CryptoOps()
@@ -600,7 +618,8 @@ func BenchmarkP1WireCodec(b *testing.B) {
 
 // BenchmarkP2ProofGeneration measures source-side proof generation as the
 // attestor count grows (proof size scales linearly with the verification
-// policy's breadth).
+// policy's breadth): one lone query's proof per iteration, built by a
+// long-lived Builder as a driver builds it.
 func BenchmarkP2ProofGeneration(b *testing.B) {
 	for _, n := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("attestors-%d", n), func(b *testing.B) {
@@ -611,16 +630,17 @@ func BenchmarkP2ProofGeneration(b *testing.B) {
 			}
 			clientKey, _ := cryptoutil.GenerateKey()
 			nonce, _ := cryptoutil.NewNonce()
-			qd := proof.QueryDigest("net", "default", "cc", "fn", nil, nonce)
-			result := make([]byte, 4096)
-			now := time.Now()
+			specs := []proof.Spec{{
+				NetworkID: "net", QueryDigest: proof.QueryDigest("net", "default", "cc", "fn", nil, nonce),
+				PolicyDigest: proof.PolicyDigest("'org-0'"), Result: make([]byte, 4096), Nonce: nonce,
+				ClientPub: &clientKey.PublicKey, RequesterLabel: "client", Now: time.Now(),
+			}}
+			builder := proof.NewBuilder(0, nil)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				for _, id := range identities {
-					if _, err := proof.BuildAttestationPinned(id, "net", qd, nil, result, nonce, &clientKey.PublicKey, now); err != nil {
-						b.Fatal(err)
-					}
+				if _, err := builder.Build(ctx, specs, identities); err != nil {
+					b.Fatal(err)
 				}
 			}
 		})

@@ -63,11 +63,11 @@
 // refuses a pin that disagrees with the policy expression, every
 // attestation signs the pin inside its metadata, and verification —
 // client-side and CMDAC Data Acceptance — refuses a bundle pinned to a
-// different policy (proof.ErrPolicyDigestMismatch); absent pins from older
-// peers are tolerated, mismatched ones never. Invokes get proof-carrying
-// commits: the proof over the endorsed response is built before ordering
-// (proof.Build, concurrent per attestor) and persisted with the committed
-// transaction (ledger.Transaction.ProofBundle, a marshaled proof.Sealed),
+// different policy or carrying no pin at all
+// (proof.ErrPolicyDigestMismatch). Invokes get proof-carrying commits: the
+// proof over the endorsed response is built before ordering
+// ((*proof.Builder).Build, concurrent per attestor) and persisted with the
+// committed transaction (ledger.Transaction.ProofBundle, a marshaled proof.Sealed),
 // so ReplayInvoke re-serves the original artifact byte for byte even after
 // an attestor organization leaves the source network — a replay can never
 // become unreproducible through an org change. On the query hot path a
@@ -79,28 +79,27 @@
 // valid write into one of those namespaces evicts it — writes to unrelated
 // chaincodes leave it warm.
 // Stats.AttestationCacheHits/Joins/Misses expose its effectiveness and
-// `netadmin proofs show` dumps a persisted artifact. Concurrent distinct
-// queries are amortized by Merkle-batched attestation
+// `netadmin proofs show` dumps a persisted artifact. Every proof has one
+// envelope, built by one proof.Builder per driver. Concurrent distinct
+// queries share a Merkle-batched window
 // (relay.FabricDriver.ConfigureAttestationBatching, armed by default by
-// the scenario builders): cold queries that
-// announce the capability (wire.Query.AcceptBatched) share a short window,
-// each attestor signs one RFC 6962-shaped Merkle root per window under a
-// dedicated domain separator, and every requester verifies its own leaf +
-// inclusion proof (proof.Element.BatchSize/BatchIndex/BatchPath) — lone
-// queries and legacy requesters fall back to the single-signature path,
-// and batched invokes persist their batched Sealed artifact so the replay
-// guarantee covers inclusion proofs too. The encryption half is amortized
-// by sessioned ECIES (cryptoutil.SessionManager, proof.SessionPool):
-// requesters announcing wire.Query.AcceptSessioned get envelopes sealed
-// under one ephemeral key per TTL generation with one cached ECDH
-// agreement per requester certificate, a per-query AEAD key derived via
-// HKDF bound to the generation and query digest, and the session point
-// carried in explicit wire fields (Attestation.SessionEphemeral) — warm
-// pollers pay zero scalar multiplications per query, legacy requesters
-// keep byte-identical classic ECIES, and the driver's leaf-addressed
-// element records let a repeated question join an earlier window's proof,
-// reusing every signature. relay.Stats.ECDHOps/SignOps/EncryptOps count
-// the expensive primitives fleet-wide.
+// the scenario builders): each attestor signs one RFC 6962-shaped Merkle
+// root per window under a dedicated domain separator, and every requester
+// verifies its own leaf + inclusion proof
+// (proof.Element.BatchSize/BatchIndex/BatchPath); a query alone in its
+// window is signed over its own metadata, and batched invokes persist their
+// batched Sealed artifact so the replay guarantee covers inclusion proofs
+// too. Every envelope is sealed under sessioned ECIES
+// (cryptoutil.SessionManager): one ephemeral key per TTL generation, one
+// cached ECDH agreement per requester certificate, a per-query AEAD key
+// derived via HKDF bound to the generation and query digest, and the
+// session point carried in explicit wire fields
+// (Attestation.SessionEphemeral) — a warm requester pays zero scalar
+// multiplications per query. The driver's leaf-addressed element records
+// let a repeated question join an earlier window's proof
+// ((*proof.Builder).Join), reusing every signature.
+// relay.Stats.ECDHOps/SignOps/EncryptOps count the expensive primitives
+// fleet-wide.
 //
 // Topologies are transitive: a relay with forwarding enabled
 // (relay.EnableForwarding) serves queries and invokes for networks it has

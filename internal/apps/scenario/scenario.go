@@ -89,9 +89,8 @@ func BuildWith(discovery relay.Discovery, transport relay.Transport, tune ...fab
 		return nil, fmt.Errorf("scenario: SWT admin: %w", err)
 	}
 	w := &TradeWorld{STL: stl, SWT: swt, STLAdmin: stlAdmin, SWTAdmin: swtAdmin}
-	// Batching on by default: capability-gated per query, so legacy
-	// requesters are unaffected, and a solitary query flushes after one
-	// conservative window.
+	// Batching on by default: a solitary query flushes after one
+	// conservative window and is then signed alone.
 	stl.Driver.ConfigureAttestationBatching(DefaultAttestBatchWindow, DefaultAttestBatchMax)
 	swt.Driver.ConfigureAttestationBatching(DefaultAttestBatchWindow, DefaultAttestBatchMax)
 	if err := w.initialize(); err != nil {

@@ -70,26 +70,26 @@ func (f *stlFixture) bundleFor(t *testing.T, poRef string, blJSON []byte) []byte
 	q := &wire.Query{
 		TargetNetwork: "tradelens", Ledger: "default", Contract: "TradeLensCC",
 		Function: "GetBillOfLading", Args: [][]byte{[]byte(poRef)}, Nonce: nonce,
+		PolicyExpr: stlVerificationPolicy,
 	}
-	qd := proof.QueryDigestOf(q)
-	encResult, err := proof.EncryptResult(&clientKey.PublicKey, blJSON)
+	spec := proof.Spec{
+		NetworkID: "tradelens", QueryDigest: proof.QueryDigestOf(q), PolicyDigest: proof.PolicyDigest(q.PolicyExpr),
+		Result: blJSON, Nonce: nonce, ClientPub: &clientKey.PublicKey, Now: time.Now(),
+	}
+	resps, err := proof.NewBuilder(0, nil).Build(context.Background(), []proof.Spec{spec}, []*msp.Identity{f.sellerPeer, f.carrierPeer})
 	if err != nil {
-		t.Fatalf("EncryptResult: %v", err)
+		t.Fatalf("Build: %v", err)
 	}
-	resp := &wire.QueryResponse{EncryptedResult: encResult}
-	for _, attestor := range []*msp.Identity{f.sellerPeer, f.carrierPeer} {
-		att, err := proof.BuildAttestationPinned(attestor, "tradelens", qd, nil, blJSON, nonce, &clientKey.PublicKey, time.Now())
-		if err != nil {
-			t.Fatalf("BuildAttestation: %v", err)
-		}
-		resp.Attestations = append(resp.Attestations, att)
-	}
-	bundle, err := proof.OpenResponse(clientKey, q, resp)
+	bundle, err := proof.OpenResponse(clientKey, q, resps[0])
 	if err != nil {
 		t.Fatalf("OpenResponse: %v", err)
 	}
 	return bundle.Marshal()
 }
+
+// stlVerificationPolicy is the policy SWT records for STL, and so the pin
+// every fabricated bundle carries.
+const stlVerificationPolicy = "AND('seller-org.peer','carrier-org.peer')"
 
 // interopSWT builds the SWT network with STL's fabricated config and
 // verification policy recorded.
@@ -107,7 +107,7 @@ func interopSWT(t *testing.T, f *stlFixture) (*BuyerApp, *SellerApp) {
 		t.Fatalf("ConfigureForeignNetwork: %v", err)
 	}
 	if err := n.SetVerificationPolicy(admin, policy.VerificationPolicy{
-		Network: "tradelens", Expr: "AND('seller-org.peer','carrier-org.peer')",
+		Network: "tradelens", Expr: stlVerificationPolicy,
 	}); err != nil {
 		t.Fatalf("SetVerificationPolicy: %v", err)
 	}

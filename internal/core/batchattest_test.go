@@ -129,9 +129,9 @@ func TestBatchedInvokeReplayAfterOrgRemoval(t *testing.T) {
 			if att.BatchSize != 2 || len(att.BatchPath) == 0 {
 				t.Fatalf("persisted attestation %d not batched: size=%d path=%d", i, att.BatchSize, len(att.BatchPath))
 			}
-			// The client negotiated sessioned ECIES, so the persisted window
-			// is batched AND sessioned — the replay below therefore proves
-			// the sessioned batched Sealed artifact is served byte for byte.
+			// Every envelope is sessioned, so the persisted window is
+			// batched AND sessioned — the replay below therefore proves the
+			// sessioned batched Sealed artifact is served byte for byte.
 			if len(att.SessionEphemeral) == 0 || att.SessionGeneration == 0 {
 				t.Fatalf("persisted attestation %d is not sessioned", i)
 			}
@@ -160,53 +160,5 @@ func TestBatchedInvokeReplayAfterOrgRemoval(t *testing.T) {
 	}
 	if got := relay2.Stats().InvokeReplays; got != 2 {
 		t.Fatalf("InvokeReplays = %d, want 2", got)
-	}
-}
-
-// TestBatchingDisabledForLegacyClients proves capability negotiation: a
-// query that does not announce AcceptBatched takes the single-signature
-// path even when the driver's window is armed, and never waits on it.
-func TestBatchingDisabledForLegacyClients(t *testing.T) {
-	w := buildWorld(t)
-	if _, err := w.srcAdmin.Submit("sourceCC", "Put", []byte("bl-legacy"), []byte("doc")); err != nil {
-		t.Fatalf("Put: %v", err)
-	}
-	client, err := NewClient(w.dest, "seller-bank-org", "legacy-reader")
-	if err != nil {
-		t.Fatalf("NewClient: %v", err)
-	}
-	data, err := client.RemoteQuery(context.Background(), RemoteQuerySpec{
-		Network: "source-net", Contract: "sourceCC", Function: "Get",
-		Args: [][]byte{[]byte("bl-legacy")},
-	})
-	if err != nil {
-		t.Fatalf("RemoteQuery: %v", err)
-	}
-
-	// Arm a wide window, then replay the identical query without the
-	// capability bit straight at the driver, as an older relay would send
-	// it. With no other traffic, a batched submission would stall until
-	// the window timer fires; the legacy path must return immediately.
-	w.source.Driver.ConfigureAttestationBatching(time.Minute, 8)
-	legacy := *data.Query
-	legacy.AcceptBatched = false
-	done := make(chan struct{})
-	var resp *wire.QueryResponse
-	go func() {
-		defer close(done)
-		resp, err = w.source.Driver.Query(context.Background(), &legacy)
-	}()
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatal("legacy query stalled in the batching window")
-	}
-	if err != nil {
-		t.Fatalf("legacy Query: %v", err)
-	}
-	for _, att := range resp.Attestations {
-		if att.BatchSize != 0 {
-			t.Fatal("legacy query received a batched attestation")
-		}
 	}
 }

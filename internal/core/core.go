@@ -343,14 +343,6 @@ func (c *Client) buildQuery(ctx context.Context, spec RemoteQuerySpec) (*wire.Qu
 		// Pin the resolved policy: the source refuses to build, and this
 		// client refuses to accept, a proof under any other policy digest.
 		PolicyDigest: proof.PolicyDigest(policyExpr),
-		// This client verifies Merkle-batched attestations (proof.Verify
-		// recomputes the signed root from the leaf's inclusion path), so
-		// advertise the capability; sources without batching ignore it.
-		AcceptBatched: true,
-		// Likewise sessioned ECIES envelopes: proof.OpenResponse dispatches
-		// on the response's session fields, so both classic and sessioned
-		// sources are decryptable.
-		AcceptSessioned: true,
 	}, policyExpr, nil
 }
 

@@ -379,9 +379,10 @@ func TestPreVerifySkipsOnlyWhenNoConfigRecorded(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewClient: %v", err)
 	}
-	// An empty bundle satisfies no policy, so nil means the check was skipped.
-	unverifiable := &proof.Bundle{SourceNetwork: "source-net"}
+	// A pinned bundle with no elements satisfies no policy, so nil means the
+	// check was skipped.
 	policyExpr := "AND('seller-org.peer','carrier-org.peer')"
+	unverifiable := &proof.Bundle{SourceNetwork: "source-net", PolicyDigest: proof.PolicyDigest(policyExpr)}
 
 	if err := client.preVerify(&wire.Query{TargetNetwork: "unrecorded-net"}, unverifiable, policyExpr); err != nil {
 		t.Fatalf("no recorded configuration: err = %v, want the check skipped", err)

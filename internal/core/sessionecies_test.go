@@ -4,8 +4,6 @@ import (
 	"context"
 	"fmt"
 	"testing"
-
-	"repro/internal/wire"
 )
 
 // TestSessionedECDHAmortizedAcrossQueries is the amortization claim end to
@@ -49,56 +47,6 @@ func TestSessionedECDHAmortizedAcrossQueries(t *testing.T) {
 	}
 }
 
-// TestSessionedDisabledForLegacyClients proves the capability gate for
-// sessioned ECIES: a query without AcceptSessioned gets classic per-query
-// envelopes — the 65-byte uncompressed point prefix in every ciphertext,
-// no session wire fields — byte-compatible with pre-session clients, even
-// though the driver's session pool is armed (the default).
-func TestSessionedDisabledForLegacyClients(t *testing.T) {
-	w := buildWorld(t)
-	if _, err := w.srcAdmin.Submit("sourceCC", "Put", []byte("bl-classic"), []byte("doc")); err != nil {
-		t.Fatalf("Put: %v", err)
-	}
-	client, err := NewClient(w.dest, "seller-bank-org", "classic-reader")
-	if err != nil {
-		t.Fatalf("NewClient: %v", err)
-	}
-	data, err := client.RemoteQuery(context.Background(), RemoteQuerySpec{
-		Network: "source-net", Contract: "sourceCC", Function: "Get",
-		Args: [][]byte{[]byte("bl-classic")},
-	})
-	if err != nil {
-		t.Fatalf("RemoteQuery: %v", err)
-	}
-
-	// Replay the identical question without the capability bit, as an older
-	// client library would send it.
-	legacy := *data.Query
-	legacy.AcceptSessioned = false
-	legacy.Nonce = append([]byte(nil), data.Query.Nonce...)
-	resp, err := w.source.Driver.Query(context.Background(), &legacy)
-	if err != nil {
-		t.Fatalf("legacy Query: %v", err)
-	}
-	classic := func(name string, envelope []byte) {
-		t.Helper()
-		// Classic layout: uncompressed P-256 point || GCM nonce || ct.
-		if len(envelope) < 65+12 || envelope[0] != 0x04 {
-			t.Fatalf("%s is not a classic ECIES envelope (len=%d)", name, len(envelope))
-		}
-	}
-	if len(resp.SessionEphemeral) != 0 || resp.SessionGeneration != 0 {
-		t.Fatal("legacy response carries session fields")
-	}
-	classic("result", resp.EncryptedResult)
-	for i, att := range resp.Attestations {
-		if len(att.SessionEphemeral) != 0 || att.SessionGeneration != 0 {
-			t.Fatalf("legacy attestation %d carries session fields", i)
-		}
-		classic(fmt.Sprintf("attestation %d metadata", i), att.EncryptedMetadata)
-	}
-}
-
 // TestSessionedCertRotationFreshAgreement drives certificate rotation
 // through the driver: the session label is the requester certificate
 // digest, so the same human behind a renewed certificate gets a fresh
@@ -130,18 +78,5 @@ func TestSessionedCertRotationFreshAgreement(t *testing.T) {
 	after, _, _ := w.source.Driver.CryptoOps()
 	if after-before != 3 {
 		t.Fatalf("rotated certificate triggered %d fresh ECDH agreements, want 3", after-before)
-	}
-}
-
-// Interface holds: a *wire.Query round-trips AcceptSessioned.
-func TestQuerySessionedCapabilityRoundTrip(t *testing.T) {
-	q := &wire.Query{RequestingNetwork: "n", Contract: "c", Function: "f",
-		Nonce: make([]byte, 16), AcceptSessioned: true}
-	rt, err := wire.UnmarshalQuery(q.Marshal())
-	if err != nil {
-		t.Fatalf("UnmarshalQuery: %v", err)
-	}
-	if !rt.AcceptSessioned {
-		t.Fatal("AcceptSessioned lost in the wire round trip")
 	}
 }

@@ -3,13 +3,13 @@
 // SHA-256 digests for ledger hashing, and an ECIES hybrid scheme (ephemeral
 // ECDH + HKDF + AES-GCM) for end-to-end encryption of query results and
 // proof metadata so that untrusted relays can neither read nor exfiltrate
-// transferred data. ECIES comes in two wire-compatible regimes: the classic
-// per-envelope scheme (Encrypt/Decrypt, one ephemeral keygen + ECDH per
-// envelope) and a sessioned mode (SessionManager/SessionDecrypt) that
-// amortizes the expensive scalar multiplications — one ephemeral key per
-// TTL generation, one cached agreement per requester, and a fresh
-// domain-separated AEAD key per query so confidentiality stays per-query.
-// OpCounter tallies ECDH/sign/encrypt operations for both regimes.
+// transferred data. The relay serving path uses one regime, sessioned ECIES
+// (SessionManager/SessionDecrypt): one ephemeral key per TTL generation,
+// one cached agreement per requester, and a fresh domain-separated AEAD key
+// per query so confidentiality stays per-query. The classic per-envelope
+// scheme (Encrypt/Decrypt, one ephemeral keygen + ECDH per envelope) stays
+// for the ECC chaincode's EncryptForRequester, the paper's chaincode-level
+// encryption call. OpCounter tallies ECDH/sign/encrypt operations.
 package cryptoutil
 
 import (

@@ -49,8 +49,7 @@ func (c *OpCounter) AddSign(n uint64) {
 	}
 }
 
-// AddEncrypt records n envelope encryptions (classic ECIES or sessioned
-// AEAD seals).
+// AddEncrypt records n envelope encryptions.
 func (c *OpCounter) AddEncrypt(n uint64) {
 	if c != nil {
 		c.encrypt.Add(n)

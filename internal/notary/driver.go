@@ -20,10 +20,9 @@ import (
 type Driver struct {
 	net        *Network
 	ledgerName string
-	// sessions amortizes ECIES for capability-announcing requesters, the
-	// same sessioned mode the Fabric driver runs; cryptoOps feeds
-	// relay.Stats through CryptoOps.
-	sessions  *proof.SessionPool
+	// builder seals every proof under sessioned ECIES, as the Fabric
+	// driver's does; cryptoOps feeds relay.Stats through CryptoOps.
+	builder   *proof.Builder
 	cryptoOps cryptoutil.OpCounter
 }
 
@@ -36,7 +35,7 @@ func NewDriver(net *Network, ledgerName string) *Driver {
 		ledgerName = "default"
 	}
 	d := &Driver{net: net, ledgerName: ledgerName}
-	d.sessions = proof.NewSessionPool(cryptoutil.DefaultSessionTTL, &d.cryptoOps)
+	d.builder = proof.NewBuilder(cryptoutil.DefaultSessionTTL, &d.cryptoOps)
 	return d
 }
 
@@ -102,23 +101,20 @@ func (d *Driver) Query(ctx context.Context, q *wire.Query) (*wire.QueryResponse,
 		return nil, fmt.Errorf("notary: query aborted: %w", err)
 	}
 	spec := proof.Spec{
-		NetworkID:    d.net.ID(),
-		QueryDigest:  proof.QueryDigestOf(q),
-		PolicyDigest: policyDigest,
-		Result:       result,
-		Nonce:        q.Nonce,
-		ClientPub:    clientPub,
-		Now:          time.Now(),
-		Counter:      &d.cryptoOps,
+		NetworkID:      d.net.ID(),
+		QueryDigest:    proof.QueryDigestOf(q),
+		PolicyDigest:   policyDigest,
+		Result:         result,
+		Nonce:          q.Nonce,
+		ClientPub:      clientPub,
+		RequesterLabel: string(cryptoutil.Digest(q.RequesterCertPEM)),
+		Now:            time.Now(),
 	}
-	if q.AcceptSessioned {
-		spec.Sessions = d.sessions
-		spec.RequesterLabel = string(cryptoutil.Digest(q.RequesterCertPEM))
-	}
-	resp, err := proof.Build(ctx, spec, attestors)
+	resps, err := d.builder.Build(ctx, []proof.Spec{spec}, attestors)
 	if err != nil {
 		return nil, fmt.Errorf("notary: %w", err)
 	}
+	resp := resps[0]
 	resp.RequestID = q.RequestID
 	return resp, nil
 }

@@ -158,7 +158,7 @@ func TestDriverQueryWithProof(t *testing.T) {
 		t.Fatalf("NewVerifier: %v", err)
 	}
 	vp := endorsement.MustParse(q.PolicyExpr)
-	if err := proof.Verify(bundle, verifier, vp, proof.QueryDigestOf(q), nil); err != nil {
+	if err := proof.Verify(bundle, verifier, vp, proof.QueryDigestOf(q), proof.PolicyDigest(q.PolicyExpr)); err != nil {
 		t.Fatalf("Verify: %v", err)
 	}
 }

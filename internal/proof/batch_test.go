@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"context"
 	"crypto/ecdsa"
+	"crypto/elliptic"
+	"crypto/rand"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -15,35 +18,23 @@ import (
 	"repro/internal/wire"
 )
 
-// batchFixture builds a window of n distinct queries (fresh nonce and
-// result each) from n distinct requesters and runs BuildBatch over the
+// windowFixture builds a window of n distinct queries (fresh nonce and
+// result each) from n distinct requesters in one Build call over the
 // standard two-org attestor set.
-func batchFixture(t *testing.T, n int) (queries []*wire.Query, keys []*ecdsa.PrivateKey, specs []Spec, resps []*wire.QueryResponse, verifier *msp.Verifier) {
+func windowFixture(t *testing.T, n int) (queries []*wire.Query, keys []*ecdsa.PrivateKey, specs []Spec, resps []*wire.QueryResponse, verifier *msp.Verifier) {
 	t.Helper()
 	_, _, sellerPeer, carrierPeer, v := setup(t)
-	now := time.Now()
 	for i := 0; i < n; i++ {
-		key, err := cryptoutil.GenerateKey()
-		if err != nil {
-			t.Fatalf("GenerateKey: %v", err)
-		}
 		q := sampleQuery(t)
 		q.RequestID = fmt.Sprintf("req-batch-%d", i)
+		spec, key := testSpec(t, q, []byte(fmt.Sprintf(`{"blId":"bl-%d"}`, i)))
 		queries = append(queries, q)
 		keys = append(keys, key)
-		specs = append(specs, Spec{
-			NetworkID:    "tradelens",
-			QueryDigest:  QueryDigestOf(q),
-			PolicyDigest: PolicyDigest(q.PolicyExpr),
-			Result:       []byte(fmt.Sprintf(`{"blId":"bl-%d"}`, i)),
-			Nonce:        q.Nonce,
-			ClientPub:    &key.PublicKey,
-			Now:          now,
-		})
+		specs = append(specs, spec)
 	}
-	resps, err := BuildBatch(context.Background(), specs, []*msp.Identity{sellerPeer, carrierPeer})
+	resps, err := NewBuilder(0, nil).Build(context.Background(), specs, []*msp.Identity{sellerPeer, carrierPeer})
 	if err != nil {
-		t.Fatalf("BuildBatch: %v", err)
+		t.Fatalf("Build: %v", err)
 	}
 	if len(resps) != n {
 		t.Fatalf("responses = %d, want %d", len(resps), n)
@@ -51,9 +42,9 @@ func batchFixture(t *testing.T, n int) (queries []*wire.Query, keys []*ecdsa.Pri
 	return queries, keys, specs, resps, v
 }
 
-func TestBuildBatchProducesVerifiableProofs(t *testing.T) {
+func TestBuildWindowProducesVerifiableProofs(t *testing.T) {
 	const n = 3
-	queries, keys, specs, resps, verifier := batchFixture(t, n)
+	queries, keys, specs, resps, verifier := windowFixture(t, n)
 	vp := endorsement.MustParse(queries[0].PolicyExpr)
 	for i := 0; i < n; i++ {
 		bundle, err := OpenResponse(keys[i], queries[i], resps[i])
@@ -77,11 +68,11 @@ func TestBuildBatchProducesVerifiableProofs(t *testing.T) {
 	}
 }
 
-func TestBuildBatchSharesOneSignaturePerAttestor(t *testing.T) {
+func TestBuildWindowSharesOneSignaturePerAttestor(t *testing.T) {
 	// The point of batching: within a window every query carries the SAME
 	// signature from a given attestor — one ECDSA sign per attestor per
 	// window regardless of window width.
-	_, _, _, resps, _ := batchFixture(t, 4)
+	_, _, _, resps, _ := windowFixture(t, 4)
 	for ai := range resps[0].Attestations {
 		first := resps[0].Attestations[ai].Signature
 		for qi := 1; qi < len(resps); qi++ {
@@ -92,16 +83,25 @@ func TestBuildBatchSharesOneSignaturePerAttestor(t *testing.T) {
 	}
 }
 
-func TestBuildBatchSingleSpecFallsBackToSingleSignature(t *testing.T) {
-	queries, keys, specs, resps, verifier := batchFixture(t, 1)
-	for _, att := range resps[0].Attestations {
-		if att.BatchSize != 0 || len(att.BatchPath) != 0 {
-			t.Fatal("lone query paid the batched-proof overhead")
-		}
-	}
+func TestBuildSingleSpecSignsMetadataDirectly(t *testing.T) {
+	// A lone query pays no Merkle overhead: no leaf index, no path, and the
+	// signature covers the metadata bytes themselves.
+	queries, keys, specs, resps, verifier := windowFixture(t, 1)
 	bundle, err := OpenResponse(keys[0], queries[0], resps[0])
 	if err != nil {
 		t.Fatalf("OpenResponse: %v", err)
+	}
+	for i, att := range resps[0].Attestations {
+		if att.BatchSize != 0 || att.BatchIndex != 0 || att.BatchPath != nil {
+			t.Fatal("lone query paid the batched-proof overhead")
+		}
+		cert, err := msp.ParseCertPEM(att.CertPEM)
+		if err != nil {
+			t.Fatalf("ParseCertPEM: %v", err)
+		}
+		if err := cryptoutil.Verify(cert.PublicKey.(*ecdsa.PublicKey), bundle.Elements[i].Metadata, att.Signature); err != nil {
+			t.Fatalf("attestation %d does not sign its metadata: %v", i, err)
+		}
 	}
 	vp := endorsement.MustParse(queries[0].PolicyExpr)
 	if err := Verify(bundle, verifier, vp, specs[0].QueryDigest, specs[0].PolicyDigest); err != nil {
@@ -110,7 +110,7 @@ func TestBuildBatchSingleSpecFallsBackToSingleSignature(t *testing.T) {
 }
 
 func TestBatchedElementTamperingRejected(t *testing.T) {
-	queries, keys, specs, resps, verifier := batchFixture(t, 3)
+	queries, keys, specs, resps, verifier := windowFixture(t, 3)
 	vp := endorsement.MustParse(queries[0].PolicyExpr)
 	open := func() *Bundle {
 		t.Helper()
@@ -158,7 +158,7 @@ func TestBatchedBundleSurvivesMarshalRoundTrip(t *testing.T) {
 	// The batch fields ride inside the persisted Bundle encoding — a
 	// destination peer that receives the serialized bundle (the Data
 	// Acceptance path) must still be able to verify the batched proof.
-	queries, keys, specs, resps, verifier := batchFixture(t, 3)
+	queries, keys, specs, resps, verifier := windowFixture(t, 3)
 	bundle, err := OpenResponse(keys[2], queries[2], resps[2])
 	if err != nil {
 		t.Fatalf("OpenResponse: %v", err)
@@ -173,44 +173,125 @@ func TestBatchedBundleSurvivesMarshalRoundTrip(t *testing.T) {
 	}
 }
 
-func TestBuildBatchHonorsCancelledContext(t *testing.T) {
+func TestBuildHonorsCancelledContext(t *testing.T) {
 	_, _, sellerPeer, carrierPeer, _ := setup(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	var specs []Spec
-	for i := 0; i < 2; i++ {
-		key, err := cryptoutil.GenerateKey()
-		if err != nil {
-			t.Fatalf("GenerateKey: %v", err)
+	for _, n := range []int{1, 2} {
+		var specs []Spec
+		for i := 0; i < n; i++ {
+			spec, _ := testSpec(t, sampleQuery(t), []byte("r"))
+			specs = append(specs, spec)
 		}
-		q := sampleQuery(t)
-		specs = append(specs, Spec{
-			NetworkID: "tradelens", QueryDigest: QueryDigestOf(q),
-			PolicyDigest: PolicyDigest(q.PolicyExpr), Result: []byte("r"),
-			Nonce: q.Nonce, ClientPub: &key.PublicKey, Now: time.Now(),
-		})
-	}
-	if _, err := BuildBatch(ctx, specs, []*msp.Identity{sellerPeer, carrierPeer}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled batch built anyway: %v", err)
+		if _, err := NewBuilder(0, nil).Build(ctx, specs, []*msp.Identity{sellerPeer, carrierPeer}); !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancelled %d-query build produced a proof: %v", n, err)
+		}
 	}
 }
 
-func TestBuildHonorsCancelledContext(t *testing.T) {
+// gatedCurve is P-256 whose Params — the first thing ECDSA signing asks of
+// a key — waits for gate: an attestor keyed on it cannot sign until the
+// test lets it.
+type gatedCurve struct {
+	elliptic.Curve
+	gate <-chan struct{}
+}
+
+func (c gatedCurve) Params() *elliptic.CurveParams {
+	<-c.gate
+	return c.Curve.Params()
+}
+
+func TestBuildResultFailureCancelsAttestors(t *testing.T) {
+	// The attestor managers already hold a session secret for the
+	// requester, so sealing its metadata cannot fail; the result manager
+	// cannot agree with the requester's key (a P-384 point), so sealing its
+	// result fails on the first spec. The attestors cannot sign while that
+	// happens: once released, only cancellation stops them from sealing the
+	// whole window.
 	_, _, sellerPeer, carrierPeer, _ := setup(t)
-	key, err := cryptoutil.GenerateKey()
+	gate := make(chan struct{})
+	var attestors []*msp.Identity
+	for _, id := range []*msp.Identity{sellerPeer, carrierPeer} {
+		key := &ecdsa.PrivateKey{D: id.Key.D, PublicKey: ecdsa.PublicKey{
+			Curve: gatedCurve{elliptic.P256(), gate}, X: id.Key.X, Y: id.Key.Y}}
+		attestors = append(attestors, &msp.Identity{Name: id.Name, OrgID: id.OrgID, Role: id.Role, Cert: id.Cert, Key: key})
+	}
+	var ops cryptoutil.OpCounter
+	b := NewBuilder(0, &ops)
+	good, _ := cryptoutil.GenerateKey()
+	for _, id := range attestors {
+		if _, err := b.forAttestor(id).KeyFor("warm", &good.PublicKey); err != nil {
+			t.Fatalf("warm %s: %v", id.Name, err)
+		}
+	}
+	foreign, err := ecdsa.GenerateKey(elliptic.P384(), rand.Reader)
 	if err != nil {
-		t.Fatalf("GenerateKey: %v", err)
+		t.Fatalf("P-384 key: %v", err)
 	}
-	q := sampleQuery(t)
-	spec := Spec{
-		NetworkID: "tradelens", QueryDigest: QueryDigestOf(q),
-		PolicyDigest: PolicyDigest(q.PolicyExpr), Result: []byte("r"),
-		Nonce: q.Nonce, ClientPub: &key.PublicKey, Now: time.Now(),
+	const n = 8
+	specs := make([]Spec, n)
+	for i := range specs {
+		specs[i], _ = testSpec(t, sampleQuery(t), []byte("r"))
+		specs[i].ClientPub, specs[i].RequesterLabel = &foreign.PublicKey, "warm"
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := Build(ctx, spec, []*msp.Identity{sellerPeer, carrierPeer}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled build produced a proof: %v", err)
+
+	done := make(chan error, 1)
+	go func() {
+		_, err := b.Build(context.Background(), specs, attestors)
+		done <- err
+	}()
+	// The result sealer runs alone and fails within microseconds; the pause
+	// only widens that margin.
+	time.Sleep(20 * time.Millisecond)
+	close(gate)
+	err = <-done
+	if err == nil || !strings.Contains(err.Error(), "encrypt result") {
+		t.Fatalf("Build error = %v, want the result sealing failure", err)
+	}
+	if sealed := ops.EncryptOps(); sealed >= n*uint64(len(attestors)) {
+		t.Fatalf("attestors sealed %d envelopes after the result failed", sealed)
+	}
+}
+
+func TestJoinReusesEveryProofElement(t *testing.T) {
+	// A later requester joins a stored window's proof: its own envelopes,
+	// the window's signatures and inclusion paths, no new signature.
+	queries, _, specs, resps, verifier := windowFixture(t, 3)
+	// Element records and joins name attestors by organization and peer.
+	var attestors []*msp.Identity
+	for _, att := range resps[1].Attestations {
+		attestors = append(attestors, &msp.Identity{Name: att.PeerName, OrgID: att.OrgID})
+	}
+	stored := PlainElements(&specs[1], resps[1], attestors)
+	if stored == nil {
+		t.Fatal("PlainElements refused a fresh build")
+	}
+	joiner, key := testSpec(t, queries[1], specs[1].Result)
+	var ops cryptoutil.OpCounter
+	joined, err := NewBuilder(0, &ops).Join(&joiner, stored, attestors)
+	if err != nil {
+		t.Fatalf("Join: %v", err)
+	}
+	if ops.SignOps() != 0 {
+		t.Fatalf("join signed %d times", ops.SignOps())
+	}
+	bundle, err := OpenResponse(key, queries[1], joined)
+	if err != nil {
+		t.Fatalf("OpenResponse: %v", err)
+	}
+	for i, el := range bundle.Elements {
+		if !bytes.Equal(el.Signature, resps[1].Attestations[i].Signature) || el.BatchSize != 3 || el.BatchIndex != 1 {
+			t.Fatalf("joined element %d is not the window's", i)
+		}
+	}
+	vp := endorsement.MustParse(queries[1].PolicyExpr)
+	if err := Verify(bundle, verifier, vp, specs[1].QueryDigest, specs[1].PolicyDigest); err != nil {
+		t.Fatalf("Verify: %v", err)
+	}
+	// A drifted attestor set is refused.
+	if _, err := NewBuilder(0, nil).Join(&joiner, stored, attestors[:1]); err == nil {
+		t.Fatal("join accepted a different attestor set")
 	}
 }
 

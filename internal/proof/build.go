@@ -13,10 +13,10 @@ import (
 	"repro/internal/wire"
 )
 
-// Spec carries everything needed to build a proof once: the identity of the
-// question (query digest), the policy pin the attestors are selected under,
-// the agreed plaintext result, the requester's nonce and encryption key,
-// and the build time stamped into every attestation.
+// Spec carries everything needed to build one query's proof: the identity
+// of the question (query digest), the policy pin the attestors are selected
+// under, the agreed plaintext result, the requester's nonce, encryption key
+// and session label, and the build time stamped into every attestation.
 type Spec struct {
 	NetworkID    string
 	QueryDigest  []byte
@@ -24,31 +24,20 @@ type Spec struct {
 	Result       []byte
 	Nonce        []byte
 	ClientPub    *ecdsa.PublicKey
-	Now          time.Time
-
-	// Sessions, when non-nil, switches every envelope in this build to
-	// sessioned ECIES: metadata is sealed under the per-attestor session
-	// manager and the result under the pool's result session, with the
-	// session ephemeral point and generation carried in explicit wire
-	// fields. Nil keeps the classic byte-identical per-query ECIES path
-	// (legacy requesters).
-	Sessions *SessionPool
 	// RequesterLabel identifies the requester for session-secret caching:
 	// the digest of the requester's certificate, so a rotated certificate
-	// never reuses a secret agreed for the old identity. Required when
-	// Sessions is non-nil.
+	// never reuses a secret agreed for the old identity.
 	RequesterLabel string
-	// Counter, when non-nil, receives crypto-op accounting for this build
-	// (signs, envelope encryptions, and the ECDH agreements behind them).
-	Counter *cryptoutil.OpCounter
+	Now            time.Time
 }
 
-// SessionPool owns the ECIES session managers of one proof-building site
-// (a relay driver): one manager per attestor identity plus one for result
-// encryption, all sharing a TTL and an op counter. Managers persist across
-// batch windows, which is exactly what lets a warm poller skip the
-// variable-base ECDH multiply on every window after its first.
-type SessionPool struct {
+// Builder is the one proof-building site of a driver. It owns the sessioned
+// ECIES state every envelope is sealed under — one session manager per
+// attestor identity plus one for results, all sharing a TTL — and the op
+// counter that accounts signs, seals and ECDH agreements. Managers persist
+// across builds, which is what lets a warm requester skip the variable-base
+// ECDH multiply on every query after its first.
+type Builder struct {
 	ttl     time.Duration
 	counter *cryptoutil.OpCounter
 
@@ -56,170 +45,157 @@ type SessionPool struct {
 	managers map[string]*cryptoutil.SessionManager
 }
 
-// NewSessionPool builds a session pool whose managers rotate every ttl
-// (cryptoutil.DefaultSessionTTL when ttl <= 0) and count agreements into
-// counter (may be nil).
-func NewSessionPool(ttl time.Duration, counter *cryptoutil.OpCounter) *SessionPool {
-	return &SessionPool{ttl: ttl, counter: counter, managers: make(map[string]*cryptoutil.SessionManager)}
+// NewBuilder returns a builder whose session keys rotate every ttl
+// (cryptoutil.DefaultSessionTTL when ttl <= 0) and which counts crypto ops
+// into counter (may be nil).
+func NewBuilder(ttl time.Duration, counter *cryptoutil.OpCounter) *Builder {
+	return &Builder{ttl: ttl, counter: counter, managers: make(map[string]*cryptoutil.SessionManager)}
 }
 
 // resultManagerKey is the reserved manager slot for result encryption; it
 // can never collide with an attestor key, which always contains "/".
 const resultManagerKey = ""
 
-func (p *SessionPool) manager(key string) *cryptoutil.SessionManager {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	m, ok := p.managers[key]
+func (b *Builder) manager(key string) *cryptoutil.SessionManager {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	m, ok := b.managers[key]
 	if !ok {
-		m = cryptoutil.NewSessionManager(p.ttl, p.counter)
-		p.managers[key] = m
+		m = cryptoutil.NewSessionManager(b.ttl, b.counter)
+		b.managers[key] = m
 	}
 	return m
 }
 
-// ForAttestor returns the session manager sealing metadata on behalf of the
-// given attestor identity.
-func (p *SessionPool) ForAttestor(id *msp.Identity) *cryptoutil.SessionManager {
-	return p.manager(id.OrgID + "/" + id.Name)
+func (b *Builder) forAttestor(id *msp.Identity) *cryptoutil.SessionManager {
+	return b.manager(id.OrgID + "/" + id.Name)
 }
 
-// ForResult returns the session manager sealing query results.
-func (p *SessionPool) ForResult() *cryptoutil.SessionManager {
-	return p.manager(resultManagerKey)
-}
-
-// sealTo encrypts plaintext for this spec's requester: sessioned under mgr
-// when the spec carries a session pool, classic ECIES otherwise. It returns
-// the envelope plus the session ephemeral point and generation to stamp
-// into the wire message (nil/0 on the classic path).
-func (s *Spec) sealTo(mgr *cryptoutil.SessionManager, plaintext []byte) (enc, ephemeral []byte, generation uint64, err error) {
-	if s.Sessions == nil || mgr == nil {
-		enc, err = cryptoutil.Encrypt(s.ClientPub, plaintext)
-		if err == nil {
-			s.Counter.AddECDH(1)
-			s.Counter.AddEncrypt(1)
-		}
-		return enc, nil, 0, err
-	}
-	key, err := mgr.KeyFor(s.RequesterLabel, s.ClientPub)
+// seal encrypts plaintext for spec's requester under mgr: the AEAD key is
+// derived from the requester's cached agreement, the session generation and
+// the query digest. It returns the envelope plus the session point and
+// generation the wire message carries.
+func (b *Builder) seal(mgr *cryptoutil.SessionManager, spec *Spec, plaintext []byte) (enc, ephemeral []byte, generation uint64, err error) {
+	key, err := mgr.KeyFor(spec.RequesterLabel, spec.ClientPub)
 	if err != nil {
 		return nil, nil, 0, err
 	}
-	enc, err = key.Seal(s.QueryDigest, plaintext)
+	enc, err = key.Seal(spec.QueryDigest, plaintext)
 	if err != nil {
 		return nil, nil, 0, err
 	}
-	s.Counter.AddEncrypt(1)
+	b.counter.AddEncrypt(1)
 	return enc, key.Ephemeral, key.Generation, nil
 }
 
-// sealResult encrypts the spec's result for the requester, sessioned when
-// enabled.
-func (s *Spec) sealResult() (enc, ephemeral []byte, generation uint64, err error) {
-	if s.Sessions == nil {
-		enc, err = EncryptResult(s.ClientPub, s.Result)
-		if err == nil {
-			s.Counter.AddECDH(1)
-			s.Counter.AddEncrypt(1)
-		}
-		return enc, nil, 0, err
+// Build builds the proofs for a window of queries attested by one attestor
+// set; the result is index-aligned with specs. Each attestor signs once for
+// the whole window: over its metadata when the window holds one query, so a
+// lone request pays no Merkle overhead, and otherwise over the
+// domain-separated Merkle root of every query's metadata leaf, each
+// attestation then carrying its leaf index and inclusion path. Envelopes
+// stay per query per attestor — metadata and results are sealed to each
+// requester individually — so a window amortizes signing, never
+// confidentiality. Attestors run concurrently with result sealing; the first
+// failure anywhere, or a cancelled ctx, cancels the rest. Callers that
+// persist a proof wrap its response with Seal.
+func (b *Builder) Build(ctx context.Context, specs []Spec, attestors []*msp.Identity) ([]*wire.QueryResponse, error) {
+	if len(specs) == 0 {
+		return nil, nil
 	}
-	return s.sealTo(s.Sessions.ForResult(), s.Result)
-}
-
-// buildAttestation produces one attestor's pinned attestation for the spec,
-// on the sessioned path when the spec carries a session pool and on the
-// classic single-query path otherwise.
-func buildAttestation(id *msp.Identity, spec *Spec) (wire.Attestation, error) {
-	if spec.Sessions == nil {
-		att, err := BuildAttestationPinned(id, spec.NetworkID, spec.QueryDigest,
-			spec.PolicyDigest, spec.Result, spec.Nonce, spec.ClientPub, spec.Now)
-		if err == nil {
-			spec.Counter.AddSign(1)
-			spec.Counter.AddECDH(1)
-			spec.Counter.AddEncrypt(1)
-		}
-		return att, err
-	}
-	plain := MetadataPlain(id, spec)
-	sig, err := id.Sign(plain)
-	if err != nil {
-		return wire.Attestation{}, fmt.Errorf("sign metadata: %w", err)
-	}
-	spec.Counter.AddSign(1)
-	enc, ephemeral, generation, err := spec.sealTo(spec.Sessions.ForAttestor(id), plain)
-	if err != nil {
-		return wire.Attestation{}, fmt.Errorf("encrypt metadata: %w", err)
-	}
-	return wire.Attestation{
-		PeerName:          id.Name,
-		OrgID:             id.OrgID,
-		CertPEM:           id.CertPEM(),
-		EncryptedMetadata: enc,
-		Signature:         sig,
-		SessionEphemeral:  ephemeral,
-		SessionGeneration: generation,
-	}, nil
-}
-
-// Build is the single construction point for attestation proofs: it gathers
-// one pinned attestation per attestor concurrently (each attestation is an
-// independent ECDSA sign + ECIES encrypt, the dominant per-peer cost) and
-// encrypts the result to the requester. The first attestor failure — or a
-// cancelled ctx — aborts the remaining fan-out instead of burning full
-// crypto cost on a proof that can no longer be completed. Callers that
-// persist the proof wrap the response with Seal; query paths use the
-// response directly.
-func Build(ctx context.Context, spec Spec, attestors []*msp.Identity) (*wire.QueryResponse, error) {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	resp := &wire.QueryResponse{PolicyDigest: spec.PolicyDigest}
-	resp.Attestations = make([]wire.Attestation, len(attestors))
-	errs := make([]error, len(attestors))
-	var wg sync.WaitGroup
-	for i, id := range attestors {
-		wg.Add(1)
-		go func(i int, id *msp.Identity) {
-			defer wg.Done()
-			if err := ctx.Err(); err != nil {
-				errs[i] = err
-				return
-			}
-			att, err := buildAttestation(id, &spec)
-			if err != nil {
-				errs[i] = fmt.Errorf("proof: attestation from %s: %w", id.Name, err)
-				cancel()
-				return
-			}
-			resp.Attestations[i] = att
-		}(i, id)
+	resps := make([]*wire.QueryResponse, len(specs))
+	for i := range specs {
+		resps[i] = &wire.QueryResponse{
+			PolicyDigest: specs[i].PolicyDigest,
+			Attestations: make([]wire.Attestation, len(attestors)),
+		}
 	}
-	encResult, resultEphemeral, resultGeneration, encErr := spec.sealResult()
+	// errs[len(attestors)] is the result sealer's slot.
+	errs := make([]error, len(attestors)+1)
+	var wg sync.WaitGroup
+	for ai, id := range attestors {
+		wg.Add(1)
+		go func(ai int, id *msp.Identity) {
+			defer wg.Done()
+			if errs[ai] = b.attest(ctx, specs, id, ai, resps); errs[ai] != nil {
+				cancel()
+			}
+		}(ai, id)
+	}
+	results := b.manager(resultManagerKey)
+	for si := range specs {
+		if err := ctx.Err(); err != nil {
+			errs[len(attestors)] = err
+			break
+		}
+		resp := resps[si]
+		var err error
+		resp.EncryptedResult, resp.SessionEphemeral, resp.SessionGeneration, err = b.seal(results, &specs[si], specs[si].Result)
+		if err != nil {
+			errs[len(attestors)] = fmt.Errorf("proof: encrypt result: %w", err)
+			cancel()
+			break
+		}
+	}
 	wg.Wait()
-	// Report a real attestation failure in preference to the context
-	// errors it induced in the goroutines that saw the cancellation.
+	// Report a real failure in preference to the context errors it induced
+	// in the work that saw the cancellation.
 	var ctxErr error
 	for _, err := range errs {
-		if err == nil {
-			continue
-		}
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 			ctxErr = err
-			continue
+		} else if err != nil {
+			return nil, err
 		}
-		return nil, err
 	}
 	if ctxErr != nil {
 		return nil, ctxErr
 	}
-	if encErr != nil {
-		return nil, fmt.Errorf("proof: encrypt result: %w", encErr)
+	return resps, nil
+}
+
+// attest produces attestor id's slot ai of every response in the window.
+func (b *Builder) attest(ctx context.Context, specs []Spec, id *msp.Identity, ai int, resps []*wire.QueryResponse) error {
+	if err := ctx.Err(); err != nil {
+		return err
 	}
-	resp.EncryptedResult = encResult
-	resp.SessionEphemeral = resultEphemeral
-	resp.SessionGeneration = resultGeneration
-	return resp, nil
+	plains := make([][]byte, len(specs))
+	for si := range specs {
+		plains[si] = MetadataPlain(id, &specs[si])
+	}
+	signed := plains[0]
+	var leaves [][]byte
+	if len(specs) > 1 {
+		leaves = make([][]byte, len(specs))
+		for si, plain := range plains {
+			leaves[si] = merkleLeafHash(plain)
+		}
+		signed = batchSigPayload(merkleRoot(leaves))
+	}
+	sig, err := id.Sign(signed)
+	if err != nil {
+		return fmt.Errorf("proof: signature from %s: %w", id.Name, err)
+	}
+	b.counter.AddSign(1)
+	mgr := b.forAttestor(id)
+	cert := id.CertPEM()
+	for si := range specs {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		att := wire.Attestation{PeerName: id.Name, OrgID: id.OrgID, CertPEM: cert, Signature: sig}
+		att.EncryptedMetadata, att.SessionEphemeral, att.SessionGeneration, err = b.seal(mgr, &specs[si], plains[si])
+		if err != nil {
+			return fmt.Errorf("proof: encrypt metadata from %s: %w", id.Name, err)
+		}
+		if leaves != nil {
+			att.BatchSize, att.BatchIndex, att.BatchPath = uint64(len(specs)), uint64(si), merklePath(leaves, si)
+		}
+		resps[si].Attestations[ai] = att
+	}
+	return nil
 }
 
 // Seal wraps a marshaled response Build produced into the persisted proof

@@ -2,13 +2,10 @@ package proof
 
 import (
 	"bytes"
-	"context"
 	"crypto/ecdsa"
 	"errors"
 	"testing"
-	"time"
 
-	"repro/internal/cryptoutil"
 	"repro/internal/endorsement"
 	"repro/internal/msp"
 	"repro/internal/wire"
@@ -19,25 +16,10 @@ import (
 func buildFixture(t *testing.T) (spec Spec, resp *respAndSealed, verifier *msp.Verifier) {
 	t.Helper()
 	_, _, sellerPeer, carrierPeer, v := setup(t)
-	clientKey, err := cryptoutil.GenerateKey()
-	if err != nil {
-		t.Fatalf("GenerateKey: %v", err)
-	}
 	q := sampleQuery(t)
-	spec = Spec{
-		NetworkID:    "tradelens",
-		QueryDigest:  QueryDigestOf(q),
-		PolicyDigest: PolicyDigest(q.PolicyExpr),
-		Result:       []byte(`{"blId":"bl-77"}`),
-		Nonce:        q.Nonce,
-		ClientPub:    &clientKey.PublicKey,
-		Now:          time.Now(),
-	}
+	spec, clientKey := testSpec(t, q, []byte(`{"blId":"bl-77"}`))
 	attestors := []*msp.Identity{sellerPeer, carrierPeer}
-	wireResp, err := Build(context.Background(), spec, attestors)
-	if err != nil {
-		t.Fatalf("Build: %v", err)
-	}
+	wireResp := buildOne(t, spec, attestors...)
 	sealed := Seal(spec, wireResp.Marshal(), attestors)
 	return spec, &respAndSealed{q: q, key: clientKey, resp: wireResp, sealed: sealed}, v
 }

@@ -1,11 +1,13 @@
 // Package proof implements the attestation-based proofs that accompany
 // cross-network data (§4.3 of the paper). The life of a proof:
 //
-//  1. Source side: each peer selected to satisfy the verification policy
-//     produces an Attestation — an ECDSA signature over response Metadata
-//     (binding the query digest, result digest, client nonce and attestor
-//     identity), with the metadata ECIES-encrypted to the requesting
-//     client. The query result itself is likewise encrypted. An untrusted
+//  1. Source side: a Builder collects, from each peer selected to satisfy
+//     the verification policy, an Attestation — an ECDSA signature over
+//     response Metadata (binding the query digest, result digest, client
+//     nonce, policy pin and attestor identity), or over the Merkle root of
+//     a window of such metadata — with the metadata sealed to the
+//     requesting client under sessioned ECIES. The query result itself is
+//     likewise sealed. An untrusted
 //     relay carrying the response can neither read the data nor strip out
 //     a usable proof.
 //
@@ -24,7 +26,6 @@ import (
 	"crypto/ecdsa"
 	"errors"
 	"fmt"
-	"time"
 
 	"repro/internal/cryptoutil"
 	"repro/internal/endorsement"
@@ -101,8 +102,8 @@ func PolicyDigest(policyExpr string) []byte {
 
 // PolicyDigestOf returns the query's effective policy pin: the explicit
 // PolicyDigest when the requester stamped one, otherwise the digest of the
-// policy expression the query carries. Nil when the query has neither (an
-// unpinned legacy request).
+// policy expression the query carries. Nil when the query has neither, and
+// OpenResponse then refuses every response to it.
 func PolicyDigestOf(q *wire.Query) []byte {
 	if len(q.PolicyDigest) > 0 {
 		return q.PolicyDigest
@@ -125,47 +126,6 @@ func PinnedPolicyDigest(q *wire.Query) ([]byte, error) {
 		return nil, ErrPolicyPinMismatch
 	}
 	return expect, nil
-}
-
-// BuildAttestationPinned produces one peer's attestation for a query
-// result. The result digest is computed over the plaintext result; the
-// metadata — including the verification-policy pin, when non-nil (nil
-// builds an unpinned legacy attestation) — is signed with the attestor's
-// key and then encrypted to the client. Proof construction normally goes
-// through Build, which fans attestors out concurrently.
-func BuildAttestationPinned(attestor *msp.Identity, networkID string, queryDigest, policyDigest, result, nonce []byte, clientPub *ecdsa.PublicKey, now time.Time) (wire.Attestation, error) {
-	md := wire.Metadata{
-		NetworkID:    networkID,
-		PeerName:     attestor.Name,
-		OrgID:        attestor.OrgID,
-		QueryDigest:  queryDigest,
-		ResultDigest: cryptoutil.Digest(result),
-		Nonce:        nonce,
-		UnixNano:     uint64(now.UnixNano()),
-		PolicyDigest: policyDigest,
-	}
-	plain := md.Marshal()
-	sig, err := attestor.Sign(plain)
-	if err != nil {
-		return wire.Attestation{}, fmt.Errorf("proof: sign metadata: %w", err)
-	}
-	encMeta, err := cryptoutil.Encrypt(clientPub, plain)
-	if err != nil {
-		return wire.Attestation{}, fmt.Errorf("proof: encrypt metadata: %w", err)
-	}
-	return wire.Attestation{
-		PeerName:          attestor.Name,
-		OrgID:             attestor.OrgID,
-		CertPEM:           attestor.CertPEM(),
-		EncryptedMetadata: encMeta,
-		Signature:         sig,
-	}, nil
-}
-
-// EncryptResult encrypts a query result to the requesting client,
-// preventing the relay from reading it (the paper's ECC encryption call).
-func EncryptResult(clientPub *ecdsa.PublicKey, result []byte) ([]byte, error) {
-	return cryptoutil.Encrypt(clientPub, result)
 }
 
 // Element is one decrypted attestation inside a Bundle: the attestor
@@ -202,7 +162,7 @@ type Bundle struct {
 	// (QueryDigestOf of the originating query).
 	QueryDigest []byte
 	// PolicyDigest is the verification-policy pin the proof was built
-	// under; nil for unpinned legacy bundles.
+	// under; Verify refuses a bundle without one.
 	PolicyDigest []byte
 	// UnixNano is when the proof was built (the attestation timestamp).
 	UnixNano uint64
@@ -326,22 +286,16 @@ func unmarshalElement(buf []byte) (Element, error) {
 	}
 }
 
-// openEnvelope decrypts one response envelope, dispatching on the session
-// fields: a non-empty session ephemeral point marks a sessioned envelope
-// (per-query AEAD key bound to the generation and the query digest), an
-// empty one the classic self-contained ECIES layout. The dispatch is safe
-// against field-stripping: a sessioned envelope fed to the classic decoder
-// has no valid point prefix and fails authentication either way.
-func openEnvelope(clientKey *ecdsa.PrivateKey, ephemeral []byte, generation uint64, queryDigest, ciphertext []byte) ([]byte, error) {
-	if len(ephemeral) > 0 {
-		return cryptoutil.SessionDecrypt(clientKey, ephemeral, generation, queryDigest, ciphertext)
-	}
-	return cryptoutil.Decrypt(clientKey, ciphertext)
+// pinned reports whether a carried policy pin is present and equals want.
+// An absent pin is refused like a different one: every builder pins.
+func pinned(carried, want []byte) bool {
+	return len(carried) > 0 && bytes.Equal(carried, want)
 }
 
-// OpenResponse decrypts a query response with the requesting client's
-// private key and assembles the plaintext Bundle. It performs the client's
-// own sanity checks (result digest binding, nonce echo) so that obviously
+// OpenResponse decrypts a query response's sessioned envelopes with the
+// requesting client's private key and assembles the plaintext Bundle. It
+// performs the client's own sanity checks (policy pin, result digest
+// binding, nonce echo) so that obviously
 // broken responses are rejected before a transaction is attempted; full
 // trust validation happens on the destination peers via Verify.
 func OpenResponse(clientKey *ecdsa.PrivateKey, q *wire.Query, resp *wire.QueryResponse) (*Bundle, error) {
@@ -349,11 +303,11 @@ func OpenResponse(clientKey *ecdsa.PrivateKey, q *wire.Query, resp *wire.QueryRe
 		return nil, fmt.Errorf("proof: remote error: %s", resp.Error)
 	}
 	wantPolicyDigest := PolicyDigestOf(q)
-	if len(wantPolicyDigest) > 0 && len(resp.PolicyDigest) > 0 && !bytes.Equal(resp.PolicyDigest, wantPolicyDigest) {
-		return nil, fmt.Errorf("%w: response pinned to a different policy", ErrPolicyDigestMismatch)
+	if !pinned(resp.PolicyDigest, wantPolicyDigest) {
+		return nil, fmt.Errorf("%w: response is not pinned to the query's policy", ErrPolicyDigestMismatch)
 	}
 	wantQueryDigest := QueryDigestOf(q)
-	result, err := openEnvelope(clientKey, resp.SessionEphemeral, resp.SessionGeneration,
+	result, err := cryptoutil.SessionDecrypt(clientKey, resp.SessionEphemeral, resp.SessionGeneration,
 		wantQueryDigest, resp.EncryptedResult)
 	if err != nil {
 		return nil, fmt.Errorf("proof: decrypt result: %w", err)
@@ -368,7 +322,7 @@ func OpenResponse(clientKey *ecdsa.PrivateKey, q *wire.Query, resp *wire.QueryRe
 	}
 	for i := range resp.Attestations {
 		att := &resp.Attestations[i]
-		plain, err := openEnvelope(clientKey, att.SessionEphemeral, att.SessionGeneration,
+		plain, err := cryptoutil.SessionDecrypt(clientKey, att.SessionEphemeral, att.SessionGeneration,
 			wantQueryDigest, att.EncryptedMetadata)
 		if err != nil {
 			return nil, fmt.Errorf("proof: decrypt metadata of %s: %w", att.PeerName, err)
@@ -386,7 +340,7 @@ func OpenResponse(clientKey *ecdsa.PrivateKey, q *wire.Query, resp *wire.QueryRe
 		if !bytes.Equal(md.Nonce, q.Nonce) {
 			return nil, fmt.Errorf("%w: attestation %s", ErrNonceMismatch, att.PeerName)
 		}
-		if len(wantPolicyDigest) > 0 && len(md.PolicyDigest) > 0 && !bytes.Equal(md.PolicyDigest, wantPolicyDigest) {
+		if !pinned(md.PolicyDigest, wantPolicyDigest) {
 			return nil, fmt.Errorf("%w: attestation %s", ErrPolicyDigestMismatch, att.PeerName)
 		}
 		if md.UnixNano > bundle.UnixNano {
@@ -411,18 +365,16 @@ func OpenResponse(clientKey *ecdsa.PrivateKey, q *wire.Query, resp *wire.QueryRe
 // the verification policy.
 //
 // expectedPolicyDigest is the pin of the policy the verifier is checking
-// against (PolicyDigest of its expression). When non-nil, any pin the
-// bundle or its signed metadata carries must match it — a bundle built
-// under a different policy is refused even if its attestor set would
-// incidentally satisfy this one. Bundles with no pin at all (legacy
-// builders) are still accepted; absence is tolerated, mismatch is not.
-// Pass nil to skip pin checking entirely.
+// against (PolicyDigest of its expression). The bundle and every element's
+// signed metadata must carry exactly that pin — a bundle built under a
+// different policy is refused even if its attestor set would incidentally
+// satisfy this one, and so is a bundle that carries no pin at all.
 func Verify(b *Bundle, verifier *msp.Verifier, vp *endorsement.Policy, expectedQueryDigest, expectedPolicyDigest []byte) error {
 	if vp == nil {
 		return fmt.Errorf("%w: no verification policy", ErrPolicyUnsatisfied)
 	}
-	if len(expectedPolicyDigest) > 0 && len(b.PolicyDigest) > 0 && !bytes.Equal(b.PolicyDigest, expectedPolicyDigest) {
-		return fmt.Errorf("%w: bundle pinned to a different policy", ErrPolicyDigestMismatch)
+	if !pinned(b.PolicyDigest, expectedPolicyDigest) {
+		return fmt.Errorf("%w: bundle is not pinned to the expected policy", ErrPolicyDigestMismatch)
 	}
 	if len(b.QueryDigest) > 0 && !bytes.Equal(b.QueryDigest, expectedQueryDigest) {
 		return fmt.Errorf("%w: bundle query digest", ErrDigestMismatch)
@@ -479,7 +431,7 @@ func Verify(b *Bundle, verifier *msp.Verifier, vp *endorsement.Policy, expectedQ
 		if !bytes.Equal(md.Nonce, b.Nonce) {
 			return fmt.Errorf("%w: element %d", ErrNonceMismatch, i)
 		}
-		if len(expectedPolicyDigest) > 0 && len(md.PolicyDigest) > 0 && !bytes.Equal(md.PolicyDigest, expectedPolicyDigest) {
+		if !pinned(md.PolicyDigest, expectedPolicyDigest) {
 			return fmt.Errorf("%w: element %d", ErrPolicyDigestMismatch, i)
 		}
 		signers = append(signers, endorsement.Principal{OrgID: info.OrgID, Role: info.Role})

@@ -2,6 +2,8 @@ package proof
 
 import (
 	"bytes"
+	"context"
+	"crypto/ecdsa"
 	"errors"
 	"testing"
 	"time"
@@ -62,28 +64,43 @@ func sampleQuery(t *testing.T) *wire.Query {
 	}
 }
 
-func TestEndToEndProofFlow(t *testing.T) {
-	_, _, sellerPeer, carrierPeer, verifier := setup(t)
-	clientKey, err := cryptoutil.GenerateKey()
+// testSpec returns the pinned spec answering q with result for a fresh
+// requester key, labelled by that key so no two requesters share a session
+// secret.
+func testSpec(t testing.TB, q *wire.Query, result []byte) (Spec, *ecdsa.PrivateKey) {
+	t.Helper()
+	key, err := cryptoutil.GenerateKey()
 	if err != nil {
 		t.Fatalf("GenerateKey: %v", err)
 	}
+	return Spec{
+		NetworkID:      q.TargetNetwork,
+		QueryDigest:    QueryDigestOf(q),
+		PolicyDigest:   PolicyDigest(q.PolicyExpr),
+		Result:         result,
+		Nonce:          q.Nonce,
+		ClientPub:      &key.PublicKey,
+		RequesterLabel: key.X.String(),
+		Now:            time.Now(),
+	}, key
+}
+
+// buildOne builds spec's proof alone with a fresh builder.
+func buildOne(t testing.TB, spec Spec, attestors ...*msp.Identity) *wire.QueryResponse {
+	t.Helper()
+	resps, err := NewBuilder(0, nil).Build(context.Background(), []Spec{spec}, attestors)
+	if err != nil {
+		t.Fatalf("Build: %v", err)
+	}
+	return resps[0]
+}
+
+func TestEndToEndProofFlow(t *testing.T) {
+	_, _, sellerPeer, carrierPeer, verifier := setup(t)
 	q := sampleQuery(t)
 	result := []byte(`{"blId":"bl-77","po":"po-1001"}`)
-	qd := QueryDigestOf(q)
-
-	encResult, err := EncryptResult(&clientKey.PublicKey, result)
-	if err != nil {
-		t.Fatalf("EncryptResult: %v", err)
-	}
-	resp := &wire.QueryResponse{RequestID: q.RequestID, EncryptedResult: encResult}
-	for _, attestor := range []*msp.Identity{sellerPeer, carrierPeer} {
-		att, err := BuildAttestationPinned(attestor, "tradelens", qd, nil, result, q.Nonce, &clientKey.PublicKey, time.Now())
-		if err != nil {
-			t.Fatalf("BuildAttestation: %v", err)
-		}
-		resp.Attestations = append(resp.Attestations, att)
-	}
+	spec, clientKey := testSpec(t, q, result)
+	resp := buildOne(t, spec, sellerPeer, carrierPeer)
 
 	bundle, err := OpenResponse(clientKey, q, resp)
 	if err != nil {
@@ -97,31 +114,15 @@ func TestEndToEndProofFlow(t *testing.T) {
 	}
 
 	vp := endorsement.MustParse(q.PolicyExpr)
-	if err := Verify(bundle, verifier, vp, qd, nil); err != nil {
+	if err := Verify(bundle, verifier, vp, spec.QueryDigest, spec.PolicyDigest); err != nil {
 		t.Fatalf("Verify: %v", err)
 	}
 }
 
 func buildBundle(t *testing.T, q *wire.Query, result []byte, attestors ...*msp.Identity) *Bundle {
 	t.Helper()
-	clientKey, err := cryptoutil.GenerateKey()
-	if err != nil {
-		t.Fatalf("GenerateKey: %v", err)
-	}
-	qd := QueryDigestOf(q)
-	encResult, err := EncryptResult(&clientKey.PublicKey, result)
-	if err != nil {
-		t.Fatalf("EncryptResult: %v", err)
-	}
-	resp := &wire.QueryResponse{RequestID: q.RequestID, EncryptedResult: encResult}
-	for _, attestor := range attestors {
-		att, err := BuildAttestationPinned(attestor, q.TargetNetwork, qd, nil, result, q.Nonce, &clientKey.PublicKey, time.Now())
-		if err != nil {
-			t.Fatalf("BuildAttestation: %v", err)
-		}
-		resp.Attestations = append(resp.Attestations, att)
-	}
-	bundle, err := OpenResponse(clientKey, q, resp)
+	spec, clientKey := testSpec(t, q, result)
+	bundle, err := OpenResponse(clientKey, q, buildOne(t, spec, attestors...))
 	if err != nil {
 		t.Fatalf("OpenResponse: %v", err)
 	}
@@ -136,7 +137,7 @@ func TestVerifyRejectsTamperedResult(t *testing.T) {
 	qd := QueryDigestOf(q)
 
 	bundle.Result = []byte("forged B/L")
-	if err := Verify(bundle, verifier, vp, qd, nil); !errors.Is(err, ErrDigestMismatch) {
+	if err := Verify(bundle, verifier, vp, qd, PolicyDigest(q.PolicyExpr)); !errors.Is(err, ErrDigestMismatch) {
 		t.Fatalf("tampered result: %v", err)
 	}
 }
@@ -149,7 +150,7 @@ func TestVerifyRejectsForgedSignature(t *testing.T) {
 	qd := QueryDigestOf(q)
 
 	bundle.Elements[0].Signature[8] ^= 0xFF
-	if err := Verify(bundle, verifier, vp, qd, nil); !errors.Is(err, ErrBadAttestation) {
+	if err := Verify(bundle, verifier, vp, qd, PolicyDigest(q.PolicyExpr)); !errors.Is(err, ErrBadAttestation) {
 		t.Fatalf("forged signature: %v", err)
 	}
 }
@@ -164,7 +165,7 @@ func TestVerifyRejectsUnknownCA(t *testing.T) {
 
 	bundle := buildBundle(t, q, []byte("doc"), sellerPeer, roguePeer)
 	vp := endorsement.MustParse(q.PolicyExpr)
-	if err := Verify(bundle, verifier, vp, QueryDigestOf(q), nil); !errors.Is(err, ErrBadAttestation) {
+	if err := Verify(bundle, verifier, vp, QueryDigestOf(q), PolicyDigest(q.PolicyExpr)); !errors.Is(err, ErrBadAttestation) {
 		t.Fatalf("rogue CA: %v", err)
 	}
 }
@@ -175,7 +176,7 @@ func TestVerifyRejectsNonPeerAttestor(t *testing.T) {
 	clientID, _ := sellerCA.Issue("some-client", msp.RoleClient)
 	bundle := buildBundle(t, q, []byte("doc"), sellerPeer, clientID)
 	vp := endorsement.MustParse("'seller-org'")
-	if err := Verify(bundle, verifier, vp, QueryDigestOf(q), nil); !errors.Is(err, ErrNotPeer) {
+	if err := Verify(bundle, verifier, vp, QueryDigestOf(q), PolicyDigest(q.PolicyExpr)); !errors.Is(err, ErrNotPeer) {
 		t.Fatalf("client attestor: %v", err)
 	}
 }
@@ -186,7 +187,7 @@ func TestVerifyRejectsUnsatisfiedPolicy(t *testing.T) {
 	// Only the seller org attests, but the policy wants both orgs.
 	bundle := buildBundle(t, q, []byte("doc"), sellerPeer)
 	vp := endorsement.MustParse("AND('seller-org','carrier-org')")
-	if err := Verify(bundle, verifier, vp, QueryDigestOf(q), nil); !errors.Is(err, ErrPolicyUnsatisfied) {
+	if err := Verify(bundle, verifier, vp, QueryDigestOf(q), PolicyDigest(q.PolicyExpr)); !errors.Is(err, ErrPolicyUnsatisfied) {
 		t.Fatalf("unsatisfied policy: %v", err)
 	}
 }
@@ -199,7 +200,7 @@ func TestVerifyRejectsWrongQueryDigest(t *testing.T) {
 
 	otherDigest := QueryDigest("tradelens", "default", "TradeLensCC", "GetBillOfLading",
 		[][]byte{[]byte("po-9999")}, q.Nonce)
-	if err := Verify(bundle, verifier, vp, otherDigest, nil); !errors.Is(err, ErrDigestMismatch) {
+	if err := Verify(bundle, verifier, vp, otherDigest, PolicyDigest(q.PolicyExpr)); !errors.Is(err, ErrDigestMismatch) {
 		t.Fatalf("wrong query digest: %v", err)
 	}
 }
@@ -210,7 +211,7 @@ func TestVerifyRejectsWrongNetwork(t *testing.T) {
 	bundle := buildBundle(t, q, []byte("doc"), sellerPeer, carrierPeer)
 	vp := endorsement.MustParse(q.PolicyExpr)
 	bundle.SourceNetwork = "some-other-net"
-	if err := Verify(bundle, verifier, vp, QueryDigestOf(q), nil); !errors.Is(err, ErrWrongNetwork) {
+	if err := Verify(bundle, verifier, vp, QueryDigestOf(q), PolicyDigest(q.PolicyExpr)); !errors.Is(err, ErrWrongNetwork) {
 		t.Fatalf("wrong network: %v", err)
 	}
 }
@@ -226,7 +227,7 @@ func TestVerifyRejectsNonceSwap(t *testing.T) {
 	// fires too.
 	newNonce, _ := cryptoutil.NewNonce()
 	bundle.Nonce = newNonce
-	err := Verify(bundle, verifier, vp, QueryDigestOf(q), nil)
+	err := Verify(bundle, verifier, vp, QueryDigestOf(q), PolicyDigest(q.PolicyExpr))
 	if err == nil {
 		t.Fatal("nonce swap accepted")
 	}
@@ -236,7 +237,7 @@ func TestVerifyNilPolicy(t *testing.T) {
 	_, _, sellerPeer, _, verifier := setup(t)
 	q := sampleQuery(t)
 	bundle := buildBundle(t, q, []byte("doc"), sellerPeer)
-	if err := Verify(bundle, verifier, nil, QueryDigestOf(q), nil); !errors.Is(err, ErrPolicyUnsatisfied) {
+	if err := Verify(bundle, verifier, nil, QueryDigestOf(q), PolicyDigest(q.PolicyExpr)); !errors.Is(err, ErrPolicyUnsatisfied) {
 		t.Fatalf("nil policy: %v", err)
 	}
 }
@@ -252,18 +253,10 @@ func TestOpenResponseRejectsRemoteError(t *testing.T) {
 
 func TestOpenResponseWrongKey(t *testing.T) {
 	_, _, sellerPeer, _, _ := setup(t)
-	rightKey, _ := cryptoutil.GenerateKey()
 	wrongKey, _ := cryptoutil.GenerateKey()
 	q := sampleQuery(t)
-	result := []byte("doc")
-	qd := QueryDigestOf(q)
-	encResult, _ := EncryptResult(&rightKey.PublicKey, result)
-	att, err := BuildAttestationPinned(sellerPeer, q.TargetNetwork, qd, nil, result, q.Nonce, &rightKey.PublicKey, time.Now())
-	if err != nil {
-		t.Fatalf("BuildAttestation: %v", err)
-	}
-	resp := &wire.QueryResponse{EncryptedResult: encResult, Attestations: []wire.Attestation{att}}
-	if _, err := OpenResponse(wrongKey, q, resp); err == nil {
+	spec, _ := testSpec(t, q, []byte("doc"))
+	if _, err := OpenResponse(wrongKey, q, buildOne(t, spec, sellerPeer)); err == nil {
 		t.Fatal("wrong key opened the response")
 	}
 }
@@ -272,18 +265,49 @@ func TestOpenResponseDetectsRelayResultSwap(t *testing.T) {
 	// A malicious relay swaps the encrypted result for another ciphertext
 	// encrypted to the same client; the metadata digest exposes it.
 	_, _, sellerPeer, _, _ := setup(t)
-	clientKey, _ := cryptoutil.GenerateKey()
 	q := sampleQuery(t)
-	genuine := []byte("genuine")
-	qd := QueryDigestOf(q)
-	att, err := BuildAttestationPinned(sellerPeer, q.TargetNetwork, qd, nil, genuine, q.Nonce, &clientKey.PublicKey, time.Now())
-	if err != nil {
-		t.Fatalf("BuildAttestation: %v", err)
-	}
-	swapped, _ := EncryptResult(&clientKey.PublicKey, []byte("swapped"))
-	resp := &wire.QueryResponse{EncryptedResult: swapped, Attestations: []wire.Attestation{att}}
+	spec, clientKey := testSpec(t, q, []byte("genuine"))
+	resp := buildOne(t, spec, sellerPeer)
+	spec.Result = []byte("swapped")
+	swapped := buildOne(t, spec, sellerPeer)
+	resp.EncryptedResult, resp.SessionEphemeral, resp.SessionGeneration =
+		swapped.EncryptedResult, swapped.SessionEphemeral, swapped.SessionGeneration
 	if _, err := OpenResponse(clientKey, q, resp); !errors.Is(err, ErrDigestMismatch) {
 		t.Fatalf("result swap: %v", err)
+	}
+}
+
+func TestOpenResponseRefusesUnpinnedResponse(t *testing.T) {
+	_, _, sellerPeer, _, _ := setup(t)
+	q := sampleQuery(t)
+	spec, clientKey := testSpec(t, q, []byte("doc"))
+	// The response-level pin stripped in transit: refused, not skipped.
+	stripped := buildOne(t, spec, sellerPeer)
+	stripped.PolicyDigest = nil
+	if _, err := OpenResponse(clientKey, q, stripped); !errors.Is(err, ErrPolicyDigestMismatch) {
+		t.Fatalf("unpinned response accepted: %v", err)
+	}
+	// Attestations signed without a pin behind a pinned response: refused.
+	spec.PolicyDigest = nil
+	unpinned := buildOne(t, spec, sellerPeer)
+	unpinned.PolicyDigest = PolicyDigest(q.PolicyExpr)
+	if _, err := OpenResponse(clientKey, q, unpinned); !errors.Is(err, ErrPolicyDigestMismatch) {
+		t.Fatalf("unpinned metadata accepted: %v", err)
+	}
+}
+
+func TestVerifyRefusesUnpinnedBundle(t *testing.T) {
+	_, _, sellerPeer, carrierPeer, verifier := setup(t)
+	q := sampleQuery(t)
+	vp := endorsement.MustParse(q.PolicyExpr)
+	pin := PolicyDigest(q.PolicyExpr)
+	bundle := buildBundle(t, q, []byte("doc"), sellerPeer, carrierPeer)
+	if err := Verify(bundle, verifier, vp, QueryDigestOf(q), nil); !errors.Is(err, ErrPolicyDigestMismatch) {
+		t.Fatalf("verification without an expected pin accepted: %v", err)
+	}
+	bundle.PolicyDigest = nil
+	if err := Verify(bundle, verifier, vp, QueryDigestOf(q), pin); !errors.Is(err, ErrPolicyDigestMismatch) {
+		t.Fatalf("unpinned bundle accepted: %v", err)
 	}
 }
 
@@ -336,17 +360,18 @@ func TestQueryDigestSensitivity(t *testing.T) {
 	}
 }
 
-func BenchmarkBuildAttestation(b *testing.B) {
+func BenchmarkBuildOneAttestor(b *testing.B) {
 	ca, _ := msp.NewCA("org")
 	attestor, _ := ca.Issue("peer0", msp.RolePeer)
-	clientKey, _ := cryptoutil.GenerateKey()
-	qd := QueryDigest("net", "l", "cc", "fn", nil, []byte("nonce"))
-	result := make([]byte, 1024)
-	now := time.Now()
+	q := &wire.Query{TargetNetwork: "net", Ledger: "l", Contract: "cc", Function: "fn", Nonce: []byte("nonce")}
+	spec, _ := testSpec(b, q, make([]byte, 1024))
+	builder := NewBuilder(0, nil)
+	specs := []Spec{spec}
+	attestors := []*msp.Identity{attestor}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := BuildAttestationPinned(attestor, "net", qd, nil, result, []byte("nonce"), &clientKey.PublicKey, now); err != nil {
+		if _, err := builder.Build(context.Background(), specs, attestors); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -361,18 +386,11 @@ func BenchmarkVerifyTwoAttestors(b *testing.B) {
 		"seller-org":  sellerCA.RootCertPEM(),
 		"carrier-org": carrierCA.RootCertPEM(),
 	})
-	clientKey, _ := cryptoutil.GenerateKey()
 	nonce, _ := cryptoutil.NewNonce()
-	q := &wire.Query{TargetNetwork: "tl", Ledger: "l", Contract: "cc", Function: "fn", Nonce: nonce}
-	result := make([]byte, 1024)
-	qd := QueryDigestOf(q)
-	encResult, _ := EncryptResult(&clientKey.PublicKey, result)
-	resp := &wire.QueryResponse{EncryptedResult: encResult}
-	for _, at := range []*msp.Identity{sellerPeer, carrierPeer} {
-		att, _ := BuildAttestationPinned(at, "tl", qd, nil, result, nonce, &clientKey.PublicKey, time.Now())
-		resp.Attestations = append(resp.Attestations, att)
-	}
-	bundle, err := OpenResponse(clientKey, q, resp)
+	q := &wire.Query{TargetNetwork: "tl", Ledger: "l", Contract: "cc", Function: "fn", Nonce: nonce,
+		PolicyExpr: "AND('seller-org','carrier-org')"}
+	spec, clientKey := testSpec(b, q, make([]byte, 1024))
+	bundle, err := OpenResponse(clientKey, q, buildOne(b, spec, sellerPeer, carrierPeer))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -380,7 +398,7 @@ func BenchmarkVerifyTwoAttestors(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := Verify(bundle, verifier, vp, qd, nil); err != nil {
+		if err := Verify(bundle, verifier, vp, spec.QueryDigest, spec.PolicyDigest); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -54,15 +54,14 @@ func PlainElements(spec *Spec, resp *wire.QueryResponse, attestors []*msp.Identi
 	return stored
 }
 
-// JoinElements re-encrypts a stored plaintext element record to the
-// requester described by spec, reusing every signature and inclusion proof:
-// the new envelope holder joins the window's original proof instead of
-// forcing a fresh single-signature build. With sessions enabled the
-// re-encryption is nearly free (no new signatures, at most one cached ECDH
-// agreement per attestor). The stored record must describe the same
-// attestor set the caller selected — a drifted peer set is an error, which
-// callers treat as a cache miss.
-func JoinElements(spec *Spec, stored *wire.QueryResponse, attestors []*msp.Identity) (*wire.QueryResponse, error) {
+// Join re-encrypts a stored plaintext element record to the requester
+// described by spec, reusing every signature and inclusion proof: the new
+// envelope holder joins the window's original proof instead of forcing a
+// fresh build. The re-encryption is nearly free — no new signatures, at most
+// one cached ECDH agreement per attestor. The stored record must describe
+// the same attestor set the caller selected — a drifted peer set is an
+// error, which callers treat as a cache miss.
+func (b *Builder) Join(spec *Spec, stored *wire.QueryResponse, attestors []*msp.Identity) (*wire.QueryResponse, error) {
 	if len(stored.Attestations) != len(attestors) {
 		return nil, fmt.Errorf("proof: element record has %d attestations, want %d", len(stored.Attestations), len(attestors))
 	}
@@ -78,25 +77,17 @@ func JoinElements(spec *Spec, stored *wire.QueryResponse, attestors []*msp.Ident
 	}
 	for i := range stored.Attestations {
 		att := stored.Attestations[i]
-		var mgr *cryptoutil.SessionManager
-		if spec.Sessions != nil {
-			mgr = spec.Sessions.ForAttestor(attestors[i])
-		}
-		enc, ephemeral, generation, err := spec.sealTo(mgr, att.EncryptedMetadata)
+		var err error
+		att.EncryptedMetadata, att.SessionEphemeral, att.SessionGeneration, err = b.seal(b.forAttestor(attestors[i]), spec, att.EncryptedMetadata)
 		if err != nil {
 			return nil, fmt.Errorf("proof: re-encrypt metadata from %s: %w", att.PeerName, err)
 		}
-		att.EncryptedMetadata = enc
-		att.SessionEphemeral = ephemeral
-		att.SessionGeneration = generation
 		resp.Attestations[i] = att
 	}
-	enc, ephemeral, generation, err := spec.sealResult()
+	var err error
+	resp.EncryptedResult, resp.SessionEphemeral, resp.SessionGeneration, err = b.seal(b.manager(resultManagerKey), spec, spec.Result)
 	if err != nil {
 		return nil, fmt.Errorf("proof: re-encrypt result: %w", err)
 	}
-	resp.EncryptedResult = enc
-	resp.SessionEphemeral = ephemeral
-	resp.SessionGeneration = generation
 	return resp, nil
 }

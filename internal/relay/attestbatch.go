@@ -14,16 +14,17 @@ import (
 
 // attestBatcher accumulates concurrent proof builds into short windows so
 // one ECDSA signature per attestor covers a whole window of distinct
-// queries (proof.BuildBatch). A window opens when the first query arrives
-// and closes after the configured duration or when maxPending queries are
-// waiting, whichever comes first — so a lone query pays at most the window
-// in added latency and then falls through to the ordinary single-signature
-// build, while a burst of concurrent distinct queries collapses to one
-// signature per attestor. Windows are grouped by attestor set: every spec
-// handed to one BuildBatch call must be attested by the same identities.
+// queries ((*proof.Builder).Build). A window opens when the first query
+// arrives and closes after the configured duration or when maxPending
+// queries are waiting, whichever comes first — so a lone query pays at most
+// the window in added latency and is then signed over its own metadata,
+// while a burst of concurrent distinct queries collapses to one signature
+// per attestor. Windows are grouped by attestor set: every spec handed to
+// one Build call must be attested by the same identities.
 type attestBatcher struct {
 	window     time.Duration
 	maxPending int
+	builder    *proof.Builder
 
 	mu     sync.Mutex
 	groups map[string]*batchGroup
@@ -42,10 +43,11 @@ type batchEntry struct {
 	err  error
 }
 
-func newAttestBatcher(window time.Duration, maxPending int) *attestBatcher {
+func newAttestBatcher(window time.Duration, maxPending int, builder *proof.Builder) *attestBatcher {
 	return &attestBatcher{
 		window:     window,
 		maxPending: maxPending,
+		builder:    builder,
 		groups:     map[string]*batchGroup{},
 	}
 }
@@ -115,7 +117,7 @@ func (b *attestBatcher) flush(key string, g *batchGroup) {
 	}
 	// Background context: the window's build serves every waiter, so no
 	// single requester's cancellation may abort it.
-	resps, err := proof.BuildBatch(context.Background(), specs, g.attestors)
+	resps, err := b.builder.Build(context.Background(), specs, g.attestors)
 	for i, e := range entries {
 		if err != nil {
 			e.err = err

@@ -57,19 +57,14 @@ type FabricDriver struct {
 	// batcher, when non-nil, collapses concurrent proof builds into
 	// Merkle-batched windows (one signature per attestor per window). Nil
 	// by default: batching trades a bounded latency window for signature
-	// amortization, which is an explicit deployment decision. Only queries
-	// that negotiated the capability (wire.Query.AcceptBatched) are routed
-	// through it.
+	// amortization, which is an explicit deployment decision.
 	batcher atomic.Pointer[attestBatcher]
 
-	// sessions, when non-nil, amortizes ECIES for requesters that
-	// negotiated the capability (wire.Query.AcceptSessioned): session
-	// ephemeral keys rotate on a TTL and per-requester ECDH secrets are
-	// cached per generation, so warm pollers skip the variable-base
-	// multiply entirely. Enabled by default — legacy requesters are
-	// unaffected (they keep byte-identical classic ECIES), so unlike
-	// batching there is no latency trade to opt into.
-	sessions atomic.Pointer[proof.SessionPool]
+	// builder builds every proof this driver serves, sealing each envelope
+	// under sessioned ECIES: session ephemeral keys rotate on a TTL and
+	// per-requester ECDH secrets are cached per generation, so warm
+	// requesters skip the variable-base multiply entirely.
+	builder *proof.Builder
 
 	// cryptoOps counts the ECDH agreements, signatures and envelope
 	// encryptions behind every proof this driver builds, exposed through
@@ -152,7 +147,7 @@ func NewFabricDriver(net *fabric.Network, ledgerName string) *FabricDriver {
 	}
 	d := &FabricDriver{net: net, ledgerName: ledgerName}
 	d.cache.Store(newAttestationCache(defaultAttestCacheSize, defaultAttestCacheTTL, time.Now))
-	d.sessions.Store(proof.NewSessionPool(cryptoutil.DefaultSessionTTL, &d.cryptoOps))
+	d.builder = proof.NewBuilder(cryptoutil.DefaultSessionTTL, &d.cryptoOps)
 	return d
 }
 
@@ -165,67 +160,47 @@ func (d *FabricDriver) ConfigureAttestationCache(max int, ttl time.Duration) {
 }
 
 // ConfigureAttestationBatching enables Merkle-batched attestation: proof
-// builds for queries that accept batching are held for up to window and
-// signed together, one root signature per attestor per window, with each
-// requester handed its leaf's inclusion proof. A window also closes early
-// once maxPending builds are waiting. window <= 0 or maxPending <= 0
-// disables batching (the default). Safe while serving — in-flight builds
-// finish against the batcher they started with.
+// builds are held for up to window and signed together, one root signature
+// per attestor per window, with each requester handed its leaf's inclusion
+// proof. A window also closes early once maxPending builds are waiting.
+// window <= 0 or maxPending <= 0 disables batching (the default). Safe
+// while serving — in-flight builds finish against the batcher they started
+// with.
 func (d *FabricDriver) ConfigureAttestationBatching(window time.Duration, maxPending int) {
 	if window <= 0 || maxPending <= 0 {
 		d.batcher.Store(nil)
 		return
 	}
-	d.batcher.Store(newAttestBatcher(window, maxPending))
+	d.batcher.Store(newAttestBatcher(window, maxPending, d.builder))
 }
 
-// ConfigureSessionedECIES replaces the sessioned-ECIES pool with one whose
-// ephemeral keys rotate every ttl. ttl <= 0 disables sessioned mode
-// entirely: every requester, capability or not, gets classic per-query
-// ECIES. The default (enabled, cryptoutil.DefaultSessionTTL) suits
-// production; short TTLs force per-window rotation for tests and
-// benchmarks. Safe while serving — in-flight builds finish against the
-// pool they started with.
-func (d *FabricDriver) ConfigureSessionedECIES(ttl time.Duration) {
-	if ttl <= 0 {
-		d.sessions.Store(nil)
-		return
+// newSpec assembles the proof spec for q. certDigest is the digest of the
+// requester's certificate and labels its session secrets, so a rotated
+// certificate always triggers a fresh ECDH agreement.
+func (d *FabricDriver) newSpec(q *wire.Query, certDigest, queryDigest, policyDigest, result []byte, clientPub *ecdsa.PublicKey) proof.Spec {
+	return proof.Spec{
+		NetworkID:      d.net.ID(),
+		QueryDigest:    queryDigest,
+		PolicyDigest:   policyDigest,
+		Result:         result,
+		Nonce:          q.Nonce,
+		ClientPub:      clientPub,
+		RequesterLabel: string(certDigest),
+		Now:            time.Now(),
 	}
-	d.sessions.Store(proof.NewSessionPool(ttl, &d.cryptoOps))
 }
 
-// newSpec assembles the proof spec for q, switching on sessioned ECIES
-// when the requester negotiated the capability and the driver has a
-// session pool. The requester label is the certificate digest, so a
-// rotated certificate always triggers a fresh ECDH agreement.
-func (d *FabricDriver) newSpec(q *wire.Query, queryDigest, policyDigest, result []byte, clientPub *ecdsa.PublicKey) proof.Spec {
-	spec := proof.Spec{
-		NetworkID:    d.net.ID(),
-		QueryDigest:  queryDigest,
-		PolicyDigest: policyDigest,
-		Result:       result,
-		Nonce:        q.Nonce,
-		ClientPub:    clientPub,
-		Now:          time.Now(),
-		Counter:      &d.cryptoOps,
-	}
-	if q.AcceptSessioned {
-		if pool := d.sessions.Load(); pool != nil {
-			spec.Sessions = pool
-			spec.RequesterLabel = string(cryptoutil.Digest(q.RequesterCertPEM))
-		}
-	}
-	return spec
-}
-
-// buildProof routes one proof build either through the batching window
-// (when batching is configured and the requester negotiated it) or
-// directly through the single-signature builder.
-func (d *FabricDriver) buildProof(ctx context.Context, accepted bool, spec proof.Spec, attestors []*msp.Identity) (*wire.QueryResponse, error) {
-	if b := d.batcher.Load(); b != nil && accepted {
+// buildProof routes one proof build through the batching window when one
+// is armed, and otherwise builds it alone.
+func (d *FabricDriver) buildProof(ctx context.Context, spec proof.Spec, attestors []*msp.Identity) (*wire.QueryResponse, error) {
+	if b := d.batcher.Load(); b != nil {
 		return b.submit(ctx, spec, attestors)
 	}
-	return proof.Build(ctx, spec, attestors)
+	resps, err := d.builder.Build(ctx, []proof.Spec{spec}, attestors)
+	if err != nil {
+		return nil, err
+	}
+	return resps[0], nil
 }
 
 // Platform implements Driver.
@@ -319,18 +294,10 @@ func (d *FabricDriver) Query(ctx context.Context, q *wire.Query) (*wire.QueryRes
 		return nil, err
 	}
 
-	// The requester's envelope capabilities partition the cache entry: a
-	// response sealed sessioned (or carrying batch fields) must never be
-	// served to a requester that did not announce it can decode that
-	// format, even under the same certificate.
-	caps := []byte{0}
-	if q.AcceptBatched {
-		caps[0] |= 1
-	}
-	if q.AcceptSessioned {
-		caps[0] |= 2
-	}
-	key := attestCacheKey(queryDigest, policyDigest, cryptoutil.Digest(agreed), cryptoutil.Digest(q.RequesterCertPEM, caps))
+	// The certificate digest keys the response cache (a response is sealed
+	// to one requester) and labels the requester's session secrets.
+	certDigest := cryptoutil.Digest(q.RequesterCertPEM)
+	key := attestCacheKey(queryDigest, policyDigest, cryptoutil.Digest(agreed), certDigest)
 	// Second advance after the reads: a write that committed while this
 	// query was reading invalidates entries before the lookup, keeping a
 	// served entry no staler than the proof a fresh build of these same
@@ -344,7 +311,7 @@ func (d *FabricDriver) Query(ctx context.Context, q *wire.Query) (*wire.QueryRes
 		}
 	}
 
-	spec := d.newSpec(q, queryDigest, policyDigest, agreed, clientPub)
+	spec := d.newSpec(q, certDigest, queryDigest, policyDigest, agreed, clientPub)
 	attestorIDs := identitiesOf(attestors)
 
 	// Leaf-addressed join: when a requester-independent element record for
@@ -357,7 +324,7 @@ func (d *FabricDriver) Query(ctx context.Context, q *wire.Query) (*wire.QueryRes
 	elemKey := elemCacheKey(queryDigest, policyDigest, cryptoutil.Digest(agreed))
 	if raw := cache.get(elemKey); raw != nil {
 		if stored, err := wire.UnmarshalQueryResponse(raw); err == nil {
-			if resp, err := proof.JoinElements(&spec, stored, attestorIDs); err == nil {
+			if resp, err := d.builder.Join(&spec, stored, attestorIDs); err == nil {
 				d.notifyCache(cacheJoin)
 				cache.put(key, resp.Marshal(), readNamespaces, height)
 				resp.RequestID = q.RequestID
@@ -367,7 +334,7 @@ func (d *FabricDriver) Query(ctx context.Context, q *wire.Query) (*wire.QueryRes
 	}
 	d.notifyCache(cacheMiss)
 
-	resp, err := d.buildProof(ctx, q.AcceptBatched, spec, attestorIDs)
+	resp, err := d.buildProof(ctx, spec, attestorIDs)
 	if err != nil {
 		return nil, err
 	}
@@ -534,9 +501,9 @@ func (d *FabricDriver) Invoke(ctx context.Context, q *wire.Query) (*wire.QueryRe
 	// satisfies it still exists — and persisted inside the transaction. If
 	// the commit is invalidated the proof dies with it; if it commits, the
 	// exact response served below can be replayed verbatim forever.
-	spec := d.newSpec(q, proof.QueryDigestOf(q), policyDigest, tx.Response, clientPub)
+	spec := d.newSpec(q, cryptoutil.Digest(q.RequesterCertPEM), proof.QueryDigestOf(q), policyDigest, tx.Response, clientPub)
 	attestorIDs := identitiesOf(attestors)
-	resp, err := d.buildProof(ctx, q.AcceptBatched, spec, attestorIDs)
+	resp, err := d.buildProof(ctx, spec, attestorIDs)
 	if err != nil {
 		return nil, err
 	}
@@ -713,8 +680,8 @@ func (d *FabricDriver) attestResponse(ctx context.Context, q *wire.Query, result
 	if len(attestors) == 0 {
 		return nil, ErrNoAttestors
 	}
-	spec := d.newSpec(q, proof.QueryDigestOf(q), policyDigest, result, clientPub)
-	resp, err := proof.Build(ctx, spec, identitiesOf(attestors))
+	spec := d.newSpec(q, cryptoutil.Digest(q.RequesterCertPEM), proof.QueryDigestOf(q), policyDigest, result, clientPub)
+	resp, err := d.buildProof(ctx, spec, identitiesOf(attestors))
 	if err != nil {
 		return nil, err
 	}

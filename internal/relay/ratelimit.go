@@ -109,8 +109,8 @@ type Stats struct {
 	// Crypto-op accounting from the relay's registered drivers, so ECIES
 	// and signature amortization (sessions, batching, cache joins) is
 	// observable in production: ECDH scalar multiplications performed,
-	// ECDSA signatures produced, and envelopes encrypted (classic ECIES or
-	// sessioned AEAD seals). Monotonic like every other counter, so Sub
+	// ECDSA signatures produced, and envelopes sealed (sessioned AEAD
+	// seals). Monotonic like every other counter, so Sub
 	// over a window yields per-window op counts.
 	ECDHOps    uint64
 	SignOps    uint64

@@ -218,8 +218,57 @@ func TestCrossNetworkQueryEndToEnd(t *testing.T) {
 		t.Fatalf("NewVerifier: %v", err)
 	}
 	vp := endorsement.MustParse(q.PolicyExpr)
-	if err := proof.Verify(bundle, verifier, vp, proof.QueryDigestOf(q), nil); err != nil {
+	if err := proof.Verify(bundle, verifier, vp, proof.QueryDigestOf(q), proof.PolicyDigest(q.PolicyExpr)); err != nil {
 		t.Fatalf("Verify: %v", err)
+	}
+}
+
+// TestQueryWithRetiredCapabilityFieldsGetsSessionedAnswer: clients built
+// while the proof envelope was negotiated still send the capability fields
+// 13 and 14. The relay decodes them as absent and answers with the same
+// sessioned envelope every request gets.
+func TestQueryWithRetiredCapabilityFieldsGetsSessionedAnswer(t *testing.T) {
+	hub := NewHub()
+	reg := NewStaticRegistry()
+	src := newSourceEnv(t, reg, hub)
+	req := newRequester(t)
+	configureInterop(t, src, req)
+	if _, err := src.admin.Submit("docs", "PutDoc", []byte("bl-77"), []byte(`{"bl":"77"}`)); err != nil {
+		t.Fatalf("PutDoc: %v", err)
+	}
+	q := newQuery(t, req)
+	q.RequestID = "older-client"
+	retired := wire.NewEncoder(8)
+	retired.Uint(13, 1)
+	retired.Uint(14, 1)
+	reply := src.relay.HandleEnvelope(context.Background(), &wire.Envelope{
+		Version: wire.ProtocolVersion, Type: wire.MsgQuery, RequestID: q.RequestID,
+		Payload: append(q.Marshal(), retired.Bytes()...),
+	})
+	if reply.Type != wire.MsgQueryResponse {
+		t.Fatalf("reply type = %v: %s", reply.Type, reply.Payload)
+	}
+	resp, err := wire.UnmarshalQueryResponse(reply.Payload)
+	if err != nil {
+		t.Fatalf("UnmarshalQueryResponse: %v", err)
+	}
+	if resp.Error != "" {
+		t.Fatalf("remote error: %s", resp.Error)
+	}
+	if len(resp.SessionEphemeral) == 0 {
+		t.Fatal("result is not a sessioned envelope")
+	}
+	for i, att := range resp.Attestations {
+		if len(att.SessionEphemeral) == 0 {
+			t.Fatalf("attestation %d is not a sessioned envelope", i)
+		}
+	}
+	bundle, err := proof.OpenResponse(req.key, q, resp)
+	if err != nil {
+		t.Fatalf("OpenResponse: %v", err)
+	}
+	if !bytes.Equal(bundle.Result, []byte(`{"bl":"77"}`)) {
+		t.Fatalf("result = %q", bundle.Result)
 	}
 }
 

@@ -2,6 +2,7 @@ package syscc
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"encoding/pem"
 	"errors"
@@ -307,30 +308,34 @@ func TestUnknownFunctions(t *testing.T) {
 	}
 }
 
+// Verification policies the tests record for tradelens; a bundle is pinned
+// to the one its test records.
+const (
+	twoOrgPolicy    = "AND('seller-org.peer','carrier-org.peer')"
+	eitherOrgPolicy = "OR('seller-org.peer','carrier-org.peer')"
+	sellerPolicy    = "'seller-org.peer'"
+)
+
 // buildBundleFor constructs a valid proof bundle attested by the given
-// identities for query GetBillOfLading(po-1001) against tradelens.
-func buildBundleFor(t *testing.T, result []byte, nonce []byte, attestors ...*msp.Identity) []byte {
+// identities for query GetBillOfLading(po-1001) against tradelens, pinned
+// to the verification policy policyExpr.
+func buildBundleFor(t *testing.T, policyExpr string, result []byte, nonce []byte, attestors ...*msp.Identity) []byte {
 	t.Helper()
 	clientKey, _ := cryptoutil.GenerateKey()
-	qd := proof.QueryDigest("tradelens", "default", "TradeLensCC", "GetBillOfLading",
-		[][]byte{[]byte("po-1001")}, nonce)
-	encResult, err := proof.EncryptResult(&clientKey.PublicKey, result)
-	if err != nil {
-		t.Fatalf("EncryptResult: %v", err)
-	}
-	resp := &wire.QueryResponse{EncryptedResult: encResult}
-	for _, at := range attestors {
-		att, err := proof.BuildAttestationPinned(at, "tradelens", qd, nil, result, nonce, &clientKey.PublicKey, time.Now())
-		if err != nil {
-			t.Fatalf("BuildAttestation: %v", err)
-		}
-		resp.Attestations = append(resp.Attestations, att)
-	}
 	q := &wire.Query{
 		TargetNetwork: "tradelens", Ledger: "default", Contract: "TradeLensCC",
 		Function: "GetBillOfLading", Args: [][]byte{[]byte("po-1001")}, Nonce: nonce,
+		PolicyExpr: policyExpr,
 	}
-	bundle, err := proof.OpenResponse(clientKey, q, resp)
+	spec := proof.Spec{
+		NetworkID: "tradelens", QueryDigest: proof.QueryDigestOf(q), PolicyDigest: proof.PolicyDigest(policyExpr),
+		Result: result, Nonce: nonce, ClientPub: &clientKey.PublicKey, Now: time.Now(),
+	}
+	resps, err := proof.NewBuilder(0, nil).Build(context.Background(), []proof.Spec{spec}, attestors)
+	if err != nil {
+		t.Fatalf("Build: %v", err)
+	}
+	bundle, err := proof.OpenResponse(clientKey, q, resps[0])
 	if err != nil {
 		t.Fatalf("OpenResponse: %v", err)
 	}
@@ -341,12 +346,12 @@ func TestCMDACValidateProofAcceptsValid(t *testing.T) {
 	tb := newTestBed(t)
 	tb.recordConfig(t)
 	tb.recordPolicy(t, policy.VerificationPolicy{
-		Network: "tradelens", Expr: "AND('seller-org.peer','carrier-org.peer')",
+		Network: "tradelens", Expr: twoOrgPolicy,
 	})
 	sellerPeer, _ := tb.sellerCA.Issue("seller-org-peer0", msp.RolePeer)
 	carrierPeer, _ := tb.carrierCA.Issue("carrier-org-peer0", msp.RolePeer)
 	nonce, _ := cryptoutil.NewNonce()
-	bundleBytes := buildBundleFor(t, []byte("B/L-77"), nonce, sellerPeer, carrierPeer)
+	bundleBytes := buildBundleFor(t, twoOrgPolicy, []byte("B/L-77"), nonce, sellerPeer, carrierPeer)
 
 	got, err := tb.admin.Submit(CMDACName, CMDACValidateProof,
 		[]byte("tradelens"), []byte("default"), []byte("TradeLensCC"), []byte("GetBillOfLading"),
@@ -363,11 +368,11 @@ func TestCMDACValidateProofRejectsInsufficientAttestors(t *testing.T) {
 	tb := newTestBed(t)
 	tb.recordConfig(t)
 	tb.recordPolicy(t, policy.VerificationPolicy{
-		Network: "tradelens", Expr: "AND('seller-org.peer','carrier-org.peer')",
+		Network: "tradelens", Expr: twoOrgPolicy,
 	})
 	sellerPeer, _ := tb.sellerCA.Issue("seller-org-peer0", msp.RolePeer)
 	nonce, _ := cryptoutil.NewNonce()
-	bundleBytes := buildBundleFor(t, []byte("B/L-77"), nonce, sellerPeer)
+	bundleBytes := buildBundleFor(t, twoOrgPolicy, []byte("B/L-77"), nonce, sellerPeer)
 
 	if _, err := tb.admin.Submit(CMDACName, CMDACValidateProof,
 		[]byte("tradelens"), []byte("default"), []byte("TradeLensCC"), []byte("GetBillOfLading"),
@@ -379,10 +384,10 @@ func TestCMDACValidateProofRejectsInsufficientAttestors(t *testing.T) {
 func TestCMDACValidateProofRejectsWrongArgs(t *testing.T) {
 	tb := newTestBed(t)
 	tb.recordConfig(t)
-	tb.recordPolicy(t, policy.VerificationPolicy{Network: "tradelens", Expr: "'seller-org.peer'"})
+	tb.recordPolicy(t, policy.VerificationPolicy{Network: "tradelens", Expr: sellerPolicy})
 	sellerPeer, _ := tb.sellerCA.Issue("seller-org-peer0", msp.RolePeer)
 	nonce, _ := cryptoutil.NewNonce()
-	bundleBytes := buildBundleFor(t, []byte("B/L-77"), nonce, sellerPeer)
+	bundleBytes := buildBundleFor(t, sellerPolicy, []byte("B/L-77"), nonce, sellerPeer)
 
 	// The proof binds po-1001; claiming it answers po-2002 must fail.
 	if _, err := tb.admin.Submit(CMDACName, CMDACValidateProof,
@@ -395,10 +400,10 @@ func TestCMDACValidateProofRejectsWrongArgs(t *testing.T) {
 func TestCMDACValidateProofReplayRejected(t *testing.T) {
 	tb := newTestBed(t)
 	tb.recordConfig(t)
-	tb.recordPolicy(t, policy.VerificationPolicy{Network: "tradelens", Expr: "'seller-org.peer'"})
+	tb.recordPolicy(t, policy.VerificationPolicy{Network: "tradelens", Expr: sellerPolicy})
 	sellerPeer, _ := tb.sellerCA.Issue("seller-org-peer0", msp.RolePeer)
 	nonce, _ := cryptoutil.NewNonce()
-	bundleBytes := buildBundleFor(t, []byte("B/L-77"), nonce, sellerPeer)
+	bundleBytes := buildBundleFor(t, sellerPolicy, []byte("B/L-77"), nonce, sellerPeer)
 
 	submit := func() error {
 		_, err := tb.admin.Submit(CMDACName, CMDACValidateProof,
@@ -416,6 +421,35 @@ func TestCMDACValidateProofReplayRejected(t *testing.T) {
 	}
 }
 
+func TestCMDACValidateProofRefusesUnpinnedBundle(t *testing.T) {
+	tb := newTestBed(t)
+	tb.recordConfig(t)
+	tb.recordPolicy(t, policy.VerificationPolicy{Network: "tradelens", Expr: sellerPolicy})
+	sellerPeer, _ := tb.sellerCA.Issue("seller-org-peer0", msp.RolePeer)
+	nonce, _ := cryptoutil.NewNonce()
+	result := []byte("B/L-77")
+	// A genuine attestor's signature over metadata that names no policy,
+	// in a bundle that names none either: valid in every other respect.
+	qd := proof.QueryDigest("tradelens", "default", "TradeLensCC", "GetBillOfLading", [][]byte{[]byte("po-1001")}, nonce)
+	md := wire.Metadata{
+		NetworkID: "tradelens", PeerName: sellerPeer.Name, OrgID: sellerPeer.OrgID, QueryDigest: qd,
+		ResultDigest: cryptoutil.Digest(result), Nonce: nonce, UnixNano: uint64(time.Now().UnixNano()),
+	}
+	plain := md.Marshal()
+	sig, err := sellerPeer.Sign(plain)
+	if err != nil {
+		t.Fatalf("Sign: %v", err)
+	}
+	bundle := &proof.Bundle{SourceNetwork: "tradelens", Result: result, Nonce: nonce, QueryDigest: qd,
+		Elements: []proof.Element{{CertPEM: sellerPeer.CertPEM(), Metadata: plain, Signature: sig}}}
+	_, err = tb.admin.Submit(CMDACName, CMDACValidateProof,
+		[]byte("tradelens"), []byte("default"), []byte("TradeLensCC"), []byte("GetBillOfLading"),
+		bundle.Marshal(), []byte("po-1001"))
+	if !errors.Is(err, proof.ErrPolicyDigestMismatch) {
+		t.Fatalf("unpinned bundle: err = %v, want a policy pin refusal", err)
+	}
+}
+
 func pemOf(der []byte) []byte {
 	return pem.EncodeToMemory(&pem.Block{Type: "CERTIFICATE", Bytes: der})
 }
@@ -428,7 +462,7 @@ func TestConfigRotationDropsOrgOnNextCall(t *testing.T) {
 	tb := newTestBed(t)
 	tb.recordConfig(t)
 	tb.recordPolicy(t, policy.VerificationPolicy{
-		Network: "tradelens", Expr: "OR('seller-org.peer','carrier-org.peer')",
+		Network: "tradelens", Expr: eitherOrgPolicy,
 	})
 	for _, org := range []string{"seller-org", "carrier-org"} {
 		rule := policy.AccessRule{Network: "tradelens", Org: org, Chaincode: "SomeCC", Function: "ReadDoc"}
@@ -450,7 +484,7 @@ func TestConfigRotationDropsOrgOnNextCall(t *testing.T) {
 		nonce, _ := cryptoutil.NewNonce()
 		_, err := tb.admin.Submit(CMDACName, CMDACValidateProof,
 			[]byte("tradelens"), []byte("default"), []byte("TradeLensCC"), []byte("GetBillOfLading"),
-			buildBundleFor(t, []byte("B/L-77"), nonce, attestor), []byte("po-1001"))
+			buildBundleFor(t, eitherOrgPolicy, []byte("B/L-77"), nonce, attestor), []byte("po-1001"))
 		return err
 	}
 

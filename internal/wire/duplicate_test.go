@@ -1,6 +1,8 @@
 package wire
 
 import (
+	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -44,7 +46,7 @@ func TestDecodersRejectDuplicateScalarFields(t *testing.T) {
 			func(b []byte) error { _, err := UnmarshalHopPin(b); return err }},
 		{"query/request_id", (&Query{RequestID: "r", Contract: "c", Function: "f"}).Marshal(), 1, "bytes",
 			func(b []byte) error { _, err := UnmarshalQuery(b); return err }},
-		{"query/accept_batched", (&Query{RequestID: "r", AcceptBatched: true}).Marshal(), 13, "uint",
+		{"query/policy_digest", (&Query{RequestID: "r", PolicyDigest: []byte("pd")}).Marshal(), 12, "bytes",
 			func(b []byte) error { _, err := UnmarshalQuery(b); return err }},
 		{"attestation/signature", att.Marshal(), 5, "bytes",
 			func(b []byte) error { _, err := UnmarshalAttestation(b); return err }},
@@ -118,6 +120,32 @@ func TestDecodersStillAcceptRepeatedFields(t *testing.T) {
 	}
 	if len(resp.HopPins) != 2 {
 		t.Fatalf("hop pins = %d", len(resp.HopPins))
+	}
+}
+
+// withRetiredCapabilities appends raw fields 13 and 14 — the batching and
+// sessioned-envelope capability bits every client sent while the proof
+// envelope was negotiated — to an encoded query.
+func withRetiredCapabilities(q []byte) []byte {
+	e := NewEncoder(8)
+	e.Uint(13, 1)
+	e.Uint(14, 1)
+	return append(append([]byte{}, q...), e.Bytes()...)
+}
+
+func TestQueryDecodesRetiredCapabilityFieldsAsAbsent(t *testing.T) {
+	q := &Query{RequestID: "r", RequestingNetwork: "we-trade", TargetNetwork: "tradelens",
+		Contract: "c", Function: "f", Args: [][]byte{[]byte("a")}, PolicyExpr: "'org'",
+		RequesterCertPEM: []byte("cert"), Nonce: []byte("nonce"), PolicyDigest: []byte("pd")}
+	got, err := UnmarshalQuery(withRetiredCapabilities(q.Marshal()))
+	if err != nil {
+		t.Fatalf("query from an older client refused: %v", err)
+	}
+	if !reflect.DeepEqual(got, q) {
+		t.Fatalf("decoded %+v, want %+v", got, q)
+	}
+	if !bytes.Equal(got.Marshal(), q.Marshal()) {
+		t.Fatal("retired fields survived re-encoding")
 	}
 }
 

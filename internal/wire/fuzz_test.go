@@ -82,17 +82,16 @@ func FuzzUnmarshalEnvelope(f *testing.F) {
 	})
 }
 
-// FuzzUnmarshalQuery covers the request side including the AcceptBatched
-// capability bit and repeated Args.
+// FuzzUnmarshalQuery covers the request side including repeated Args and
+// the retired capability fields 13 and 14.
 func FuzzUnmarshalQuery(f *testing.F) {
 	f.Add([]byte{})
-	f.Add((&Query{RequestID: "r", Contract: "c", Function: "f",
-		Args: [][]byte{[]byte("a"), []byte("b")}, AcceptBatched: true,
-		Nonce: []byte("nonce"), PolicyDigest: []byte("pd")}).Marshal())
-	dupe := NewEncoder(8)
-	dupe.Bool(13, true)
-	valid := (&Query{RequestID: "r", AcceptBatched: true}).Marshal()
-	f.Add(append(append([]byte{}, valid...), dupe.Bytes()...))
+	valid := (&Query{RequestID: "r", Contract: "c", Function: "f",
+		Args:  [][]byte{[]byte("a"), []byte("b")},
+		Nonce: []byte("nonce"), PolicyDigest: []byte("pd")}).Marshal()
+	f.Add(valid)
+	f.Add(withRetiredCapabilities(valid))
+	f.Add(withRetiredCapabilities(withRetiredCapabilities(valid)))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := UnmarshalQuery(data)

@@ -189,7 +189,10 @@ func (m *Envelope) RouteContains(network string) bool {
 // Query is the cross-network data request (Fig. 2 step 1): it addresses a
 // network, ledger, contract and function, carries the requester's
 // authentication certificate and nonce, and states the verification policy
-// the source network must satisfy when assembling the proof.
+// the source network must satisfy when assembling the proof. Every query
+// gets the same proof envelope: sessioned ECIES to the requester's
+// certificate key, signed per query or, when the query shares a batching
+// window with others, per window.
 type Query struct {
 	RequestID         string
 	RequestingNetwork string // destination network issuing the query
@@ -208,20 +211,12 @@ type Query struct {
 	// does not match its pin, the proof it builds carries the pin, and the
 	// requester refuses a response built under any other pin — so requester
 	// and responder agree on exactly which policy the proof must satisfy.
-	// Empty on requests from older clients (no pinning).
+	// When empty, the source pins the digest of PolicyExpr.
 	PolicyDigest []byte
-	// AcceptBatched announces that the requester can verify Merkle-batched
-	// attestations (root signature + per-leaf inclusion proof). A source
-	// relay only routes a query through its batching window when this is
-	// set; queries from older clients keep receiving per-query signatures.
-	AcceptBatched bool
-	// AcceptSessioned announces that the requester can decrypt sessioned
-	// ECIES envelopes (session ephemeral point + generation in explicit
-	// fields, per-query AEAD key derived from a cached ECDH secret). A
-	// source relay only amortizes ECIES for requesters that set this;
-	// queries from older clients keep receiving byte-identical classic
-	// per-query ECIES envelopes.
-	AcceptSessioned bool
+	// Fields 13 and 14 are reserved. They carried the requester's batching
+	// and sessioned-envelope capability bits while the proof envelope was
+	// negotiated; decoders now skip them, so a query that still sends them
+	// decodes as one that does not.
 }
 
 // InteropKey derives the ledger-level exactly-once identity of this
@@ -257,13 +252,11 @@ func (m *Query) Marshal() []byte {
 	e.String(10, m.RequesterOrg)
 	e.BytesField(11, m.Nonce)
 	e.BytesField(12, m.PolicyDigest)
-	e.Bool(13, m.AcceptBatched)
-	e.Bool(14, m.AcceptSessioned)
 	return e.Bytes()
 }
 
 // queryScalars omits field 7 (Args), the only repeated field.
-var queryScalars = FieldMask(1, 2, 3, 4, 5, 6, 8, 9, 10, 11, 12, 13, 14)
+var queryScalars = FieldMask(1, 2, 3, 4, 5, 6, 8, 9, 10, 11, 12)
 
 // UnmarshalQuery decodes a Query.
 func UnmarshalQuery(buf []byte) (*Query, error) {
@@ -308,10 +301,6 @@ func UnmarshalQuery(buf []byte) (*Query, error) {
 			m.Nonce, err = d.BytesCopy()
 		case 12:
 			m.PolicyDigest, err = d.BytesCopy()
-		case 13:
-			m.AcceptBatched, err = d.Bool()
-		case 14:
-			m.AcceptSessioned, err = d.Bool()
 		default:
 			err = d.Skip()
 		}
@@ -329,7 +318,7 @@ type Attestation struct {
 	PeerName          string
 	OrgID             string
 	CertPEM           []byte // attestor certificate, validated against recorded config
-	EncryptedMetadata []byte // ECIES to the requester; plaintext is a Metadata message
+	EncryptedMetadata []byte // sessioned ECIES to the requester; plaintext is a Metadata message
 	Signature         []byte // ECDSA over the plaintext metadata bytes (single mode) or over the batch-root payload (batched mode)
 	// BatchSize > 0 marks a Merkle-batched attestation: the attestor signed
 	// the root of a Merkle tree over BatchSize leaf hashes (one per query in
@@ -337,16 +326,15 @@ type Attestation struct {
 	// then covers the domain-separated root payload, BatchIndex names this
 	// query's leaf position, and BatchPath carries the sibling hashes of the
 	// RFC 6962 inclusion proof from that leaf to the signed root. Zero for
-	// classic single-signature attestations.
+	// a query built alone, whose attestation signs its metadata directly.
 	BatchSize  uint64
 	BatchIndex uint64
 	BatchPath  [][]byte
-	// SessionEphemeral, when non-empty, marks a sessioned ECIES envelope:
-	// EncryptedMetadata is nonce||ciphertext under a per-query AEAD key
-	// derived from the ECDH agreement between the requester's key and this
-	// session ephemeral point, bound to SessionGeneration and the query
-	// digest (cryptoutil.SessionDecrypt). Empty for classic per-query
-	// ECIES, where the ephemeral point rides inline in the envelope.
+	// SessionEphemeral and SessionGeneration open the sessioned ECIES
+	// envelope: EncryptedMetadata is nonce||ciphertext under a per-query
+	// AEAD key derived from the ECDH agreement between the requester's key
+	// and this session ephemeral point, bound to SessionGeneration and the
+	// query digest (cryptoutil.SessionDecrypt).
 	SessionEphemeral  []byte
 	SessionGeneration uint64
 }
@@ -435,8 +423,8 @@ type Metadata struct {
 	// PolicyDigest is the verification-policy pin the attestor was selected
 	// under (proof.PolicyDigest of the query's policy expression). Being
 	// inside the signed metadata, the pin itself is attested: a relay cannot
-	// re-label a proof as satisfying a different policy. Empty for
-	// attestations built without pinning.
+	// re-label a proof as satisfying a different policy. Metadata without
+	// a pin is refused by proof.OpenResponse and proof.Verify.
 	PolicyDigest []byte
 }
 
@@ -565,13 +553,12 @@ type QueryResponse struct {
 	Attestations    []Attestation
 	Error           string
 	// PolicyDigest echoes the verification-policy pin the proof was built
-	// under. The requester refuses a response whose pin differs from the one
-	// it stamped on the query. Empty on responses from older relays.
+	// under. The requester refuses a response whose pin is missing or
+	// differs from the one it stamped on the query.
 	PolicyDigest []byte
-	// SessionEphemeral, when non-empty, marks EncryptedResult as a
+	// SessionEphemeral and SessionGeneration open EncryptedResult, a
 	// sessioned ECIES envelope under the relay's result session (same
-	// layout and derivation as Attestation.SessionEphemeral). Empty when
-	// the result uses classic per-query ECIES.
+	// layout and derivation as Attestation.SessionEphemeral).
 	SessionEphemeral  []byte
 	SessionGeneration uint64
 	// HopPins carries the chained path proof of a multi-hop response: one
