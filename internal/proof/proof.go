@@ -7,9 +7,8 @@
 //     nonce, policy pin and attestor identity), or over the Merkle root of
 //     a window of such metadata — with the metadata sealed to the
 //     requesting client under sessioned ECIES. The query result itself is
-//     likewise sealed. An untrusted
-//     relay carrying the response can neither read the data nor strip out
-//     a usable proof.
+//     likewise sealed. An untrusted relay carrying the response can neither
+//     read the data nor strip out a usable proof.
 //
 //  2. Client side: the requesting application decrypts the result and each
 //     attestation's metadata, yielding a plaintext Bundle it embeds in its
@@ -295,9 +294,9 @@ func pinned(carried, want []byte) bool {
 // OpenResponse decrypts a query response's sessioned envelopes with the
 // requesting client's private key and assembles the plaintext Bundle. It
 // performs the client's own sanity checks (policy pin, result digest
-// binding, nonce echo) so that obviously
-// broken responses are rejected before a transaction is attempted; full
-// trust validation happens on the destination peers via Verify.
+// binding, nonce echo) so that obviously broken responses are rejected
+// before a transaction is attempted; full trust validation happens on the
+// destination peers via Verify.
 func OpenResponse(clientKey *ecdsa.PrivateKey, q *wire.Query, resp *wire.QueryResponse) (*Bundle, error) {
 	if resp.Error != "" {
 		return nil, fmt.Errorf("proof: remote error: %s", resp.Error)
