@@ -173,21 +173,26 @@ func TestBatchedBundleSurvivesMarshalRoundTrip(t *testing.T) {
 	}
 }
 
-func TestBuildHonorsCancelledContext(t *testing.T) {
+// buildCancelled runs Build over an n-query window with an already
+// cancelled context and fails unless it reports context.Canceled.
+func buildCancelled(t *testing.T, n int) {
+	t.Helper()
 	_, _, sellerPeer, carrierPeer, _ := setup(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, n := range []int{1, 2} {
-		var specs []Spec
-		for i := 0; i < n; i++ {
-			spec, _ := testSpec(t, sampleQuery(t), []byte("r"))
-			specs = append(specs, spec)
-		}
-		if _, err := NewBuilder(0, nil).Build(ctx, specs, []*msp.Identity{sellerPeer, carrierPeer}); !errors.Is(err, context.Canceled) {
-			t.Fatalf("cancelled %d-query build produced a proof: %v", n, err)
-		}
+	var specs []Spec
+	for i := 0; i < n; i++ {
+		spec, _ := testSpec(t, sampleQuery(t), []byte("r"))
+		specs = append(specs, spec)
+	}
+	if _, err := NewBuilder(0, nil).Build(ctx, specs, []*msp.Identity{sellerPeer, carrierPeer}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled %d-query build produced a proof: %v", n, err)
 	}
 }
+
+func TestBuildHonorsCancelledContext(t *testing.T) { buildCancelled(t, 1) }
+
+func TestBuildBatchHonorsCancelledContext(t *testing.T) { buildCancelled(t, 2) }
 
 // gatedCurve is P-256 whose Params — the first thing ECDSA signing asks of
 // a key — waits for gate: an attestor keyed on it cannot sign until the
