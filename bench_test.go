@@ -118,17 +118,23 @@ func BenchmarkE1EndToEndQuery(b *testing.B) {
 // encryption-free design would use. The cold arm builds with a fresh
 // Builder every time, so each envelope pays a session keygen plus ECDH
 // agreement — what per-query ECIES costs; the warm arm reuses one builder,
-// the steady state of a requester that queries again within a session.
+// the steady state of a requester that queries again within a session. The
+// two open arms are the requester's half of the same cost: opening the
+// response's two envelopes through a fresh Recipient per op (an agreement
+// per envelope, what a one-shot client pays) or through one Recipient that
+// already remembers both session points (one HKDF expand plus one AEAD open
+// per envelope).
 func BenchmarkE2EncryptionOverhead(b *testing.B) {
 	ca, _ := msp.NewCA("org")
 	attestor, _ := ca.Issue("peer0", msp.RolePeer)
 	attestors := []*msp.Identity{attestor}
 	clientKey, _ := cryptoutil.GenerateKey()
 	nonce, _ := cryptoutil.NewNonce()
-	qd := proof.QueryDigest("net", "default", "cc", "fn", nil, nonce)
+	q := &wire.Query{TargetNetwork: "net", Ledger: "default", Contract: "cc", Function: "fn", Nonce: nonce, PolicyExpr: "'org'"}
+	qd := proof.QueryDigestOf(q)
 	result := make([]byte, 4096)
 	specs := []proof.Spec{{
-		NetworkID: "net", QueryDigest: qd, PolicyDigest: proof.PolicyDigest("'org'"), Result: result,
+		NetworkID: "net", QueryDigest: qd, PolicyDigest: proof.PolicyDigestOf(q), Result: result,
 		Nonce: nonce, ClientPub: &clientKey.PublicKey, RequesterLabel: "client", Now: time.Now(),
 	}}
 
@@ -149,6 +155,31 @@ func BenchmarkE2EncryptionOverhead(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if _, err := builder.Build(ctx, specs, attestors); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	resps, err := proof.NewBuilder(0, nil).Build(ctx, specs, attestors)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("open-cold", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := proof.OpenResponse(cryptoutil.NewRecipient(clientKey), q, resps[0]); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("open-warm", func(b *testing.B) {
+		recipient := cryptoutil.NewRecipient(clientKey)
+		if _, err := proof.OpenResponse(recipient, q, resps[0]); err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := proof.OpenResponse(recipient, q, resps[0]); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -204,7 +235,7 @@ func BenchmarkE3ProofValidation(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			bundle, err := proof.OpenResponse(clientKey, q, resps[0])
+			bundle, err := proof.OpenResponse(cryptoutil.NewRecipient(clientKey), q, resps[0])
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -140,7 +140,7 @@ func runQuery(args []string) error {
 	}
 	rtt := time.Since(start)
 
-	bundle, err := proof.OpenResponse(key, q, resp)
+	bundle, err := proof.OpenResponse(cryptoutil.NewRecipient(key), q, resp)
 	if err != nil {
 		return fmt.Errorf("open response: %w", err)
 	}

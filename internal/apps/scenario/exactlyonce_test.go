@@ -193,7 +193,7 @@ func (ri *rawInvoker) open(t *testing.T, q *wire.Query, resp *wire.QueryResponse
 	if resp.Error != "" {
 		t.Fatalf("response error: %s", resp.Error)
 	}
-	bundle, err := proof.OpenResponse(ri.key, q, resp)
+	bundle, err := proof.OpenResponse(cryptoutil.NewRecipient(ri.key), q, resp)
 	if err != nil {
 		t.Fatalf("OpenResponse: %v", err)
 	}

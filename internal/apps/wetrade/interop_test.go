@@ -80,7 +80,7 @@ func (f *stlFixture) bundleFor(t *testing.T, poRef string, blJSON []byte) []byte
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
-	bundle, err := proof.OpenResponse(clientKey, q, resps[0])
+	bundle, err := proof.OpenResponse(cryptoutil.NewRecipient(clientKey), q, resps[0])
 	if err != nil {
 		t.Fatalf("OpenResponse: %v", err)
 	}

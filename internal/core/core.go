@@ -158,6 +158,9 @@ type Client struct {
 	gateway  *fabric.Gateway
 	identity *msp.Identity
 	key      *ecdsa.PrivateKey
+	// recipient opens every response's sessioned envelopes; RemoteQuery,
+	// RemoteInvoke and RemoteQueryBatch share its per-session-point table.
+	recipient *cryptoutil.Recipient
 
 	// batchParallelism bounds RemoteQueryBatch fan-out; zero means
 	// DefaultBatchParallelism.
@@ -181,10 +184,11 @@ func NewClient(n *Network, orgID, name string) (*Client, error) {
 	}
 	identity := &msp.Identity{Name: name, OrgID: orgID, Role: msp.RoleClient, Cert: cert, Key: key}
 	return &Client{
-		network:  n,
-		gateway:  n.Fabric.Gateway(identity),
-		identity: identity,
-		key:      key,
+		network:   n,
+		gateway:   n.Fabric.Gateway(identity),
+		identity:  identity,
+		key:       key,
+		recipient: cryptoutil.NewRecipient(key),
 	}, nil
 }
 
@@ -358,7 +362,7 @@ func (c *Client) openResponse(q *wire.Query, resp *wire.QueryResponse, policyExp
 	if err != nil {
 		return nil, err
 	}
-	bundle, err := proof.OpenResponse(c.key, q, resp)
+	bundle, err := proof.OpenResponse(c.recipient, q, resp)
 	if err != nil {
 		return nil, err
 	}

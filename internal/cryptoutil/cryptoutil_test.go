@@ -2,6 +2,8 @@ package cryptoutil
 
 import (
 	"bytes"
+	"crypto/hkdf"
+	"crypto/sha256"
 	"testing"
 	"testing/quick"
 )
@@ -252,22 +254,34 @@ func TestNewNonceUnique(t *testing.T) {
 	}
 }
 
+// TestHKDFSizes checks the local HKDF steps against crypto/hkdf, the
+// reference implementation, for every output size and salt shape the
+// schemes could use.
 func TestHKDFSizes(t *testing.T) {
 	secret := []byte("shared-secret")
-	for _, size := range []int{1, 16, 32, 33, 64, 100} {
-		out := hkdfSHA256(secret, []byte("salt"), []byte("info"), size)
-		if len(out) != size {
-			t.Fatalf("hkdfSHA256 size %d returned %d bytes", size, len(out))
+	for _, salt := range [][]byte{nil, []byte("salt")} {
+		prk := hkdfExtract(secret, salt)
+		wantPRK, err := hkdf.Extract(sha256.New, secret, salt)
+		if err != nil {
+			t.Fatalf("hkdf.Extract: %v", err)
+		}
+		if !bytes.Equal(prk, wantPRK) {
+			t.Fatalf("salt %q: extract = %x, want %x", salt, prk, wantPRK)
+		}
+		for _, size := range []int{1, 16, 32, 33, 64, 100} {
+			out := hkdfExpand(prk, []byte("info"), size)
+			want, err := hkdf.Expand(sha256.New, prk, "info", size)
+			if err != nil {
+				t.Fatalf("hkdf.Expand: %v", err)
+			}
+			if !bytes.Equal(out, want) {
+				t.Fatalf("salt %q size %d: expand = %x, want %x", salt, size, out, want)
+			}
 		}
 	}
-	a := hkdfSHA256(secret, []byte("salt"), []byte("info"), 32)
-	b := hkdfSHA256(secret, []byte("salt"), []byte("other"), 32)
-	if bytes.Equal(a, b) {
+	prk := hkdfExtract(secret, []byte("salt"))
+	if bytes.Equal(hkdfExpand(prk, []byte("info"), 32), hkdfExpand(prk, []byte("other"), 32)) {
 		t.Fatal("hkdf output does not depend on info")
-	}
-	c := hkdfSHA256(secret, nil, []byte("info"), 32)
-	if len(c) != 32 {
-		t.Fatal("hkdf with empty salt failed")
 	}
 }
 

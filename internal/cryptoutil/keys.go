@@ -3,13 +3,15 @@
 // SHA-256 digests for ledger hashing, and an ECIES hybrid scheme (ephemeral
 // ECDH + HKDF + AES-GCM) for end-to-end encryption of query results and
 // proof metadata so that untrusted relays can neither read nor exfiltrate
-// transferred data. The relay serving path uses one regime, sessioned ECIES
-// (SessionManager/SessionDecrypt): one ephemeral key per TTL generation,
-// one cached agreement per requester, and a fresh domain-separated AEAD key
-// per query so confidentiality stays per-query. The classic per-envelope
-// scheme (Encrypt/Decrypt, one ephemeral keygen + ECDH per envelope) stays
-// for the ECC chaincode's EncryptForRequester, the paper's chaincode-level
-// encryption call. OpCounter tallies ECDH/sign/encrypt operations.
+// transferred data. The relay serving path uses one regime, sessioned ECIES:
+// a SessionManager seals under one ephemeral key per TTL generation and one
+// remembered agreement per requester, a Recipient opens remembering one
+// agreement per session point, and both derive a fresh domain-separated
+// AEAD key per query (one HKDF expand) so confidentiality stays per-query.
+// The classic per-envelope scheme (Encrypt/Decrypt, one ephemeral keygen +
+// ECDH per envelope) stays for the ECC chaincode's EncryptForRequester, the
+// paper's chaincode-level encryption call. OpCounter tallies the sealing
+// side's ECDH/sign/encrypt operations.
 package cryptoutil
 
 import (

@@ -1,7 +1,6 @@
 package cryptoutil
 
 import (
-	"crypto/aes"
 	"crypto/cipher"
 	"crypto/ecdh"
 	"crypto/ecdsa"
@@ -83,13 +82,14 @@ func (c *OpCounter) EncryptOps() uint64 {
 // SessionManager amortizes the expensive half of ECIES. Classic Encrypt
 // burns one ephemeral P-256 keygen plus one variable-base ECDH scalar
 // multiplication per envelope; a SessionManager instead holds one ephemeral
-// key per generation (rotated on a TTL) and caches the ECDH secret per
-// requester label, so sealing N envelopes for R distinct requesters inside
-// a generation costs one keygen plus R agreements instead of 2N scalar
-// multiplications. Confidentiality stays per-query: each envelope's AEAD
-// key is derived from the cached secret via HKDF with a domain-separated
-// info string bound to the generation and a caller-supplied context
-// (the query digest), so no two queries share an AEAD key.
+// key per generation (rotated on a TTL) and caches, per requester label,
+// the HKDF-extracted agreement (PRK) with that requester, so sealing N
+// envelopes for R distinct requesters inside a generation costs one keygen
+// plus R agreements instead of 2N scalar multiplications, and each seal runs
+// only the HKDF expand. Confidentiality stays per-query: each envelope's
+// AEAD key is expanded from the cached PRK with a domain-separated info
+// string bound to the generation and a caller-supplied context (the query
+// digest), so no two queries share an AEAD key.
 //
 // The requester label must identify the requester's certificate, not just
 // its public key — a requester whose certificate rotates mid-session gets
@@ -105,7 +105,7 @@ type SessionManager struct {
 	priv       *ecdh.PrivateKey
 	pub        []byte // uncompressed point of priv's public key
 	born       time.Time
-	secrets    map[string][]byte // requester label -> ECDH secret, current generation only
+	prks       map[string][]byte // requester label -> PRK, current generation only
 }
 
 // NewSessionManager builds a session manager that rotates its ephemeral key
@@ -130,14 +130,14 @@ type SessionKey struct {
 	// confused even if an ephemeral key were ever reused.
 	Generation uint64
 
-	secret []byte
+	prk []byte
 }
 
 // KeyFor returns sealing state for the requester identified by label (the
 // requester's certificate digest) holding pub. A warm hit — same label,
 // same generation — performs zero scalar multiplications. A cold label
 // performs one ECDH agreement; an expired generation first rotates the
-// ephemeral key and drops all cached secrets.
+// ephemeral key and drops all cached agreements.
 func (m *SessionManager) KeyFor(label string, pub *ecdsa.PublicKey) (*SessionKey, error) {
 	if pub == nil {
 		return nil, ErrInvalidKey
@@ -149,8 +149,8 @@ func (m *SessionManager) KeyFor(label string, pub *ecdsa.PublicKey) (*SessionKey
 			return nil, err
 		}
 	}
-	if secret, ok := m.secrets[label]; ok {
-		key := &SessionKey{Ephemeral: m.pub, Generation: m.generation, secret: secret}
+	if prk, ok := m.prks[label]; ok {
+		key := &SessionKey{Ephemeral: m.pub, Generation: m.generation, prk: prk}
 		m.mu.Unlock()
 		return key, nil
 	}
@@ -159,7 +159,7 @@ func (m *SessionManager) KeyFor(label string, pub *ecdsa.PublicKey) (*SessionKey
 
 	// The variable-base multiplication runs outside the lock so concurrent
 	// requesters agree in parallel; the generation recheck below keeps a
-	// stale secret from being cached into a newer generation.
+	// stale agreement from being cached into a newer generation.
 	recipient, err := pub.ECDH()
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrInvalidKey, err)
@@ -169,17 +169,18 @@ func (m *SessionManager) KeyFor(label string, pub *ecdsa.PublicKey) (*SessionKey
 		return nil, fmt.Errorf("session ecdh agreement: %w", err)
 	}
 	m.counter.AddECDH(1)
+	prk := hkdfExtract(secret, ephemeral)
 
 	m.mu.Lock()
 	if m.generation == generation {
-		m.secrets[label] = secret
+		m.prks[label] = prk
 	}
 	m.mu.Unlock()
-	return &SessionKey{Ephemeral: ephemeral, Generation: generation, secret: secret}, nil
+	return &SessionKey{Ephemeral: ephemeral, Generation: generation, prk: prk}, nil
 }
 
 // rotateLocked installs a fresh ephemeral key, bumps the generation and
-// forgets every cached secret. Caller holds m.mu.
+// forgets every cached agreement. Caller holds m.mu.
 func (m *SessionManager) rotateLocked() error {
 	priv, err := ecdh.P256().GenerateKey(rand.Reader)
 	if err != nil {
@@ -189,7 +190,7 @@ func (m *SessionManager) rotateLocked() error {
 	m.pub = priv.PublicKey().Bytes()
 	m.generation++
 	m.born = m.now()
-	m.secrets = make(map[string][]byte)
+	m.prks = make(map[string][]byte)
 	return nil
 }
 
@@ -202,7 +203,7 @@ func (m *SessionManager) rotateLocked() error {
 // so a sessioned envelope fed to the classic decoder fails cleanly. The
 // ephemeral point and generation travel in explicit wire fields instead.
 func (k *SessionKey) Seal(context, plaintext []byte) ([]byte, error) {
-	aead, err := sessionAEAD(k.secret, k.Ephemeral, k.Generation, context)
+	aead, err := sessionAEAD(k.prk, k.Generation, context)
 	if err != nil {
 		return nil, err
 	}
@@ -216,28 +217,56 @@ func (k *SessionKey) Seal(context, plaintext []byte) ([]byte, error) {
 	return out, nil
 }
 
-// SessionDecrypt opens a sessioned envelope produced by SessionKey.Seal:
-// the recipient runs its half of the ECDH agreement against the session
-// ephemeral point, re-derives the per-query AEAD key from the generation
-// and context, and opens the nonce||ciphertext envelope. Any malformed
-// input yields ErrDecrypt.
-func SessionDecrypt(priv *ecdsa.PrivateKey, ephemeral []byte, generation uint64, context, ciphertext []byte) ([]byte, error) {
+// recipientPoints bounds how many session points a Recipient remembers. A
+// client sees sources × (attestors+1) live points per session generation,
+// plus the previous generation's while envelopes sealed under it are still
+// in flight; a full table is dropped wholesale and refills on demand.
+const recipientPoints = 64
+
+// Recipient opens sessioned envelopes produced by SessionKey.Seal for one
+// private key. It remembers, per session point, the HKDF-extracted
+// agreement (PRK) with that point, so only the first envelope from a point
+// pays the ECDH multiplication and every later one is one HKDF expand plus
+// one AES-GCM open. The table is keyed by the point's bytes — content, so
+// nothing ever invalidates it — and the generation and query context stay in
+// the per-envelope expand, so every query still gets its own AEAD key. Safe
+// for concurrent use.
+type Recipient struct {
+	priv *ecdh.PrivateKey
+	err  error // why priv is unusable; returned by every Open
+
+	mu         sync.Mutex
+	prks       map[string][]byte // session point -> PRK of the agreement with it
+	agreements int               // ECDH agreements run, for tests
+}
+
+// NewRecipient converts priv to its ECDH form once. A nil or non-P-256 key
+// makes every Open fail with ErrInvalidKey.
+func NewRecipient(priv *ecdsa.PrivateKey) *Recipient {
+	r := &Recipient{prks: make(map[string][]byte)}
 	if priv == nil {
-		return nil, ErrInvalidKey
+		r.err = ErrInvalidKey
+		return r
 	}
-	recipient, err := priv.ECDH()
+	key, err := priv.ECDH()
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrInvalidKey, err)
+		r.err = fmt.Errorf("%w: %v", ErrInvalidKey, err)
+		return r
 	}
-	point, err := ecdh.P256().NewPublicKey(ephemeral)
+	r.priv = key
+	return r
+}
+
+// Open opens a sessioned envelope: it agrees with the session ephemeral
+// point (or reuses the remembered agreement), expands the per-query AEAD key
+// from the generation and context, and opens the nonce||ciphertext
+// envelope. Any malformed input yields ErrDecrypt.
+func (r *Recipient) Open(ephemeral []byte, generation uint64, context, ciphertext []byte) ([]byte, error) {
+	prk, err := r.prk(ephemeral)
 	if err != nil {
-		return nil, fmt.Errorf("%w: bad session ephemeral point", ErrDecrypt)
+		return nil, err
 	}
-	secret, err := recipient.ECDH(point)
-	if err != nil {
-		return nil, fmt.Errorf("%w: session ecdh agreement", ErrDecrypt)
-	}
-	aead, err := sessionAEAD(secret, ephemeral, generation, context)
+	aead, err := sessionAEAD(prk, generation, context)
 	if err != nil {
 		return nil, err
 	}
@@ -252,23 +281,45 @@ func SessionDecrypt(priv *ecdsa.PrivateKey, ephemeral []byte, generation uint64,
 	return plaintext, nil
 }
 
+// prk returns the PRK of the agreement with the session point ephemeral.
+// Only a point that parses and agrees is remembered.
+func (r *Recipient) prk(ephemeral []byte) ([]byte, error) {
+	if r.err != nil {
+		return nil, r.err
+	}
+	r.mu.Lock()
+	prk, ok := r.prks[string(ephemeral)]
+	r.mu.Unlock()
+	if ok {
+		return prk, nil
+	}
+	point, err := ecdh.P256().NewPublicKey(ephemeral)
+	if err != nil {
+		return nil, fmt.Errorf("%w: bad session ephemeral point", ErrDecrypt)
+	}
+	secret, err := r.priv.ECDH(point)
+	if err != nil {
+		return nil, fmt.Errorf("%w: session ecdh agreement", ErrDecrypt)
+	}
+	prk = hkdfExtract(secret, ephemeral)
+	r.mu.Lock()
+	if len(r.prks) >= recipientPoints {
+		clear(r.prks)
+	}
+	r.prks[string(ephemeral)] = prk
+	r.agreements++
+	r.mu.Unlock()
+	return prk, nil
+}
+
 // sessionAEAD derives the per-query AES-256-GCM cipher for a sessioned
-// envelope: HKDF-SHA256 over the cached ECDH secret, salted with the
-// session ephemeral point, with an info string binding the domain
+// envelope: HKDF-SHA256 expand of the agreement's PRK (extracted with the
+// session ephemeral point as salt), with an info string binding the domain
 // separator, the generation and the query context.
-func sessionAEAD(secret, ephemeral []byte, generation uint64, context []byte) (cipher.AEAD, error) {
+func sessionAEAD(prk []byte, generation uint64, context []byte) (cipher.AEAD, error) {
 	info := make([]byte, 0, len(sessionInfo)+8+len(context))
 	info = append(info, sessionInfo...)
 	info = binary.BigEndian.AppendUint64(info, generation)
 	info = append(info, context...)
-	key := hkdfSHA256(secret, ephemeral, info, 32)
-	block, err := aes.NewCipher(key)
-	if err != nil {
-		return nil, fmt.Errorf("new aes cipher: %w", err)
-	}
-	aead, err := cipher.NewGCM(block)
-	if err != nil {
-		return nil, fmt.Errorf("new gcm: %w", err)
-	}
-	return aead, nil
+	return gcmFromKey(hkdfExpand(prk, info, 32))
 }

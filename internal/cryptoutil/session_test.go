@@ -3,6 +3,7 @@ package cryptoutil
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -28,9 +29,9 @@ func TestSessionSealDecryptRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Seal: %v", err)
 	}
-	got, err := SessionDecrypt(key, sk.Ephemeral, sk.Generation, context, env)
+	got, err := NewRecipient(key).Open(sk.Ephemeral, sk.Generation, context, env)
 	if err != nil {
-		t.Fatalf("SessionDecrypt: %v", err)
+		t.Fatalf("Open: %v", err)
 	}
 	if !bytes.Equal(got, plaintext) {
 		t.Fatalf("round trip = %q, want %q", got, plaintext)
@@ -39,7 +40,7 @@ func TestSessionSealDecryptRoundTrip(t *testing.T) {
 
 // TestSessionedEnvelopeProperty is the sessioned sibling of
 // TestEncryptDecryptProperty: arbitrary plaintexts round-trip through
-// Seal/SessionDecrypt, and the very same envelope fed to the classic
+// Seal/Recipient.Open, and the very same envelope fed to the classic
 // Decrypt fails — the sessioned layout deliberately lacks the point
 // prefix the classic decoder demands, so a legacy client can never
 // half-open a sessioned envelope.
@@ -56,7 +57,7 @@ func TestSessionedEnvelopeProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		got, err := SessionDecrypt(key, sk.Ephemeral, sk.Generation, context, env)
+		got, err := NewRecipient(key).Open(sk.Ephemeral, sk.Generation, context, env)
 		if err != nil || !bytes.Equal(got, data) {
 			return false
 		}
@@ -106,16 +107,16 @@ func TestSessionCrossGenerationRoundTrip(t *testing.T) {
 		t.Fatalf("Seal gen 2: %v", err)
 	}
 
-	got, err := SessionDecrypt(key, old.Ephemeral, old.Generation, context, oldEnv)
+	got, err := NewRecipient(key).Open(old.Ephemeral, old.Generation, context, oldEnv)
 	if err != nil || string(got) != "sealed under gen 1" {
 		t.Fatalf("old-generation envelope: %q, %v", got, err)
 	}
-	got, err = SessionDecrypt(key, fresh.Ephemeral, fresh.Generation, context, freshEnv)
+	got, err = NewRecipient(key).Open(fresh.Ephemeral, fresh.Generation, context, freshEnv)
 	if err != nil || string(got) != "sealed under gen 2" {
 		t.Fatalf("new-generation envelope: %q, %v", got, err)
 	}
 	// The wrong generation (even with the right ephemeral) must not open.
-	if _, err := SessionDecrypt(key, old.Ephemeral, fresh.Generation, context, oldEnv); !errors.Is(err, ErrDecrypt) {
+	if _, err := NewRecipient(key).Open(old.Ephemeral, fresh.Generation, context, oldEnv); !errors.Is(err, ErrDecrypt) {
 		t.Fatalf("cross-generation open got %v, want ErrDecrypt", err)
 	}
 }
@@ -157,12 +158,14 @@ func TestSessionCertRotationFreshECDH(t *testing.T) {
 
 // TestSessionManagerConcurrent hammers one manager from many goroutines
 // with a TTL short enough that rotations race live KeyFor calls; run
-// under -race this is the session cache's data-race proof. Every envelope
-// sealed must still open with the (ephemeral, generation) its key
-// reported, whatever generation it landed in.
+// under -race this is the session caches' data-race proof, on the sealing
+// side and — every goroutine opening through one Recipient — on the opening
+// side. Every envelope sealed must still open with the (ephemeral,
+// generation) its key reported, whatever generation it landed in.
 func TestSessionManagerConcurrent(t *testing.T) {
 	key, _ := GenerateKey()
 	m := newTestManager(t, 50*time.Microsecond, &OpCounter{})
+	r := NewRecipient(key)
 	labels := []string{"org-a", "org-b", "org-c"}
 	context := []byte("concurrent-qd")
 	var wg sync.WaitGroup
@@ -182,9 +185,9 @@ func TestSessionManagerConcurrent(t *testing.T) {
 					errs <- err
 					return
 				}
-				got, err := SessionDecrypt(key, sk.Ephemeral, sk.Generation, context, env)
+				got, err := r.Open(sk.Ephemeral, sk.Generation, context, env)
 				if err != nil || !bytes.Equal(got, []byte{byte(g), byte(i)}) {
-					errs <- err
+					errs <- fmt.Errorf("open %d/%d: %q, %v", g, i, got, err)
 					return
 				}
 			}
@@ -223,13 +226,243 @@ func TestSessionDecryptMalformed(t *testing.T) {
 		{"wrong context", sk.Ephemeral, sk.Generation, []byte("other-query"), env},
 		{"flipped byte", sk.Ephemeral, sk.Generation, context, flipLast(env)},
 	}
+	// Each case must fail on a fresh Recipient and on one that has already
+	// opened the genuine envelope, so holds the point's agreement.
+	warm := NewRecipient(key)
+	if _, err := warm.Open(sk.Ephemeral, sk.Generation, context, env); err != nil {
+		t.Fatalf("genuine envelope: %v", err)
+	}
 	for _, tc := range cases {
-		if _, err := SessionDecrypt(key, tc.ephemeral, tc.gen, tc.ctx, tc.ct); !errors.Is(err, ErrDecrypt) {
-			t.Errorf("%s: got %v, want ErrDecrypt", tc.name, err)
+		for _, r := range []*Recipient{NewRecipient(key), warm} {
+			if _, err := r.Open(tc.ephemeral, tc.gen, tc.ctx, tc.ct); !errors.Is(err, ErrDecrypt) {
+				t.Errorf("%s: got %v, want ErrDecrypt", tc.name, err)
+			}
 		}
 	}
-	if _, err := SessionDecrypt(nil, sk.Ephemeral, sk.Generation, context, env); !errors.Is(err, ErrInvalidKey) {
+	if _, err := NewRecipient(nil).Open(sk.Ephemeral, sk.Generation, context, env); !errors.Is(err, ErrInvalidKey) {
 		t.Errorf("nil key: got %v, want ErrInvalidKey", err)
+	}
+}
+
+// recipientState copies a Recipient's table and agreement count.
+func recipientState(r *Recipient) (map[string][]byte, int) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	table := make(map[string][]byte, len(r.prks))
+	for point, prk := range r.prks {
+		table[point] = append([]byte(nil), prk...)
+	}
+	return table, r.agreements
+}
+
+// TestSessionRecipientOneAgreementPerPoint: every envelope sealed under one
+// session point — different queries, so different AEAD keys — opens through
+// one Recipient for a single ECDH agreement.
+func TestSessionRecipientOneAgreementPerPoint(t *testing.T) {
+	key, _ := GenerateKey()
+	sk, err := newTestManager(t, time.Minute, nil).KeyFor("poller", &key.PublicKey)
+	if err != nil {
+		t.Fatalf("KeyFor: %v", err)
+	}
+	r := NewRecipient(key)
+	const envelopes = 10
+	for i := 0; i < envelopes; i++ {
+		context := []byte(fmt.Sprintf("qd-%d", i))
+		env, err := sk.Seal(context, []byte{byte(i)})
+		if err != nil {
+			t.Fatalf("Seal %d: %v", i, err)
+		}
+		got, err := r.Open(sk.Ephemeral, sk.Generation, context, env)
+		if err != nil || !bytes.Equal(got, []byte{byte(i)}) {
+			t.Fatalf("Open %d: %q, %v", i, got, err)
+		}
+	}
+	if table, agreements := recipientState(r); agreements != 1 || len(table) != 1 {
+		t.Fatalf("%d envelopes from one point: %d agreements, %d remembered points; want 1, 1", envelopes, agreements, len(table))
+	}
+}
+
+// TestSessionRecipientOpensOldAndNewGeneration: across a rotation one
+// Recipient holds both generations' points, opens envelopes of either in any
+// order, and still refuses an envelope presented under the other
+// generation's number — the generation binding lives in the per-envelope
+// expand, not in the remembered agreement.
+func TestSessionRecipientOpensOldAndNewGeneration(t *testing.T) {
+	key, _ := GenerateKey()
+	m := newTestManager(t, time.Minute, nil)
+	clock := time.Unix(5000, 0)
+	m.now = func() time.Time { return clock }
+	context := []byte("qd-rotation")
+	old, err := m.KeyFor("rotating-poller", &key.PublicKey)
+	if err != nil {
+		t.Fatalf("KeyFor old: %v", err)
+	}
+	oldEnv, err := old.Seal(context, []byte("old generation"))
+	if err != nil {
+		t.Fatalf("Seal old: %v", err)
+	}
+	clock = clock.Add(2 * time.Minute)
+	fresh, err := m.KeyFor("rotating-poller", &key.PublicKey)
+	if err != nil {
+		t.Fatalf("KeyFor fresh: %v", err)
+	}
+	freshEnv, err := fresh.Seal(context, []byte("new generation"))
+	if err != nil {
+		t.Fatalf("Seal fresh: %v", err)
+	}
+
+	r := NewRecipient(key)
+	for _, step := range []struct {
+		key  *SessionKey
+		env  []byte
+		want string
+	}{
+		{fresh, freshEnv, "new generation"},
+		{old, oldEnv, "old generation"},
+		{fresh, freshEnv, "new generation"},
+		{old, oldEnv, "old generation"},
+	} {
+		got, err := r.Open(step.key.Ephemeral, step.key.Generation, context, step.env)
+		if err != nil || string(got) != step.want {
+			t.Fatalf("generation %d: %q, %v; want %q", step.key.Generation, got, err, step.want)
+		}
+	}
+	if _, agreements := recipientState(r); agreements != 2 {
+		t.Fatalf("two generations cost %d agreements, want 2", agreements)
+	}
+	if _, err := r.Open(old.Ephemeral, fresh.Generation, context, oldEnv); !errors.Is(err, ErrDecrypt) {
+		t.Fatalf("old envelope under the new generation: %v, want ErrDecrypt", err)
+	}
+	if _, err := r.Open(fresh.Ephemeral, old.Generation, context, freshEnv); !errors.Is(err, ErrDecrypt) {
+		t.Fatalf("new envelope under the old generation: %v, want ErrDecrypt", err)
+	}
+}
+
+// TestSessionRecipientBadPointLeavesTableUnchanged: a point that does not
+// parse as a P-256 point is refused with ErrDecrypt before any agreement,
+// and a warm table is left exactly as it was.
+func TestSessionRecipientBadPointLeavesTableUnchanged(t *testing.T) {
+	key, _ := GenerateKey()
+	sk, err := newTestManager(t, time.Minute, nil).KeyFor("poller", &key.PublicKey)
+	if err != nil {
+		t.Fatalf("KeyFor: %v", err)
+	}
+	context := []byte("qd-bad-point")
+	env, err := sk.Seal(context, []byte("payload"))
+	if err != nil {
+		t.Fatalf("Seal: %v", err)
+	}
+	r := NewRecipient(key)
+	if _, err := r.Open(sk.Ephemeral, sk.Generation, context, env); err != nil {
+		t.Fatalf("genuine envelope: %v", err)
+	}
+	before, agreementsBefore := recipientState(r)
+
+	offCurve := append([]byte{0x04}, bytes.Repeat([]byte{0x01}, 64)...)
+	compressed := append([]byte{0x02}, sk.Ephemeral[1:33]...)
+	for name, point := range map[string][]byte{
+		"empty":         nil,
+		"infinity":      {0x00},
+		"truncated":     sk.Ephemeral[:64],
+		"off the curve": offCurve,
+		"compressed":    compressed,
+		"trailing byte": append(append([]byte(nil), sk.Ephemeral...), 0x00),
+	} {
+		if _, err := r.Open(point, sk.Generation, context, env); !errors.Is(err, ErrDecrypt) {
+			t.Errorf("%s point: got %v, want ErrDecrypt", name, err)
+		}
+	}
+	after, agreementsAfter := recipientState(r)
+	if agreementsAfter != agreementsBefore || len(after) != len(before) {
+		t.Fatalf("bad points changed the table: %d → %d points, %d → %d agreements",
+			len(before), len(after), agreementsBefore, agreementsAfter)
+	}
+	for point, prk := range before {
+		if !bytes.Equal(after[point], prk) {
+			t.Fatalf("bad points changed the remembered agreement for %x", point)
+		}
+	}
+}
+
+// TestSessionRecipientTableBounded: more distinct valid points than the
+// table holds — one per session generation — never grow it past
+// recipientPoints, and every envelope still opens, first time and again
+// after its point has been dropped.
+func TestSessionRecipientTableBounded(t *testing.T) {
+	key, _ := GenerateKey()
+	m := newTestManager(t, time.Minute, nil)
+	clock := time.Unix(5000, 0)
+	m.now = func() time.Time { return clock }
+	context := []byte("qd-bounded")
+	type sealed struct {
+		key *SessionKey
+		env []byte
+	}
+	all := make([]sealed, 2*recipientPoints+5)
+	for i := range all {
+		clock = clock.Add(2 * time.Minute)
+		sk, err := m.KeyFor("poller", &key.PublicKey)
+		if err != nil {
+			t.Fatalf("KeyFor %d: %v", i, err)
+		}
+		env, err := sk.Seal(context, []byte{byte(i)})
+		if err != nil {
+			t.Fatalf("Seal %d: %v", i, err)
+		}
+		all[i] = sealed{sk, env}
+	}
+	r := NewRecipient(key)
+	for round := 0; round < 2; round++ {
+		for i, s := range all {
+			got, err := r.Open(s.key.Ephemeral, s.key.Generation, context, s.env)
+			if err != nil || !bytes.Equal(got, []byte{byte(i)}) {
+				t.Fatalf("round %d point %d: %q, %v", round, i, got, err)
+			}
+			if table, _ := recipientState(r); len(table) > recipientPoints {
+				t.Fatalf("round %d point %d: table holds %d points, bound %d", round, i, len(table), recipientPoints)
+			}
+		}
+	}
+}
+
+// TestSessionRecipientOtherKeyFails: two requesters share one session point
+// (same manager, same generation). A Recipient for the other key refuses the
+// envelope cold, and still refuses it once its table holds that very point
+// from opening its own envelope.
+func TestSessionRecipientOtherKeyFails(t *testing.T) {
+	alice, _ := GenerateKey()
+	bob, _ := GenerateKey()
+	m := newTestManager(t, time.Minute, nil)
+	forAlice, err := m.KeyFor("alice", &alice.PublicKey)
+	if err != nil {
+		t.Fatalf("KeyFor alice: %v", err)
+	}
+	forBob, err := m.KeyFor("bob", &bob.PublicKey)
+	if err != nil {
+		t.Fatalf("KeyFor bob: %v", err)
+	}
+	if !bytes.Equal(forAlice.Ephemeral, forBob.Ephemeral) {
+		t.Fatal("one generation handed out two session points")
+	}
+	context := []byte("qd-shared-point")
+	aliceEnv, err := forAlice.Seal(context, []byte("for alice"))
+	if err != nil {
+		t.Fatalf("Seal alice: %v", err)
+	}
+	bobEnv, err := forBob.Seal(context, []byte("for bob"))
+	if err != nil {
+		t.Fatalf("Seal bob: %v", err)
+	}
+
+	r := NewRecipient(bob)
+	if _, err := r.Open(forAlice.Ephemeral, forAlice.Generation, context, aliceEnv); !errors.Is(err, ErrDecrypt) {
+		t.Fatalf("cold: bob opened alice's envelope: %v", err)
+	}
+	if got, err := r.Open(forBob.Ephemeral, forBob.Generation, context, bobEnv); err != nil || string(got) != "for bob" {
+		t.Fatalf("bob's own envelope: %q, %v", got, err)
+	}
+	if _, err := r.Open(forAlice.Ephemeral, forAlice.Generation, context, aliceEnv); !errors.Is(err, ErrDecrypt) {
+		t.Fatalf("warm: bob opened alice's envelope: %v", err)
 	}
 }
 
@@ -239,9 +472,12 @@ func flipLast(b []byte) []byte {
 	return out
 }
 
-// FuzzSessionDecrypt drives the sessioned envelope decoder with arbitrary
-// ephemeral points, generations, contexts and ciphertexts: it must never
-// panic, and must only succeed on the genuine envelope it was seeded with.
+// FuzzSessionDecrypt drives the sessioned envelope opener with arbitrary
+// ephemeral points, generations, contexts and ciphertexts, differentially:
+// a long-lived Recipient whose table earlier inputs have warmed and a fresh
+// one-shot Recipient must return the same plaintext, or both an error. It
+// must never panic, and must only succeed on the genuine envelope it was
+// seeded with.
 func FuzzSessionDecrypt(f *testing.F) {
 	key, err := GenerateKey()
 	if err != nil {
@@ -257,12 +493,24 @@ func FuzzSessionDecrypt(f *testing.F) {
 	if err != nil {
 		f.Fatalf("Seal: %v", err)
 	}
+	// A valid point nobody sealed to this key under: agreement succeeds,
+	// the AEAD open must not.
+	other, err := NewSessionManager(time.Minute, nil).KeyFor("fuzz-requester", &key.PublicKey)
+	if err != nil {
+		f.Fatalf("KeyFor: %v", err)
+	}
 	f.Add(sk.Ephemeral, sk.Generation, context, genuine)
 	f.Add([]byte{}, uint64(0), []byte{}, []byte{})
 	f.Add(sk.Ephemeral, sk.Generation+1, context, genuine)
 	f.Add([]byte{0x04}, sk.Generation, context, genuine[:8])
+	f.Add(other.Ephemeral, other.Generation, context, genuine)
+	warm := NewRecipient(key)
 	f.Fuzz(func(t *testing.T, ephemeral []byte, generation uint64, ctx, ct []byte) {
-		plaintext, err := SessionDecrypt(key, ephemeral, generation, ctx, ct)
+		plaintext, err := warm.Open(ephemeral, generation, ctx, ct)
+		fresh, freshErr := NewRecipient(key).Open(ephemeral, generation, ctx, ct)
+		if (err == nil) != (freshErr == nil) || !bytes.Equal(plaintext, fresh) {
+			t.Fatalf("warm and fresh recipients disagree: warm %q, %v; fresh %q, %v", plaintext, err, fresh, freshErr)
+		}
 		if err != nil {
 			if !errors.Is(err, ErrDecrypt) && !errors.Is(err, ErrInvalidKey) {
 				t.Fatalf("unexpected error class: %v", err)

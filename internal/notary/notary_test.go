@@ -92,7 +92,7 @@ func foreignRequester(t testing.TB) (certPEM []byte, cfg *wire.NetworkConfig, op
 		Orgs:      []wire.OrgConfig{{OrgID: "seller-bank-org", RootCertPEM: ca.RootCertPEM()}},
 	}
 	open = func(q *wire.Query, resp *wire.QueryResponse) (*proof.Bundle, error) {
-		return proof.OpenResponse(clientKey, q, resp)
+		return proof.OpenResponse(cryptoutil.NewRecipient(clientKey), q, resp)
 	}
 	return id.CertPEM(), cfg, open
 }

@@ -47,7 +47,7 @@ func TestBuildWindowProducesVerifiableProofs(t *testing.T) {
 	queries, keys, specs, resps, verifier := windowFixture(t, n)
 	vp := endorsement.MustParse(queries[0].PolicyExpr)
 	for i := 0; i < n; i++ {
-		bundle, err := OpenResponse(keys[i], queries[i], resps[i])
+		bundle, err := OpenResponse(cryptoutil.NewRecipient(keys[i]), queries[i], resps[i])
 		if err != nil {
 			t.Fatalf("OpenResponse %d: %v", i, err)
 		}
@@ -87,7 +87,7 @@ func TestBuildSingleSpecSignsMetadataDirectly(t *testing.T) {
 	// A lone query pays no Merkle overhead: no leaf index, no path, and the
 	// signature covers the metadata bytes themselves.
 	queries, keys, specs, resps, verifier := windowFixture(t, 1)
-	bundle, err := OpenResponse(keys[0], queries[0], resps[0])
+	bundle, err := OpenResponse(cryptoutil.NewRecipient(keys[0]), queries[0], resps[0])
 	if err != nil {
 		t.Fatalf("OpenResponse: %v", err)
 	}
@@ -114,7 +114,7 @@ func TestBatchedElementTamperingRejected(t *testing.T) {
 	vp := endorsement.MustParse(queries[0].PolicyExpr)
 	open := func() *Bundle {
 		t.Helper()
-		b, err := OpenResponse(keys[1], queries[1], resps[1])
+		b, err := OpenResponse(cryptoutil.NewRecipient(keys[1]), queries[1], resps[1])
 		if err != nil {
 			t.Fatalf("OpenResponse: %v", err)
 		}
@@ -159,7 +159,7 @@ func TestBatchedBundleSurvivesMarshalRoundTrip(t *testing.T) {
 	// destination peer that receives the serialized bundle (the Data
 	// Acceptance path) must still be able to verify the batched proof.
 	queries, keys, specs, resps, verifier := windowFixture(t, 3)
-	bundle, err := OpenResponse(keys[2], queries[2], resps[2])
+	bundle, err := OpenResponse(cryptoutil.NewRecipient(keys[2]), queries[2], resps[2])
 	if err != nil {
 		t.Fatalf("OpenResponse: %v", err)
 	}
@@ -281,7 +281,7 @@ func TestJoinReusesEveryProofElement(t *testing.T) {
 	if ops.SignOps() != 0 {
 		t.Fatalf("join signed %d times", ops.SignOps())
 	}
-	bundle, err := OpenResponse(key, queries[1], joined)
+	bundle, err := OpenResponse(cryptoutil.NewRecipient(key), queries[1], joined)
 	if err != nil {
 		t.Fatalf("OpenResponse: %v", err)
 	}

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"testing"
 
+	"repro/internal/cryptoutil"
 	"repro/internal/endorsement"
 	"repro/internal/msp"
 	"repro/internal/wire"
@@ -34,7 +35,7 @@ type respAndSealed struct {
 func TestBuildProducesVerifiableProof(t *testing.T) {
 	spec, out, verifier := buildFixture(t)
 
-	bundle, err := OpenResponse(out.key, out.q, out.resp)
+	bundle, err := OpenResponse(cryptoutil.NewRecipient(out.key), out.q, out.resp)
 	if err != nil {
 		t.Fatalf("OpenResponse: %v", err)
 	}
@@ -82,11 +83,11 @@ func TestSealedRoundTripServesOriginalResponse(t *testing.T) {
 	if err != nil {
 		t.Fatalf("OpenWire: %v", err)
 	}
-	orig, err := OpenResponse(out.key, out.q, out.resp)
+	orig, err := OpenResponse(cryptoutil.NewRecipient(out.key), out.q, out.resp)
 	if err != nil {
 		t.Fatalf("OpenResponse original: %v", err)
 	}
-	again, err := OpenResponse(out.key, out.q, replayed)
+	again, err := OpenResponse(cryptoutil.NewRecipient(out.key), out.q, replayed)
 	if err != nil {
 		t.Fatalf("OpenResponse replayed: %v", err)
 	}
@@ -101,14 +102,14 @@ func TestOpenResponseRefusesForeignPolicyPin(t *testing.T) {
 	// query asked for: refused before any signature checking.
 	forged := *out.resp
 	forged.PolicyDigest = PolicyDigest("OR('rogue')")
-	if _, err := OpenResponse(out.key, out.q, &forged); !errors.Is(err, ErrPolicyDigestMismatch) {
+	if _, err := OpenResponse(cryptoutil.NewRecipient(out.key), out.q, &forged); !errors.Is(err, ErrPolicyDigestMismatch) {
 		t.Fatalf("foreign response pin accepted: %v", err)
 	}
 }
 
 func TestBundleRoundTripKeepsPins(t *testing.T) {
 	_, out, _ := buildFixture(t)
-	bundle, err := OpenResponse(out.key, out.q, out.resp)
+	bundle, err := OpenResponse(cryptoutil.NewRecipient(out.key), out.q, out.resp)
 	if err != nil {
 		t.Fatalf("OpenResponse: %v", err)
 	}

@@ -291,13 +291,15 @@ func pinned(carried, want []byte) bool {
 	return len(carried) > 0 && bytes.Equal(carried, want)
 }
 
-// OpenResponse decrypts a query response's sessioned envelopes with the
-// requesting client's private key and assembles the plaintext Bundle. It
-// performs the client's own sanity checks (policy pin, result digest
-// binding, nonce echo) so that obviously broken responses are rejected
-// before a transaction is attempted; full trust validation happens on the
-// destination peers via Verify.
-func OpenResponse(clientKey *ecdsa.PrivateKey, q *wire.Query, resp *wire.QueryResponse) (*Bundle, error) {
+// OpenResponse decrypts a query response's sessioned envelopes through the
+// requesting client's Recipient and assembles the plaintext Bundle. A
+// client that keeps one Recipient across queries agrees once per session
+// point, so a warm response costs one HKDF expand and one AEAD open per
+// envelope. It performs the client's own sanity checks (policy pin, result
+// digest binding, nonce echo) so that obviously broken responses are
+// rejected before a transaction is attempted; full trust validation happens
+// on the destination peers via Verify.
+func OpenResponse(recipient *cryptoutil.Recipient, q *wire.Query, resp *wire.QueryResponse) (*Bundle, error) {
 	if resp.Error != "" {
 		return nil, fmt.Errorf("proof: remote error: %s", resp.Error)
 	}
@@ -306,8 +308,7 @@ func OpenResponse(clientKey *ecdsa.PrivateKey, q *wire.Query, resp *wire.QueryRe
 		return nil, fmt.Errorf("%w: response is not pinned to the query's policy", ErrPolicyDigestMismatch)
 	}
 	wantQueryDigest := QueryDigestOf(q)
-	result, err := cryptoutil.SessionDecrypt(clientKey, resp.SessionEphemeral, resp.SessionGeneration,
-		wantQueryDigest, resp.EncryptedResult)
+	result, err := recipient.Open(resp.SessionEphemeral, resp.SessionGeneration, wantQueryDigest, resp.EncryptedResult)
 	if err != nil {
 		return nil, fmt.Errorf("proof: decrypt result: %w", err)
 	}
@@ -321,8 +322,7 @@ func OpenResponse(clientKey *ecdsa.PrivateKey, q *wire.Query, resp *wire.QueryRe
 	}
 	for i := range resp.Attestations {
 		att := &resp.Attestations[i]
-		plain, err := cryptoutil.SessionDecrypt(clientKey, att.SessionEphemeral, att.SessionGeneration,
-			wantQueryDigest, att.EncryptedMetadata)
+		plain, err := recipient.Open(att.SessionEphemeral, att.SessionGeneration, wantQueryDigest, att.EncryptedMetadata)
 		if err != nil {
 			return nil, fmt.Errorf("proof: decrypt metadata of %s: %w", att.PeerName, err)
 		}

@@ -102,7 +102,7 @@ func TestEndToEndProofFlow(t *testing.T) {
 	spec, clientKey := testSpec(t, q, result)
 	resp := buildOne(t, spec, sellerPeer, carrierPeer)
 
-	bundle, err := OpenResponse(clientKey, q, resp)
+	bundle, err := OpenResponse(cryptoutil.NewRecipient(clientKey), q, resp)
 	if err != nil {
 		t.Fatalf("OpenResponse: %v", err)
 	}
@@ -122,7 +122,7 @@ func TestEndToEndProofFlow(t *testing.T) {
 func buildBundle(t *testing.T, q *wire.Query, result []byte, attestors ...*msp.Identity) *Bundle {
 	t.Helper()
 	spec, clientKey := testSpec(t, q, result)
-	bundle, err := OpenResponse(clientKey, q, buildOne(t, spec, attestors...))
+	bundle, err := OpenResponse(cryptoutil.NewRecipient(clientKey), q, buildOne(t, spec, attestors...))
 	if err != nil {
 		t.Fatalf("OpenResponse: %v", err)
 	}
@@ -246,7 +246,7 @@ func TestOpenResponseRejectsRemoteError(t *testing.T) {
 	clientKey, _ := cryptoutil.GenerateKey()
 	q := sampleQuery(t)
 	resp := &wire.QueryResponse{RequestID: q.RequestID, Error: "access denied"}
-	if _, err := OpenResponse(clientKey, q, resp); err == nil {
+	if _, err := OpenResponse(cryptoutil.NewRecipient(clientKey), q, resp); err == nil {
 		t.Fatal("error response accepted")
 	}
 }
@@ -256,7 +256,7 @@ func TestOpenResponseWrongKey(t *testing.T) {
 	wrongKey, _ := cryptoutil.GenerateKey()
 	q := sampleQuery(t)
 	spec, _ := testSpec(t, q, []byte("doc"))
-	if _, err := OpenResponse(wrongKey, q, buildOne(t, spec, sellerPeer)); err == nil {
+	if _, err := OpenResponse(cryptoutil.NewRecipient(wrongKey), q, buildOne(t, spec, sellerPeer)); err == nil {
 		t.Fatal("wrong key opened the response")
 	}
 }
@@ -272,7 +272,7 @@ func TestOpenResponseDetectsRelayResultSwap(t *testing.T) {
 	swapped := buildOne(t, spec, sellerPeer)
 	resp.EncryptedResult, resp.SessionEphemeral, resp.SessionGeneration =
 		swapped.EncryptedResult, swapped.SessionEphemeral, swapped.SessionGeneration
-	if _, err := OpenResponse(clientKey, q, resp); !errors.Is(err, ErrDigestMismatch) {
+	if _, err := OpenResponse(cryptoutil.NewRecipient(clientKey), q, resp); !errors.Is(err, ErrDigestMismatch) {
 		t.Fatalf("result swap: %v", err)
 	}
 }
@@ -284,14 +284,14 @@ func TestOpenResponseRefusesUnpinnedResponse(t *testing.T) {
 	// The response-level pin stripped in transit: refused, not skipped.
 	stripped := buildOne(t, spec, sellerPeer)
 	stripped.PolicyDigest = nil
-	if _, err := OpenResponse(clientKey, q, stripped); !errors.Is(err, ErrPolicyDigestMismatch) {
+	if _, err := OpenResponse(cryptoutil.NewRecipient(clientKey), q, stripped); !errors.Is(err, ErrPolicyDigestMismatch) {
 		t.Fatalf("unpinned response accepted: %v", err)
 	}
 	// Attestations signed without a pin behind a pinned response: refused.
 	spec.PolicyDigest = nil
 	unpinned := buildOne(t, spec, sellerPeer)
 	unpinned.PolicyDigest = PolicyDigest(q.PolicyExpr)
-	if _, err := OpenResponse(clientKey, q, unpinned); !errors.Is(err, ErrPolicyDigestMismatch) {
+	if _, err := OpenResponse(cryptoutil.NewRecipient(clientKey), q, unpinned); !errors.Is(err, ErrPolicyDigestMismatch) {
 		t.Fatalf("unpinned metadata accepted: %v", err)
 	}
 }
@@ -390,7 +390,7 @@ func BenchmarkVerifyTwoAttestors(b *testing.B) {
 	q := &wire.Query{TargetNetwork: "tl", Ledger: "l", Contract: "cc", Function: "fn", Nonce: nonce,
 		PolicyExpr: "AND('seller-org','carrier-org')"}
 	spec, clientKey := testSpec(b, q, make([]byte, 1024))
-	bundle, err := OpenResponse(clientKey, q, buildOne(b, spec, sellerPeer, carrierPeer))
+	bundle, err := OpenResponse(cryptoutil.NewRecipient(clientKey), q, buildOne(b, spec, sellerPeer, carrierPeer))
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -262,20 +262,29 @@ func TestKnownAnswerSessionEnvelope(t *testing.T) {
 		t.Fatalf("session scalar: %v", err)
 	}
 	checkHex(t, "session point", session.PublicKey().Bytes(), vectorSessionPointHex)
-	got, err := cryptoutil.SessionDecrypt(vectorKey(t, vectorClientScalarHex), unhex(t, vectorSessionPointHex),
-		vectorSessionGen, unhex(t, vectorQueryDigestHex), unhex(t, vectorEnvelopeHex))
-	if err != nil {
-		t.Fatalf("SessionDecrypt: %v", err)
+	point, envelope := unhex(t, vectorSessionPointHex), unhex(t, vectorEnvelopeHex)
+	// One Recipient opens the envelope twice: cold, running the agreement,
+	// then warm, from the agreement it remembered for the point.
+	warm := cryptoutil.NewRecipient(vectorKey(t, vectorClientScalarHex))
+	for _, pass := range []string{"cold", "warm"} {
+		got, err := warm.Open(point, vectorSessionGen, unhex(t, vectorQueryDigestHex), envelope)
+		if err != nil {
+			t.Fatalf("%s open: %v", pass, err)
+		}
+		checkHex(t, pass+" opened envelope", got, vectorMetadataHex)
 	}
-	checkHex(t, "opened envelope", got, vectorMetadataHex)
 	// The generation and the context are bound into the key: neither may
-	// be swapped.
-	if _, err := cryptoutil.SessionDecrypt(vectorKey(t, vectorClientScalarHex), unhex(t, vectorSessionPointHex),
-		vectorSessionGen+1, unhex(t, vectorQueryDigestHex), unhex(t, vectorEnvelopeHex)); err == nil {
-		t.Fatal("envelope opened under another generation")
-	}
-	if _, err := cryptoutil.SessionDecrypt(vectorKey(t, vectorClientScalarHex), unhex(t, vectorSessionPointHex),
-		vectorSessionGen, unhex(t, vectorPolicyDigestHex), unhex(t, vectorEnvelopeHex)); err == nil {
-		t.Fatal("envelope opened under another context")
+	// be swapped, on a fresh Recipient or on the warm one — the remembered
+	// agreement does not carry those bindings, the per-envelope key does.
+	for name, r := range map[string]*cryptoutil.Recipient{
+		"fresh": cryptoutil.NewRecipient(vectorKey(t, vectorClientScalarHex)),
+		"warm":  warm,
+	} {
+		if _, err := r.Open(point, vectorSessionGen+1, unhex(t, vectorQueryDigestHex), envelope); err == nil {
+			t.Fatalf("%s recipient opened the envelope under another generation", name)
+		}
+		if _, err := r.Open(point, vectorSessionGen, unhex(t, vectorPolicyDigestHex), envelope); err == nil {
+			t.Fatalf("%s recipient opened the envelope under another context", name)
+		}
 	}
 }

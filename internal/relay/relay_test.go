@@ -201,7 +201,7 @@ func TestCrossNetworkQueryEndToEnd(t *testing.T) {
 
 	// The client opens the response and verifies the proof against the
 	// source network's exported configuration.
-	bundle, err := proof.OpenResponse(req.key, q, resp)
+	bundle, err := proof.OpenResponse(cryptoutil.NewRecipient(req.key), q, resp)
 	if err != nil {
 		t.Fatalf("OpenResponse: %v", err)
 	}
@@ -263,7 +263,7 @@ func TestQueryWithRetiredCapabilityFieldsGetsSessionedAnswer(t *testing.T) {
 			t.Fatalf("attestation %d is not a sessioned envelope", i)
 		}
 	}
-	bundle, err := proof.OpenResponse(req.key, q, resp)
+	bundle, err := proof.OpenResponse(cryptoutil.NewRecipient(req.key), q, resp)
 	if err != nil {
 		t.Fatalf("OpenResponse: %v", err)
 	}
@@ -495,7 +495,7 @@ func TestTCPTransportEndToEnd(t *testing.T) {
 	if resp.Error != "" {
 		t.Fatalf("remote error: %s", resp.Error)
 	}
-	bundle, err := proof.OpenResponse(req.key, q, resp)
+	bundle, err := proof.OpenResponse(cryptoutil.NewRecipient(req.key), q, resp)
 	if err != nil {
 		t.Fatalf("OpenResponse: %v", err)
 	}

@@ -335,7 +335,7 @@ func buildBundleFor(t *testing.T, policyExpr string, result []byte, nonce []byte
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
-	bundle, err := proof.OpenResponse(clientKey, q, resps[0])
+	bundle, err := proof.OpenResponse(cryptoutil.NewRecipient(clientKey), q, resps[0])
 	if err != nil {
 		t.Fatalf("OpenResponse: %v", err)
 	}

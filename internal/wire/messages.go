@@ -334,7 +334,7 @@ type Attestation struct {
 	// envelope: EncryptedMetadata is nonce||ciphertext under a per-query
 	// AEAD key derived from the ECDH agreement between the requester's key
 	// and this session ephemeral point, bound to SessionGeneration and the
-	// query digest (cryptoutil.SessionDecrypt).
+	// query digest ((*cryptoutil.Recipient).Open).
 	SessionEphemeral  []byte
 	SessionGeneration uint64
 }
