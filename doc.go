@@ -94,10 +94,12 @@
 // cached ECDH agreement per requester certificate, a per-query AEAD key
 // derived via HKDF bound to the generation and query digest, and the
 // session point carried in explicit wire fields
-// (Attestation.SessionEphemeral) — a warm requester pays zero scalar
-// multiplications per query. The driver's leaf-addressed element records
-// let a repeated question join an earlier window's proof
-// ((*proof.Builder).Join), reusing every signature.
+// (Attestation.SessionEphemeral). The requester opens through a
+// cryptoutil.Recipient that remembers its agreement per session point, so
+// for a warm requester neither side pays a scalar multiplication per query:
+// each envelope is one HKDF expand plus one AEAD seal or open. The driver's
+// leaf-addressed element records let a repeated question join an earlier
+// window's proof ((*proof.Builder).Join), reusing every signature.
 // relay.Stats.ECDHOps/SignOps/EncryptOps count the expensive primitives
 // fleet-wide.
 //

@@ -240,8 +240,8 @@ type Recipient struct {
 	agreements int               // ECDH agreements run, for tests
 }
 
-// NewRecipient converts priv to its ECDH form once. A nil or non-P-256 key
-// makes every Open fail with ErrInvalidKey.
+// NewRecipient converts priv to its ECDH form once. A nil key, or one
+// crypto/ecdh cannot convert, makes every Open fail with ErrInvalidKey.
 func NewRecipient(priv *ecdsa.PrivateKey) *Recipient {
 	r := &Recipient{prks: make(map[string][]byte)}
 	if priv == nil {
