@@ -704,12 +704,12 @@ func BenchmarkP3PolicyEvaluation(b *testing.B) {
 	}
 }
 
-// BenchmarkP4CommitThroughput is the commit-pipeline ablation. The batch-N
-// sub-benchmarks sweep the synchronous orderer's batch size (the original
-// block-batching ablation); the committers-N sub-benchmarks hold the
-// pipelined orderer fixed and sweep the peer's commit worker pool over a
-// conflict-free workload, where committers-1 is the serial fallback and the
-// wider pools parallelize endorsement verification and write application.
+// BenchmarkP4CommitThroughput is the commit-path ablation. The batch-N
+// sub-benchmarks sweep the orderer's batch size under one Submit caller
+// (the original block-batching ablation); the concurrent sub-benchmark runs
+// the default network under 32 SubmitWait callers on a conflict-free
+// workload, where group commit lets callers share blocks (tx/block) and
+// multi-transaction blocks take the parallel committer.
 func BenchmarkP4CommitThroughput(b *testing.B) {
 	deployKV := func(b *testing.B, n *fabric.Network) (*fabric.Gateway, []*peer.Peer) {
 		b.Helper()
@@ -760,62 +760,53 @@ func BenchmarkP4CommitThroughput(b *testing.B) {
 		})
 	}
 
-	for _, workers := range []int{1, 4, 8} {
-		b.Run(fmt.Sprintf("committers-%d", workers), func(b *testing.B) {
-			n := fabric.NewNetworkTuned("bench", fabric.Tuning{
-				Orderer: orderer.Config{
-					Pipelined: true, BatchSize: 16,
-					BatchTimeout: time.Millisecond, MaxPending: 256,
-				},
-				CommitterWorkers: workers,
-			})
-			defer func() {
-				if err := n.Orderer().Stop(); err != nil {
-					b.Fatal(err)
+	b.Run("concurrent", func(b *testing.B) {
+		n := fabric.NewNetwork("bench", orderer.Config{})
+		gw, peers := deployKV(b, n)
+		val := make([]byte, 256)
+		var seq atomic.Uint64
+		b.ReportAllocs()
+		// Submitters are open-loop clients, not CPU-bound workers: run far
+		// more of them than GOMAXPROCS so callers queue behind each block's
+		// delivery and share the next one.
+		b.SetParallelism(32)
+		start := n.Orderer().Height()
+		b.ResetTimer()
+		b.RunParallel(func(pb *testing.PB) {
+			for pb.Next() {
+				// Fresh key per transaction: conflict-free, so every write
+				// set lands on the scheduler's first level.
+				i := seq.Add(1)
+				inv := chaincode.Invocation{
+					TxID: fmt.Sprintf("tx-%d", i), Chaincode: "kv", Function: "put",
+					Args:        [][]byte{[]byte(fmt.Sprintf("k%d", i)), val},
+					CreatorCert: gw.Identity().CertPEM(), Timestamp: time.Now(),
 				}
-			}()
-			gw, peers := deployKV(b, n)
-			val := make([]byte, 256)
-			var seq atomic.Uint64
-			b.ReportAllocs()
-			// Submitters are open-loop clients, not CPU-bound workers: run
-			// far more of them than GOMAXPROCS so the orderer's batches fill
-			// by size instead of stalling on the cut timer.
-			b.SetParallelism(32)
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				for pb.Next() {
-					// Fresh key per transaction: conflict-free, so every
-					// write set lands on the scheduler's first level.
-					i := seq.Add(1)
-					inv := chaincode.Invocation{
-						TxID: fmt.Sprintf("tx-%d", i), Chaincode: "kv", Function: "put",
-						Args:        [][]byte{[]byte(fmt.Sprintf("k%d", i)), val},
-						CreatorCert: gw.Identity().CertPEM(), Timestamp: time.Now(),
-					}
-					resp, err := peers[0].Endorse(inv)
-					if err != nil {
-						b.Error(err)
-						return
-					}
-					tx, err := assembleOne(inv, resp)
-					if err != nil {
-						b.Error(err)
-						return
-					}
-					if err := n.Orderer().SubmitWait(tx); err != nil {
-						b.Error(err)
-						return
-					}
-					if tx.Validation != ledger.Valid {
-						b.Errorf("tx-%d validation = %v", i, tx.Validation)
-						return
-					}
+				resp, err := peers[0].Endorse(inv)
+				if err != nil {
+					b.Error(err)
+					return
 				}
-			})
-			b.StopTimer()
+				tx, err := assembleOne(inv, resp)
+				if err != nil {
+					b.Error(err)
+					return
+				}
+				if err := n.Orderer().SubmitWait(tx); err != nil {
+					b.Error(err)
+					return
+				}
+				if tx.Validation != ledger.Valid {
+					b.Errorf("tx-%d validation = %v", i, tx.Validation)
+					return
+				}
+			}
 		})
-	}
+		b.StopTimer()
+		if blocks := n.Orderer().Height() - start; blocks > 0 {
+			b.ReportMetric(float64(b.N)/float64(blocks), "tx/block")
+		}
+	})
 }
 
 // BenchmarkP5TransportRTT compares the in-process hub against real TCP for

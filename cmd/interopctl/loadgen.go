@@ -38,9 +38,6 @@ func runLoadgen(args []string) error {
 	churn := fs.Bool("churn", false, "kill and restart source relays during the run")
 	churnInterval := fs.Duration("churn-interval", 0, "period of the kill/restart cycle")
 	seed := fs.Int64("seed", 0, "RNG seed for the schedule (0 keeps the preset's)")
-	pipelined := fs.Bool("pipelined", false, "pipelined orderer batching on both networks")
-	batchSize := fs.Int("batch-size", 0, "orderer batch size with -pipelined (0 = orderer default)")
-	committers := fs.Int("committers", 0, "committer workers per peer (<=1 = serial committer)")
 	attestWindow := fs.Duration("attest-batch-window", 0, "Merkle-batched attestation window on source relays (0 = per-query signatures)")
 	attestMax := fs.Int("attest-batch-max", 0, "flush a batching window early at this many pending queries (0 = default 32)")
 	attestOff := fs.Bool("attest-batch-off", false, "disable attestation batching on every relay (per-query signatures)")
@@ -97,12 +94,6 @@ func runLoadgen(args []string) error {
 			cfg.ChurnInterval = *churnInterval
 		case "seed":
 			cfg.Seed = *seed
-		case "pipelined":
-			cfg.Pipelined = *pipelined
-		case "batch-size":
-			cfg.BatchSize = *batchSize
-		case "committers":
-			cfg.CommitterWorkers = *committers
 		case "attest-batch-window":
 			cfg.AttestBatchWindow = *attestWindow
 		case "attest-batch-max":

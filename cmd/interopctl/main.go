@@ -11,7 +11,10 @@
 // The loadgen subcommand builds a self-contained multi-relay TCP
 // deployment and measures it under sustained open-loop load — latency
 // percentiles, throughput, error budgets, relay counters and an
-// exactly-once audit — writing BENCH_loadgen.json.
+// exactly-once audit — writing BENCH_loadgen.json. Both networks commit
+// through the one group-commit orderer and self-selecting committer, so
+// loadgen has no commit flags; a -config file's pipelined, batch_size and
+// committer_workers fields are ignored.
 //
 // Usage:
 //

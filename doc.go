@@ -123,22 +123,21 @@
 // across legs even when mid-path replicas die mid-run; forwarded legs feed
 // the same per-address health scoring and breaker as client fan-out.
 //
-// The commit path is pipelined and conflict-aware. World state is
+// There is one commit path, and it is conflict-aware. World state is
 // namespaced per chaincode and sharded with one lock per namespace
-// (internal/statedb). The solo orderer gains a pipelined mode
-// (orderer.Config.Pipelined): a background cutter goroutine cuts blocks on
-// two triggers — BatchSize transactions accumulated, or BatchTimeout
-// elapsed since the batch opened — with MaxPending backpressure on
-// submitters, while SubmitWait couples a client to its block's delivery in
-// either mode. On the peer, Peer.SetCommitterWorkers widens commitment:
-// endorsement checks run on a bounded worker pool, a dependency scheduler
-// derived from each transaction's RWSet levels the block by write-write
-// conflicts on namespaced keys, and non-conflicting write sets apply in
-// parallel — validation codes, version stamps and world state are
-// byte-identical to the serial committer, which remains the default and
-// the rollback knob (workers <= 1). fabric.Tuning carries both knobs
-// through the application builders down to `interopctl loadgen
-// -pipelined -batch-size N -committers M`.
+// (internal/statedb). The solo orderer starts no goroutine, and its
+// SubmitWait is group commit: a caller appends its transaction, takes the
+// delivery lock and, unless a caller ahead of it already did, cuts
+// everything pending into one block — so a lone writer commits a
+// one-transaction block, and writers that arrive during a delivery share
+// the next. The peer picks its committer from what it observes: a block
+// with more than one transaction on a host with GOMAXPROCS above one takes
+// the parallel committer — endorsement checks on a bounded worker pool, a
+// dependency scheduler that levels the block by write-write conflicts on
+// each transaction's namespaced RWSet keys, and non-conflicting write sets
+// applied in parallel — and every other block the serial committer, which
+// the property suite keeps as the oracle: validation codes, version stamps
+// and world state are byte-identical between the two.
 //
 // The system is measurable under production-shaped load. `interopctl
 // loadgen` (internal/loadgen) builds a multi-relay TCP deployment, drives

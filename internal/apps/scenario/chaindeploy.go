@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/apps/tradelens"
 	"repro/internal/apps/wetrade"
-	"repro/internal/fabric"
 	"repro/internal/msp"
 	"repro/internal/relay"
 )
@@ -53,9 +52,9 @@ type TCPChainDeployment struct {
 
 // BuildTCPChain builds and initializes the trade world over a TCP relay
 // chain with the given number of intermediate hub networks (0 = direct)
-// and relay replicas per hub. An optional fabric.Tuning applies to both
-// networks. Callers own the returned deployment and must Close it.
-func BuildTCPChain(hubs, relaysPerHub int, tune ...fabric.Tuning) (*TCPChainDeployment, error) {
+// and relay replicas per hub. Callers own the returned deployment and must
+// Close it.
+func BuildTCPChain(hubs, relaysPerHub int) (*TCPChainDeployment, error) {
 	if hubs < 0 {
 		return nil, fmt.Errorf("scenario: %d hub tiers", hubs)
 	}
@@ -64,7 +63,7 @@ func BuildTCPChain(hubs, relaysPerHub int, tune ...fabric.Tuning) (*TCPChainDepl
 	}
 	registry := relay.NewStaticRegistry()
 	transport := &relay.TCPTransport{DialTimeout: 2 * time.Second, IOTimeout: 10 * time.Second}
-	w, err := BuildWith(registry, transport, tune...)
+	w, err := BuildWith(registry, transport)
 	if err != nil {
 		return nil, err
 	}

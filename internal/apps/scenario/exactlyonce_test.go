@@ -13,7 +13,6 @@ import (
 	"repro/internal/apps/wetrade"
 	"repro/internal/core"
 	"repro/internal/cryptoutil"
-	"repro/internal/fabric"
 	"repro/internal/ledger"
 	"repro/internal/msp"
 	"repro/internal/proof"
@@ -29,9 +28,9 @@ const STLRelayAddrB = "stl-relay-b:9082"
 // buildExactlyOnceWorld wires the trade world plus: the audit contract and
 // its access rule on STL (DeployAuditLog), and a second relay fronting STL
 // registered in discovery after the first.
-func buildExactlyOnceWorld(t *testing.T, tune ...fabric.Tuning) (*TradeWorld, *relay.Relay) {
+func buildExactlyOnceWorld(t *testing.T) (*TradeWorld, *relay.Relay) {
 	t.Helper()
-	w, err := Build(tune...)
+	w, err := Build()
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
@@ -94,11 +93,7 @@ func committedInvokes(t *testing.T, w *TradeWorld, txID string) (valid, duplicat
 // original committed response, recovered from the ledger, and the ledger
 // holds exactly one valid transaction for the request.
 func TestExactlyOnceFailoverToSecondRelay(t *testing.T) {
-	forEachCommitMode(t, testExactlyOnceFailoverToSecondRelay)
-}
-
-func testExactlyOnceFailoverToSecondRelay(t *testing.T, tune fabric.Tuning) {
-	w, relayB := buildExactlyOnceWorld(t, tune)
+	w, relayB := buildExactlyOnceWorld(t)
 	client, err := core.NewClient(w.SWT, wetrade.SellerBankOrg, "eo-client")
 	if err != nil {
 		t.Fatalf("NewClient: %v", err)
@@ -203,14 +198,12 @@ func (ri *rawInvoker) open(t *testing.T, q *wire.Query, resp *wire.QueryResponse
 // TestExactlyOnceConcurrentRelays races the same logical invoke through
 // both STL relays at once — the worst case for process-local dedup, since
 // neither relay's cache or single-flight can see the other's attempt. The
-// ledger-level duplicate check collapses the race: exactly one transaction
-// commits as valid, and both relays return that committed response.
+// two submissions may land in successive blocks or, by group commit, in
+// one; either way the duplicate check (chain index or in-block guard)
+// collapses the race: exactly one transaction commits as valid, and both
+// relays return that committed response.
 func TestExactlyOnceConcurrentRelays(t *testing.T) {
-	forEachCommitMode(t, testExactlyOnceConcurrentRelays)
-}
-
-func testExactlyOnceConcurrentRelays(t *testing.T, tune fabric.Tuning) {
-	w, relayB := buildExactlyOnceWorld(t, tune)
+	w, relayB := buildExactlyOnceWorld(t)
 	relayA := w.STL.Relay
 	ri := newRawInvoker(t, w)
 	nonce, err := cryptoutil.NewNonce()
@@ -272,11 +265,7 @@ func testExactlyOnceConcurrentRelays(t *testing.T, tune fabric.Tuning) {
 // ledger. The hedge-hungry client gets availability without a double
 // commit.
 func TestExactlyOnceHedgingClientNeverDuplicates(t *testing.T) {
-	forEachCommitMode(t, testExactlyOnceHedgingClientNeverDuplicates)
-}
-
-func testExactlyOnceHedgingClientNeverDuplicates(t *testing.T, tune fabric.Tuning) {
-	w, _ := buildExactlyOnceWorld(t, tune)
+	w, _ := buildExactlyOnceWorld(t)
 	ri := newRawInvoker(t, w)
 	nonce, err := cryptoutil.NewNonce()
 	if err != nil {
@@ -319,11 +308,7 @@ func testExactlyOnceHedgingClientNeverDuplicates(t *testing.T, tune fabric.Tunin
 // idempotency key neither blocks nor leaks into a different requester's
 // invoke that happens to choose the same key. Each commits independently.
 func TestDistinctRequestersMaySameRequestID(t *testing.T) {
-	forEachCommitMode(t, testDistinctRequestersMaySameRequestID)
-}
-
-func testDistinctRequestersMaySameRequestID(t *testing.T, tune fabric.Tuning) {
-	w, _ := buildExactlyOnceWorld(t, tune)
+	w, _ := buildExactlyOnceWorld(t)
 	alice := newRawInvoker(t, w)
 	bob := newRawInvoker(t, w)
 	nonceA, _ := cryptoutil.NewNonce()
@@ -358,11 +343,7 @@ func testDistinctRequestersMaySameRequestID(t *testing.T, tune fabric.Tuning) {
 // different arguments gets an error — never silently stale data — and the
 // original commit stays untouched.
 func TestIdempotencyKeyReuseWithDifferentRequestRefused(t *testing.T) {
-	forEachCommitMode(t, testIdempotencyKeyReuseWithDifferentRequestRefused)
-}
-
-func testIdempotencyKeyReuseWithDifferentRequestRefused(t *testing.T, tune fabric.Tuning) {
-	w, _ := buildExactlyOnceWorld(t, tune)
+	w, _ := buildExactlyOnceWorld(t)
 	ri := newRawInvoker(t, w)
 	nonce, _ := cryptoutil.NewNonce()
 	sendTo := func(addr string, q *wire.Query) *wire.Envelope {

@@ -49,13 +49,11 @@ type TradeWorld struct {
 }
 
 // Build constructs and initializes the trade world over an in-process
-// transport. An optional fabric.Tuning applies to both networks — orderer
-// batching mode and committer worker pool; omitted, both run the
-// synchronous serial configuration.
-func Build(tune ...fabric.Tuning) (*TradeWorld, error) {
+// transport.
+func Build() (*TradeWorld, error) {
 	hub := relay.NewHub()
 	registry := relay.NewStaticRegistry()
-	w, err := BuildWith(registry, hub, tune...)
+	w, err := BuildWith(registry, hub)
 	if err != nil {
 		return nil, err
 	}
@@ -71,12 +69,12 @@ func Build(tune ...fabric.Tuning) (*TradeWorld, error) {
 // BuildWith constructs the networks over caller-supplied discovery and
 // transport (used for TCP deployments), leaving relay registration to the
 // caller.
-func BuildWith(discovery relay.Discovery, transport relay.Transport, tune ...fabric.Tuning) (*TradeWorld, error) {
-	stl, err := tradelens.BuildNetwork(discovery, transport, tune...)
+func BuildWith(discovery relay.Discovery, transport relay.Transport) (*TradeWorld, error) {
+	stl, err := tradelens.BuildNetwork(discovery, transport)
 	if err != nil {
 		return nil, fmt.Errorf("scenario: build STL: %w", err)
 	}
-	swt, err := wetrade.BuildNetwork(discovery, transport, tune...)
+	swt, err := wetrade.BuildNetwork(discovery, transport)
 	if err != nil {
 		return nil, fmt.Errorf("scenario: build SWT: %w", err)
 	}

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/apps/tradelens"
 	"repro/internal/apps/wetrade"
-	"repro/internal/fabric"
 	"repro/internal/relay"
 )
 
@@ -100,12 +99,12 @@ type TCPDeployment struct {
 }
 
 // BuildTCP builds and initializes the trade world over TCP with
-// 1+extraSTLRelays relays fronting STL. An optional fabric.Tuning applies
-// to both networks. Callers own the returned deployment and must Close it.
-func BuildTCP(extraSTLRelays int, tune ...fabric.Tuning) (*TCPDeployment, error) {
+// 1+extraSTLRelays relays fronting STL. Callers own the returned
+// deployment and must Close it.
+func BuildTCP(extraSTLRelays int) (*TCPDeployment, error) {
 	registry := relay.NewStaticRegistry()
 	transport := &relay.TCPTransport{DialTimeout: 2 * time.Second, IOTimeout: 10 * time.Second}
-	w, err := BuildWith(registry, transport, tune...)
+	w, err := BuildWith(registry, transport)
 	if err != nil {
 		return nil, err
 	}
@@ -159,7 +158,7 @@ func (d *TCPDeployment) AllServers() []*TCPRelayServer {
 
 // Close tears every server down, closes the relays' shared transport and
 // stops both networks' orderers, so a deployment leaves no connection
-// reader or pipelined cutter goroutine behind.
+// reader behind and commits nothing after it closes.
 func (d *TCPDeployment) Close() {
 	for _, s := range d.AllServers() {
 		_ = s.Close()

@@ -15,15 +15,9 @@ import (
 // BuildNetwork assembles the STL network per §4.2: one Seller-organization
 // peer and one Carrier-organization peer, the TradeLensCC chaincode under a
 // both-orgs endorsement policy, and interop enablement (system contracts +
-// relay). An optional Tuning selects the orderer batching mode and the
-// peers' committer worker pool; the default is the synchronous
-// one-transaction-per-block serial configuration.
-func BuildNetwork(discovery relay.Discovery, transport relay.Transport, tune ...fabric.Tuning) (*core.Network, error) {
-	t := fabric.Tuning{Orderer: orderer.Config{BatchSize: 1}}
-	if len(tune) > 0 {
-		t = tune[0]
-	}
-	n := fabric.NewNetworkTuned(NetworkID, t)
+// relay).
+func BuildNetwork(discovery relay.Discovery, transport relay.Transport) (*core.Network, error) {
+	n := fabric.NewNetwork(NetworkID, orderer.Config{})
 	if _, err := n.AddOrg(SellerOrg, 1); err != nil {
 		return nil, fmt.Errorf("tradelens: %w", err)
 	}

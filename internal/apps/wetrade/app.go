@@ -16,14 +16,9 @@ import (
 // bank organization and two in the seller's bank organization, the
 // WeTradeCC chaincode under a both-banks endorsement policy (§4.3: "the
 // UploadDispatchDocs transaction requires 2 endorsements: one from a peer
-// each in the Buyer's Bank and Seller's Bank"), and interop enablement. An
-// optional Tuning selects orderer batching and the committer worker pool.
-func BuildNetwork(discovery relay.Discovery, transport relay.Transport, tune ...fabric.Tuning) (*core.Network, error) {
-	t := fabric.Tuning{Orderer: orderer.Config{BatchSize: 1}}
-	if len(tune) > 0 {
-		t = tune[0]
-	}
-	n := fabric.NewNetworkTuned(NetworkID, t)
+// each in the Buyer's Bank and Seller's Bank"), and interop enablement.
+func BuildNetwork(discovery relay.Discovery, transport relay.Transport) (*core.Network, error) {
+	n := fabric.NewNetwork(NetworkID, orderer.Config{})
 	if _, err := n.AddOrg(BuyerBankOrg, 2); err != nil {
 		return nil, fmt.Errorf("wetrade: %w", err)
 	}

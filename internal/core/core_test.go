@@ -68,16 +68,12 @@ type world struct {
 	destAdmin *fabric.Gateway
 }
 
-func buildWorld(t testing.TB, tune ...fabric.Tuning) *world {
+func buildWorld(t testing.TB) *world {
 	t.Helper()
-	tuning := fabric.Tuning{Orderer: orderer.Config{BatchSize: 1}}
-	if len(tune) > 0 {
-		tuning = tune[0]
-	}
 	hub := relay.NewHub()
 	registry := relay.NewStaticRegistry()
 
-	srcFab := fabric.NewNetworkTuned("source-net", tuning)
+	srcFab := fabric.NewNetwork("source-net", orderer.Config{})
 	for _, org := range []string{"seller-org", "carrier-org"} {
 		if _, err := srcFab.AddOrg(org, 1); err != nil {
 			t.Fatalf("AddOrg: %v", err)
@@ -91,7 +87,7 @@ func buildWorld(t testing.TB, tune ...fabric.Tuning) *world {
 		t.Fatalf("EnableInterop source: %v", err)
 	}
 
-	destFab := fabric.NewNetworkTuned("dest-net", tuning)
+	destFab := fabric.NewNetwork("dest-net", orderer.Config{})
 	for _, org := range []string{"buyer-bank-org", "seller-bank-org"} {
 		if _, err := destFab.AddOrg(org, 1); err != nil {
 			t.Fatalf("AddOrg: %v", err)

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/chaincode"
-	"repro/internal/fabric"
 	"repro/internal/policy"
 	"repro/internal/syscc"
 )
@@ -39,9 +38,9 @@ var writableCC = chaincode.Func(func(stub chaincode.Stub) ([]byte, error) {
 
 // buildInvokeWorld extends buildWorld with a writable contract and the
 // access rule for it.
-func buildInvokeWorld(t *testing.T, tune ...fabric.Tuning) (*world, *Client) {
+func buildInvokeWorld(t *testing.T) (*world, *Client) {
 	t.Helper()
-	w := buildWorld(t, tune...)
+	w := buildWorld(t)
 	if err := w.source.Fabric.Deploy("writable", writableCC, "AND('seller-org','carrier-org')"); err != nil {
 		t.Fatalf("Deploy writable: %v", err)
 	}

@@ -6,26 +6,9 @@ import (
 	"errors"
 	"testing"
 
-	"repro/internal/fabric"
-	"repro/internal/orderer"
 	"repro/internal/proof"
 	"repro/internal/relay"
 )
-
-// commitModes parameterize proof-carrying scenarios over both commit
-// pipelines: the synchronous serial committer and the pipelined orderer
-// with parallel committers. The persisted-proof guarantees must hold in
-// both.
-var commitModes = []struct {
-	name string
-	tune fabric.Tuning
-}{
-	{"serial", fabric.Tuning{Orderer: orderer.Config{BatchSize: 1}}},
-	{"pipelined", fabric.Tuning{
-		Orderer:          orderer.Config{Pipelined: true, BatchSize: 8},
-		CommitterWorkers: 8,
-	}},
-}
 
 // TestReplayAfterOrgRemovalServesOriginalBundle is the proof-carrying-
 // commits scenario: an invoke commits while the verification-policy peer
@@ -35,14 +18,7 @@ var commitModes = []struct {
 // bundle persisted with the committed transaction — while a fresh request
 // under the shrunk peer set fails the policy as it should.
 func TestReplayAfterOrgRemovalServesOriginalBundle(t *testing.T) {
-	for _, mode := range commitModes {
-		mode := mode
-		t.Run(mode.name, func(t *testing.T) { replayAfterOrgRemovalScenario(t, mode.tune) })
-	}
-}
-
-func replayAfterOrgRemovalScenario(t *testing.T, tune fabric.Tuning) {
-	w, client := buildInvokeWorld(t, tune)
+	w, client := buildInvokeWorld(t)
 	spec := RemoteQuerySpec{
 		Network: "source-net", Contract: "writable", Function: "Append",
 		Args:      [][]byte{[]byte("audit"), []byte("entry-1;")},

@@ -43,14 +43,6 @@ type Org struct {
 	Peers []*peer.Peer
 }
 
-// Tuning bundles a network's performance knobs: the orderer's batching
-// configuration and the peers' committer worker-pool size. The zero value
-// is the fully synchronous, serial-committer configuration.
-type Tuning struct {
-	Orderer          orderer.Config
-	CommitterWorkers int
-}
-
 // Network is a single-channel permissioned blockchain network.
 type Network struct {
 	id string
@@ -67,9 +59,6 @@ type Network struct {
 	// re-validate transactions the removed org endorsed against a verifier
 	// that no longer trusts its root and flip their verdicts to failed.
 	eras []verifierEra
-	// committerWorkers is applied to every current and future peer; <= 1
-	// means the serial committer.
-	committerWorkers int
 
 	registry *chaincode.Registry
 	ord      *orderer.Orderer
@@ -116,36 +105,12 @@ func NewNetwork(id string, ordCfg orderer.Config) *Network {
 	return n
 }
 
-// NewNetworkTuned creates an empty network from a Tuning bundle: the
-// orderer configuration plus the committer worker-pool size applied to
-// every peer that joins. NewNetworkTuned(id, fabric.Tuning{}) is
-// equivalent to NewNetwork(id, orderer.Config{}) — single-transaction
-// synchronous blocks, serial committer.
-func NewNetworkTuned(id string, t Tuning) *Network {
-	n := NewNetwork(id, t.Orderer)
-	n.committerWorkers = t.CommitterWorkers
-	return n
-}
-
 // ID returns the network identifier.
 func (n *Network) ID() string { return n.id }
 
 // Orderer exposes the ordering service (for Stop and advanced
 // configuration).
 func (n *Network) Orderer() *orderer.Orderer { return n.ord }
-
-// SetCommitterWorkers sets the committer worker-pool size on every current
-// and future peer of the network. workers <= 1 selects the serial
-// committer; larger values enable concurrent in-block validation and
-// conflict-aware parallel write application on each peer.
-func (n *Network) SetCommitterWorkers(workers int) {
-	n.mu.Lock()
-	n.committerWorkers = workers
-	n.mu.Unlock()
-	for _, p := range n.AllPeers() {
-		p.SetCommitterWorkers(workers)
-	}
-}
 
 // AddOrg creates an organization with its CA and the given number of peers.
 // Organizations may join a network that has already committed blocks: the
@@ -159,17 +124,12 @@ func (n *Network) AddOrg(orgID string, peerCount int) (*Org, error) {
 		return nil, fmt.Errorf("fabric: create CA for %s: %w", orgID, err)
 	}
 	org := &Org{ID: orgID, CA: ca}
-	n.mu.RLock()
-	workers := n.committerWorkers
-	n.mu.RUnlock()
 	for i := 0; i < peerCount; i++ {
 		identity, err := ca.Issue(fmt.Sprintf("%s-peer%d", orgID, i), msp.RolePeer)
 		if err != nil {
 			return nil, fmt.Errorf("fabric: issue peer identity: %w", err)
 		}
-		p := peer.New(identity, n.registry, n, n)
-		p.SetCommitterWorkers(workers)
-		org.Peers = append(org.Peers, p)
+		org.Peers = append(org.Peers, peer.New(identity, n.registry, n, n))
 	}
 
 	n.commitMu.Lock()
@@ -564,8 +524,8 @@ func (g *Gateway) SubmitTx(ccName, function string, args ...[]byte) (*ledger.Tra
 	if err != nil {
 		return nil, err
 	}
-	// SubmitWait couples the client to its block's delivery in both
-	// orderer modes, so the caller always observes a final state.
+	// SubmitWait returns once the block carrying tx is delivered, so the
+	// caller always observes a final validation code.
 	if err := g.net.ord.SubmitWait(tx); err != nil {
 		return nil, fmt.Errorf("fabric: order tx: %w", err)
 	}

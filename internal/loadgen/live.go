@@ -255,7 +255,7 @@ func RunLive(ctx context.Context, cfg *Config) (*Report, error) {
 		churnPool  []*scenario.TCPRelayServer
 	)
 	if cfg.HubHops > 0 {
-		chain, err := scenario.BuildTCPChain(cfg.HubHops, cfg.hubRelays(), cfg.tuning())
+		chain, err := scenario.BuildTCPChain(cfg.HubHops, cfg.hubRelays())
 		if err != nil {
 			return nil, err
 		}
@@ -263,7 +263,7 @@ func RunLive(ctx context.Context, cfg *Config) (*Report, error) {
 		stlServers = []*scenario.TCPRelayServer{chain.STLServer}
 		churnPool = chain.Hubs[0].Servers
 	} else {
-		flat, err := scenario.BuildTCP(cfg.ExtraSTLRelays, cfg.tuning())
+		flat, err := scenario.BuildTCP(cfg.ExtraSTLRelays)
 		if err != nil {
 			return nil, err
 		}

@@ -4,9 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"time"
-
-	"repro/internal/fabric"
-	"repro/internal/orderer"
 )
 
 // OpKind names the operation classes a workload mixes.
@@ -59,7 +56,10 @@ func (m Mix) pick(r *rand.Rand) OpKind {
 	return OpSubscribe
 }
 
-// Config parameterizes one load-generation run.
+// Config parameterizes one load-generation run. Both networks commit
+// through the one orderer and committer path, so there are no commit knobs:
+// older JSON configs that carry pipelined, batch_size or committer_workers
+// still decode, with those fields ignored.
 type Config struct {
 	// Preset records which named preset (if any) the config started from.
 	Preset string `json:"preset,omitempty"`
@@ -103,17 +103,6 @@ type Config struct {
 	// original address.
 	Churn         bool          `json:"churn"`
 	ChurnInterval time.Duration `json:"churn_interval_ns,omitempty"`
-
-	// Pipelined switches both networks' orderers to pipelined batching:
-	// blocks cut by size (BatchSize) or time in a background cutter instead
-	// of one synchronous block per transaction.
-	Pipelined bool `json:"pipelined,omitempty"`
-	// BatchSize is the orderer batch size when Pipelined is set (<=0 keeps
-	// the orderer default).
-	BatchSize int `json:"batch_size,omitempty"`
-	// CommitterWorkers sizes each peer's commit worker pool; <= 1 keeps the
-	// serial committer.
-	CommitterWorkers int `json:"committer_workers,omitempty"`
 
 	// AttestBatchWindow widens Merkle-batched attestation on every source
 	// relay: concurrent queries arriving within the window share one
@@ -194,18 +183,6 @@ func (c *Config) attestBatchMax() int {
 		return c.AttestBatchMax
 	}
 	return 32
-}
-
-// tuning translates the config's commit-pipeline knobs into the fabric
-// Tuning applied to both networks. The zero config reproduces the
-// pre-pipeline deployment: one synchronous block per transaction, serial
-// committer.
-func (c *Config) tuning() fabric.Tuning {
-	t := fabric.Tuning{Orderer: orderer.Config{BatchSize: 1}, CommitterWorkers: c.CommitterWorkers}
-	if c.Pipelined {
-		t.Orderer = orderer.Config{Pipelined: true, BatchSize: c.BatchSize}
-	}
-	return t
 }
 
 // zipfS returns the effective skew exponent.

@@ -1,23 +1,23 @@
 // Package orderer implements the solo ordering service of the simulated
 // platform: endorsed transactions are collected, cut into hash-chained
-// blocks by batch size (or an explicit flush / batch timeout), and
-// delivered in order to every registered consumer — the peers' committers.
+// blocks, and delivered in order to every registered consumer — the peers'
+// committers.
 //
-// Two operating modes share one API. In the default synchronous mode,
-// blocks are cut and delivered inside the Submit call that fills the batch
-// — simple, deterministic, and what most unit tests use. In pipelined mode
-// (Config.Pipelined) a background cutter goroutine owns batching: Submit
-// enqueues and returns, blocks are cut when BatchSize transactions
-// accumulate or BatchTimeout elapses since the batch opened, and a bounded
-// queue applies backpressure to submitters. SubmitWait gives clients
-// commit-coupled semantics in both modes.
+// There is one ordering path and it starts no goroutine. Submit appends a
+// transaction to the pending batch and, once BatchSize transactions are
+// pending, cuts and delivers the block before it returns. SubmitWait is
+// group commit: it appends, waits until no block is being delivered, and —
+// unless a caller ahead of it already delivered its transaction — cuts
+// everything pending into one block. A lone caller therefore commits a
+// one-transaction block, while callers that arrive during a delivery ride
+// the next block together. Flush, the optional BatchTimeout timer (Start)
+// and Stop cut the pending batch the same way, one delivery at a time.
 package orderer
 
 import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/ledger"
@@ -30,7 +30,7 @@ var (
 
 // Consumer receives ordered blocks. Delivery is sequential and in block
 // order; a consumer error aborts delivery of that block to later consumers
-// and is reported to the submitter.
+// and is reported to every submitter waiting on it.
 type Consumer interface {
 	CommitBlock(*ledger.Block) error
 }
@@ -43,75 +43,52 @@ func (f ConsumerFunc) CommitBlock(b *ledger.Block) error { return f(b) }
 
 // Config controls block cutting.
 type Config struct {
-	// BatchSize is the number of transactions per block. In synchronous
-	// mode blocks are cut and delivered inside the Submit call that fills
-	// the batch. Defaults to 1, which makes the whole pipeline synchronous.
+	// BatchSize is the number of pending transactions at which Submit cuts
+	// and delivers a block. Defaults to 1, which makes Submit synchronous.
+	// SubmitWait never waits for a full batch.
 	BatchSize int
 	// BatchTimeout cuts a partial batch that has been pending for this
-	// long. In synchronous mode it requires the Start timer; in pipelined
-	// mode the cutter enforces it natively and it defaults to 2ms so a
-	// lone transaction is never stranded waiting for a full batch.
+	// long, once Start has launched the timer.
 	BatchTimeout time.Duration
-	// Pipelined moves block cutting to a background goroutine so
-	// submitters overlap with validation/commit of earlier blocks — the
-	// load-scaling mode. Submit enqueues and returns; use SubmitWait to
-	// couple a submitter to its block's delivery.
-	Pipelined bool
-	// MaxPending bounds the enqueued-but-uncut transactions in pipelined
-	// mode; Submit blocks when the queue is full (backpressure instead of
-	// unbounded memory). Defaults to 4×BatchSize.
-	MaxPending int
 }
 
-// submission is one enqueued transaction; done, when non-nil, receives the
-// delivery outcome of the block the transaction was cut into.
-type submission struct {
-	tx   *ledger.Transaction
-	done chan error
+// batch is the set of transactions pending for the next block and, once
+// that block is delivered, its outcome.
+type batch struct {
+	txs       []*ledger.Transaction
+	delivered bool
+	err       error
 }
 
 // Orderer is a solo ordering service.
 type Orderer struct {
-	mu        sync.Mutex
-	cfg       Config
-	pending   []*ledger.Transaction // synchronous mode only
-	consumers []Consumer
-	nextNum   uint64
-	tipHash   []byte
-	stopped   bool
-	lastErr   error // sticky delivery failure (pipelined mode)
+	cfg Config
+
+	mu sync.Mutex
+	// delivering is held by the one caller delivering a block, which runs
+	// the consumers without mu so submitters append to the next batch
+	// meanwhile; delivered is broadcast when it clears. A waiter whose
+	// batch another caller delivered returns on that broadcast instead of
+	// queueing behind the next delivery.
+	delivering bool
+	delivered  sync.Cond
+	open       *batch // nil when nothing is pending
+	consumers  []Consumer
+	nextNum    uint64
+	tipHash    []byte
+	stopped    bool
 
 	timerStop chan struct{}
 	timerDone chan struct{}
-
-	// Pipelined mode plumbing.
-	submitCh   chan submission
-	flushCh    chan chan error
-	stopCh     chan struct{}
-	cutterDone chan struct{}
-	batchLen   int32 // atomic: transactions held by the cutter
 }
 
-// New creates an orderer with the given configuration. In pipelined mode
-// the cutter goroutine starts immediately; Stop shuts it down.
+// New creates an orderer with the given configuration.
 func New(cfg Config) *Orderer {
 	if cfg.BatchSize <= 0 {
 		cfg.BatchSize = 1
 	}
 	o := &Orderer{cfg: cfg}
-	if cfg.Pipelined {
-		if o.cfg.MaxPending <= 0 {
-			o.cfg.MaxPending = 4 * o.cfg.BatchSize
-		}
-		if o.cfg.BatchTimeout <= 0 {
-			o.cfg.BatchTimeout = 2 * time.Millisecond
-		}
-		o.submitCh = make(chan submission, o.cfg.MaxPending)
-		o.flushCh = make(chan chan error)
-		o.stopCh = make(chan struct{})
-		o.cutterDone = make(chan struct{})
-		go o.cutterLoop()
-	}
+	o.delivered.L = &o.mu
 	return o
 }
 
@@ -124,90 +101,70 @@ func (o *Orderer) Register(c Consumer) {
 	o.consumers = append(o.consumers, c)
 }
 
-// Submit orders a transaction. In synchronous mode, if the pending batch
-// reaches the configured size the block is cut and delivered before Submit
-// returns. In pipelined mode Submit enqueues and returns, blocking only
-// when MaxPending transactions are already waiting.
+// Submit orders a transaction. If the pending batch reaches the configured
+// size, the block is cut and delivered before Submit returns, and Submit
+// reports its delivery outcome.
 func (o *Orderer) Submit(tx *ledger.Transaction) error {
-	return o.submit(tx, nil)
-}
-
-// SubmitWait orders a transaction and does not return until the block
-// containing it has been delivered (or delivery failed). This is the call
-// for clients that need the transaction's validation code: in synchronous
-// mode it flushes a partial batch holding the transaction; in pipelined
-// mode it waits for the size or time trigger to cut the block.
-func (o *Orderer) SubmitWait(tx *ledger.Transaction) error {
-	if !o.cfg.Pipelined {
-		if err := o.Submit(tx); err != nil {
-			return err
-		}
-		// Validation is zero until a committer saw the transaction: the
-		// batch hasn't filled, so force the cut.
-		if tx.Validation == 0 {
-			return o.Flush()
-		}
-		return nil
-	}
-	done := make(chan error, 1)
-	if err := o.submit(tx, done); err != nil {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	b, err := o.enqueueLocked(tx)
+	if err != nil || len(b.txs) < o.cfg.BatchSize {
 		return err
 	}
-	return <-done
+	return o.awaitLocked(b)
 }
 
-func (o *Orderer) submit(tx *ledger.Transaction, done chan error) error {
+// SubmitWait orders a transaction and returns the delivery outcome of the
+// block that carried it, so the transaction's validation code is final
+// when it returns. Concurrent callers share blocks: a call delivers at
+// most one block, holding everything pending when no other delivery is
+// under way.
+func (o *Orderer) SubmitWait(tx *ledger.Transaction) error {
 	o.mu.Lock()
-	if o.stopped {
-		o.mu.Unlock()
-		return ErrStopped
+	defer o.mu.Unlock()
+	b, err := o.enqueueLocked(tx)
+	if err != nil {
+		return err
 	}
-	if !o.cfg.Pipelined {
-		defer o.mu.Unlock()
-		o.pending = append(o.pending, tx)
-		if len(o.pending) >= o.cfg.BatchSize {
-			return o.cutLocked()
-		}
-		return nil
-	}
-	o.mu.Unlock()
-	select {
-	case o.submitCh <- submission{tx: tx, done: done}:
-		return nil
-	case <-o.stopCh:
-		return ErrStopped
-	}
+	return o.awaitLocked(b)
 }
 
-// Flush cuts a block from any pending transactions immediately. In
-// pipelined mode it also drains the submission queue first and returns the
-// sticky delivery error, if any block delivery has failed so far.
+// enqueueLocked appends tx to the pending batch and returns that batch.
+// Callers hold mu.
+func (o *Orderer) enqueueLocked(tx *ledger.Transaction) (*batch, error) {
+	if o.stopped {
+		return nil, ErrStopped
+	}
+	if o.open == nil {
+		o.open = &batch{}
+	}
+	o.open.txs = append(o.open.txs, tx)
+	return o.open, nil
+}
+
+// awaitLocked returns the delivery outcome of b. While another caller
+// delivers a block it waits; once none is, it delivers everything pending
+// itself unless b went out meanwhile. Callers hold mu.
+func (o *Orderer) awaitLocked(b *batch) error {
+	for !b.delivered {
+		if o.delivering {
+			o.delivered.Wait()
+			continue
+		}
+		o.deliverLocked()
+	}
+	return b.err
+}
+
+// Flush cuts a block from any pending transactions immediately and
+// returns its delivery outcome; with nothing pending it is a no-op.
 func (o *Orderer) Flush() error {
-	if !o.cfg.Pipelined {
-		o.mu.Lock()
-		defer o.mu.Unlock()
-		if len(o.pending) == 0 {
-			return nil
-		}
-		return o.cutLocked()
-	}
 	o.mu.Lock()
-	if o.stopped {
-		defer o.mu.Unlock()
-		return o.lastErr
+	defer o.mu.Unlock()
+	for o.delivering {
+		o.delivered.Wait()
 	}
-	o.mu.Unlock()
-	ack := make(chan error, 1)
-	select {
-	case o.flushCh <- ack:
-		// The cutter always replies once it has accepted the request.
-		return <-ack
-	case <-o.stopCh:
-		<-o.cutterDone
-		o.mu.Lock()
-		defer o.mu.Unlock()
-		return o.lastErr
-	}
+	return o.deliverLocked()
 }
 
 // Height returns the number of blocks delivered so far.
@@ -219,122 +176,30 @@ func (o *Orderer) Height() uint64 {
 
 // Pending returns the number of transactions waiting for the next cut.
 func (o *Orderer) Pending() int {
-	if o.cfg.Pipelined {
-		return len(o.submitCh) + int(atomic.LoadInt32(&o.batchLen))
-	}
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	return len(o.pending)
+	if o.open == nil {
+		return 0
+	}
+	return len(o.open.txs)
 }
 
-func (o *Orderer) cutLocked() error {
-	block := &ledger.Block{
-		Number:       o.nextNum,
-		PrevHash:     o.tipHash,
-		Transactions: o.pending,
+// deliverLocked cuts the pending batch into the next block and delivers it
+// to every consumer, releasing mu while they run. A failed block does not
+// advance the chain; its error is recorded for every transaction it
+// carried. Callers hold mu, and no delivery is under way.
+func (o *Orderer) deliverLocked() error {
+	b := o.open
+	if b == nil {
+		return nil
 	}
-	o.pending = nil
-	block.Hash = block.ComputeHash()
-	for _, c := range o.consumers {
-		if err := c.CommitBlock(block); err != nil {
-			return fmt.Errorf("deliver block %d: %w", block.Number, err)
-		}
-	}
-	o.nextNum++
-	o.tipHash = block.Hash
-	return nil
-}
-
-// cutterLoop is the pipelined mode's single block cutter: it owns the open
-// batch, cuts on size or timeout, and delivers blocks strictly in order.
-func (o *Orderer) cutterLoop() {
-	defer close(o.cutterDone)
-	var batch []submission
-	timer := time.NewTimer(time.Hour)
-	if !timer.Stop() {
-		<-timer.C
-	}
-	timerArmed := false
-
-	disarm := func() {
-		if timerArmed && !timer.Stop() {
-			select {
-			case <-timer.C:
-			default:
-			}
-		}
-		timerArmed = false
-	}
-	cut := func() {
-		if len(batch) == 0 {
-			return
-		}
-		disarm()
-		o.deliverBatch(batch)
-		batch = nil
-		atomic.StoreInt32(&o.batchLen, 0)
-	}
-	add := func(s submission) {
-		batch = append(batch, s)
-		atomic.StoreInt32(&o.batchLen, int32(len(batch)))
-		if len(batch) == 1 {
-			timer.Reset(o.cfg.BatchTimeout)
-			timerArmed = true
-		}
-		if len(batch) >= o.cfg.BatchSize {
-			cut()
-		}
-	}
-	drain := func() {
-		for {
-			select {
-			case s := <-o.submitCh:
-				add(s)
-			default:
-				return
-			}
-		}
-	}
-
-	for {
-		select {
-		case s := <-o.submitCh:
-			add(s)
-		case <-timer.C:
-			timerArmed = false
-			cut()
-		case ack := <-o.flushCh:
-			drain()
-			cut()
-			o.mu.Lock()
-			err := o.lastErr
-			o.mu.Unlock()
-			ack <- err
-		case <-o.stopCh:
-			drain()
-			cut()
-			return
-		}
-	}
-}
-
-// deliverBatch cuts one block from the batch, delivers it, records any
-// delivery failure, and resolves every coupled submitter.
-func (o *Orderer) deliverBatch(batch []submission) {
-	txs := make([]*ledger.Transaction, len(batch))
-	for i, s := range batch {
-		txs[i] = s.tx
-	}
-	o.mu.Lock()
-	block := &ledger.Block{
-		Number:       o.nextNum,
-		PrevHash:     o.tipHash,
-		Transactions: txs,
-	}
-	block.Hash = block.ComputeHash()
-	consumers := append([]Consumer(nil), o.consumers...)
+	o.open = nil
+	o.delivering = true
+	block := &ledger.Block{Number: o.nextNum, PrevHash: o.tipHash, Transactions: b.txs}
+	consumers := o.consumers
 	o.mu.Unlock()
 
+	block.Hash = block.ComputeHash()
 	var err error
 	for _, c := range consumers {
 		if cerr := c.CommitBlock(block); cerr != nil {
@@ -344,28 +209,23 @@ func (o *Orderer) deliverBatch(batch []submission) {
 	}
 
 	o.mu.Lock()
-	if err != nil {
-		o.lastErr = err
-	} else {
+	b.delivered, b.err = true, err
+	if err == nil {
 		o.nextNum++
 		o.tipHash = block.Hash
 	}
-	o.mu.Unlock()
-	for _, s := range batch {
-		if s.done != nil {
-			s.done <- err
-		}
-	}
+	o.delivering = false
+	o.delivered.Broadcast()
+	return err
 }
 
-// Start launches the batch-timeout timer for the synchronous mode. It is a
-// no-op when BatchTimeout is zero or in pipelined mode (whose cutter
-// enforces the timeout natively). Stop must be called to release the
+// Start launches the batch-timeout timer. It is a no-op when BatchTimeout
+// is zero or the timer already runs. Stop must be called to release the
 // goroutine.
 func (o *Orderer) Start() {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	if o.cfg.Pipelined || o.cfg.BatchTimeout <= 0 || o.timerStop != nil {
+	if o.cfg.BatchTimeout <= 0 || o.timerStop != nil {
 		return
 	}
 	o.timerStop = make(chan struct{})
@@ -380,8 +240,8 @@ func (o *Orderer) timerLoop(stop, done chan struct{}) {
 	for {
 		select {
 		case <-ticker.C:
-			// Best-effort: a delivery failure surfaces on the next Submit
-			// or Flush; the timer keeps running.
+			// Best-effort: a delivery failure reaches the block's waiters;
+			// the timer keeps running.
 			_ = o.Flush()
 		case <-stop:
 			return
@@ -389,36 +249,17 @@ func (o *Orderer) timerLoop(stop, done chan struct{}) {
 	}
 }
 
-// Stop halts the timer or cutter, flushes any pending batch, and marks the
-// orderer stopped. In pipelined mode it returns the sticky delivery error,
-// if any.
+// Stop marks the orderer stopped, halts the timer, and flushes any pending
+// batch, returning its delivery outcome.
 func (o *Orderer) Stop() error {
-	if o.cfg.Pipelined {
-		o.mu.Lock()
-		already := o.stopped
-		o.stopped = true
-		o.mu.Unlock()
-		if !already {
-			close(o.stopCh)
-		}
-		<-o.cutterDone
-		o.mu.Lock()
-		defer o.mu.Unlock()
-		return o.lastErr
-	}
 	o.mu.Lock()
 	stop, done := o.timerStop, o.timerDone
 	o.timerStop, o.timerDone = nil, nil
+	o.stopped = true
 	o.mu.Unlock()
 	if stop != nil {
 		close(stop)
 		<-done
 	}
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	o.stopped = true
-	if len(o.pending) > 0 {
-		return o.cutLocked()
-	}
-	return nil
+	return o.Flush()
 }

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -48,12 +50,44 @@ var propKV = chaincode.Func(func(stub chaincode.Stub) ([]byte, error) {
 
 // propFixture is one world: an endorser peer whose state tracks the
 // committed chain (simulations run against it), plus the serial and
-// parallel peers under comparison.
+// parallel peers under comparison, whose commits paths records.
 type propFixture struct {
 	endorser, serial, parallel *Peer
+	paths                      *pathRecorder
 }
 
-func newPropFixture(t *testing.T, workers int) *propFixture {
+// pathRecorder is the fixture's policy provider. It tells the two commit
+// engines apart by the stack that consults the endorsement policy: only
+// the parallel committer's validation stage runs under commitParallel.
+type pathRecorder struct {
+	*fixedProviders
+	mu               sync.Mutex
+	serial, parallel int
+}
+
+func (r *pathRecorder) PolicyFor(name string) *endorsement.Policy {
+	stack := make([]byte, 4096)
+	stack = stack[:runtime.Stack(stack, false)]
+	r.mu.Lock()
+	if bytes.Contains(stack, []byte("commitParallel")) {
+		r.parallel++
+	} else {
+		r.serial++
+	}
+	r.mu.Unlock()
+	return r.fixedProviders.PolicyFor(name)
+}
+
+// reset returns the counts recorded so far and clears them.
+func (r *pathRecorder) reset() (serial, parallel int) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	serial, parallel = r.serial, r.parallel
+	r.serial, r.parallel = 0, 0
+	return serial, parallel
+}
+
+func newPropFixture(t *testing.T) *propFixture {
 	t.Helper()
 	ca, err := msp.NewCA("org-a")
 	if err != nil {
@@ -66,22 +100,21 @@ func newPropFixture(t *testing.T, workers int) *propFixture {
 	reg := chaincode.NewRegistry()
 	reg.Register("ccA", propKV)
 	reg.Register("ccB", propKV)
-	providers := &fixedProviders{verifier: verifier, policy: endorsement.MustParse("'org-a'")}
+	paths := &pathRecorder{fixedProviders: &fixedProviders{verifier: verifier, policy: endorsement.MustParse("'org-a'")}}
 
 	newPeer := func(name string) *Peer {
 		id, err := ca.Issue(name, msp.RolePeer)
 		if err != nil {
 			t.Fatalf("Issue %s: %v", name, err)
 		}
-		return New(id, reg, providers, providers)
+		return New(id, reg, paths, paths)
 	}
-	f := &propFixture{
+	return &propFixture{
 		endorser: newPeer("org-a-endorser"),
 		serial:   newPeer("org-a-serial"),
 		parallel: newPeer("org-a-parallel"),
+		paths:    paths,
 	}
-	f.parallel.SetCommitterWorkers(workers)
-	return f
 }
 
 // dumpState flattens a peer's world state for comparison.
@@ -113,7 +146,7 @@ func TestParallelCommitterEquivalentToSerial(t *testing.T) {
 func runEquivalenceSchedule(t *testing.T, seed int64, blocks, workers int) {
 	t.Helper()
 	r := rand.New(rand.NewSource(seed))
-	f := newPropFixture(t, workers)
+	f := newPropFixture(t)
 	chaincodes := []string{"ccA", "ccB"}
 	keys := []string{"k0", "k1", "k2", "k3"}
 	var usedTxIDs, usedInteropKeys []string
@@ -196,13 +229,15 @@ func runEquivalenceSchedule(t *testing.T, seed int64, blocks, workers int) {
 			blk.Hash = blk.ComputeHash()
 		}
 
-		for name, pair := range map[string]struct {
-			p *Peer
-			b *ledger.Block
+		// workers = 1 is the serial reference; the endorser follows it.
+		for name, run := range map[string]struct {
+			p       *Peer
+			b       *ledger.Block
+			workers int
 		}{
-			"serial": {f.serial, serialBlock}, "parallel": {f.parallel, parallelBlock}, "endorser": {f.endorser, endorserBlock},
+			"serial": {f.serial, serialBlock, 1}, "parallel": {f.parallel, parallelBlock, workers}, "endorser": {f.endorser, endorserBlock, 1},
 		} {
-			if err := pair.p.CommitBlock(pair.b); err != nil {
+			if err := run.p.commitWith(run.b, nil, run.workers); err != nil {
 				t.Fatalf("block %d: commit on %s: %v", blockNum, name, err)
 			}
 		}
@@ -234,58 +269,79 @@ func TestParallelCommitterWorkerSweep(t *testing.T) {
 	}
 }
 
-// TestSerialFallbackKnob: workers <= 1 routes through the serial committer
-// even for multi-transaction blocks (the rollback knob), and re-raising the
-// count re-enables the parallel path — both verified behaviorally via
-// version stamps identical to the serial reference.
+// TestSerialFallbackKnob: the serial committer runs whenever workers is 1
+// or the block carries one transaction, and CommitBlock takes its worker
+// count from GOMAXPROCS. The engine that ran is read off the stack that
+// consulted the endorsement policy; verdicts, state and version stamps
+// match the serial reference on every path.
 func TestSerialFallbackKnob(t *testing.T) {
-	f := newPropFixture(t, 1)
-	// With workers=1 the parallel peer must behave exactly like the serial
-	// one on a contended block — same verdicts by construction of a shared
-	// schedule either way; the cheap proxy is that both commit and agree.
-	inv1 := chaincode.Invocation{TxID: "ta", Chaincode: "ccA", Function: "put",
-		Args: [][]byte{[]byte("k"), []byte("1")}, Timestamp: time.Unix(1700000000, 0)}
-	inv2 := chaincode.Invocation{TxID: "tb", Chaincode: "ccA", Function: "bump",
-		Args: [][]byte{[]byte("k")}, Timestamp: time.Unix(1700000000, 1)}
-	for _, p := range []*Peer{f.serial, f.parallel} {
-		var txs []*ledger.Transaction
-		for _, inv := range []chaincode.Invocation{inv1, inv2} {
-			resp, err := f.endorser.Endorse(inv)
-			if err != nil {
-				t.Fatalf("endorse: %v", err)
+	withProcs := func(n int) func(*Peer, *ledger.Block) error {
+		return func(p *Peer, b *ledger.Block) error {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(n))
+			return p.CommitBlock(b)
+		}
+	}
+	withWorkers := func(n int) func(*Peer, *ledger.Block) error {
+		return func(p *Peer, b *ledger.Block) error { return p.commitWith(b, nil, n) }
+	}
+	for _, tc := range []struct {
+		name     string
+		txs      int
+		commit   func(*Peer, *ledger.Block) error
+		parallel bool
+	}{
+		{"workers=1", 2, withWorkers(1), false},
+		{"one-tx-block", 1, withWorkers(16), false},
+		{"workers=4", 2, withWorkers(4), true},
+		{"gomaxprocs=1", 2, withProcs(1), false},
+		{"gomaxprocs=2", 2, withProcs(2), true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f := newPropFixture(t)
+			// put writes k; bump read k's pre-block version, which the
+			// in-block put moves, so MVCC invalidates it.
+			invs := []chaincode.Invocation{
+				{TxID: "ta", Chaincode: "ccA", Function: "put",
+					Args: [][]byte{[]byte("k"), []byte("1")}, Timestamp: time.Unix(1700000000, 0)},
+				{TxID: "tb", Chaincode: "ccA", Function: "bump",
+					Args: [][]byte{[]byte("k")}, Timestamp: time.Unix(1700000000, 1)},
+			}[:tc.txs]
+			want := []ledger.ValidationCode{ledger.Valid, ledger.MVCCConflict}
+			block := func() *ledger.Block {
+				b := &ledger.Block{Number: 0}
+				for _, inv := range invs {
+					resp, err := f.endorser.Endorse(inv)
+					if err != nil {
+						t.Fatalf("endorse: %v", err)
+					}
+					tx, err := AssembleTransaction(inv, []*ProposalResponse{resp})
+					if err != nil {
+						t.Fatalf("assemble: %v", err)
+					}
+					b.Transactions = append(b.Transactions, tx)
+				}
+				b.Hash = b.ComputeHash()
+				return b
 			}
-			tx, err := AssembleTransaction(inv, []*ProposalResponse{resp})
-			if err != nil {
-				t.Fatalf("assemble: %v", err)
+			ref, got := block(), block()
+			if err := f.serial.commitWith(ref, nil, 1); err != nil {
+				t.Fatalf("reference commit: %v", err)
 			}
-			txs = append(txs, tx)
-		}
-		b := &ledger.Block{Number: 0, Transactions: txs}
-		b.Hash = b.ComputeHash()
-		if err := p.CommitBlock(b); err != nil {
-			t.Fatalf("commit: %v", err)
-		}
-		if txs[0].Validation != ledger.Valid {
-			t.Fatalf("put validation = %v", txs[0].Validation)
-		}
-		// bump read k's pre-block version; the in-block put moved it, so
-		// MVCC invalidates — on the serial path and the workers=1 path.
-		if txs[1].Validation != ledger.MVCCConflict {
-			t.Fatalf("bump validation = %v, want mvcc-conflict", txs[1].Validation)
-		}
-	}
-	if dumpState(f.parallel) != dumpState(f.serial) {
-		t.Fatal("state diverged under the serial-fallback knob")
-	}
-	if _, ok := f.parallel.State().Get("ccA", "k"); !ok {
-		t.Fatal("put not applied")
-	}
-
-	// Version stamps are identical too — the parallel committer reuses the
-	// serial committer's (block, tx) version numbering.
-	sv, _ := f.serial.State().Version("ccA", "k")
-	pv, _ := f.parallel.State().Version("ccA", "k")
-	if sv != pv {
-		t.Fatalf("version stamps diverge: serial=%v parallel=%v", sv, pv)
+			f.paths.reset()
+			if err := tc.commit(f.parallel, got); err != nil {
+				t.Fatalf("commit: %v", err)
+			}
+			if _, parallel := f.paths.reset(); (parallel > 0) != tc.parallel {
+				t.Fatalf("parallel committer ran = %v, want %v", parallel > 0, tc.parallel)
+			}
+			for i, tx := range got.Transactions {
+				if tx.Validation != want[i] || ref.Transactions[i].Validation != want[i] {
+					t.Fatalf("tx %d validation = %v (reference %v), want %v", i, tx.Validation, ref.Transactions[i].Validation, want[i])
+				}
+			}
+			if dumpState(f.parallel) != dumpState(f.serial) {
+				t.Fatalf("state diverged from the serial reference:\n%s\nvs\n%s", dumpState(f.parallel), dumpState(f.serial))
+			}
+		})
 	}
 }

@@ -5,20 +5,21 @@
 // blocks (endorsement signatures, endorsement policy, MVCC read conflicts)
 // and applies the surviving writes.
 //
-// Commitment has two interchangeable engines. The serial committer walks
-// the block transaction by transaction — the reference semantics. With
-// SetCommitterWorkers(n > 1) the parallel committer takes over multi-
-// transaction blocks in three stages: endorsement signature and policy
-// checks run concurrently on a bounded worker pool; a serial pass then
-// validates duplicates and MVCC reads against a block-local overlay and
-// levels the survivors by write-write conflicts on their RWSet's
-// namespaced keys (a transaction's level is one past the deepest earlier
-// writer of any key it writes); finally each level's write sets apply
-// concurrently — different levels in order, so dependent writes never
-// race. Validation codes, version stamps and resulting world state are
-// identical to the serial committer's by construction (the property suite
-// in parallel_property_test.go holds the two engines to byte equality),
-// and workers <= 1 is the serial-fallback knob.
+// Commitment has two engines with identical results. The serial committer
+// walks the block transaction by transaction — the reference semantics.
+// The parallel committer handles multi-transaction blocks in three stages:
+// endorsement signature and policy checks run concurrently on a bounded
+// worker pool; a serial pass then validates duplicates and MVCC reads
+// against a block-local overlay and levels the survivors by write-write
+// conflicts on their RWSet's namespaced keys (a transaction's level is one
+// past the deepest earlier writer of any key it writes); finally each
+// level's write sets apply concurrently — different levels in order, so
+// dependent writes never race. Validation codes, version stamps and
+// resulting world state are identical by construction (the property suite
+// in parallel_property_test.go holds the two engines to byte equality).
+// No setting selects an engine: CommitBlock runs the parallel one with
+// GOMAXPROCS workers when that is above one and the block carries more than
+// one transaction, and the serial one otherwise.
 package peer
 
 import (
@@ -26,6 +27,7 @@ import (
 	"crypto/ecdsa"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -72,12 +74,6 @@ type Peer struct {
 	mu     sync.Mutex // serializes block commits
 	state  *statedb.Store
 	blocks *ledger.BlockStore
-
-	// workers is the committer worker-pool size. Values <= 1 select the
-	// serial committer (the historical one-transaction-at-a-time path);
-	// larger values fan signature validation and conflict-free write
-	// application across that many goroutines.
-	workers int
 
 	registry  *chaincode.Registry
 	verifiers VerifierProvider
@@ -168,17 +164,6 @@ func (p *Peer) QueryRW(inv chaincode.Invocation) (*chaincode.SimResult, error) {
 	return res, nil
 }
 
-// SetCommitterWorkers sets the committer worker-pool size for subsequent
-// CommitBlock calls. n <= 1 selects the serial committer, which reproduces
-// the historical behavior exactly; n > 1 validates endorsement signatures
-// concurrently and applies non-conflicting write-sets in parallel, with
-// results guaranteed identical to the serial path.
-func (p *Peer) SetCommitterWorkers(n int) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.workers = n
-}
-
 // BuildTransaction assembles the canonical transaction from a proposal and
 // one endorser's simulation result. Every endorser and the client construct
 // the same bytes, which is what makes the endorsement signatures
@@ -230,12 +215,12 @@ func AssembleTransaction(inv chaincode.Invocation, responses []*ProposalResponse
 // writes of the valid ones, preserving in-order MVCC semantics: a
 // transaction that reads a key written earlier in the same block is
 // invalidated exactly as if the block had been processed one transaction
-// at a time. With SetCommitterWorkers(n>1) the expensive parts run
-// concurrently — signature verification across transactions, and write-set
-// application across transactions that touch disjoint keys — while the
-// validation verdicts stay identical to the serial committer's.
+// at a time. On a multi-core host a multi-transaction block takes the
+// parallel committer — signature verification across transactions, and
+// write-set application across transactions that touch disjoint keys run
+// concurrently — with verdicts identical to the serial committer's.
 func (p *Peer) CommitBlock(block *ledger.Block) error {
-	return p.commitWith(block, nil)
+	return p.commitWith(block, nil, runtime.GOMAXPROCS(0))
 }
 
 // CommitBlockPinned is CommitBlock with endorsement checks pinned to an
@@ -245,19 +230,21 @@ func (p *Peer) CommitBlock(block *ledger.Block) error {
 // its original verdicts when a fresh peer replays the chain, or the
 // replica would diverge from every peer that committed the block live.
 func (p *Peer) CommitBlockPinned(block *ledger.Block, verifier *msp.Verifier) error {
-	return p.commitWith(block, verifier)
+	return p.commitWith(block, verifier, runtime.GOMAXPROCS(0))
 }
 
 // commitWith commits a block using the given verifier for endorsement
-// checks; nil selects the network's current verifier.
-func (p *Peer) commitWith(block *ledger.Block, verifier *msp.Verifier) error {
+// checks (nil selects the network's current verifier) and up to workers
+// goroutines: the parallel committer runs only when both workers and the
+// block's transaction count exceed one.
+func (p *Peer) commitWith(block *ledger.Block, verifier *msp.Verifier, workers int) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if verifier == nil {
 		verifier = p.verifiers.Verifier()
 	}
-	if p.workers > 1 && len(block.Transactions) > 1 {
-		p.commitParallel(block, p.workers, verifier)
+	if workers > 1 && len(block.Transactions) > 1 {
+		p.commitParallel(block, workers, verifier)
 	} else {
 		p.commitSerial(block, verifier)
 	}
@@ -268,8 +255,8 @@ func (p *Peer) commitWith(block *ledger.Block, verifier *msp.Verifier) error {
 	return nil
 }
 
-// commitSerial is the historical one-transaction-at-a-time commit path,
-// kept verbatim as the reference semantics and the serial-fallback mode.
+// commitSerial is the one-transaction-at-a-time commit path: the reference
+// semantics, and the path of every one-transaction block.
 func (p *Peer) commitSerial(block *ledger.Block, verifier *msp.Verifier) {
 	// Exactly-once guard inside the block: two relays racing the same
 	// logical invoke can land both copies in one batch, where the chain

@@ -508,10 +508,10 @@ func (d *FabricDriver) Invoke(ctx context.Context, q *wire.Query) (*wire.QueryRe
 		return nil, err
 	}
 	tx.ProofBundle = proof.Seal(spec, resp.Marshal(), attestorIDs).Marshal()
-	// SubmitWait blocks until the batch containing this transaction commits
-	// — immediately in a synchronous orderer, at the next size or time cut
-	// in a pipelined one — so tx.Validation below reflects the committed
-	// outcome either way.
+	// SubmitWait blocks until the block carrying this transaction is
+	// delivered — possibly shared with concurrent invokes, so a racing
+	// duplicate can land in the same block — and tx.Validation below
+	// reflects the committed outcome.
 	if err := d.net.Orderer().SubmitWait(tx); err != nil {
 		return nil, fmt.Errorf("relay: order cross-network tx: %w", err)
 	}
