@@ -93,6 +93,10 @@ func committedInvokes(t *testing.T, w *TradeWorld, txID string) (valid, duplicat
 // original committed response, recovered from the ledger, and the ledger
 // holds exactly one valid transaction for the request.
 func TestExactlyOnceFailoverToSecondRelay(t *testing.T) {
+	forEachCommitter(t, testExactlyOnceFailoverToSecondRelay)
+}
+
+func testExactlyOnceFailoverToSecondRelay(t *testing.T) {
 	w, relayB := buildExactlyOnceWorld(t)
 	client, err := core.NewClient(w.SWT, wetrade.SellerBankOrg, "eo-client")
 	if err != nil {
@@ -203,6 +207,10 @@ func (ri *rawInvoker) open(t *testing.T, q *wire.Query, resp *wire.QueryResponse
 // collapses the race: exactly one transaction commits as valid, and both
 // relays return that committed response.
 func TestExactlyOnceConcurrentRelays(t *testing.T) {
+	forEachCommitter(t, testExactlyOnceConcurrentRelays)
+}
+
+func testExactlyOnceConcurrentRelays(t *testing.T) {
 	w, relayB := buildExactlyOnceWorld(t)
 	relayA := w.STL.Relay
 	ri := newRawInvoker(t, w)
@@ -265,6 +273,10 @@ func TestExactlyOnceConcurrentRelays(t *testing.T) {
 // ledger. The hedge-hungry client gets availability without a double
 // commit.
 func TestExactlyOnceHedgingClientNeverDuplicates(t *testing.T) {
+	forEachCommitter(t, testExactlyOnceHedgingClientNeverDuplicates)
+}
+
+func testExactlyOnceHedgingClientNeverDuplicates(t *testing.T) {
 	w, _ := buildExactlyOnceWorld(t)
 	ri := newRawInvoker(t, w)
 	nonce, err := cryptoutil.NewNonce()
@@ -308,6 +320,10 @@ func TestExactlyOnceHedgingClientNeverDuplicates(t *testing.T) {
 // idempotency key neither blocks nor leaks into a different requester's
 // invoke that happens to choose the same key. Each commits independently.
 func TestDistinctRequestersMaySameRequestID(t *testing.T) {
+	forEachCommitter(t, testDistinctRequestersMaySameRequestID)
+}
+
+func testDistinctRequestersMaySameRequestID(t *testing.T) {
 	w, _ := buildExactlyOnceWorld(t)
 	alice := newRawInvoker(t, w)
 	bob := newRawInvoker(t, w)
@@ -343,6 +359,10 @@ func TestDistinctRequestersMaySameRequestID(t *testing.T) {
 // different arguments gets an error — never silently stale data — and the
 // original commit stays untouched.
 func TestIdempotencyKeyReuseWithDifferentRequestRefused(t *testing.T) {
+	forEachCommitter(t, testIdempotencyKeyReuseWithDifferentRequestRefused)
+}
+
+func testIdempotencyKeyReuseWithDifferentRequestRefused(t *testing.T) {
 	w, _ := buildExactlyOnceWorld(t)
 	ri := newRawInvoker(t, w)
 	nonce, _ := cryptoutil.NewNonce()

@@ -4,11 +4,38 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"runtime"
 	"testing"
 
 	"repro/internal/proof"
 	"repro/internal/relay"
 )
+
+// committers parameterize proof-carrying scenarios over both peer commit
+// engines. A peer picks its engine from GOMAXPROCS: at one it commits
+// every block serially, above one it validates blocks of more than one
+// transaction with the parallel committer. The persisted-proof guarantees
+// must hold under both.
+var committers = []struct {
+	name  string
+	procs int
+}{
+	{"serial", 1},
+	{"parallel", 4},
+}
+
+// forEachCommitter runs a scenario once per commit engine as subtests,
+// pinning GOMAXPROCS for the subtest's duration.
+func forEachCommitter(t *testing.T, scenario func(t *testing.T)) {
+	for _, c := range committers {
+		c := c
+		t.Run(c.name, func(t *testing.T) {
+			prev := runtime.GOMAXPROCS(c.procs)
+			t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+			scenario(t)
+		})
+	}
+}
 
 // TestReplayAfterOrgRemovalServesOriginalBundle is the proof-carrying-
 // commits scenario: an invoke commits while the verification-policy peer
@@ -18,6 +45,10 @@ import (
 // bundle persisted with the committed transaction — while a fresh request
 // under the shrunk peer set fails the policy as it should.
 func TestReplayAfterOrgRemovalServesOriginalBundle(t *testing.T) {
+	forEachCommitter(t, replayAfterOrgRemovalScenario)
+}
+
+func replayAfterOrgRemovalScenario(t *testing.T) {
 	w, client := buildInvokeWorld(t)
 	spec := RemoteQuerySpec{
 		Network: "source-net", Contract: "writable", Function: "Append",
