@@ -439,9 +439,10 @@ func BenchmarkE7AttestationCache(b *testing.B) {
 // queries (fresh request IDs, so the attestation cache never helps) with
 // the driver's window sized to flush exactly when all of them are pending.
 // Every attestor signs once per window regardless of width, so the
-// reported ns/query falls as the window fills while the single-signature
-// ablation (window-1) pays one ECDSA signature per attestor per query.
-// Each client still verifies its own leaf + inclusion proof end to end.
+// reported ns/query falls as the window fills, while window-1 — one query
+// at a time, which the batcher builds inline once its first window has
+// closed alone — pays one ECDSA signature per attestor per query. Each
+// client still verifies its own leaf + inclusion proof end to end.
 func BenchmarkE8BatchedAttestation(b *testing.B) {
 	w, actors := tradeWorld(b)
 	client := actors.SWTSeller.Client()
@@ -450,8 +451,8 @@ func BenchmarkE8BatchedAttestation(b *testing.B) {
 			// maxPending = width: the window flushes the instant the last
 			// concurrent query arrives, so the sweep measures batching, not
 			// the timer (the generous 50ms window is a straggler backstop,
-			// never the steady state). window-1 degenerates to the
-			// single-signature path.
+			// never the steady state). The deferred call restores the
+			// driver's default window and width.
 			w.STL.Driver.ConfigureAttestationBatching(50*time.Millisecond, width)
 			defer w.STL.Driver.ConfigureAttestationBatching(0, 0)
 			b.ReportAllocs()
@@ -511,7 +512,8 @@ func BenchmarkE9SessionedECIES(b *testing.B) {
 		for _, mode := range []string{"session-cold", "session-warm"} {
 			b.Run(fmt.Sprintf("window-%d/%s", width, mode), func(b *testing.B) {
 				// maxPending = width: windows flush when full, the 50ms
-				// timer is only a straggler backstop (see E8).
+				// timer is only a straggler backstop; the deferred call
+				// restores the default window (see E8).
 				w.STL.Driver.ConfigureAttestationBatching(50*time.Millisecond, width)
 				defer w.STL.Driver.ConfigureAttestationBatching(0, 0)
 

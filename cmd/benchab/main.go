@@ -4,6 +4,8 @@
 // first (base, head, head, base, …) so that drift in the machine lands on
 // both sides alike, and prints per metric both sides' medians and
 // quartiles, how many pairs HEAD won, and a two-sided sign-test p-value.
+// Every end-to-end metric also gets the acceptance rule's VERDICT (see
+// verdict), judged against the bound BENCHMARK.json gives it.
 // machine.canary_ms — the benchmark's fixed reference loop — is printed
 // first: when its two medians differ, the machine changed under the run and
 // the timing rows mean little. The worktrees are removed on exit.
@@ -31,6 +33,7 @@ import (
 	"os/signal"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -82,7 +85,7 @@ func run() error {
 		// Not under ctx: an interrupted run still has to clean up.
 		defer exec.Command("git", "worktree", "remove", "--force", s.dir).Run()
 	}
-	better, err := betterDirections(filepath.Join(sides[1].dir, "BENCHMARK.json"))
+	specs, err := readManifest(filepath.Join(sides[1].dir, "BENCHMARK.json"))
 	if err != nil {
 		return err
 	}
@@ -105,29 +108,40 @@ func run() error {
 			fmt.Fprintf(os.Stderr, "pair %d/%d %s done\n", pair+1, *pairs, s.name)
 		}
 	}
-	report(os.Stdout, *workload, sides[0], sides[1], order, better)
+	report(os.Stdout, *workload, sides[0], sides[1], order, specs)
 	return nil
 }
 
-// betterDirections reads which way each metric improves from the manifest.
-func betterDirections(manifest string) (map[string]string, error) {
+// metricSpec is one metric's manifest entry: which way it improves and,
+// for an end-to-end metric, the relative worsening its gate allows.
+type metricSpec struct {
+	Name, Better string
+	Bound        float64
+	endToEnd     bool
+}
+
+// readManifest reads every metric's entry from the manifest.
+func readManifest(manifest string) (map[string]metricSpec, error) {
 	raw, err := os.ReadFile(manifest)
 	if err != nil {
 		return nil, err
 	}
-	type metric struct{ Name, Better string }
 	var m struct {
-		EndToEnd []metric `json:"end_to_end"`
-		PerLayer []metric `json:"per_layer"`
+		EndToEnd []metricSpec `json:"end_to_end"`
+		PerLayer []metricSpec `json:"per_layer"`
 	}
 	if err := json.Unmarshal(raw, &m); err != nil {
 		return nil, fmt.Errorf("%s: %w", manifest, err)
 	}
-	better := make(map[string]string)
-	for _, x := range append(m.EndToEnd, m.PerLayer...) {
-		better[x.Name] = x.Better
+	specs := make(map[string]metricSpec)
+	for _, x := range m.PerLayer {
+		specs[x.Name] = x
 	}
-	return better, nil
+	for _, x := range m.EndToEnd {
+		x.endToEnd = true
+		specs[x.Name] = x
+	}
+	return specs, nil
 }
 
 // tableRow matches one line of the benchmark's metric table.
@@ -176,12 +190,12 @@ func runOnce(ctx context.Context, dir string, args []string) (map[string]float64
 	return metrics, names, nil
 }
 
-func report(out io.Writer, workload string, base, head *side, order []string, better map[string]string) {
+func report(out io.Writer, workload string, base, head *side, order []string, specs map[string]metricSpec) {
 	pairs := len(base.runs)
 	fmt.Fprintf(out, "workload %s: %d pairs, base %s vs HEAD; median [q1 … q3]\n", workload, pairs, base.ref)
 	const canary = "machine.canary_ms"
 	fmt.Fprintf(out, "%s: base %s, head %s\n\n", canary, spread(column(base, canary)), spread(column(head, canary)))
-	fmt.Fprintf(out, "%-28s %-36s %-36s %8s %7s %8s\n", "METRIC", "BASE", "HEAD", "CHANGE", "WINS", "SIGN-P")
+	fmt.Fprintf(out, "%-28s %-36s %-36s %8s %7s %8s  %s\n", "METRIC", "BASE", "HEAD", "CHANGE", "WINS", "SIGN-P", "VERDICT")
 	for _, name := range order {
 		if name == canary {
 			continue
@@ -190,22 +204,72 @@ func report(out io.Writer, workload string, base, head *side, order []string, be
 		if len(b) != pairs || len(h) != pairs {
 			continue // not printed by every run
 		}
-		wins, losses := 0, 0
-		for i := range b {
-			switch d := h[i] - b[i]; {
-			case d == 0:
-			case (d < 0) == (better[name] != "higher"):
-				wins++
-			default:
-				losses++
-			}
-		}
+		spec := specs[name]
+		higher := spec.Better == "higher"
+		wins, losses := pairWins(b, h, higher)
 		change := "    n/a"
 		if mb := quantile(b, 0.5); mb != 0 {
 			change = fmt.Sprintf("%+7.2f%%", (quantile(h, 0.5)-mb)/math.Abs(mb)*100)
 		}
-		fmt.Fprintf(out, "%-28s %-36s %-36s %8s %4d/%-2d %8.4f\n", name, spread(b), spread(h), change, wins, pairs, signTest(wins, losses))
+		v := ""
+		if spec.endToEnd {
+			v = verdict(b, h, higher, spec.Bound)
+		}
+		fmt.Fprintf(out, "%-28s %-36s %-36s %8s %4d/%-2d %8.4f  %s\n", name, spread(b), spread(h), change, wins, pairs, signTest(wins, losses), v)
 	}
+}
+
+// pairWins counts the pairs HEAD won and lost; a tie counts for neither.
+func pairWins(base, head []float64, higher bool) (wins, losses int) {
+	for i := range base {
+		switch d := head[i] - base[i]; {
+		case d == 0:
+		case (d > 0) == higher:
+			wins++
+		default:
+			losses++
+		}
+	}
+	return wins, losses
+}
+
+// verdict applies the acceptance rule to one end-to-end metric, whose
+// runs may worsen by the relative bound before the change is rejected:
+//
+//   - gain: HEAD won at least ⌈0.9·pairs⌉ pairs and its median is better
+//     than the base median by more than the base runs' q3−q1;
+//   - worse: the HEAD median is worse than the base median by more than
+//     bound;
+//   - unresolved: the base runs' q3−q1 exceeds bound, so a worsening the
+//     gate forbids could hide in the noise, and not every HEAD run beats
+//     every base run;
+//   - ok: otherwise.
+func verdict(base, head []float64, higher bool, bound float64) string {
+	sign := -1.0 // lower is better: an improvement is a fall
+	if higher {
+		sign = 1
+	}
+	mb, mh := quantile(base, 0.5), quantile(head, 0.5)
+	iqr := quantile(base, 0.75) - quantile(base, 0.25)
+	wins, _ := pairWins(base, head, higher)
+	need := int(math.Ceil(0.9 * float64(len(base))))
+	switch {
+	case wins >= need && sign*(mh-mb) > iqr:
+		return "gain"
+	case sign*(mb-mh) > bound*math.Abs(mb):
+		return "worse"
+	case iqr > bound*math.Abs(mb) && !allBeat(base, head, higher):
+		return "unresolved"
+	}
+	return "ok"
+}
+
+// allBeat reports whether every HEAD run is better than every base run.
+func allBeat(base, head []float64, higher bool) bool {
+	if higher {
+		return slices.Min(head) > slices.Max(base)
+	}
+	return slices.Max(head) < slices.Min(base)
 }
 
 // column collects one metric over a side's runs, in run order.

@@ -38,9 +38,6 @@ func runLoadgen(args []string) error {
 	churn := fs.Bool("churn", false, "kill and restart source relays during the run")
 	churnInterval := fs.Duration("churn-interval", 0, "period of the kill/restart cycle")
 	seed := fs.Int64("seed", 0, "RNG seed for the schedule (0 keeps the preset's)")
-	attestWindow := fs.Duration("attest-batch-window", 0, "Merkle-batched attestation window on source relays (0 = per-query signatures)")
-	attestMax := fs.Int("attest-batch-max", 0, "flush a batching window early at this many pending queries (0 = default 32)")
-	attestOff := fs.Bool("attest-batch-off", false, "disable attestation batching on every relay (per-query signatures)")
 	out := fs.String("out", loadgen.DefaultOutput, "report output path")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -94,12 +91,6 @@ func runLoadgen(args []string) error {
 			cfg.ChurnInterval = *churnInterval
 		case "seed":
 			cfg.Seed = *seed
-		case "attest-batch-window":
-			cfg.AttestBatchWindow = *attestWindow
-		case "attest-batch-max":
-			cfg.AttestBatchMax = *attestMax
-		case "attest-batch-off":
-			cfg.AttestBatchOff = *attestOff
 		}
 	})
 	cfg.Output = *out

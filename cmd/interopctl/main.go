@@ -12,9 +12,10 @@
 // deployment and measures it under sustained open-loop load — latency
 // percentiles, throughput, error budgets, relay counters and an
 // exactly-once audit — writing BENCH_loadgen.json. Both networks commit
-// through the one group-commit orderer and self-selecting committer, so
-// loadgen has no commit flags; a -config file's pipelined, batch_size and
-// committer_workers fields are ignored.
+// through the one group-commit orderer and self-selecting committer, and
+// every relay batches attestation only when proof builds overlap, so
+// loadgen has no commit or batching flags; a -config file's pipelined,
+// batch_size, committer_workers and attest_batch_* fields are ignored.
 //
 // Usage:
 //

@@ -8,7 +8,6 @@ package scenario
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/apps/tradelens"
 	"repro/internal/apps/wetrade"
@@ -22,17 +21,6 @@ import (
 const (
 	STLRelayAddr = "stl-relay:9080"
 	SWTRelayAddr = "swt-relay:9081"
-)
-
-// Default Merkle-batching parameters armed on every driver the scenario
-// builders create. The window is conservative: short enough that a lone
-// query pays at most 2ms of added latency, long enough that concurrent
-// pollers of the same source collapse into one root signature per
-// attestor. Deployments that need strictly per-query signatures call
-// DisableAttestationBatching.
-const (
-	DefaultAttestBatchWindow = 2 * time.Millisecond
-	DefaultAttestBatchMax    = 16
 )
 
 // TradeWorld is the wired two-network world.
@@ -87,23 +75,10 @@ func BuildWith(discovery relay.Discovery, transport relay.Transport) (*TradeWorl
 		return nil, fmt.Errorf("scenario: SWT admin: %w", err)
 	}
 	w := &TradeWorld{STL: stl, SWT: swt, STLAdmin: stlAdmin, SWTAdmin: swtAdmin}
-	// Batching on by default: a solitary query flushes after one
-	// conservative window and is then signed alone.
-	stl.Driver.ConfigureAttestationBatching(DefaultAttestBatchWindow, DefaultAttestBatchMax)
-	swt.Driver.ConfigureAttestationBatching(DefaultAttestBatchWindow, DefaultAttestBatchMax)
 	if err := w.initialize(); err != nil {
 		return nil, err
 	}
 	return w, nil
-}
-
-// DisableAttestationBatching turns Merkle-batched attestation off on both
-// networks' drivers, restoring one signature per attestor per query. The
-// explicit opt-out for deployments (and measurements) that want the
-// unbatched baseline.
-func (w *TradeWorld) DisableAttestationBatching() {
-	w.STL.Driver.ConfigureAttestationBatching(0, 0)
-	w.SWT.Driver.ConfigureAttestationBatching(0, 0)
 }
 
 // initialize performs §4.3's one-time setup: STL configuration recorded on

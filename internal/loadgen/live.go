@@ -248,11 +248,9 @@ func RunLive(ctx context.Context, cfg *Config) (*Report, error) {
 	var (
 		dep liveDeployment
 		w   *scenario.TradeWorld
-		// stlServers front the source network (batching knobs apply there);
 		// churnPool is what the fault injector kills — the source fleet in a
 		// flat deployment, the origin-adjacent hub tier in a chain.
-		stlServers []*scenario.TCPRelayServer
-		churnPool  []*scenario.TCPRelayServer
+		churnPool []*scenario.TCPRelayServer
 	)
 	if cfg.HubHops > 0 {
 		chain, err := scenario.BuildTCPChain(cfg.HubHops, cfg.hubRelays())
@@ -260,7 +258,6 @@ func RunLive(ctx context.Context, cfg *Config) (*Report, error) {
 			return nil, err
 		}
 		dep, w = chain, chain.World
-		stlServers = []*scenario.TCPRelayServer{chain.STLServer}
 		churnPool = chain.Hubs[0].Servers
 	} else {
 		flat, err := scenario.BuildTCP(cfg.ExtraSTLRelays)
@@ -268,30 +265,9 @@ func RunLive(ctx context.Context, cfg *Config) (*Report, error) {
 			return nil, err
 		}
 		dep, w = flat, flat.World
-		stlServers = flat.STLServers
 		churnPool = flat.STLServers
 	}
 	defer dep.Close()
-	// The scenario builders arm batching with conservative defaults on
-	// every driver; the config can widen the window or switch batching off
-	// entirely for the per-query-signature baseline.
-	switch {
-	case cfg.AttestBatchOff:
-		for _, srv := range dep.AllServers() {
-			if srv.Driver != nil {
-				srv.Driver.ConfigureAttestationBatching(0, 0)
-			}
-		}
-	case cfg.AttestBatchWindow > 0:
-		// Batching is a per-driver knob: every relay fronting the source
-		// network (primary and redundant alike) groups concurrent queries
-		// into Merkle windows.
-		for _, srv := range stlServers {
-			if srv.Driver != nil {
-				srv.Driver.ConfigureAttestationBatching(cfg.AttestBatchWindow, cfg.attestBatchMax())
-			}
-		}
-	}
 	if err := scenario.DeployAuditLog(w); err != nil {
 		return nil, err
 	}

@@ -2,6 +2,7 @@ package loadgen
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net"
@@ -173,6 +174,24 @@ func TestConfigValidate(t *testing.T) {
 		if err := p.Validate(); err != nil {
 			t.Errorf("preset %s invalid: %v", name, err)
 		}
+	}
+}
+
+// TestConfigIgnoresRetiredFields: a config file written when loadgen still
+// had commit and batching knobs decodes, with those fields ignored.
+func TestConfigIgnoresRetiredFields(t *testing.T) {
+	old := `{"clients":4,"rate":50,"duration_ns":1000000000,"keys":8,
+		"mix":{"query_pct":100},"pipelined":true,"committer_workers":4,
+		"attest_batch_window_ns":3000000,"attest_batch_max":32,"attest_batch_off":true}`
+	var cfg Config
+	if err := json.Unmarshal([]byte(old), &cfg); err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	if err := cfg.Validate(); err != nil {
+		t.Fatalf("Validate: %v", err)
+	}
+	if cfg.Clients != 4 || cfg.Keys != 8 || cfg.Mix.QueryPct != 100 {
+		t.Fatalf("current fields lost: %+v", cfg)
 	}
 }
 

@@ -57,9 +57,10 @@ func (m Mix) pick(r *rand.Rand) OpKind {
 }
 
 // Config parameterizes one load-generation run. Both networks commit
-// through the one orderer and committer path, so there are no commit knobs:
-// older JSON configs that carry pipelined, batch_size or committer_workers
-// still decode, with those fields ignored.
+// through the one orderer and committer path, and every relay batches
+// attestation adaptively, so there are no commit or batching knobs: older
+// JSON configs that carry pipelined, batch_size, committer_workers or
+// attest_batch_* still decode, with those fields ignored.
 type Config struct {
 	// Preset records which named preset (if any) the config started from.
 	Preset string `json:"preset,omitempty"`
@@ -103,19 +104,6 @@ type Config struct {
 	// original address.
 	Churn         bool          `json:"churn"`
 	ChurnInterval time.Duration `json:"churn_interval_ns,omitempty"`
-
-	// AttestBatchWindow widens Merkle-batched attestation on every source
-	// relay: concurrent queries arriving within the window share one
-	// signature over a Merkle root. Zero keeps the scenario default
-	// (batching armed with a conservative window).
-	AttestBatchWindow time.Duration `json:"attest_batch_window_ns,omitempty"`
-	// AttestBatchMax flushes a batching window early once this many queries
-	// are pending (<=0 with a window set selects 32).
-	AttestBatchMax int `json:"attest_batch_max,omitempty"`
-	// AttestBatchOff disables attestation batching on every relay in the
-	// deployment, overriding the scenario default: one signature per
-	// attestor per query, the pre-batching baseline.
-	AttestBatchOff bool `json:"attest_batch_off,omitempty"`
 
 	// Seed makes key selection and mix draws reproducible.
 	Seed int64 `json:"seed"`
@@ -167,22 +155,7 @@ func (c *Config) Validate() error {
 	case c.ExtraSTLRelays < 1:
 		return fmt.Errorf("loadgen: churn needs at least one extra STL relay to keep serving")
 	}
-	if c.AttestBatchWindow < 0 {
-		return fmt.Errorf("loadgen: attest batch window must be non-negative, got %s", c.AttestBatchWindow)
-	}
-	if c.AttestBatchOff && c.AttestBatchWindow > 0 {
-		return fmt.Errorf("loadgen: attest_batch_off conflicts with a non-zero attest batch window")
-	}
 	return nil
-}
-
-// attestBatchMax returns the effective early-flush threshold when batching
-// is enabled.
-func (c *Config) attestBatchMax() int {
-	if c.AttestBatchMax > 0 {
-		return c.AttestBatchMax
-	}
-	return 32
 }
 
 // zipfS returns the effective skew exponent.
@@ -244,16 +217,15 @@ var Presets = map[string]Config{
 		Keys: 64, Seed: 3,
 		ExtraSTLRelays: 2, Churn: true, ChurnInterval: 2 * time.Second,
 	},
-	// batched-query: the steady-query read path with Merkle-batched
-	// attestation on: concurrent cold queries landing inside the window
-	// share one relay signature. The small invoke slice keeps the
-	// exactly-once audit meaningful under batching.
+	// batched-query: the steady-query read path with twice the clients, so
+	// cold queries overlap and share Merkle-batched windows — one relay
+	// signature per window. The small invoke slice keeps the exactly-once
+	// audit meaningful under batching.
 	"batched-query": {
 		Preset:  "batched-query",
 		Clients: 16, Rate: 160, Duration: 10 * time.Second,
 		Mix:  Mix{QueryPct: 80, WarmQueryPct: 10, InvokePct: 10},
 		Keys: 64, Seed: 4,
-		AttestBatchWindow: 3 * time.Millisecond, AttestBatchMax: 32,
 	},
 	// multi-hop: the mixed workload over an A→B→C chain — two forwarding
 	// hub networks between the origin and the source, so every answer is a
@@ -266,8 +238,9 @@ var Presets = map[string]Config{
 		Keys: 64, Seed: 6,
 		HubHops: 2,
 	},
-	// batched-session: batched-query's window plus a cold-query-dominated
-	// mix from persistent clients — the shape sessioned ECIES amortizes.
+	// batched-session: batched-query's client count with a
+	// cold-query-dominated mix from persistent clients — the shape
+	// sessioned ECIES amortizes.
 	// Every client keeps its certificate for the whole run, so after the
 	// first window each (attestor, requester) agreement is a cache hit and
 	// the ECDH column of the report approaches zero per query.
@@ -276,7 +249,6 @@ var Presets = map[string]Config{
 		Clients: 16, Rate: 160, Duration: 10 * time.Second,
 		Mix:  Mix{QueryPct: 85, WarmQueryPct: 5, InvokePct: 10},
 		Keys: 64, Seed: 5,
-		AttestBatchWindow: 3 * time.Millisecond, AttestBatchMax: 32,
 	},
 }
 

@@ -14,13 +14,19 @@ import (
 
 // attestBatcher accumulates concurrent proof builds into short windows so
 // one ECDSA signature per attestor covers a whole window of distinct
-// queries ((*proof.Builder).Build). A window opens when the first query
-// arrives and closes after the configured duration or when maxPending
-// queries are waiting, whichever comes first — so a lone query pays at most
-// the window in added latency and is then signed over its own metadata,
-// while a burst of concurrent distinct queries collapses to one signature
-// per attestor. Windows are grouped by attestor set: every spec handed to
-// one Build call must be attested by the same identities.
+// queries ((*proof.Builder).Build). It waits only when there is someone to
+// wait for: a build that finds no other build in flight runs at once on
+// its caller's goroutine and is signed over its own metadata. Once two
+// builds have overlapped the batcher is contended, and every build enrolls
+// in a window that closes after the configured duration or when maxPending
+// builds are waiting, whichever comes first; a window that closes holding
+// a single build has caught nobody, and ends contention. Windows are
+// grouped by attestor set: every spec handed to one Build call must be
+// attested by the same identities.
+//
+// Overlap is judged by builds in flight, never by arrival times: a
+// sequential caller issuing cold queries a millisecond apart is alone, and
+// must not be made to wait for itself.
 type attestBatcher struct {
 	window     time.Duration
 	maxPending int
@@ -28,6 +34,12 @@ type attestBatcher struct {
 
 	mu     sync.Mutex
 	groups map[string]*batchGroup
+	// inflight counts builds submitted and not yet finished.
+	inflight int
+	// contended records that an overlap was seen and no window has since
+	// closed alone. A new batcher starts contended: it has no evidence that
+	// it serves one caller at a time until a window shows it.
+	contended bool
 }
 
 type batchGroup struct {
@@ -49,6 +61,7 @@ func newAttestBatcher(window time.Duration, maxPending int, builder *proof.Build
 		maxPending: maxPending,
 		builder:    builder,
 		groups:     map[string]*batchGroup{},
+		contended:  true,
 	}
 }
 
@@ -62,16 +75,29 @@ func attestorSetKey(ids []*msp.Identity) string {
 	return strings.Join(names, ",")
 }
 
-// submit enrolls one proof build in the current window for its attestor
-// set and blocks until the window flushes (or ctx expires). The build
-// itself runs on whichever goroutine closes the window — the timer's for a
-// window that filled slowly, the maxPending-th submitter's for one that
-// filled fast.
+// submit builds one proof. Alone, it builds inline under the requester's
+// ctx. Otherwise it enrolls in the current window for its attestor set and
+// blocks until the window flushes (or ctx expires); the window's build
+// runs on whichever goroutine closes it — the timer's for a window that
+// filled slowly, the maxPending-th submitter's for one that filled fast.
 func (b *attestBatcher) submit(ctx context.Context, spec proof.Spec, attestors []*msp.Identity) (*wire.QueryResponse, error) {
+	b.mu.Lock()
+	if b.inflight == 0 && !b.contended {
+		b.inflight++
+		b.mu.Unlock()
+		resps, err := b.builder.Build(ctx, []proof.Spec{spec}, attestors)
+		b.mu.Lock()
+		b.inflight--
+		b.mu.Unlock()
+		if err != nil {
+			return nil, err
+		}
+		return resps[0], nil
+	}
+	b.contended = true
+	b.inflight++
 	entry := &batchEntry{spec: spec, done: make(chan struct{})}
 	key := attestorSetKey(attestors)
-
-	b.mu.Lock()
 	g := b.groups[key]
 	if g == nil {
 		g = &batchGroup{attestors: attestors}
@@ -118,6 +144,14 @@ func (b *attestBatcher) flush(key string, g *batchGroup) {
 	// Background context: the window's build serves every waiter, so no
 	// single requester's cancellation may abort it.
 	resps, err := b.builder.Build(context.Background(), specs, g.attestors)
+
+	b.mu.Lock()
+	b.inflight -= len(entries)
+	if len(entries) == 1 {
+		b.contended = false
+	}
+	b.mu.Unlock()
+
 	for i, e := range entries {
 		if err != nil {
 			e.err = err

@@ -54,10 +54,10 @@ type FabricDriver struct {
 	// concurrent queries hold their own reference.
 	cache atomic.Pointer[attestationCache]
 
-	// batcher, when non-nil, collapses concurrent proof builds into
-	// Merkle-batched windows (one signature per attestor per window). Nil
-	// by default: batching trades a bounded latency window for signature
-	// amortization, which is an explicit deployment decision.
+	// batcher routes every proof build: a lone build runs at once, and
+	// overlapping builds share Merkle-batched windows (one signature per
+	// attestor per window). Atomic so ConfigureAttestationBatching can swap
+	// it while queries are in flight.
 	batcher atomic.Pointer[attestBatcher]
 
 	// builder builds every proof this driver serves, sealing each envelope
@@ -148,8 +148,18 @@ func NewFabricDriver(net *fabric.Network, ledgerName string) *FabricDriver {
 	d := &FabricDriver{net: net, ledgerName: ledgerName}
 	d.cache.Store(newAttestationCache(defaultAttestCacheSize, defaultAttestCacheTTL, time.Now))
 	d.builder = proof.NewBuilder(cryptoutil.DefaultSessionTTL, &d.cryptoOps)
+	d.batcher.Store(newAttestBatcher(attestWindow, attestMaxPending, d.builder))
 	return d
 }
+
+// Merkle-batching window every driver runs with. The window is short
+// enough that a build caught waiting for company pays at most 2ms, long
+// enough that concurrent pollers of one source collapse into one root
+// signature per attestor.
+const (
+	attestWindow     = 2 * time.Millisecond
+	attestMaxPending = 16
+)
 
 // ConfigureAttestationCache replaces the attestation cache with one of the
 // given bounds: max entries and TTL. max <= 0 disables caching. Intended
@@ -159,17 +169,21 @@ func (d *FabricDriver) ConfigureAttestationCache(max int, ttl time.Duration) {
 	d.cache.Store(newAttestationCache(max, ttl, time.Now))
 }
 
-// ConfigureAttestationBatching enables Merkle-batched attestation: proof
-// builds are held for up to window and signed together, one root signature
-// per attestor per window, with each requester handed its leaf's inclusion
-// proof. A window also closes early once maxPending builds are waiting.
-// window <= 0 or maxPending <= 0 disables batching (the default). Safe
-// while serving — in-flight builds finish against the batcher they started
-// with.
+// ConfigureAttestationBatching replaces the driver's batcher with a fresh
+// one whose windows last window and close early at maxPending builds;
+// a non-positive argument restores its default (2ms, 16). Batching cannot
+// be switched off — a lone build never waits — and no production path
+// calls this: it is the seam tests and benchmarks use to widen the window
+// so a fixed number of concurrent builds deterministically share one. The
+// fresh batcher starts contended, so its first build waits for a window.
+// Safe while serving — in-flight builds finish against the batcher they
+// started with.
 func (d *FabricDriver) ConfigureAttestationBatching(window time.Duration, maxPending int) {
-	if window <= 0 || maxPending <= 0 {
-		d.batcher.Store(nil)
-		return
+	if window <= 0 {
+		window = attestWindow
+	}
+	if maxPending <= 0 {
+		maxPending = attestMaxPending
 	}
 	d.batcher.Store(newAttestBatcher(window, maxPending, d.builder))
 }
@@ -188,19 +202,6 @@ func (d *FabricDriver) newSpec(q *wire.Query, certDigest, queryDigest, policyDig
 		RequesterLabel: string(certDigest),
 		Now:            time.Now(),
 	}
-}
-
-// buildProof routes one proof build through the batching window when one
-// is armed, and otherwise builds it alone.
-func (d *FabricDriver) buildProof(ctx context.Context, spec proof.Spec, attestors []*msp.Identity) (*wire.QueryResponse, error) {
-	if b := d.batcher.Load(); b != nil {
-		return b.submit(ctx, spec, attestors)
-	}
-	resps, err := d.builder.Build(ctx, []proof.Spec{spec}, attestors)
-	if err != nil {
-		return nil, err
-	}
-	return resps[0], nil
 }
 
 // Platform implements Driver.
@@ -334,7 +335,7 @@ func (d *FabricDriver) Query(ctx context.Context, q *wire.Query) (*wire.QueryRes
 	}
 	d.notifyCache(cacheMiss)
 
-	resp, err := d.buildProof(ctx, spec, attestorIDs)
+	resp, err := d.batcher.Load().submit(ctx, spec, attestorIDs)
 	if err != nil {
 		return nil, err
 	}
@@ -503,7 +504,7 @@ func (d *FabricDriver) Invoke(ctx context.Context, q *wire.Query) (*wire.QueryRe
 	// exact response served below can be replayed verbatim forever.
 	spec := d.newSpec(q, cryptoutil.Digest(q.RequesterCertPEM), proof.QueryDigestOf(q), policyDigest, tx.Response, clientPub)
 	attestorIDs := identitiesOf(attestors)
-	resp, err := d.buildProof(ctx, spec, attestorIDs)
+	resp, err := d.batcher.Load().submit(ctx, spec, attestorIDs)
 	if err != nil {
 		return nil, err
 	}
@@ -681,7 +682,7 @@ func (d *FabricDriver) attestResponse(ctx context.Context, q *wire.Query, result
 		return nil, ErrNoAttestors
 	}
 	spec := d.newSpec(q, cryptoutil.Digest(q.RequesterCertPEM), proof.QueryDigestOf(q), policyDigest, result, clientPub)
-	resp, err := d.buildProof(ctx, spec, identitiesOf(attestors))
+	resp, err := d.batcher.Load().submit(ctx, spec, identitiesOf(attestors))
 	if err != nil {
 		return nil, err
 	}
