@@ -113,11 +113,11 @@ func run() error {
 }
 
 // metricSpec is one metric's manifest entry: which way it improves and,
-// for an end-to-end metric, the relative worsening its gate allows.
+// for an end-to-end metric (the only kind the manifest bounds), the
+// relative worsening its gate allows.
 type metricSpec struct {
 	Name, Better string
-	Bound        float64
-	endToEnd     bool
+	Bound        *float64
 }
 
 // readManifest reads every metric's entry from the manifest.
@@ -134,11 +134,7 @@ func readManifest(manifest string) (map[string]metricSpec, error) {
 		return nil, fmt.Errorf("%s: %w", manifest, err)
 	}
 	specs := make(map[string]metricSpec)
-	for _, x := range m.PerLayer {
-		specs[x.Name] = x
-	}
-	for _, x := range m.EndToEnd {
-		x.endToEnd = true
+	for _, x := range append(m.EndToEnd, m.PerLayer...) {
 		specs[x.Name] = x
 	}
 	return specs, nil
@@ -212,8 +208,8 @@ func report(out io.Writer, workload string, base, head *side, order []string, sp
 			change = fmt.Sprintf("%+7.2f%%", (quantile(h, 0.5)-mb)/math.Abs(mb)*100)
 		}
 		v := ""
-		if spec.endToEnd {
-			v = verdict(b, h, higher, spec.Bound)
+		if spec.Bound != nil {
+			v = verdict(b, h, higher, *spec.Bound)
 		}
 		fmt.Fprintf(out, "%-28s %-36s %-36s %8s %4d/%-2d %8.4f  %s\n", name, spread(b), spread(h), change, wins, pairs, signTest(wins, losses), v)
 	}
@@ -245,31 +241,24 @@ func pairWins(base, head []float64, higher bool) (wins, losses int) {
 //     every base run;
 //   - ok: otherwise.
 func verdict(base, head []float64, higher bool, bound float64) string {
-	sign := -1.0 // lower is better: an improvement is a fall
+	// Lower is better: an improvement is a fall, and HEAD beats every base
+	// run when its worst run is below the base's best.
+	sign, allBeat := -1.0, slices.Max(head) < slices.Min(base)
 	if higher {
-		sign = 1
+		sign, allBeat = 1, slices.Min(head) > slices.Max(base)
 	}
 	mb, mh := quantile(base, 0.5), quantile(head, 0.5)
 	iqr := quantile(base, 0.75) - quantile(base, 0.25)
 	wins, _ := pairWins(base, head, higher)
-	need := int(math.Ceil(0.9 * float64(len(base))))
 	switch {
-	case wins >= need && sign*(mh-mb) > iqr:
+	case wins >= int(math.Ceil(0.9*float64(len(base)))) && sign*(mh-mb) > iqr:
 		return "gain"
 	case sign*(mb-mh) > bound*math.Abs(mb):
 		return "worse"
-	case iqr > bound*math.Abs(mb) && !allBeat(base, head, higher):
+	case iqr > bound*math.Abs(mb) && !allBeat:
 		return "unresolved"
 	}
 	return "ok"
-}
-
-// allBeat reports whether every HEAD run is better than every base run.
-func allBeat(base, head []float64, higher bool) bool {
-	if higher {
-		return slices.Min(head) > slices.Max(base)
-	}
-	return slices.Max(head) < slices.Min(base)
 }
 
 // column collects one metric over a side's runs, in run order.

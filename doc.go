@@ -80,10 +80,10 @@
 // chaincodes leave it warm.
 // Stats.AttestationCacheHits/Joins/Misses expose its effectiveness and
 // `netadmin proofs show` dumps a persisted artifact. Every proof has one
-// envelope, built by one proof.Builder per driver. Concurrent distinct
-// queries share a Merkle-batched window
-// (relay.FabricDriver.ConfigureAttestationBatching, armed by default by
-// the scenario builders): each attestor signs one RFC 6962-shaped Merkle
+// envelope, built by one proof.Builder per driver. A proof build alone at
+// its driver runs at once; overlapping builds of distinct queries share a
+// Merkle-batched window, which every driver arms and which opens only once
+// builds overlap: each attestor signs one RFC 6962-shaped Merkle
 // root per window under a dedicated domain separator, and every requester
 // verifies its own leaf + inclusion proof
 // (proof.Element.BatchSize/BatchIndex/BatchPath); a query alone in its

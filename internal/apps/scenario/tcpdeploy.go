@@ -18,8 +18,8 @@ type TCPRelayServer struct {
 	NetworkID string
 	Relay     *relay.Relay
 	// Driver is the Fabric driver this relay serves queries through, when
-	// the relay fronts a Fabric network. Exposed so runners can flip
-	// driver-level knobs (attestation batching) per relay instance.
+	// the relay fronts a Fabric network. Exposed so tests can reach
+	// driver-level seams (ConfigureAttestationBatching) per relay instance.
 	Driver *relay.FabricDriver
 
 	mu     sync.Mutex

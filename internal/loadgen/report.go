@@ -185,8 +185,8 @@ func (r *Report) Table() string {
 	}
 	b.WriteString("\n")
 	// Crypto-op totals locate the expensive primitives: with sessioned
-	// ECIES and batching armed, ECDH and Sign per served query drop well
-	// below the attestor count.
+	// ECIES and overlapping queries sharing windows, ECDH and Sign per
+	// served query drop well below the attestor count.
 	fmt.Fprintf(&b, "crypto ops: ecdh=%d sign=%d encrypt=%d", s.ECDHOps, s.SignOps, s.EncryptOps)
 	if s.QueriesServed > 0 {
 		fmt.Fprintf(&b, " (per query: ecdh=%.2f sign=%.2f encrypt=%.2f)",
