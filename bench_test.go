@@ -913,9 +913,8 @@ func BenchmarkP6PayloadSize(b *testing.B) {
 	}
 }
 
-// slowTransport wraps another transport and injects a fixed service delay,
-// modelling network RTT or a degraded (but live) relay. An empty slowAddr
-// delays every address; otherwise only the named one. The delay honours
+// slowTransport wraps another transport and injects a fixed service delay
+// at slowAddr, modelling a degraded (but live) relay. The delay honours
 // context cancellation so hedged losers release immediately.
 type slowTransport struct {
 	inner    relay.Transport
@@ -924,7 +923,7 @@ type slowTransport struct {
 }
 
 func (s *slowTransport) Send(ctx context.Context, addr string, env *wire.Envelope) (*wire.Envelope, error) {
-	if s.delay > 0 && (s.slowAddr == "" || addr == s.slowAddr) {
+	if addr == s.slowAddr {
 		select {
 		case <-time.After(s.delay):
 		case <-ctx.Done():
@@ -936,9 +935,9 @@ func (s *slowTransport) Send(ctx context.Context, addr string, env *wire.Envelop
 
 // buildFanoutWorld assembles a payload-style src/dst pair where the source
 // network is fronted by two relay addresses ("src-slow" preferred,
-// "src-fast" standby) with slowDelay injected at slowAddr ("" = all).
-// relayOpts configure the destination relay's fan-out.
-func buildFanoutWorld(b *testing.B, slowDelay time.Duration, slowAddr string, relayOpts ...relay.Option) (*core.Client, core.RemoteQuerySpec) {
+// "src-fast" standby) with slowDelay injected at "src-slow". relayOpts
+// configure the destination relay's fan-out.
+func buildFanoutWorld(b *testing.B, slowDelay time.Duration, relayOpts ...relay.Option) (*core.Client, core.RemoteQuerySpec) {
 	b.Helper()
 	hub := relay.NewHub()
 	registry := relay.NewStaticRegistry()
@@ -956,7 +955,7 @@ func buildFanoutWorld(b *testing.B, slowDelay time.Duration, slowAddr string, re
 	if err != nil {
 		b.Fatal(err)
 	}
-	transport := &slowTransport{inner: hub, slowAddr: slowAddr, delay: slowDelay}
+	transport := &slowTransport{inner: hub, slowAddr: "src-slow", delay: slowDelay}
 	destFab := fabric.NewNetwork("dst", orderer.Config{BatchSize: 1})
 	_, _ = destFab.AddOrg("dst-org", 1)
 	dest, err := core.EnableInterop(destFab, registry, transport, core.Options{RelayOptions: relayOpts})
@@ -1005,7 +1004,7 @@ func BenchmarkP7HedgedFanout(b *testing.B) {
 	const slowDelay = 10 * time.Millisecond
 	const hedgeDelay = 1 * time.Millisecond
 	run := func(b *testing.B, opts ...relay.Option) {
-		client, spec := buildFanoutWorld(b, slowDelay, "src-slow", opts...)
+		client, spec := buildFanoutWorld(b, slowDelay, opts...)
 		lat := make([]time.Duration, 0, b.N)
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -1023,39 +1022,6 @@ func BenchmarkP7HedgedFanout(b *testing.B) {
 	}
 	b.Run("sequential-failover", func(b *testing.B) { run(b) })
 	b.Run("hedged", func(b *testing.B) { run(b, relay.WithHedging(hedgeDelay, 2)) })
-}
-
-// BenchmarkP8RemoteQueryBatch measures batched cross-network query
-// throughput against issuing the same specs one at a time, with a 2ms
-// simulated network RTT on every relay hop: the batch overlaps the waits
-// under its bounded parallelism while the loop pays them serially.
-func BenchmarkP8RemoteQueryBatch(b *testing.B) {
-	const batchSize = 16
-	client, spec := buildFanoutWorld(b, 2*time.Millisecond, "")
-	specs := make([]core.RemoteQuerySpec, batchSize)
-	for i := range specs {
-		specs[i] = spec
-	}
-	b.Run("sequential-loop", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			for _, s := range specs {
-				if _, err := client.RemoteQuery(ctx, s); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	})
-	b.Run("batch", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			for _, res := range client.RemoteQueryBatch(ctx, specs) {
-				if res.Err != nil {
-					b.Fatal(res.Err)
-				}
-			}
-		}
-	})
 }
 
 // BenchmarkP9RegistryAnnounce measures discovery-registry write throughput

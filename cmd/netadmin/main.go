@@ -183,34 +183,17 @@ func registryList(dir string, registry *relay.JournalRegistry) error {
 		for _, entry := range entries[network] {
 			switch {
 			case entry.ExpiresUnixNano == 0:
-				fmt.Printf("  %-24s permanent%s\n", entry.Addr, healthSummary(entry.Health, now))
+				fmt.Printf("  %-24s permanent\n", entry.Addr)
 			case time.Unix(0, entry.ExpiresUnixNano).After(now):
 				remaining := time.Unix(0, entry.ExpiresUnixNano).Sub(now).Round(time.Second)
-				fmt.Printf("  %-24s lease expires in %s%s\n", entry.Addr, remaining, healthSummary(entry.Health, now))
+				fmt.Printf("  %-24s lease expires in %s\n", entry.Addr, remaining)
 			default:
 				expired := now.Sub(time.Unix(0, entry.ExpiresUnixNano)).Round(time.Second)
-				fmt.Printf("  %-24s EXPIRED %s ago (prune to remove)%s\n", entry.Addr, expired, healthSummary(entry.Health, now))
+				fmt.Printf("  %-24s EXPIRED %s ago (prune to remove)\n", entry.Addr, expired)
 			}
 		}
 	}
 	return nil
-}
-
-// healthSummary renders the shared health record relays piggyback on lease
-// renewal, empty when none was published. The circuit-breaker cooldown is
-// reported as remaining time, resolved through the record's relative
-// encoding (laxer interpretation, like the relay itself) rather than by
-// comparing an absolute foreign timestamp against this machine's clock.
-func healthSummary(h *relay.SharedHealth, now time.Time) string {
-	if h == nil {
-		return ""
-	}
-	s := fmt.Sprintf("; health: %d consecutive failure(s), ewma rtt %s",
-		h.ConsecFailures, time.Duration(h.EWMALatencyNanos).Round(time.Microsecond))
-	if open := h.CooldownExpiry(now); !open.IsZero() {
-		s += fmt.Sprintf(", circuit OPEN, %s cooldown remaining", open.Sub(now).Round(time.Second))
-	}
-	return s
 }
 
 // proofsShow decodes and prints a persisted proof artifact: first as the

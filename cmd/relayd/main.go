@@ -11,9 +11,8 @@
 // Several relayd processes may share one deployment directory: discovery
 // membership lives in an append-only lease journal (registry.jsonl) where
 // every heartbeat is one O(1) appended record, and the append that grows
-// the journal past its size threshold compacts it. Each heartbeat also
-// publishes the relay's health observations, which a starting relayd seeds
-// its tracker from.
+// the journal past its size threshold compacts it. Discovery carries
+// membership only: each relay scores peer addresses from its own sends.
 // Note that each process boots its own in-memory demo network and writes
 // its own client kit, so in this simulation the processes genuinely share
 // discovery state, not a ledger — run interopctl against the relay whose
@@ -90,13 +89,6 @@ func run() error {
 	stl, err := tradelens.BuildNetwork(registry, transport)
 	if err != nil {
 		return err
-	}
-	// Seed the fresh relay's health tracker from observations other relayd
-	// processes published into the shared registry: a restarted relay then
-	// resolves peers in fleet-learned health order (circuit-open peers
-	// demoted) instead of blank registration order.
-	if err := relay.SeedHealthFromRegistry(stl.Relay, registry); err != nil {
-		log.Printf("health seed skipped: %v", err)
 	}
 	admin, err := tradelens.AdminGateway(stl, tradelens.SellerOrg)
 	if err != nil {
@@ -213,12 +205,10 @@ func run() error {
 	// entry instead of appending a duplicate), kept fresh by heartbeat
 	// re-announcement, and withdrawn on shutdown. If this process dies
 	// without cleaning up, the lease lapses and discovery stops handing the
-	// dead address out. Each heartbeat also publishes this relay's health
-	// observations into the registry (shared with any other relayd using
-	// the same deploy dir; every renewal and health publish is one appended
-	// record, so a fleet of heartbeating relayds contends on a short append
-	// apiece rather than whole-file rewrites).
-	stopAnnounce, err := relay.AnnounceWithHealth(registry, tradelens.NetworkID, server.Addr(), *leaseTTL, stl.Relay.HealthSnapshot, func(err error) {
+	// dead address out. Every renewal is one appended record, so a fleet of
+	// heartbeating relayds sharing the deploy dir contends on a short append
+	// apiece rather than whole-file rewrites.
+	stopAnnounce, err := relay.Announce(registry, tradelens.NetworkID, server.Addr(), *leaseTTL, func(err error) {
 		log.Printf("lease renewal failed (lease lapses if this persists): %v", err)
 	})
 	if err != nil {

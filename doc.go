@@ -13,8 +13,7 @@
 // the two, so deadline propagation survives clock skew between relays, and
 // cancellation aborts in-flight transport sends. Redundant relay addresses
 // can be raced with hedged fan-out (relay.WithHedging) instead of
-// sequential failover, and core.Client.RemoteQueryBatch fans many queries
-// out under one shared deadline with bounded parallelism.
+// sequential failover.
 //
 // Discovery is health-aware and lease-based. Every transport outcome —
 // sequential failover, hedged attempts, liveness pings, event pushes —
@@ -41,7 +40,7 @@
 // TxByInteropKey) instead of re-executing. The shared registry is safe for
 // multiple relayd processes on one deployment directory: the append-only
 // lease journal (relay.JournalRegistry, registry.jsonl) turns every
-// announce, renewal and health publish into one O(1) record appended under
+// announce, renewal and deregistration into one O(1) record appended under
 // a flock held only for the append, with readers tailing into a
 // materialized view (last record wins, lapsed leases filtered at read
 // time; lease records carry absolute expiry plus relative TTL and readers
@@ -49,11 +48,8 @@
 // lease), and the append that grows the log past its size threshold rolls
 // it into a generation snapshot behind an atomic pointer flip — torn
 // appends are skipped, never fatal, and the next append self-heals the
-// tail. Lease heartbeats piggyback each relay's
-// per-address health observations (relay.SharedHealth) so a restarting
-// relay can seed its health tracker from fleet knowledge
-// (relay.SeedHealthFromRegistry) instead of rediscovering dead peers.
-// Cross-network atomic exchange remains the province of internal/htlc;
+// tail. Discovery carries membership only; each relay's health tracker
+// learns from its own sends. Cross-network atomic exchange remains the province of internal/htlc;
 // the ledger dedup governs duplicate commits of one logical invoke on one
 // network.
 //
@@ -157,7 +153,7 @@
 // and examples/ are the runnable surface:
 //
 //   - internal/core        — application-facing interop layer: EnableInterop,
-//     Client (RemoteQuery/RemoteInvoke/RemoteQueryBatch), governance ops
+//     Client (RemoteQuery/RemoteInvoke), governance ops
 //   - internal/relay       — relay service, discovery, transports (in-process
 //     hub, multiplexed TCP), hedged fan-out, pluggable drivers
 //   - internal/wire        — network-neutral protocol codec and messages
@@ -179,7 +175,7 @@
 // See README.md for a walkthrough. The bench_test.go file in this
 // directory regenerates every experiment (E1-E10 mirror and extend the
 // paper's evaluation, through the attestation cache, Merkle-batched
-// attestation, sessioned ECIES and the multi-hop depth sweep; P1-P9 are
+// attestation, sessioned ECIES and the multi-hop depth sweep; P1-P7 and P9 are
 // supplemental performance characterizations, including the
-// hedged-fan-out, batched-query and registry-announce measurements).
+// hedged-fan-out and registry-announce measurements).
 package repro

@@ -207,11 +207,11 @@ func TestChainPartitionHealChaos(t *testing.T) {
 	journal := relay.NewJournalRegistry(filepath.Join(t.TempDir(), "registry.jsonl"), relay.WithCompactBytes(512))
 	const ttl = 2 * time.Second
 	for _, srv := range d.Hubs[0].Servers {
-		stop, err := relay.AnnounceWithHealth(journal, HubNetworkID(0), srv.Addr(), ttl, srv.Relay.HealthSnapshot, func(err error) {
+		stop, err := relay.Announce(journal, HubNetworkID(0), srv.Addr(), ttl, func(err error) {
 			t.Errorf("heartbeat: %v", err)
 		})
 		if err != nil {
-			t.Fatalf("AnnounceWithHealth(%s): %v", srv.Addr(), err)
+			t.Fatalf("Announce(%s): %v", srv.Addr(), err)
 		}
 		defer stop()
 	}
@@ -364,14 +364,5 @@ func TestChainPartitionHealChaos(t *testing.T) {
 	}
 	if !bytes.HasPrefix(got, []byte("pre;")) {
 		t.Fatalf("audit log = %q, want pre; first", got)
-	}
-
-	// Forwarded legs fed hub-1's per-address health scoring: both hub-2
-	// replica addresses have observations.
-	snapshot := d.Hubs[0].Servers[1].Relay.HealthSnapshot()
-	for _, srv := range d.Hubs[1].Servers {
-		if _, ok := snapshot[srv.Addr()]; !ok {
-			t.Fatalf("hub-1 health snapshot missing forwarded address %s: %v", srv.Addr(), snapshot)
-		}
 	}
 }

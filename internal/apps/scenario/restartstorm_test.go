@@ -28,8 +28,8 @@ import (
 // throughout: every invoke commits exactly once on the source ledger
 // (failover retries answered by ledger replay, never re-execution), and
 // health-aware ordering keeps demoting the dead primary (breaker skips
-// accounted, no wasted attempts) even as the registry file the health
-// rides on is rewritten generation after generation.
+// accounted, no wasted attempts) even as the registry file it resolves
+// from is rewritten generation after generation.
 func TestRestartStormThroughJournalRegistry(t *testing.T) {
 	dir := t.TempDir()
 	journalPath := filepath.Join(dir, "registry.jsonl")
@@ -51,7 +51,7 @@ func TestRestartStormThroughJournalRegistry(t *testing.T) {
 	hub.Attach(SWTRelayAddr, w.SWT.Relay)
 
 	// The steady fleet: both STL relays and the SWT relay heartbeat their
-	// leases (and health snapshots) through the shared journal. Heartbeats
+	// leases through the shared journal. Heartbeats
 	// every ~666ms are aggressive for a registry while leaving a full
 	// 2×heartbeat of renewal slack, so a loaded -race CI scheduler stalling
 	// a goroutine cannot lapse a steady lease spuriously — the journal
@@ -59,17 +59,14 @@ func TestRestartStormThroughJournalRegistry(t *testing.T) {
 	// compactions their appends trigger, not from TTL brinkmanship.
 	const ttl = 2 * time.Second
 	var stops []func()
-	for _, member := range []struct {
-		network, addr string
-		health        func() map[string]relay.SharedHealth
-	}{
-		{tradelens.NetworkID, STLRelayAddr, w.STL.Relay.HealthSnapshot},
-		{tradelens.NetworkID, STLRelayAddrB, relayB.HealthSnapshot},
-		{wetrade.NetworkID, SWTRelayAddr, w.SWT.Relay.HealthSnapshot},
+	for _, member := range []struct{ network, addr string }{
+		{tradelens.NetworkID, STLRelayAddr},
+		{tradelens.NetworkID, STLRelayAddrB},
+		{wetrade.NetworkID, SWTRelayAddr},
 	} {
-		stop, err := relay.AnnounceWithHealth(journal, member.network, member.addr, ttl, member.health, nil)
+		stop, err := relay.Announce(journal, member.network, member.addr, ttl, nil)
 		if err != nil {
-			t.Fatalf("AnnounceWithHealth(%s): %v", member.addr, err)
+			t.Fatalf("Announce(%s): %v", member.addr, err)
 		}
 		stops = append(stops, stop)
 	}

@@ -143,7 +143,9 @@ func TestBatchedInvokeReplayAfterOrgRemoval(t *testing.T) {
 	relay2 := relay.New("source-net", w.registry, w.hub)
 	relay2.RegisterDriver("source-net", relay.NewFabricDriver(w.source.Fabric, "default"))
 	w.hub.Attach("source-relay-2", relay2)
-	w.registry.Unregister("source-net", "source-relay")
+	if err := w.registry.Deregister("source-net", "source-relay"); err != nil {
+		t.Fatalf("Deregister: %v", err)
+	}
 	w.registry.Register("source-net", "source-relay-2")
 	if err := w.source.Fabric.RemoveOrg("carrier-org"); err != nil {
 		t.Fatalf("RemoveOrg: %v", err)

@@ -158,13 +158,9 @@ type Client struct {
 	gateway  *fabric.Gateway
 	identity *msp.Identity
 	key      *ecdsa.PrivateKey
-	// recipient opens every response's sessioned envelopes; RemoteQuery,
-	// RemoteInvoke and RemoteQueryBatch share its per-session-point table.
+	// recipient opens every response's sessioned envelopes; concurrent
+	// RemoteQuery and RemoteInvoke calls share its per-session-point table.
 	recipient *cryptoutil.Recipient
-
-	// batchParallelism bounds RemoteQueryBatch fan-out; zero means
-	// DefaultBatchParallelism.
-	batchParallelism int
 }
 
 // NewClient creates a client identity named name under the given

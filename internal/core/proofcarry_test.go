@@ -90,7 +90,9 @@ func replayAfterOrgRemovalScenario(t *testing.T) {
 	driver2 := relay.NewFabricDriver(w.source.Fabric, "default")
 	relay2.RegisterDriver("source-net", driver2)
 	w.hub.Attach("source-relay-2", relay2)
-	w.registry.Unregister("source-net", "source-relay")
+	if err := w.registry.Deregister("source-net", "source-relay"); err != nil {
+		t.Fatalf("Deregister: %v", err)
+	}
 	w.registry.Register("source-net", "source-relay-2")
 
 	// The org change: the carrier organization leaves the source network.

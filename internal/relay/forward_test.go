@@ -174,10 +174,21 @@ func TestMultiHopQueryPins(t *testing.T) {
 					t.Fatalf("chain with pin %d mutated verified", i)
 				}
 			}
-			// Every hub forwarded exactly once and counted it.
+			// Every hub forwarded exactly once and counted it, and the
+			// forwarded leg fed its health tracker for the downstream address.
 			for i, h := range chain.hubs {
 				if s := h.Stats(); s.ForwardedQueries != 1 || s.ForwardedInvokes != 0 {
 					t.Fatalf("hub %d stats = %+v", i, s)
+				}
+				downstream := "src:1"
+				if i+1 < hubCount {
+					downstream = fmt.Sprintf("hub-%d:1", i+2)
+				}
+				h.health.mu.Lock()
+				_, observed := h.health.byAddr[downstream]
+				h.health.mu.Unlock()
+				if !observed {
+					t.Fatalf("hub %d health tracker has no entry for forwarded address %s", i, downstream)
 				}
 			}
 		})

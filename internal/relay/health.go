@@ -34,26 +34,12 @@ const failurePenaltyNanos = float64(30 * time.Second)
 type addrHealth struct {
 	// consecFailures counts transport failures since the last success.
 	consecFailures int
-	// seededFailures is a failure count imported from a shared health
-	// record. It demotes the address in score ordering exactly like local
-	// failures, but is kept apart so it never feeds the breaker threshold
-	// (a single local failure must not open the circuit on the strength of
-	// someone else's streak) and is never republished as this relay's own
-	// observation (which would ratchet counts across restarts). Any
-	// first-hand outcome supersedes it.
-	seededFailures int
 	// ewmaLatency is the exponentially weighted moving average round-trip
 	// latency in nanoseconds, zero until the first success.
 	ewmaLatency float64
 	// openUntil is the circuit-breaker cooldown expiry: while it is in the
 	// future the address is demoted to last resort. Zero when closed.
 	openUntil time.Time
-	// lastObserved is when this relay last saw a first-hand transport
-	// outcome for the address; zero for state that was only ever seeded
-	// from shared records. Published health is stamped with it so a stale
-	// verdict cannot masquerade as fresh just because it was re-published
-	// recently.
-	lastObserved time.Time
 }
 
 // healthTracker scores relay addresses from observed transport outcomes —
@@ -92,9 +78,7 @@ func (h *healthTracker) reportSuccess(addr string, rtt time.Duration) {
 	defer h.mu.Unlock()
 	st := h.stateLocked(addr)
 	st.consecFailures = 0
-	st.seededFailures = 0
 	st.openUntil = time.Time{}
-	st.lastObserved = h.now()
 	sample := float64(rtt)
 	if sample < 0 {
 		sample = 0
@@ -114,14 +98,8 @@ func (h *healthTracker) reportFailure(addr string) {
 	defer h.mu.Unlock()
 	st := h.stateLocked(addr)
 	st.consecFailures++
-	// seededFailures is deliberately kept: a local failure *confirms* the
-	// shared streak, and dropping it here would improve the address's
-	// resolve ranking at the exact moment the evidence got worse. Only a
-	// success (which contradicts the shared record) clears it. The breaker
-	// threshold still counts first-hand failures alone.
-	st.lastObserved = h.now()
 	if st.consecFailures >= h.threshold {
-		st.openUntil = st.lastObserved.Add(h.cooldown)
+		st.openUntil = h.now().Add(h.cooldown)
 	}
 }
 
@@ -134,74 +112,13 @@ func (h *healthTracker) stateLocked(addr string) *addrHealth {
 	return st
 }
 
-// snapshot exports the tracker's first-hand per-address state as
-// shareable records, each stamped with when the address was actually last
-// observed — not with publish time, or a relay that stopped talking to an
-// address an hour ago would keep presenting its stale verdict as fresher
-// than a sibling's second-old one, and the fresher-record-wins merge would
-// resolve backwards. Addresses with no first-hand observation (including
-// state that was itself seeded from shared records) are omitted:
-// publishing them would only echo other relays' observations around the
-// fleet under new timestamps.
-func (h *healthTracker) snapshot() map[string]SharedHealth {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	now := h.now()
-	out := make(map[string]SharedHealth, len(h.byAddr))
-	for addr, st := range h.byAddr {
-		if st.lastObserved.IsZero() {
-			continue
-		}
-		rec := SharedHealth{
-			ConsecFailures:   st.consecFailures,
-			EWMALatencyNanos: int64(st.ewmaLatency),
-			ObservedUnixNano: st.lastObserved.UnixNano(),
-		}
-		if st.openUntil.After(now) {
-			// Both cooldown encodings are stamped (absolute expiry and
-			// remaining-at-snapshot); readers take the laxer of the two, so
-			// no clock-sync assumption survives the trip (see SharedHealth).
-			rec.OpenUntilUnixNano = st.openUntil.UnixNano()
-			rec.CooldownRemainingNanos = int64(st.openUntil.Sub(now))
-		}
-		out[addr] = rec
-	}
-	return out
-}
-
-// seed imports shared health records for addresses this tracker has no
-// local signal on. First-hand observations always win: an address the
-// tracker has already probed keeps its own state, so seeding can only fill
-// blanks, never overwrite what this relay learned itself. A seeded cooldown
-// already expired (under the laxer of its two encodings — see
-// SharedHealth.CooldownExpiry) demotes the address only for whatever
-// cooldown genuinely remains.
-func (h *healthTracker) seed(records map[string]SharedHealth) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	now := h.now()
-	for addr, rec := range records {
-		if _, ok := h.byAddr[addr]; ok {
-			continue
-		}
-		st := &addrHealth{
-			seededFailures: rec.ConsecFailures,
-			ewmaLatency:    float64(rec.EWMALatencyNanos),
-		}
-		if open := rec.CooldownExpiry(now); !open.IsZero() {
-			st.openUntil = open
-		}
-		h.byAddr[addr] = st
-	}
-}
-
-// score is the sort key for a single address: consecutive failures
-// (first-hand or seeded from shared records) weighted far above latency,
-// then the EWMA round-trip. Never-observed addresses score zero and
-// therefore sort ahead of everything with history, which gives each fresh
-// address exactly one exploratory attempt to earn a real latency estimate.
+// score is the sort key for a single address: consecutive failures weighted
+// far above latency, then the EWMA round-trip. Never-observed addresses
+// score zero and therefore sort ahead of everything with history, which
+// gives each fresh address exactly one exploratory attempt to earn a real
+// latency estimate.
 func (st *addrHealth) score() float64 {
-	return float64(st.consecFailures+st.seededFailures)*failurePenaltyNanos + st.ewmaLatency
+	return float64(st.consecFailures)*failurePenaltyNanos + st.ewmaLatency
 }
 
 // circuitOpen reports whether the breaker currently demotes the address.
@@ -274,40 +191,6 @@ func WithCircuitBreaker(threshold int, cooldown time.Duration) Option {
 		r.breakerThreshold = threshold
 		r.breakerCooldown = cooldown
 	}
-}
-
-// HealthSnapshot exports this relay's current per-address health
-// observations — the record AnnounceWithHealth publishes into the
-// discovery registry on each lease heartbeat.
-func (r *Relay) HealthSnapshot() map[string]SharedHealth {
-	return r.health.snapshot()
-}
-
-// SeedHealth imports shared health records (typically read from the
-// discovery registry) for addresses this relay has not observed itself. A
-// freshly started relay otherwise begins with a blank tracker and must
-// burn real requests rediscovering which peers are dead; seeding restores
-// fleet knowledge — including circuit-open state — before the first
-// resolve.
-func (r *Relay) SeedHealth(records map[string]SharedHealth) {
-	r.health.seed(records)
-}
-
-// SeedHealthFromRegistry seeds r's health tracker from the health records
-// a discovery registry has accumulated (see AnnounceWithHealth). A
-// registry without health support is a silent no-op, so callers can wire
-// this unconditionally.
-func SeedHealthFromRegistry(r *Relay, discovery Discovery) error {
-	src, ok := discovery.(HealthSource)
-	if !ok {
-		return nil
-	}
-	records, err := src.HealthRecords()
-	if err != nil {
-		return err
-	}
-	r.SeedHealth(records)
-	return nil
 }
 
 // resolveOrdered resolves a network through discovery and reorders the

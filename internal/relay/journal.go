@@ -16,9 +16,9 @@ import (
 
 // JournalRegistry is the durable Discovery — the paper's "local file-based
 // registry plugged into the SWT Relay" (§4.3) — backed by an append-only
-// lease journal. Each RegisterLease / Deregister / PublishHealth is one
-// O(1) record appended to the log under a cross-process lock held only for
-// the append itself, never across a load-modify-store cycle. N relayd
+// lease journal. Each RegisterLease / Deregister is one O(1) record
+// appended to the log under a cross-process lock held only for the append
+// itself, never across a load-modify-store cycle. N relayd
 // processes heartbeating through one registry therefore contend on a
 // single short write apiece, which is what lets discovery keep up with the
 // redundant-relay fleet it fronts (the same write-ahead idea Fabric uses
@@ -37,9 +37,9 @@ import (
 //
 // Each journal line is one self-contained JSON record: a lease grant or
 // renewal (absolute expiry plus relative TTL — see leaseExpiry for how
-// readers reconcile the two), a deregistration, or a shared-health
-// observation. Readers keep an in-memory materialized view and tail the
-// journal from their last byte offset on every read; last record wins per
+// readers reconcile the two) or a deregistration. Readers keep an
+// in-memory materialized view and tail the journal from their last byte
+// offset on every read; last record wins per
 // (network, address), lapsed leases are filtered at Resolve time. A torn
 // final line (a writer or the machine died mid-append) is skipped, never
 // fatal, and the next appender self-heals the tail by terminating the
@@ -76,10 +76,8 @@ type JournalRegistry struct {
 }
 
 var (
-	_ Discovery       = (*JournalRegistry)(nil)
-	_ LeaseRegistrar  = (*JournalRegistry)(nil)
-	_ HealthPublisher = (*JournalRegistry)(nil)
-	_ HealthSource    = (*JournalRegistry)(nil)
+	_ Discovery      = (*JournalRegistry)(nil)
+	_ LeaseRegistrar = (*JournalRegistry)(nil)
 )
 
 // RegistryEntry is the exported view of one registered address, used by
@@ -89,9 +87,6 @@ type RegistryEntry struct {
 	// ExpiresUnixNano is the lease expiry in nanoseconds since the Unix
 	// epoch, zero for permanent entries.
 	ExpiresUnixNano int64 `json:"expires_unix_nano,omitempty"`
-	// Health is the freshest published health observation for the address,
-	// nil when no relay has published one.
-	Health *SharedHealth `json:"health,omitempty"`
 }
 
 // journalView is the in-memory materialization of the journal: the decoded
@@ -101,13 +96,12 @@ type journalView struct {
 	gen     uint64
 	offset  int64
 	entries map[string][]leaseEntry
-	health  map[string]SharedHealth
 }
 
 // journalRecord is one line of the journal. Keys are kept short because a
 // heartbeating fleet writes one of these per renewal.
 type journalRecord struct {
-	// Op is the record kind: "lease" (grant or renewal), "dereg", "health".
+	// Op is the record kind: "lease" (grant or renewal) or "dereg".
 	Op   string `json:"op"`
 	Net  string `json:"net,omitempty"`
 	Addr string `json:"addr,omitempty"`
@@ -119,14 +113,12 @@ type journalRecord struct {
 	// two interpretations, see leaseExpiry).
 	TTL int64 `json:"ttl,omitempty"`
 	// TS stamps the writer's clock at append, for forensics.
-	TS     int64         `json:"ts,omitempty"`
-	Health *SharedHealth `json:"health,omitempty"`
+	TS int64 `json:"ts,omitempty"`
 }
 
 const (
-	opLease  = "lease"
-	opDereg  = "dereg"
-	opHealth = "health"
+	opLease = "lease"
+	opDereg = "dereg"
 )
 
 // defaultCompactBytes is the journal size past which an append rolls the
@@ -291,57 +283,6 @@ func (r *JournalRegistry) Deregister(networkID, addr string) error {
 	return r.appendRecords(journalRecord{Op: opDereg, Net: networkID, Addr: addr, TS: r.now().UnixNano()})
 }
 
-// PublishHealth implements HealthPublisher. Health annotates membership,
-// so records for unregistered addresses are dropped (best-effort at write
-// time, authoritatively by readers, who only surface health attached to a
-// live view entry), and records no fresher than what the view already
-// holds are skipped to keep heartbeat churn down.
-func (r *JournalRegistry) PublishHealth(byAddr map[string]SharedHealth) error {
-	if len(byAddr) == 0 {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if err := r.refreshLocked(); err != nil {
-		return err
-	}
-	known := collectHealth(r.view.entries)
-	addrs := make([]string, 0, len(byAddr))
-	for addr := range byAddr {
-		addrs = append(addrs, addr)
-	}
-	sort.Strings(addrs)
-	recs := make([]journalRecord, 0, len(addrs))
-	for _, addr := range addrs {
-		if !r.viewHasAddr(addr) {
-			continue
-		}
-		rec := byAddr[addr]
-		if cur, ok := known[addr]; ok && (cur == rec || rec.ObservedUnixNano < cur.ObservedUnixNano) {
-			continue
-		}
-		copied := rec
-		recs = append(recs, journalRecord{Op: opHealth, Addr: addr, TS: r.now().UnixNano(), Health: &copied})
-	}
-	if len(recs) == 0 {
-		return nil
-	}
-	return r.withFlock(func(gen uint64) error {
-		return r.appendToGen(gen, recs)
-	})
-}
-
-func (r *JournalRegistry) viewHasAddr(addr string) bool {
-	for _, list := range r.view.entries {
-		for _, e := range list {
-			if e.addr == addr {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // Resolve implements Discovery from the materialized view, filtering
 // lapsed leases at read time.
 func (r *JournalRegistry) Resolve(networkID string) ([]string, error) {
@@ -388,25 +329,10 @@ func (r *JournalRegistry) Entries() (map[string][]RegistryEntry, error) {
 			if !e.expires.IsZero() {
 				exported[i].ExpiresUnixNano = e.expires.UnixNano()
 			}
-			if e.health != nil {
-				h := *e.health
-				exported[i].Health = &h
-			}
 		}
 		out[id] = exported
 	}
 	return out, nil
-}
-
-// HealthRecords implements HealthSource: the freshest record per address
-// that still has a registry entry.
-func (r *JournalRegistry) HealthRecords() (map[string]SharedHealth, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if err := r.refreshLocked(); err != nil {
-		return nil, err
-	}
-	return collectHealth(r.view.entries), nil
 }
 
 // SkippedRecords reports how many undecodable journal lines this instance
@@ -513,9 +439,8 @@ func (r *JournalRegistry) compactLocked(gen uint64) error {
 }
 
 // writeSnapshot writes the materialized view as generation gen's base:
-// one lease record per entry (deterministic order) followed by the
-// freshest health record per address. Temp-and-rename so a crash mid-write
-// leaves no half-snapshot under the generation's name.
+// one lease record per entry, in deterministic order. Temp-and-rename so a
+// crash mid-write leaves no half-snapshot under the generation's name.
 func (r *JournalRegistry) writeSnapshot(gen uint64) error {
 	now := r.now()
 	var buf bytes.Buffer
@@ -524,15 +449,6 @@ func (r *JournalRegistry) writeSnapshot(gen uint64) error {
 		ids = append(ids, id)
 	}
 	sort.Strings(ids)
-	writeRec := func(rec journalRecord) error {
-		line, err := json.Marshal(rec)
-		if err != nil {
-			return fmt.Errorf("relay: encode journal snapshot: %w", err)
-		}
-		buf.Write(line)
-		buf.WriteByte('\n')
-		return nil
-	}
 	for _, id := range ids {
 		for _, e := range r.view.entries[id] {
 			rec := journalRecord{Op: opLease, Net: id, Addr: e.addr, TS: now.UnixNano()}
@@ -542,21 +458,12 @@ func (r *JournalRegistry) writeSnapshot(gen uint64) error {
 					rec.TTL = int64(remaining)
 				}
 			}
-			if err := writeRec(rec); err != nil {
-				return err
+			line, err := json.Marshal(rec)
+			if err != nil {
+				return fmt.Errorf("relay: encode journal snapshot: %w", err)
 			}
-		}
-	}
-	health := collectHealth(r.view.entries)
-	addrs := make([]string, 0, len(health))
-	for addr := range health {
-		addrs = append(addrs, addr)
-	}
-	sort.Strings(addrs)
-	for _, addr := range addrs {
-		h := health[addr]
-		if err := writeRec(journalRecord{Op: opHealth, Addr: addr, TS: now.UnixNano(), Health: &h}); err != nil {
-			return err
+			buf.Write(line)
+			buf.WriteByte('\n')
 		}
 	}
 	if err := atomicWriteFile(r.genPath(gen), buf.Bytes()); err != nil {
@@ -594,12 +501,7 @@ func (r *JournalRegistry) refreshLocked() error {
 // should exist but does not (rolled away underneath us).
 func (r *JournalRegistry) refreshGenLocked(gen uint64) error {
 	if !r.view.valid || gen != r.view.gen {
-		r.view = journalView{
-			valid:   true,
-			gen:     gen,
-			entries: make(map[string][]leaseEntry),
-			health:  make(map[string]SharedHealth),
-		}
+		r.view = journalView{valid: true, gen: gen, entries: make(map[string][]leaseEntry)}
 	}
 	f, err := os.Open(r.genPath(r.view.gen))
 	if err != nil {
@@ -645,12 +547,7 @@ func (r *JournalRegistry) refreshGenLocked(gen uint64) error {
 }
 
 // applyLocked folds one record into the materialized view: last record
-// wins per (network, address), health freshest-wins per address. Health
-// annotates membership, exactly as a compaction snapshot records it: a
-// record for an address no network lists is ignored, and an address's
-// health is forgotten once its last entry is deregistered — so a relay
-// re-registering on its old port starts clean whether or not a compaction
-// happened in between.
+// wins per (network, address).
 func (r *JournalRegistry) applyLocked(rec journalRecord) {
 	switch rec.Op {
 	case opLease:
@@ -659,9 +556,6 @@ func (r *JournalRegistry) applyLocked(rec journalRecord) {
 			return
 		}
 		r.view.entries[rec.Net] = upsertLease(r.view.entries[rec.Net], rec.Addr, r.leaseExpiry(rec))
-		if h, ok := r.view.health[rec.Addr]; ok {
-			applyHealth(r.view.entries[rec.Net], map[string]SharedHealth{rec.Addr: h})
-		}
 	case opDereg:
 		list, removed := removeLease(r.view.entries[rec.Net], rec.Addr)
 		if !removed {
@@ -672,24 +566,10 @@ func (r *JournalRegistry) applyLocked(rec journalRecord) {
 		} else {
 			r.view.entries[rec.Net] = list
 		}
-		if !r.viewHasAddr(rec.Addr) {
-			delete(r.view.health, rec.Addr)
-		}
-	case opHealth:
-		if rec.Health == nil || rec.Addr == "" {
-			r.skipped++
-			return
-		}
-		if !r.viewHasAddr(rec.Addr) {
-			return
-		}
-		if cur, ok := r.view.health[rec.Addr]; ok && cur.ObservedUnixNano > rec.Health.ObservedUnixNano {
-			return
-		}
-		r.view.health[rec.Addr] = *rec.Health
-		for id := range r.view.entries {
-			applyHealth(r.view.entries[id], map[string]SharedHealth{rec.Addr: *rec.Health})
-		}
+	case "health":
+		// Journals written before discovery carried membership only hold
+		// shared-health records. They are well-formed, so they are not
+		// counted as skipped; the next compaction drops them.
 	default:
 		r.skipped++
 	}
@@ -698,9 +578,9 @@ func (r *JournalRegistry) applyLocked(rec journalRecord) {
 // leaseExpiry reconciles a lease record's two encodings on the reader's
 // clock: the writer-absolute expiry and the relative TTL anchored at the
 // instant this reader materializes the record. The entry stops resolving
-// at the *earlier* of the two — the laxer interpretation for a lease,
-// mirroring TimeoutNanos deadlines and SharedHealth cooldowns: under clock
-// skew a dead relay is never served longer than either encoding supports.
+// at the *earlier* of the two — the laxer interpretation for a lease: under
+// clock skew a dead relay is never served longer than either encoding
+// supports.
 // A writer with a fast clock cannot stretch its lease past the TTL the
 // reader just observed; a reader picking up a stale journal cannot extend
 // a long-lapsed lease by re-anchoring its TTL, because the absolute expiry

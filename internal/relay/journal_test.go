@@ -230,92 +230,6 @@ func TestJournalPruneCompactAgreeWithReader(t *testing.T) {
 	}
 }
 
-// TestJournalRegistryHealthPiggyback: published health reaches a second
-// instance as the freshest record per address, never for an unregistered
-// address, and shows up in Entries for inspection tooling. The
-// cross-process version, through renewal and compaction, is
-// TestFileRegistryHealthRoundTrip.
-func TestJournalRegistryHealthPiggyback(t *testing.T) {
-	dir := t.TempDir()
-	reg := journalAt(t, dir)
-	if err := reg.Register("net", "a:1", "b:2"); err != nil {
-		t.Fatalf("Register: %v", err)
-	}
-	stale := SharedHealth{ConsecFailures: 9, ObservedUnixNano: 100}
-	fresh := SharedHealth{ConsecFailures: 2, EWMALatencyNanos: int64(time.Millisecond), ObservedUnixNano: 200}
-	if err := reg.PublishHealth(map[string]SharedHealth{"a:1": fresh, "unregistered:9": fresh}); err != nil {
-		t.Fatalf("PublishHealth: %v", err)
-	}
-	// Staler records do not regress the view, even though they append later.
-	if err := reg.PublishHealth(map[string]SharedHealth{"a:1": stale}); err != nil {
-		t.Fatalf("PublishHealth stale: %v", err)
-	}
-	records, err := journalAt(t, dir).HealthRecords()
-	if err != nil {
-		t.Fatalf("HealthRecords: %v", err)
-	}
-	if got, ok := records["a:1"]; !ok || got != fresh {
-		t.Fatalf("health for a:1 = %+v (ok=%v), want the fresher record", got, ok)
-	}
-	if _, ok := records["unregistered:9"]; ok {
-		t.Fatal("health published for an unregistered address survived")
-	}
-	// Entries carry the record for inspection tooling.
-	entries, err := reg.Entries()
-	if err != nil {
-		t.Fatalf("Entries: %v", err)
-	}
-	for _, e := range entries["net"] {
-		if e.Addr == "a:1" && (e.Health == nil || *e.Health != fresh) {
-			t.Fatalf("entry health = %+v, want %+v", e.Health, fresh)
-		}
-	}
-}
-
-// TestJournalDeregisterForgetsHealth: health annotates membership, so an
-// address that deregistered and came back (a relay restarting on its old
-// port) starts with no health record — whether or not a compaction ran in
-// between, which with in-band compaction is a matter of timing.
-func TestJournalDeregisterForgetsHealth(t *testing.T) {
-	for _, compact := range []bool{false, true} {
-		t.Run(fmt.Sprintf("compact=%v", compact), func(t *testing.T) {
-			dir := t.TempDir()
-			reg := journalAt(t, dir)
-			if err := reg.RegisterLease("net", "a:1", time.Minute); err != nil {
-				t.Fatalf("RegisterLease: %v", err)
-			}
-			if err := reg.PublishHealth(map[string]SharedHealth{"a:1": {ConsecFailures: 7, ObservedUnixNano: 100}}); err != nil {
-				t.Fatalf("PublishHealth: %v", err)
-			}
-			if err := reg.Deregister("net", "a:1"); err != nil {
-				t.Fatalf("Deregister: %v", err)
-			}
-			// A health record racing the deregistration from another
-			// process (appended after it) is ignored the same way.
-			if err := reg.appendRecords(journalRecord{Op: opHealth, Addr: "a:1", Health: &SharedHealth{ConsecFailures: 8, ObservedUnixNano: 200}}); err != nil {
-				t.Fatalf("append stray health: %v", err)
-			}
-			if compact {
-				if err := reg.Compact(); err != nil {
-					t.Fatalf("Compact: %v", err)
-				}
-			}
-			if err := reg.RegisterLease("net", "a:1", time.Minute); err != nil {
-				t.Fatalf("re-register: %v", err)
-			}
-			for name, r := range map[string]*JournalRegistry{"writer": reg, "fresh instance": journalAt(t, dir)} {
-				records, err := r.HealthRecords()
-				if err != nil {
-					t.Fatalf("%s HealthRecords: %v", name, err)
-				}
-				if len(records) != 0 {
-					t.Fatalf("%s: re-registered address inherited health %+v, want none", name, records)
-				}
-			}
-		})
-	}
-}
-
 // TestJournalRegistryRestartIdempotent models relayd restarting against
 // the same deployment dir: each run is a fresh instance announcing the same
 // address, and the view must hold exactly one entry; permanent Register

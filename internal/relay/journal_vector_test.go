@@ -10,45 +10,57 @@ import (
 
 // Known-answer vector for the lease journal's on-disk bytes (after
 // SNIPPETS.md 1–2): a fixed clock, one lease with a TTL, one permanent
-// lease, a deregistration and a health record, then a compaction. The
-// generation-0 journal is kept as the grace copy, so all three files are
-// pinned. A change to any of these bytes changes what existing
-// deployments read back, so it must be a deliberate vector update — never
-// a refactor side effect.
+// lease and a deregistration, then a compaction. The generation-0 journal
+// is kept as the grace copy, so all three files are pinned. A change to
+// any of these bytes changes what existing deployments read back, so it
+// must be a deliberate vector update — never a refactor side effect.
 const (
 	vectorGen0 = `{"op":"lease","net":"tradelens","addr":"10.0.0.1:9080","exp":1700000030000000000,"ttl":30000000000,"ts":1700000000000000000}
 {"op":"lease","net":"tradelens","addr":"10.0.0.2:9080","ts":1700000000000000000}
 {"op":"lease","net":"wetrade","addr":"10.0.1.1:9080","ts":1700000000000000000}
 {"op":"dereg","net":"wetrade","addr":"10.0.1.1:9080","ts":1700000000000000000}
-{"op":"health","addr":"10.0.0.1:9080","ts":1700000000000000000,"health":{"consec_failures":2,"ewma_latency_nanos":1500000,"open_until_unix_nano":1700000010000000000,"cooldown_remaining_nanos":10000000000,"observed_unix_nano":1699999999000000000}}
 `
 	vectorGen1 = `{"op":"lease","net":"tradelens","addr":"10.0.0.1:9080","exp":1700000030000000000,"ttl":30000000000,"ts":1700000000000000000}
 {"op":"lease","net":"tradelens","addr":"10.0.0.2:9080","ts":1700000000000000000}
-{"op":"health","addr":"10.0.0.1:9080","ts":1700000000000000000,"health":{"consec_failures":2,"ewma_latency_nanos":1500000,"open_until_unix_nano":1700000010000000000,"cooldown_remaining_nanos":10000000000,"observed_unix_nano":1699999999000000000}}
 `
 	vectorPointer = `1`
+
+	// legacyHealthGen0 is a generation-0 journal as written when relays
+	// still published shared health through discovery: the same records
+	// as vectorGen0 plus one "health" line.
+	legacyHealthGen0 = vectorGen0 + `{"op":"health","addr":"10.0.0.1:9080","ts":1700000000000000000,"health":{"consec_failures":2,"ewma_latency_nanos":1500000,"open_until_unix_nano":1700000010000000000,"cooldown_remaining_nanos":10000000000,"observed_unix_nano":1699999999000000000}}
+`
 )
 
-var vectorHealth = SharedHealth{
-	ConsecFailures:         2,
-	EWMALatencyNanos:       int64(1500 * time.Microsecond),
-	OpenUntilUnixNano:      1_700_000_010_000_000_000,
-	CooldownRemainingNanos: int64(10 * time.Second),
-	ObservedUnixNano:       1_699_999_999_000_000_000,
-}
+var vectorEntries = map[string][]RegistryEntry{"tradelens": {
+	{Addr: "10.0.0.1:9080", ExpiresUnixNano: 1_700_000_030_000_000_000},
+	{Addr: "10.0.0.2:9080"},
+}}
 
 func vectorClock() time.Time { return time.Unix(1_700_000_000, 0) }
 
-func TestJournalKnownAnswerBytes(t *testing.T) {
+// vectorRegistry writes files into a fresh directory and opens a journal
+// over it on the vector clock.
+func vectorRegistry(t *testing.T, files map[string]string) (*JournalRegistry, string) {
+	t.Helper()
 	dir := t.TempDir()
-	reg := journalAt(t, dir)
-	reg.now = vectorClock
+	for name, data := range files {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r := journalAt(t, dir)
+	r.now = vectorClock
+	return r, dir
+}
+
+func TestJournalKnownAnswerBytes(t *testing.T) {
+	reg, dir := vectorRegistry(t, nil)
 	steps := []func() error{
 		func() error { return reg.RegisterLease("tradelens", "10.0.0.1:9080", 30*time.Second) },
 		func() error { return reg.RegisterLease("tradelens", "10.0.0.2:9080", 0) },
 		func() error { return reg.RegisterLease("wetrade", "10.0.1.1:9080", 0) },
 		func() error { return reg.Deregister("wetrade", "10.0.1.1:9080") },
-		func() error { return reg.PublishHealth(map[string]SharedHealth{"10.0.0.1:9080": vectorHealth}) },
 		reg.Compact,
 	}
 	for i, step := range steps {
@@ -70,34 +82,38 @@ func TestJournalKnownAnswerBytes(t *testing.T) {
 		}
 	}
 
-	want := map[string][]RegistryEntry{"tradelens": {
-		{Addr: "10.0.0.1:9080", ExpiresUnixNano: 1_700_000_030_000_000_000, Health: &vectorHealth},
-		{Addr: "10.0.0.2:9080"},
-	}}
-	materialize := func(t *testing.T, files map[string]string) map[string][]RegistryEntry {
-		t.Helper()
-		fresh := t.TempDir()
-		for name, data := range files {
-			if err := os.WriteFile(filepath.Join(fresh, name), []byte(data), 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}
-		r := journalAt(t, fresh)
-		r.now = vectorClock
-		entries, err := r.Entries()
-		if err != nil {
-			t.Fatalf("Entries: %v", err)
-		}
-		return entries
-	}
 	// A fresh instance materializes the same view from the committed bytes,
 	// from the uncompacted journal alone and from the compacted generation.
 	for name, files := range map[string]map[string]string{
 		"generation 0": {"registry.jsonl": vectorGen0},
 		"generation 1": {"registry.jsonl.1": vectorGen1, "registry.jsonl.gen": vectorPointer},
 	} {
-		if got := materialize(t, files); !reflect.DeepEqual(got, want) {
-			t.Errorf("%s materialized %+v, want %+v", name, got, want)
+		r, _ := vectorRegistry(t, files)
+		if got, err := r.Entries(); err != nil || !reflect.DeepEqual(got, vectorEntries) {
+			t.Errorf("%s materialized %+v, %v, want %+v", name, got, err, vectorEntries)
 		}
+	}
+}
+
+// TestJournalReadsLegacyHealthRecords: a journal that still holds
+// shared-health lines materializes the same membership, counts none of
+// them as torn appends, and loses them at the next compaction.
+func TestJournalReadsLegacyHealthRecords(t *testing.T) {
+	reg, dir := vectorRegistry(t, map[string]string{"registry.jsonl": legacyHealthGen0})
+	if got, err := reg.Entries(); err != nil || !reflect.DeepEqual(got, vectorEntries) {
+		t.Fatalf("materialized %+v, %v, want %+v", got, err, vectorEntries)
+	}
+	if n := reg.SkippedRecords(); n != 0 {
+		t.Fatalf("SkippedRecords = %d, want 0: health lines are well-formed", n)
+	}
+	if err := reg.Compact(); err != nil {
+		t.Fatalf("Compact: %v", err)
+	}
+	got, err := os.ReadFile(filepath.Join(dir, "registry.jsonl.1"))
+	if err != nil {
+		t.Fatalf("read snapshot: %v", err)
+	}
+	if string(got) != vectorGen1 {
+		t.Errorf("snapshot after a legacy journal:\n got %q\nwant %q", got, vectorGen1)
 	}
 }

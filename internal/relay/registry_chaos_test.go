@@ -1,6 +1,5 @@
 // The registry chaos suite: the journal must survive N-process-style
-// concurrent registrars and health publishers without losing a single
-// record, and a reader tailing throughout must never observe a partial
+// concurrent registrars without losing a single record, and a reader tailing throughout must never observe a partial
 // view. Every case runs twice: once over one generation file that only
 // grows, and once with every writer compacting in-band whenever its append
 // crosses a deliberately tiny size threshold.
@@ -149,77 +148,6 @@ func TestRegistryChaosConcurrentRegistrars(t *testing.T) {
 			}
 			if lost > 0 {
 				t.Fatalf("%d of %d registrations lost to concurrent writers", lost, registrars*rounds)
-			}
-		})
-	}
-}
-
-// TestRegistryChaosConcurrentHealthPublishers races health publication
-// from separate registry instances against lease renewals (in the journal
-// mode every append liable to compact): published records must land on the
-// surviving entries without dropping either the registrations or each
-// other.
-func TestRegistryChaosConcurrentHealthPublishers(t *testing.T) {
-	for _, mode := range chaosModes() {
-		mode := mode
-		t.Run(mode.name, func(t *testing.T) {
-			dir := t.TempDir()
-			seed := mode.open(dir)
-			const addrs = 4
-			for i := 0; i < addrs; i++ {
-				if err := seed.Register("net", fmt.Sprintf("10.1.0.%d:9080", i)); err != nil {
-					t.Fatalf("seed Register: %v", err)
-				}
-			}
-
-			const publishers = 6
-			errs := make(chan error, publishers)
-			var wg sync.WaitGroup
-			for i := 0; i < publishers; i++ {
-				wg.Add(1)
-				go func(i int) {
-					defer wg.Done()
-					reg := mode.open(dir)
-					for r := 0; r < 10; r++ {
-						records := map[string]SharedHealth{
-							fmt.Sprintf("10.1.0.%d:9080", r%addrs): {
-								ConsecFailures:   i + 1,
-								EWMALatencyNanos: int64(time.Millisecond),
-								ObservedUnixNano: int64(i*1000 + r),
-							},
-						}
-						if err := reg.PublishHealth(records); err != nil {
-							errs <- fmt.Errorf("publisher %d: %w", i, err)
-							return
-						}
-						if err := reg.RegisterLease("net", fmt.Sprintf("10.1.0.%d:9080", i%addrs), time.Minute); err != nil {
-							errs <- fmt.Errorf("publisher %d renew: %w", i, err)
-							return
-						}
-					}
-				}(i)
-			}
-			wg.Wait()
-			close(errs)
-			for err := range errs {
-				t.Fatal(err)
-			}
-
-			final := mode.open(dir)
-			mode.requireMode(t, final)
-			resolved, err := final.Resolve("net")
-			if err != nil {
-				t.Fatalf("Resolve: %v", err)
-			}
-			if len(resolved) != addrs {
-				t.Fatalf("resolved %d addresses, want %d: %v", len(resolved), addrs, resolved)
-			}
-			records, err := final.HealthRecords()
-			if err != nil {
-				t.Fatalf("HealthRecords: %v", err)
-			}
-			if len(records) == 0 {
-				t.Fatal("no health records survived concurrent publication")
 			}
 		})
 	}

@@ -148,68 +148,6 @@ func TestFileRegistryDeregister(t *testing.T) {
 	check("after compaction", compactAndReopen(t, dir))
 }
 
-// TestFileRegistryHealthRoundTrip: health one process publishes reaches
-// another as the freshest record per address — a staler record appended
-// later does not regress it — is dropped for an unregistered address,
-// invents nothing for an address with none, and survives a lease renewal
-// and a compaction.
-func TestFileRegistryHealthRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	if err := fileRegistry(dir).Register("src-net", "addr-a", "addr-b"); err != nil {
-		t.Fatalf("Register: %v", err)
-	}
-	stale := SharedHealth{ConsecFailures: 5, ObservedUnixNano: 100}
-	fresh := SharedHealth{ConsecFailures: 1, EWMALatencyNanos: int64(3 * time.Millisecond), ObservedUnixNano: 200}
-	if err := fileRegistry(dir).PublishHealth(map[string]SharedHealth{"addr-a": fresh}); err != nil {
-		t.Fatalf("PublishHealth: %v", err)
-	}
-	// A stale observation from another relay must not clobber the fresher
-	// record already on file.
-	if err := fileRegistry(dir).PublishHealth(map[string]SharedHealth{"addr-a": stale, "addr-unregistered": fresh}); err != nil {
-		t.Fatalf("PublishHealth stale: %v", err)
-	}
-
-	check := func(stage string, reg *JournalRegistry) {
-		t.Helper()
-		records, err := reg.HealthRecords()
-		if err != nil {
-			t.Fatalf("%s HealthRecords: %v", stage, err)
-		}
-		if got, ok := records["addr-a"]; !ok || got != fresh {
-			t.Fatalf("%s: addr-a record = %+v (present=%v), want %+v", stage, got, ok, fresh)
-		}
-		if _, ok := records["addr-unregistered"]; ok {
-			t.Fatalf("%s: health for an unregistered address was persisted", stage)
-		}
-		if _, ok := records["addr-b"]; ok {
-			t.Fatalf("%s: addr-b has no published health, but a record appeared", stage)
-		}
-		entries, err := reg.Entries()
-		if err != nil {
-			t.Fatalf("%s Entries: %v", stage, err)
-		}
-		for _, e := range entries["src-net"] {
-			switch e.Addr {
-			case "addr-a":
-				if e.Health == nil || *e.Health != fresh {
-					t.Fatalf("%s: Entries health for addr-a = %+v", stage, e.Health)
-				}
-			case "addr-b":
-				if e.Health != nil {
-					t.Fatalf("%s: Entries health for addr-b = %+v, want none", stage, e.Health)
-				}
-			}
-		}
-	}
-	check("reader", fileRegistry(dir))
-	// Lease renewal must not shed the health record.
-	if err := fileRegistry(dir).RegisterLease("src-net", "addr-a", time.Minute); err != nil {
-		t.Fatalf("RegisterLease: %v", err)
-	}
-	check("after renewal", fileRegistry(dir))
-	check("after compaction", compactAndReopen(t, dir))
-}
-
 // TestFileRegistryConcurrentRegisterResolve hammers one registry with
 // concurrent writers and a reader, each its own instance like relayds
 // sharing a deploy dir; under -race this doubles as the locking test, and

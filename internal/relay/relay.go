@@ -14,7 +14,6 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -52,11 +51,7 @@ type StaticRegistry struct {
 	now     func() time.Time // overridable in tests
 }
 
-var (
-	_ LeaseRegistrar  = (*StaticRegistry)(nil)
-	_ HealthPublisher = (*StaticRegistry)(nil)
-	_ HealthSource    = (*StaticRegistry)(nil)
-)
+var _ LeaseRegistrar = (*StaticRegistry)(nil)
 
 // NewStaticRegistry returns an empty registry.
 func NewStaticRegistry() *StaticRegistry {
@@ -90,17 +85,12 @@ func (r *StaticRegistry) RegisterLease(networkID, addr string, ttl time.Duration
 
 // Deregister implements LeaseRegistrar, removing one address for a network.
 func (r *StaticRegistry) Deregister(networkID, addr string) error {
-	r.Unregister(networkID, addr)
-	return nil
-}
-
-// Unregister removes one address for a network.
-func (r *StaticRegistry) Unregister(networkID, addr string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if entries, removed := removeLease(r.entries[networkID], addr); removed {
 		r.entries[networkID] = entries
 	}
+	return nil
 }
 
 // Resolve implements Discovery, returning addresses whose lease has not
@@ -113,37 +103,6 @@ func (r *StaticRegistry) Resolve(networkID string) ([]string, error) {
 		return nil, fmt.Errorf("%w: %s", ErrUnknownNetwork, networkID)
 	}
 	return addrs, nil
-}
-
-// PublishHealth implements HealthPublisher: records are attached to the
-// matching registered entries, fresher observations winning.
-func (r *StaticRegistry) PublishHealth(byAddr map[string]SharedHealth) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, list := range r.entries {
-		applyHealth(list, byAddr)
-	}
-	return nil
-}
-
-// HealthRecords implements HealthSource, returning the freshest published
-// health record per registered address.
-func (r *StaticRegistry) HealthRecords() (map[string]SharedHealth, error) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return collectHealth(r.entries), nil
-}
-
-// Networks lists registered network IDs, sorted.
-func (r *StaticRegistry) Networks() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]string, 0, len(r.entries))
-	for id := range r.entries {
-		out = append(out, id)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Transport delivers an envelope to a remote relay address and returns the

@@ -422,13 +422,12 @@ func TestStaticRegistry(t *testing.T) {
 	if err != nil || len(addrs) != 2 || addrs[0] != "addr1" {
 		t.Fatalf("Resolve = %v, %v", addrs, err)
 	}
-	reg.Unregister("a", "addr1")
+	if err := reg.Deregister("a", "addr1"); err != nil {
+		t.Fatalf("Deregister: %v", err)
+	}
 	addrs, _ = reg.Resolve("a")
 	if len(addrs) != 1 || addrs[0] != "addr2" {
-		t.Fatalf("after Unregister = %v", addrs)
-	}
-	if nets := reg.Networks(); len(nets) != 1 || nets[0] != "a" {
-		t.Fatalf("Networks = %v", nets)
+		t.Fatalf("after Deregister = %v", addrs)
 	}
 }
 

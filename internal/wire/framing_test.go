@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/hex"
 	"errors"
 	"io"
 	"testing"
@@ -34,6 +35,29 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 	if _, _, err := ReadFrame(&buf); err != io.EOF {
 		t.Fatalf("expected io.EOF at end, got %v", err)
+	}
+}
+
+// TestFrameHeaderKnownAnswer pins the 12 header bytes WriteFrame puts in
+// front of a payload: the big-endian payload length with bit 31 set, then
+// the big-endian 64-bit tag. Every relay on the wire parses these bytes, so
+// a change here is a protocol change, never a refactor side effect.
+func TestFrameHeaderKnownAnswer(t *testing.T) {
+	const (
+		tag       = 0x0102030405060708
+		payload   = "ping"
+		wantFrame = "80000004" + "0102030405060708" + "70696e67"
+	)
+	var buf bytes.Buffer
+	if err := WriteFrame(&buf, tag, NewFrame([]byte(payload))); err != nil {
+		t.Fatalf("WriteFrame: %v", err)
+	}
+	if got := hex.EncodeToString(buf.Bytes()); got != wantFrame {
+		t.Fatalf("frame bytes = %s, want %s", got, wantFrame)
+	}
+	gotTag, gotPayload, err := ReadFrame(&buf)
+	if err != nil || gotTag != tag || string(gotPayload) != payload {
+		t.Fatalf("ReadFrame = %#x, %q, %v; want %#x, %q", gotTag, gotPayload, err, uint64(tag), payload)
 	}
 }
 
