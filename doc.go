@@ -68,13 +68,13 @@
 // an attestor organization leaves the source network — a replay can never
 // become unreproducible through an org change. On the query hot path a
 // content-addressed attestation cache (keyed by query digest + policy
-// digest + result digest + requester certificate digest; LRU + TTL with
-// two-touch admission) serves repeated identical queries with zero signing
+// digest + result digest + requester certificate digest; LRU + TTL, every
+// fresh build stored) serves repeated identical queries with zero signing
 // or encryption. Cache invalidation is exact: each entry remembers the
 // chaincode namespaces its query's read set touched, and only a later
 // valid write into one of those namespaces evicts it — writes to unrelated
 // chaincodes leave it warm.
-// Stats.AttestationCacheHits/Joins/Misses expose its effectiveness and
+// Stats.AttestationCacheHits/Misses expose its effectiveness and
 // `netadmin proofs show` dumps a persisted artifact. Every proof has one
 // envelope, built by one proof.Builder per driver. A proof build alone at
 // its driver runs at once; overlapping builds of distinct queries share a
@@ -93,9 +93,7 @@
 // (Attestation.SessionEphemeral). The requester opens through a
 // cryptoutil.Recipient that remembers its agreement per session point, so
 // for a warm requester neither side pays a scalar multiplication per query:
-// each envelope is one HKDF expand plus one AEAD seal or open. The driver's
-// leaf-addressed element records let a repeated question join an earlier
-// window's proof ((*proof.Builder).Join), reusing every signature.
+// each envelope is one HKDF expand plus one AEAD seal or open.
 // relay.Stats.ECDHOps/SignOps/EncryptOps count the expensive primitives
 // fleet-wide.
 //

@@ -259,47 +259,6 @@ func TestBuildResultFailureCancelsAttestors(t *testing.T) {
 	}
 }
 
-func TestJoinReusesEveryProofElement(t *testing.T) {
-	// A later requester joins a stored window's proof: its own envelopes,
-	// the window's signatures and inclusion paths, no new signature.
-	queries, _, specs, resps, verifier := windowFixture(t, 3)
-	// Element records and joins name attestors by organization and peer.
-	var attestors []*msp.Identity
-	for _, att := range resps[1].Attestations {
-		attestors = append(attestors, &msp.Identity{Name: att.PeerName, OrgID: att.OrgID})
-	}
-	stored := PlainElements(&specs[1], resps[1], attestors)
-	if stored == nil {
-		t.Fatal("PlainElements refused a fresh build")
-	}
-	joiner, key := testSpec(t, queries[1], specs[1].Result)
-	var ops cryptoutil.OpCounter
-	joined, err := NewBuilder(0, &ops).Join(&joiner, stored, attestors)
-	if err != nil {
-		t.Fatalf("Join: %v", err)
-	}
-	if ops.SignOps() != 0 {
-		t.Fatalf("join signed %d times", ops.SignOps())
-	}
-	bundle, err := OpenResponse(cryptoutil.NewRecipient(key), queries[1], joined)
-	if err != nil {
-		t.Fatalf("OpenResponse: %v", err)
-	}
-	for i, el := range bundle.Elements {
-		if !bytes.Equal(el.Signature, resps[1].Attestations[i].Signature) || el.BatchSize != 3 || el.BatchIndex != 1 {
-			t.Fatalf("joined element %d is not the window's", i)
-		}
-	}
-	vp := endorsement.MustParse(queries[1].PolicyExpr)
-	if err := Verify(bundle, verifier, vp, specs[1].QueryDigest, specs[1].PolicyDigest); err != nil {
-		t.Fatalf("Verify: %v", err)
-	}
-	// A drifted attestor set is refused.
-	if _, err := NewBuilder(0, nil).Join(&joiner, stored, attestors[:1]); err == nil {
-		t.Fatal("join accepted a different attestor set")
-	}
-}
-
 func TestUnmarshalSealedRejectsDuplicateScalarField(t *testing.T) {
 	// A crafted Sealed carrying the Response field twice would, under
 	// last-write-wins decoding, let an attacker prepend a decoy response

@@ -198,6 +198,24 @@ func (b *Builder) attest(ctx context.Context, specs []Spec, id *msp.Identity, ai
 	return nil
 }
 
+// MetadataPlain returns the exact plaintext metadata bytes an attestation
+// built from spec by the given attestor encrypts: what a lone build signs,
+// and the leaf content of a batched window. It is deterministic in (spec,
+// attestor).
+func MetadataPlain(id *msp.Identity, spec *Spec) []byte {
+	md := wire.Metadata{
+		NetworkID:    spec.NetworkID,
+		PeerName:     id.Name,
+		OrgID:        id.OrgID,
+		QueryDigest:  spec.QueryDigest,
+		ResultDigest: cryptoutil.Digest(spec.Result),
+		Nonce:        spec.Nonce,
+		UnixNano:     uint64(spec.Now.UnixNano()),
+		PolicyDigest: spec.PolicyDigest,
+	}
+	return md.Marshal()
+}
+
 // Seal wraps a marshaled response Build produced into the persisted proof
 // artifact, binding it to the build spec's digests, timestamp and attestor
 // identities. Taking the already-marshaled bytes keeps proof construction

@@ -64,12 +64,11 @@ type attestEntry struct {
 //     a fresh proof build would be reflected only in the next query.
 //   - A TTL bounds lifetime outright, and LRU eviction bounds memory.
 //
-// Admission is two-touch (a doorkeeper, TinyLFU-style): a key must miss
-// twice before its response is stored. Queries with random nonces produce
-// keys that can never recur, so without the doorkeeper a burst of one-off
-// queries would fill the LRU with unreachable entries and evict the ones
-// pollers actually re-hit; with it, single-shot keys only ever occupy the
-// cheap seen-set.
+// Admission is one rule: every fresh build stores its response, so the
+// second send of a question (an idempotent retry, or a poller pinning its
+// RequestID) is already a hit. A one-off query with a random nonce takes an
+// LRU slot it will never hit; the LRU bound caps that, and an evicted
+// poller's next miss stores its entry again.
 //
 // What it will never serve: a proof for a different question, policy,
 // requester or result (all in the key), or a proof older than the last
@@ -81,11 +80,6 @@ type attestationCache struct {
 	now     func() time.Time
 	entries map[string]*list.Element
 	lru     *list.List // front = most recently used; values are *attestEntry
-
-	// Doorkeeper: keys seen exactly once, FIFO-bounded.
-	seen      map[string]struct{}
-	seenOrder []string
-	seenHead  int
 
 	// Namespace write tracking, advanced lazily from the block source: the
 	// height of the last block containing a valid write-bearing transaction
@@ -103,16 +97,12 @@ type attestationCache struct {
 }
 
 func newAttestationCache(max int, ttl time.Duration, now func() time.Time) *attestationCache {
-	if now == nil {
-		now = time.Now
-	}
 	return &attestationCache{
 		max:       max,
 		ttl:       ttl,
 		now:       now,
 		entries:   make(map[string]*list.Element),
 		lru:       list.New(),
-		seen:      make(map[string]struct{}),
 		lastWrite: make(map[string]uint64),
 	}
 }
@@ -124,17 +114,6 @@ func newAttestationCache(max int, ttl time.Duration, now func() time.Time) *atte
 // must never share an entry.
 func attestCacheKey(queryDigest, policyDigest, resultDigest, requesterCertDigest []byte) string {
 	return string(cryptoutil.Digest(queryDigest, policyDigest, resultDigest, requesterCertDigest))
-}
-
-// elemCacheKey derives the leaf address of a proof's plaintext elements:
-// the same content binding as attestCacheKey minus the requester — the
-// stored record holds plaintext metadata and signatures, both requester-
-// independent, so any requester presenting the identical question can have
-// the elements re-encrypted to it (joining the original window's proof).
-// The domain prefix keeps element records and full responses from ever
-// colliding in the shared cache.
-func elemCacheKey(queryDigest, policyDigest, resultDigest []byte) string {
-	return string(cryptoutil.Digest([]byte("attest-elems\x00"), queryDigest, policyDigest, resultDigest))
 }
 
 // advance scans blocks committed since the last scan, recording the height
@@ -186,14 +165,8 @@ func (c *attestationCache) advance(src blockSource) {
 			}
 			for _, w := range tx.RWSet.Writes {
 				// Exact invalidation: the namespace each write actually
-				// landed in, not the chaincode that submitted it. Writes
-				// from before namespaced state carry no namespace; fall
-				// back to the submitting chaincode for those.
-				ns := w.Namespace
-				if ns == "" {
-					ns = tx.Chaincode
-				}
-				updates[ns] = num + 1 // heights are 1-past the block number
+				// landed in, not the chaincode that submitted it.
+				updates[w.Namespace] = num + 1 // heights are 1-past the block number
 			}
 		}
 	}
@@ -222,7 +195,7 @@ func (c *attestationCache) get(key string) []byte {
 		return nil
 	}
 	e := el.Value.(*attestEntry)
-	if c.ttl > 0 && c.now().Sub(e.storedAt) > c.ttl {
+	if c.now().Sub(e.storedAt) > c.ttl {
 		c.removeLocked(el)
 		return nil
 	}
@@ -236,16 +209,12 @@ func (c *attestationCache) get(key string) []byte {
 	return e.response
 }
 
-// put stores a freshly built response under its content address — once the
-// key has missed twice (see the doorkeeper in the type comment). height is
+// put stores a freshly built response under its content address. height is
 // the chain height the proof was built at; namespaces is the set of
 // chaincode namespaces the query's read set touched. Entries built below
 // the fast-forward baseline are refused: write invalidation cannot vouch
 // for them.
 func (c *attestationCache) put(key string, response []byte, namespaces []string, height uint64) {
-	if c.max <= 0 {
-		return
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if height < c.baseline {
@@ -255,54 +224,13 @@ func (c *attestationCache) put(key string, response []byte, namespaces []string,
 		c.lru.MoveToFront(el)
 		return
 	}
-	if _, ok := c.seen[key]; !ok {
-		// First sighting: note the key, store nothing. Keys that never
-		// recur stop here.
-		c.seen[key] = struct{}{}
-		c.seenOrder = append(c.seenOrder, key)
-		for len(c.seenOrder)-c.seenHead > 8*c.max {
-			delete(c.seen, c.seenOrder[c.seenHead])
-			c.seenHead++
-		}
-		if c.seenHead > len(c.seenOrder)/2 {
-			c.seenOrder = append([]string(nil), c.seenOrder[c.seenHead:]...)
-			c.seenHead = 0
-		}
-		return
-	}
-	c.storeLocked(key, response, namespaces, height)
-}
-
-// putDirect stores an entry immediately, bypassing the two-touch
-// doorkeeper. Used for plaintext element records: they are written once per
-// fresh build the driver already paid full crypto for, so there is no
-// one-off-key flood to keep out, and a record must be present on the very
-// next occurrence of its question for the join path to work at all.
-func (c *attestationCache) putDirect(key string, response []byte, namespaces []string, height uint64) {
-	if c.max <= 0 {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if height < c.baseline {
-		return
-	}
-	if el, ok := c.entries[key]; ok {
-		c.lru.MoveToFront(el)
-		return
-	}
-	c.storeLocked(key, response, namespaces, height)
-}
-
-func (c *attestationCache) storeLocked(key string, response []byte, namespaces []string, height uint64) {
-	el := c.lru.PushFront(&attestEntry{
+	c.entries[key] = c.lru.PushFront(&attestEntry{
 		key:        key,
 		response:   response,
 		namespaces: namespaces,
 		height:     height,
 		storedAt:   c.now(),
 	})
-	c.entries[key] = el
 	for c.lru.Len() > c.max {
 		c.removeLocked(c.lru.Back())
 	}

@@ -61,7 +61,6 @@ func TestAttestationCacheExactWriteNamespaces(t *testing.T) {
 	// Multi-namespace entries die when any of their namespaces is written.
 	multiKey := attestCacheKey([]byte("multi-q"), nil, nil, nil)
 	c.put(multiKey, []byte("m"), []string{"docs", "audit"}, chain.Height())
-	c.put(multiKey, []byte("m"), []string{"docs", "audit"}, chain.Height())
 	chain.commitNamespacedWrite("other", "audit")
 	c.advance(chain)
 	if c.get(multiKey) != nil {
@@ -124,8 +123,8 @@ func TestDriverCacheSurvivesUnrelatedChaincodeWrite(t *testing.T) {
 	}
 
 	d := NewFabricDriver(n, "default")
-	var hits, joins, misses int
-	d.OnAttestationCache(func() { hits++ }, func() { joins++ }, func() { misses++ })
+	var hits, misses int
+	d.OnAttestationCache(func() { hits++ }, func() { misses++ })
 
 	q := newQuery(t, req) // one fixed nonce: every send is the identical question
 	ctx := context.Background()
@@ -140,14 +139,12 @@ func TestDriverCacheSurvivesUnrelatedChaincodeWrite(t *testing.T) {
 		}
 	}
 
-	// The first send misses and stores the plaintext element record; the
-	// second joins that record (signatures reused, response admitted on
-	// the doorkeeper's second touch); the third is the first verbatim hit.
-	query("warm-1")
-	query("warm-2")
+	// The first send misses and stores its response; the second is a
+	// verbatim hit.
+	query("warm")
 	query("first-hit")
-	if hits != 1 || joins != 1 || misses != 1 {
-		t.Fatalf("after warmup: hits=%d joins=%d misses=%d, want 1/1/1", hits, joins, misses)
+	if hits != 1 || misses != 1 {
+		t.Fatalf("after warmup: hits=%d misses=%d, want 1/1", hits, misses)
 	}
 
 	// A commit into an unrelated chaincode's namespace must leave the
@@ -167,11 +164,8 @@ func TestDriverCacheSurvivesUnrelatedChaincodeWrite(t *testing.T) {
 	if _, err := admin.Submit("docs", "PutDoc", []byte("bl-99"), []byte(`{"bl":"99"}`)); err != nil {
 		t.Fatalf("PutDoc 2: %v", err)
 	}
-	// Both the response entry and the element record read the docs
-	// namespace, so the write invalidates them together: a full rebuild,
-	// not a join against stale elements.
 	query("after-docs-write")
 	if misses != 2 {
-		t.Fatalf("write into a read namespace did not invalidate: hits=%d joins=%d misses=%d", hits, joins, misses)
+		t.Fatalf("write into a read namespace did not invalidate: hits=%d misses=%d", hits, misses)
 	}
 }

@@ -23,7 +23,7 @@ func (f *fakeChain) commitWrite(chaincode string) {
 		Transactions: []*ledger.Transaction{{
 			Chaincode:  chaincode,
 			Validation: ledger.Valid,
-			RWSet:      ledger.RWSet{Writes: []ledger.KVWrite{{Key: "k"}}},
+			RWSet:      ledger.RWSet{Writes: []ledger.KVWrite{{Namespace: chaincode, Key: "k"}}},
 		}},
 	})
 }
@@ -43,10 +43,7 @@ func testClock(start time.Time) (func() time.Time, func(time.Duration)) {
 	return func() time.Time { return now }, func(d time.Duration) { now = now.Add(d) }
 }
 
-// storeEntry passes a key through the two-touch doorkeeper so the entry is
-// actually resident, the steady state most tests exercise.
 func storeEntry(c *attestationCache, key string, resp []byte, ns string, h uint64) {
-	c.put(key, resp, []string{ns}, h)
 	c.put(key, resp, []string{ns}, h)
 }
 
@@ -168,41 +165,6 @@ func TestAttestationCacheFastForwardsEmptyBacklog(t *testing.T) {
 	c.advance(chain)
 	if c.get(key) != nil {
 		t.Fatal("post-baseline write did not invalidate the entry")
-	}
-}
-
-func TestAttestationCacheDisabled(t *testing.T) {
-	nowFn, _ := testClock(time.Unix(1000, 0))
-	c := newAttestationCache(0, time.Minute, nowFn)
-	key := attestCacheKey([]byte("q"), nil, nil, nil)
-	c.put(key, []byte("r"), []string{"ns"}, 1)
-	if c.get(key) != nil {
-		t.Fatal("disabled cache served an entry")
-	}
-}
-
-// TestAttestationCacheDoorkeeperAdmission: a key is stored only on its
-// second miss, so one-shot keys (random nonces) never displace resident
-// entries.
-func TestAttestationCacheDoorkeeperAdmission(t *testing.T) {
-	nowFn, _ := testClock(time.Unix(1000, 0))
-	c := newAttestationCache(2, time.Minute, nowFn)
-	oneShot := attestCacheKey([]byte("one-shot"), nil, nil, nil)
-	c.put(oneShot, []byte("r"), []string{"ns"}, 1)
-	if c.get(oneShot) != nil || c.len() != 0 {
-		t.Fatal("single-touch key was admitted")
-	}
-	repeat := attestCacheKey([]byte("poller"), nil, nil, nil)
-	storeEntry(c, repeat, []byte("r"), "ns", 1)
-	if c.get(repeat) == nil {
-		t.Fatal("twice-missed key was not admitted")
-	}
-	// A flood of distinct one-shot keys leaves the resident entry alone.
-	for i := 0; i < 100; i++ {
-		c.put(attestCacheKey([]byte{byte(i)}, nil, nil, nil), []byte("x"), []string{"ns"}, 1)
-	}
-	if c.get(repeat) == nil {
-		t.Fatal("one-shot flood evicted a resident entry")
 	}
 }
 

@@ -50,9 +50,9 @@ type FabricDriver struct {
 	net        *fabric.Network
 	ledgerName string
 
-	// cache is atomic so ConfigureAttestationCache can swap it while
-	// concurrent queries hold their own reference.
-	cache atomic.Pointer[attestationCache]
+	// cache stores every proof a query builds, under the requester it was
+	// sealed to (see attestationCache).
+	cache *attestationCache
 
 	// batcher routes every proof build: a lone build runs at once, and
 	// overlapping builds share Merkle-batched windows (one signature per
@@ -84,12 +84,11 @@ type FabricDriver struct {
 	onCacheStats atomic.Pointer[cacheCallbacks]
 }
 
-// cacheCallbacks bundles the hit, join and miss counters so all three are
-// wired to the same relay atomically — a driver registered on two relays
-// must not split its hits to one relay's Stats and its misses to the
-// other's.
+// cacheCallbacks bundles the hit and miss counters so both are wired to
+// the same relay atomically — a driver registered on two relays must not
+// split its hits to one relay's Stats and its misses to the other's.
 type cacheCallbacks struct {
-	hit, join, miss func()
+	hit, miss func()
 }
 
 // OnLedgerReplay implements LedgerReplayNotifier. The first wiring wins: a
@@ -101,30 +100,20 @@ func (d *FabricDriver) OnLedgerReplay(fn func()) {
 
 // OnAttestationCache implements AttestationCacheNotifier; first wiring
 // wins, as with OnLedgerReplay.
-func (d *FabricDriver) OnAttestationCache(hit, join, miss func()) {
-	d.onCacheStats.CompareAndSwap(nil, &cacheCallbacks{hit: hit, join: join, miss: miss})
+func (d *FabricDriver) OnAttestationCache(hit, miss func()) {
+	d.onCacheStats.CompareAndSwap(nil, &cacheCallbacks{hit: hit, miss: miss})
 }
 
-// cacheOutcome labels how a query's proof was obtained, for stats wiring.
-type cacheOutcome int
-
-const (
-	cacheMiss cacheOutcome = iota // full fresh build
-	cacheHit                      // response served verbatim from the cache
-	cacheJoin                     // rebuilt from a leaf-addressed element record
-)
-
-func (d *FabricDriver) notifyCache(outcome cacheOutcome) {
+// notifyCache reports whether a query's proof was served from the cache
+// (hit) or built fresh (miss).
+func (d *FabricDriver) notifyCache(hit bool) {
 	cb := d.onCacheStats.Load()
 	if cb == nil {
 		return
 	}
-	switch outcome {
-	case cacheHit:
+	if hit {
 		cb.hit()
-	case cacheJoin:
-		cb.join()
-	default:
+	} else {
 		cb.miss()
 	}
 }
@@ -136,7 +125,10 @@ func (d *FabricDriver) CryptoOps() (ecdh, sign, encrypt uint64) {
 	return d.cryptoOps.ECDHOps(), d.cryptoOps.SignOps(), d.cryptoOps.EncryptOps()
 }
 
-var _ Driver = (*FabricDriver)(nil)
+var (
+	_ Driver                   = (*FabricDriver)(nil)
+	_ AttestationCacheNotifier = (*FabricDriver)(nil)
+)
 
 // NewFabricDriver creates a driver for one fabric network. ledgerName is
 // the logical ledger identifier used in query digests; networks in this
@@ -145,8 +137,11 @@ func NewFabricDriver(net *fabric.Network, ledgerName string) *FabricDriver {
 	if ledgerName == "" {
 		ledgerName = "default"
 	}
-	d := &FabricDriver{net: net, ledgerName: ledgerName}
-	d.cache.Store(newAttestationCache(defaultAttestCacheSize, defaultAttestCacheTTL, time.Now))
+	d := &FabricDriver{
+		net:        net,
+		ledgerName: ledgerName,
+		cache:      newAttestationCache(defaultAttestCacheSize, defaultAttestCacheTTL, time.Now),
+	}
 	d.builder = proof.NewBuilder(cryptoutil.DefaultSessionTTL, &d.cryptoOps)
 	d.batcher.Store(newAttestBatcher(attestWindow, attestMaxPending, d.builder))
 	return d
@@ -160,14 +155,6 @@ const (
 	attestWindow     = 2 * time.Millisecond
 	attestMaxPending = 16
 )
-
-// ConfigureAttestationCache replaces the attestation cache with one of the
-// given bounds: max entries and TTL. max <= 0 disables caching. Intended
-// for tuning and tests; the defaults suit production traffic. Safe while
-// serving — in-flight queries finish against the cache they started with.
-func (d *FabricDriver) ConfigureAttestationCache(max int, ttl time.Duration) {
-	d.cache.Store(newAttestationCache(max, ttl, time.Now))
-}
 
 // ConfigureAttestationBatching replaces the driver's batcher with a fresh
 // one whose windows last window and close early at maxPending builds;
@@ -186,6 +173,34 @@ func (d *FabricDriver) ConfigureAttestationBatching(window time.Duration, maxPen
 		maxPending = attestMaxPending
 	}
 	d.batcher.Store(newAttestBatcher(window, maxPending, d.builder))
+}
+
+// prepare runs the checks every request makes before any peer is asked:
+// the verification policy parses, the query's policy pin matches it and
+// the requester's certificate carries a key. It returns the pin, that key
+// and one peer from each policy organization present in the network, or
+// ErrNoAttestors when there is none — so nothing is read or committed for
+// a proof that could never be built.
+func (d *FabricDriver) prepare(q *wire.Query) (policyDigest []byte, clientPub *ecdsa.PublicKey, attestors []*peer.Peer, err error) {
+	vp, err := endorsement.Parse(q.PolicyExpr)
+	if err != nil {
+		return nil, nil, nil, fmt.Errorf("relay: verification policy: %w", err)
+	}
+	if policyDigest, err = proof.PinnedPolicyDigest(q); err != nil {
+		return nil, nil, nil, err
+	}
+	if clientPub, err = msp.PublicKeyFromPEM(q.RequesterCertPEM); err != nil {
+		return nil, nil, nil, fmt.Errorf("relay: requester certificate: %w", err)
+	}
+	for _, orgID := range vp.Orgs() {
+		if peers, err := d.net.PeersOf(orgID); err == nil && len(peers) > 0 {
+			attestors = append(attestors, peers[0])
+		}
+	}
+	if len(attestors) == 0 {
+		return nil, nil, nil, ErrNoAttestors
+	}
+	return policyDigest, clientPub, attestors, nil
 }
 
 // newSpec assembles the proof spec for q. certDigest is the digest of the
@@ -216,22 +231,9 @@ func (d *FabricDriver) Query(ctx context.Context, q *wire.Query) (*wire.QueryRes
 	if q.Ledger != "" && q.Ledger != d.ledgerName {
 		return nil, fmt.Errorf("relay: unknown ledger %q", q.Ledger)
 	}
-	vp, err := endorsement.Parse(q.PolicyExpr)
-	if err != nil {
-		return nil, fmt.Errorf("relay: verification policy: %w", err)
-	}
-	policyDigest, err := proof.PinnedPolicyDigest(q)
+	policyDigest, clientPub, attestors, err := d.prepare(q)
 	if err != nil {
 		return nil, err
-	}
-	clientPub, err := requesterPublicKey(q.RequesterCertPEM)
-	if err != nil {
-		return nil, err
-	}
-
-	attestors := d.selectPeers(vp)
-	if len(attestors) == 0 {
-		return nil, ErrNoAttestors
 	}
 
 	queryDigest := proof.QueryDigestOf(q)
@@ -255,8 +257,7 @@ func (d *FabricDriver) Query(ctx context.Context, q *wire.Query) (*wire.QueryRes
 	// write after it lands at a height above this entry's — so a write
 	// racing this query makes the cached entry look stale, never fresh.
 	store := attestors[0].Blocks()
-	cache := d.cache.Load()
-	cache.advance(store)
+	d.cache.advance(store)
 	height := store.Height()
 
 	var agreed []byte
@@ -303,51 +304,24 @@ func (d *FabricDriver) Query(ctx context.Context, q *wire.Query) (*wire.QueryRes
 	// query was reading invalidates entries before the lookup, keeping a
 	// served entry no staler than the proof a fresh build of these same
 	// reads would produce. Single-flight scanning makes this near-free.
-	cache.advance(store)
-	if raw := cache.get(key); raw != nil {
+	d.cache.advance(store)
+	if raw := d.cache.get(key); raw != nil {
 		if resp, err := wire.UnmarshalQueryResponse(raw); err == nil {
-			d.notifyCache(cacheHit)
+			d.notifyCache(true)
 			resp.RequestID = q.RequestID
 			return resp, nil
 		}
 	}
+	d.notifyCache(false)
 
 	spec := d.newSpec(q, certDigest, queryDigest, policyDigest, agreed, clientPub)
-	attestorIDs := identitiesOf(attestors)
-
-	// Leaf-addressed join: when a requester-independent element record for
-	// this exact question (query digest, policy pin, result) is cached —
-	// typically stored when an earlier occurrence was built inside a
-	// batched window — re-encrypt its plaintext elements to this requester
-	// and reuse every signature and inclusion proof. This serves requesters
-	// the response cache cannot: a first-touch key the doorkeeper refused
-	// to admit, or the same requester under a rotated certificate.
-	elemKey := elemCacheKey(queryDigest, policyDigest, cryptoutil.Digest(agreed))
-	if raw := cache.get(elemKey); raw != nil {
-		if stored, err := wire.UnmarshalQueryResponse(raw); err == nil {
-			if resp, err := d.builder.Join(&spec, stored, attestorIDs); err == nil {
-				d.notifyCache(cacheJoin)
-				cache.put(key, resp.Marshal(), readNamespaces, height)
-				resp.RequestID = q.RequestID
-				return resp, nil
-			}
-		}
-	}
-	d.notifyCache(cacheMiss)
-
-	resp, err := d.batcher.Load().submit(ctx, spec, attestorIDs)
+	resp, err := d.batcher.Load().submit(ctx, spec, identitiesOf(attestors))
 	if err != nil {
 		return nil, err
 	}
-	// Store the plaintext element record immediately (no doorkeeper): the
-	// very next occurrence of this question must be able to join this
-	// build's proof instead of paying a fresh single-signature build.
-	if plain := proof.PlainElements(&spec, resp, attestorIDs); plain != nil {
-		cache.putDirect(elemKey, plain.Marshal(), readNamespaces, height)
-	}
 	// Cached without a request ID: the proof is identical for every resend
 	// of this question, but each resend echoes its own envelope's ID.
-	cache.put(key, resp.Marshal(), readNamespaces, height)
+	d.cache.put(key, resp.Marshal(), readNamespaces, height)
 	resp.RequestID = q.RequestID
 	return resp, nil
 }
@@ -355,34 +329,15 @@ func (d *FabricDriver) Query(ctx context.Context, q *wire.Query) (*wire.QueryRes
 // queryNamespaces returns the distinct chaincode namespaces a simulated
 // query read, always including the invoked contract (a query that reads
 // nothing is still answered from that chaincode's code, which redeploy
-// bumps rewrite). Reads recorded without a namespace — pre-namespacing
-// transactions — count against the contract itself.
+// bumps rewrite).
 func queryNamespaces(contract string, rw ledger.RWSet) []string {
 	out := []string{contract}
 	seen := map[string]bool{contract: true}
 	for _, r := range rw.Reads {
-		ns := r.Namespace
-		if ns == "" {
-			ns = contract
+		if !seen[r.Namespace] {
+			seen[r.Namespace] = true
+			out = append(out, r.Namespace)
 		}
-		if !seen[ns] {
-			seen[ns] = true
-			out = append(out, ns)
-		}
-	}
-	return out
-}
-
-// selectPeers picks one peer from each verification-policy organization
-// present in the network.
-func (d *FabricDriver) selectPeers(vp *endorsement.Policy) []*peer.Peer {
-	var out []*peer.Peer
-	for _, orgID := range vp.Orgs() {
-		peers, err := d.net.PeersOf(orgID)
-		if err != nil || len(peers) == 0 {
-			continue
-		}
-		out = append(out, peers[0])
 	}
 	return out
 }
@@ -416,23 +371,9 @@ func (d *FabricDriver) Invoke(ctx context.Context, q *wire.Query) (*wire.QueryRe
 		return nil, fmt.Errorf("relay: invoke aborted: %w", err)
 	}
 	// Fail fast on request defects before anything is committed.
-	vp, err := endorsement.Parse(q.PolicyExpr)
-	if err != nil {
-		return nil, fmt.Errorf("relay: verification policy: %w", err)
-	}
-	policyDigest, err := proof.PinnedPolicyDigest(q)
+	policyDigest, clientPub, attestors, err := d.prepare(q)
 	if err != nil {
 		return nil, err
-	}
-	clientPub, err := requesterPublicKey(q.RequesterCertPEM)
-	if err != nil {
-		return nil, err
-	}
-	attestors := d.selectPeers(vp)
-	if len(attestors) == 0 {
-		// No peer set can satisfy the verification policy: refuse before
-		// committing a transaction whose proof could never be built.
-		return nil, ErrNoAttestors
 	}
 	endorsePolicy := d.net.PolicyFor(q.Contract)
 	if endorsePolicy == nil {
@@ -665,21 +606,9 @@ func matchesCommitted(tx *ledger.Transaction, q *wire.Query) error {
 // incoming query presents, so it verifies for that requester even though it
 // is not the original artifact.
 func (d *FabricDriver) attestResponse(ctx context.Context, q *wire.Query, result []byte) (*wire.QueryResponse, error) {
-	vp, err := endorsement.Parse(q.PolicyExpr)
-	if err != nil {
-		return nil, fmt.Errorf("relay: verification policy: %w", err)
-	}
-	policyDigest, err := proof.PinnedPolicyDigest(q)
+	policyDigest, clientPub, attestors, err := d.prepare(q)
 	if err != nil {
 		return nil, err
-	}
-	clientPub, err := requesterPublicKey(q.RequesterCertPEM)
-	if err != nil {
-		return nil, err
-	}
-	attestors := d.selectPeers(vp)
-	if len(attestors) == 0 {
-		return nil, ErrNoAttestors
 	}
 	spec := d.newSpec(q, cryptoutil.Digest(q.RequesterCertPEM), proof.QueryDigestOf(q), policyDigest, result, clientPub)
 	resp, err := d.batcher.Load().submit(ctx, spec, identitiesOf(attestors))
@@ -722,12 +651,4 @@ func (d *FabricDriver) SubscribeEvents(ctx context.Context, eventName string, de
 		<-done
 	}
 	return cancel, nil
-}
-
-func requesterPublicKey(certPEM []byte) (*ecdsa.PublicKey, error) {
-	pub, err := msp.PublicKeyFromPEM(certPEM)
-	if err != nil {
-		return nil, fmt.Errorf("relay: requester certificate: %w", err)
-	}
-	return pub, nil
 }

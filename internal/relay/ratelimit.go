@@ -97,17 +97,19 @@ type Stats struct {
 
 	// AttestationCacheHits counts queries whose proof was served from the
 	// driver's content-addressed attestation cache — zero ECDSA signatures
-	// and zero ECIES encryptions performed. AttestationCacheJoins counts
-	// queries rebuilt from a stored leaf-addressed element record — every
-	// signature and inclusion proof reused, only re-encryption paid.
-	// AttestationCacheMisses counts the queries that had to build a fully
-	// fresh proof. The three are mutually exclusive per query.
+	// and zero ECIES encryptions performed. AttestationCacheMisses counts
+	// the queries that had to build a fresh proof. The two are mutually
+	// exclusive per query.
 	AttestationCacheHits   uint64
-	AttestationCacheJoins  uint64
 	AttestationCacheMisses uint64
+	// AttestationCacheJoins is always zero. It counted queries rebuilt from
+	// a cached requester-independent element record, a tier the cache no
+	// longer has; the field stays because the bench module sums it with
+	// hits and misses.
+	AttestationCacheJoins uint64
 
 	// Crypto-op accounting from the relay's registered drivers, so ECIES
-	// and signature amortization (sessions, batching, cache joins) is
+	// and signature amortization (sessions, batching) is
 	// observable in production: ECDH scalar multiplications performed,
 	// ECDSA signatures produced, and envelopes sealed (sessioned AEAD
 	// seals). Monotonic like every other counter, so Sub
@@ -144,7 +146,6 @@ func (s Stats) Sub(prev Stats) Stats {
 		EventsDelivered:        s.EventsDelivered - prev.EventsDelivered,
 		InvokeReplays:          s.InvokeReplays - prev.InvokeReplays,
 		AttestationCacheHits:   s.AttestationCacheHits - prev.AttestationCacheHits,
-		AttestationCacheJoins:  s.AttestationCacheJoins - prev.AttestationCacheJoins,
 		AttestationCacheMisses: s.AttestationCacheMisses - prev.AttestationCacheMisses,
 		ECDHOps:                s.ECDHOps - prev.ECDHOps,
 		SignOps:                s.SignOps - prev.SignOps,
@@ -169,7 +170,6 @@ func (s Stats) Merge(o Stats) Stats {
 		EventsDelivered:        s.EventsDelivered + o.EventsDelivered,
 		InvokeReplays:          s.InvokeReplays + o.InvokeReplays,
 		AttestationCacheHits:   s.AttestationCacheHits + o.AttestationCacheHits,
-		AttestationCacheJoins:  s.AttestationCacheJoins + o.AttestationCacheJoins,
 		AttestationCacheMisses: s.AttestationCacheMisses + o.AttestationCacheMisses,
 		ECDHOps:                s.ECDHOps + o.ECDHOps,
 		SignOps:                s.SignOps + o.SignOps,
@@ -183,11 +183,10 @@ func (s Stats) Merge(o Stats) Stats {
 	}
 }
 
-// AttestationCacheHitRate returns hits/(hits+joins+misses), or 0 before
-// the first proof build. Joins count toward the denominator but not the
-// numerator: they avoid signatures, not encryption.
+// AttestationCacheHitRate returns hits/(hits+misses), or 0 before the
+// first proof build.
 func (s Stats) AttestationCacheHitRate() float64 {
-	total := s.AttestationCacheHits + s.AttestationCacheJoins + s.AttestationCacheMisses
+	total := s.AttestationCacheHits + s.AttestationCacheMisses
 	if total == 0 {
 		return 0
 	}
@@ -206,7 +205,6 @@ type statsCounters struct {
 	eventsDelivered        atomic.Uint64
 	invokeReplays          atomic.Uint64
 	attestationCacheHits   atomic.Uint64
-	attestationCacheJoins  atomic.Uint64
 	attestationCacheMisses atomic.Uint64
 	fanoutAttempts         atomic.Uint64
 	hedgedWins             atomic.Uint64
@@ -227,7 +225,6 @@ func (c *statsCounters) Snapshot() Stats {
 		EventsDelivered:        c.eventsDelivered.Load(),
 		InvokeReplays:          c.invokeReplays.Load(),
 		AttestationCacheHits:   c.attestationCacheHits.Load(),
-		AttestationCacheJoins:  c.attestationCacheJoins.Load(),
 		AttestationCacheMisses: c.attestationCacheMisses.Load(),
 		FanoutAttempts:         c.fanoutAttempts.Load(),
 		HedgedWins:             c.hedgedWins.Load(),
@@ -268,7 +265,6 @@ func (r *Relay) countLimited()              { r.stats.rateLimited.Add(1) }
 func (r *Relay) countEvent()                { r.stats.eventsDelivered.Add(1) }
 func (r *Relay) countInvokeReplay()         { r.stats.invokeReplays.Add(1) }
 func (r *Relay) countAttestationCacheHit()  { r.stats.attestationCacheHits.Add(1) }
-func (r *Relay) countAttestationCacheJoin() { r.stats.attestationCacheJoins.Add(1) }
 func (r *Relay) countAttestationCacheMiss() { r.stats.attestationCacheMisses.Add(1) }
 func (r *Relay) countFanoutAttempt()        { r.stats.fanoutAttempts.Add(1) }
 func (r *Relay) countHedgedWin()            { r.stats.hedgedWins.Add(1) }

@@ -207,13 +207,11 @@ func New(localNetworkID string, discovery Discovery, transport Transport, opts .
 func (r *Relay) LocalNetwork() string { return r.localNetwork }
 
 // AttestationCacheNotifier is implemented by drivers that front proof
-// construction with an attestation cache and can report hit/join/miss
-// outcomes through callbacks; RegisterDriver wires them to the relay's
-// Stats so cache effectiveness is observable next to the traffic it saves.
-// A join is a query rebuilt from a stored leaf-addressed element record:
-// signatures reused, only re-encryption performed.
+// construction with an attestation cache and can report hit/miss outcomes
+// through callbacks; RegisterDriver wires them to the relay's Stats so
+// cache effectiveness is observable next to the traffic it saves.
 type AttestationCacheNotifier interface {
-	OnAttestationCache(hit, join, miss func())
+	OnAttestationCache(hit, miss func())
 }
 
 // CryptoOpsReporter is implemented by drivers that count the expensive
@@ -241,7 +239,7 @@ func (r *Relay) RegisterDriver(networkID string, d Driver) {
 		n.OnLedgerReplay(r.countInvokeReplay)
 	}
 	if n, ok := d.(AttestationCacheNotifier); ok {
-		n.OnAttestationCache(r.countAttestationCacheHit, r.countAttestationCacheJoin, r.countAttestationCacheMiss)
+		n.OnAttestationCache(r.countAttestationCacheHit, r.countAttestationCacheMiss)
 	}
 }
 
