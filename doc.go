@@ -35,8 +35,9 @@
 // requester certificate digest + request ID) travels into the committed
 // transaction's signed metadata, the committer marks a second commit of
 // the same TxID or interop key ledger.Duplicate and skips its writes, and
-// a relay whose in-memory replay cache misses recovers the committed
-// response from the ledger (relay.InvokeReplayer; BlockStore.
+// every relay asks the ledger before executing, so a duplicate — on the
+// relay that committed it, after a restart, or on a sibling — is answered
+// with the committed response (relay.TxDriver.ReplayInvoke; BlockStore.
 // TxByInteropKey) instead of re-executing. The shared registry is safe for
 // multiple relayd processes on one deployment directory: the append-only
 // lease journal (relay.JournalRegistry, registry.jsonl) turns every
@@ -112,9 +113,11 @@
 // (core.Client via proof.VerifyHopChainVia) authenticates the entire path
 // — mutation, truncation, reordering, cross-response splicing and
 // cross-query replay of any pin all fail — and surfaces it as
-// core.RemoteData.Path. Forwarded invokes are claimed in each hub's
-// ledger-anchored dedup before the downstream send, so exactly-once holds
-// across legs even when mid-path replicas die mid-run; forwarded legs feed
+// core.RemoteData.Path. A hub holds a forwarded invoke's key while it is in
+// flight, so a concurrent duplicate waits instead of racing downstream; a
+// later one is forwarded again and the source answers it from its ledger,
+// so exactly-once holds across legs even when mid-path replicas die
+// mid-run; forwarded legs feed
 // the same per-address health scoring and breaker as client fan-out.
 //
 // There is one commit path, and it is conflict-aware. World state is

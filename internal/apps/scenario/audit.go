@@ -7,6 +7,8 @@ import (
 	"repro/internal/apps/tradelens"
 	"repro/internal/apps/wetrade"
 	"repro/internal/chaincode"
+	"repro/internal/fabric"
+	"repro/internal/ledger"
 	"repro/internal/policy"
 	"repro/internal/syscc"
 )
@@ -58,6 +60,39 @@ func DeployAuditLog(w *TradeWorld) error {
 		return fmt.Errorf("scenario: grant %s access: %w", AuditChaincodeName, err)
 	}
 	return nil
+}
+
+// Commits counts the commits of one transaction ID by outcome.
+type Commits struct {
+	Valid, Duplicate int
+}
+
+// CommitsByTxID scans a network's ledger once and counts the valid and
+// duplicate commits of every transaction ID — the ground truth the
+// exactly-once guarantee is judged against. Any peer serves: every peer
+// validates and commits every block.
+func CommitsByTxID(net *fabric.Network) (map[string]Commits, error) {
+	counts := make(map[string]Commits)
+	blocks := net.AllPeers()[0].Blocks()
+	for num := uint64(0); num < blocks.Height(); num++ {
+		b, err := blocks.Block(num)
+		if err != nil {
+			return nil, fmt.Errorf("scenario: block %d: %w", num, err)
+		}
+		for _, tx := range b.Transactions {
+			c := counts[tx.ID]
+			switch tx.Validation {
+			case ledger.Valid:
+				c.Valid++
+			case ledger.Duplicate:
+				c.Duplicate++
+			default:
+				continue
+			}
+			counts[tx.ID] = c
+		}
+	}
+	return counts, nil
 }
 
 // SeedShipments drives the full STL lifecycle — create, book, gate-in,

@@ -13,7 +13,6 @@ import (
 	"repro/internal/apps/wetrade"
 	"repro/internal/core"
 	"repro/internal/cryptoutil"
-	"repro/internal/ledger"
 	"repro/internal/msp"
 	"repro/internal/proof"
 	"repro/internal/relay"
@@ -21,8 +20,8 @@ import (
 )
 
 // STLRelayAddrB is the second, redundant relay fronting the STL network —
-// a separate relay instance with its own replay cache and health tracker,
-// standing in for a second relayd process in an HA deployment.
+// a separate relay instance with its own in-flight claims and health
+// tracker, standing in for a second relayd process in an HA deployment.
 const STLRelayAddrB = "stl-relay-b:9082"
 
 // buildExactlyOnceWorld wires the trade world plus: the audit contract and
@@ -60,38 +59,22 @@ func invokeTxID(requestID string, certPEM []byte) string {
 }
 
 // committedInvokes counts how many transactions with the given ID the STL
-// ledger committed per validation code — the ground truth the exactly-once
-// guarantee is judged against.
+// ledger committed per validation code.
 func committedInvokes(t *testing.T, w *TradeWorld, txID string) (valid, duplicate int) {
 	t.Helper()
-	p := w.STL.Fabric.AllPeers()[0]
-	blocks := p.Blocks()
-	for num := uint64(0); num < blocks.Height(); num++ {
-		b, err := blocks.Block(num)
-		if err != nil {
-			t.Fatalf("Block(%d): %v", num, err)
-		}
-		for _, tx := range b.Transactions {
-			if tx.ID != txID {
-				continue
-			}
-			switch tx.Validation {
-			case ledger.Valid:
-				valid++
-			case ledger.Duplicate:
-				duplicate++
-			}
-		}
+	counts, err := CommitsByTxID(w.STL.Fabric)
+	if err != nil {
+		t.Fatalf("CommitsByTxID: %v", err)
 	}
-	return valid, duplicate
+	return counts[txID].Valid, counts[txID].Duplicate
 }
 
 // TestExactlyOnceFailoverToSecondRelay: the client commits an invoke
 // through the first STL relay, the relay dies, and the retry (same
 // idempotency key) lands on the redundant relay. That relay has never seen
-// the request — its replay cache is empty — yet the client receives the
-// original committed response, recovered from the ledger, and the ledger
-// holds exactly one valid transaction for the request.
+// the request, yet the client receives the original committed response,
+// recovered from the ledger, and the ledger holds exactly one valid
+// transaction for the request.
 func TestExactlyOnceFailoverToSecondRelay(t *testing.T) {
 	forEachCommitter(t, testExactlyOnceFailoverToSecondRelay)
 }
@@ -201,7 +184,7 @@ func (ri *rawInvoker) open(t *testing.T, q *wire.Query, resp *wire.QueryResponse
 
 // TestExactlyOnceConcurrentRelays races the same logical invoke through
 // both STL relays at once — the worst case for process-local dedup, since
-// neither relay's cache or single-flight can see the other's attempt. The
+// neither relay's in-flight claim can see the other's attempt. The
 // two submissions may land in successive blocks or, by group commit, in
 // one; either way the duplicate check (chain index or in-block guard)
 // collapses the race: exactly one transaction commits as valid, and both
@@ -376,21 +359,22 @@ func testIdempotencyKeyReuseWithDifferentRequestRefused(t *testing.T) {
 		return reply
 	}
 
-	// Original served (and cached) by relay A.
+	// Original served by relay A.
 	q1 := ri.query("eo-reuse-1", nonce, "po-9005", "real-entry;")
 	reply := sendTo(STLRelayAddr, q1)
 	if reply.Type != wire.MsgQueryResponse {
 		t.Fatalf("original reply = %s (%s)", reply.Type, reply.Payload)
 	}
 
-	// Reuse against relay A: refused out of its in-memory cache.
+	// Reuse against relay A, which committed the original: refused out of
+	// the ledger record, as on any relay.
 	q2 := ri.query("eo-reuse-1", nonce, "po-9005", "DIFFERENT-entry;")
 	if reply := sendTo(STLRelayAddr, q2); reply.Type != wire.MsgError {
-		t.Fatalf("cached-path key reuse reply = %s, want error", reply.Type)
+		t.Fatalf("relay A key reuse reply = %s, want error", reply.Type)
 	}
-	// Reuse against relay B: refused out of the ledger record.
+	// Reuse against relay B, which never saw the original: refused the same.
 	if reply := sendTo(STLRelayAddrB, q2); reply.Type != wire.MsgError {
-		t.Fatalf("ledger-path key reuse reply = %s, want error", reply.Type)
+		t.Fatalf("relay B key reuse reply = %s, want error", reply.Type)
 	}
 	// And a duplicate aimed at a ledger the driver does not serve is
 	// refused too, on either relay, rather than answered from the one it
@@ -412,8 +396,8 @@ func testIdempotencyKeyReuseWithDifferentRequestRefused(t *testing.T) {
 	} else if reply3.Type != wire.MsgError {
 		t.Fatalf("wrong-ledger duplicate reply = %s, want an error", reply3.Type)
 	}
-	// The wrong-ledger refusal must not have poisoned the cache against
-	// the requester's legitimate retry.
+	// The wrong-ledger refusal must not block the requester's legitimate
+	// retry.
 	if reply := sendTo(STLRelayAddrB, q1); reply.Type != wire.MsgQueryResponse {
 		t.Fatalf("legitimate retry after wrong-ledger refusal = %s (%s)", reply.Type, reply.Payload)
 	}

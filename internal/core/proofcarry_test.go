@@ -84,8 +84,8 @@ func replayAfterOrgRemovalScenario(t *testing.T) {
 		t.Fatalf("sealed attestors = %v, want 2", sealed.Attestors)
 	}
 
-	// A second relay process fronts the source network: cold in-memory
-	// caches, so a retry routed to it can only answer from the ledger.
+	// A second relay process fronts the source network; a retry routed to
+	// it can only answer from the ledger.
 	relay2 := relay.New("source-net", w.registry, w.hub)
 	driver2 := relay.NewFabricDriver(w.source.Fabric, "default")
 	relay2.RegisterDriver("source-net", driver2)

@@ -9,7 +9,6 @@ import (
 	"repro/internal/apps/tradelens"
 	"repro/internal/apps/wetrade"
 	"repro/internal/core"
-	"repro/internal/ledger"
 	"repro/internal/relay"
 	"repro/internal/wire"
 )
@@ -136,26 +135,16 @@ func (d *liveDriver) checkData(data *core.RemoteData, err error) error {
 // auditExactlyOnce scans the source ledger once and judges every issued
 // invoke: an invoke the generator saw succeed must have exactly one valid
 // commit; no idempotency key may ever have more than one.
-func (d *liveDriver) auditExactlyOnce() Audit {
-	validByTx := make(map[string]int)
-	peer := d.world.STL.Fabric.AllPeers()[0]
-	blocks := peer.Blocks()
-	for num := uint64(0); num < blocks.Height(); num++ {
-		b, err := blocks.Block(num)
-		if err != nil {
-			continue
-		}
-		for _, tx := range b.Transactions {
-			if tx.Validation == ledger.Valid {
-				validByTx[tx.ID]++
-			}
-		}
+func (d *liveDriver) auditExactlyOnce() (Audit, error) {
+	commits, err := scenario.CommitsByTxID(d.world.STL.Fabric)
+	if err != nil {
+		return Audit{}, fmt.Errorf("loadgen: exactly-once audit: %w", err)
 	}
 	var audit Audit
 	for _, worker := range d.invokes {
 		for _, inv := range worker {
 			audit.InvokesIssued++
-			valid := validByTx[inv.txID]
+			valid := commits[inv.txID].Valid
 			audit.ValidCommits += valid
 			if valid > 1 {
 				audit.DuplicateCommits += valid - 1
@@ -165,7 +154,7 @@ func (d *liveDriver) auditExactlyOnce() Audit {
 			}
 		}
 	}
-	return audit
+	return audit, nil
 }
 
 // churner injects relay faults: every interval it kills one source relay,
@@ -304,7 +293,10 @@ func RunLive(ctx context.Context, cfg *Config) (*Report, error) {
 
 	report := NewReport(cfg, stats, window, startedAt)
 	report.Churn = kills
-	audit := driver.auditExactlyOnce()
+	audit, err := driver.auditExactlyOnce()
+	if err != nil {
+		return nil, err
+	}
 	report.Audit = &audit
 	return report, nil
 }

@@ -480,8 +480,10 @@ func TestInvokeDoesNotHedge(t *testing.T) {
 	}
 }
 
-// countingTxDriver counts executions, for invoke idempotency tests.
+// countingTxDriver counts executions against its fake ledger, for invoke
+// idempotency tests.
 type countingTxDriver struct {
+	fakeLedger
 	mu    sync.Mutex
 	count int
 }
@@ -496,7 +498,9 @@ func (d *countingTxDriver) Invoke(ctx context.Context, q *wire.Query) (*wire.Que
 	d.mu.Lock()
 	d.count++
 	d.mu.Unlock()
-	return &wire.QueryResponse{RequestID: q.RequestID, EncryptedResult: []byte("committed")}, nil
+	resp := &wire.QueryResponse{RequestID: q.RequestID, EncryptedResult: []byte("committed")}
+	d.commit(q, resp)
+	return resp, nil
 }
 
 // TestInvokeResendDeduplicated: a transport-level resend of the same invoke
@@ -645,43 +649,6 @@ func TestHedgedFanoutErrorReplyDoesNotWin(t *testing.T) {
 	}
 	if resp.Error != "" {
 		t.Fatalf("error reply won the hedge race: %s", resp.Error)
-	}
-}
-
-// TestInvokeReplayCacheBounded: the replay cache evicts FIFO past its
-// entry limit and refuses duplicates whose oversized response was dropped.
-func TestInvokeReplayCacheBounded(t *testing.T) {
-	reg := NewStaticRegistry()
-	r := New("srcnet", reg, NewHub())
-
-	for i := 0; i < invokeDedupLimit+10; i++ {
-		r.invokeRemember(fmt.Sprintf("id-%d", i), []byte("resp"), "fp")
-	}
-	r.invokeMu.Lock()
-	entries := len(r.invokeServed)
-	r.invokeMu.Unlock()
-	if entries != invokeDedupLimit {
-		t.Fatalf("cache entries = %d, want %d", entries, invokeDedupLimit)
-	}
-	cached := func(id string) ([]byte, bool) {
-		r.invokeMu.Lock()
-		defer r.invokeMu.Unlock()
-		served, ok := r.invokeServed[id]
-		return served.payload, ok
-	}
-	if _, ok := cached("id-0"); ok {
-		t.Fatal("oldest entry not evicted")
-	}
-	if _, ok := cached(fmt.Sprintf("id-%d", invokeDedupLimit+9)); !ok {
-		t.Fatal("newest entry missing")
-	}
-
-	// Oversized responses are remembered by ID with a nil payload.
-	big := make([]byte, invokeDedupMaxEntryBytes+1)
-	r.invokeRemember("big-1", big, "fp")
-	payload, ok := cached("big-1")
-	if !ok || payload != nil {
-		t.Fatalf("oversized entry: payload=%v ok=%v, want nil/true", payload != nil, ok)
 	}
 }
 

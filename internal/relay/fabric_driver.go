@@ -127,6 +127,7 @@ func (d *FabricDriver) CryptoOps() (ecdh, sign, encrypt uint64) {
 
 var (
 	_ Driver                   = (*FabricDriver)(nil)
+	_ TxDriver                 = (*FabricDriver)(nil)
 	_ AttestationCacheNotifier = (*FabricDriver)(nil)
 )
 
@@ -498,15 +499,15 @@ func InteropTxID(q *wire.Query) string {
 	return "interop-tx-" + cryptoutil.DigestHex([]byte(key))[:32]
 }
 
-// ReplayInvoke implements InvokeReplayer: it recovers the committed outcome
-// of an interop request from the ledger itself, the cross-relay half of the
-// exactly-once guarantee. The relay's in-memory replay cache only remembers
-// invokes this process served; when a requester fails over to a redundant
-// relay, that relay finds the sibling's commit here and serves the proof
-// bundle persisted with it — the original attestations, byte for byte, with
-// no re-signing. Only commits that predate proof-carrying (or duplicates
-// whose nonce or policy genuinely differs from the original request) fall
-// back to re-attesting under the current peer set.
+// ReplayInvoke implements TxDriver: it recovers the committed outcome of an
+// interop request from the ledger itself, the only record of the
+// exactly-once guarantee. Whichever relay process receives a duplicate —
+// the one that committed it, a restarted one, or a redundant sibling —
+// finds the commit here and serves the proof bundle persisted with it: the
+// original attestations, byte for byte, with no re-signing. Only commits
+// that predate proof-carrying (or duplicates whose nonce or policy
+// genuinely differs from the original request) fall back to re-attesting
+// under the current peer set.
 // found=false means no valid commit exists for the request (and is not an
 // error: the caller is then the legitimate first executor).
 func (d *FabricDriver) ReplayInvoke(ctx context.Context, q *wire.Query) (*wire.QueryResponse, bool, error) {
@@ -517,8 +518,7 @@ func (d *FabricDriver) ReplayInvoke(ctx context.Context, q *wire.Query) (*wire.Q
 	if q.Ledger != "" && q.Ledger != d.ledgerName {
 		// The same gate the execution path applies: a duplicate aimed at a
 		// ledger this driver does not serve must not be answered from the
-		// one it does, and (worse) have its wrong-ledger fingerprint cached
-		// against the requester's legitimate retry.
+		// one it does.
 		return nil, false, fmt.Errorf("relay: unknown ledger %q", q.Ledger)
 	}
 	if err := ctx.Err(); err != nil {

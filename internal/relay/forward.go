@@ -121,12 +121,7 @@ func (r *Relay) sealForwardedResponse(env *wire.Envelope, q *wire.Query, resp *w
 		r.countError()
 		return errEnvelope(env.RequestID, err.Error())
 	}
-	return &wire.Envelope{
-		Version:   wire.ProtocolVersion,
-		Type:      wire.MsgQueryResponse,
-		RequestID: env.RequestID,
-		Payload:   resp.Marshal(),
-	}
+	return responseEnvelope(env.RequestID, resp)
 }
 
 // forwardQuery relays a query envelope one hop closer to its target.
@@ -169,11 +164,10 @@ func (r *Relay) forwardQuery(ctx context.Context, env *wire.Envelope, q *wire.Qu
 // forwardInvoke relays an invoke envelope one hop closer to its target.
 // Invokes are not idempotent: within a leg sendAtMostOnce fails over only
 // while delivery provably never happened, and the next leg is tried only
-// when the whole previous leg was unreachable. Successful forwarded
-// outcomes are remembered in the invoke dedup cache under the requester's
-// key, so a transport-level resend of the same request replays instead of
-// forwarding (and potentially executing) twice.
-func (r *Relay) forwardInvoke(ctx context.Context, env *wire.Envelope, q *wire.Query, dedupKey, fingerprint string) *wire.Envelope {
+// when the whole previous leg was unreachable. A hub keeps no outcome: a
+// resend of the same request is forwarded again, and the source relay
+// answers it from its ledger instead of executing twice.
+func (r *Relay) forwardInvoke(ctx context.Context, env *wire.Envelope, q *wire.Query) *wire.Envelope {
 	legs, refusal := r.checkForward(env, q.TargetNetwork)
 	if refusal != "" {
 		r.countError()
@@ -202,9 +196,6 @@ func (r *Relay) forwardInvoke(ctx context.Context, env *wire.Envelope, q *wire.Q
 		out := r.sealForwardedResponse(env, q, resp, leg)
 		if out.Type == wire.MsgQueryResponse {
 			r.countForwardedInvoke()
-			if dedupKey != "" && resp.Error == "" {
-				r.invokeRemember(dedupKey, out.Payload, fingerprint)
-			}
 		}
 		return out
 	}

@@ -20,6 +20,7 @@ import (
 type forwardChain struct {
 	origin *Relay
 	hubs   []*Relay // hubs[0] is adjacent to the origin
+	source *Relay
 	driver *tallyTxDriver
 }
 
@@ -44,7 +45,7 @@ func buildForwardChain(t testing.TB, hubCount int) *forwardChain {
 	src.RegisterDriver("src-net", driver)
 	transport.Attach("src:1", src)
 
-	chain := &forwardChain{driver: driver}
+	chain := &forwardChain{source: src, driver: driver}
 	for i := hubCount; i >= 1; i-- {
 		reg := NewStaticRegistry()
 		routes := NewRouteTable()
@@ -210,8 +211,8 @@ func TestDirectRouteBypassesTable(t *testing.T) {
 }
 
 // TestMultiHopInvokeExactlyOnce drives the same invoke twice through a
-// two-hub chain: the driver executes once, the duplicate replays the
-// remembered outcome from the first hub's dedup cache, and both responses
+// two-hub chain: the driver executes once, the duplicate is forwarded again
+// by both hubs and replayed from the source's ledger, and both responses
 // carry a verifiable hop chain.
 func TestMultiHopInvokeExactlyOnce(t *testing.T) {
 	chain := buildForwardChain(t, 2)
@@ -238,12 +239,15 @@ func TestMultiHopInvokeExactlyOnce(t *testing.T) {
 			t.Fatalf("%s response chain: %v", name, err)
 		}
 	}
-	// The duplicate was served from hub-1's cache, not forwarded again.
-	if s := chain.hubs[0].Stats(); s.ForwardedInvokes != 1 {
-		t.Fatalf("hub-1 ForwardedInvokes = %d", s.ForwardedInvokes)
+	// No hub remembers an outcome: each forwarded both attempts, and the
+	// source answered the second from its ledger.
+	for i, h := range chain.hubs {
+		if s := h.Stats(); s.ForwardedInvokes != 2 {
+			t.Fatalf("hub-%d ForwardedInvokes = %d, want 2", i+1, s.ForwardedInvokes)
+		}
 	}
-	if s := chain.hubs[1].Stats(); s.ForwardedInvokes != 1 {
-		t.Fatalf("hub-2 ForwardedInvokes = %d", s.ForwardedInvokes)
+	if s := chain.source.Stats(); s.InvokeReplays != 1 || s.InvokesServed != 1 {
+		t.Fatalf("source stats = %+v, want 1 execution and 1 ledger replay", s)
 	}
 }
 

@@ -174,25 +174,22 @@ type Relay struct {
 	limiter *RateLimiter
 	stats   statsCounters
 
-	// Source-side invoke idempotency: recently served invoke responses by
-	// request ID, replayed on transport-level resends (see handleInvoke).
+	// Invokes in flight by interop key, each closed when its request
+	// finishes, so a duplicate waits for its original (see invokeClaim).
 	invokeMu      sync.Mutex
-	invokeServed  map[string]servedInvoke
 	invokePending map[string]chan struct{}
-	invokeOrder   []string
-	invokeHead    int
-	invokeBytes   int
 }
 
 // New creates a relay for the given local network.
 func New(localNetworkID string, discovery Discovery, transport Transport, opts ...Option) *Relay {
 	r := &Relay{
-		localNetwork: localNetworkID,
-		discovery:    discovery,
-		transport:    transport,
-		now:          time.Now,
-		drivers:      make(map[string]Driver),
-		events:       newEventHub(),
+		localNetwork:  localNetworkID,
+		discovery:     discovery,
+		transport:     transport,
+		now:           time.Now,
+		drivers:       make(map[string]Driver),
+		events:        newEventHub(),
+		invokePending: make(map[string]chan struct{}),
 	}
 	for _, opt := range opts {
 		opt(r)
@@ -397,13 +394,7 @@ func (r *Relay) handleQuery(ctx context.Context, env *wire.Envelope) *wire.Envel
 		r.countError()
 		resp = &wire.QueryResponse{RequestID: q.RequestID, Error: err.Error()}
 	}
-	resp = ensureRequestID(resp, q)
-	return &wire.Envelope{
-		Version:   wire.ProtocolVersion,
-		Type:      wire.MsgQueryResponse,
-		RequestID: env.RequestID,
-		Payload:   resp.Marshal(),
-	}
+	return responseEnvelope(env.RequestID, ensureRequestID(resp, q))
 }
 
 // remainingBudget converts the envelope's two remaining-budget encodings —
@@ -445,6 +436,16 @@ func (r *Relay) Ping(ctx context.Context, addr string) error {
 		return fmt.Errorf("%w: ping reply type %s", ErrBadEnvelope, reply.Type)
 	}
 	return nil
+}
+
+// responseEnvelope carries resp back under the request envelope's ID.
+func responseEnvelope(requestID string, resp *wire.QueryResponse) *wire.Envelope {
+	return &wire.Envelope{
+		Version:   wire.ProtocolVersion,
+		Type:      wire.MsgQueryResponse,
+		RequestID: requestID,
+		Payload:   resp.Marshal(),
+	}
 }
 
 func errEnvelope(requestID, msg string) *wire.Envelope {

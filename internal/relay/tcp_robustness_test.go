@@ -177,8 +177,10 @@ func TestTCPServerCloseIdempotent(t *testing.T) {
 
 // gateDriver parks every request whose Function is "stall" until release
 // is closed or the serving context ends; anything else it answers at once,
-// echoing the Function back as the result.
+// echoing the Function back as the result. Invokes commit to its fake
+// ledger.
 type gateDriver struct {
+	fakeLedger
 	entered   chan struct{} // one token per parked request
 	cancelled chan struct{} // one token per parked request whose context ended
 	release   chan struct{}
@@ -210,7 +212,11 @@ func (d *gateDriver) Query(ctx context.Context, q *wire.Query) (*wire.QueryRespo
 
 func (d *gateDriver) Invoke(ctx context.Context, q *wire.Query) (*wire.QueryResponse, error) {
 	d.invokes.Add(1)
-	return d.Query(ctx, q)
+	resp, err := d.Query(ctx, q)
+	if err == nil {
+		d.commit(q, resp)
+	}
+	return resp, err
 }
 
 // gateEnvelope is a request for a gateDriver relay.

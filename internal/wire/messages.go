@@ -222,10 +222,10 @@ type Query struct {
 // InteropKey derives the ledger-level exactly-once identity of this
 // request: the requester's network and certificate digest bound to the
 // request ID, so one requester cannot occupy or poison another's ID space
-// (request IDs travel in plaintext). The same derivation is used by the
-// relay's in-memory replay cache and by the transaction metadata committed
-// on the source ledger, which is what lets a second relay fronting the same
-// network recognise a request its sibling already committed. Empty when the
+// (request IDs travel in plaintext). It is committed with the transaction
+// on the source ledger, which is what lets any relay fronting the same
+// network — the one that submitted it, a restarted one or a sibling —
+// recognise a request that already committed. Empty when the
 // query carries no request ID — such requests have no exactly-once
 // identity.
 func (m *Query) InteropKey() string {
