@@ -101,10 +101,12 @@ func (r *Relay) handleInvoke(ctx context.Context, env *wire.Envelope) *wire.Enve
 	if err != nil {
 		return errEnvelope(env.RequestID, fmt.Sprintf("malformed invoke: %v", err))
 	}
-	if key := q.InteropKey(); key != "" {
-		// The key binds the requester's network and certificate to the
-		// request ID, so one requester cannot occupy another's ID (request
-		// IDs travel in plaintext).
+	// The key binds the requester's network and certificate to the request
+	// ID, so one requester cannot occupy another's ID (request IDs travel in
+	// plaintext). Empty when the request has no ID and so no exactly-once
+	// identity.
+	key := q.InteropKey()
+	if key != "" {
 		release, err := r.invokeClaim(ctx, key)
 		if err != nil {
 			return errEnvelope(env.RequestID, fmt.Sprintf("duplicate invoke %s: %v", q.RequestID, err))
@@ -121,7 +123,7 @@ func (r *Relay) handleInvoke(ctx context.Context, env *wire.Envelope) *wire.Enve
 		}
 		return errEnvelope(env.RequestID, fmt.Sprintf("network %q not served by this relay", q.TargetNetwork))
 	}
-	if td, ok := d.(TxDriver); ok && q.RequestID != "" {
+	if td, ok := d.(TxDriver); ok && key != "" {
 		// Ledger-level dedup keeps the exactly-once guarantee anchored where
 		// TrustCross argues it must be — at the ledger — instead of in one
 		// gateway process's memory.

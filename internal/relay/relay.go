@@ -174,7 +174,7 @@ type Relay struct {
 	limiter *RateLimiter
 	stats   statsCounters
 
-	// Invokes in flight by interop key, each closed when its request
+	// One channel per interop key in flight, closed when that request
 	// finishes, so a duplicate waits for its original (see invokeClaim).
 	invokeMu      sync.Mutex
 	invokePending map[string]chan struct{}
