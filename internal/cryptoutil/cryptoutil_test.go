@@ -61,6 +61,37 @@ func TestSignNilKey(t *testing.T) {
 	}
 }
 
+// TestSignDigestMatchesSign: a signature over a message and one over its
+// digest are the same kind of signature, whichever side hashed.
+func TestSignDigestMatchesSign(t *testing.T) {
+	key, _ := GenerateKey()
+	msg := []byte("proof bundle")
+	digest := sha256.Sum256(msg)
+	sig, err := Sign(key, msg)
+	if err != nil {
+		t.Fatalf("Sign: %v", err)
+	}
+	if err := VerifyDigest(&key.PublicKey, digest[:], sig); err != nil {
+		t.Fatalf("VerifyDigest of a Sign signature: %v", err)
+	}
+	sig, err = SignDigest(key, digest[:])
+	if err != nil {
+		t.Fatalf("SignDigest: %v", err)
+	}
+	if err := Verify(&key.PublicKey, msg, sig); err != nil {
+		t.Fatalf("Verify of a SignDigest signature: %v", err)
+	}
+	if _, err := SignDigest(key, msg); err == nil {
+		t.Fatal("SignDigest accepted a message in place of its digest")
+	}
+	if err := VerifyDigest(&key.PublicKey, digest[:31], sig); err == nil {
+		t.Fatal("VerifyDigest accepted a truncated digest")
+	}
+	if err := VerifyDigest(nil, digest[:], sig); err == nil {
+		t.Fatal("VerifyDigest with nil key must error")
+	}
+}
+
 func TestPublicKeyMarshalRoundTrip(t *testing.T) {
 	key, _ := GenerateKey()
 	der, err := MarshalPublicKey(&key.PublicKey)

@@ -11,8 +11,8 @@ import (
 const DigestSize = sha256.Size
 
 // Digest returns the SHA-256 digest of the concatenation of the given byte
-// slices. It is the single hashing primitive used for block chaining,
-// transaction IDs and proof metadata binding.
+// slices. It is the hashing primitive for transaction IDs and proof
+// metadata binding.
 func Digest(parts ...[]byte) []byte {
 	h := sha256.New()
 	for _, p := range parts {

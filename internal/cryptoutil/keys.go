@@ -43,11 +43,21 @@ func GenerateKey() (*ecdsa.PrivateKey, error) {
 // Sign produces an ASN.1 DER encoded ECDSA signature over the SHA-256 digest
 // of msg.
 func Sign(key *ecdsa.PrivateKey, msg []byte) ([]byte, error) {
+	digest := sha256.Sum256(msg)
+	return SignDigest(key, digest[:])
+}
+
+// SignDigest produces the signature Sign would over a message whose SHA-256
+// digest the caller already holds, for callers that hash a message without
+// building it.
+func SignDigest(key *ecdsa.PrivateKey, digest []byte) ([]byte, error) {
 	if key == nil {
 		return nil, ErrInvalidKey
 	}
-	digest := sha256.Sum256(msg)
-	sig, err := ecdsa.SignASN1(rand.Reader, key, digest[:])
+	if len(digest) != DigestSize {
+		return nil, fmt.Errorf("sign: digest is %d bytes, want %d", len(digest), DigestSize)
+	}
+	sig, err := ecdsa.SignASN1(rand.Reader, key, digest)
 	if err != nil {
 		return nil, fmt.Errorf("sign: %w", err)
 	}
@@ -57,11 +67,18 @@ func Sign(key *ecdsa.PrivateKey, msg []byte) ([]byte, error) {
 // Verify checks an ASN.1 DER encoded ECDSA signature over the SHA-256 digest
 // of msg. It returns ErrInvalidSignature when the signature does not match.
 func Verify(pub *ecdsa.PublicKey, msg, sig []byte) error {
+	digest := sha256.Sum256(msg)
+	return VerifyDigest(pub, digest[:], sig)
+}
+
+// VerifyDigest checks a signature made by Sign or SignDigest against the
+// SHA-256 digest of the signed message. A digest of any other length
+// matches no signature.
+func VerifyDigest(pub *ecdsa.PublicKey, digest, sig []byte) error {
 	if pub == nil {
 		return ErrInvalidKey
 	}
-	digest := sha256.Sum256(msg)
-	if !ecdsa.VerifyASN1(pub, digest[:], sig) {
+	if len(digest) != DigestSize || !ecdsa.VerifyASN1(pub, digest, sig) {
 		return ErrInvalidSignature
 	}
 	return nil

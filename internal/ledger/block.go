@@ -1,12 +1,11 @@
 package ledger
 
 import (
+	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
-
-	"repro/internal/cryptoutil"
 )
 
 var (
@@ -26,17 +25,21 @@ type Block struct {
 	Hash         []byte
 }
 
-// ComputeHash derives the block hash from the block number, the previous
-// hash and every transaction digest.
+// ComputeHash derives the block hash: SHA-256 over the block number, the
+// previous hash and every transaction digest. The digests are streamed into
+// it one by one, each hashed from its transaction's fields, so the cost in
+// allocations is the same for any number or size of transactions.
 func (b *Block) ComputeHash() []byte {
 	var num [8]byte
 	binary.BigEndian.PutUint64(num[:], b.Number)
-	parts := make([][]byte, 0, 2+len(b.Transactions))
-	parts = append(parts, num[:], b.PrevHash)
+	h := sha256.New()
+	h.Write(num[:])
+	h.Write(b.PrevHash)
+	d := newDigester()
 	for _, tx := range b.Transactions {
-		parts = append(parts, tx.Digest())
+		h.Write(d.sum(tx))
 	}
-	return cryptoutil.Digest(parts...)
+	return h.Sum(nil)
 }
 
 // BlockStore is the append-only hash-chained chain of blocks plus the

@@ -5,9 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"testing"
-	"testing/quick"
-
-	"repro/internal/statedb"
 )
 
 func txWith(id string, writes ...KVWrite) *Transaction {
@@ -17,35 +14,6 @@ func txWith(id string, writes ...KVWrite) *Transaction {
 		Function:  "fn",
 		Args:      [][]byte{[]byte("a")},
 		RWSet:     RWSet{Writes: writes},
-	}
-}
-
-func TestRWSetRoundTrip(t *testing.T) {
-	rw := &RWSet{
-		Reads: []KVRead{
-			{Key: "k1", Version: statedb.Version{BlockNum: 2, TxNum: 3}, Exists: true},
-			{Key: "k2", Exists: false},
-		},
-		Writes: []KVWrite{
-			{Key: "k3", Value: []byte("v3")},
-			{Key: "k4", IsDelete: true},
-		},
-	}
-	got, err := UnmarshalRWSet(rw.Marshal())
-	if err != nil {
-		t.Fatalf("UnmarshalRWSet: %v", err)
-	}
-	if len(got.Reads) != 2 || len(got.Writes) != 2 {
-		t.Fatalf("round-trip sizes: %+v", got)
-	}
-	if got.Reads[0] != rw.Reads[0] || got.Reads[1] != rw.Reads[1] {
-		t.Fatalf("reads mismatch: %+v", got.Reads)
-	}
-	if got.Writes[0].Key != "k3" || !bytes.Equal(got.Writes[0].Value, []byte("v3")) {
-		t.Fatalf("writes mismatch: %+v", got.Writes)
-	}
-	if !got.Writes[1].IsDelete {
-		t.Fatal("delete flag lost")
 	}
 }
 
@@ -70,14 +38,19 @@ func TestSignedPayloadCoversMutations(t *testing.T) {
 			},
 		}
 	}
-	orig := base().SignedPayload()
+	orig, origDigest := base().SignedPayload(), base().Digest()
 
 	mutations := map[string]func(*Transaction){
-		"function": func(tx *Transaction) { tx.Function = "other" },
-		"args":     func(tx *Transaction) { tx.Args = [][]byte{[]byte("b")} },
-		"response": func(tx *Transaction) { tx.Response = []byte("forged") },
-		"writes":   func(tx *Transaction) { tx.RWSet.Writes[0].Value = []byte("forged") },
-		"id":       func(tx *Transaction) { tx.ID = "tx2" },
+		"function":    func(tx *Transaction) { tx.Function = "other" },
+		"args":        func(tx *Transaction) { tx.Args = [][]byte{[]byte("b")} },
+		"empty arg":   func(tx *Transaction) { tx.Args = append(tx.Args, nil) },
+		"response":    func(tx *Transaction) { tx.Response = []byte("forged") },
+		"writes":      func(tx *Transaction) { tx.RWSet.Writes[0].Value = []byte("forged") },
+		"zero read":   func(tx *Transaction) { tx.RWSet.Reads = []KVRead{{}} },
+		"id":          func(tx *Transaction) { tx.ID = "tx2" },
+		"creator":     func(tx *Transaction) { tx.CreatorCert = []byte("cert") },
+		"interop key": func(tx *Transaction) { tx.InteropKey = "k" },
+		"empty event": func(tx *Transaction) { tx.Event = &ChaincodeEvent{} },
 		"event": func(tx *Transaction) {
 			tx.Event = &ChaincodeEvent{Chaincode: "cc", Name: "e", Payload: []byte("p")}
 		},
@@ -88,12 +61,29 @@ func TestSignedPayloadCoversMutations(t *testing.T) {
 		if bytes.Equal(orig, tx.SignedPayload()) {
 			t.Fatalf("mutation %q does not change signed payload", name)
 		}
+		if bytes.Equal(origDigest, tx.Digest()) {
+			t.Fatalf("mutation %q does not change the digest", name)
+		}
 	}
-	// Validation code must NOT affect the signed payload.
-	tx := base()
-	tx.Validation = MVCCConflict
-	if !bytes.Equal(orig, tx.SignedPayload()) {
-		t.Fatal("validation code changes signed payload")
+	// What the committer and the relay attach after endorsement must NOT
+	// affect either.
+	attached := map[string]func(*Transaction){
+		"validation":   func(tx *Transaction) { tx.Validation = MVCCConflict },
+		"proof bundle": func(tx *Transaction) { tx.ProofBundle = []byte("sealed") },
+		"endorsements": func(tx *Transaction) {
+			tx.Endorsements = []Endorsement{{PeerName: "p", OrgID: "o", CertPEM: []byte("c"), Signature: []byte("s")}}
+		},
+		"unix nano": func(tx *Transaction) { tx.UnixNano = 1_700_000_000_000_000_000 },
+	}
+	for name, attach := range attached {
+		tx := base()
+		attach(tx)
+		if !bytes.Equal(orig, tx.SignedPayload()) {
+			t.Fatalf("%s changes the signed payload", name)
+		}
+		if !bytes.Equal(origDigest, tx.Digest()) {
+			t.Fatalf("%s changes the digest", name)
+		}
 	}
 }
 
@@ -182,27 +172,6 @@ func TestValidationCodeString(t *testing.T) {
 	}
 }
 
-// TestRWSetRoundTripProperty round-trips arbitrary rwsets.
-func TestRWSetRoundTripProperty(t *testing.T) {
-	prop := func(key string, val []byte, bn, tn uint64, exists, isDelete bool) bool {
-		rw := &RWSet{
-			Reads:  []KVRead{{Key: key, Version: statedb.Version{BlockNum: bn, TxNum: tn}, Exists: exists}},
-			Writes: []KVWrite{{Key: key, Value: val, IsDelete: isDelete}},
-		}
-		got, err := UnmarshalRWSet(rw.Marshal())
-		if err != nil {
-			return false
-		}
-		return len(got.Reads) == 1 && len(got.Writes) == 1 &&
-			got.Reads[0] == rw.Reads[0] &&
-			got.Writes[0].Key == key && bytes.Equal(got.Writes[0].Value, val) &&
-			got.Writes[0].IsDelete == isDelete
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestManyBlocksChainIntact(t *testing.T) {
 	s := NewBlockStore()
 	for i := 0; i < 50; i++ {
@@ -243,5 +212,13 @@ func BenchmarkSignedPayload(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		_ = tx.SignedPayload()
+	}
+}
+
+func BenchmarkDigest(b *testing.B) {
+	tx := txWith("tx", KVWrite{Key: "k", Value: make([]byte, 512)})
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		_ = tx.Digest()
 	}
 }

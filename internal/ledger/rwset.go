@@ -6,10 +6,7 @@
 // the paper).
 package ledger
 
-import (
-	"repro/internal/statedb"
-	"repro/internal/wire"
-)
+import "repro/internal/statedb"
 
 // KVRead records that a key was read at a given committed version during
 // simulation. A missing key is recorded with Exists=false. Namespace is the
@@ -34,132 +31,6 @@ type KVWrite struct {
 type RWSet struct {
 	Reads  []KVRead
 	Writes []KVWrite
-}
-
-// Marshal encodes the read-write set for hashing and endorsement signing.
-func (rw *RWSet) Marshal() []byte {
-	e := wire.NewEncoder(64 * (len(rw.Reads) + len(rw.Writes)))
-	for i := range rw.Reads {
-		r := &rw.Reads[i]
-		re := wire.NewEncoder(32)
-		re.String(1, r.Key)
-		re.Uint(2, r.Version.BlockNum)
-		re.Uint(3, r.Version.TxNum)
-		re.Bool(4, r.Exists)
-		re.String(5, r.Namespace)
-		e.Message(1, re.Bytes())
-	}
-	for i := range rw.Writes {
-		w := &rw.Writes[i]
-		we := wire.NewEncoder(32 + len(w.Value))
-		we.String(1, w.Key)
-		we.BytesField(2, w.Value)
-		we.Bool(3, w.IsDelete)
-		we.String(4, w.Namespace)
-		e.Message(2, we.Bytes())
-	}
-	return e.Bytes()
-}
-
-// UnmarshalRWSet decodes a read-write set.
-func UnmarshalRWSet(buf []byte) (*RWSet, error) {
-	rw := &RWSet{}
-	d := wire.NewDecoder(buf)
-	for {
-		field, ok, err := d.Next()
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			return rw, nil
-		}
-		switch field {
-		case 1:
-			raw, err := d.Bytes()
-			if err != nil {
-				return nil, err
-			}
-			r, err := unmarshalKVRead(raw)
-			if err != nil {
-				return nil, err
-			}
-			rw.Reads = append(rw.Reads, r)
-		case 2:
-			raw, err := d.Bytes()
-			if err != nil {
-				return nil, err
-			}
-			w, err := unmarshalKVWrite(raw)
-			if err != nil {
-				return nil, err
-			}
-			rw.Writes = append(rw.Writes, w)
-		default:
-			if err := d.Skip(); err != nil {
-				return nil, err
-			}
-		}
-	}
-}
-
-func unmarshalKVRead(buf []byte) (KVRead, error) {
-	var r KVRead
-	d := wire.NewDecoder(buf)
-	for {
-		field, ok, err := d.Next()
-		if err != nil {
-			return r, err
-		}
-		if !ok {
-			return r, nil
-		}
-		switch field {
-		case 1:
-			r.Key, err = d.String()
-		case 2:
-			r.Version.BlockNum, err = d.Uint()
-		case 3:
-			r.Version.TxNum, err = d.Uint()
-		case 4:
-			r.Exists, err = d.Bool()
-		case 5:
-			r.Namespace, err = d.String()
-		default:
-			err = d.Skip()
-		}
-		if err != nil {
-			return r, err
-		}
-	}
-}
-
-func unmarshalKVWrite(buf []byte) (KVWrite, error) {
-	var w KVWrite
-	d := wire.NewDecoder(buf)
-	for {
-		field, ok, err := d.Next()
-		if err != nil {
-			return w, err
-		}
-		if !ok {
-			return w, nil
-		}
-		switch field {
-		case 1:
-			w.Key, err = d.String()
-		case 2:
-			w.Value, err = d.BytesCopy()
-		case 3:
-			w.IsDelete, err = d.Bool()
-		case 4:
-			w.Namespace, err = d.String()
-		default:
-			err = d.Skip()
-		}
-		if err != nil {
-			return w, err
-		}
-	}
 }
 
 // StateWrites converts the write set into statedb batch form.

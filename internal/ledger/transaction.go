@@ -1,11 +1,6 @@
 package ledger
 
-import (
-	"fmt"
-
-	"repro/internal/cryptoutil"
-	"repro/internal/wire"
-)
+import "fmt"
 
 // ValidationCode records the committer's verdict on a transaction.
 type ValidationCode int
@@ -104,57 +99,4 @@ type Transaction struct {
 	// Validation is assigned by the committer; it is not part of the signed
 	// payload.
 	Validation ValidationCode
-}
-
-// SignedPayload returns the canonical bytes that endorsers sign: the
-// proposal identity plus the simulation outcome. Any post-endorsement
-// mutation of the function, arguments, read-write set or response
-// invalidates every endorsement.
-func (tx *Transaction) SignedPayload() []byte {
-	e := wire.NewEncoder(256)
-	e.String(1, tx.ID)
-	e.String(2, tx.Chaincode)
-	e.String(3, tx.Function)
-	for _, a := range tx.Args {
-		e.Message(4, a)
-	}
-	e.BytesField(5, tx.CreatorCert)
-	e.BytesField(6, tx.RWSet.Marshal())
-	e.BytesField(7, tx.Response)
-	if tx.Event != nil {
-		ev := wire.NewEncoder(32 + len(tx.Event.Payload))
-		ev.String(1, tx.Event.Chaincode)
-		ev.String(2, tx.Event.Name)
-		ev.BytesField(3, tx.Event.Payload)
-		e.Message(8, ev.Bytes())
-	}
-	// Empty keys are omitted by the encoder, so local transactions keep the
-	// exact payload bytes they had before interop metadata existed.
-	e.String(9, tx.InteropKey)
-	return e.Bytes()
-}
-
-// Digest returns the SHA-256 digest of the signed payload.
-func (tx *Transaction) Digest() []byte {
-	return cryptoutil.Digest(tx.SignedPayload())
-}
-
-// Marshal encodes the full transaction, including endorsements, for block
-// storage.
-func (tx *Transaction) Marshal() []byte {
-	e := wire.NewEncoder(512)
-	e.BytesField(1, tx.SignedPayload())
-	for i := range tx.Endorsements {
-		en := &tx.Endorsements[i]
-		ee := wire.NewEncoder(128)
-		ee.String(1, en.PeerName)
-		ee.String(2, en.OrgID)
-		ee.BytesField(3, en.CertPEM)
-		ee.BytesField(4, en.Signature)
-		e.Message(2, ee.Bytes())
-	}
-	e.Uint(3, tx.UnixNano)
-	e.Uint(4, uint64(tx.Validation))
-	e.BytesField(5, tx.ProofBundle)
-	return e.Bytes()
 }

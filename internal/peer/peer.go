@@ -114,16 +114,16 @@ func (p *Peer) State() *statedb.Store { return p.state }
 func (p *Peer) Blocks() *ledger.BlockStore { return p.blocks }
 
 // Endorse simulates the proposal and signs the canonical transaction
-// payload derived from it (Fig. 2 step 6-7 happen inside the invoked
-// chaincode; the endorsement signature is this peer's attestation of the
-// simulation outcome).
+// payload derived from it — by its digest, which hashes the payload without
+// building it (Fig. 2 step 6-7 happen inside the invoked chaincode; the
+// endorsement signature is this peer's attestation of the simulation
+// outcome).
 func (p *Peer) Endorse(inv chaincode.Invocation) (*ProposalResponse, error) {
 	res, err := chaincode.Simulate(p.registry, p.state, inv)
 	if err != nil {
 		return nil, fmt.Errorf("peer %s: simulate %s.%s: %w", p.name, inv.Chaincode, inv.Function, err)
 	}
-	tx := BuildTransaction(inv, res)
-	sig, err := p.identity.Sign(tx.SignedPayload())
+	sig, err := cryptoutil.SignDigest(p.identity.Key, BuildTransaction(inv, res).Digest())
 	if err != nil {
 		return nil, fmt.Errorf("peer %s: sign endorsement: %w", p.name, err)
 	}
@@ -185,7 +185,8 @@ func BuildTransaction(inv chaincode.Invocation, res *chaincode.SimResult) *ledge
 
 // AssembleTransaction merges proposal responses from several endorsers into
 // a single endorsed transaction, verifying that all endorsers simulated
-// identical results.
+// identical results: every response must yield the first one's payload
+// digest, and equal digests mean equal signed payloads.
 func AssembleTransaction(inv chaincode.Invocation, responses []*ProposalResponse) (*ledger.Transaction, error) {
 	if len(responses) == 0 {
 		return nil, errors.New("peer: no proposal responses")
@@ -196,16 +197,18 @@ func AssembleTransaction(inv chaincode.Invocation, responses []*ProposalResponse
 		RWSet:    first.RWSet,
 		Event:    first.Event,
 	})
-	payload := tx.SignedPayload()
-	for _, r := range responses {
+	digest := tx.Digest()
+	for _, r := range responses[1:] {
 		other := BuildTransaction(inv, &chaincode.SimResult{
 			Response: r.Response,
 			RWSet:    r.RWSet,
 			Event:    r.Event,
 		})
-		if !bytes.Equal(payload, other.SignedPayload()) {
+		if !bytes.Equal(digest, other.Digest()) {
 			return nil, ErrProposalMismatch
 		}
+	}
+	for _, r := range responses {
 		tx.Endorsements = append(tx.Endorsements, r.Endorsement)
 	}
 	return tx, nil
@@ -465,7 +468,7 @@ func (p *Peer) validate(tx *ledger.Transaction, verifier *msp.Verifier) ledger.V
 // satisfaction. It never touches world state, so the parallel committer
 // runs it concurrently across a block's transactions.
 func (p *Peer) validateEndorsements(tx *ledger.Transaction, verifier *msp.Verifier) ledger.ValidationCode {
-	payload := tx.SignedPayload()
+	digest := tx.Digest()
 	signers := make([]endorsement.Principal, 0, len(tx.Endorsements))
 	for i := range tx.Endorsements {
 		en := &tx.Endorsements[i]
@@ -481,7 +484,7 @@ func (p *Peer) validateEndorsements(tx *ledger.Transaction, verifier *msp.Verifi
 		if !ok {
 			return ledger.BadSignature
 		}
-		if err := cryptoutil.Verify(pub, payload, en.Signature); err != nil {
+		if err := cryptoutil.VerifyDigest(pub, digest, en.Signature); err != nil {
 			return ledger.BadSignature
 		}
 		// Use the certificate contents, not the self-declared fields, as

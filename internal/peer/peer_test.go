@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/chaincode"
+	"repro/internal/cryptoutil"
 	"repro/internal/endorsement"
 	"repro/internal/ledger"
 	"repro/internal/msp"
@@ -75,6 +76,41 @@ func TestEndorseProducesValidSignature(t *testing.T) {
 	}
 	if len(resp.RWSet.Writes) != 1 {
 		t.Fatalf("writes = %+v", resp.RWSet.Writes)
+	}
+}
+
+// TestEndorsementSignaturesInteroperate: endorsers sign the payload digest
+// and committers verify against it, which must leave the signature format
+// what it was when both sides signed and verified the payload bytes.
+func TestEndorsementSignaturesInteroperate(t *testing.T) {
+	p, _ := newPeerFixture(t, "'org-a'")
+	proposal := inv("put", "k", "v")
+	resp, err := p.Endorse(proposal)
+	if err != nil {
+		t.Fatalf("Endorse: %v", err)
+	}
+	tx, err := AssembleTransaction(proposal, []*ProposalResponse{resp})
+	if err != nil {
+		t.Fatalf("AssembleTransaction: %v", err)
+	}
+	if err := cryptoutil.Verify(p.Identity().PublicKey(), tx.SignedPayload(), resp.Endorsement.Signature); err != nil {
+		t.Fatalf("Endorse signature does not verify over SignedPayload: %v", err)
+	}
+
+	signed := BuildTransaction(proposal, &chaincode.SimResult{RWSet: resp.RWSet})
+	sig, err := p.Identity().Sign(signed.SignedPayload())
+	if err != nil {
+		t.Fatalf("Sign: %v", err)
+	}
+	signed.Endorsements = []ledger.Endorsement{{
+		PeerName: p.Name(), OrgID: p.OrgID(), CertPEM: p.Identity().CertPEM(), Signature: sig,
+	}}
+	if code := p.validateEndorsements(signed, p.verifiers.Verifier()); code != ledger.Valid {
+		t.Fatalf("signature over SignedPayload validates as %v", code)
+	}
+	signed.Response = []byte("forged")
+	if code := p.validateEndorsements(signed, p.verifiers.Verifier()); code != ledger.BadSignature {
+		t.Fatalf("forged response validates as %v", code)
 	}
 }
 
