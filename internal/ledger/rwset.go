@@ -4,6 +4,12 @@
 // simulation, the endorsing peers' signatures, and a validation code set by
 // the committer (execute-order-validate, as in Hyperledger Fabric §4.1 of
 // the paper).
+//
+// Blocks live in memory; the one byte format is a transaction's signed
+// payload. Endorsers sign its SHA-256 digest, committers verify that
+// digest, and block hashes chain it. Transaction.Digest hashes the payload
+// field by field without building it. SignedPayload builds the same bytes
+// and is the reference the tests hold Digest to.
 package ledger
 
 import "repro/internal/statedb"
