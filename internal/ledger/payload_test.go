@@ -162,13 +162,6 @@ func TestDigestMatchesSignedPayload(t *testing.T) {
 	if err := quick.Check(prop, cfg); err != nil {
 		t.Fatal(err)
 	}
-	// Empty arguments are present in the payload, however many there are.
-	for n := 0; n < 3; n++ {
-		tx := &Transaction{Args: make([][]byte, n)}
-		if got := len(tx.SignedPayload()); got != 2*n {
-			t.Fatalf("%d empty args encode to %d bytes, want %d", n, got, 2*n)
-		}
-	}
 }
 
 // TestDigestStreamsIntoBlockHash holds the block hash to its definition:
