@@ -21,7 +21,7 @@
 // round-trip latency, circuit breaker; relay/health.go), and resolved
 // address lists are reordered by health score so fan-out tries live, fast
 // relays first and demotes circuit-open addresses to last resort until
-// their cooldown elapses (relay.WithCircuitBreaker tunes the policy).
+// their cooldown elapses (3 consecutive failures, 10s).
 // Registry membership is lease-based (relay.LeaseRegistrar): a relay
 // daemon announces its address under a TTL, renews it on a heartbeat
 // (relay.Announce), and deregisters on shutdown; registration deduplicates
@@ -100,10 +100,12 @@
 //
 // Topologies are transitive: a relay with forwarding enabled
 // (relay.EnableForwarding) serves queries and invokes for networks it has
-// no driver for by relaying them toward the source — directly when its own
-// discovery resolves the target, else via a static route table
-// (relay.RouteTable; relayd -route target=via1,via2) — with each transport
-// leg re-wrapped under the remaining deadline budget. The envelope carries
+// no driver for by relaying them toward the source along the same outbound
+// path an origin request takes: the target's own relays first, then, when
+// there are none or every one failed, the vias of a static route table
+// (relay.RouteTable; relayd -route target=via1,via2; an invoke moves on
+// only when nothing was delivered) — with each transport leg re-wrapped
+// under the remaining deadline budget. The envelope carries
 // the walked route and a hop TTL (wire.Envelope.Route/MaxHops), so cycles
 // are refused structurally and over-deep walks die at the hop that would
 // breach the TTL. Every forwarding relay first verifies the downstream

@@ -219,7 +219,8 @@ func TestChainPartitionHealChaos(t *testing.T) {
 	edgeRoutes := relay.NewRouteTable()
 	edgeRoutes.Set(tradelens.NetworkID, HubNetworkID(0))
 	edgeRoutes.SetMaxHops(3)
-	edge := relay.New(wetrade.NetworkID, journal, d.Transport, relay.WithRoutes(edgeRoutes))
+	edge := relay.New(wetrade.NetworkID, journal, d.Transport)
+	edge.SetRoutes(edgeRoutes)
 	ri := newRawInvoker(t, w)
 
 	// Background load: continuous queries through the full chain for the

@@ -131,103 +131,6 @@ func TestParsePublicKeyGarbage(t *testing.T) {
 	}
 }
 
-func TestEncryptDecryptRoundTrip(t *testing.T) {
-	key, _ := GenerateKey()
-	plaintext := []byte("confidential B/L contents")
-	ct, err := Encrypt(&key.PublicKey, plaintext)
-	if err != nil {
-		t.Fatalf("Encrypt: %v", err)
-	}
-	if bytes.Contains(ct, plaintext) {
-		t.Fatal("ciphertext contains plaintext")
-	}
-	got, err := Decrypt(key, ct)
-	if err != nil {
-		t.Fatalf("Decrypt: %v", err)
-	}
-	if !bytes.Equal(got, plaintext) {
-		t.Fatalf("Decrypt = %q, want %q", got, plaintext)
-	}
-}
-
-func TestDecryptWrongKey(t *testing.T) {
-	key1, _ := GenerateKey()
-	key2, _ := GenerateKey()
-	ct, err := Encrypt(&key1.PublicKey, []byte("secret"))
-	if err != nil {
-		t.Fatalf("Encrypt: %v", err)
-	}
-	if _, err := Decrypt(key2, ct); err == nil {
-		t.Fatal("Decrypt with wrong key succeeded")
-	}
-}
-
-func TestDecryptTamperedCiphertext(t *testing.T) {
-	key, _ := GenerateKey()
-	ct, err := Encrypt(&key.PublicKey, []byte("secret"))
-	if err != nil {
-		t.Fatalf("Encrypt: %v", err)
-	}
-	ct[len(ct)-1] ^= 0xFF
-	if _, err := Decrypt(key, ct); err == nil {
-		t.Fatal("Decrypt accepted tampered ciphertext")
-	}
-}
-
-func TestDecryptTruncated(t *testing.T) {
-	key, _ := GenerateKey()
-	for _, n := range []int{0, 1, 30, 64, 65, 70} {
-		buf := make([]byte, n)
-		if _, err := Decrypt(key, buf); err == nil {
-			t.Fatalf("Decrypt accepted %d-byte garbage", n)
-		}
-	}
-}
-
-func TestEncryptEmptyPlaintext(t *testing.T) {
-	key, _ := GenerateKey()
-	ct, err := Encrypt(&key.PublicKey, nil)
-	if err != nil {
-		t.Fatalf("Encrypt(nil): %v", err)
-	}
-	got, err := Decrypt(key, ct)
-	if err != nil {
-		t.Fatalf("Decrypt: %v", err)
-	}
-	if len(got) != 0 {
-		t.Fatalf("Decrypt of empty plaintext = %q", got)
-	}
-}
-
-func TestEncryptNondeterministic(t *testing.T) {
-	key, _ := GenerateKey()
-	ct1, _ := Encrypt(&key.PublicKey, []byte("same"))
-	ct2, _ := Encrypt(&key.PublicKey, []byte("same"))
-	if bytes.Equal(ct1, ct2) {
-		t.Fatal("two encryptions of the same plaintext are identical")
-	}
-}
-
-// TestEncryptDecryptProperty exercises the ECIES scheme over arbitrary
-// payloads via testing/quick.
-func TestEncryptDecryptProperty(t *testing.T) {
-	key, _ := GenerateKey()
-	roundTrip := func(data []byte) bool {
-		ct, err := Encrypt(&key.PublicKey, data)
-		if err != nil {
-			return false
-		}
-		got, err := Decrypt(key, ct)
-		if err != nil {
-			return false
-		}
-		return bytes.Equal(got, data)
-	}
-	if err := quick.Check(roundTrip, &quick.Config{MaxCount: 25}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestSignVerifyProperty exercises sign/verify over arbitrary messages.
 func TestSignVerifyProperty(t *testing.T) {
 	key, _ := GenerateKey()
@@ -336,31 +239,6 @@ func BenchmarkVerify(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := Verify(&key.PublicKey, msg, sig); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkEncrypt1KiB(b *testing.B) {
-	key, _ := GenerateKey()
-	msg := make([]byte, 1024)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Encrypt(&key.PublicKey, msg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkDecrypt1KiB(b *testing.B) {
-	key, _ := GenerateKey()
-	msg := make([]byte, 1024)
-	ct, _ := Encrypt(&key.PublicKey, msg)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Decrypt(key, ct); err != nil {
 			b.Fatal(err)
 		}
 	}

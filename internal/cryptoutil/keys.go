@@ -8,10 +8,8 @@
 // remembered agreement per requester, a Recipient opens remembering one
 // agreement per session point, and both derive a fresh domain-separated
 // AEAD key per query (one HKDF expand) so confidentiality stays per-query.
-// The classic per-envelope scheme (Encrypt/Decrypt, one ephemeral keygen +
-// ECDH per envelope) stays for the ECC chaincode's EncryptForRequester, the
-// paper's chaincode-level encryption call. OpCounter tallies the sealing
-// side's ECDH/sign/encrypt operations.
+// It is the only encryption scheme. OpCounter tallies the sealing side's
+// ECDH/sign/encrypt operations.
 package cryptoutil
 
 import (

@@ -12,10 +12,9 @@ import (
 	"time"
 )
 
-// sessionInfo domain-separates sessioned AEAD keys from the classic
-// per-query ECIES keys (eciesInfo) and from any other use of the shared
-// secret. The trailing NUL keeps the generation/context suffix from
-// colliding with a longer prefix.
+// sessionInfo domain-separates sessioned AEAD keys from any other use of
+// the shared secret. The trailing NUL keeps the generation/context suffix
+// from colliding with a longer prefix.
 var sessionInfo = []byte("interop-ecies-session-v1\x00")
 
 // DefaultSessionTTL is how long a session ephemeral key (and the ECDH

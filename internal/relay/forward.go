@@ -1,20 +1,25 @@
-// Multi-hop forwarding: the server-side relay leg of a transitive route
-// (origin → hub … → source) and the origin-side fallback that starts one.
+// The outbound path: how a request leaves a relay, whether the relay is the
+// origin (Query, Invoke, SubscribeRemote) or a hub forwarding one leg of a
+// transitive route (origin → hub … → source).
 //
-// A relay with forwarding enabled (EnableForwarding) treats a query or
-// invoke for a network it has no driver for as something to carry closer:
-// it re-wraps the envelope under the remaining deadline budget (the
-// serving context HandleEnvelope derived via remainingBudget — each hop
-// re-applies the laxer-interpretation rule, and sendFanout restamps both
-// budget encodings per attempt), appends its own network to the explicit
-// route list so cycles are refused structurally at the next hop, and
-// bounds the walk with the envelope's hop TTL. On the return path it
-// authenticates the downstream hop chain before extending it with its own
-// signed pin — a forwarder never launders an unverifiable path upstream
-// under its signature. Forwarded legs go through the same
-// sendFanout/sendAtMostOnce machinery as client-facing requests, so every
-// hub address feeds the per-address health tracker and circuit breaker,
-// and routing automatically prefers healthy hubs.
+// There is one path, and an origin walks it as a hub whose incoming route is
+// empty: legs builds the candidate next hops (the target's own relays first,
+// then each route-table via), sendLeg tries one leg's health-ordered
+// addresses under the delivery rule of the message type, and walk moves to
+// the next leg only when every address of the previous one failed, then
+// authenticates the reply's hop chain for the leg it came down. Every send
+// feeds the per-address health tracker and circuit breaker, so routing
+// prefers healthy relays at every hop.
+//
+// A relay with forwarding enabled (EnableForwarding) walks the same path for
+// a query or invoke targeting a network it has no driver for. It appends its
+// own network to the route so cycles are refused structurally at the next
+// hop, bounds the walk with the envelope's hop TTL, and re-stamps the
+// remaining budget of its serving context (HandleEnvelope derived it via
+// remainingBudget) on every attempt. On the way back it extends the verified
+// chain with its own signed pin — a forwarder never launders an unverifiable
+// path upstream under its signature — and relays downstream refusals
+// verbatim.
 package relay
 
 import (
@@ -34,261 +39,215 @@ var (
 	// hop TTL.
 	ErrHopLimit = errors.New("relay: hop limit exceeded")
 	// ErrNoRoute is returned when neither discovery nor the route table
-	// yields a next hop for a target network.
+	// yields a next hop for a target network, or when every via leg failed.
 	ErrNoRoute = errors.New("relay: no route to network")
 )
 
+// remoteRefusal is a MsgError reply: a relay further down the path refused
+// the request. A hub relays it upstream verbatim.
+type remoteRefusal string
+
+func (e remoteRefusal) Error() string { return "relay: remote error: " + string(e) }
+
 // hopLeg is one candidate next hop: the network whose relays are
-// contacted and the health-ordered addresses to try. direct marks the
-// target network itself rather than a via.
+// contacted, the health-ordered addresses to try and the envelope they are
+// sent. direct marks the target network itself rather than a via.
 type hopLeg struct {
 	network string
 	addrs   []string
 	direct  bool
+	env     *wire.Envelope
 }
 
-// forwardLegs builds the candidate legs toward target, direct first: the
-// target's own relays when discovery resolves them, then each configured
-// via network in table order. Vias already on the envelope's route are
-// skipped — the next hop would refuse the cycle anyway — as are
-// degenerate self/target vias. Legs whose network discovery cannot
-// resolve are dropped.
-func (r *Relay) forwardLegs(target string, onRoute func(string) bool) []hopLeg {
-	var legs []hopLeg
-	if addrs, err := r.resolveOrdered(target); err == nil {
-		legs = append(legs, hopLeg{network: target, addrs: addrs, direct: true})
+// legs builds the candidate legs for env leaving this relay toward target,
+// direct first: the target's own relays when discovery resolves them, then
+// each configured via in table order. A via that is this network, the
+// target or already on the route is skipped (the next hop would refuse the
+// cycle), and so is a leg whose network discovery cannot resolve. With no
+// leg left the error is the target's resolve error. The legs are appended
+// to buf[:0], so a caller's stack array spares an allocation per request.
+//
+// An origin's direct leg sends env as it is. Every other leg sends one copy
+// with this relay appended to the route; an origin's copy opens the route
+// and stamps its route table's hop TTL, a hub's keeps the TTL it was handed.
+// The budget fields are restamped on every transport attempt (sendLeg).
+func (r *Relay) legs(buf []hopLeg, env *wire.Envelope, target string, origin bool) ([]hopLeg, error) {
+	legs := buf[:0]
+	var routed *wire.Envelope
+	add := func(network string, addrs []string, direct bool) {
+		out := env
+		if !direct || !origin {
+			if routed == nil {
+				copied := *env
+				copied.Route = append(env.Route[:len(env.Route):len(env.Route)], r.localNetwork)
+				if origin {
+					copied.MaxHops = r.routeTable().MaxHops()
+				}
+				routed = &copied
+			}
+			out = routed
+		}
+		legs = append(legs, hopLeg{network: network, addrs: addrs, direct: direct, env: out})
+	}
+	addrs, resolveErr := r.resolveOrdered(target)
+	if resolveErr == nil {
+		add(target, addrs, true)
 	}
 	for _, via := range r.routeTable().NextHops(target) {
-		if via == r.localNetwork || via == target || (onRoute != nil && onRoute(via)) {
+		if via == r.localNetwork || via == target || env.RouteContains(via) {
 			continue
 		}
 		if addrs, err := r.resolveOrdered(via); err == nil {
-			legs = append(legs, hopLeg{network: via, addrs: addrs})
+			add(via, addrs, false)
 		}
 	}
-	return legs
-}
-
-// checkForward applies the structural forwarding guards to an incoming
-// envelope and resolves the candidate legs. A non-empty refusal string
-// means the envelope must be refused with that diagnostic.
-func (r *Relay) checkForward(env *wire.Envelope, target string) (legs []hopLeg, refusal string) {
-	if env.RouteContains(r.localNetwork) {
-		return nil, fmt.Sprintf("%v: %q already traversed route %v", ErrRoutingCycle, r.localNetwork, env.Route)
-	}
-	maxHops := env.MaxHops
-	if maxHops == 0 {
-		maxHops = r.routeTable().MaxHops()
-	}
-	// The route lists one entry per leg already taken; forwarding adds
-	// one more.
-	if uint64(len(env.Route))+1 > maxHops {
-		return nil, fmt.Sprintf("%v: route %v at limit %d", ErrHopLimit, env.Route, maxHops)
-	}
-	legs = r.forwardLegs(target, env.RouteContains)
 	if len(legs) == 0 {
-		return nil, fmt.Sprintf("%v: %q not served by this relay", ErrNoRoute, target)
+		return nil, resolveErr
 	}
-	return legs, ""
+	return legs, nil
 }
 
-// forwardedEnvelope copies env with this relay appended to the route. The
-// budget fields are restamped from the serving context on every transport
-// attempt, so the copy carries whatever budget remains here, not what the
-// origin stamped.
-func (r *Relay) forwardedEnvelope(env *wire.Envelope) *wire.Envelope {
-	out := *env
-	out.Route = append(append([]string(nil), env.Route...), r.localNetwork)
-	return &out
+// walk delivers a request down legs in order and returns the reply of the
+// first leg that took it. The next leg is tried only when every address of
+// the previous one failed (ErrAllRelaysFailed) — for an invoke or subscribe
+// that means nothing was delivered. A failed walk that tried a via wraps
+// the last error in ErrNoRoute. q is nil for a subscribe, whose reply
+// carries no response.
+func (r *Relay) walk(ctx context.Context, q *wire.Query, legs []hopLeg) (*wire.QueryResponse, error) {
+	var lastErr error
+	for _, leg := range legs {
+		reply, err := r.sendLeg(ctx, leg)
+		if errors.Is(err, ErrAllRelaysFailed) {
+			lastErr = err
+			continue
+		}
+		if err != nil {
+			return nil, err
+		}
+		return openReply(q, reply, leg)
+	}
+	if legs[len(legs)-1].direct {
+		return nil, lastErr
+	}
+	return nil, fmt.Errorf("%w: %s: %w", ErrNoRoute, q.TargetNetwork, lastErr)
 }
 
-// sealForwardedResponse authenticates the hop chain a downstream reply
-// carries and extends it with this relay's pin. For a via leg the chain
-// must be non-empty and end with the via's own pin (truncation shows here);
-// for a direct leg to the source, any pins present must still verify.
-func (r *Relay) sealForwardedResponse(env *wire.Envelope, q *wire.Query, resp *wire.QueryResponse, leg hopLeg) *wire.Envelope {
-	var err error
+// openReply parses a leg's reply and authenticates its hop chain the same
+// way at origin and hub. A via leg's chain must be non-empty and end with
+// the via's own pin — the sender knows which hub it handed the request to,
+// which is what makes whole-chain truncation detectable; a direct leg's
+// pins, if any, must still verify.
+func openReply(q *wire.Query, reply *wire.Envelope, leg hopLeg) (*wire.QueryResponse, error) {
+	switch reply.Type {
+	case wire.MsgQueryResponse:
+	case wire.MsgError:
+		return nil, remoteRefusal(reply.Payload)
+	default:
+		return nil, fmt.Errorf("%w: unexpected reply type %s", ErrBadEnvelope, reply.Type)
+	}
+	if q == nil {
+		return nil, nil
+	}
+	resp, err := wire.UnmarshalQueryResponse(reply.Payload)
+	if err != nil {
+		return nil, fmt.Errorf("%w: response via %s: %v", ErrBadEnvelope, leg.network, err)
+	}
 	if leg.direct {
 		_, err = proof.VerifyHopChain(q, resp)
 	} else {
 		_, err = proof.VerifyHopChainVia(q, resp, leg.network)
 	}
 	if err != nil {
-		r.countError()
-		return errEnvelope(env.RequestID, fmt.Sprintf("downstream hop chain via %s: %v", leg.network, err))
+		return nil, fmt.Errorf("relay: hop chain via %s: %w", leg.network, err)
 	}
-	if err := proof.AppendHopPin(resp, q, r.localNetwork, r.forwarderIdentity()); err != nil {
+	return resp, nil
+}
+
+// sendLeg delivers leg.env to the first responsive address of the leg. The
+// message type decides failover. A query is idempotent: it fails over on
+// any transport error, and races hedges when WithHedging is set. An invoke
+// or subscribe is not: it fails over only while delivery provably did not
+// happen — ErrUnreachable means the connection was never established — and
+// any later error (write/read failure, stall, deadline) aborts instead of
+// resending, because a relay whose reply was lost may already have acted.
+// Exhausting the addresses returns ErrAllRelaysFailed.
+func (r *Relay) sendLeg(ctx context.Context, leg hopLeg) (*wire.Envelope, error) {
+	idempotent := leg.env.Type == wire.MsgQuery
+	if idempotent && r.hedge != nil && len(leg.addrs) > 1 {
+		return r.sendHedged(ctx, leg.network, leg.addrs, leg.env)
+	}
+	var lastErr error
+	for _, addr := range leg.addrs {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		r.stampDeadline(ctx, leg.env) // per attempt: the relative budget decays
+		r.countFanoutAttempt()
+		reply, err := r.observeSend(ctx, addr, leg.env)
+		if err == nil {
+			return reply, nil
+		}
+		lastErr = err
+		if !idempotent && !errors.Is(err, ErrUnreachable) {
+			return nil, err
+		}
+	}
+	if lastErr == nil {
+		lastErr = ctx.Err()
+	}
+	return nil, fmt.Errorf("%w for %s: %w", ErrAllRelaysFailed, leg.network, lastErr)
+}
+
+// forward carries a query or invoke envelope one hop closer to its target
+// along the outbound path. The hub adds only its structural guards, its pin,
+// its counters and verbatim relay of downstream refusals. It keeps no
+// outcome: a resent invoke is forwarded again, and the source relay answers
+// it from its ledger instead of executing twice.
+func (r *Relay) forward(ctx context.Context, env *wire.Envelope, q *wire.Query) *wire.Envelope {
+	var buf [2]hopLeg
+	legs, err := r.hubLegs(buf[:], env, q.TargetNetwork)
+	var resp *wire.QueryResponse
+	if err == nil {
+		resp, err = r.walk(ctx, q, legs)
+	}
+	if err == nil {
+		err = proof.AppendHopPin(resp, q, r.localNetwork, r.forwarderIdentity())
+	}
+	if err != nil {
+		var refusal remoteRefusal
+		if errors.As(err, &refusal) {
+			// A downstream refusal (cycle, TTL, no route, rate limit).
+			return errEnvelope(env.RequestID, string(refusal))
+		}
 		r.countError()
 		return errEnvelope(env.RequestID, err.Error())
+	}
+	if env.Type == wire.MsgInvoke {
+		r.countForwardedInvoke()
+	} else {
+		r.countForwardedQuery()
 	}
 	return responseEnvelope(env.RequestID, resp)
 }
 
-// forwardQuery relays a query envelope one hop closer to its target.
-// Queries are idempotent, so legs fail over freely (hedged fan-out within
-// a leg, next leg on failure).
-func (r *Relay) forwardQuery(ctx context.Context, env *wire.Envelope, q *wire.Query) *wire.Envelope {
-	legs, refusal := r.checkForward(env, q.TargetNetwork)
-	if refusal != "" {
-		r.countError()
-		return errEnvelope(env.RequestID, refusal)
+// hubLegs applies the structural forwarding guards to an incoming envelope
+// and resolves its legs into buf.
+func (r *Relay) hubLegs(buf []hopLeg, env *wire.Envelope, target string) ([]hopLeg, error) {
+	if env.RouteContains(r.localNetwork) {
+		return nil, fmt.Errorf("%w: %q already traversed route %v", ErrRoutingCycle, r.localNetwork, env.Route)
 	}
-	fwd := r.forwardedEnvelope(env)
-	var lastErr error
-	for _, leg := range legs {
-		reply, err := r.sendFanout(ctx, leg.network, leg.addrs, fwd)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		if reply.Type == wire.MsgError {
-			// A downstream refusal (cycle, TTL, no route, rate limit) is
-			// relayed verbatim under our envelope ID.
-			return errEnvelope(env.RequestID, string(reply.Payload))
-		}
-		resp, err := wire.UnmarshalQueryResponse(reply.Payload)
-		if err != nil {
-			r.countError()
-			return errEnvelope(env.RequestID, fmt.Sprintf("malformed response via %s: %v", leg.network, err))
-		}
-		out := r.sealForwardedResponse(env, q, resp, leg)
-		if out.Type == wire.MsgQueryResponse {
-			r.countForwardedQuery()
-		}
-		return out
+	maxHops := env.MaxHops
+	if maxHops == 0 {
+		maxHops = r.routeTable().MaxHops()
 	}
-	r.countError()
-	return errEnvelope(env.RequestID, fmt.Sprintf("%v: %s: every leg failed: %v", ErrNoRoute, q.TargetNetwork, lastErr))
-}
-
-// forwardInvoke relays an invoke envelope one hop closer to its target.
-// Invokes are not idempotent: within a leg sendAtMostOnce fails over only
-// while delivery provably never happened, and the next leg is tried only
-// when the whole previous leg was unreachable. A hub keeps no outcome: a
-// resend of the same request is forwarded again, and the source relay
-// answers it from its ledger instead of executing twice.
-func (r *Relay) forwardInvoke(ctx context.Context, env *wire.Envelope, q *wire.Query) *wire.Envelope {
-	legs, refusal := r.checkForward(env, q.TargetNetwork)
-	if refusal != "" {
-		r.countError()
-		return errEnvelope(env.RequestID, refusal)
+	// The route lists one entry per leg already taken; forwarding adds one
+	// more.
+	if uint64(len(env.Route))+1 > maxHops {
+		return nil, fmt.Errorf("%w: route %v at limit %d", ErrHopLimit, env.Route, maxHops)
 	}
-	fwd := r.forwardedEnvelope(env)
-	var lastErr error
-	for _, leg := range legs {
-		reply, err := r.sendAtMostOnce(ctx, leg.network, leg.addrs, fwd)
-		if err != nil {
-			if errors.Is(err, ErrAllRelaysFailed) {
-				lastErr = err
-				continue // provably undelivered on every address of this leg
-			}
-			r.countError()
-			return errEnvelope(env.RequestID, fmt.Sprintf("forward invoke via %s: %v", leg.network, err))
-		}
-		if reply.Type == wire.MsgError {
-			return errEnvelope(env.RequestID, string(reply.Payload))
-		}
-		resp, err := wire.UnmarshalQueryResponse(reply.Payload)
-		if err != nil {
-			r.countError()
-			return errEnvelope(env.RequestID, fmt.Sprintf("malformed response via %s: %v", leg.network, err))
-		}
-		out := r.sealForwardedResponse(env, q, resp, leg)
-		if out.Type == wire.MsgQueryResponse {
-			r.countForwardedInvoke()
-		}
-		return out
+	legs, err := r.legs(buf, env, target, false)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %q not served by this relay", ErrNoRoute, target)
 	}
-	r.countError()
-	return errEnvelope(env.RequestID, fmt.Sprintf("%v: %s: every leg failed: %v", ErrNoRoute, q.TargetNetwork, lastErr))
-}
-
-// routedLegs builds origin-side via legs for a target discovery could not
-// resolve directly.
-func (r *Relay) routedLegs(target string) []hopLeg {
-	var legs []hopLeg
-	for _, via := range r.routeTable().NextHops(target) {
-		if via == r.localNetwork || via == target {
-			continue
-		}
-		if addrs, err := r.resolveOrdered(via); err == nil {
-			legs = append(legs, hopLeg{network: via, addrs: addrs})
-		}
-	}
-	return legs
-}
-
-// routedEnvelope stamps the multi-hop fields on an origin envelope: the
-// route opens with this relay's network and the TTL comes from the route
-// table.
-func (r *Relay) routedEnvelope(msgType wire.MsgType, q *wire.Query) *wire.Envelope {
-	return &wire.Envelope{
-		Version:   wire.ProtocolVersion,
-		Type:      msgType,
-		RequestID: q.RequestID,
-		Payload:   q.Marshal(),
-		Route:     []string{r.localNetwork},
-		MaxHops:   r.routeTable().MaxHops(),
-	}
-}
-
-// queryViaRoute is the origin-side fallback of Query: discovery could not
-// resolve the target, so the request is launched down each configured via
-// in turn. A response that comes back through a via must carry a hop
-// chain ending with that via's pin — the origin knows which hub it handed
-// the request to, which is what makes whole-chain truncation detectable.
-func (r *Relay) queryViaRoute(ctx context.Context, q *wire.Query, resolveErr error) (*wire.QueryResponse, error) {
-	legs := r.routedLegs(q.TargetNetwork)
-	if len(legs) == 0 {
-		return nil, resolveErr
-	}
-	env := r.routedEnvelope(wire.MsgQuery, q)
-	lastErr := resolveErr
-	for _, leg := range legs {
-		reply, err := r.sendFanout(ctx, leg.network, leg.addrs, env)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		resp, err := parseQueryReply(reply)
-		if err != nil {
-			return nil, err
-		}
-		if _, err := proof.VerifyHopChainVia(q, resp, leg.network); err != nil {
-			return nil, err
-		}
-		return resp, nil
-	}
-	return nil, fmt.Errorf("%w: %s: %w", ErrNoRoute, q.TargetNetwork, lastErr)
-}
-
-// invokeViaRoute is the origin-side fallback of Invoke. At-most-once
-// semantics extend across legs: the next via is tried only when the whole
-// previous leg was provably unreachable.
-func (r *Relay) invokeViaRoute(ctx context.Context, q *wire.Query, resolveErr error) (*wire.QueryResponse, error) {
-	legs := r.routedLegs(q.TargetNetwork)
-	if len(legs) == 0 {
-		return nil, resolveErr
-	}
-	env := r.routedEnvelope(wire.MsgInvoke, q)
-	lastErr := resolveErr
-	for _, leg := range legs {
-		reply, err := r.sendAtMostOnce(ctx, leg.network, leg.addrs, env)
-		if err != nil {
-			if errors.Is(err, ErrAllRelaysFailed) {
-				lastErr = err
-				continue
-			}
-			return nil, err
-		}
-		resp, err := parseQueryReply(reply)
-		if err != nil {
-			return nil, err
-		}
-		if _, err := proof.VerifyHopChainVia(q, resp, leg.network); err != nil {
-			return nil, err
-		}
-		return resp, nil
-	}
-	return nil, fmt.Errorf("%w: %s: %w", ErrNoRoute, q.TargetNetwork, lastErr)
+	return legs, nil
 }

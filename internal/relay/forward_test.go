@@ -70,7 +70,8 @@ func buildForwardChain(t testing.TB, hubCount int) *forwardChain {
 	} else {
 		originReg.Register("src-net", "src:1")
 	}
-	chain.origin = New("we-trade", originReg, transport, WithRoutes(originRoutes))
+	chain.origin = New("we-trade", originReg, transport)
+	chain.origin.SetRoutes(originRoutes)
 	return chain
 }
 

@@ -44,8 +44,8 @@ type addrHealth struct {
 
 // healthTracker scores relay addresses from observed transport outcomes —
 // the discovery layer's memory of which relays are alive and fast. Every
-// send through sendSequential, sendHedged, sendAtMostOnce, Ping and event
-// push feeds it; Resolve results are reordered through it so fan-out tries
+// send on the outbound path (sendLeg, sendHedged), Ping and event push
+// feeds it; Resolve results are reordered through it so fan-out tries
 // live, fast relays first (the paper's §5 relay-redundancy mitigation made
 // load-bearing: redundancy only helps if dead relays stop being preferred).
 type healthTracker struct {
@@ -57,12 +57,6 @@ type healthTracker struct {
 }
 
 func newHealthTracker(now func() time.Time, threshold int, cooldown time.Duration) *healthTracker {
-	if threshold <= 0 {
-		threshold = defaultBreakerThreshold
-	}
-	if cooldown <= 0 {
-		cooldown = defaultBreakerCooldown
-	}
 	return &healthTracker{
 		now:       now,
 		threshold: threshold,
@@ -181,16 +175,6 @@ func (h *healthTracker) order(addrs []string) (ordered []string, open int) {
 		open = 0
 	}
 	return ordered, open
-}
-
-// WithCircuitBreaker tunes the per-address circuit breaker: threshold
-// consecutive transport failures demote an address for cooldown. Zero
-// values keep the defaults (3 failures, 10s).
-func WithCircuitBreaker(threshold int, cooldown time.Duration) Option {
-	return func(r *Relay) {
-		r.breakerThreshold = threshold
-		r.breakerCooldown = cooldown
-	}
 }
 
 // resolveOrdered resolves a network through discovery and reorders the

@@ -171,8 +171,10 @@ func TestFailoverStopsAttemptingDeadAddress(t *testing.T) {
 }
 
 // TestBreakerSkipsCountedAfterProbes: failed pings open the dead address's
-// breaker; subsequent resolves demote it and account the skip in stats.
+// breaker (default policy: three failures); subsequent resolves demote it
+// and account the skip in stats.
 func TestBreakerSkipsCountedAfterProbes(t *testing.T) {
+	clk := newFakeClock()
 	hub := NewHub()
 	reg := NewStaticRegistry()
 	src, _ := newCaptureRelay(reg, hub)
@@ -181,7 +183,7 @@ func TestBreakerSkipsCountedAfterProbes(t *testing.T) {
 	reg.Register("srcnet", "dead", "live")
 	hub.SetDown("dead", true)
 
-	dest := New("destnet", reg, hub, WithCircuitBreaker(3, time.Minute))
+	dest := New("destnet", reg, hub, WithClock(clk.Now))
 	for i := 0; i < 3; i++ {
 		if err := dest.Ping(context.Background(), "dead"); err == nil {
 			t.Fatal("ping against a down address succeeded")
@@ -205,8 +207,8 @@ func TestBreakerSkipsCountedAfterProbes(t *testing.T) {
 }
 
 // TestBreakerCooldownRestoresRecoveredAddress: a dead-then-revived relay is
-// probed again once the cooldown elapses and earns back its standing with
-// one success.
+// probed again once the default 10s cooldown elapses and earns back its
+// standing with one success.
 func TestBreakerCooldownRestoresRecoveredAddress(t *testing.T) {
 	clk := newFakeClock()
 	hub := NewHub()
@@ -216,8 +218,8 @@ func TestBreakerCooldownRestoresRecoveredAddress(t *testing.T) {
 	reg.Register("srcnet", "flappy")
 	hub.SetDown("flappy", true)
 
-	dest := New("destnet", reg, hub, WithClock(clk.Now), WithCircuitBreaker(2, 10*time.Second))
-	for i := 0; i < 2; i++ {
+	dest := New("destnet", reg, hub, WithClock(clk.Now))
+	for i := 0; i < defaultBreakerThreshold; i++ {
 		if _, err := dest.Query(context.Background(), captureQuery(t)); !errors.Is(err, ErrAllRelaysFailed) {
 			t.Fatalf("query %d err = %v, want ErrAllRelaysFailed", i, err)
 		}
@@ -232,7 +234,7 @@ func TestBreakerCooldownRestoresRecoveredAddress(t *testing.T) {
 	}
 
 	hub.SetDown("flappy", false)
-	clk.Advance(11 * time.Second)
+	clk.Advance(defaultBreakerCooldown + time.Second)
 	resp, err := dest.Query(context.Background(), captureQuery(t))
 	if err != nil || resp.Error != "" {
 		t.Fatalf("query after recovery: %v %v", err, resp)

@@ -2,7 +2,6 @@ package relay
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"time"
 
@@ -25,10 +24,10 @@ type Hedging struct {
 	MaxParallel int
 }
 
-// WithHedging enables hedged fan-out for client-facing queries. Hedging
-// applies to Query only; Invoke keeps strict sequential failover because a
-// cross-network transaction is not idempotent and a hedge could commit it
-// twice.
+// WithHedging enables hedged fan-out for queries, at the origin and on
+// every leg a hub forwards. Invokes and subscribes never hedge: they are
+// not idempotent, and a hedge could commit a transaction twice (see
+// sendLeg).
 func WithHedging(delay time.Duration, maxParallel int) Option {
 	return func(r *Relay) { r.hedge = &Hedging{Delay: delay, MaxParallel: maxParallel} }
 }
@@ -53,41 +52,6 @@ func (r *Relay) stampDeadline(ctx context.Context, env *wire.Envelope) {
 	if rem := deadline.Sub(r.now()); rem > 0 {
 		env.TimeoutNanos = uint64(rem)
 	}
-}
-
-// sendFanout delivers env to the first responsive relay among addrs. With
-// hedging configured and more than one address available it races
-// attempts; otherwise it fails over sequentially.
-func (r *Relay) sendFanout(ctx context.Context, network string, addrs []string, env *wire.Envelope) (*wire.Envelope, error) {
-	if r.hedge == nil || len(addrs) < 2 {
-		return r.sendSequential(ctx, network, addrs, env)
-	}
-	return r.sendHedged(ctx, network, addrs, env)
-}
-
-// sendSequential tries each address in order, failing over on transport
-// errors, and stops early once ctx is done. Callers pass health-ordered
-// addresses, so the failover order is live-and-fast first with circuit-open
-// addresses as last resort.
-func (r *Relay) sendSequential(ctx context.Context, network string, addrs []string, env *wire.Envelope) (*wire.Envelope, error) {
-	var lastErr error
-	for _, addr := range addrs {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		r.stampDeadline(ctx, env) // per attempt: the relative budget decays
-		r.countFanoutAttempt()
-		reply, err := r.observeSend(ctx, addr, env)
-		if err != nil {
-			lastErr = err
-			continue // fail over to the next relay address
-		}
-		return reply, nil
-	}
-	if lastErr == nil {
-		lastErr = ctx.Err()
-	}
-	return nil, fmt.Errorf("%w for %s: %w", ErrAllRelaysFailed, network, lastErr)
 }
 
 // sendHedged races attempts across addrs: the first address is tried
@@ -194,34 +158,4 @@ func (r *Relay) sendHedged(ctx context.Context, network string, addrs []string, 
 			}
 		}
 	}
-}
-
-// sendAtMostOnce delivers env trying addresses in order, but fails over
-// only while delivery provably did not happen — ErrUnreachable means the
-// connection was never established, so the envelope cannot have reached a
-// relay. Any error after that point (write/read failure, stall, deadline)
-// aborts instead of resending, because a non-idempotent request may
-// already have been executed by a relay whose reply was lost. Used for
-// cross-network invokes.
-func (r *Relay) sendAtMostOnce(ctx context.Context, network string, addrs []string, env *wire.Envelope) (*wire.Envelope, error) {
-	var lastErr error
-	for _, addr := range addrs {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		r.stampDeadline(ctx, env) // per attempt: the relative budget decays
-		r.countFanoutAttempt()
-		reply, err := r.observeSend(ctx, addr, env)
-		if err == nil {
-			return reply, nil
-		}
-		lastErr = err
-		if !errors.Is(err, ErrUnreachable) {
-			return nil, err
-		}
-	}
-	if lastErr == nil {
-		lastErr = ctx.Err()
-	}
-	return nil, fmt.Errorf("%w for %s: %w", ErrAllRelaysFailed, network, lastErr)
 }

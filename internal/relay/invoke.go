@@ -30,47 +30,20 @@ type TxDriver interface {
 
 // Invoke is the client-facing entry point for cross-network transactions:
 // it mirrors Query but asks the source network to execute and commit a
-// state change. Discovery and proof machinery are shared with Query; the
-// caller's struct is never modified. Because a transaction is not
-// idempotent, the envelope is delivered at most once: hedging never
-// applies, and failover moves to the next relay address only while the
-// connection was provably never established (sendAtMostOnce). As a second
-// guard, the source relay asks its ledger before executing (see
-// handleInvoke), so a retried request that reaches any relay fronting a
-// network which already committed it replays the original response instead
-// of re-executing. That protects the TCP transport's same-address
-// lost-connection retry, and lets an application retry safely by setting
-// the same q.RequestID explicitly (a fresh ID is generated only when it is
-// empty).
+// state change. Discovery, routing and proof machinery are shared with
+// Query; the caller's struct is never modified. Because a transaction is
+// not idempotent, the envelope is delivered at most once: hedging never
+// applies, and failover moves to the next relay address, or past every
+// direct relay to a via, only while the connection was provably never
+// established (sendLeg). As a second guard, the source relay asks its
+// ledger before executing (see handleInvoke), so a retried request that
+// reaches any relay fronting a network which already committed it replays
+// the original response instead of re-executing. That protects the TCP
+// transport's same-address lost-connection retry, and lets an application
+// retry safely by setting the same q.RequestID explicitly (a fresh ID is
+// generated only when it is empty).
 func (r *Relay) Invoke(ctx context.Context, q *wire.Query) (*wire.QueryResponse, error) {
-	q, err := r.prepareRequest(q)
-	if err != nil {
-		return nil, err
-	}
-	if d, ok := r.driverFor(q.TargetNetwork); ok {
-		resp, err := invokeOn(ctx, d, q)
-		if err != nil {
-			return nil, err
-		}
-		return ensureRequestID(resp, q), nil
-	}
-	addrs, err := r.resolveOrdered(q.TargetNetwork)
-	if err != nil {
-		// Discovery does not know the target: fall back to the static
-		// route table and launch a multi-hop walk through a via network.
-		return r.invokeViaRoute(ctx, q, err)
-	}
-	env := &wire.Envelope{
-		Version:   wire.ProtocolVersion,
-		Type:      wire.MsgInvoke,
-		RequestID: q.RequestID,
-		Payload:   q.Marshal(),
-	}
-	reply, err := r.sendAtMostOnce(ctx, q.TargetNetwork, addrs, env)
-	if err != nil {
-		return nil, err
-	}
-	return parseQueryReply(reply)
+	return r.request(ctx, wire.MsgInvoke, q)
 }
 
 // ErrRequestMismatch is returned (wrapped) when a duplicate invoke's
@@ -119,7 +92,7 @@ func (r *Relay) handleInvoke(ctx context.Context, env *wire.Envelope) *wire.Enve
 	d, ok := r.driverFor(q.TargetNetwork)
 	if !ok {
 		if r.forwarderIdentity() != nil {
-			return r.forwardInvoke(ctx, env, q)
+			return r.forward(ctx, env, q)
 		}
 		return errEnvelope(env.RequestID, fmt.Sprintf("network %q not served by this relay", q.TargetNetwork))
 	}

@@ -119,7 +119,7 @@ type Stats struct {
 	EncryptOps uint64
 
 	// Client-side fan-out accounting (destination relay role).
-	FanoutAttempts uint64 // transport sends launched by client-side fan-out (queries, invokes, subscribes)
+	FanoutAttempts uint64 // transport sends on the outbound path (origin requests and hub forwards)
 	HedgedWins     uint64 // requests won by a hedge attempt rather than the first address
 	HedgedLosses   uint64 // in-flight attempts cancelled because another attempt won
 	BreakerSkips   uint64 // circuit-open addresses demoted past healthy ones at resolve time

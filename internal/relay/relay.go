@@ -154,15 +154,13 @@ type Relay struct {
 
 	// Per-address health scoring and circuit breaking, fed by every
 	// transport outcome (see health.go).
-	health           *healthTracker
-	breakerThreshold int
-	breakerCooldown  time.Duration
+	health *healthTracker
 
 	mu      sync.RWMutex
 	drivers map[string]Driver
 
 	// Multi-hop routing (see route.go/forward.go): the static route
-	// table consulted when discovery cannot resolve a target directly,
+	// table whose vias follow the direct leg of every outbound request,
 	// and the identity a forwarding relay signs hop pins with. A nil
 	// forwardID means this relay never forwards for others; a nil routes
 	// table means its own requests never take a multi-hop path.
@@ -194,9 +192,8 @@ func New(localNetworkID string, discovery Discovery, transport Transport, opts .
 	for _, opt := range opts {
 		opt(r)
 	}
-	// Built after options so the tracker shares an overridden clock and
-	// picks up WithCircuitBreaker tuning.
-	r.health = newHealthTracker(func() time.Time { return r.now() }, r.breakerThreshold, r.breakerCooldown)
+	// Built after options so the tracker shares an overridden clock.
+	r.health = newHealthTracker(r.now, defaultBreakerThreshold, defaultBreakerCooldown)
 	return r
 }
 
@@ -257,42 +254,47 @@ func (r *Relay) driverFor(networkID string) (Driver, bool) {
 // Without hedging, addresses are tried in order and transport failures fail
 // over to the next address; with WithHedging configured, a hedge attempt
 // opens against the next address after the hedge delay and the first valid
-// response wins (relay redundancy, §5). ctx bounds the whole operation: its
-// deadline is stamped into the envelope so the source relay inherits the
-// remaining budget, and cancellation aborts in-flight transport sends.
+// response wins (relay redundancy, §5). When every direct relay fails, the
+// route table's vias are tried in turn (see forward.go). ctx bounds the
+// whole operation: its deadline is stamped into the envelope so the source
+// relay inherits the remaining budget, and cancellation aborts in-flight
+// transport sends.
 func (r *Relay) Query(ctx context.Context, q *wire.Query) (*wire.QueryResponse, error) {
+	return r.request(ctx, wire.MsgQuery, q)
+}
+
+// request is the origin side of Query and Invoke: a local driver serves the
+// target directly, skipping the wire; otherwise the request takes the
+// outbound path every hub forwards on.
+func (r *Relay) request(ctx context.Context, msgType wire.MsgType, q *wire.Query) (*wire.QueryResponse, error) {
 	q, err := r.prepareRequest(q)
 	if err != nil {
 		return nil, err
 	}
-
-	// Local shortcut: if this relay serves the target network itself, skip
-	// the wire entirely. Remote is the normal path.
 	if d, ok := r.driverFor(q.TargetNetwork); ok {
-		resp, err := d.Query(ctx, q)
+		var resp *wire.QueryResponse
+		if msgType == wire.MsgInvoke {
+			resp, err = invokeOn(ctx, d, q)
+		} else {
+			resp, err = d.Query(ctx, q)
+		}
 		if err != nil {
 			return nil, err
 		}
 		return ensureRequestID(resp, q), nil
 	}
-
-	addrs, err := r.resolveOrdered(q.TargetNetwork)
-	if err != nil {
-		// Discovery does not know the target: fall back to the static
-		// route table and launch a multi-hop walk through a via network.
-		return r.queryViaRoute(ctx, q, err)
-	}
 	env := &wire.Envelope{
 		Version:   wire.ProtocolVersion,
-		Type:      wire.MsgQuery,
+		Type:      msgType,
 		RequestID: q.RequestID,
 		Payload:   q.Marshal(),
 	}
-	reply, err := r.sendFanout(ctx, q.TargetNetwork, addrs, env)
+	var buf [2]hopLeg
+	legs, err := r.legs(buf[:], env, q.TargetNetwork, true)
 	if err != nil {
 		return nil, err
 	}
-	return parseQueryReply(reply)
+	return r.walk(ctx, q, legs)
 }
 
 // ensureRequestID backfills the assigned request ID into a response that
@@ -323,21 +325,6 @@ func (r *Relay) prepareRequest(q *wire.Query) (*wire.Query, error) {
 		prepared.RequestingNetwork = r.localNetwork
 	}
 	return &prepared, nil
-}
-
-func parseQueryReply(env *wire.Envelope) (*wire.QueryResponse, error) {
-	switch env.Type {
-	case wire.MsgQueryResponse:
-		resp, err := wire.UnmarshalQueryResponse(env.Payload)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadEnvelope, err)
-		}
-		return resp, nil
-	case wire.MsgError:
-		return nil, fmt.Errorf("relay: remote error: %s", string(env.Payload))
-	default:
-		return nil, fmt.Errorf("%w: unexpected reply type %s", ErrBadEnvelope, env.Type)
-	}
 }
 
 // HandleEnvelope is the server-facing entry point (Fig. 2 steps 4-8): it
@@ -382,7 +369,7 @@ func (r *Relay) handleQuery(ctx context.Context, env *wire.Envelope) *wire.Envel
 	d, ok := r.driverFor(q.TargetNetwork)
 	if !ok {
 		if r.forwarderIdentity() != nil {
-			return r.forwardQuery(ctx, env, q)
+			return r.forward(ctx, env, q)
 		}
 		return errEnvelope(env.RequestID, fmt.Sprintf("network %q not served by this relay", q.TargetNetwork))
 	}

@@ -16,13 +16,14 @@ import (
 const DefaultMaxHops = 4
 
 // RouteTable holds a relay's static multi-hop routes: for each target
-// network it cannot reach directly, the ordered list of via networks whose
-// relays can carry the request closer. Resolution order at send time is
-// always direct-first — the table is only consulted when discovery does
-// not know the target — and within the table, vias are tried in the order
-// configured. The zero table (or an empty one) routes nothing; a relay
-// with forwarding enabled and an empty table still forwards to targets its
-// own discovery resolves directly.
+// network, the ordered list of via networks whose relays can carry a
+// request closer. Resolution is the same at every relay, origin or hub:
+// direct first, then vias on failure — the target's own relays when
+// discovery resolves them, and the table's vias in the order configured
+// when there are none or every one failed (for an invoke, only when
+// nothing was delivered). The zero table (or an empty one) routes nothing;
+// a relay with forwarding enabled and an empty table still forwards to
+// targets its own discovery resolves directly.
 type RouteTable struct {
 	mu      sync.RWMutex
 	routes  map[string][]string
@@ -136,17 +137,10 @@ func (r *Relay) EnableForwarding(routes *RouteTable, id *msp.Identity) {
 	r.forwardID = id
 }
 
-// WithRoutes configures the client-facing side only: Query and Invoke
-// fall back to the table's via networks when discovery cannot resolve a
-// target directly. Unlike EnableForwarding it does not make the relay
-// serve forwarded traffic for others.
-func WithRoutes(routes *RouteTable) Option {
-	return func(r *Relay) { r.routes = routes }
-}
-
-// SetRoutes installs (or replaces) the client-side route table after
-// construction — the post-hoc form of WithRoutes, for relays built by
-// code that does not thread relay options through (scenario builders).
+// SetRoutes installs (or replaces) the client-side route table: Query and
+// Invoke try the table's via networks when discovery cannot resolve a
+// target directly or every direct relay failed. Unlike EnableForwarding it
+// does not make the relay serve forwarded traffic for others.
 func (r *Relay) SetRoutes(routes *RouteTable) {
 	r.mu.Lock()
 	defer r.mu.Unlock()

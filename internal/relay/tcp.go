@@ -20,7 +20,7 @@ import (
 // matched to their requests and may complete out of order. The zero value
 // is ready to use; Close releases the connections.
 //
-// Error contract, which the at-most-once rule (sendAtMostOnce) rests on:
+// Error contract, which the at-most-once rule (sendLeg) rests on:
 //
 //   - A failed dial is ErrUnreachable: the envelope provably reached no
 //     relay, so the caller may fail over to another address. A connection

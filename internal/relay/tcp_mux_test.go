@@ -15,7 +15,7 @@ import (
 )
 
 // The TCPTransport contract: one connection per address, replies matched
-// by frame tag, and the error classes sendAtMostOnce depends on. Tests that
+// by frame tag, and the error classes sendLeg depends on. Tests that
 // need a relay behind the socket use a real TCPServer over a gateDriver;
 // tests that script the peer's misbehaviour use scriptedPeer.
 
@@ -171,7 +171,7 @@ func TestMuxConnLossFailsEveryPendingSend(t *testing.T) {
 }
 
 // TestMuxInvokeDoesNotFailOverOnConnLoss: an invoke in flight when its
-// relay dies is ambiguous, so sendAtMostOnce must not try the live standby
+// relay dies is ambiguous, so sendLeg must not try the live standby
 // — which it would if the transport's failed redial leaked ErrUnreachable.
 func TestMuxInvokeDoesNotFailOverOnConnLoss(t *testing.T) {
 	reg := NewStaticRegistry()

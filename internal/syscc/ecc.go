@@ -1,7 +1,8 @@
 // Package syscc implements the paper's system contracts (§3.2): the
 // Exposure Control Chaincode (ECC), which enforces a source network's
-// access-control rules over incoming cross-network queries and encrypts
-// responses to the requester, and the Configuration Management & Data
+// access-control rules over incoming cross-network queries (responses are
+// encrypted to the requester by proof.Builder), and the Configuration
+// Management & Data
 // Acceptance Chaincode (CMDAC), which records foreign network
 // configurations and verification policies and validates incoming proofs.
 // Both are ordinary chaincodes: rule and configuration changes are
@@ -15,7 +16,6 @@ import (
 	"fmt"
 
 	"repro/internal/chaincode"
-	"repro/internal/cryptoutil"
 	"repro/internal/msp"
 	"repro/internal/policy"
 	"repro/internal/statedb"
@@ -39,7 +39,6 @@ const (
 	ECCListRules    = "GetAccessRules"
 	ECCCheckAccess  = "CheckAccess"
 	ECCAuthorize    = "Authorize"
-	ECCEncrypt      = "EncryptForRequester"
 	eccRulesKeyType = "ecc-rule"
 )
 
@@ -84,8 +83,6 @@ func (e *ECC) Invoke(stub chaincode.Stub) ([]byte, error) {
 		return e.checkAccess(stub)
 	case ECCAuthorize:
 		return e.authorize(stub)
-	case ECCEncrypt:
-		return e.encrypt(stub)
 	default:
 		return nil, fmt.Errorf("%w: ecc.%s", ErrUnknownFunction, stub.Function())
 	}
@@ -224,19 +221,4 @@ func (e *ECC) authorize(stub chaincode.Stub) ([]byte, error) {
 			ErrAccessDenied, networkID, info.OrgID, ccName, function)
 	}
 	return []byte(info.OrgID), nil
-}
-
-// encrypt encrypts a response payload to the requesting client's public key
-// (the paper's post-execution ECC encryption call): args = [requesterCertPEM,
-// plaintext]; returns the ciphertext.
-func (e *ECC) encrypt(stub chaincode.Stub) ([]byte, error) {
-	args := stub.Args()
-	if len(args) != 2 {
-		return nil, fmt.Errorf("%w: EncryptForRequester expects 2 args", ErrBadArgs)
-	}
-	pub, err := msp.PublicKeyFromPEM(args[0])
-	if err != nil {
-		return nil, fmt.Errorf("syscc: requester cert: %w", err)
-	}
-	return cryptoutil.Encrypt(pub, args[1])
 }

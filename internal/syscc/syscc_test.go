@@ -276,28 +276,6 @@ func TestECCAuthorizeWithoutConfig(t *testing.T) {
 	}
 }
 
-func TestECCEncryptForRequester(t *testing.T) {
-	tb := newTestBed(t)
-	clientKey, _ := cryptoutil.GenerateKey()
-	cert, err := tb.sellerCA.IssueForKey("swt-sc", msp.RoleClient, &clientKey.PublicKey)
-	if err != nil {
-		t.Fatalf("IssueForKey: %v", err)
-	}
-	certPEM := pemOf(cert.Raw)
-	plaintext := []byte("the B/L document")
-	ct, err := tb.admin.Evaluate(ECCName, ECCEncrypt, certPEM, plaintext)
-	if err != nil {
-		t.Fatalf("EncryptForRequester: %v", err)
-	}
-	got, err := cryptoutil.Decrypt(clientKey, ct)
-	if err != nil {
-		t.Fatalf("Decrypt: %v", err)
-	}
-	if !bytes.Equal(got, plaintext) {
-		t.Fatalf("round-trip = %q", got)
-	}
-}
-
 func TestUnknownFunctions(t *testing.T) {
 	tb := newTestBed(t)
 	if _, err := tb.admin.EvaluateString(ECCName, "Bogus"); err == nil {
