@@ -2,10 +2,13 @@ package cryptoutil
 
 import (
 	"bytes"
+	"crypto/ecdsa"
 	"crypto/hkdf"
 	"crypto/sha256"
+	"errors"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestSignVerifyRoundTrip(t *testing.T) {
@@ -216,6 +219,117 @@ func TestHKDFSizes(t *testing.T) {
 	prk := hkdfExtract(secret, []byte("salt"))
 	if bytes.Equal(hkdfExpand(prk, []byte("info"), 32), hkdfExpand(prk, []byte("other"), 32)) {
 		t.Fatal("hkdf output does not depend on info")
+	}
+}
+
+// sealTo seals plaintext for key under context with a fresh session manager,
+// the one encryption scheme responses travel under.
+func sealTo(t testing.TB, key *ecdsa.PrivateKey, context, plaintext []byte) (*SessionKey, []byte) {
+	t.Helper()
+	sk, err := NewSessionManager(time.Minute, nil).KeyFor("requester", &key.PublicKey)
+	if err != nil {
+		t.Fatalf("KeyFor: %v", err)
+	}
+	env, err := sk.Seal(context, plaintext)
+	if err != nil {
+		t.Fatalf("Seal: %v", err)
+	}
+	return sk, env
+}
+
+// TestEncryptDecryptRoundTrip: plaintexts from one byte to 64 KiB seal and
+// open back unchanged, and no envelope carries its plaintext in the clear.
+func TestEncryptDecryptRoundTrip(t *testing.T) {
+	key, _ := GenerateKey()
+	context := []byte("query-digest")
+	for _, size := range []int{1, 31, 1024, 64 << 10} {
+		plaintext := bytes.Repeat([]byte("metadata"), size/8+1)[:size]
+		sk, env := sealTo(t, key, context, plaintext)
+		if size >= 8 && bytes.Contains(env, plaintext[:8]) {
+			t.Fatalf("size %d: envelope carries the plaintext in the clear", size)
+		}
+		got, err := NewRecipient(key).Open(sk.Ephemeral, sk.Generation, context, env)
+		if err != nil {
+			t.Fatalf("size %d: Open: %v", size, err)
+		}
+		if !bytes.Equal(got, plaintext) {
+			t.Fatalf("size %d: round trip differs", size)
+		}
+	}
+}
+
+// TestEncryptDecryptProperty: for arbitrary contexts and plaintexts, an
+// envelope opens under the context it was sealed with and under no other.
+func TestEncryptDecryptProperty(t *testing.T) {
+	key, _ := GenerateKey()
+	sk, err := NewSessionManager(time.Minute, nil).KeyFor("prop", &key.PublicKey)
+	if err != nil {
+		t.Fatalf("KeyFor: %v", err)
+	}
+	r := NewRecipient(key)
+	prop := func(context, plaintext []byte) bool {
+		env, err := sk.Seal(context, plaintext)
+		if err != nil {
+			return false
+		}
+		got, err := r.Open(sk.Ephemeral, sk.Generation, context, env)
+		if err != nil || !bytes.Equal(got, plaintext) {
+			return false
+		}
+		_, err = r.Open(sk.Ephemeral, sk.Generation, append(context, 0), env)
+		return errors.Is(err, ErrDecrypt)
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 25}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestDecryptWrongKey: an envelope sealed for one key, under its own session
+// point, does not open with another key.
+func TestDecryptWrongKey(t *testing.T) {
+	key, _ := GenerateKey()
+	other, _ := GenerateKey()
+	context := []byte("qd-wrong-key")
+	sk, env := sealTo(t, key, context, []byte("for key only"))
+	if _, err := NewRecipient(other).Open(sk.Ephemeral, sk.Generation, context, env); !errors.Is(err, ErrDecrypt) {
+		t.Fatalf("other key: got %v, want ErrDecrypt", err)
+	}
+	if got, err := NewRecipient(key).Open(sk.Ephemeral, sk.Generation, context, env); err != nil || string(got) != "for key only" {
+		t.Fatalf("own key: %q, %v", got, err)
+	}
+}
+
+// TestDecryptTamperedCiphertext: flipping any single byte of an envelope —
+// GCM nonce, ciphertext or tag — makes it fail to open.
+func TestDecryptTamperedCiphertext(t *testing.T) {
+	key, _ := GenerateKey()
+	context := []byte("qd-tamper")
+	sk, env := sealTo(t, key, context, []byte("transfer 100 units to org2"))
+	r := NewRecipient(key)
+	for i := range env {
+		tampered := append([]byte(nil), env...)
+		tampered[i] ^= 0x01
+		if _, err := r.Open(sk.Ephemeral, sk.Generation, context, tampered); !errors.Is(err, ErrDecrypt) {
+			t.Fatalf("byte %d flipped: got %v, want ErrDecrypt", i, err)
+		}
+	}
+}
+
+// TestDecryptTruncated: every proper prefix of an envelope, the empty one
+// included, and the envelope with a byte appended fail to open.
+func TestDecryptTruncated(t *testing.T) {
+	key, _ := GenerateKey()
+	context := []byte("qd-truncated")
+	sk, env := sealTo(t, key, context, []byte("payload"))
+	r := NewRecipient(key)
+	for n := 0; n < len(env); n++ {
+		if _, err := r.Open(sk.Ephemeral, sk.Generation, context, env[:n]); !errors.Is(err, ErrDecrypt) {
+			t.Fatalf("%d of %d bytes: got %v, want ErrDecrypt", n, len(env), err)
+		}
+	}
+	extended := append(append([]byte(nil), env...), 0x00)
+	if _, err := r.Open(sk.Ephemeral, sk.Generation, context, extended); !errors.Is(err, ErrDecrypt) {
+		t.Fatalf("byte appended: got %v, want ErrDecrypt", err)
 	}
 }
 
