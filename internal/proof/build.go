@@ -248,9 +248,13 @@ type Sealed struct {
 	Response     []byte   // marshaled wire.QueryResponse
 }
 
-// Marshal encodes the sealed proof for transaction storage.
-func (s *Sealed) Marshal() []byte {
-	e := wire.NewEncoder(128 + len(s.Response))
+// Marshal encodes the sealed proof for transaction storage, in one
+// exactly-sized allocation (see wire.Encoder).
+func (s *Sealed) Marshal() []byte { e := wire.NewEncoder(s.size()); s.encode(e); return e.Bytes() }
+
+func (s *Sealed) size() int { var c wire.Encoder; s.encode(&c); return c.Len() }
+
+func (s *Sealed) encode(e *wire.Encoder) {
 	e.BytesField(1, s.QueryDigest)
 	e.BytesField(2, s.PolicyDigest)
 	e.Uint(3, s.UnixNano)
@@ -258,7 +262,6 @@ func (s *Sealed) Marshal() []byte {
 		e.String(4, a)
 	}
 	e.BytesField(5, s.Response)
-	return e.Bytes()
 }
 
 // sealedScalars omits field 4 (Attestors), the only repeated field. A

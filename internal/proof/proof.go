@@ -167,29 +167,37 @@ type Bundle struct {
 	UnixNano uint64
 }
 
-// Marshal encodes the bundle for use as a transaction argument.
-func (b *Bundle) Marshal() []byte {
-	e := wire.NewEncoder(512)
+// Marshal encodes the bundle for use as a transaction argument, in one
+// exactly-sized allocation (see wire.Encoder).
+func (b *Bundle) Marshal() []byte { e := wire.NewEncoder(b.size()); b.encode(e); return e.Bytes() }
+
+func (b *Bundle) size() int { var c wire.Encoder; b.encode(&c); return c.Len() }
+
+func (b *Bundle) encode(e *wire.Encoder) {
 	e.String(1, b.SourceNetwork)
 	e.BytesField(2, b.Result)
 	e.BytesField(3, b.Nonce)
 	for i := range b.Elements {
 		el := &b.Elements[i]
-		ee := wire.NewEncoder(256)
-		ee.BytesField(1, el.CertPEM)
-		ee.BytesField(2, el.Metadata)
-		ee.BytesField(3, el.Signature)
-		ee.Uint(4, el.BatchSize)
-		ee.Uint(5, el.BatchIndex)
-		for _, h := range el.BatchPath {
-			ee.Message(6, h)
-		}
-		e.Message(4, ee.Bytes())
+		e.MessageHeader(4, el.size())
+		el.encode(e)
 	}
 	e.BytesField(5, b.QueryDigest)
 	e.BytesField(6, b.PolicyDigest)
 	e.Uint(7, b.UnixNano)
-	return e.Bytes()
+}
+
+func (el *Element) size() int { var c wire.Encoder; el.encode(&c); return c.Len() }
+
+func (el *Element) encode(e *wire.Encoder) {
+	e.BytesField(1, el.CertPEM)
+	e.BytesField(2, el.Metadata)
+	e.BytesField(3, el.Signature)
+	e.Uint(4, el.BatchSize)
+	e.Uint(5, el.BatchIndex)
+	for _, h := range el.BatchPath {
+		e.Message(6, h)
+	}
 }
 
 // bundleScalars omits field 4 (Elements), the only repeated field.

@@ -1,8 +1,15 @@
 package relay
 
 import (
+	"bytes"
 	"context"
 	"testing"
+
+	"repro/internal/cryptoutil"
+	"repro/internal/endorsement"
+	"repro/internal/msp"
+	"repro/internal/proof"
+	"repro/internal/wire"
 )
 
 // newCacheEnv is a source network holding one document, with its driver
@@ -49,6 +56,66 @@ func TestDriverCacheSecondTouchIsHit(t *testing.T) {
 	e, sg, en := src.driver.CryptoOps()
 	if e != ecdh || sg != sign || en != encrypt {
 		t.Fatalf("cache hits performed crypto: ecdh +%d, sign +%d, encrypt +%d", e-ecdh, sg-sign, en-encrypt)
+	}
+}
+
+// TestDriverCacheHitOwnsItsResponse: decoded responses alias the bytes they
+// were decoded from, so a hit decodes a private copy of the cache entry. A
+// caller that overwrites every byte slice of one hit's response changes
+// nothing the next hit serves, and the requester still opens and verifies
+// that next hit.
+func TestDriverCacheHitOwnsItsResponse(t *testing.T) {
+	src, req := newCacheEnv(t)
+	q := newQuery(t, req)
+	hit := func() *wire.QueryResponse {
+		t.Helper()
+		resp, err := src.driver.Query(context.Background(), q)
+		if err != nil || resp.Error != "" {
+			t.Fatalf("Query: %v", respError(resp, err))
+		}
+		return resp
+	}
+	hit() // the build, stored
+	first := hit()
+	want := first.Marshal()
+	if len(first.Attestations) == 0 {
+		t.Fatal("hit carries no attestations")
+	}
+	scribble := func(b []byte) {
+		for i := range b {
+			b[i] = 0xA5
+		}
+	}
+	scribble(first.EncryptedResult)
+	for i := range first.Attestations {
+		a := &first.Attestations[i]
+		for _, b := range [][]byte{a.CertPEM, a.EncryptedMetadata, a.Signature, a.SessionEphemeral} {
+			scribble(b)
+		}
+	}
+	second := hit()
+	if s := src.relay.Stats(); s.AttestationCacheHits != 2 {
+		t.Fatalf("cache hits = %d, want 2", s.AttestationCacheHits)
+	}
+	if !bytes.Equal(second.Marshal(), want) {
+		t.Fatal("overwriting one hit's response changed the next hit")
+	}
+
+	bundle, err := proof.OpenResponse(cryptoutil.NewRecipient(req.key), q, second)
+	if err != nil {
+		t.Fatalf("OpenResponse: %v", err)
+	}
+	roots := make(map[string][]byte)
+	for _, o := range src.net.ExportConfig().Orgs {
+		roots[o.OrgID] = o.RootCertPEM
+	}
+	verifier, err := msp.NewVerifier(roots)
+	if err != nil {
+		t.Fatalf("NewVerifier: %v", err)
+	}
+	vp := endorsement.MustParse(q.PolicyExpr)
+	if err := proof.Verify(bundle, verifier, vp, proof.QueryDigestOf(q), proof.PolicyDigest(q.PolicyExpr)); err != nil {
+		t.Fatalf("Verify: %v", err)
 	}
 }
 

@@ -307,7 +307,9 @@ func (d *FabricDriver) Query(ctx context.Context, q *wire.Query) (*wire.QueryRes
 	// reads would produce. Single-flight scanning makes this near-free.
 	d.cache.advance(store)
 	if raw := d.cache.get(key); raw != nil {
-		if resp, err := wire.UnmarshalQueryResponse(raw); err == nil {
+		// A decoded response aliases its input, and the entry serves every
+		// later hit: decode a private copy, so no hit hands out cache memory.
+		if resp, err := wire.UnmarshalQueryResponse(bytes.Clone(raw)); err == nil {
 			d.notifyCache(true)
 			resp.RequestID = q.RequestID
 			return resp, nil

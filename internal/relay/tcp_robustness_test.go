@@ -1,10 +1,13 @@
 package relay
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"net"
 	"os"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -111,6 +114,59 @@ func TestTCPServerAbruptDisconnect(t *testing.T) {
 	if err := probe.Ping(context.Background(), server.Addr()); err != nil {
 		t.Fatalf("server wedged after abrupt disconnect: %v", err)
 	}
+}
+
+// TestStalledMaximalHeadersHoldLittle: what a peer that has sent nothing
+// valid makes the server hold. Eight connections each send one frame
+// header claiming MaxFrameSize, then stall. The server allocates payload
+// buffers as bytes arrive, not as claimed, so the eight together grow its
+// live heap by at most 1 MiB (allocating each claimed length up front held
+// 768 MiB for these 96 bytes).
+func TestStalledMaximalHeadersHoldLittle(t *testing.T) {
+	const conns = 8
+	server, err := NewTCPServer(New("net", NewStaticRegistry(), &TCPTransport{}), "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("NewTCPServer: %v", err)
+	}
+	defer server.Close()
+
+	before := liveHeap()
+	hdr := make([]byte, 12)
+	binary.BigEndian.PutUint32(hdr[:4], wire.MaxFrameSize|1<<31)
+	binary.BigEndian.PutUint64(hdr[4:], 1)
+	for i := 0; i < conns; i++ {
+		conn, err := net.Dial("tcp", server.Addr())
+		if err != nil {
+			t.Fatalf("Dial: %v", err)
+		}
+		defer conn.Close()
+		if _, err := conn.Write(hdr); err != nil {
+			t.Fatalf("Write: %v", err)
+		}
+	}
+	// Every connection's reader is parked waiting for its payload.
+	buf := make([]byte, 1<<20)
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		if n := bytes.Count(buf[:runtime.Stack(buf, true)], []byte("wire.readPayload(")); n >= conns {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("the server did not reach the payload read of %d connections", conns)
+		}
+	}
+	grew := liveHeap() - before
+	t.Logf("%d stalled maximal headers: live heap grew %d KiB", conns, grew>>10)
+	if grew > 1<<20 {
+		t.Fatalf("%d stalled headers hold %d KiB of heap, want ≤ 1024 KiB", conns, grew>>10)
+	}
+}
+
+// liveHeap returns the heap in use after a full collection.
+func liveHeap() int64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapAlloc)
 }
 
 // TestTCPServerConcurrentClients hammers the server with parallel pings

@@ -6,12 +6,23 @@
 // wire type, followed by either a varint scalar or a length-delimited byte
 // string. Messages round-trip deterministically and unknown fields are
 // skipped, which preserves protobuf's forward-compatibility property.
+//
+// Encoding is one allocation: Marshal runs a message's field walk once in
+// the Encoder's counting mode and once more into a buffer of exactly the
+// counted size.
+//
+// Decoding copies nothing but strings: a decoded message's byte fields
+// alias the buffer it was decoded from. Pass a buffer nobody reuses or
+// writes afterwards — a frame ReadFrame just allocated, or the output of a
+// Marshal call. The owner of a buffer that outlives the decode and is
+// shared (a cache entry, say) clones it once and decodes the clone.
 package wire
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 )
 
 // Wire types, mirroring the protobuf wire format.
@@ -33,20 +44,58 @@ var (
 // results are documents (bills of lading, letters of credit), not bulk data.
 const maxFieldLen = 64 << 20 // 64 MiB
 
-// Encoder accumulates an encoded message.
+// Encoder accumulates an encoded message. It has two modes. A counting
+// encoder — the zero value, whose buffer is nil — writes nothing: only Len
+// advances, by exactly the bytes a writing encoder would append. That is
+// how a message learns its encoded size without building it. Every message
+// in this package (and proof.Bundle and proof.Sealed) is one field walk,
+// encode(e), run twice by Marshal: once on a counting encoder, then on
+// NewEncoder(counted size), whose one buffer it fills exactly. A nested
+// message is written in place behind MessageHeader, its length taken from
+// a counting run of its own walk, rather than encoded apart and copied.
 type Encoder struct {
 	buf []byte
+	n   int // counting mode: bytes counted so far
 }
 
-// NewEncoder returns an Encoder with the given initial capacity hint.
+// NewEncoder returns a writing Encoder with the given initial capacity
+// hint. A hint that a counting run measured is exact: the buffer never
+// regrows.
 func NewEncoder(sizeHint int) *Encoder {
 	return &Encoder{buf: make([]byte, 0, sizeHint)}
 }
 
-// Bytes returns the encoded message. The returned slice aliases the
-// encoder's internal buffer; callers must not mutate it while continuing to
-// use the encoder.
+// Bytes returns the encoded message (nil in counting mode). The returned
+// slice aliases the encoder's internal buffer; callers must not mutate it
+// while continuing to use the encoder.
 func (e *Encoder) Bytes() []byte { return e.buf }
+
+// Len returns the encoded length so far: the bytes counted in counting
+// mode, the length of Bytes otherwise.
+func (e *Encoder) Len() int {
+	if e.buf == nil {
+		return e.n
+	}
+	return len(e.buf)
+}
+
+// uvarint appends v as a varint.
+func (e *Encoder) uvarint(v uint64) {
+	if e.buf == nil {
+		e.n += (bits.Len64(v|1) + 6) / 7
+		return
+	}
+	e.buf = binary.AppendUvarint(e.buf, v)
+}
+
+// put appends p verbatim.
+func put[T string | []byte](e *Encoder, p T) {
+	if e.buf == nil {
+		e.n += len(p)
+		return
+	}
+	e.buf = append(e.buf, p...)
+}
 
 // Uint writes a varint scalar field. Zero values are omitted, as in proto3.
 func (e *Encoder) Uint(field int, v uint64) {
@@ -54,7 +103,7 @@ func (e *Encoder) Uint(field int, v uint64) {
 		return
 	}
 	e.key(field, wireVarint)
-	e.buf = binary.AppendUvarint(e.buf, v)
+	e.uvarint(v)
 }
 
 // Bool writes a bool field as a 0/1 varint. False is omitted.
@@ -69,9 +118,8 @@ func (e *Encoder) BytesField(field int, v []byte) {
 	if len(v) == 0 {
 		return
 	}
-	e.key(field, wireBytes)
-	e.buf = binary.AppendUvarint(e.buf, uint64(len(v)))
-	e.buf = append(e.buf, v...)
+	e.MessageHeader(field, len(v))
+	put(e, v)
 }
 
 // String writes a length-delimited string field. Empty strings are omitted.
@@ -79,22 +127,28 @@ func (e *Encoder) String(field int, v string) {
 	if len(v) == 0 {
 		return
 	}
-	e.key(field, wireBytes)
-	e.buf = binary.AppendUvarint(e.buf, uint64(len(v)))
-	e.buf = append(e.buf, v...)
+	e.MessageHeader(field, len(v))
+	put(e, v)
 }
 
 // Message writes an embedded message field from its already-encoded form.
 // Unlike BytesField, empty messages are still written so that the presence
 // of an element in a repeated field is preserved.
 func (e *Encoder) Message(field int, encoded []byte) {
+	e.MessageHeader(field, len(encoded))
+	put(e, encoded)
+}
+
+// MessageHeader writes the key and length prefix of a length-delimited
+// field whose n bytes the caller writes next — an embedded message encoded
+// in place by its own walk. Like Message, it is written even when n is 0.
+func (e *Encoder) MessageHeader(field, n int) {
 	e.key(field, wireBytes)
-	e.buf = binary.AppendUvarint(e.buf, uint64(len(encoded)))
-	e.buf = append(e.buf, encoded...)
+	e.uvarint(uint64(n))
 }
 
 func (e *Encoder) key(field, wireType int) {
-	e.buf = binary.AppendUvarint(e.buf, uint64(field)<<3|uint64(wireType))
+	e.uvarint(uint64(field)<<3 | uint64(wireType))
 }
 
 // Decoder iterates the fields of an encoded message.
@@ -146,7 +200,10 @@ func (d *Decoder) Bool() (bool, error) {
 }
 
 // Bytes reads the current field as a length-delimited byte string. The
-// returned slice aliases the input buffer.
+// returned slice aliases the input buffer, so it stays valid only while
+// nobody writes that buffer; its capacity ends with the field, so an
+// append to it reallocates instead of overwriting the next field. Every
+// message decoder in this package decodes this way (see the package doc).
 func (d *Decoder) Bytes() ([]byte, error) {
 	if d.pendingWire != wireBytes {
 		return nil, fmt.Errorf("%w: expected bytes wire type", ErrMalformed)
@@ -162,13 +219,15 @@ func (d *Decoder) Bytes() ([]byte, error) {
 	if uint64(len(d.buf)-d.pos) < length {
 		return nil, ErrTruncated
 	}
-	out := d.buf[d.pos : d.pos+int(length)]
-	d.pos += int(length)
+	end := d.pos + int(length)
+	out := d.buf[d.pos:end:end]
+	d.pos = end
 	return out, nil
 }
 
 // BytesCopy reads the current field as bytes and copies it out of the input
-// buffer, for values retained past the decode call.
+// buffer, for a decoder whose input its caller goes on owning and may
+// reuse — the proof package's decoders of ledger-held bytes.
 func (d *Decoder) BytesCopy() ([]byte, error) {
 	b, err := d.Bytes()
 	if err != nil {

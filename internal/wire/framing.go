@@ -87,11 +87,38 @@ func ReadFrame(r io.Reader) (tag uint64, payload []byte, err error) {
 	if _, err := io.ReadFull(r, hdr[4:]); err != nil {
 		return 0, nil, fmt.Errorf("read frame header: %w", noCleanEOF(err))
 	}
-	payload = make([]byte, length)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	payload, err = readPayload(r, int(length))
+	if err != nil {
 		return 0, nil, fmt.Errorf("read frame payload: %w", noCleanEOF(err))
 	}
 	return binary.BigEndian.Uint64(hdr[4:]), payload, nil
+}
+
+// firstPayloadBuf is the most ReadFrame allocates for a payload before any
+// of it has arrived. Relay frames are a few KB, so a real frame is read
+// into one buffer of exactly its length.
+const firstPayloadBuf = 64 << 10
+
+// readPayload reads a payload of the claimed length into a buffer that
+// grows as bytes arrive: min(length, firstPayloadBuf) first, then doubling,
+// capped at length. A peer that claims more than it sends makes the reader
+// hold at most about twice what it did send, not what it claimed; the
+// returned payload is always exactly length bytes long and wide.
+func readPayload(r io.Reader, length int) ([]byte, error) {
+	payload := make([]byte, min(length, firstPayloadBuf))
+	read := 0
+	for {
+		if _, err := io.ReadFull(r, payload[read:]); err != nil {
+			return nil, err
+		}
+		if len(payload) == length {
+			return payload, nil
+		}
+		read = len(payload)
+		grown := make([]byte, min(2*read, length))
+		copy(grown, payload)
+		payload = grown
+	}
 }
 
 // noCleanEOF turns the io.EOF that io.ReadFull reports when a stream ends

@@ -103,16 +103,17 @@ func (m *Envelope) Marshal() []byte { return m.marshal(0) }
 // sends it without copying it behind a header.
 func (m *Envelope) MarshalFrame() Frame { return m.marshal(frameHeaderLen) }
 
-// marshal encodes the envelope after headroom zero bytes.
+// marshal encodes the envelope after headroom zero bytes, in one buffer of
+// exactly the encoded size.
 func (m *Envelope) marshal(headroom int) []byte {
-	// Sized so the buffer never regrows: 56 bytes cover every key, length
-	// prefix and scalar at its widest (the two deadline varints alone are
-	// 22), each hop adds its key and length prefix.
-	size := headroom + 56 + len(m.RequestID) + len(m.Payload)
-	for _, hop := range m.Route {
-		size += 4 + len(hop)
-	}
-	e := &Encoder{buf: make([]byte, headroom, size)}
+	e := &Encoder{buf: make([]byte, headroom, headroom+m.size())}
+	m.encode(e)
+	return e.Bytes()
+}
+
+func (m *Envelope) size() int { var c Encoder; m.encode(&c); return c.Len() }
+
+func (m *Envelope) encode(e *Encoder) {
 	e.Uint(1, m.Version)
 	e.Uint(2, uint64(m.Type))
 	e.String(3, m.RequestID)
@@ -120,10 +121,11 @@ func (m *Envelope) marshal(headroom int) []byte {
 	e.Uint(5, m.DeadlineUnixNano)
 	e.Uint(6, m.TimeoutNanos)
 	for _, hop := range m.Route {
-		e.Message(7, []byte(hop))
+		// Present even when empty, like any repeated element.
+		e.MessageHeader(7, len(hop))
+		put(e, hop)
 	}
 	e.Uint(8, m.MaxHops)
-	return e.Bytes()
 }
 
 // envelopeScalars omits field 7 (Route), the only repeated field.
@@ -155,7 +157,7 @@ func UnmarshalEnvelope(buf []byte) (*Envelope, error) {
 		case 3:
 			m.RequestID, err = d.String()
 		case 4:
-			m.Payload, err = d.BytesCopy()
+			m.Payload, err = d.Bytes()
 		case 5:
 			m.DeadlineUnixNano, err = d.Uint()
 		case 6:
@@ -236,8 +238,11 @@ func (m *Query) InteropKey() string {
 }
 
 // Marshal encodes the query.
-func (m *Query) Marshal() []byte {
-	e := NewEncoder(128)
+func (m *Query) Marshal() []byte { e := NewEncoder(m.size()); m.encode(e); return e.Bytes() }
+
+func (m *Query) size() int { var c Encoder; m.encode(&c); return c.Len() }
+
+func (m *Query) encode(e *Encoder) {
 	e.String(1, m.RequestID)
 	e.String(2, m.RequestingNetwork)
 	e.String(3, m.TargetNetwork)
@@ -252,7 +257,6 @@ func (m *Query) Marshal() []byte {
 	e.String(10, m.RequesterOrg)
 	e.BytesField(11, m.Nonce)
 	e.BytesField(12, m.PolicyDigest)
-	return e.Bytes()
 }
 
 // queryScalars omits field 7 (Args), the only repeated field.
@@ -289,18 +293,18 @@ func UnmarshalQuery(buf []byte) (*Query, error) {
 			m.Function, err = d.String()
 		case 7:
 			var arg []byte
-			arg, err = d.BytesCopy()
+			arg, err = d.Bytes()
 			m.Args = append(m.Args, arg)
 		case 8:
 			m.PolicyExpr, err = d.String()
 		case 9:
-			m.RequesterCertPEM, err = d.BytesCopy()
+			m.RequesterCertPEM, err = d.Bytes()
 		case 10:
 			m.RequesterOrg, err = d.String()
 		case 11:
-			m.Nonce, err = d.BytesCopy()
+			m.Nonce, err = d.Bytes()
 		case 12:
-			m.PolicyDigest, err = d.BytesCopy()
+			m.PolicyDigest, err = d.Bytes()
 		default:
 			err = d.Skip()
 		}
@@ -340,8 +344,11 @@ type Attestation struct {
 }
 
 // Marshal encodes the attestation.
-func (m *Attestation) Marshal() []byte {
-	e := NewEncoder(64 + len(m.CertPEM) + len(m.EncryptedMetadata) + len(m.Signature))
+func (m *Attestation) Marshal() []byte { e := NewEncoder(m.size()); m.encode(e); return e.Bytes() }
+
+func (m *Attestation) size() int { var c Encoder; m.encode(&c); return c.Len() }
+
+func (m *Attestation) encode(e *Encoder) {
 	e.String(1, m.PeerName)
 	e.String(2, m.OrgID)
 	e.BytesField(3, m.CertPEM)
@@ -354,7 +361,6 @@ func (m *Attestation) Marshal() []byte {
 	}
 	e.BytesField(9, m.SessionEphemeral)
 	e.Uint(10, m.SessionGeneration)
-	return e.Bytes()
 }
 
 // attestationScalars omits field 8 (BatchPath), the only repeated field.
@@ -382,21 +388,21 @@ func UnmarshalAttestation(buf []byte) (*Attestation, error) {
 		case 2:
 			m.OrgID, err = d.String()
 		case 3:
-			m.CertPEM, err = d.BytesCopy()
+			m.CertPEM, err = d.Bytes()
 		case 4:
-			m.EncryptedMetadata, err = d.BytesCopy()
+			m.EncryptedMetadata, err = d.Bytes()
 		case 5:
-			m.Signature, err = d.BytesCopy()
+			m.Signature, err = d.Bytes()
 		case 6:
 			m.BatchSize, err = d.Uint()
 		case 7:
 			m.BatchIndex, err = d.Uint()
 		case 8:
 			var h []byte
-			h, err = d.BytesCopy()
+			h, err = d.Bytes()
 			m.BatchPath = append(m.BatchPath, h)
 		case 9:
-			m.SessionEphemeral, err = d.BytesCopy()
+			m.SessionEphemeral, err = d.Bytes()
 		case 10:
 			m.SessionGeneration, err = d.Uint()
 		default:
@@ -429,8 +435,11 @@ type Metadata struct {
 }
 
 // Marshal encodes the metadata.
-func (m *Metadata) Marshal() []byte {
-	e := NewEncoder(128)
+func (m *Metadata) Marshal() []byte { e := NewEncoder(m.size()); m.encode(e); return e.Bytes() }
+
+func (m *Metadata) size() int { var c Encoder; m.encode(&c); return c.Len() }
+
+func (m *Metadata) encode(e *Encoder) {
 	e.String(1, m.NetworkID)
 	e.String(2, m.PeerName)
 	e.String(3, m.OrgID)
@@ -439,7 +448,6 @@ func (m *Metadata) Marshal() []byte {
 	e.BytesField(6, m.Nonce)
 	e.Uint(7, m.UnixNano)
 	e.BytesField(8, m.PolicyDigest)
-	return e.Bytes()
 }
 
 var metadataScalars = FieldMask(1, 2, 3, 4, 5, 6, 7, 8)
@@ -468,15 +476,15 @@ func UnmarshalMetadata(buf []byte) (*Metadata, error) {
 		case 3:
 			m.OrgID, err = d.String()
 		case 4:
-			m.QueryDigest, err = d.BytesCopy()
+			m.QueryDigest, err = d.Bytes()
 		case 5:
-			m.ResultDigest, err = d.BytesCopy()
+			m.ResultDigest, err = d.Bytes()
 		case 6:
-			m.Nonce, err = d.BytesCopy()
+			m.Nonce, err = d.Bytes()
 		case 7:
 			m.UnixNano, err = d.Uint()
 		case 8:
-			m.PolicyDigest, err = d.BytesCopy()
+			m.PolicyDigest, err = d.Bytes()
 		default:
 			err = d.Skip()
 		}
@@ -500,13 +508,15 @@ type HopPin struct {
 }
 
 // Marshal encodes the hop pin.
-func (m *HopPin) Marshal() []byte {
-	e := NewEncoder(64 + len(m.CertPEM) + len(m.Pin) + len(m.Signature))
+func (m *HopPin) Marshal() []byte { e := NewEncoder(m.size()); m.encode(e); return e.Bytes() }
+
+func (m *HopPin) size() int { var c Encoder; m.encode(&c); return c.Len() }
+
+func (m *HopPin) encode(e *Encoder) {
 	e.String(1, m.Network)
 	e.BytesField(2, m.CertPEM)
 	e.BytesField(3, m.Pin)
 	e.BytesField(4, m.Signature)
-	return e.Bytes()
 }
 
 var hopPinScalars = FieldMask(1, 2, 3, 4)
@@ -531,11 +541,11 @@ func UnmarshalHopPin(buf []byte) (*HopPin, error) {
 		case 1:
 			m.Network, err = d.String()
 		case 2:
-			m.CertPEM, err = d.BytesCopy()
+			m.CertPEM, err = d.Bytes()
 		case 3:
-			m.Pin, err = d.BytesCopy()
+			m.Pin, err = d.Bytes()
 		case 4:
-			m.Signature, err = d.BytesCopy()
+			m.Signature, err = d.Bytes()
 		default:
 			err = d.Skip()
 		}
@@ -569,21 +579,27 @@ type QueryResponse struct {
 }
 
 // Marshal encodes the response.
-func (m *QueryResponse) Marshal() []byte {
-	e := NewEncoder(256)
+func (m *QueryResponse) Marshal() []byte { e := NewEncoder(m.size()); m.encode(e); return e.Bytes() }
+
+func (m *QueryResponse) size() int { var c Encoder; m.encode(&c); return c.Len() }
+
+func (m *QueryResponse) encode(e *Encoder) {
 	e.String(1, m.RequestID)
 	e.BytesField(2, m.EncryptedResult)
 	for i := range m.Attestations {
-		e.Message(3, m.Attestations[i].Marshal())
+		a := &m.Attestations[i]
+		e.MessageHeader(3, a.size())
+		a.encode(e)
 	}
 	e.String(4, m.Error)
 	e.BytesField(5, m.PolicyDigest)
 	e.BytesField(6, m.SessionEphemeral)
 	e.Uint(7, m.SessionGeneration)
 	for i := range m.HopPins {
-		e.Message(8, m.HopPins[i].Marshal())
+		p := &m.HopPins[i]
+		e.MessageHeader(8, p.size())
+		p.encode(e)
 	}
-	return e.Bytes()
 }
 
 // queryResponseScalars omits fields 3 (Attestations) and 8 (HopPins), the
@@ -610,7 +626,7 @@ func UnmarshalQueryResponse(buf []byte) (*QueryResponse, error) {
 		case 1:
 			m.RequestID, err = d.String()
 		case 2:
-			m.EncryptedResult, err = d.BytesCopy()
+			m.EncryptedResult, err = d.Bytes()
 		case 3:
 			var raw []byte
 			raw, err = d.Bytes()
@@ -624,9 +640,9 @@ func UnmarshalQueryResponse(buf []byte) (*QueryResponse, error) {
 		case 4:
 			m.Error, err = d.String()
 		case 5:
-			m.PolicyDigest, err = d.BytesCopy()
+			m.PolicyDigest, err = d.Bytes()
 		case 6:
-			m.SessionEphemeral, err = d.BytesCopy()
+			m.SessionEphemeral, err = d.Bytes()
 		case 7:
 			m.SessionGeneration, err = d.Uint()
 		case 8:
@@ -657,14 +673,16 @@ type OrgConfig struct {
 }
 
 // Marshal encodes the org config.
-func (m *OrgConfig) Marshal() []byte {
-	e := NewEncoder(64 + len(m.RootCertPEM))
+func (m *OrgConfig) Marshal() []byte { e := NewEncoder(m.size()); m.encode(e); return e.Bytes() }
+
+func (m *OrgConfig) size() int { var c Encoder; m.encode(&c); return c.Len() }
+
+func (m *OrgConfig) encode(e *Encoder) {
 	e.String(1, m.OrgID)
 	e.BytesField(2, m.RootCertPEM)
 	for _, p := range m.PeerNames {
 		e.String(3, p)
 	}
-	return e.Bytes()
 }
 
 // orgConfigScalars omits field 3 (PeerNames), the only repeated field.
@@ -690,7 +708,7 @@ func UnmarshalOrgConfig(buf []byte) (*OrgConfig, error) {
 		case 1:
 			m.OrgID, err = d.String()
 		case 2:
-			m.RootCertPEM, err = d.BytesCopy()
+			m.RootCertPEM, err = d.Bytes()
 		case 3:
 			var p string
 			p, err = d.String()
@@ -715,14 +733,18 @@ type NetworkConfig struct {
 }
 
 // Marshal encodes the network config.
-func (m *NetworkConfig) Marshal() []byte {
-	e := NewEncoder(256)
+func (m *NetworkConfig) Marshal() []byte { e := NewEncoder(m.size()); m.encode(e); return e.Bytes() }
+
+func (m *NetworkConfig) size() int { var c Encoder; m.encode(&c); return c.Len() }
+
+func (m *NetworkConfig) encode(e *Encoder) {
 	e.String(1, m.NetworkID)
 	e.String(2, m.Platform)
 	for i := range m.Orgs {
-		e.Message(3, m.Orgs[i].Marshal())
+		o := &m.Orgs[i]
+		e.MessageHeader(3, o.size())
+		o.encode(e)
 	}
-	return e.Bytes()
 }
 
 // networkConfigScalars omits field 3 (Orgs), the only repeated field.
@@ -779,14 +801,16 @@ type Event struct {
 }
 
 // Marshal encodes the event.
-func (m *Event) Marshal() []byte {
-	e := NewEncoder(64 + len(m.Payload))
+func (m *Event) Marshal() []byte { e := NewEncoder(m.size()); m.encode(e); return e.Bytes() }
+
+func (m *Event) size() int { var c Encoder; m.encode(&c); return c.Len() }
+
+func (m *Event) encode(e *Encoder) {
 	e.String(1, m.SubscriptionID)
 	e.String(2, m.SourceNetwork)
 	e.String(3, m.Name)
 	e.BytesField(4, m.Payload)
 	e.Uint(5, m.UnixNano)
-	return e.Bytes()
 }
 
 var eventScalars = FieldMask(1, 2, 3, 4, 5)
@@ -815,7 +839,7 @@ func UnmarshalEvent(buf []byte) (*Event, error) {
 		case 3:
 			m.Name, err = d.String()
 		case 4:
-			m.Payload, err = d.BytesCopy()
+			m.Payload, err = d.Bytes()
 		case 5:
 			m.UnixNano, err = d.Uint()
 		default:
@@ -838,14 +862,16 @@ type Subscription struct {
 }
 
 // Marshal encodes the subscription.
-func (m *Subscription) Marshal() []byte {
-	e := NewEncoder(128)
+func (m *Subscription) Marshal() []byte { e := NewEncoder(m.size()); m.encode(e); return e.Bytes() }
+
+func (m *Subscription) size() int { var c Encoder; m.encode(&c); return c.Len() }
+
+func (m *Subscription) encode(e *Encoder) {
 	e.String(1, m.SubscriptionID)
 	e.String(2, m.RequestingNetwork)
 	e.String(3, m.TargetNetwork)
 	e.String(4, m.EventName)
 	e.BytesField(5, m.RequesterCertPEM)
-	return e.Bytes()
 }
 
 var subscriptionScalars = FieldMask(1, 2, 3, 4, 5)
@@ -876,7 +902,7 @@ func UnmarshalSubscription(buf []byte) (*Subscription, error) {
 		case 4:
 			m.EventName, err = d.String()
 		case 5:
-			m.RequesterCertPEM, err = d.BytesCopy()
+			m.RequesterCertPEM, err = d.Bytes()
 		default:
 			err = d.Skip()
 		}
