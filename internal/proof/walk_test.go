@@ -118,7 +118,8 @@ func checkWalk[M any](t *testing.T, gen func(*rand.Rand) M, marshal, oracle func
 		args[0] = reflect.ValueOf(gen(r))
 	}}
 	if err := quick.Check(prop, cfg); err != nil {
-		t.Fatal(err)
+		// Not err itself: it prints the whole generated message.
+		t.Fatalf("property failed on generated message %d", err.(*quick.CheckError).Count)
 	}
 }
 

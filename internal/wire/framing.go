@@ -102,8 +102,8 @@ const firstPayloadBuf = 64 << 10
 // readPayload reads a payload of the claimed length into a buffer that
 // grows as bytes arrive: min(length, firstPayloadBuf) first, then doubling,
 // capped at length. A peer that claims more than it sends makes the reader
-// hold at most about twice what it did send, not what it claimed; the
-// returned payload is always exactly length bytes long and wide.
+// hold the larger of firstPayloadBuf and twice what it did send, not what
+// it claimed. The returned payload's length and capacity are both length.
 func readPayload(r io.Reader, length int) ([]byte, error) {
 	payload := make([]byte, min(length, firstPayloadBuf))
 	read := 0

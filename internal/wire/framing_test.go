@@ -85,6 +85,31 @@ func TestReadFrameTruncated(t *testing.T) {
 	}
 }
 
+// TestReadFrameGrowsAsBytesArrive: a payload longer than the first buffer
+// arrives whole in a buffer exactly its size, and a stream cut at any of
+// the buffer's growth boundaries is an unexpected EOF, not a clean one.
+func TestReadFrameGrowsAsBytesArrive(t *testing.T) {
+	payload := make([]byte, 3*firstPayloadBuf+5)
+	for i := range payload {
+		payload[i] = byte(i * 7)
+	}
+	var buf bytes.Buffer
+	if err := WriteFrame(&buf, 3, NewFrame(payload)); err != nil {
+		t.Fatalf("WriteFrame: %v", err)
+	}
+	whole := buf.Bytes()
+	tag, got, err := ReadFrame(bytes.NewReader(whole))
+	if err != nil || tag != 3 || !bytes.Equal(got, payload) || cap(got) != len(payload) {
+		t.Fatalf("ReadFrame = tag %d, %d bytes in a buffer of %d, %v", tag, len(got), cap(got), err)
+	}
+	for _, sent := range []int{0, firstPayloadBuf, 2 * firstPayloadBuf, 3 * firstPayloadBuf} {
+		_, _, err := ReadFrame(bytes.NewReader(whole[:frameHeaderLen+sent]))
+		if !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Fatalf("stream cut after %d payload bytes gave %v, want io.ErrUnexpectedEOF", sent, err)
+		}
+	}
+}
+
 func TestReadFrameOversized(t *testing.T) {
 	hdr := []byte{0xFF, 0xFF, 0xFF, 0xFF}
 	if _, _, err := ReadFrame(bytes.NewReader(hdr)); !errors.Is(err, ErrTooLarge) {
