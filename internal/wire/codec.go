@@ -11,8 +11,8 @@
 // the Encoder's counting mode and once more into a buffer of exactly the
 // counted size.
 //
-// Decoding copies nothing but strings: a decoded message's byte fields
-// alias the buffer it was decoded from. Pass a buffer nobody reuses or
+// The message decoders here copy nothing but strings: a decoded message's
+// byte fields alias the buffer it was decoded from. Pass a buffer nobody reuses or
 // writes afterwards — a frame ReadFrame just allocated, or the output of a
 // Marshal call. The owner of a buffer that outlives the decode and is
 // shared (a cache entry, say) clones it once and decodes the clone.
