@@ -74,7 +74,12 @@
 // or encryption. Cache invalidation is exact: each entry remembers the
 // chaincode namespaces its query's read set touched, and only a later
 // valid write into one of those namespaces evicts it — writes to unrelated
-// chaincodes leave it warm.
+// chaincodes leave it warm. A driver answers a query as bytes
+// (relay.Driver.ServeQuery): the encoded QueryResponse, owned by the
+// caller and already stamped with the request's ID. The cache holds each
+// response encoded without an ID, and wire.StampQueryResponse serves a hit
+// as one exactly-sized copy behind the ID field — no decode, no re-encode
+// — which the source relay puts straight into its reply envelope.
 // Stats.AttestationCacheHits/Misses expose its effectiveness and
 // `netadmin proofs show` dumps a persisted artifact. Every proof has one
 // envelope, built by one proof.Builder per driver. A proof build alone at

@@ -179,6 +179,22 @@ func Simulate(reg *Registry, state *statedb.Store, inv Invocation) (*SimResult, 
 	return &SimResult{Response: resp, RWSet: ctx.rwset(), Event: ctx.event}, nil
 }
 
+// Evaluate runs a read-only invocation against the registry and a committed
+// state and returns only its response. It is Simulate with read recording
+// off: the stub keeps no read set and no write buffer (a write fails with
+// ErrReadOnly either way), so a caller that discards the read set never
+// pays for building it. Response and error are the ones Simulate would
+// return for the same invocation with ReadOnly set.
+func Evaluate(reg *Registry, state *statedb.Store, inv Invocation) ([]byte, error) {
+	cc, err := reg.Get(inv.Chaincode)
+	if err != nil {
+		return nil, err
+	}
+	inv.ReadOnly = true
+	ctx := &simContext{reg: reg, state: state, inv: inv}
+	return cc.Invoke(&simStub{ctx: ctx, chaincode: inv.Chaincode, function: inv.Function, args: inv.Args})
+}
+
 type pendingWrite struct {
 	seq      int
 	ns       string
@@ -195,7 +211,8 @@ func nsKey(ns, key string) string { return ns + "\x00" + key }
 // cross-chaincode invocation, so the whole call tree yields one read-write
 // set (Fabric's same-channel chaincode-to-chaincode semantics). Each stub
 // in the tree reads and writes its own chaincode's namespace, so the maps
-// are keyed by namespace+key.
+// are keyed by namespace+key. Under Evaluate both maps are nil: nothing is
+// recorded, and a read-only invocation has no writes to read back.
 type simContext struct {
 	reg      *Registry
 	state    *statedb.Store
@@ -205,6 +222,10 @@ type simContext struct {
 	readVers map[string]ledger.KVRead
 	event    *ledger.ChaincodeEvent
 }
+
+// recording reports whether this context records a read-write set, i.e.
+// whether it runs under Simulate rather than Evaluate.
+func (c *simContext) recording() bool { return c.readVers != nil }
 
 func (c *simContext) rwset() ledger.RWSet {
 	rw := ledger.RWSet{}
@@ -255,6 +276,13 @@ func (s *simStub) StringArgs() []string {
 func (s *simStub) GetState(key string) ([]byte, error) {
 	if key == "" {
 		return nil, statedb.ErrInvalidKey
+	}
+	if !s.ctx.recording() {
+		vv, exists := s.ctx.state.Get(s.chaincode, key)
+		if !exists {
+			return nil, nil
+		}
+		return vv.Value, nil
 	}
 	nk := nsKey(s.chaincode, key)
 	// Read-your-writes within the invocation.
@@ -308,9 +336,11 @@ func (s *simStub) GetStateRange(start, end string) ([]KV, error) {
 	out := make([]KV, 0, len(kvs))
 	for _, kv := range kvs {
 		// Range reads are recorded for MVCC like point reads.
-		nk := nsKey(s.chaincode, kv.Key)
-		if _, seen := s.ctx.readVers[nk]; !seen {
-			s.ctx.readVers[nk] = ledger.KVRead{Namespace: s.chaincode, Key: kv.Key, Version: kv.Version, Exists: true}
+		if s.ctx.recording() {
+			nk := nsKey(s.chaincode, kv.Key)
+			if _, seen := s.ctx.readVers[nk]; !seen {
+				s.ctx.readVers[nk] = ledger.KVRead{Namespace: s.chaincode, Key: kv.Key, Version: kv.Version, Exists: true}
+			}
 		}
 		out = append(out, KV{Key: kv.Key, Value: kv.Value})
 	}

@@ -47,7 +47,16 @@ func (d *Driver) CryptoOps() (ecdh, sign, encrypt uint64) {
 // Platform implements relay.Driver.
 func (d *Driver) Platform() string { return "notary" }
 
-// Query implements relay.Driver: authenticate and authorize the requester,
+// ServeQuery implements relay.Driver: Query's response, encoded.
+func (d *Driver) ServeQuery(ctx context.Context, q *wire.Query) ([]byte, error) {
+	resp, err := d.Query(ctx, q)
+	if err != nil {
+		return nil, err
+	}
+	return resp.Marshal(), nil
+}
+
+// Query answers a cross-network query: authenticate and authorize the requester,
 // execute the view function, and collect an attestation from every notary
 // the verification policy names. ctx is checked before the view executes
 // and between notary attestations.

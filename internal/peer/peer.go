@@ -140,21 +140,24 @@ func (p *Peer) Endorse(inv chaincode.Invocation) (*ProposalResponse, error) {
 	}, nil
 }
 
-// Query simulates a read-only invocation and returns its response without
-// producing a transaction.
+// Query evaluates a read-only invocation and returns its response without
+// producing a transaction. It records no read set (chaincode.Evaluate), so
+// it is the call for a caller that wants the answer only. Its response and
+// error are those of QueryRW(inv).Response for the same invocation; a write
+// attempt fails with chaincode.ErrReadOnly on both.
 func (p *Peer) Query(inv chaincode.Invocation) ([]byte, error) {
-	res, err := p.QueryRW(inv)
+	resp, err := chaincode.Evaluate(p.registry, p.state, inv)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("peer %s: query %s.%s: %w", p.name, inv.Chaincode, inv.Function, err)
 	}
-	return res.Response, nil
+	return resp, nil
 }
 
 // QueryRW simulates a read-only invocation and returns the full simulation
-// result including the read set. The relay driver uses the read set's
-// namespaces to key its attestation cache exactly: a cached response only
-// needs invalidating when one of the namespaces it actually read is
-// written.
+// result including the read set, for a caller that needs to know what the
+// answer depends on. The relay driver uses the read set's namespaces to key
+// its attestation cache exactly: a cached response only needs invalidating
+// when one of the namespaces it actually read is written.
 func (p *Peer) QueryRW(inv chaincode.Invocation) (*chaincode.SimResult, error) {
 	inv.ReadOnly = true
 	res, err := chaincode.Simulate(p.registry, p.state, inv)

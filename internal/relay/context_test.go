@@ -21,13 +21,13 @@ type captureDriver struct {
 
 func (d *captureDriver) Platform() string { return "test" }
 
-func (d *captureDriver) Query(ctx context.Context, q *wire.Query) (*wire.QueryResponse, error) {
+func (d *captureDriver) ServeQuery(ctx context.Context, q *wire.Query) ([]byte, error) {
 	deadline, _ := ctx.Deadline()
 	select {
 	case d.deadlines <- deadline:
 	default:
 	}
-	return &wire.QueryResponse{RequestID: q.RequestID}, nil
+	return (&wire.QueryResponse{RequestID: q.RequestID}).Marshal(), nil
 }
 
 // newCaptureRelay builds a relay serving network "srcnet" through a
@@ -257,7 +257,7 @@ type deadlineRespectingDriver struct {
 
 func (d *deadlineRespectingDriver) Platform() string { return "test" }
 
-func (d *deadlineRespectingDriver) Query(ctx context.Context, q *wire.Query) (*wire.QueryResponse, error) {
+func (d *deadlineRespectingDriver) ServeQuery(ctx context.Context, q *wire.Query) ([]byte, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -266,7 +266,7 @@ func (d *deadlineRespectingDriver) Query(ctx context.Context, q *wire.Query) (*w
 	case d.deadlines <- deadline:
 	default:
 	}
-	return &wire.QueryResponse{RequestID: q.RequestID}, nil
+	return (&wire.QueryResponse{RequestID: q.RequestID}).Marshal(), nil
 }
 
 // TestSkewedClockDoesNotKillRequestOnArrival: a source relay whose clock
@@ -490,8 +490,8 @@ type countingTxDriver struct {
 
 func (d *countingTxDriver) Platform() string { return "test" }
 
-func (d *countingTxDriver) Query(ctx context.Context, q *wire.Query) (*wire.QueryResponse, error) {
-	return &wire.QueryResponse{RequestID: q.RequestID}, nil
+func (d *countingTxDriver) ServeQuery(ctx context.Context, q *wire.Query) ([]byte, error) {
+	return (&wire.QueryResponse{RequestID: q.RequestID}).Marshal(), nil
 }
 
 func (d *countingTxDriver) Invoke(ctx context.Context, q *wire.Query) (*wire.QueryResponse, error) {

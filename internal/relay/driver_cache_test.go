@@ -59,63 +59,102 @@ func TestDriverCacheSecondTouchIsHit(t *testing.T) {
 	}
 }
 
-// TestDriverCacheHitOwnsItsResponse: decoded responses alias the bytes they
-// were decoded from, so a hit decodes a private copy of the cache entry. A
-// caller that overwrites every byte slice of one hit's response changes
-// nothing the next hit serves, and the requester still opens and verifies
-// that next hit.
+// TestDriverCacheHitOwnsItsResponse: a hit is a stamped copy of the cache
+// entry that the caller owns. A caller that overwrites every byte of one
+// hit's payload changes nothing the next hit serves: it is byte-identical
+// to the first, carries its own request ID, and the requester still opens
+// and verifies it. Run with and without a request ID, since an empty ID
+// stamps nothing and so is where a stamp could most easily alias.
 func TestDriverCacheHitOwnsItsResponse(t *testing.T) {
+	for name, id := range map[string]string{"without-id": "", "with-id": "req-owns-its-hit"} {
+		t.Run(name, func(t *testing.T) {
+			src, req := newCacheEnv(t)
+			q := newQuery(t, req)
+			q.RequestID = id
+			hit := func() []byte {
+				t.Helper()
+				raw, err := src.driver.ServeQuery(context.Background(), q)
+				if err != nil {
+					t.Fatalf("ServeQuery: %v", err)
+				}
+				return raw
+			}
+			hit() // the build, stored
+			first := hit()
+			want := bytes.Clone(first)
+			for i := range first {
+				first[i] = 0xA5
+			}
+			second := hit()
+			if s := src.relay.Stats(); s.AttestationCacheHits != 2 {
+				t.Fatalf("cache hits = %d, want 2", s.AttestationCacheHits)
+			}
+			if !bytes.Equal(second, want) {
+				t.Fatal("overwriting one hit's payload changed the next hit")
+			}
+
+			resp, err := wire.UnmarshalQueryResponse(second)
+			if err != nil || resp.Error != "" {
+				t.Fatalf("decode hit: %v", respError(resp, err))
+			}
+			if resp.RequestID != id {
+				t.Fatalf("hit stamped with request ID %q, want %q", resp.RequestID, id)
+			}
+			if len(resp.Attestations) == 0 {
+				t.Fatal("hit carries no attestations")
+			}
+			bundle, err := proof.OpenResponse(cryptoutil.NewRecipient(req.key), q, resp)
+			if err != nil {
+				t.Fatalf("OpenResponse: %v", err)
+			}
+			roots := make(map[string][]byte)
+			for _, o := range src.net.ExportConfig().Orgs {
+				roots[o.OrgID] = o.RootCertPEM
+			}
+			verifier, err := msp.NewVerifier(roots)
+			if err != nil {
+				t.Fatalf("NewVerifier: %v", err)
+			}
+			vp := endorsement.MustParse(q.PolicyExpr)
+			if err := proof.Verify(bundle, verifier, vp, proof.QueryDigestOf(q), proof.PolicyDigest(q.PolicyExpr)); err != nil {
+				t.Fatalf("Verify: %v", err)
+			}
+		})
+	}
+}
+
+// TestDriverCacheHitIsOneStampedCopy is the allocation tripwire of a warm
+// hit: serving the entry is one allocation — the stamped copy — so it
+// neither decodes (UnmarshalQueryResponse allocates the response and its
+// attestations) nor re-encodes the cached response. Each resend of the
+// question is stamped with its own ID, and the entry stays ID-less.
+func TestDriverCacheHitIsOneStampedCopy(t *testing.T) {
 	src, req := newCacheEnv(t)
 	q := newQuery(t, req)
-	hit := func() *wire.QueryResponse {
-		t.Helper()
-		resp, err := src.driver.Query(context.Background(), q)
-		if err != nil || resp.Error != "" {
-			t.Fatalf("Query: %v", respError(resp, err))
+	for _, id := range []string{"req-1", "req-2"} {
+		q.RequestID = id
+		raw, err := src.driver.ServeQuery(context.Background(), q)
+		if err != nil {
+			t.Fatalf("ServeQuery %s: %v", id, err)
 		}
-		return resp
-	}
-	hit() // the build, stored
-	first := hit()
-	want := first.Marshal()
-	if len(first.Attestations) == 0 {
-		t.Fatal("hit carries no attestations")
-	}
-	scribble := func(b []byte) {
-		for i := range b {
-			b[i] = 0xA5
+		resp, err := wire.UnmarshalQueryResponse(raw)
+		if err != nil || resp.RequestID != id {
+			t.Fatalf("ServeQuery %s: decoded ID %q, err %v", id, resp.RequestID, err)
 		}
 	}
-	scribble(first.EncryptedResult)
-	for i := range first.Attestations {
-		a := &first.Attestations[i]
-		for _, b := range [][]byte{a.CertPEM, a.EncryptedMetadata, a.Signature, a.SessionEphemeral} {
-			scribble(b)
-		}
+	if s := src.relay.Stats(); s.AttestationCacheHits != 1 || s.AttestationCacheMisses != 1 {
+		t.Fatalf("hits/misses = %d/%d, want 1/1", s.AttestationCacheHits, s.AttestationCacheMisses)
 	}
-	second := hit()
-	if s := src.relay.Stats(); s.AttestationCacheHits != 2 {
-		t.Fatalf("cache hits = %d, want 2", s.AttestationCacheHits)
+	var key string
+	for k := range src.driver.cache.entries {
+		key = k
 	}
-	if !bytes.Equal(second.Marshal(), want) {
-		t.Fatal("overwriting one hit's response changed the next hit")
+	entry := src.driver.cache.get(key)
+	if cached, err := wire.UnmarshalQueryResponse(bytes.Clone(entry)); err != nil || cached.RequestID != "" {
+		t.Fatalf("cache entry: ID %q, err %v; want an ID-less response", cached.RequestID, err)
 	}
-
-	bundle, err := proof.OpenResponse(cryptoutil.NewRecipient(req.key), q, second)
-	if err != nil {
-		t.Fatalf("OpenResponse: %v", err)
-	}
-	roots := make(map[string][]byte)
-	for _, o := range src.net.ExportConfig().Orgs {
-		roots[o.OrgID] = o.RootCertPEM
-	}
-	verifier, err := msp.NewVerifier(roots)
-	if err != nil {
-		t.Fatalf("NewVerifier: %v", err)
-	}
-	vp := endorsement.MustParse(q.PolicyExpr)
-	if err := proof.Verify(bundle, verifier, vp, proof.QueryDigestOf(q), proof.PolicyDigest(q.PolicyExpr)); err != nil {
-		t.Fatalf("Verify: %v", err)
+	if got := testing.AllocsPerRun(100, func() { _ = src.driver.cachedResponse(key, "req-3") }); got != 1 {
+		t.Fatalf("a warm hit costs %v allocations, want 1", got)
 	}
 }
 

@@ -223,12 +223,24 @@ func (d *FabricDriver) newSpec(q *wire.Query, certDigest, queryDigest, policyDig
 // Platform implements Driver.
 func (d *FabricDriver) Platform() string { return "fabric" }
 
-// Query implements Driver. Peer queries check ctx between peers, so an
+// Query is ServeQuery for a caller that wants the response decoded. The
+// decode aliases the bytes ServeQuery returned, which the caller owns.
+func (d *FabricDriver) Query(ctx context.Context, q *wire.Query) (*wire.QueryResponse, error) {
+	raw, err := d.ServeQuery(ctx, q)
+	if err != nil {
+		return nil, err
+	}
+	return wire.UnmarshalQueryResponse(raw)
+}
+
+// ServeQuery implements Driver. Peer queries check ctx between peers, so an
 // expired budget stops the remaining proof work. Result collection runs
 // first (peers must agree before anything is attested); proof construction
 // is then served from the attestation cache when an identical query was
 // answered before, and otherwise built fresh with per-attestor concurrency.
-func (d *FabricDriver) Query(ctx context.Context, q *wire.Query) (*wire.QueryResponse, error) {
+// The cache holds each response encoded without a request ID, so a hit is
+// one exactly-sized copy of the entry behind q's ID field, with no decode.
+func (d *FabricDriver) ServeQuery(ctx context.Context, q *wire.Query) ([]byte, error) {
 	if q.Ledger != "" && q.Ledger != d.ledgerName {
 		return nil, fmt.Errorf("relay: unknown ledger %q", q.Ledger)
 	}
@@ -306,14 +318,9 @@ func (d *FabricDriver) Query(ctx context.Context, q *wire.Query) (*wire.QueryRes
 	// served entry no staler than the proof a fresh build of these same
 	// reads would produce. Single-flight scanning makes this near-free.
 	d.cache.advance(store)
-	if raw := d.cache.get(key); raw != nil {
-		// A decoded response aliases its input, and the entry serves every
-		// later hit: decode a private copy, so no hit hands out cache memory.
-		if resp, err := wire.UnmarshalQueryResponse(bytes.Clone(raw)); err == nil {
-			d.notifyCache(true)
-			resp.RequestID = q.RequestID
-			return resp, nil
-		}
+	if stamped := d.cachedResponse(key, q.RequestID); stamped != nil {
+		d.notifyCache(true)
+		return stamped, nil
 	}
 	d.notifyCache(false)
 
@@ -324,9 +331,21 @@ func (d *FabricDriver) Query(ctx context.Context, q *wire.Query) (*wire.QueryRes
 	}
 	// Cached without a request ID: the proof is identical for every resend
 	// of this question, but each resend echoes its own envelope's ID.
-	d.cache.put(key, resp.Marshal(), readNamespaces, height)
-	resp.RequestID = q.RequestID
-	return resp, nil
+	unstamped := resp.Marshal()
+	d.cache.put(key, unstamped, readNamespaces, height)
+	return wire.StampQueryResponse(q.RequestID, unstamped), nil
+}
+
+// cachedResponse serves a cache hit: the entry under key stamped with
+// requestID, in one allocation the caller owns, or nil on a miss. The entry
+// itself is never handed out, so no caller can write into what later hits
+// serve.
+func (d *FabricDriver) cachedResponse(key, requestID string) []byte {
+	raw := d.cache.get(key)
+	if raw == nil {
+		return nil
+	}
+	return wire.StampQueryResponse(requestID, raw)
 }
 
 // queryNamespaces returns the distinct chaincode namespaces a simulated

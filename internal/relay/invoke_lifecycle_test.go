@@ -74,8 +74,8 @@ type tallyTxDriver struct {
 
 func (d *tallyTxDriver) Platform() string { return "test" }
 
-func (d *tallyTxDriver) Query(ctx context.Context, q *wire.Query) (*wire.QueryResponse, error) {
-	return &wire.QueryResponse{RequestID: q.RequestID}, nil
+func (d *tallyTxDriver) ServeQuery(ctx context.Context, q *wire.Query) ([]byte, error) {
+	return (&wire.QueryResponse{RequestID: q.RequestID}).Marshal(), nil
 }
 
 func (d *tallyTxDriver) Invoke(ctx context.Context, q *wire.Query) (*wire.QueryResponse, error) {
@@ -371,7 +371,7 @@ type blockingTxDriver struct {
 
 func (d *blockingTxDriver) Platform() string { return "test" }
 
-func (d *blockingTxDriver) Query(ctx context.Context, q *wire.Query) (*wire.QueryResponse, error) {
+func (d *blockingTxDriver) ServeQuery(ctx context.Context, q *wire.Query) ([]byte, error) {
 	return nil, fmt.Errorf("not a query driver")
 }
 

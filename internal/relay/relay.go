@@ -117,11 +117,15 @@ type Transport interface {
 type Driver interface {
 	// Platform names the ledger technology the driver speaks.
 	Platform() string
-	// Query executes a cross-network query against the local network,
-	// orchestrating proof collection per the query's verification policy.
-	// ctx carries the requester's remaining time budget; drivers abandon
-	// work once it is done.
-	Query(ctx context.Context, q *wire.Query) (*wire.QueryResponse, error)
+	// ServeQuery executes a cross-network query against the local network,
+	// orchestrating proof collection per the query's verification policy,
+	// and returns the encoded wire.QueryResponse. The bytes belong to the
+	// caller — no later call reads or writes them, so they may be decoded
+	// in place or sent as they are — and they are already stamped with
+	// q.RequestID in the RequestID field. The source relay puts them
+	// straight into its reply envelope. ctx carries the requester's
+	// remaining time budget; drivers abandon work once it is done.
+	ServeQuery(ctx context.Context, q *wire.Query) ([]byte, error)
 }
 
 // EventSource is implemented by drivers whose platform can emit chaincode
@@ -272,12 +276,14 @@ func (r *Relay) request(ctx context.Context, msgType wire.MsgType, q *wire.Query
 		return nil, err
 	}
 	if d, ok := r.driverFor(q.TargetNetwork); ok {
-		var resp *wire.QueryResponse
-		if msgType == wire.MsgInvoke {
-			resp, err = invokeOn(ctx, d, q)
-		} else {
-			resp, err = d.Query(ctx, q)
+		if msgType == wire.MsgQuery {
+			raw, err := d.ServeQuery(ctx, q)
+			if err != nil {
+				return nil, err
+			}
+			return wire.UnmarshalQueryResponse(raw)
 		}
+		resp, err := invokeOn(ctx, d, q)
 		if err != nil {
 			return nil, err
 		}
@@ -374,14 +380,14 @@ func (r *Relay) handleQuery(ctx context.Context, env *wire.Envelope) *wire.Envel
 		return errEnvelope(env.RequestID, fmt.Sprintf("network %q not served by this relay", q.TargetNetwork))
 	}
 	r.countQuery()
-	resp, err := d.Query(ctx, q)
+	raw, err := d.ServeQuery(ctx, q)
 	if err != nil {
 		// Application-level failures travel inside the response so the
 		// requester can distinguish them from transport failures.
 		r.countError()
-		resp = &wire.QueryResponse{RequestID: q.RequestID, Error: err.Error()}
+		raw = (&wire.QueryResponse{RequestID: q.RequestID, Error: err.Error()}).Marshal()
 	}
-	return responseEnvelope(env.RequestID, ensureRequestID(resp, q))
+	return replyEnvelope(env.RequestID, raw)
 }
 
 // remainingBudget converts the envelope's two remaining-budget encodings —
@@ -427,11 +433,17 @@ func (r *Relay) Ping(ctx context.Context, addr string) error {
 
 // responseEnvelope carries resp back under the request envelope's ID.
 func responseEnvelope(requestID string, resp *wire.QueryResponse) *wire.Envelope {
+	return replyEnvelope(requestID, resp.Marshal())
+}
+
+// replyEnvelope carries an encoded QueryResponse back under the request
+// envelope's ID.
+func replyEnvelope(requestID string, payload []byte) *wire.Envelope {
 	return &wire.Envelope{
 		Version:   wire.ProtocolVersion,
 		Type:      wire.MsgQueryResponse,
 		RequestID: requestID,
-		Payload:   resp.Marshal(),
+		Payload:   payload,
 	}
 }
 

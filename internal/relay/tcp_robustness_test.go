@@ -253,7 +253,16 @@ func newGateRelay(discovery Discovery, transport Transport) (*Relay, *gateDriver
 
 func (d *gateDriver) Platform() string { return "test" }
 
-func (d *gateDriver) Query(ctx context.Context, q *wire.Query) (*wire.QueryResponse, error) {
+func (d *gateDriver) ServeQuery(ctx context.Context, q *wire.Query) ([]byte, error) {
+	resp, err := d.answer(ctx, q)
+	if err != nil {
+		return nil, err
+	}
+	return resp.Marshal(), nil
+}
+
+// answer echoes the function name once a "stall" request is released.
+func (d *gateDriver) answer(ctx context.Context, q *wire.Query) (*wire.QueryResponse, error) {
 	if q.Function == "stall" {
 		d.entered <- struct{}{}
 		select {
@@ -268,7 +277,7 @@ func (d *gateDriver) Query(ctx context.Context, q *wire.Query) (*wire.QueryRespo
 
 func (d *gateDriver) Invoke(ctx context.Context, q *wire.Query) (*wire.QueryResponse, error) {
 	d.invokes.Add(1)
-	resp, err := d.Query(ctx, q)
+	resp, err := d.answer(ctx, q)
 	if err == nil {
 		d.commit(q, resp)
 	}

@@ -7,13 +7,17 @@
 // configurations and verification policies and validates incoming proofs.
 // Both are ordinary chaincodes: rule and configuration changes are
 // transactions subject to the network's own consensus, which is what makes
-// exposure and acceptance decisions consensual.
+// exposure and acceptance decisions consensual. Each ECC instance memoises
+// one compiled rule set, keyed by the exact rule values its state scan
+// returns, so a repeated check skips the decode but never the reads.
 package syscc
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"sync/atomic"
 
 	"repro/internal/chaincode"
 	"repro/internal/msp"
@@ -66,7 +70,31 @@ var (
 )
 
 // ECC is the Exposure Control Chaincode.
-type ECC struct{}
+type ECC struct {
+	// rules is the rule set compiled from the last rule scan that decoded,
+	// keyed by the exact rule values that scan returned (see loadRules).
+	rules atomic.Pointer[ruleMemo]
+}
+
+// ruleMemo is one compiled rule set and the stored rule values it was
+// decoded from, in scan order.
+type ruleMemo struct {
+	values [][]byte
+	set    *policy.RuleSet
+}
+
+// matches reports whether kvs holds exactly the values m was decoded from.
+func (m *ruleMemo) matches(kvs []chaincode.KV) bool {
+	if len(kvs) != len(m.values) {
+		return false
+	}
+	for i, kv := range kvs {
+		if !bytes.Equal(kv.Value, m.values[i]) {
+			return false
+		}
+	}
+	return true
+}
 
 var _ chaincode.Chaincode = (*ECC)(nil)
 
@@ -141,14 +169,20 @@ func (e *ECC) removeRule(stub chaincode.Stub) ([]byte, error) {
 
 // listRules returns all recorded rules as a JSON array.
 func (e *ECC) listRules(stub chaincode.Stub) ([]byte, error) {
-	rules, err := loadRules(stub)
+	rules, err := e.loadRules(stub)
 	if err != nil {
 		return nil, err
 	}
 	return json.Marshal(rules.Rules)
 }
 
-func loadRules(stub chaincode.Stub) (*policy.RuleSet, error) {
+// loadRules scans the recorded rules and returns them as a rule set. The
+// scan runs on every call, so the invocation's reads are the same whether
+// or not the set is memoised; only the decode is skipped when the scan
+// returns exactly the values the memoised set was decoded from. The
+// returned set is shared and must not be modified. A scan that fails to
+// decode is never memoised, so a corrupt rule is refused on every call.
+func (e *ECC) loadRules(stub chaincode.Stub) (*policy.RuleSet, error) {
 	start, end, err := statedb.CompositeRange(eccRulesKeyType)
 	if err != nil {
 		return nil, err
@@ -157,15 +191,20 @@ func loadRules(stub chaincode.Stub) (*policy.RuleSet, error) {
 	if err != nil {
 		return nil, err
 	}
-	set := &policy.RuleSet{}
-	for _, kv := range kvs {
+	if m := e.rules.Load(); m != nil && m.matches(kvs) {
+		return m.set, nil
+	}
+	m := &ruleMemo{values: make([][]byte, len(kvs)), set: &policy.RuleSet{}}
+	for i, kv := range kvs {
 		rule, err := policy.UnmarshalAccessRule(kv.Value)
 		if err != nil {
 			return nil, fmt.Errorf("syscc: corrupt rule at %q: %w", kv.Key, err)
 		}
-		set.Rules = append(set.Rules, rule)
+		m.set.Rules = append(m.set.Rules, rule)
+		m.values[i] = bytes.Clone(kv.Value)
 	}
-	return set, nil
+	e.rules.Store(m)
+	return m.set, nil
 }
 
 // checkAccess evaluates the rule set: args = [network, org, chaincode,
@@ -175,7 +214,7 @@ func (e *ECC) checkAccess(stub chaincode.Stub) ([]byte, error) {
 	if len(args) != 4 {
 		return nil, fmt.Errorf("%w: CheckAccess expects 4 args", ErrBadArgs)
 	}
-	rules, err := loadRules(stub)
+	rules, err := e.loadRules(stub)
 	if err != nil {
 		return nil, err
 	}
@@ -212,7 +251,7 @@ func (e *ECC) authorize(stub chaincode.Stub) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: requester certificate: %v", ErrAccessDenied, err)
 	}
-	rules, err := loadRules(stub)
+	rules, err := e.loadRules(stub)
 	if err != nil {
 		return nil, err
 	}

@@ -14,8 +14,10 @@
 // The message decoders here copy nothing but strings: a decoded message's
 // byte fields alias the buffer it was decoded from. Pass a buffer nobody reuses or
 // writes afterwards — a frame ReadFrame just allocated, or the output of a
-// Marshal call. The owner of a buffer that outlives the decode and is
-// shared (a cache entry, say) clones it once and decodes the clone.
+// Marshal or StampQueryResponse call. The owner of a buffer that outlives
+// the decode and is shared clones it once and decodes the clone; a shared
+// ID-less response (a cache entry, say) needs no decode to be served, only
+// StampQueryResponse, which copies it.
 package wire
 
 import (

@@ -602,6 +602,22 @@ func (m *QueryResponse) encode(e *Encoder) {
 	}
 }
 
+// StampQueryResponse returns the encoding of a response with RequestID set
+// to requestID, given unstamped, the encoding of the same response with no
+// RequestID (Marshal of it with RequestID ""). Field 1 is the first field
+// the walk writes, so the stamped encoding is the ID field followed by
+// unstamped verbatim: the result equals Marshal of the decoded response
+// with RequestID = requestID. It is one exactly-sized allocation and never
+// aliases unstamped, so the caller owns it even when unstamped is shared.
+func StampQueryResponse(requestID string, unstamped []byte) []byte {
+	var c Encoder
+	c.String(1, requestID)
+	e := NewEncoder(c.Len() + len(unstamped))
+	e.String(1, requestID)
+	put(e, unstamped)
+	return e.Bytes()
+}
+
 // queryResponseScalars omits fields 3 (Attestations) and 8 (HopPins), the
 // repeated fields.
 var queryResponseScalars = FieldMask(1, 2, 4, 5, 6, 7)

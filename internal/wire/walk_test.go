@@ -243,6 +243,41 @@ func TestWalkQueryResponse(t *testing.T) {
 	checkWalk(t, genQueryResponse, (*QueryResponse).Marshal, oracleQueryResponse, UnmarshalQueryResponse)
 }
 
+// TestStampQueryResponse: stamping the ID-less encoding of a response with
+// an ID of every length-prefix width gives exactly Marshal of the decoded
+// response with that ID, in one exactly-sized buffer that shares nothing
+// with its input.
+func TestStampQueryResponse(t *testing.T) {
+	r := rand.New(rand.NewSource(32))
+	for i := 0; i < 150; i++ {
+		m := genQueryResponse(r)
+		m.RequestID = ""
+		unstamped := m.Marshal()
+		for _, n := range []int{0, 1, 127, 128} {
+			id := string(bytes.Repeat([]byte{'r'}, n))
+			stamped := StampQueryResponse(id, unstamped)
+			if len(stamped) != cap(stamped) {
+				t.Fatalf("message %d, id length %d: len %d, cap %d", i, n, len(stamped), cap(stamped))
+			}
+			decoded, err := UnmarshalQueryResponse(unstamped)
+			if err != nil {
+				t.Fatalf("message %d: decode: %v", i, err)
+			}
+			decoded.RequestID = id
+			if want := decoded.Marshal(); !bytes.Equal(stamped, want) {
+				t.Fatalf("message %d, id length %d: stamped %d bytes differ from Marshal's %d", i, n, len(stamped), len(want))
+			}
+			before := bytes.Clone(unstamped)
+			for j := range stamped {
+				stamped[j] ^= 0xFF
+			}
+			if !bytes.Equal(unstamped, before) {
+				t.Fatalf("message %d, id length %d: writing the stamped bytes changed their input", i, n)
+			}
+		}
+	}
+}
+
 // TestCountingEncoderMatchesWriter: a counting encoder advances by exactly
 // what a writing encoder appends, at every varint width.
 func TestCountingEncoderMatchesWriter(t *testing.T) {
@@ -280,6 +315,9 @@ func TestCodecAllocations(t *testing.T) {
 	withID := *env
 	withID.RequestID = "req-000017"
 	encoded, encodedWithID := env.Marshal(), withID.Marshal()
+	idless := *resp
+	idless.RequestID = ""
+	unstamped := idless.Marshal()
 
 	for _, c := range []struct {
 		name string
@@ -287,6 +325,7 @@ func TestCodecAllocations(t *testing.T) {
 		run  func()
 	}{
 		{"QueryResponse.Marshal", 1, func() { _ = resp.Marshal() }},
+		{"StampQueryResponse", 1, func() { _ = StampQueryResponse("req-000017", unstamped) }},
 		{"Envelope.MarshalFrame", 1, func() { _ = env.MarshalFrame() }},
 		{"UnmarshalEnvelope", 1, func() { _, _ = UnmarshalEnvelope(encoded) }},
 		{"UnmarshalEnvelope with RequestID", 2, func() { _, _ = UnmarshalEnvelope(encodedWithID) }},
