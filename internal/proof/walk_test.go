@@ -132,8 +132,29 @@ func TestWalkSealed(t *testing.T) {
 }
 
 // TestBundleMarshalAllocations: a two-attestor bundle, batched elements
-// included, encodes in one allocation.
+// included, encodes in one allocation. The decode rows pin what decoding
+// it, and a sealed proof, costs.
 func TestBundleMarshalAllocations(t *testing.T) {
+	b, s := allocFixture()
+	encodedBundle, encodedSealed := b.Marshal(), s.Marshal()
+	for _, c := range []struct {
+		name string
+		want float64
+		run  func()
+	}{
+		{"Bundle.Marshal", 1, func() { _ = b.Marshal() }},
+		{"UnmarshalBundle", 22, func() { _, _ = UnmarshalBundle(encodedBundle) }},
+		{"UnmarshalSealed", 8, func() { _, _ = UnmarshalSealed(encodedSealed) }},
+	} {
+		if got := testing.AllocsPerRun(100, c.run); got != c.want {
+			t.Errorf("%s: %v allocations, want %v", c.name, got, c.want)
+		}
+	}
+}
+
+// allocFixture returns a two-attestor bundle with batched elements and a
+// sealed proof of a two-attestation response.
+func allocFixture() (*Bundle, *Sealed) {
 	el := Element{
 		CertPEM: make([]byte, 700), Metadata: make([]byte, 250), Signature: make([]byte, 72),
 		BatchSize: 4, BatchIndex: 1, BatchPath: [][]byte{make([]byte, 32), make([]byte, 32)},
@@ -142,7 +163,50 @@ func TestBundleMarshalAllocations(t *testing.T) {
 		SourceNetwork: "tradelens", Result: make([]byte, 300), Nonce: make([]byte, 16),
 		Elements: []Element{el, el}, QueryDigest: make([]byte, 32), PolicyDigest: make([]byte, 32), UnixNano: 1,
 	}
-	if got := testing.AllocsPerRun(100, func() { _ = b.Marshal() }); got != 1 {
-		t.Fatalf("Bundle.Marshal: %v allocations, want 1", got)
+	s := &Sealed{
+		QueryDigest: make([]byte, 32), PolicyDigest: make([]byte, 32), UnixNano: 1,
+		Attestors: []string{"seller-org/peer0", "carrier-org/peer0"}, Response: make([]byte, 2400),
+	}
+	return b, s
+}
+
+// TestProofDecodersOwnTheirOutput: a decoded bundle or sealed proof shares
+// no byte with its input. Their inputs are ledger-held or client-submitted
+// bytes the caller goes on owning, so after every input byte is
+// overwritten the decoded value must still re-encode to the original.
+func TestProofDecodersOwnTheirOutput(t *testing.T) {
+	r := rand.New(rand.NewSource(33))
+	b, s := allocFixture()
+	for i := range b.Elements {
+		r.Read(b.Elements[i].CertPEM)
+		r.Read(b.Elements[i].BatchPath[0])
+	}
+	r.Read(b.Result)
+	r.Read(s.Response)
+	for _, c := range []struct {
+		name    string
+		encoded []byte
+		decode  func([]byte) (func() []byte, error)
+	}{
+		{"bundle", b.Marshal(), func(buf []byte) (func() []byte, error) {
+			got, err := UnmarshalBundle(buf)
+			return func() []byte { return got.Marshal() }, err
+		}},
+		{"sealed", s.Marshal(), func(buf []byte) (func() []byte, error) {
+			got, err := UnmarshalSealed(buf)
+			return func() []byte { return got.Marshal() }, err
+		}},
+	} {
+		input := bytes.Clone(c.encoded)
+		marshal, err := c.decode(input)
+		if err != nil {
+			t.Fatalf("%s: decode: %v", c.name, err)
+		}
+		for i := range input {
+			input[i] ^= 0xFF
+		}
+		if !bytes.Equal(marshal(), c.encoded) {
+			t.Fatalf("%s: writing the decode input changed the decoded value", c.name)
+		}
 	}
 }

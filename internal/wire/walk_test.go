@@ -298,7 +298,9 @@ func TestCountingEncoderMatchesWriter(t *testing.T) {
 // TestCodecAllocations is the allocation tripwire of the response path:
 // each encoding is one exactly-sized allocation, nested messages included,
 // and a decoded envelope allocates only itself (its payload aliases the
-// frame) plus a copy of each string field.
+// frame) plus a copy of each string field. The other decode rows pin what
+// a decode costs: the message, each string field, and each growth of a
+// repeated field's slice.
 func TestCodecAllocations(t *testing.T) {
 	att := Attestation{
 		PeerName: "peer0", OrgID: "carrier-org", CertPEM: make([]byte, 700), EncryptedMetadata: make([]byte, 300),
@@ -318,6 +320,17 @@ func TestCodecAllocations(t *testing.T) {
 	idless := *resp
 	idless.RequestID = ""
 	unstamped := idless.Marshal()
+	query := (&Query{
+		RequestID: "req-000017", RequestingNetwork: "we-trade", TargetNetwork: "tradelens", Ledger: "tradelens",
+		Contract: "trade", Function: "GetBillOfLading", Args: [][]byte{[]byte("po-1001"), []byte("v2")},
+		PolicyExpr: "AND('seller-org','carrier-org')", RequesterCertPEM: make([]byte, 700), RequesterOrg: "buyer-bank",
+		Nonce: make([]byte, 16), PolicyDigest: make([]byte, 32),
+	}).Marshal()
+	config := (&NetworkConfig{NetworkID: "tradelens", Platform: "fabric", Orgs: []OrgConfig{
+		{OrgID: "seller-org", RootCertPEM: make([]byte, 600), PeerNames: []string{"peer0"}},
+		{OrgID: "carrier-org", RootCertPEM: make([]byte, 600), PeerNames: []string{"peer0", "peer1"}},
+	}}).Marshal()
+	encodedResp := resp.Marshal()
 
 	for _, c := range []struct {
 		name string
@@ -329,6 +342,9 @@ func TestCodecAllocations(t *testing.T) {
 		{"Envelope.MarshalFrame", 1, func() { _ = env.MarshalFrame() }},
 		{"UnmarshalEnvelope", 1, func() { _, _ = UnmarshalEnvelope(encoded) }},
 		{"UnmarshalEnvelope with RequestID", 2, func() { _, _ = UnmarshalEnvelope(encodedWithID) }},
+		{"UnmarshalQueryResponse", 16, func() { _, _ = UnmarshalQueryResponse(encodedResp) }},
+		{"UnmarshalQuery", 11, func() { _, _ = UnmarshalQuery(query) }},
+		{"UnmarshalNetworkConfig", 15, func() { _, _ = UnmarshalNetworkConfig(config) }},
 	} {
 		if got := testing.AllocsPerRun(100, c.run); got != c.want {
 			t.Errorf("%s: %v allocations, want %v", c.name, got, c.want)
