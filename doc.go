@@ -50,9 +50,9 @@
 // it into a generation snapshot behind an atomic pointer flip — torn
 // appends are skipped, never fatal, and the next append self-heals the
 // tail. Discovery carries membership only; each relay's health tracker
-// learns from its own sends. Cross-network atomic exchange remains the province of internal/htlc;
-// the ledger dedup governs duplicate commits of one logical invoke on one
-// network.
+// learns from its own sends. The ledger dedup governs duplicate commits of
+// one logical invoke on one network; cross-network atomic exchange (asset
+// swaps) is a different interoperability problem, out of scope here.
 //
 // Proofs are first-class, pinned, and persisted. The verification policy
 // is pinned at request time: the client stamps the digest of the policy it
@@ -164,7 +164,8 @@
 //     Client (RemoteQuery/RemoteInvoke), governance ops
 //   - internal/relay       — relay service, discovery, transports (in-process
 //     hub, multiplexed TCP), hedged fan-out, pluggable drivers
-//   - internal/wire        — network-neutral protocol codec and messages
+//   - internal/wire        — network-neutral protocol codec and messages:
+//     one field walk per message counts, writes and decodes it
 //   - internal/proof       — attestation proofs and verification
 //   - internal/policy      — access-control rules and verification policies
 //   - internal/syscc       — system contracts (ECC exposure control, CMDAC
@@ -172,13 +173,12 @@
 //   - internal/fabric      — the Fabric-model platform substrate (MSPs,
 //     endorsement, ordering, MVCC validation, gateway)
 //   - internal/notary      — a second, notary-attested platform substrate
-//   - internal/htlc        — hash-time-locked contract chaincode for swaps
 //   - internal/loadgen     — open-loop load generation, latency histograms,
 //     churn injection and the exactly-once audit
 //   - internal/apps        — the paper's STL / SWT use-case applications
 //   - cmd/                 — relayd, interopctl, netadmin, slocreport
 //   - examples/            — quickstart, tradefinance, multirelay,
-//     crossplatform, atomicswap walkthroughs
+//     crossplatform walkthroughs
 //
 // See README.md for a walkthrough. The bench_test.go file in this
 // directory regenerates every experiment (E1-E10 mirror and extend the

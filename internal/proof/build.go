@@ -1,6 +1,7 @@
 package proof
 
 import (
+	"bytes"
 	"context"
 	"crypto/ecdsa"
 	"errors"
@@ -249,63 +250,33 @@ type Sealed struct {
 }
 
 // Marshal encodes the sealed proof for transaction storage, in one
-// exactly-sized allocation (see wire.Encoder).
-func (s *Sealed) Marshal() []byte { e := wire.NewEncoder(s.size()); s.encode(e); return e.Bytes() }
+// exactly-sized allocation (see wire.Walk).
+func (s *Sealed) Marshal() []byte { w := wire.Writing(s.size()); s.walk(&w); return w.Encoded() }
 
-func (s *Sealed) size() int { var c wire.Encoder; s.encode(&c); return c.Len() }
+func (s *Sealed) size() int { var c wire.Walk; s.walk(&c); return c.Len() }
 
-func (s *Sealed) encode(e *wire.Encoder) {
-	e.BytesField(1, s.QueryDigest)
-	e.BytesField(2, s.PolicyDigest)
-	e.Uint(3, s.UnixNano)
-	for _, a := range s.Attestors {
-		e.String(4, a)
-	}
-	e.BytesField(5, s.Response)
+// walk names Response as a scalar, so a second occurrence is refused: under
+// last-write-wins a crafted proof could swap in a second response behind
+// the one that was verified.
+func (s *Sealed) walk(w *wire.Walk) {
+	w.Bytes(1, &s.QueryDigest)
+	w.Bytes(2, &s.PolicyDigest)
+	w.Uint(3, &s.UnixNano)
+	w.StringsOmitEmpty(4, &s.Attestors)
+	w.Bytes(5, &s.Response)
 }
 
-// sealedScalars omits field 4 (Attestors), the only repeated field. A
-// duplicate scalar occurrence is rejected rather than resolved last-write-
-// wins: a crafted bundle carrying two Response payloads could otherwise
-// swap in a second response behind the one that was verified.
-var sealedScalars = wire.FieldMask(1, 2, 3, 5)
-
-// UnmarshalSealed decodes a sealed proof.
+// UnmarshalSealed decodes a sealed proof. Like UnmarshalBundle it decodes
+// a clone of its ledger-held input.
 func UnmarshalSealed(buf []byte) (*Sealed, error) {
-	s := &Sealed{}
-	d := wire.NewDecoder(buf)
-	var g wire.ScalarGuard
-	for {
-		field, ok, err := d.Next()
-		if err != nil {
-			return nil, fmt.Errorf("sealed proof: %w", err)
-		}
-		if !ok {
-			return s, nil
-		}
-		if err := g.Check(field, sealedScalars); err != nil {
-			return nil, fmt.Errorf("sealed proof field %d: %w", field, err)
-		}
-		switch field {
-		case 1:
-			s.QueryDigest, err = d.BytesCopy()
-		case 2:
-			s.PolicyDigest, err = d.BytesCopy()
-		case 3:
-			s.UnixNano, err = d.Uint()
-		case 4:
-			var a string
-			a, err = d.String()
-			s.Attestors = append(s.Attestors, a)
-		case 5:
-			s.Response, err = d.BytesCopy()
-		default:
-			err = d.Skip()
-		}
-		if err != nil {
-			return nil, fmt.Errorf("sealed proof field %d: %w", field, err)
-		}
+	s, w := &Sealed{}, wire.Decoding(bytes.Clone(buf))
+	for w.Next() {
+		s.walk(&w)
 	}
+	if err := w.Err(); err != nil {
+		return nil, fmt.Errorf("sealed proof: %w", err)
+	}
+	return s, nil
 }
 
 // OpenWire decodes the sealed proof's stored wire response.

@@ -168,129 +168,56 @@ type Bundle struct {
 }
 
 // Marshal encodes the bundle for use as a transaction argument, in one
-// exactly-sized allocation (see wire.Encoder).
-func (b *Bundle) Marshal() []byte { e := wire.NewEncoder(b.size()); b.encode(e); return e.Bytes() }
+// exactly-sized allocation (see wire.Walk).
+func (b *Bundle) Marshal() []byte { w := wire.Writing(b.size()); b.walk(&w); return w.Encoded() }
 
-func (b *Bundle) size() int { var c wire.Encoder; b.encode(&c); return c.Len() }
+func (b *Bundle) size() int { var c wire.Walk; b.walk(&c); return c.Len() }
 
-func (b *Bundle) encode(e *wire.Encoder) {
-	e.String(1, b.SourceNetwork)
-	e.BytesField(2, b.Result)
-	e.BytesField(3, b.Nonce)
-	for i := range b.Elements {
-		el := &b.Elements[i]
-		e.MessageHeader(4, el.size())
-		el.encode(e)
+func (b *Bundle) walk(w *wire.Walk) {
+	w.String(1, &b.SourceNetwork)
+	w.Bytes(2, &b.Result)
+	w.Bytes(3, &b.Nonce)
+	if w.Encoding() {
+		for i := range b.Elements {
+			el := &b.Elements[i]
+			w.MessageHeader(4, el.size())
+			el.walk(w)
+		}
+	} else if sub, ok := w.Nested(4); ok {
+		var el Element
+		for w.NextIn(&sub) {
+			el.walk(&sub)
+		}
+		b.Elements = append(b.Elements, el)
 	}
-	e.BytesField(5, b.QueryDigest)
-	e.BytesField(6, b.PolicyDigest)
-	e.Uint(7, b.UnixNano)
+	w.Bytes(5, &b.QueryDigest)
+	w.Bytes(6, &b.PolicyDigest)
+	w.Uint(7, &b.UnixNano)
 }
 
-func (el *Element) size() int { var c wire.Encoder; el.encode(&c); return c.Len() }
+func (el *Element) size() int { var c wire.Walk; el.walk(&c); return c.Len() }
 
-func (el *Element) encode(e *wire.Encoder) {
-	e.BytesField(1, el.CertPEM)
-	e.BytesField(2, el.Metadata)
-	e.BytesField(3, el.Signature)
-	e.Uint(4, el.BatchSize)
-	e.Uint(5, el.BatchIndex)
-	for _, h := range el.BatchPath {
-		e.Message(6, h)
-	}
+func (el *Element) walk(w *wire.Walk) {
+	w.Bytes(1, &el.CertPEM)
+	w.Bytes(2, &el.Metadata)
+	w.Bytes(3, &el.Signature)
+	w.Uint(4, &el.BatchSize)
+	w.Uint(5, &el.BatchIndex)
+	w.BytesList(6, &el.BatchPath)
 }
 
-// bundleScalars omits field 4 (Elements), the only repeated field.
-var bundleScalars = wire.FieldMask(1, 2, 3, 5, 6, 7)
-
-// UnmarshalBundle decodes a bundle.
+// UnmarshalBundle decodes a bundle. Its input is ledger-held or
+// client-submitted bytes its caller goes on owning, so it decodes a clone
+// of them: the bundle owns everything it holds.
 func UnmarshalBundle(buf []byte) (*Bundle, error) {
-	b := &Bundle{}
-	d := wire.NewDecoder(buf)
-	var g wire.ScalarGuard
-	for {
-		field, ok, err := d.Next()
-		if err != nil {
-			return nil, fmt.Errorf("bundle: %w", err)
-		}
-		if !ok {
-			return b, nil
-		}
-		if err := g.Check(field, bundleScalars); err != nil {
-			return nil, fmt.Errorf("bundle field %d: %w", field, err)
-		}
-		switch field {
-		case 1:
-			b.SourceNetwork, err = d.String()
-		case 2:
-			b.Result, err = d.BytesCopy()
-		case 3:
-			b.Nonce, err = d.BytesCopy()
-		case 4:
-			var raw []byte
-			raw, err = d.Bytes()
-			if err == nil {
-				var el Element
-				el, err = unmarshalElement(raw)
-				if err == nil {
-					b.Elements = append(b.Elements, el)
-				}
-			}
-		case 5:
-			b.QueryDigest, err = d.BytesCopy()
-		case 6:
-			b.PolicyDigest, err = d.BytesCopy()
-		case 7:
-			b.UnixNano, err = d.Uint()
-		default:
-			err = d.Skip()
-		}
-		if err != nil {
-			return nil, fmt.Errorf("bundle field %d: %w", field, err)
-		}
+	b, w := &Bundle{}, wire.Decoding(bytes.Clone(buf))
+	for w.Next() {
+		b.walk(&w)
 	}
-}
-
-// elementScalars omits field 6 (BatchPath), the only repeated field.
-var elementScalars = wire.FieldMask(1, 2, 3, 4, 5)
-
-func unmarshalElement(buf []byte) (Element, error) {
-	var el Element
-	d := wire.NewDecoder(buf)
-	var g wire.ScalarGuard
-	for {
-		field, ok, err := d.Next()
-		if err != nil {
-			return el, err
-		}
-		if !ok {
-			return el, nil
-		}
-		if err := g.Check(field, elementScalars); err != nil {
-			return el, err
-		}
-		switch field {
-		case 1:
-			el.CertPEM, err = d.BytesCopy()
-		case 2:
-			el.Metadata, err = d.BytesCopy()
-		case 3:
-			el.Signature, err = d.BytesCopy()
-		case 4:
-			el.BatchSize, err = d.Uint()
-		case 5:
-			el.BatchIndex, err = d.Uint()
-		case 6:
-			var h []byte
-			h, err = d.BytesCopy()
-			el.BatchPath = append(el.BatchPath, h)
-		default:
-			err = d.Skip()
-		}
-		if err != nil {
-			return el, err
-		}
+	if err := w.Err(); err != nil {
+		return nil, fmt.Errorf("bundle: %w", err)
 	}
+	return b, nil
 }
 
 // pinned reports whether a carried policy pin is present and equals want.

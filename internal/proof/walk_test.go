@@ -143,8 +143,8 @@ func TestBundleMarshalAllocations(t *testing.T) {
 		run  func()
 	}{
 		{"Bundle.Marshal", 1, func() { _ = b.Marshal() }},
-		{"UnmarshalBundle", 22, func() { _, _ = UnmarshalBundle(encodedBundle) }},
-		{"UnmarshalSealed", 8, func() { _, _ = UnmarshalSealed(encodedSealed) }},
+		{"UnmarshalBundle", 9, func() { _, _ = UnmarshalBundle(encodedBundle) }},
+		{"UnmarshalSealed", 6, func() { _, _ = UnmarshalSealed(encodedSealed) }},
 	} {
 		if got := testing.AllocsPerRun(100, c.run); got != c.want {
 			t.Errorf("%s: %v allocations, want %v", c.name, got, c.want)
@@ -200,13 +200,14 @@ func TestProofDecodersOwnTheirOutput(t *testing.T) {
 		input := bytes.Clone(c.encoded)
 		marshal, err := c.decode(input)
 		if err != nil {
-			t.Fatalf("%s: decode: %v", c.name, err)
+			t.Errorf("%s: decode: %v", c.name, err)
+			continue
 		}
 		for i := range input {
 			input[i] ^= 0xFF
 		}
 		if !bytes.Equal(marshal(), c.encoded) {
-			t.Fatalf("%s: writing the decode input changed the decoded value", c.name)
+			t.Errorf("%s: writing the decode input changed the decoded value", c.name)
 		}
 	}
 }

@@ -7,17 +7,23 @@
 // string. Messages round-trip deterministically and unknown fields are
 // skipped, which preserves protobuf's forward-compatibility property.
 //
-// Encoding is one allocation: Marshal runs a message's field walk once in
-// the Encoder's counting mode and once more into a buffer of exactly the
-// counted size.
+// Each message — the ten here, and proof.Bundle, its Element and
+// proof.Sealed — is one field walk, walk(w *Walk), that names each field
+// once, by number, with a typed call. That one walk runs in three modes
+// (see Walk): counting sizes the message, writing fills one buffer of
+// exactly that size (Marshal is one allocation), and decoding is
+// `for w.Next() { m.walk(&w) }`. The duplicate-field guard follows from
+// the walk: scalar calls refuse a second occurrence of their field,
+// repeated calls append, and a field no call names is skipped.
 //
 // The message decoders here copy nothing but strings: a decoded message's
 // byte fields alias the buffer it was decoded from. Pass a buffer nobody reuses or
 // writes afterwards — a frame ReadFrame just allocated, or the output of a
 // Marshal or StampQueryResponse call. The owner of a buffer that outlives
-// the decode and is shared clones it once and decodes the clone; a shared
-// ID-less response (a cache entry, say) needs no decode to be served, only
-// StampQueryResponse, which copies it.
+// the decode and is shared clones it once and decodes the clone, as
+// proof.UnmarshalBundle and proof.UnmarshalSealed do with ledger-held and
+// client-submitted bytes; a shared ID-less response (a cache entry, say)
+// needs no decode to be served, only StampQueryResponse, which copies it.
 package wire
 
 import (
@@ -46,15 +52,11 @@ var (
 // results are documents (bills of lading, letters of credit), not bulk data.
 const maxFieldLen = 64 << 20 // 64 MiB
 
-// Encoder accumulates an encoded message. It has two modes. A counting
-// encoder — the zero value, whose buffer is nil — writes nothing: only Len
-// advances, by exactly the bytes a writing encoder would append. That is
-// how a message learns its encoded size without building it. Every message
-// in this package (and proof.Bundle and proof.Sealed) is one field walk,
-// encode(e), run twice by Marshal: once on a counting encoder, then on
-// NewEncoder(counted size), whose one buffer it fills exactly. A nested
-// message is written in place behind MessageHeader, its length taken from
-// a counting run of its own walk, rather than encoded apart and copied.
+// Encoder accumulates an encoded message; it is what a Walk counts and
+// writes with. It has two modes. A counting encoder — the zero value,
+// whose buffer is nil — writes nothing: only Len advances, by exactly the
+// bytes a writing encoder would append. That is how a message learns its
+// encoded size without building it.
 type Encoder struct {
 	buf []byte
 	n   int // counting mode: bytes counted so far
@@ -227,19 +229,6 @@ func (d *Decoder) Bytes() ([]byte, error) {
 	return out, nil
 }
 
-// BytesCopy reads the current field as bytes and copies it out of the input
-// buffer, for a decoder whose input its caller goes on owning and may
-// reuse — the proof package's decoders of ledger-held bytes.
-func (d *Decoder) BytesCopy() ([]byte, error) {
-	b, err := d.Bytes()
-	if err != nil {
-		return nil, err
-	}
-	out := make([]byte, len(b))
-	copy(out, b)
-	return out, nil
-}
-
 // String reads the current field as a string.
 func (d *Decoder) String() (string, error) {
 	b, err := d.Bytes()
@@ -247,57 +236,6 @@ func (d *Decoder) String() (string, error) {
 		return "", err
 	}
 	return string(b), nil
-}
-
-// ScalarGuard rejects duplicate occurrences of scalar (non-repeated)
-// fields while decoding a message. Every encoder in this package omits
-// zero values, so a well-formed message never carries the same scalar
-// field twice; when a decoder sees a second occurrence the input is
-// either corrupt or crafted to exploit last-write-wins field resolution
-// (e.g. a sealed proof bundle smuggling a second Response payload behind
-// the one that was verified). Repeated fields and unknown fields are not
-// tracked. Field numbers must be below 64.
-type ScalarGuard struct {
-	seen uint64
-}
-
-// Mark records an occurrence of a scalar field, returning ErrMalformed
-// (wrapped) if the field was already seen in this message.
-func (g *ScalarGuard) Mark(field int) error {
-	if field <= 0 || field >= 64 {
-		return fmt.Errorf("%w: scalar field %d out of guard range", ErrMalformed, field)
-	}
-	bit := uint64(1) << uint(field)
-	if g.seen&bit != 0 {
-		return fmt.Errorf("%w: duplicate scalar field %d", ErrMalformed, field)
-	}
-	g.seen |= bit
-	return nil
-}
-
-// Check marks field when it appears in the scalars bitmask (as built by
-// FieldMask), returning an error on a duplicate occurrence. Fields
-// outside the mask — repeated fields and unknown fields — pass
-// unconditionally, preserving forward compatibility.
-func (g *ScalarGuard) Check(field int, scalars uint64) error {
-	if field <= 0 || field >= 64 || scalars&(uint64(1)<<uint(field)) == 0 {
-		return nil
-	}
-	return g.Mark(field)
-}
-
-// FieldMask builds the scalar-field bitmask for ScalarGuard.Check from a
-// list of field numbers. It panics on field numbers outside (0, 64),
-// which is a programming error in the message definition, not bad input.
-func FieldMask(fields ...int) uint64 {
-	var mask uint64
-	for _, f := range fields {
-		if f <= 0 || f >= 64 {
-			panic(fmt.Sprintf("wire: FieldMask field %d out of range", f))
-		}
-		mask |= uint64(1) << uint(f)
-	}
-	return mask
 }
 
 // Skip discards the current field, whatever its type.
@@ -312,4 +250,213 @@ func (d *Decoder) Skip() error {
 	default:
 		return fmt.Errorf("%w: unsupported wire type %d", ErrMalformed, d.pendingWire)
 	}
+}
+
+// Walk runs a message's field walk: one method, walk(w *Walk), that names
+// each field of the message once, by number, with a typed call. The same
+// walk serves three modes:
+//
+//   - Count: the zero Walk. Calls write nothing; Len advances by exactly
+//     the bytes a writing walk appends. A message's size() is a counting
+//     walk.
+//   - Write: Writing(n). Calls append to one buffer of capacity n, which a
+//     size() measured exactly, so Marshal is one allocation. A nested
+//     message goes in place behind MessageHeader, its length counted by a
+//     walk of its own.
+//   - Decode: Decoding(buf). Next reads one field key and the walk that
+//     follows acts only in the call whose field number matches; a field no
+//     call takes is skipped as unknown. Scalar calls (Uint, String, Bytes)
+//     mark a duplicate guard and refuse a second occurrence of their field
+//     — our encoders write a scalar at most once, so a second one is a
+//     crafted attempt at last-write-wins — while repeated calls append.
+//     Byte fields alias buf (see the package doc); strings are copied.
+//
+// Field numbers of scalar fields must lie in [1, 63], the guard's range; a
+// walk naming another panics in every mode, as a programming error.
+type Walk struct {
+	e        Encoder
+	d        Decoder
+	decoding bool
+	field    int    // Decode: the field Next read
+	taken    bool   // Decode: a call has read that field
+	seen     uint64 // Decode: the scalar fields read so far
+	err      error
+}
+
+// Writing returns a writing Walk whose buffer has capacity n.
+func Writing(n int) Walk { return Walk{e: Encoder{buf: make([]byte, 0, n)}} }
+
+// Decoding returns a decoding Walk over buf.
+func Decoding(buf []byte) Walk { return Walk{d: Decoder{buf: buf}, decoding: true} }
+
+// Encoding reports whether the walk counts or writes rather than decodes.
+func (w *Walk) Encoding() bool { return !w.decoding }
+
+// Len returns the bytes counted or written so far.
+func (w *Walk) Len() int { return w.e.Len() }
+
+// Encoded returns a writing walk's buffer.
+func (w *Walk) Encoded() []byte { return w.e.buf }
+
+// Err returns the first decode error, wrapped with its field number.
+func (w *Walk) Err() error { return w.err }
+
+// Next advances a decoding walk to the next field, skipping the previous
+// one if no call took it. It returns false at the end of the input and on
+// the first error.
+func (w *Walk) Next() bool {
+	if w.err == nil && w.field != 0 && !w.taken {
+		w.check(w.d.Skip())
+	}
+	if w.err != nil {
+		return false
+	}
+	field, ok, err := w.d.Next()
+	w.field, w.taken = field, false
+	w.check(err)
+	return ok
+}
+
+// NextIn is Next for sub, the walk Nested returned for w's current field:
+// at its end it reports sub's error to w.
+func (w *Walk) NextIn(sub *Walk) bool {
+	if sub.Next() {
+		return true
+	}
+	w.check(sub.err)
+	return false
+}
+
+// check records err, the first decode error, against the current field.
+func (w *Walk) check(err error) {
+	if err != nil && w.err == nil {
+		if w.field != 0 {
+			err = fmt.Errorf("field %d: %w", w.field, err)
+		}
+		w.err = err
+	}
+}
+
+// take reports whether the call for field f reads the current field.
+func (w *Walk) take(f int) bool {
+	if !w.decoding || w.taken || w.field != f {
+		return false
+	}
+	w.taken = true
+	return true
+}
+
+// scalar is take for a scalar field: it also marks the duplicate guard,
+// refusing a second occurrence.
+func (w *Walk) scalar(f int) bool {
+	if f <= 0 || f >= 64 {
+		panic(fmt.Sprintf("wire: scalar field %d outside the duplicate guard's range", f))
+	}
+	if !w.take(f) {
+		return false
+	}
+	bit := uint64(1) << f
+	if w.seen&bit != 0 {
+		w.check(fmt.Errorf("%w: duplicate scalar field %d", ErrMalformed, f))
+		return false
+	}
+	w.seen |= bit
+	return true
+}
+
+func (w *Walk) bytes() []byte {
+	b, err := w.d.Bytes()
+	w.check(err)
+	return b
+}
+
+// Uint walks a varint scalar field. Zero is omitted, as in proto3.
+func (w *Walk) Uint(f int, v *uint64) {
+	if w.scalar(f) {
+		var err error
+		*v, err = w.d.Uint()
+		w.check(err)
+	} else if !w.decoding {
+		w.e.Uint(f, *v)
+	}
+}
+
+// String walks a string scalar field. Empty is omitted.
+func (w *Walk) String(f int, v *string) {
+	if w.scalar(f) {
+		*v = string(w.bytes())
+	} else if !w.decoding {
+		w.e.String(f, *v)
+	}
+}
+
+// Bytes walks a byte-string scalar field. Empty is omitted.
+func (w *Walk) Bytes(f int, v *[]byte) {
+	if w.scalar(f) {
+		*v = w.bytes()
+	} else if !w.decoding {
+		w.e.BytesField(f, *v)
+	}
+}
+
+// Strings walks a repeated string field. Every element is written, an
+// empty one too, like any repeated element.
+func (w *Walk) Strings(f int, v *[]string) {
+	if !w.decoding {
+		for _, s := range *v {
+			w.e.MessageHeader(f, len(s))
+			put(&w.e, s)
+		}
+	} else if w.take(f) {
+		*v = append(*v, string(w.bytes()))
+	}
+}
+
+// StringsOmitEmpty walks a repeated string field whose empty elements are
+// not written.
+func (w *Walk) StringsOmitEmpty(f int, v *[]string) {
+	if !w.decoding {
+		for _, s := range *v {
+			w.e.String(f, s)
+		}
+	} else {
+		w.Strings(f, v)
+	}
+}
+
+// BytesList walks a repeated byte-string field. Every element is written,
+// an empty one too.
+func (w *Walk) BytesList(f int, v *[][]byte) {
+	if !w.decoding {
+		for _, b := range *v {
+			w.e.Message(f, b)
+		}
+	} else if w.take(f) {
+		*v = append(*v, w.bytes())
+	}
+}
+
+// MessageHeader writes the key and length of an embedded message of n
+// bytes that the walk writes next (see Encoder.MessageHeader).
+func (w *Walk) MessageHeader(f, n int) { w.e.MessageHeader(f, n) }
+
+// Nested reads the current field, when it is f, as an embedded message and
+// returns a decoding walk over it, which w.NextIn advances. A repeated
+// message field walks as
+//
+//	if w.Encoding() {
+//		for each element el: w.MessageHeader(f, el.size()); el.walk(w)
+//	} else if sub, ok := w.Nested(f); ok {
+//		var el T; for w.NextIn(&sub) { el.walk(&sub) }; append el
+//	}
+//
+// The returned walk holds no pointer to w — one would move every walk,
+// writing ones included, to the heap — so w.NextIn, not sub.Next, advances
+// it and hands its error to w.
+func (w *Walk) Nested(f int) (sub Walk, ok bool) {
+	if !w.take(f) {
+		return Walk{}, false
+	}
+	b := w.bytes()
+	return Decoding(b), w.err == nil
 }

@@ -168,22 +168,6 @@ func TestDecoderGarbage(t *testing.T) {
 	}
 }
 
-func TestBytesCopyDoesNotAlias(t *testing.T) {
-	e := NewEncoder(0)
-	e.BytesField(1, []byte{1, 2, 3})
-	buf := e.Bytes()
-	d := NewDecoder(buf)
-	_, _, _ = d.Next()
-	got, err := d.BytesCopy()
-	if err != nil {
-		t.Fatalf("BytesCopy: %v", err)
-	}
-	buf[len(buf)-1] = 0xFF
-	if got[2] != 3 {
-		t.Fatal("BytesCopy aliases the input buffer")
-	}
-}
-
 func TestEmptyMessagePreserved(t *testing.T) {
 	e := NewEncoder(0)
 	e.Message(1, nil) // empty embedded message must still appear

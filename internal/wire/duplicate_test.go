@@ -149,23 +149,57 @@ func TestQueryDecodesRetiredCapabilityFieldsAsAbsent(t *testing.T) {
 	}
 }
 
+// TestScalarGuardRange: the duplicate guard covers scalar fields 1–63.
+// On the wire, a field numbered 64 or more, like any field no walk names,
+// is an unknown field the decoder skips, however often it occurs; field
+// number 0 is refused. In a walk, a scalar field outside 1–63 is a
+// programming error that panics in every mode.
 func TestScalarGuardRange(t *testing.T) {
-	var g ScalarGuard
-	// Out-of-range and unmasked fields pass through Check untouched — they
-	// are unknown fields the decoder skips, not scalars to police.
-	if err := g.Check(0, FieldMask(1)); err != nil {
-		t.Fatalf("field 0: %v", err)
+	env := &Envelope{Version: 1, Type: MsgQuery, RequestID: "r", Route: []string{"a"}, MaxHops: 4}
+	unknown := NewEncoder(32)
+	for _, f := range []int{64, 64, 9, 9, 1 << 20} {
+		unknown.Uint(f, 7)
+		unknown.BytesField(f, []byte("future"))
 	}
-	if err := g.Check(64, FieldMask(1)); err != nil {
-		t.Fatalf("field 64: %v", err)
+	got, err := UnmarshalEnvelope(append(env.Marshal(), unknown.Bytes()...))
+	if err != nil {
+		t.Fatalf("unknown fields refused: %v", err)
 	}
-	if err := g.Check(2, FieldMask(1)); err != nil {
-		t.Fatalf("unmasked field: %v", err)
+	if !reflect.DeepEqual(got, env) {
+		t.Fatalf("decoded %+v, want %+v", got, env)
 	}
-	if err := g.Check(1, FieldMask(1)); err != nil {
-		t.Fatalf("first occurrence: %v", err)
+	if _, err := UnmarshalEnvelope(append(env.Marshal(), 0x00)); err == nil {
+		t.Fatal("field number 0 accepted")
 	}
-	if err := g.Check(1, FieldMask(1)); err == nil {
-		t.Fatal("second occurrence accepted")
+
+	for _, f := range []int{0, 64} {
+		m := &outOfRange{field: f, v: 1}
+		mustPanic(t, f, "count", func() { var c Walk; m.walk(&c) })
+		mustPanic(t, f, "write", func() { w := Writing(16); m.walk(&w) })
+		mustPanic(t, f, "decode", func() {
+			w := Decoding((&Envelope{Version: 1}).Marshal())
+			for w.Next() {
+				m.walk(&w)
+			}
+		})
 	}
+}
+
+// outOfRange is a message whose walk names a scalar field outside the
+// duplicate guard's range.
+type outOfRange struct {
+	field int
+	v     uint64
+}
+
+func (m *outOfRange) walk(w *Walk) { w.Uint(m.field, &m.v) }
+
+func mustPanic(t *testing.T, field int, mode string, run func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Errorf("scalar field %d, %s walk: no panic", field, mode)
+		}
+	}()
+	run()
 }

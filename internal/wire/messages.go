@@ -106,75 +106,36 @@ func (m *Envelope) MarshalFrame() Frame { return m.marshal(frameHeaderLen) }
 // marshal encodes the envelope after headroom zero bytes, in one buffer of
 // exactly the encoded size.
 func (m *Envelope) marshal(headroom int) []byte {
-	e := &Encoder{buf: make([]byte, headroom, headroom+m.size())}
-	m.encode(e)
-	return e.Bytes()
+	w := Walk{e: Encoder{buf: make([]byte, headroom, headroom+m.size())}}
+	m.walk(&w)
+	return w.Encoded()
 }
 
-func (m *Envelope) size() int { var c Encoder; m.encode(&c); return c.Len() }
+func (m *Envelope) size() int { var c Walk; m.walk(&c); return c.Len() }
 
-func (m *Envelope) encode(e *Encoder) {
-	e.Uint(1, m.Version)
-	e.Uint(2, uint64(m.Type))
-	e.String(3, m.RequestID)
-	e.BytesField(4, m.Payload)
-	e.Uint(5, m.DeadlineUnixNano)
-	e.Uint(6, m.TimeoutNanos)
-	for _, hop := range m.Route {
-		// Present even when empty, like any repeated element.
-		e.MessageHeader(7, len(hop))
-		put(e, hop)
-	}
-	e.Uint(8, m.MaxHops)
+func (m *Envelope) walk(w *Walk) {
+	w.Uint(1, &m.Version)
+	typ := uint64(m.Type)
+	w.Uint(2, &typ)
+	m.Type = MsgType(typ)
+	w.String(3, &m.RequestID)
+	w.Bytes(4, &m.Payload)
+	w.Uint(5, &m.DeadlineUnixNano)
+	w.Uint(6, &m.TimeoutNanos)
+	w.Strings(7, &m.Route)
+	w.Uint(8, &m.MaxHops)
 }
-
-// envelopeScalars omits field 7 (Route), the only repeated field.
-var envelopeScalars = FieldMask(1, 2, 3, 4, 5, 6, 8)
 
 // UnmarshalEnvelope decodes an Envelope.
 func UnmarshalEnvelope(buf []byte) (*Envelope, error) {
-	m := &Envelope{}
-	d := NewDecoder(buf)
-	var g ScalarGuard
-	for {
-		field, ok, err := d.Next()
-		if err != nil {
-			return nil, fmt.Errorf("envelope: %w", err)
-		}
-		if !ok {
-			return m, nil
-		}
-		if err := g.Check(field, envelopeScalars); err != nil {
-			return nil, fmt.Errorf("envelope field %d: %w", field, err)
-		}
-		switch field {
-		case 1:
-			m.Version, err = d.Uint()
-		case 2:
-			var v uint64
-			v, err = d.Uint()
-			m.Type = MsgType(v)
-		case 3:
-			m.RequestID, err = d.String()
-		case 4:
-			m.Payload, err = d.Bytes()
-		case 5:
-			m.DeadlineUnixNano, err = d.Uint()
-		case 6:
-			m.TimeoutNanos, err = d.Uint()
-		case 7:
-			var hop string
-			hop, err = d.String()
-			m.Route = append(m.Route, hop)
-		case 8:
-			m.MaxHops, err = d.Uint()
-		default:
-			err = d.Skip()
-		}
-		if err != nil {
-			return nil, fmt.Errorf("envelope field %d: %w", field, err)
-		}
+	m, w := &Envelope{}, Decoding(buf)
+	for w.Next() {
+		m.walk(&w)
 	}
+	if err := w.Err(); err != nil {
+		return nil, fmt.Errorf("envelope: %w", err)
+	}
+	return m, nil
 }
 
 // RouteContains reports whether the envelope's route already names the
@@ -238,80 +199,35 @@ func (m *Query) InteropKey() string {
 }
 
 // Marshal encodes the query.
-func (m *Query) Marshal() []byte { e := NewEncoder(m.size()); m.encode(e); return e.Bytes() }
+func (m *Query) Marshal() []byte { w := Writing(m.size()); m.walk(&w); return w.Encoded() }
 
-func (m *Query) size() int { var c Encoder; m.encode(&c); return c.Len() }
+func (m *Query) size() int { var c Walk; m.walk(&c); return c.Len() }
 
-func (m *Query) encode(e *Encoder) {
-	e.String(1, m.RequestID)
-	e.String(2, m.RequestingNetwork)
-	e.String(3, m.TargetNetwork)
-	e.String(4, m.Ledger)
-	e.String(5, m.Contract)
-	e.String(6, m.Function)
-	for _, a := range m.Args {
-		e.Message(7, a)
-	}
-	e.String(8, m.PolicyExpr)
-	e.BytesField(9, m.RequesterCertPEM)
-	e.String(10, m.RequesterOrg)
-	e.BytesField(11, m.Nonce)
-	e.BytesField(12, m.PolicyDigest)
+func (m *Query) walk(w *Walk) {
+	w.String(1, &m.RequestID)
+	w.String(2, &m.RequestingNetwork)
+	w.String(3, &m.TargetNetwork)
+	w.String(4, &m.Ledger)
+	w.String(5, &m.Contract)
+	w.String(6, &m.Function)
+	w.BytesList(7, &m.Args)
+	w.String(8, &m.PolicyExpr)
+	w.Bytes(9, &m.RequesterCertPEM)
+	w.String(10, &m.RequesterOrg)
+	w.Bytes(11, &m.Nonce)
+	w.Bytes(12, &m.PolicyDigest)
 }
-
-// queryScalars omits field 7 (Args), the only repeated field.
-var queryScalars = FieldMask(1, 2, 3, 4, 5, 6, 8, 9, 10, 11, 12)
 
 // UnmarshalQuery decodes a Query.
 func UnmarshalQuery(buf []byte) (*Query, error) {
-	m := &Query{}
-	d := NewDecoder(buf)
-	var g ScalarGuard
-	for {
-		field, ok, err := d.Next()
-		if err != nil {
-			return nil, fmt.Errorf("query: %w", err)
-		}
-		if !ok {
-			return m, nil
-		}
-		if err := g.Check(field, queryScalars); err != nil {
-			return nil, fmt.Errorf("query field %d: %w", field, err)
-		}
-		switch field {
-		case 1:
-			m.RequestID, err = d.String()
-		case 2:
-			m.RequestingNetwork, err = d.String()
-		case 3:
-			m.TargetNetwork, err = d.String()
-		case 4:
-			m.Ledger, err = d.String()
-		case 5:
-			m.Contract, err = d.String()
-		case 6:
-			m.Function, err = d.String()
-		case 7:
-			var arg []byte
-			arg, err = d.Bytes()
-			m.Args = append(m.Args, arg)
-		case 8:
-			m.PolicyExpr, err = d.String()
-		case 9:
-			m.RequesterCertPEM, err = d.Bytes()
-		case 10:
-			m.RequesterOrg, err = d.String()
-		case 11:
-			m.Nonce, err = d.Bytes()
-		case 12:
-			m.PolicyDigest, err = d.Bytes()
-		default:
-			err = d.Skip()
-		}
-		if err != nil {
-			return nil, fmt.Errorf("query field %d: %w", field, err)
-		}
+	m, w := &Query{}, Decoding(buf)
+	for w.Next() {
+		m.walk(&w)
 	}
+	if err := w.Err(); err != nil {
+		return nil, fmt.Errorf("query: %w", err)
+	}
+	return m, nil
 }
 
 // Attestation is one peer's contribution to a proof (Fig. 2 step 7): the
@@ -344,74 +260,33 @@ type Attestation struct {
 }
 
 // Marshal encodes the attestation.
-func (m *Attestation) Marshal() []byte { e := NewEncoder(m.size()); m.encode(e); return e.Bytes() }
+func (m *Attestation) Marshal() []byte { w := Writing(m.size()); m.walk(&w); return w.Encoded() }
 
-func (m *Attestation) size() int { var c Encoder; m.encode(&c); return c.Len() }
+func (m *Attestation) size() int { var c Walk; m.walk(&c); return c.Len() }
 
-func (m *Attestation) encode(e *Encoder) {
-	e.String(1, m.PeerName)
-	e.String(2, m.OrgID)
-	e.BytesField(3, m.CertPEM)
-	e.BytesField(4, m.EncryptedMetadata)
-	e.BytesField(5, m.Signature)
-	e.Uint(6, m.BatchSize)
-	e.Uint(7, m.BatchIndex)
-	for _, h := range m.BatchPath {
-		e.Message(8, h)
-	}
-	e.BytesField(9, m.SessionEphemeral)
-	e.Uint(10, m.SessionGeneration)
+func (m *Attestation) walk(w *Walk) {
+	w.String(1, &m.PeerName)
+	w.String(2, &m.OrgID)
+	w.Bytes(3, &m.CertPEM)
+	w.Bytes(4, &m.EncryptedMetadata)
+	w.Bytes(5, &m.Signature)
+	w.Uint(6, &m.BatchSize)
+	w.Uint(7, &m.BatchIndex)
+	w.BytesList(8, &m.BatchPath)
+	w.Bytes(9, &m.SessionEphemeral)
+	w.Uint(10, &m.SessionGeneration)
 }
-
-// attestationScalars omits field 8 (BatchPath), the only repeated field.
-var attestationScalars = FieldMask(1, 2, 3, 4, 5, 6, 7, 9, 10)
 
 // UnmarshalAttestation decodes an Attestation.
 func UnmarshalAttestation(buf []byte) (*Attestation, error) {
-	m := &Attestation{}
-	d := NewDecoder(buf)
-	var g ScalarGuard
-	for {
-		field, ok, err := d.Next()
-		if err != nil {
-			return nil, fmt.Errorf("attestation: %w", err)
-		}
-		if !ok {
-			return m, nil
-		}
-		if err := g.Check(field, attestationScalars); err != nil {
-			return nil, fmt.Errorf("attestation field %d: %w", field, err)
-		}
-		switch field {
-		case 1:
-			m.PeerName, err = d.String()
-		case 2:
-			m.OrgID, err = d.String()
-		case 3:
-			m.CertPEM, err = d.Bytes()
-		case 4:
-			m.EncryptedMetadata, err = d.Bytes()
-		case 5:
-			m.Signature, err = d.Bytes()
-		case 6:
-			m.BatchSize, err = d.Uint()
-		case 7:
-			m.BatchIndex, err = d.Uint()
-		case 8:
-			var h []byte
-			h, err = d.Bytes()
-			m.BatchPath = append(m.BatchPath, h)
-		case 9:
-			m.SessionEphemeral, err = d.Bytes()
-		case 10:
-			m.SessionGeneration, err = d.Uint()
-		default:
-			err = d.Skip()
-		}
-		if err != nil {
-			return nil, fmt.Errorf("attestation field %d: %w", field, err)
-		}
+	m, w := &Attestation{}, Decoding(buf)
+	for w.Next() {
+		m.walk(&w)
 	}
+	if err := w.Err(); err != nil {
+		return nil, fmt.Errorf("attestation: %w", err)
+	}
+	return m, nil
 }
 
 // Metadata is the plaintext signed by each attesting peer. It binds the
@@ -435,63 +310,31 @@ type Metadata struct {
 }
 
 // Marshal encodes the metadata.
-func (m *Metadata) Marshal() []byte { e := NewEncoder(m.size()); m.encode(e); return e.Bytes() }
+func (m *Metadata) Marshal() []byte { w := Writing(m.size()); m.walk(&w); return w.Encoded() }
 
-func (m *Metadata) size() int { var c Encoder; m.encode(&c); return c.Len() }
+func (m *Metadata) size() int { var c Walk; m.walk(&c); return c.Len() }
 
-func (m *Metadata) encode(e *Encoder) {
-	e.String(1, m.NetworkID)
-	e.String(2, m.PeerName)
-	e.String(3, m.OrgID)
-	e.BytesField(4, m.QueryDigest)
-	e.BytesField(5, m.ResultDigest)
-	e.BytesField(6, m.Nonce)
-	e.Uint(7, m.UnixNano)
-	e.BytesField(8, m.PolicyDigest)
+func (m *Metadata) walk(w *Walk) {
+	w.String(1, &m.NetworkID)
+	w.String(2, &m.PeerName)
+	w.String(3, &m.OrgID)
+	w.Bytes(4, &m.QueryDigest)
+	w.Bytes(5, &m.ResultDigest)
+	w.Bytes(6, &m.Nonce)
+	w.Uint(7, &m.UnixNano)
+	w.Bytes(8, &m.PolicyDigest)
 }
 
-var metadataScalars = FieldMask(1, 2, 3, 4, 5, 6, 7, 8)
-
-// UnmarshalMetadata decodes a Metadata message.
+// UnmarshalMetadata decodes a Metadata.
 func UnmarshalMetadata(buf []byte) (*Metadata, error) {
-	m := &Metadata{}
-	d := NewDecoder(buf)
-	var g ScalarGuard
-	for {
-		field, ok, err := d.Next()
-		if err != nil {
-			return nil, fmt.Errorf("metadata: %w", err)
-		}
-		if !ok {
-			return m, nil
-		}
-		if err := g.Check(field, metadataScalars); err != nil {
-			return nil, fmt.Errorf("metadata field %d: %w", field, err)
-		}
-		switch field {
-		case 1:
-			m.NetworkID, err = d.String()
-		case 2:
-			m.PeerName, err = d.String()
-		case 3:
-			m.OrgID, err = d.String()
-		case 4:
-			m.QueryDigest, err = d.Bytes()
-		case 5:
-			m.ResultDigest, err = d.Bytes()
-		case 6:
-			m.Nonce, err = d.Bytes()
-		case 7:
-			m.UnixNano, err = d.Uint()
-		case 8:
-			m.PolicyDigest, err = d.Bytes()
-		default:
-			err = d.Skip()
-		}
-		if err != nil {
-			return nil, fmt.Errorf("metadata field %d: %w", field, err)
-		}
+	m, w := &Metadata{}, Decoding(buf)
+	for w.Next() {
+		m.walk(&w)
 	}
+	if err := w.Err(); err != nil {
+		return nil, fmt.Errorf("metadata: %w", err)
+	}
+	return m, nil
 }
 
 // HopPin is one forwarding relay's contribution to the chained path proof
@@ -508,51 +351,27 @@ type HopPin struct {
 }
 
 // Marshal encodes the hop pin.
-func (m *HopPin) Marshal() []byte { e := NewEncoder(m.size()); m.encode(e); return e.Bytes() }
+func (m *HopPin) Marshal() []byte { w := Writing(m.size()); m.walk(&w); return w.Encoded() }
 
-func (m *HopPin) size() int { var c Encoder; m.encode(&c); return c.Len() }
+func (m *HopPin) size() int { var c Walk; m.walk(&c); return c.Len() }
 
-func (m *HopPin) encode(e *Encoder) {
-	e.String(1, m.Network)
-	e.BytesField(2, m.CertPEM)
-	e.BytesField(3, m.Pin)
-	e.BytesField(4, m.Signature)
+func (m *HopPin) walk(w *Walk) {
+	w.String(1, &m.Network)
+	w.Bytes(2, &m.CertPEM)
+	w.Bytes(3, &m.Pin)
+	w.Bytes(4, &m.Signature)
 }
-
-var hopPinScalars = FieldMask(1, 2, 3, 4)
 
 // UnmarshalHopPin decodes a HopPin.
 func UnmarshalHopPin(buf []byte) (*HopPin, error) {
-	m := &HopPin{}
-	d := NewDecoder(buf)
-	var g ScalarGuard
-	for {
-		field, ok, err := d.Next()
-		if err != nil {
-			return nil, fmt.Errorf("hop pin: %w", err)
-		}
-		if !ok {
-			return m, nil
-		}
-		if err := g.Check(field, hopPinScalars); err != nil {
-			return nil, fmt.Errorf("hop pin field %d: %w", field, err)
-		}
-		switch field {
-		case 1:
-			m.Network, err = d.String()
-		case 2:
-			m.CertPEM, err = d.Bytes()
-		case 3:
-			m.Pin, err = d.Bytes()
-		case 4:
-			m.Signature, err = d.Bytes()
-		default:
-			err = d.Skip()
-		}
-		if err != nil {
-			return nil, fmt.Errorf("hop pin field %d: %w", field, err)
-		}
+	m, w := &HopPin{}, Decoding(buf)
+	for w.Next() {
+		m.walk(&w)
 	}
+	if err := w.Err(); err != nil {
+		return nil, fmt.Errorf("hop pin: %w", err)
+	}
+	return m, nil
 }
 
 // QueryResponse carries the encrypted result plus the proof: one attestation
@@ -579,26 +398,42 @@ type QueryResponse struct {
 }
 
 // Marshal encodes the response.
-func (m *QueryResponse) Marshal() []byte { e := NewEncoder(m.size()); m.encode(e); return e.Bytes() }
+func (m *QueryResponse) Marshal() []byte { w := Writing(m.size()); m.walk(&w); return w.Encoded() }
 
-func (m *QueryResponse) size() int { var c Encoder; m.encode(&c); return c.Len() }
+func (m *QueryResponse) size() int { var c Walk; m.walk(&c); return c.Len() }
 
-func (m *QueryResponse) encode(e *Encoder) {
-	e.String(1, m.RequestID)
-	e.BytesField(2, m.EncryptedResult)
-	for i := range m.Attestations {
-		a := &m.Attestations[i]
-		e.MessageHeader(3, a.size())
-		a.encode(e)
+func (m *QueryResponse) walk(w *Walk) {
+	w.String(1, &m.RequestID)
+	w.Bytes(2, &m.EncryptedResult)
+	if w.Encoding() {
+		for i := range m.Attestations {
+			a := &m.Attestations[i]
+			w.MessageHeader(3, a.size())
+			a.walk(w)
+		}
+	} else if sub, ok := w.Nested(3); ok {
+		var a Attestation
+		for w.NextIn(&sub) {
+			a.walk(&sub)
+		}
+		m.Attestations = append(m.Attestations, a)
 	}
-	e.String(4, m.Error)
-	e.BytesField(5, m.PolicyDigest)
-	e.BytesField(6, m.SessionEphemeral)
-	e.Uint(7, m.SessionGeneration)
-	for i := range m.HopPins {
-		p := &m.HopPins[i]
-		e.MessageHeader(8, p.size())
-		p.encode(e)
+	w.String(4, &m.Error)
+	w.Bytes(5, &m.PolicyDigest)
+	w.Bytes(6, &m.SessionEphemeral)
+	w.Uint(7, &m.SessionGeneration)
+	if w.Encoding() {
+		for i := range m.HopPins {
+			p := &m.HopPins[i]
+			w.MessageHeader(8, p.size())
+			p.walk(w)
+		}
+	} else if sub, ok := w.Nested(8); ok {
+		var p HopPin
+		for w.NextIn(&sub) {
+			p.walk(&sub)
+		}
+		m.HopPins = append(m.HopPins, p)
 	}
 }
 
@@ -618,66 +453,16 @@ func StampQueryResponse(requestID string, unstamped []byte) []byte {
 	return e.Bytes()
 }
 
-// queryResponseScalars omits fields 3 (Attestations) and 8 (HopPins), the
-// repeated fields.
-var queryResponseScalars = FieldMask(1, 2, 4, 5, 6, 7)
-
 // UnmarshalQueryResponse decodes a QueryResponse.
 func UnmarshalQueryResponse(buf []byte) (*QueryResponse, error) {
-	m := &QueryResponse{}
-	d := NewDecoder(buf)
-	var g ScalarGuard
-	for {
-		field, ok, err := d.Next()
-		if err != nil {
-			return nil, fmt.Errorf("query response: %w", err)
-		}
-		if !ok {
-			return m, nil
-		}
-		if err := g.Check(field, queryResponseScalars); err != nil {
-			return nil, fmt.Errorf("query response field %d: %w", field, err)
-		}
-		switch field {
-		case 1:
-			m.RequestID, err = d.String()
-		case 2:
-			m.EncryptedResult, err = d.Bytes()
-		case 3:
-			var raw []byte
-			raw, err = d.Bytes()
-			if err == nil {
-				var att *Attestation
-				att, err = UnmarshalAttestation(raw)
-				if err == nil {
-					m.Attestations = append(m.Attestations, *att)
-				}
-			}
-		case 4:
-			m.Error, err = d.String()
-		case 5:
-			m.PolicyDigest, err = d.Bytes()
-		case 6:
-			m.SessionEphemeral, err = d.Bytes()
-		case 7:
-			m.SessionGeneration, err = d.Uint()
-		case 8:
-			var raw []byte
-			raw, err = d.Bytes()
-			if err == nil {
-				var pin *HopPin
-				pin, err = UnmarshalHopPin(raw)
-				if err == nil {
-					m.HopPins = append(m.HopPins, *pin)
-				}
-			}
-		default:
-			err = d.Skip()
-		}
-		if err != nil {
-			return nil, fmt.Errorf("query response field %d: %w", field, err)
-		}
+	m, w := &QueryResponse{}, Decoding(buf)
+	for w.Next() {
+		m.walk(&w)
 	}
+	if err := w.Err(); err != nil {
+		return nil, fmt.Errorf("query response: %w", err)
+	}
+	return m, nil
 }
 
 // OrgConfig describes one organization of a network in the shared
@@ -689,53 +474,26 @@ type OrgConfig struct {
 }
 
 // Marshal encodes the org config.
-func (m *OrgConfig) Marshal() []byte { e := NewEncoder(m.size()); m.encode(e); return e.Bytes() }
+func (m *OrgConfig) Marshal() []byte { w := Writing(m.size()); m.walk(&w); return w.Encoded() }
 
-func (m *OrgConfig) size() int { var c Encoder; m.encode(&c); return c.Len() }
+func (m *OrgConfig) size() int { var c Walk; m.walk(&c); return c.Len() }
 
-func (m *OrgConfig) encode(e *Encoder) {
-	e.String(1, m.OrgID)
-	e.BytesField(2, m.RootCertPEM)
-	for _, p := range m.PeerNames {
-		e.String(3, p)
-	}
+func (m *OrgConfig) walk(w *Walk) {
+	w.String(1, &m.OrgID)
+	w.Bytes(2, &m.RootCertPEM)
+	w.StringsOmitEmpty(3, &m.PeerNames)
 }
-
-// orgConfigScalars omits field 3 (PeerNames), the only repeated field.
-var orgConfigScalars = FieldMask(1, 2)
 
 // UnmarshalOrgConfig decodes an OrgConfig.
 func UnmarshalOrgConfig(buf []byte) (*OrgConfig, error) {
-	m := &OrgConfig{}
-	d := NewDecoder(buf)
-	var g ScalarGuard
-	for {
-		field, ok, err := d.Next()
-		if err != nil {
-			return nil, fmt.Errorf("org config: %w", err)
-		}
-		if !ok {
-			return m, nil
-		}
-		if err := g.Check(field, orgConfigScalars); err != nil {
-			return nil, fmt.Errorf("org config field %d: %w", field, err)
-		}
-		switch field {
-		case 1:
-			m.OrgID, err = d.String()
-		case 2:
-			m.RootCertPEM, err = d.Bytes()
-		case 3:
-			var p string
-			p, err = d.String()
-			m.PeerNames = append(m.PeerNames, p)
-		default:
-			err = d.Skip()
-		}
-		if err != nil {
-			return nil, fmt.Errorf("org config field %d: %w", field, err)
-		}
+	m, w := &OrgConfig{}, Decoding(buf)
+	for w.Next() {
+		m.walk(&w)
 	}
+	if err := w.Err(); err != nil {
+		return nil, fmt.Errorf("org config: %w", err)
+	}
+	return m, nil
 }
 
 // NetworkConfig is the identity and topology information one network records
@@ -749,61 +507,38 @@ type NetworkConfig struct {
 }
 
 // Marshal encodes the network config.
-func (m *NetworkConfig) Marshal() []byte { e := NewEncoder(m.size()); m.encode(e); return e.Bytes() }
+func (m *NetworkConfig) Marshal() []byte { w := Writing(m.size()); m.walk(&w); return w.Encoded() }
 
-func (m *NetworkConfig) size() int { var c Encoder; m.encode(&c); return c.Len() }
+func (m *NetworkConfig) size() int { var c Walk; m.walk(&c); return c.Len() }
 
-func (m *NetworkConfig) encode(e *Encoder) {
-	e.String(1, m.NetworkID)
-	e.String(2, m.Platform)
-	for i := range m.Orgs {
-		o := &m.Orgs[i]
-		e.MessageHeader(3, o.size())
-		o.encode(e)
+func (m *NetworkConfig) walk(w *Walk) {
+	w.String(1, &m.NetworkID)
+	w.String(2, &m.Platform)
+	if w.Encoding() {
+		for i := range m.Orgs {
+			o := &m.Orgs[i]
+			w.MessageHeader(3, o.size())
+			o.walk(w)
+		}
+	} else if sub, ok := w.Nested(3); ok {
+		var o OrgConfig
+		for w.NextIn(&sub) {
+			o.walk(&sub)
+		}
+		m.Orgs = append(m.Orgs, o)
 	}
 }
 
-// networkConfigScalars omits field 3 (Orgs), the only repeated field.
-var networkConfigScalars = FieldMask(1, 2)
-
 // UnmarshalNetworkConfig decodes a NetworkConfig.
 func UnmarshalNetworkConfig(buf []byte) (*NetworkConfig, error) {
-	m := &NetworkConfig{}
-	d := NewDecoder(buf)
-	var g ScalarGuard
-	for {
-		field, ok, err := d.Next()
-		if err != nil {
-			return nil, fmt.Errorf("network config: %w", err)
-		}
-		if !ok {
-			return m, nil
-		}
-		if err := g.Check(field, networkConfigScalars); err != nil {
-			return nil, fmt.Errorf("network config field %d: %w", field, err)
-		}
-		switch field {
-		case 1:
-			m.NetworkID, err = d.String()
-		case 2:
-			m.Platform, err = d.String()
-		case 3:
-			var raw []byte
-			raw, err = d.Bytes()
-			if err == nil {
-				var org *OrgConfig
-				org, err = UnmarshalOrgConfig(raw)
-				if err == nil {
-					m.Orgs = append(m.Orgs, *org)
-				}
-			}
-		default:
-			err = d.Skip()
-		}
-		if err != nil {
-			return nil, fmt.Errorf("network config field %d: %w", field, err)
-		}
+	m, w := &NetworkConfig{}, Decoding(buf)
+	for w.Next() {
+		m.walk(&w)
 	}
+	if err := w.Err(); err != nil {
+		return nil, fmt.Errorf("network config: %w", err)
+	}
+	return m, nil
 }
 
 // Event is an asynchronous cross-network notification (extension beyond the
@@ -817,54 +552,28 @@ type Event struct {
 }
 
 // Marshal encodes the event.
-func (m *Event) Marshal() []byte { e := NewEncoder(m.size()); m.encode(e); return e.Bytes() }
+func (m *Event) Marshal() []byte { w := Writing(m.size()); m.walk(&w); return w.Encoded() }
 
-func (m *Event) size() int { var c Encoder; m.encode(&c); return c.Len() }
+func (m *Event) size() int { var c Walk; m.walk(&c); return c.Len() }
 
-func (m *Event) encode(e *Encoder) {
-	e.String(1, m.SubscriptionID)
-	e.String(2, m.SourceNetwork)
-	e.String(3, m.Name)
-	e.BytesField(4, m.Payload)
-	e.Uint(5, m.UnixNano)
+func (m *Event) walk(w *Walk) {
+	w.String(1, &m.SubscriptionID)
+	w.String(2, &m.SourceNetwork)
+	w.String(3, &m.Name)
+	w.Bytes(4, &m.Payload)
+	w.Uint(5, &m.UnixNano)
 }
-
-var eventScalars = FieldMask(1, 2, 3, 4, 5)
 
 // UnmarshalEvent decodes an Event.
 func UnmarshalEvent(buf []byte) (*Event, error) {
-	m := &Event{}
-	d := NewDecoder(buf)
-	var g ScalarGuard
-	for {
-		field, ok, err := d.Next()
-		if err != nil {
-			return nil, fmt.Errorf("event: %w", err)
-		}
-		if !ok {
-			return m, nil
-		}
-		if err := g.Check(field, eventScalars); err != nil {
-			return nil, fmt.Errorf("event field %d: %w", field, err)
-		}
-		switch field {
-		case 1:
-			m.SubscriptionID, err = d.String()
-		case 2:
-			m.SourceNetwork, err = d.String()
-		case 3:
-			m.Name, err = d.String()
-		case 4:
-			m.Payload, err = d.Bytes()
-		case 5:
-			m.UnixNano, err = d.Uint()
-		default:
-			err = d.Skip()
-		}
-		if err != nil {
-			return nil, fmt.Errorf("event field %d: %w", field, err)
-		}
+	m, w := &Event{}, Decoding(buf)
+	for w.Next() {
+		m.walk(&w)
 	}
+	if err := w.Err(); err != nil {
+		return nil, fmt.Errorf("event: %w", err)
+	}
+	return m, nil
 }
 
 // Subscription asks a source relay to forward chaincode events matching a
@@ -878,52 +587,26 @@ type Subscription struct {
 }
 
 // Marshal encodes the subscription.
-func (m *Subscription) Marshal() []byte { e := NewEncoder(m.size()); m.encode(e); return e.Bytes() }
+func (m *Subscription) Marshal() []byte { w := Writing(m.size()); m.walk(&w); return w.Encoded() }
 
-func (m *Subscription) size() int { var c Encoder; m.encode(&c); return c.Len() }
+func (m *Subscription) size() int { var c Walk; m.walk(&c); return c.Len() }
 
-func (m *Subscription) encode(e *Encoder) {
-	e.String(1, m.SubscriptionID)
-	e.String(2, m.RequestingNetwork)
-	e.String(3, m.TargetNetwork)
-	e.String(4, m.EventName)
-	e.BytesField(5, m.RequesterCertPEM)
+func (m *Subscription) walk(w *Walk) {
+	w.String(1, &m.SubscriptionID)
+	w.String(2, &m.RequestingNetwork)
+	w.String(3, &m.TargetNetwork)
+	w.String(4, &m.EventName)
+	w.Bytes(5, &m.RequesterCertPEM)
 }
-
-var subscriptionScalars = FieldMask(1, 2, 3, 4, 5)
 
 // UnmarshalSubscription decodes a Subscription.
 func UnmarshalSubscription(buf []byte) (*Subscription, error) {
-	m := &Subscription{}
-	d := NewDecoder(buf)
-	var g ScalarGuard
-	for {
-		field, ok, err := d.Next()
-		if err != nil {
-			return nil, fmt.Errorf("subscription: %w", err)
-		}
-		if !ok {
-			return m, nil
-		}
-		if err := g.Check(field, subscriptionScalars); err != nil {
-			return nil, fmt.Errorf("subscription field %d: %w", field, err)
-		}
-		switch field {
-		case 1:
-			m.SubscriptionID, err = d.String()
-		case 2:
-			m.RequestingNetwork, err = d.String()
-		case 3:
-			m.TargetNetwork, err = d.String()
-		case 4:
-			m.EventName, err = d.String()
-		case 5:
-			m.RequesterCertPEM, err = d.Bytes()
-		default:
-			err = d.Skip()
-		}
-		if err != nil {
-			return nil, fmt.Errorf("subscription field %d: %w", field, err)
-		}
+	m, w := &Subscription{}, Decoding(buf)
+	for w.Next() {
+		m.walk(&w)
 	}
+	if err := w.Err(); err != nil {
+		return nil, fmt.Errorf("subscription: %w", err)
+	}
+	return m, nil
 }

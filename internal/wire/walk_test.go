@@ -342,9 +342,9 @@ func TestCodecAllocations(t *testing.T) {
 		{"Envelope.MarshalFrame", 1, func() { _ = env.MarshalFrame() }},
 		{"UnmarshalEnvelope", 1, func() { _, _ = UnmarshalEnvelope(encoded) }},
 		{"UnmarshalEnvelope with RequestID", 2, func() { _, _ = UnmarshalEnvelope(encodedWithID) }},
-		{"UnmarshalQueryResponse", 16, func() { _, _ = UnmarshalQueryResponse(encodedResp) }},
+		{"UnmarshalQueryResponse", 12, func() { _, _ = UnmarshalQueryResponse(encodedResp) }},
 		{"UnmarshalQuery", 11, func() { _, _ = UnmarshalQuery(query) }},
-		{"UnmarshalNetworkConfig", 15, func() { _, _ = UnmarshalNetworkConfig(config) }},
+		{"UnmarshalNetworkConfig", 13, func() { _, _ = UnmarshalNetworkConfig(config) }},
 	} {
 		if got := testing.AllocsPerRun(100, c.run); got != c.want {
 			t.Errorf("%s: %v allocations, want %v", c.name, got, c.want)
