@@ -15,7 +15,11 @@ import (
 // sessionInfo domain-separates sessioned AEAD keys from any other use of
 // the shared secret. The trailing NUL keeps the generation/context suffix
 // from colliding with a longer prefix.
-var sessionInfo = []byte("interop-ecies-session-v1\x00")
+const sessionInfo = "interop-ecies-session-v1\x00"
+
+// sessionContextStack is the longest envelope context (query digests are
+// 32 bytes) whose key derivation runs in a fixed-size stack buffer.
+const sessionContextStack = 256 - 64 - len(sessionInfo) - 8 - 1
 
 // DefaultSessionTTL is how long a session ephemeral key (and the ECDH
 // secrets agreed under it) lives before SessionManager rotates to a fresh
@@ -316,9 +320,19 @@ func (r *Recipient) prk(ephemeral []byte) ([]byte, error) {
 // session ephemeral point as salt), with an info string binding the domain
 // separator, the generation and the query context.
 func sessionAEAD(prk []byte, generation uint64, context []byte) (cipher.AEAD, error) {
+	key := sessionKey(prk, generation, context)
+	return gcmFromKey(key[:])
+}
+
+// sessionKey is the AES-256 key of one sessioned envelope: the first
+// HKDF-SHA256 expand block of prk under sessionInfo || generation ||
+// context.
+func sessionKey(prk []byte, generation uint64, context []byte) [32]byte {
 	info := make([]byte, 0, len(sessionInfo)+8+len(context))
 	info = append(info, sessionInfo...)
 	info = binary.BigEndian.AppendUint64(info, generation)
 	info = append(info, context...)
-	return gcmFromKey(hkdfExpand(prk, info, 32))
+	var key [32]byte
+	copy(key[:], hkdfExpand(prk, info, 32))
+	return key
 }
