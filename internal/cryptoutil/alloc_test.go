@@ -1,0 +1,54 @@
+package cryptoutil
+
+import (
+	"testing"
+	"time"
+)
+
+// Sinks keep results escaping, as they do at every real call site.
+var (
+	sinkBytes  []byte
+	sinkString string
+)
+
+// TestCryptoAllocations is the allocation tripwire of the per-request
+// derivations: a warm open and a seal allocate only what aes.NewCipher,
+// cipher.NewGCM and the output need, and a digest only its result. A change
+// may lower a row, never raise it.
+func TestCryptoAllocations(t *testing.T) {
+	key, err := GenerateKey()
+	if err != nil {
+		t.Fatalf("GenerateKey: %v", err)
+	}
+	sk, err := NewSessionManager(time.Minute, nil).KeyFor("requester", &key.PublicKey)
+	if err != nil {
+		t.Fatalf("KeyFor: %v", err)
+	}
+	context, plaintext := make([]byte, 32), make([]byte, 100)
+	envelope, err := sk.Seal(context, plaintext)
+	if err != nil {
+		t.Fatalf("Seal: %v", err)
+	}
+	r := NewRecipient(key)
+	if _, err := r.Open(sk.Ephemeral, sk.Generation, context, envelope); err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	domain := []byte("interop-domain")
+	for _, row := range []struct {
+		name string
+		max  float64
+		fn   func()
+	}{
+		{"warm Recipient.Open", 3, func() { sinkBytes, _ = r.Open(sk.Ephemeral, sk.Generation, context, envelope) }},
+		{"SessionKey.Seal", 4, func() { sinkBytes, _ = sk.Seal(context, plaintext) }},
+		{"Digest one part", 1, func() { sinkBytes = Digest(plaintext) }},
+		{"Digest small parts", 1, func() { sinkBytes = Digest(domain, context, plaintext) }},
+		{"DigestHex", 1, func() { sinkString = DigestHex(domain, context) }},
+	} {
+		if got := testing.AllocsPerRun(200, row.fn); got > row.max {
+			t.Errorf("%s: %v allocations, want <= %v", row.name, got, row.max)
+		} else {
+			t.Logf("%s: %v allocations", row.name, got)
+		}
+	}
+}

@@ -10,21 +10,53 @@ import (
 // DigestSize is the size in bytes of digests produced by Digest.
 const DigestSize = sha256.Size
 
+// digestStack bounds the total input Digest concatenates in a stack buffer.
+const digestStack = 256
+
 // Digest returns the SHA-256 digest of the concatenation of the given byte
 // slices. It is the hashing primitive for transaction IDs and proof
-// metadata binding.
+// metadata binding. The returned slice is its only allocation.
 func Digest(parts ...[]byte) []byte {
+	sum := digest(parts)
+	return sum[:]
+}
+
+// DigestHex returns the hex encoding of Digest(parts...). Used for
+// human-readable transaction and block identifiers. The returned string is
+// its only allocation.
+func DigestHex(parts ...[]byte) string {
+	sum := digest(parts)
+	var out [2 * DigestSize]byte
+	hex.Encode(out[:], sum[:])
+	return string(out[:])
+}
+
+// digest hashes one part directly, several parts concatenated in a stack
+// buffer when they fit in digestStack bytes, and streams anything larger
+// rather than copy it.
+func digest(parts [][]byte) [DigestSize]byte {
+	if len(parts) == 1 {
+		return sha256.Sum256(parts[0])
+	}
+	var stack [digestStack]byte
+	buf := stack[:0]
+	for _, p := range parts {
+		if len(buf)+len(p) > len(stack) {
+			return digestStream(parts)
+		}
+		buf = append(buf, p...)
+	}
+	return sha256.Sum256(buf)
+}
+
+func digestStream(parts [][]byte) [DigestSize]byte {
 	h := sha256.New()
 	for _, p := range parts {
 		h.Write(p)
 	}
-	return h.Sum(nil)
-}
-
-// DigestHex returns the hex encoding of Digest(parts...). Used for
-// human-readable transaction and block identifiers.
-func DigestHex(parts ...[]byte) string {
-	return hex.EncodeToString(Digest(parts...))
+	var sum [DigestSize]byte
+	h.Sum(sum[:0])
+	return sum
 }
 
 // NonceSize is the size in bytes of nonces produced by NewNonce.

@@ -5,6 +5,7 @@ import (
 	"crypto/ecdh"
 	"crypto/ecdsa"
 	"crypto/rand"
+	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
 	"sync"
@@ -17,9 +18,14 @@ import (
 // from colliding with a longer prefix.
 const sessionInfo = "interop-ecies-session-v1\x00"
 
-// sessionContextStack is the longest envelope context (query digests are
-// 32 bytes) whose key derivation runs in a fixed-size stack buffer.
-const sessionContextStack = 256 - 64 - len(sessionInfo) - 8 - 1
+// sessionKeyStack is the stack buffer sessionKey hashes its HMAC inner
+// block in: the padded key, sessionInfo, the generation, the context and
+// the block counter. sessionContextStack is the longest context that fits;
+// query digests are 32 bytes.
+const (
+	sessionKeyStack     = 256
+	sessionContextStack = sessionKeyStack - sha256.BlockSize - len(sessionInfo) - 8 - 1
+)
 
 // DefaultSessionTTL is how long a session ephemeral key (and the ECDH
 // secrets agreed under it) lives before SessionManager rotates to a fresh
@@ -316,23 +322,50 @@ func (r *Recipient) prk(ephemeral []byte) ([]byte, error) {
 }
 
 // sessionAEAD derives the per-query AES-256-GCM cipher for a sessioned
-// envelope: HKDF-SHA256 expand of the agreement's PRK (extracted with the
-// session ephemeral point as salt), with an info string binding the domain
-// separator, the generation and the query context.
+// envelope from the agreement's PRK (extracted with the session ephemeral
+// point as salt), the generation and the query context. It allocates only
+// what aes.NewCipher and cipher.NewGCM allocate.
 func sessionAEAD(prk []byte, generation uint64, context []byte) (cipher.AEAD, error) {
 	key := sessionKey(prk, generation, context)
 	return gcmFromKey(key[:])
 }
 
 // sessionKey is the AES-256 key of one sessioned envelope: the first
-// HKDF-SHA256 expand block of prk under sessionInfo || generation ||
-// context.
+// HKDF-SHA256 expand block of prk under the info string sessionInfo ||
+// generation || context, that is HMAC-SHA256(prk, info || 0x01). The HMAC
+// is written out as RFC 2104 defines it, SHA-256 over the key padded with
+// ipad then the message, and over the key padded with opad then that inner
+// digest, hashed from stack buffers. The buffer comes from the heap only
+// for a context longer than sessionContextStack. prk is a 32-byte
+// HKDF-Extract output, so it is never longer than the hash block.
 func sessionKey(prk []byte, generation uint64, context []byte) [32]byte {
-	info := make([]byte, 0, len(sessionInfo)+8+len(context))
-	info = append(info, sessionInfo...)
-	info = binary.BigEndian.AppendUint64(info, generation)
-	info = append(info, context...)
-	var key [32]byte
-	copy(key[:], hkdfExpand(prk, info, 32))
-	return key
+	var stack [sessionKeyStack]byte
+	inner := stack[:0]
+	if len(context) > sessionContextStack {
+		inner = make([]byte, 0, sessionKeyStack-sessionContextStack+len(context))
+	}
+	inner = appendHMACPad(inner, prk, 0x36)
+	inner = append(inner, sessionInfo...)
+	inner = binary.BigEndian.AppendUint64(inner, generation)
+	inner = append(inner, context...)
+	inner = append(inner, 1)
+	innerSum := sha256.Sum256(inner)
+
+	var outer [sha256.BlockSize + sha256.Size]byte
+	appendHMACPad(outer[:0], prk, 0x5c)
+	copy(outer[sha256.BlockSize:], innerSum[:])
+	return sha256.Sum256(outer[:])
+}
+
+// appendHMACPad appends key, zero-padded to the SHA-256 block size, with
+// every byte XORed with pad (RFC 2104's ipad 0x36 or opad 0x5c).
+func appendHMACPad(dst, key []byte, pad byte) []byte {
+	for i := range sha256.BlockSize {
+		var b byte
+		if i < len(key) {
+			b = key[i]
+		}
+		dst = append(dst, b^pad)
+	}
+	return dst
 }

@@ -20,6 +20,7 @@ import (
 	"strconv"
 	"strings"
 
+	"repro/internal/memo"
 	"repro/internal/msp"
 )
 
@@ -49,10 +50,11 @@ func (p Principal) matches(signer Principal) bool {
 	return p.Role == 0 || p.Role == signer.Role
 }
 
-// Policy is a parsed signature policy.
+// Policy is a parsed signature policy. It is immutable: its nodes are
+// unexported and WithRole builds a new policy, so one *Policy is safely
+// shared by every caller and goroutine.
 type Policy struct {
 	root node
-	expr string
 }
 
 type node interface {
@@ -221,8 +223,45 @@ func withRoleAll(subs []node, role msp.Role) []node {
 	return out
 }
 
-// Parse parses a policy expression.
+const (
+	// maxExprLen bounds a policy expression in bytes. Expressions arrive
+	// in queries from other networks, and a longer one is refused before
+	// it is read.
+	maxExprLen = 16 << 10
+	// maxExprDepth bounds how deeply operators nest. The parser recurses
+	// once per level, so a deeper expression is refused at the level past
+	// the bound, before anything inside it is parsed.
+	maxExprDepth = 64
+	// parsedMax bounds the parse memo: expressions arrive from other
+	// networks, so the table must not grow with the number of distinct
+	// expressions ever presented.
+	parsedMax = 256
+)
+
+var parsed = memo.Table[string, *Policy]{Max: parsedMax}
+
+// Parse parses a policy expression. Each distinct expression is parsed once
+// per process: the result is memoised by the exact input and shared between
+// callers, which is safe because a Policy is immutable. Failures are not
+// remembered. An expression longer than maxExprLen bytes, or nesting
+// operators deeper than maxExprDepth, is refused with ErrParse.
 func Parse(expr string) (*Policy, error) {
+	if p, ok := parsed.Get(expr); ok {
+		return p, nil
+	}
+	p, err := parse(expr)
+	if err != nil {
+		return nil, err
+	}
+	parsed.Put(expr, p)
+	return p, nil
+}
+
+// parse is the unmemoised parser behind Parse.
+func parse(expr string) (*Policy, error) {
+	if len(expr) > maxExprLen {
+		return nil, fmt.Errorf("%w: expression of %d bytes exceeds %d", ErrParse, len(expr), maxExprLen)
+	}
 	pr := &parser{input: expr}
 	root, err := pr.parseExpr()
 	if err != nil {
@@ -232,7 +271,7 @@ func Parse(expr string) (*Policy, error) {
 	if pr.pos != len(pr.input) {
 		return nil, fmt.Errorf("%w: trailing input at offset %d", ErrParse, pr.pos)
 	}
-	return &Policy{root: root, expr: expr}, nil
+	return &Policy{root: root}, nil
 }
 
 // MustParse is Parse that panics on error, for statically known policies in
@@ -248,6 +287,7 @@ func MustParse(expr string) *Policy {
 type parser struct {
 	input string
 	pos   int
+	depth int // operators open at the cursor
 }
 
 func (pr *parser) skipSpace() {
@@ -276,13 +316,13 @@ func (pr *parser) parseExpr() (node, error) {
 	pr.skipSpace()
 	switch {
 	case pr.hasKeyword("AND"):
-		subs, err := pr.parseArgList(0)
+		subs, err := pr.parseArgs()
 		if err != nil {
 			return nil, err
 		}
 		return andNode{subs: subs}, nil
 	case pr.hasKeyword("OR"):
-		subs, err := pr.parseArgList(0)
+		subs, err := pr.parseArgs()
 		if err != nil {
 			return nil, err
 		}
@@ -325,31 +365,12 @@ func (pr *parser) hasKeyword(kw string) bool {
 	return true
 }
 
-func (pr *parser) parseArgList(minArgs int) ([]node, error) {
+// parseArgs parses an AND or OR operand list: '(' operands ')'.
+func (pr *parser) parseArgs() ([]node, error) {
 	if err := pr.expect('('); err != nil {
 		return nil, err
 	}
-	var subs []node
-	for {
-		sub, err := pr.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		subs = append(subs, sub)
-		pr.skipSpace()
-		if pr.peek() == ',' {
-			pr.pos++
-			continue
-		}
-		break
-	}
-	if err := pr.expect(')'); err != nil {
-		return nil, err
-	}
-	if len(subs) < minArgs {
-		return nil, fmt.Errorf("%w: too few arguments", ErrParse)
-	}
-	return subs, nil
+	return pr.parseOperands()
 }
 
 func (pr *parser) parseOutOfArgs() (int, []node, error) {
@@ -371,11 +392,29 @@ func (pr *parser) parseOutOfArgs() (int, []node, error) {
 	if err := pr.expect(','); err != nil {
 		return 0, nil, err
 	}
+	subs, err := pr.parseOperands()
+	if err != nil {
+		return 0, nil, err
+	}
+	if n > len(subs) {
+		return 0, nil, fmt.Errorf("%w: OutOf count %d exceeds %d alternatives", ErrParse, n, len(subs))
+	}
+	return n, subs, nil
+}
+
+// parseOperands parses an operator's comma-separated operands and its
+// closing parenthesis, one nesting level below the operator. The level past
+// maxExprDepth is refused before its first operand is read.
+func (pr *parser) parseOperands() ([]node, error) {
+	if pr.depth == maxExprDepth {
+		return nil, fmt.Errorf("%w: operators nest deeper than %d at offset %d", ErrParse, maxExprDepth, pr.pos)
+	}
+	pr.depth++
 	var subs []node
 	for {
 		sub, err := pr.parseExpr()
 		if err != nil {
-			return 0, nil, err
+			return nil, err
 		}
 		subs = append(subs, sub)
 		pr.skipSpace()
@@ -385,13 +424,11 @@ func (pr *parser) parseOutOfArgs() (int, []node, error) {
 		}
 		break
 	}
+	pr.depth--
 	if err := pr.expect(')'); err != nil {
-		return 0, nil, err
+		return nil, err
 	}
-	if n > len(subs) {
-		return 0, nil, fmt.Errorf("%w: OutOf count %d exceeds %d alternatives", ErrParse, n, len(subs))
-	}
-	return n, subs, nil
+	return subs, nil
 }
 
 func (pr *parser) parsePrincipal() (node, error) {

@@ -9,6 +9,7 @@ import (
 	"sync"
 
 	"repro/internal/cryptoutil"
+	"repro/internal/memo"
 )
 
 // Identity is a key pair plus the certificate binding it to an organization
@@ -60,7 +61,7 @@ const (
 	memoPEMMax = 16 << 10
 )
 
-var parsedCerts = memo[*x509.Certificate]{max: parsedCertsMax}
+var parsedCerts = memo.Table[[]byte, *x509.Certificate]{Max: parsedCertsMax}
 
 // ParseCertPEM decodes a PEM certificate as produced by CertPEM or
 // CA.RootCertPEM. Each distinct input is parsed once per process: the
@@ -68,7 +69,7 @@ var parsedCerts = memo[*x509.Certificate]{max: parsedCertsMax}
 // who must not modify the returned certificate. Failures are not
 // remembered.
 func ParseCertPEM(pemBytes []byte) (*x509.Certificate, error) {
-	if cert, ok := parsedCerts.get(pemBytes); ok {
+	if cert, ok := parsedCerts.Get(pemBytes); ok {
 		return cert, nil
 	}
 	cert, err := parseCertPEM(pemBytes)
@@ -76,7 +77,7 @@ func ParseCertPEM(pemBytes []byte) (*x509.Certificate, error) {
 		return nil, err
 	}
 	if len(pemBytes) <= memoPEMMax {
-		parsedCerts.put(pemBytes, cert)
+		parsedCerts.Put(pemBytes, cert)
 	}
 	return cert, nil
 }

@@ -80,12 +80,6 @@ func testLeafForKey(t testing.TB, ca *CA, subjectOrg string, pub *ecdsa.PublicKe
 	return encodeCertPEM(cert)
 }
 
-func tableLen[V any](m *memo[V]) int {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return len(m.m)
-}
-
 // A recorded CA must not be able to mint identities of another recorded
 // organization: org-b's root is trusted, but only for org-b subjects.
 func TestVerifierRejectsCrossOrgSubject(t *testing.T) {
@@ -200,10 +194,10 @@ func TestMemoTablesStayBounded(t *testing.T) {
 		if _, err := v.VerifyPEM(certPEM); err != nil {
 			t.Fatalf("certificate %d: %v", i, err)
 		}
-		if n := tableLen(&parsedCerts); n > parsedCertsMax {
+		if n := parsedCerts.Len(); n > parsedCertsMax {
 			t.Fatalf("parse memo holds %d > %d after %d certificates", n, parsedCertsMax, i+1)
 		}
-		if n := tableLen(&v.verdicts); n > verdictsMax {
+		if n := v.verdicts.Len(); n > verdictsMax {
 			t.Fatalf("verdict table holds %d > %d after %d certificates", n, verdictsMax, i+1)
 		}
 	}
@@ -216,7 +210,7 @@ func TestMemoTablesStayBounded(t *testing.T) {
 		if _, err := VerifierForConfig(cfg.Marshal()); err != nil {
 			t.Fatalf("config %d: %v", i, err)
 		}
-		if n := tableLen(&configVerifiers); n > configVerifiersMax {
+		if n := configVerifiers.Len(); n > configVerifiersMax {
 			t.Fatalf("verifier memo holds %d > %d after %d configs", n, configVerifiersMax, i+1)
 		}
 	}
@@ -228,7 +222,7 @@ func TestMemoTablesStayBounded(t *testing.T) {
 	if _, err := ParseCertPEM(padded); err != nil {
 		t.Fatalf("padded PEM: %v", err)
 	}
-	if _, kept := parsedCerts.get(padded); kept {
+	if _, kept := parsedCerts.Get(padded); kept {
 		t.Fatal("parse memo kept an oversized input")
 	}
 }
@@ -288,7 +282,7 @@ func TestMemoConcurrentUse(t *testing.T) {
 	if err != nil {
 		t.Fatalf("VerifierForConfig: %v", err)
 	}
-	shared.verdicts.max = len(good) / 2
+	shared.verdicts.Max = len(good) / 2
 
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {

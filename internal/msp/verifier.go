@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/memo"
 	"repro/internal/wire"
 )
 
@@ -27,9 +28,9 @@ const (
 // chain-verified once and afterwards only checked against the clock. A
 // refusal is never remembered. It is safe for concurrent use.
 type Verifier struct {
-	roots    map[string]*x509.CertPool // orgID -> pool holding that org's root alone
-	now      func() time.Time          // time.Now outside tests
-	verdicts memo[verdict]             // keyed by the certificate's DER bytes
+	roots    map[string]*x509.CertPool   // orgID -> pool holding that org's root alone
+	now      func() time.Time            // time.Now outside tests
+	verdicts memo.Table[[]byte, verdict] // keyed by the certificate's DER bytes
 }
 
 // verdict is a successful authentication and the interval over which it
@@ -47,7 +48,7 @@ func NewVerifier(rootsPEM map[string][]byte) (*Verifier, error) {
 	v := &Verifier{
 		roots:    make(map[string]*x509.CertPool, len(rootsPEM)),
 		now:      time.Now,
-		verdicts: memo[verdict]{max: verdictsMax},
+		verdicts: memo.Table[[]byte, verdict]{Max: verdictsMax},
 	}
 	for orgID, pemBytes := range rootsPEM {
 		cert, err := ParseCertPEM(pemBytes)
@@ -61,7 +62,7 @@ func NewVerifier(rootsPEM map[string][]byte) (*Verifier, error) {
 	return v, nil
 }
 
-var configVerifiers = memo[*Verifier]{max: configVerifiersMax}
+var configVerifiers = memo.Table[[]byte, *Verifier]{Max: configVerifiersMax}
 
 // VerifierForConfig returns the Verifier for a recorded network
 // configuration (a marshalled wire.NetworkConfig, as the CMDAC stores it).
@@ -70,7 +71,7 @@ var configVerifiers = memo[*Verifier]{max: configVerifiersMax}
 // verdicts, while a changed configuration is different bytes and therefore
 // a different verifier that has authenticated nothing yet.
 func VerifierForConfig(cfgBytes []byte) (*Verifier, error) {
-	if v, ok := configVerifiers.get(cfgBytes); ok {
+	if v, ok := configVerifiers.Get(cfgBytes); ok {
 		return v, nil
 	}
 	cfg, err := wire.UnmarshalNetworkConfig(cfgBytes)
@@ -85,7 +86,7 @@ func VerifierForConfig(cfgBytes []byte) (*Verifier, error) {
 	if err != nil {
 		return nil, err
 	}
-	configVerifiers.put(cfgBytes, v)
+	configVerifiers.Put(cfgBytes, v)
 	return v, nil
 }
 
@@ -103,14 +104,14 @@ func (v *Verifier) Orgs() []string {
 // organization and role.
 func (v *Verifier) Verify(cert *x509.Certificate) (CertInfo, error) {
 	now := v.now()
-	if vd, ok := v.verdicts.get(cert.Raw); ok && !now.Before(vd.notBefore) && !now.After(vd.notAfter) {
+	if vd, ok := v.verdicts.Get(cert.Raw); ok && !now.Before(vd.notBefore) && !now.After(vd.notAfter) {
 		return vd.info, nil
 	}
 	vd, err := v.verify(cert, now)
 	if err != nil {
 		return CertInfo{}, err
 	}
-	v.verdicts.put(cert.Raw, vd)
+	v.verdicts.Put(cert.Raw, vd)
 	return vd.info, nil
 }
 

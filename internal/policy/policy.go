@@ -19,6 +19,7 @@ import (
 	"fmt"
 
 	"repro/internal/endorsement"
+	"repro/internal/memo"
 	"repro/internal/msp"
 )
 
@@ -125,20 +126,24 @@ type VerificationPolicy struct {
 	Expr      string `json:"expr"`
 }
 
-// Validate checks the policy parses.
+// Validate checks the policy compiles.
 func (p VerificationPolicy) Validate() error {
-	if p.Network == "" {
-		return errors.New("policy: verification policy needs a network")
-	}
-	if _, err := endorsement.Parse(p.Expr); err != nil {
-		return fmt.Errorf("policy: verification expression: %w", err)
-	}
-	return nil
+	_, err := p.Compile()
+	return err
 }
 
-// Compile parses the policy expression.
+// Compile checks the policy names a network and returns its parsed
+// expression, shared with every other caller compiling the same expression
+// (endorsement.Parse memoises it).
 func (p VerificationPolicy) Compile() (*endorsement.Policy, error) {
-	return endorsement.Parse(p.Expr)
+	if p.Network == "" {
+		return nil, errors.New("policy: verification policy needs a network")
+	}
+	compiled, err := endorsement.Parse(p.Expr)
+	if err != nil {
+		return nil, fmt.Errorf("policy: verification expression: %w", err)
+	}
+	return compiled, nil
 }
 
 // Marshal encodes the policy for ledger storage.
@@ -146,11 +151,31 @@ func (p VerificationPolicy) Marshal() ([]byte, error) {
 	return json.Marshal(p)
 }
 
-// UnmarshalVerificationPolicy decodes a stored verification policy.
+const (
+	// decodedMax bounds the decode memo. Recorded policies are few, but
+	// the table must not grow with the number of distinct inputs ever
+	// presented.
+	decodedMax = 256
+	// memoPolicyMax is the longest input the decode memo keeps: the key is
+	// the whole input, and JSON admits any amount of padding whitespace.
+	memoPolicyMax = 16 << 10
+)
+
+var decoded = memo.Table[[]byte, VerificationPolicy]{Max: decodedMax}
+
+// UnmarshalVerificationPolicy decodes a stored verification policy. Each
+// distinct input is decoded once per process: the result is memoised by the
+// exact input bytes. Failures are not remembered.
 func UnmarshalVerificationPolicy(data []byte) (VerificationPolicy, error) {
+	if p, ok := decoded.Get(data); ok {
+		return p, nil
+	}
 	var p VerificationPolicy
 	if err := json.Unmarshal(data, &p); err != nil {
 		return VerificationPolicy{}, fmt.Errorf("policy: unmarshal verification policy: %w", err)
+	}
+	if len(data) <= memoPolicyMax {
+		decoded.Put(data, p)
 	}
 	return p, nil
 }

@@ -8,11 +8,14 @@ import (
 	"net"
 	"os"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/cryptoutil"
+	"repro/internal/proof"
 	"repro/internal/wire"
 )
 
@@ -354,4 +357,70 @@ func TestTCPServerCloseDoesNotWaitOutStalledHandler(t *testing.T) {
 		t.Fatal("Close waited on a stalled handler")
 	}
 	awaitToken(t, gate.cancelled, "Close to cancel the in-flight request")
+}
+
+// TestTCPServerSurvivesDeepPolicyExpression: one query frame from an
+// unauthenticated peer carrying a 20 MB policy expression of nested
+// operators gets an error reply, and the next well-formed query on the
+// same connection is answered. The source driver parses the expression
+// before any authorization, so an unbounded recursive parse would end the
+// process with a fatal, unrecoverable stack overflow.
+func TestTCPServerSurvivesDeepPolicyExpression(t *testing.T) {
+	src, req := newCacheEnv(t)
+	server, err := NewTCPServer(src.relay, "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("NewTCPServer: %v", err)
+	}
+	defer server.Close()
+	conn, err := net.Dial("tcp", server.Addr())
+	if err != nil {
+		t.Fatalf("Dial: %v", err)
+	}
+	defer conn.Close()
+	_ = conn.SetDeadline(time.Now().Add(30 * time.Second))
+
+	ask := func(tag uint64, q *wire.Query) *wire.QueryResponse {
+		t.Helper()
+		env := &wire.Envelope{Version: wire.ProtocolVersion, Type: wire.MsgQuery, RequestID: q.RequestID, Payload: q.Marshal()}
+		if err := wire.WriteFrame(conn, tag, env.MarshalFrame()); err != nil {
+			t.Fatalf("WriteFrame: %v", err)
+		}
+		gotTag, frame, err := wire.ReadFrame(conn)
+		if err != nil {
+			t.Fatalf("ReadFrame: %v", err)
+		}
+		reply, err := wire.UnmarshalEnvelope(frame)
+		if err != nil {
+			t.Fatalf("UnmarshalEnvelope: %v", err)
+		}
+		if gotTag != tag || reply.Type != wire.MsgQueryResponse {
+			t.Fatalf("reply = tag %d type %v (%s), want tag %d type %v", gotTag, reply.Type, reply.Payload, tag, wire.MsgQueryResponse)
+		}
+		resp, err := wire.UnmarshalQueryResponse(reply.Payload)
+		if err != nil {
+			t.Fatalf("UnmarshalQueryResponse: %v", err)
+		}
+		return resp
+	}
+
+	deep := newQuery(t, req)
+	deep.RequestID = "deep"
+	deep.PolicyExpr = strings.Repeat("AND(", 5_000_000)
+	if resp := ask(1, deep); !strings.Contains(resp.Error, "verification policy") {
+		t.Fatalf("deep expression: error %q, want a verification policy refusal", resp.Error)
+	}
+
+	q := newQuery(t, req)
+	q.RequestID = "after-deep"
+	resp := ask(2, q)
+	if resp.Error != "" {
+		t.Fatalf("well-formed query after the deep one: %s", resp.Error)
+	}
+	bundle, err := proof.OpenResponse(cryptoutil.NewRecipient(req.key), q, resp)
+	if err != nil {
+		t.Fatalf("OpenResponse: %v", err)
+	}
+	if string(bundle.Result) != `{"bl":"77"}` {
+		t.Fatalf("result = %s", bundle.Result)
+	}
 }

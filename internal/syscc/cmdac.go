@@ -6,6 +6,7 @@ import (
 	"fmt"
 
 	"repro/internal/chaincode"
+	"repro/internal/endorsement"
 	"repro/internal/msp"
 	"repro/internal/policy"
 	"repro/internal/proof"
@@ -128,7 +129,7 @@ func (c *CMDAC) setVerificationPolicy(stub chaincode.Stub) ([]byte, error) {
 	if len(args) != 1 {
 		return nil, fmt.Errorf("%w: SetVerificationPolicy expects 1 arg", ErrBadArgs)
 	}
-	vp, err := policyFromJSON(args[0])
+	vp, _, err := policyFromJSON(args[0])
 	if err != nil {
 		return nil, err
 	}
@@ -219,11 +220,7 @@ func (c *CMDAC) validateProof(stub chaincode.Stub) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	vp, err := policyFromJSON(policyJSON)
-	if err != nil {
-		return nil, err
-	}
-	compiled, err := vp.Compile()
+	vp, compiled, err := policyFromJSON(policyJSON)
 	if err != nil {
 		return nil, err
 	}
@@ -255,13 +252,17 @@ func (c *CMDAC) validateProof(stub chaincode.Stub) ([]byte, error) {
 	return bundle.Result, nil
 }
 
-func policyFromJSON(data []byte) (policy.VerificationPolicy, error) {
+// policyFromJSON decodes a recorded verification policy and compiles it:
+// one decode and one parse per distinct policy bytes in the process, since
+// both steps are memoised.
+func policyFromJSON(data []byte) (policy.VerificationPolicy, *endorsement.Policy, error) {
 	vp, err := policy.UnmarshalVerificationPolicy(data)
 	if err != nil {
-		return policy.VerificationPolicy{}, err
+		return policy.VerificationPolicy{}, nil, err
 	}
-	if err := vp.Validate(); err != nil {
-		return policy.VerificationPolicy{}, err
+	compiled, err := vp.Compile()
+	if err != nil {
+		return policy.VerificationPolicy{}, nil, err
 	}
-	return vp, nil
+	return vp, compiled, nil
 }
