@@ -168,6 +168,8 @@
 //     one field walk per message counts, writes and decodes it
 //   - internal/proof       — attestation proofs and verification
 //   - internal/policy      — access-control rules and verification policies
+//   - internal/memo        — the bounded table, keyed by exact input bytes,
+//     that memoises certificate, verifier and policy parses
 //   - internal/syscc       — system contracts (ECC exposure control, CMDAC
 //     configuration management & data acceptance)
 //   - internal/fabric      — the Fabric-model platform substrate (MSPs,
