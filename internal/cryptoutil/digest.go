@@ -10,9 +10,6 @@ import (
 // DigestSize is the size in bytes of digests produced by Digest.
 const DigestSize = sha256.Size
 
-// digestStack bounds the total input Digest concatenates in a stack buffer.
-const digestStack = 256
-
 // Digest returns the SHA-256 digest of the concatenation of the given byte
 // slices. It is the hashing primitive for transaction IDs and proof
 // metadata binding. The returned slice is its only allocation.
@@ -31,25 +28,9 @@ func DigestHex(parts ...[]byte) string {
 	return string(out[:])
 }
 
-// digest hashes one part directly, several parts concatenated in a stack
-// buffer when they fit in digestStack bytes, and streams anything larger
-// rather than copy it.
+// digest streams the parts through one SHA-256 and sums into an array, so
+// neither the hash state nor the sum reaches the heap.
 func digest(parts [][]byte) [DigestSize]byte {
-	if len(parts) == 1 {
-		return sha256.Sum256(parts[0])
-	}
-	var stack [digestStack]byte
-	buf := stack[:0]
-	for _, p := range parts {
-		if len(buf)+len(p) > len(stack) {
-			return digestStream(parts)
-		}
-		buf = append(buf, p...)
-	}
-	return sha256.Sum256(buf)
-}
-
-func digestStream(parts [][]byte) [DigestSize]byte {
 	h := sha256.New()
 	for _, p := range parts {
 		h.Write(p)

@@ -34,7 +34,8 @@ func gcmFromKey(key []byte) (cipher.AEAD, error) {
 // the extract output per agreement and runs only the expand per envelope.
 // That expand is sessionKey, one HMAC block written out over stack buffers;
 // crypto/hkdf would build an HMAC and copy the info string per envelope.
-// TestSessionKeyMatchesHKDF checks both steps against crypto/hkdf.
+// TestHKDFSizes checks the extract and TestSessionKeyMatchesHKDF the expand
+// against crypto/hkdf.
 func hkdfExtract(secret, salt []byte) []byte {
 	if len(salt) == 0 {
 		salt = make([]byte, sha256.Size)

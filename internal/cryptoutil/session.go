@@ -18,15 +18,6 @@ import (
 // from colliding with a longer prefix.
 const sessionInfo = "interop-ecies-session-v1\x00"
 
-// sessionKeyStack is the stack buffer sessionKey hashes its HMAC inner
-// block in: the padded key, sessionInfo, the generation, the context and
-// the block counter. sessionContextStack is the longest context that fits;
-// query digests are 32 bytes.
-const (
-	sessionKeyStack     = 256
-	sessionContextStack = sessionKeyStack - sha256.BlockSize - len(sessionInfo) - 8 - 1
-)
-
 // DefaultSessionTTL is how long a session ephemeral key (and the ECDH
 // secrets agreed under it) lives before SessionManager rotates to a fresh
 // generation. Short enough that a leaked session key exposes only a few
@@ -333,39 +324,39 @@ func sessionAEAD(prk []byte, generation uint64, context []byte) (cipher.AEAD, er
 // sessionKey is the AES-256 key of one sessioned envelope: the first
 // HKDF-SHA256 expand block of prk under the info string sessionInfo ||
 // generation || context, that is HMAC-SHA256(prk, info || 0x01). The HMAC
-// is written out as RFC 2104 defines it, SHA-256 over the key padded with
-// ipad then the message, and over the key padded with opad then that inner
-// digest, hashed from stack buffers. The buffer comes from the heap only
-// for a context longer than sessionContextStack. prk is a 32-byte
+// is written out as RFC 2104 defines it: SHA-256 streamed over the key
+// padded with ipad then the message, and over the key padded with opad then
+// that inner digest, with every buffer on the stack. prk is a 32-byte
 // HKDF-Extract output, so it is never longer than the hash block.
 func sessionKey(prk []byte, generation uint64, context []byte) [32]byte {
-	var stack [sessionKeyStack]byte
-	inner := stack[:0]
-	if len(context) > sessionContextStack {
-		inner = make([]byte, 0, sessionKeyStack-sessionContextStack+len(context))
-	}
-	inner = appendHMACPad(inner, prk, 0x36)
-	inner = append(inner, sessionInfo...)
-	inner = binary.BigEndian.AppendUint64(inner, generation)
-	inner = append(inner, context...)
-	inner = append(inner, 1)
-	innerSum := sha256.Sum256(inner)
+	var pad [sha256.BlockSize]byte
+	var gen [8]byte
+	binary.BigEndian.PutUint64(gen[:], generation)
+	var sum [sha256.Size]byte
 
-	var outer [sha256.BlockSize + sha256.Size]byte
-	appendHMACPad(outer[:0], prk, 0x5c)
-	copy(outer[sha256.BlockSize:], innerSum[:])
-	return sha256.Sum256(outer[:])
+	inner := sha256.New()
+	inner.Write(hmacPad(&pad, prk, 0x36))
+	inner.Write([]byte(sessionInfo))
+	inner.Write(gen[:])
+	inner.Write(context)
+	inner.Write([]byte{1})
+	inner.Sum(sum[:0])
+
+	outer := sha256.New()
+	outer.Write(hmacPad(&pad, prk, 0x5c))
+	outer.Write(sum[:])
+	outer.Sum(sum[:0])
+	return sum
 }
 
-// appendHMACPad appends key, zero-padded to the SHA-256 block size, with
-// every byte XORed with pad (RFC 2104's ipad 0x36 or opad 0x5c).
-func appendHMACPad(dst, key []byte, pad byte) []byte {
-	for i := range sha256.BlockSize {
-		var b byte
+// hmacPad fills pad with key, zero-padded to the SHA-256 block size, every
+// byte XORed with b (RFC 2104's ipad 0x36 or opad 0x5c), and returns it.
+func hmacPad(pad *[sha256.BlockSize]byte, key []byte, b byte) []byte {
+	for i := range pad {
+		pad[i] = b
 		if i < len(key) {
-			b = key[i]
+			pad[i] ^= key[i]
 		}
-		dst = append(dst, b^pad)
 	}
-	return dst
+	return pad[:]
 }

@@ -92,10 +92,11 @@ func TestKnownAnswerSessionKey(t *testing.T) {
 }
 
 // TestSessionKeyMatchesHKDF checks the per-envelope key against crypto/hkdf
-// for context lengths around the stack buffer's bound.
+// for empty, short, query-digest-sized and long contexts, and that two
+// contexts give two keys.
 func TestSessionKeyMatchesHKDF(t *testing.T) {
 	prk := unhex(t, vectorSessionPRKHex)
-	for _, n := range []int{0, 1, 32, sessionContextStack, sessionContextStack + 1} {
+	for _, n := range []int{0, 1, 32, 1000} {
 		context := bytes.Repeat([]byte{byte(n)}, n)
 		for _, generation := range []uint64{0, 1, 1<<64 - 1} {
 			info := binary.BigEndian.AppendUint64([]byte(sessionInfo), generation)
@@ -109,11 +110,14 @@ func TestSessionKeyMatchesHKDF(t *testing.T) {
 			}
 		}
 	}
+	if sessionKey(prk, 1, []byte("info")) == sessionKey(prk, 1, []byte("other")) {
+		t.Fatal("session key does not depend on its context")
+	}
 }
 
 // TestDigestMatchesStreamingSHA256 checks Digest and DigestHex against a
-// streaming sha256 for one to four parts at total lengths around a 256-byte
-// boundary.
+// streaming sha256 for one to four parts at total lengths around a multiple
+// of the SHA-256 block size.
 func TestDigestMatchesStreamingSHA256(t *testing.T) {
 	for parts := 1; parts <= 4; parts++ {
 		for _, total := range []int{0, 1, 255, 256, 257} {
