@@ -215,7 +215,7 @@ func (c *Chaincode) getShipment(stub chaincode.Stub) ([]byte, error) {
 // interop calls are the ECC authorization below (the response encryption
 // happens in the per-peer attestation path; see internal/relay).
 func (c *Chaincode) getBillOfLading(stub chaincode.Stub) ([]byte, error) {
-	args := stub.StringArgs()
+	args := stub.Args()
 	if len(args) != 1 {
 		return nil, errors.New("tradelens: GetBillOfLading expects poRef")
 	}
@@ -224,7 +224,7 @@ func (c *Chaincode) getBillOfLading(stub chaincode.Stub) ([]byte, error) {
 		return nil, err
 	}
 	// interop-adaptation-end
-	key, err := blKey(args[0])
+	key, err := blKey(string(args[0]))
 	if err != nil {
 		return nil, err
 	}

@@ -7,9 +7,12 @@
 package chaincode
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -52,8 +55,9 @@ type Stub interface {
 	// Function returns the invoked function name.
 	Function() string
 	// Args returns the invocation arguments (excluding the function name).
+	// The slices alias the proposal, so a chaincode must not modify them.
 	Args() [][]byte
-	// StringArgs returns Args as strings.
+	// StringArgs returns Args as strings, copied.
 	StringArgs() []string
 	// CreatorCert returns the PEM certificate of the submitting client.
 	CreatorCert() []byte
@@ -164,19 +168,13 @@ func Simulate(reg *Registry, state *statedb.Store, inv Invocation) (*SimResult, 
 	if err != nil {
 		return nil, err
 	}
-	ctx := &simContext{
-		reg:      reg,
-		state:    state,
-		inv:      inv,
-		writes:   make(map[string]pendingWrite),
-		readVers: make(map[string]ledger.KVRead),
-	}
-	stub := &simStub{ctx: ctx, chaincode: inv.Chaincode, function: inv.Function, args: inv.Args}
-	resp, err := cc.Invoke(stub)
+	f := newFrame(reg, state, inv)
+	f.ctx.readVers = make(map[slot]ledger.KVRead)
+	resp, err := cc.Invoke(&f.stub)
 	if err != nil {
 		return nil, err
 	}
-	return &SimResult{Response: resp, RWSet: ctx.rwset(), Event: ctx.event}, nil
+	return &SimResult{Response: resp, RWSet: f.ctx.rwset(), Event: f.ctx.event}, nil
 }
 
 // Evaluate runs a read-only invocation against the registry and a committed
@@ -191,8 +189,20 @@ func Evaluate(reg *Registry, state *statedb.Store, inv Invocation) ([]byte, erro
 		return nil, err
 	}
 	inv.ReadOnly = true
-	ctx := &simContext{reg: reg, state: state, inv: inv}
-	return cc.Invoke(&simStub{ctx: ctx, chaincode: inv.Chaincode, function: inv.Function, args: inv.Args})
+	return cc.Invoke(&newFrame(reg, state, inv).stub)
+}
+
+// frame is an invocation's context and its top-level stub, allocated
+// together.
+type frame struct {
+	ctx  simContext
+	stub simStub
+}
+
+func newFrame(reg *Registry, state *statedb.Store, inv Invocation) *frame {
+	f := &frame{ctx: simContext{reg: reg, state: state, inv: inv}}
+	f.stub = simStub{ctx: &f.ctx, chaincode: inv.Chaincode, function: inv.Function, args: inv.Args}
+	return f
 }
 
 type pendingWrite struct {
@@ -203,23 +213,23 @@ type pendingWrite struct {
 	isDelete bool
 }
 
-// nsKey joins a namespace and key into one map key. U+0000 cannot appear in
-// namespace names, so the join is unambiguous.
-func nsKey(ns, key string) string { return ns + "\x00" + key }
+// slot names a key inside a chaincode namespace.
+type slot struct{ ns, key string }
 
 // simContext is shared across a proposal's stub and any stubs created by
 // cross-chaincode invocation, so the whole call tree yields one read-write
 // set (Fabric's same-channel chaincode-to-chaincode semantics). Each stub
 // in the tree reads and writes its own chaincode's namespace, so the maps
-// are keyed by namespace+key. Under Evaluate both maps are nil: nothing is
-// recorded, and a read-only invocation has no writes to read back.
+// are keyed by namespace and key. Under Evaluate both maps are nil: nothing
+// is recorded, and a read-only invocation has no writes to read back. Under
+// Simulate the write map is made by the first write.
 type simContext struct {
 	reg      *Registry
 	state    *statedb.Store
 	inv      Invocation
-	writes   map[string]pendingWrite
+	writes   map[slot]pendingWrite
 	writeSeq int
-	readVers map[string]ledger.KVRead
+	readVers map[slot]ledger.KVRead
 	event    *ledger.ChaincodeEvent
 }
 
@@ -227,23 +237,30 @@ type simContext struct {
 // whether it runs under Simulate rather than Evaluate.
 func (c *simContext) recording() bool { return c.readVers != nil }
 
+// rwset returns the recorded reads sorted by (namespace, key) and the
+// writes in the order they were made. Namespaces hold no U+0000, so the
+// read order is the order of the joined strings namespace+"\x00"+key.
 func (c *simContext) rwset() ledger.RWSet {
 	rw := ledger.RWSet{}
-	readKeys := make([]string, 0, len(c.readVers))
-	for k := range c.readVers {
-		readKeys = append(readKeys, k)
+	if len(c.readVers) > 0 {
+		rw.Reads = make([]ledger.KVRead, 0, len(c.readVers))
+		for _, r := range c.readVers {
+			rw.Reads = append(rw.Reads, r)
+		}
+		slices.SortFunc(rw.Reads, func(a, b ledger.KVRead) int {
+			return cmp.Or(strings.Compare(a.Namespace, b.Namespace), strings.Compare(a.Key, b.Key))
+		})
 	}
-	sort.Strings(readKeys)
-	for _, k := range readKeys {
-		rw.Reads = append(rw.Reads, c.readVers[k])
-	}
-	ordered := make([]pendingWrite, 0, len(c.writes))
-	for _, w := range c.writes {
-		ordered = append(ordered, w)
-	}
-	sort.Slice(ordered, func(i, j int) bool { return ordered[i].seq < ordered[j].seq })
-	for _, w := range ordered {
-		rw.Writes = append(rw.Writes, ledger.KVWrite{Namespace: w.ns, Key: w.key, Value: w.value, IsDelete: w.isDelete})
+	if len(c.writes) > 0 {
+		ordered := make([]pendingWrite, 0, len(c.writes))
+		for _, w := range c.writes {
+			ordered = append(ordered, w)
+		}
+		slices.SortFunc(ordered, func(a, b pendingWrite) int { return cmp.Compare(a.seq, b.seq) })
+		rw.Writes = make([]ledger.KVWrite, len(ordered))
+		for i, w := range ordered {
+			rw.Writes[i] = ledger.KVWrite{Namespace: w.ns, Key: w.key, Value: w.value, IsDelete: w.isDelete}
+		}
 	}
 	return rw
 }
@@ -284,7 +301,7 @@ func (s *simStub) GetState(key string) ([]byte, error) {
 		}
 		return vv.Value, nil
 	}
-	nk := nsKey(s.chaincode, key)
+	nk := slot{s.chaincode, key}
 	// Read-your-writes within the invocation.
 	if w, ok := s.ctx.writes[nk]; ok {
 		if w.isDelete {
@@ -314,8 +331,7 @@ func (s *simStub) PutState(key string, value []byte) error {
 	}
 	val := make([]byte, len(value))
 	copy(val, value)
-	s.ctx.writeSeq++
-	s.ctx.writes[nsKey(s.chaincode, key)] = pendingWrite{seq: s.ctx.writeSeq, ns: s.chaincode, key: key, value: val}
+	s.ctx.write(pendingWrite{ns: s.chaincode, key: key, value: val})
 	return nil
 }
 
@@ -326,9 +342,18 @@ func (s *simStub) DelState(key string) error {
 	if s.ctx.inv.ReadOnly {
 		return ErrReadOnly
 	}
-	s.ctx.writeSeq++
-	s.ctx.writes[nsKey(s.chaincode, key)] = pendingWrite{seq: s.ctx.writeSeq, ns: s.chaincode, key: key, isDelete: true}
+	s.ctx.write(pendingWrite{ns: s.chaincode, key: key, isDelete: true})
 	return nil
+}
+
+// write buffers w as the latest write of its key.
+func (c *simContext) write(w pendingWrite) {
+	if c.writes == nil {
+		c.writes = make(map[slot]pendingWrite)
+	}
+	c.writeSeq++
+	w.seq = c.writeSeq
+	c.writes[slot{w.ns, w.key}] = w
 }
 
 func (s *simStub) GetStateRange(start, end string) ([]KV, error) {
@@ -337,7 +362,7 @@ func (s *simStub) GetStateRange(start, end string) ([]KV, error) {
 	for _, kv := range kvs {
 		// Range reads are recorded for MVCC like point reads.
 		if s.ctx.recording() {
-			nk := nsKey(s.chaincode, kv.Key)
+			nk := slot{s.chaincode, kv.Key}
 			if _, seen := s.ctx.readVers[nk]; !seen {
 				s.ctx.readVers[nk] = ledger.KVRead{Namespace: s.chaincode, Key: kv.Key, Version: kv.Version, Exists: true}
 			}

@@ -55,6 +55,19 @@ func (p Principal) matches(signer Principal) bool {
 // shared by every caller and goroutine.
 type Policy struct {
 	root node
+	orgs []string // sorted organization IDs the tree references
+}
+
+// newPolicy wraps a tree and computes its organization list once.
+func newPolicy(root node) *Policy {
+	set := make(map[string]bool)
+	root.orgs(set)
+	orgs := make([]string, 0, len(set))
+	for o := range set {
+		orgs = append(orgs, o)
+	}
+	sort.Strings(orgs)
+	return &Policy{root: root, orgs: orgs}
 }
 
 type node interface {
@@ -161,18 +174,13 @@ func (p *Policy) Satisfied(signers []Principal) bool {
 
 // Orgs returns the sorted set of organization IDs the policy references.
 // Relays use this to select which peers to query so the resulting proof can
-// satisfy the policy (Fig. 2 step 5).
+// satisfy the policy (Fig. 2 step 5). The list is computed once, when the
+// policy is built, and shared by every caller: it is read-only.
 func (p *Policy) Orgs() []string {
-	set := make(map[string]bool)
-	if p != nil && p.root != nil {
-		p.root.orgs(set)
+	if p == nil {
+		return nil
 	}
-	orgs := make([]string, 0, len(set))
-	for o := range set {
-		orgs = append(orgs, o)
-	}
-	sort.Strings(orgs)
-	return orgs
+	return p.orgs
 }
 
 // String returns the canonical expression form of the policy.
@@ -194,7 +202,7 @@ func (p *Policy) WithRole(role msp.Role) *Policy {
 	if p == nil || p.root == nil {
 		return nil
 	}
-	return &Policy{root: withRole(p.root, role)}
+	return newPolicy(withRole(p.root, role))
 }
 
 func withRole(n node, role msp.Role) node {
@@ -271,7 +279,7 @@ func parse(expr string) (*Policy, error) {
 	if pr.pos != len(pr.input) {
 		return nil, fmt.Errorf("%w: trailing input at offset %d", ErrParse, pr.pos)
 	}
-	return &Policy{root: root}, nil
+	return newPolicy(root), nil
 }
 
 // MustParse is Parse that panics on error, for statically known policies in

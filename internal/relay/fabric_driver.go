@@ -193,7 +193,9 @@ func (d *FabricDriver) prepare(q *wire.Query) (policyDigest []byte, clientPub *e
 	if clientPub, err = msp.PublicKeyFromPEM(q.RequesterCertPEM); err != nil {
 		return nil, nil, nil, fmt.Errorf("relay: requester certificate: %w", err)
 	}
-	for _, orgID := range vp.Orgs() {
+	orgs := vp.Orgs()
+	attestors = make([]*peer.Peer, 0, len(orgs))
+	for _, orgID := range orgs {
 		if peers, err := d.net.PeersOf(orgID); err == nil && len(peers) > 0 {
 			attestors = append(attestors, peers[0])
 		}

@@ -14,6 +14,7 @@ package statedb
 
 import (
 	"errors"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -181,7 +182,7 @@ func (s *Store) Range(ns, start, end string) []KV {
 		copy(val, vv.Value)
 		out = append(out, KV{Key: k, Value: val, Version: vv.Version})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
+	slices.SortFunc(out, func(a, b KV) int { return strings.Compare(a.Key, b.Key) })
 	return out
 }
 
@@ -218,33 +219,62 @@ func (s *Store) Keys() int {
 
 // CompositeKey builds a scan-friendly key from an object type and
 // attributes, e.g. CompositeKey("shipment", "po-1001"). Parts must not
-// contain the U+0000 separator.
+// contain the U+0000 separator. The key is built in one allocation.
 func CompositeKey(objectType string, parts ...string) (string, error) {
-	if objectType == "" || strings.Contains(objectType, compositeSep) {
-		return "", ErrInvalidKey
+	n, err := compositeLen(objectType, parts)
+	if err != nil {
+		return "", err
 	}
 	var b strings.Builder
-	b.WriteString(objectType)
-	for _, p := range parts {
-		if strings.Contains(p, compositeSep) {
-			return "", ErrInvalidKey
-		}
-		b.WriteString(compositeSep)
-		b.WriteString(p)
-	}
+	b.Grow(n)
+	writeComposite(&b, objectType, parts)
 	return b.String(), nil
 }
 
 // CompositeRange returns the [start, end) bounds that cover every composite
-// key with the given object type and attribute prefix.
+// key with the given object type and attribute prefix. start is the prefix
+// key followed by the separator; end is its successor, the same bytes with
+// that trailing U+0000 replaced by U+0001, so a key whose next byte is 0xff
+// still lies inside. Both bounds share one allocation.
 func CompositeRange(objectType string, parts ...string) (start, end string, err error) {
-	start, err = CompositeKey(objectType, parts...)
+	n, err := compositeLen(objectType, parts)
 	if err != nil {
 		return "", "", err
 	}
-	start += compositeSep
-	end = start + "\xff"
-	return start, end, nil
+	var b strings.Builder
+	b.Grow(2 * (n + 1))
+	writeComposite(&b, objectType, parts)
+	b.WriteString(compositeSep)
+	writeComposite(&b, objectType, parts)
+	b.WriteByte(compositeSep[0] + 1)
+	both := b.String()
+	return both[:n+1], both[n+1:], nil
+}
+
+// compositeLen validates a composite key's object type and parts and
+// returns the length of the key they make.
+func compositeLen(objectType string, parts []string) (int, error) {
+	if objectType == "" || strings.Contains(objectType, compositeSep) {
+		return 0, ErrInvalidKey
+	}
+	n := len(objectType)
+	for _, p := range parts {
+		if strings.Contains(p, compositeSep) {
+			return 0, ErrInvalidKey
+		}
+		n += len(compositeSep) + len(p)
+	}
+	return n, nil
+}
+
+// writeComposite writes the composite key of a validated object type and
+// parts.
+func writeComposite(b *strings.Builder, objectType string, parts []string) {
+	b.WriteString(objectType)
+	for _, p := range parts {
+		b.WriteString(compositeSep)
+		b.WriteString(p)
+	}
 }
 
 // SplitCompositeKey splits a composite key into its object type and parts.

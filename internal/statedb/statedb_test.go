@@ -3,6 +3,7 @@ package statedb
 import (
 	"bytes"
 	"fmt"
+	"sort"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -235,4 +236,67 @@ func BenchmarkGet(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s.Get(tns, "key")
 	}
+}
+
+// TestCompositeRangeCoversHighBytes: a part whose first byte is 0xff still
+// falls inside its object type's range. An end bound of prefix+"\xff" cut
+// such keys off, so a scan silently skipped them.
+func TestCompositeRangeCoversHighBytes(t *testing.T) {
+	s := NewStore()
+	var want []string
+	for _, po := range []string{"po-1", "\xffpo", "\xff\xff"} {
+		key, err := CompositeKey("shipment", po)
+		if err != nil {
+			t.Fatalf("CompositeKey: %v", err)
+		}
+		want = append(want, key)
+		s.ApplyWrites([]Write{{Namespace: tns, Key: key, Value: []byte(po)}}, Version{})
+	}
+	other, _ := CompositeKey("shipmentx", "po-1")
+	s.ApplyWrites([]Write{{Namespace: tns, Key: other, Value: []byte("other")}}, Version{})
+	start, end, err := CompositeRange("shipment")
+	if err != nil {
+		t.Fatalf("CompositeRange: %v", err)
+	}
+	got := s.Range(tns, start, end)
+	if len(got) != len(want) {
+		t.Fatalf("Range returned %d keys, want %d: %q", len(got), len(want), got)
+	}
+	sort.Strings(want)
+	for i, kv := range got {
+		if kv.Key != want[i] {
+			t.Fatalf("Range[%d] = %q, want %q", i, kv.Key, want[i])
+		}
+	}
+}
+
+// FuzzCompositeRange: every composite key lies in the range of each strict
+// prefix of its parts, and no key of another object type does.
+func FuzzCompositeRange(f *testing.F) {
+	f.Add("shipment", "bl", "po-1", "\xffpo", "")
+	f.Add("lc", "lcx", "bank1", "lc-1", "\xff")
+	f.Add("a", "ab", "", "", "")
+	f.Fuzz(func(t *testing.T, objectType, otherType, a, b, c string) {
+		parts := []string{a, b, c}
+		key, err := CompositeKey(objectType, parts...)
+		if err != nil {
+			return
+		}
+		otherKey, err := CompositeKey(otherType, parts...)
+		if err != nil || otherType == objectType {
+			otherKey = ""
+		}
+		for k := 0; k < len(parts); k++ {
+			start, end, err := CompositeRange(objectType, parts[:k]...)
+			if err != nil {
+				t.Fatalf("CompositeRange(%q, %q): %v", objectType, parts[:k], err)
+			}
+			if key < start || key >= end {
+				t.Fatalf("key %q outside CompositeRange(%q, %q) = [%q, %q)", key, objectType, parts[:k], start, end)
+			}
+			if otherKey != "" && otherKey >= start && otherKey < end {
+				t.Fatalf("key %q of type %q inside CompositeRange(%q, %q) = [%q, %q)", otherKey, otherType, objectType, parts[:k], start, end)
+			}
+		}
+	})
 }

@@ -83,11 +83,11 @@ func (c *CMDAC) setNetworkConfig(stub chaincode.Stub) ([]byte, error) {
 
 // getNetworkConfig returns a recorded configuration: args = [networkID].
 func (c *CMDAC) getNetworkConfig(stub chaincode.Stub) ([]byte, error) {
-	args := stub.StringArgs()
+	args := stub.Args()
 	if len(args) != 1 {
 		return nil, fmt.Errorf("%w: GetNetworkConfig expects 1 arg", ErrBadArgs)
 	}
-	key, err := statedb.CompositeKey(cmdacConfigKeyType, args[0])
+	key, err := statedb.CompositeKey(cmdacConfigKeyType, string(args[0]))
 	if err != nil {
 		return nil, err
 	}
@@ -146,21 +146,20 @@ func (c *CMDAC) setVerificationPolicy(stub chaincode.Stub) ([]byte, error) {
 // getVerificationPolicy returns the policy for (network, chaincode),
 // falling back to the network default: args = [networkID, chaincodeName].
 func (c *CMDAC) getVerificationPolicy(stub chaincode.Stub) ([]byte, error) {
-	args := stub.StringArgs()
+	args := stub.Args()
 	if len(args) != 2 {
 		return nil, fmt.Errorf("%w: GetVerificationPolicy expects 2 args", ErrBadArgs)
 	}
-	data, err := lookupPolicy(stub, args[0], args[1])
-	if err != nil {
-		return nil, err
-	}
-	return data, nil
+	return lookupPolicy(stub, args[0], args[1])
 }
 
-func lookupPolicy(stub chaincode.Stub, networkID, chaincodeName string) ([]byte, error) {
+// lookupPolicy reads the recorded policy for (networkID, chaincodeName),
+// falling back to the network default. Both names arrive as invocation
+// arguments and become strings only inside the keys.
+func lookupPolicy(stub chaincode.Stub, networkID, chaincodeName []byte) ([]byte, error) {
 	// Chaincode-specific policy first, then the network-wide default.
-	for _, scope := range []string{chaincodeName, ""} {
-		key, err := statedb.CompositeKey(cmdacPolicyKeyType, networkID, scope)
+	for _, scope := range [2][]byte{chaincodeName, nil} {
+		key, err := statedb.CompositeKey(cmdacPolicyKeyType, string(networkID), string(scope))
 		if err != nil {
 			return nil, err
 		}
@@ -216,7 +215,7 @@ func (c *CMDAC) validateProof(stub chaincode.Stub) ([]byte, error) {
 		return nil, err
 	}
 
-	policyJSON, err := lookupPolicy(stub, sourceNetwork, contract)
+	policyJSON, err := lookupPolicy(stub, args[0], args[2])
 	if err != nil {
 		return nil, err
 	}

@@ -116,6 +116,9 @@ func (e *ECC) Invoke(stub chaincode.Stub) ([]byte, error) {
 	}
 }
 
+// rulesStart and rulesEnd bound the recorded access rules.
+var rulesStart, rulesEnd, _ = statedb.CompositeRange(eccRulesKeyType)
+
 func ruleKey(r policy.AccessRule) (string, error) {
 	return statedb.CompositeKey(eccRulesKeyType, r.Network, r.Org, r.Chaincode, r.Function)
 }
@@ -183,11 +186,7 @@ func (e *ECC) listRules(stub chaincode.Stub) ([]byte, error) {
 // returned set is shared and must not be modified. A scan that fails to
 // decode is never memoised, so a corrupt rule is refused on every call.
 func (e *ECC) loadRules(stub chaincode.Stub) (*policy.RuleSet, error) {
-	start, end, err := statedb.CompositeRange(eccRulesKeyType)
-	if err != nil {
-		return nil, err
-	}
-	kvs, err := stub.GetStateRange(start, end)
+	kvs, err := stub.GetStateRange(rulesStart, rulesEnd)
 	if err != nil {
 		return nil, err
 	}
@@ -210,7 +209,7 @@ func (e *ECC) loadRules(stub chaincode.Stub) (*policy.RuleSet, error) {
 // checkAccess evaluates the rule set: args = [network, org, chaincode,
 // function]; returns "true" or "false".
 func (e *ECC) checkAccess(stub chaincode.Stub) ([]byte, error) {
-	args := stub.StringArgs()
+	args := stub.Args()
 	if len(args) != 4 {
 		return nil, fmt.Errorf("%w: CheckAccess expects 4 args", ErrBadArgs)
 	}
@@ -218,7 +217,7 @@ func (e *ECC) checkAccess(stub chaincode.Stub) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	if rules.Permits(args[0], args[1], args[2], args[3]) {
+	if rules.Permits(string(args[0]), string(args[1]), string(args[2]), string(args[3])) {
 		return []byte("true"), nil
 	}
 	return []byte("false"), nil
@@ -234,20 +233,17 @@ func (e *ECC) authorize(stub chaincode.Stub) ([]byte, error) {
 	if len(args) != 4 {
 		return nil, fmt.Errorf("%w: Authorize expects 4 args", ErrBadArgs)
 	}
-	networkID := string(args[0])
-	certPEM := args[1]
-	ccName := string(args[2])
-	function := string(args[3])
-
-	cfgBytes, err := stub.InvokeChaincode(CMDACName, CMDACGetNetworkConfig, [][]byte{[]byte(networkID)})
+	// args[0] is the requesting network ID, which is exactly the argument
+	// list of CMDAC GetNetworkConfig.
+	cfgBytes, err := stub.InvokeChaincode(CMDACName, CMDACGetNetworkConfig, args[:1:1])
 	if err != nil {
-		return nil, fmt.Errorf("syscc: fetch config for %q: %w", networkID, err)
+		return nil, fmt.Errorf("syscc: fetch config for %q: %w", args[0], err)
 	}
 	verifier, err := msp.VerifierForConfig(cfgBytes)
 	if err != nil {
 		return nil, err
 	}
-	info, err := verifier.VerifyPEM(certPEM)
+	info, err := verifier.VerifyPEM(args[1])
 	if err != nil {
 		return nil, fmt.Errorf("%w: requester certificate: %v", ErrAccessDenied, err)
 	}
@@ -255,9 +251,9 @@ func (e *ECC) authorize(stub chaincode.Stub) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	if !rules.Permits(networkID, info.OrgID, ccName, function) {
+	if !rules.Permits(string(args[0]), info.OrgID, string(args[2]), string(args[3])) {
 		return nil, fmt.Errorf("%w: no rule permits <%s, %s, %s, %s>",
-			ErrAccessDenied, networkID, info.OrgID, ccName, function)
+			ErrAccessDenied, args[0], info.OrgID, args[2], args[3])
 	}
 	return []byte(info.OrgID), nil
 }
