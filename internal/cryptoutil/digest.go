@@ -18,6 +18,10 @@ func Digest(parts ...[]byte) []byte {
 	return sum[:]
 }
 
+// Sum is Digest returned as an array, for callers that keep the digest on
+// the stack: it allocates nothing.
+func Sum(parts ...[]byte) [DigestSize]byte { return digest(parts) }
+
 // DigestHex returns the hex encoding of Digest(parts...). Used for
 // human-readable transaction and block identifiers. The returned string is
 // its only allocation.

@@ -2,7 +2,9 @@ package msp
 
 import (
 	"crypto/ecdsa"
+	"crypto/sha256"
 	"crypto/x509"
+	"encoding/binary"
 	"encoding/pem"
 	"errors"
 	"fmt"
@@ -59,9 +61,15 @@ const (
 	// whole input, and pem.Decode ignores trailing bytes a hostile sender
 	// could pad a certificate with.
 	memoPEMMax = 16 << 10
+	// verifiedSigsMax bounds the signature memo: attestation and hop-pin
+	// signatures arrive from other networks too.
+	verifiedSigsMax = 4096
 )
 
-var parsedCerts = memo.Table[[]byte, *x509.Certificate]{Max: parsedCertsMax}
+var (
+	parsedCerts  = memo.Table[[]byte, *x509.Certificate]{Max: parsedCertsMax}
+	verifiedSigs = memo.Table[[]byte, struct{}]{Max: verifiedSigsMax}
+)
 
 // ParseCertPEM decodes a PEM certificate as produced by CertPEM or
 // CA.RootCertPEM. Each distinct input is parsed once per process: the
@@ -92,6 +100,47 @@ func parseCertPEM(pemBytes []byte) (*x509.Certificate, error) {
 		return nil, fmt.Errorf("msp: parse certificate: %w", err)
 	}
 	return cert, nil
+}
+
+// VerifySignature checks sig, an ASN.1 ECDSA signature over a message whose
+// SHA-256 digest is digest, against the public key cert certifies. It does
+// not authenticate cert: callers run Verifier.Verify first where the signer
+// must be a recorded member.
+//
+// Each signature that verifies is remembered per process, so a
+// byte-identical (certificate, digest, signature) triple costs one ECDSA
+// verification however often it is presented. The key is SHA-256 over the
+// length-framed certificate DER, digest and signature. It binds the whole
+// certificate because ECDSA admits key substitution: for a given digest and
+// signature anyone can construct a key they verify under, so a verdict
+// keyed on those two alone would accept the signature under a crafted
+// certificate. Refusals are never remembered.
+func VerifySignature(cert *x509.Certificate, digest, sig []byte) error {
+	key := signatureKey(cert.Raw, digest, sig)
+	if _, ok := verifiedSigs.Get(key[:]); ok {
+		return nil
+	}
+	pub, _ := cert.PublicKey.(*ecdsa.PublicKey) // nil, refused by VerifyDigest, for a non-ECDSA key
+	if err := cryptoutil.VerifyDigest(pub, digest, sig); err != nil {
+		return err
+	}
+	verifiedSigs.Put(key[:], struct{}{})
+	return nil
+}
+
+// signatureKey is the signature memo's key: SHA-256 over each part
+// prefixed by its length, so no two distinct triples frame to the same
+// bytes.
+func signatureKey(certDER, digest, sig []byte) (key [sha256.Size]byte) {
+	h := sha256.New()
+	var n [8]byte
+	for _, part := range [...][]byte{certDER, digest, sig} {
+		binary.BigEndian.PutUint64(n[:], uint64(len(part)))
+		h.Write(n[:])
+		h.Write(part)
+	}
+	h.Sum(key[:0])
+	return key
 }
 
 // PublicKeyFromPEM returns the ECDSA public key a PEM certificate

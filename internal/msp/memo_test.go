@@ -215,10 +215,28 @@ func TestMemoTablesStayBounded(t *testing.T) {
 		}
 	}
 
+	// Every distinct (certificate, digest, signature) that verifies is a
+	// new key; the signature memo stays at or under its bound.
+	id, _ := ca.Issue("signer", RolePeer)
+	digest := make([]byte, cryptoutil.DigestSize)
+	for i := 0; i < verifiedSigsMax+64; i++ {
+		digest[0], digest[1] = byte(i), byte(i>>8)
+		sig, err := cryptoutil.SignDigest(id.Key, digest)
+		if err != nil {
+			t.Fatalf("SignDigest: %v", err)
+		}
+		if err := VerifySignature(id.Cert, digest, sig); err != nil {
+			t.Fatalf("signature %d: %v", i, err)
+		}
+		if n := verifiedSigs.Len(); n > verifiedSigsMax {
+			t.Fatalf("signature memo holds %d > %d after %d signatures", n, verifiedSigsMax, i+1)
+		}
+	}
+
 	// An input padded past memoPEMMax still parses but is not kept: its key
 	// would be the padding.
-	id, _ := ca.Issue("padded", RoleClient)
-	padded := append(bytes.Clone(id.CertPEM()), bytes.Repeat([]byte{'\n'}, memoPEMMax)...)
+	padder, _ := ca.Issue("padded", RoleClient)
+	padded := append(bytes.Clone(padder.CertPEM()), bytes.Repeat([]byte{'\n'}, memoPEMMax)...)
 	if _, err := ParseCertPEM(padded); err != nil {
 		t.Fatalf("padded PEM: %v", err)
 	}
@@ -264,9 +282,9 @@ func TestVerifierForConfigIsContentAddressed(t *testing.T) {
 	}
 }
 
-// Run with -race: parse, verifier lookup and verdicts from 8 goroutines,
-// with the verdict table shrunk below the number of certificates in play so
-// flushes interleave with hits.
+// Run with -race: parse, verifier lookup, certificate verdicts and
+// signature verdicts from 8 goroutines, with the verdict tables shrunk below
+// the number of entries in play so flushes interleave with hits.
 func TestMemoConcurrentUse(t *testing.T) {
 	ca, _ := NewCA("org")
 	other, _ := NewCA("org")
@@ -283,6 +301,15 @@ func TestMemoConcurrentUse(t *testing.T) {
 		t.Fatalf("VerifierForConfig: %v", err)
 	}
 	shared.verdicts.Max = len(good) / 2
+	signer, _ := ca.Issue("signer", RolePeer)
+	digests := make([][]byte, len(good))
+	sigs := make([][]byte, len(good))
+	for i := range digests {
+		digests[i] = cryptoutil.Digest([]byte{byte(i)})
+		sigs[i], _ = cryptoutil.SignDigest(signer.Key, digests[i])
+	}
+	defer func(max int) { verifiedSigs.Max = max }(verifiedSigs.Max)
+	verifiedSigs.Max = len(sigs) / 2
 
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -305,6 +332,15 @@ func TestMemoConcurrentUse(t *testing.T) {
 				}
 				if _, err := PublicKeyFromPEM(good[i%len(good)]); err != nil {
 					t.Errorf("PublicKeyFromPEM: %v", err)
+					return
+				}
+				j := (g + i) % len(sigs)
+				if err := VerifySignature(signer.Cert, digests[j], sigs[j]); err != nil {
+					t.Errorf("VerifySignature: %v", err)
+					return
+				}
+				if err := VerifySignature(rogue.Cert, digests[j], sigs[j]); err == nil {
+					t.Error("signature accepted under another certificate")
 					return
 				}
 			}
@@ -338,7 +374,81 @@ func TestWarmPathsDoNotAllocate(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() { _, _ = VerifierForConfig(cfgBytes) }); n > 1 {
 		t.Errorf("warm VerifierForConfig allocates %.0f objects, want <= 1", n)
 	}
+	digest := cryptoutil.Digest([]byte("warm"))
+	sig, _ := cryptoutil.SignDigest(id.Key, digest)
+	if err := VerifySignature(id.Cert, digest, sig); err != nil {
+		t.Fatalf("VerifySignature: %v", err)
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = VerifySignature(id.Cert, digest, sig) }); n != 0 {
+		t.Errorf("warm VerifySignature allocates %.0f objects, want 0", n)
+	}
 	if n := testing.AllocsPerRun(100, func() { _ = id.CertPEM(); _ = ca.RootCertPEM() }); n != 0 {
 		t.Errorf("CertPEM/RootCertPEM allocate %.0f objects, want 0", n)
+	}
+}
+
+// A signature verdict is remembered only for the exact certificate, digest
+// and signature that verified: a refusal is never kept, and a remembered
+// signature is no credential for another certificate or for a signature
+// one byte away.
+func TestSignatureMemoBindsEveryByte(t *testing.T) {
+	ca, _ := NewCA("org")
+	signer, _ := ca.Issue("signer", RolePeer)
+	other, _ := ca.Issue("other", RolePeer)
+	digest := cryptoutil.Digest([]byte("attested metadata"))
+	sig, err := cryptoutil.SignDigest(signer.Key, digest)
+	if err != nil {
+		t.Fatalf("SignDigest: %v", err)
+	}
+
+	// Refused under a key that did not sign it, twice: the first refusal
+	// left nothing behind.
+	for try := 0; try < 2; try++ {
+		if err := VerifySignature(other.Cert, digest, sig); !errors.Is(err, cryptoutil.ErrInvalidSignature) {
+			t.Fatalf("try %d under the wrong certificate: err = %v", try, err)
+		}
+	}
+	key := signatureKey(other.Cert.Raw, digest, sig)
+	if _, kept := verifiedSigs.Get(key[:]); kept {
+		t.Fatal("a refused signature was remembered")
+	}
+
+	if err := VerifySignature(signer.Cert, digest, sig); err != nil {
+		t.Fatalf("genuine signature: %v", err)
+	}
+	if err := VerifySignature(signer.Cert, digest, sig); err != nil {
+		t.Fatalf("remembered signature: %v", err)
+	}
+	// The same digest and signature under another certificate are a
+	// different key, so ECDSA runs and refuses.
+	if err := VerifySignature(other.Cert, digest, sig); !errors.Is(err, cryptoutil.ErrInvalidSignature) {
+		t.Fatalf("remembered signature under another certificate: err = %v", err)
+	}
+	for i := range sig {
+		flipped := bytes.Clone(sig)
+		flipped[i] ^= 0x01
+		if err := VerifySignature(signer.Cert, digest, flipped); err == nil {
+			t.Fatalf("signature with byte %d flipped accepted after the original verified", i)
+		}
+	}
+	otherDigest := bytes.Clone(digest)
+	otherDigest[0] ^= 0x01
+	if err := VerifySignature(signer.Cert, otherDigest, sig); err == nil {
+		t.Fatal("remembered signature accepted over another digest")
+	}
+}
+
+// The key frames each part by its length, so moving bytes from one part
+// to its neighbour yields another key.
+func TestSignatureKeyFramesItsParts(t *testing.T) {
+	a := signatureKey([]byte("cert"), []byte("digest"), []byte("sig"))
+	for _, parts := range [][3]string{
+		{"cer", "tdigest", "sig"},
+		{"cert", "diges", "tsig"},
+		{"certdigest", "", "sig"},
+	} {
+		if signatureKey([]byte(parts[0]), []byte(parts[1]), []byte(parts[2])) == a {
+			t.Fatalf("%q frames to the same key as (cert, digest, sig)", parts)
+		}
 	}
 }

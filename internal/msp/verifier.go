@@ -27,6 +27,12 @@ const (
 // the validity window of the whole verified chain, so a certificate is
 // chain-verified once and afterwards only checked against the clock. A
 // refusal is never remembered. It is safe for concurrent use.
+//
+// A Verifier does not check signatures. Callers check a signer's
+// signature with VerifySignature after Verify accepted its certificate;
+// that memo is keyed by the certificate DER, digest and signature, since
+// ECDSA admits key substitution and a verdict keyed on the digest and
+// signature alone would vouch for the signature under a crafted key.
 type Verifier struct {
 	roots    map[string]*x509.CertPool   // orgID -> pool holding that org's root alone
 	now      func() time.Time            // time.Now outside tests

@@ -487,6 +487,9 @@ func (p *Peer) validateEndorsements(tx *ledger.Transaction, verifier *msp.Verifi
 		if !ok {
 			return ledger.BadSignature
 		}
+		// Not msp.VerifySignature: each committing peer validates every
+		// block itself, and in-process peers sharing verdicts would only
+		// measure co-location.
 		if err := cryptoutil.VerifyDigest(pub, digest, en.Signature); err != nil {
 			return ledger.BadSignature
 		}

@@ -23,7 +23,6 @@ package proof
 
 import (
 	"bytes"
-	"crypto/ecdsa"
 	"errors"
 	"fmt"
 
@@ -60,32 +59,48 @@ type Hop struct {
 
 // hopCoreDigest digests the response with the hop pins stripped — the
 // bytes every relay on the return path and the origin agree on.
-func hopCoreDigest(resp *wire.QueryResponse) []byte {
+func hopCoreDigest(resp *wire.QueryResponse) [cryptoutil.DigestSize]byte {
 	core := *resp
 	core.HopPins = nil
-	return cryptoutil.Digest(core.Marshal())
+	return cryptoutil.Sum(core.Marshal())
 }
 
 // HopAnchor computes the chain anchor for a (query, response) pair: the
 // value the first hop pin's payload links to.
 func HopAnchor(q *wire.Query, resp *wire.QueryResponse) []byte {
-	e := wire.NewEncoder(3 * cryptoutil.DigestSize)
-	e.BytesField(1, QueryDigestOf(q))
-	e.BytesField(2, PolicyDigestOf(q))
-	e.BytesField(3, hopCoreDigest(resp))
-	return cryptoutil.Digest(hopAnchorDomain, e.Bytes())
+	anchor := hopAnchor(QueryDigestOf(q), PolicyDigestOf(q), resp)
+	return anchor[:]
 }
 
-// hopPinPayload assembles the exact bytes hop i signs: the previous pin,
-// the forwarding relay's network and certificate, and the policy pin,
-// framed unambiguously by the wire encoder under the hop-pin domain.
-func hopPinPayload(prevPin []byte, network string, certPEM, policyDigest []byte) []byte {
+func hopAnchor(queryDigest, policyDigest []byte, resp *wire.QueryResponse) [cryptoutil.DigestSize]byte {
+	core := hopCoreDigest(resp)
+	e := wire.NewEncoder(3 * (2 + cryptoutil.DigestSize))
+	e.BytesField(1, queryDigest)
+	e.BytesField(2, policyDigest)
+	e.BytesField(3, core[:])
+	return cryptoutil.Sum(hopAnchorDomain, e.Bytes())
+}
+
+// hopPinFields encodes what hop i signs after the hop-pin domain: the
+// previous pin, the forwarding relay's network and certificate, and the
+// policy pin, framed unambiguously by the wire encoder.
+func hopPinFields(prevPin []byte, network string, certPEM, policyDigest []byte) []byte {
 	e := wire.NewEncoder(64 + len(prevPin) + len(network) + len(certPEM))
 	e.BytesField(1, prevPin)
 	e.String(2, network)
 	e.BytesField(3, certPEM)
 	e.BytesField(4, policyDigest)
-	return append(append([]byte{}, hopPinDomain...), e.Bytes()...)
+	return e.Bytes()
+}
+
+// hopPinPayload assembles the exact bytes hop i signs.
+func hopPinPayload(prevPin []byte, network string, certPEM, policyDigest []byte) []byte {
+	return append(append([]byte{}, hopPinDomain...), hopPinFields(prevPin, network, certPEM, policyDigest)...)
+}
+
+// hopPinDigest is the digest of hopPinPayload, without assembling it.
+func hopPinDigest(prevPin []byte, network string, certPEM, policyDigest []byte) [cryptoutil.DigestSize]byte {
+	return cryptoutil.Sum(hopPinDomain, hopPinFields(prevPin, network, certPEM, policyDigest))
 }
 
 // AppendHopPin extends the response's hop chain with one pin signed by the
@@ -123,7 +138,8 @@ func VerifyHopChain(q *wire.Query, resp *wire.QueryResponse) ([]Hop, error) {
 		return nil, nil
 	}
 	policyDigest := PolicyDigestOf(q)
-	prev := HopAnchor(q, resp)
+	anchor := hopAnchor(QueryDigestOf(q), policyDigest, resp)
+	prev := anchor[:]
 	seen := make(map[string]bool, len(resp.HopPins))
 	hops := make([]Hop, 0, len(resp.HopPins))
 	for i := range resp.HopPins {
@@ -132,20 +148,16 @@ func VerifyHopChain(q *wire.Query, resp *wire.QueryResponse) ([]Hop, error) {
 			return nil, fmt.Errorf("%w: network %q pinned twice", ErrBadHopChain, pin.Network)
 		}
 		seen[pin.Network] = true
-		payload := hopPinPayload(prev, pin.Network, pin.CertPEM, policyDigest)
-		if !bytes.Equal(pin.Pin, cryptoutil.Digest(payload)) {
+		if sum := hopPinDigest(prev, pin.Network, pin.CertPEM, policyDigest); !bytes.Equal(pin.Pin, sum[:]) {
 			return nil, fmt.Errorf("%w: hop %d (%s) does not chain", ErrBadHopChain, i, pin.Network)
 		}
 		cert, err := msp.ParseCertPEM(pin.CertPEM)
 		if err != nil {
 			return nil, fmt.Errorf("%w: hop %d (%s): %v", ErrBadHopChain, i, pin.Network, err)
 		}
-		pub, ok := cert.PublicKey.(*ecdsa.PublicKey)
-		if !ok {
-			return nil, fmt.Errorf("%w: hop %d (%s): non-ECDSA key", ErrBadHopChain, i, pin.Network)
-		}
-		if err := cryptoutil.Verify(pub, payload, pin.Signature); err != nil {
-			return nil, fmt.Errorf("%w: hop %d (%s): signature", ErrBadHopChain, i, pin.Network)
+		// pin.Pin is the digest of the payload, checked above.
+		if err := msp.VerifySignature(cert, pin.Pin, pin.Signature); err != nil {
+			return nil, fmt.Errorf("%w: hop %d (%s): signature: %v", ErrBadHopChain, i, pin.Network, err)
 		}
 		prev = pin.Pin
 		hops = append(hops, Hop{Network: pin.Network, CertPEM: pin.CertPEM})

@@ -22,7 +22,6 @@ package proof
 
 import (
 	"bytes"
-	"crypto/ecdsa"
 	"errors"
 	"fmt"
 
@@ -268,7 +267,7 @@ func OpenResponse(recipient *cryptoutil.Recipient, q *wire.Query, resp *wire.Que
 		if !bytes.Equal(md.QueryDigest, wantQueryDigest) {
 			return nil, fmt.Errorf("%w: attestation %s query digest", ErrDigestMismatch, att.PeerName)
 		}
-		if !bytes.Equal(md.ResultDigest, wantResultDigest) {
+		if !bytes.Equal(md.ResultDigest, wantResultDigest[:]) {
 			return nil, fmt.Errorf("%w: attestation %s result digest", ErrDigestMismatch, att.PeerName)
 		}
 		if !bytes.Equal(md.Nonce, q.Nonce) {
@@ -313,7 +312,7 @@ func Verify(b *Bundle, verifier *msp.Verifier, vp *endorsement.Policy, expectedQ
 	if len(b.QueryDigest) > 0 && !bytes.Equal(b.QueryDigest, expectedQueryDigest) {
 		return fmt.Errorf("%w: bundle query digest", ErrDigestMismatch)
 	}
-	wantResultDigest := cryptoutil.Digest(b.Result)
+	wantResultDigest := cryptoutil.Sum(b.Result)
 	signers := make([]endorsement.Principal, 0, len(b.Elements))
 	for i := range b.Elements {
 		el := &b.Elements[i]
@@ -328,10 +327,6 @@ func Verify(b *Bundle, verifier *msp.Verifier, vp *endorsement.Policy, expectedQ
 		if info.Role != msp.RolePeer {
 			return fmt.Errorf("%w: element %d signed by %s role", ErrNotPeer, i, info.Role)
 		}
-		pub, ok := cert.PublicKey.(*ecdsa.PublicKey)
-		if !ok {
-			return fmt.Errorf("%w: element %d: non-ECDSA key", ErrBadAttestation, i)
-		}
 		// Single mode signs the metadata bytes directly; batched mode signs
 		// the domain-separated Merkle root the metadata's leaf hash chains up
 		// to, so the signed payload is recomputed from the inclusion proof.
@@ -343,8 +338,9 @@ func Verify(b *Bundle, verifier *msp.Verifier, vp *endorsement.Policy, expectedQ
 			}
 			signedPayload = batchSigPayload(root)
 		}
-		if err := cryptoutil.Verify(pub, signedPayload, el.Signature); err != nil {
-			return fmt.Errorf("%w: element %d: signature", ErrBadAttestation, i)
+		digest := cryptoutil.Sum(signedPayload)
+		if err := msp.VerifySignature(cert, digest[:], el.Signature); err != nil {
+			return fmt.Errorf("%w: element %d: signature: %v", ErrBadAttestation, i, err)
 		}
 		md, err := wire.UnmarshalMetadata(el.Metadata)
 		if err != nil {
@@ -359,7 +355,7 @@ func Verify(b *Bundle, verifier *msp.Verifier, vp *endorsement.Policy, expectedQ
 		if !bytes.Equal(md.QueryDigest, expectedQueryDigest) {
 			return fmt.Errorf("%w: element %d query digest", ErrDigestMismatch, i)
 		}
-		if !bytes.Equal(md.ResultDigest, wantResultDigest) {
+		if !bytes.Equal(md.ResultDigest, wantResultDigest[:]) {
 			return fmt.Errorf("%w: element %d result digest", ErrDigestMismatch, i)
 		}
 		if !bytes.Equal(md.Nonce, b.Nonce) {

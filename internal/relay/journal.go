@@ -5,9 +5,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -358,12 +359,7 @@ func (r *JournalRegistry) Prune() (int, error) {
 		}
 		now := r.now()
 		var recs []journalRecord
-		ids := make([]string, 0, len(r.view.entries))
-		for id := range r.view.entries {
-			ids = append(ids, id)
-		}
-		sort.Strings(ids)
-		for _, id := range ids {
+		for _, id := range slices.Sorted(maps.Keys(r.view.entries)) {
 			for _, e := range r.view.entries[id] {
 				if !e.live(now) {
 					recs = append(recs, journalRecord{Op: opDereg, Net: id, Addr: e.addr, TS: now.UnixNano()})
@@ -444,12 +440,7 @@ func (r *JournalRegistry) compactLocked(gen uint64) error {
 func (r *JournalRegistry) writeSnapshot(gen uint64) error {
 	now := r.now()
 	var buf bytes.Buffer
-	ids := make([]string, 0, len(r.view.entries))
-	for id := range r.view.entries {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	for _, id := range ids {
+	for _, id := range slices.Sorted(maps.Keys(r.view.entries)) {
 		for _, e := range r.view.entries[id] {
 			rec := journalRecord{Op: opLease, Net: id, Addr: e.addr, TS: now.UnixNano()}
 			if !e.expires.IsZero() {
@@ -566,10 +557,6 @@ func (r *JournalRegistry) applyLocked(rec journalRecord) {
 		} else {
 			r.view.entries[rec.Net] = list
 		}
-	case "health":
-		// Journals written before discovery carried membership only hold
-		// shared-health records. They are well-formed, so they are not
-		// counted as skipped; the next compaction drops them.
 	default:
 		r.skipped++
 	}

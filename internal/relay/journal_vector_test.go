@@ -24,12 +24,6 @@ const (
 {"op":"lease","net":"tradelens","addr":"10.0.0.2:9080","ts":1700000000000000000}
 `
 	vectorPointer = `1`
-
-	// legacyHealthGen0 is a generation-0 journal as written when relays
-	// still published shared health through discovery: the same records
-	// as vectorGen0 plus one "health" line.
-	legacyHealthGen0 = vectorGen0 + `{"op":"health","addr":"10.0.0.1:9080","ts":1700000000000000000,"health":{"consec_failures":2,"ewma_latency_nanos":1500000,"open_until_unix_nano":1700000010000000000,"cooldown_remaining_nanos":10000000000,"observed_unix_nano":1699999999000000000}}
-`
 )
 
 var vectorEntries = map[string][]RegistryEntry{"tradelens": {
@@ -92,28 +86,5 @@ func TestJournalKnownAnswerBytes(t *testing.T) {
 		if got, err := r.Entries(); err != nil || !reflect.DeepEqual(got, vectorEntries) {
 			t.Errorf("%s materialized %+v, %v, want %+v", name, got, err, vectorEntries)
 		}
-	}
-}
-
-// TestJournalReadsLegacyHealthRecords: a journal that still holds
-// shared-health lines materializes the same membership, counts none of
-// them as torn appends, and loses them at the next compaction.
-func TestJournalReadsLegacyHealthRecords(t *testing.T) {
-	reg, dir := vectorRegistry(t, map[string]string{"registry.jsonl": legacyHealthGen0})
-	if got, err := reg.Entries(); err != nil || !reflect.DeepEqual(got, vectorEntries) {
-		t.Fatalf("materialized %+v, %v, want %+v", got, err, vectorEntries)
-	}
-	if n := reg.SkippedRecords(); n != 0 {
-		t.Fatalf("SkippedRecords = %d, want 0: health lines are well-formed", n)
-	}
-	if err := reg.Compact(); err != nil {
-		t.Fatalf("Compact: %v", err)
-	}
-	got, err := os.ReadFile(filepath.Join(dir, "registry.jsonl.1"))
-	if err != nil {
-		t.Fatalf("read snapshot: %v", err)
-	}
-	if string(got) != vectorGen1 {
-		t.Errorf("snapshot after a legacy journal:\n got %q\nwant %q", got, vectorGen1)
 	}
 }

@@ -398,15 +398,30 @@ func NewTCPServer(r *Relay, addr string) (*TCPServer, error) {
 // Addr returns the server's bound address.
 func (s *TCPServer) Addr() string { return s.listener.Addr().String() }
 
+// acceptLoop serves until the listener is closed. Any other Accept error,
+// such as EMFILE when the process is out of descriptors, is retried after
+// a back-off of 5 ms doubling to 1 s, net/http.Server.Serve's schedule: a
+// relay that returned would stay off the network for good.
 func (s *TCPServer) acceptLoop() {
 	defer close(s.done)
 	var handlers sync.WaitGroup
 	defer handlers.Wait()
+	var backoff time.Duration
 	for {
 		conn, err := s.listener.Accept()
-		if err != nil {
-			return // listener closed
+		if errors.Is(err, net.ErrClosed) {
+			return
 		}
+		if err != nil {
+			backoff = min(max(2*backoff, 5*time.Millisecond), time.Second)
+			select {
+			case <-time.After(backoff):
+			case <-s.ctx.Done():
+				return
+			}
+			continue
+		}
+		backoff = 0
 		s.mu.Lock()
 		if s.closed {
 			s.mu.Unlock()
