@@ -9,12 +9,13 @@ import (
 var (
 	sinkBytes  []byte
 	sinkString string
+	sinkSum    [DigestSize]byte
 )
 
 // TestCryptoAllocations is the allocation tripwire of the per-request
 // derivations: a warm open and a seal allocate only what aes.NewCipher,
-// cipher.NewGCM and the output need, and a digest only its result. A change
-// may lower a row, never raise it.
+// cipher.NewGCM and the output need, a digest only its result, and Sum
+// nothing. A change may lower a row, never raise it.
 func TestCryptoAllocations(t *testing.T) {
 	key, err := GenerateKey()
 	if err != nil {
@@ -44,6 +45,7 @@ func TestCryptoAllocations(t *testing.T) {
 		{"Digest one part", 1, func() { sinkBytes = Digest(plaintext) }},
 		{"Digest small parts", 1, func() { sinkBytes = Digest(domain, context, plaintext) }},
 		{"DigestHex", 1, func() { sinkString = DigestHex(domain, context) }},
+		{"Sum", 0, func() { sinkSum = Sum(domain, context, plaintext) }},
 	} {
 		if got := testing.AllocsPerRun(200, row.fn); got > row.max {
 			t.Errorf("%s: %v allocations, want <= %v", row.name, got, row.max)

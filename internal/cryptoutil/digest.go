@@ -14,27 +14,24 @@ const DigestSize = sha256.Size
 // slices. It is the hashing primitive for transaction IDs and proof
 // metadata binding. The returned slice is its only allocation.
 func Digest(parts ...[]byte) []byte {
-	sum := digest(parts)
+	sum := Sum(parts...)
 	return sum[:]
 }
-
-// Sum is Digest returned as an array, for callers that keep the digest on
-// the stack: it allocates nothing.
-func Sum(parts ...[]byte) [DigestSize]byte { return digest(parts) }
 
 // DigestHex returns the hex encoding of Digest(parts...). Used for
 // human-readable transaction and block identifiers. The returned string is
 // its only allocation.
 func DigestHex(parts ...[]byte) string {
-	sum := digest(parts)
+	sum := Sum(parts...)
 	var out [2 * DigestSize]byte
 	hex.Encode(out[:], sum[:])
 	return string(out[:])
 }
 
-// digest streams the parts through one SHA-256 and sums into an array, so
-// neither the hash state nor the sum reaches the heap.
-func digest(parts [][]byte) [DigestSize]byte {
+// Sum is Digest returned as an array. It streams the parts through one
+// SHA-256, so neither the hash state nor the sum reaches the heap: a
+// caller that keeps the array on its stack allocates nothing.
+func Sum(parts ...[]byte) [DigestSize]byte {
 	h := sha256.New()
 	for _, p := range parts {
 		h.Write(p)

@@ -72,6 +72,7 @@ func HopAnchor(q *wire.Query, resp *wire.QueryResponse) []byte {
 	return anchor[:]
 }
 
+// hopAnchor is HopAnchor from the query's digests, returned as an array.
 func hopAnchor(queryDigest, policyDigest []byte, resp *wire.QueryResponse) [cryptoutil.DigestSize]byte {
 	core := hopCoreDigest(resp)
 	e := wire.NewEncoder(3 * (2 + cryptoutil.DigestSize))
