@@ -6,11 +6,12 @@
 // Management contract), which is what lets a destination network
 // authenticate the signers of a proof produced by a source network.
 //
-// Verdicts are remembered per process by the exact bytes they were derived
-// from: parsed certificates by their PEM, certificate-chain verdicts by the
+// Verdicts are remembered per process by the bytes they were derived from:
+// parsed certificates by their PEM, certificate-chain verdicts by the
 // certificate DER (per Verifier, rechecked against the clock on every
-// call), and ECDSA signatures that verified by the certificate DER, digest
-// and signature together (VerifySignature). Refusals are never remembered.
+// call), and ECDSA signatures that verified by a digest of the certificate
+// DER, signed digest and signature together (VerifySignature). Refusals
+// are never remembered.
 package msp
 
 import (
