@@ -377,6 +377,9 @@ func BenchmarkBuildOneAttestor(b *testing.B) {
 	}
 }
 
+// BenchmarkVerifyTwoAttestors verifies one bundle over and over, so after
+// the first iteration its signatures are remembered; the root E3 benchmark's
+// "fresh" rows pay an ECDSA verify per attestor.
 func BenchmarkVerifyTwoAttestors(b *testing.B) {
 	sellerCA, _ := msp.NewCA("seller-org")
 	carrierCA, _ := msp.NewCA("carrier-org")
