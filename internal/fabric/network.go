@@ -67,6 +67,9 @@ type Network struct {
 	// always acquired before mu when both are needed. Its read side is
 	// AtOneHeight's: simulations that must agree hold delivery off.
 	commitMu sync.RWMutex
+	// verdicts is deliver's verdict slice, one entry per (peer,
+	// transaction) pair, reused from block to block under commitMu.
+	verdicts []ledger.ValidationCode
 
 	eventMu   sync.Mutex
 	eventSubs map[int]*eventSub
@@ -185,8 +188,10 @@ func (n *Network) RemoveOrg(orgID string) error {
 // against the verifier of its committing era (verifierAt), not the
 // current one: validation is deterministic only relative to a verifier and
 // an org set, and the org set may have changed (RemoveOrg) since a block
-// committed. Callers hold commitMu (so the chain cannot advance) but not
-// mu (verifierAt takes mu's read lock per block).
+// committed. A fresh peer whose verdicts still differ from the recorded
+// ones fails the catch-up (peer.ErrVerdictMismatch) rather than rewrite
+// them. Callers hold commitMu (so the chain cannot advance) but not mu
+// (verifierAt takes mu's read lock per block).
 func (n *Network) catchUp(fresh []*peer.Peer) error {
 	n.mu.RLock()
 	var source *peer.Peer
@@ -206,11 +211,8 @@ func (n *Network) catchUp(fresh []*peer.Peer) error {
 		if err != nil {
 			return fmt.Errorf("fabric: catch-up read block %d: %w", num, err)
 		}
-		v := n.verifierAt(num)
-		for _, p := range fresh {
-			if err := p.CommitBlockPinned(block, v); err != nil {
-				return fmt.Errorf("fabric: catch-up replay block %d: %w", num, err)
-			}
+		if err := n.deliver(fresh, block, n.verifierAt(num)); err != nil {
+			return fmt.Errorf("fabric: catch-up replay block %d: %w", num, err)
 		}
 	}
 	return nil
@@ -229,12 +231,12 @@ func (n *Network) chainHeightLocked() uint64 {
 
 // verifierAt returns the verifier that governed validation of block num:
 // the latest era whose fromHeight does not exceed num. Eras are appended
-// with non-decreasing fromHeight, so the last match wins. Returns nil
-// (caller falls back to the current verifier) if no era is recorded.
+// with non-decreasing fromHeight, so the last match wins. It returns the
+// current verifier if no era is recorded.
 func (n *Network) verifierAt(num uint64) *msp.Verifier {
 	n.mu.RLock()
 	defer n.mu.RUnlock()
-	var v *msp.Verifier
+	v := n.verifier
 	for _, era := range n.eras {
 		if era.fromHeight <= num {
 			v = era.verifier
@@ -350,27 +352,48 @@ func (n *Network) ExportConfig() *wire.NetworkConfig {
 	return cfg
 }
 
-// commitBlock fans an ordered block out to every peer, then dispatches
+// commitBlock delivers an ordered block to every peer, then dispatches
 // chaincode events from transactions that committed as valid. commitMu
-// serializes delivery against organization catch-up (AddOrg).
+// serializes delivery against organization catch-up (AddOrg) and so keeps
+// the verifier fixed while the block is checked.
 func (n *Network) commitBlock(block *ledger.Block) error {
 	n.commitMu.Lock()
 	defer n.commitMu.Unlock()
-	for _, p := range n.AllPeers() {
-		if err := p.CommitBlock(block); err != nil {
-			return err
-		}
+	if err := n.deliver(n.AllPeers(), block, n.Verifier()); err != nil {
+		return err
 	}
 	n.dispatchEvents(block)
 	return nil
 }
 
+// deliver commits block on peers in two stages. Every peer checks every
+// endorsement itself, but all (peer, transaction) pairs share one bounded
+// pool (peer.CheckEndorsements), as Fabric's peers each check a delivered
+// block at the same time. Then each peer commits its own verdicts in order,
+// one peer after another, and the first error stops delivery. Callers hold
+// commitMu.
+func (n *Network) deliver(peers []*peer.Peer, block *ledger.Block, verifier *msp.Verifier) error {
+	txs := len(block.Transactions)
+	if pairs := len(peers) * txs; cap(n.verdicts) < pairs {
+		n.verdicts = make([]ledger.ValidationCode, pairs)
+	}
+	verdicts := n.verdicts[:len(peers)*txs]
+	peer.CheckEndorsements(peers, block, verifier, verdicts)
+	for i, p := range peers {
+		if err := p.CommitChecked(block, verdicts[i*txs:(i+1)*txs]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // AtOneHeight runs fn with block delivery held off, so every peer fn
-// simulates against sits at the same committed height. commitBlock fans a
-// block out one peer at a time; endorsers of one proposal (or attestors of
-// one query) that straddled it would read two heights and disagree over a
-// concurrent write, not over anything the chaincode did. fn must not
-// order or commit: delivery waits for it.
+// simulates against sits at the same committed height. commitBlock checks
+// a block on every peer at once but commits it one peer at a time;
+// endorsers of one proposal (or attestors of one query) that straddled
+// the commits would read two heights and disagree over a concurrent write,
+// not over anything the chaincode did. fn must not order or commit:
+// delivery waits for it.
 func (n *Network) AtOneHeight(fn func() error) error {
 	n.commitMu.RLock()
 	defer n.commitMu.RUnlock()

@@ -1,7 +1,6 @@
 package ledger
 
 import (
-	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -27,15 +26,20 @@ type Block struct {
 
 // ComputeHash derives the block hash: SHA-256 over the block number, the
 // previous hash and every transaction digest. The digests are streamed into
-// it one by one, each hashed from its transaction's fields, so the cost in
-// allocations is the same for any number or size of transactions.
+// it one by one, each hashed from its transaction's fields by a pooled
+// digester, so its one allocation is the returned hash for any number or
+// size of transactions.
 func (b *Block) ComputeHash() []byte {
-	var num [8]byte
-	binary.BigEndian.PutUint64(num[:], b.Number)
-	h := sha256.New()
-	h.Write(num[:])
+	d, outer := digesters.Get().(*digester), digesters.Get().(*digester)
+	defer digesters.Put(d)
+	defer digesters.Put(outer)
+	// The number is staged in outer's scratch: a local array would escape
+	// through the hash.Hash interface.
+	num := binary.BigEndian.AppendUint64(outer.scratch[:0], b.Number)
+	h := outer.h
+	h.Reset()
+	h.Write(num)
 	h.Write(b.PrevHash)
-	d := newDigester()
 	for _, tx := range b.Transactions {
 		h.Write(d.sum(tx))
 	}

@@ -1,9 +1,11 @@
 package ledger
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"hash"
+	"sync"
 )
 
 // The signed payload is encoded in the wire package's tag/length/value
@@ -175,11 +177,14 @@ func (tx *Transaction) SignedPayload() []byte {
 }
 
 // Digest returns the SHA-256 digest of the signed payload. It hashes the
-// payload as the walk emits it, through a fixed scratch buffer, so its
-// allocations do not depend on the payload's size. Nothing is memoised:
-// every call covers the transaction's current contents.
+// payload as the walk emits it, through a pooled digester's fixed scratch
+// buffer, so its one allocation is the returned digest at any payload size.
+// Nothing is memoised: every call covers the transaction's current
+// contents.
 func (tx *Transaction) Digest() []byte {
-	return newDigester().sum(tx)
+	d := digesters.Get().(*digester)
+	defer digesters.Put(d)
+	return bytes.Clone(d.sum(tx))
 }
 
 // digester hashes signed payloads; one serves any number of transactions
@@ -190,7 +195,10 @@ type digester struct {
 	out     [sha256.Size]byte
 }
 
-func newDigester() *digester { return &digester{h: sha256.New()} }
+// digesters holds idle digesters. Every peer digests every transaction of
+// every block it commits, and hashes the block, so the commit path takes
+// them from here rather than allocating a hash state and scratch per call.
+var digesters = sync.Pool{New: func() any { return &digester{h: sha256.New()} }}
 
 // sum returns the digest of tx's signed payload. The slice is d's own and
 // the next call overwrites it.

@@ -186,10 +186,14 @@ func TestDigestStreamsIntoBlockHash(t *testing.T) {
 	}
 }
 
+// raceEnabled is set under the race detector (race_test.go).
+var raceEnabled bool
+
 // TestDigestAllocationsIndependentOfPayloadSize is the tripwire for the
 // streamed digest: hashing a transfer-sized argument must cost no more
-// allocations than hashing a tiny one, and SignedPayload builds its bytes
-// in exactly one.
+// allocations than hashing a tiny one, Digest and ComputeHash allocate only
+// what they return (their digesters are pooled), and SignedPayload builds
+// its bytes in exactly one.
 func TestDigestAllocationsIndependentOfPayloadSize(t *testing.T) {
 	withArg := func(n int) *Transaction {
 		tx := txWith("tx", KVWrite{Namespace: "cc", Key: "k", Value: []byte("v")})
@@ -197,19 +201,22 @@ func TestDigestAllocationsIndependentOfPayloadSize(t *testing.T) {
 		return tx
 	}
 	small, large := withArg(8), withArg(64<<10)
-	smallAllocs := testing.AllocsPerRun(50, func() { _ = small.Digest() })
-	largeAllocs := testing.AllocsPerRun(50, func() { _ = large.Digest() })
-	if largeAllocs > smallAllocs || largeAllocs > 3 {
-		t.Fatalf("Digest allocs: %v with a 64 KiB argument, %v with 8 bytes; want equal and <= 3", largeAllocs, smallAllocs)
-	}
 	if n := testing.AllocsPerRun(50, func() { _ = large.SignedPayload() }); n != 1 {
 		t.Fatalf("SignedPayload allocs = %v, want 1", n)
+	}
+	if raceEnabled {
+		t.Skip("the pooled digesters' counts do not hold under the race detector")
+	}
+	smallAllocs := testing.AllocsPerRun(50, func() { _ = small.Digest() })
+	largeAllocs := testing.AllocsPerRun(50, func() { _ = large.Digest() })
+	if largeAllocs > smallAllocs || largeAllocs > 1 {
+		t.Fatalf("Digest allocs: %v with a 64 KiB argument, %v with 8 bytes; want equal and <= 1", largeAllocs, smallAllocs)
 	}
 	one := &Block{Number: 1, Transactions: []*Transaction{small}}
 	many := &Block{Number: 1, Transactions: []*Transaction{large, large, large, large, small, small, small, small}}
 	oneAllocs := testing.AllocsPerRun(50, func() { _ = one.ComputeHash() })
-	if n := testing.AllocsPerRun(50, func() { _ = many.ComputeHash() }); n > oneAllocs {
-		t.Fatalf("ComputeHash allocs: %v for 8 transactions, %v for one", n, oneAllocs)
+	if n := testing.AllocsPerRun(50, func() { _ = many.ComputeHash() }); n > oneAllocs || oneAllocs > 1 {
+		t.Fatalf("ComputeHash allocs: %v for 8 transactions, %v for one; want equal and <= 1", n, oneAllocs)
 	}
 }
 

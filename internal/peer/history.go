@@ -21,11 +21,11 @@ type KeyChange struct {
 // historyIndex accumulates per-key change logs as blocks commit.
 type historyIndex struct {
 	mu      sync.RWMutex
-	changes map[string][]KeyChange
+	changes map[nsKey][]KeyChange
 }
 
 func newHistoryIndex() *historyIndex {
-	return &historyIndex{changes: make(map[string][]KeyChange)}
+	return &historyIndex{changes: make(map[nsKey][]KeyChange)}
 }
 
 func (h *historyIndex) record(block *ledger.Block) {
@@ -38,7 +38,7 @@ func (h *historyIndex) record(block *ledger.Block) {
 		for _, w := range tx.RWSet.Writes {
 			val := make([]byte, len(w.Value))
 			copy(val, w.Value)
-			nk := nsKey(w.Namespace, w.Key)
+			nk := nsKey{w.Namespace, w.Key}
 			h.changes[nk] = append(h.changes[nk], KeyChange{
 				TxID:     tx.ID,
 				BlockNum: block.Number,
@@ -50,7 +50,7 @@ func (h *historyIndex) record(block *ledger.Block) {
 	}
 }
 
-func (h *historyIndex) forKey(key string) []KeyChange {
+func (h *historyIndex) forKey(key nsKey) []KeyChange {
 	h.mu.RLock()
 	defer h.mu.RUnlock()
 	src := h.changes[key]
@@ -67,5 +67,5 @@ func (h *historyIndex) forKey(key string) []KeyChange {
 // KeyHistory returns every committed change to a namespaced key on this
 // peer, oldest first. Values are copies.
 func (p *Peer) KeyHistory(ns, key string) []KeyChange {
-	return p.history.forKey(nsKey(ns, key))
+	return p.history.forKey(nsKey{ns, key})
 }

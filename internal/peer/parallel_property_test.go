@@ -14,6 +14,7 @@ import (
 	"repro/internal/endorsement"
 	"repro/internal/ledger"
 	"repro/internal/msp"
+	"repro/internal/statedb"
 )
 
 // propKV is the property-test contract: enough operation shapes to generate
@@ -49,42 +50,102 @@ var propKV = chaincode.Func(func(stub chaincode.Stub) ([]byte, error) {
 })
 
 // propFixture is one world: an endorser peer whose state tracks the
-// committed chain (simulations run against it), plus the serial and
-// parallel peers under comparison, whose commits paths records.
+// committed chain (simulations run against it), plus the reference and
+// staged peers under comparison, whose verdict stages paths records.
 type propFixture struct {
 	endorser, serial, parallel *Peer
 	paths                      *pathRecorder
 }
 
-// pathRecorder is the fixture's policy provider. It tells the two commit
-// engines apart by the stack that consults the endorsement policy: only
-// the parallel committer's validation stage runs under commitParallel.
+// pathRecorder is the fixture's policy provider, which the verdict stage
+// consults once per (peer, transaction) pair. It tells apart the calls
+// made on a test's own goroutine from those a verdict pool goroutine
+// makes: only the former have testing.tRunner on their stack. While armed,
+// a call on the test's goroutine waits until a pool goroutine has made
+// one, so a pool that exists is always seen doing work.
 type pathRecorder struct {
 	*fixedProviders
 	mu               sync.Mutex
 	serial, parallel int
+	pool             chan struct{} // armed: closed by the first pool call
 }
 
 func (r *pathRecorder) PolicyFor(name string) *endorsement.Policy {
-	stack := make([]byte, 4096)
+	stack := make([]byte, 8192)
 	stack = stack[:runtime.Stack(stack, false)]
+	onTest := bytes.Contains(stack, []byte("testing.tRunner"))
 	r.mu.Lock()
-	if bytes.Contains(stack, []byte("commitParallel")) {
-		r.parallel++
-	} else {
+	wait := r.pool
+	if onTest {
 		r.serial++
+	} else {
+		r.parallel++
+		if r.pool != nil {
+			close(r.pool)
+			r.pool = nil
+		}
 	}
 	r.mu.Unlock()
+	if onTest && wait != nil {
+		select {
+		case <-wait:
+		case <-time.After(10 * time.Second):
+		}
+	}
 	return r.fixedProviders.PolicyFor(name)
 }
 
-// reset returns the counts recorded so far and clears them.
+// arm makes the next calls on the test's goroutine wait for a pool call.
+func (r *pathRecorder) arm() {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.pool = make(chan struct{})
+}
+
+// reset returns the counts recorded so far, clears them and disarms.
 func (r *pathRecorder) reset() (serial, parallel int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	serial, parallel = r.serial, r.parallel
-	r.serial, r.parallel = 0, 0
+	r.serial, r.parallel, r.pool = 0, 0, nil
 	return serial, parallel
+}
+
+// commitReference is the one-transaction-at-a-time committer the two
+// commit stages are held to: each transaction's endorsement, duplicate and
+// MVCC checks in turn, against state that already holds the earlier valid
+// transactions' writes.
+func commitReference(p *Peer, block *ledger.Block) error {
+	verifier := p.verifiers.Verifier()
+	seenIDs := make(map[string]struct{})
+	seenKeys := make(map[string]struct{})
+	for txNum, tx := range block.Transactions {
+		if p.isDuplicate(tx, seenIDs, seenKeys) {
+			tx.Validation = ledger.Duplicate
+			continue
+		}
+		tx.Validation = p.validateEndorsements(tx, verifier)
+		for _, r := range tx.RWSet.Reads {
+			ver, exists := p.state.Version(r.Namespace, r.Key)
+			if tx.Validation == ledger.Valid && (exists != r.Exists || (exists && ver != r.Version)) {
+				tx.Validation = ledger.MVCCConflict
+			}
+		}
+		if tx.Validation != ledger.Valid {
+			continue
+		}
+		seenIDs[tx.ID] = struct{}{}
+		if tx.InteropKey != "" {
+			seenKeys[tx.InteropKey] = struct{}{}
+		}
+		p.state.ApplyWrites(tx.RWSet.StateWrites(),
+			statedb.Version{BlockNum: block.Number, TxNum: uint64(txNum)})
+	}
+	if err := p.blocks.Append(block); err != nil {
+		return err
+	}
+	p.history.record(block)
+	return nil
 }
 
 func newPropFixture(t *testing.T) *propFixture {
@@ -131,9 +192,10 @@ func dumpState(p *Peer) string {
 // TestParallelCommitterEquivalentToSerial drives randomized conflict
 // schedules — contended keys, read-modify-writes, cross-namespace reads,
 // duplicate transaction IDs and interop keys, corrupted signatures —
-// through the serial committer and the parallel committer and demands
-// byte-identical outcomes: every transaction's validation code and the full
-// namespaced world state after every block.
+// through the reference committer and the two commit stages, with one
+// worker and with many, and demands byte-identical outcomes: every
+// transaction's validation code and the full namespaced world state, with
+// its version stamps, after every block.
 func TestParallelCommitterEquivalentToSerial(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
 		seed := seed
@@ -229,28 +291,30 @@ func runEquivalenceSchedule(t *testing.T, seed int64, blocks, workers int) {
 			blk.Hash = blk.ComputeHash()
 		}
 
-		// workers = 1 is the serial reference; the endorser follows it.
+		// The serial peer runs the reference; the endorser runs both stages
+		// with one worker, the parallel peer with workers.
+		if err := commitReference(f.serial, serialBlock); err != nil {
+			t.Fatalf("block %d: reference commit: %v", blockNum, err)
+		}
 		for name, run := range map[string]struct {
 			p       *Peer
 			b       *ledger.Block
 			workers int
 		}{
-			"serial": {f.serial, serialBlock, 1}, "parallel": {f.parallel, parallelBlock, workers}, "endorser": {f.endorser, endorserBlock, 1},
+			"parallel": {f.parallel, parallelBlock, workers}, "endorser": {f.endorser, endorserBlock, 1},
 		} {
-			if err := run.p.commitWith(run.b, nil, run.workers); err != nil {
+			if err := run.p.commitWith(run.b, run.workers); err != nil {
 				t.Fatalf("block %d: commit on %s: %v", blockNum, name, err)
 			}
-		}
-
-		for i := range serialBlock.Transactions {
-			s, q := serialBlock.Transactions[i], parallelBlock.Transactions[i]
-			if s.Validation != q.Validation {
-				t.Fatalf("block %d tx %d (%s %s.%s): serial=%v parallel=%v",
-					blockNum, i, s.ID, s.Chaincode, s.Function, s.Validation, q.Validation)
+			for i, s := range serialBlock.Transactions {
+				if q := run.b.Transactions[i]; s.Validation != q.Validation {
+					t.Fatalf("block %d tx %d (%s %s.%s): reference=%v %s=%v",
+						blockNum, i, s.ID, s.Chaincode, s.Function, s.Validation, name, q.Validation)
+				}
 			}
-		}
-		if got, want := dumpState(f.parallel), dumpState(f.serial); got != want {
-			t.Fatalf("block %d: state diverged\nserial:\n%s\nparallel:\n%s", blockNum, want, got)
+			if got, want := dumpState(run.p), dumpState(f.serial); got != want {
+				t.Fatalf("block %d: %s state diverged\nreference:\n%s\n%s:\n%s", blockNum, name, want, name, got)
+			}
 		}
 	}
 	if f.serial.State().Keys() == 0 {
@@ -269,11 +333,11 @@ func TestParallelCommitterWorkerSweep(t *testing.T) {
 	}
 }
 
-// TestSerialFallbackKnob: the serial committer runs whenever workers is 1
-// or the block carries one transaction, and CommitBlock takes its worker
-// count from GOMAXPROCS. The engine that ran is read off the stack that
-// consulted the endorsement policy; verdicts, state and version stamps
-// match the serial reference on every path.
+// TestSerialFallbackKnob: the verdict stage starts no goroutine when
+// workers is 1 or the block carries one transaction, does when both exceed
+// one, and CommitBlock takes its worker count from GOMAXPROCS. Which ran
+// is read off the stacks that consulted the endorsement policy; verdicts,
+// state and version stamps match the reference on every path.
 func TestSerialFallbackKnob(t *testing.T) {
 	withProcs := func(n int) func(*Peer, *ledger.Block) error {
 		return func(p *Peer, b *ledger.Block) error {
@@ -282,7 +346,7 @@ func TestSerialFallbackKnob(t *testing.T) {
 		}
 	}
 	withWorkers := func(n int) func(*Peer, *ledger.Block) error {
-		return func(p *Peer, b *ledger.Block) error { return p.commitWith(b, nil, n) }
+		return func(p *Peer, b *ledger.Block) error { return p.commitWith(b, n) }
 	}
 	for _, tc := range []struct {
 		name     string
@@ -324,15 +388,18 @@ func TestSerialFallbackKnob(t *testing.T) {
 				return b
 			}
 			ref, got := block(), block()
-			if err := f.serial.commitWith(ref, nil, 1); err != nil {
+			if err := commitReference(f.serial, ref); err != nil {
 				t.Fatalf("reference commit: %v", err)
 			}
 			f.paths.reset()
+			if tc.parallel {
+				f.paths.arm()
+			}
 			if err := tc.commit(f.parallel, got); err != nil {
 				t.Fatalf("commit: %v", err)
 			}
 			if _, parallel := f.paths.reset(); (parallel > 0) != tc.parallel {
-				t.Fatalf("parallel committer ran = %v, want %v", parallel > 0, tc.parallel)
+				t.Fatalf("verdict pool ran = %v, want %v", parallel > 0, tc.parallel)
 			}
 			for i, tx := range got.Transactions {
 				if tx.Validation != want[i] || ref.Transactions[i].Validation != want[i] {
@@ -340,7 +407,7 @@ func TestSerialFallbackKnob(t *testing.T) {
 				}
 			}
 			if dumpState(f.parallel) != dumpState(f.serial) {
-				t.Fatalf("state diverged from the serial reference:\n%s\nvs\n%s", dumpState(f.parallel), dumpState(f.serial))
+				t.Fatalf("state diverged from the reference:\n%s\nvs\n%s", dumpState(f.parallel), dumpState(f.serial))
 			}
 		})
 	}

@@ -5,21 +5,21 @@
 // blocks (endorsement signatures, endorsement policy, MVCC read conflicts)
 // and applies the surviving writes.
 //
-// Commitment has two engines with identical results. The serial committer
-// walks the block transaction by transaction — the reference semantics.
-// The parallel committer handles multi-transaction blocks in three stages:
-// endorsement signature and policy checks run concurrently on a bounded
-// worker pool; a serial pass then validates duplicates and MVCC reads
-// against a block-local overlay and levels the survivors by write-write
-// conflicts on their RWSet's namespaced keys (a transaction's level is one
-// past the deepest earlier writer of any key it writes); finally each
-// level's write sets apply concurrently — different levels in order, so
-// dependent writes never race. Validation codes, version stamps and
-// resulting world state are identical by construction (the property suite
-// in parallel_property_test.go holds the two engines to byte equality).
-// No setting selects an engine: CommitBlock runs the parallel one with
-// GOMAXPROCS workers when that is above one and the block carries more than
-// one transaction, and the serial one otherwise.
+// Commitment runs in two stages. The verdict stage (CheckEndorsements) is
+// read-only and per transaction: certificate, signature and endorsement
+// policy checks. It runs every (peer, transaction) pair it is given on one
+// pool of up to GOMAXPROCS goroutines, so a network's peers check a
+// delivered block at the same time, as Fabric's peers each do on their own
+// node. The in-order stage (CommitChecked) then takes one peer's verdicts
+// and walks the block in order: duplicate and MVCC read checks against a
+// block-local overlay of the earlier valid transactions' writes, then the
+// surviving writes apply. A multi-transaction block on a multi-core host
+// applies level by level: a transaction's level is one past the deepest
+// earlier writer of any namespaced key it writes, and a level's write sets
+// apply concurrently. No setting selects any of this. The property suite in
+// parallel_property_test.go holds both stages to a one-transaction-at-a-time
+// reference committer: validation codes, version stamps and world state
+// byte for byte.
 package peer
 
 import (
@@ -217,43 +217,88 @@ func AssembleTransaction(inv chaincode.Invocation, responses []*ProposalResponse
 	return tx, nil
 }
 
-// CommitBlock validates every transaction in the block and applies the
-// writes of the valid ones, preserving in-order MVCC semantics: a
-// transaction that reads a key written earlier in the same block is
-// invalidated exactly as if the block had been processed one transaction
-// at a time. On a multi-core host a multi-transaction block takes the
-// parallel committer — signature verification across transactions, and
-// write-set application across transactions that touch disjoint keys run
-// concurrently — with verdicts identical to the serial committer's.
+// ErrVerdictMismatch is returned when a peer's verdict on a transaction
+// differs from the one already recorded on it by another peer.
+var ErrVerdictMismatch = errors.New("peer: verdict differs from the recorded one")
+
+// CommitBlock commits a block on this peer alone: both stages, the verdict
+// stage against the network's current verifier. Verdicts are identical to
+// those of the one-transaction-at-a-time reference, as are version stamps
+// and world state.
 func (p *Peer) CommitBlock(block *ledger.Block) error {
-	return p.commitWith(block, nil, runtime.GOMAXPROCS(0))
+	return p.commitWith(block, runtime.GOMAXPROCS(0))
 }
 
-// CommitBlockPinned is CommitBlock with endorsement checks pinned to an
-// explicit verifier instead of the network's current one. Catch-up replay
-// uses it to validate each historical block against the organization set
-// of its committing era: a block endorsed by a since-removed org must keep
-// its original verdicts when a fresh peer replays the chain, or the
-// replica would diverge from every peer that committed the block live.
-func (p *Peer) CommitBlockPinned(block *ledger.Block, verifier *msp.Verifier) error {
-	return p.commitWith(block, verifier, runtime.GOMAXPROCS(0))
+// commitWith is CommitBlock with up to workers goroutines in each stage.
+func (p *Peer) commitWith(block *ledger.Block, workers int) error {
+	endorsed := make([]ledger.ValidationCode, len(block.Transactions))
+	checkEndorsements([]*Peer{p}, block, p.verifiers.Verifier(), endorsed, workers)
+	return p.commitChecked(block, endorsed, workers)
 }
 
-// commitWith commits a block using the given verifier for endorsement
-// checks (nil selects the network's current verifier) and up to workers
-// goroutines: the parallel committer runs only when both workers and the
-// block's transaction count exceed one.
-func (p *Peer) commitWith(block *ledger.Block, verifier *msp.Verifier, workers int) error {
+// CheckEndorsements is the verdict stage for every peer in peers: each
+// checks every transaction of block against verifier itself. The verdict
+// of peers[i] on transaction j goes to verdicts[i*len(block.Transactions)+j];
+// the caller owns the slice, which must hold one entry per pair. The pairs
+// run on up to GOMAXPROCS goroutines, counting the caller.
+func CheckEndorsements(peers []*Peer, block *ledger.Block, verifier *msp.Verifier, verdicts []ledger.ValidationCode) {
+	checkEndorsements(peers, block, verifier, verdicts, runtime.GOMAXPROCS(0))
+}
+
+// checkEndorsements is CheckEndorsements on up to workers goroutines,
+// counting the caller's; with one worker, or one pair, it starts none.
+func checkEndorsements(peers []*Peer, block *ledger.Block, verifier *msp.Verifier, verdicts []ledger.ValidationCode, workers int) {
+	txs := block.Transactions
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	work := func() {
+		defer wg.Done()
+		for i := int(next.Add(1) - 1); i < len(verdicts); i = int(next.Add(1) - 1) {
+			verdicts[i] = peers[i/len(txs)].validateEndorsements(txs[i%len(txs)], verifier)
+		}
+	}
+	workers = max(1, min(workers, len(verdicts)))
+	wg.Add(workers)
+	for range workers - 1 {
+		go work()
+	}
+	work()
+	wg.Wait()
+}
+
+// CommitChecked is the in-order stage: it commits block on this peer given
+// the peer's own CheckEndorsements verdicts, one per transaction, which it
+// overwrites with the final ones. It checks duplicates and MVCC reads in
+// block order, applies the writes of the valid transactions and appends
+// the block.
+//
+// The first peer to commit a block records the verdicts on its
+// transactions. Every later one, live or replaying a stored block in
+// catch-up, compares instead: on any difference it applies nothing and
+// returns ErrVerdictMismatch, so a peer whose state or verifier diverged
+// can never rewrite the history other peers have indexed.
+func (p *Peer) CommitChecked(block *ledger.Block, endorsed []ledger.ValidationCode) error {
+	return p.commitChecked(block, endorsed, runtime.GOMAXPROCS(0))
+}
+
+// commitChecked is CommitChecked applying one level's writes on up to
+// workers goroutines.
+func (p *Peer) commitChecked(block *ledger.Block, verdicts []ledger.ValidationCode, workers int) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if verifier == nil {
-		verifier = p.verifiers.Verifier()
+	p.decide(block, verdicts)
+	for i, tx := range block.Transactions {
+		if tx.Validation != 0 && tx.Validation != verdicts[i] {
+			return fmt.Errorf("%w: peer %s, block %d, tx %s: %v, recorded %v",
+				ErrVerdictMismatch, p.name, block.Number, tx.ID, verdicts[i], tx.Validation)
+		}
 	}
-	if workers > 1 && len(block.Transactions) > 1 {
-		p.commitParallel(block, workers, verifier)
-	} else {
-		p.commitSerial(block, verifier)
+	for i, tx := range block.Transactions {
+		if tx.Validation == 0 {
+			tx.Validation = verdicts[i]
+		}
 	}
+	p.apply(block, verdicts, workers)
 	if err := p.blocks.Append(block); err != nil {
 		return fmt.Errorf("peer %s: append block %d: %w", p.name, block.Number, err)
 	}
@@ -261,159 +306,126 @@ func (p *Peer) commitWith(block *ledger.Block, verifier *msp.Verifier, workers i
 	return nil
 }
 
-// commitSerial is the one-transaction-at-a-time commit path: the reference
-// semantics, and the path of every one-transaction block.
-func (p *Peer) commitSerial(block *ledger.Block, verifier *msp.Verifier) {
-	// Exactly-once guard inside the block: two relays racing the same
-	// logical invoke can land both copies in one batch, where the chain
-	// index (which only sees committed blocks) cannot catch the second.
-	seenIDs := make(map[string]struct{})
-	seenKeys := make(map[string]struct{})
-	for txNum, tx := range block.Transactions {
-		if p.isDuplicate(tx, seenIDs, seenKeys) {
-			tx.Validation = ledger.Duplicate
-			continue
-		}
-		tx.Validation = p.validate(tx, verifier)
-		if tx.Validation != ledger.Valid {
-			continue
-		}
-		seenIDs[tx.ID] = struct{}{}
-		if tx.InteropKey != "" {
-			seenKeys[tx.InteropKey] = struct{}{}
-		}
-		p.state.ApplyWrites(tx.RWSet.StateWrites(),
-			statedb.Version{BlockNum: block.Number, TxNum: uint64(txNum)})
-	}
-}
-
 // overlayEntry mirrors what statedb.Version would report for a key after
 // the writes of the earlier valid transactions in the block had been
-// applied, without actually mutating state until scheduling is done.
+// applied, without actually mutating state until every verdict is known.
 type overlayEntry struct {
 	exists  bool
 	version statedb.Version
 }
 
-// nsKey joins a namespace and key for map indexing; U+0000 cannot appear in
-// namespace names, so the join is unambiguous.
-func nsKey(ns, key string) string { return ns + "\x00" + key }
+// nsKey is a namespaced state key, the overlay's and the leveling's map key.
+type nsKey struct{ ns, key string }
 
-// commitParallel is the concurrent commit path. It runs three stages:
-//
-//  1. Endorsement validation (certificate chains, ECDSA signatures,
-//     policy) is position-independent, so it fans out across the worker
-//     pool — this is where the commit path burns most of its CPU.
-//  2. A serial in-order pass performs duplicate detection and MVCC read
-//     validation against an overlay that emulates the earlier valid
-//     transactions' writes, guaranteeing verdicts identical to the serial
-//     committer. The same pass levels valid transactions by write-write
-//     conflict: a transaction lands one level after the latest earlier
-//     transaction writing any of the same namespaced keys.
-//  3. Write-sets are applied level by level; transactions within a level
-//     touch disjoint keys and apply concurrently.
-func (p *Peer) commitParallel(block *ledger.Block, workers int, verifier *msp.Verifier) {
-	txs := block.Transactions
-	if workers > len(txs) {
-		workers = len(txs)
-	}
-
-	// Stage 1: concurrent signature/endorsement validation.
-	endorseCode := make([]ledger.ValidationCode, len(txs))
-	var cursor int64 = -1
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(atomic.AddInt64(&cursor, 1))
-				if i >= len(txs) {
-					return
-				}
-				endorseCode[i] = p.validateEndorsements(txs[i], verifier)
-			}
-		}()
-	}
-	wg.Wait()
-
-	// Stage 2: serial in-order duplicate + MVCC pass, plus conflict
-	// leveling of the surviving writes.
-	overlay := make(map[string]overlayEntry)
-	keyLevel := make(map[string]int)
-	var levels [][]int
+// decide turns endorsement verdicts into final ones in block order:
+// duplicates, then MVCC read freshness against committed state plus an
+// overlay of the earlier valid transactions' writes. It writes nothing to
+// state, so every verdict is known before any write applies.
+func (p *Peer) decide(block *ledger.Block, verdicts []ledger.ValidationCode) {
+	// Exactly-once guard inside the block: two relays racing the same
+	// logical invoke can land both copies in one batch, where the chain
+	// index (which only sees committed blocks) cannot catch the second.
 	seenIDs := make(map[string]struct{})
 	seenKeys := make(map[string]struct{})
+	var overlay map[nsKey]overlayEntry
+	txs := block.Transactions
 	for txNum, tx := range txs {
 		if p.isDuplicate(tx, seenIDs, seenKeys) {
-			tx.Validation = ledger.Duplicate
+			verdicts[txNum] = ledger.Duplicate
 			continue
 		}
-		if endorseCode[txNum] != ledger.Valid {
-			tx.Validation = endorseCode[txNum]
+		if verdicts[txNum] != ledger.Valid {
 			continue
 		}
 		if !p.readsCurrent(tx, overlay) {
-			tx.Validation = ledger.MVCCConflict
+			verdicts[txNum] = ledger.MVCCConflict
 			continue
 		}
-		tx.Validation = ledger.Valid
 		seenIDs[tx.ID] = struct{}{}
 		if tx.InteropKey != "" {
 			seenKeys[tx.InteropKey] = struct{}{}
 		}
+		if txNum == len(txs)-1 {
+			break // no later transaction reads the overlay
+		}
+		if overlay == nil {
+			overlay = make(map[nsKey]overlayEntry)
+		}
 		ver := statedb.Version{BlockNum: block.Number, TxNum: uint64(txNum)}
-		level := 0
 		for i := range tx.RWSet.Writes {
 			w := &tx.RWSet.Writes[i]
-			nk := nsKey(w.Namespace, w.Key)
-			if l := keyLevel[nk]; l > level {
-				level = l
+			overlay[nsKey{w.Namespace, w.Key}] = overlayEntry{exists: !w.IsDelete, version: ver}
+		}
+	}
+}
+
+// apply writes the valid transactions' write sets to state. One worker,
+// or one transaction, applies them in block order. Otherwise they apply
+// level by level, a level's write sets concurrently: a transaction lands
+// one level after the latest earlier valid transaction writing any of the
+// same namespaced keys, so write sets within a level are key-disjoint.
+func (p *Peer) apply(block *ledger.Block, verdicts []ledger.ValidationCode, workers int) {
+	txs := block.Transactions
+	if workers <= 1 || len(txs) <= 1 {
+		for txNum := range txs {
+			if verdicts[txNum] == ledger.Valid {
+				p.applyTx(block, txNum)
 			}
-			overlay[nk] = overlayEntry{exists: !w.IsDelete, version: ver}
+		}
+		return
+	}
+	keyLevel := make(map[nsKey]int)
+	var levels [][]int
+	for txNum, tx := range txs {
+		if verdicts[txNum] != ledger.Valid {
+			continue
+		}
+		level := 0
+		for _, w := range tx.RWSet.Writes {
+			level = max(level, keyLevel[nsKey{w.Namespace, w.Key}])
 		}
 		level++
-		for i := range tx.RWSet.Writes {
-			keyLevel[nsKey(tx.RWSet.Writes[i].Namespace, tx.RWSet.Writes[i].Key)] = level
+		for _, w := range tx.RWSet.Writes {
+			keyLevel[nsKey{w.Namespace, w.Key}] = level
 		}
 		for len(levels) < level {
 			levels = append(levels, nil)
 		}
 		levels[level-1] = append(levels[level-1], txNum)
 	}
-
-	// Stage 3: apply write-sets level by level; within a level all
-	// write-sets are key-disjoint by construction.
 	sem := make(chan struct{}, workers)
 	for _, level := range levels {
 		if len(level) == 1 {
-			txNum := level[0]
-			p.state.ApplyWrites(txs[txNum].RWSet.StateWrites(),
-				statedb.Version{BlockNum: block.Number, TxNum: uint64(txNum)})
+			p.applyTx(block, level[0])
 			continue
 		}
-		var awg sync.WaitGroup
+		var wg sync.WaitGroup
 		for _, txNum := range level {
-			awg.Add(1)
+			wg.Add(1)
 			sem <- struct{}{}
-			go func(txNum int) {
-				defer awg.Done()
-				p.state.ApplyWrites(txs[txNum].RWSet.StateWrites(),
-					statedb.Version{BlockNum: block.Number, TxNum: uint64(txNum)})
+			go func() {
+				defer wg.Done()
+				p.applyTx(block, txNum)
 				<-sem
-			}(txNum)
+			}()
 		}
-		awg.Wait()
+		wg.Wait()
 	}
 }
 
-// readsCurrent performs the MVCC read-freshness check for the parallel
-// committer: each read must observe the same existence and version it saw
-// at simulation time, where "current" means committed state plus the
-// overlay of earlier in-block valid writes.
-func (p *Peer) readsCurrent(tx *ledger.Transaction, overlay map[string]overlayEntry) bool {
+// applyTx writes transaction txNum's write set, stamped with its position.
+func (p *Peer) applyTx(block *ledger.Block, txNum int) {
+	p.state.ApplyWrites(block.Transactions[txNum].RWSet.StateWrites(),
+		statedb.Version{BlockNum: block.Number, TxNum: uint64(txNum)})
+}
+
+// readsCurrent performs the MVCC read-freshness check: each read must
+// observe the same existence and version it saw at simulation time, where
+// "current" means committed state plus the overlay of earlier in-block
+// valid writes.
+func (p *Peer) readsCurrent(tx *ledger.Transaction, overlay map[nsKey]overlayEntry) bool {
 	for _, r := range tx.RWSet.Reads {
-		if e, ok := overlay[nsKey(r.Namespace, r.Key)]; ok {
+		if e, ok := overlay[nsKey{r.Namespace, r.Key}]; ok {
 			if e.exists != r.Exists || (e.exists && e.version != r.Version) {
 				return false
 			}
@@ -451,25 +463,11 @@ func (p *Peer) isDuplicate(tx *ledger.Transaction, seenIDs, seenKeys map[string]
 	return false
 }
 
-// validate applies the three commit-time checks: endorsement signature
-// authenticity, endorsement policy satisfaction, and MVCC read freshness.
-func (p *Peer) validate(tx *ledger.Transaction, verifier *msp.Verifier) ledger.ValidationCode {
-	if code := p.validateEndorsements(tx, verifier); code != ledger.Valid {
-		return code
-	}
-	for _, r := range tx.RWSet.Reads {
-		ver, exists := p.state.Version(r.Namespace, r.Key)
-		if exists != r.Exists || (exists && ver != r.Version) {
-			return ledger.MVCCConflict
-		}
-	}
-	return ledger.Valid
-}
-
-// validateEndorsements performs the position-independent commit-time
-// checks: endorsement signature authenticity and endorsement policy
-// satisfaction. It never touches world state, so the parallel committer
-// runs it concurrently across a block's transactions.
+// validateEndorsements is the verdict stage for one transaction: the
+// position-independent commit-time checks, endorsement signature
+// authenticity and endorsement policy satisfaction. It never touches world
+// state, so CheckEndorsements runs it for many peers and transactions at
+// once.
 func (p *Peer) validateEndorsements(tx *ledger.Transaction, verifier *msp.Verifier) ledger.ValidationCode {
 	digest := tx.Digest()
 	signers := make([]endorsement.Principal, 0, len(tx.Endorsements))
