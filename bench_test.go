@@ -726,7 +726,7 @@ func BenchmarkP3PolicyEvaluation(b *testing.B) {
 // (the original block-batching ablation); the concurrent sub-benchmark runs
 // the default network under 32 SubmitWait callers on a conflict-free
 // workload, where group commit lets callers share blocks (tx/block) and
-// multi-transaction blocks take the parallel committer.
+// multi-transaction blocks apply their write sets level by level.
 func BenchmarkP4CommitThroughput(b *testing.B) {
 	deployKV := func(b *testing.B, n *fabric.Network) (*fabric.Gateway, []*peer.Peer) {
 		b.Helper()

@@ -134,14 +134,17 @@
 // delivery lock and, unless a caller ahead of it already did, cuts
 // everything pending into one block — so a lone writer commits a
 // one-transaction block, and writers that arrive during a delivery share
-// the next. The peer picks its committer from what it observes: a block
-// with more than one transaction on a host with GOMAXPROCS above one takes
-// the parallel committer — endorsement checks on a bounded worker pool, a
-// dependency scheduler that levels the block by write-write conflicts on
-// each transaction's namespaced RWSet keys, and non-conflicting write sets
-// applied in parallel — and every other block the serial committer, which
-// the property suite keeps as the oracle: validation codes, version stamps
-// and world state are byte-identical between the two.
+// the next. A block is committed in two stages. Every peer checks every
+// endorsement itself, but the network runs all (peer, transaction) pairs
+// on one pool of up to GOMAXPROCS goroutines, so its peers check a block at
+// the same time. Then each peer, in turn, checks duplicates and MVCC reads
+// in block order and applies the valid writes, a multi-transaction block
+// on a multi-core host level by level by write-write conflicts on the
+// namespaced RWSet keys, a level's write sets in parallel. The first peer
+// records the verdicts and a peer that disagrees fails delivery. The
+// property suites keep a one-transaction-at-a-time committer as the
+// oracle: validation codes, version stamps and world state are
+// byte-identical to it.
 //
 // The system is measurable under production-shaped load. `interopctl
 // loadgen` (internal/loadgen) builds a multi-relay TCP deployment, drives

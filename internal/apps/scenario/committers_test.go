@@ -5,11 +5,12 @@ import (
 	"testing"
 )
 
-// committers are the two peer commit engines every invariant suite in this
-// package runs under. A peer picks its engine from GOMAXPROCS: at one it
-// commits every block serially, above one it validates blocks of more than
-// one transaction with the parallel committer. The guarantees —
-// exactly-once, proof-carrying replay, MVCC — must hold under both.
+// committers are the two GOMAXPROCS settings every invariant suite in this
+// package runs under. At one a network checks a block's endorsements on
+// the delivering goroutine and each peer applies writes in block order;
+// above one the checks run on a pool and a multi-transaction block applies
+// level by level, concurrently. The guarantees — exactly-once,
+// proof-carrying replay, MVCC — must hold under both.
 var committers = []struct {
 	name  string
 	procs int

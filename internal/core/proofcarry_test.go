@@ -11,11 +11,12 @@ import (
 	"repro/internal/relay"
 )
 
-// committers parameterize proof-carrying scenarios over both peer commit
-// engines. A peer picks its engine from GOMAXPROCS: at one it commits
-// every block serially, above one it validates blocks of more than one
-// transaction with the parallel committer. The persisted-proof guarantees
-// must hold under both.
+// committers parameterize proof-carrying scenarios over two GOMAXPROCS
+// settings. At one a network checks a block's endorsements on the
+// delivering goroutine and each peer applies writes in block order; above
+// one the checks run on a pool and a multi-transaction block applies level
+// by level, concurrently. The persisted-proof guarantees must hold under
+// both.
 var committers = []struct {
 	name  string
 	procs int

@@ -9,6 +9,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -374,9 +375,7 @@ func (n *Network) commitBlock(block *ledger.Block) error {
 // commitMu.
 func (n *Network) deliver(peers []*peer.Peer, block *ledger.Block, verifier *msp.Verifier) error {
 	txs := len(block.Transactions)
-	if pairs := len(peers) * txs; cap(n.verdicts) < pairs {
-		n.verdicts = make([]ledger.ValidationCode, pairs)
-	}
+	n.verdicts = slices.Grow(n.verdicts[:0], len(peers)*txs)
 	verdicts := n.verdicts[:len(peers)*txs]
 	peer.CheckEndorsements(peers, block, verifier, verdicts)
 	for i, p := range peers {

@@ -7,9 +7,9 @@
 //
 // Keys live inside chaincode namespaces, as in Fabric: chaincode A's "k"
 // and chaincode B's "k" are different keys. The store is sharded by
-// namespace with one lock per shard, so the parallel committer can apply
-// write-sets touching different namespaces concurrently without ever
-// contending on a global lock.
+// namespace with one lock per shard, so a peer applying a block's
+// non-conflicting write sets concurrently never contends on a global lock
+// for write sets in different namespaces.
 package statedb
 
 import (
