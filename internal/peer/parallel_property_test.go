@@ -111,6 +111,13 @@ func (r *pathRecorder) reset() (serial, parallel int) {
 	return serial, parallel
 }
 
+// commitWithProcs is CommitBlock with GOMAXPROCS at procs, the worker
+// count of both commit stages.
+func commitWithProcs(p *Peer, b *ledger.Block, procs int) error {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	return p.CommitBlock(b)
+}
+
 // commitReference is the one-transaction-at-a-time committer the two
 // commit stages are held to: each transaction's endorsement, duplicate and
 // MVCC checks in turn, against state that already holds the earlier valid
@@ -303,7 +310,7 @@ func runEquivalenceSchedule(t *testing.T, seed int64, blocks, workers int) {
 		}{
 			"parallel": {f.parallel, parallelBlock, workers}, "endorser": {f.endorser, endorserBlock, 1},
 		} {
-			if err := run.p.commitWith(run.b, run.workers); err != nil {
+			if err := commitWithProcs(run.p, run.b, run.workers); err != nil {
 				t.Fatalf("block %d: commit on %s: %v", blockNum, name, err)
 			}
 			for i, s := range serialBlock.Transactions {
@@ -333,20 +340,14 @@ func TestParallelCommitterWorkerSweep(t *testing.T) {
 	}
 }
 
-// TestSerialFallbackKnob: the verdict stage starts no goroutine when
-// workers is 1 or the block carries one transaction, does when both exceed
-// one, and CommitBlock takes its worker count from GOMAXPROCS. Which ran
+// TestSerialFallbackKnob: CommitBlock takes its worker count from
+// GOMAXPROCS. The verdict stage starts no goroutine when that is 1 or the
+// block carries one transaction, and does when both exceed one. Which ran
 // is read off the stacks that consulted the endorsement policy; verdicts,
 // state and version stamps match the reference on every path.
 func TestSerialFallbackKnob(t *testing.T) {
 	withProcs := func(n int) func(*Peer, *ledger.Block) error {
-		return func(p *Peer, b *ledger.Block) error {
-			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(n))
-			return p.CommitBlock(b)
-		}
-	}
-	withWorkers := func(n int) func(*Peer, *ledger.Block) error {
-		return func(p *Peer, b *ledger.Block) error { return p.commitWith(b, n) }
+		return func(p *Peer, b *ledger.Block) error { return commitWithProcs(p, b, n) }
 	}
 	for _, tc := range []struct {
 		name     string
@@ -354,9 +355,9 @@ func TestSerialFallbackKnob(t *testing.T) {
 		commit   func(*Peer, *ledger.Block) error
 		parallel bool
 	}{
-		{"workers=1", 2, withWorkers(1), false},
-		{"one-tx-block", 1, withWorkers(16), false},
-		{"workers=4", 2, withWorkers(4), true},
+		{"workers=1", 2, withProcs(1), false},
+		{"one-tx-block", 1, withProcs(16), false},
+		{"workers=4", 2, withProcs(4), true},
 		{"gomaxprocs=1", 2, withProcs(1), false},
 		{"gomaxprocs=2", 2, withProcs(2), true},
 	} {

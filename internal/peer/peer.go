@@ -226,28 +226,18 @@ var ErrVerdictMismatch = errors.New("peer: verdict differs from the recorded one
 // those of the one-transaction-at-a-time reference, as are version stamps
 // and world state.
 func (p *Peer) CommitBlock(block *ledger.Block) error {
-	return p.commitWith(block, runtime.GOMAXPROCS(0))
-}
-
-// commitWith is CommitBlock with up to workers goroutines in each stage.
-func (p *Peer) commitWith(block *ledger.Block, workers int) error {
 	endorsed := make([]ledger.ValidationCode, len(block.Transactions))
-	checkEndorsements([]*Peer{p}, block, p.verifiers.Verifier(), endorsed, workers)
-	return p.commitChecked(block, endorsed, workers)
+	CheckEndorsements([]*Peer{p}, block, p.verifiers.Verifier(), endorsed)
+	return p.CommitChecked(block, endorsed)
 }
 
 // CheckEndorsements is the verdict stage for every peer in peers: each
 // checks every transaction of block against verifier itself. The verdict
 // of peers[i] on transaction j goes to verdicts[i*len(block.Transactions)+j];
 // the caller owns the slice, which must hold one entry per pair. The pairs
-// run on up to GOMAXPROCS goroutines, counting the caller.
+// run on up to GOMAXPROCS goroutines, counting the caller's; with one, or
+// one pair, it starts none.
 func CheckEndorsements(peers []*Peer, block *ledger.Block, verifier *msp.Verifier, verdicts []ledger.ValidationCode) {
-	checkEndorsements(peers, block, verifier, verdicts, runtime.GOMAXPROCS(0))
-}
-
-// checkEndorsements is CheckEndorsements on up to workers goroutines,
-// counting the caller's; with one worker, or one pair, it starts none.
-func checkEndorsements(peers []*Peer, block *ledger.Block, verifier *msp.Verifier, verdicts []ledger.ValidationCode, workers int) {
 	txs := block.Transactions
 	var next atomic.Int64
 	var wg sync.WaitGroup
@@ -257,7 +247,7 @@ func checkEndorsements(peers []*Peer, block *ledger.Block, verifier *msp.Verifie
 			verdicts[i] = peers[i/len(txs)].validateEndorsements(txs[i%len(txs)], verifier)
 		}
 	}
-	workers = max(1, min(workers, len(verdicts)))
+	workers := max(1, min(runtime.GOMAXPROCS(0), len(verdicts)))
 	wg.Add(workers)
 	for range workers - 1 {
 		go work()
@@ -277,13 +267,7 @@ func checkEndorsements(peers []*Peer, block *ledger.Block, verifier *msp.Verifie
 // catch-up, compares instead: on any difference it applies nothing and
 // returns ErrVerdictMismatch, so a peer whose state or verifier diverged
 // can never rewrite the history other peers have indexed.
-func (p *Peer) CommitChecked(block *ledger.Block, endorsed []ledger.ValidationCode) error {
-	return p.commitChecked(block, endorsed, runtime.GOMAXPROCS(0))
-}
-
-// commitChecked is CommitChecked applying one level's writes on up to
-// workers goroutines.
-func (p *Peer) commitChecked(block *ledger.Block, verdicts []ledger.ValidationCode, workers int) error {
+func (p *Peer) CommitChecked(block *ledger.Block, verdicts []ledger.ValidationCode) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.decide(block, verdicts)
@@ -298,7 +282,7 @@ func (p *Peer) commitChecked(block *ledger.Block, verdicts []ledger.ValidationCo
 			tx.Validation = verdicts[i]
 		}
 	}
-	p.apply(block, verdicts, workers)
+	p.apply(block, verdicts)
 	if err := p.blocks.Append(block); err != nil {
 		return fmt.Errorf("peer %s: append block %d: %w", p.name, block.Number, err)
 	}
@@ -359,13 +343,15 @@ func (p *Peer) decide(block *ledger.Block, verdicts []ledger.ValidationCode) {
 	}
 }
 
-// apply writes the valid transactions' write sets to state. One worker,
-// or one transaction, applies them in block order. Otherwise they apply
-// level by level, a level's write sets concurrently: a transaction lands
-// one level after the latest earlier valid transaction writing any of the
-// same namespaced keys, so write sets within a level are key-disjoint.
-func (p *Peer) apply(block *ledger.Block, verdicts []ledger.ValidationCode, workers int) {
+// apply writes the valid transactions' write sets to state. At GOMAXPROCS
+// 1, or for one transaction, it applies them in block order. Otherwise they
+// apply level by level, a level's write sets on up to GOMAXPROCS
+// goroutines: a transaction lands one level after the latest earlier valid
+// transaction writing any of the same namespaced keys, so write sets
+// within a level are key-disjoint.
+func (p *Peer) apply(block *ledger.Block, verdicts []ledger.ValidationCode) {
 	txs := block.Transactions
+	workers := runtime.GOMAXPROCS(0)
 	if workers <= 1 || len(txs) <= 1 {
 		for txNum := range txs {
 			if verdicts[txNum] == ledger.Valid {
