@@ -134,8 +134,8 @@ func runDeliverySchedule(t *testing.T, seed int64, blocks int) {
 			case 1:
 				inv = kvInv(id, "del", key)
 			case 2:
-				inv = kvInv(id, "put", key, id)
-				inv.Chaincode, inv.Function, inv.Args = "rmw", "bump", [][]byte{[]byte(key)}
+				inv = kvInv(id, "bump", key)
+				inv.Chaincode = "rmw"
 			default:
 				inv = kvInv(id, "put", key, id)
 			}
