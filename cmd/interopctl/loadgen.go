@@ -32,10 +32,9 @@ func runLoadgen(args []string) error {
 	warmPct := fs.Int("warm-pct", -1, "warm (attestation-cached) query percentage")
 	invokePct := fs.Int("invoke-pct", -1, "writable invoke percentage")
 	subscribePct := fs.Int("subscribe-pct", -1, "event subscription percentage")
-	extraRelays := fs.Int("extra-relays", -1, "extra redundant relays fronting the source network")
 	hubHops := fs.Int("hub-hops", -1, "intermediate forwarding hub networks between origin and source (0 = direct)")
-	hubRelays := fs.Int("hub-relays", -1, "redundant relay replicas per hub tier")
-	churn := fs.Bool("churn", false, "kill and restart source relays during the run")
+	replicas := fs.Int("replicas", -1, "redundant relays fronting each hub tier and the source network")
+	churn := fs.Bool("churn", false, "kill and restart relays of the origin's next tier during the run")
 	churnInterval := fs.Duration("churn-interval", 0, "period of the kill/restart cycle")
 	seed := fs.Int64("seed", 0, "RNG seed for the schedule (0 keeps the preset's)")
 	out := fs.String("out", loadgen.DefaultOutput, "report output path")
@@ -79,12 +78,10 @@ func runLoadgen(args []string) error {
 			cfg.Mix.InvokePct = *invokePct
 		case "subscribe-pct":
 			cfg.Mix.SubscribePct = *subscribePct
-		case "extra-relays":
-			cfg.ExtraSTLRelays = *extraRelays
 		case "hub-hops":
 			cfg.HubHops = *hubHops
-		case "hub-relays":
-			cfg.HubRelays = *hubRelays
+		case "replicas":
+			cfg.Replicas = *replicas
 		case "churn":
 			cfg.Churn = *churn
 		case "churn-interval":
@@ -101,17 +98,8 @@ func runLoadgen(args []string) error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	if cfg.HubHops > 0 {
-		perHub := cfg.HubRelays
-		if perHub < 1 {
-			perHub = 1
-		}
-		fmt.Fprintf(os.Stderr, "loadgen: building TCP relay chain (%d hub tiers x %d relays), seeding %d keys...\n",
-			cfg.HubHops, perHub, cfg.Keys)
-	} else {
-		fmt.Fprintf(os.Stderr, "loadgen: building TCP deployment (1+%d source relays), seeding %d keys...\n",
-			cfg.ExtraSTLRelays, cfg.Keys)
-	}
+	fmt.Fprintf(os.Stderr, "loadgen: building TCP deployment (%d hub tiers, %d relays per tier), seeding %d keys...\n",
+		cfg.HubHops, max(cfg.Replicas, 1), cfg.Keys)
 	start := time.Now()
 	report, err := loadgen.RunLive(ctx, &cfg)
 	if err != nil {

@@ -26,40 +26,38 @@ type HubTier struct {
 	Servers   []*TCPRelayServer
 }
 
-// TCPChainDeployment is the trade world stretched over a multi-hop relay
-// chain: SWT → hub-1 → … → hub-N → STL, every relay behind its own TCP
-// listener, with discovery partitioned per tier so the only way a request
-// reaches the source network is the full walk. Hub relays serve no
-// drivers; they forward, sign hop pins, and fail over across the next
-// tier's replicas like any client-side fan-out.
+// TCPChainDeployment is the trade world deployed over real TCP, optionally
+// stretched over a multi-hop relay chain: SWT → hub-1 → … → hub-N → STL,
+// every relay behind its own loopback listener. Discovery is partitioned
+// per tier, so the only way a request reaches the source network is the
+// full walk. Hub relays serve no drivers; they forward, sign hop pins, and
+// fail over across the next tier's replicas like any client-side fan-out.
+// Each hub tier and the source are fronted by the same number of redundant
+// relays, the §5 answer to a relay going down.
 type TCPChainDeployment struct {
 	World     *TradeWorld
 	Transport *relay.TCPTransport
-
-	// Registry is the origin (SWT) relay's discovery view: the first hub
-	// tier's addresses plus the SWT relay itself — never the source.
-	Registry *relay.StaticRegistry
-	// Routes is the origin's route table: tradelens via hub-1.
-	Routes *relay.RouteTable
 
 	// Hubs[0] is adjacent to the origin; Hubs[len-1] resolves the source.
 	// Empty for a zero-hub (direct) chain.
 	Hubs []*HubTier
 
-	STLServer *TCPRelayServer
-	SWTServer *TCPRelayServer
+	// STLServers[0] fronts STL's own relay; every further entry is a
+	// redundant relay with its own driver over the same Fabric network.
+	STLServers []*TCPRelayServer
+	SWTServer  *TCPRelayServer
 }
 
-// BuildTCPChain builds and initializes the trade world over a TCP relay
-// chain with the given number of intermediate hub networks (0 = direct)
-// and relay replicas per hub. Callers own the returned deployment and must
-// Close it.
-func BuildTCPChain(hubs, relaysPerHub int) (*TCPChainDeployment, error) {
+// BuildTCPChain builds and initializes the trade world over TCP with the
+// given number of intermediate hub networks (0 = direct), fronting each hub
+// tier and STL with relaysPerTier relays (<1 selects 1). Callers own the
+// returned deployment and must Close it.
+func BuildTCPChain(hubs, relaysPerTier int) (*TCPChainDeployment, error) {
 	if hubs < 0 {
 		return nil, fmt.Errorf("scenario: %d hub tiers", hubs)
 	}
-	if relaysPerHub < 1 {
-		relaysPerHub = 1
+	if relaysPerTier < 1 {
+		relaysPerTier = 1
 	}
 	registry := relay.NewStaticRegistry()
 	transport := &relay.TCPTransport{DialTimeout: 2 * time.Second, IOTimeout: 10 * time.Second}
@@ -67,31 +65,34 @@ func BuildTCPChain(hubs, relaysPerHub int) (*TCPChainDeployment, error) {
 	if err != nil {
 		return nil, err
 	}
-	d := &TCPChainDeployment{World: w, Transport: transport, Registry: registry}
-
-	stlSrv, err := newTCPRelayServer(tradelens.NetworkID, w.STL.Relay)
-	if err != nil {
+	d := &TCPChainDeployment{World: w, Transport: transport}
+	fail := func(err error) (*TCPChainDeployment, error) {
 		d.Close()
 		return nil, err
 	}
-	stlSrv.Driver = w.STL.Driver
-	d.STLServer = stlSrv
+
+	for i := 0; i < relaysPerTier; i++ {
+		r := w.STL.Relay
+		if i > 0 {
+			r = relay.New(tradelens.NetworkID, registry, transport)
+			r.RegisterDriver(tradelens.NetworkID, relay.NewFabricDriver(w.STL.Fabric, "default"))
+		}
+		srv, err := newTCPRelayServer(tradelens.NetworkID, r)
+		if err != nil {
+			return fail(err)
+		}
+		d.STLServers = append(d.STLServers, srv)
+	}
 	swtSrv, err := newTCPRelayServer(wetrade.NetworkID, w.SWT.Relay)
 	if err != nil {
-		d.Close()
-		return nil, err
+		return fail(err)
 	}
-	swtSrv.Driver = w.SWT.Driver
 	d.SWTServer = swtSrv
 	registry.Register(wetrade.NetworkID, swtSrv.Addr())
 
-	if hubs == 0 {
-		registry.Register(tradelens.NetworkID, stlSrv.Addr())
-		return d, nil
-	}
-
 	// Build tiers source-side first, so each tier can register the bound
 	// addresses of the one it forwards to.
+	next, nextNet := d.STLServers, tradelens.NetworkID
 	tiers := make([]*HubTier, hubs)
 	for i := hubs - 1; i >= 0; i-- {
 		tier := &HubTier{
@@ -101,47 +102,44 @@ func BuildTCPChain(hubs, relaysPerHub int) (*TCPChainDeployment, error) {
 		}
 		tiers[i] = tier
 		d.Hubs = tiers[i:] // keep Close able to reach servers built so far
-		if i == hubs-1 {
-			tier.Registry.Register(tradelens.NetworkID, stlSrv.Addr())
-		} else {
-			for _, s := range tiers[i+1].Servers {
-				tier.Registry.Register(HubNetworkID(i+1), s.Addr())
-			}
-			tier.Routes.Set(tradelens.NetworkID, HubNetworkID(i+1))
+		for _, s := range next {
+			tier.Registry.Register(nextNet, s.Addr())
+		}
+		if nextNet != tradelens.NetworkID {
+			tier.Routes.Set(tradelens.NetworkID, nextNet)
 		}
 		ca, err := msp.NewCA(fmt.Sprintf("hub-%d-org", i+1))
 		if err != nil {
-			d.Close()
-			return nil, fmt.Errorf("scenario: hub %d CA: %w", i+1, err)
+			return fail(fmt.Errorf("scenario: hub %d CA: %w", i+1, err))
 		}
-		for j := 0; j < relaysPerHub; j++ {
+		for j := 0; j < relaysPerTier; j++ {
 			id, err := ca.Issue(fmt.Sprintf("hub-%d-relay-%d", i+1, j), msp.RolePeer)
 			if err != nil {
-				d.Close()
-				return nil, fmt.Errorf("scenario: hub %d identity: %w", i+1, err)
+				return fail(fmt.Errorf("scenario: hub %d identity: %w", i+1, err))
 			}
 			hubRelay := relay.New(tier.NetworkID, tier.Registry, transport)
 			hubRelay.EnableForwarding(tier.Routes, id)
 			srv, err := newTCPRelayServer(tier.NetworkID, hubRelay)
 			if err != nil {
-				d.Close()
-				return nil, err
+				return fail(err)
 			}
 			tier.Servers = append(tier.Servers, srv)
 		}
+		next, nextNet = tier.Servers, tier.NetworkID
 	}
-	d.Hubs = tiers
 
-	for _, s := range tiers[0].Servers {
-		registry.Register(HubNetworkID(0), s.Addr())
+	// The origin resolves the first hub tier, or the source when direct.
+	for _, s := range next {
+		registry.Register(nextNet, s.Addr())
 	}
-	routes := relay.NewRouteTable()
-	routes.Set(tradelens.NetworkID, HubNetworkID(0))
-	// The walk needs exactly hubs+1 transport legs; stamp the TTL tight so
-	// a routing mistake fails loudly instead of wandering.
-	routes.SetMaxHops(uint64(hubs) + 1)
-	w.SWT.Relay.SetRoutes(routes)
-	d.Routes = routes
+	if hubs > 0 {
+		routes := relay.NewRouteTable()
+		routes.Set(tradelens.NetworkID, HubNetworkID(0))
+		// The walk needs exactly hubs+1 transport legs; stamp the TTL tight
+		// so a routing mistake fails loudly instead of wandering.
+		routes.SetMaxHops(uint64(hubs) + 1)
+		w.SWT.Relay.SetRoutes(routes)
+	}
 	return d, nil
 }
 
@@ -155,10 +153,7 @@ func (d *TCPChainDeployment) AllServers() []*TCPRelayServer {
 	for _, tier := range d.Hubs {
 		all = append(all, tier.Servers...)
 	}
-	if d.STLServer != nil {
-		all = append(all, d.STLServer)
-	}
-	return all
+	return append(all, d.STLServers...)
 }
 
 // Close tears every server down, closes the relays' shared transport and

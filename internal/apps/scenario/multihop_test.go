@@ -367,3 +367,65 @@ func TestChainPartitionHealChaos(t *testing.T) {
 		t.Fatalf("audit log = %q, want pre; first", got)
 	}
 }
+
+// TestChainSourceReplicaFailover: a one-hub chain fronts STL with two
+// replicas, so the hub fails over between source replicas. With the primary
+// source relay killed, the same query still returns the same bytes through
+// the hub (one pin), and an invoke issued after the kill commits exactly
+// once through the surviving replica.
+func TestChainSourceReplicaFailover(t *testing.T) {
+	d, err := BuildTCPChain(1, 2)
+	if err != nil {
+		t.Fatalf("BuildTCPChain: %v", err)
+	}
+	defer d.Close()
+	w := d.World
+	if len(d.STLServers) != 2 {
+		t.Fatalf("STL servers = %d, want 2", len(d.STLServers))
+	}
+	if err := DeployAuditLog(w); err != nil {
+		t.Fatalf("DeployAuditLog: %v", err)
+	}
+	seedBillOfLading(t, w, "po-replica-1")
+	ctx := context.Background()
+	client, err := core.NewClient(w.SWT, wetrade.SellerBankOrg, "replica-client")
+	if err != nil {
+		t.Fatalf("NewClient: %v", err)
+	}
+	query := func(stage string) []byte {
+		t.Helper()
+		data, err := client.RemoteQuery(ctx, core.RemoteQuerySpec{
+			Network: tradelens.NetworkID, Contract: tradelens.ChaincodeName,
+			Function: tradelens.FnGetBillOfLading, Args: [][]byte{[]byte("po-replica-1")},
+		})
+		if err != nil {
+			t.Fatalf("RemoteQuery %s: %v", stage, err)
+		}
+		if len(data.Path) != 1 || data.Path[0].Network != HubNetworkID(0) {
+			t.Fatalf("%s Path = %v, want one pin by %s", stage, data.Path, HubNetworkID(0))
+		}
+		return data.Result
+	}
+	first := query("before the kill")
+	if len(first) == 0 {
+		t.Fatal("empty result before the kill")
+	}
+
+	if err := d.STLServers[0].Kill(); err != nil {
+		t.Fatalf("Kill primary STL relay: %v", err)
+	}
+	if failover := query("after the kill"); !bytes.Equal(failover, first) {
+		t.Fatalf("failover result %q != original %q", failover, first)
+	}
+
+	if _, err := client.RemoteInvoke(ctx, core.RemoteQuerySpec{
+		Network: tradelens.NetworkID, Contract: AuditChaincodeName, Function: "Append",
+		Args:      [][]byte{[]byte("po-replica-log"), []byte("after-kill;")},
+		RequestID: "replica-inv-1",
+	}); err != nil {
+		t.Fatalf("RemoteInvoke after the kill: %v", err)
+	}
+	if valid, _ := committedInvokes(t, w, invokeTxID("replica-inv-1", client.Identity().CertPEM())); valid != 1 {
+		t.Fatalf("ledger holds %d valid commits, want exactly 1", valid)
+	}
+}

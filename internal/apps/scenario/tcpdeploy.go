@@ -5,8 +5,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/apps/tradelens"
-	"repro/internal/apps/wetrade"
 	"repro/internal/relay"
 )
 
@@ -17,10 +15,6 @@ import (
 type TCPRelayServer struct {
 	NetworkID string
 	Relay     *relay.Relay
-	// Driver is the Fabric driver this relay serves queries through, when
-	// the relay fronts a Fabric network. Exposed so tests can reach
-	// driver-level seams (ConfigureAttestationBatching) per relay instance.
-	Driver *relay.FabricDriver
 
 	mu     sync.Mutex
 	server *relay.TCPServer
@@ -81,87 +75,3 @@ func (s *TCPRelayServer) Restart() error {
 
 // Close shuts the server down for good.
 func (s *TCPRelayServer) Close() error { return s.Kill() }
-
-// TCPDeployment is the trade world deployed over real TCP: every relay
-// behind its own listener on a loopback port, discovery carrying the bound
-// addresses, and optionally extra redundant relays fronting STL — the §5
-// redundant-relay topology as separate network endpoints rather than
-// in-process hub attachments.
-type TCPDeployment struct {
-	World     *TradeWorld
-	Registry  *relay.StaticRegistry
-	Transport *relay.TCPTransport
-
-	// STLServers[0] fronts the network's own relay; any further entries
-	// are extra redundant relay instances over the same Fabric.
-	STLServers []*TCPRelayServer
-	SWTServer  *TCPRelayServer
-}
-
-// BuildTCP builds and initializes the trade world over TCP with
-// 1+extraSTLRelays relays fronting STL. Callers own the returned
-// deployment and must Close it.
-func BuildTCP(extraSTLRelays int) (*TCPDeployment, error) {
-	registry := relay.NewStaticRegistry()
-	transport := &relay.TCPTransport{DialTimeout: 2 * time.Second, IOTimeout: 10 * time.Second}
-	w, err := BuildWith(registry, transport)
-	if err != nil {
-		return nil, err
-	}
-	d := &TCPDeployment{World: w, Registry: registry, Transport: transport}
-
-	primary, err := newTCPRelayServer(tradelens.NetworkID, w.STL.Relay)
-	if err != nil {
-		return nil, err
-	}
-	primary.Driver = w.STL.Driver
-	d.STLServers = append(d.STLServers, primary)
-	for i := 0; i < extraSTLRelays; i++ {
-		extra := relay.New(tradelens.NetworkID, registry, transport)
-		driver := relay.NewFabricDriver(w.STL.Fabric, "default")
-		extra.RegisterDriver(tradelens.NetworkID, driver)
-		srv, err := newTCPRelayServer(tradelens.NetworkID, extra)
-		if err != nil {
-			d.Close()
-			return nil, err
-		}
-		srv.Driver = driver
-		d.STLServers = append(d.STLServers, srv)
-	}
-	swt, err := newTCPRelayServer(wetrade.NetworkID, w.SWT.Relay)
-	if err != nil {
-		d.Close()
-		return nil, err
-	}
-	swt.Driver = w.SWT.Driver
-	d.SWTServer = swt
-
-	for _, s := range d.STLServers {
-		registry.Register(tradelens.NetworkID, s.Addr())
-	}
-	registry.Register(wetrade.NetworkID, swt.Addr())
-	return d, nil
-}
-
-// AllServers returns every relay server in the deployment.
-func (d *TCPDeployment) AllServers() []*TCPRelayServer {
-	all := append([]*TCPRelayServer{}, d.STLServers...)
-	if d.SWTServer != nil {
-		all = append(all, d.SWTServer)
-	}
-	return all
-}
-
-// Close tears every server down, closes the relays' shared transport and
-// stops both networks' orderers, so a deployment leaves no connection
-// reader behind and commits nothing after it closes.
-func (d *TCPDeployment) Close() {
-	for _, s := range d.AllServers() {
-		_ = s.Close()
-	}
-	d.Transport.Close()
-	if d.World != nil {
-		_ = d.World.STL.Fabric.Orderer().Stop()
-		_ = d.World.SWT.Fabric.Orderer().Stop()
-	}
-}

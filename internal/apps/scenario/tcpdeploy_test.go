@@ -19,9 +19,9 @@ import (
 // serving, then restart the dead relay on its original address and verify
 // it serves again.
 func TestBuildTCPQueryAndChurn(t *testing.T) {
-	d, err := BuildTCP(1)
+	d, err := BuildTCPChain(0, 2)
 	if err != nil {
-		t.Fatalf("BuildTCP: %v", err)
+		t.Fatalf("BuildTCPChain: %v", err)
 	}
 	defer d.Close()
 	w := d.World
@@ -87,9 +87,9 @@ func TestBuildTCPQueryAndChurn(t *testing.T) {
 // deployment and land exactly one valid commit, the precondition for the
 // load generator's churn audit.
 func TestBuildTCPInvokeExactlyOnce(t *testing.T) {
-	d, err := BuildTCP(1)
+	d, err := BuildTCPChain(0, 2)
 	if err != nil {
-		t.Fatalf("BuildTCP: %v", err)
+		t.Fatalf("BuildTCPChain: %v", err)
 	}
 	defer d.Close()
 	w := d.World
@@ -134,16 +134,16 @@ func TestBuildTCPInvokeExactlyOnce(t *testing.T) {
 // proof verification accepts its leaf + inclusion proof end to end.
 func TestBuildTCPBatchedAttestation(t *testing.T) {
 	const width = 3
-	d, err := BuildTCP(0)
+	d, err := BuildTCPChain(0, 1)
 	if err != nil {
-		t.Fatalf("BuildTCP: %v", err)
+		t.Fatalf("BuildTCPChain: %v", err)
 	}
 	defer d.Close()
 	w := d.World
-	if d.STLServers[0].Driver == nil {
-		t.Fatal("primary STL server carries no driver handle")
+	if w.STL.Driver == nil {
+		t.Fatal("primary STL relay carries no driver handle")
 	}
-	d.STLServers[0].Driver.ConfigureAttestationBatching(time.Second, width)
+	w.STL.Driver.ConfigureAttestationBatching(time.Second, width)
 
 	actors, err := w.NewActors()
 	if err != nil {

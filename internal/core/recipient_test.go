@@ -20,9 +20,9 @@ import (
 // the remembered agreements. Under -race this is the shared opener's
 // data-race proof; every answer must still be its own bill of lading.
 func TestConcurrentRemoteQueriesShareRecipientOverTCP(t *testing.T) {
-	d, err := scenario.BuildTCP(0)
+	d, err := scenario.BuildTCPChain(0, 1)
 	if err != nil {
-		t.Fatalf("BuildTCP: %v", err)
+		t.Fatalf("BuildTCPChain: %v", err)
 	}
 	defer d.Close()
 	actors, err := d.World.NewActors()

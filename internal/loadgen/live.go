@@ -157,7 +157,8 @@ func (d *liveDriver) auditExactlyOnce() (Audit, error) {
 	return audit, nil
 }
 
-// churner injects relay faults: every interval it kills one source relay,
+// churner injects relay faults: every interval it kills one relay of the
+// tier the origin resolves (the first hub tier, or the source when direct),
 // holds it down for half the interval, restarts it, and moves to the next.
 type churner struct {
 	servers  []*scenario.TCPRelayServer
@@ -218,13 +219,6 @@ func fleetStats(servers []*scenario.TCPRelayServer) relay.Stats {
 	return sum
 }
 
-// liveDeployment abstracts the two TCP topologies the generator drives: the
-// flat source fleet and the multi-hop relay chain.
-type liveDeployment interface {
-	AllServers() []*scenario.TCPRelayServer
-	Close()
-}
-
 // RunLive builds the TCP deployment, seeds the key space, drives the
 // configured workload against it, and returns the full report: latency
 // percentiles per operation class, throughput, the error budget, the
@@ -234,29 +228,17 @@ func RunLive(ctx context.Context, cfg *Config) (*Report, error) {
 		return nil, err
 	}
 	startedAt := time.Now()
-	var (
-		dep liveDeployment
-		w   *scenario.TradeWorld
-		// churnPool is what the fault injector kills — the source fleet in a
-		// flat deployment, the origin-adjacent hub tier in a chain.
-		churnPool []*scenario.TCPRelayServer
-	)
-	if cfg.HubHops > 0 {
-		chain, err := scenario.BuildTCPChain(cfg.HubHops, cfg.hubRelays())
-		if err != nil {
-			return nil, err
-		}
-		dep, w = chain, chain.World
-		churnPool = chain.Hubs[0].Servers
-	} else {
-		flat, err := scenario.BuildTCP(cfg.ExtraSTLRelays)
-		if err != nil {
-			return nil, err
-		}
-		dep, w = flat, flat.World
-		churnPool = flat.STLServers
+	dep, err := scenario.BuildTCPChain(cfg.HubHops, cfg.Replicas)
+	if err != nil {
+		return nil, err
 	}
 	defer dep.Close()
+	w := dep.World
+	// The fault injector kills relays of the tier the origin resolves.
+	churnPool := dep.STLServers
+	if len(dep.Hubs) > 0 {
+		churnPool = dep.Hubs[0].Servers
+	}
 	if err := scenario.DeployAuditLog(w); err != nil {
 		return nil, err
 	}

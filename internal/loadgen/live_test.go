@@ -17,7 +17,7 @@ func TestRunLiveSteadySmoke(t *testing.T) {
 	cfg := &Config{
 		Clients: 4, Rate: 60, Duration: 2 * time.Second,
 		Mix:  Mix{QueryPct: 50, WarmQueryPct: 30, InvokePct: 15, SubscribePct: 5},
-		Keys: 8, Seed: 5, ExtraSTLRelays: 1,
+		Keys: 8, Seed: 5, Replicas: 2,
 	}
 	report, err := RunLive(context.Background(), cfg)
 	if err != nil {
@@ -104,7 +104,7 @@ func TestRunLiveChurnSmoke(t *testing.T) {
 		Clients: 4, Rate: 50, Duration: 3 * time.Second,
 		Mix:  Mix{QueryPct: 50, WarmQueryPct: 20, InvokePct: 25, SubscribePct: 5},
 		Keys: 8, Seed: 6,
-		ExtraSTLRelays: 2, Churn: true, ChurnInterval: time.Second,
+		Replicas: 3, Churn: true, ChurnInterval: time.Second,
 	}
 	report, err := RunLive(context.Background(), cfg)
 	if err != nil {

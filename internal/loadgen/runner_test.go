@@ -157,7 +157,12 @@ func TestConfigValidate(t *testing.T) {
 		"one key":          func(c *Config) { c.Keys = 1 },
 		"zipf too flat":    func(c *Config) { c.ZipfS = 0.9 },
 		"bad arrival":      func(c *Config) { c.Arrival = "bursty" },
-		"churn no standby": func(c *Config) { c.Churn = true; c.ExtraSTLRelays = 0 },
+		"churn no standby": func(c *Config) { c.Churn = true; c.Replicas = 1 },
+		"churn over a chain without a standby": func(c *Config) {
+			// No subscriptions, so only the churn rule can refuse it.
+			c.Mix.QueryPct, c.Mix.SubscribePct = 65, 0
+			c.HubHops, c.Replicas, c.Churn = 2, 1, true
+		},
 	}
 	for name, mutate := range breakers {
 		cfg := testConfig()
@@ -178,11 +183,13 @@ func TestConfigValidate(t *testing.T) {
 }
 
 // TestConfigIgnoresRetiredFields: a config file written when loadgen still
-// had commit and batching knobs decodes, with those fields ignored.
+// had commit, batching and per-tier replica knobs decodes, with those
+// fields ignored.
 func TestConfigIgnoresRetiredFields(t *testing.T) {
 	old := `{"clients":4,"rate":50,"duration_ns":1000000000,"keys":8,
 		"mix":{"query_pct":100},"pipelined":true,"committer_workers":4,
-		"attest_batch_window_ns":3000000,"attest_batch_max":32,"attest_batch_off":true}`
+		"attest_batch_window_ns":3000000,"attest_batch_max":32,"attest_batch_off":true,
+		"extra_stl_relays":2,"hub_relays":3}`
 	var cfg Config
 	if err := json.Unmarshal([]byte(old), &cfg); err != nil {
 		t.Fatalf("decode: %v", err)
@@ -190,7 +197,7 @@ func TestConfigIgnoresRetiredFields(t *testing.T) {
 	if err := cfg.Validate(); err != nil {
 		t.Fatalf("Validate: %v", err)
 	}
-	if cfg.Clients != 4 || cfg.Keys != 8 || cfg.Mix.QueryPct != 100 {
+	if cfg.Clients != 4 || cfg.Keys != 8 || cfg.Mix.QueryPct != 100 || cfg.Replicas != 0 {
 		t.Fatalf("current fields lost: %+v", cfg)
 	}
 }

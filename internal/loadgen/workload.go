@@ -58,9 +58,10 @@ func (m Mix) pick(r *rand.Rand) OpKind {
 
 // Config parameterizes one load-generation run. Both networks commit
 // through the one orderer and committer path, and every relay batches
-// attestation adaptively, so there are no commit or batching knobs: older
-// JSON configs that carry pipelined, batch_size, committer_workers or
-// attest_batch_* still decode, with those fields ignored.
+// attestation adaptively, so there are no commit or batching knobs, and one
+// replica count fronts every relay tier: older JSON configs that carry
+// pipelined, batch_size, committer_workers, attest_batch_*,
+// extra_stl_relays or hub_relays still decode, with those fields ignored.
 type Config struct {
 	// Preset records which named preset (if any) the config started from.
 	Preset string `json:"preset,omitempty"`
@@ -86,22 +87,19 @@ type Config struct {
 	// Arrival is the inter-arrival law: "poisson" (default) or "uniform".
 	Arrival string `json:"arrival"`
 
-	// ExtraSTLRelays adds redundant relays fronting the source network.
-	ExtraSTLRelays int `json:"extra_stl_relays"`
-
 	// HubHops stretches the deployment over a multi-hop relay chain: the
 	// number of intermediate forwarding hub networks between the origin and
 	// the source (0 = direct). Every response then carries one signed hop
 	// pin per hub, verified end to end by each client.
 	HubHops int `json:"hub_hops,omitempty"`
-	// HubRelays is the number of redundant relay replicas per hub tier
-	// (<=0 selects 1). Churn over a chain kills hub replicas, so it needs
-	// at least 2.
-	HubRelays int `json:"hub_relays,omitempty"`
+	// Replicas is the number of redundant relays fronting each hub tier and
+	// the source network (<=0 selects 1).
+	Replicas int `json:"replicas,omitempty"`
 
-	// Churn enables fault injection: every ChurnInterval a source relay is
+	// Churn enables fault injection: every ChurnInterval a relay of the tier
+	// the origin resolves (the first hub tier, or the source when direct) is
 	// killed, held down for half the interval, then restarted on its
-	// original address.
+	// original address. It needs Replicas >= 2 so one keeps serving.
 	Churn         bool          `json:"churn"`
 	ChurnInterval time.Duration `json:"churn_interval_ns,omitempty"`
 
@@ -137,23 +135,14 @@ func (c *Config) Validate() error {
 	default:
 		return fmt.Errorf("loadgen: unknown arrival law %q", c.Arrival)
 	}
-	if c.ExtraSTLRelays < 0 {
-		return fmt.Errorf("loadgen: extra_stl_relays must be non-negative")
-	}
 	if c.HubHops < 0 {
 		return fmt.Errorf("loadgen: hub_hops must be non-negative, got %d", c.HubHops)
 	}
 	if c.HubHops > 0 && c.Mix.SubscribePct > 0 {
 		return fmt.Errorf("loadgen: subscriptions are not forwarded over a relay chain; set subscribe_pct to 0 with hub_hops")
 	}
-	switch {
-	case !c.Churn:
-	case c.HubHops > 0:
-		if c.hubRelays() < 2 {
-			return fmt.Errorf("loadgen: churn over a relay chain kills hub replicas; need hub_relays >= 2")
-		}
-	case c.ExtraSTLRelays < 1:
-		return fmt.Errorf("loadgen: churn needs at least one extra STL relay to keep serving")
+	if c.Churn && c.Replicas < 2 {
+		return fmt.Errorf("loadgen: churn kills relay replicas; need replicas >= 2 so one keeps serving")
 	}
 	return nil
 }
@@ -164,14 +153,6 @@ func (c *Config) zipfS() float64 {
 		return 1.2
 	}
 	return c.ZipfS
-}
-
-// hubRelays returns the effective replica count per hub tier.
-func (c *Config) hubRelays() int {
-	if c.HubRelays > 0 {
-		return c.HubRelays
-	}
-	return 1
 }
 
 // churnInterval returns the effective fault-injection period.
@@ -215,7 +196,7 @@ var Presets = map[string]Config{
 		Clients: 8, Rate: 80, Duration: 12 * time.Second,
 		Mix:  Mix{QueryPct: 50, WarmQueryPct: 20, InvokePct: 25, SubscribePct: 5},
 		Keys: 64, Seed: 3,
-		ExtraSTLRelays: 2, Churn: true, ChurnInterval: 2 * time.Second,
+		Replicas: 3, Churn: true, ChurnInterval: 2 * time.Second,
 	},
 	// batched-query: the steady-query read path with twice the clients, so
 	// cold queries overlap and share Merkle-batched windows — one relay
