@@ -68,13 +68,14 @@
 // so ReplayInvoke re-serves the original artifact byte for byte even after
 // an attestor organization leaves the source network — a replay can never
 // become unreproducible through an org change. On the query hot path a
-// content-addressed attestation cache (keyed by query digest + policy
-// digest + result digest + requester certificate digest; LRU + TTL, every
-// fresh build stored) serves repeated identical queries with zero signing
-// or encryption. Cache invalidation is exact: each entry remembers the
-// chaincode namespaces its query's read set touched, and only a later
-// valid write into one of those namespaces evicts it — writes to unrelated
-// chaincodes leave it warm. A driver answers a query as bytes
+// content-addressed attestation cache (LRU + TTL, every fresh build
+// stored) serves repeated identical queries with zero signing or
+// encryption. Its key covers everything the proof depends on: query,
+// policy, result and requester certificate digests, the version of every
+// key the query read, and the attestors' certificates. So nothing is ever
+// invalidated: a commit to read state, or an org leaving the network,
+// gives the question a new key, while writes to other keys leave the entry
+// warm. A driver answers a query as bytes
 // (relay.Driver.ServeQuery): the encoded QueryResponse, owned by the
 // caller and already stamped with the request's ID. The cache holds each
 // response encoded without an ID, and wire.StampQueryResponse serves a hit

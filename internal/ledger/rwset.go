@@ -47,21 +47,3 @@ func (rw *RWSet) StateWrites() []statedb.Write {
 	}
 	return out
 }
-
-// WriteNamespaces returns the distinct chaincode namespaces this
-// transaction writes to, in first-seen order. Callers use it for exact
-// cache invalidation: only readers of these namespaces can be affected by
-// the commit.
-func (rw *RWSet) WriteNamespaces() []string {
-	seen := make(map[string]struct{}, 2)
-	out := make([]string, 0, 2)
-	for i := range rw.Writes {
-		ns := rw.Writes[i].Namespace
-		if _, dup := seen[ns]; dup {
-			continue
-		}
-		seen[ns] = struct{}{}
-		out = append(out, ns)
-	}
-	return out
-}

@@ -155,9 +155,9 @@ func (p *Peer) Query(inv chaincode.Invocation) ([]byte, error) {
 
 // QueryRW simulates a read-only invocation and returns the full simulation
 // result including the read set, for a caller that needs to know what the
-// answer depends on. The relay driver uses the read set's namespaces to key
-// its attestation cache exactly: a cached response only needs invalidating
-// when one of the namespaces it actually read is written.
+// answer depends on. The relay driver hashes the read set's keys and
+// versions into its attestation cache key, so a cached response is never
+// served after a commit to any key it read.
 func (p *Peer) QueryRW(inv chaincode.Invocation) (*chaincode.SimResult, error) {
 	inv.ReadOnly = true
 	res, err := chaincode.Simulate(p.registry, p.state, inv)

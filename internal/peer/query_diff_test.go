@@ -120,9 +120,10 @@ func TestQueryMatchesQueryRW(t *testing.T) {
 	}
 }
 
-// TestQueryRWReadNamespacesOfRelayQuery pins what the attestation cache
-// scopes a relayed query's entry by: its read set spans the contract, the
-// ECC (the access rules) and the CMDAC (the requester's network config).
+// TestQueryRWReadNamespacesOfRelayQuery pins whose state versions the
+// attestation cache keys a relayed query's entry by: its read set spans the
+// contract, the ECC (the access rules) and the CMDAC (the requester's
+// network config).
 func TestQueryRWReadNamespacesOfRelayQuery(t *testing.T) {
 	p, admitted, _ := tradeWorldPeer(t)
 	sim, err := p.QueryRW(relayed(invocation(tradelens.ChaincodeName, tradelens.FnGetBillOfLading, "po-1"), admitted))

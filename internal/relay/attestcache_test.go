@@ -1,115 +1,47 @@
 package relay
 
 import (
+	"slices"
 	"testing"
 	"time"
 
+	"repro/internal/fabric"
 	"repro/internal/ledger"
+	"repro/internal/orderer"
+	"repro/internal/peer"
+	"repro/internal/statedb"
 )
 
-// fakeChain is a minimal blockSource for cache-invalidation tests.
-type fakeChain struct {
-	blocks []*ledger.Block
-}
-
-func (f *fakeChain) Height() uint64 { return uint64(len(f.blocks)) }
-func (f *fakeChain) Block(num uint64) (*ledger.Block, error) {
-	return f.blocks[num], nil
-}
-
-func (f *fakeChain) commitWrite(chaincode string) {
-	f.blocks = append(f.blocks, &ledger.Block{
-		Number: uint64(len(f.blocks)),
-		Transactions: []*ledger.Transaction{{
-			Chaincode:  chaincode,
-			Validation: ledger.Valid,
-			RWSet:      ledger.RWSet{Writes: []ledger.KVWrite{{Namespace: chaincode, Key: "k"}}},
-		}},
-	})
-}
-
-func (f *fakeChain) commitReadOnly(chaincode string) {
-	f.blocks = append(f.blocks, &ledger.Block{
-		Number: uint64(len(f.blocks)),
-		Transactions: []*ledger.Transaction{{
-			Chaincode:  chaincode,
-			Validation: ledger.Valid,
-		}},
-	})
-}
-
-func testClock(start time.Time) (func() time.Time, func(time.Duration)) {
-	now := start
-	return func() time.Time { return now }, func(d time.Duration) { now = now.Add(d) }
-}
-
-func storeEntry(c *attestationCache, key string, resp []byte, ns string, h uint64) {
-	c.put(key, resp, []string{ns}, h)
-}
-
-func TestAttestationCacheHitAndNamespaceInvalidation(t *testing.T) {
-	nowFn, _ := testClock(time.Unix(1000, 0))
-	c := newAttestationCache(8, time.Minute, nowFn)
-	chain := &fakeChain{}
-	chain.commitWrite("docs")
-	c.advance(chain)
-
-	key := attestCacheKey([]byte("qd"), []byte("pd"), []byte("rd"), []byte("cert"))
-	storeEntry(c, key, []byte("response"), "docs", chain.Height())
-	if got := c.get(key); string(got) != "response" {
-		t.Fatalf("get = %q, want cached response", got)
-	}
-
-	// A valid write to an unrelated namespace leaves the entry alone.
-	chain.commitWrite("other")
-	c.advance(chain)
-	if c.get(key) == nil {
-		t.Fatal("entry invalidated by a write to an unrelated namespace")
-	}
-
-	// A read-only commit in the same namespace leaves it alone too.
-	chain.commitReadOnly("docs")
-	c.advance(chain)
-	if c.get(key) == nil {
-		t.Fatal("entry invalidated by a read-only transaction")
-	}
-
-	// A valid write into the entry's namespace kills it.
-	chain.commitWrite("docs")
-	c.advance(chain)
-	if c.get(key) != nil {
-		t.Fatal("entry survived a write to its namespace")
-	}
+// testKey is a cache key that differs only in its query digest.
+func testKey(query string) string {
+	return attestCacheKey([]byte(query), nil, nil, nil, nil, nil)
 }
 
 func TestAttestationCacheTTL(t *testing.T) {
-	nowFn, advanceClock := testClock(time.Unix(1000, 0))
-	c := newAttestationCache(8, time.Minute, nowFn)
-	key := attestCacheKey([]byte("q"), []byte("p"), []byte("r"), []byte("c"))
-	storeEntry(c, key, []byte("resp"), "docs", 1)
-	advanceClock(59 * time.Second)
+	clk := newFakeClock()
+	c := newAttestationCache(8, time.Minute, clk.Now)
+	key := testKey("q")
+	c.put(key, []byte("resp"))
+	clk.Advance(59 * time.Second)
 	if c.get(key) == nil {
 		t.Fatal("entry expired before its TTL")
 	}
-	advanceClock(2 * time.Second)
+	clk.Advance(2 * time.Second)
 	if c.get(key) != nil {
 		t.Fatal("entry served past its TTL")
 	}
 }
 
 func TestAttestationCacheLRUEviction(t *testing.T) {
-	nowFn, _ := testClock(time.Unix(1000, 0))
-	c := newAttestationCache(2, time.Minute, nowFn)
-	k1 := attestCacheKey([]byte("1"), nil, nil, nil)
-	k2 := attestCacheKey([]byte("2"), nil, nil, nil)
-	k3 := attestCacheKey([]byte("3"), nil, nil, nil)
-	storeEntry(c, k1, []byte("r1"), "ns", 1)
-	storeEntry(c, k2, []byte("r2"), "ns", 1)
+	c := newAttestationCache(2, time.Minute, newFakeClock().Now)
+	k1, k2, k3 := testKey("1"), testKey("2"), testKey("3")
+	c.put(k1, []byte("r1"))
+	c.put(k2, []byte("r2"))
 	// Touch k1 so k2 is the least recently used.
 	if c.get(k1) == nil {
 		t.Fatal("k1 missing")
 	}
-	storeEntry(c, k3, []byte("r3"), "ns", 1)
+	c.put(k3, []byte("r3"))
 	if c.len() != 2 {
 		t.Fatalf("len = %d, want 2", c.len())
 	}
@@ -121,71 +53,80 @@ func TestAttestationCacheLRUEviction(t *testing.T) {
 	}
 }
 
+// keyParts are the inputs of one attestCacheKey call.
+type keyParts struct {
+	query, policy, result, cert []byte
+	reads                       []ledger.KVRead
+	attestors                   []*peer.Peer
+}
+
+func (k keyParts) key() string {
+	return attestCacheKey(k.query, k.policy, k.result, k.reads, k.cert, k.attestors)
+}
+
+// TestAttestationCacheKeySeparation: any single input differing must
+// address a different entry — especially the requester certificate, whose
+// key the cached ciphertext is encrypted to, each read's version, which is
+// what a commit to read state changes, and the attestor set, which an org
+// leaving the network changes. Fields are length-framed, so moving a byte
+// from one field into the next changes the key too. The key string is the
+// only allocation.
 func TestAttestationCacheKeySeparation(t *testing.T) {
-	// Any single component differing must address a different entry —
-	// especially the requester certificate, whose key the cached ciphertext
-	// is encrypted to.
-	base := [][]byte{[]byte("qd"), []byte("pd"), []byte("rd"), []byte("cert")}
-	keys := map[string]bool{attestCacheKey(base[0], base[1], base[2], base[3]): true}
-	for i := range base {
-		mutated := make([][]byte, len(base))
-		copy(mutated, base)
-		mutated[i] = []byte("x")
-		k := attestCacheKey(mutated[0], mutated[1], mutated[2], mutated[3])
-		if keys[k] {
-			t.Fatalf("component %d does not affect the cache key", i)
+	n := fabric.NewNetwork("keys", orderer.Config{BatchSize: 1})
+	var peers []*peer.Peer
+	for _, org := range []string{"org-a", "org-b"} {
+		o, err := n.AddOrg(org, 1)
+		if err != nil {
+			t.Fatalf("AddOrg %s: %v", org, err)
 		}
-		keys[k] = true
+		peers = append(peers, o.Peers...)
 	}
-}
-
-// TestAttestationCacheFastForwardsEmptyBacklog: the first advance over an
-// empty cache jumps past the chain's history instead of scanning it —
-// there is nothing to invalidate — while incremental scanning (and hence
-// invalidation) still works for everything committed afterwards.
-func TestAttestationCacheFastForwardsEmptyBacklog(t *testing.T) {
-	nowFn, _ := testClock(time.Unix(1000, 0))
-	c := newAttestationCache(8, time.Minute, nowFn)
-	chain := &fakeChain{}
-	for i := 0; i < 50; i++ {
-		chain.commitWrite("docs")
+	base := func() keyParts {
+		return keyParts{
+			query: []byte("qd"), policy: []byte("pd"), result: []byte("rd"), cert: []byte("cert"),
+			reads: []ledger.KVRead{
+				{Namespace: "docs", Key: "doc/bl-77", Version: statedb.Version{BlockNum: 3, TxNum: 0}, Exists: true},
+				{Namespace: "ecc", Key: "rule", Version: statedb.Version{BlockNum: 1, TxNum: 2}, Exists: true},
+			},
+			attestors: slices.Clone(peers),
+		}
 	}
-	c.advance(chain)
-	c.mu.Lock()
-	scanned, tracked := c.scanned, len(c.lastWrite)
-	c.mu.Unlock()
-	if scanned != 50 || tracked != 0 {
-		t.Fatalf("fast-forward scanned=%d tracked=%d, want 50/0", scanned, tracked)
+	mutations := map[string]func(*keyParts){
+		"query":         func(k *keyParts) { k.query = []byte("x") },
+		"policy":        func(k *keyParts) { k.policy = []byte("x") },
+		"result":        func(k *keyParts) { k.result = []byte("x") },
+		"requester":     func(k *keyParts) { k.cert = []byte("x") },
+		"read block":    func(k *keyParts) { k.reads[0].Version.BlockNum++ },
+		"read tx":       func(k *keyParts) { k.reads[1].Version.TxNum++ },
+		"read exists":   func(k *keyParts) { k.reads[0].Exists = false },
+		"read key":      func(k *keyParts) { k.reads[0].Key = "doc/bl-99" },
+		"read ns":       func(k *keyParts) { k.reads[1].Namespace = "cmdac" },
+		"read dropped":  func(k *keyParts) { k.reads = k.reads[:1] },
+		"read added":    func(k *keyParts) { k.reads = append(k.reads, ledger.KVRead{Namespace: "audit", Key: "k"}) },
+		"ns/key frame":  func(k *keyParts) { k.reads[0].Namespace, k.reads[0].Key = "docsdoc/", "bl-77" },
+		"query/policy":  func(k *keyParts) { k.query, k.policy = []byte("qdp"), []byte("d") },
+		"attestor gone": func(k *keyParts) { k.attestors = k.attestors[:1] },
+		"attestors swapped": func(k *keyParts) {
+			k.attestors[0], k.attestors[1] = k.attestors[1], k.attestors[0]
+		},
+		"attestor replaced": func(k *keyParts) { k.attestors[1] = k.attestors[0] },
 	}
-	// Entries built at or above the baseline are still invalidated by
-	// later writes.
-	key := attestCacheKey([]byte("q"), nil, nil, nil)
-	storeEntry(c, key, []byte("resp"), "docs", chain.Height())
-	chain.commitWrite("docs")
-	c.advance(chain)
-	if c.get(key) != nil {
-		t.Fatal("post-baseline write did not invalidate the entry")
+	warm := base()
+	baseKey := warm.key()
+	if base().key() != baseKey {
+		t.Fatal("the same inputs derive different keys")
 	}
-}
-
-// TestAttestationCachePutBelowBaselineRefused: an entry whose build height
-// predates an empty-cache fast-forward cannot be covered by write
-// invalidation, so it must not be stored.
-func TestAttestationCachePutBelowBaselineRefused(t *testing.T) {
-	nowFn, _ := testClock(time.Unix(1000, 0))
-	c := newAttestationCache(8, time.Minute, nowFn)
-	chain := &fakeChain{}
-	for i := 0; i < 5; i++ {
-		chain.commitWrite("docs")
+	if got := testing.AllocsPerRun(100, func() { _ = warm.key() }); got != 1 {
+		t.Fatalf("deriving a key costs %v allocations, want 1 (the key)", got)
 	}
-	c.advance(chain) // fast-forward: baseline = 5
-	key := attestCacheKey([]byte("stale"), nil, nil, nil)
-	storeEntry(c, key, []byte("r"), "docs", 4) // sampled before the jump
-	if c.get(key) != nil {
-		t.Fatal("entry below the fast-forward baseline was stored")
-	}
-	storeEntry(c, key, []byte("r"), "docs", 5)
-	if c.get(key) == nil {
-		t.Fatal("entry at the baseline was refused")
+	seen := map[string]string{baseKey: "base"}
+	for name, mutate := range mutations {
+		k := base()
+		mutate(&k)
+		got := k.key()
+		if prev, dup := seen[got]; dup {
+			t.Fatalf("mutation %q derives the same key as %q", name, prev)
+		}
+		seen[got] = name
 	}
 }

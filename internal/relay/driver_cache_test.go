@@ -5,6 +5,7 @@ import (
 	"context"
 	"testing"
 
+	"repro/internal/chaincode"
 	"repro/internal/cryptoutil"
 	"repro/internal/endorsement"
 	"repro/internal/msp"
@@ -169,5 +170,88 @@ func TestDriverCacheStoresEveryColdBuild(t *testing.T) {
 		if got, want := src.driver.cache.len(), min(i, defaultAttestCacheSize); got != want {
 			t.Fatalf("after %d distinct queries: %d entries, want %d", i, got, want)
 		}
+	}
+}
+
+// auditChaincode is an unrelated contract sharing the ledger with docs.
+var auditChaincode = chaincode.Func(func(stub chaincode.Stub) ([]byte, error) {
+	args := stub.Args()
+	if stub.Function() == "log" && len(args) == 2 {
+		return nil, stub.PutState(string(args[0]), args[1])
+	}
+	return stub.GetState(string(args[0]))
+})
+
+// cacheProbe serves q through the driver and reports whether the response
+// came from the cache, with the decoded response.
+func cacheProbe(t *testing.T, src *sourceEnv, q *wire.Query) func(stage string) (bool, *wire.QueryResponse) {
+	return func(stage string) (bool, *wire.QueryResponse) {
+		t.Helper()
+		before := src.relay.Stats().AttestationCacheHits
+		resp, err := src.driver.Query(context.Background(), q)
+		if err != nil || resp.Error != "" {
+			t.Fatalf("%s: %v", stage, respError(resp, err))
+		}
+		return src.relay.Stats().AttestationCacheHits > before, resp
+	}
+}
+
+// TestDriverCacheSurvivesUnrelatedChaincodeWrite: the cache key carries the
+// version of every key the query read, so a commit misses exactly when it
+// touched read state. A write to another chaincode, or to another key of
+// the chaincode the query reads, leaves the cached proof servable; a
+// rewrite of the read document misses even when it restores identical
+// bytes (ABA), and so does a changed value.
+func TestDriverCacheSurvivesUnrelatedChaincodeWrite(t *testing.T) {
+	src, req := newCacheEnv(t)
+	if err := src.net.Deploy("audit", auditChaincode, "OR('seller-org','carrier-org')"); err != nil {
+		t.Fatalf("Deploy audit: %v", err)
+	}
+	serve := cacheProbe(t, src, newQuery(t, req)) // one fixed nonce: every send is the identical question
+	if hit, _ := serve("build"); hit {
+		t.Fatal("first query was a hit")
+	}
+	if hit, _ := serve("resend"); !hit {
+		t.Fatal("identical resend missed")
+	}
+	for _, c := range []struct {
+		name          string
+		chaincode, fn string
+		key, value    string
+		wantHit       bool
+	}{
+		{"write to another chaincode", "audit", "log", "evt-1", "x", true},
+		{"write to another docs key", "docs", "PutDoc", "bl-99", `{"bl":"99"}`, true},
+		{"bl-77 rewritten with identical bytes", "docs", "PutDoc", "bl-77", `{"bl":"77"}`, false},
+		{"bl-77 changed", "docs", "PutDoc", "bl-77", `{"bl":"78"}`, false},
+	} {
+		if _, err := src.admin.Submit(c.chaincode, c.fn, []byte(c.key), []byte(c.value)); err != nil {
+			t.Fatalf("%s: Submit: %v", c.name, err)
+		}
+		if hit, _ := serve(c.name); hit != c.wantHit {
+			t.Fatalf("%s: hit = %v, want %v", c.name, hit, c.wantHit)
+		}
+		if hit, _ := serve(c.name + ", resent"); !hit {
+			t.Fatalf("%s: the resend after it missed", c.name)
+		}
+	}
+}
+
+// TestDriverCacheMissesAfterOrgRemoval: the attestor set is part of the
+// key. After an attestor's org leaves the network, a fresh build attests
+// with the remaining org only, so the cached proof — signed partly by the
+// removed org's peer — must not be served.
+func TestDriverCacheMissesAfterOrgRemoval(t *testing.T) {
+	src, req := newCacheEnv(t)
+	serve := cacheProbe(t, src, newQuery(t, req))
+	serve("build")
+	if hit, resp := serve("resend"); !hit || len(resp.Attestations) != 2 {
+		t.Fatalf("resend: hit = %v with %d attestations, want a hit with 2", hit, len(resp.Attestations))
+	}
+	if err := src.net.RemoveOrg("carrier-org"); err != nil {
+		t.Fatalf("RemoveOrg: %v", err)
+	}
+	if hit, resp := serve("after removal"); hit || len(resp.Attestations) != 1 {
+		t.Fatalf("after RemoveOrg: hit = %v with %d attestations, want a miss with 1", hit, len(resp.Attestations))
 	}
 }

@@ -266,17 +266,8 @@ func (d *FabricDriver) ServeQuery(ctx context.Context, q *wire.Query) ([]byte, e
 		},
 	}
 
-	// Namespace-write tracking advances first, then the height for this
-	// query's cache entry is sampled, then the reads run: every write the
-	// fast-forwarded scan baseline skips predates the baseline, and every
-	// write after it lands at a height above this entry's — so a write
-	// racing this query makes the cached entry look stale, never fresh.
-	store := attestors[0].Blocks()
-	d.cache.advance(store)
-	height := store.Height()
-
 	var agreed []byte
-	var readNamespaces []string
+	var reads []ledger.KVRead
 	// The attestors read at one height, so a disagreement is the chaincode's
 	// and never a block landing on one of them mid-loop.
 	if err := d.net.AtOneHeight(func() error {
@@ -287,15 +278,14 @@ func (d *FabricDriver) ServeQuery(ctx context.Context, q *wire.Query) ([]byte, e
 			inv.Timestamp = time.Now()
 			if i == 0 {
 				// The first peer's simulation also yields the read set, whose
-				// namespaces scope this query's cache entry: a later write
-				// invalidates the entry only if it lands in state the query
-				// actually read.
+				// versions key this query's cache entry: a later commit to
+				// any key the query read gives the question a new key.
 				sim, err := p.QueryRW(inv)
 				if err != nil {
 					return fmt.Errorf("relay: query on %s: %w", p.Name(), err)
 				}
 				agreed = sim.Response
-				readNamespaces = queryNamespaces(q.Contract, sim.RWSet)
+				reads = sim.RWSet.Reads
 				continue
 			}
 			result, err := p.Query(inv)
@@ -314,12 +304,8 @@ func (d *FabricDriver) ServeQuery(ctx context.Context, q *wire.Query) ([]byte, e
 	// The certificate digest keys the response cache (a response is sealed
 	// to one requester) and labels the requester's session secrets.
 	certDigest := cryptoutil.Digest(q.RequesterCertPEM)
-	key := attestCacheKey(queryDigest, policyDigest, cryptoutil.Digest(agreed), certDigest)
-	// Second advance after the reads: a write that committed while this
-	// query was reading invalidates entries before the lookup, keeping a
-	// served entry no staler than the proof a fresh build of these same
-	// reads would produce. Single-flight scanning makes this near-free.
-	d.cache.advance(store)
+	resultDigest := cryptoutil.Sum(agreed)
+	key := attestCacheKey(queryDigest, policyDigest, resultDigest[:], reads, certDigest, attestors)
 	if stamped := d.cachedResponse(key, q.RequestID); stamped != nil {
 		d.notifyCache(true)
 		return stamped, nil
@@ -334,7 +320,7 @@ func (d *FabricDriver) ServeQuery(ctx context.Context, q *wire.Query) ([]byte, e
 	// Cached without a request ID: the proof is identical for every resend
 	// of this question, but each resend echoes its own envelope's ID.
 	unstamped := resp.Marshal()
-	d.cache.put(key, unstamped, readNamespaces, height)
+	d.cache.put(key, unstamped)
 	return wire.StampQueryResponse(q.RequestID, unstamped), nil
 }
 
@@ -348,22 +334,6 @@ func (d *FabricDriver) cachedResponse(key, requestID string) []byte {
 		return nil
 	}
 	return wire.StampQueryResponse(requestID, raw)
-}
-
-// queryNamespaces returns the distinct chaincode namespaces a simulated
-// query read, always including the invoked contract (a query that reads
-// nothing is still answered from that chaincode's code, which redeploy
-// bumps rewrite).
-func queryNamespaces(contract string, rw ledger.RWSet) []string {
-	out := []string{contract}
-	seen := map[string]bool{contract: true}
-	for _, r := range rw.Reads {
-		if !seen[r.Namespace] {
-			seen[r.Namespace] = true
-			out = append(out, r.Namespace)
-		}
-	}
-	return out
 }
 
 func identitiesOf(peers []*peer.Peer) []*msp.Identity {
