@@ -232,7 +232,7 @@ func TestDriverCacheSurvivesUnrelatedChaincodeWrite(t *testing.T) {
 			t.Fatalf("%s: hit = %v, want %v", c.name, hit, c.wantHit)
 		}
 		if hit, _ := serve(c.name + ", resent"); !hit {
-			t.Fatalf("%s: the resend after it missed", c.name)
+			t.Fatalf("%s: its resend missed", c.name)
 		}
 	}
 }
