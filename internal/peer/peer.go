@@ -7,7 +7,10 @@
 //
 // Commitment runs in two stages. The verdict stage (CheckEndorsements) is
 // read-only and per transaction: certificate, signature and endorsement
-// policy checks. It runs every (peer, transaction) pair it is given on one
+// policy checks. Every peer checks the signature of every endorsement it
+// did not sign itself; one byte-equal to a signature it made over the same
+// digest under its own certificate skips only the ECDSA verify, whose
+// outcome is then known. It runs every (peer, transaction) pair it is given on one
 // pool of up to GOMAXPROCS goroutines, so a network's peers check a
 // delivered block at the same time, as Fabric's peers each do on their own
 // node. The in-order stage (CommitChecked) then takes one peer's verdicts
@@ -79,7 +82,16 @@ type Peer struct {
 	verifiers VerifierProvider
 	policies  PolicyProvider
 	history   *historyIndex
+
+	signedMu sync.Mutex // guards signed; not mu, so Endorse never waits on a commit
+	signed   map[[cryptoutil.DigestSize]byte]string
 }
+
+// maxSigned bounds a peer's record of the endorsements it signed and has
+// not yet checked. A proposal that is never ordered leaves its entry
+// behind; when the record is full the next Endorse drops it wholesale,
+// which costs only full verifies.
+const maxSigned = 1024
 
 // New creates a peer. The registry is shared chaincode logic; verifiers
 // supplies the local network's organization roots; policies supplies
@@ -123,10 +135,17 @@ func (p *Peer) Endorse(inv chaincode.Invocation) (*ProposalResponse, error) {
 	if err != nil {
 		return nil, fmt.Errorf("peer %s: simulate %s.%s: %w", p.name, inv.Chaincode, inv.Function, err)
 	}
-	sig, err := cryptoutil.SignDigest(p.identity.Key, BuildTransaction(inv, res).Digest())
+	digest := BuildTransaction(inv, res).Digest()
+	sig, err := cryptoutil.SignDigest(p.identity.Key, digest)
 	if err != nil {
 		return nil, fmt.Errorf("peer %s: sign endorsement: %w", p.name, err)
 	}
+	p.signedMu.Lock()
+	if p.signed == nil || len(p.signed) >= maxSigned {
+		p.signed = make(map[[cryptoutil.DigestSize]byte]string)
+	}
+	p.signed[[cryptoutil.DigestSize]byte(digest)] = string(sig) // a copy: the caller owns sig
+	p.signedMu.Unlock()
 	return &ProposalResponse{
 		Response: res.Response,
 		RWSet:    res.RWSet,
@@ -449,13 +468,35 @@ func (p *Peer) isDuplicate(tx *ledger.Transaction, seenIDs, seenKeys map[string]
 	return false
 }
 
+// takeSigned removes and returns the signature this peer made in Endorse
+// over digest, or "" if it made none or the record was dropped since.
+func (p *Peer) takeSigned(digest []byte) string {
+	key := [cryptoutil.DigestSize]byte(digest)
+	p.signedMu.Lock()
+	defer p.signedMu.Unlock()
+	sig := p.signed[key]
+	delete(p.signed, key)
+	return sig
+}
+
 // validateEndorsements is the verdict stage for one transaction: the
 // position-independent commit-time checks, endorsement signature
 // authenticity and endorsement policy satisfaction. It never touches world
 // state, so CheckEndorsements runs it for many peers and transactions at
 // once.
+//
+// Every endorsement's certificate is parsed and checked against verifier,
+// and the policy is checked over all of them. The peer checks the signature
+// of every endorsement it did not sign itself. It skips the verify only
+// for an endorsement whose certificate is byte-equal to its own and whose
+// signature is byte-equal to the one it made over this digest in Endorse:
+// its own key's signature over that digest always verifies. The record is
+// this peer's alone and is taken on first check, so a lifted, malleated or
+// corrupted copy of its signature, another transaction's check, or a second
+// check of this one all get the full verify.
 func (p *Peer) validateEndorsements(tx *ledger.Transaction, verifier *msp.Verifier) ledger.ValidationCode {
 	digest := tx.Digest()
+	own := p.takeSigned(digest)
 	signers := make([]endorsement.Principal, 0, len(tx.Endorsements))
 	for i := range tx.Endorsements {
 		en := &tx.Endorsements[i]
@@ -474,8 +515,11 @@ func (p *Peer) validateEndorsements(tx *ledger.Transaction, verifier *msp.Verifi
 		// Not msp.VerifySignature: each committing peer validates every
 		// block itself, and in-process peers sharing verdicts would only
 		// measure co-location.
-		if err := cryptoutil.VerifyDigest(pub, digest, en.Signature); err != nil {
-			return ledger.BadSignature
+		signedHere := own != "" && string(en.Signature) == own && bytes.Equal(en.CertPEM, p.identity.CertPEM())
+		if !signedHere {
+			if err := cryptoutil.VerifyDigest(pub, digest, en.Signature); err != nil {
+				return ledger.BadSignature
+			}
 		}
 		// Use the certificate contents, not the self-declared fields, as
 		// the authoritative principal.

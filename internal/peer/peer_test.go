@@ -3,6 +3,7 @@ package peer
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -306,5 +307,60 @@ func TestPeerAccessors(t *testing.T) {
 	}
 	if _, ok := p.State().Get("kv", "nothing"); ok {
 		t.Fatal("empty state returned a value")
+	}
+}
+
+// TestSignedRecordBounded: proposals endorsed and never ordered cannot grow
+// a peer's record of its own signatures past maxSigned. A later block then
+// gets the verdicts of a twin that verifies every signature: a transaction
+// whose entry the flush dropped, one whose entry survived, and a corrupted
+// copy of the peer's own signature. Checking the block takes the two
+// surviving entries.
+func TestSignedRecordBounded(t *testing.T) {
+	p, ca := newPeerFixture(t, "'org-a'")
+	twinID, err := ca.Issue("org-a-twin", msp.RolePeer)
+	if err != nil {
+		t.Fatalf("Issue: %v", err)
+	}
+	twin := New(twinID, p.registry, p.verifiers, p.policies)
+	put := func(txID string) chaincode.Invocation {
+		proposal := inv("put", "k", txID)
+		proposal.TxID = txID
+		return proposal
+	}
+	flushed := endorseTx(t, p, put("tx-flushed"))
+	for i := range maxSigned + 1 {
+		if _, err := p.Endorse(put(fmt.Sprintf("tx-unordered-%d", i))); err != nil {
+			t.Fatalf("Endorse: %v", err)
+		}
+		if n := len(p.signed); n > maxSigned {
+			t.Fatalf("record holds %d > %d entries after %d endorsements", n, maxSigned, i+2)
+		}
+	}
+	if _, ok := p.signed[[cryptoutil.DigestSize]byte(flushed.Digest())]; ok {
+		t.Fatal("the first entry survived more than maxSigned endorsements")
+	}
+	kept := endorseTx(t, p, put("tx-kept"))
+	forged := endorseTx(t, p, put("tx-forged"))
+	en := &forged.Endorsements[0]
+	en.Signature = bytes.Clone(en.Signature)
+	en.Signature[len(en.Signature)/2] ^= 0x40
+	recorded := len(p.signed)
+
+	txs := []*ledger.Transaction{flushed, kept, forged}
+	copies := make([]*ledger.Transaction, len(txs))
+	for i, tx := range txs {
+		dup := *tx
+		copies[i] = &dup
+	}
+	commit(t, p, 0, txs...)
+	commit(t, twin, 0, copies...)
+	for i, want := range []ledger.ValidationCode{ledger.Valid, ledger.Valid, ledger.BadSignature} {
+		if got, twinGot := txs[i].Validation, copies[i].Validation; got != want || twinGot != want {
+			t.Fatalf("%s: %v, twin %v, want %v", txs[i].ID, got, twinGot, want)
+		}
+	}
+	if n := len(p.signed); n != recorded-2 {
+		t.Fatalf("record holds %d entries after the block, want %d", n, recorded-2)
 	}
 }
