@@ -136,9 +136,11 @@
 // everything pending into one block — so a lone writer commits a
 // one-transaction block, and writers that arrive during a delivery share
 // the next. A block is committed in two stages. Every peer checks every
-// endorsement itself, but the network runs all (peer, transaction) pairs
-// on one pool of up to GOMAXPROCS goroutines, so its peers check a block at
-// the same time. Then each peer, in turn, checks duplicates and MVCC reads
+// endorsement it did not sign itself; of its own it still checks the
+// certificate and the policy and skips only the ECDSA verify, whose outcome
+// it knows. The network runs all (peer, transaction) pairs on one pool of
+// up to GOMAXPROCS goroutines, so its peers check a block at the same
+// time. Then each peer, in turn, checks duplicates and MVCC reads
 // in block order and applies the valid writes, a multi-transaction block
 // on a multi-core host level by level by write-write conflicts on the
 // namespaced RWSet keys, a level's write sets in parallel. The first peer

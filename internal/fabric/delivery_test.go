@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -332,6 +333,36 @@ func TestDeliveryOwnSignatureForgeries(t *testing.T) {
 		deliver(t, n.commitBlock, []int{0, 1}, tx, ledger.BadSignature)
 		deliver(t, signer.CommitBlock, []int{2}, &removed, ledger.BadSignature)
 	})
+}
+
+// TestDeliveryConcurrentSubmitters: concurrent submitters endorse on the
+// same peers while group-committed blocks are checked, a block's (peer,
+// transaction) pairs on several goroutines, so each peer's record of its
+// own signatures is written and taken from many at once. Every
+// transaction commits valid; run it under the race detector.
+func TestDeliveryConcurrentSubmitters(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	n := newFourPeerNetwork(t)
+	orgA, _ := n.Org("org-a")
+	client, err := orgA.CA.Issue("client", msp.RoleClient)
+	if err != nil {
+		t.Fatalf("Issue: %v", err)
+	}
+	gw := n.Gateway(client)
+	const submitters, each = 8, 4
+	var wg sync.WaitGroup
+	for i := range submitters {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := range each {
+				if _, err := gw.SubmitString("kv", "put", fmt.Sprintf("k-%d-%d", i, j), "v"); err != nil {
+					t.Errorf("submitter %d, submit %d: %v", i, j, err)
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // malleate returns the (r, n-s) twin of an ASN.1 ECDSA signature, which

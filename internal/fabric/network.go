@@ -368,7 +368,7 @@ func (n *Network) commitBlock(block *ledger.Block) error {
 }
 
 // deliver commits block on peers in two stages. Every peer checks every
-// endorsement itself, but all (peer, transaction) pairs share one bounded
+// endorsement it did not sign itself, but all (peer, transaction) pairs share one bounded
 // pool (peer.CheckEndorsements), as Fabric's peers each check a delivered
 // block at the same time. Then each peer commits its own verdicts in order,
 // one peer after another, and the first error stops delivery. Callers hold

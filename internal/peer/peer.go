@@ -8,15 +8,15 @@
 // Commitment runs in two stages. The verdict stage (CheckEndorsements) is
 // read-only and per transaction: certificate, signature and endorsement
 // policy checks. Every peer checks the signature of every endorsement it
-// did not sign itself; one byte-equal to a signature it made over the same
-// digest under its own certificate skips only the ECDSA verify, whose
-// outcome is then known. It runs every (peer, transaction) pair it is given on one
-// pool of up to GOMAXPROCS goroutines, so a network's peers check a
-// delivered block at the same time, as Fabric's peers each do on their own
-// node. The in-order stage (CommitChecked) then takes one peer's verdicts
-// and walks the block in order: duplicate and MVCC read checks against a
-// block-local overlay of the earlier valid transactions' writes, then the
-// surviving writes apply. A multi-transaction block on a multi-core host
+// did not sign itself; of one byte-equal to a signature it made over the
+// same digest under its own certificate it skips only the ECDSA verify,
+// whose outcome is known. The stage runs every (peer, transaction) pair it
+// is given on one pool of up to GOMAXPROCS goroutines, so a network's peers
+// check a delivered block at the same time, as Fabric's peers each do on
+// their own node. The in-order stage (CommitChecked) then takes one peer's
+// verdicts and walks the block in order: duplicate and MVCC read checks
+// against a block-local overlay of the earlier valid transactions' writes,
+// then the surviving writes apply. A multi-transaction block on a multi-core host
 // applies level by level: a transaction's level is one past the deepest
 // earlier writer of any namespaced key it writes, and a level's write sets
 // apply concurrently. No setting selects any of this. The property suite in
@@ -516,10 +516,8 @@ func (p *Peer) validateEndorsements(tx *ledger.Transaction, verifier *msp.Verifi
 		// block itself, and in-process peers sharing verdicts would only
 		// measure co-location.
 		signedHere := own != "" && string(en.Signature) == own && bytes.Equal(en.CertPEM, p.identity.CertPEM())
-		if !signedHere {
-			if err := cryptoutil.VerifyDigest(pub, digest, en.Signature); err != nil {
-				return ledger.BadSignature
-			}
+		if !signedHere && cryptoutil.VerifyDigest(pub, digest, en.Signature) != nil {
+			return ledger.BadSignature
 		}
 		// Use the certificate contents, not the self-declared fields, as
 		// the authoritative principal.
