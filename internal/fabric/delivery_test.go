@@ -261,7 +261,7 @@ func TestDeliveryRefusesDivergentVerdict(t *testing.T) {
 // TestDeliveryOwnSignatureForgeries: a peer skips the ECDSA verify of an
 // endorsement only when it is byte-equal to one the peer made itself over
 // the same digest, under its own certificate. Each case below tampers with
-// an endorsement by peers[0] of a bank organization, which commits the
+// an endorsement by peers[0] of an organization, which commits the
 // block too. Delivery fails if any peer's verdict differs from the first
 // peer's, and every twin (fresh identity, full verify) must reach the same
 // verdict on its own copy.
