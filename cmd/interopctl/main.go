@@ -90,7 +90,7 @@ func runQuery(args []string) error {
 	if *ping {
 		addrs, err := registry.Resolve(kit.SourceNetwork)
 		if err != nil {
-			return err
+			return fmt.Errorf("%w: %s", err, kit.SourceNetwork)
 		}
 		// Fair per-address slices of the whole-operation budget: one hung
 		// relay must not starve the probes of the addresses after it, and

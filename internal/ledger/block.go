@@ -167,12 +167,14 @@ func (s *BlockStore) HasValidTx(txID string) bool {
 // TxByInteropKey returns the transaction committed as Valid for an interop
 // request key (wire.Query.InteropKey) — the QueryByTxID-style lookup a
 // relay uses to replay a cross-network invoke a sibling relay committed.
+// A miss returns the bare ErrNotFound: every first-time invoke misses, on
+// the relay and on each committing peer, and no caller shows the error.
 func (s *BlockStore) TxByInteropKey(key string) (*Transaction, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	loc, ok := s.byInterop[key]
 	if !ok {
-		return nil, fmt.Errorf("%w: interop request %q", ErrNotFound, key)
+		return nil, ErrNotFound
 	}
 	return s.txAtLocked(loc), nil
 }

@@ -46,7 +46,7 @@ func (r *Relay) SubscribeRemote(ctx context.Context, targetNetwork, eventName st
 	}
 	addrs, err := r.resolveOrdered(targetNetwork)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, fmt.Errorf("%w: %s", err, targetNetwork)
 	}
 	env := &wire.Envelope{
 		Version:   wire.ProtocolVersion,

@@ -64,8 +64,9 @@ type hopLeg struct {
 // each configured via in table order. A via that is this network, the
 // target or already on the route is skipped (the next hop would refuse the
 // cycle), and so is a leg whose network discovery cannot resolve. With no
-// leg left the error is the target's resolve error. The legs are appended
-// to buf[:0], so a caller's stack array spares an allocation per request.
+// leg left the error is the target's resolve error, naming the target.
+// The legs are appended to buf[:0], so a caller's stack array spares an
+// allocation per request.
 //
 // An origin's direct leg sends env as it is. Every other leg sends one copy
 // with this relay appended to the route; an origin's copy opens the route
@@ -102,7 +103,7 @@ func (r *Relay) legs(buf []hopLeg, env *wire.Envelope, target string, origin boo
 		}
 	}
 	if len(legs) == 0 {
-		return nil, resolveErr
+		return nil, fmt.Errorf("%w: %s", resolveErr, target)
 	}
 	return legs, nil
 }

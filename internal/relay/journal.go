@@ -294,7 +294,7 @@ func (r *JournalRegistry) Resolve(networkID string) ([]string, error) {
 	}
 	addrs := liveAddrs(r.view.entries[networkID], r.now())
 	if len(addrs) == 0 {
-		return nil, fmt.Errorf("%w: %s", ErrUnknownNetwork, networkID)
+		return nil, ErrUnknownNetwork
 	}
 	return addrs, nil
 }

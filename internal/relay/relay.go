@@ -38,7 +38,10 @@ var (
 // preference order. Deploying multiple relays per network and listing them
 // all is the paper's mitigation for relay denial-of-service (§5). Entries
 // are lease-based (see LeaseRegistrar): membership is kept fresh by
-// re-announcement instead of accumulating forever.
+// re-announcement instead of accumulating forever. A network with no live
+// entry resolves to the bare ErrUnknownNetwork: a relay that reaches a
+// target only through a route misses on every request, so the caller an
+// error reaches names the network.
 type Discovery interface {
 	Resolve(networkID string) ([]string, error)
 }
@@ -100,7 +103,7 @@ func (r *StaticRegistry) Resolve(networkID string) ([]string, error) {
 	defer r.mu.RUnlock()
 	addrs := liveAddrs(r.entries[networkID], r.now())
 	if len(addrs) == 0 {
-		return nil, fmt.Errorf("%w: %s", ErrUnknownNetwork, networkID)
+		return nil, ErrUnknownNetwork
 	}
 	return addrs, nil
 }
