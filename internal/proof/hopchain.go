@@ -13,6 +13,14 @@ package proof
 // path and the origin all see the same core bytes, so a hop cannot swap
 // the response out from under the chain it extends.
 //
+// Every relay on the return path, the origin and the client re-derive
+// these digests, so none of them builds the bytes it hashes: the response
+// core, the anchor preimage and each pin payload go through a hashing
+// wire.Walk (the bytes Marshal or a wire encoder would produce, streamed
+// into one SHA-256), and a pin is signed by that digest. Only the first
+// pin computes the anchor; a later hop links to the pin before it. The
+// tests hold each digest to SHA-256 of the assembled bytes.
+//
 // Verification is structural: each pin must hash-chain onto its
 // predecessor and carry a valid signature from the certificate it names.
 // Which certificates are acceptable for which hub network is a deployment
@@ -62,7 +70,7 @@ type Hop struct {
 func hopCoreDigest(resp *wire.QueryResponse) [cryptoutil.DigestSize]byte {
 	core := *resp
 	core.HopPins = nil
-	return cryptoutil.Sum(core.Marshal())
+	return core.Digest()
 }
 
 // HopAnchor computes the chain anchor for a (query, response) pair: the
@@ -74,55 +82,52 @@ func HopAnchor(q *wire.Query, resp *wire.QueryResponse) []byte {
 
 // hopAnchor is HopAnchor from the query's digests, returned as an array.
 func hopAnchor(queryDigest, policyDigest []byte, resp *wire.QueryResponse) [cryptoutil.DigestSize]byte {
-	core := hopCoreDigest(resp)
-	e := wire.NewEncoder(3 * (2 + cryptoutil.DigestSize))
-	e.BytesField(1, queryDigest)
-	e.BytesField(2, policyDigest)
-	e.BytesField(3, core[:])
-	return cryptoutil.Sum(hopAnchorDomain, e.Bytes())
+	sum := hopCoreDigest(resp)
+	core := sum[:]
+	w := wire.Hashing(hopAnchorDomain)
+	w.Bytes(1, &queryDigest)
+	w.Bytes(2, &policyDigest)
+	w.Bytes(3, &core)
+	return w.Sum()
 }
 
-// hopPinFields encodes what hop i signs after the hop-pin domain: the
+// hopPinDigest digests what hop i signs: the hop-pin domain, then the
 // previous pin, the forwarding relay's network and certificate, and the
-// policy pin, framed unambiguously by the wire encoder.
-func hopPinFields(prevPin []byte, network string, certPEM, policyDigest []byte) []byte {
-	e := wire.NewEncoder(64 + len(prevPin) + len(network) + len(certPEM))
-	e.BytesField(1, prevPin)
-	e.String(2, network)
-	e.BytesField(3, certPEM)
-	e.BytesField(4, policyDigest)
-	return e.Bytes()
-}
-
-// hopPinPayload assembles the exact bytes hop i signs.
-func hopPinPayload(prevPin []byte, network string, certPEM, policyDigest []byte) []byte {
-	return append(append([]byte{}, hopPinDomain...), hopPinFields(prevPin, network, certPEM, policyDigest)...)
-}
-
-// hopPinDigest is the digest of hopPinPayload, without assembling it.
+// policy pin, framed unambiguously as wire fields 1–4. It hashes the
+// payload as a wire walk emits it, without assembling it.
 func hopPinDigest(prevPin []byte, network string, certPEM, policyDigest []byte) [cryptoutil.DigestSize]byte {
-	return cryptoutil.Sum(hopPinDomain, hopPinFields(prevPin, network, certPEM, policyDigest))
+	w := wire.Hashing(hopPinDomain)
+	w.Bytes(1, &prevPin)
+	w.String(2, &network)
+	w.Bytes(3, &certPEM)
+	w.Bytes(4, &policyDigest)
+	return w.Sum()
 }
 
 // AppendHopPin extends the response's hop chain with one pin signed by the
 // forwarding relay's identity. The relay adjacent to the source appends
-// first (linking to the anchor); each subsequent relay links to the pin
-// before it. Must be called before the response is re-enveloped for the
-// previous hop.
+// first (linking to the anchor, the only pin that computes it); each
+// subsequent relay links to the pin before it. The signature is over the
+// pin payload, signed by its digest, which is also the pin. Must be called
+// before the response is re-enveloped for the previous hop.
 func AppendHopPin(resp *wire.QueryResponse, q *wire.Query, network string, id *msp.Identity) error {
-	prev := HopAnchor(q, resp)
+	policyDigest := PolicyDigestOf(q)
+	var prev []byte
 	if n := len(resp.HopPins); n > 0 {
 		prev = resp.HopPins[n-1].Pin
+	} else {
+		anchor := hopAnchor(QueryDigestOf(q), policyDigest, resp)
+		prev = anchor[:]
 	}
-	payload := hopPinPayload(prev, network, id.CertPEM(), PolicyDigestOf(q))
-	sig, err := id.Sign(payload)
+	pin := hopPinDigest(prev, network, id.CertPEM(), policyDigest)
+	sig, err := cryptoutil.SignDigest(id.Key, pin[:])
 	if err != nil {
 		return fmt.Errorf("proof: sign hop pin: %w", err)
 	}
 	resp.HopPins = append(resp.HopPins, wire.HopPin{
 		Network:   network,
 		CertPEM:   id.CertPEM(),
-		Pin:       cryptoutil.Digest(payload),
+		Pin:       bytes.Clone(pin[:]),
 		Signature: sig,
 	})
 	return nil

@@ -9,10 +9,11 @@
 //
 // Each message — the ten here, and proof.Bundle, its Element and
 // proof.Sealed — is one field walk, walk(w *Walk), that names each field
-// once, by number, with a typed call. That one walk runs in three modes
+// once, by number, with a typed call. That one walk runs in four modes
 // (see Walk): counting sizes the message, writing fills one buffer of
-// exactly that size (Marshal is one allocation), and decoding is
-// `for w.Next() { m.walk(&w) }`. The duplicate-field guard follows from
+// exactly that size (Marshal is one allocation), hashing streams what
+// writing would append into one SHA-256 without building it, and
+// decoding is `for w.Next() { m.walk(&w) }`. The duplicate-field guard follows from
 // the walk: scalar calls refuse a second occurrence of their field,
 // repeated calls append, and a field no call names is skipped.
 //
@@ -27,10 +28,13 @@
 package wire
 
 import (
+	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash"
 	"math/bits"
+	"sync"
 )
 
 // Wire types, mirroring the protobuf wire format.
@@ -52,14 +56,16 @@ var (
 // results are documents (bills of lading, letters of credit), not bulk data.
 const maxFieldLen = 64 << 20 // 64 MiB
 
-// Encoder accumulates an encoded message; it is what a Walk counts and
-// writes with. It has two modes. A counting encoder — the zero value,
-// whose buffer is nil — writes nothing: only Len advances, by exactly the
-// bytes a writing encoder would append. That is how a message learns its
-// encoded size without building it.
+// Encoder accumulates an encoded message; it is what a Walk counts, writes
+// and hashes with. A counting encoder — the zero value, whose buffer is
+// nil — writes nothing: only Len advances, by exactly the bytes a writing
+// encoder would append. That is how a message learns its encoded size
+// without building it. A hashing encoder (see Hashing) writes into a fixed
+// scratch buffer that it drains into a SHA-256 whenever it fills.
 type Encoder struct {
 	buf []byte
-	n   int // counting mode: bytes counted so far
+	n   int       // counting: bytes counted so far; hashing: bytes drained
+	dg  *digester // hashing mode: the hash buf drains into
 }
 
 // NewEncoder returns a writing Encoder with the given initial capacity
@@ -75,12 +81,13 @@ func NewEncoder(sizeHint int) *Encoder {
 func (e *Encoder) Bytes() []byte { return e.buf }
 
 // Len returns the encoded length so far: the bytes counted in counting
+// mode, the bytes drained plus those in the scratch buffer in hashing
 // mode, the length of Bytes otherwise.
 func (e *Encoder) Len() int {
 	if e.buf == nil {
 		return e.n
 	}
-	return len(e.buf)
+	return e.n + len(e.buf)
 }
 
 // uvarint appends v as a varint.
@@ -89,17 +96,55 @@ func (e *Encoder) uvarint(v uint64) {
 		e.n += (bits.Len64(v|1) + 6) / 7
 		return
 	}
+	if e.dg != nil && cap(e.buf)-len(e.buf) < binary.MaxVarintLen64 {
+		e.drain()
+	}
 	e.buf = binary.AppendUvarint(e.buf, v)
 }
 
 // put appends p verbatim.
 func put[T string | []byte](e *Encoder, p T) {
-	if e.buf == nil {
+	switch {
+	case e.buf == nil:
 		e.n += len(p)
-		return
+	case e.dg != nil:
+		for len(p) > 0 {
+			if len(e.buf) == cap(e.buf) {
+				e.drain()
+			}
+			n := copy(e.buf[len(e.buf):cap(e.buf)], p)
+			e.buf = e.buf[:len(e.buf)+n]
+			p = p[n:]
+		}
+	default:
+		e.buf = append(e.buf, p...)
 	}
-	e.buf = append(e.buf, p...)
 }
+
+// drain hands a hashing encoder's scratch buffer to its hash and empties
+// it.
+func (e *Encoder) drain() {
+	e.dg.h.Write(e.buf)
+	e.n += len(e.buf)
+	e.buf = e.buf[:0]
+}
+
+// hashScratch is the fixed buffer a hashing walk stages bytes in before
+// handing them to SHA-256; a longer field passes through it in pieces.
+const hashScratch = 256
+
+// digester is the state of one hashing walk: a SHA-256, its scratch
+// buffer and the array its sum lands in.
+type digester struct {
+	h       hash.Hash
+	scratch [hashScratch]byte
+	out     [sha256.Size]byte
+}
+
+// digesters holds idle digesters. Every relay on a multi-hop return path
+// and the client hash the response core and each hop pin, so hashing walks
+// take their state from here rather than allocating it per digest.
+var digesters = sync.Pool{New: func() any { return &digester{h: sha256.New()} }}
 
 // Uint writes a varint scalar field. Zero values are omitted, as in proto3.
 func (e *Encoder) Uint(field int, v uint64) {
@@ -254,7 +299,7 @@ func (d *Decoder) Skip() error {
 
 // Walk runs a message's field walk: one method, walk(w *Walk), that names
 // each field of the message once, by number, with a typed call. The same
-// walk serves three modes:
+// walk serves four modes:
 //
 //   - Count: the zero Walk. Calls write nothing; Len advances by exactly
 //     the bytes a writing walk appends. A message's size() is a counting
@@ -263,6 +308,11 @@ func (d *Decoder) Skip() error {
 //     size() measured exactly, so Marshal is one allocation. A nested
 //     message goes in place behind MessageHeader, its length counted by a
 //     walk of its own.
+//   - Hash: Hashing(prefix). Calls emit exactly the bytes a writing walk
+//     appends, through a fixed scratch buffer into one SHA-256, and Sum
+//     returns the digest of prefix followed by them: SHA-256 over Marshal,
+//     without the allocation. Hashing walks take their state from a pool;
+//     Sum returns it, so a hashing walk must end in Sum.
 //   - Decode: Decoding(buf). Next reads one field key and the walk that
 //     follows acts only in the call whose field number matches; a field no
 //     call takes is skipped as unknown. Scalar calls (Uint, String, Bytes)
@@ -286,13 +336,36 @@ type Walk struct {
 // Writing returns a writing Walk whose buffer has capacity n.
 func Writing(n int) Walk { return Walk{e: Encoder{buf: make([]byte, 0, n)}} }
 
+// Hashing returns a hashing Walk whose digest covers prefix, then every
+// byte the walk emits. End it with Sum.
+func Hashing(prefix []byte) Walk {
+	dg := digesters.Get().(*digester)
+	dg.h.Reset()
+	dg.h.Write(prefix)
+	return Walk{e: Encoder{buf: dg.scratch[:0], dg: dg}}
+}
+
+// Sum ends a hashing walk: it returns the SHA-256 of the walk's prefix and
+// of everything it emitted, and gives the walk's state back to the pool.
+// The walk is a counting walk afterwards.
+func (w *Walk) Sum() [sha256.Size]byte {
+	dg := w.e.dg
+	dg.h.Write(w.e.buf)
+	dg.h.Sum(dg.out[:0])
+	sum := dg.out
+	w.e = Encoder{}
+	digesters.Put(dg)
+	return sum
+}
+
 // Decoding returns a decoding Walk over buf.
 func Decoding(buf []byte) Walk { return Walk{d: Decoder{buf: buf}, decoding: true} }
 
-// Encoding reports whether the walk counts or writes rather than decodes.
+// Encoding reports whether the walk counts, writes or hashes rather than
+// decodes.
 func (w *Walk) Encoding() bool { return !w.decoding }
 
-// Len returns the bytes counted or written so far.
+// Len returns the bytes counted, written or hashed so far.
 func (w *Walk) Len() int { return w.e.Len() }
 
 // Encoded returns a writing walk's buffer.

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"testing"
 )
 
@@ -9,7 +10,8 @@ import (
 // QueryResponse, nested Attestations with batch fields, the scalar-dup
 // guard — with arbitrary bytes. Properties: never panic, never accept a
 // message whose re-encoding decodes differently (the round-trip must be a
-// fixed point once through the canonical encoder).
+// fixed point once through the canonical encoder), and the hashing walk of
+// every decoded message is SHA-256 of its encoding.
 func FuzzUnmarshalQueryResponse(f *testing.F) {
 	f.Add([]byte{})
 	f.Add((&QueryResponse{RequestID: "r", EncryptedResult: []byte("enc"), PolicyDigest: []byte("pd")}).Marshal())
@@ -43,6 +45,9 @@ func FuzzUnmarshalQueryResponse(f *testing.F) {
 		}
 		if !bytes.Equal(m.Marshal(), again.Marshal()) {
 			t.Fatal("decode/encode is not a fixed point")
+		}
+		if m.Digest() != sha256.Sum256(m.Marshal()) {
+			t.Fatal("Digest differs from SHA-256 of Marshal")
 		}
 	})
 }

@@ -402,6 +402,14 @@ func (m *QueryResponse) Marshal() []byte { w := Writing(m.size()); m.walk(&w); r
 
 func (m *QueryResponse) size() int { var c Walk; m.walk(&c); return c.Len() }
 
+// Digest returns the SHA-256 of the response's encoding, Marshal, without
+// building it: the walk runs in hashing mode.
+func (m *QueryResponse) Digest() [cryptoutil.DigestSize]byte {
+	w := Hashing(nil)
+	m.walk(&w)
+	return w.Sum()
+}
+
 func (m *QueryResponse) walk(w *Walk) {
 	w.String(1, &m.RequestID)
 	w.Bytes(2, &m.EncryptedResult)
