@@ -75,6 +75,10 @@ func payloadMismatch(tx *Transaction) string {
 	return ""
 }
 
+// digestScratch is the size of the scratch buffer a hashing walk stages
+// bytes in (see wire.Hashing).
+const digestScratch = 256
+
 // payloadLengths are field lengths where the encoding changes shape: the
 // length varint grows at 128 and 16384, and the digest's scratch buffer
 // fills at digestScratch.

@@ -141,9 +141,10 @@ type digester struct {
 	out     [sha256.Size]byte
 }
 
-// digesters holds idle digesters. Every relay on a multi-hop return path
-// and the client hash the response core and each hop pin, so hashing walks
-// take their state from here rather than allocating it per digest.
+// digesters holds idle digesters. Every peer digests every transaction it
+// endorses or commits, and every relay on a multi-hop return path hashes
+// the response and each hop pin, so hashing walks take their state from
+// here rather than allocating it per digest.
 var digesters = sync.Pool{New: func() any { return &digester{h: sha256.New()} }}
 
 // Uint writes a varint scalar field. Zero values are omitted, as in proto3.
