@@ -13,9 +13,9 @@
 // (see Walk): counting sizes the message, writing fills one buffer of
 // exactly that size (Marshal is one allocation), hashing streams what
 // writing would append into one SHA-256 without building it, and
-// decoding is `for w.Next() { m.walk(&w) }`. The duplicate-field guard follows from
-// the walk: scalar calls refuse a second occurrence of their field,
-// repeated calls append, and a field no call names is skipped.
+// decoding is `for w.Next() { m.walk(&w) }`. The duplicate-field guard
+// follows from the walk: scalar calls refuse a second occurrence of their
+// field, repeated calls append, and a field no call names is skipped.
 //
 // The message decoders here copy nothing but strings: a decoded message's
 // byte fields alias the buffer it was decoded from. Pass a buffer nobody reuses or
