@@ -60,6 +60,9 @@ type TCPTransport struct {
 
 var _ Transport = (*TCPTransport)(nil)
 
+// defaultIOTimeout is IOTimeout's zero-value meaning.
+const defaultIOTimeout = 30 * time.Second
+
 // errConnLost marks the ambiguous failures: the request was (or may have
 // been) written to a connection that then failed.
 var errConnLost = errors.New("relay: connection lost")
@@ -92,11 +95,10 @@ type muxConn struct {
 
 // Send implements Transport.
 func (t *TCPTransport) Send(ctx context.Context, addr string, env *wire.Envelope) (*wire.Envelope, error) {
-	request := env.MarshalFrame()
-	frame, reused, err := t.roundTrip(ctx, addr, request)
+	frame, reused, err := t.roundTrip(ctx, addr, env)
 	if err != nil && reused && errors.Is(err, errConnLost) && ctx.Err() == nil && env.Type != wire.MsgEvent {
 		var retryErr error
-		frame, _, retryErr = t.roundTrip(ctx, addr, request)
+		frame, _, retryErr = t.roundTrip(ctx, addr, env)
 		if retryErr == nil {
 			err = nil
 		} else if !errors.Is(retryErr, ErrUnreachable) {
@@ -116,13 +118,13 @@ func (t *TCPTransport) Send(ctx context.Context, addr string, env *wire.Envelope
 	return reply, nil
 }
 
-// roundTrip writes request to addr's connection, dialling it if need be,
-// and waits for the reply frame. reused reports that the connection was
+// roundTrip writes env to addr's connection, dialling it if need be, and
+// waits for the reply frame. reused reports that the connection was
 // already established when this call picked it up.
-func (t *TCPTransport) roundTrip(ctx context.Context, addr string, request wire.Frame) (frame []byte, reused bool, err error) {
+func (t *TCPTransport) roundTrip(ctx context.Context, addr string, env *wire.Envelope) (frame []byte, reused bool, err error) {
 	ioTimeout := t.IOTimeout
 	if ioTimeout <= 0 {
-		ioTimeout = 30 * time.Second
+		ioTimeout = defaultIOTimeout
 	}
 	var (
 		c     *muxConn
@@ -133,7 +135,7 @@ func (t *TCPTransport) roundTrip(ctx context.Context, addr string, request wire.
 		if c, reused, err = t.established(ctx, addr); err != nil {
 			return nil, false, err
 		}
-		tag, reply, err = t.write(c, request, reused, ioTimeout)
+		tag, reply, err = t.write(c, env, reused, ioTimeout)
 		if !errors.Is(err, errNotSent) {
 			break
 		}
@@ -191,13 +193,13 @@ func (t *TCPTransport) established(ctx context.Context, addr string) (c *muxConn
 	return c, reused, c.dialErr
 }
 
-// write registers a new tag on c and writes request under it. An error
+// write registers a new tag on c and writes env under it. An error
 // wrapping errNotSent means c was found dead first and nothing was
 // written; any other error means c failed with the frame possibly out.
 // probe asks for the kernel's word on the peer before writing (see
 // peerHungUp), which a connection this Send just watched being dialled
 // does not need.
-func (t *TCPTransport) write(c *muxConn, request wire.Frame, probe bool, ioTimeout time.Duration) (tag uint64, reply chan []byte, err error) {
+func (t *TCPTransport) write(c *muxConn, env *wire.Envelope, probe bool, ioTimeout time.Duration) (tag uint64, reply chan []byte, err error) {
 	reply = make(chan []byte, 1) // the reader never blocks on an abandoned tag
 	c.mu.Lock()
 	if c.lost != nil {
@@ -217,11 +219,10 @@ func (t *TCPTransport) write(c *muxConn, request wire.Frame, probe bool, ioTimeo
 	}
 	// A write blocks only when the peer has stopped draining the socket;
 	// the frame may then be half-sent, so a timeout here fails the
-	// connection rather than the one request.
-	err = c.conn.SetWriteDeadline(time.Now().Add(ioTimeout))
-	if err == nil {
-		err = wire.WriteFrame(c.conn, tag, request)
-	}
+	// connection rather than the one request. A deadline that cannot be
+	// set means a closed connection, which the write then reports.
+	_ = c.conn.SetWriteDeadline(time.Now().Add(ioTimeout))
+	err = wire.WriteEnvelope(c.conn, tag, env)
 	c.wmu.Unlock()
 	if err != nil {
 		t.fail(c, err)
@@ -356,6 +357,10 @@ func (t *TCPTransport) Close() {
 	t.readers.Wait()
 }
 
+// replyWriteTimeout bounds each reply write, as IOTimeout's default bounds
+// each request write. A variable only so tests can shorten it.
+var replyWriteTimeout = defaultIOTimeout
+
 // maxConnInFlight bounds the requests one connection may have in service
 // at once. When it is reached the server stops reading the connection, so
 // a peer that floods frames is throttled by TCP back-pressure rather than
@@ -476,9 +481,12 @@ func (s *TCPServer) serveConn(conn net.Conn) {
 		go func() {
 			defer requests.Done()
 			defer func() { <-inFlight }()
-			reply := s.serve(ctx, frame).MarshalFrame()
+			reply := s.serve(ctx, frame)
 			wmu.Lock()
-			err := wire.WriteFrame(conn, tag, reply)
+			// A peer that stops reading its replies holds this goroutine,
+			// and the ones queued behind it, only until the deadline.
+			_ = conn.SetWriteDeadline(time.Now().Add(replyWriteTimeout))
+			err := wire.WriteEnvelope(conn, tag, reply)
 			wmu.Unlock()
 			if err != nil {
 				conn.Close() // the frame may be half-written; the read loop ends with it

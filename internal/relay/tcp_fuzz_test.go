@@ -21,8 +21,8 @@ func FuzzServeConn(f *testing.F) {
 		pingEnvelope("p"),
 		gateEnvelope(wire.MsgQuery, "q", "fn"),
 	} {
-		if err := wire.WriteFrame(&valid, uint64(tag), env.MarshalFrame()); err != nil {
-			f.Fatalf("WriteFrame: %v", err)
+		if err := wire.WriteEnvelope(&valid, uint64(tag), env); err != nil {
+			f.Fatalf("WriteEnvelope: %v", err)
 		}
 	}
 	whole := valid.Bytes()
@@ -31,7 +31,7 @@ func FuzzServeConn(f *testing.F) {
 	}
 	var dup bytes.Buffer
 	for i := 0; i < 2; i++ {
-		_ = wire.WriteFrame(&dup, 7, pingEnvelope("dup").MarshalFrame())
+		_ = wire.WriteEnvelope(&dup, 7, pingEnvelope("dup"))
 	}
 	f.Add(dup.Bytes())                                                       // one tag in flight twice
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0, 0, 0, 0, 0, 0, 0, 1})            // oversize length

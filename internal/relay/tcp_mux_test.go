@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"net"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -89,7 +91,7 @@ func (p *scriptedPeer) seen(typ wire.MsgType) int {
 // payload back, so a test can tell whose reply it was handed.
 func echoReply(conn net.Conn, tag uint64, req *wire.Envelope) error {
 	reply := &wire.Envelope{Version: wire.ProtocolVersion, Type: wire.MsgPong, RequestID: req.RequestID, Payload: req.Payload}
-	return wire.WriteFrame(conn, tag, reply.MarshalFrame())
+	return wire.WriteEnvelope(conn, tag, reply)
 }
 
 func pingEnvelope(requestID string, payload ...byte) *wire.Envelope {
@@ -562,4 +564,116 @@ func TestMuxCloseFailsPendingAndJoins(t *testing.T) {
 		}
 	}
 	waitGoroutines(t, baseline)
+}
+
+// TestMuxPooledFramesNeverReusedInUse: outbound frames are encoded into
+// recycled buffers on both ends, so a buffer handed back while its frame
+// was still being written would corrupt some other request or reply. Many
+// concurrent Sends on one connection, each of its own size and content and
+// one past the pooled size, must each get back exactly their own bytes —
+// from a real server, whose replies are pooled too, and then from a peer
+// that hangs up once with requests in flight, so one request is resent
+// (re-encoded, under a new tag) while the others come and go.
+func TestMuxPooledFramesNeverReusedInUse(t *testing.T) {
+	const senders, each = 8, 8
+	content := func(g, i int) string {
+		size := (g*each + i) * 997 % 9000
+		if g == 0 && i == 0 {
+			size = 100 << 10 // frames past the pooled size, both ways
+		}
+		return fmt.Sprintf("%d/%d:", g, i) + strings.Repeat(string(rune('a'+(g*each+i)%26)), size)
+	}
+	hammer := func(t *testing.T, send func(id, body string) (got, want []byte, err error)) {
+		var wg sync.WaitGroup
+		for g := range senders {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := range each {
+					got, want, err := send(fmt.Sprintf("q-%d-%d", g, i), content(g, i))
+					if err != nil {
+						t.Errorf("Send %d/%d: %v", g, i, err)
+					} else if !bytes.Equal(got, want) {
+						t.Errorf("Send %d/%d: reply of %d bytes differs from the %d expected", g, i, len(got), len(want))
+					}
+				}
+			}()
+		}
+		wg.Wait()
+	}
+
+	t.Run("server", func(t *testing.T) {
+		transport := &TCPTransport{DialTimeout: time.Second, IOTimeout: 10 * time.Second}
+		defer transport.Close()
+		r, _ := newGateRelay(NewStaticRegistry(), transport)
+		server, err := NewTCPServer(r, "127.0.0.1:0")
+		if err != nil {
+			t.Fatalf("NewTCPServer: %v", err)
+		}
+		defer server.Close()
+		// The gate driver echoes the function: the reply is known to the byte.
+		hammer(t, func(id, body string) ([]byte, []byte, error) {
+			reply, err := transport.Send(context.Background(), server.Addr(), gateEnvelope(wire.MsgQuery, id, body))
+			if err != nil {
+				return nil, nil, err
+			}
+			return reply.Payload, (&wire.QueryResponse{RequestID: id, EncryptedResult: []byte(body)}).Marshal(), nil
+		})
+	})
+
+	t.Run("resend", func(t *testing.T) {
+		var (
+			mu     sync.Mutex
+			copies [][]byte // each arrival of the marked request
+		)
+		peer := newScriptedPeer(t, func(p *scriptedPeer, conn net.Conn) {
+			for {
+				tag, frame, err := wire.ReadFrame(conn)
+				if err != nil {
+					return
+				}
+				env, err := wire.UnmarshalEnvelope(frame)
+				if err != nil {
+					return
+				}
+				if env.RequestID == "resent" {
+					mu.Lock()
+					copies = append(copies, frame)
+					first := len(copies) == 1
+					mu.Unlock()
+					if first {
+						return // hang up with it, and whatever else, in flight
+					}
+				}
+				_ = echoReply(conn, tag, env)
+			}
+		})
+		transport := &TCPTransport{DialTimeout: time.Second, IOTimeout: 10 * time.Second}
+		defer transport.Close()
+		echo := func(id, body string) ([]byte, []byte, error) {
+			reply, err := transport.Send(context.Background(), peer.addr(), pingEnvelope(id, []byte(body)...))
+			if err != nil {
+				return nil, nil, err
+			}
+			return reply.Payload, []byte(body), nil
+		}
+		if _, _, err := echo("warm", "w"); err != nil { // so the marked Send reuses the connection
+			t.Fatalf("warm-up ping: %v", err)
+		}
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			hammer(t, echo)
+		}()
+		got, want, err := echo("resent", content(3, 5))
+		<-done
+		if err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("resent Send: %d bytes back, %v", len(got), err)
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		if len(copies) != 2 || !bytes.Equal(copies[0], copies[1]) {
+			t.Fatalf("the marked request arrived %d times; want twice, the same bytes", len(copies))
+		}
+	})
 }

@@ -37,8 +37,10 @@ func TestTCPServerGarbageFrame(t *testing.T) {
 	defer conn.Close()
 	_ = conn.SetDeadline(time.Now().Add(5 * time.Second))
 
-	if err := wire.WriteFrame(conn, 41, wire.NewFrame([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF})); err != nil {
-		t.Fatalf("WriteFrame: %v", err)
+	// A tagged frame (tag 41) whose five payload bytes are no envelope.
+	garbage := []byte{0x80, 0, 0, 5, 0, 0, 0, 0, 0, 0, 0, 41, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF}
+	if _, err := conn.Write(garbage); err != nil {
+		t.Fatalf("Write: %v", err)
 	}
 	tag, frame, err := wire.ReadFrame(conn)
 	if err != nil {
@@ -54,8 +56,8 @@ func TestTCPServerGarbageFrame(t *testing.T) {
 
 	// The same connection still serves valid requests.
 	ping := &wire.Envelope{Version: wire.ProtocolVersion, Type: wire.MsgPing, RequestID: "p"}
-	if err := wire.WriteFrame(conn, 42, ping.MarshalFrame()); err != nil {
-		t.Fatalf("WriteFrame ping: %v", err)
+	if err := wire.WriteEnvelope(conn, 42, ping); err != nil {
+		t.Fatalf("WriteEnvelope ping: %v", err)
 	}
 	tag, frame, err = wire.ReadFrame(conn)
 	if err != nil {
@@ -319,8 +321,8 @@ func TestTCPServerCancelsInFlightOnHangup(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Dial: %v", err)
 	}
-	if err := wire.WriteFrame(conn, 1, gateEnvelope(wire.MsgQuery, "q", "stall").MarshalFrame()); err != nil {
-		t.Fatalf("WriteFrame: %v", err)
+	if err := wire.WriteEnvelope(conn, 1, gateEnvelope(wire.MsgQuery, "q", "stall")); err != nil {
+		t.Fatalf("WriteEnvelope: %v", err)
 	}
 	awaitToken(t, gate.entered, "the request to reach the driver")
 	conn.Close()
@@ -340,8 +342,8 @@ func TestTCPServerCloseDoesNotWaitOutStalledHandler(t *testing.T) {
 		t.Fatalf("Dial: %v", err)
 	}
 	defer conn.Close()
-	if err := wire.WriteFrame(conn, 1, gateEnvelope(wire.MsgQuery, "q", "stall").MarshalFrame()); err != nil {
-		t.Fatalf("WriteFrame: %v", err)
+	if err := wire.WriteEnvelope(conn, 1, gateEnvelope(wire.MsgQuery, "q", "stall")); err != nil {
+		t.Fatalf("WriteEnvelope: %v", err)
 	}
 	awaitToken(t, gate.entered, "the request to reach the driver")
 
@@ -382,8 +384,8 @@ func TestTCPServerSurvivesDeepPolicyExpression(t *testing.T) {
 	ask := func(tag uint64, q *wire.Query) *wire.QueryResponse {
 		t.Helper()
 		env := &wire.Envelope{Version: wire.ProtocolVersion, Type: wire.MsgQuery, RequestID: q.RequestID, Payload: q.Marshal()}
-		if err := wire.WriteFrame(conn, tag, env.MarshalFrame()); err != nil {
-			t.Fatalf("WriteFrame: %v", err)
+		if err := wire.WriteEnvelope(conn, tag, env); err != nil {
+			t.Fatalf("WriteEnvelope: %v", err)
 		}
 		gotTag, frame, err := wire.ReadFrame(conn)
 		if err != nil {
@@ -422,5 +424,58 @@ func TestTCPServerSurvivesDeepPolicyExpression(t *testing.T) {
 	}
 	if string(bundle.Result) != `{"bl":"77"}` {
 		t.Fatalf("result = %s", bundle.Result)
+	}
+}
+
+// TestTCPServerReplyWriteDeadline: what a peer that sends requests but
+// never reads a reply can hold. Once its replies fill the socket buffers
+// the next reply write blocks, and every later reply queues behind it: a
+// goroutine, its reply and its request frame each, up to maxConnInFlight.
+// Without a write deadline all of that stayed until the peer hung up. Now
+// the blocked write times out, the server closes the connection, and
+// goroutines and heap return to where they were.
+func TestTCPServerReplyWriteDeadline(t *testing.T) {
+	const queued = 32 // reply goroutines to pile up behind the blocked write
+	defer func(d time.Duration) { replyWriteTimeout = d }(replyWriteTimeout)
+	replyWriteTimeout = time.Second
+	r, _ := newGateRelay(NewStaticRegistry(), &TCPTransport{})
+	server, err := NewTCPServer(r, "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("NewTCPServer: %v", err)
+	}
+	defer server.Close()
+	// The driver echoes the function name, so each reply carries 256 KiB.
+	env := gateEnvelope(wire.MsgQuery, "q", strings.Repeat("r", 256<<10))
+	goroutines, heap := runtime.NumGoroutine(), liveHeap()
+
+	conn, err := net.Dial("tcp", server.Addr())
+	if err != nil {
+		t.Fatalf("Dial: %v", err)
+	}
+	defer conn.Close()
+	_ = conn.(*net.TCPConn).SetReadBuffer(64 << 10) // no receive-window autotuning
+	stack := make([]byte, 1<<20)
+	replying := func() int {
+		return bytes.Count(stack[:runtime.Stack(stack, true)], []byte("(*TCPServer).serveConn.func"))
+	}
+	sent := 0
+	for ; replying() < queued; sent++ {
+		if sent == maxConnInFlight {
+			t.Fatalf("%d requests sent and only %d replies held: the socket buffers absorb them", sent, replying())
+		}
+		_ = conn.SetWriteDeadline(time.Now().Add(5 * time.Second))
+		if err := wire.WriteEnvelope(conn, uint64(sent), env); err != nil {
+			t.Fatalf("request %d: %v", sent, err)
+		}
+		time.Sleep(time.Millisecond) // let the server read it and reach the write
+	}
+	heldGoroutines, heldHeap := runtime.NumGoroutine()-goroutines, liveHeap()-heap
+	t.Logf("after %d unread replies of 256 KiB: %d goroutines and %d KiB of heap held", sent, heldGoroutines, heldHeap>>10)
+
+	waitGoroutines(t, goroutines) // within the deadline plus slack
+	grew := liveHeap() - heap
+	t.Logf("after the %v reply write deadline: %d goroutines and %d KiB of heap held", replyWriteTimeout, runtime.NumGoroutine()-goroutines, grew>>10)
+	if grew > 1<<20 {
+		t.Fatalf("the non-reading peer still holds %d KiB of heap after the deadline, want ≤ 1024 KiB", grew>>10)
 	}
 }

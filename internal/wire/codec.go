@@ -25,6 +25,11 @@
 // proof.UnmarshalBundle and proof.UnmarshalSealed do with ledger-held and
 // client-submitted bytes; a shared ID-less response (a cache entry, say)
 // needs no decode to be served, only StampQueryResponse, which copies it.
+//
+// That rule splits the framing in two. Outbound frames are recycled:
+// WriteEnvelope encodes into a pooled buffer and takes it back once the
+// write has returned. Inbound frames never are: ReadFrame allocates each
+// one afresh, because whatever is decoded from it aliases it.
 package wire
 
 import (

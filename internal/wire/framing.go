@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sync"
 )
 
 // MaxFrameSize bounds a single relay-to-relay frame. It must accommodate a
@@ -25,39 +26,52 @@ const (
 	frameTagged    = 1 << 31
 )
 
-// Frame is a payload with room for the frame header in front of it, in one
-// buffer: WriteFrame fills the header in and the whole frame leaves in a
-// single Write — one syscall and one segment train on a TCP_NODELAY socket,
-// nothing for a concurrent writer to interleave with, and no copy of the
-// payload to get it behind its header. Envelope.MarshalFrame encodes into
-// one directly.
-type Frame []byte
+// maxPooledFrame is the largest frame buffer WriteEnvelope keeps for
+// reuse. Relay frames are a few KB; a larger one is allocated for its one
+// write and left to the collector, so a rare outsized reply does not pin
+// its buffer in the pool.
+const maxPooledFrame = 64 << 10
 
-// NewFrame copies an already-encoded payload into a Frame.
-func NewFrame(payload []byte) Frame {
-	f := make(Frame, frameHeaderLen+len(payload))
-	copy(f[frameHeaderLen:], payload)
-	return f
-}
+// frameBufs holds idle outbound frame buffers. Every request a relay sends
+// and every reply it serves is a frame, so WriteEnvelope encodes into one
+// of these and hands it back once Write has returned; io.Writer
+// implementations must not retain what they are given. Inbound frames are
+// never recycled: decoders alias their input (see the package doc).
+var frameBufs = sync.Pool{New: func() any { return new([]byte) }}
 
-// WriteFrame writes f to w under tag. The tag is the transport's
-// correlation handle — a reply frame carries the tag of its request, so
-// many round-trips share one connection and complete out of order. It
-// lives in the frame header and not in the Envelope so envelope bytes (and
-// everything signed over them) do not depend on the connection they ride.
-// This is the transport framing relays use over TCP in place of the paper's
-// gRPC streams. A Frame may be written again, under another tag.
-func WriteFrame(w io.Writer, tag uint64, f Frame) error {
-	length := len(f) - frameHeaderLen
-	if length < 0 {
-		return fmt.Errorf("%w: frame without header room", ErrMalformed)
-	}
+// WriteEnvelope encodes env as one frame under tag and writes it to w in a
+// single Write: the header and the encoding in one buffer, so one syscall
+// and one segment train on a TCP_NODELAY socket, nothing for a concurrent
+// writer to interleave with, and no copy to get the envelope behind its
+// header. The tag is the transport's correlation handle — a reply frame
+// carries the tag of its request, so many round-trips share one connection
+// and complete out of order. It lives in the frame header and not in the
+// Envelope so envelope bytes (and everything signed over them) do not
+// depend on the connection they ride: writing the same envelope again
+// under another tag (a resend) sends the same payload bytes. This is the
+// transport framing relays use over TCP in place of the paper's gRPC
+// streams. A frame of up to maxPooledFrame bytes is encoded into a
+// recycled buffer, so a warm write allocates nothing.
+func WriteEnvelope(w io.Writer, tag uint64, env *Envelope) error {
+	length := env.size()
 	if length > MaxFrameSize {
 		return fmt.Errorf("%w: frame of %d bytes", ErrTooLarge, length)
 	}
-	binary.BigEndian.PutUint32(f[:4], uint32(length)|frameTagged)
-	binary.BigEndian.PutUint64(f[4:frameHeaderLen], tag)
-	if _, err := w.Write(f); err != nil {
+	var frame []byte
+	if n := frameHeaderLen + length; n > maxPooledFrame {
+		frame = make([]byte, 0, n)
+	} else {
+		pooled := frameBufs.Get().(*[]byte)
+		defer frameBufs.Put(pooled)
+		if cap(*pooled) < n {
+			*pooled = make([]byte, 0, n)
+		}
+		frame = (*pooled)[:0]
+	}
+	frame = binary.BigEndian.AppendUint32(frame, uint32(length)|frameTagged)
+	enc := Walk{e: Encoder{buf: binary.BigEndian.AppendUint64(frame, tag)}}
+	env.walk(&enc)
+	if _, err := w.Write(enc.Encoded()); err != nil {
 		return fmt.Errorf("write frame: %w", err)
 	}
 	return nil
@@ -65,7 +79,9 @@ func WriteFrame(w io.Writer, tag uint64, f Frame) error {
 
 // ReadFrame reads one frame from r. A stream that ends cleanly between
 // frames yields io.EOF; one that ends inside a frame yields a wrapped
-// io.ErrUnexpectedEOF.
+// io.ErrUnexpectedEOF. The payload is a fresh buffer that the caller owns
+// and nothing recycles, unlike WriteEnvelope's: a decoded message aliases
+// it, and a client keeps the decoded reply.
 func ReadFrame(r io.Reader) (tag uint64, payload []byte, err error) {
 	var hdr [frameHeaderLen]byte
 	// The marker word is read and checked on its own: a peer with another

@@ -5,23 +5,25 @@ import (
 	"encoding/hex"
 	"errors"
 	"io"
+	"runtime"
 	"testing"
 )
 
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	frames := []struct {
-		tag     uint64
-		payload []byte
+		tag uint64
+		env *Envelope
 	}{
-		{1, []byte("first")},
-		{0, []byte{}},
-		{1, []byte("same tag again")}, // tags are the caller's business
-		{^uint64(0), bytes.Repeat([]byte{0xAB}, 10_000)},
+		{1, &Envelope{RequestID: "first"}},
+		{0, &Envelope{}},                            // an empty payload
+		{1, &Envelope{RequestID: "same tag again"}}, // tags are the caller's business
+		{^uint64(0), &Envelope{Payload: bytes.Repeat([]byte{0xAB}, 10_000)}},
+		{2, &Envelope{Payload: bytes.Repeat([]byte{0xCD}, maxPooledFrame)}}, // past the pooled size
 	}
 	for _, f := range frames {
-		if err := WriteFrame(&buf, f.tag, NewFrame(f.payload)); err != nil {
-			t.Fatalf("WriteFrame: %v", err)
+		if err := WriteEnvelope(&buf, f.tag, f.env); err != nil {
+			t.Fatalf("WriteEnvelope: %v", err)
 		}
 	}
 	for i, want := range frames {
@@ -29,8 +31,8 @@ func TestFrameRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("ReadFrame %d: %v", i, err)
 		}
-		if tag != want.tag || !bytes.Equal(got, want.payload) {
-			t.Fatalf("frame %d = tag %d, %d bytes; want tag %d, %d bytes", i, tag, len(got), want.tag, len(want.payload))
+		if tag != want.tag || !bytes.Equal(got, want.env.Marshal()) {
+			t.Fatalf("frame %d = tag %d, %d bytes; want tag %d, %d bytes", i, tag, len(got), want.tag, len(want.env.Marshal()))
 		}
 	}
 	if _, _, err := ReadFrame(&buf); err != io.EOF {
@@ -38,19 +40,20 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 }
 
-// TestFrameHeaderKnownAnswer pins the 12 header bytes WriteFrame puts in
-// front of a payload: the big-endian payload length with bit 31 set, then
-// the big-endian 64-bit tag. Every relay on the wire parses these bytes, so
-// a change here is a protocol change, never a refactor side effect.
+// TestFrameHeaderKnownAnswer pins the 12 header bytes WriteEnvelope puts
+// in front of an envelope: the big-endian payload length with bit 31 set,
+// then the big-endian 64-bit tag. Every relay on the wire parses these
+// bytes, so a change here is a protocol change, never a refactor side
+// effect. The payload is a bare ping (version 1, type 4).
 func TestFrameHeaderKnownAnswer(t *testing.T) {
 	const (
 		tag       = 0x0102030405060708
-		payload   = "ping"
-		wantFrame = "80000004" + "0102030405060708" + "70696e67"
+		payload   = "\x08\x01\x10\x04"
+		wantFrame = "80000004" + "0102030405060708" + "08011004"
 	)
 	var buf bytes.Buffer
-	if err := WriteFrame(&buf, tag, NewFrame([]byte(payload))); err != nil {
-		t.Fatalf("WriteFrame: %v", err)
+	if err := WriteEnvelope(&buf, tag, &Envelope{Version: ProtocolVersion, Type: MsgPing}); err != nil {
+		t.Fatalf("WriteEnvelope: %v", err)
 	}
 	if got := hex.EncodeToString(buf.Bytes()); got != wantFrame {
 		t.Fatalf("frame bytes = %s, want %s", got, wantFrame)
@@ -67,8 +70,8 @@ func TestFrameHeaderKnownAnswer(t *testing.T) {
 // inside a frame.
 func TestReadFrameTruncated(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteFrame(&buf, 7, NewFrame([]byte("full payload"))); err != nil {
-		t.Fatalf("WriteFrame: %v", err)
+	if err := WriteEnvelope(&buf, 7, &Envelope{RequestID: "full payload"}); err != nil {
+		t.Fatalf("WriteEnvelope: %v", err)
 	}
 	whole := buf.Bytes()
 	for cut := 0; cut < len(whole); cut++ {
@@ -89,13 +92,14 @@ func TestReadFrameTruncated(t *testing.T) {
 // arrives whole in a buffer exactly its size, and a stream cut at any of
 // the buffer's growth boundaries is an unexpected EOF, not a clean one.
 func TestReadFrameGrowsAsBytesArrive(t *testing.T) {
-	payload := make([]byte, 3*firstPayloadBuf+5)
-	for i := range payload {
-		payload[i] = byte(i * 7)
+	env := &Envelope{Payload: make([]byte, 3*firstPayloadBuf)}
+	for i := range env.Payload {
+		env.Payload[i] = byte(i * 7)
 	}
+	payload := env.Marshal()
 	var buf bytes.Buffer
-	if err := WriteFrame(&buf, 3, NewFrame(payload)); err != nil {
-		t.Fatalf("WriteFrame: %v", err)
+	if err := WriteEnvelope(&buf, 3, env); err != nil {
+		t.Fatalf("WriteEnvelope: %v", err)
 	}
 	whole := buf.Bytes()
 	tag, got, err := ReadFrame(bytes.NewReader(whole))
@@ -130,59 +134,77 @@ func TestReadFrameUntagged(t *testing.T) {
 
 func TestWriteFrameOversized(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteFrame(&buf, 1, make(Frame, frameHeaderLen+MaxFrameSize+1)); !errors.Is(err, ErrTooLarge) {
+	if err := WriteEnvelope(&buf, 1, &Envelope{Payload: make([]byte, MaxFrameSize)}); !errors.Is(err, ErrTooLarge) {
 		t.Fatalf("oversized write gave %v", err)
-	}
-	if err := WriteFrame(&buf, 1, Frame("short")); !errors.Is(err, ErrMalformed) {
-		t.Fatalf("frame without header room gave %v", err)
 	}
 	if buf.Len() != 0 {
 		t.Fatalf("%d bytes of a refused frame were written", buf.Len())
 	}
 }
 
-// countingWriter records how the frame reached it.
+// countingWriter records how frames reached it.
 type countingWriter struct {
-	writes int
-	first  *byte
+	writes []int // the length of each Write
 	bytes.Buffer
 }
 
 func (w *countingWriter) Write(p []byte) (int, error) {
-	if w.writes++; w.writes == 1 && len(p) > 0 {
-		w.first = &p[0]
-	}
+	w.writes = append(w.writes, len(p))
 	return w.Buffer.Write(p)
 }
 
-// TestWriteFrameSingleWriteNoCopy: an envelope marshalled as a frame
-// reaches the writer in one Write of that very buffer — header and payload
-// together, so no 12-byte segment of its own on a TCP_NODELAY socket and
-// nothing for a concurrent writer to land between, and no copy made to get
-// the payload behind its header. The payload is byte-identical to Marshal:
-// the tag rides in the header, never in the envelope.
+// TestWriteFrameSingleWriteNoCopy: an envelope reaches the writer in one
+// Write — header and encoding together, so no 12-byte segment of its own on
+// a TCP_NODELAY socket and nothing for a concurrent writer to land between.
+// The payload is byte-identical to Marshal: the tag rides in the header,
+// never in the envelope, so a resend under another tag is the same bytes.
 func TestWriteFrameSingleWriteNoCopy(t *testing.T) {
 	env := &Envelope{Version: ProtocolVersion, Type: MsgQuery, RequestID: "req", Payload: bytes.Repeat([]byte{0x5A}, 4096)}
-	frame := env.MarshalFrame()
+	want := env.Marshal()
 	var w countingWriter
-	if err := WriteFrame(&w, 9, frame); err != nil {
-		t.Fatalf("WriteFrame: %v", err)
+	for _, tag := range []uint64{9, 10} { // the second is a resend
+		if err := WriteEnvelope(&w, tag, env); err != nil {
+			t.Fatalf("WriteEnvelope: %v", err)
+		}
+		if n := len(w.writes); n != 1 || w.writes[0] != frameHeaderLen+len(want) {
+			t.Fatalf("frame reached the writer as writes of %v bytes; want one of %d", w.writes, frameHeaderLen+len(want))
+		}
+		w.writes = w.writes[:0]
+		got, payload, err := ReadFrame(&w.Buffer)
+		if err != nil || got != tag || !bytes.Equal(payload, want) {
+			t.Fatalf("ReadFrame = tag %d, %d bytes, %v; want tag %d and the bytes of Envelope.Marshal", got, len(payload), err, tag)
+		}
 	}
-	if w.writes != 1 || w.first != &frame[0] {
-		t.Fatalf("frame reached the writer in %d writes (first at %p, frame at %p); want 1 write of the frame itself", w.writes, w.first, &frame[0])
+}
+
+// TestWriteEnvelopeAllocations is the tripwire of the pooled frame
+// buffers: a warm WriteEnvelope allocates nothing, and what it allocates
+// per frame does not grow with the envelope — a 32 KiB payload costs what
+// a 1 KiB one does, up to a few pool misses.
+func TestWriteEnvelopeAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the pooled frame buffers' counts do not hold under the race detector")
 	}
-	tag, payload, err := ReadFrame(&w.Buffer)
-	if err != nil || tag != 9 {
-		t.Fatalf("ReadFrame = tag %d, %v", tag, err)
+	const frames = 1000
+	perFrame := make(map[int]float64)
+	for _, n := range []int{1 << 10, 32 << 10} {
+		env := &Envelope{Version: ProtocolVersion, Type: MsgQueryResponse, RequestID: "req-000017", Payload: make([]byte, n)}
+		write := func() { _ = WriteEnvelope(io.Discard, 7, env) }
+		if got := testing.AllocsPerRun(100, write); got != 0 {
+			t.Errorf("WriteEnvelope of a %d-byte payload: %v allocations, want 0", n, got)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range frames {
+			write()
+		}
+		runtime.ReadMemStats(&after)
+		perFrame[n] = float64(after.TotalAlloc-before.TotalAlloc) / frames
 	}
-	if !bytes.Equal(payload, env.Marshal()) {
-		t.Fatal("frame payload differs from Envelope.Marshal")
-	}
-	// The same frame goes out again under another tag (a resend).
-	if err := WriteFrame(&w, 10, frame); err != nil {
-		t.Fatalf("WriteFrame again: %v", err)
-	}
-	if tag, again, err := ReadFrame(&w.Buffer); err != nil || tag != 10 || !bytes.Equal(again, payload) {
-		t.Fatalf("rewritten frame = tag %d, %d bytes, %v", tag, len(again), err)
+	// A pool miss per P the loop ran on, and two more for a collection that
+	// emptied the pool, each a fresh buffer for the larger frame.
+	drops := runtime.GOMAXPROCS(0) + 2
+	if slack := float64(drops*(frameHeaderLen+32<<10+16)) / frames; perFrame[32<<10] > perFrame[1<<10]+slack {
+		t.Fatalf("bytes allocated per frame: %.1f at 32 KiB, %.1f at 1 KiB; want equal within %.0f", perFrame[32<<10], perFrame[1<<10], slack)
 	}
 }

@@ -97,19 +97,7 @@ type Envelope struct {
 }
 
 // Marshal encodes the envelope.
-func (m *Envelope) Marshal() []byte { return m.marshal(0) }
-
-// MarshalFrame encodes the envelope straight into a Frame, so the transport
-// sends it without copying it behind a header.
-func (m *Envelope) MarshalFrame() Frame { return m.marshal(frameHeaderLen) }
-
-// marshal encodes the envelope after headroom zero bytes, in one buffer of
-// exactly the encoded size.
-func (m *Envelope) marshal(headroom int) []byte {
-	w := Walk{e: Encoder{buf: make([]byte, headroom, headroom+m.size())}}
-	m.walk(&w)
-	return w.Encoded()
-}
+func (m *Envelope) Marshal() []byte { w := Writing(m.size()); m.walk(&w); return w.Encoded() }
 
 func (m *Envelope) size() int { var c Walk; m.walk(&c); return c.Len() }
 
