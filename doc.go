@@ -76,11 +76,11 @@
 // invalidated: a commit to read state, or an org leaving the network,
 // gives the question a new key, while writes to other keys leave the entry
 // warm. A driver answers a query as bytes
-// (relay.Driver.ServeQuery): the encoded QueryResponse, owned by the
-// caller and already stamped with the request's ID. The cache holds each
-// response encoded without an ID, and wire.StampQueryResponse serves a hit
-// as one exactly-sized copy behind the ID field — no decode, no re-encode
-// — which the source relay puts straight into its reply envelope.
+// (relay.Driver.ServeQuery): the encoded QueryResponse without its request
+// ID, read-only because a hit is the cache entry itself. The source relay
+// writes it straight into its reply frame, stamping the ID in front as it
+// goes (wire.StampedResponseEnvelope) — no copy, no decode, no re-encode;
+// a hub likewise encodes the response it forwards once, into the frame.
 // Stats.AttestationCacheHits/Misses expose its effectiveness and
 // `netadmin proofs show` dumps a persisted artifact. Every proof has one
 // envelope, built by one proof.Builder per driver. A proof build alone at

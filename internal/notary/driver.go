@@ -47,12 +47,14 @@ func (d *Driver) CryptoOps() (ecdh, sign, encrypt uint64) {
 // Platform implements relay.Driver.
 func (d *Driver) Platform() string { return "notary" }
 
-// ServeQuery implements relay.Driver: Query's response, encoded.
+// ServeQuery implements relay.Driver: Query's response, encoded without
+// its request ID, which the relay stamps as it writes the reply.
 func (d *Driver) ServeQuery(ctx context.Context, q *wire.Query) ([]byte, error) {
 	resp, err := d.Query(ctx, q)
 	if err != nil {
 		return nil, err
 	}
+	resp.RequestID = ""
 	return resp.Marshal(), nil
 }
 

@@ -63,19 +63,19 @@ var (
 
 // QueryDigest computes the canonical digest binding a proof to the question
 // that was asked: target network, ledger, contract, function, arguments and
-// client nonce. Relay-routing fields are deliberately excluded so the
-// digest is recomputable by the destination chaincode.
+// client nonce, as wire fields 1–6. Relay-routing fields are deliberately
+// excluded so the digest is recomputable by the destination chaincode. The
+// fields are hashed as a wire walk emits them, without being assembled.
 func QueryDigest(targetNetwork, ledgerName, contract, function string, args [][]byte, nonce []byte) []byte {
-	e := wire.NewEncoder(128)
-	e.String(1, targetNetwork)
-	e.String(2, ledgerName)
-	e.String(3, contract)
-	e.String(4, function)
-	for _, a := range args {
-		e.Message(5, a)
-	}
-	e.BytesField(6, nonce)
-	return cryptoutil.Digest(e.Bytes())
+	w := wire.Hashing(nil)
+	w.String(1, &targetNetwork)
+	w.String(2, &ledgerName)
+	w.String(3, &contract)
+	w.String(4, &function)
+	w.BytesList(5, &args)
+	w.Bytes(6, &nonce)
+	sum := w.Sum()
+	return sum[:]
 }
 
 // QueryDigestOf is QueryDigest applied to a wire query.

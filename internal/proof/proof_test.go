@@ -5,6 +5,7 @@ import (
 	"context"
 	"crypto/ecdsa"
 	"errors"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -357,6 +358,57 @@ func TestQueryDigestSensitivity(t *testing.T) {
 	again := QueryDigest("net", "ledger", "cc", "fn", [][]byte{[]byte("a")}, []byte("n1"))
 	if !bytes.Equal(base, again) {
 		t.Fatal("digest not deterministic")
+	}
+}
+
+// queryDigestReference is QueryDigest as it was before it streamed: the
+// fields encoded into one buffer, then hashed.
+func queryDigestReference(targetNetwork, ledgerName, contract, function string, args [][]byte, nonce []byte) []byte {
+	e := wire.NewEncoder(128)
+	e.String(1, targetNetwork)
+	e.String(2, ledgerName)
+	e.String(3, contract)
+	e.String(4, function)
+	for _, a := range args {
+		e.Message(5, a)
+	}
+	e.BytesField(6, nonce)
+	return cryptoutil.Digest(e.Bytes())
+}
+
+// TestQueryDigestMatchesEncoding holds the streamed QueryDigest to SHA-256
+// of the encoded fields over generated queries: 0–8 arguments, some of
+// them empty (each still framed), empty and nil nonces, empty names, and
+// fields past the 256-byte scratch the hashing walk stages them in. A
+// warm digest allocates only the slice it returns.
+func TestQueryDigestMatchesEncoding(t *testing.T) {
+	r := rand.New(rand.NewSource(43))
+	gen := func() []byte {
+		b := make([]byte, []int{0, 1, 7, 127, 128, 300}[r.Intn(6)])
+		r.Read(b)
+		return b
+	}
+	for i := 0; i < 300; i++ {
+		args := make([][]byte, i%9)
+		for j := range args {
+			args[j] = gen()
+		}
+		nonce := gen()
+		if i%7 == 0 {
+			nonce = nil
+		}
+		net, ledger, cc, fn := string(gen()), string(gen()), string(gen()), string(gen())
+		got := QueryDigest(net, ledger, cc, fn, args, nonce)
+		if want := queryDigestReference(net, ledger, cc, fn, args, nonce); !bytes.Equal(got, want) {
+			t.Fatalf("query %d (%d args, nonce %d B): digest %x, want %x", i, len(args), len(nonce), got, want)
+		}
+	}
+	if raceEnabled {
+		return // the pooled digester: the race detector drops pooled items
+	}
+	args := [][]byte{[]byte("po-1001"), nil, []byte("v2")}
+	if got := testing.AllocsPerRun(100, func() { _ = QueryDigest("tradelens", "default", "trade", "GetBillOfLading", args, []byte("nonce")) }); got != 1 {
+		t.Fatalf("QueryDigest: %v allocations, want 1", got)
 	}
 }
 

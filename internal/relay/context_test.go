@@ -27,7 +27,7 @@ func (d *captureDriver) ServeQuery(ctx context.Context, q *wire.Query) ([]byte, 
 	case d.deadlines <- deadline:
 	default:
 	}
-	return (&wire.QueryResponse{RequestID: q.RequestID}).Marshal(), nil
+	return (&wire.QueryResponse{}).Marshal(), nil // ServeQuery leaves the ID to the relay
 }
 
 // newCaptureRelay builds a relay serving network "srcnet" through a
@@ -266,7 +266,7 @@ func (d *deadlineRespectingDriver) ServeQuery(ctx context.Context, q *wire.Query
 	case d.deadlines <- deadline:
 	default:
 	}
-	return (&wire.QueryResponse{RequestID: q.RequestID}).Marshal(), nil
+	return (&wire.QueryResponse{}).Marshal(), nil // ServeQuery leaves the ID to the relay
 }
 
 // TestSkewedClockDoesNotKillRequestOnArrival: a source relay whose clock
@@ -491,7 +491,7 @@ type countingTxDriver struct {
 func (d *countingTxDriver) Platform() string { return "test" }
 
 func (d *countingTxDriver) ServeQuery(ctx context.Context, q *wire.Query) ([]byte, error) {
-	return (&wire.QueryResponse{RequestID: q.RequestID}).Marshal(), nil
+	return (&wire.QueryResponse{}).Marshal(), nil // ServeQuery leaves the ID to the relay
 }
 
 func (d *countingTxDriver) Invoke(ctx context.Context, q *wire.Query) (*wire.QueryResponse, error) {

@@ -60,51 +60,53 @@ func TestDriverCacheSecondTouchIsHit(t *testing.T) {
 	}
 }
 
-// TestDriverCacheHitOwnsItsResponse: a hit is a stamped copy of the cache
-// entry that the caller owns. A caller that overwrites every byte of one
-// hit's payload changes nothing the next hit serves: it is byte-identical
-// to the first, carries its own request ID, and the requester still opens
-// and verifies it. Run with and without a request ID, since an empty ID
-// stamps nothing and so is where a stamp could most easily alias.
+// TestDriverCacheHitOwnsItsResponse: ServeQuery hands out the cache entry
+// itself, ID-less and read-only, and Query decodes a copy that the caller
+// owns. A caller that overwrites every byte field of one hit's decoded
+// response changes nothing that later hits serve: ServeQuery returns the
+// same bytes, and Query decodes a response byte-identical to the first,
+// with its own request ID, which the requester still opens and verifies.
+// Run with and without a request ID.
 func TestDriverCacheHitOwnsItsResponse(t *testing.T) {
 	for name, id := range map[string]string{"without-id": "", "with-id": "req-owns-its-hit"} {
 		t.Run(name, func(t *testing.T) {
 			src, req := newCacheEnv(t)
 			q := newQuery(t, req)
 			q.RequestID = id
-			hit := func() []byte {
+			hit := func() *wire.QueryResponse {
 				t.Helper()
-				raw, err := src.driver.ServeQuery(context.Background(), q)
-				if err != nil {
-					t.Fatalf("ServeQuery: %v", err)
+				resp, err := src.driver.Query(context.Background(), q)
+				if err != nil || resp.Error != "" {
+					t.Fatalf("Query: %v", respError(resp, err))
 				}
-				return raw
+				return resp
 			}
 			hit() // the build, stored
+			entry, err := src.driver.ServeQuery(context.Background(), q)
+			if err != nil {
+				t.Fatalf("ServeQuery: %v", err)
+			}
+			wantEntry := bytes.Clone(entry)
 			first := hit()
-			want := bytes.Clone(first)
-			for i := range first {
-				first[i] = 0xA5
-			}
+			want := first.Marshal()
+			scribble(first)
 			second := hit()
-			if s := src.relay.Stats(); s.AttestationCacheHits != 2 {
-				t.Fatalf("cache hits = %d, want 2", s.AttestationCacheHits)
+			if s := src.relay.Stats(); s.AttestationCacheHits != 3 {
+				t.Fatalf("cache hits = %d, want 3", s.AttestationCacheHits)
 			}
-			if !bytes.Equal(second, want) {
-				t.Fatal("overwriting one hit's payload changed the next hit")
+			if again, err := src.driver.ServeQuery(context.Background(), q); err != nil || !bytes.Equal(again, wantEntry) {
+				t.Fatalf("overwriting a decoded hit changed the served entry (err %v)", err)
 			}
-
-			resp, err := wire.UnmarshalQueryResponse(second)
-			if err != nil || resp.Error != "" {
-				t.Fatalf("decode hit: %v", respError(resp, err))
+			if !bytes.Equal(second.Marshal(), want) {
+				t.Fatal("overwriting one decoded hit changed the next")
 			}
-			if resp.RequestID != id {
-				t.Fatalf("hit stamped with request ID %q, want %q", resp.RequestID, id)
+			if second.RequestID != id {
+				t.Fatalf("hit stamped with request ID %q, want %q", second.RequestID, id)
 			}
-			if len(resp.Attestations) == 0 {
+			if len(second.Attestations) == 0 {
 				t.Fatal("hit carries no attestations")
 			}
-			bundle, err := proof.OpenResponse(cryptoutil.NewRecipient(req.key), q, resp)
+			bundle, err := proof.OpenResponse(cryptoutil.NewRecipient(req.key), q, second)
 			if err != nil {
 				t.Fatalf("OpenResponse: %v", err)
 			}
@@ -124,38 +126,60 @@ func TestDriverCacheHitOwnsItsResponse(t *testing.T) {
 	}
 }
 
-// TestDriverCacheHitIsOneStampedCopy is the allocation tripwire of a warm
-// hit: serving the entry is one allocation — the stamped copy — so it
-// neither decodes (UnmarshalQueryResponse allocates the response and its
-// attestations) nor re-encodes the cached response. Each resend of the
-// question is stamped with its own ID, and the entry stays ID-less.
-func TestDriverCacheHitIsOneStampedCopy(t *testing.T) {
+// scribble overwrites every byte field of a decoded response, which is
+// every byte it may alias.
+func scribble(resp *wire.QueryResponse) {
+	fields := [][]byte{resp.EncryptedResult, resp.PolicyDigest, resp.SessionEphemeral}
+	for _, a := range resp.Attestations {
+		fields = append(fields, a.CertPEM, a.EncryptedMetadata, a.Signature, a.SessionEphemeral)
+		fields = append(fields, a.BatchPath...)
+	}
+	for _, p := range resp.HopPins {
+		fields = append(fields, p.CertPEM, p.Pin, p.Signature)
+	}
+	for _, f := range fields {
+		for i := range f {
+			f[i] = 0xA5
+		}
+	}
+}
+
+// TestDriverCacheHitIsTheEntry is the allocation tripwire of a warm hit:
+// ServeQuery returns the cache entry itself, the same bytes for every
+// resend of the question whatever its request ID, so serving it neither
+// copies, decodes nor re-encodes the cached response, and the lookup
+// allocates nothing. The entry stays ID-less; the relay stamps each
+// resend's ID as it writes the reply.
+func TestDriverCacheHitIsTheEntry(t *testing.T) {
 	src, req := newCacheEnv(t)
 	q := newQuery(t, req)
-	for _, id := range []string{"req-1", "req-2"} {
+	var served [][]byte
+	for _, id := range []string{"req-1", "req-2", "req-3"} {
 		q.RequestID = id
 		raw, err := src.driver.ServeQuery(context.Background(), q)
 		if err != nil {
 			t.Fatalf("ServeQuery %s: %v", id, err)
 		}
-		resp, err := wire.UnmarshalQueryResponse(raw)
-		if err != nil || resp.RequestID != id {
-			t.Fatalf("ServeQuery %s: decoded ID %q, err %v", id, resp.RequestID, err)
-		}
+		served = append(served, raw)
 	}
-	if s := src.relay.Stats(); s.AttestationCacheHits != 1 || s.AttestationCacheMisses != 1 {
-		t.Fatalf("hits/misses = %d/%d, want 1/1", s.AttestationCacheHits, s.AttestationCacheMisses)
+	if s := src.relay.Stats(); s.AttestationCacheHits != 2 || s.AttestationCacheMisses != 1 {
+		t.Fatalf("hits/misses = %d/%d, want 2/1", s.AttestationCacheHits, s.AttestationCacheMisses)
 	}
 	var key string
 	for k := range src.driver.cache.entries {
 		key = k
 	}
 	entry := src.driver.cache.get(key)
+	for i, raw := range served {
+		if len(raw) == 0 || &raw[0] != &entry[0] || len(raw) != len(entry) {
+			t.Fatalf("serve %d returned other bytes than the cache entry", i)
+		}
+	}
 	if cached, err := wire.UnmarshalQueryResponse(bytes.Clone(entry)); err != nil || cached.RequestID != "" {
 		t.Fatalf("cache entry: ID %q, err %v; want an ID-less response", cached.RequestID, err)
 	}
-	if got := testing.AllocsPerRun(100, func() { _ = src.driver.cachedResponse(key, "req-3") }); got != 1 {
-		t.Fatalf("a warm hit costs %v allocations, want 1", got)
+	if got := testing.AllocsPerRun(100, func() { _ = src.driver.cache.get(key) }); got != 0 {
+		t.Fatalf("a warm cache lookup costs %v allocations, want 0", got)
 	}
 }
 

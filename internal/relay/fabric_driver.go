@@ -225,14 +225,14 @@ func (d *FabricDriver) newSpec(q *wire.Query, certDigest, queryDigest, policyDig
 // Platform implements Driver.
 func (d *FabricDriver) Platform() string { return "fabric" }
 
-// Query is ServeQuery for a caller that wants the response decoded. The
-// decode aliases the bytes ServeQuery returned, which the caller owns.
+// Query is ServeQuery for a caller that wants the response decoded: a copy
+// of the served bytes, decoded and stamped with q's request ID.
 func (d *FabricDriver) Query(ctx context.Context, q *wire.Query) (*wire.QueryResponse, error) {
 	raw, err := d.ServeQuery(ctx, q)
 	if err != nil {
 		return nil, err
 	}
-	return wire.UnmarshalQueryResponse(raw)
+	return decodeServed(raw, q)
 }
 
 // ServeQuery implements Driver. Peer queries check ctx between peers, so an
@@ -240,8 +240,8 @@ func (d *FabricDriver) Query(ctx context.Context, q *wire.Query) (*wire.QueryRes
 // first (peers must agree before anything is attested); proof construction
 // is then served from the attestation cache when an identical query was
 // answered before, and otherwise built fresh with per-attestor concurrency.
-// The cache holds each response encoded without a request ID, so a hit is
-// one exactly-sized copy of the entry behind q's ID field, with no decode.
+// The cache holds each response encoded without a request ID, and both a
+// hit and a fresh build return the cache entry itself: no copy, no decode.
 func (d *FabricDriver) ServeQuery(ctx context.Context, q *wire.Query) ([]byte, error) {
 	if q.Ledger != "" && q.Ledger != d.ledgerName {
 		return nil, fmt.Errorf("relay: unknown ledger %q", q.Ledger)
@@ -306,9 +306,9 @@ func (d *FabricDriver) ServeQuery(ctx context.Context, q *wire.Query) ([]byte, e
 	certDigest := cryptoutil.Digest(q.RequesterCertPEM)
 	resultDigest := cryptoutil.Sum(agreed)
 	key := attestCacheKey(queryDigest, policyDigest, resultDigest[:], reads, certDigest, attestors)
-	if stamped := d.cachedResponse(key, q.RequestID); stamped != nil {
+	if raw := d.cache.get(key); raw != nil {
 		d.notifyCache(true)
-		return stamped, nil
+		return raw, nil
 	}
 	d.notifyCache(false)
 
@@ -319,21 +319,9 @@ func (d *FabricDriver) ServeQuery(ctx context.Context, q *wire.Query) ([]byte, e
 	}
 	// Cached without a request ID: the proof is identical for every resend
 	// of this question, but each resend echoes its own envelope's ID.
-	unstamped := resp.Marshal()
-	d.cache.put(key, unstamped)
-	return wire.StampQueryResponse(q.RequestID, unstamped), nil
-}
-
-// cachedResponse serves a cache hit: the entry under key stamped with
-// requestID, in one allocation the caller owns, or nil on a miss. The entry
-// itself is never handed out, so no caller can write into what later hits
-// serve.
-func (d *FabricDriver) cachedResponse(key, requestID string) []byte {
-	raw := d.cache.get(key)
-	if raw == nil {
-		return nil
-	}
-	return wire.StampQueryResponse(requestID, raw)
+	raw := resp.Marshal()
+	d.cache.put(key, raw)
+	return raw, nil
 }
 
 func identitiesOf(peers []*peer.Peer) []*msp.Identity {

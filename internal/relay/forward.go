@@ -228,7 +228,7 @@ func (r *Relay) forward(ctx context.Context, env *wire.Envelope, q *wire.Query) 
 	} else {
 		r.countForwardedQuery()
 	}
-	return responseEnvelope(env.RequestID, resp)
+	return wire.ResponseEnvelope(env.RequestID, resp)
 }
 
 // hubLegs applies the structural forwarding guards to an incoming envelope

@@ -104,7 +104,7 @@ func (r *Relay) handleInvoke(ctx context.Context, env *wire.Envelope) *wire.Enve
 		switch {
 		case err == nil && found:
 			r.countInvokeReplay()
-			return responseEnvelope(env.RequestID, ensureRequestID(resp, q))
+			return wire.ResponseEnvelope(env.RequestID, ensureRequestID(resp, q))
 		case errors.Is(err, ErrRequestMismatch):
 			// Terminal: a commit exists but for a different question.
 			// Executing anyway would burn an endorse/order/commit cycle on a
@@ -121,7 +121,7 @@ func (r *Relay) handleInvoke(ctx context.Context, env *wire.Envelope) *wire.Enve
 		r.countError()
 		resp = &wire.QueryResponse{RequestID: q.RequestID, Error: err.Error()}
 	}
-	return responseEnvelope(env.RequestID, ensureRequestID(resp, q))
+	return wire.ResponseEnvelope(env.RequestID, ensureRequestID(resp, q))
 }
 
 // invokeClaim makes the caller the only request under key in flight on

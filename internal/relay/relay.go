@@ -10,6 +10,7 @@
 package relay
 
 import (
+	"bytes"
 	"context"
 	"encoding/hex"
 	"errors"
@@ -122,12 +123,14 @@ type Driver interface {
 	Platform() string
 	// ServeQuery executes a cross-network query against the local network,
 	// orchestrating proof collection per the query's verification policy,
-	// and returns the encoded wire.QueryResponse. The bytes belong to the
-	// caller — no later call reads or writes them, so they may be decoded
-	// in place or sent as they are — and they are already stamped with
-	// q.RequestID in the RequestID field. The source relay puts them
-	// straight into its reply envelope. ctx carries the requester's
-	// remaining time budget; drivers abandon work once it is done.
+	// and returns the encoded wire.QueryResponse without its RequestID.
+	// The bytes may be shared — an attestation-cache entry that every hit
+	// returns — so they are read-only: nobody writes them or decodes them
+	// in place. The source relay stamps the request's ID as it writes
+	// them into its reply frame (wire.StampedResponseEnvelope); a caller
+	// that wants the response decoded decodes a copy (decodeServed). ctx
+	// carries the requester's remaining time budget; drivers abandon work
+	// once it is done.
 	ServeQuery(ctx context.Context, q *wire.Query) ([]byte, error)
 }
 
@@ -284,7 +287,7 @@ func (r *Relay) request(ctx context.Context, msgType wire.MsgType, q *wire.Query
 			if err != nil {
 				return nil, err
 			}
-			return wire.UnmarshalQueryResponse(raw)
+			return decodeServed(raw, q)
 		}
 		resp, err := invokeOn(ctx, d, q)
 		if err != nil {
@@ -304,6 +307,18 @@ func (r *Relay) request(ctx context.Context, msgType wire.MsgType, q *wire.Query
 		return nil, err
 	}
 	return r.walk(ctx, q, legs)
+}
+
+// decodeServed decodes what a driver's ServeQuery returned for q. It
+// decodes a copy, since the bytes may be a shared cache entry and the
+// decoded response aliases what it was decoded from, and stamps q's ID.
+func decodeServed(raw []byte, q *wire.Query) (*wire.QueryResponse, error) {
+	resp, err := wire.UnmarshalQueryResponse(bytes.Clone(raw))
+	if err != nil {
+		return nil, err
+	}
+	resp.RequestID = q.RequestID
+	return resp, nil
 }
 
 // ensureRequestID backfills the assigned request ID into a response that
@@ -341,8 +356,17 @@ func (r *Relay) prepareRequest(q *wire.Query) (*wire.Query, error) {
 // servers (TCP, in-process) call this for every received frame. The serving
 // context is ctx narrowed by the envelope's remaining-budget fields (see
 // remainingBudget), so the source side never works past the requester's
-// remaining budget.
+// remaining budget. A response reply comes back with its Payload encoded.
 func (r *Relay) HandleEnvelope(ctx context.Context, env *wire.Envelope) *wire.Envelope {
+	reply := r.handle(ctx, env)
+	reply.EncodePayload()
+	return reply
+}
+
+// handle is HandleEnvelope leaving a response reply's payload unencoded
+// (wire.ResponseEnvelope), for a transport that encodes the whole reply
+// once, straight into its frame.
+func (r *Relay) handle(ctx context.Context, env *wire.Envelope) *wire.Envelope {
 	if env.Version > wire.ProtocolVersion {
 		return errEnvelope(env.RequestID, fmt.Sprintf("unsupported protocol version %d", env.Version))
 	}
@@ -388,9 +412,9 @@ func (r *Relay) handleQuery(ctx context.Context, env *wire.Envelope) *wire.Envel
 		// Application-level failures travel inside the response so the
 		// requester can distinguish them from transport failures.
 		r.countError()
-		raw = (&wire.QueryResponse{RequestID: q.RequestID, Error: err.Error()}).Marshal()
+		return wire.ResponseEnvelope(env.RequestID, &wire.QueryResponse{RequestID: q.RequestID, Error: err.Error()})
 	}
-	return replyEnvelope(env.RequestID, raw)
+	return wire.StampedResponseEnvelope(env.RequestID, q.RequestID, raw)
 }
 
 // remainingBudget converts the envelope's two remaining-budget encodings —
@@ -432,22 +456,6 @@ func (r *Relay) Ping(ctx context.Context, addr string) error {
 		return fmt.Errorf("%w: ping reply type %s", ErrBadEnvelope, reply.Type)
 	}
 	return nil
-}
-
-// responseEnvelope carries resp back under the request envelope's ID.
-func responseEnvelope(requestID string, resp *wire.QueryResponse) *wire.Envelope {
-	return replyEnvelope(requestID, resp.Marshal())
-}
-
-// replyEnvelope carries an encoded QueryResponse back under the request
-// envelope's ID.
-func replyEnvelope(requestID string, payload []byte) *wire.Envelope {
-	return &wire.Envelope{
-		Version:   wire.ProtocolVersion,
-		Type:      wire.MsgQueryResponse,
-		RequestID: requestID,
-		Payload:   payload,
-	}
 }
 
 func errEnvelope(requestID, msg string) *wire.Envelope {

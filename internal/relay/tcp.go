@@ -361,6 +361,13 @@ func (t *TCPTransport) Close() {
 // each request write. A variable only so tests can shorten it.
 var replyWriteTimeout = defaultIOTimeout
 
+// firstFrameTimeout bounds how long a new connection may go without
+// completing a frame; a silent peer is dropped then. Every client writes
+// its request as soon as its dial completes (TCPTransport.write), and a
+// client whose idle connection was dropped redials (peerHungUp). A
+// variable only so tests can shorten it.
+var firstFrameTimeout = 10 * time.Second
+
 // maxConnInFlight bounds the requests one connection may have in service
 // at once. When it is reached the server stops reading the connection, so
 // a peer that floods frames is throttled by TCP back-pressure rather than
@@ -450,7 +457,8 @@ func (s *TCPServer) acceptLoop() {
 // own goroutine and writing its reply under the request's tag, so a slow
 // proof build does not hold up a cache hit queued behind it. Requests run
 // under a context that ends when the peer hangs up or the server closes:
-// work for a requester that is gone is abandoned, not completed.
+// work for a requester that is gone is abandoned, not completed. A peer
+// that completes no frame within firstFrameTimeout is dropped.
 func (s *TCPServer) serveConn(conn net.Conn) {
 	ctx, cancel := context.WithCancel(s.ctx)
 	var (
@@ -467,10 +475,14 @@ func (s *TCPServer) serveConn(conn net.Conn) {
 		requests.Wait()
 	}()
 	r := bufio.NewReader(conn)
-	for {
+	_ = conn.SetReadDeadline(time.Now().Add(firstFrameTimeout))
+	for first := true; ; first = false {
 		tag, frame, err := wire.ReadFrame(r)
 		if err != nil {
-			return // clean EOF and read/framing errors alike drop the connection
+			return // clean EOF, read/framing errors and the deadline alike drop the connection
+		}
+		if first {
+			_ = conn.SetReadDeadline(time.Time{})
 		}
 		select {
 		case inFlight <- struct{}{}:
@@ -501,8 +513,9 @@ func (s *TCPServer) serve(ctx context.Context, frame []byte) *wire.Envelope {
 		return errEnvelope("", fmt.Sprintf("malformed envelope: %v", err))
 	}
 	// The requester's remaining budget arrives in the envelope's
-	// DeadlineUnixNano; HandleEnvelope narrows this context by it.
-	return s.relay.HandleEnvelope(ctx, env)
+	// DeadlineUnixNano; handle narrows this context by it. A response
+	// reply is encoded once, by WriteEnvelope into the frame.
+	return s.relay.handle(ctx, env)
 }
 
 // Close stops accepting, closes open connections, cancels the requests in

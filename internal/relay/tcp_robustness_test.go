@@ -263,6 +263,7 @@ func (d *gateDriver) ServeQuery(ctx context.Context, q *wire.Query) ([]byte, err
 	if err != nil {
 		return nil, err
 	}
+	resp.RequestID = "" // the relay stamps it
 	return resp.Marshal(), nil
 }
 
@@ -478,4 +479,132 @@ func TestTCPServerReplyWriteDeadline(t *testing.T) {
 	if grew > 1<<20 {
 		t.Fatalf("the non-reading peer still holds %d KiB of heap after the deadline, want ≤ 1024 KiB", grew>>10)
 	}
+}
+
+// TestTCPServerFirstFrameDeadline: what peers that connect and never send
+// a frame can hold. Each costs the server a serving goroutine, its read
+// buffer and a descriptor; with no first-frame deadline they held them
+// until they hung up. Now the server drops each at the deadline: its
+// goroutines, heap and descriptors are back at baseline, while a
+// well-behaved client that pings throughout is never refused. The heap
+// and descriptor figures count both ends of each connection, since the
+// peers are this process too.
+func TestTCPServerFirstFrameDeadline(t *testing.T) {
+	const silent = 1000
+	defer func(d time.Duration) { firstFrameTimeout = d }(firstFrameTimeout)
+	firstFrameTimeout = 2 * time.Second
+	reg := NewStaticRegistry()
+	transport := &TCPTransport{DialTimeout: time.Second, IOTimeout: 5 * time.Second}
+	defer transport.Close()
+	server, err := NewTCPServer(New("net", reg, transport), "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("NewTCPServer: %v", err)
+	}
+	defer server.Close()
+
+	// The well-behaved client: one connection, a ping every 20 ms.
+	probe := New("probe", reg, transport)
+	if err := probe.Ping(context.Background(), server.Addr()); err != nil {
+		t.Fatalf("first ping: %v", err)
+	}
+	stop, pingErr := make(chan struct{}), make(chan error, 1)
+	var pings atomic.Int64
+	go func() {
+		defer close(pingErr)
+		for {
+			select {
+			case <-stop:
+				return
+			case <-time.After(20 * time.Millisecond):
+			}
+			if err := probe.Ping(context.Background(), server.Addr()); err != nil {
+				pingErr <- err
+				return
+			}
+			pings.Add(1)
+		}
+	}()
+	serving := func() int {
+		server.mu.Lock()
+		defer server.mu.Unlock()
+		return len(server.conns) - 1 // less the well-behaved client's
+	}
+	var peers []net.Conn
+	defer func() {
+		for _, c := range peers {
+			c.Close()
+		}
+	}()
+	connect := func() {
+		t.Helper()
+		for range silent {
+			c, err := net.Dial("tcp", server.Addr())
+			if err != nil {
+				t.Fatalf("Dial: %v", err)
+			}
+			peers = append(peers, c)
+		}
+		for held := time.Now().Add(firstFrameTimeout / 2); serving() < silent; time.Sleep(5 * time.Millisecond) {
+			if time.Now().After(held) {
+				t.Fatalf("the server serves %d of %d silent peers", serving(), silent)
+			}
+		}
+	}
+	// A first round that hangs up at once. What the runtime and the maps
+	// keep at their high-water mark (exited goroutines' descriptors, the
+	// server's connection table and its context's child set) is then
+	// part of the baseline.
+	connect()
+	for _, c := range peers {
+		c.Close()
+	}
+	peers = peers[:0]
+	for serving() > 0 {
+		time.Sleep(5 * time.Millisecond)
+	}
+	goroutines, heap, fds := runtime.NumGoroutine(), liveHeap(), openFDs()
+
+	connect()
+	heldHeap, heldFDs := liveHeap()-heap, openFDs()-fds
+	t.Logf("%d silent peers hold %d goroutines, %d KiB of heap (%d B each) and %d descriptors",
+		silent, runtime.NumGoroutine()-goroutines, heldHeap>>10, heldHeap/silent, heldFDs)
+
+	waitGoroutines(t, goroutines) // within the deadline plus slack
+	_ = peers[0].SetReadDeadline(time.Now().Add(time.Second))
+	if n, err := peers[0].Read(make([]byte, 1)); n != 0 || err == nil {
+		t.Fatalf("a silent peer's connection is still open after the deadline: read %d, %v", n, err)
+	}
+	if fds >= 0 && openFDs()-fds > silent {
+		t.Fatalf("%d descriptors open after the deadline, want the %d of the peers' own ends", openFDs()-fds, silent)
+	}
+	for _, c := range peers {
+		c.Close()
+	}
+	peers = nil
+	grew := liveHeap() - heap
+	t.Logf("after the %v first-frame deadline: %d goroutines, %d KiB of heap and %d descriptors held, %d pings answered meanwhile",
+		firstFrameTimeout, runtime.NumGoroutine()-goroutines, grew>>10, openFDs()-fds, pings.Load())
+	if grew > 256<<10 {
+		t.Fatalf("the silent peers still hold %d KiB of heap after the deadline, want ≤ 256 KiB", grew>>10)
+	}
+	if fds >= 0 && openFDs() > fds {
+		t.Fatalf("%d descriptors open, baseline %d", openFDs(), fds)
+	}
+	close(stop)
+	if err := <-pingErr; err != nil {
+		t.Fatalf("a well-behaved client's ping failed while silent peers were held: %v", err)
+	}
+	if pings.Load() == 0 {
+		t.Fatal("no ping was answered while silent peers were held")
+	}
+}
+
+// openFDs counts this process's open descriptors, or returns -1 where
+// /proc/self/fd does not list them.
+func openFDs() int {
+	open, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		return -1
+	}
+	return len(open)
 }

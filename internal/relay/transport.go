@@ -89,7 +89,7 @@ func (h *Hub) Send(ctx context.Context, addr string, env *wire.Envelope) (*wire.
 	if err != nil {
 		return nil, fmt.Errorf("relay: encode request: %w", err)
 	}
-	reply := target.HandleEnvelope(ctx, decoded)
+	reply := target.handle(ctx, decoded)
 	replyBytes := reply.Marshal()
 	out, err := wire.UnmarshalEnvelope(replyBytes)
 	if err != nil {

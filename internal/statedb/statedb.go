@@ -162,20 +162,26 @@ func (s *Store) ApplyWrites(writes []Write, v Version) {
 }
 
 // Range returns all keys of one namespace in [start, end) in lexical order.
-// An empty end means "to the last key". Values are copies.
+// An empty end means "to the last key". Values are copies. The result is
+// sized by a counting pass first, so it holds no slack: most scans match a
+// key or two.
 func (s *Store) Range(ns, start, end string) []KV {
 	sh := s.shardOf(ns, false)
 	if sh == nil {
 		return nil
 	}
+	in := func(k string) bool { return k >= start && (end == "" || k < end) }
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	out := make([]KV, 0, 16)
-	for k, vv := range sh.data {
-		if k < start {
-			continue
+	n := 0
+	for k := range sh.data {
+		if in(k) {
+			n++
 		}
-		if end != "" && k >= end {
+	}
+	out := make([]KV, 0, n)
+	for k, vv := range sh.data {
+		if !in(k) {
 			continue
 		}
 		val := make([]byte, len(vv.Value))

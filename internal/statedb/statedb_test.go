@@ -3,6 +3,7 @@ package statedb
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"sort"
 	"sync"
 	"testing"
@@ -134,6 +135,35 @@ func TestRangeOpenEnd(t *testing.T) {
 	got := s.Range(tns, "x2", "")
 	if len(got) != 2 || got[0].Key != "x2" || got[1].Key != "y1" {
 		t.Fatalf("open-ended Range = %+v", got)
+	}
+}
+
+// TestRangeAllocations: a scan allocates what it returns — the result,
+// sized exactly, and each value's copy. ECC.loadRules scans for one rule on
+// every attestor's simulation; a fixed 16-entry starting capacity made that
+// one-key match cost 1152 B, 1024 of them slack.
+func TestRangeAllocations(t *testing.T) {
+	s := NewStore()
+	for _, k := range []string{"a", "rule/1", "rule0", "z"} {
+		s.ApplyWrites([]Write{{Namespace: tns, Key: k, Value: []byte("v")}}, Version{})
+	}
+	var got []KV
+	scan := func() { got = s.Range(tns, "rule/", "rule0") }
+	if allocs := testing.AllocsPerRun(100, scan); allocs != 2 {
+		t.Fatalf("a one-key scan makes %v allocations, want 2: the result and the value copy", allocs)
+	}
+	const calls = 1000
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range calls {
+		scan()
+	}
+	runtime.ReadMemStats(&after)
+	if perCall := (after.TotalAlloc - before.TotalAlloc) / calls; perCall > 256 {
+		t.Fatalf("a one-key scan allocates %d B, want ≤ 256", perCall)
+	}
+	if len(got) != 1 || got[0].Key != "rule/1" || cap(got) != 1 {
+		t.Fatalf("Range = %+v (cap %d), want rule/1 alone", got, cap(got))
 	}
 }
 

@@ -18,13 +18,20 @@
 // field, repeated calls append, and a field no call names is skipped.
 //
 // The message decoders here copy nothing but strings: a decoded message's
-// byte fields alias the buffer it was decoded from. Pass a buffer nobody reuses or
-// writes afterwards — a frame ReadFrame just allocated, or the output of a
-// Marshal or StampQueryResponse call. The owner of a buffer that outlives
-// the decode and is shared clones it once and decodes the clone, as
+// byte fields alias the buffer it was decoded from. Pass a buffer nobody
+// reuses or writes afterwards — a frame ReadFrame just allocated, or the
+// output of a Marshal call. The owner of a buffer that outlives the decode
+// and is shared clones it once and decodes the clone, as
 // proof.UnmarshalBundle and proof.UnmarshalSealed do with ledger-held and
-// client-submitted bytes; a shared ID-less response (a cache entry, say)
-// needs no decode to be served, only StampQueryResponse, which copies it.
+// client-submitted bytes.
+//
+// A reply is encoded once, straight into its frame. ResponseEnvelope and
+// StampedResponseEnvelope leave the QueryResponse payload unencoded until
+// the envelope is written. A served response arrives as an encoding
+// without a RequestID (relay.Driver.ServeQuery), often an
+// attestation-cache entry shared by every hit and so read-only: the reply
+// stamps the request's ID in front of it as the frame is written, and
+// neither copies nor decodes it.
 //
 // That rule splits the framing in two. Outbound frames are recycled:
 // WriteEnvelope encodes into a pooled buffer and takes it back once the

@@ -94,6 +94,11 @@ type Envelope struct {
 	// routes via a table. A forwarder refuses when the next leg would
 	// exceed it. Zero means the forwarder's own default applies.
 	MaxHops uint64
+
+	// response is the payload of a reply built by ResponseEnvelope or
+	// StampedResponseEnvelope, not yet encoded: Payload stays empty, and
+	// every encoding of the envelope writes field 4 straight from it.
+	response *responseBody
 }
 
 // Marshal encodes the envelope.
@@ -107,7 +112,12 @@ func (m *Envelope) walk(w *Walk) {
 	w.Uint(2, &typ)
 	m.Type = MsgType(typ)
 	w.String(3, &m.RequestID)
-	w.Bytes(4, &m.Payload)
+	if m.response == nil {
+		w.Bytes(4, &m.Payload)
+	} else if n := m.response.size(); n > 0 { // Bytes omits an empty payload too
+		w.MessageHeader(4, n)
+		m.response.walk(w)
+	}
 	w.Uint(5, &m.DeadlineUnixNano)
 	w.Uint(6, &m.TimeoutNanos)
 	w.Strings(7, &m.Route)
@@ -124,6 +134,56 @@ func UnmarshalEnvelope(buf []byte) (*Envelope, error) {
 		return nil, fmt.Errorf("envelope: %w", err)
 	}
 	return m, nil
+}
+
+// ResponseEnvelope returns the MsgQueryResponse envelope that carries resp
+// back under requestID. resp is encoded only when the envelope is — by
+// WriteEnvelope straight into the frame, by Marshal or by EncodePayload —
+// and it must not change until then.
+func ResponseEnvelope(requestID string, resp *QueryResponse) *Envelope {
+	return &Envelope{Version: ProtocolVersion, Type: MsgQueryResponse, RequestID: requestID, response: &responseBody{resp: resp}}
+}
+
+// StampedResponseEnvelope is ResponseEnvelope for a response held as
+// unstamped, its encoding without a RequestID, which the envelope's
+// encodings stamp with responseID. unstamped is only read, so it may be
+// shared: an attestation-cache entry is served this way without a copy.
+func StampedResponseEnvelope(requestID, responseID string, unstamped []byte) *Envelope {
+	body := &responseBody{id: responseID, unstamped: unstamped}
+	return &Envelope{Version: ProtocolVersion, Type: MsgQueryResponse, RequestID: requestID, response: body}
+}
+
+// EncodePayload fills Payload from a reply's unencoded response, in one
+// exactly-sized allocation, so the envelope reads as a decoded one does.
+// An envelope whose Payload is already encoded is left as it is.
+func (m *Envelope) EncodePayload() {
+	if m.response != nil {
+		w := Writing(m.response.size())
+		m.response.walk(&w)
+		m.Payload, m.response = w.Encoded(), nil
+	}
+}
+
+// responseBody is a QueryResponse payload not yet encoded: resp, or else
+// unstamped behind the ID id. Field 1 is the first field a response's walk
+// writes, so id's field followed by unstamped is exactly the encoding of
+// the response with RequestID id.
+type responseBody struct {
+	resp      *QueryResponse
+	id        string
+	unstamped []byte
+}
+
+func (b *responseBody) size() int { var c Walk; b.walk(&c); return c.Len() }
+
+// walk encodes the body; it has no decoding mode.
+func (b *responseBody) walk(w *Walk) {
+	if b.resp != nil {
+		b.resp.walk(w)
+		return
+	}
+	w.String(1, &b.id)
+	put(&w.e, b.unstamped)
 }
 
 // RouteContains reports whether the envelope's route already names the
@@ -431,22 +491,6 @@ func (m *QueryResponse) walk(w *Walk) {
 		}
 		m.HopPins = append(m.HopPins, p)
 	}
-}
-
-// StampQueryResponse returns the encoding of a response with RequestID set
-// to requestID, given unstamped, the encoding of the same response with no
-// RequestID (Marshal of it with RequestID ""). Field 1 is the first field
-// the walk writes, so the stamped encoding is the ID field followed by
-// unstamped verbatim: the result equals Marshal of the decoded response
-// with RequestID = requestID. It is one exactly-sized allocation and never
-// aliases unstamped, so the caller owns it even when unstamped is shared.
-func StampQueryResponse(requestID string, unstamped []byte) []byte {
-	var c Encoder
-	c.String(1, requestID)
-	e := NewEncoder(c.Len() + len(unstamped))
-	e.String(1, requestID)
-	put(e, unstamped)
-	return e.Bytes()
 }
 
 // UnmarshalQueryResponse decodes a QueryResponse.

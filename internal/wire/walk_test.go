@@ -254,39 +254,62 @@ func TestWalkQueryResponse(t *testing.T) {
 	checkWalk(t, genQueryResponse, (*QueryResponse).Marshal, oracleQueryResponse, UnmarshalQueryResponse)
 }
 
-// TestStampQueryResponse: stamping the ID-less encoding of a response with
-// an ID of every length-prefix width gives exactly Marshal of the decoded
-// response with that ID, in one exactly-sized buffer that shares nothing
-// with its input.
-func TestStampQueryResponse(t *testing.T) {
+// TestWalkResponseEnvelope: a reply whose response is left unencoded
+// writes the frame, and marshals to the bytes, of the same reply with
+// Payload holding the reference encoding of the response. That holds for
+// responses carrying 0–4 hop pins, for the stamped form of each under an
+// ID of every length-prefix width (the empty ID stamps nothing), and for a
+// response with nothing to encode, whose field 4 is omitted. EncodePayload
+// then fills Payload with exactly those bytes, in one exactly-sized
+// buffer, and the stamped form never writes into the bytes it stamps.
+func TestWalkResponseEnvelope(t *testing.T) {
+	frame := func(env *Envelope) []byte {
+		var buf bytes.Buffer
+		if err := WriteEnvelope(&buf, 7, env); err != nil {
+			t.Fatalf("WriteEnvelope: %v", err)
+		}
+		return buf.Bytes()
+	}
+	check := func(what string, reply *Envelope, payload []byte) {
+		t.Helper()
+		filled := &Envelope{Version: ProtocolVersion, Type: MsgQueryResponse, RequestID: reply.RequestID, Payload: payload}
+		want := frame(filled)
+		if !bytes.Equal(frame(reply), want) {
+			t.Fatalf("%s: the frame differs from that of the filled envelope", what)
+		}
+		if !bytes.Equal(reply.Marshal(), oracleEnvelope(filled)) {
+			t.Fatalf("%s: Marshal differs from the reference encoding", what)
+		}
+		reply.EncodePayload()
+		if !bytes.Equal(reply.Payload, payload) || len(reply.Payload) != cap(reply.Payload) {
+			t.Fatalf("%s: EncodePayload filled %d bytes (cap %d), want the %d of the reference", what, len(reply.Payload), cap(reply.Payload), len(payload))
+		}
+		if !bytes.Equal(frame(reply), want) {
+			t.Fatalf("%s: the frame changed once Payload was filled", what)
+		}
+	}
 	r := rand.New(rand.NewSource(32))
 	for i := 0; i < 150; i++ {
 		m := genQueryResponse(r)
+		m.HopPins = nil
+		for range i % 5 {
+			m.HopPins = append(m.HopPins, genHopPin(r))
+		}
+		envID := genString(r)
+		check("response", ResponseEnvelope(envID, m), oracleQueryResponse(m))
 		m.RequestID = ""
 		unstamped := m.Marshal()
+		before := bytes.Clone(unstamped)
 		for _, n := range []int{0, 1, 127, 128} {
-			id := string(bytes.Repeat([]byte{'r'}, n))
-			stamped := StampQueryResponse(id, unstamped)
-			if len(stamped) != cap(stamped) {
-				t.Fatalf("message %d, id length %d: len %d, cap %d", i, n, len(stamped), cap(stamped))
-			}
-			decoded, err := UnmarshalQueryResponse(unstamped)
-			if err != nil {
-				t.Fatalf("message %d: decode: %v", i, err)
-			}
-			decoded.RequestID = id
-			if want := decoded.Marshal(); !bytes.Equal(stamped, want) {
-				t.Fatalf("message %d, id length %d: stamped %d bytes differ from Marshal's %d", i, n, len(stamped), len(want))
-			}
-			before := bytes.Clone(unstamped)
-			for j := range stamped {
-				stamped[j] ^= 0xFF
-			}
-			if !bytes.Equal(unstamped, before) {
-				t.Fatalf("message %d, id length %d: writing the stamped bytes changed their input", i, n)
-			}
+			m.RequestID = string(bytes.Repeat([]byte{'r'}, n))
+			check("stamped", StampedResponseEnvelope(envID, m.RequestID, unstamped), oracleQueryResponse(m))
+		}
+		if !bytes.Equal(unstamped, before) {
+			t.Fatalf("message %d: the stamped replies wrote into the bytes they stamp", i)
 		}
 	}
+	check("empty response", ResponseEnvelope("req", &QueryResponse{}), nil)
+	check("empty stamped response", StampedResponseEnvelope("req", "", nil), nil)
 }
 
 // TestCountingEncoderMatchesWriter: a counting encoder advances by exactly
@@ -308,8 +331,9 @@ func TestCountingEncoderMatchesWriter(t *testing.T) {
 
 // TestCodecAllocations is the allocation tripwire of the response path:
 // each encoding is one exactly-sized allocation, nested messages included,
-// a warm frame write none (its buffer is pooled), and a decoded envelope allocates only itself (its payload aliases the
-// frame) plus a copy of each string field. The other decode rows pin what
+// a warm frame write none (its buffer is pooled), a reply's unencoded
+// response included, and a decoded envelope allocates only itself (its
+// payload aliases the frame) plus a copy of each string field. The other decode rows pin what
 // a decode costs: the message, each string field, and each growth of a
 // repeated field's slice.
 func TestCodecAllocations(t *testing.T) {
@@ -330,7 +354,8 @@ func TestCodecAllocations(t *testing.T) {
 	encoded, encodedWithID := env.Marshal(), withID.Marshal()
 	idless := *resp
 	idless.RequestID = ""
-	unstamped := idless.Marshal()
+	reply := ResponseEnvelope("req-000017", resp)
+	stamped := StampedResponseEnvelope("req-000017", "req-000017", idless.Marshal())
 	query := (&Query{
 		RequestID: "req-000017", RequestingNetwork: "we-trade", TargetNetwork: "tradelens", Ledger: "tradelens",
 		Contract: "trade", Function: "GetBillOfLading", Args: [][]byte{[]byte("po-1001"), []byte("v2")},
@@ -349,8 +374,9 @@ func TestCodecAllocations(t *testing.T) {
 		run  func()
 	}{
 		{"QueryResponse.Marshal", 1, func() { _ = resp.Marshal() }},
-		{"StampQueryResponse", 1, func() { _ = StampQueryResponse("req-000017", unstamped) }},
 		{"WriteEnvelope", 0, func() { _ = WriteEnvelope(io.Discard, 1, env) }},
+		{"WriteEnvelope of ResponseEnvelope", 0, func() { _ = WriteEnvelope(io.Discard, 1, reply) }},
+		{"WriteEnvelope of StampedResponseEnvelope", 0, func() { _ = WriteEnvelope(io.Discard, 1, stamped) }},
 		{"UnmarshalEnvelope", 1, func() { _, _ = UnmarshalEnvelope(encoded) }},
 		{"UnmarshalEnvelope with RequestID", 2, func() { _, _ = UnmarshalEnvelope(encodedWithID) }},
 		{"UnmarshalQueryResponse", 12, func() { _, _ = UnmarshalQueryResponse(encodedResp) }},
