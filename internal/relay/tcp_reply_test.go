@@ -66,7 +66,6 @@ func TestTCPReplyFrameEqualsFilledEnvelope(t *testing.T) {
 		}
 		for _, typ := range []wire.MsgType{wire.MsgQuery, wire.MsgInvoke} {
 			q := forwardQuerySpec(fmt.Sprintf("reply-%s-%d", typ, hubs))
-			q.RequesterCertPEM = []byte("requester")
 			env := &wire.Envelope{Version: wire.ProtocolVersion, Type: typ, RequestID: q.RequestID,
 				Payload: q.Marshal(), Route: []string{"we-trade"}, MaxHops: 8}
 			checkReplyFrame(t, fmt.Sprintf("%s over %d hubs", typ, hubs), first.handle(ctx, env), q.RequestID, hubs)
