@@ -228,11 +228,7 @@ func (d *FabricDriver) Platform() string { return "fabric" }
 // Query is ServeQuery for a caller that wants the response decoded: a copy
 // of the served bytes, decoded and stamped with q's request ID.
 func (d *FabricDriver) Query(ctx context.Context, q *wire.Query) (*wire.QueryResponse, error) {
-	raw, err := d.ServeQuery(ctx, q)
-	if err != nil {
-		return nil, err
-	}
-	return decodeServed(raw, q)
+	return queryOn(ctx, d, q)
 }
 
 // ServeQuery implements Driver. Peer queries check ctx between peers, so an

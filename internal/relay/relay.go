@@ -128,7 +128,7 @@ type Driver interface {
 	// returns — so they are read-only: nobody writes them or decodes them
 	// in place. The source relay stamps the request's ID as it writes
 	// them into its reply frame (wire.StampedResponseEnvelope); a caller
-	// that wants the response decoded decodes a copy (decodeServed). ctx
+	// that wants the response decoded decodes a copy (queryOn). ctx
 	// carries the requester's remaining time budget; drivers abandon work
 	// once it is done.
 	ServeQuery(ctx context.Context, q *wire.Query) ([]byte, error)
@@ -283,11 +283,7 @@ func (r *Relay) request(ctx context.Context, msgType wire.MsgType, q *wire.Query
 	}
 	if d, ok := r.driverFor(q.TargetNetwork); ok {
 		if msgType == wire.MsgQuery {
-			raw, err := d.ServeQuery(ctx, q)
-			if err != nil {
-				return nil, err
-			}
-			return decodeServed(raw, q)
+			return queryOn(ctx, d, q)
 		}
 		resp, err := invokeOn(ctx, d, q)
 		if err != nil {
@@ -309,10 +305,14 @@ func (r *Relay) request(ctx context.Context, msgType wire.MsgType, q *wire.Query
 	return r.walk(ctx, q, legs)
 }
 
-// decodeServed decodes what a driver's ServeQuery returned for q. It
-// decodes a copy, since the bytes may be a shared cache entry and the
+// queryOn serves q through d's ServeQuery and returns the response decoded.
+// It decodes a copy, since the bytes may be a shared cache entry and the
 // decoded response aliases what it was decoded from, and stamps q's ID.
-func decodeServed(raw []byte, q *wire.Query) (*wire.QueryResponse, error) {
+func queryOn(ctx context.Context, d Driver, q *wire.Query) (*wire.QueryResponse, error) {
+	raw, err := d.ServeQuery(ctx, q)
+	if err != nil {
+		return nil, err
+	}
 	resp, err := wire.UnmarshalQueryResponse(bytes.Clone(raw))
 	if err != nil {
 		return nil, err
