@@ -33,6 +33,8 @@ var AuditContract = chaincode.Func(func(stub chaincode.Stub) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
+		// cur is read-only, but GetState clips it to its length, so this
+		// append copies it instead of writing past it into the store.
 		next := append(cur, stub.Args()[1]...)
 		if err := stub.PutState(key, next); err != nil {
 			return nil, err

@@ -66,7 +66,9 @@ type Stub interface {
 	Timestamp() time.Time
 
 	// GetState reads a key, observing any write buffered earlier in the
-	// same invocation.
+	// same invocation. The value is read-only, like Args: it is the
+	// committed (or buffered) value itself, so a chaincode must not modify
+	// it. Its capacity is its length, so appending to it reallocates.
 	GetState(key string) ([]byte, error)
 	// PutState buffers a write.
 	PutState(key string, value []byte) error
@@ -74,7 +76,7 @@ type Stub interface {
 	DelState(key string) error
 	// GetStateRange returns committed keys in [start, end) in lexical
 	// order. Pending writes of the current invocation are not visible, as
-	// in Fabric.
+	// in Fabric. The values are read-only, as GetState's are.
 	GetStateRange(start, end string) ([]KV, error)
 
 	// InvokeChaincode synchronously calls another chaincode deployed on
@@ -169,7 +171,7 @@ func Simulate(reg *Registry, state *statedb.Store, inv Invocation) (*SimResult, 
 		return nil, err
 	}
 	f := newFrame(reg, state, inv)
-	f.ctx.readVers = make(map[slot]ledger.KVRead)
+	f.ctx.record = true
 	resp, err := cc.Invoke(&f.stub)
 	if err != nil {
 		return nil, err
@@ -219,37 +221,39 @@ type slot struct{ ns, key string }
 // simContext is shared across a proposal's stub and any stubs created by
 // cross-chaincode invocation, so the whole call tree yields one read-write
 // set (Fabric's same-channel chaincode-to-chaincode semantics). Each stub
-// in the tree reads and writes its own chaincode's namespace, so the maps
-// are keyed by namespace and key. Under Evaluate both maps are nil: nothing
-// is recorded, and a read-only invocation has no writes to read back. Under
-// Simulate the write map is made by the first write.
+// in the tree reads and writes its own chaincode's namespace, so writes are
+// keyed by namespace and key. Reads are appended as they happen, repeats
+// included; rwset keeps the first of each key. Under Evaluate record is
+// off: nothing is recorded, and a read-only invocation has no writes to
+// read back. Under Simulate the write map is made by the first write.
 type simContext struct {
 	reg      *Registry
 	state    *statedb.Store
 	inv      Invocation
+	record   bool // under Simulate: record the read-write set
 	writes   map[slot]pendingWrite
 	writeSeq int
-	readVers map[slot]ledger.KVRead
+	reads    []ledger.KVRead
 	event    *ledger.ChaincodeEvent
 }
 
-// recording reports whether this context records a read-write set, i.e.
-// whether it runs under Simulate rather than Evaluate.
-func (c *simContext) recording() bool { return c.readVers != nil }
+// read records the version of a committed key as observed now.
+func (c *simContext) read(ns, key string, v statedb.Version, exists bool) {
+	c.reads = append(c.reads, ledger.KVRead{Namespace: ns, Key: key, Version: v, Exists: exists})
+}
 
-// rwset returns the recorded reads sorted by (namespace, key) and the
-// writes in the order they were made. Namespaces hold no U+0000, so the
-// read order is the order of the joined strings namespace+"\x00"+key.
+// rwset returns the recorded reads sorted by (namespace, key), each key
+// once at the version first observed, and the writes in the order they
+// were made. Namespaces hold no U+0000, so the read order is the order of
+// the joined strings namespace+"\x00"+key. The sort is stable, so of a
+// key's reads the first recorded leads its run and is the one kept; the
+// read set is compacted in place.
 func (c *simContext) rwset() ledger.RWSet {
 	rw := ledger.RWSet{}
-	if len(c.readVers) > 0 {
-		rw.Reads = make([]ledger.KVRead, 0, len(c.readVers))
-		for _, r := range c.readVers {
-			rw.Reads = append(rw.Reads, r)
-		}
-		slices.SortFunc(rw.Reads, func(a, b ledger.KVRead) int {
-			return cmp.Or(strings.Compare(a.Namespace, b.Namespace), strings.Compare(a.Key, b.Key))
-		})
+	if len(c.reads) > 0 {
+		slices.SortStableFunc(c.reads, compareRead)
+		c.reads = slices.CompactFunc(c.reads, func(a, b ledger.KVRead) bool { return compareRead(a, b) == 0 })
+		rw.Reads = c.reads
 	}
 	if len(c.writes) > 0 {
 		ordered := make([]pendingWrite, 0, len(c.writes))
@@ -263,6 +267,11 @@ func (c *simContext) rwset() ledger.RWSet {
 		}
 	}
 	return rw
+}
+
+// compareRead orders reads by (namespace, key).
+func compareRead(a, b ledger.KVRead) int {
+	return cmp.Or(strings.Compare(a.Namespace, b.Namespace), strings.Compare(a.Key, b.Key))
 }
 
 type simStub struct {
@@ -294,28 +303,24 @@ func (s *simStub) GetState(key string) ([]byte, error) {
 	if key == "" {
 		return nil, statedb.ErrInvalidKey
 	}
-	if !s.ctx.recording() {
+	if !s.ctx.record {
 		vv, exists := s.ctx.state.Get(s.chaincode, key)
 		if !exists {
 			return nil, nil
 		}
 		return vv.Value, nil
 	}
-	nk := slot{s.chaincode, key}
-	// Read-your-writes within the invocation.
-	if w, ok := s.ctx.writes[nk]; ok {
+	// Read-your-writes within the invocation: the buffered value itself,
+	// read-only like a committed one. PutState copied it to its length.
+	if w, ok := s.ctx.writes[slot{s.chaincode, key}]; ok {
 		if w.isDelete {
 			return nil, nil
 		}
-		out := make([]byte, len(w.value))
-		copy(out, w.value)
-		return out, nil
+		return w.value, nil
 	}
 	vv, exists := s.ctx.state.Get(s.chaincode, key)
-	// Record the first observed version for MVCC validation.
-	if _, seen := s.ctx.readVers[nk]; !seen {
-		s.ctx.readVers[nk] = ledger.KVRead{Namespace: s.chaincode, Key: key, Version: vv.Version, Exists: exists}
-	}
+	// Recorded for MVCC validation; rwset keeps the first observed version.
+	s.ctx.read(s.chaincode, key, vv.Version, exists)
 	if !exists {
 		return nil, nil
 	}
@@ -361,11 +366,8 @@ func (s *simStub) GetStateRange(start, end string) ([]KV, error) {
 	out := make([]KV, 0, len(kvs))
 	for _, kv := range kvs {
 		// Range reads are recorded for MVCC like point reads.
-		if s.ctx.recording() {
-			nk := slot{s.chaincode, kv.Key}
-			if _, seen := s.ctx.readVers[nk]; !seen {
-				s.ctx.readVers[nk] = ledger.KVRead{Namespace: s.chaincode, Key: kv.Key, Version: kv.Version, Exists: true}
-			}
+		if s.ctx.record {
+			s.ctx.read(s.chaincode, kv.Key, kv.Version, true)
 		}
 		out = append(out, KV{Key: kv.Key, Value: kv.Value})
 	}

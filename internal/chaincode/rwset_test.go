@@ -14,51 +14,124 @@ import (
 // slot: namespace and key joined by U+0000, which no namespace holds.
 func nsKey(ns, key string) string { return ns + "\x00" + key }
 
-// referenceRWSet assembles a read-write set the way rwset did before: reads
-// in the order of their joined nsKey strings, writes by sequence number.
-func referenceRWSet(c *simContext) ledger.RWSet {
+// rwOracle is the read-write set model the recording context is held to,
+// built beside it from the same operations: a map of each key's first
+// observed read, as the context kept before it recorded reads in a slice,
+// and each key's latest write.
+type rwOracle struct {
+	state  *statedb.Store
+	reads  map[string]ledger.KVRead // by nsKey
+	writes map[string]ledger.KVWrite
+	seq    map[string]int
+	n      int
+}
+
+func newOracle(state *statedb.Store) *rwOracle {
+	return &rwOracle{state: state, reads: map[string]ledger.KVRead{}, writes: map[string]ledger.KVWrite{}, seq: map[string]int{}}
+}
+
+func (o *rwOracle) get(ns, key string) {
+	k := nsKey(ns, key)
+	if _, written := o.writes[k]; written {
+		return // read-your-writes records nothing
+	}
+	if _, seen := o.reads[k]; !seen {
+		vv, ok := o.state.Get(ns, key)
+		o.reads[k] = ledger.KVRead{Namespace: ns, Key: key, Version: vv.Version, Exists: ok}
+	}
+}
+
+func (o *rwOracle) scan(ns, start, end string) {
+	for _, kv := range o.state.Range(ns, start, end) {
+		k := nsKey(ns, kv.Key)
+		if _, seen := o.reads[k]; !seen {
+			o.reads[k] = ledger.KVRead{Namespace: ns, Key: kv.Key, Version: kv.Version, Exists: true}
+		}
+	}
+}
+
+func (o *rwOracle) put(ns, key string, value []byte, del bool) {
+	k := nsKey(ns, key)
+	o.n++
+	o.writes[k] = ledger.KVWrite{Namespace: ns, Key: key, Value: value, IsDelete: del}
+	o.seq[k] = o.n
+}
+
+// rwset is the oracle's read-write set: reads in the order of their joined
+// nsKey strings, writes in the order of their latest write.
+func (o *rwOracle) rwset() ledger.RWSet {
 	rw := ledger.RWSet{}
-	byKey := make(map[string]ledger.KVRead, len(c.readVers))
-	readKeys := make([]string, 0, len(c.readVers))
-	for s, r := range c.readVers {
-		k := nsKey(s.ns, s.key)
-		byKey[k] = r
+	readKeys := make([]string, 0, len(o.reads))
+	for k := range o.reads {
 		readKeys = append(readKeys, k)
 	}
 	sort.Strings(readKeys)
 	for _, k := range readKeys {
-		rw.Reads = append(rw.Reads, byKey[k])
+		rw.Reads = append(rw.Reads, o.reads[k])
 	}
-	ordered := make([]pendingWrite, 0, len(c.writes))
-	for _, w := range c.writes {
-		ordered = append(ordered, w)
+	writeKeys := make([]string, 0, len(o.writes))
+	for k := range o.writes {
+		writeKeys = append(writeKeys, k)
 	}
-	sort.Slice(ordered, func(i, j int) bool { return ordered[i].seq < ordered[j].seq })
-	for _, w := range ordered {
-		rw.Writes = append(rw.Writes, ledger.KVWrite{Namespace: w.ns, Key: w.key, Value: w.value, IsDelete: w.isDelete})
+	sort.Slice(writeKeys, func(i, j int) bool { return o.seq[writeKeys[i]] < o.seq[writeKeys[j]] })
+	for _, k := range writeKeys {
+		rw.Writes = append(rw.Writes, o.writes[k])
 	}
 	return rw
 }
 
-// TestRWSetMatchesNSKeyOrder: the slot-keyed rwset returns the same reads
-// and writes, in the same order, as the nsKey-string reference, over random
-// invocations whose namespaces are prefixes of each other and whose keys
-// hold U+0000 and 0xff. The read-set order is signed, so a difference here
-// is a format change. A fixed case pins the order itself: every "a" read
-// precedes every "ab" read, whatever the keys.
+// recordingFrame returns a frame that records its read-write set, as
+// Simulate's does.
+func recordingFrame(state *statedb.Store) *frame {
+	f := newFrame(NewRegistry(), state, Invocation{TxID: "tx"})
+	f.ctx.record = true
+	return f
+}
+
+// TestRWSetMatchesNSKeyOrder: the recorded rwset returns the same reads and
+// writes, in the same order, as the map oracle, over random invocations
+// whose namespaces are prefixes of each other, whose keys hold U+0000 and
+// 0xff, and during which other transactions commit. The read-set order is
+// signed, so a difference here is a format change. Fixed cases pin the
+// order itself (every "a" read precedes every "ab" read, whatever the
+// keys), that a key read twice across a commit keeps the version first
+// observed, and that a point read and a range read of one key record it
+// once.
 func TestRWSetMatchesNSKeyOrder(t *testing.T) {
-	f := newFrame(NewRegistry(), statedb.NewStore(), Invocation{TxID: "tx"})
-	f.ctx.readVers = make(map[slot]ledger.KVRead)
-	for _, r := range []slot{{"ab", "\x00"}, {"a", "\xff"}, {"a", "b\x00"}, {"ab", "a"}, {"a", "b"}} {
+	f := recordingFrame(statedb.NewStore())
+	o := newOracle(f.ctx.state)
+	for _, r := range []slot{{"ab", "\x00"}, {"a", "\xff"}, {"a", "b\x00"}, {"ab", "a"}, {"a", "b"}, {"a", "\xff"}} {
 		_, _ = (&simStub{ctx: &f.ctx, chaincode: r.ns}).GetState(r.key)
+		o.get(r.ns, r.key)
 	}
 	var order []slot
 	for _, r := range f.ctx.rwset().Reads {
 		order = append(order, slot{r.Namespace, r.Key})
 	}
 	want := []slot{{"a", "b"}, {"a", "b\x00"}, {"a", "\xff"}, {"ab", "\x00"}, {"ab", "a"}}
-	if !reflect.DeepEqual(order, want) || !reflect.DeepEqual(f.ctx.rwset(), referenceRWSet(&f.ctx)) {
+	if !reflect.DeepEqual(order, want) || !reflect.DeepEqual(f.ctx.rwset(), o.rwset()) {
 		t.Fatalf("read order = %q, want %q", order, want)
+	}
+
+	state := statedb.NewStore()
+	v1, v2 := statedb.Version{BlockNum: 1}, statedb.Version{BlockNum: 2}
+	state.ApplyWrites([]statedb.Write{{Namespace: "a", Key: "k", Value: []byte("1")}, {Namespace: "a", Key: "r", Value: []byte("1")}}, v1)
+	f = recordingFrame(state)
+	stub := &simStub{ctx: &f.ctx, chaincode: "a"}
+	_, _ = stub.GetState("k")
+	_, _ = stub.GetStateRange("r", "s")
+	state.ApplyWrites([]statedb.Write{{Namespace: "a", Key: "k", Value: []byte("2")}, {Namespace: "a", Key: "r", Value: []byte("2")}}, v2)
+	_, _ = stub.GetStateRange("k", "l")
+	if got, _ := stub.GetState("k"); string(got) != "2" {
+		t.Fatalf("GetState after the commit = %q, want the committed 2", got)
+	}
+	_, _ = stub.GetState("r")
+	wantReads := []ledger.KVRead{
+		{Namespace: "a", Key: "k", Version: v1, Exists: true},
+		{Namespace: "a", Key: "r", Version: v1, Exists: true},
+	}
+	if got := f.ctx.rwset().Reads; !reflect.DeepEqual(got, wantReads) {
+		t.Fatalf("reads of keys read again across a commit = %+v, want each once at its first version %+v", got, wantReads)
 	}
 
 	namespaces := []string{"a", "ab", "a\xff", "b"}
@@ -71,30 +144,43 @@ func TestRWSetMatchesNSKeyOrder(t *testing.T) {
 		}
 		return k
 	}
-	state := statedb.NewStore()
-	for i := 0; i < 60; i++ {
-		state.ApplyWrites([]statedb.Write{{Namespace: namespaces[rng.Intn(len(namespaces))], Key: randKey(), Value: []byte{byte(i)}}},
-			statedb.Version{BlockNum: uint64(i)})
+	state = statedb.NewStore()
+	block := uint64(0)
+	commit := func() {
+		block++
+		state.ApplyWrites([]statedb.Write{{Namespace: namespaces[rng.Intn(len(namespaces))], Key: randKey(), Value: []byte{byte(block)}}},
+			statedb.Version{BlockNum: block})
+	}
+	for range 60 {
+		commit()
 	}
 	for round := 0; round < 200; round++ {
-		f := newFrame(NewRegistry(), state, Invocation{TxID: "tx"})
-		f.ctx.readVers = make(map[slot]ledger.KVRead)
+		f := recordingFrame(state)
+		o := newOracle(state)
 		for op := rng.Intn(12); op >= 0; op-- {
-			stub := &simStub{ctx: &f.ctx, chaincode: namespaces[rng.Intn(len(namespaces))]}
-			switch rng.Intn(4) {
+			ns := namespaces[rng.Intn(len(namespaces))]
+			stub := &simStub{ctx: &f.ctx, chaincode: ns}
+			switch key := randKey(); rng.Intn(5) {
 			case 0:
-				_, _ = stub.GetState(randKey())
+				_, _ = stub.GetState(key)
+				o.get(ns, key)
 			case 1:
-				_, _ = stub.GetStateRange(randKey(), randKey())
+				end := randKey()
+				_, _ = stub.GetStateRange(key, end)
+				o.scan(ns, key, end)
 			case 2:
-				_ = stub.PutState(randKey(), []byte{byte(op)})
+				_ = stub.PutState(key, []byte{byte(op)})
+				o.put(ns, key, []byte{byte(op)}, false)
+			case 3:
+				_ = stub.DelState(key)
+				o.put(ns, key, nil, true)
 			default:
-				_ = stub.DelState(randKey())
+				commit() // another transaction commits mid-simulation
 			}
 		}
-		got, want := f.ctx.rwset(), referenceRWSet(&f.ctx)
+		got, want := f.ctx.rwset(), o.rwset()
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("round %d:\nrwset     %+v\nreference %+v", round, got, want)
+			t.Fatalf("round %d:\nrwset  %+v\noracle %+v", round, got, want)
 		}
 	}
 }

@@ -204,7 +204,8 @@ func (c *Client) Submit(ctx context.Context, chaincodeName, function string, arg
 	return c.gateway.Submit(chaincodeName, function, args...)
 }
 
-// Evaluate runs a local read-only query. ctx gates entry.
+// Evaluate runs a local read-only query. ctx gates entry. The response is
+// read-only, as fabric.Gateway.Evaluate's is.
 func (c *Client) Evaluate(ctx context.Context, chaincodeName, function string, args ...[]byte) ([]byte, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("core: evaluate %s.%s: %w", chaincodeName, function, err)

@@ -559,6 +559,8 @@ func (g *Gateway) SubmitTx(ccName, function string, args ...[]byte) (*ledger.Tra
 
 // Evaluate runs a read-only query against a single peer of the client's
 // organization (falling back to any peer) without creating a transaction.
+// The response is read-only: it may be a committed value itself (see
+// peer.Query).
 func (g *Gateway) Evaluate(ccName, function string, args ...[]byte) ([]byte, error) {
 	txID, err := newTxID()
 	if err != nil {

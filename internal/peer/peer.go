@@ -163,7 +163,9 @@ func (p *Peer) Endorse(inv chaincode.Invocation) (*ProposalResponse, error) {
 // producing a transaction. It records no read set (chaincode.Evaluate), so
 // it is the call for a caller that wants the answer only. Its response and
 // error are those of QueryRW(inv).Response for the same invocation; a write
-// attempt fails with chaincode.ErrReadOnly on both.
+// attempt fails with chaincode.ErrReadOnly on both. A response the
+// chaincode read from state is the committed value itself, so on both it
+// is read-only: a caller that modified it would modify the world state.
 func (p *Peer) Query(inv chaincode.Invocation) ([]byte, error) {
 	resp, err := chaincode.Evaluate(p.registry, p.state, inv)
 	if err != nil {

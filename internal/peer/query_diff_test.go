@@ -17,13 +17,14 @@ import (
 	"repro/internal/syscc"
 )
 
-// tradeWorldPeer builds the seeded trade world and returns one STL peer
-// plus the certificates of two SWT clients: one of the seller bank, the
+// tradeWorldPeer builds the seeded trade world and returns it, one STL peer
+// and the certificates of two SWT clients: one of the seller bank, the
 // organization the world's access rule admits, and one of the buyer bank,
 // which no rule admits.
-func tradeWorldPeer(t *testing.T) (p *peer.Peer, admitted, refused []byte) {
+func tradeWorldPeer(t *testing.T) (w *scenario.TradeWorld, p *peer.Peer, admitted, refused []byte) {
 	t.Helper()
-	w, err := scenario.Build()
+	var err error
+	w, err = scenario.Build()
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
@@ -52,7 +53,7 @@ func tradeWorldPeer(t *testing.T) (p *peer.Peer, admitted, refused []byte) {
 		}
 		return client.CertPEM()
 	}
-	return w.STL.Fabric.AllPeers()[0], certOf(wetrade.SellerBankOrg), certOf(wetrade.BuyerBankOrg)
+	return w, w.STL.Fabric.AllPeers()[0], certOf(wetrade.SellerBankOrg), certOf(wetrade.BuyerBankOrg)
 }
 
 // relayed marks an invocation as a relayed cross-network query from SWT,
@@ -80,7 +81,7 @@ func invocation(cc, fn string, args ...string) chaincode.Invocation {
 // same error — across relayed reads, the system contracts, missing keys,
 // cross-chaincode calls and writes, which both refuse as read-only.
 func TestQueryMatchesQueryRW(t *testing.T) {
-	p, admitted, refused := tradeWorldPeer(t)
+	_, p, admitted, refused := tradeWorldPeer(t)
 	anyError := errors.New("any error")
 	cases := []struct {
 		name string
@@ -125,7 +126,7 @@ func TestQueryMatchesQueryRW(t *testing.T) {
 // contract, the ECC (the access rules) and the CMDAC (the requester's
 // network config).
 func TestQueryRWReadNamespacesOfRelayQuery(t *testing.T) {
-	p, admitted, _ := tradeWorldPeer(t)
+	_, p, admitted, _ := tradeWorldPeer(t)
 	sim, err := p.QueryRW(relayed(invocation(tradelens.ChaincodeName, tradelens.FnGetBillOfLading, "po-1"), admitted))
 	if err != nil {
 		t.Fatalf("QueryRW: %v", err)

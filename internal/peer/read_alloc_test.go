@@ -1,12 +1,15 @@
 package peer_test
 
 import (
+	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/apps/tradelens"
 	"repro/internal/chaincode"
 	"repro/internal/endorsement"
 	"repro/internal/statedb"
+	"repro/internal/wire"
 )
 
 // Sinks keep results escaping, as they do at every real call site.
@@ -21,8 +24,12 @@ var (
 // path: key building, the policy's organization list and a warm relayed
 // GetBillOfLading, which runs TradeLensCC → ECC → CMDAC nested, evaluated
 // without and with a read set. A change may lower a row, never raise it.
+// The last row holds the read in place: the bytes a warm relayed QueryRW
+// allocates do not grow when the requesting network's recorded
+// configuration, which ECC.Authorize reads on every query, grows from 2
+// organizations to 16.
 func TestReadPathAllocations(t *testing.T) {
-	p, admitted, _ := tradeWorldPeer(t)
+	w, p, admitted, _ := tradeWorldPeer(t)
 	read := relayed(invocation(tradelens.ChaincodeName, tradelens.FnGetBillOfLading, "po-1"), admitted)
 	// One cold call of each fills the per-process memos (ECC rule set,
 	// verifier per config, parsed certificates).
@@ -41,8 +48,8 @@ func TestReadPathAllocations(t *testing.T) {
 		{"statedb.CompositeKey", 1, func() { sinkString, _ = statedb.CompositeKey("shipment", "po-1001", "leg-2") }},
 		{"statedb.CompositeRange", 1, func() { sinkString, _, _ = statedb.CompositeRange("shipment", "po-1001") }},
 		{"warm Policy.Orgs", 0, func() { sinkStrings = vp.Orgs() }},
-		{"warm relayed peer.Query", 15, func() { sinkBytes, _ = p.Query(read) }},
-		{"warm relayed peer.QueryRW", 19, func() { sinkSim, _ = p.QueryRW(read) }},
+		{"warm relayed peer.Query", 12, func() { sinkBytes, _ = p.Query(read) }},
+		{"warm relayed peer.QueryRW", 16, func() { sinkSim, _ = p.QueryRW(read) }},
 	} {
 		if got := testing.AllocsPerRun(100, row.fn); got > row.max {
 			t.Errorf("%s: %v allocations, want <= %v", row.name, got, row.max)
@@ -50,4 +57,39 @@ func TestReadPathAllocations(t *testing.T) {
 			t.Logf("%s: %v allocations", row.name, got)
 		}
 	}
+
+	queryRW := func() { sinkSim, _ = p.QueryRW(read) }
+	cfg := w.SWT.ExportConfig()
+	small := bytesPerRun(200, queryRW)
+	for i := len(cfg.Orgs); i < 16; i++ {
+		// Further organizations under the first one's root: the verifier
+		// parses each, and the requester's organization is unchanged.
+		cfg.Orgs = append(cfg.Orgs, wire.OrgConfig{OrgID: fmt.Sprintf("org-pad-%02d", i), RootCertPEM: cfg.Orgs[0].RootCertPEM})
+	}
+	if err := w.STL.ConfigureForeignNetwork(w.STLAdmin, cfg); err != nil {
+		t.Fatalf("record the 16-organization configuration: %v", err)
+	}
+	if _, err := p.QueryRW(read); err != nil { // builds the new config's verifier
+		t.Fatalf("QueryRW under the 16-organization configuration: %v", err)
+	}
+	large := bytesPerRun(200, queryRW)
+	t.Logf("warm relayed peer.QueryRW: %d B under a %d B configuration of 2 organizations, %d B under %d B of 16",
+		small, len(w.SWT.ExportConfig().Marshal()), large, len(cfg.Marshal()))
+	if large > small+64 {
+		t.Errorf("warm relayed peer.QueryRW allocates %d B under a 16-organization configuration, %d B under 2: the configuration read is copied", large, small)
+	}
+}
+
+// bytesPerRun returns the bytes fn allocates per call, averaged over runs
+// warm calls on one P, as testing.AllocsPerRun counts allocations.
+func bytesPerRun(runs int, fn func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	fn()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		fn()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
 }

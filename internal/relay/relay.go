@@ -207,9 +207,6 @@ func New(localNetworkID string, discovery Discovery, transport Transport, opts .
 	return r
 }
 
-// LocalNetwork returns the network this relay serves.
-func (r *Relay) LocalNetwork() string { return r.localNetwork }
-
 // AttestationCacheNotifier is implemented by drivers that front proof
 // construction with an attestation cache and can report hit/miss outcomes
 // through callbacks; RegisterDriver wires them to the relay's Stats so

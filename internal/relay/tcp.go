@@ -379,7 +379,9 @@ type TCPServer struct {
 	relay    *Relay
 	listener net.Listener
 
-	// ctx parents every connection's serving context; Close cancels it.
+	// ctx ends when Close is called. It stops the accept back-off and a
+	// read loop waiting for an in-flight slot; connection contexts are not
+	// its children (see serveConn).
 	ctx    context.Context
 	cancel context.CancelFunc
 
@@ -448,6 +450,11 @@ func (s *TCPServer) acceptLoop() {
 			s.serveConn(conn)
 			s.mu.Lock()
 			delete(s.conns, conn)
+			if len(s.conns) == 0 {
+				// A map keeps the size of its peak; a drained one is
+				// remade so a past burst of connections holds nothing.
+				s.conns = make(map[net.Conn]struct{})
+			}
 			s.mu.Unlock()
 		}()
 	}
@@ -458,9 +465,13 @@ func (s *TCPServer) acceptLoop() {
 // proof build does not hold up a cache hit queued behind it. Requests run
 // under a context that ends when the peer hangs up or the server closes:
 // work for a requester that is gone is abandoned, not completed. A peer
-// that completes no frame within firstFrameTimeout is dropped.
+// that completes no frame within firstFrameTimeout is dropped. The context
+// is not a child of the server's: a parent's set of children keeps the
+// size of its peak, so a burst of connections would stay held until the
+// server closed. Close reaches the requests all the same, by closing the
+// connection, which ends the read loop and so cancels the context.
 func (s *TCPServer) serveConn(conn net.Conn) {
-	ctx, cancel := context.WithCancel(s.ctx)
+	ctx, cancel := context.WithCancel(context.Background())
 	var (
 		requests sync.WaitGroup
 		wmu      sync.Mutex // serialises reply writes
@@ -486,7 +497,7 @@ func (s *TCPServer) serveConn(conn net.Conn) {
 		}
 		select {
 		case inFlight <- struct{}{}:
-		case <-ctx.Done():
+		case <-s.ctx.Done():
 			return
 		}
 		requests.Add(1)

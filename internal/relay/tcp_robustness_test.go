@@ -599,6 +599,80 @@ func TestTCPServerFirstFrameDeadline(t *testing.T) {
 	}
 }
 
+// TestTCPServerConnectionBurstHoldsNothing: 1000 connections open at once
+// and close, with no warm-up round, and the open server holds no more heap
+// than before them, within 64 KiB. A per-connection context derived from
+// the server's, or a connection table that keeps its peak size, holds
+// hundreds of KiB after such a burst until the server closes. The runtime
+// keeps the descriptor of every goroutine that ever ran (≈ 440 B each), so
+// the test first runs and ends as many goroutines as the burst will, none
+// of them the server's; the burst then reuses those descriptors.
+func TestTCPServerConnectionBurstHoldsNothing(t *testing.T) {
+	const burst = 1000
+	server, err := NewTCPServer(New("net", NewStaticRegistry(), &TCPTransport{}), "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("NewTCPServer: %v", err)
+	}
+	defer server.Close()
+	serving := func() int {
+		server.mu.Lock()
+		defer server.mu.Unlock()
+		return len(server.conns)
+	}
+	goroutines := runtime.NumGoroutine()
+	var started, release sync.WaitGroup
+	release.Add(1)
+	for range 2 * burst {
+		started.Add(1)
+		go func() { started.Done(); release.Wait() }()
+	}
+	started.Wait()
+	release.Done()
+	waitGoroutines(t, goroutines)
+	// Two collections: the wait queue entries those goroutines used are
+	// dropped from the runtime's cache by one and freed by the next.
+	liveHeap()
+	heap := liveHeap()
+
+	peers := make([]net.Conn, 0, burst)
+	defer func() {
+		for _, c := range peers {
+			c.Close()
+		}
+	}()
+	for range burst {
+		c, err := net.Dial("tcp", server.Addr())
+		if err != nil {
+			t.Fatalf("Dial: %v", err)
+		}
+		peers = append(peers, c)
+	}
+	for deadline := time.Now().Add(5 * time.Second); serving() < burst; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("the server serves %d of %d connections", serving(), burst)
+		}
+	}
+	for _, c := range peers {
+		c.Close()
+	}
+	peers = nil
+	for deadline := time.Now().Add(5 * time.Second); serving() > 0; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("the server still serves %d closed connections", serving())
+		}
+	}
+	waitGoroutines(t, goroutines)
+	liveHeap()
+	held := liveHeap() - heap
+	t.Logf("after %d connections opened and closed, the open server holds %d KiB more heap", burst, held>>10)
+	if held > 64<<10 {
+		t.Fatalf("the open server holds %d KiB of heap after a burst of %d connections, want ≤ 64 KiB", held>>10, burst)
+	}
+	if err := New("probe", NewStaticRegistry(), &TCPTransport{}).Ping(context.Background(), server.Addr()); err != nil {
+		t.Fatalf("ping after the burst: %v", err)
+	}
+}
+
 // openFDs counts this process's open descriptors, or returns -1 where
 // /proc/self/fd does not list them.
 func openFDs() int {

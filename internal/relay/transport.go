@@ -40,13 +40,6 @@ func (h *Hub) Attach(addr string, r *Relay) {
 	h.relays[addr] = r
 }
 
-// Detach removes a relay, making the address unreachable.
-func (h *Hub) Detach(addr string) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	delete(h.relays, addr)
-}
-
 // SetDown marks an address as failing without removing it, simulating a
 // crashed or DoS-ed relay (§5 availability analysis).
 func (h *Hub) SetDown(addr string, down bool) {

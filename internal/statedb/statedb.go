@@ -103,7 +103,10 @@ func (s *Store) shardOf(ns string, create bool) *shard {
 }
 
 // Get returns the value for key in a namespace, or ok=false if absent. The
-// returned value is a copy; callers may mutate it freely.
+// value is the stored slice itself, read-only: a committed value is never
+// written again (ApplyWrites stores a fresh copy and replaces it wholesale
+// on the next write), so a reader may keep it but must not modify it. It is
+// clipped to its length, so an append by a reader always reallocates.
 func (s *Store) Get(ns, key string) (VersionedValue, bool) {
 	sh := s.shardOf(ns, false)
 	if sh == nil {
@@ -115,10 +118,11 @@ func (s *Store) Get(ns, key string) (VersionedValue, bool) {
 	if !ok {
 		return VersionedValue{}, false
 	}
-	val := make([]byte, len(vv.Value))
-	copy(val, vv.Value)
-	return VersionedValue{Value: val, Version: vv.Version}, true
+	return VersionedValue{Value: clip(vv.Value), Version: vv.Version}, true
 }
+
+// clip returns v with its capacity cut to its length.
+func clip(v []byte) []byte { return v[:len(v):len(v)] }
 
 // Version returns the committed version for a namespaced key and whether it
 // exists.
@@ -138,6 +142,8 @@ func (s *Store) Version(ns, key string) (Version, bool) {
 // under that shard's lock; batches touching disjoint namespaces (or
 // disjoint keys — the committer's conflict scheduler guarantees no two
 // concurrent batches write the same key) may be applied concurrently.
+// Each value is stored as a fresh copy that is never written again, which
+// is what lets Get and Range hand it out in place.
 func (s *Store) ApplyWrites(writes []Write, v Version) {
 	for start := 0; start < len(writes); {
 		ns := writes[start].Namespace
@@ -162,9 +168,9 @@ func (s *Store) ApplyWrites(writes []Write, v Version) {
 }
 
 // Range returns all keys of one namespace in [start, end) in lexical order.
-// An empty end means "to the last key". Values are copies. The result is
-// sized by a counting pass first, so it holds no slack: most scans match a
-// key or two.
+// An empty end means "to the last key". Values are the stored slices,
+// read-only and clipped, as Get returns them. The result is sized by a
+// counting pass first, so it holds no slack: most scans match a key or two.
 func (s *Store) Range(ns, start, end string) []KV {
 	sh := s.shardOf(ns, false)
 	if sh == nil {
@@ -184,9 +190,7 @@ func (s *Store) Range(ns, start, end string) []KV {
 		if !in(k) {
 			continue
 		}
-		val := make([]byte, len(vv.Value))
-		copy(val, vv.Value)
-		out = append(out, KV{Key: k, Value: val, Version: vv.Version})
+		out = append(out, KV{Key: k, Value: clip(vv.Value), Version: vv.Version})
 	}
 	slices.SortFunc(out, func(a, b KV) int { return strings.Compare(a.Key, b.Key) })
 	return out

@@ -200,7 +200,7 @@ func (e *ECC) loadRules(stub chaincode.Stub) (*policy.RuleSet, error) {
 			return nil, fmt.Errorf("syscc: corrupt rule at %q: %w", kv.Key, err)
 		}
 		m.set.Rules = append(m.set.Rules, rule)
-		m.values[i] = bytes.Clone(kv.Value)
+		m.values[i] = kv.Value // committed values are never rewritten
 	}
 	e.rules.Store(m)
 	return m.set, nil
