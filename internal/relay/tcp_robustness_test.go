@@ -550,10 +550,10 @@ func TestTCPServerFirstFrameDeadline(t *testing.T) {
 			}
 		}
 	}
-	// A first round that hangs up at once. What the runtime and the maps
-	// keep at their high-water mark (exited goroutines' descriptors, the
-	// server's connection table and its context's child set) is then
-	// part of the baseline.
+	// A first round that hangs up at once. What the runtime and the map
+	// keep at their high-water mark (exited goroutines' descriptors, and
+	// the server's connection table, which the live client keeps from
+	// draining) is then part of the baseline.
 	connect()
 	for _, c := range peers {
 		c.Close()
@@ -602,11 +602,11 @@ func TestTCPServerFirstFrameDeadline(t *testing.T) {
 // TestTCPServerConnectionBurstHoldsNothing: 1000 connections open at once
 // and close, with no warm-up round, and the open server holds no more heap
 // than before them, within 64 KiB. A per-connection context derived from
-// the server's, or a connection table that keeps its peak size, holds
-// hundreds of KiB after such a burst until the server closes. The runtime
-// keeps the descriptor of every goroutine that ever ran (≈ 440 B each), so
-// the test first runs and ends as many goroutines as the burst will, none
-// of them the server's; the burst then reuses those descriptors.
+// the server's, with a connection table that keeps its peak size, held
+// ≈ 100 KiB after such a burst until the server closed. The runtime keeps
+// the descriptor of every goroutine that ever ran (≈ 440 B each), so the
+// test first runs and ends twice as many goroutines as the burst starts,
+// none of them the server's; the burst then reuses those descriptors.
 func TestTCPServerConnectionBurstHoldsNothing(t *testing.T) {
 	const burst = 1000
 	server, err := NewTCPServer(New("net", NewStaticRegistry(), &TCPTransport{}), "127.0.0.1:0")

@@ -118,11 +118,8 @@ func (s *Store) Get(ns, key string) (VersionedValue, bool) {
 	if !ok {
 		return VersionedValue{}, false
 	}
-	return VersionedValue{Value: clip(vv.Value), Version: vv.Version}, true
+	return VersionedValue{Value: slices.Clip(vv.Value), Version: vv.Version}, true
 }
-
-// clip returns v with its capacity cut to its length.
-func clip(v []byte) []byte { return v[:len(v):len(v)] }
 
 // Version returns the committed version for a namespaced key and whether it
 // exists.
@@ -190,7 +187,7 @@ func (s *Store) Range(ns, start, end string) []KV {
 		if !in(k) {
 			continue
 		}
-		out = append(out, KV{Key: k, Value: clip(vv.Value), Version: vv.Version})
+		out = append(out, KV{Key: k, Value: slices.Clip(vv.Value), Version: vv.Version})
 	}
 	slices.SortFunc(out, func(a, b KV) int { return strings.Compare(a.Key, b.Key) })
 	return out
