@@ -1,7 +1,7 @@
 // Package memo holds the bounded, content-addressed table that memoises
 // pure derivations from bytes: parsed certificates and verifiers in msp,
 // parsed policy expressions in endorsement, decoded verification policies
-// in policy.
+// in policy, decoded names in wire.
 package memo
 
 import "sync"

@@ -173,7 +173,7 @@ func (b *Bundle) Marshal() []byte { w := wire.Writing(b.size()); b.walk(&w); ret
 func (b *Bundle) size() int { var c wire.Walk; b.walk(&c); return c.Len() }
 
 func (b *Bundle) walk(w *wire.Walk) {
-	w.String(1, &b.SourceNetwork)
+	w.Name(1, &b.SourceNetwork)
 	w.Bytes(2, &b.Result)
 	w.Bytes(3, &b.Nonce)
 	if w.Encoding() {

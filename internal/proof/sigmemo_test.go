@@ -159,14 +159,18 @@ func TestHopChainRememberedSignature(t *testing.T) {
 	}
 }
 
-// TestWarmVerifyAllocations is the tripwire of the signature memo: a second
-// verification of the same bundle or hop chain runs no ECDSA, so it must
-// allocate fewer objects than the one ecdsa.VerifyASN1 it skips (10). A
-// window's bundle also recomputes its Merkle root; its row holds today's
-// count. The hop chain hashes its response core, anchor and pins through
-// pooled walks, so its row holds today's count too, except under the race
-// detector, which drops pooled state at random. A change may lower a row,
-// never raise it.
+// TestWarmVerifyAllocations is the tripwire of the signature memo and of
+// the stack-held metadata. A second verification of the same bundle or hop
+// chain runs no ECDSA, so it must allocate fewer objects than the one
+// ecdsa.VerifyASN1 it skips (10). Verify and OpenResponse decode each
+// attestor's metadata only to read it, so it stays on their stacks and its
+// names are interned: a warm Verify of two attestors allocates only its
+// signer list, and a Metadata that escapes again adds one allocation per
+// attestor to these rows. A window's bundle also recomputes its Merkle
+// root; its row holds today's count. The hop chain hashes its response
+// core, anchor and pins through pooled walks, so its row holds today's
+// count too, except under the race detector, which drops pooled state at
+// random. A change may lower a row, never raise it.
 func TestWarmVerifyAllocations(t *testing.T) {
 	const verifyASN1Allocs = 10
 	hopChainAllocs := 4.0
@@ -177,7 +181,12 @@ func TestWarmVerifyAllocations(t *testing.T) {
 	q := sampleQuery(t)
 	vp := endorsement.MustParse(q.PolicyExpr)
 	qd, pd := QueryDigestOf(q), PolicyDigest(q.PolicyExpr)
-	bundle := buildBundle(t, q, []byte("doc"), sellerPeer, carrierPeer)
+	spec, clientKey := testSpec(t, q, []byte("doc"))
+	resp, recipient := buildOne(t, spec, sellerPeer, carrierPeer), cryptoutil.NewRecipient(clientKey)
+	bundle, err := OpenResponse(recipient, q, resp)
+	if err != nil {
+		t.Fatalf("OpenResponse: %v", err)
+	}
 
 	queries, keys, specs, resps, windowVerifier := windowFixture(t, 2)
 	batched, err := OpenResponse(cryptoutil.NewRecipient(keys[0]), queries[0], resps[0])
@@ -191,8 +200,9 @@ func TestWarmVerifyAllocations(t *testing.T) {
 		max  float64
 		fn   func() error
 	}{
-		{"warm Verify, two attestors", verifyASN1Allocs - 1, func() error { return Verify(bundle, verifier, vp, qd, pd) }},
-		{"warm Verify, two attestors in a window of 2", 13, func() error {
+		{"warm Verify, two attestors", 1, func() error { return Verify(bundle, verifier, vp, qd, pd) }},
+		{"warm OpenResponse, two attestors", 14, func() error { _, err := OpenResponse(recipient, q, resp); return err }},
+		{"warm Verify, two attestors in a window of 2", 5, func() error {
 			return Verify(batched, windowVerifier, vp, specs[0].QueryDigest, specs[0].PolicyDigest)
 		}},
 		{"warm VerifyHopChain, two pins", hopChainAllocs, func() error { _, err := VerifyHopChain(chain.q, chain.resp); return err }},

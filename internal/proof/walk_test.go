@@ -143,8 +143,8 @@ func TestBundleMarshalAllocations(t *testing.T) {
 		run  func()
 	}{
 		{"Bundle.Marshal", 1, func() { _ = b.Marshal() }},
-		{"UnmarshalBundle", 9, func() { _, _ = UnmarshalBundle(encodedBundle) }},
-		{"UnmarshalSealed", 6, func() { _, _ = UnmarshalSealed(encodedSealed) }},
+		{"UnmarshalBundle", 8, func() { _, _ = UnmarshalBundle(encodedBundle) }},
+		{"UnmarshalSealed", 4, func() { _, _ = UnmarshalSealed(encodedSealed) }},
 	} {
 		if got := testing.AllocsPerRun(100, c.run); got != c.want {
 			t.Errorf("%s: %v allocations, want %v", c.name, got, c.want)

@@ -387,6 +387,7 @@ type TCPServer struct {
 
 	mu     sync.Mutex
 	conns  map[net.Conn]struct{}
+	peak   int // the most entries conns has held since it was made
 	closed bool
 	done   chan struct{}
 }
@@ -443,6 +444,7 @@ func (s *TCPServer) acceptLoop() {
 			return
 		}
 		s.conns[conn] = struct{}{}
+		s.peak = max(s.peak, len(s.conns))
 		s.mu.Unlock()
 		handlers.Add(1)
 		go func() {
@@ -450,10 +452,16 @@ func (s *TCPServer) acceptLoop() {
 			s.serveConn(conn)
 			s.mu.Lock()
 			delete(s.conns, conn)
-			if len(s.conns) == 0 {
-				// A map keeps the size of its peak; a drained one is
-				// remade so a past burst of connections holds nothing.
-				s.conns = make(map[net.Conn]struct{})
+			if len(s.conns) <= s.peak/4 {
+				// A map keeps the size of its peak, and a relay's own peers
+				// keep theirs open, so it may never drain. Rebuilt with its
+				// live entries once it falls to a quarter of its peak, it
+				// holds nothing of a past burst of connections.
+				live := make(map[net.Conn]struct{}, len(s.conns))
+				for c := range s.conns {
+					live[c] = struct{}{}
+				}
+				s.conns, s.peak = live, len(live)
 			}
 			s.mu.Unlock()
 		}()

@@ -23,7 +23,12 @@
 // output of a Marshal call. The owner of a buffer that outlives the decode
 // and is shared clones it once and decodes the clone, as
 // proof.UnmarshalBundle and proof.UnmarshalSealed do with ledger-held and
-// client-submitted bytes.
+// client-submitted bytes. No decoded string aliases its input. A field that
+// names a configured thing — a network, ledger, contract, function,
+// policy expression, organization or peer — is a name (Walk.Name): the
+// same few recur on every request, so a decode takes the canonical copy
+// from a bounded, process-wide table and allocates only a name it has not
+// seen. A per-request value (an ID, error text) is copied afresh.
 //
 // A reply is encoded once, straight into its frame. ResponseEnvelope and
 // StampedResponseEnvelope leave the QueryResponse payload unencoded until
@@ -47,6 +52,8 @@ import (
 	"hash"
 	"math/bits"
 	"sync"
+
+	"repro/internal/memo"
 )
 
 // Wire types, mirroring the protobuf wire format.
@@ -310,6 +317,36 @@ func (d *Decoder) Skip() error {
 	}
 }
 
+const (
+	// namesMax bounds the intern table. A deployment's configured names
+	// are a few dozen; a peer sending distinct names flushes the table,
+	// which costs only re-interning.
+	namesMax = 1024
+	// maxNameLen is the longest name the table keeps. A longer one is
+	// copied like any string, so the table holds at most namesMax such
+	// names.
+	maxNameLen = 128
+)
+
+// names is the intern table of decoded names, keyed and valued by the
+// name itself.
+var names = memo.Table[[]byte, string]{Max: namesMax}
+
+// intern returns b as a string: the table's copy when it holds one, which
+// costs no allocation, otherwise a fresh copy that it then keeps. The
+// result never aliases b.
+func intern(b []byte) string {
+	if len(b) == 0 || len(b) > maxNameLen {
+		return string(b)
+	}
+	if s, ok := names.Get(b); ok {
+		return s
+	}
+	s := string(b)
+	names.Put(b, s)
+	return s
+}
+
 // Walk runs a message's field walk: one method, walk(w *Walk), that names
 // each field of the message once, by number, with a typed call. The same
 // walk serves four modes:
@@ -332,7 +369,9 @@ func (d *Decoder) Skip() error {
 //     mark a duplicate guard and refuse a second occurrence of their field
 //     — our encoders write a scalar at most once, so a second one is a
 //     crafted attempt at last-write-wins — while repeated calls append.
-//     Byte fields alias buf (see the package doc); strings are copied.
+//     Byte fields alias buf (see the package doc). A string never does:
+//     String copies it, and Name and the repeated Strings return the
+//     interned copy of a name (see intern).
 //
 // Field numbers of scalar fields must lie in [1, 63], the guard's range; a
 // walk naming another panics in every mode, as a programming error.
@@ -476,6 +515,17 @@ func (w *Walk) String(f int, v *string) {
 	}
 }
 
+// Name walks a string scalar field that names a configured thing. It
+// encodes exactly as String does; a decode returns the name's interned
+// copy.
+func (w *Walk) Name(f int, v *string) {
+	if w.scalar(f) {
+		*v = intern(w.bytes())
+	} else if !w.decoding {
+		w.e.String(f, *v)
+	}
+}
+
 // Bytes walks a byte-string scalar field. Empty is omitted.
 func (w *Walk) Bytes(f int, v *[]byte) {
 	if w.scalar(f) {
@@ -485,8 +535,9 @@ func (w *Walk) Bytes(f int, v *[]byte) {
 	}
 }
 
-// Strings walks a repeated string field. Every element is written, an
-// empty one too, like any repeated element.
+// Strings walks a repeated field of names (a route, attestors, peers).
+// Every element is written, an empty one too, like any repeated element;
+// a decode interns each one, as Name does.
 func (w *Walk) Strings(f int, v *[]string) {
 	if !w.decoding {
 		for _, s := range *v {
@@ -494,7 +545,7 @@ func (w *Walk) Strings(f int, v *[]string) {
 			put(&w.e, s)
 		}
 	} else if w.take(f) {
-		*v = append(*v, string(w.bytes()))
+		*v = append(*v, intern(w.bytes()))
 	}
 }
 

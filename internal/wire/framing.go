@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -110,18 +111,29 @@ func ReadFrame(r io.Reader) (tag uint64, payload []byte, err error) {
 	return binary.BigEndian.Uint64(hdr[4:]), payload, nil
 }
 
-// firstPayloadBuf is the most ReadFrame allocates for a payload before any
-// of it has arrived. Relay frames are a few KB, so a real frame is read
-// into one buffer of exactly its length.
-const firstPayloadBuf = 64 << 10
+// minPayloadBuf is the first buffer ReadFrame allocates for a payload
+// when its reader cannot say how much of it has arrived.
+const minPayloadBuf = 1 << 10
 
 // readPayload reads a payload of the claimed length into a buffer that
-// grows as bytes arrive: min(length, firstPayloadBuf) first, then doubling,
-// capped at length. A peer that claims more than it sends makes the reader
-// hold the larger of firstPayloadBuf and twice what it did send, not what
-// it claimed. The returned payload's length and capacity are both length.
+// grows as bytes arrive, capped at length. From a *bufio.Reader, as relays
+// read, it first waits until the reader's own buffer holds the payload, or
+// as much of it as fits, and allocates for what that holds: a payload up to
+// the reader's size arrives in one buffer of exactly its length, and a peer
+// that claims more than it sends holds no buffer of its own. From another
+// reader the first buffer is min(length, minPayloadBuf). Each further
+// buffer doubles the last, so a peer makes the reader hold at most about
+// twice what it did send. The returned payload's length and capacity are
+// both length.
 func readPayload(r io.Reader, length int) ([]byte, error) {
-	payload := make([]byte, min(length, firstPayloadBuf))
+	first := minPayloadBuf
+	if br, ok := r.(*bufio.Reader); ok {
+		if _, err := br.Peek(min(length, br.Size())); err != nil {
+			return nil, err
+		}
+		first = br.Buffered()
+	}
+	payload := make([]byte, min(length, first))
 	read := 0
 	for {
 		if _, err := io.ReadFull(r, payload[read:]); err != nil {

@@ -1,9 +1,11 @@
 package wire
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/hex"
 	"errors"
+	"fmt"
 	"io"
 	"runtime"
 	"testing"
@@ -92,7 +94,7 @@ func TestReadFrameTruncated(t *testing.T) {
 // arrives whole in a buffer exactly its size, and a stream cut at any of
 // the buffer's growth boundaries is an unexpected EOF, not a clean one.
 func TestReadFrameGrowsAsBytesArrive(t *testing.T) {
-	env := &Envelope{Payload: make([]byte, 3*firstPayloadBuf)}
+	env := &Envelope{Payload: make([]byte, 5*minPayloadBuf)}
 	for i := range env.Payload {
 		env.Payload[i] = byte(i * 7)
 	}
@@ -102,15 +104,52 @@ func TestReadFrameGrowsAsBytesArrive(t *testing.T) {
 		t.Fatalf("WriteEnvelope: %v", err)
 	}
 	whole := buf.Bytes()
-	tag, got, err := ReadFrame(bytes.NewReader(whole))
-	if err != nil || tag != 3 || !bytes.Equal(got, payload) || cap(got) != len(payload) {
-		t.Fatalf("ReadFrame = tag %d, %d bytes in a buffer of %d, %v", tag, len(got), cap(got), err)
-	}
-	for _, sent := range []int{0, firstPayloadBuf, 2 * firstPayloadBuf, 3 * firstPayloadBuf} {
-		_, _, err := ReadFrame(bytes.NewReader(whole[:frameHeaderLen+sent]))
-		if !errors.Is(err, io.ErrUnexpectedEOF) {
-			t.Fatalf("stream cut after %d payload bytes gave %v, want io.ErrUnexpectedEOF", sent, err)
+	for _, r := range []io.Reader{bytes.NewReader(whole), bufio.NewReader(bytes.NewReader(whole))} {
+		tag, got, err := ReadFrame(r)
+		if err != nil || tag != 3 || !bytes.Equal(got, payload) || cap(got) != len(payload) {
+			t.Fatalf("ReadFrame from a %T = tag %d, %d bytes in a buffer of %d, %v", r, tag, len(got), cap(got), err)
 		}
+	}
+	for _, sent := range []int{0, minPayloadBuf, 2 * minPayloadBuf, 4 * minPayloadBuf, 5 * minPayloadBuf} {
+		for _, r := range []io.Reader{bytes.NewReader(whole[:frameHeaderLen+sent]), bufio.NewReader(bytes.NewReader(whole[:frameHeaderLen+sent]))} {
+			if _, _, err := ReadFrame(r); !errors.Is(err, io.ErrUnexpectedEOF) {
+				t.Fatalf("stream cut after %d payload bytes gave %v from a %T, want io.ErrUnexpectedEOF", sent, err, r)
+			}
+		}
+	}
+}
+
+// TestReadFrameOneAllocationPerFrame: from a bufio.Reader, as relays read,
+// a frame that fits the reader's buffer takes one payload allocation of
+// exactly its length, also when frames arrive back to back and one
+// straddles what the reader has buffered. The payload is a served reply's
+// size. The other allocation is the header array, which escapes through
+// the io.Reader.
+func TestReadFrameOneAllocationPerFrame(t *testing.T) {
+	env := &Envelope{Version: ProtocolVersion, Type: MsgQueryResponse, RequestID: "req-000017", Payload: make([]byte, 2389)}
+	want := env.Marshal()
+	var stream bytes.Buffer
+	for range 200 {
+		if err := WriteEnvelope(&stream, 7, env); err != nil {
+			t.Fatalf("WriteEnvelope: %v", err)
+		}
+	}
+	r := bufio.NewReader(&stream)
+	var failed error
+	allocs := testing.AllocsPerRun(100, func() {
+		_, payload, err := ReadFrame(r)
+		if err == nil && (!bytes.Equal(payload, want) || cap(payload) != len(want)) {
+			err = fmt.Errorf("%d bytes in a buffer of %d, want the %d of the envelope", len(payload), cap(payload), len(want))
+		}
+		if err != nil && failed == nil {
+			failed = err
+		}
+	})
+	if failed != nil {
+		t.Fatalf("ReadFrame: %v", failed)
+	}
+	if allocs != 2 {
+		t.Fatalf("ReadFrame of back-to-back %d-byte frames: %v allocations, want 2", len(want), allocs)
 	}
 }
 

@@ -253,15 +253,15 @@ func (m *Query) size() int { var c Walk; m.walk(&c); return c.Len() }
 
 func (m *Query) walk(w *Walk) {
 	w.String(1, &m.RequestID)
-	w.String(2, &m.RequestingNetwork)
-	w.String(3, &m.TargetNetwork)
-	w.String(4, &m.Ledger)
-	w.String(5, &m.Contract)
-	w.String(6, &m.Function)
+	w.Name(2, &m.RequestingNetwork)
+	w.Name(3, &m.TargetNetwork)
+	w.Name(4, &m.Ledger)
+	w.Name(5, &m.Contract)
+	w.Name(6, &m.Function)
 	w.BytesList(7, &m.Args)
-	w.String(8, &m.PolicyExpr)
+	w.Name(8, &m.PolicyExpr)
 	w.Bytes(9, &m.RequesterCertPEM)
-	w.String(10, &m.RequesterOrg)
+	w.Name(10, &m.RequesterOrg)
 	w.Bytes(11, &m.Nonce)
 	w.Bytes(12, &m.PolicyDigest)
 }
@@ -313,8 +313,8 @@ func (m *Attestation) Marshal() []byte { w := Writing(m.size()); m.walk(&w); ret
 func (m *Attestation) size() int { var c Walk; m.walk(&c); return c.Len() }
 
 func (m *Attestation) walk(w *Walk) {
-	w.String(1, &m.PeerName)
-	w.String(2, &m.OrgID)
+	w.Name(1, &m.PeerName)
+	w.Name(2, &m.OrgID)
 	w.Bytes(3, &m.CertPEM)
 	w.Bytes(4, &m.EncryptedMetadata)
 	w.Bytes(5, &m.Signature)
@@ -363,9 +363,9 @@ func (m *Metadata) Marshal() []byte { w := Writing(m.size()); m.walk(&w); return
 func (m *Metadata) size() int { var c Walk; m.walk(&c); return c.Len() }
 
 func (m *Metadata) walk(w *Walk) {
-	w.String(1, &m.NetworkID)
-	w.String(2, &m.PeerName)
-	w.String(3, &m.OrgID)
+	w.Name(1, &m.NetworkID)
+	w.Name(2, &m.PeerName)
+	w.Name(3, &m.OrgID)
 	w.Bytes(4, &m.QueryDigest)
 	w.Bytes(5, &m.ResultDigest)
 	w.Bytes(6, &m.Nonce)
@@ -373,16 +373,26 @@ func (m *Metadata) walk(w *Walk) {
 	w.Bytes(8, &m.PolicyDigest)
 }
 
-// UnmarshalMetadata decodes a Metadata.
+// UnmarshalMetadata decodes a Metadata. It is small enough to inline, so
+// a caller that only reads the fields, as proof.OpenResponse and
+// proof.Verify do for each attestor, keeps the Metadata on its stack.
 func UnmarshalMetadata(buf []byte) (*Metadata, error) {
-	m, w := &Metadata{}, Decoding(buf)
+	m := &Metadata{}
+	if err := m.decode(buf); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+func (m *Metadata) decode(buf []byte) error {
+	w := Decoding(buf)
 	for w.Next() {
 		m.walk(&w)
 	}
 	if err := w.Err(); err != nil {
-		return nil, fmt.Errorf("metadata: %w", err)
+		return fmt.Errorf("metadata: %w", err)
 	}
-	return m, nil
+	return nil
 }
 
 // HopPin is one forwarding relay's contribution to the chained path proof
@@ -404,7 +414,7 @@ func (m *HopPin) Marshal() []byte { w := Writing(m.size()); m.walk(&w); return w
 func (m *HopPin) size() int { var c Walk; m.walk(&c); return c.Len() }
 
 func (m *HopPin) walk(w *Walk) {
-	w.String(1, &m.Network)
+	w.Name(1, &m.Network)
 	w.Bytes(2, &m.CertPEM)
 	w.Bytes(3, &m.Pin)
 	w.Bytes(4, &m.Signature)
@@ -519,7 +529,7 @@ func (m *OrgConfig) Marshal() []byte { w := Writing(m.size()); m.walk(&w); retur
 func (m *OrgConfig) size() int { var c Walk; m.walk(&c); return c.Len() }
 
 func (m *OrgConfig) walk(w *Walk) {
-	w.String(1, &m.OrgID)
+	w.Name(1, &m.OrgID)
 	w.Bytes(2, &m.RootCertPEM)
 	w.StringsOmitEmpty(3, &m.PeerNames)
 }
@@ -552,8 +562,8 @@ func (m *NetworkConfig) Marshal() []byte { w := Writing(m.size()); m.walk(&w); r
 func (m *NetworkConfig) size() int { var c Walk; m.walk(&c); return c.Len() }
 
 func (m *NetworkConfig) walk(w *Walk) {
-	w.String(1, &m.NetworkID)
-	w.String(2, &m.Platform)
+	w.Name(1, &m.NetworkID)
+	w.Name(2, &m.Platform)
 	if w.Encoding() {
 		for i := range m.Orgs {
 			o := &m.Orgs[i]
@@ -598,8 +608,8 @@ func (m *Event) size() int { var c Walk; m.walk(&c); return c.Len() }
 
 func (m *Event) walk(w *Walk) {
 	w.String(1, &m.SubscriptionID)
-	w.String(2, &m.SourceNetwork)
-	w.String(3, &m.Name)
+	w.Name(2, &m.SourceNetwork)
+	w.Name(3, &m.Name)
 	w.Bytes(4, &m.Payload)
 	w.Uint(5, &m.UnixNano)
 }
@@ -633,9 +643,9 @@ func (m *Subscription) size() int { var c Walk; m.walk(&c); return c.Len() }
 
 func (m *Subscription) walk(w *Walk) {
 	w.String(1, &m.SubscriptionID)
-	w.String(2, &m.RequestingNetwork)
-	w.String(3, &m.TargetNetwork)
-	w.String(4, &m.EventName)
+	w.Name(2, &m.RequestingNetwork)
+	w.Name(3, &m.TargetNetwork)
+	w.Name(4, &m.EventName)
 	w.Bytes(5, &m.RequesterCertPEM)
 }
 

@@ -333,9 +333,10 @@ func TestCountingEncoderMatchesWriter(t *testing.T) {
 // each encoding is one exactly-sized allocation, nested messages included,
 // a warm frame write none (its buffer is pooled), a reply's unencoded
 // response included, and a decoded envelope allocates only itself (its
-// payload aliases the frame) plus a copy of each string field. The other decode rows pin what
-// a decode costs: the message, each string field, and each growth of a
-// repeated field's slice.
+// payload aliases the frame) plus a copy of its request ID. The other
+// decode rows pin what a decode costs: the message, each per-request
+// string (an ID; a name is interned, see TestDecodedNames), and each
+// growth of a repeated field's slice.
 func TestCodecAllocations(t *testing.T) {
 	att := Attestation{
 		PeerName: "peer0", OrgID: "carrier-org", CertPEM: make([]byte, 700), EncryptedMetadata: make([]byte, 300),
@@ -379,9 +380,9 @@ func TestCodecAllocations(t *testing.T) {
 		{"WriteEnvelope of StampedResponseEnvelope", 0, func() { _ = WriteEnvelope(io.Discard, 1, stamped) }},
 		{"UnmarshalEnvelope", 1, func() { _, _ = UnmarshalEnvelope(encoded) }},
 		{"UnmarshalEnvelope with RequestID", 2, func() { _, _ = UnmarshalEnvelope(encodedWithID) }},
-		{"UnmarshalQueryResponse", 12, func() { _, _ = UnmarshalQueryResponse(encodedResp) }},
-		{"UnmarshalQuery", 11, func() { _, _ = UnmarshalQuery(query) }},
-		{"UnmarshalNetworkConfig", 13, func() { _, _ = UnmarshalNetworkConfig(config) }},
+		{"UnmarshalQueryResponse", 6, func() { _, _ = UnmarshalQueryResponse(encodedResp) }},
+		{"UnmarshalQuery", 4, func() { _, _ = UnmarshalQuery(query) }},
+		{"UnmarshalNetworkConfig", 6, func() { _, _ = UnmarshalNetworkConfig(config) }},
 	} {
 		if c.want == 0 && raceEnabled {
 			continue // the pooled frame buffer: the race detector drops pooled items
