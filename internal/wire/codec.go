@@ -322,9 +322,9 @@ const (
 	// are a few dozen; a peer sending distinct names flushes the table,
 	// which costs only re-interning.
 	namesMax = 1024
-	// maxNameLen is the longest name the table keeps. A longer one is
-	// copied like any string, so the table holds at most namesMax such
-	// names.
+	// maxNameLen is the longest name the table keeps; a longer one is
+	// copied like any string. With namesMax, it bounds what a flood of
+	// distinct names can make the table hold.
 	maxNameLen = 128
 )
 
