@@ -66,7 +66,6 @@ func runQuery(args []string) error {
 	po := fs.String("po", "po-1001", "purchase order reference to fetch the bill of lading for")
 	ping := fs.Bool("ping", false, "only probe the source relay for liveness")
 	timeout := fs.Duration("timeout", 30*time.Second, "deadline for the whole operation; propagated to the source relay")
-	hedge := fs.Duration("hedge", 0, "hedge delay before trying the next relay address (0 disables hedging)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -81,11 +80,7 @@ func runQuery(args []string) error {
 	registry := relay.NewJournalRegistry(deploy.JournalPath(*dir))
 	transport := &relay.TCPTransport{DialTimeout: 5 * time.Second, IOTimeout: 30 * time.Second}
 	defer transport.Close()
-	var relayOpts []relay.Option
-	if *hedge > 0 {
-		relayOpts = append(relayOpts, relay.WithHedging(*hedge, 2))
-	}
-	local := relay.New(kit.RequestingNetwork, registry, transport, relayOpts...)
+	local := relay.New(kit.RequestingNetwork, registry, transport)
 
 	if *ping {
 		addrs, err := registry.Resolve(kit.SourceNetwork)

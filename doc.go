@@ -11,12 +11,12 @@
 // (Envelope.DeadlineUnixNano) and as a relative remaining duration
 // (Envelope.TimeoutNanos, gRPC-style); the source relay takes the laxer of
 // the two, so deadline propagation survives clock skew between relays, and
-// cancellation aborts in-flight transport sends. Redundant relay addresses
-// can be raced with hedged fan-out (relay.WithHedging) instead of
-// sequential failover.
+// cancellation aborts in-flight transport sends. A query tries redundant
+// relay addresses in turn, each but the last with an equal share of the
+// budget left, so a hung relay cannot spend all of it.
 //
 // Discovery is health-aware and lease-based. Every transport outcome —
-// sequential failover, hedged attempts, liveness pings, event pushes —
+// sequential failover, liveness pings, event pushes —
 // feeds a per-address health tracker (consecutive-failure count, EWMA
 // round-trip latency, circuit breaker; relay/health.go), and resolved
 // address lists are reordered by health score so fan-out tries live, fast
@@ -169,7 +169,7 @@
 //   - internal/core        — application-facing interop layer: EnableInterop,
 //     Client (RemoteQuery/RemoteInvoke), governance ops
 //   - internal/relay       — relay service, discovery, transports (in-process
-//     hub, multiplexed TCP), hedged fan-out, pluggable drivers
+//     hub, multiplexed TCP), failover, pluggable drivers
 //   - internal/wire        — network-neutral protocol codec and messages:
 //     one field walk per message counts, writes and decodes it
 //   - internal/proof       — attestation proofs and verification
@@ -193,5 +193,5 @@
 // paper's evaluation, through the attestation cache, Merkle-batched
 // attestation, sessioned ECIES and the multi-hop depth sweep; P1-P7 and P9 are
 // supplemental performance characterizations, including the
-// hedged-fan-out and registry-announce measurements).
+// slow-address failover and registry-announce measurements).
 package repro

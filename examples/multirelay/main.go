@@ -100,8 +100,9 @@ func run() error {
 	fmt.Printf("   order would have retried it first on every query: %d attempts)\n", 2*postCrashQueries)
 
 	fmt.Println("== every relay hung, not crashed: the deadline bounds the stall ==")
-	// Both relays wedged (health ordering would sidestep a single hung
-	// relay the same way it sidestepped the crashed primary above).
+	// Both relays wedged. A single hung relay would cost one query half its
+	// budget: each address but the last gets an equal share of what is
+	// left, and the expired one is then demoted like the crashed primary.
 	hub.SetDown(primaryAddr, false)
 	hub.SetStall(primaryAddr, true)
 	hub.SetStall(standbyAddr, true)

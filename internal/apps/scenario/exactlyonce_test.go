@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/apps/tradelens"
 	"repro/internal/apps/wetrade"
@@ -249,28 +248,25 @@ func testExactlyOnceConcurrentRelays(t *testing.T) {
 	}
 }
 
-// TestExactlyOnceHedgingClientNeverDuplicates: a destination relay
-// configured for aggressive hedged fan-out still delivers invokes at most
-// once — hedging applies to idempotent queries only — and when its first
-// address dies mid-sequence, the failover retry is answered from the
-// ledger. The hedge-hungry client gets availability without a double
-// commit.
-func TestExactlyOnceHedgingClientNeverDuplicates(t *testing.T) {
-	forEachCommitter(t, testExactlyOnceHedgingClientNeverDuplicates)
+// TestExactlyOnceEdgeFailoverNeverDuplicates: a destination edge relay
+// delivers an invoke at most once, and when its first address dies
+// mid-sequence, the failover retry is answered from the ledger. The client
+// gets availability without a double commit.
+func TestExactlyOnceEdgeFailoverNeverDuplicates(t *testing.T) {
+	forEachCommitter(t, testExactlyOnceEdgeFailoverNeverDuplicates)
 }
 
-func testExactlyOnceHedgingClientNeverDuplicates(t *testing.T) {
+func testExactlyOnceEdgeFailoverNeverDuplicates(t *testing.T) {
 	w, _ := buildExactlyOnceWorld(t)
 	ri := newRawInvoker(t, w)
 	nonce, err := cryptoutil.NewNonce()
 	if err != nil {
 		t.Fatalf("NewNonce: %v", err)
 	}
-	// An edge relay with no local drivers: pure client-side fan-out, hedging
-	// configured so aggressively any hedge-eligible path would fire it.
-	edge := relay.New("swt-edge", w.Registry, w.Hub, relay.WithHedging(time.Microsecond, 4))
+	// An edge relay with no local drivers: pure client-side fan-out.
+	edge := relay.New("swt-edge", w.Registry, w.Hub)
 
-	q1 := ri.query("eo-hedge-1", nonce, "po-9003", "gated-in;")
+	q1 := ri.query("eo-edge-1", nonce, "po-9003", "gated-in;")
 	resp1, err := edge.Invoke(context.Background(), q1)
 	if err != nil {
 		t.Fatalf("first Invoke: %v", err)
@@ -278,7 +274,7 @@ func testExactlyOnceHedgingClientNeverDuplicates(t *testing.T) {
 	first := ri.open(t, q1, resp1)
 
 	w.Hub.SetDown(STLRelayAddr, true)
-	q2 := ri.query("eo-hedge-1", nonce, "po-9003", "gated-in;")
+	q2 := ri.query("eo-edge-1", nonce, "po-9003", "gated-in;")
 	resp2, err := edge.Invoke(context.Background(), q2)
 	if err != nil {
 		t.Fatalf("failover Invoke: %v", err)
@@ -288,13 +284,9 @@ func testExactlyOnceHedgingClientNeverDuplicates(t *testing.T) {
 	if !bytes.Equal(first, retry) {
 		t.Fatalf("failover result %q != original %q", retry, first)
 	}
-	valid, _ := committedInvokes(t, w, invokeTxID("eo-hedge-1", ri.certPEM))
+	valid, _ := committedInvokes(t, w, invokeTxID("eo-edge-1", ri.certPEM))
 	if valid != 1 {
 		t.Fatalf("ledger holds %d valid commits, want exactly 1", valid)
-	}
-	stats := edge.Stats()
-	if stats.HedgedWins != 0 || stats.HedgedLosses != 0 {
-		t.Fatalf("invoke path hedged: wins=%d losses=%d", stats.HedgedWins, stats.HedgedLosses)
 	}
 }
 

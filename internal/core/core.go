@@ -39,8 +39,7 @@ type Options struct {
 	// Empty means "default".
 	LedgerName string
 	// RelayOptions configures the attached relay service, e.g.
-	// relay.WithHedging for hedged fan-out across redundant relay
-	// addresses, or relay.WithRateLimit for server-side DoS protection.
+	// relay.WithRateLimit for server-side DoS protection.
 	RelayOptions []relay.Option
 }
 

@@ -177,8 +177,8 @@ func (r *Report) Table() string {
 	row("overall", r.OK, r.Overall)
 
 	s := r.Relay
-	fmt.Fprintf(&b, "\nrelay window: queries=%d invokes=%d replays=%d hedgedWins=%d breakerSkips=%d attCacheHit=%.1f%%",
-		s.QueriesServed, s.InvokesServed, s.InvokeReplays, s.HedgedWins, s.BreakerSkips, s.AttestationCacheHitRate*100)
+	fmt.Fprintf(&b, "\nrelay window: queries=%d invokes=%d replays=%d breakerSkips=%d attCacheHit=%.1f%%",
+		s.QueriesServed, s.InvokesServed, s.InvokeReplays, s.BreakerSkips, s.AttestationCacheHitRate*100)
 	if s.ForwardedQueries > 0 || s.ForwardedInvokes > 0 {
 		fmt.Fprintf(&b, " fwdQueries=%d fwdInvokes=%d", s.ForwardedQueries, s.ForwardedInvokes)
 	}

@@ -123,92 +123,6 @@ func TestQueryCancellationMidFlight(t *testing.T) {
 	}
 }
 
-// TestHedgedFanoutWinnerLoserAccounting: with the preferred address hung
-// and hedging enabled, the standby wins after the hedge delay, the stalled
-// loser is cancelled, and the stats record one attempt each, one hedged
-// win and one loser.
-func TestHedgedFanoutWinnerLoserAccounting(t *testing.T) {
-	hub := NewHub()
-	reg := NewStaticRegistry()
-	src, _ := newCaptureRelay(reg, hub)
-	hub.Attach("src-stalled", src)
-	hub.Attach("src-healthy", src)
-	reg.Register("srcnet", "src-stalled", "src-healthy")
-	hub.SetStall("src-stalled", true)
-
-	dest := New("destnet", reg, hub, WithHedging(5*time.Millisecond, 2))
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	start := time.Now()
-	resp, err := dest.Query(ctx, captureQuery(t))
-	if err != nil {
-		t.Fatalf("hedged query: %v", err)
-	}
-	if resp.Error != "" {
-		t.Fatalf("remote error: %s", resp.Error)
-	}
-	if elapsed := time.Since(start); elapsed > 2*time.Second {
-		t.Fatalf("hedged query took %v; the stalled primary was not hedged around", elapsed)
-	}
-	stats := dest.Stats()
-	if stats.FanoutAttempts != 2 {
-		t.Fatalf("FanoutAttempts = %d, want 2", stats.FanoutAttempts)
-	}
-	if stats.HedgedWins != 1 {
-		t.Fatalf("HedgedWins = %d, want 1", stats.HedgedWins)
-	}
-	if stats.HedgedLosses != 1 {
-		t.Fatalf("HedgedLosses = %d, want 1", stats.HedgedLosses)
-	}
-}
-
-// TestHedgedFanoutAllAddressesFail: every address failing still surfaces
-// ErrAllRelaysFailed under hedging.
-func TestHedgedFanoutAllAddressesFail(t *testing.T) {
-	hub := NewHub()
-	reg := NewStaticRegistry()
-	src, _ := newCaptureRelay(reg, hub)
-	hub.Attach("a1", src)
-	hub.Attach("a2", src)
-	hub.Attach("a3", src)
-	reg.Register("srcnet", "a1", "a2", "a3")
-	for _, a := range []string{"a1", "a2", "a3"} {
-		hub.SetDown(a, true)
-	}
-
-	dest := New("destnet", reg, hub, WithHedging(time.Millisecond, 2))
-	if _, err := dest.Query(context.Background(), captureQuery(t)); !errors.Is(err, ErrAllRelaysFailed) {
-		t.Fatalf("err = %v, want ErrAllRelaysFailed", err)
-	}
-}
-
-// TestHedgedFanoutFailoverOnFailure: a hard failure (address down) opens
-// the next attempt immediately, well before the hedge delay.
-func TestHedgedFanoutFailoverOnFailure(t *testing.T) {
-	hub := NewHub()
-	reg := NewStaticRegistry()
-	src, _ := newCaptureRelay(reg, hub)
-	hub.Attach("down", src)
-	hub.Attach("up", src)
-	reg.Register("srcnet", "down", "up")
-	hub.SetDown("down", true)
-
-	// Hedge delay far longer than the test budget: only the
-	// failure-triggered launch can explain a fast success.
-	dest := New("destnet", reg, hub, WithHedging(time.Minute, 2))
-	start := time.Now()
-	resp, err := dest.Query(context.Background(), captureQuery(t))
-	if err != nil {
-		t.Fatalf("Query: %v", err)
-	}
-	if resp.Error != "" {
-		t.Fatalf("remote error: %s", resp.Error)
-	}
-	if elapsed := time.Since(start); elapsed > 10*time.Second {
-		t.Fatalf("failure-triggered hedge took %v", elapsed)
-	}
-}
-
 // TestDeadlinePropagatesAcrossWire: the requester's deadline travels in the
 // envelope over real TCP and the source relay serves the query under a
 // context carrying (at least) that deadline. Since the receiver takes the
@@ -457,29 +371,6 @@ func TestTCPSendCancellationUnblocksRead(t *testing.T) {
 	}
 }
 
-// TestInvokeDoesNotHedge: hedging configuration must not apply to invokes —
-// with the preferred address stalled, an invoke waits (bounded by its
-// deadline) instead of racing a second, potentially duplicate transaction.
-func TestInvokeDoesNotHedge(t *testing.T) {
-	hub := NewHub()
-	reg := NewStaticRegistry()
-	src, _ := newCaptureRelay(reg, hub)
-	hub.Attach("stalled", src)
-	hub.Attach("healthy", src)
-	reg.Register("srcnet", "stalled", "healthy")
-	hub.SetStall("stalled", true)
-
-	dest := New("destnet", reg, hub, WithHedging(time.Millisecond, 2))
-	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
-	defer cancel()
-	_, err := dest.Invoke(ctx, captureQuery(t))
-	// Sequential failover blocks on the stalled primary until the deadline;
-	// it must NOT hedge to the healthy standby.
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("err = %v, want DeadlineExceeded (sequential failover)", err)
-	}
-}
-
 // countingTxDriver counts executions against its fake ledger, for invoke
 // idempotency tests.
 type countingTxDriver struct {
@@ -603,52 +494,6 @@ func TestSubscribeResendIdempotent(t *testing.T) {
 	defer d.mu.Unlock()
 	if d.subs != 1 {
 		t.Fatalf("driver subscriptions = %d, want 1", d.subs)
-	}
-}
-
-// errorThenSlowTransport answers one address instantly with an
-// application-level MsgError and the other with a delayed success.
-type errorThenSlowTransport struct {
-	errAddr  string
-	slowAddr string
-	delay    time.Duration
-	inner    Transport
-}
-
-func (t *errorThenSlowTransport) Send(ctx context.Context, addr string, env *wire.Envelope) (*wire.Envelope, error) {
-	if addr == t.errAddr {
-		return errEnvelope(env.RequestID, "rate limit exceeded"), nil
-	}
-	select {
-	case <-time.After(t.delay):
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
-	return t.inner.Send(ctx, addr, env)
-}
-
-// TestHedgedFanoutErrorReplyDoesNotWin: an instant MsgError from a hedge
-// attempt (e.g. the duplicate tripping a rate limiter) must not cancel a
-// slower attempt that is about to succeed.
-func TestHedgedFanoutErrorReplyDoesNotWin(t *testing.T) {
-	hub := NewHub()
-	reg := NewStaticRegistry()
-	src, _ := newCaptureRelay(reg, hub)
-	hub.Attach("slow-ok", src)
-	hub.Attach("fast-err", src)
-	reg.Register("srcnet", "fast-err", "slow-ok")
-
-	transport := &errorThenSlowTransport{
-		errAddr: "fast-err", slowAddr: "slow-ok",
-		delay: 30 * time.Millisecond, inner: hub,
-	}
-	dest := New("destnet", reg, transport, WithHedging(time.Millisecond, 2))
-	resp, err := dest.Query(context.Background(), captureQuery(t))
-	if err != nil {
-		t.Fatalf("Query: %v", err)
-	}
-	if resp.Error != "" {
-		t.Fatalf("error reply won the hedge race: %s", resp.Error)
 	}
 }
 

@@ -26,6 +26,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"time"
 
 	"repro/internal/proof"
 	"repro/internal/wire"
@@ -166,25 +167,32 @@ func openReply(q *wire.Query, reply *wire.Envelope, leg hopLeg) (*wire.QueryResp
 
 // sendLeg delivers leg.env to the first responsive address of the leg. The
 // message type decides failover. A query is idempotent: it fails over on
-// any transport error, and races hedges when WithHedging is set. An invoke
-// or subscribe is not: it fails over only while delivery provably did not
-// happen — ErrUnreachable means the connection was never established — and
-// any later error (write/read failure, stall, deadline) aborts instead of
+// any transport error, and under a deadline attempt i of n runs with
+// 1/(n−i) of the budget left, so a reachable but hung address costs a share
+// of the budget, not all of it; the last address gets what remains. The
+// expired attempt charges its address a failure, which demotes it for the
+// next query. An invoke or subscribe is not idempotent: it is never
+// sliced, and it fails over only while delivery provably did not happen —
+// ErrUnreachable means the connection was never established — and any
+// later error (write/read failure, stall, deadline) aborts instead of
 // resending, because a relay whose reply was lost may already have acted.
 // Exhausting the addresses returns ErrAllRelaysFailed.
 func (r *Relay) sendLeg(ctx context.Context, leg hopLeg) (*wire.Envelope, error) {
 	idempotent := leg.env.Type == wire.MsgQuery
-	if idempotent && r.hedge != nil && len(leg.addrs) > 1 {
-		return r.sendHedged(ctx, leg.network, leg.addrs, leg.env)
-	}
+	deadline, hasDeadline := ctx.Deadline()
 	var lastErr error
-	for _, addr := range leg.addrs {
+	for i, addr := range leg.addrs {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		r.stampDeadline(ctx, leg.env) // per attempt: the relative budget decays
 		r.countFanoutAttempt()
-		reply, err := r.observeSend(ctx, addr, leg.env)
+		attemptCtx, cancel := ctx, context.CancelFunc(func() {})
+		if left := len(leg.addrs) - i; idempotent && hasDeadline && left > 1 {
+			attemptCtx, cancel = context.WithTimeout(ctx, time.Until(deadline)/time.Duration(left))
+		}
+		reply, err := r.observeSend(attemptCtx, addr, leg.env)
+		cancel()
 		if err == nil {
 			return reply, nil
 		}
@@ -197,6 +205,29 @@ func (r *Relay) sendLeg(ctx context.Context, leg hopLeg) (*wire.Envelope, error)
 		lastErr = ctx.Err()
 	}
 	return nil, fmt.Errorf("%w for %s: %w", ErrAllRelaysFailed, leg.network, lastErr)
+}
+
+// stampDeadline records ctx's remaining budget in the envelope so the
+// source relay inherits it: both as an absolute deadline and as a relative
+// remaining duration. The receiver takes the laxer of the two (see
+// remainingBudget), which makes propagation robust to clock skew between
+// relays — a receiver with a fast clock no longer reads the absolute
+// deadline as already past and kills the request on arrival. Because the
+// relative encoding goes stale as time passes, sendLeg restamps before
+// every transport attempt: a failover send after a slow first attempt must
+// carry the budget remaining now, not the budget at first stamp. It stamps
+// the whole leg's budget, not an attempt's slice of it.
+func (r *Relay) stampDeadline(ctx context.Context, env *wire.Envelope) {
+	deadline, ok := ctx.Deadline()
+	if !ok {
+		env.DeadlineUnixNano, env.TimeoutNanos = 0, 0
+		return
+	}
+	env.DeadlineUnixNano = uint64(deadline.UnixNano())
+	env.TimeoutNanos = 0
+	if rem := deadline.Sub(r.now()); rem > 0 {
+		env.TimeoutNanos = uint64(rem)
+	}
 }
 
 // forward carries a query or invoke envelope one hop closer to its target

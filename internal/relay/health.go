@@ -44,7 +44,7 @@ type addrHealth struct {
 
 // healthTracker scores relay addresses from observed transport outcomes —
 // the discovery layer's memory of which relays are alive and fast. Every
-// send on the outbound path (sendLeg, sendHedged), Ping and event push
+// send on the outbound path (sendLeg), Ping and event push
 // feeds it; Resolve results are reordered through it so fan-out tries
 // live, fast relays first (the paper's §5 relay-redundancy mitigation made
 // load-bearing: redundancy only helps if dead relays stop being preferred).
@@ -201,13 +201,13 @@ const breakerMinBudget = 5 * time.Millisecond
 
 // observeSend performs one transport round-trip and feeds the outcome into
 // the health tracker. A failure is not charged to the address when the
-// send's own context was cancelled — a hedged loser cancelled because
-// another attempt won, or a caller abandoning the request, says nothing
-// about the address's health. Deadline expiry is charged only when the
-// attempt started with a meaningful budget: an address that consumed a
-// real budget without answering is indistinguishable from a wedged relay
-// (what the tracker exists to notice), while one handed an already-spent
-// budget is just the victim of an earlier slow address.
+// send's own context was cancelled — a caller abandoning the request says
+// nothing about the address's health. Deadline expiry is charged only when
+// the attempt started with a meaningful budget: an address that consumed a
+// real budget (its slice of a query's, see sendLeg) without answering is
+// indistinguishable from a wedged relay (what the tracker exists to
+// notice), while one handed an already-spent budget is just the victim of
+// an earlier slow address.
 func (r *Relay) observeSend(ctx context.Context, addr string, env *wire.Envelope) (*wire.Envelope, error) {
 	start := r.now()
 	deadline, hasDeadline := ctx.Deadline()
@@ -215,7 +215,7 @@ func (r *Relay) observeSend(ctx context.Context, addr string, env *wire.Envelope
 	if err != nil {
 		switch {
 		case errors.Is(err, context.Canceled):
-			// Cancelled by the caller or a winning hedge: no health signal.
+			// Cancelled by the caller: no health signal.
 		case errors.Is(err, context.DeadlineExceeded) && hasDeadline && deadline.Sub(start) < breakerMinBudget:
 			// Budget exhausted before this attempt began: not its fault.
 		default:

@@ -244,10 +244,10 @@ func TestBreakerCooldownRestoresRecoveredAddress(t *testing.T) {
 	}
 }
 
-// TestHedgedLoserNotChargedAFailure: a hedged loser cancelled because
-// another attempt won must not accrue a failure — cancellation says nothing
-// about the address's health.
-func TestHedgedLoserNotChargedAFailure(t *testing.T) {
+// TestCancelledQueryNotChargedAFailure: a caller that abandons a query
+// stalled on an address must not charge that address a failure —
+// cancellation says nothing about the address's health.
+func TestCancelledQueryNotChargedAFailure(t *testing.T) {
 	hub := NewHub()
 	reg := NewStaticRegistry()
 	src, _ := newCaptureRelay(reg, hub)
@@ -256,16 +256,22 @@ func TestHedgedLoserNotChargedAFailure(t *testing.T) {
 	reg.Register("srcnet", "stalled", "healthy")
 	hub.SetStall("stalled", true)
 
-	dest := New("destnet", reg, hub, WithHedging(5*time.Millisecond, 2))
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if _, err := dest.Query(ctx, captureQuery(t)); err != nil {
-		t.Fatalf("hedged query: %v", err)
+	dest := New("destnet", reg, hub)
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() {
+		_, err := dest.Query(ctx, captureQuery(t))
+		done <- err
+	}()
+	time.Sleep(20 * time.Millisecond) // let the query reach the stall
+	cancel()
+	if err := <-done; !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want Canceled", err)
 	}
 	dest.health.mu.Lock()
 	st := dest.health.byAddr["stalled"]
 	dest.health.mu.Unlock()
 	if st != nil && st.consecFailures != 0 {
-		t.Fatalf("cancelled loser charged %d failures", st.consecFailures)
+		t.Fatalf("cancelled query charged the stalled address %d failures", st.consecFailures)
 	}
 }

@@ -32,8 +32,8 @@ type TxDriver interface {
 // it mirrors Query but asks the source network to execute and commit a
 // state change. Discovery, routing and proof machinery are shared with
 // Query; the caller's struct is never modified. Because a transaction is
-// not idempotent, the envelope is delivered at most once: hedging never
-// applies, and failover moves to the next relay address, or past every
+// not idempotent, the envelope is delivered at most once: its budget is
+// never split, and failover moves to the next relay address, or past every
 // direct relay to a via, only while the connection was provably never
 // established (sendLeg). As a second guard, the source relay asks its
 // ledger before executing (see handleInvoke), so a retried request that

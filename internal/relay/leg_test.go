@@ -167,44 +167,51 @@ func TestOriginFallsThroughToVia(t *testing.T) {
 	})
 }
 
-// TestHedgingRescuesStalledPrimary shows what WithHedging buys: with the
-// preferred address hung (reachable, never replying) and a 200ms budget,
-// sequential failover spends the whole budget on it and fails, while a
-// hedge opened after 20ms reaches the live standby.
-func TestHedgingRescuesStalledPrimary(t *testing.T) {
-	for _, tc := range []struct {
-		name   string
-		opts   []Option
-		wantOK bool
-	}{
-		{"sequential", nil, false},
-		{"hedged", []Option{WithHedging(20*time.Millisecond, 2)}, true},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			hub := NewHub()
-			reg := NewStaticRegistry()
-			src, _ := newCaptureRelay(reg, hub)
-			hub.Attach("stalled", src)
-			hub.Attach("live", src)
-			reg.Register("srcnet", "stalled", "live")
-			hub.SetStall("stalled", true)
+// TestFailoverRescuesStalledPrimary: with the preferred address hung
+// (reachable, never replying) and a 200ms budget, a query spends half the
+// budget on it and is answered by the live standby within the budget. The
+// expired attempt demotes the hung address, so the next query makes one
+// attempt. An invoke is never sliced: against the same stall it spends the
+// whole budget and fails rather than risk delivering twice.
+func TestFailoverRescuesStalledPrimary(t *testing.T) {
+	hub := NewHub()
+	reg := NewStaticRegistry()
+	src, _ := newCaptureRelay(reg, hub)
+	hub.Attach("stalled", src)
+	hub.Attach("live", src)
+	reg.Register("srcnet", "stalled", "live")
+	hub.SetStall("stalled", true)
+	query := func(dest *Relay) (*wire.QueryResponse, error) {
+		ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+		defer cancel()
+		return dest.Query(ctx, captureQuery(t))
+	}
 
-			dest := New("destnet", reg, hub, tc.opts...)
-			ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
-			defer cancel()
-			resp, err := dest.Query(ctx, captureQuery(t))
-			if !tc.wantOK {
-				if !errors.Is(err, context.DeadlineExceeded) {
-					t.Fatalf("err = %v, want DeadlineExceeded", err)
-				}
-				return
-			}
-			if err != nil || resp.Error != "" {
-				t.Fatalf("hedged query: %s", respError(resp, err))
-			}
-			if s := dest.Stats(); s.HedgedWins != 1 {
-				t.Fatalf("HedgedWins = %d, want 1", s.HedgedWins)
-			}
-		})
+	dest := New("destnet", reg, hub)
+	if resp, err := query(dest); err != nil || resp.Error != "" {
+		t.Fatalf("query past the stalled primary: %s", respError(resp, err))
+	}
+	if s := dest.Stats(); s.FanoutAttempts != 2 {
+		t.Fatalf("FanoutAttempts = %d, want 2", s.FanoutAttempts)
+	}
+	if resp, err := query(dest); err != nil || resp.Error != "" {
+		t.Fatalf("second query: %s", respError(resp, err))
+	}
+	if s := dest.Stats(); s.FanoutAttempts != 3 {
+		t.Fatalf("FanoutAttempts = %d after the second query, want 3 (the hung address not demoted)", s.FanoutAttempts)
+	}
+
+	fresh := New("destnet", reg, hub)
+	start := time.Now()
+	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+	defer cancel()
+	if _, err := fresh.Invoke(ctx, captureQuery(t)); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("invoke err = %v, want DeadlineExceeded (no failover past a possible delivery)", err)
+	}
+	if elapsed := time.Since(start); elapsed < 90*time.Millisecond {
+		t.Fatalf("invoke gave up after %v of its 100ms budget; its budget was split", elapsed)
+	}
+	if s := fresh.Stats(); s.FanoutAttempts != 1 {
+		t.Fatalf("invoke FanoutAttempts = %d, want 1", s.FanoutAttempts)
 	}
 }

@@ -120,8 +120,6 @@ type Stats struct {
 
 	// Client-side fan-out accounting (destination relay role).
 	FanoutAttempts uint64 // transport sends on the outbound path (origin requests and hub forwards)
-	HedgedWins     uint64 // requests won by a hedge attempt rather than the first address
-	HedgedLosses   uint64 // in-flight attempts cancelled because another attempt won
 	BreakerSkips   uint64 // circuit-open addresses demoted past healthy ones at resolve time
 
 	// Multi-hop forwarding accounting (hub relay role): requests this
@@ -151,8 +149,6 @@ func (s Stats) Sub(prev Stats) Stats {
 		SignOps:                s.SignOps - prev.SignOps,
 		EncryptOps:             s.EncryptOps - prev.EncryptOps,
 		FanoutAttempts:         s.FanoutAttempts - prev.FanoutAttempts,
-		HedgedWins:             s.HedgedWins - prev.HedgedWins,
-		HedgedLosses:           s.HedgedLosses - prev.HedgedLosses,
 		BreakerSkips:           s.BreakerSkips - prev.BreakerSkips,
 		ForwardedQueries:       s.ForwardedQueries - prev.ForwardedQueries,
 		ForwardedInvokes:       s.ForwardedInvokes - prev.ForwardedInvokes,
@@ -175,8 +171,6 @@ func (s Stats) Merge(o Stats) Stats {
 		SignOps:                s.SignOps + o.SignOps,
 		EncryptOps:             s.EncryptOps + o.EncryptOps,
 		FanoutAttempts:         s.FanoutAttempts + o.FanoutAttempts,
-		HedgedWins:             s.HedgedWins + o.HedgedWins,
-		HedgedLosses:           s.HedgedLosses + o.HedgedLosses,
 		BreakerSkips:           s.BreakerSkips + o.BreakerSkips,
 		ForwardedQueries:       s.ForwardedQueries + o.ForwardedQueries,
 		ForwardedInvokes:       s.ForwardedInvokes + o.ForwardedInvokes,
@@ -207,8 +201,6 @@ type statsCounters struct {
 	attestationCacheHits   atomic.Uint64
 	attestationCacheMisses atomic.Uint64
 	fanoutAttempts         atomic.Uint64
-	hedgedWins             atomic.Uint64
-	hedgedLosses           atomic.Uint64
 	breakerSkips           atomic.Uint64
 	forwardedQueries       atomic.Uint64
 	forwardedInvokes       atomic.Uint64
@@ -227,8 +219,6 @@ func (c *statsCounters) Snapshot() Stats {
 		AttestationCacheHits:   c.attestationCacheHits.Load(),
 		AttestationCacheMisses: c.attestationCacheMisses.Load(),
 		FanoutAttempts:         c.fanoutAttempts.Load(),
-		HedgedWins:             c.hedgedWins.Load(),
-		HedgedLosses:           c.hedgedLosses.Load(),
 		BreakerSkips:           c.breakerSkips.Load(),
 		ForwardedQueries:       c.forwardedQueries.Load(),
 		ForwardedInvokes:       c.forwardedInvokes.Load(),
@@ -267,17 +257,11 @@ func (r *Relay) countInvokeReplay()         { r.stats.invokeReplays.Add(1) }
 func (r *Relay) countAttestationCacheHit()  { r.stats.attestationCacheHits.Add(1) }
 func (r *Relay) countAttestationCacheMiss() { r.stats.attestationCacheMisses.Add(1) }
 func (r *Relay) countFanoutAttempt()        { r.stats.fanoutAttempts.Add(1) }
-func (r *Relay) countHedgedWin()            { r.stats.hedgedWins.Add(1) }
 func (r *Relay) countForwardedQuery()       { r.stats.forwardedQueries.Add(1) }
 func (r *Relay) countForwardedInvoke()      { r.stats.forwardedInvokes.Add(1) }
 func (r *Relay) countBreakerSkips(n int) {
 	if n > 0 {
 		r.stats.breakerSkips.Add(uint64(n))
-	}
-}
-func (r *Relay) countHedgedLosses(n int) {
-	if n > 0 {
-		r.stats.hedgedLosses.Add(uint64(n))
 	}
 }
 

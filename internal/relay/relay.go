@@ -160,8 +160,6 @@ type Relay struct {
 	transport    Transport
 	now          func() time.Time
 
-	hedge *Hedging
-
 	// Per-address health scoring and circuit breaking, fed by every
 	// transport outcome (see health.go).
 	health *healthTracker
@@ -258,10 +256,10 @@ func (r *Relay) driverFor(networkID string) (Driver, bool) {
 // RequestID field. Resolved addresses are reordered by observed health —
 // live, fast relays first, circuit-open ones demoted to last resort — so
 // failover rarely wastes attempts on a relay already known to be down.
-// Without hedging, addresses are tried in order and transport failures fail
-// over to the next address; with WithHedging configured, a hedge attempt
-// opens against the next address after the hedge delay and the first valid
-// response wins (relay redundancy, §5). When every direct relay fails, the
+// Addresses are tried in order and any transport failure fails over to the
+// next one; under a deadline each attempt but the last gets an equal share
+// of the budget left, so a hung relay cannot spend all of it (relay
+// redundancy, §5; see sendLeg). When every direct relay fails, the
 // route table's vias are tried in turn (see forward.go). ctx bounds the
 // whole operation: its deadline is stamped into the envelope so the source
 // relay inherits the remaining budget, and cancellation aborts in-flight
