@@ -181,20 +181,20 @@ func TestFailoverRescuesStalledPrimary(t *testing.T) {
 	hub.Attach("live", src)
 	reg.Register("srcnet", "stalled", "live")
 	hub.SetStall("stalled", true)
-	query := func(dest *Relay) (*wire.QueryResponse, error) {
+	dest := New("destnet", reg, hub)
+	query := func() (*wire.QueryResponse, error) {
 		ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
 		defer cancel()
 		return dest.Query(ctx, captureQuery(t))
 	}
 
-	dest := New("destnet", reg, hub)
-	if resp, err := query(dest); err != nil || resp.Error != "" {
+	if resp, err := query(); err != nil || resp.Error != "" {
 		t.Fatalf("query past the stalled primary: %s", respError(resp, err))
 	}
 	if s := dest.Stats(); s.FanoutAttempts != 2 {
 		t.Fatalf("FanoutAttempts = %d, want 2", s.FanoutAttempts)
 	}
-	if resp, err := query(dest); err != nil || resp.Error != "" {
+	if resp, err := query(); err != nil || resp.Error != "" {
 		t.Fatalf("second query: %s", respError(resp, err))
 	}
 	if s := dest.Stats(); s.FanoutAttempts != 3 {
