@@ -167,51 +167,58 @@ func TestOriginFallsThroughToVia(t *testing.T) {
 	})
 }
 
-// TestFailoverRescuesStalledPrimary: with the preferred address hung
-// (reachable, never replying) and a 200ms budget, a query spends half the
-// budget on it and is answered by the live standby within the budget. The
-// expired attempt demotes the hung address, so the next query makes one
+// TestFailoverRescuesStalledPrimary: the preferred address is hung
+// (reachable, never replying). With a 200ms budget a query spends half of it
+// on the hung address and is answered by the live standby within the budget;
+// the expired attempt demotes the hung address, so the next query makes one
 // attempt. An invoke is never sliced: against the same stall it spends the
 // whole budget and fails rather than risk delivering twice.
 func TestFailoverRescuesStalledPrimary(t *testing.T) {
-	hub := NewHub()
-	reg := NewStaticRegistry()
-	src, _ := newCaptureRelay(reg, hub)
-	hub.Attach("stalled", src)
-	hub.Attach("live", src)
-	reg.Register("srcnet", "stalled", "live")
-	hub.SetStall("stalled", true)
-	dest := New("destnet", reg, hub)
-	query := func() (*wire.QueryResponse, error) {
-		ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+	stalled := func() *Relay {
+		hub := NewHub()
+		reg := NewStaticRegistry()
+		src, _ := newCaptureRelay(reg, hub)
+		hub.Attach("stalled", src)
+		hub.Attach("live", src)
+		reg.Register("srcnet", "stalled", "live")
+		hub.SetStall("stalled", true)
+		return New("destnet", reg, hub)
+	}
+
+	t.Run("query", func(t *testing.T) {
+		dest := stalled()
+		query := func() (*wire.QueryResponse, error) {
+			ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+			defer cancel()
+			return dest.Query(ctx, captureQuery(t))
+		}
+		if resp, err := query(); err != nil || resp.Error != "" {
+			t.Fatalf("query past the stalled primary: %s", respError(resp, err))
+		}
+		if s := dest.Stats(); s.FanoutAttempts != 2 {
+			t.Fatalf("FanoutAttempts = %d, want 2", s.FanoutAttempts)
+		}
+		if resp, err := query(); err != nil || resp.Error != "" {
+			t.Fatalf("second query: %s", respError(resp, err))
+		}
+		if s := dest.Stats(); s.FanoutAttempts != 3 {
+			t.Fatalf("FanoutAttempts = %d after the second query, want 3 (the hung address not demoted)", s.FanoutAttempts)
+		}
+	})
+
+	t.Run("invoke", func(t *testing.T) {
+		dest := stalled()
+		start := time.Now()
+		ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 		defer cancel()
-		return dest.Query(ctx, captureQuery(t))
-	}
-
-	if resp, err := query(); err != nil || resp.Error != "" {
-		t.Fatalf("query past the stalled primary: %s", respError(resp, err))
-	}
-	if s := dest.Stats(); s.FanoutAttempts != 2 {
-		t.Fatalf("FanoutAttempts = %d, want 2", s.FanoutAttempts)
-	}
-	if resp, err := query(); err != nil || resp.Error != "" {
-		t.Fatalf("second query: %s", respError(resp, err))
-	}
-	if s := dest.Stats(); s.FanoutAttempts != 3 {
-		t.Fatalf("FanoutAttempts = %d after the second query, want 3 (the hung address not demoted)", s.FanoutAttempts)
-	}
-
-	fresh := New("destnet", reg, hub)
-	start := time.Now()
-	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
-	defer cancel()
-	if _, err := fresh.Invoke(ctx, captureQuery(t)); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("invoke err = %v, want DeadlineExceeded (no failover past a possible delivery)", err)
-	}
-	if elapsed := time.Since(start); elapsed < 90*time.Millisecond {
-		t.Fatalf("invoke gave up after %v of its 100ms budget; its budget was split", elapsed)
-	}
-	if s := fresh.Stats(); s.FanoutAttempts != 1 {
-		t.Fatalf("invoke FanoutAttempts = %d, want 1", s.FanoutAttempts)
-	}
+		if _, err := dest.Invoke(ctx, captureQuery(t)); !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("invoke err = %v, want DeadlineExceeded (no failover past a possible delivery)", err)
+		}
+		if elapsed := time.Since(start); elapsed < 90*time.Millisecond {
+			t.Fatalf("invoke gave up after %v of its 100ms budget; its budget was split", elapsed)
+		}
+		if s := dest.Stats(); s.FanoutAttempts != 1 {
+			t.Fatalf("invoke FanoutAttempts = %d, want 1", s.FanoutAttempts)
+		}
+	})
 }
