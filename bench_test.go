@@ -928,31 +928,44 @@ func BenchmarkP6PayloadSize(b *testing.B) {
 	}
 }
 
-// slowTransport wraps another transport and injects a fixed service delay
-// at slowAddr, modelling a degraded (but live) relay. The delay honours
-// context cancellation, so an attempt whose budget runs out releases
-// immediately.
-type slowTransport struct {
-	inner    relay.Transport
-	slowAddr string
-	delay    time.Duration
+// faultTransport makes one relay address faulty at a time, modelling a
+// relay that degrades after it has served: once flip is set, the next
+// address sent to becomes the faulty one and the previously faulty one
+// recovers. A faulty address holds each send for delay, or until the
+// send's context ends; with a zero delay it is hung and never replies.
+type faultTransport struct {
+	inner  relay.Transport
+	delay  time.Duration
+	flip   atomic.Bool
+	mu     sync.Mutex
+	faulty string
 }
 
-func (s *slowTransport) Send(ctx context.Context, addr string, env *wire.Envelope) (*wire.Envelope, error) {
-	if addr == s.slowAddr {
+func (f *faultTransport) Send(ctx context.Context, addr string, env *wire.Envelope) (*wire.Envelope, error) {
+	f.mu.Lock()
+	if f.flip.CompareAndSwap(true, false) {
+		f.faulty = addr
+	}
+	faulty := addr == f.faulty
+	f.mu.Unlock()
+	if faulty {
+		var wait <-chan time.Time // nil: hung
+		if f.delay > 0 {
+			wait = time.After(f.delay)
+		}
 		select {
-		case <-time.After(s.delay):
+		case <-wait:
 		case <-ctx.Done():
 			return nil, ctx.Err()
 		}
 	}
-	return s.inner.Send(ctx, addr, env)
+	return f.inner.Send(ctx, addr, env)
 }
 
 // buildFanoutWorld assembles a payload-style src/dst pair where the source
-// network is fronted by two relay addresses ("src-slow" preferred,
-// "src-fast" standby) with slowDelay injected at "src-slow".
-func buildFanoutWorld(b *testing.B, slowDelay time.Duration) (*core.Client, core.RemoteQuerySpec) {
+// network is fronted by two relay addresses, "src-a" preferred and "src-b"
+// standby, which the destination reaches through faults.
+func buildFanoutWorld(b *testing.B, faults *faultTransport) (*core.Client, core.RemoteQuerySpec) {
 	b.Helper()
 	hub := relay.NewHub()
 	registry := relay.NewStaticRegistry()
@@ -970,16 +983,16 @@ func buildFanoutWorld(b *testing.B, slowDelay time.Duration) (*core.Client, core
 	if err != nil {
 		b.Fatal(err)
 	}
-	transport := &slowTransport{inner: hub, slowAddr: "src-slow", delay: slowDelay}
+	faults.inner = hub
 	destFab := fabric.NewNetwork("dst", orderer.Config{BatchSize: 1})
 	_, _ = destFab.AddOrg("dst-org", 1)
-	dest, err := core.EnableInterop(destFab, registry, transport, core.Options{})
+	dest, err := core.EnableInterop(destFab, registry, faults, core.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
-	hub.Attach("src-slow", src.Relay)
-	hub.Attach("src-fast", src.Relay)
-	registry.Register("src", "src-slow", "src-fast")
+	hub.Attach("src-a", src.Relay)
+	hub.Attach("src-b", src.Relay)
+	registry.Register("src", "src-a", "src-b")
 
 	srcOrg, _ := srcFab.Org("org-a")
 	srcAdminID, _ := srcOrg.CA.Issue("admin", msp.RoleAdmin)
@@ -1006,28 +1019,54 @@ func buildFanoutWorld(b *testing.B, slowDelay time.Duration) (*core.Client, core
 	return client, core.RemoteQuerySpec{Network: "src", Contract: "data", Function: "Get"}
 }
 
-// BenchmarkP7SlowAddressFailover measures tail latency with one degraded
-// relay address preferred by discovery. The slow address is slow, not down,
-// so nothing fails over; health-aware discovery's EWMA latency score
-// demotes it after its first sample, so only that first query pays the
-// slow address. p50/p99 are reported as custom metrics.
+// BenchmarkP7SlowAddressFailover measures queries under a 20ms budget
+// against a source fronted by two relay addresses, one of which turns
+// faulty every 50 queries: the address the next query tries first becomes
+// slow (15ms, alive but slower than its half of the budget) or hung, and
+// the previously faulty one recovers. Both addresses answer once before
+// the timer starts, so each has a latency history. p50/p99 are over every
+// query, failed or not, and failed-ops counts the queries that missed
+// their budget.
 func BenchmarkP7SlowAddressFailover(b *testing.B) {
-	const slowDelay = 10 * time.Millisecond
-	client, spec := buildFanoutWorld(b, slowDelay)
-	lat := make([]time.Duration, 0, b.N)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		start := time.Now()
-		if _, err := client.RemoteQuery(ctx, spec); err != nil {
-			b.Fatal(err)
-		}
-		lat = append(lat, time.Since(start))
+	const (
+		budget    = 20 * time.Millisecond
+		flipEvery = 50
+	)
+	for _, arm := range []struct {
+		name  string
+		delay time.Duration
+	}{{"slow", 15 * time.Millisecond}, {"hung", 0}} {
+		b.Run(arm.name, func(b *testing.B) {
+			faults := &faultTransport{delay: arm.delay}
+			client, spec := buildFanoutWorld(b, faults)
+			for range 2 { // a fresh address sorts first, so these reach one each
+				if _, err := client.RemoteQuery(ctx, spec); err != nil {
+					b.Fatal(err)
+				}
+			}
+			lat := make([]time.Duration, 0, b.N)
+			failed := 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if i%flipEvery == 0 {
+					faults.flip.Store(true)
+				}
+				qctx, cancel := context.WithTimeout(ctx, budget)
+				start := time.Now()
+				if _, err := client.RemoteQuery(qctx, spec); err != nil {
+					failed++
+				}
+				lat = append(lat, time.Since(start))
+				cancel()
+			}
+			b.StopTimer()
+			sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
+			b.ReportMetric(float64(lat[len(lat)/2].Microseconds()), "p50-µs")
+			b.ReportMetric(float64(lat[len(lat)*99/100].Microseconds()), "p99-µs")
+			b.ReportMetric(float64(failed), "failed-ops")
+		})
 	}
-	b.StopTimer()
-	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
-	b.ReportMetric(float64(lat[len(lat)/2].Microseconds()), "p50-µs")
-	b.ReportMetric(float64(lat[len(lat)*99/100].Microseconds()), "p99-µs")
 }
 
 // BenchmarkP9RegistryAnnounce measures discovery-registry write throughput

@@ -12,8 +12,9 @@
 // (Envelope.TimeoutNanos, gRPC-style); the source relay takes the laxer of
 // the two, so deadline propagation survives clock skew between relays, and
 // cancellation aborts in-flight transport sends. A query tries redundant
-// relay addresses in turn, each but the last with an equal share of the
-// budget left, so a hung relay cannot spend all of it.
+// relay addresses in turn and abandons an attempt once it is past both an
+// equal share of the budget left and four times the address's usual round
+// trip, so a relay that hangs after answering cannot spend all of it.
 //
 // Discovery is health-aware and lease-based. Every transport outcome —
 // sequential failover, liveness pings, event pushes —

@@ -100,9 +100,10 @@ func run() error {
 	fmt.Printf("   order would have retried it first on every query: %d attempts)\n", 2*postCrashQueries)
 
 	fmt.Println("== every relay hung, not crashed: the deadline bounds the stall ==")
-	// Both relays wedged. A single hung relay would cost one query half its
-	// budget: each address but the last gets an equal share of what is
-	// left, and the expired one is then demoted like the crashed primary.
+	// Both relays wedged. A single relay that hangs after answering would
+	// cost one query half its budget: an overdue attempt is abandoned for
+	// the next address, and the hung one is then demoted like the crashed
+	// primary.
 	hub.SetDown(primaryAddr, false)
 	hub.SetStall(primaryAddr, true)
 	hub.SetStall(standbyAddr, true)

@@ -167,16 +167,19 @@ func openReply(q *wire.Query, reply *wire.Envelope, leg hopLeg) (*wire.QueryResp
 
 // sendLeg delivers leg.env to the first responsive address of the leg. The
 // message type decides failover. A query is idempotent: it fails over on
-// any transport error, and under a deadline attempt i of n runs with
-// 1/(n−i) of the budget left, so a reachable but hung address costs a share
-// of the budget, not all of it; the last address gets what remains. The
-// expired attempt charges its address a failure, which demotes it for the
-// next query. An invoke or subscribe is not idempotent: it is never
-// sliced, and it fails over only while delivery provably did not happen —
-// ErrUnreachable means the connection was never established — and any
-// later error (write/read failure, stall, deadline) aborts instead of
-// resending, because a relay whose reply was lost may already have acted.
-// Exhausting the addresses returns ErrAllRelaysFailed.
+// any transport error, and under a deadline an attempt that is overdue is
+// abandoned for the next address, so a relay that has answered before but
+// now hangs costs a share of the budget, not all of it (see overdueAfter;
+// the last address gets what remains). Each attempt is stamped with its
+// own budget, so a hub's downstream failover nests inside the share the
+// sender waits for, and a reply landing after its attempt was overdue is
+// not taken. The abandoned attempt charges its address a failure, which
+// demotes it for the next query. An invoke or subscribe is not
+// idempotent: it is never cut short, and it fails over only while delivery
+// provably did not happen — ErrUnreachable means the connection was never
+// established — and any later error (write/read failure, stall, deadline)
+// aborts instead of resending, because a relay whose reply was lost may
+// already have acted. Exhausting the addresses returns ErrAllRelaysFailed.
 func (r *Relay) sendLeg(ctx context.Context, leg hopLeg) (*wire.Envelope, error) {
 	idempotent := leg.env.Type == wire.MsgQuery
 	deadline, hasDeadline := ctx.Deadline()
@@ -185,14 +188,24 @@ func (r *Relay) sendLeg(ctx context.Context, leg hopLeg) (*wire.Envelope, error)
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		r.stampDeadline(ctx, leg.env) // per attempt: the relative budget decays
-		r.countFanoutAttempt()
 		attemptCtx, cancel := ctx, context.CancelFunc(func() {})
+		var overdue time.Time // zero unless the attempt is cut short
 		if left := len(leg.addrs) - i; idempotent && hasDeadline && left > 1 {
-			attemptCtx, cancel = context.WithTimeout(ctx, time.Until(deadline)/time.Duration(left))
+			if d, ok := r.health.overdueAfter(addr, time.Until(deadline), left); ok {
+				overdue = time.Now().Add(d)
+				attemptCtx, cancel = context.WithDeadline(ctx, overdue)
+			}
 		}
+		r.stampDeadline(attemptCtx, leg.env) // per attempt: the relative budget decays
+		r.countFanoutAttempt()
 		reply, err := r.observeSend(attemptCtx, addr, leg.env)
 		cancel()
+		if err == nil && !overdue.IsZero() && !time.Now().Before(overdue) {
+			// A late timer let through a reply from after the attempt was
+			// overdue. The remote's stamped budget ended then too, so the
+			// reply is most likely its own deadline error: fail over.
+			err = fmt.Errorf("relay: reply from %s after its share of the budget: %w", addr, context.DeadlineExceeded)
+		}
 		if err == nil {
 			return reply, nil
 		}
@@ -215,8 +228,7 @@ func (r *Relay) sendLeg(ctx context.Context, leg hopLeg) (*wire.Envelope, error)
 // deadline as already past and kills the request on arrival. Because the
 // relative encoding goes stale as time passes, sendLeg restamps before
 // every transport attempt: a failover send after a slow first attempt must
-// carry the budget remaining now, not the budget at first stamp. It stamps
-// the whole leg's budget, not an attempt's slice of it.
+// carry the budget remaining now, not the budget at first stamp.
 func (r *Relay) stampDeadline(ctx context.Context, env *wire.Envelope) {
 	deadline, ok := ctx.Deadline()
 	if !ok {
@@ -224,10 +236,7 @@ func (r *Relay) stampDeadline(ctx context.Context, env *wire.Envelope) {
 		return
 	}
 	env.DeadlineUnixNano = uint64(deadline.UnixNano())
-	env.TimeoutNanos = 0
-	if rem := deadline.Sub(r.now()); rem > 0 {
-		env.TimeoutNanos = uint64(rem)
-	}
+	env.TimeoutNanos = uint64(max(deadline.Sub(r.now()), 0))
 }
 
 // forward carries a query or invoke envelope one hop closer to its target

@@ -177,6 +177,30 @@ func (h *healthTracker) order(addrs []string) (ordered []string, open int) {
 	return ordered, open
 }
 
+// overdueFactor is how many of an address's usual round trips a query
+// attempt may take, beyond its equal share of the budget, before it counts
+// as overdue. A live address running a few times slower than usual is
+// waited for; a hung one never answers at all.
+const overdueFactor = 4
+
+// overdueAfter returns how long a query attempt at addr may run before it
+// is abandoned for the left−1 addresses behind it, and whether to cut it
+// short at all. The attempt gets an equal share of the remaining budget,
+// but never less than overdueFactor times the address's EWMA round trip,
+// so a query whose every address is slow but answering as usual is not
+// failed over. An address that has never answered has no usual round trip
+// to be overdue against, and is not cut short.
+func (h *healthTracker) overdueAfter(addr string, remaining time.Duration, left int) (time.Duration, bool) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	st := h.byAddr[addr]
+	if st == nil || st.ewmaLatency == 0 {
+		return 0, false
+	}
+	d := max(remaining/time.Duration(left), time.Duration(overdueFactor*st.ewmaLatency))
+	return d, d < remaining
+}
+
 // resolveOrdered resolves a network through discovery and reorders the
 // addresses by observed health, counting demoted circuit-open addresses in
 // the stats.
@@ -204,7 +228,7 @@ const breakerMinBudget = 5 * time.Millisecond
 // send's own context was cancelled — a caller abandoning the request says
 // nothing about the address's health. Deadline expiry is charged only when
 // the attempt started with a meaningful budget: an address that consumed a
-// real budget (its slice of a query's, see sendLeg) without answering is
+// real budget (its share of a query's, see sendLeg) without answering is
 // indistinguishable from a wedged relay (what the tracker exists to
 // notice), while one handed an already-spent budget is just the victim of
 // an earlier slow address.

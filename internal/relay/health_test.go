@@ -263,7 +263,11 @@ func TestCancelledQueryNotChargedAFailure(t *testing.T) {
 		_, err := dest.Query(ctx, captureQuery(t))
 		done <- err
 	}()
-	time.Sleep(20 * time.Millisecond) // let the query reach the stall
+	// Cancel only once the query is at the stall, so the cancellation
+	// reaches observeSend rather than the fan-out loop's own check.
+	for dest.Stats().FanoutAttempts == 0 {
+		time.Sleep(time.Millisecond)
+	}
 	cancel()
 	if err := <-done; !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want Canceled", err)

@@ -167,12 +167,23 @@ func TestOriginFallsThroughToVia(t *testing.T) {
 	})
 }
 
-// TestFailoverRescuesStalledPrimary: the preferred address is hung
-// (reachable, never replying). With a 200ms budget a query spends half of it
-// on the hung address and is answered by the live standby within the budget;
-// the expired attempt demotes the hung address, so the next query makes one
-// attempt. An invoke is never sliced: against the same stall it spends the
-// whole budget and fails rather than risk delivering twice.
+// answeredBefore gives r a latency history for each address, as if each
+// had answered queries before, the first fastest: the addresses keep the
+// given order of preference and have a usual round trip to be overdue
+// against.
+func answeredBefore(r *Relay, addrs ...string) {
+	for i, addr := range addrs {
+		r.health.reportSuccess(addr, time.Duration(i+1)*time.Millisecond)
+	}
+}
+
+// TestFailoverRescuesStalledPrimary: the preferred address has answered
+// before but is now hung (reachable, never replying). With a 200ms budget
+// a query abandons it as overdue after half of the budget and is answered
+// by the live standby within the budget; the abandoned attempt demotes the
+// hung address, so the next query makes one attempt. An invoke is never
+// cut short: against the same stall it spends the whole budget and fails
+// rather than risk delivering twice.
 func TestFailoverRescuesStalledPrimary(t *testing.T) {
 	stalled := func() *Relay {
 		hub := NewHub()
@@ -181,8 +192,10 @@ func TestFailoverRescuesStalledPrimary(t *testing.T) {
 		hub.Attach("stalled", src)
 		hub.Attach("live", src)
 		reg.Register("srcnet", "stalled", "live")
+		dest := New("destnet", reg, hub)
+		answeredBefore(dest, "stalled", "live")
 		hub.SetStall("stalled", true)
-		return New("destnet", reg, hub)
+		return dest
 	}
 
 	t.Run("query", func(t *testing.T) {
@@ -221,4 +234,103 @@ func TestFailoverRescuesStalledPrimary(t *testing.T) {
 			t.Fatalf("invoke FanoutAttempts = %d, want 1", s.FanoutAttempts)
 		}
 	})
+}
+
+// slowTransport holds every send for delay, or until the send's context
+// ends, before passing it on: each address alive but slow.
+type slowTransport struct {
+	inner Transport
+	delay time.Duration
+}
+
+func (t *slowTransport) Send(ctx context.Context, addr string, env *wire.Envelope) (*wire.Envelope, error) {
+	select {
+	case <-time.After(t.delay):
+	case <-ctx.Done():
+		return nil, fmt.Errorf("relay: send to %s: %w", addr, ctx.Err())
+	}
+	return t.inner.Send(ctx, addr, env)
+}
+
+// TestEquallySlowAddressesAreWaitedFor: three live addresses each take
+// 40ms against a 100ms budget, more than an equal third of it. Every query
+// is answered by the first address it tries, with no failover and no
+// failure charged: first while no address has answered before, then once
+// each has a history of answering that slowly, since being as slow as
+// usual is not overdue.
+func TestEquallySlowAddressesAreWaitedFor(t *testing.T) {
+	hub := NewHub()
+	reg := NewStaticRegistry()
+	src, _ := newCaptureRelay(reg, hub)
+	addrs := []string{"a", "b", "c"}
+	for _, addr := range addrs {
+		hub.Attach(addr, src)
+	}
+	reg.Register("srcnet", addrs...)
+	dest := New("destnet", reg, &slowTransport{inner: hub, delay: 40 * time.Millisecond})
+
+	for i := 1; i <= 5; i++ {
+		ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+		resp, err := dest.Query(ctx, captureQuery(t))
+		cancel()
+		if err != nil || resp.Error != "" {
+			t.Fatalf("query %d: %s", i, respError(resp, err))
+		}
+		if s := dest.Stats(); s.FanoutAttempts != uint64(i) {
+			t.Fatalf("FanoutAttempts = %d after %d queries; a slow but live address was abandoned", s.FanoutAttempts, i)
+		}
+	}
+	dest.health.mu.Lock()
+	defer dest.health.mu.Unlock()
+	for _, addr := range addrs {
+		if st := dest.health.byAddr[addr]; st == nil || st.consecFailures != 0 || st.ewmaLatency == 0 {
+			t.Fatalf("address %s health = %+v, want answered with no failure", addr, st)
+		}
+	}
+}
+
+// lateTransport answers sends to addr only after hold, ignoring the send's
+// context, as a transport whose deadline timer fires late would.
+type lateTransport struct {
+	inner Transport
+	addr  string
+	hold  time.Duration
+}
+
+func (t *lateTransport) Send(ctx context.Context, addr string, env *wire.Envelope) (*wire.Envelope, error) {
+	if addr == t.addr {
+		time.Sleep(t.hold)
+		return t.inner.Send(context.Background(), addr, env)
+	}
+	return t.inner.Send(ctx, addr, env)
+}
+
+// TestLateReplyToOverdueAttemptFailsOver: a reply that lands after its
+// attempt was overdue is not taken, since over the wire it is most likely
+// the remote's own deadline error; the query fails over and is answered
+// within its budget. The late address answered, so it is charged no
+// failure.
+func TestLateReplyToOverdueAttemptFailsOver(t *testing.T) {
+	hub := NewHub()
+	reg := NewStaticRegistry()
+	src, _ := newCaptureRelay(reg, hub)
+	hub.Attach("late", src)
+	hub.Attach("live", src)
+	reg.Register("srcnet", "late", "live")
+	dest := New("destnet", reg, &lateTransport{inner: hub, addr: "late", hold: 130 * time.Millisecond})
+	answeredBefore(dest, "late", "live")
+
+	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+	defer cancel()
+	if resp, err := dest.Query(ctx, captureQuery(t)); err != nil || resp.Error != "" {
+		t.Fatalf("query: %s", respError(resp, err))
+	}
+	if s := dest.Stats(); s.FanoutAttempts != 2 {
+		t.Fatalf("FanoutAttempts = %d, want 2 (the late reply taken)", s.FanoutAttempts)
+	}
+	dest.health.mu.Lock()
+	defer dest.health.mu.Unlock()
+	if st := dest.health.byAddr["late"]; st.consecFailures != 0 {
+		t.Fatalf("late address charged %d failures", st.consecFailures)
+	}
 }

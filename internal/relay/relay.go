@@ -257,9 +257,9 @@ func (r *Relay) driverFor(networkID string) (Driver, bool) {
 // live, fast relays first, circuit-open ones demoted to last resort — so
 // failover rarely wastes attempts on a relay already known to be down.
 // Addresses are tried in order and any transport failure fails over to the
-// next one; under a deadline each attempt but the last gets an equal share
-// of the budget left, so a hung relay cannot spend all of it (relay
-// redundancy, §5; see sendLeg). When every direct relay fails, the
+// next one; under a deadline an overdue attempt is abandoned for the next
+// address, so a relay that hangs after answering cannot spend the whole
+// budget (relay redundancy, §5; see sendLeg and overdueAfter). When every direct relay fails, the
 // route table's vias are tried in turn (see forward.go). ctx bounds the
 // whole operation: its deadline is stamped into the envelope so the source
 // relay inherits the remaining budget, and cancellation aborts in-flight
