@@ -236,7 +236,10 @@ func (r *Relay) stampDeadline(ctx context.Context, env *wire.Envelope) {
 		return
 	}
 	env.DeadlineUnixNano = uint64(deadline.UnixNano())
-	env.TimeoutNanos = uint64(max(deadline.Sub(r.now()), 0))
+	env.TimeoutNanos = 0
+	if rem := deadline.Sub(r.now()); rem > 0 {
+		env.TimeoutNanos = uint64(rem)
+	}
 }
 
 // forward carries a query or invoke envelope one hop closer to its target
