@@ -51,7 +51,7 @@ func (h *Hub) SetDown(addr string, down bool) {
 // SetStall marks an address as hung: sends to it accept the envelope but
 // never reply, blocking until the caller's context expires. This is the
 // fault SetDown cannot simulate — a relay that is reachable but wedged —
-// and is what deadline and budget-slicing behaviour is tested against.
+// and is what deadline and overdue-attempt behaviour is tested against.
 func (h *Hub) SetStall(addr string, stalled bool) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
