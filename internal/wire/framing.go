@@ -82,33 +82,82 @@ func WriteEnvelope(w io.Writer, tag uint64, env *Envelope) error {
 // frames yields io.EOF; one that ends inside a frame yields a wrapped
 // io.ErrUnexpectedEOF. The payload is a fresh buffer that the caller owns
 // and nothing recycles, unlike WriteEnvelope's: a decoded message aliases
-// it, and a client keeps the decoded reply.
+// it, and a client keeps the decoded reply. From a *bufio.Reader, as relays
+// read, the header is peeked in the reader's own buffer, so the payload is
+// the frame's only allocation.
 func ReadFrame(r io.Reader) (tag uint64, payload []byte, err error) {
-	var hdr [frameHeaderLen]byte
-	// The marker word is read and checked on its own: a peer with another
-	// framing may never send the rest of a header.
-	if _, err := io.ReadFull(r, hdr[:4]); err != nil {
-		if err == io.EOF {
-			return 0, nil, io.EOF
-		}
-		return 0, nil, fmt.Errorf("read frame header: %w", err)
+	word, tag, err := readHeader(r)
+	if err != nil {
+		return 0, nil, err
 	}
-	word := binary.BigEndian.Uint32(hdr[:4])
-	if word&frameTagged == 0 {
-		return 0, nil, fmt.Errorf("%w: header %#08x", ErrUntaggedFrame, word)
-	}
-	length := word &^ frameTagged
-	if length > MaxFrameSize {
-		return 0, nil, fmt.Errorf("%w: frame of %d bytes", ErrTooLarge, length)
-	}
-	if _, err := io.ReadFull(r, hdr[4:]); err != nil {
-		return 0, nil, fmt.Errorf("read frame header: %w", noCleanEOF(err))
-	}
-	payload, err = readPayload(r, int(length))
+	payload, err = readPayload(r, int(word&^frameTagged))
 	if err != nil {
 		return 0, nil, fmt.Errorf("read frame payload: %w", noCleanEOF(err))
 	}
-	return binary.BigEndian.Uint64(hdr[4:]), payload, nil
+	return tag, payload, nil
+}
+
+// readHeader reads a frame header and checks its marker word and length.
+// The marker word is read and checked on its own: a peer with another
+// framing may never send the rest of a header.
+func readHeader(r io.Reader) (word uint32, tag uint64, err error) {
+	br, ok := r.(*bufio.Reader)
+	if !ok {
+		return readHeaderCopy(r)
+	}
+	hdr, err := br.Peek(4)
+	if err != nil {
+		return 0, 0, headerErr(len(hdr), err)
+	}
+	if word, err = checkWord(hdr); err != nil {
+		return 0, 0, err
+	}
+	if hdr, err = br.Peek(frameHeaderLen); err != nil {
+		return 0, 0, fmt.Errorf("read frame header: %w", noCleanEOF(err))
+	}
+	tag = binary.BigEndian.Uint64(hdr[4:])
+	_, _ = br.Discard(frameHeaderLen) // peeked, so it cannot fail
+	return word, tag, nil
+}
+
+// readHeaderCopy is readHeader from a reader without a buffer to peek in:
+// the header is read into an array of its own, which escapes through r.
+func readHeaderCopy(r io.Reader) (word uint32, tag uint64, err error) {
+	var hdr [frameHeaderLen]byte
+	if n, err := io.ReadFull(r, hdr[:4]); err != nil {
+		return 0, 0, headerErr(n, err)
+	}
+	if word, err = checkWord(hdr[:4]); err != nil {
+		return 0, 0, err
+	}
+	if _, err := io.ReadFull(r, hdr[4:]); err != nil {
+		return 0, 0, fmt.Errorf("read frame header: %w", noCleanEOF(err))
+	}
+	return word, binary.BigEndian.Uint64(hdr[4:]), nil
+}
+
+// headerErr reports a marker-word read that stopped after n bytes: a
+// clean io.EOF only when nothing of the frame had arrived.
+func headerErr(n int, err error) error {
+	if err == io.EOF && n == 0 {
+		return io.EOF
+	}
+	if err == io.EOF {
+		err = io.ErrUnexpectedEOF
+	}
+	return fmt.Errorf("read frame header: %w", err)
+}
+
+// checkWord checks a header's marker word and returns it.
+func checkWord(b []byte) (uint32, error) {
+	word := binary.BigEndian.Uint32(b)
+	if word&frameTagged == 0 {
+		return 0, fmt.Errorf("%w: header %#08x", ErrUntaggedFrame, word)
+	}
+	if length := word &^ frameTagged; length > MaxFrameSize {
+		return 0, fmt.Errorf("%w: frame of %d bytes", ErrTooLarge, length)
+	}
+	return word, nil
 }
 
 // minPayloadBuf is the first buffer ReadFrame allocates for a payload
