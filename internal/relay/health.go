@@ -40,6 +40,17 @@ type addrHealth struct {
 	// openUntil is the circuit-breaker cooldown expiry: while it is in the
 	// future the address is demoted to last resort. Zero when closed.
 	openUntil time.Time
+	// sampledAt is when the address last answered or failed. A history
+	// older than the breaker cooldown is stale (see stale).
+	sampledAt time.Time
+}
+
+// stale reports whether the address has gone unsampled for longer than
+// the breaker cooldown. order ranks a stale address as never observed, so
+// one that lost first place to a bad sample is tried again, and the next
+// sample restarts its EWMA instead of folding into the old one.
+func (st *addrHealth) stale(now time.Time) bool {
+	return now.Sub(st.sampledAt) > defaultBreakerCooldown
 }
 
 // healthTracker scores relay addresses from observed transport outcomes —
@@ -71,13 +82,16 @@ func (h *healthTracker) reportSuccess(addr string, rtt time.Duration) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	st := h.stateLocked(addr)
+	now := h.now()
+	stale := st.stale(now)
 	st.consecFailures = 0
 	st.openUntil = time.Time{}
+	st.sampledAt = now
 	sample := float64(rtt)
 	if sample < 0 {
 		sample = 0
 	}
-	if st.ewmaLatency == 0 {
+	if st.ewmaLatency == 0 || stale {
 		st.ewmaLatency = sample
 	} else {
 		st.ewmaLatency = ewmaAlpha*sample + (1-ewmaAlpha)*st.ewmaLatency
@@ -91,9 +105,10 @@ func (h *healthTracker) reportFailure(addr string) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	st := h.stateLocked(addr)
+	st.sampledAt = h.now()
 	st.consecFailures++
 	if st.consecFailures >= h.threshold {
-		st.openUntil = h.now().Add(h.cooldown)
+		st.openUntil = st.sampledAt.Add(h.cooldown)
 	}
 }
 
@@ -107,11 +122,15 @@ func (h *healthTracker) stateLocked(addr string) *addrHealth {
 }
 
 // score is the sort key for a single address: consecutive failures weighted
-// far above latency, then the EWMA round-trip. Never-observed addresses
-// score zero and therefore sort ahead of everything with history, which
-// gives each fresh address exactly one exploratory attempt to earn a real
-// latency estimate.
-func (st *addrHealth) score() float64 {
+// far above latency, then the EWMA round-trip. Never-observed and stale
+// addresses score zero and therefore sort ahead of everything with a
+// recent history, which gives each fresh address one exploratory attempt
+// to earn a real latency estimate, and each stale one an attempt to renew
+// it. The EWMA itself is kept for overdueAfter.
+func (st *addrHealth) score(now time.Time) float64 {
+	if st.stale(now) {
+		return 0
+	}
 	return float64(st.consecFailures)*failurePenaltyNanos + st.ewmaLatency
 }
 
@@ -146,7 +165,7 @@ func (h *healthTracker) order(addrs []string) (ordered []string, open int) {
 	for i, addr := range addrs {
 		entry := ranked{addr: addr}
 		if st, ok := h.byAddr[addr]; ok {
-			entry.score = st.score()
+			entry.score = st.score(now)
 			if st.openUntil.After(now) {
 				entry.openUntil = st.openUntil
 				open++

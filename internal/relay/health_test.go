@@ -3,9 +3,12 @@ package relay
 import (
 	"context"
 	"errors"
+	"maps"
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/wire"
 )
 
 // fakeClock is a mutable time source for driving the health tracker's
@@ -98,11 +101,14 @@ func TestCircuitBreakerOpensAndCoolsDown(t *testing.T) {
 	if h.circuitOpen("a") {
 		t.Fatal("breaker still open after the cooldown elapsed")
 	}
-	// Half-open: eligible again but still last by failure score, and a
-	// single further failure re-opens immediately.
-	ordered, open := h.order([]string{"a", "b"})
-	if open != 0 || ordered[0] != "b" || ordered[1] != "a" {
-		t.Fatalf("half-open order = %v (open %d), want a eligible but last", ordered, open)
+	// Half-open: eligible again, and with its history older than the
+	// cooldown ranked as never observed, so it gets one probe ahead of b
+	// (which has just answered); a single further failure re-opens
+	// immediately.
+	h.reportSuccess("b", time.Millisecond)
+	ordered, open := h.order([]string{"b", "a"})
+	if open != 0 || ordered[0] != "a" || ordered[1] != "b" {
+		t.Fatalf("half-open order = %v (open %d), want a probed first", ordered, open)
 	}
 	h.reportFailure("a")
 	if !h.circuitOpen("a") {
@@ -277,5 +283,89 @@ func TestCancelledQueryNotChargedAFailure(t *testing.T) {
 	dest.health.mu.Unlock()
 	if st != nil && st.consecFailures != 0 {
 		t.Fatalf("cancelled query charged the stalled address %d failures", st.consecFailures)
+	}
+}
+
+// clockedTransport advances a fake clock by a per-address delay on every
+// send, so the round trips a relay measures on that clock are exact.
+type clockedTransport struct {
+	Transport
+	clk   *fakeClock
+	mu    sync.Mutex
+	delay map[string]time.Duration
+	sends map[string]int
+}
+
+func (t *clockedTransport) Send(ctx context.Context, addr string, env *wire.Envelope) (*wire.Envelope, error) {
+	t.mu.Lock()
+	d := t.delay[addr]
+	t.sends[addr]++
+	t.mu.Unlock()
+	t.clk.Advance(d)
+	return t.Transport.Send(ctx, addr, env)
+}
+
+func (t *clockedTransport) set(addr string, d time.Duration) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.delay[addr] = d
+}
+
+// first returns the address the next query tries first.
+func (t *clockedTransport) first(tb *testing.T, dest *Relay) string {
+	tb.Helper()
+	t.mu.Lock()
+	before := maps.Clone(t.sends)
+	t.mu.Unlock()
+	if _, err := dest.Query(context.Background(), captureQuery(tb)); err != nil {
+		tb.Fatalf("query: %v", err)
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for addr, n := range t.sends {
+		if n > before[addr] {
+			return addr
+		}
+	}
+	tb.Fatal("query sent nothing")
+	return ""
+}
+
+// TestStaleAddressIsResampled: one slow sample on the fast address ranks
+// it behind the slow one, which then takes every query and stays freshly
+// sampled. Once the fast address's last sample is older than the breaker
+// cooldown it ranks as never observed, is tried again, and with a fast
+// answer regains first place.
+func TestStaleAddressIsResampled(t *testing.T) {
+	clk := newFakeClock()
+	hub := NewHub()
+	reg := NewStaticRegistry()
+	src, _ := newCaptureRelay(reg, hub)
+	hub.Attach("fast", src)
+	hub.Attach("slow", src)
+	reg.Register("srcnet", "fast", "slow")
+	tr := &clockedTransport{Transport: hub, clk: clk,
+		delay: map[string]time.Duration{"fast": time.Millisecond, "slow": 10 * time.Millisecond},
+		sends: map[string]int{}}
+	dest := New("destnet", reg, tr, WithClock(clk.Now))
+	dest.health.reportSuccess("slow", 10*time.Millisecond)
+
+	if got := tr.first(t, dest); got != "fast" {
+		t.Fatalf("first query went to %s, want fast", got)
+	}
+	tr.set("fast", 50*time.Millisecond)
+	tr.first(t, dest) // the one slow sample: EWMA 0.3·50 + 0.7·1 ms > 10 ms
+	tr.set("fast", time.Millisecond)
+	half := defaultBreakerCooldown/2 + time.Second
+	clk.Advance(half)
+	if got := tr.first(t, dest); got != "slow" {
+		t.Fatalf("query after the slow sample went to %s, want slow", got)
+	}
+	clk.Advance(half) // fast's last sample is now past the cooldown, slow's is not
+	if got := tr.first(t, dest); got != "fast" {
+		t.Fatalf("fast unsampled for %v was not tried again (got %s)", 2*half, got)
+	}
+	if got := tr.first(t, dest); got != "fast" {
+		t.Fatalf("fast answered in 1ms but %s ranks first", got)
 	}
 }
