@@ -54,7 +54,10 @@ func Classify(err error) string {
 	// the source relay's typed error, so the message is the only signal.
 	case strings.Contains(err.Error(), "tx invalidated"):
 		return ErrClassContention
-	case errors.Is(err, relay.ErrUnreachable),
+	// A source relay that ran out of the requester's budget flattens its
+	// deadline error the same way: an answer too late, not a wrong one.
+	case strings.Contains(err.Error(), context.DeadlineExceeded.Error()),
+		errors.Is(err, relay.ErrUnreachable),
 		errors.Is(err, relay.ErrAllRelaysFailed),
 		errors.Is(err, context.DeadlineExceeded),
 		errors.Is(err, context.Canceled),

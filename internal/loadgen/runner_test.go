@@ -138,6 +138,8 @@ func TestClassify(t *testing.T) {
 		{fmt.Errorf("read: %w", &net.OpError{Op: "read", Err: fmt.Errorf("connection reset")}), ErrClassAvailability},
 		// A write conflict arrives as a flattened application error string.
 		{fmt.Errorf("proof: remote error: relay: cross-network tx invalidated: mvcc-conflict"), ErrClassContention},
+		// A source relay's deadline miss, flattened into the response.
+		{fmt.Errorf("proof: remote error: context deadline exceeded"), ErrClassAvailability},
 		{fmt.Errorf("verification failed"), ErrClassProtocol},
 	}
 	for _, c := range cases {
