@@ -37,6 +37,7 @@ func runLoadgen(args []string) error {
 	churn := fs.Bool("churn", false, "kill and restart relays of the origin's next tier during the run")
 	churnInterval := fs.Duration("churn-interval", 0, "period of the kill/restart cycle")
 	seed := fs.Int64("seed", 0, "RNG seed for the schedule (0 keeps the preset's)")
+	spans := fs.Bool("spans", false, "trace every query and invoke and print each op kind's stage table and E1–E3 split")
 	out := fs.String("out", loadgen.DefaultOutput, "report output path")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -88,6 +89,8 @@ func runLoadgen(args []string) error {
 			cfg.ChurnInterval = *churnInterval
 		case "seed":
 			cfg.Seed = *seed
+		case "spans":
+			cfg.Spans = *spans
 		}
 	})
 	cfg.Output = *out

@@ -18,6 +18,7 @@ import (
 
 	"repro/internal/ledger"
 	"repro/internal/statedb"
+	"repro/internal/trace"
 )
 
 var (
@@ -153,6 +154,10 @@ type Invocation struct {
 	// metadata so the ledger itself can reject a second commit of the same
 	// logical invoke submitted through a different relay.
 	InteropKey string
+
+	// Trace times each cross-chaincode call of a traced request (stage
+	// trace.Chaincode followed by the callee's name); nil when untraced.
+	Trace *trace.Recorder
 }
 
 // SimResult is the outcome of simulating an invocation.
@@ -230,11 +235,11 @@ type simContext struct {
 	reg      *Registry
 	state    *statedb.Store
 	inv      Invocation
-	record   bool // under Simulate: record the read-write set
 	writes   map[slot]pendingWrite
-	writeSeq int
 	reads    []ledger.KVRead
 	event    *ledger.ChaincodeEvent
+	writeSeq int32 // beside record, so the two share a word of the frame
+	record   bool  // under Simulate: record the read-write set
 }
 
 // read records the version of a committed key as observed now.
@@ -357,7 +362,7 @@ func (c *simContext) write(w pendingWrite) {
 		c.writes = make(map[slot]pendingWrite)
 	}
 	c.writeSeq++
-	w.seq = c.writeSeq
+	w.seq = int(c.writeSeq)
 	c.writes[slot{w.ns, w.key}] = w
 }
 
@@ -380,7 +385,14 @@ func (s *simStub) InvokeChaincode(name, function string, args [][]byte) ([]byte,
 		return nil, err
 	}
 	sub := &simStub{ctx: s.ctx, chaincode: name, function: function, args: args}
-	return cc.Invoke(sub)
+	rec := s.ctx.inv.Trace
+	if rec == nil {
+		return cc.Invoke(sub)
+	}
+	start := rec.Start()
+	resp, err := cc.Invoke(sub)
+	rec.End(trace.Chaincode+name, start)
+	return resp, err
 }
 
 func (s *simStub) GetTransient(key string) []byte {

@@ -21,6 +21,7 @@ import (
 	"repro/internal/proof"
 	"repro/internal/relay"
 	"repro/internal/syscc"
+	"repro/internal/trace"
 	"repro/internal/wire"
 )
 
@@ -232,6 +233,9 @@ type RemoteQuerySpec struct {
 	// of executing the transaction a second time. Empty means the relay
 	// assigns a fresh ID (returned in RemoteData.RequestID).
 	RequestID string
+	// Trace times the request's stages on the client and on every relay
+	// it crosses, returned in RemoteData.Spans (see package trace).
+	Trace bool
 }
 
 // RemoteData is the outcome of a verified cross-network query: the
@@ -255,6 +259,10 @@ type RemoteData struct {
 	// structurally before the data is handed back; a response with a
 	// broken, reordered or replayed pin never reaches the application.
 	Path []proof.Hop
+	// Spans holds a traced request's timed stages (RemoteQuerySpec.Trace):
+	// each relay's, source first, then the client's own. They are unsigned
+	// diagnostics, capped at wire.MaxSpans; nil when untraced.
+	Spans []wire.Span
 }
 
 // RemoteQuery performs the complete trusted data transfer of Fig. 2 from
@@ -267,6 +275,10 @@ type RemoteData struct {
 // the remote round-trip; its deadline travels with the query so the source
 // relay inherits the remaining budget.
 func (c *Client) RemoteQuery(ctx context.Context, spec RemoteQuerySpec) (*RemoteData, error) {
+	ctx, err := c.traced(ctx, spec)
+	if err != nil {
+		return nil, err
+	}
 	q, policyExpr, err := c.buildQuery(ctx, spec)
 	if err != nil {
 		return nil, err
@@ -275,7 +287,7 @@ func (c *Client) RemoteQuery(ctx context.Context, spec RemoteQuerySpec) (*Remote
 	if err != nil {
 		return nil, err
 	}
-	return c.openResponse(q, resp, policyExpr)
+	return c.openResponse(ctx, q, resp, policyExpr)
 }
 
 // RemoteInvoke performs a cross-network transaction (the §5 extension):
@@ -284,6 +296,10 @@ func (c *Client) RemoteQuery(ctx context.Context, spec RemoteQuerySpec) (*Remote
 // attestation proof a query carries. ctx bounds the operation; failover
 // stays sequential because a transaction is not idempotent.
 func (c *Client) RemoteInvoke(ctx context.Context, spec RemoteQuerySpec) (*RemoteData, error) {
+	ctx, err := c.traced(ctx, spec)
+	if err != nil {
+		return nil, err
+	}
 	q, policyExpr, err := c.buildQuery(ctx, spec)
 	if err != nil {
 		return nil, err
@@ -292,7 +308,29 @@ func (c *Client) RemoteInvoke(ctx context.Context, spec RemoteQuerySpec) (*Remot
 	if err != nil {
 		return nil, err
 	}
-	return c.openResponse(q, resp, policyExpr)
+	return c.openResponse(ctx, q, resp, policyExpr)
+}
+
+// traced returns ctx carrying a fresh trace recorder when spec asks for
+// tracing, and ctx itself otherwise.
+func (c *Client) traced(ctx context.Context, spec RemoteQuerySpec) (context.Context, error) {
+	if !spec.Trace {
+		return ctx, nil
+	}
+	id, err := trace.NewID()
+	if err != nil {
+		return nil, fmt.Errorf("core: trace id: %w", err)
+	}
+	return trace.NewContext(ctx, trace.New(id, c.network.ID())), nil
+}
+
+// evaluate is the gateway's EvaluateString, timed as gateway evaluation
+// for a traced request.
+func (c *Client) evaluate(rec *trace.Recorder, function string, args ...string) ([]byte, error) {
+	start := rec.Start()
+	data, err := c.gateway.EvaluateString(syscc.CMDACName, function, args...)
+	rec.End(trace.GatewayEval, start)
+	return data, err
 }
 
 // buildQuery resolves the verification policy (from the spec or the local
@@ -303,7 +341,7 @@ func (c *Client) buildQuery(ctx context.Context, spec RemoteQuerySpec) (*wire.Qu
 	}
 	policyExpr := spec.VerificationPolicy
 	if policyExpr == "" {
-		data, err := c.gateway.EvaluateString(syscc.CMDACName, syscc.CMDACGetVerificationPolicy, spec.Network, spec.Contract)
+		data, err := c.evaluate(trace.FromContext(ctx), syscc.CMDACGetVerificationPolicy, spec.Network, spec.Contract)
 		if err != nil {
 			return nil, "", fmt.Errorf("%w: verification policy for %q: %v", ErrNotConfigured, spec.Network, err)
 		}
@@ -348,21 +386,26 @@ func (c *Client) buildQuery(ctx context.Context, spec RemoteQuerySpec) (*wire.Qu
 
 // openResponse decrypts the response, pre-verifies the proof, and packages
 // the verified remote data.
-func (c *Client) openResponse(q *wire.Query, resp *wire.QueryResponse, policyExpr string) (*RemoteData, error) {
+func (c *Client) openResponse(ctx context.Context, q *wire.Query, resp *wire.QueryResponse, policyExpr string) (*RemoteData, error) {
+	rec := trace.FromContext(ctx)
 	// Authenticate the path before the payload: a response carrying hop
 	// pins was forwarded, and the whole chain must verify against this
 	// query and this response's core bytes. The origin relay has already
 	// checked the outermost pin names the hub it actually used; this
 	// client-side pass re-checks structure end to end.
+	start := rec.Start()
 	path, err := proof.VerifyHopChain(q, resp)
+	rec.End(trace.PinVerify, start)
 	if err != nil {
 		return nil, err
 	}
+	start = rec.Start()
 	bundle, err := proof.OpenResponse(c.recipient, q, resp)
+	rec.End(trace.Open, start)
 	if err != nil {
 		return nil, err
 	}
-	if err := c.preVerify(q, bundle, policyExpr); err != nil {
+	if err := c.preVerify(rec, q, bundle, policyExpr); err != nil {
 		return nil, err
 	}
 	return &RemoteData{
@@ -372,6 +415,7 @@ func (c *Client) openResponse(q *wire.Query, resp *wire.QueryResponse, policyExp
 		Query:       q,
 		RequestID:   resp.RequestID,
 		Path:        path,
+		Spans:       rec.Spans(),
 	}, nil
 }
 
@@ -380,14 +424,15 @@ func (c *Client) openResponse(q *wire.Query, resp *wire.QueryResponse, policyExp
 // submitted. A source with no recorded configuration is not an error here —
 // the destination peers will reject the transaction anyway — but any other
 // failure to read the configuration is: it must not silently skip the check.
-func (c *Client) preVerify(q *wire.Query, bundle *proof.Bundle, policyExpr string) error {
-	cfgBytes, err := c.gateway.EvaluateString(syscc.CMDACName, syscc.CMDACGetNetworkConfig, q.TargetNetwork)
+func (c *Client) preVerify(rec *trace.Recorder, q *wire.Query, bundle *proof.Bundle, policyExpr string) error {
+	cfgBytes, err := c.evaluate(rec, syscc.CMDACGetNetworkConfig, q.TargetNetwork)
 	if errors.Is(err, syscc.ErrNoConfig) {
 		return nil
 	}
 	if err != nil {
 		return fmt.Errorf("core: read recorded config of %q: %w", q.TargetNetwork, err)
 	}
+	defer rec.End(trace.Verify, rec.Start())
 	verifier, err := msp.VerifierForConfig(cfgBytes)
 	if err != nil {
 		return err

@@ -380,10 +380,10 @@ func TestPreVerifySkipsOnlyWhenNoConfigRecorded(t *testing.T) {
 	policyExpr := "AND('seller-org.peer','carrier-org.peer')"
 	unverifiable := &proof.Bundle{SourceNetwork: "source-net", PolicyDigest: proof.PolicyDigest(policyExpr)}
 
-	if err := client.preVerify(&wire.Query{TargetNetwork: "unrecorded-net"}, unverifiable, policyExpr); err != nil {
+	if err := client.preVerify(nil, &wire.Query{TargetNetwork: "unrecorded-net"}, unverifiable, policyExpr); err != nil {
 		t.Fatalf("no recorded configuration: err = %v, want the check skipped", err)
 	}
-	if err := client.preVerify(&wire.Query{TargetNetwork: "source-net"}, unverifiable, policyExpr); !errors.Is(err, proof.ErrPolicyUnsatisfied) {
+	if err := client.preVerify(nil, &wire.Query{TargetNetwork: "source-net"}, unverifiable, policyExpr); !errors.Is(err, proof.ErrPolicyUnsatisfied) {
 		t.Fatalf("recorded configuration: err = %v, want the bundle refused", err)
 	}
 
@@ -394,7 +394,7 @@ func TestPreVerifySkipsOnlyWhenNoConfigRecorded(t *testing.T) {
 		t.Fatalf("AddOrg: %v", err)
 	}
 	client.gateway = bare.Gateway(client.identity)
-	if err := client.preVerify(&wire.Query{TargetNetwork: "source-net"}, unverifiable, policyExpr); !errors.Is(err, chaincode.ErrNotFound) {
+	if err := client.preVerify(nil, &wire.Query{TargetNetwork: "source-net"}, unverifiable, policyExpr); !errors.Is(err, chaincode.ErrNotFound) {
 		t.Fatalf("failing gateway: err = %v, want the read error propagated", err)
 	}
 }

@@ -35,10 +35,16 @@ type liveDriver struct {
 	// invokes[w] is worker w's private append log — no locking on the hot
 	// path, collected after the run.
 	invokes [][]issuedInvoke
+	// spans[w] is worker w's log of traced ops; nil when the run is not
+	// traced.
+	spans []spanLog
 }
 
-func newLiveDriver(w *scenario.TradeWorld, workers, hops int) (*liveDriver, error) {
+func newLiveDriver(w *scenario.TradeWorld, workers, hops int, traced bool) (*liveDriver, error) {
 	d := &liveDriver{world: w, hops: hops, invokes: make([][]issuedInvoke, workers)}
+	if traced {
+		d.spans = make([]spanLog, workers)
+	}
 	for i := 0; i < workers; i++ {
 		c, err := core.NewClient(w.SWT, wetrade.SellerBankOrg, fmt.Sprintf("lg-client-%d", i))
 		if err != nil {
@@ -52,25 +58,28 @@ func newLiveDriver(w *scenario.TradeWorld, workers, hops int) (*liveDriver, erro
 // Do implements Driver.
 func (d *liveDriver) Do(ctx context.Context, worker int, op Op) error {
 	client := d.clients[worker]
+	started := time.Now()
 	switch op.Kind {
 	case OpQuery:
 		// Empty RequestID: a fresh nonce per issue, so the source relay
 		// must build (sign + encrypt) a new proof — the cold path.
-		return d.checkData(client.RemoteQuery(ctx, core.RemoteQuerySpec{
+		return d.checkData(worker, op, started)(client.RemoteQuery(ctx, core.RemoteQuerySpec{
 			Network: tradelens.NetworkID, Contract: tradelens.ChaincodeName,
 			Function: tradelens.FnGetBillOfLading, Args: [][]byte{[]byte(keyRef(op.Key))},
+			Trace: d.spans != nil,
 		}))
 	case OpWarmQuery:
 		// A fixed (client, key) request ID derives a deterministic nonce,
 		// so the wire query is byte-identical on every issue and the
 		// source relay's attestation cache answers after the first.
-		return d.checkData(client.RemoteQuery(ctx, core.RemoteQuerySpec{
+		return d.checkData(worker, op, started)(client.RemoteQuery(ctx, core.RemoteQuerySpec{
 			Network: tradelens.NetworkID, Contract: tradelens.ChaincodeName,
 			Function: tradelens.FnGetBillOfLading, Args: [][]byte{[]byte(keyRef(op.Key))},
 			RequestID: fmt.Sprintf("lg-warm-%d-%d", worker, op.Key),
+			Trace:     d.spans != nil,
 		}))
 	case OpInvoke:
-		return d.doInvoke(ctx, worker, op)
+		return d.doInvoke(ctx, worker, op, started)
 	case OpSubscribe:
 		_, cancel, err := client.SubscribeRemoteEvents(ctx, tradelens.NetworkID, "lg-event")
 		if err != nil {
@@ -90,19 +99,24 @@ func (d *liveDriver) Do(ctx context.Context, worker int, op Op) error {
 // resolves the retry; a contention failure (the commit invalidated by a
 // concurrent write to the same hot key) committed nothing and is safe to
 // resubmit. Every issue is remembered for the exactly-once audit.
-func (d *liveDriver) doInvoke(ctx context.Context, worker int, op Op) error {
+func (d *liveDriver) doInvoke(ctx context.Context, worker int, op Op, started time.Time) error {
 	client := d.clients[worker]
 	spec := core.RemoteQuerySpec{
 		Network: tradelens.NetworkID, Contract: scenario.AuditChaincodeName, Function: "Append",
 		Args:      [][]byte{[]byte(keyRef(op.Key)), []byte(fmt.Sprintf("op-%d;", op.Seq))},
 		RequestID: fmt.Sprintf("lg-inv-%d-%d", worker, op.Seq),
+		Trace:     d.spans != nil,
 	}
+	var data *core.RemoteData
 	var err error
 	for attempt := 0; attempt < 3; attempt++ {
-		_, err = client.RemoteInvoke(ctx, spec)
+		data, err = client.RemoteInvoke(ctx, spec)
 		if class := Classify(err); class != ErrClassAvailability && class != ErrClassContention {
 			break
 		}
+	}
+	if err == nil && d.spans != nil {
+		d.spans[worker].add(op, started, data.Spans)
 	}
 	d.invokes[worker] = append(d.invokes[worker], issuedInvoke{
 		txID: relay.InteropTxID(&wire.Query{
@@ -115,21 +129,29 @@ func (d *liveDriver) doInvoke(ctx context.Context, worker int, op Op) error {
 	return err
 }
 
-// checkData converts an empty successful query result into a protocol
-// error: the seeded key space guarantees every query has an answer. In a
-// chain deployment the verified hop path must name every hub — a shorter
-// path means a forwarding tier was bypassed or its pin dropped.
-func (d *liveDriver) checkData(data *core.RemoteData, err error) error {
-	if err != nil {
-		return err
+// checkData returns the check of a query's outcome on worker: it converts
+// an empty successful query result into a protocol error, since the seeded
+// key space guarantees every query has an answer, and logs a traced
+// answer's spans with the time op waited for its worker, which started it
+// at started. In a chain deployment the verified hop path must name
+// every hub — a shorter path means a forwarding tier was bypassed or its
+// pin dropped.
+func (d *liveDriver) checkData(worker int, op Op, started time.Time) func(*core.RemoteData, error) error {
+	return func(data *core.RemoteData, err error) error {
+		if err != nil {
+			return err
+		}
+		if len(data.Result) == 0 {
+			return fmt.Errorf("loadgen: empty result for a seeded key")
+		}
+		if len(data.Path) != d.hops {
+			return fmt.Errorf("loadgen: verified hop path has %d pins, want %d", len(data.Path), d.hops)
+		}
+		if d.spans != nil {
+			d.spans[worker].add(op, started, data.Spans)
+		}
+		return nil
 	}
-	if len(data.Result) == 0 {
-		return fmt.Errorf("loadgen: empty result for a seeded key")
-	}
-	if len(data.Path) != d.hops {
-		return fmt.Errorf("loadgen: verified hop path has %d pins, want %d", len(data.Path), d.hops)
-	}
-	return nil
 }
 
 // auditExactlyOnce scans the source ledger once and judges every issued
@@ -253,7 +275,7 @@ func RunLive(ctx context.Context, cfg *Config) (*Report, error) {
 	if err := scenario.SeedShipments(ctx, actors, refs...); err != nil {
 		return nil, err
 	}
-	driver, err := newLiveDriver(w, cfg.Clients, cfg.HubHops)
+	driver, err := newLiveDriver(w, cfg.Clients, cfg.HubHops, cfg.Spans)
 	if err != nil {
 		return nil, err
 	}
@@ -280,6 +302,9 @@ func RunLive(ctx context.Context, cfg *Config) (*Report, error) {
 		return nil, err
 	}
 	report.Audit = &audit
+	if driver.spans != nil {
+		report.Stages = stageReports(driver.spans)
+	}
 	return report, nil
 }
 

@@ -86,6 +86,8 @@ type Report struct {
 	Relay   RelayWindow         `json:"relay"`
 	Audit   *Audit              `json:"exactly_once,omitempty"`
 	Churn   int                 `json:"churn_kills,omitempty"`
+	// Stages is each traced op kind's span table (Config.Spans).
+	Stages map[OpKind]*StageReport `json:"stages,omitempty"`
 }
 
 // NewReport assembles a report from run statistics and the relay window.
@@ -207,6 +209,11 @@ func (r *Report) Table() string {
 			for _, msg := range r.ErrorSamples[c] {
 				fmt.Fprintf(&b, "sample %s error: %s\n", c, msg)
 			}
+		}
+	}
+	for _, k := range OpKinds {
+		if st := r.Stages[k]; st != nil {
+			st.table(&b, k)
 		}
 	}
 	if r.Audit != nil {

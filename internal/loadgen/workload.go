@@ -106,6 +106,11 @@ type Config struct {
 	// Seed makes key selection and mix draws reproducible.
 	Seed int64 `json:"seed"`
 
+	// Spans traces every query and invoke: the report then ranks each op
+	// kind's stages, per relay, and splits its latency the way the paper's
+	// evaluation does (StageReport).
+	Spans bool `json:"spans,omitempty"`
+
 	// Output is the report path ("" = BENCH_loadgen.json).
 	Output string `json:"-"`
 }

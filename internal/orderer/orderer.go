@@ -56,6 +56,7 @@ type Config struct {
 // that block is delivered, its outcome.
 type batch struct {
 	txs       []*ledger.Transaction
+	cut       time.Time // when the batch was cut into a block
 	delivered bool
 	err       error
 }
@@ -120,13 +121,22 @@ func (o *Orderer) Submit(tx *ledger.Transaction) error {
 // most one block, holding everything pending when no other delivery is
 // under way.
 func (o *Orderer) SubmitWait(tx *ledger.Transaction) error {
+	_, err := o.SubmitWaitCut(tx)
+	return err
+}
+
+// SubmitWaitCut is SubmitWait also returning when the block that carried
+// tx was cut: the time before it the transaction waited to be ordered, the
+// time after it went to delivering and committing the block.
+func (o *Orderer) SubmitWaitCut(tx *ledger.Transaction) (cut time.Time, err error) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	b, err := o.enqueueLocked(tx)
 	if err != nil {
-		return err
+		return time.Time{}, err
 	}
-	return o.awaitLocked(b)
+	err = o.awaitLocked(b)
+	return b.cut, err
 }
 
 // enqueueLocked appends tx to the pending batch and returns that batch.
@@ -194,6 +204,7 @@ func (o *Orderer) deliverLocked() error {
 		return nil
 	}
 	o.open = nil
+	b.cut = time.Now()
 	o.delivering = true
 	block := &ledger.Block{Number: o.nextNum, PrevHash: o.tipHash, Transactions: b.txs}
 	consumers := o.consumers

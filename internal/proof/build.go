@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/cryptoutil"
 	"repro/internal/msp"
+	"repro/internal/trace"
 	"repro/internal/wire"
 )
 
@@ -104,6 +105,7 @@ func (b *Builder) Build(ctx context.Context, specs []Spec, attestors []*msp.Iden
 	if len(specs) == 0 {
 		return nil, nil
 	}
+	rec := trace.FromContext(ctx)
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	resps := make([]*wire.QueryResponse, len(specs))
@@ -120,7 +122,7 @@ func (b *Builder) Build(ctx context.Context, specs []Spec, attestors []*msp.Iden
 		wg.Add(1)
 		go func(ai int, id *msp.Identity) {
 			defer wg.Done()
-			if errs[ai] = b.attest(ctx, specs, id, ai, resps); errs[ai] != nil {
+			if errs[ai] = b.attest(ctx, rec, specs, id, ai, resps); errs[ai] != nil {
 				cancel()
 			}
 		}(ai, id)
@@ -133,7 +135,9 @@ func (b *Builder) Build(ctx context.Context, specs []Spec, attestors []*msp.Iden
 		}
 		resp := resps[si]
 		var err error
+		start := rec.Start()
 		resp.EncryptedResult, resp.SessionEphemeral, resp.SessionGeneration, err = b.seal(results, &specs[si], specs[si].Result)
+		rec.End(trace.Seal, start)
 		if err != nil {
 			errs[len(attestors)] = fmt.Errorf("proof: encrypt result: %w", err)
 			cancel()
@@ -157,8 +161,9 @@ func (b *Builder) Build(ctx context.Context, specs []Spec, attestors []*msp.Iden
 	return resps, nil
 }
 
-// attest produces attestor id's slot ai of every response in the window.
-func (b *Builder) attest(ctx context.Context, specs []Spec, id *msp.Identity, ai int, resps []*wire.QueryResponse) error {
+// attest produces attestor id's slot ai of every response in the window,
+// timing its signature and envelopes on rec.
+func (b *Builder) attest(ctx context.Context, rec *trace.Recorder, specs []Spec, id *msp.Identity, ai int, resps []*wire.QueryResponse) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -175,7 +180,9 @@ func (b *Builder) attest(ctx context.Context, specs []Spec, id *msp.Identity, ai
 		}
 		signed = batchSigPayload(merkleRoot(leaves))
 	}
+	start := rec.Start()
 	sig, err := id.Sign(signed)
+	rec.End(trace.Sign, start)
 	if err != nil {
 		return fmt.Errorf("proof: signature from %s: %w", id.Name, err)
 	}
@@ -187,7 +194,9 @@ func (b *Builder) attest(ctx context.Context, specs []Spec, id *msp.Identity, ai
 			return err
 		}
 		att := wire.Attestation{PeerName: id.Name, OrgID: id.OrgID, CertPEM: cert, Signature: sig}
+		start := rec.Start()
 		att.EncryptedMetadata, att.SessionEphemeral, att.SessionGeneration, err = b.seal(mgr, &specs[si], plains[si])
+		rec.End(trace.Seal, start)
 		if err != nil {
 			return fmt.Errorf("proof: encrypt metadata from %s: %w", id.Name, err)
 		}

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/msp"
 	"repro/internal/proof"
+	"repro/internal/trace"
 	"repro/internal/wire"
 )
 
@@ -49,10 +50,11 @@ type batchGroup struct {
 }
 
 type batchEntry struct {
-	spec proof.Spec
-	done chan struct{}
-	resp *wire.QueryResponse
-	err  error
+	spec    proof.Spec
+	done    chan struct{}
+	flushed time.Time // when the window closed, read once done is closed
+	resp    *wire.QueryResponse
+	err     error
 }
 
 func newAttestBatcher(window time.Duration, maxPending int, builder *proof.Builder) *attestBatcher {
@@ -80,12 +82,16 @@ func attestorSetKey(ids []*msp.Identity) string {
 // blocks until the window flushes (or ctx expires); the window's build
 // runs on whichever goroutine closes it — the timer's for a window that
 // filled slowly, the maxPending-th submitter's for one that filled fast.
+// A traced request records its wait for the window and the build apart.
 func (b *attestBatcher) submit(ctx context.Context, spec proof.Spec, attestors []*msp.Identity) (*wire.QueryResponse, error) {
+	rec := trace.FromContext(ctx)
+	start := rec.Start()
 	b.mu.Lock()
 	if b.inflight == 0 && !b.contended {
 		b.inflight++
 		b.mu.Unlock()
 		resps, err := b.builder.Build(ctx, []proof.Spec{spec}, attestors)
+		rec.End(trace.Build, start)
 		b.mu.Lock()
 		b.inflight--
 		b.mu.Unlock()
@@ -114,6 +120,10 @@ func (b *attestBatcher) submit(ctx context.Context, spec proof.Spec, attestors [
 
 	select {
 	case <-entry.done:
+		if rec != nil {
+			rec.Record(trace.WindowWait, start, entry.flushed.Sub(start))
+			rec.End(trace.Build, entry.flushed)
+		}
 		return entry.resp, entry.err
 	case <-ctx.Done():
 		// The window still builds this entry's proof — cancelling one
@@ -137,9 +147,11 @@ func (b *attestBatcher) flush(key string, g *batchGroup) {
 	entries := g.entries
 	b.mu.Unlock()
 
+	flushed := time.Now()
 	specs := make([]proof.Spec, len(entries))
 	for i, e := range entries {
 		specs[i] = e.spec
+		e.flushed = flushed
 	}
 	// Background context: the window's build serves every waiter, so no
 	// single requester's cancellation may abort it.

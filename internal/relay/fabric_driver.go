@@ -18,6 +18,7 @@ import (
 	"repro/internal/peer"
 	"repro/internal/proof"
 	"repro/internal/syscc"
+	"repro/internal/trace"
 	"repro/internal/wire"
 )
 
@@ -247,6 +248,7 @@ func (d *FabricDriver) ServeQuery(ctx context.Context, q *wire.Query) ([]byte, e
 		return nil, err
 	}
 
+	rec := trace.FromContext(ctx)
 	queryDigest := proof.QueryDigestOf(q)
 	inv := chaincode.Invocation{
 		TxID:        "interop-" + q.RequestID,
@@ -260,10 +262,12 @@ func (d *FabricDriver) ServeQuery(ctx context.Context, q *wire.Query) ([]byte, e
 			syscc.TransientRequestingNetwork: []byte(q.RequestingNetwork),
 			syscc.TransientNonce:             q.Nonce,
 		},
+		Trace: rec,
 	}
 
 	var agreed []byte
 	var reads []ledger.KVRead
+	start := rec.Start()
 	// The attestors read at one height, so a disagreement is the chaincode's
 	// and never a block landing on one of them mid-loop.
 	if err := d.net.AtOneHeight(func() error {
@@ -296,13 +300,17 @@ func (d *FabricDriver) ServeQuery(ctx context.Context, q *wire.Query) ([]byte, e
 	}); err != nil {
 		return nil, err
 	}
+	rec.End(trace.PeerRead, start)
 
 	// The certificate digest keys the response cache (a response is sealed
 	// to one requester) and labels the requester's session secrets.
+	start = rec.Start()
 	certDigest := cryptoutil.Digest(q.RequesterCertPEM)
 	resultDigest := cryptoutil.Sum(agreed)
 	key := attestCacheKey(queryDigest, policyDigest, resultDigest[:], reads, certDigest, attestors)
-	if raw := d.cache.get(key); raw != nil {
+	raw := d.cache.get(key)
+	rec.End(trace.Cache, start)
+	if raw != nil {
 		d.notifyCache(true)
 		return raw, nil
 	}
@@ -315,7 +323,7 @@ func (d *FabricDriver) ServeQuery(ctx context.Context, q *wire.Query) ([]byte, e
 	}
 	// Cached without a request ID: the proof is identical for every resend
 	// of this question, but each resend echoes its own envelope's ID.
-	raw := resp.Marshal()
+	raw = resp.Marshal()
 	d.cache.put(key, raw)
 	return raw, nil
 }
@@ -370,6 +378,7 @@ func (d *FabricDriver) Invoke(ctx context.Context, q *wire.Query) (*wire.QueryRe
 		}
 		txID = "interop-tx-" + fresh
 	}
+	rec := trace.FromContext(ctx)
 	inv := chaincode.Invocation{
 		TxID:        txID,
 		Chaincode:   q.Contract,
@@ -383,8 +392,10 @@ func (d *FabricDriver) Invoke(ctx context.Context, q *wire.Query) (*wire.QueryRe
 			syscc.TransientRequestingNetwork: []byte(q.RequestingNetwork),
 			syscc.TransientNonce:             q.Nonce,
 		},
+		Trace: rec,
 	}
 	var responses []*peer.ProposalResponse
+	start := rec.Start()
 	// One height for every endorser: a concurrent invoke's block reaching
 	// one of them mid-loop must not read as nondeterministic chaincode.
 	if err := d.net.AtOneHeight(func() error {
@@ -406,6 +417,7 @@ func (d *FabricDriver) Invoke(ctx context.Context, q *wire.Query) (*wire.QueryRe
 	}); err != nil {
 		return nil, err
 	}
+	rec.End(trace.Endorse, start)
 	if len(responses) == 0 {
 		return nil, ErrNoAttestors
 	}
@@ -432,8 +444,14 @@ func (d *FabricDriver) Invoke(ctx context.Context, q *wire.Query) (*wire.QueryRe
 	// delivered — possibly shared with concurrent invokes, so a racing
 	// duplicate can land in the same block — and tx.Validation below
 	// reflects the committed outcome.
-	if err := d.net.Orderer().SubmitWait(tx); err != nil {
+	start = rec.Start()
+	cut, err := d.net.Orderer().SubmitWaitCut(tx)
+	if err != nil {
 		return nil, fmt.Errorf("relay: order cross-network tx: %w", err)
+	}
+	if rec != nil {
+		rec.Record(trace.OrderWait, start, cut.Sub(start))
+		rec.End(trace.Commit, cut)
 	}
 	if tx.Validation == ledger.Duplicate {
 		// The committer refused this submission because the same logical

@@ -29,6 +29,7 @@ import (
 	"time"
 
 	"repro/internal/proof"
+	"repro/internal/trace"
 	"repro/internal/wire"
 )
 
@@ -126,7 +127,7 @@ func (r *Relay) walk(ctx context.Context, q *wire.Query, legs []hopLeg) (*wire.Q
 		if err != nil {
 			return nil, err
 		}
-		return openReply(q, reply, leg)
+		return openReply(trace.FromContext(ctx), q, reply, leg)
 	}
 	if legs[len(legs)-1].direct {
 		return nil, lastErr
@@ -138,8 +139,8 @@ func (r *Relay) walk(ctx context.Context, q *wire.Query, legs []hopLeg) (*wire.Q
 // way at origin and hub. A via leg's chain must be non-empty and end with
 // the via's own pin — the sender knows which hub it handed the request to,
 // which is what makes whole-chain truncation detectable; a direct leg's
-// pins, if any, must still verify.
-func openReply(q *wire.Query, reply *wire.Envelope, leg hopLeg) (*wire.QueryResponse, error) {
+// pins, if any, must still verify. rec times both for a traced request.
+func openReply(rec *trace.Recorder, q *wire.Query, reply *wire.Envelope, leg hopLeg) (*wire.QueryResponse, error) {
 	switch reply.Type {
 	case wire.MsgQueryResponse:
 	case wire.MsgError:
@@ -150,15 +151,19 @@ func openReply(q *wire.Query, reply *wire.Envelope, leg hopLeg) (*wire.QueryResp
 	if q == nil {
 		return nil, nil
 	}
+	start := rec.Start()
 	resp, err := wire.UnmarshalQueryResponse(reply.Payload)
+	rec.End(trace.Codec, start)
 	if err != nil {
 		return nil, fmt.Errorf("%w: response via %s: %v", ErrBadEnvelope, leg.network, err)
 	}
+	start = rec.Start()
 	if leg.direct {
 		_, err = proof.VerifyHopChain(q, resp)
 	} else {
 		_, err = proof.VerifyHopChainVia(q, resp, leg.network)
 	}
+	rec.End(trace.PinVerify, start)
 	if err != nil {
 		return nil, fmt.Errorf("relay: hop chain via %s: %w", leg.network, err)
 	}
@@ -183,6 +188,7 @@ func openReply(q *wire.Query, reply *wire.Envelope, leg hopLeg) (*wire.QueryResp
 func (r *Relay) sendLeg(ctx context.Context, leg hopLeg) (*wire.Envelope, error) {
 	idempotent := leg.env.Type == wire.MsgQuery
 	deadline, hasDeadline := ctx.Deadline()
+	rec := trace.FromContext(ctx)
 	var lastErr error
 	for i, addr := range leg.addrs {
 		if err := ctx.Err(); err != nil {
@@ -198,6 +204,7 @@ func (r *Relay) sendLeg(ctx context.Context, leg hopLeg) (*wire.Envelope, error)
 		}
 		r.stampDeadline(attemptCtx, leg.env) // per attempt: the relative budget decays
 		r.countFanoutAttempt()
+		start := rec.Start()
 		reply, err := r.observeSend(attemptCtx, addr, leg.env)
 		cancel()
 		if err == nil && !overdue.IsZero() && !time.Now().Before(overdue) {
@@ -205,6 +212,9 @@ func (r *Relay) sendLeg(ctx context.Context, leg hopLeg) (*wire.Envelope, error)
 			// overdue. The remote's stamped budget ended then too, so the
 			// reply is most likely its own deadline error: fail over.
 			err = fmt.Errorf("relay: reply from %s after its share of the budget: %w", addr, context.DeadlineExceeded)
+		}
+		if rec != nil {
+			recordAttempt(rec, start, leg.network, reply, err)
 		}
 		if err == nil {
 			return reply, nil
@@ -218,6 +228,20 @@ func (r *Relay) sendLeg(ctx context.Context, leg hopLeg) (*wire.Envelope, error)
 		lastErr = ctx.Err()
 	}
 	return nil, fmt.Errorf("%w for %s: %w", ErrAllRelaysFailed, leg.network, lastErr)
+}
+
+// recordAttempt records a traced transport attempt as queue time: all of
+// it when the attempt failed, otherwise what is left after the next
+// relay's serve span, whose spans it merges first.
+func recordAttempt(rec *trace.Recorder, start time.Time, next string, reply *wire.Envelope, err error) {
+	d := time.Since(start)
+	if err == nil {
+		rec.Merge(reply.Spans())
+		if serve, ok := trace.ServeOf(reply.Spans(), next); ok && serve <= d {
+			d -= serve
+		}
+	}
+	rec.Record(trace.Queue, start, d)
 }
 
 // stampDeadline records ctx's remaining budget in the envelope so the
@@ -255,7 +279,10 @@ func (r *Relay) forward(ctx context.Context, env *wire.Envelope, q *wire.Query) 
 		resp, err = r.walk(ctx, q, legs)
 	}
 	if err == nil {
+		rec := trace.FromContext(ctx)
+		start := rec.Start()
 		err = proof.AppendHopPin(resp, q, r.localNetwork, r.forwarderIdentity())
+		rec.End(trace.PinSign, start)
 	}
 	if err != nil {
 		var refusal remoteRefusal

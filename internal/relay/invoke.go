@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 
+	"repro/internal/trace"
 	"repro/internal/wire"
 )
 
@@ -70,7 +71,7 @@ type LedgerReplayNotifier interface {
 // same path. At a hub that means forwarding again, and the source's ledger
 // answers.
 func (r *Relay) handleInvoke(ctx context.Context, env *wire.Envelope) *wire.Envelope {
-	q, err := wire.UnmarshalQuery(env.Payload)
+	q, err := decodeQuery(ctx, env)
 	if err != nil {
 		return errEnvelope(env.RequestID, fmt.Sprintf("malformed invoke: %v", err))
 	}
@@ -100,7 +101,10 @@ func (r *Relay) handleInvoke(ctx context.Context, env *wire.Envelope) *wire.Enve
 		// Ledger-level dedup keeps the exactly-once guarantee anchored where
 		// TrustCross argues it must be — at the ledger — instead of in one
 		// gateway process's memory.
+		rec := trace.FromContext(ctx)
+		start := rec.Start()
 		resp, found, err := td.ReplayInvoke(ctx, q)
+		rec.End(trace.ReplayCheck, start)
 		switch {
 		case err == nil && found:
 			r.countInvokeReplay()

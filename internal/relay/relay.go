@@ -20,6 +20,7 @@ import (
 
 	"repro/internal/cryptoutil"
 	"repro/internal/msp"
+	"repro/internal/trace"
 	"repro/internal/wire"
 )
 
@@ -286,12 +287,18 @@ func (r *Relay) request(ctx context.Context, msgType wire.MsgType, q *wire.Query
 		}
 		return ensureRequestID(resp, q), nil
 	}
+	rec := trace.FromContext(ctx)
+	start := rec.Start()
 	env := &wire.Envelope{
 		Version:   wire.ProtocolVersion,
 		Type:      msgType,
 		RequestID: q.RequestID,
 		Payload:   q.Marshal(),
 	}
+	if rec != nil {
+		env.Trace = &wire.Trace{ID: rec.ID()}
+	}
+	rec.End(trace.Codec, start)
 	var buf [2]hopLeg
 	legs, err := r.legs(buf[:], env, q.TargetNetwork, true)
 	if err != nil {
@@ -360,8 +367,25 @@ func (r *Relay) HandleEnvelope(ctx context.Context, env *wire.Envelope) *wire.En
 
 // handle is HandleEnvelope leaving a response reply's payload unencoded
 // (wire.ResponseEnvelope), for a transport that encodes the whole reply
-// once, straight into its frame.
+// once, straight into its frame. A traced request is served with a
+// recorder in its context, and its reply carries the spans recorded here
+// after those received from further down the path, closed by this relay's
+// serve span.
 func (r *Relay) handle(ctx context.Context, env *wire.Envelope) *wire.Envelope {
+	id := env.TraceID()
+	if id == "" {
+		return r.dispatch(ctx, env)
+	}
+	rec := trace.New(id, r.localNetwork)
+	start := rec.Start()
+	reply := r.dispatch(trace.NewContext(ctx, rec), env)
+	rec.End(trace.Serve, start)
+	reply.Trace = &wire.Trace{Spans: rec.Spans()}
+	return reply
+}
+
+// dispatch serves env by its message type.
+func (r *Relay) dispatch(ctx context.Context, env *wire.Envelope) *wire.Envelope {
 	if env.Version > wire.ProtocolVersion {
 		return errEnvelope(env.RequestID, fmt.Sprintf("unsupported protocol version %d", env.Version))
 	}
@@ -387,7 +411,7 @@ func (r *Relay) handle(ctx context.Context, env *wire.Envelope) *wire.Envelope {
 }
 
 func (r *Relay) handleQuery(ctx context.Context, env *wire.Envelope) *wire.Envelope {
-	q, err := wire.UnmarshalQuery(env.Payload)
+	q, err := decodeQuery(ctx, env)
 	if err != nil {
 		return errEnvelope(env.RequestID, fmt.Sprintf("malformed query: %v", err))
 	}
@@ -410,6 +434,16 @@ func (r *Relay) handleQuery(ctx context.Context, env *wire.Envelope) *wire.Envel
 		return wire.ResponseEnvelope(env.RequestID, &wire.QueryResponse{RequestID: q.RequestID, Error: err.Error()})
 	}
 	return wire.StampedResponseEnvelope(env.RequestID, q.RequestID, raw)
+}
+
+// decodeQuery decodes a query or invoke envelope's payload, timed as
+// codec for a traced request.
+func decodeQuery(ctx context.Context, env *wire.Envelope) (*wire.Query, error) {
+	rec := trace.FromContext(ctx)
+	start := rec.Start()
+	q, err := wire.UnmarshalQuery(env.Payload)
+	rec.End(trace.Codec, start)
+	return q, err
 }
 
 // remainingBudget converts the envelope's two remaining-budget encodings —

@@ -157,7 +157,7 @@ func TestQueryDecodesRetiredCapabilityFieldsAsAbsent(t *testing.T) {
 func TestScalarGuardRange(t *testing.T) {
 	env := &Envelope{Version: 1, Type: MsgQuery, RequestID: "r", Route: []string{"a"}, MaxHops: 4}
 	unknown := NewEncoder(32)
-	for _, f := range []int{64, 64, 9, 9, 1 << 20} {
+	for _, f := range []int{64, 64, 40, 40, 1 << 20} {
 		unknown.Uint(f, 7)
 		unknown.BytesField(f, []byte("future"))
 	}

@@ -64,6 +64,9 @@ func FuzzUnmarshalEnvelope(f *testing.F) {
 	routed := &Envelope{Version: 1, Type: MsgQuery, RequestID: "r", Payload: []byte("p"),
 		Route: []string{"we-trade", "hub-1-net"}, MaxHops: 4}
 	f.Add(routed.Marshal())
+	traced := &Envelope{Version: 1, Type: MsgQueryResponse, RequestID: "r", Trace: &Trace{ID: "t",
+		Spans: []Span{{Relay: "hub-1-net", Stage: "queue", StartNanos: 5, DurNanos: 7}}}}
+	f.Add(traced.Marshal())
 	// A crafted duplicate scalar: valid routed encoding plus a second MaxHops.
 	dupe := NewEncoder(8)
 	dupe.Uint(8, 9)
