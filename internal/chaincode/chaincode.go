@@ -15,6 +15,7 @@ import (
 	"strings"
 	"sync"
 	"time"
+	"unsafe"
 
 	"repro/internal/ledger"
 	"repro/internal/statedb"
@@ -35,6 +36,12 @@ type Chaincode interface {
 	// and returns the response payload.
 	Invoke(stub Stub) ([]byte, error)
 }
+
+// ReadOnlyBytes returns s as a byte slice without copying it: the bytes
+// are s's own, so nothing may write them. That is the contract of an
+// invocation's arguments (Stub.Args) and of a chaincode response, which is
+// what lets a caller pass a string as either.
+func ReadOnlyBytes(s string) []byte { return unsafe.Slice(unsafe.StringData(s), len(s)) }
 
 // Func adapts a function to the Chaincode interface.
 type Func func(stub Stub) ([]byte, error)

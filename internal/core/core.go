@@ -442,7 +442,8 @@ func (c *Client) preVerify(rec *trace.Recorder, q *wire.Query, bundle *proof.Bun
 	if err != nil {
 		return err
 	}
-	return proof.Verify(bundle, verifier, compiled, proof.QueryDigestOf(q), proof.PolicyDigest(policyExpr))
+	// q.PolicyDigest is the digest of policyExpr, pinned by buildQuery.
+	return proof.Verify(bundle, verifier, compiled, proof.QueryDigestOf(q), q.PolicyDigest)
 }
 
 // SubmitWithRemoteData submits a local transaction whose arguments include

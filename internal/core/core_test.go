@@ -378,12 +378,16 @@ func TestPreVerifySkipsOnlyWhenNoConfigRecorded(t *testing.T) {
 	// A pinned bundle with no elements satisfies no policy, so nil means the
 	// check was skipped.
 	policyExpr := "AND('seller-org.peer','carrier-org.peer')"
-	unverifiable := &proof.Bundle{SourceNetwork: "source-net", PolicyDigest: proof.PolicyDigest(policyExpr)}
+	pin := proof.PolicyDigest(policyExpr)
+	unverifiable := &proof.Bundle{SourceNetwork: "source-net", PolicyDigest: pin}
+	// Queries pinned to policyExpr, as buildQuery pins them.
+	unrecorded := &wire.Query{TargetNetwork: "unrecorded-net", PolicyDigest: pin}
+	recorded := &wire.Query{TargetNetwork: "source-net", PolicyDigest: pin}
 
-	if err := client.preVerify(nil, &wire.Query{TargetNetwork: "unrecorded-net"}, unverifiable, policyExpr); err != nil {
+	if err := client.preVerify(nil, unrecorded, unverifiable, policyExpr); err != nil {
 		t.Fatalf("no recorded configuration: err = %v, want the check skipped", err)
 	}
-	if err := client.preVerify(nil, &wire.Query{TargetNetwork: "source-net"}, unverifiable, policyExpr); !errors.Is(err, proof.ErrPolicyUnsatisfied) {
+	if err := client.preVerify(nil, recorded, unverifiable, policyExpr); !errors.Is(err, proof.ErrPolicyUnsatisfied) {
 		t.Fatalf("recorded configuration: err = %v, want the bundle refused", err)
 	}
 
@@ -394,7 +398,7 @@ func TestPreVerifySkipsOnlyWhenNoConfigRecorded(t *testing.T) {
 		t.Fatalf("AddOrg: %v", err)
 	}
 	client.gateway = bare.Gateway(client.identity)
-	if err := client.preVerify(nil, &wire.Query{TargetNetwork: "source-net"}, unverifiable, policyExpr); !errors.Is(err, chaincode.ErrNotFound) {
+	if err := client.preVerify(nil, recorded, unverifiable, policyExpr); !errors.Is(err, chaincode.ErrNotFound) {
 		t.Fatalf("failing gateway: err = %v, want the read error propagated", err)
 	}
 }

@@ -323,6 +323,19 @@ func (n *Network) PeersOf(orgID string) ([]*peer.Peer, error) {
 	return out, nil
 }
 
+// FirstPeerOf returns the first peer of one organization, or nil when the
+// organization is unknown or has no peer. Callers that want one peer of an
+// organization, as endorsers and attestors do, read it under the lock
+// instead of copying PeersOf.
+func (n *Network) FirstPeerOf(orgID string) *peer.Peer {
+	n.mu.RLock()
+	defer n.mu.RUnlock()
+	if org, ok := n.orgs[orgID]; ok && len(org.Peers) > 0 {
+		return org.Peers[0]
+	}
+	return nil
+}
+
 // AllPeers returns every peer in the network, grouped by organization
 // creation order.
 func (n *Network) AllPeers() []*peer.Peer {
@@ -559,15 +572,11 @@ func (g *Gateway) SubmitTx(ccName, function string, args ...[]byte) (*ledger.Tra
 
 // Evaluate runs a read-only query against a single peer of the client's
 // organization (falling back to any peer) without creating a transaction.
-// The response is read-only: it may be a committed value itself (see
+// An evaluation is never ordered, so it carries no transaction ID. The
+// response is read-only: it may be a committed value itself (see
 // peer.Query).
 func (g *Gateway) Evaluate(ccName, function string, args ...[]byte) ([]byte, error) {
-	txID, err := newTxID()
-	if err != nil {
-		return nil, fmt.Errorf("fabric: generate query id: %w", err)
-	}
 	inv := chaincode.Invocation{
-		TxID:        txID,
 		Chaincode:   ccName,
 		Function:    function,
 		Args:        args,
@@ -582,9 +591,14 @@ func (g *Gateway) Evaluate(ccName, function string, args ...[]byte) ([]byte, err
 	return p.Query(inv)
 }
 
-// EvaluateString is Evaluate with string arguments.
+// EvaluateString is Evaluate with string arguments, passed to the
+// chaincode as read-only views of the strings, not copies.
 func (g *Gateway) EvaluateString(ccName, function string, args ...string) ([]byte, error) {
-	return g.Evaluate(ccName, function, bytesArgs(args)...)
+	views := make([][]byte, len(args))
+	for i, a := range args {
+		views[i] = chaincode.ReadOnlyBytes(a)
+	}
+	return g.Evaluate(ccName, function, views...)
 }
 
 // endorsersFor selects one peer from each organization the policy
@@ -593,18 +607,16 @@ func (g *Gateway) EvaluateString(ccName, function string, args ...string) ([]byt
 func (g *Gateway) endorsersFor(policy *endorsement.Policy) []*peer.Peer {
 	var out []*peer.Peer
 	for _, orgID := range policy.Orgs() {
-		peers, err := g.net.PeersOf(orgID)
-		if err != nil || len(peers) == 0 {
-			continue
+		if p := g.net.FirstPeerOf(orgID); p != nil {
+			out = append(out, p)
 		}
-		out = append(out, peers[0])
 	}
 	return out
 }
 
 func (g *Gateway) queryPeer() *peer.Peer {
-	if peers, err := g.net.PeersOf(g.identity.OrgID); err == nil && len(peers) > 0 {
-		return peers[0]
+	if p := g.net.FirstPeerOf(g.identity.OrgID); p != nil {
+		return p
 	}
 	all := g.net.AllPeers()
 	if len(all) == 0 {

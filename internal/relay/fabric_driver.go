@@ -197,8 +197,8 @@ func (d *FabricDriver) prepare(q *wire.Query) (policyDigest []byte, clientPub *e
 	orgs := vp.Orgs()
 	attestors = make([]*peer.Peer, 0, len(orgs))
 	for _, orgID := range orgs {
-		if peers, err := d.net.PeersOf(orgID); err == nil && len(peers) > 0 {
-			attestors = append(attestors, peers[0])
+		if p := d.net.FirstPeerOf(orgID); p != nil {
+			attestors = append(attestors, p)
 		}
 	}
 	if len(attestors) == 0 {
@@ -403,13 +403,13 @@ func (d *FabricDriver) Invoke(ctx context.Context, q *wire.Query) (*wire.QueryRe
 			if err := ctx.Err(); err != nil {
 				return fmt.Errorf("relay: invoke aborted: %w", err)
 			}
-			peers, err := d.net.PeersOf(orgID)
-			if err != nil || len(peers) == 0 {
+			p := d.net.FirstPeerOf(orgID)
+			if p == nil {
 				continue
 			}
-			resp, err := peers[0].Endorse(inv)
+			resp, err := p.Endorse(inv)
 			if err != nil {
-				return fmt.Errorf("relay: endorse on %s: %w", peers[0].Name(), err)
+				return fmt.Errorf("relay: endorse on %s: %w", p.Name(), err)
 			}
 			responses = append(responses, resp)
 		}

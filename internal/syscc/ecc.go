@@ -255,5 +255,5 @@ func (e *ECC) authorize(stub chaincode.Stub) ([]byte, error) {
 		return nil, fmt.Errorf("%w: no rule permits <%s, %s, %s, %s>",
 			ErrAccessDenied, args[0], info.OrgID, args[2], args[3])
 	}
-	return []byte(info.OrgID), nil
+	return chaincode.ReadOnlyBytes(info.OrgID), nil
 }

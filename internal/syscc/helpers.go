@@ -2,8 +2,10 @@ package syscc
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/chaincode"
+	"repro/internal/wire"
 )
 
 // IsRelayQuery reports whether the current invocation arrived through a
@@ -27,17 +29,22 @@ func AuthorizeRelayRequest(stub chaincode.Stub, chaincodeName string) (string, e
 	if len(requestingNet) == 0 {
 		return "", fmt.Errorf("%w: relay query without requesting network", ErrAccessDenied)
 	}
-	org, err := stub.InvokeChaincode(ECCName, ECCAuthorize, [][]byte{
-		requestingNet,
-		stub.CreatorCert(),
-		[]byte(chaincodeName),
-		[]byte(stub.Function()),
-	})
+	// The argument list is pooled and the names are views of their
+	// strings: the ECC only reads its arguments and keeps none of them.
+	args := eccArgs.Get().(*[4][]byte)
+	args[0], args[1] = requestingNet, stub.CreatorCert()
+	args[2], args[3] = chaincode.ReadOnlyBytes(chaincodeName), chaincode.ReadOnlyBytes(stub.Function())
+	org, err := stub.InvokeChaincode(ECCName, ECCAuthorize, args[:])
+	*args = [4][]byte{}
+	eccArgs.Put(args)
 	if err != nil {
 		return "", err
 	}
-	return string(org), nil
+	return wire.Intern(org), nil
 }
+
+// eccArgs holds idle ECC Authorize argument lists.
+var eccArgs = sync.Pool{New: func() any { return new([4][]byte) }}
 
 // ValidateProofArgs assembles the argument list for a CMDAC ValidateProof
 // invocation. Destination chaincode uses it as:

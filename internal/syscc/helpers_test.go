@@ -126,3 +126,38 @@ func TestValidateProofArgsLayout(t *testing.T) {
 		}
 	}
 }
+
+// raceEnabled is set under the race detector (race_test.go).
+var raceEnabled bool
+
+// TestAuthorizeRelayRequestWarmAllocations is the allocation tripwire of
+// the source's access decision: a warm relayed probe that calls
+// AuthorizeRelayRequest, less the same probe without the call, is what
+// the helper and its ECC call cost. The ECC call stays a chaincode call.
+// A change may lower the row, never raise it.
+func TestAuthorizeRelayRequestWarmAllocations(t *testing.T) {
+	reg, state, ca := helperEnv(t)
+	reg.Register("bare", chaincode.Func(func(stub chaincode.Stub) ([]byte, error) { return nil, nil }))
+	client, err := ca.Issue("remote-client", msp.RoleClient)
+	if err != nil {
+		t.Fatal(err)
+	}
+	transient := map[string][]byte{TransientInteropFlag: []byte("1"), TransientRequestingNetwork: []byte("remote-net")}
+	probe := probeInv("read", transient, client.CertPEM())
+	bare := probe
+	bare.Chaincode = "bare"
+	if org, err := chaincode.Evaluate(reg, state, probe); err != nil || string(org) != "remote-org" {
+		t.Fatalf("probe: %q, %v", org, err)
+	}
+	with := testing.AllocsPerRun(200, func() { _, _ = chaincode.Evaluate(reg, state, probe) })
+	without := testing.AllocsPerRun(200, func() { _, _ = chaincode.Evaluate(reg, state, bare) })
+	max := 6.0
+	if raceEnabled {
+		max++ // the race detector drops pooled argument lists
+	}
+	if got := with - without; got > max {
+		t.Fatalf("warm AuthorizeRelayRequest: %v allocations, want <= %v", got, max)
+	} else {
+		t.Logf("warm AuthorizeRelayRequest: %v allocations (probe %v, bare %v)", got, with, without)
+	}
+}

@@ -332,10 +332,11 @@ const (
 // name itself.
 var names = memo.Table[[]byte, string]{Max: namesMax}
 
-// intern returns b as a string: the table's copy when it holds one, which
+// Intern returns b as a string: the table's copy when it holds one, which
 // costs no allocation, otherwise a fresh copy that it then keeps. The
-// result never aliases b.
-func intern(b []byte) string {
+// result never aliases b. Decoders intern every name; so does a caller
+// that turns a configured name read from a ledger back into a string.
+func Intern(b []byte) string {
 	if len(b) == 0 || len(b) > maxNameLen {
 		return string(b)
 	}
@@ -520,7 +521,7 @@ func (w *Walk) String(f int, v *string) {
 // copy.
 func (w *Walk) Name(f int, v *string) {
 	if w.scalar(f) {
-		*v = intern(w.bytes())
+		*v = Intern(w.bytes())
 	} else if !w.decoding {
 		w.e.String(f, *v)
 	}
@@ -545,7 +546,7 @@ func (w *Walk) Strings(f int, v *[]string) {
 			put(&w.e, s)
 		}
 	} else if w.take(f) {
-		*v = append(*v, intern(w.bytes()))
+		*v = append(*v, Intern(w.bytes()))
 	}
 }
 
