@@ -63,21 +63,23 @@ func (d *liveDriver) Do(ctx context.Context, worker int, op Op) error {
 	case OpQuery:
 		// Empty RequestID: a fresh nonce per issue, so the source relay
 		// must build (sign + encrypt) a new proof — the cold path.
-		return d.checkData(worker, op, started)(client.RemoteQuery(ctx, core.RemoteQuerySpec{
+		data, err := client.RemoteQuery(ctx, core.RemoteQuerySpec{
 			Network: tradelens.NetworkID, Contract: tradelens.ChaincodeName,
 			Function: tradelens.FnGetBillOfLading, Args: [][]byte{[]byte(keyRef(op.Key))},
 			Trace: d.spans != nil,
-		}))
+		})
+		return d.checkData(worker, op, started, data, err)
 	case OpWarmQuery:
 		// A fixed (client, key) request ID derives a deterministic nonce,
 		// so the wire query is byte-identical on every issue and the
 		// source relay's attestation cache answers after the first.
-		return d.checkData(worker, op, started)(client.RemoteQuery(ctx, core.RemoteQuerySpec{
+		data, err := client.RemoteQuery(ctx, core.RemoteQuerySpec{
 			Network: tradelens.NetworkID, Contract: tradelens.ChaincodeName,
 			Function: tradelens.FnGetBillOfLading, Args: [][]byte{[]byte(keyRef(op.Key))},
 			RequestID: fmt.Sprintf("lg-warm-%d-%d", worker, op.Key),
 			Trace:     d.spans != nil,
-		}))
+		})
+		return d.checkData(worker, op, started, data, err)
 	case OpInvoke:
 		return d.doInvoke(ctx, worker, op, started)
 	case OpSubscribe:
@@ -129,29 +131,26 @@ func (d *liveDriver) doInvoke(ctx context.Context, worker int, op Op, started ti
 	return err
 }
 
-// checkData returns the check of a query's outcome on worker: it converts
-// an empty successful query result into a protocol error, since the seeded
-// key space guarantees every query has an answer, and logs a traced
-// answer's spans with the time op waited for its worker, which started it
-// at started. In a chain deployment the verified hop path must name
-// every hub — a shorter path means a forwarding tier was bypassed or its
-// pin dropped.
-func (d *liveDriver) checkData(worker int, op Op, started time.Time) func(*core.RemoteData, error) error {
-	return func(data *core.RemoteData, err error) error {
-		if err != nil {
-			return err
-		}
-		if len(data.Result) == 0 {
-			return fmt.Errorf("loadgen: empty result for a seeded key")
-		}
-		if len(data.Path) != d.hops {
-			return fmt.Errorf("loadgen: verified hop path has %d pins, want %d", len(data.Path), d.hops)
-		}
-		if d.spans != nil {
-			d.spans[worker].add(op, started, data.Spans)
-		}
-		return nil
+// checkData converts an empty successful query result into a protocol
+// error: the seeded key space guarantees every query has an answer. In a
+// chain deployment the verified hop path must name every hub — a shorter
+// path means a forwarding tier was bypassed or its pin dropped. A traced
+// answer's spans go to worker's log, with started, when the worker took
+// up op.
+func (d *liveDriver) checkData(worker int, op Op, started time.Time, data *core.RemoteData, err error) error {
+	if err != nil {
+		return err
 	}
+	if len(data.Result) == 0 {
+		return fmt.Errorf("loadgen: empty result for a seeded key")
+	}
+	if len(data.Path) != d.hops {
+		return fmt.Errorf("loadgen: verified hop path has %d pins, want %d", len(data.Path), d.hops)
+	}
+	if d.spans != nil {
+		d.spans[worker].add(op, started, data.Spans)
+	}
+	return nil
 }
 
 // auditExactlyOnce scans the source ledger once and judges every issued

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"context"
+	"sync"
 	"testing"
 	"time"
 
@@ -59,5 +60,27 @@ func TestNested(t *testing.T) {
 		if Nested(stage) != want {
 			t.Errorf("Nested(%q) = %v, want %v", stage, !want, want)
 		}
+	}
+}
+
+// TestRecorderConcurrentUse: attestors record on one recorder at once
+// while a reply's spans are merged and read.
+func TestRecorderConcurrentUse(t *testing.T) {
+	rec := New("t", "src")
+	var wg sync.WaitGroup
+	for g := range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range 4 {
+				rec.End(Sign, rec.Start())
+				rec.Merge([]wire.Span{{Relay: "hub", Stage: Queue, StartNanos: uint64(g*4 + i)}})
+				_ = rec.Spans()
+			}
+		}()
+	}
+	wg.Wait()
+	if n := len(rec.Spans()); n != wire.MaxSpans {
+		t.Fatalf("%d spans after 64 recorded and 32 merged, want the cap of %d", n, wire.MaxSpans)
 	}
 }
