@@ -112,6 +112,23 @@ func BenchmarkE1EndToEndQuery(b *testing.B) {
 	}
 }
 
+// BenchmarkE1TracedQuery is E1 with every query traced
+// (RemoteQuerySpec.Trace): against E1 it prices the spans — a recorder
+// per relay, a clock read per stage and the spans on the reply envelope.
+func BenchmarkE1TracedQuery(b *testing.B) {
+	_, actors := tradeWorld(b)
+	client := actors.SWTSeller.Client()
+	spec := blQuerySpec("po-1001")
+	spec.Trace = true
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := client.RemoteQuery(ctx, spec); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkE2EncryptionOverhead isolates the confidentiality cost the
 // paper's design pays so untrusted relays learn nothing: a full attestation
 // (sign + seal metadata + seal result) versus the bare signature an

@@ -162,7 +162,12 @@
 // (availability/contention/protocol), the relay fleet's counter window
 // (relay.Stats.Sub/Merge over lock-free snapshots), and a post-run
 // exactly-once audit of every issued invoke against the source ledger,
-// written to BENCH_loadgen.json.
+// written to BENCH_loadgen.json. A request is traceable across relays: a
+// traced one (core.RemoteQuerySpec.Trace, `loadgen -spans`) carries a
+// trace ID on its envelope, and every relay it crosses times its stages
+// (internal/trace) and hands back unsigned, capped spans on the reply
+// envelope, surfaced as core.RemoteData.Spans; `loadgen -spans` ranks them
+// per op kind and splits the latency as the paper's evaluation does.
 //
 // The module layout — everything lives under internal/; programs in cmd/
 // and examples/ are the runnable surface:
@@ -182,8 +187,9 @@
 //   - internal/fabric      — the Fabric-model platform substrate (MSPs,
 //     endorsement, ordering, MVCC validation, gateway)
 //   - internal/notary      — a second, notary-attested platform substrate
+//   - internal/trace       — per-stage spans of a traced request
 //   - internal/loadgen     — open-loop load generation, latency histograms,
-//     churn injection and the exactly-once audit
+//     churn injection, the exactly-once audit and the span tables
 //   - internal/apps        — the paper's STL / SWT use-case applications
 //   - cmd/                 — relayd, interopctl, netadmin, slocreport
 //   - examples/            — quickstart, tradefinance, multirelay,
