@@ -3,6 +3,7 @@ package scenario
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"testing"
 
 	"repro/internal/apps/tradelens"
@@ -95,52 +96,63 @@ func TestTracedChainSpans(t *testing.T) {
 	}
 }
 
-// TestTraceLeavesProofAndPinsUnchanged: the same raw query sent over the
-// chain untraced and traced, both answered from the source's cache, gets
-// the same proof, the same hop pin digests and, pins aside, the same
-// response digest. Hop-pin signatures are randomized, so they are the
-// only bytes that differ.
+// TestTraceLeavesProofAndPinsUnchanged: the same raw query sent untraced
+// and traced, both answered from the source's cache, gets the same
+// response. Direct, the whole QueryResponse.Digest is equal; over two hubs
+// the hop pin digests are equal and, pins aside, so is the digest — a hop
+// pin's ECDSA signature is randomized, so pin signatures are the only
+// bytes that differ.
 func TestTraceLeavesProofAndPinsUnchanged(t *testing.T) {
-	d, err := BuildTCPChain(2, 1)
-	if err != nil {
-		t.Fatalf("BuildTCPChain: %v", err)
-	}
-	defer d.Close()
-	w := d.World
-	seedBillOfLading(t, w, "po-trace-2")
-	ri := newRawInvoker(t, w)
-	q, err := chainQuery(ri, "po-trace-2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	q.RequestID = "trace-same-1"
-	ctx := context.Background()
-	if _, err := w.SWT.Relay.Query(ctx, q); err != nil { // the cold build
-		t.Fatalf("cold query: %v", err)
-	}
-	plain, err := w.SWT.Relay.Query(ctx, q)
-	if err != nil {
-		t.Fatalf("untraced query: %v", err)
-	}
-	rec := trace.New("trace-same", wetrade.NetworkID)
-	traced, err := w.SWT.Relay.Query(trace.NewContext(ctx, rec), q)
-	if err != nil {
-		t.Fatalf("traced query: %v", err)
-	}
-	if len(stagesBy(rec.Spans())) != 4 {
-		t.Fatalf("spans from %v, want origin, two hubs and source", stagesBy(rec.Spans()))
-	}
-	if len(plain.HopPins) != 2 || len(traced.HopPins) != 2 {
-		t.Fatalf("pins: %d untraced, %d traced; want 2", len(plain.HopPins), len(traced.HopPins))
-	}
-	for i := range plain.HopPins {
-		a, b := plain.HopPins[i], traced.HopPins[i]
-		if a.Network != b.Network || !bytes.Equal(a.Pin, b.Pin) || !bytes.Equal(a.CertPEM, b.CertPEM) {
-			t.Fatalf("hop pin %d differs with a trace ID", i)
-		}
-	}
-	plain.HopPins, traced.HopPins = nil, nil
-	if plain.Digest() != traced.Digest() || !bytes.Equal(plain.Marshal(), traced.Marshal()) {
-		t.Fatal("the response (proof, sealed result, policy pin) differs with a trace ID")
+	for _, hubs := range []int{0, 2} {
+		t.Run(fmt.Sprintf("hubs-%d", hubs), func(t *testing.T) {
+			d, err := BuildTCPChain(hubs, 1)
+			if err != nil {
+				t.Fatalf("BuildTCPChain: %v", err)
+			}
+			defer d.Close()
+			w := d.World
+			seedBillOfLading(t, w, "po-trace-2")
+			ri := newRawInvoker(t, w)
+			q, err := chainQuery(ri, "po-trace-2")
+			if err != nil {
+				t.Fatal(err)
+			}
+			q.RequestID = "trace-same-1"
+			ctx := context.Background()
+			if _, err := w.SWT.Relay.Query(ctx, q); err != nil { // the cold build
+				t.Fatalf("cold query: %v", err)
+			}
+			plain, err := w.SWT.Relay.Query(ctx, q)
+			if err != nil {
+				t.Fatalf("untraced query: %v", err)
+			}
+			rec := trace.New("trace-same", wetrade.NetworkID)
+			traced, err := w.SWT.Relay.Query(trace.NewContext(ctx, rec), q)
+			if err != nil {
+				t.Fatalf("traced query: %v", err)
+			}
+			if got := len(stagesBy(rec.Spans())); got != hubs+2 {
+				t.Fatalf("spans from %v, want origin, %d hubs and source", stagesBy(rec.Spans()), hubs)
+			}
+			if hubs == 0 {
+				if plain.Digest() != traced.Digest() {
+					t.Fatal("the response digest differs with a trace ID")
+				}
+				return
+			}
+			if len(plain.HopPins) != hubs || len(traced.HopPins) != hubs {
+				t.Fatalf("pins: %d untraced, %d traced; want %d", len(plain.HopPins), len(traced.HopPins), hubs)
+			}
+			for i := range plain.HopPins {
+				a, b := plain.HopPins[i], traced.HopPins[i]
+				if a.Network != b.Network || !bytes.Equal(a.Pin, b.Pin) || !bytes.Equal(a.CertPEM, b.CertPEM) {
+					t.Fatalf("hop pin %d differs with a trace ID", i)
+				}
+			}
+			plain.HopPins, traced.HopPins = nil, nil
+			if plain.Digest() != traced.Digest() || !bytes.Equal(plain.Marshal(), traced.Marshal()) {
+				t.Fatal("the response (proof, sealed result, policy pin) differs with a trace ID")
+			}
+		})
 	}
 }
