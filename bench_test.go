@@ -826,7 +826,7 @@ func BenchmarkP4CommitThroughput(b *testing.B) {
 					b.Error(err)
 					return
 				}
-				if err := n.Orderer().SubmitWait(tx); err != nil {
+				if _, err := n.Orderer().SubmitWait(tx); err != nil {
 					b.Error(err)
 					return
 				}

@@ -561,7 +561,7 @@ func (g *Gateway) SubmitTx(ccName, function string, args ...[]byte) (*ledger.Tra
 	}
 	// SubmitWait returns once the block carrying tx is delivered, so the
 	// caller always observes a final validation code.
-	if err := g.net.ord.SubmitWait(tx); err != nil {
+	if _, err := g.net.ord.SubmitWait(tx); err != nil {
 		return nil, fmt.Errorf("fabric: order tx: %w", err)
 	}
 	if tx.Validation != ledger.Valid {

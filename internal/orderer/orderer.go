@@ -119,16 +119,10 @@ func (o *Orderer) Submit(tx *ledger.Transaction) error {
 // block that carried it, so the transaction's validation code is final
 // when it returns. Concurrent callers share blocks: a call delivers at
 // most one block, holding everything pending when no other delivery is
-// under way.
-func (o *Orderer) SubmitWait(tx *ledger.Transaction) error {
-	_, err := o.SubmitWaitCut(tx)
-	return err
-}
-
-// SubmitWaitCut is SubmitWait also returning when the block that carried
-// tx was cut: the time before it the transaction waited to be ordered, the
-// time after it went to delivering and committing the block.
-func (o *Orderer) SubmitWaitCut(tx *ledger.Transaction) (cut time.Time, err error) {
+// under way. It also returns when that block was cut: the time before it
+// the transaction waited to be ordered, the time after it went to
+// delivering and committing the block.
+func (o *Orderer) SubmitWait(tx *ledger.Transaction) (cut time.Time, err error) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	b, err := o.enqueueLocked(tx)

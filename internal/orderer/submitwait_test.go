@@ -37,7 +37,7 @@ func TestSubmitWaitReportsDeliveryErrorToEveryWaiter(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			if err := o.SubmitWait(tx(fmt.Sprintf("w%d", i))); !errors.Is(err, boom) {
+			if _, err := o.SubmitWait(tx(fmt.Sprintf("w%d", i))); !errors.Is(err, boom) {
 				t.Errorf("SubmitWait w%d = %v, want %v", i, err, boom)
 			}
 		}(i)
@@ -68,7 +68,7 @@ func TestSubmitWaitGroupCommit(t *testing.T) {
 	// submit runs one SubmitWait and checks, in the caller's goroutine, that
 	// the transaction's validation code is set once the call returns.
 	submit := func(tr *ledger.Transaction, done chan<- error) {
-		err := o.SubmitWait(tr)
+		_, err := o.SubmitWait(tr)
 		if err == nil && tr.Validation != ledger.Valid {
 			err = fmt.Errorf("%s returned with validation %v", tr.ID, tr.Validation)
 		}
@@ -137,7 +137,7 @@ func TestSubmitWaitSeesValidation(t *testing.T) {
 		return nil
 	}))
 	transaction := tx("v")
-	if err := o.SubmitWait(transaction); err != nil {
+	if _, err := o.SubmitWait(transaction); err != nil {
 		t.Fatalf("SubmitWait: %v", err)
 	}
 	if transaction.Validation != ledger.Valid {
@@ -158,7 +158,7 @@ func TestConcurrentSubmitWaitAllCommit(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			if err := o.SubmitWait(tx(fmt.Sprintf("m%d", i))); err != nil {
+			if _, err := o.SubmitWait(tx(fmt.Sprintf("m%d", i))); err != nil {
 				t.Errorf("SubmitWait m%d: %v", i, err)
 			}
 		}(i)
@@ -203,7 +203,7 @@ func TestSubmitWaitAfterStopIsErrStopped(t *testing.T) {
 	if c.count() != 1 {
 		t.Fatalf("blocks = %d, want 1 (stop flushes)", c.count())
 	}
-	if err := o.SubmitWait(tx("late")); !errors.Is(err, ErrStopped) {
+	if _, err := o.SubmitWait(tx("late")); !errors.Is(err, ErrStopped) {
 		t.Fatalf("SubmitWait after stop = %v, want ErrStopped", err)
 	}
 	if err := o.Stop(); err != nil {

@@ -13,19 +13,6 @@ import (
 	"repro/internal/wire"
 )
 
-// raceEnabled is set under the race detector (race_test.go).
-var raceEnabled bool
-
-// poolSlack is the allocation a row may gain under the race detector,
-// which drops pooled items: syscc.AuthorizeRelayRequest pools its ECC
-// argument list.
-func poolSlack() float64 {
-	if raceEnabled {
-		return 1
-	}
-	return 0
-}
-
 // Sinks keep results escaping, as they do at every real call site.
 var (
 	sinkString  string
@@ -69,8 +56,8 @@ func TestReadPathAllocations(t *testing.T) {
 		{"statedb.CompositeKey", 1, func() { sinkString, _ = statedb.CompositeKey("shipment", "po-1001", "leg-2") }},
 		{"statedb.CompositeRange", 1, func() { sinkString, _, _ = statedb.CompositeRange("shipment", "po-1001") }},
 		{"warm Policy.Orgs", 0, func() { sinkStrings = vp.Orgs() }},
-		{"warm relayed peer.Query", 7 + poolSlack(), func() { sinkBytes, _ = p.Query(read) }},
-		{"warm relayed peer.QueryRW", 11 + poolSlack(), func() { sinkSim, _ = p.QueryRW(read) }},
+		{"warm relayed peer.Query", 8, func() { sinkBytes, _ = p.Query(read) }},
+		{"warm relayed peer.QueryRW", 12, func() { sinkSim, _ = p.QueryRW(read) }},
 		{"warm Gateway.Evaluate", 3, func() {
 			sinkBytes, _ = gw.Evaluate(syscc.CMDACName, syscc.CMDACGetVerificationPolicy, policyArgs...)
 		}},

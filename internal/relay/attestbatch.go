@@ -51,6 +51,7 @@ type batchGroup struct {
 
 type batchEntry struct {
 	spec    proof.Spec
+	rec     *trace.Recorder // nil when the request is not traced
 	done    chan struct{}
 	flushed time.Time // when the window closed, read once done is closed
 	resp    *wire.QueryResponse
@@ -82,7 +83,8 @@ func attestorSetKey(ids []*msp.Identity) string {
 // blocks until the window flushes (or ctx expires); the window's build
 // runs on whichever goroutine closes it — the timer's for a window that
 // filled slowly, the maxPending-th submitter's for one that filled fast.
-// A traced request records its wait for the window and the build apart.
+// A traced request records its wait for the window and the build apart,
+// and the window's sign and seal spans as its own.
 func (b *attestBatcher) submit(ctx context.Context, spec proof.Spec, attestors []*msp.Identity) (*wire.QueryResponse, error) {
 	rec := trace.FromContext(ctx)
 	start := rec.Start()
@@ -102,7 +104,7 @@ func (b *attestBatcher) submit(ctx context.Context, spec proof.Spec, attestors [
 	}
 	b.contended = true
 	b.inflight++
-	entry := &batchEntry{spec: spec, done: make(chan struct{})}
+	entry := &batchEntry{spec: spec, rec: rec, done: make(chan struct{})}
 	key := attestorSetKey(attestors)
 	g := b.groups[key]
 	if g == nil {
@@ -154,8 +156,18 @@ func (b *attestBatcher) flush(key string, g *batchGroup) {
 		e.flushed = flushed
 	}
 	// Background context: the window's build serves every waiter, so no
-	// single requester's cancellation may abort it.
-	resps, err := b.builder.Build(context.Background(), specs, g.attestors)
+	// single requester's cancellation may abort it. When a waiter is
+	// traced, the build records on a recorder of the window's own.
+	ctx := context.Background()
+	var window *trace.Recorder
+	for _, e := range entries {
+		if e.rec != nil {
+			window = trace.New("", "")
+			ctx = trace.NewContext(ctx, window)
+			break
+		}
+	}
+	resps, err := b.builder.Build(ctx, specs, g.attestors)
 
 	b.mu.Lock()
 	b.inflight -= len(entries)
@@ -170,6 +182,7 @@ func (b *attestBatcher) flush(key string, g *batchGroup) {
 		} else {
 			e.resp = resps[i]
 		}
+		window.CopyTo(e.rec)
 		close(e.done)
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"repro/internal/cryptoutil"
 	"repro/internal/msp"
 	"repro/internal/proof"
+	"repro/internal/trace"
 	"repro/internal/wire"
 )
 
@@ -216,4 +217,28 @@ func TestAttestBatcher(t *testing.T) {
 		}
 		f.settle(t)
 	})
+}
+
+// TestAttestBatcherWindowRecordsSignAndSeal: a traced request whose proof
+// is built in a window gets the window's sign and seal spans as its own,
+// as one built inline does, besides its wait and the build.
+func TestAttestBatcherWindowRecordsSignAndSeal(t *testing.T) {
+	f := newBatcherFixture(t, time.Millisecond, 8)
+	for _, windowed := range []bool{true, false} { // a new batcher starts contended
+		rec := trace.New("t", "src")
+		if _, err := f.submit(trace.NewContext(context.Background(), rec)); err != nil {
+			t.Fatalf("submit: %v", err)
+		}
+		stages := map[string]int{}
+		for _, s := range rec.Spans() {
+			stages[s.Stage]++
+		}
+		if stages[trace.Sign] != len(f.attestors) || stages[trace.Seal] < len(f.attestors)+1 || stages[trace.Build] != 1 {
+			t.Fatalf("windowed %v: stages %v, want %d signs, a seal per attestor and the result, one build", windowed, stages, len(f.attestors))
+		}
+		if _, ok := stages[trace.WindowWait]; ok != windowed {
+			t.Fatalf("windowed %v: stages %v", windowed, stages)
+		}
+	}
+	f.settle(t)
 }

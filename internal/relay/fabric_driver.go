@@ -445,7 +445,7 @@ func (d *FabricDriver) Invoke(ctx context.Context, q *wire.Query) (*wire.QueryRe
 	// duplicate can land in the same block — and tx.Validation below
 	// reflects the committed outcome.
 	start = rec.Start()
-	cut, err := d.net.Orderer().SubmitWaitCut(tx)
+	cut, err := d.net.Orderer().SubmitWait(tx)
 	if err != nil {
 		return nil, fmt.Errorf("relay: order cross-network tx: %w", err)
 	}

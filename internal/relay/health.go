@@ -46,9 +46,10 @@ type addrHealth struct {
 }
 
 // stale reports whether the address has gone unsampled for longer than
-// the breaker cooldown. order ranks a stale address as never observed, so
-// one that lost first place to a bad sample is tried again, and the next
-// sample restarts its EWMA instead of folding into the old one.
+// the breaker cooldown. order ranks a stale address without failures as
+// never observed, so one that lost first place to a slow sample is tried
+// again, and the next sample restarts its EWMA instead of folding into
+// the old one.
 func (st *addrHealth) stale(now time.Time) bool {
 	return now.Sub(st.sampledAt) > defaultBreakerCooldown
 }
@@ -122,13 +123,15 @@ func (h *healthTracker) stateLocked(addr string) *addrHealth {
 }
 
 // score is the sort key for a single address: consecutive failures weighted
-// far above latency, then the EWMA round-trip. Never-observed and stale
-// addresses score zero and therefore sort ahead of everything with a
-// recent history, which gives each fresh address one exploratory attempt
-// to earn a real latency estimate, and each stale one an attempt to renew
-// it. The EWMA itself is kept for overdueAfter.
+// far above latency, then the EWMA round-trip. Never-observed addresses
+// score zero and therefore sort ahead of everything with a history, which
+// gives each fresh address one exploratory attempt to earn a real latency
+// estimate. So does an address whose last sample was a success older than
+// the cooldown, which gets an attempt to renew it; the EWMA itself is kept
+// for overdueAfter. An address whose last sample was a failure keeps its
+// penalty however old it is, so a dead relay never outranks a live one.
 func (st *addrHealth) score(now time.Time) float64 {
-	if st.stale(now) {
+	if st.consecFailures == 0 && st.stale(now) {
 		return 0
 	}
 	return float64(st.consecFailures)*failurePenaltyNanos + st.ewmaLatency

@@ -101,14 +101,11 @@ func TestCircuitBreakerOpensAndCoolsDown(t *testing.T) {
 	if h.circuitOpen("a") {
 		t.Fatal("breaker still open after the cooldown elapsed")
 	}
-	// Half-open: eligible again, and with its history older than the
-	// cooldown ranked as never observed, so it gets one probe ahead of b
-	// (which has just answered); a single further failure re-opens
-	// immediately.
-	h.reportSuccess("b", time.Millisecond)
-	ordered, open := h.order([]string{"b", "a"})
-	if open != 0 || ordered[0] != "a" || ordered[1] != "b" {
-		t.Fatalf("half-open order = %v (open %d), want a probed first", ordered, open)
+	// Half-open: eligible again but still last by failure score, and a
+	// single further failure re-opens immediately.
+	ordered, open := h.order([]string{"a", "b"})
+	if open != 0 || ordered[0] != "b" || ordered[1] != "a" {
+		t.Fatalf("half-open order = %v (open %d), want a eligible but last", ordered, open)
 	}
 	h.reportFailure("a")
 	if !h.circuitOpen("a") {
@@ -367,5 +364,29 @@ func TestStaleAddressIsResampled(t *testing.T) {
 	}
 	if got := tr.first(t, dest); got != "fast" {
 		t.Fatalf("fast answered in 1ms but %s ranks first", got)
+	}
+}
+
+// TestFailingAddressStaysBehindLiveOne: an address whose last samples were
+// failures keeps its failure penalty however long ago they were, so it
+// ranks behind a live address whether its breaker has cooled or never
+// opened, and whether the live address's own history is fresh or stale.
+func TestFailingAddressStaysBehindLiveOne(t *testing.T) {
+	for _, failures := range []int{1, 2, 3} {
+		clk := newFakeClock()
+		h := newHealthTracker(clk.Now, defaultBreakerThreshold, defaultBreakerCooldown)
+		h.reportSuccess("live", 5*time.Millisecond)
+		for range failures {
+			h.reportFailure("hung") // never answered: no EWMA, so never overdue
+		}
+		clk.Advance(defaultBreakerCooldown + time.Second)
+		for _, fresh := range []bool{false, true} {
+			if fresh {
+				h.reportSuccess("live", 5*time.Millisecond)
+			}
+			if ordered, _ := h.order([]string{"hung", "live"}); ordered[0] != "live" {
+				t.Fatalf("%d failures, cooled down (live sampled again: %v): order %v, want live first", failures, fresh, ordered)
+			}
+		}
 	}
 }

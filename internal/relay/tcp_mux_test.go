@@ -1,6 +1,7 @@
 package relay
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"errors"
@@ -32,7 +33,7 @@ type scriptedPeer struct {
 	wg     sync.WaitGroup
 }
 
-func newScriptedPeer(t *testing.T, serve func(p *scriptedPeer, conn net.Conn)) *scriptedPeer {
+func newScriptedPeer(t *testing.T, serve func(p *scriptedPeer, conn *peerConn)) *scriptedPeer {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -52,7 +53,7 @@ func newScriptedPeer(t *testing.T, serve func(p *scriptedPeer, conn net.Conn)) *
 			go func() {
 				defer p.wg.Done()
 				defer conn.Close()
-				serve(p, conn)
+				serve(p, &peerConn{Conn: conn, r: bufio.NewReader(conn)})
 			}()
 		}
 	}()
@@ -65,9 +66,16 @@ func newScriptedPeer(t *testing.T, serve func(p *scriptedPeer, conn net.Conn)) *
 
 func (p *scriptedPeer) addr() string { return p.ln.Addr().String() }
 
+// peerConn is an accepted connection and the reader its frames are read
+// through.
+type peerConn struct {
+	net.Conn
+	r *bufio.Reader
+}
+
 // readRequest reads one request frame and tallies its envelope type.
-func (p *scriptedPeer) readRequest(conn net.Conn) (tag uint64, env *wire.Envelope, err error) {
-	tag, frame, err := wire.ReadFrame(conn)
+func (p *scriptedPeer) readRequest(conn *peerConn) (tag uint64, env *wire.Envelope, err error) {
+	tag, frame, err := wire.ReadFrame(conn.r)
 	if err != nil {
 		return 0, nil, err
 	}
@@ -243,7 +251,7 @@ func TestMuxInvokeDoesNotFailOverOnConnLoss(t *testing.T) {
 func TestMuxCancelledSendLeavesConnection(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	cancelledA := make(chan struct{})
-	peer := newScriptedPeer(t, func(p *scriptedPeer, conn net.Conn) {
+	peer := newScriptedPeer(t, func(p *scriptedPeer, conn *peerConn) {
 		tags := map[string]uint64{}
 		reqs := map[string]*wire.Envelope{}
 		for len(tags) < 2 {
@@ -324,7 +332,7 @@ func TestMuxCancelledSendLeavesConnection(t *testing.T) {
 // workload, a retry racing its original) each get their own reply, even
 // when the replies come back in the other order.
 func TestMuxSameRequestIDInFlightTwice(t *testing.T) {
-	peer := newScriptedPeer(t, func(p *scriptedPeer, conn net.Conn) {
+	peer := newScriptedPeer(t, func(p *scriptedPeer, conn *peerConn) {
 		type request struct {
 			tag uint64
 			env *wire.Envelope
@@ -405,7 +413,7 @@ func TestMuxFastReplyOvertakesStalledRequest(t *testing.T) {
 // learns the address is unreachable.
 func TestMuxConcurrentFirstUseSharesOneDial(t *testing.T) {
 	const senders = 8
-	peer := newScriptedPeer(t, func(p *scriptedPeer, conn net.Conn) {
+	peer := newScriptedPeer(t, func(p *scriptedPeer, conn *peerConn) {
 		for {
 			tag, env, err := p.readRequest(conn)
 			if err != nil {
@@ -461,7 +469,7 @@ func TestMuxConcurrentFirstUseSharesOneDial(t *testing.T) {
 // subscriber would see it twice.
 func TestMuxResendsAtMostOnceAndNeverEvents(t *testing.T) {
 	// The peer answers pings and hangs up on anything else.
-	peer := newScriptedPeer(t, func(p *scriptedPeer, conn net.Conn) {
+	peer := newScriptedPeer(t, func(p *scriptedPeer, conn *peerConn) {
 		for {
 			tag, env, err := p.readRequest(conn)
 			if err != nil || env.Type != wire.MsgPing {
@@ -626,9 +634,9 @@ func TestMuxPooledFramesNeverReusedInUse(t *testing.T) {
 			mu     sync.Mutex
 			copies [][]byte // each arrival of the marked request
 		)
-		peer := newScriptedPeer(t, func(p *scriptedPeer, conn net.Conn) {
+		peer := newScriptedPeer(t, func(p *scriptedPeer, conn *peerConn) {
 			for {
-				tag, frame, err := wire.ReadFrame(conn)
+				tag, frame, err := wire.ReadFrame(conn.r)
 				if err != nil {
 					return
 				}

@@ -1,6 +1,7 @@
 package relay
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/binary"
@@ -36,13 +37,14 @@ func TestTCPServerGarbageFrame(t *testing.T) {
 	}
 	defer conn.Close()
 	_ = conn.SetDeadline(time.Now().Add(5 * time.Second))
+	br := bufio.NewReader(conn)
 
 	// A tagged frame (tag 41) whose five payload bytes are no envelope.
 	garbage := []byte{0x80, 0, 0, 5, 0, 0, 0, 0, 0, 0, 0, 41, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF}
 	if _, err := conn.Write(garbage); err != nil {
 		t.Fatalf("Write: %v", err)
 	}
-	tag, frame, err := wire.ReadFrame(conn)
+	tag, frame, err := wire.ReadFrame(br)
 	if err != nil {
 		t.Fatalf("ReadFrame: %v", err)
 	}
@@ -59,7 +61,7 @@ func TestTCPServerGarbageFrame(t *testing.T) {
 	if err := wire.WriteEnvelope(conn, 42, ping); err != nil {
 		t.Fatalf("WriteEnvelope ping: %v", err)
 	}
-	tag, frame, err = wire.ReadFrame(conn)
+	tag, frame, err = wire.ReadFrame(br)
 	if err != nil {
 		t.Fatalf("ReadFrame pong: %v", err)
 	}
@@ -396,6 +398,7 @@ func TestTCPServerSurvivesDeepPolicyExpression(t *testing.T) {
 	}
 	defer conn.Close()
 	_ = conn.SetDeadline(time.Now().Add(30 * time.Second))
+	r := bufio.NewReader(conn)
 
 	ask := func(tag uint64, q *wire.Query) *wire.QueryResponse {
 		t.Helper()
@@ -403,7 +406,7 @@ func TestTCPServerSurvivesDeepPolicyExpression(t *testing.T) {
 		if err := wire.WriteEnvelope(conn, tag, env); err != nil {
 			t.Fatalf("WriteEnvelope: %v", err)
 		}
-		gotTag, frame, err := wire.ReadFrame(conn)
+		gotTag, frame, err := wire.ReadFrame(r)
 		if err != nil {
 			t.Fatalf("ReadFrame: %v", err)
 		}

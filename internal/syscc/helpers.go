@@ -2,7 +2,6 @@ package syscc
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/chaincode"
 	"repro/internal/wire"
@@ -29,22 +28,16 @@ func AuthorizeRelayRequest(stub chaincode.Stub, chaincodeName string) (string, e
 	if len(requestingNet) == 0 {
 		return "", fmt.Errorf("%w: relay query without requesting network", ErrAccessDenied)
 	}
-	// The argument list is pooled and the names are views of their
-	// strings: the ECC only reads its arguments and keeps none of them.
-	args := eccArgs.Get().(*[4][]byte)
-	args[0], args[1] = requestingNet, stub.CreatorCert()
-	args[2], args[3] = chaincode.ReadOnlyBytes(chaincodeName), chaincode.ReadOnlyBytes(stub.Function())
-	org, err := stub.InvokeChaincode(ECCName, ECCAuthorize, args[:])
-	*args = [4][]byte{}
-	eccArgs.Put(args)
+	// The names are views of their strings: the ECC only reads its
+	// arguments and keeps none of them.
+	org, err := stub.InvokeChaincode(ECCName, ECCAuthorize, [][]byte{
+		requestingNet, stub.CreatorCert(), chaincode.ReadOnlyBytes(chaincodeName), chaincode.ReadOnlyBytes(stub.Function()),
+	})
 	if err != nil {
 		return "", err
 	}
 	return wire.Intern(org), nil
 }
-
-// eccArgs holds idle ECC Authorize argument lists.
-var eccArgs = sync.Pool{New: func() any { return new([4][]byte) }}
 
 // ValidateProofArgs assembles the argument list for a CMDAC ValidateProof
 // invocation. Destination chaincode uses it as:

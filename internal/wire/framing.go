@@ -82,107 +82,51 @@ func WriteEnvelope(w io.Writer, tag uint64, env *Envelope) error {
 // frames yields io.EOF; one that ends inside a frame yields a wrapped
 // io.ErrUnexpectedEOF. The payload is a fresh buffer that the caller owns
 // and nothing recycles, unlike WriteEnvelope's: a decoded message aliases
-// it, and a client keeps the decoded reply. From a *bufio.Reader, as relays
-// read, the header is peeked in the reader's own buffer, so the payload is
-// the frame's only allocation.
-func ReadFrame(r io.Reader) (tag uint64, payload []byte, err error) {
-	word, tag, err := readHeader(r)
+// it, and a client keeps the decoded reply. The header is peeked in the
+// reader's own buffer, so the payload is the frame's only allocation.
+func ReadFrame(r *bufio.Reader) (tag uint64, payload []byte, err error) {
+	// The marker word is peeked and checked on its own: a peer with another
+	// framing may never send the rest of a header.
+	hdr, err := r.Peek(4)
 	if err != nil {
-		return 0, nil, err
+		if err == io.EOF && len(hdr) == 0 {
+			return 0, nil, io.EOF
+		}
+		return 0, nil, fmt.Errorf("read frame header: %w", noCleanEOF(err))
 	}
-	payload, err = readPayload(r, int(word&^frameTagged))
+	word := binary.BigEndian.Uint32(hdr)
+	if word&frameTagged == 0 {
+		return 0, nil, fmt.Errorf("%w: header %#08x", ErrUntaggedFrame, word)
+	}
+	length := word &^ frameTagged
+	if length > MaxFrameSize {
+		return 0, nil, fmt.Errorf("%w: frame of %d bytes", ErrTooLarge, length)
+	}
+	if hdr, err = r.Peek(frameHeaderLen); err != nil {
+		return 0, nil, fmt.Errorf("read frame header: %w", noCleanEOF(err))
+	}
+	tag = binary.BigEndian.Uint64(hdr[4:])
+	_, _ = r.Discard(frameHeaderLen) // peeked, so it cannot fail
+	payload, err = readPayload(r, int(length))
 	if err != nil {
 		return 0, nil, fmt.Errorf("read frame payload: %w", noCleanEOF(err))
 	}
 	return tag, payload, nil
 }
 
-// readHeader reads a frame header and checks its marker word and length.
-// The marker word is read and checked on its own: a peer with another
-// framing may never send the rest of a header.
-func readHeader(r io.Reader) (word uint32, tag uint64, err error) {
-	br, ok := r.(*bufio.Reader)
-	if !ok {
-		return readHeaderCopy(r)
-	}
-	hdr, err := br.Peek(4)
-	if err != nil {
-		return 0, 0, headerErr(len(hdr), err)
-	}
-	if word, err = checkWord(hdr); err != nil {
-		return 0, 0, err
-	}
-	if hdr, err = br.Peek(frameHeaderLen); err != nil {
-		return 0, 0, fmt.Errorf("read frame header: %w", noCleanEOF(err))
-	}
-	tag = binary.BigEndian.Uint64(hdr[4:])
-	_, _ = br.Discard(frameHeaderLen) // peeked, so it cannot fail
-	return word, tag, nil
-}
-
-// readHeaderCopy is readHeader from a reader without a buffer to peek in:
-// the header is read into an array of its own, which escapes through r.
-func readHeaderCopy(r io.Reader) (word uint32, tag uint64, err error) {
-	var hdr [frameHeaderLen]byte
-	if n, err := io.ReadFull(r, hdr[:4]); err != nil {
-		return 0, 0, headerErr(n, err)
-	}
-	if word, err = checkWord(hdr[:4]); err != nil {
-		return 0, 0, err
-	}
-	if _, err := io.ReadFull(r, hdr[4:]); err != nil {
-		return 0, 0, fmt.Errorf("read frame header: %w", noCleanEOF(err))
-	}
-	return word, binary.BigEndian.Uint64(hdr[4:]), nil
-}
-
-// headerErr reports a marker-word read that stopped after n bytes: a
-// clean io.EOF only when nothing of the frame had arrived.
-func headerErr(n int, err error) error {
-	if err == io.EOF && n == 0 {
-		return io.EOF
-	}
-	if err == io.EOF {
-		err = io.ErrUnexpectedEOF
-	}
-	return fmt.Errorf("read frame header: %w", err)
-}
-
-// checkWord checks a header's marker word and returns it.
-func checkWord(b []byte) (uint32, error) {
-	word := binary.BigEndian.Uint32(b)
-	if word&frameTagged == 0 {
-		return 0, fmt.Errorf("%w: header %#08x", ErrUntaggedFrame, word)
-	}
-	if length := word &^ frameTagged; length > MaxFrameSize {
-		return 0, fmt.Errorf("%w: frame of %d bytes", ErrTooLarge, length)
-	}
-	return word, nil
-}
-
-// minPayloadBuf is the first buffer ReadFrame allocates for a payload
-// when its reader cannot say how much of it has arrived.
-const minPayloadBuf = 1 << 10
-
 // readPayload reads a payload of the claimed length into a buffer that
-// grows as bytes arrive, capped at length. From a *bufio.Reader, as relays
-// read, it first waits until the reader's own buffer holds the payload, or
-// as much of it as fits, and allocates for what that holds: a payload up to
-// the reader's size arrives in one buffer of exactly its length, and a peer
-// that claims more than it sends holds no buffer of its own. From another
-// reader the first buffer is min(length, minPayloadBuf). Each further
-// buffer doubles the last, so a peer makes the reader hold at most about
-// twice what it did send. The returned payload's length and capacity are
-// both length.
-func readPayload(r io.Reader, length int) ([]byte, error) {
-	first := minPayloadBuf
-	if br, ok := r.(*bufio.Reader); ok {
-		if _, err := br.Peek(min(length, br.Size())); err != nil {
-			return nil, err
-		}
-		first = br.Buffered()
+// grows as bytes arrive, capped at length. It first waits until the
+// reader's own buffer holds the payload, or as much of it as fits, and
+// allocates for what that holds: a payload up to the reader's size arrives
+// in one buffer of exactly its length, and a peer that claims more than it
+// sends holds no buffer of its own. Each further buffer doubles the last,
+// so a peer makes the reader hold at most about twice what it did send.
+// The returned payload's length and capacity are both length.
+func readPayload(r *bufio.Reader, length int) ([]byte, error) {
+	if _, err := r.Peek(min(length, r.Size())); err != nil {
+		return nil, err
 	}
-	payload := make([]byte, min(length, first))
+	payload := make([]byte, min(length, r.Buffered()))
 	read := 0
 	for {
 		if _, err := io.ReadFull(r, payload[read:]); err != nil {

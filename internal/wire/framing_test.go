@@ -27,8 +27,9 @@ func TestFrameRoundTrip(t *testing.T) {
 			t.Fatalf("WriteEnvelope: %v", err)
 		}
 	}
+	r := bufio.NewReader(&buf)
 	for i, want := range frames {
-		tag, got, err := ReadFrame(&buf)
+		tag, got, err := ReadFrame(r)
 		if err != nil {
 			t.Fatalf("ReadFrame %d: %v", i, err)
 		}
@@ -36,7 +37,7 @@ func TestFrameRoundTrip(t *testing.T) {
 			t.Fatalf("frame %d = tag %d, %d bytes; want tag %d, %d bytes", i, tag, len(got), want.tag, len(want.env.Marshal()))
 		}
 	}
-	if _, _, err := ReadFrame(&buf); err != io.EOF {
+	if _, _, err := ReadFrame(r); err != io.EOF {
 		t.Fatalf("expected io.EOF at end, got %v", err)
 	}
 }
@@ -59,7 +60,7 @@ func TestFrameHeaderKnownAnswer(t *testing.T) {
 	if got := hex.EncodeToString(buf.Bytes()); got != wantFrame {
 		t.Fatalf("frame bytes = %s, want %s", got, wantFrame)
 	}
-	gotTag, gotPayload, err := ReadFrame(&buf)
+	gotTag, gotPayload, err := ReadFrame(bufio.NewReader(&buf))
 	if err != nil || gotTag != tag || string(gotPayload) != payload {
 		t.Fatalf("ReadFrame = %#x, %q, %v; want %#x, %q", gotTag, gotPayload, err, uint64(tag), payload)
 	}
@@ -76,7 +77,7 @@ func TestReadFrameTruncated(t *testing.T) {
 	}
 	whole := buf.Bytes()
 	for cut := 0; cut < len(whole); cut++ {
-		_, _, err := ReadFrame(bytes.NewReader(whole[:cut]))
+		_, _, err := ReadFrame(bufio.NewReader(bytes.NewReader(whole[:cut])))
 		if cut == 0 {
 			if err != io.EOF {
 				t.Fatalf("empty stream gave %v, want io.EOF", err)
@@ -89,11 +90,13 @@ func TestReadFrameTruncated(t *testing.T) {
 	}
 }
 
-// TestReadFrameGrowsAsBytesArrive: a payload longer than the first buffer
-// arrives whole in a buffer exactly its size, and a stream cut at any of
-// the buffer's growth boundaries is an unexpected EOF, not a clean one.
+// TestReadFrameGrowsAsBytesArrive: a payload longer than the reader's
+// buffer arrives whole in a buffer exactly its size, and a stream cut at
+// any of the buffer's growth boundaries is an unexpected EOF, not a clean
+// one.
 func TestReadFrameGrowsAsBytesArrive(t *testing.T) {
-	env := &Envelope{Payload: make([]byte, 5*minPayloadBuf)}
+	const kib = 1 << 10
+	env := &Envelope{Payload: make([]byte, 5*kib)} // past bufio's 4 KiB default
 	for i := range env.Payload {
 		env.Payload[i] = byte(i * 7)
 	}
@@ -103,27 +106,22 @@ func TestReadFrameGrowsAsBytesArrive(t *testing.T) {
 		t.Fatalf("WriteEnvelope: %v", err)
 	}
 	whole := buf.Bytes()
-	for _, r := range []io.Reader{bytes.NewReader(whole), bufio.NewReader(bytes.NewReader(whole))} {
-		tag, got, err := ReadFrame(r)
-		if err != nil || tag != 3 || !bytes.Equal(got, payload) || cap(got) != len(payload) {
-			t.Fatalf("ReadFrame from a %T = tag %d, %d bytes in a buffer of %d, %v", r, tag, len(got), cap(got), err)
-		}
+	tag, got, err := ReadFrame(bufio.NewReader(bytes.NewReader(whole)))
+	if err != nil || tag != 3 || !bytes.Equal(got, payload) || cap(got) != len(payload) {
+		t.Fatalf("ReadFrame = tag %d, %d bytes in a buffer of %d, %v", tag, len(got), cap(got), err)
 	}
-	for _, sent := range []int{0, minPayloadBuf, 2 * minPayloadBuf, 4 * minPayloadBuf, 5 * minPayloadBuf} {
-		for _, r := range []io.Reader{bytes.NewReader(whole[:frameHeaderLen+sent]), bufio.NewReader(bytes.NewReader(whole[:frameHeaderLen+sent]))} {
-			if _, _, err := ReadFrame(r); !errors.Is(err, io.ErrUnexpectedEOF) {
-				t.Fatalf("stream cut after %d payload bytes gave %v from a %T, want io.ErrUnexpectedEOF", sent, err, r)
-			}
+	for _, sent := range []int{0, kib, 2 * kib, 4 * kib, 5 * kib} {
+		if _, _, err := ReadFrame(bufio.NewReader(bytes.NewReader(whole[:frameHeaderLen+sent]))); !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Fatalf("stream cut after %d payload bytes gave %v, want io.ErrUnexpectedEOF", sent, err)
 		}
 	}
 }
 
-// TestReadFrameOneAllocationPerFrame: from a bufio.Reader, as relays read,
-// a frame that fits the reader's buffer takes one payload allocation of
-// exactly its length, also when frames arrive back to back and one
-// straddles what the reader has buffered. The payload is a served reply's
-// size. The header is peeked in the reader's buffer and allocates
-// nothing.
+// TestReadFrameOneAllocationPerFrame: a frame that fits the reader's
+// buffer takes one payload allocation of exactly its length, also when
+// frames arrive back to back and one straddles what the reader has
+// buffered. The payload is a served reply's size. The header is peeked in
+// the reader's buffer and allocates nothing.
 func TestReadFrameOneAllocationPerFrame(t *testing.T) {
 	env := &Envelope{Version: ProtocolVersion, Type: MsgQueryResponse, RequestID: "req-000017", Payload: make([]byte, 2389)}
 	want := env.Marshal()
@@ -154,7 +152,7 @@ func TestReadFrameOneAllocationPerFrame(t *testing.T) {
 
 func TestReadFrameOversized(t *testing.T) {
 	hdr := []byte{0xFF, 0xFF, 0xFF, 0xFF}
-	if _, _, err := ReadFrame(bytes.NewReader(hdr)); !errors.Is(err, ErrTooLarge) {
+	if _, _, err := ReadFrame(bufio.NewReader(bytes.NewReader(hdr))); !errors.Is(err, ErrTooLarge) {
 		t.Fatalf("oversized frame gave %v", err)
 	}
 }
@@ -164,7 +162,7 @@ func TestReadFrameOversized(t *testing.T) {
 func TestReadFrameUntagged(t *testing.T) {
 	legacy := []byte{0x00, 0x00, 0x00, 0x05, 'h', 'e', 'l', 'l', 'o'}
 	for _, stream := range [][]byte{legacy, legacy[:4]} {
-		if _, _, err := ReadFrame(bytes.NewReader(stream)); !errors.Is(err, ErrUntaggedFrame) {
+		if _, _, err := ReadFrame(bufio.NewReader(bytes.NewReader(stream))); !errors.Is(err, ErrUntaggedFrame) {
 			t.Fatalf("untagged frame gave %v", err)
 		}
 	}
@@ -208,7 +206,7 @@ func TestWriteFrameSingleWriteNoCopy(t *testing.T) {
 			t.Fatalf("frame reached the writer as writes of %v bytes; want one of %d", w.writes, frameHeaderLen+len(want))
 		}
 		w.writes = w.writes[:0]
-		got, payload, err := ReadFrame(&w.Buffer)
+		got, payload, err := ReadFrame(bufio.NewReader(&w.Buffer))
 		if err != nil || got != tag || !bytes.Equal(payload, want) {
 			t.Fatalf("ReadFrame = tag %d, %d bytes, %v; want tag %d and the bytes of Envelope.Marshal", got, len(payload), err, tag)
 		}

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bufio"
 	"bytes"
 	"io"
 	"math/rand"
@@ -226,7 +227,7 @@ func TestWalkEnvelope(t *testing.T) {
 		if err := WriteEnvelope(&buf, 1, m); err != nil {
 			t.Fatalf("WriteEnvelope: %v", err)
 		}
-		if _, payload, err := ReadFrame(&buf); err != nil || !bytes.Equal(payload, oracleEnvelope(m)) {
+		if _, payload, err := ReadFrame(bufio.NewReader(&buf)); err != nil || !bytes.Equal(payload, oracleEnvelope(m)) {
 			t.Fatalf("frame payload differs from the reference encoding (%v)", err)
 		}
 	}
