@@ -82,30 +82,26 @@ func runQuery(args []string) error {
 	defer transport.Close()
 	local := relay.New(kit.RequestingNetwork, registry, transport)
 
+	addrs, err := registry.Resolve(kit.SourceNetwork)
+	if err != nil {
+		return fmt.Errorf("%w: %s", err, kit.SourceNetwork)
+	}
 	if *ping {
-		addrs, err := registry.Resolve(kit.SourceNetwork)
-		if err != nil {
-			return fmt.Errorf("%w: %s", err, kit.SourceNetwork)
-		}
-		// Fair per-address slices of the whole-operation budget: one hung
-		// relay must not starve the probes of the addresses after it, and
-		// the total stays bounded by -timeout.
-		perProbe := *timeout / time.Duration(len(addrs))
-		if perProbe <= 0 {
-			perProbe = *timeout
-		}
-		for _, addr := range addrs {
-			pingCtx, cancel := context.WithTimeout(ctx, perProbe)
-			start := time.Now()
-			err := local.Ping(pingCtx, addr)
-			cancel()
+		probe(ctx, local, addrs, *timeout, func(addr string, rtt time.Duration, err error) {
 			if err != nil {
 				fmt.Printf("%-24s DOWN  (%v)\n", addr, err)
-				continue
+				return
 			}
-			fmt.Printf("%-24s UP    (%s)\n", addr, time.Since(start).Round(time.Microsecond))
-		}
+			fmt.Printf("%-24s UP    (%s)\n", addr, rtt.Round(time.Microsecond))
+		})
 		return nil
+	}
+	// A one-shot process starts with no relay health, so the query would
+	// try the addresses in registry order and wait out its whole budget on
+	// a hung relay listed first. Probing them first, within a quarter of
+	// the budget, ranks a live relay ahead of a hung one.
+	if len(addrs) > 1 {
+		probe(ctx, local, addrs, *timeout/4, func(string, time.Duration, error) {})
 	}
 
 	key, err := kit.Key()
@@ -173,4 +169,23 @@ func runQuery(args []string) error {
 	}
 	fmt.Printf("result     %s\n", bundle.Result)
 	return nil
+}
+
+// probe pings each address in turn within a fair slice of budget, so one
+// hung relay cannot starve the probes of the addresses after it and the
+// total stays within budget, and hands each outcome to report. Every probe
+// is a sample in the relay's health tracker, which orders the addresses of
+// the relay's later requests.
+func probe(ctx context.Context, local *relay.Relay, addrs []string, budget time.Duration, report func(addr string, rtt time.Duration, err error)) {
+	perProbe := budget / time.Duration(len(addrs))
+	if perProbe <= 0 {
+		perProbe = budget
+	}
+	for _, addr := range addrs {
+		pingCtx, cancel := context.WithTimeout(ctx, perProbe)
+		start := time.Now()
+		err := local.Ping(pingCtx, addr)
+		cancel()
+		report(addr, time.Since(start), err)
+	}
 }

@@ -442,8 +442,10 @@ func (c *Client) preVerify(rec *trace.Recorder, q *wire.Query, bundle *proof.Bun
 	if err != nil {
 		return err
 	}
-	// q.PolicyDigest is the digest of policyExpr, pinned by buildQuery.
-	return proof.Verify(bundle, verifier, compiled, proof.QueryDigestOf(q), q.PolicyDigest)
+	// q.PolicyDigest is the digest of policyExpr, pinned by buildQuery, and
+	// bundle.QueryDigest is QueryDigestOf(q), which OpenResponse computed
+	// for this op and bound every attestation to.
+	return proof.Verify(bundle, verifier, compiled, bundle.QueryDigest, q.PolicyDigest)
 }
 
 // SubmitWithRemoteData submits a local transaction whose arguments include

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/ecdsa"
 	"crypto/hkdf"
+	"crypto/rand"
 	"crypto/sha256"
 	"errors"
 	"testing"
@@ -11,17 +12,23 @@ import (
 	"time"
 )
 
+// sign and verify sign and check a message through its digest, as every
+// signer in the system does.
+func sign(key *ecdsa.PrivateKey, msg []byte) ([]byte, error) { return SignDigest(key, Digest(msg)) }
+
+func verify(pub *ecdsa.PublicKey, msg, sig []byte) error { return VerifyDigest(pub, Digest(msg), sig) }
+
 func TestSignVerifyRoundTrip(t *testing.T) {
 	key, err := GenerateKey()
 	if err != nil {
 		t.Fatalf("GenerateKey: %v", err)
 	}
 	msg := []byte("bill of lading for po-1001")
-	sig, err := Sign(key, msg)
+	sig, err := sign(key, msg)
 	if err != nil {
 		t.Fatalf("Sign: %v", err)
 	}
-	if err := Verify(&key.PublicKey, msg, sig); err != nil {
+	if err := verify(&key.PublicKey, msg, sig); err != nil {
 		t.Fatalf("Verify: %v", err)
 	}
 }
@@ -32,12 +39,12 @@ func TestVerifyRejectsTamperedMessage(t *testing.T) {
 		t.Fatalf("GenerateKey: %v", err)
 	}
 	msg := []byte("original payload")
-	sig, err := Sign(key, msg)
+	sig, err := sign(key, msg)
 	if err != nil {
 		t.Fatalf("Sign: %v", err)
 	}
 	tampered := []byte("original payloaD")
-	if err := Verify(&key.PublicKey, tampered, sig); err == nil {
+	if err := verify(&key.PublicKey, tampered, sig); err == nil {
 		t.Fatal("Verify accepted a tampered message")
 	}
 }
@@ -46,43 +53,44 @@ func TestVerifyRejectsWrongKey(t *testing.T) {
 	key1, _ := GenerateKey()
 	key2, _ := GenerateKey()
 	msg := []byte("payload")
-	sig, err := Sign(key1, msg)
+	sig, err := sign(key1, msg)
 	if err != nil {
 		t.Fatalf("Sign: %v", err)
 	}
-	if err := Verify(&key2.PublicKey, msg, sig); err == nil {
+	if err := verify(&key2.PublicKey, msg, sig); err == nil {
 		t.Fatal("Verify accepted a signature from a different key")
 	}
 }
 
 func TestSignNilKey(t *testing.T) {
-	if _, err := Sign(nil, []byte("x")); err == nil {
+	if _, err := sign(nil, []byte("x")); err == nil {
 		t.Fatal("Sign with nil key must error")
 	}
-	if err := Verify(nil, []byte("x"), []byte("y")); err == nil {
+	if err := verify(nil, []byte("x"), []byte("y")); err == nil {
 		t.Fatal("Verify with nil key must error")
 	}
 }
 
-// TestSignDigestMatchesSign: a signature over a message and one over its
-// digest are the same kind of signature, whichever side hashed.
+// TestSignDigestMatchesSign: a SignDigest signature is the standard ECDSA
+// signature over the message's SHA-256, whichever side hashed: it checks
+// under crypto/ecdsa, and VerifyDigest takes one crypto/ecdsa made.
 func TestSignDigestMatchesSign(t *testing.T) {
 	key, _ := GenerateKey()
 	msg := []byte("proof bundle")
 	digest := sha256.Sum256(msg)
-	sig, err := Sign(key, msg)
+	sig, err := ecdsa.SignASN1(rand.Reader, key, digest[:])
 	if err != nil {
-		t.Fatalf("Sign: %v", err)
+		t.Fatalf("ecdsa.SignASN1: %v", err)
 	}
 	if err := VerifyDigest(&key.PublicKey, digest[:], sig); err != nil {
-		t.Fatalf("VerifyDigest of a Sign signature: %v", err)
+		t.Fatalf("VerifyDigest of a crypto/ecdsa signature: %v", err)
 	}
 	sig, err = SignDigest(key, digest[:])
 	if err != nil {
 		t.Fatalf("SignDigest: %v", err)
 	}
-	if err := Verify(&key.PublicKey, msg, sig); err != nil {
-		t.Fatalf("Verify of a SignDigest signature: %v", err)
+	if !ecdsa.VerifyASN1(&key.PublicKey, digest[:], sig) {
+		t.Fatal("crypto/ecdsa refused a SignDigest signature")
 	}
 	if _, err := SignDigest(key, msg); err == nil {
 		t.Fatal("SignDigest accepted a message in place of its digest")
@@ -138,11 +146,11 @@ func TestParsePublicKeyGarbage(t *testing.T) {
 func TestSignVerifyProperty(t *testing.T) {
 	key, _ := GenerateKey()
 	prop := func(msg []byte) bool {
-		sig, err := Sign(key, msg)
+		sig, err := sign(key, msg)
 		if err != nil {
 			return false
 		}
-		return Verify(&key.PublicKey, msg, sig) == nil
+		return verify(&key.PublicKey, msg, sig) == nil
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
@@ -210,7 +218,7 @@ func TestHKDFSizes(t *testing.T) {
 
 // sealTo seals plaintext for key under context with a fresh session manager,
 // the one encryption scheme responses travel under.
-func sealTo(t testing.TB, key *ecdsa.PrivateKey, context, plaintext []byte) (*SessionKey, []byte) {
+func sealTo(t testing.TB, key *ecdsa.PrivateKey, context, plaintext []byte) (SessionKey, []byte) {
 	t.Helper()
 	sk, err := NewSessionManager(time.Minute, nil).KeyFor("requester", &key.PublicKey)
 	if err != nil {
@@ -325,7 +333,7 @@ func BenchmarkSign(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Sign(key, msg); err != nil {
+		if _, err := sign(key, msg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -334,11 +342,11 @@ func BenchmarkSign(b *testing.B) {
 func BenchmarkVerify(b *testing.B) {
 	key, _ := GenerateKey()
 	msg := make([]byte, 1024)
-	sig, _ := Sign(key, msg)
+	sig, _ := sign(key, msg)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := Verify(&key.PublicKey, msg, sig); err != nil {
+		if err := verify(&key.PublicKey, msg, sig); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -16,7 +16,6 @@ import (
 	"crypto/ecdsa"
 	"crypto/elliptic"
 	"crypto/rand"
-	"crypto/sha256"
 	"crypto/x509"
 	"errors"
 	"fmt"
@@ -38,16 +37,9 @@ func GenerateKey() (*ecdsa.PrivateKey, error) {
 	return key, nil
 }
 
-// Sign produces an ASN.1 DER encoded ECDSA signature over the SHA-256 digest
-// of msg.
-func Sign(key *ecdsa.PrivateKey, msg []byte) ([]byte, error) {
-	digest := sha256.Sum256(msg)
-	return SignDigest(key, digest[:])
-}
-
-// SignDigest produces the signature Sign would over a message whose SHA-256
-// digest the caller already holds, for callers that hash a message without
-// building it.
+// SignDigest produces an ASN.1 DER encoded ECDSA signature over a message
+// whose SHA-256 digest the caller holds: every signer in the system hashes
+// what it signs itself, often without building the message.
 func SignDigest(key *ecdsa.PrivateKey, digest []byte) ([]byte, error) {
 	if key == nil {
 		return nil, ErrInvalidKey
@@ -62,16 +54,9 @@ func SignDigest(key *ecdsa.PrivateKey, digest []byte) ([]byte, error) {
 	return sig, nil
 }
 
-// Verify checks an ASN.1 DER encoded ECDSA signature over the SHA-256 digest
-// of msg. It returns ErrInvalidSignature when the signature does not match.
-func Verify(pub *ecdsa.PublicKey, msg, sig []byte) error {
-	digest := sha256.Sum256(msg)
-	return VerifyDigest(pub, digest[:], sig)
-}
-
-// VerifyDigest checks a signature made by Sign or SignDigest against the
-// SHA-256 digest of the signed message. A digest of any other length
-// matches no signature.
+// VerifyDigest checks a signature made by SignDigest against the SHA-256
+// digest of the signed message, returning ErrInvalidSignature when it does
+// not match. A digest of any other length matches no signature.
 func VerifyDigest(pub *ecdsa.PublicKey, digest, sig []byte) error {
 	if pub == nil {
 		return ErrInvalidKey

@@ -119,7 +119,7 @@ func NewSessionManager(ttl time.Duration, counter *OpCounter) *SessionManager {
 }
 
 // SessionKey is the per-(generation, requester) sealing state handed out by
-// a SessionManager. It is immutable and safe for concurrent use.
+// a SessionManager, by value. It is immutable and safe for concurrent use.
 type SessionKey struct {
 	// Ephemeral is the uncompressed session public point the recipient
 	// needs to run its half of the agreement. It travels in explicit wire
@@ -138,19 +138,19 @@ type SessionKey struct {
 // same generation — performs zero scalar multiplications. A cold label
 // performs one ECDH agreement; an expired generation first rotates the
 // ephemeral key and drops all cached agreements.
-func (m *SessionManager) KeyFor(label string, pub *ecdsa.PublicKey) (*SessionKey, error) {
+func (m *SessionManager) KeyFor(label string, pub *ecdsa.PublicKey) (SessionKey, error) {
 	if pub == nil {
-		return nil, ErrInvalidKey
+		return SessionKey{}, ErrInvalidKey
 	}
 	m.mu.Lock()
 	if m.priv == nil || m.now().Sub(m.born) >= m.ttl {
 		if err := m.rotateLocked(); err != nil {
 			m.mu.Unlock()
-			return nil, err
+			return SessionKey{}, err
 		}
 	}
 	if prk, ok := m.prks[label]; ok {
-		key := &SessionKey{Ephemeral: m.pub, Generation: m.generation, prk: prk}
+		key := SessionKey{Ephemeral: m.pub, Generation: m.generation, prk: prk}
 		m.mu.Unlock()
 		return key, nil
 	}
@@ -162,11 +162,11 @@ func (m *SessionManager) KeyFor(label string, pub *ecdsa.PublicKey) (*SessionKey
 	// stale agreement from being cached into a newer generation.
 	recipient, err := pub.ECDH()
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrInvalidKey, err)
+		return SessionKey{}, fmt.Errorf("%w: %v", ErrInvalidKey, err)
 	}
 	secret, err := priv.ECDH(recipient)
 	if err != nil {
-		return nil, fmt.Errorf("session ecdh agreement: %w", err)
+		return SessionKey{}, fmt.Errorf("session ecdh agreement: %w", err)
 	}
 	m.counter.AddECDH(1)
 	prk := hkdfExtract(secret, ephemeral)
@@ -176,7 +176,7 @@ func (m *SessionManager) KeyFor(label string, pub *ecdsa.PublicKey) (*SessionKey
 		m.prks[label] = prk
 	}
 	m.mu.Unlock()
-	return &SessionKey{Ephemeral: ephemeral, Generation: generation, prk: prk}, nil
+	return SessionKey{Ephemeral: ephemeral, Generation: generation, prk: prk}, nil
 }
 
 // rotateLocked installs a fresh ephemeral key, bumps the generation and
@@ -202,19 +202,19 @@ func (m *SessionManager) rotateLocked() error {
 // — deliberately missing the 65-byte point prefix classic Decrypt demands,
 // so a sessioned envelope fed to the classic decoder fails cleanly. The
 // ephemeral point and generation travel in explicit wire fields instead.
+// The nonce is drawn straight into the envelope, so the envelope is the
+// only allocation beside the cipher's.
 func (k *SessionKey) Seal(context, plaintext []byte) ([]byte, error) {
 	aead, err := sessionAEAD(k.prk, k.Generation, context)
 	if err != nil {
 		return nil, err
 	}
-	nonce := make([]byte, aead.NonceSize())
-	if _, err := rand.Read(nonce); err != nil {
+	n := aead.NonceSize()
+	out := make([]byte, n, n+len(plaintext)+aead.Overhead())
+	if _, err := rand.Read(out); err != nil {
 		return nil, fmt.Errorf("generate gcm nonce: %w", err)
 	}
-	out := make([]byte, 0, len(nonce)+len(plaintext)+aead.Overhead())
-	out = append(out, nonce...)
-	out = aead.Seal(out, nonce, plaintext, nil)
-	return out, nil
+	return aead.Seal(out, out, plaintext, nil), nil
 }
 
 // recipientPoints bounds how many session points a Recipient remembers. A

@@ -97,6 +97,45 @@ func TestSessionSealNondeterministic(t *testing.T) {
 	}
 }
 
+// TestSessionSealEnvelopeLayout: Seal draws its nonce into the envelope it
+// returns, and the layout stays nonce || ciphertext: the envelope opens
+// through Recipient.Open and, split at the nonce size, under the envelope's
+// own AEAD key directly. 1000 seals under one key never repeat a nonce.
+func TestSessionSealEnvelopeLayout(t *testing.T) {
+	key, _ := GenerateKey()
+	sk, err := newTestManager(t, time.Minute, nil).KeyFor("layout", &key.PublicKey)
+	if err != nil {
+		t.Fatalf("KeyFor: %v", err)
+	}
+	context, plaintext := []byte("qd-layout"), []byte("attestation metadata")
+	aead, err := sessionAEAD(sk.prk, sk.Generation, context)
+	if err != nil {
+		t.Fatalf("sessionAEAD: %v", err)
+	}
+	n := aead.NonceSize()
+	r := NewRecipient(key)
+	nonces := make(map[string]bool)
+	for i := range 1000 {
+		env, err := sk.Seal(context, plaintext)
+		if err != nil {
+			t.Fatalf("Seal %d: %v", i, err)
+		}
+		if len(env) != n+len(plaintext)+aead.Overhead() {
+			t.Fatalf("seal %d: envelope is %d bytes, want %d", i, len(env), n+len(plaintext)+aead.Overhead())
+		}
+		if got, err := r.Open(sk.Ephemeral, sk.Generation, context, env); err != nil || !bytes.Equal(got, plaintext) {
+			t.Fatalf("seal %d: Recipient.Open = %q, %v", i, got, err)
+		}
+		if got, err := aead.Open(nil, env[:n], env[n:], nil); err != nil || !bytes.Equal(got, plaintext) {
+			t.Fatalf("seal %d: nonce || ciphertext split does not open: %q, %v", i, got, err)
+		}
+		if nonces[string(env[:n])] {
+			t.Fatalf("seal %d repeats a nonce", i)
+		}
+		nonces[string(env[:n])] = true
+	}
+}
+
 // TestSessionCrossGenerationRoundTrip pins the generation binding: an
 // envelope sealed before a rotation still opens with its own (ephemeral,
 // generation) pair after the manager has moved on, and never opens under
@@ -339,7 +378,7 @@ func TestSessionRecipientOpensOldAndNewGeneration(t *testing.T) {
 
 	r := NewRecipient(key)
 	for _, step := range []struct {
-		key  *SessionKey
+		key  SessionKey
 		env  []byte
 		want string
 	}{
@@ -421,7 +460,7 @@ func TestSessionRecipientTableBounded(t *testing.T) {
 	m.now = func() time.Time { return clock }
 	context := []byte("qd-bounded")
 	type sealed struct {
-		key *SessionKey
+		key SessionKey
 		env []byte
 	}
 	all := make([]sealed, 2*recipientPoints+5)

@@ -40,11 +40,8 @@ type liveDriver struct {
 	spans []spanLog
 }
 
-func newLiveDriver(w *scenario.TradeWorld, workers, hops int, traced bool) (*liveDriver, error) {
+func newLiveDriver(w *scenario.TradeWorld, workers, hops int) (*liveDriver, error) {
 	d := &liveDriver{world: w, hops: hops, invokes: make([][]issuedInvoke, workers)}
-	if traced {
-		d.spans = make([]spanLog, workers)
-	}
 	for i := 0; i < workers; i++ {
 		c, err := core.NewClient(w.SWT, wetrade.SellerBankOrg, fmt.Sprintf("lg-client-%d", i))
 		if err != nil {
@@ -92,6 +89,22 @@ func (d *liveDriver) Do(ctx context.Context, worker int, op Op) error {
 	default:
 		return fmt.Errorf("loadgen: unknown op kind %q", op.Kind)
 	}
+}
+
+// warmUp asks every (worker, key) pair's warm query once, so that a warm
+// query in the measured window is an attestation-cache hit rather than
+// the pair's first, cold, build. It runs before the driver traces, so its
+// queries leave no spans. With replicated source relays a warm query can
+// still reach a replica that has not cached it.
+func (d *liveDriver) warmUp(ctx context.Context, keys int) error {
+	for w := range d.clients {
+		for key := 0; key < keys; key++ {
+			if err := d.Do(ctx, w, Op{Kind: OpWarmQuery, Key: key}); err != nil {
+				return fmt.Errorf("loadgen: warm-up of client %d, key %d: %w", w, key, err)
+			}
+		}
+	}
+	return nil
 }
 
 // doInvoke sends a writable append under a run-unique idempotency key,
@@ -274,11 +287,18 @@ func RunLive(ctx context.Context, cfg *Config) (*Report, error) {
 	if err := scenario.SeedShipments(ctx, actors, refs...); err != nil {
 		return nil, err
 	}
-	driver, err := newLiveDriver(w, cfg.Clients, cfg.HubHops, cfg.Spans)
+	driver, err := newLiveDriver(w, cfg.Clients, cfg.HubHops)
 	if err != nil {
 		return nil, err
 	}
-
+	if cfg.Mix.WarmQueryPct > 0 {
+		if err := driver.warmUp(ctx, cfg.Keys); err != nil {
+			return nil, err
+		}
+	}
+	if cfg.Spans {
+		driver.spans = make([]spanLog, cfg.Clients)
+	}
 	baseline := fleetStats(dep.AllServers())
 	var faults *churner
 	if cfg.Churn {

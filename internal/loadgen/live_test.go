@@ -124,3 +124,25 @@ func TestRunLiveChurnSmoke(t *testing.T) {
 		t.Fatal("no operation completed under churn")
 	}
 }
+
+// TestRunLiveWarmQueriesHitCache: every (worker, key) pair is asked once
+// before the measured window, so the window's warm queries are
+// attestation-cache hits, not first touches that build a proof.
+func TestRunLiveWarmQueriesHitCache(t *testing.T) {
+	cfg := &Config{
+		Clients: 4, Rate: 60, Duration: 2 * time.Second,
+		Mix:  Mix{WarmQueryPct: 100},
+		Keys: 16, Seed: 8,
+	}
+	report, err := RunLive(context.Background(), cfg)
+	if err != nil {
+		t.Fatalf("RunLive: %v", err)
+	}
+	if report.Failed != 0 || report.OK < 60 {
+		t.Fatalf("ok = %d, failed = %d (budget %v), want every one of the ~120 warm queries to succeed", report.OK, report.Failed, report.ErrorBudget)
+	}
+	if share := report.Relay.AttestationCacheHitRate; share < 0.9 {
+		t.Fatalf("warm hit share = %.3f (%+v), want >= 0.9", share, report.Relay.Stats)
+	}
+	t.Logf("warm hit share %.3f over %d queries", report.Relay.AttestationCacheHitRate, report.OK)
+}

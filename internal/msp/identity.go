@@ -42,11 +42,6 @@ func encodeCertPEM(cert *x509.Certificate) []byte {
 	return pem.EncodeToMemory(&pem.Block{Type: "CERTIFICATE", Bytes: cert.Raw})
 }
 
-// Sign signs msg with the identity's private key.
-func (id *Identity) Sign(msg []byte) ([]byte, error) {
-	return cryptoutil.Sign(id.Key, msg)
-}
-
 // PublicKey returns the identity's public key.
 func (id *Identity) PublicKey() *ecdsa.PublicKey {
 	return &id.Key.PublicKey

@@ -96,11 +96,11 @@ func TestIdentitySignVerify(t *testing.T) {
 	ca, _ := NewCA("org")
 	id, _ := ca.Issue("peer0", RolePeer)
 	msg := []byte("attestation metadata")
-	sig, err := id.Sign(msg)
+	sig, err := cryptoutil.SignDigest(id.Key, cryptoutil.Digest(msg))
 	if err != nil {
 		t.Fatalf("Sign: %v", err)
 	}
-	if err := cryptoutil.Verify(id.PublicKey(), msg, sig); err != nil {
+	if err := cryptoutil.VerifyDigest(id.PublicKey(), cryptoutil.Digest(msg), sig); err != nil {
 		t.Fatalf("Verify: %v", err)
 	}
 }

@@ -94,12 +94,12 @@ func TestEndorsementSignaturesInteroperate(t *testing.T) {
 	if err != nil {
 		t.Fatalf("AssembleTransaction: %v", err)
 	}
-	if err := cryptoutil.Verify(p.Identity().PublicKey(), tx.SignedPayload(), resp.Endorsement.Signature); err != nil {
+	if err := cryptoutil.VerifyDigest(p.Identity().PublicKey(), cryptoutil.Digest(tx.SignedPayload()), resp.Endorsement.Signature); err != nil {
 		t.Fatalf("Endorse signature does not verify over SignedPayload: %v", err)
 	}
 
 	signed := BuildTransaction(proposal, &chaincode.SimResult{RWSet: resp.RWSet})
-	sig, err := p.Identity().Sign(signed.SignedPayload())
+	sig, err := cryptoutil.SignDigest(p.Identity().Key, cryptoutil.Digest(signed.SignedPayload()))
 	if err != nil {
 		t.Fatalf("Sign: %v", err)
 	}
@@ -179,7 +179,7 @@ func TestCommitRejectsForeignEndorser(t *testing.T) {
 	proposal := inv("put", "k", "v")
 	res := &chaincode.SimResult{RWSet: ledger.RWSet{Writes: []ledger.KVWrite{{Key: "k", Value: []byte("v")}}}}
 	tx := BuildTransaction(proposal, res)
-	sig, _ := rogueID.Sign(tx.SignedPayload())
+	sig, _ := cryptoutil.SignDigest(rogueID.Key, cryptoutil.Digest(tx.SignedPayload()))
 	tx.Endorsements = []ledger.Endorsement{{
 		PeerName: "org-a-peer0", OrgID: "org-a", CertPEM: rogueID.CertPEM(), Signature: sig,
 	}}
@@ -200,7 +200,7 @@ func TestCommitRejectsClientEndorser(t *testing.T) {
 	proposal := inv("put", "k", "v")
 	res := &chaincode.SimResult{RWSet: ledger.RWSet{Writes: []ledger.KVWrite{{Key: "k", Value: []byte("v")}}}}
 	tx := BuildTransaction(proposal, res)
-	sig, _ := clientID.Sign(tx.SignedPayload())
+	sig, _ := cryptoutil.SignDigest(clientID.Key, cryptoutil.Digest(tx.SignedPayload()))
 	tx.Endorsements = []ledger.Endorsement{{
 		PeerName: "sneaky-client", OrgID: "org-a", CertPEM: clientID.CertPEM(), Signature: sig,
 	}}

@@ -99,7 +99,7 @@ func TestBuildSingleSpecSignsMetadataDirectly(t *testing.T) {
 		if err != nil {
 			t.Fatalf("ParseCertPEM: %v", err)
 		}
-		if err := cryptoutil.Verify(cert.PublicKey.(*ecdsa.PublicKey), bundle.Elements[i].Metadata, att.Signature); err != nil {
+		if err := cryptoutil.VerifyDigest(cert.PublicKey.(*ecdsa.PublicKey), cryptoutil.Digest(bundle.Elements[i].Metadata), att.Signature); err != nil {
 			t.Fatalf("attestation %d does not sign its metadata: %v", i, err)
 		}
 	}

@@ -2,9 +2,9 @@ package proof
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"crypto/ecdsa"
-	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -42,23 +42,26 @@ type Spec struct {
 type Builder struct {
 	ttl     time.Duration
 	counter *cryptoutil.OpCounter
+	results *cryptoutil.SessionManager
 
 	mu       sync.Mutex
-	managers map[string]*cryptoutil.SessionManager
+	managers map[attestorKey]*cryptoutil.SessionManager
 }
+
+// attestorKey names an attestor's session manager by value, so a lookup
+// builds no string.
+type attestorKey struct{ org, name string }
 
 // NewBuilder returns a builder whose session keys rotate every ttl
 // (cryptoutil.DefaultSessionTTL when ttl <= 0) and which counts crypto ops
 // into counter (may be nil).
 func NewBuilder(ttl time.Duration, counter *cryptoutil.OpCounter) *Builder {
-	return &Builder{ttl: ttl, counter: counter, managers: make(map[string]*cryptoutil.SessionManager)}
+	results := cryptoutil.NewSessionManager(ttl, counter)
+	return &Builder{ttl: ttl, counter: counter, results: results, managers: make(map[attestorKey]*cryptoutil.SessionManager)}
 }
 
-// resultManagerKey is the reserved manager slot for result encryption; it
-// can never collide with an attestor key, which always contains "/".
-const resultManagerKey = ""
-
-func (b *Builder) manager(key string) *cryptoutil.SessionManager {
+func (b *Builder) forAttestor(id *msp.Identity) *cryptoutil.SessionManager {
+	key := attestorKey{id.OrgID, id.Name}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	m, ok := b.managers[key]
@@ -67,10 +70,6 @@ func (b *Builder) manager(key string) *cryptoutil.SessionManager {
 		b.managers[key] = m
 	}
 	return m
-}
-
-func (b *Builder) forAttestor(id *msp.Identity) *cryptoutil.SessionManager {
-	return b.manager(id.OrgID + "/" + id.Name)
 }
 
 // seal encrypts plaintext for spec's requester under mgr: the AEAD key is
@@ -98,127 +97,151 @@ func (b *Builder) seal(mgr *cryptoutil.SessionManager, spec *Spec, plaintext []b
 // attestation then carrying its leaf index and inclusion path. Envelopes
 // stay per query per attestor — metadata and results are sealed to each
 // requester individually — so a window amortizes signing, never
-// confidentiality. Attestors run concurrently with result sealing; the first
-// failure anywhere, or a cancelled ctx, cancels the rest. Callers that
-// persist a proof wrap its response with Seal.
+// confidentiality. The result seals and then the first attestor run on the
+// calling goroutine, every further attestor on one of its own; the first
+// failure anywhere, or a cancelled ctx, stops the rest at their next query.
+// Callers that persist a proof wrap its response with Seal.
 func (b *Builder) Build(ctx context.Context, specs []Spec, attestors []*msp.Identity) ([]*wire.QueryResponse, error) {
 	if len(specs) == 0 {
 		return nil, nil
 	}
-	rec := trace.FromContext(ctx)
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	resps := make([]*wire.QueryResponse, len(specs))
-	for i := range specs {
-		resps[i] = &wire.QueryResponse{
-			PolicyDigest: specs[i].PolicyDigest,
-			Attestations: make([]wire.Attestation, len(attestors)),
-		}
-	}
-	// errs[len(attestors)] is the result sealer's slot.
-	errs := make([]error, len(attestors)+1)
-	var wg sync.WaitGroup
-	for ai, id := range attestors {
-		wg.Add(1)
-		go func(ai int, id *msp.Identity) {
-			defer wg.Done()
-			if errs[ai] = b.attest(ctx, rec, specs, id, ai, resps); errs[ai] != nil {
-				cancel()
-			}
-		}(ai, id)
-	}
-	results := b.manager(resultManagerKey)
+	n := len(specs)
+	w := &build{b: b, ctx: ctx, rec: trace.FromContext(ctx), specs: specs,
+		resps: make([]*wire.QueryResponse, n), plains: make([][]byte, n*len(attestors))}
+	bodies := make([]wire.QueryResponse, n)
+	atts := make([]wire.Attestation, n*len(attestors))
 	for si := range specs {
-		if err := ctx.Err(); err != nil {
-			errs[len(attestors)] = err
+		bodies[si].PolicyDigest = specs[si].PolicyDigest
+		bodies[si].Attestations = atts[si*len(attestors) : (si+1)*len(attestors) : (si+1)*len(attestors)]
+		w.resps[si] = &bodies[si]
+	}
+	for ai := 1; ai < len(attestors); ai++ {
+		w.wg.Add(1)
+		go func() {
+			defer w.wg.Done()
+			w.attest(ai, attestors[ai])
+		}()
+	}
+	for si := range specs {
+		if w.stop(nil) {
 			break
 		}
-		resp := resps[si]
+		resp := w.resps[si]
 		var err error
-		start := rec.Start()
-		resp.EncryptedResult, resp.SessionEphemeral, resp.SessionGeneration, err = b.seal(results, &specs[si], specs[si].Result)
-		rec.End(trace.Seal, start)
+		start := w.rec.Start()
+		resp.EncryptedResult, resp.SessionEphemeral, resp.SessionGeneration, err = b.seal(b.results, &specs[si], specs[si].Result)
+		w.rec.End(trace.Seal, start)
 		if err != nil {
-			errs[len(attestors)] = fmt.Errorf("proof: encrypt result: %w", err)
-			cancel()
+			w.stop(fmt.Errorf("proof: encrypt result: %w", err))
 			break
 		}
 	}
-	wg.Wait()
-	// Report a real failure in preference to the context errors it induced
-	// in the work that saw the cancellation.
-	var ctxErr error
-	for _, err := range errs {
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			ctxErr = err
-		} else if err != nil {
-			return nil, err
-		}
+	if len(attestors) > 0 {
+		w.attest(0, attestors[0])
 	}
-	if ctxErr != nil {
-		return nil, ctxErr
+	w.wg.Wait()
+	if w.err != nil {
+		return nil, w.err
 	}
-	return resps, nil
+	return w.resps, nil
+}
+
+// build is one Build call's shared state. plains holds each attestor's
+// metadata, attestor ai's at [ai*n, (ai+1)*n).
+type build struct {
+	b      *Builder
+	ctx    context.Context
+	rec    *trace.Recorder
+	specs  []Spec
+	resps  []*wire.QueryResponse
+	plains [][]byte
+	wg     sync.WaitGroup
+
+	mu  sync.Mutex
+	err error // the first failure
+}
+
+// stop records err, or else the caller's ctx ending, as the build's
+// failure unless one is recorded already, and reports whether the build has
+// failed: every part of it checks before each query and stops.
+func (w *build) stop(err error) bool {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.err == nil {
+		w.err = cmp.Or(err, w.ctx.Err())
+	}
+	return w.err != nil
 }
 
 // attest produces attestor id's slot ai of every response in the window,
-// timing its signature and envelopes on rec.
-func (b *Builder) attest(ctx context.Context, rec *trace.Recorder, specs []Spec, id *msp.Identity, ai int, resps []*wire.QueryResponse) error {
-	if err := ctx.Err(); err != nil {
-		return err
+// timing its signature and envelopes on the build's recorder.
+func (w *build) attest(ai int, id *msp.Identity) {
+	if w.stop(nil) {
+		return
 	}
-	plains := make([][]byte, len(specs))
-	for si := range specs {
-		plains[si] = MetadataPlain(id, &specs[si])
+	n := len(w.specs)
+	plains := w.plains[ai*n : (ai+1)*n]
+	for si := range w.specs {
+		plains[si] = MetadataPlain(id, &w.specs[si])
 	}
-	signed := plains[0]
-	var leaves [][]byte
-	if len(specs) > 1 {
-		leaves = make([][]byte, len(specs))
+	// A window's leaf hashes and the sibling hashes of every inclusion path
+	// share one array, and the paths one array of slices into it.
+	var leaves, store []hash
+	var siblings [][]byte
+	digest := cryptoutil.Sum(plains[0])
+	if n > 1 {
+		h := merkleHeight(n)
+		leaves = make([]hash, n+n*h)
+		leaves, store, siblings = leaves[:n], leaves[n:], make([][]byte, 0, n*h)
 		for si, plain := range plains {
 			leaves[si] = merkleLeafHash(plain)
 		}
-		signed = batchSigPayload(merkleRoot(leaves))
+		digest = batchSigDigest(merkleRoot(leaves))
 	}
-	start := rec.Start()
-	sig, err := id.Sign(signed)
-	rec.End(trace.Sign, start)
+	start := w.rec.Start()
+	sig, err := cryptoutil.SignDigest(id.Key, digest[:])
+	w.rec.End(trace.Sign, start)
 	if err != nil {
-		return fmt.Errorf("proof: signature from %s: %w", id.Name, err)
+		w.stop(fmt.Errorf("proof: signature from %s: %w", id.Name, err))
+		return
 	}
-	b.counter.AddSign(1)
-	mgr := b.forAttestor(id)
+	w.b.counter.AddSign(1)
+	mgr := w.b.forAttestor(id)
 	cert := id.CertPEM()
-	for si := range specs {
-		if err := ctx.Err(); err != nil {
-			return err
+	for si := range w.specs {
+		if w.stop(nil) {
+			return
 		}
-		att := wire.Attestation{PeerName: id.Name, OrgID: id.OrgID, CertPEM: cert, Signature: sig}
-		start := rec.Start()
-		att.EncryptedMetadata, att.SessionEphemeral, att.SessionGeneration, err = b.seal(mgr, &specs[si], plains[si])
-		rec.End(trace.Seal, start)
+		att := &w.resps[si].Attestations[ai]
+		*att = wire.Attestation{PeerName: id.Name, OrgID: id.OrgID, CertPEM: cert, Signature: sig}
+		start := w.rec.Start()
+		att.EncryptedMetadata, att.SessionEphemeral, att.SessionGeneration, err = w.b.seal(mgr, &w.specs[si], plains[si])
+		w.rec.End(trace.Seal, start)
 		if err != nil {
-			return fmt.Errorf("proof: encrypt metadata from %s: %w", id.Name, err)
+			w.stop(fmt.Errorf("proof: encrypt metadata from %s: %w", id.Name, err))
+			return
 		}
 		if leaves != nil {
-			att.BatchSize, att.BatchIndex, att.BatchPath = uint64(len(specs)), uint64(si), merklePath(leaves, si)
+			from := len(siblings)
+			siblings, store = merklePath(siblings, store, leaves, si)
+			att.BatchSize, att.BatchIndex, att.BatchPath = uint64(n), uint64(si), siblings[from:len(siblings):len(siblings)]
 		}
-		resps[si].Attestations[ai] = att
 	}
-	return nil
 }
 
 // MetadataPlain returns the exact plaintext metadata bytes an attestation
 // built from spec by the given attestor encrypts: what a lone build signs,
 // and the leaf content of a batched window. It is deterministic in (spec,
-// attestor).
+// attestor). The result digest is hashed into an array on the stack, so
+// the encoding is the only allocation.
 func MetadataPlain(id *msp.Identity, spec *Spec) []byte {
+	resultDigest := cryptoutil.Sum(spec.Result)
 	md := wire.Metadata{
 		NetworkID:    spec.NetworkID,
 		PeerName:     id.Name,
 		OrgID:        id.OrgID,
 		QueryDigest:  spec.QueryDigest,
-		ResultDigest: cryptoutil.Digest(spec.Result),
+		ResultDigest: resultDigest[:],
 		Nonce:        spec.Nonce,
 		UnixNano:     uint64(spec.Now.UnixNano()),
 		PolicyDigest: spec.PolicyDigest,

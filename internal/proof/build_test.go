@@ -2,8 +2,10 @@ package proof
 
 import (
 	"bytes"
+	"context"
 	"crypto/ecdsa"
 	"errors"
+	"runtime"
 	"testing"
 
 	"repro/internal/cryptoutil"
@@ -121,5 +123,65 @@ func TestBundleRoundTripKeepsPins(t *testing.T) {
 		!bytes.Equal(decoded.PolicyDigest, bundle.PolicyDigest) ||
 		decoded.UnixNano != bundle.UnixNano {
 		t.Fatal("bundle pins did not survive the round trip")
+	}
+}
+
+var sinkSignature []byte
+
+// mallocsPerRun is testing.AllocsPerRun without its rounding down: a
+// signature's count is not a whole number, and the rows below subtract it.
+func mallocsPerRun(runs int, f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs-before.Mallocs) / float64(runs)
+}
+
+// TestBuildAllocations is the allocation tripwire of Build: a proof
+// allocates its signatures, its AES-GCM ciphers and the bytes that leave
+// it, and a fixed handful of objects around them. Each row counts a warm
+// build (every session manager already agreed with the requesters) less
+// the allocations of its signatures, measured alone, since those are
+// crypto/ecdsa's and move with the Go release. The rows read 17.0 and 32.0
+// (about 34 and 67 before the builder kept its scaffolding off the heap),
+// so one allocation more fails. A change may lower a row, never raise it.
+func TestBuildAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector adds allocations of its own")
+	}
+	_, _, sellerPeer, carrierPeer, _ := setup(t)
+	attestors := []*msp.Identity{sellerPeer, carrierPeer}
+	digest := cryptoutil.Sum([]byte("payload"))
+	perSign := mallocsPerRun(400, func() {
+		sinkSignature, _ = cryptoutil.SignDigest(sellerPeer.Key, digest[:])
+	})
+	b := NewBuilder(0, nil)
+	for _, row := range []struct {
+		name   string
+		window int
+		max    float64
+	}{
+		{"lone build, two attestors", 1, 17.5},
+		{"window of 2, two attestors", 2, 32.5},
+	} {
+		specs := make([]Spec, row.window)
+		for i := range specs {
+			specs[i], _ = testSpec(t, sampleQuery(t), []byte(`{"blId":"bl-77"}`))
+		}
+		got := mallocsPerRun(400, func() {
+			if _, err := b.Build(context.Background(), specs, attestors); err != nil {
+				t.Fatalf("%s: Build: %v", row.name, err)
+			}
+		}) - float64(len(attestors))*perSign
+		if got > row.max {
+			t.Errorf("%s: %.2f allocations beside %d signatures of %.2f, want <= %v", row.name, got, len(attestors), perSign, row.max)
+		} else {
+			t.Logf("%s: %.2f allocations beside %d signatures of %.2f", row.name, got, len(attestors), perSign)
+		}
 	}
 }

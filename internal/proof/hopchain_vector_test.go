@@ -150,7 +150,7 @@ func TestKnownAnswerHopChain(t *testing.T) {
 	for i, h := range hubs {
 		payload := hopPinPayload(prev, h.network, []byte(h.certPEM), PolicyDigestOf(q))
 		checkHex(t, h.network+" pin digest", cryptoutil.Digest(payload), h.pin)
-		if err := cryptoutil.Verify(&vectorKey(t, h.scalar).PublicKey, payload, committed.HopPins[i].Signature); err != nil {
+		if err := cryptoutil.VerifyDigest(&vectorKey(t, h.scalar).PublicKey, cryptoutil.Digest(payload), committed.HopPins[i].Signature); err != nil {
 			t.Fatalf("%s committed signature: %v", h.network, err)
 		}
 		prev = unhex(t, h.pin)

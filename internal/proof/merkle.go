@@ -2,6 +2,7 @@ package proof
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/cryptoutil"
 )
@@ -23,13 +24,17 @@ var (
 	batchSigDomain = []byte("interop-batch-root\x00")
 )
 
+// hash is one node of a tree: a SHA-256 output, held by value so that a
+// tree's leaves, roots and siblings cost no allocation of their own.
+type hash = [cryptoutil.DigestSize]byte
+
 // merkleLeafHash hashes one leaf's content with the leaf domain prefix.
-func merkleLeafHash(content []byte) []byte {
-	return cryptoutil.Digest(merkleLeafPrefix, content)
+func merkleLeafHash(content []byte) hash {
+	return cryptoutil.Sum(merkleLeafPrefix, content)
 }
 
-func merkleNodeHash(left, right []byte) []byte {
-	return cryptoutil.Digest(merkleNodePrefix, left, right)
+func merkleNodeHash(left, right []byte) hash {
+	return cryptoutil.Sum(merkleNodePrefix, left, right)
 }
 
 // largestPowerOfTwoBelow returns the largest power of two strictly less
@@ -42,29 +47,38 @@ func largestPowerOfTwoBelow(n int) int {
 	return k
 }
 
-// merkleRoot computes the tree root over the given leaf hashes.
-func merkleRoot(leaves [][]byte) []byte {
-	switch len(leaves) {
-	case 0:
-		return cryptoutil.Digest(nil)
-	case 1:
+// merkleHeight is the longest inclusion path of a tree of n >= 1 leaves.
+func merkleHeight(n int) int { return bits.Len(uint(n - 1)) }
+
+// merkleRoot computes the tree root over the given leaf hashes, of which
+// there is at least one.
+func merkleRoot(leaves []hash) hash {
+	if len(leaves) == 1 {
 		return leaves[0]
 	}
 	k := largestPowerOfTwoBelow(len(leaves))
-	return merkleNodeHash(merkleRoot(leaves[:k]), merkleRoot(leaves[k:]))
+	left, right := merkleRoot(leaves[:k]), merkleRoot(leaves[k:])
+	return merkleNodeHash(left[:], right[:])
 }
 
-// merklePath computes the inclusion proof for leaves[index]: the sibling
-// hashes from the leaf up to (excluding) the root, leaf-side first.
-func merklePath(leaves [][]byte, index int) [][]byte {
+// merklePath appends to path the inclusion proof for leaves[index]: the
+// sibling hashes from the leaf up to (excluding) the root, leaf-side first.
+// Each sibling is written into the next entry of store, which must have
+// room for merkleHeight(len(leaves)) of them, and the rest of store is
+// returned, so the paths of a whole tree can share one array.
+func merklePath(path [][]byte, store []hash, leaves []hash, index int) ([][]byte, []hash) {
 	if len(leaves) <= 1 {
-		return nil
+		return path, store
 	}
 	k := largestPowerOfTwoBelow(len(leaves))
 	if index < k {
-		return append(merklePath(leaves[:k], index), merkleRoot(leaves[k:]))
+		path, store = merklePath(path, store, leaves[:k], index)
+		store[0] = merkleRoot(leaves[k:])
+	} else {
+		path, store = merklePath(path, store, leaves[k:], index-k)
+		store[0] = merkleRoot(leaves[:k])
 	}
-	return append(merklePath(leaves[k:], index-k), merkleRoot(leaves[:k]))
+	return append(path, store[0][:]), store[1:]
 }
 
 // merkleRootFromPath recomputes the root implied by a leaf hash, its index,
@@ -72,18 +86,18 @@ func merklePath(leaves [][]byte, index int) [][]byte {
 // rejects structurally impossible inputs — index out of range, path too
 // short or too long for the claimed size — before doing any hashing it
 // can't use.
-func merkleRootFromPath(leafHash []byte, index, size uint64, path [][]byte) ([]byte, error) {
+func merkleRootFromPath(leafHash hash, index, size uint64, path [][]byte) (hash, error) {
 	if size == 0 || index >= size {
-		return nil, fmt.Errorf("proof: merkle index %d out of range for size %d", index, size)
+		return hash{}, fmt.Errorf("proof: merkle index %d out of range for size %d", index, size)
 	}
 	fn, sn := index, size-1
 	root := leafHash
 	for _, sibling := range path {
 		if sn == 0 {
-			return nil, fmt.Errorf("proof: merkle path longer than tree height")
+			return hash{}, fmt.Errorf("proof: merkle path longer than tree height")
 		}
 		if fn&1 == 1 || fn == sn {
-			root = merkleNodeHash(sibling, root)
+			root = merkleNodeHash(sibling, root[:])
 			if fn&1 == 0 {
 				for fn&1 == 0 && fn != 0 {
 					fn >>= 1
@@ -91,22 +105,20 @@ func merkleRootFromPath(leafHash []byte, index, size uint64, path [][]byte) ([]b
 				}
 			}
 		} else {
-			root = merkleNodeHash(root, sibling)
+			root = merkleNodeHash(root[:], sibling)
 		}
 		fn >>= 1
 		sn >>= 1
 	}
 	if sn != 0 {
-		return nil, fmt.Errorf("proof: merkle path shorter than tree height")
+		return hash{}, fmt.Errorf("proof: merkle path shorter than tree height")
 	}
 	return root, nil
 }
 
-// batchSigPayload is the byte string an attestor signs in batched mode:
-// the domain tag followed by the Merkle root over the window's metadata
-// leaf hashes.
-func batchSigPayload(root []byte) []byte {
-	out := make([]byte, 0, len(batchSigDomain)+len(root))
-	out = append(out, batchSigDomain...)
-	return append(out, root...)
+// batchSigDigest is the SHA-256 of the byte string an attestor signs in
+// batched mode: the domain tag followed by the Merkle root over the
+// window's metadata leaf hashes.
+func batchSigDigest(root hash) hash {
+	return cryptoutil.Sum(batchSigDomain, root[:])
 }

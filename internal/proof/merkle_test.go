@@ -4,14 +4,39 @@ import (
 	"bytes"
 	"fmt"
 	"testing"
+
+	"repro/internal/cryptoutil"
 )
 
-func testLeaves(n int) [][]byte {
-	leaves := make([][]byte, n)
+func testLeaves(n int) []hash {
+	leaves := make([]hash, n)
 	for i := range leaves {
 		leaves[i] = merkleLeafHash([]byte(fmt.Sprintf("leaf-%d", i)))
 	}
 	return leaves
+}
+
+// testPath is the inclusion path of leaves[index], in a store of its own.
+func testPath(leaves []hash, index int) [][]byte {
+	path, _ := merklePath(nil, make([]hash, merkleHeight(len(leaves))), leaves, index)
+	return path
+}
+
+func TestMerklePathsShareOneStore(t *testing.T) {
+	// Every path of a tree fits the store merklePath is given for the
+	// whole tree, and each equals the path computed alone.
+	for size := 2; size <= 9; size++ {
+		leaves := testLeaves(size)
+		store := make([]hash, size*merkleHeight(size))
+		var siblings [][]byte
+		for index := range leaves {
+			from := len(siblings)
+			siblings, store = merklePath(siblings, store, leaves, index)
+			if got, want := bytes.Join(siblings[from:], nil), bytes.Join(testPath(leaves, index), nil); !bytes.Equal(got, want) {
+				t.Fatalf("size %d index %d: shared-store path differs", size, index)
+			}
+		}
+	}
 }
 
 func TestMerklePathRoundTripsEverySizeAndIndex(t *testing.T) {
@@ -21,12 +46,12 @@ func TestMerklePathRoundTripsEverySizeAndIndex(t *testing.T) {
 		leaves := testLeaves(size)
 		root := merkleRoot(leaves)
 		for index := 0; index < size; index++ {
-			path := merklePath(leaves, index)
+			path := testPath(leaves, index)
 			got, err := merkleRootFromPath(leaves[index], uint64(index), uint64(size), path)
 			if err != nil {
 				t.Fatalf("size %d index %d: %v", size, index, err)
 			}
-			if !bytes.Equal(got, root) {
+			if got != root {
 				t.Fatalf("size %d index %d: recomputed root mismatch", size, index)
 			}
 		}
@@ -35,7 +60,7 @@ func TestMerklePathRoundTripsEverySizeAndIndex(t *testing.T) {
 
 func TestMerkleRootFromPathRejectsStructuralLies(t *testing.T) {
 	leaves := testLeaves(5)
-	path := merklePath(leaves, 2)
+	path := testPath(leaves, 2)
 
 	if _, err := merkleRootFromPath(leaves[2], 5, 5, path); err == nil {
 		t.Fatal("index == size accepted")
@@ -46,7 +71,8 @@ func TestMerkleRootFromPathRejectsStructuralLies(t *testing.T) {
 	if _, err := merkleRootFromPath(leaves[2], 2, 5, path[:len(path)-1]); err == nil {
 		t.Fatal("truncated path accepted")
 	}
-	long := append(append([][]byte{}, path...), merkleLeafHash([]byte("extra")))
+	extra := merkleLeafHash([]byte("extra"))
+	long := append(append([][]byte{}, path...), extra[:])
 	if _, err := merkleRootFromPath(leaves[2], 2, 5, long); err == nil {
 		t.Fatal("overlong path accepted")
 	}
@@ -58,20 +84,20 @@ func TestMerklePathWrongIndexChangesRoot(t *testing.T) {
 	// another's.
 	leaves := testLeaves(4)
 	root := merkleRoot(leaves)
-	path := merklePath(leaves, 1)
+	path := testPath(leaves, 1)
 	got, err := merkleRootFromPath(leaves[1], 0, 4, path)
-	if err == nil && bytes.Equal(got, root) {
+	if err == nil && got == root {
 		t.Fatal("wrong index resolved to the true root")
 	}
 }
 
 func TestBatchSigPayloadIsDomainSeparated(t *testing.T) {
 	root := merkleRoot(testLeaves(3))
-	payload := batchSigPayload(root)
-	if bytes.Equal(payload, root) {
-		t.Fatal("batch payload must not equal the bare root")
+	signed := batchSigDigest(root)
+	if signed == cryptoutil.Sum(root[:]) {
+		t.Fatal("batch payload must not be the bare root")
 	}
-	if !bytes.HasPrefix(payload, batchSigDomain) {
-		t.Fatal("batch payload must carry the domain tag")
+	if signed != cryptoutil.Sum(append(append([]byte{}, batchSigDomain...), root[:]...)) {
+		t.Fatal("batch payload must be the domain tag followed by the root")
 	}
 }

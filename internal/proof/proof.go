@@ -117,13 +117,17 @@ func PolicyDigestOf(q *wire.Query) []byte {
 // expression, refusing (ErrPolicyPinMismatch) a query whose explicit pin
 // disagrees with that expression. Honoring a mismatched pin would have the
 // attestors sign a requester-chosen digest for a policy that never
-// selected them.
+// selected them. A pin that matches is returned itself: the expected
+// digest is computed on the stack, and allocated only for a query that
+// carries no pin.
 func PinnedPolicyDigest(q *wire.Query) ([]byte, error) {
-	expect := PolicyDigest(q.PolicyExpr)
-	if len(q.PolicyDigest) > 0 && !bytes.Equal(q.PolicyDigest, expect) {
+	if len(q.PolicyDigest) == 0 {
+		return PolicyDigest(q.PolicyExpr), nil
+	}
+	if expect := cryptoutil.Sum(policyDigestDomain, []byte(q.PolicyExpr)); !bytes.Equal(q.PolicyDigest, expect[:]) {
 		return nil, ErrPolicyPinMismatch
 	}
-	return expect, nil
+	return q.PolicyDigest, nil
 }
 
 // Element is one decrypted attestation inside a Bundle: the attestor
@@ -134,10 +138,10 @@ type Element struct {
 	CertPEM   []byte
 	Metadata  []byte // plaintext wire.Metadata
 	Signature []byte
-	// BatchSize > 0 marks a batched element: Signature covers
-	// batchSigPayload(root) where root is recomputed from the metadata's
-	// leaf hash at BatchIndex via the BatchPath sibling hashes (see
-	// wire.Attestation). Zero for single-signature elements.
+	// BatchSize > 0 marks a batched element: Signature covers the
+	// domain-separated Merkle root (batchSigDigest), recomputed from the
+	// metadata's leaf hash at BatchIndex via the BatchPath sibling hashes
+	// (see wire.Attestation). Zero for single-signature elements.
 	BatchSize  uint64
 	BatchIndex uint64
 	BatchPath  [][]byte
@@ -330,15 +334,16 @@ func Verify(b *Bundle, verifier *msp.Verifier, vp *endorsement.Policy, expectedQ
 		// Single mode signs the metadata bytes directly; batched mode signs
 		// the domain-separated Merkle root the metadata's leaf hash chains up
 		// to, so the signed payload is recomputed from the inclusion proof.
-		signedPayload := el.Metadata
+		var digest hash
 		if el.BatchSize > 0 {
 			root, err := merkleRootFromPath(merkleLeafHash(el.Metadata), el.BatchIndex, el.BatchSize, el.BatchPath)
 			if err != nil {
 				return fmt.Errorf("%w: element %d: %v", ErrBadAttestation, i, err)
 			}
-			signedPayload = batchSigPayload(root)
+			digest = batchSigDigest(root)
+		} else {
+			digest = cryptoutil.Sum(el.Metadata)
 		}
-		digest := cryptoutil.Sum(signedPayload)
 		if err := msp.VerifySignature(cert, digest[:], el.Signature); err != nil {
 			return fmt.Errorf("%w: element %d: signature: %v", ErrBadAttestation, i, err)
 		}

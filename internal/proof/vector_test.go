@@ -136,7 +136,7 @@ func TestKnownAnswerMetadata(t *testing.T) {
 	plain := MetadataPlain(vectorAttestor, spec)
 	checkHex(t, "MetadataPlain", plain, vectorMetadataHex)
 	// A single-signature attestation signs the metadata bytes themselves.
-	if err := cryptoutil.Verify(vectorAttestorPub(t), unhex(t, vectorMetadataHex), unhex(t, vectorSingleSigHex)); err != nil {
+	if err := cryptoutil.VerifyDigest(vectorAttestorPub(t), cryptoutil.Digest(unhex(t, vectorMetadataHex)), unhex(t, vectorSingleSigHex)); err != nil {
 		t.Fatalf("committed single signature: %v", err)
 	}
 }
@@ -147,10 +147,11 @@ func TestKnownAnswerMerkle(t *testing.T) {
 		want := vectorMerkle[n-1]
 		leaves := testLeaves(n)
 		root := merkleRoot(leaves)
-		checkHex(t, "root", root, want.root)
-		checkHex(t, "batchSigPayload", batchSigPayload(root), domain+want.root)
+		checkHex(t, "root", root[:], want.root)
+		signed := batchSigDigest(root)
+		checkHex(t, "batchSigDigest", signed[:], hex.EncodeToString(cryptoutil.Digest(unhex(t, domain+want.root))))
 		for i := 0; i < n; i++ {
-			path := merklePath(leaves, i)
+			path := testPath(leaves, i)
 			checkHex(t, "merklePath", bytes.Join(path, nil), want.paths[i])
 			// The committed path recomputes the committed root.
 			committed := unhex(t, want.paths[i])
@@ -162,18 +163,19 @@ func TestKnownAnswerMerkle(t *testing.T) {
 			if err != nil {
 				t.Fatalf("size %d index %d: %v", n, i, err)
 			}
-			checkHex(t, "root from path", got, want.root)
+			checkHex(t, "root from path", got[:], want.root)
 		}
 	}
 
 	// The batched signature covers the domain-separated root of a window
 	// whose leaf 1 is the vector metadata.
 	leaf := merkleLeafHash(unhex(t, vectorMetadataHex))
-	window := [][]byte{merkleLeafHash([]byte("leaf-0")), leaf, merkleLeafHash([]byte("leaf-2"))}
-	checkHex(t, "batch root", merkleRoot(window), vectorBatchRootHex)
-	checkHex(t, "batch path", bytes.Join(merklePath(window, 1), nil), vectorBatchPathHex)
+	window := []hash{merkleLeafHash([]byte("leaf-0")), leaf, merkleLeafHash([]byte("leaf-2"))}
+	root := merkleRoot(window)
+	checkHex(t, "batch root", root[:], vectorBatchRootHex)
+	checkHex(t, "batch path", bytes.Join(testPath(window, 1), nil), vectorBatchPathHex)
 	payload := unhex(t, vectorBatchDomainHex+vectorBatchRootHex)
-	if err := cryptoutil.Verify(vectorAttestorPub(t), payload, unhex(t, vectorBatchSigHex)); err != nil {
+	if err := cryptoutil.VerifyDigest(vectorAttestorPub(t), cryptoutil.Digest(payload), unhex(t, vectorBatchSigHex)); err != nil {
 		t.Fatalf("committed batch signature: %v", err)
 	}
 }
@@ -243,7 +245,7 @@ func TestKnownAnswerBundle(t *testing.T) {
 	// Each decoded element's signature verifies over the payload its mode
 	// names: the metadata itself, or the root its inclusion path implies.
 	pub := vectorAttestorPub(t)
-	if err := cryptoutil.Verify(pub, decoded.Elements[0].Metadata, decoded.Elements[0].Signature); err != nil {
+	if err := cryptoutil.VerifyDigest(pub, cryptoutil.Digest(decoded.Elements[0].Metadata), decoded.Elements[0].Signature); err != nil {
 		t.Fatalf("single element: %v", err)
 	}
 	el := decoded.Elements[1]
@@ -251,7 +253,8 @@ func TestKnownAnswerBundle(t *testing.T) {
 	if err != nil {
 		t.Fatalf("batched element path: %v", err)
 	}
-	if err := cryptoutil.Verify(pub, batchSigPayload(root), el.Signature); err != nil {
+	signed := batchSigDigest(root)
+	if err := cryptoutil.VerifyDigest(pub, signed[:], el.Signature); err != nil {
 		t.Fatalf("batched element: %v", err)
 	}
 }

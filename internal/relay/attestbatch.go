@@ -2,8 +2,6 @@ package relay
 
 import (
 	"context"
-	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -44,6 +42,7 @@ type attestBatcher struct {
 }
 
 type batchGroup struct {
+	key       string // its entry in attestBatcher.groups
 	attestors []*msp.Identity
 	entries   []*batchEntry
 	timer     *time.Timer
@@ -68,14 +67,30 @@ func newAttestBatcher(window time.Duration, maxPending int, builder *proof.Build
 	}
 }
 
-// attestorSetKey names a window group: the sorted attestor identities.
-func attestorSetKey(ids []*msp.Identity) string {
-	names := make([]string, len(ids))
-	for i, id := range ids {
-		names[i] = id.OrgID + "/" + id.Name
+// appendAttestorSetKey appends the name of a window group to dst: each
+// attestor identity, length-prefixed, in the order given. A driver lists
+// one attestor per policy organization in the policy's sorted order, so an
+// attestor set always arrives in one order.
+func appendAttestorSetKey(dst []byte, ids []*msp.Identity) []byte {
+	for _, id := range ids {
+		dst = appendField(appendField(dst, id.OrgID), id.Name)
 	}
-	sort.Strings(names)
-	return strings.Join(names, ",")
+	return dst
+}
+
+// groupFor returns the open window of the attestor set, opening one if
+// there is none. The key is built on the stack, so finding an open window
+// allocates nothing; only opening one copies it. Caller holds b.mu.
+func (b *attestBatcher) groupFor(attestors []*msp.Identity) *batchGroup {
+	var buf [256]byte
+	key := appendAttestorSetKey(buf[:0], attestors)
+	if g := b.groups[string(key)]; g != nil {
+		return g
+	}
+	g := &batchGroup{key: string(key), attestors: attestors}
+	b.groups[g.key] = g
+	g.timer = time.AfterFunc(b.window, func() { b.flush(g) })
+	return g
 }
 
 // submit builds one proof. Alone, it builds inline under the requester's
@@ -105,19 +120,13 @@ func (b *attestBatcher) submit(ctx context.Context, spec proof.Spec, attestors [
 	b.contended = true
 	b.inflight++
 	entry := &batchEntry{spec: spec, rec: rec, done: make(chan struct{})}
-	key := attestorSetKey(attestors)
-	g := b.groups[key]
-	if g == nil {
-		g = &batchGroup{attestors: attestors}
-		b.groups[key] = g
-		g.timer = time.AfterFunc(b.window, func() { b.flush(key, g) })
-	}
+	g := b.groupFor(attestors)
 	g.entries = append(g.entries, entry)
 	full := len(g.entries) >= b.maxPending
 	b.mu.Unlock()
 
 	if full {
-		b.flush(key, g)
+		b.flush(g)
 	}
 
 	select {
@@ -138,13 +147,13 @@ func (b *attestBatcher) submit(ctx context.Context, spec proof.Spec, attestors [
 // flush closes a window and builds its proofs. Exactly one caller wins the
 // removal of the group from the map (the timer and a filling submitter can
 // race); the loser finds the group already gone and returns.
-func (b *attestBatcher) flush(key string, g *batchGroup) {
+func (b *attestBatcher) flush(g *batchGroup) {
 	b.mu.Lock()
-	if b.groups[key] != g {
+	if b.groups[g.key] != g {
 		b.mu.Unlock()
 		return
 	}
-	delete(b.groups, key)
+	delete(b.groups, g.key)
 	g.timer.Stop()
 	entries := g.entries
 	b.mu.Unlock()

@@ -242,3 +242,29 @@ func TestAttestBatcherWindowRecordsSignAndSeal(t *testing.T) {
 	}
 	f.settle(t)
 }
+
+// TestOpenWindowLookupAllocatesNothing: a build that joins an open window
+// finds its group under a key built on the stack, so only the first build
+// of a window pays for the key; another attestor set opens a window of its
+// own.
+func TestOpenWindowLookupAllocatesNothing(t *testing.T) {
+	f := newBatcherFixture(t, time.Hour, 16)
+	f.b.mu.Lock()
+	g := f.b.groupFor(f.attestors)
+	allocs := testing.AllocsPerRun(100, func() {
+		if f.b.groupFor(f.attestors) != g {
+			t.Fatal("the open window's attestor set names another group")
+		}
+	})
+	other := f.b.groupFor(f.attestors[:1])
+	f.b.mu.Unlock()
+	if other == g {
+		t.Fatal("a different attestor set joined the open window")
+	}
+	f.b.flush(g)
+	f.b.flush(other)
+	f.settle(t)
+	if allocs != 0 {
+		t.Fatalf("looking up an open window: %v allocations, want 0", allocs)
+	}
+}

@@ -179,38 +179,40 @@ func (d *FabricDriver) ConfigureAttestationBatching(window time.Duration, maxPen
 
 // prepare runs the checks every request makes before any peer is asked:
 // the verification policy parses, the query's policy pin matches it and
-// the requester's certificate carries a key. It returns the pin, that key
-// and one peer from each policy organization present in the network, or
-// ErrNoAttestors when there is none — so nothing is read or committed for
-// a proof that could never be built.
-func (d *FabricDriver) prepare(q *wire.Query) (policyDigest []byte, clientPub *ecdsa.PublicKey, attestors []*peer.Peer, err error) {
+// the requester's certificate carries a key. It returns the pin, that key,
+// one peer from each policy organization present in the network, appended
+// to buf (a caller's stack array keeps the list off the heap), and those
+// peers' identities, the proof's attestors; or ErrNoAttestors when there is
+// none — so nothing is read or committed for a proof that could never be
+// built.
+func (d *FabricDriver) prepare(q *wire.Query, buf []*peer.Peer) (policyDigest []byte, clientPub *ecdsa.PublicKey, peers []*peer.Peer, attestors []*msp.Identity, err error) {
 	vp, err := endorsement.Parse(q.PolicyExpr)
 	if err != nil {
-		return nil, nil, nil, fmt.Errorf("relay: verification policy: %w", err)
+		return nil, nil, nil, nil, fmt.Errorf("relay: verification policy: %w", err)
 	}
 	if policyDigest, err = proof.PinnedPolicyDigest(q); err != nil {
-		return nil, nil, nil, err
+		return nil, nil, nil, nil, err
 	}
 	if clientPub, err = msp.PublicKeyFromPEM(q.RequesterCertPEM); err != nil {
-		return nil, nil, nil, fmt.Errorf("relay: requester certificate: %w", err)
+		return nil, nil, nil, nil, fmt.Errorf("relay: requester certificate: %w", err)
 	}
-	orgs := vp.Orgs()
-	attestors = make([]*peer.Peer, 0, len(orgs))
-	for _, orgID := range orgs {
+	peers, attestors = buf[:0], make([]*msp.Identity, 0, len(vp.Orgs()))
+	for _, orgID := range vp.Orgs() {
 		if p := d.net.FirstPeerOf(orgID); p != nil {
-			attestors = append(attestors, p)
+			peers, attestors = append(peers, p), append(attestors, p.Identity())
 		}
 	}
-	if len(attestors) == 0 {
-		return nil, nil, nil, ErrNoAttestors
+	if len(peers) == 0 {
+		return nil, nil, nil, nil, ErrNoAttestors
 	}
-	return policyDigest, clientPub, attestors, nil
+	return policyDigest, clientPub, peers, attestors, nil
 }
 
-// newSpec assembles the proof spec for q. certDigest is the digest of the
-// requester's certificate and labels its session secrets, so a rotated
-// certificate always triggers a fresh ECDH agreement.
-func (d *FabricDriver) newSpec(q *wire.Query, certDigest, queryDigest, policyDigest, result []byte, clientPub *ecdsa.PublicKey) proof.Spec {
+// newSpec assembles the proof spec for q. The digest of the requester's
+// certificate labels its session secrets, so a rotated certificate always
+// triggers a fresh ECDH agreement.
+func (d *FabricDriver) newSpec(q *wire.Query, queryDigest, policyDigest, result []byte, clientPub *ecdsa.PublicKey) proof.Spec {
+	certDigest := cryptoutil.Sum(q.RequesterCertPEM)
 	return proof.Spec{
 		NetworkID:      d.net.ID(),
 		QueryDigest:    queryDigest,
@@ -218,7 +220,7 @@ func (d *FabricDriver) newSpec(q *wire.Query, certDigest, queryDigest, policyDig
 		Result:         result,
 		Nonce:          q.Nonce,
 		ClientPub:      clientPub,
-		RequesterLabel: string(certDigest),
+		RequesterLabel: string(certDigest[:]),
 		Now:            time.Now(),
 	}
 }
@@ -243,7 +245,8 @@ func (d *FabricDriver) ServeQuery(ctx context.Context, q *wire.Query) ([]byte, e
 	if q.Ledger != "" && q.Ledger != d.ledgerName {
 		return nil, fmt.Errorf("relay: unknown ledger %q", q.Ledger)
 	}
-	policyDigest, clientPub, attestors, err := d.prepare(q)
+	var buf [4]*peer.Peer
+	policyDigest, clientPub, peers, attestors, err := d.prepare(q, buf[:0])
 	if err != nil {
 		return nil, err
 	}
@@ -271,7 +274,7 @@ func (d *FabricDriver) ServeQuery(ctx context.Context, q *wire.Query) ([]byte, e
 	// The attestors read at one height, so a disagreement is the chaincode's
 	// and never a block landing on one of them mid-loop.
 	if err := d.net.AtOneHeight(func() error {
-		for i, p := range attestors {
+		for i, p := range peers {
 			if err := ctx.Err(); err != nil {
 				return fmt.Errorf("relay: query aborted: %w", err)
 			}
@@ -305,9 +308,9 @@ func (d *FabricDriver) ServeQuery(ctx context.Context, q *wire.Query) ([]byte, e
 	// The certificate digest keys the response cache (a response is sealed
 	// to one requester) and labels the requester's session secrets.
 	start = rec.Start()
-	certDigest := cryptoutil.Digest(q.RequesterCertPEM)
+	certDigest := cryptoutil.Sum(q.RequesterCertPEM)
 	resultDigest := cryptoutil.Sum(agreed)
-	key := attestCacheKey(queryDigest, policyDigest, resultDigest[:], reads, certDigest, attestors)
+	key := attestCacheKey(queryDigest, policyDigest, resultDigest[:], reads, certDigest[:], peers)
 	raw := d.cache.get(key)
 	rec.End(trace.Cache, start)
 	if raw != nil {
@@ -316,8 +319,8 @@ func (d *FabricDriver) ServeQuery(ctx context.Context, q *wire.Query) ([]byte, e
 	}
 	d.notifyCache(false)
 
-	spec := d.newSpec(q, certDigest, queryDigest, policyDigest, agreed, clientPub)
-	resp, err := d.batcher.Load().submit(ctx, spec, identitiesOf(attestors))
+	spec := d.newSpec(q, queryDigest, policyDigest, agreed, clientPub)
+	resp, err := d.batcher.Load().submit(ctx, spec, attestors)
 	if err != nil {
 		return nil, err
 	}
@@ -326,14 +329,6 @@ func (d *FabricDriver) ServeQuery(ctx context.Context, q *wire.Query) ([]byte, e
 	raw = resp.Marshal()
 	d.cache.put(key, raw)
 	return raw, nil
-}
-
-func identitiesOf(peers []*peer.Peer) []*msp.Identity {
-	ids := make([]*msp.Identity, len(peers))
-	for i, p := range peers {
-		ids[i] = p.Identity()
-	}
-	return ids
 }
 
 // Invoke implements TxDriver: a cross-network transaction (§5 extension).
@@ -357,7 +352,7 @@ func (d *FabricDriver) Invoke(ctx context.Context, q *wire.Query) (*wire.QueryRe
 		return nil, fmt.Errorf("relay: invoke aborted: %w", err)
 	}
 	// Fail fast on request defects before anything is committed.
-	policyDigest, clientPub, attestors, err := d.prepare(q)
+	policyDigest, clientPub, _, attestors, err := d.prepare(q, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -433,13 +428,12 @@ func (d *FabricDriver) Invoke(ctx context.Context, q *wire.Query) (*wire.QueryRe
 	// satisfies it still exists — and persisted inside the transaction. If
 	// the commit is invalidated the proof dies with it; if it commits, the
 	// exact response served below can be replayed verbatim forever.
-	spec := d.newSpec(q, cryptoutil.Digest(q.RequesterCertPEM), proof.QueryDigestOf(q), policyDigest, tx.Response, clientPub)
-	attestorIDs := identitiesOf(attestors)
-	resp, err := d.batcher.Load().submit(ctx, spec, attestorIDs)
+	spec := d.newSpec(q, proof.QueryDigestOf(q), policyDigest, tx.Response, clientPub)
+	resp, err := d.batcher.Load().submit(ctx, spec, attestors)
 	if err != nil {
 		return nil, err
 	}
-	tx.ProofBundle = proof.Seal(spec, resp.Marshal(), attestorIDs).Marshal()
+	tx.ProofBundle = proof.Seal(spec, resp.Marshal(), attestors).Marshal()
 	// SubmitWait blocks until the block carrying this transaction is
 	// delivered — possibly shared with concurrent invokes, so a racing
 	// duplicate can land in the same block — and tx.Validation below
@@ -601,12 +595,12 @@ func matchesCommitted(tx *ledger.Transaction, q *wire.Query) error {
 // incoming query presents, so it verifies for that requester even though it
 // is not the original artifact.
 func (d *FabricDriver) attestResponse(ctx context.Context, q *wire.Query, result []byte) (*wire.QueryResponse, error) {
-	policyDigest, clientPub, attestors, err := d.prepare(q)
+	policyDigest, clientPub, _, attestors, err := d.prepare(q, nil)
 	if err != nil {
 		return nil, err
 	}
-	spec := d.newSpec(q, cryptoutil.Digest(q.RequesterCertPEM), proof.QueryDigestOf(q), policyDigest, result, clientPub)
-	resp, err := d.batcher.Load().submit(ctx, spec, identitiesOf(attestors))
+	spec := d.newSpec(q, proof.QueryDigestOf(q), policyDigest, result, clientPub)
+	resp, err := d.batcher.Load().submit(ctx, spec, attestors)
 	if err != nil {
 		return nil, err
 	}

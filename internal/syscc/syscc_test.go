@@ -414,7 +414,7 @@ func TestCMDACValidateProofRefusesUnpinnedBundle(t *testing.T) {
 		ResultDigest: cryptoutil.Digest(result), Nonce: nonce, UnixNano: uint64(time.Now().UnixNano()),
 	}
 	plain := md.Marshal()
-	sig, err := sellerPeer.Sign(plain)
+	sig, err := cryptoutil.SignDigest(sellerPeer.Key, cryptoutil.Digest(plain))
 	if err != nil {
 		t.Fatalf("Sign: %v", err)
 	}
