@@ -67,23 +67,18 @@ func newAttestBatcher(window time.Duration, maxPending int, builder *proof.Build
 	}
 }
 
-// appendAttestorSetKey appends the name of a window group to dst: each
-// attestor identity, length-prefixed, in the order given. A driver lists
-// one attestor per policy organization in the policy's sorted order, so an
-// attestor set always arrives in one order.
-func appendAttestorSetKey(dst []byte, ids []*msp.Identity) []byte {
-	for _, id := range ids {
-		dst = appendField(appendField(dst, id.OrgID), id.Name)
-	}
-	return dst
-}
-
 // groupFor returns the open window of the attestor set, opening one if
-// there is none. The key is built on the stack, so finding an open window
-// allocates nothing; only opening one copies it. Caller holds b.mu.
+// there is none. The window's key is each attestor identity,
+// length-prefixed, in the order given: a driver lists one attestor per
+// policy organization in the policy's sorted order, so a set always
+// arrives in one order. The key is built on the stack, so finding an open
+// window allocates nothing; only opening one copies it. Caller holds b.mu.
 func (b *attestBatcher) groupFor(attestors []*msp.Identity) *batchGroup {
 	var buf [256]byte
-	key := appendAttestorSetKey(buf[:0], attestors)
+	key := buf[:0]
+	for _, id := range attestors {
+		key = appendField(appendField(key, id.OrgID), id.Name)
+	}
 	if g := b.groups[string(key)]; g != nil {
 		return g
 	}
