@@ -98,11 +98,10 @@ func (b *Builder) seal(mgr *cryptoutil.SessionManager, spec *Spec, plaintext []b
 // stay per query per attestor — metadata and results are sealed to each
 // requester individually — so a window amortizes signing, never
 // confidentiality. Each attestor runs on a goroutine of its own while the
-// calling goroutine seals the results: an attestor run on the caller
-// starts its peers late, and a lone two-attestor build took ≈ 20 µs
-// longer. The first failure anywhere, or a cancelled ctx, stops the rest
-// at their next query.
-// Callers that persist a proof wrap its response with Seal.
+// calling goroutine seals the results (an attestor run on the caller
+// would start the others late); the first failure anywhere, or a cancelled
+// ctx, stops the rest at their next query. Callers that persist a proof
+// wrap its response with Seal.
 func (b *Builder) Build(ctx context.Context, specs []Spec, attestors []*msp.Identity) ([]*wire.QueryResponse, error) {
 	if len(specs) == 0 {
 		return nil, nil
