@@ -317,7 +317,7 @@ func TestDeliveryOwnSignatureForgeries(t *testing.T) {
 	t.Run("malleated", func(t *testing.T) {
 		tx := endorsed(t, n, kvInv("tx-d", "put", "d", "1"))
 		en := &tx.Endorsements[0]
-		en.Signature = malleate(t, peers[0].Identity().PublicKey().Params().N, en.Signature)
+		en.Signature = malleate(t, peers[0].Identity().Key.Params().N, en.Signature)
 		t.Logf("(r, n-s) of the signer's own signature: %v", deliver(t, n.commitBlock, all, tx, 0))
 	})
 	t.Run("signer's organization removed before delivery", func(t *testing.T) {

@@ -42,11 +42,6 @@ func encodeCertPEM(cert *x509.Certificate) []byte {
 	return pem.EncodeToMemory(&pem.Block{Type: "CERTIFICATE", Bytes: cert.Raw})
 }
 
-// PublicKey returns the identity's public key.
-func (id *Identity) PublicKey() *ecdsa.PublicKey {
-	return &id.Key.PublicKey
-}
-
 const (
 	// parsedCertsMax bounds the parse memo. Requester and attestor
 	// certificates arrive from other networks, so the table must not grow

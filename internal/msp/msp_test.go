@@ -100,7 +100,7 @@ func TestIdentitySignVerify(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Sign: %v", err)
 	}
-	if err := cryptoutil.VerifyDigest(id.PublicKey(), cryptoutil.Digest(msg), sig); err != nil {
+	if err := cryptoutil.VerifyDigest(&id.Key.PublicKey, cryptoutil.Digest(msg), sig); err != nil {
 		t.Fatalf("Verify: %v", err)
 	}
 }

@@ -94,7 +94,7 @@ func TestEndorsementSignaturesInteroperate(t *testing.T) {
 	if err != nil {
 		t.Fatalf("AssembleTransaction: %v", err)
 	}
-	if err := cryptoutil.VerifyDigest(p.Identity().PublicKey(), cryptoutil.Digest(tx.SignedPayload()), resp.Endorsement.Signature); err != nil {
+	if err := cryptoutil.VerifyDigest(&p.Identity().Key.PublicKey, cryptoutil.Digest(tx.SignedPayload()), resp.Endorsement.Signature); err != nil {
 		t.Fatalf("Endorse signature does not verify over SignedPayload: %v", err)
 	}
 
