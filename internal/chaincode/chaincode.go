@@ -49,11 +49,9 @@ type Func func(stub Stub) ([]byte, error)
 // Invoke implements Chaincode.
 func (f Func) Invoke(stub Stub) ([]byte, error) { return f(stub) }
 
-// KV is a key/value pair returned by range queries.
-type KV struct {
-	Key   string
-	Value []byte
-}
+// KV is a key with its committed value and version, as range queries
+// return it: the state database's own scan result, handed out as it is.
+type KV = statedb.KV
 
 // Stub is the interface a chaincode uses to interact with its invocation
 // context and the ledger.
@@ -98,9 +96,21 @@ type Stub interface {
 	// GetTransient returns proposal-scoped data that is not recorded on
 	// the ledger, mirroring Fabric's transient field. The relay driver
 	// uses it to mark cross-network queries and carry the requesting
-	// network's identity to interop-aware chaincode.
+	// network's identity to interop-aware chaincode (see Interop). The
+	// value is read-only, like Args.
 	GetTransient(key string) []byte
 }
+
+// Transient keys of a request a relay serves (see Interop).
+const (
+	// TransientInteropFlag marks an invocation as a relayed cross-network
+	// request; its value is "1".
+	TransientInteropFlag = "interop"
+	// TransientRequestingNetwork carries the requesting network's ID.
+	TransientRequestingNetwork = "interop-network"
+	// TransientNonce carries the client's replay nonce.
+	TransientNonce = "interop-nonce"
+)
 
 // Registry holds the chaincodes deployed on a peer.
 type Registry struct {
@@ -153,7 +163,12 @@ type Invocation struct {
 	CreatorCert []byte
 	Timestamp   time.Time
 	ReadOnly    bool              // queries may not write
+	Relayed     bool              // a cross-network request a relay serves; see Interop
 	Transient   map[string][]byte // proposal-scoped, never written to the ledger
+
+	// Interop is a relayed request's transient data, read only when
+	// Relayed is set.
+	Interop Interop
 
 	// InteropKey is the exactly-once identity of the cross-network request
 	// behind this proposal (wire.Query.InteropKey), empty for local
@@ -167,6 +182,19 @@ type Invocation struct {
 	Trace *trace.Recorder
 }
 
+// Interop is the transient data a relay attaches to a cross-network
+// request, carried in the invocation rather than in a Transient map, so
+// serving a request builds none. Under Relayed, GetTransient answers
+// TransientInteropFlag with "1", TransientRequestingNetwork with
+// RequestingNetwork and TransientNonce with Nonce, ahead of the map; and an
+// invocation that names no TxID has "interop-" followed by RequestID,
+// built only when a chaincode asks for it.
+type Interop struct {
+	RequestingNetwork string
+	RequestID         string
+	Nonce             []byte
+}
+
 // SimResult is the outcome of simulating an invocation.
 type SimResult struct {
 	Response []byte
@@ -176,19 +204,20 @@ type SimResult struct {
 
 // Simulate runs an invocation against the registry and a committed state,
 // producing the response and the read-write set. The state itself is never
-// mutated.
-func Simulate(reg *Registry, state *statedb.Store, inv Invocation) (*SimResult, error) {
+// mutated. The read set is kept in the invocation's own frame while it
+// holds at most readRoom reads, so the result keeps that frame alive.
+func Simulate(reg *Registry, state *statedb.Store, inv Invocation) (SimResult, error) {
 	cc, err := reg.Get(inv.Chaincode)
 	if err != nil {
-		return nil, err
+		return SimResult{}, err
 	}
-	f := newFrame(reg, state, inv)
-	f.ctx.record = true
-	resp, err := cc.Invoke(&f.stub)
+	f := &recordingStub{simStub: simStub{reg: reg, state: state, inv: inv, record: true}}
+	f.reads = f.room[:0]
+	resp, err := cc.Invoke(&f.simStub)
 	if err != nil {
-		return nil, err
+		return SimResult{}, err
 	}
-	return &SimResult{Response: resp, RWSet: f.ctx.rwset(), Event: f.ctx.event}, nil
+	return SimResult{Response: resp, RWSet: f.rwset(), Event: f.event}, nil
 }
 
 // Evaluate runs a read-only invocation against the registry and a committed
@@ -203,20 +232,19 @@ func Evaluate(reg *Registry, state *statedb.Store, inv Invocation) ([]byte, erro
 		return nil, err
 	}
 	inv.ReadOnly = true
-	return cc.Invoke(&newFrame(reg, state, inv).stub)
+	return cc.Invoke(&simStub{reg: reg, state: state, inv: inv})
 }
 
-// frame is an invocation's context and its top-level stub, allocated
-// together.
-type frame struct {
-	ctx  simContext
-	stub simStub
-}
+// readRoom is how many reads a Simulate frame holds before its read set
+// moves to a slice of its own: a relayed read through the exposure
+// control chaincode makes three.
+const readRoom = 4
 
-func newFrame(reg *Registry, state *statedb.Store, inv Invocation) *frame {
-	f := &frame{ctx: simContext{reg: reg, state: state, inv: inv}}
-	f.stub = simStub{ctx: &f.ctx, chaincode: inv.Chaincode, function: inv.Function, args: inv.Args}
-	return f
+// recordingStub is a Simulate frame: the stub and room for its first
+// reads, allocated together.
+type recordingStub struct {
+	simStub
+	room [readRoom]ledger.KVRead
 }
 
 type pendingWrite struct {
@@ -230,15 +258,17 @@ type pendingWrite struct {
 // slot names a key inside a chaincode namespace.
 type slot struct{ ns, key string }
 
-// simContext is shared across a proposal's stub and any stubs created by
-// cross-chaincode invocation, so the whole call tree yields one read-write
-// set (Fabric's same-channel chaincode-to-chaincode semantics). Each stub
-// in the tree reads and writes its own chaincode's namespace, so writes are
-// keyed by namespace and key. Reads are appended as they happen, repeats
-// included; rwset keeps the first of each key. Under Evaluate record is
-// off: nothing is recorded, and a read-only invocation has no writes to
-// read back. Under Simulate the write map is made by the first write.
-type simContext struct {
+// simStub is an invocation's one stub, shared by the whole call tree:
+// cross-chaincode calls reuse it, so the tree yields one read-write set
+// (Fabric's same-channel chaincode-to-chaincode semantics). inv's
+// Chaincode, Function and Args name the chaincode running now, whose
+// namespace it reads and writes: InvokeChaincode swaps in the callee's and
+// restores the caller's on return. Writes are keyed by namespace and key.
+// Reads are appended as they happen, repeats included; rwset keeps the
+// first of each key. Under Evaluate record is off: nothing is recorded,
+// and a read-only invocation has no writes to read back. Under Simulate
+// the write map is made by the first write.
+type simStub struct {
 	reg      *Registry
 	state    *statedb.Store
 	inv      Invocation
@@ -249,9 +279,11 @@ type simContext struct {
 	record   bool  // under Simulate: record the read-write set
 }
 
+var _ Stub = (*simStub)(nil)
+
 // read records the version of a committed key as observed now.
-func (c *simContext) read(ns, key string, v statedb.Version, exists bool) {
-	c.reads = append(c.reads, ledger.KVRead{Namespace: ns, Key: key, Version: v, Exists: exists})
+func (s *simStub) read(ns, key string, v statedb.Version, exists bool) {
+	s.reads = append(s.reads, ledger.KVRead{Namespace: ns, Key: key, Version: v, Exists: exists})
 }
 
 // rwset returns the recorded reads sorted by (namespace, key), each key
@@ -260,16 +292,16 @@ func (c *simContext) read(ns, key string, v statedb.Version, exists bool) {
 // the joined strings namespace+"\x00"+key. The sort is stable, so of a
 // key's reads the first recorded leads its run and is the one kept; the
 // read set is compacted in place.
-func (c *simContext) rwset() ledger.RWSet {
+func (s *simStub) rwset() ledger.RWSet {
 	rw := ledger.RWSet{}
-	if len(c.reads) > 0 {
-		slices.SortStableFunc(c.reads, compareRead)
-		c.reads = slices.CompactFunc(c.reads, func(a, b ledger.KVRead) bool { return compareRead(a, b) == 0 })
-		rw.Reads = c.reads
+	if len(s.reads) > 0 {
+		slices.SortStableFunc(s.reads, compareRead)
+		s.reads = slices.CompactFunc(s.reads, func(a, b ledger.KVRead) bool { return compareRead(a, b) == 0 })
+		rw.Reads = s.reads
 	}
-	if len(c.writes) > 0 {
-		ordered := make([]pendingWrite, 0, len(c.writes))
-		for _, w := range c.writes {
+	if len(s.writes) > 0 {
+		ordered := make([]pendingWrite, 0, len(s.writes))
+		for _, w := range s.writes {
 			ordered = append(ordered, w)
 		}
 		slices.SortFunc(ordered, func(a, b pendingWrite) int { return cmp.Compare(a.seq, b.seq) })
@@ -286,26 +318,23 @@ func compareRead(a, b ledger.KVRead) int {
 	return cmp.Or(strings.Compare(a.Namespace, b.Namespace), strings.Compare(a.Key, b.Key))
 }
 
-type simStub struct {
-	ctx       *simContext
-	chaincode string
-	function  string
-	args      [][]byte
+func (s *simStub) Function() string    { return s.inv.Function }
+func (s *simStub) Args() [][]byte      { return s.inv.Args }
+func (s *simStub) CreatorCert() []byte { return s.inv.CreatorCert }
+func (s *simStub) Timestamp() time.Time {
+	return s.inv.Timestamp
 }
 
-var _ Stub = (*simStub)(nil)
-
-func (s *simStub) TxID() string        { return s.ctx.inv.TxID }
-func (s *simStub) Function() string    { return s.function }
-func (s *simStub) Args() [][]byte      { return s.args }
-func (s *simStub) CreatorCert() []byte { return s.ctx.inv.CreatorCert }
-func (s *simStub) Timestamp() time.Time {
-	return s.ctx.inv.Timestamp
+func (s *simStub) TxID() string {
+	if s.inv.TxID == "" && s.inv.Relayed {
+		return "interop-" + s.inv.Interop.RequestID
+	}
+	return s.inv.TxID
 }
 
 func (s *simStub) StringArgs() []string {
-	out := make([]string, len(s.args))
-	for i, a := range s.args {
+	out := make([]string, len(s.inv.Args))
+	for i, a := range s.inv.Args {
 		out[i] = string(a)
 	}
 	return out
@@ -315,8 +344,9 @@ func (s *simStub) GetState(key string) ([]byte, error) {
 	if key == "" {
 		return nil, statedb.ErrInvalidKey
 	}
-	if !s.ctx.record {
-		vv, exists := s.ctx.state.Get(s.chaincode, key)
+	ns := s.inv.Chaincode
+	if !s.record {
+		vv, exists := s.state.Get(ns, key)
 		if !exists {
 			return nil, nil
 		}
@@ -324,15 +354,15 @@ func (s *simStub) GetState(key string) ([]byte, error) {
 	}
 	// Read-your-writes within the invocation: the buffered value itself,
 	// read-only like a committed one. PutState copied it to its length.
-	if w, ok := s.ctx.writes[slot{s.chaincode, key}]; ok {
+	if w, ok := s.writes[slot{ns, key}]; ok {
 		if w.isDelete {
 			return nil, nil
 		}
 		return w.value, nil
 	}
-	vv, exists := s.ctx.state.Get(s.chaincode, key)
+	vv, exists := s.state.Get(ns, key)
 	// Recorded for MVCC validation; rwset keeps the first observed version.
-	s.ctx.read(s.chaincode, key, vv.Version, exists)
+	s.read(ns, key, vv.Version, exists)
 	if !exists {
 		return nil, nil
 	}
@@ -343,12 +373,12 @@ func (s *simStub) PutState(key string, value []byte) error {
 	if key == "" {
 		return statedb.ErrInvalidKey
 	}
-	if s.ctx.inv.ReadOnly {
+	if s.inv.ReadOnly {
 		return ErrReadOnly
 	}
 	val := make([]byte, len(value))
 	copy(val, value)
-	s.ctx.write(pendingWrite{ns: s.chaincode, key: key, value: val})
+	s.write(pendingWrite{ns: s.inv.Chaincode, key: key, value: val})
 	return nil
 }
 
@@ -356,54 +386,68 @@ func (s *simStub) DelState(key string) error {
 	if key == "" {
 		return statedb.ErrInvalidKey
 	}
-	if s.ctx.inv.ReadOnly {
+	if s.inv.ReadOnly {
 		return ErrReadOnly
 	}
-	s.ctx.write(pendingWrite{ns: s.chaincode, key: key, isDelete: true})
+	s.write(pendingWrite{ns: s.inv.Chaincode, key: key, isDelete: true})
 	return nil
 }
 
 // write buffers w as the latest write of its key.
-func (c *simContext) write(w pendingWrite) {
-	if c.writes == nil {
-		c.writes = make(map[slot]pendingWrite)
+func (s *simStub) write(w pendingWrite) {
+	if s.writes == nil {
+		s.writes = make(map[slot]pendingWrite)
 	}
-	c.writeSeq++
-	w.seq = int(c.writeSeq)
-	c.writes[slot{w.ns, w.key}] = w
+	s.writeSeq++
+	w.seq = int(s.writeSeq)
+	s.writes[slot{w.ns, w.key}] = w
 }
 
+// GetStateRange returns the state database's scan result itself.
 func (s *simStub) GetStateRange(start, end string) ([]KV, error) {
-	kvs := s.ctx.state.Range(s.chaincode, start, end)
-	out := make([]KV, 0, len(kvs))
-	for _, kv := range kvs {
+	kvs := s.state.Range(s.inv.Chaincode, start, end)
+	if s.record {
 		// Range reads are recorded for MVCC like point reads.
-		if s.ctx.record {
-			s.ctx.read(s.chaincode, kv.Key, kv.Version, true)
+		for _, kv := range kvs {
+			s.read(s.inv.Chaincode, kv.Key, kv.Version, true)
 		}
-		out = append(out, KV{Key: kv.Key, Value: kv.Value})
 	}
-	return out, nil
+	return kvs, nil
 }
 
+// InvokeChaincode runs the callee on this same stub: it swaps in the
+// callee's chaincode, function and args, and restores the caller's when the
+// call returns, fails or panics.
 func (s *simStub) InvokeChaincode(name, function string, args [][]byte) ([]byte, error) {
-	cc, err := s.ctx.reg.Get(name)
+	cc, err := s.reg.Get(name)
 	if err != nil {
 		return nil, err
 	}
-	sub := &simStub{ctx: s.ctx, chaincode: name, function: function, args: args}
-	rec := s.ctx.inv.Trace
+	caller, callerFn, callerArgs := s.inv.Chaincode, s.inv.Function, s.inv.Args
+	defer func() { s.inv.Chaincode, s.inv.Function, s.inv.Args = caller, callerFn, callerArgs }()
+	s.inv.Chaincode, s.inv.Function, s.inv.Args = name, function, args
+	rec := s.inv.Trace
 	if rec == nil {
-		return cc.Invoke(sub)
+		return cc.Invoke(s)
 	}
 	start := rec.Start()
-	resp, err := cc.Invoke(sub)
+	resp, err := cc.Invoke(s)
 	rec.End(trace.Chaincode+name, start)
 	return resp, err
 }
 
 func (s *simStub) GetTransient(key string) []byte {
-	return s.ctx.inv.Transient[key]
+	if s.inv.Relayed {
+		switch key {
+		case TransientInteropFlag:
+			return ReadOnlyBytes("1")
+		case TransientRequestingNetwork:
+			return ReadOnlyBytes(s.inv.Interop.RequestingNetwork)
+		case TransientNonce:
+			return s.inv.Interop.Nonce
+		}
+	}
+	return s.inv.Transient[key]
 }
 
 func (s *simStub) SetEvent(name string, payload []byte) error {
@@ -412,6 +456,6 @@ func (s *simStub) SetEvent(name string, payload []byte) error {
 	}
 	p := make([]byte, len(payload))
 	copy(p, payload)
-	s.ctx.event = &ledger.ChaincodeEvent{Chaincode: s.chaincode, Name: name, Payload: p}
+	s.event = &ledger.ChaincodeEvent{Chaincode: s.inv.Chaincode, Name: name, Payload: p}
 	return nil
 }

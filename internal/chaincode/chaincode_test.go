@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
+	"repro/internal/ledger"
 	"repro/internal/statedb"
 )
 
@@ -199,6 +201,70 @@ func TestCrossChaincodeInvokeSharesContext(t *testing.T) {
 	}
 	if res.RWSet.Writes[0].Namespace != "callee" || res.RWSet.Writes[1].Namespace != "caller" {
 		t.Fatalf("write namespaces = %+v", res.RWSet.Writes)
+	}
+}
+
+// TestNestedInvokeRestoresStub: a cross-chaincode call runs on the
+// caller's stub, and whether the callee returns, fails or panics, the
+// caller finds its own function, arguments and namespace back: its reads
+// and writes after the call are its own. A write the callee makes lands in
+// the callee's namespace, and so does an event it sets.
+func TestNestedInvokeRestoresStub(t *testing.T) {
+	reg, state := newEnv(t)
+	state.ApplyWrites([]statedb.Write{
+		{Namespace: "caller", Key: "k", Value: []byte("caller's")},
+		{Namespace: "callee", Key: "k", Value: []byte("callee's")},
+	}, statedb.Version{BlockNum: 1})
+	reg.Register("callee", Func(func(stub Stub) ([]byte, error) {
+		if fn, args := stub.Function(), stub.Args(); len(args) != 1 || string(args[0]) != "callee-arg" {
+			return nil, fmt.Errorf("callee sees %s%q", fn, args)
+		}
+		if err := stub.PutState("written", []byte(stub.Function())); err != nil {
+			return nil, err
+		}
+		switch stub.Function() {
+		case "fail":
+			return nil, errors.New("callee failed")
+		case "panic":
+			panic("callee panicked")
+		}
+		if err := stub.SetEvent("ev", nil); err != nil {
+			return nil, err
+		}
+		return stub.GetState("k")
+	}))
+	for _, fn := range []string{"return", "fail", "panic"} {
+		reg.Register("caller", Func(func(stub Stub) ([]byte, error) {
+			var resp []byte
+			func() {
+				defer func() { _ = recover() }()
+				resp, _ = stub.InvokeChaincode("callee", fn, [][]byte{[]byte("callee-arg")})
+			}()
+			if fn == "return" && string(resp) != "callee's" {
+				return nil, fmt.Errorf("the callee read %q from its namespace", resp)
+			}
+			if got, args := stub.Function(), stub.Args(); got != "go" || len(args) != 1 || string(args[0]) != "caller-arg" {
+				return nil, fmt.Errorf("after the callee's %s the caller sees %s%q", fn, got, args)
+			}
+			if v, err := stub.GetState("k"); err != nil || string(v) != "caller's" {
+				return nil, fmt.Errorf("after the callee's %s the caller reads %q, %v", fn, v, err)
+			}
+			return nil, stub.PutState("mine", []byte("y"))
+		}))
+		res, err := Simulate(reg, state, inv("caller", "go", "caller-arg"))
+		if err != nil {
+			t.Fatalf("callee's %s: %v", fn, err)
+		}
+		want := []ledger.KVWrite{
+			{Namespace: "callee", Key: "written", Value: []byte(fn)},
+			{Namespace: "caller", Key: "mine", Value: []byte("y")},
+		}
+		if !reflect.DeepEqual(res.RWSet.Writes, want) {
+			t.Fatalf("callee's %s: writes = %+v, want %+v", fn, res.RWSet.Writes, want)
+		}
+		if fn == "return" && (res.Event == nil || res.Event.Chaincode != "callee") {
+			t.Fatalf("the callee's event = %+v, want one of chaincode callee", res.Event)
+		}
 	}
 }
 

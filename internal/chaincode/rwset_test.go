@@ -80,12 +80,16 @@ func (o *rwOracle) rwset() ledger.RWSet {
 	return rw
 }
 
-// recordingFrame returns a frame that records its read-write set, as
+// recordingFrame returns a stub that records its read-write set, as
 // Simulate's does.
-func recordingFrame(state *statedb.Store) *frame {
-	f := newFrame(NewRegistry(), state, Invocation{TxID: "tx"})
-	f.ctx.record = true
-	return f
+func recordingFrame(state *statedb.Store) *simStub {
+	return &simStub{reg: NewRegistry(), state: state, inv: Invocation{TxID: "tx"}, record: true}
+}
+
+// in points the stub at namespace ns, as a cross-chaincode call does.
+func (s *simStub) in(ns string) *simStub {
+	s.inv.Chaincode = ns
+	return s
 }
 
 // TestRWSetMatchesNSKeyOrder: the recorded rwset returns the same reads and
@@ -99,17 +103,17 @@ func recordingFrame(state *statedb.Store) *frame {
 // once.
 func TestRWSetMatchesNSKeyOrder(t *testing.T) {
 	f := recordingFrame(statedb.NewStore())
-	o := newOracle(f.ctx.state)
+	o := newOracle(f.state)
 	for _, r := range []slot{{"ab", "\x00"}, {"a", "\xff"}, {"a", "b\x00"}, {"ab", "a"}, {"a", "b"}, {"a", "\xff"}} {
-		_, _ = (&simStub{ctx: &f.ctx, chaincode: r.ns}).GetState(r.key)
+		_, _ = f.in(r.ns).GetState(r.key)
 		o.get(r.ns, r.key)
 	}
 	var order []slot
-	for _, r := range f.ctx.rwset().Reads {
+	for _, r := range f.rwset().Reads {
 		order = append(order, slot{r.Namespace, r.Key})
 	}
 	want := []slot{{"a", "b"}, {"a", "b\x00"}, {"a", "\xff"}, {"ab", "\x00"}, {"ab", "a"}}
-	if !reflect.DeepEqual(order, want) || !reflect.DeepEqual(f.ctx.rwset(), o.rwset()) {
+	if !reflect.DeepEqual(order, want) || !reflect.DeepEqual(f.rwset(), o.rwset()) {
 		t.Fatalf("read order = %q, want %q", order, want)
 	}
 
@@ -117,7 +121,7 @@ func TestRWSetMatchesNSKeyOrder(t *testing.T) {
 	v1, v2 := statedb.Version{BlockNum: 1}, statedb.Version{BlockNum: 2}
 	state.ApplyWrites([]statedb.Write{{Namespace: "a", Key: "k", Value: []byte("1")}, {Namespace: "a", Key: "r", Value: []byte("1")}}, v1)
 	f = recordingFrame(state)
-	stub := &simStub{ctx: &f.ctx, chaincode: "a"}
+	stub := f.in("a")
 	_, _ = stub.GetState("k")
 	_, _ = stub.GetStateRange("r", "s")
 	state.ApplyWrites([]statedb.Write{{Namespace: "a", Key: "k", Value: []byte("2")}, {Namespace: "a", Key: "r", Value: []byte("2")}}, v2)
@@ -130,7 +134,7 @@ func TestRWSetMatchesNSKeyOrder(t *testing.T) {
 		{Namespace: "a", Key: "k", Version: v1, Exists: true},
 		{Namespace: "a", Key: "r", Version: v1, Exists: true},
 	}
-	if got := f.ctx.rwset().Reads; !reflect.DeepEqual(got, wantReads) {
+	if got := f.rwset().Reads; !reflect.DeepEqual(got, wantReads) {
 		t.Fatalf("reads of keys read again across a commit = %+v, want each once at its first version %+v", got, wantReads)
 	}
 
@@ -159,7 +163,7 @@ func TestRWSetMatchesNSKeyOrder(t *testing.T) {
 		o := newOracle(state)
 		for op := rng.Intn(12); op >= 0; op-- {
 			ns := namespaces[rng.Intn(len(namespaces))]
-			stub := &simStub{ctx: &f.ctx, chaincode: ns}
+			stub := f.in(ns)
 			switch key := randKey(); rng.Intn(5) {
 			case 0:
 				_, _ = stub.GetState(key)
@@ -178,7 +182,7 @@ func TestRWSetMatchesNSKeyOrder(t *testing.T) {
 				commit() // another transaction commits mid-simulation
 			}
 		}
-		got, want := f.ctx.rwset(), o.rwset()
+		got, want := f.rwset(), o.rwset()
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("round %d:\nrwset  %+v\noracle %+v", round, got, want)
 		}

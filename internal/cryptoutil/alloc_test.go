@@ -1,6 +1,7 @@
 package cryptoutil
 
 import (
+	"strings"
 	"testing"
 	"time"
 )
@@ -35,6 +36,7 @@ func TestCryptoAllocations(t *testing.T) {
 		t.Fatalf("Open: %v", err)
 	}
 	domain := []byte("interop-domain")
+	long := strings.Repeat("OR('org-a','org-b') ", 10)
 	for _, row := range []struct {
 		name string
 		max  float64
@@ -46,6 +48,7 @@ func TestCryptoAllocations(t *testing.T) {
 		{"Digest small parts", 1, func() { sinkBytes = Digest(domain, context, plaintext) }},
 		{"DigestHex", 1, func() { sinkString = DigestHex(domain, context) }},
 		{"Sum", 0, func() { sinkSum = Sum(domain, context, plaintext) }},
+		{"SumString", 0, func() { sinkSum = SumString(domain, long) }},
 	} {
 		if got := testing.AllocsPerRun(200, row.fn); got > row.max {
 			t.Errorf("%s: %v allocations, want <= %v", row.name, got, row.max)

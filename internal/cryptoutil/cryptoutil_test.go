@@ -7,6 +7,7 @@ import (
 	"crypto/rand"
 	"crypto/sha256"
 	"errors"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -172,6 +173,18 @@ func TestDigestDeterministic(t *testing.T) {
 	}
 	if bytes.Equal(a, Digest([]byte("x"))) {
 		t.Fatal("distinct inputs collide")
+	}
+}
+
+// TestSumStringMatchesSum: SumString hashes a string exactly as Sum
+// hashes its bytes, at every length around the stack buffer's.
+func TestSumStringMatchesSum(t *testing.T) {
+	prefix := []byte("domain\x00")
+	for _, n := range []int{0, 1, 32, 33, 63, 64, 65, 128, 1000} {
+		s := strings.Repeat("x", n)
+		if got, want := SumString(prefix, s), Sum(prefix, []byte(s)); got != want {
+			t.Fatalf("%d-byte string: SumString %x, Sum %x", n, got, want)
+		}
 	}
 }
 

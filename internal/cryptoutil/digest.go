@@ -41,6 +41,23 @@ func Sum(parts ...[]byte) [DigestSize]byte {
 	return sum
 }
 
+// SumString is Sum(prefix, []byte(s)) without the conversion, which
+// allocates for any string over 32 bytes: s reaches the hash through a
+// buffer on the stack, so the call allocates nothing.
+func SumString(prefix []byte, s string) [DigestSize]byte {
+	h := sha256.New()
+	h.Write(prefix)
+	var buf [sha256.BlockSize]byte
+	for len(s) > 0 {
+		n := copy(buf[:], s)
+		h.Write(buf[:n])
+		s = s[n:]
+	}
+	var sum [DigestSize]byte
+	h.Sum(sum[:0])
+	return sum
+}
+
 // NonceSize is the size in bytes of nonces produced by NewNonce.
 const NonceSize = 24
 

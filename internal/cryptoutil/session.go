@@ -202,19 +202,40 @@ func (m *SessionManager) rotateLocked() error {
 // — deliberately missing the 65-byte point prefix classic Decrypt demands,
 // so a sessioned envelope fed to the classic decoder fails cleanly. The
 // ephemeral point and generation travel in explicit wire fields instead.
-// The nonce is drawn straight into the envelope, so the envelope is the
-// only allocation beside the cipher's.
+// The envelope is the only allocation beside the cipher's.
 func (k *SessionKey) Seal(context, plaintext []byte) ([]byte, error) {
+	return k.SealEnvelope(context, append(NewEnvelope(len(plaintext)), plaintext...))
+}
+
+// EnvelopeNonceSize is the length of an envelope's GCM nonce, which the
+// ciphertext follows; envelopeTagSize is the GCM tag's, which ends it.
+const (
+	EnvelopeNonceSize = 12
+	envelopeTagSize   = 16
+)
+
+// NewEnvelope returns an envelope buffer for an n-byte plaintext: room for
+// the nonce, and capacity for the plaintext and the tag behind it. A
+// caller appends the plaintext, so it can encode a message straight into
+// the envelope, and SealEnvelope seals it in place.
+func NewEnvelope(n int) []byte {
+	return make([]byte, EnvelopeNonceSize, EnvelopeNonceSize+n+envelopeTagSize)
+}
+
+// SealEnvelope is Seal of the plaintext that follows the first
+// EnvelopeNonceSize bytes of envelope, a NewEnvelope buffer: it draws the
+// nonce into those bytes and encrypts the plaintext in place, so the
+// envelope it returns shares envelope's array and the plaintext is gone.
+func (k *SessionKey) SealEnvelope(context, envelope []byte) ([]byte, error) {
 	aead, err := sessionAEAD(k.prk, k.Generation, context)
 	if err != nil {
 		return nil, err
 	}
-	n := aead.NonceSize()
-	out := make([]byte, n, n+len(plaintext)+aead.Overhead())
-	if _, err := rand.Read(out); err != nil {
+	nonce, plaintext := envelope[:EnvelopeNonceSize], envelope[EnvelopeNonceSize:]
+	if _, err := rand.Read(nonce); err != nil {
 		return nil, fmt.Errorf("generate gcm nonce: %w", err)
 	}
-	return aead.Seal(out, out, plaintext, nil), nil
+	return aead.Seal(nonce, nonce, plaintext, nil), nil
 }
 
 // recipientPoints bounds how many session points a Recipient remembers. A

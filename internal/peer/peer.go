@@ -135,7 +135,7 @@ func (p *Peer) Endorse(inv chaincode.Invocation) (*ProposalResponse, error) {
 	if err != nil {
 		return nil, fmt.Errorf("peer %s: simulate %s.%s: %w", p.name, inv.Chaincode, inv.Function, err)
 	}
-	digest := BuildTransaction(inv, res).Digest()
+	digest := BuildTransaction(inv, &res).Digest()
 	sig, err := cryptoutil.SignDigest(p.identity.Key, digest)
 	if err != nil {
 		return nil, fmt.Errorf("peer %s: sign endorsement: %w", p.name, err)
@@ -179,11 +179,11 @@ func (p *Peer) Query(inv chaincode.Invocation) ([]byte, error) {
 // answer depends on. The relay driver hashes the read set's keys and
 // versions into its attestation cache key, so a cached response is never
 // served after a commit to any key it read.
-func (p *Peer) QueryRW(inv chaincode.Invocation) (*chaincode.SimResult, error) {
+func (p *Peer) QueryRW(inv chaincode.Invocation) (chaincode.SimResult, error) {
 	inv.ReadOnly = true
 	res, err := chaincode.Simulate(p.registry, p.state, inv)
 	if err != nil {
-		return nil, fmt.Errorf("peer %s: query %s.%s: %w", p.name, inv.Chaincode, inv.Function, err)
+		return chaincode.SimResult{}, fmt.Errorf("peer %s: query %s.%s: %w", p.name, inv.Chaincode, inv.Function, err)
 	}
 	return res, nil
 }

@@ -72,16 +72,17 @@ func (b *Builder) forAttestor(id *msp.Identity) *cryptoutil.SessionManager {
 	return m
 }
 
-// seal encrypts plaintext for spec's requester under mgr: the AEAD key is
-// derived from the requester's cached agreement, the session generation and
-// the query digest. It returns the envelope plus the session point and
-// generation the wire message carries.
-func (b *Builder) seal(mgr *cryptoutil.SessionManager, spec *Spec, plaintext []byte) (enc, ephemeral []byte, generation uint64, err error) {
+// seal encrypts, in place, the plaintext in envelope (a
+// cryptoutil.NewEnvelope buffer) for spec's requester under mgr: the AEAD
+// key is derived from the requester's cached agreement, the session
+// generation and the query digest. It returns the sealed envelope plus the
+// session point and generation the wire message carries.
+func (b *Builder) seal(mgr *cryptoutil.SessionManager, spec *Spec, envelope []byte) (enc, ephemeral []byte, generation uint64, err error) {
 	key, err := mgr.KeyFor(spec.RequesterLabel, spec.ClientPub)
 	if err != nil {
 		return nil, nil, 0, err
 	}
-	enc, err = key.Seal(spec.QueryDigest, plaintext)
+	enc, err = key.SealEnvelope(spec.QueryDigest, envelope)
 	if err != nil {
 		return nil, nil, 0, err
 	}
@@ -108,7 +109,7 @@ func (b *Builder) Build(ctx context.Context, specs []Spec, attestors []*msp.Iden
 	}
 	n := len(specs)
 	w := &build{b: b, ctx: ctx, rec: trace.FromContext(ctx), specs: specs,
-		resps: make([]*wire.QueryResponse, n), plains: make([][]byte, n*len(attestors))}
+		resps: make([]*wire.QueryResponse, n), envs: make([][]byte, n*len(attestors))}
 	bodies := make([]wire.QueryResponse, n)
 	atts := make([]wire.Attestation, n*len(attestors))
 	for si := range specs {
@@ -130,7 +131,8 @@ func (b *Builder) Build(ctx context.Context, specs []Spec, attestors []*msp.Iden
 		resp := w.resps[si]
 		var err error
 		start := w.rec.Start()
-		resp.EncryptedResult, resp.SessionEphemeral, resp.SessionGeneration, err = b.seal(b.results, &specs[si], specs[si].Result)
+		result := append(cryptoutil.NewEnvelope(len(specs[si].Result)), specs[si].Result...)
+		resp.EncryptedResult, resp.SessionEphemeral, resp.SessionGeneration, err = b.seal(b.results, &specs[si], result)
 		w.rec.End(trace.Seal, start)
 		if err != nil {
 			w.stop(fmt.Errorf("proof: encrypt result: %w", err))
@@ -144,16 +146,16 @@ func (b *Builder) Build(ctx context.Context, specs []Spec, attestors []*msp.Iden
 	return w.resps, nil
 }
 
-// build is one Build call's shared state. plains holds each attestor's
-// metadata, attestor ai's at [ai*n, (ai+1)*n).
+// build is one Build call's shared state. envs holds each attestor's
+// metadata envelopes, attestor ai's at [ai*n, (ai+1)*n).
 type build struct {
-	b      *Builder
-	ctx    context.Context
-	rec    *trace.Recorder
-	specs  []Spec
-	resps  []*wire.QueryResponse
-	plains [][]byte
-	wg     sync.WaitGroup
+	b     *Builder
+	ctx   context.Context
+	rec   *trace.Recorder
+	specs []Spec
+	resps []*wire.QueryResponse
+	envs  [][]byte
+	wg    sync.WaitGroup
 
 	mu  sync.Mutex
 	err error // the first failure
@@ -178,21 +180,22 @@ func (w *build) attest(ai int, id *msp.Identity) {
 		return
 	}
 	n := len(w.specs)
-	plains := w.plains[ai*n : (ai+1)*n]
+	envs := w.envs[ai*n : (ai+1)*n]
 	for si := range w.specs {
-		plains[si] = MetadataPlain(id, &w.specs[si])
+		envs[si] = metadataEnvelope(id, &w.specs[si])
 	}
 	// A window's leaf hashes and the sibling hashes of every inclusion path
-	// share one array, and the paths one array of slices into it.
+	// share one array, and the paths one array of slices into it. Both
+	// hash the metadata before it is sealed over.
 	var leaves, store []hash
 	var siblings [][]byte
-	digest := cryptoutil.Sum(plains[0])
+	digest := cryptoutil.Sum(envs[0][cryptoutil.EnvelopeNonceSize:])
 	if n > 1 {
 		h := merkleHeight(n)
 		leaves = make([]hash, n+n*h)
 		leaves, store, siblings = leaves[:n], leaves[n:], make([][]byte, 0, n*h)
-		for si, plain := range plains {
-			leaves[si] = merkleLeafHash(plain)
+		for si, env := range envs {
+			leaves[si] = merkleLeafHash(env[cryptoutil.EnvelopeNonceSize:])
 		}
 		digest = batchSigDigest(merkleRoot(leaves))
 	}
@@ -213,7 +216,7 @@ func (w *build) attest(ai int, id *msp.Identity) {
 		att := &w.resps[si].Attestations[ai]
 		*att = wire.Attestation{PeerName: id.Name, OrgID: id.OrgID, CertPEM: cert, Signature: sig}
 		start := w.rec.Start()
-		att.EncryptedMetadata, att.SessionEphemeral, att.SessionGeneration, err = w.b.seal(mgr, &w.specs[si], plains[si])
+		att.EncryptedMetadata, att.SessionEphemeral, att.SessionGeneration, err = w.b.seal(mgr, &w.specs[si], envs[si])
 		w.rec.End(trace.Seal, start)
 		if err != nil {
 			w.stop(fmt.Errorf("proof: encrypt metadata from %s: %w", id.Name, err))
@@ -227,12 +230,14 @@ func (w *build) attest(ai int, id *msp.Identity) {
 	}
 }
 
-// MetadataPlain returns the exact plaintext metadata bytes an attestation
-// built from spec by the given attestor encrypts: what a lone build signs,
-// and the leaf content of a batched window. It is deterministic in (spec,
-// attestor). The result digest is hashed into an array on the stack, so
-// the encoding is the only allocation.
-func MetadataPlain(id *msp.Identity, spec *Spec) []byte {
+// metadataEnvelope returns an envelope buffer (cryptoutil.NewEnvelope)
+// holding, behind its nonce room, the exact plaintext metadata bytes an
+// attestation built from spec by the given attestor encrypts: what a lone
+// build signs, and the leaf content of a batched window. The bytes are
+// deterministic in (spec, attestor). The result digest is hashed into an
+// array on the stack and the metadata encoded straight into the envelope
+// it is sealed in, so the envelope is the only allocation.
+func metadataEnvelope(id *msp.Identity, spec *Spec) []byte {
 	resultDigest := cryptoutil.Sum(spec.Result)
 	md := wire.Metadata{
 		NetworkID:    spec.NetworkID,
@@ -244,7 +249,7 @@ func MetadataPlain(id *msp.Identity, spec *Spec) []byte {
 		UnixNano:     uint64(spec.Now.UnixNano()),
 		PolicyDigest: spec.PolicyDigest,
 	}
-	return md.Marshal()
+	return md.AppendMarshal(cryptoutil.NewEnvelope(md.Size()))
 }
 
 // Seal wraps a marshaled response Build produced into the persisted proof

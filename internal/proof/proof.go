@@ -67,6 +67,12 @@ var (
 // excluded so the digest is recomputable by the destination chaincode. The
 // fields are hashed as a wire walk emits them, without being assembled.
 func QueryDigest(targetNetwork, ledgerName, contract, function string, args [][]byte, nonce []byte) []byte {
+	sum := querySum(targetNetwork, ledgerName, contract, function, args, nonce)
+	return sum[:]
+}
+
+// querySum is QueryDigest as an array.
+func querySum(targetNetwork, ledgerName, contract, function string, args [][]byte, nonce []byte) [cryptoutil.DigestSize]byte {
 	w := wire.Hashing(nil)
 	w.String(1, &targetNetwork)
 	w.String(2, &ledgerName)
@@ -74,13 +80,18 @@ func QueryDigest(targetNetwork, ledgerName, contract, function string, args [][]
 	w.String(4, &function)
 	w.BytesList(5, &args)
 	w.Bytes(6, &nonce)
-	sum := w.Sum()
-	return sum[:]
+	return w.Sum()
 }
 
 // QueryDigestOf is QueryDigest applied to a wire query.
 func QueryDigestOf(q *wire.Query) []byte {
 	return QueryDigest(q.TargetNetwork, q.Ledger, q.Contract, q.Function, q.Args, q.Nonce)
+}
+
+// QuerySumOf is QueryDigestOf as an array, which a caller that keeps the
+// digest only for a while can hold on its stack.
+func QuerySumOf(q *wire.Query) [cryptoutil.DigestSize]byte {
+	return querySum(q.TargetNetwork, q.Ledger, q.Contract, q.Function, q.Args, q.Nonce)
 }
 
 // policyDigestDomain separates policy-expression digests from every other
@@ -95,7 +106,8 @@ var policyDigestDomain = []byte("interop-verification-policy\x00")
 // is what guarantees a bundle is verified against exactly the policy it was
 // built under.
 func PolicyDigest(policyExpr string) []byte {
-	return cryptoutil.Digest(policyDigestDomain, []byte(policyExpr))
+	sum := cryptoutil.SumString(policyDigestDomain, policyExpr)
+	return sum[:]
 }
 
 // PolicyDigestOf returns the query's effective policy pin: the explicit
@@ -124,7 +136,7 @@ func PinnedPolicyDigest(q *wire.Query) ([]byte, error) {
 	if len(q.PolicyDigest) == 0 {
 		return PolicyDigest(q.PolicyExpr), nil
 	}
-	if expect := cryptoutil.Sum(policyDigestDomain, []byte(q.PolicyExpr)); !bytes.Equal(q.PolicyDigest, expect[:]) {
+	if expect := cryptoutil.SumString(policyDigestDomain, q.PolicyExpr); !bytes.Equal(q.PolicyDigest, expect[:]) {
 		return nil, ErrPolicyPinMismatch
 	}
 	return q.PolicyDigest, nil
@@ -257,6 +269,7 @@ func OpenResponse(recipient *cryptoutil.Recipient, q *wire.Query, resp *wire.Que
 		Nonce:         q.Nonce,
 		QueryDigest:   wantQueryDigest,
 		PolicyDigest:  wantPolicyDigest,
+		Elements:      make([]Element, 0, len(resp.Attestations)),
 	}
 	for i := range resp.Attestations {
 		att := &resp.Attestations[i]

@@ -6,6 +6,7 @@ import (
 	"crypto/ecdsa"
 	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -407,10 +408,53 @@ func TestQueryDigestMatchesEncoding(t *testing.T) {
 		return // the pooled digester: the race detector drops pooled items
 	}
 	args := [][]byte{[]byte("po-1001"), nil, []byte("v2")}
-	if got := testing.AllocsPerRun(100, func() { _ = QueryDigest("tradelens", "default", "trade", "GetBillOfLading", args, []byte("nonce")) }); got != 1 {
+	if got := testing.AllocsPerRun(100, func() {
+		sinkDigest = QueryDigest("tradelens", "default", "trade", "GetBillOfLading", args, []byte("nonce"))
+	}); got != 1 {
 		t.Fatalf("QueryDigest: %v allocations, want 1", got)
 	}
+	q := &wire.Query{TargetNetwork: "tradelens", Ledger: "default", Contract: "trade", Function: "GetBillOfLading", Args: args, Nonce: []byte("nonce")}
+	if sum := QuerySumOf(q); !bytes.Equal(sum[:], QueryDigestOf(q)) {
+		t.Fatalf("QuerySumOf = %x, want QueryDigestOf's %x", sum, QueryDigestOf(q))
+	}
+	if got := testing.AllocsPerRun(100, func() { sum := QuerySumOf(q); sinkByte = sum[0] }); got != 0 {
+		t.Fatalf("QuerySumOf: %v allocations, want 0", got)
+	}
 }
+
+// TestPinnedPolicyDigest: the pin check hashes the expression as
+// PolicyDigest does and accepts exactly its digest, without an allocation
+// for an expression of any length; PolicyDigest allocates only the digest
+// it returns.
+func TestPinnedPolicyDigest(t *testing.T) {
+	expr := strings.Repeat("OR('org-a','org-b') ", 10)
+	q := &wire.Query{PolicyExpr: expr}
+	if got, err := PinnedPolicyDigest(q); err != nil || !bytes.Equal(got, PolicyDigest(expr)) {
+		t.Fatalf("unpinned: %x, %v; want PolicyDigest %x", got, err, PolicyDigest(expr))
+	}
+	q.PolicyDigest = PolicyDigest(expr)
+	if got, err := PinnedPolicyDigest(q); err != nil || &got[0] != &q.PolicyDigest[0] {
+		t.Fatalf("pinned: %x, %v; want the query's own pin", got, err)
+	}
+	if _, err := PinnedPolicyDigest(&wire.Query{PolicyExpr: expr + " ", PolicyDigest: q.PolicyDigest}); !errors.Is(err, ErrPolicyPinMismatch) {
+		t.Fatalf("a pin of another expression: %v, want ErrPolicyPinMismatch", err)
+	}
+	if raceEnabled {
+		return
+	}
+	if got := testing.AllocsPerRun(100, func() { sinkDigest, _ = PinnedPolicyDigest(q) }); got != 0 {
+		t.Fatalf("PinnedPolicyDigest of a pinned %d-byte expression: %v allocations, want 0", len(expr), got)
+	}
+	if got := testing.AllocsPerRun(100, func() { sinkDigest = PolicyDigest(expr) }); got != 1 {
+		t.Fatalf("PolicyDigest of a %d-byte expression: %v allocations, want 1", len(expr), got)
+	}
+}
+
+// Sinks keep results escaping, as they do at every real call site.
+var (
+	sinkDigest []byte
+	sinkByte   byte
+)
 
 func BenchmarkBuildOneAttestor(b *testing.B) {
 	ca, _ := msp.NewCA("org")

@@ -133,7 +133,7 @@ func TestKnownAnswerMetadata(t *testing.T) {
 	spec := vectorSpec(t)
 	checkHex(t, "QueryDigest", spec.QueryDigest, vectorQueryDigestHex)
 	checkHex(t, "PolicyDigest", spec.PolicyDigest, vectorPolicyDigestHex)
-	plain := MetadataPlain(vectorAttestor, spec)
+	plain := metadataEnvelope(vectorAttestor, spec)[cryptoutil.EnvelopeNonceSize:]
 	checkHex(t, "MetadataPlain", plain, vectorMetadataHex)
 	// A single-signature attestation signs the metadata bytes themselves.
 	if err := cryptoutil.VerifyDigest(vectorAttestorPub(t), cryptoutil.Digest(unhex(t, vectorMetadataHex)), unhex(t, vectorSingleSigHex)); err != nil {

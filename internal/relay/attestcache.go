@@ -22,10 +22,13 @@ const (
 	defaultAttestCacheTTL  = 5 * time.Minute
 )
 
+// cacheKey is a proof's content address (see attestCacheKey).
+type cacheKey [sha256.Size]byte
+
 // attestEntry is one cached proof: the marshaled wire.QueryResponse served
 // verbatim on a hit.
 type attestEntry struct {
-	key      string
+	key      cacheKey
 	response []byte
 	storedAt time.Time // for the TTL
 }
@@ -48,7 +51,7 @@ type attestationCache struct {
 	max     int
 	ttl     time.Duration
 	now     func() time.Time
-	entries map[string]*list.Element
+	entries map[cacheKey]*list.Element
 	lru     *list.List // front = most recently used; values are *attestEntry
 }
 
@@ -57,7 +60,7 @@ func newAttestationCache(max int, ttl time.Duration, now func() time.Time) *atte
 		max:     max,
 		ttl:     ttl,
 		now:     now,
-		entries: make(map[string]*list.Element),
+		entries: make(map[cacheKey]*list.Element),
 		lru:     list.New(),
 	}
 }
@@ -80,8 +83,8 @@ func newAttestationCache(max int, ttl time.Duration, now func() time.Time) *atte
 //     re-enrolling, changes who a fresh build would have sign.
 //
 // Every field is length-framed into one SHA-256 through a stack buffer,
-// so the key string is the only allocation.
-func attestCacheKey(queryDigest, policyDigest, resultDigest []byte, reads []ledger.KVRead, requesterCertDigest []byte, attestors []*peer.Peer) string {
+// and the key is the digest itself, so deriving one allocates nothing.
+func attestCacheKey(queryDigest, policyDigest, resultDigest []byte, reads []ledger.KVRead, requesterCertDigest []byte, attestors []*peer.Peer) cacheKey {
 	h := sha256.New()
 	var scratch [256]byte
 	b := appendField(scratch[:0], queryDigest)
@@ -102,7 +105,9 @@ func attestCacheKey(queryDigest, policyDigest, resultDigest []byte, reads []ledg
 		h.Write(binary.AppendUvarint(scratch[:0], uint64(len(cert))))
 		h.Write(cert)
 	}
-	return string(h.Sum(scratch[:0]))
+	var key cacheKey
+	h.Sum(key[:0])
+	return key
 }
 
 // appendField appends v to b behind its length.
@@ -111,7 +116,7 @@ func appendField[T string | []byte](b []byte, v T) []byte {
 }
 
 // get returns the cached response for key, or nil when absent or expired.
-func (c *attestationCache) get(key string) []byte {
+func (c *attestationCache) get(key cacheKey) []byte {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.entries[key]
@@ -128,7 +133,7 @@ func (c *attestationCache) get(key string) []byte {
 }
 
 // put stores a freshly built response under its content address.
-func (c *attestationCache) put(key string, response []byte) {
+func (c *attestationCache) put(key cacheKey, response []byte) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.entries[key]; ok {

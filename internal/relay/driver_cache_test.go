@@ -165,7 +165,7 @@ func TestDriverCacheHitIsTheEntry(t *testing.T) {
 	if s := src.relay.Stats(); s.AttestationCacheHits != 2 || s.AttestationCacheMisses != 1 {
 		t.Fatalf("hits/misses = %d/%d, want 2/1", s.AttestationCacheHits, s.AttestationCacheMisses)
 	}
-	var key string
+	var key cacheKey
 	for k := range src.driver.cache.entries {
 		key = k
 	}
@@ -181,6 +181,39 @@ func TestDriverCacheHitIsTheEntry(t *testing.T) {
 	if got := testing.AllocsPerRun(100, func() { _ = src.driver.cache.get(key) }); got != 0 {
 		t.Fatalf("a warm cache lookup costs %v allocations, want 0", got)
 	}
+}
+
+// TestServeQueryHitAllocations is the allocation tripwire of a warm cache
+// hit on a query sent as a client sends it, its policy pin stamped. A hit
+// reads the state on each attestor, keys the cache and returns the entry.
+// Of its 12 allocations the driver and the chaincode layer make 4: each of
+// the two peer reads' frame and access-rule scan. The test contract's
+// GetDoc makes the other 8, 4 per read: its ECC argument list, two of its
+// arguments and its key. A change may lower the row, never raise it.
+func TestServeQueryHitAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector adds allocations")
+	}
+	src, req := newCacheEnv(t)
+	q := newQuery(t, req)
+	q.PolicyDigest = proof.PolicyDigest(q.PolicyExpr)
+	if _, err := src.driver.ServeQuery(context.Background(), q); err != nil {
+		t.Fatalf("cold ServeQuery: %v", err)
+	}
+	ctx := context.Background()
+	got := testing.AllocsPerRun(200, func() {
+		if _, err := src.driver.ServeQuery(ctx, q); err != nil {
+			t.Fatalf("warm ServeQuery: %v", err)
+		}
+	})
+	if s := src.relay.Stats(); s.AttestationCacheMisses != 1 {
+		t.Fatalf("%d misses, want the cold query's alone", s.AttestationCacheMisses)
+	}
+	const max = 12
+	if got > max {
+		t.Fatalf("a warm cache hit costs %v allocations, want <= %v", got, max)
+	}
+	t.Logf("a warm cache hit costs %v allocations", got)
 }
 
 // TestDriverCacheStoresEveryColdBuild: every fresh build takes one entry,

@@ -17,7 +17,6 @@ import (
 	"repro/internal/msp"
 	"repro/internal/peer"
 	"repro/internal/proof"
-	"repro/internal/syscc"
 	"repro/internal/trace"
 	"repro/internal/wire"
 )
@@ -179,43 +178,68 @@ func (d *FabricDriver) ConfigureAttestationBatching(window time.Duration, maxPen
 
 // prepare runs the checks every request makes before any peer is asked:
 // the verification policy parses, the query's policy pin matches it and
-// the requester's certificate carries a key. It returns the pin, that key,
-// one peer from each policy organization present in the network, appended
-// to buf (a caller's stack array keeps the list off the heap), and those
-// peers' identities, the proof's attestors; or ErrNoAttestors when there is
-// none — so nothing is read or committed for a proof that could never be
-// built.
-func (d *FabricDriver) prepare(q *wire.Query, buf []*peer.Peer) (policyDigest []byte, clientPub *ecdsa.PublicKey, peers []*peer.Peer, attestors []*msp.Identity, err error) {
+// the requester's certificate carries a key. It returns the pin, that key
+// and one peer from each policy organization present in the network,
+// appended to buf (a caller's stack array keeps the list off the heap); or
+// ErrNoAttestors when there is none — so nothing is read or committed for
+// a proof that could never be built.
+func (d *FabricDriver) prepare(q *wire.Query, buf []*peer.Peer) (policyDigest []byte, clientPub *ecdsa.PublicKey, peers []*peer.Peer, err error) {
 	vp, err := endorsement.Parse(q.PolicyExpr)
 	if err != nil {
-		return nil, nil, nil, nil, fmt.Errorf("relay: verification policy: %w", err)
+		return nil, nil, nil, fmt.Errorf("relay: verification policy: %w", err)
 	}
 	if policyDigest, err = proof.PinnedPolicyDigest(q); err != nil {
-		return nil, nil, nil, nil, err
+		return nil, nil, nil, err
 	}
 	if clientPub, err = msp.PublicKeyFromPEM(q.RequesterCertPEM); err != nil {
-		return nil, nil, nil, nil, fmt.Errorf("relay: requester certificate: %w", err)
+		return nil, nil, nil, fmt.Errorf("relay: requester certificate: %w", err)
 	}
-	peers, attestors = buf[:0], make([]*msp.Identity, 0, len(vp.Orgs()))
+	peers = buf[:0]
 	for _, orgID := range vp.Orgs() {
 		if p := d.net.FirstPeerOf(orgID); p != nil {
-			peers, attestors = append(peers, p), append(attestors, p.Identity())
+			peers = append(peers, p)
 		}
 	}
 	if len(peers) == 0 {
-		return nil, nil, nil, nil, ErrNoAttestors
+		return nil, nil, nil, ErrNoAttestors
 	}
-	return policyDigest, clientPub, peers, attestors, nil
+	return policyDigest, clientPub, peers, nil
+}
+
+// identitiesOf returns the peers' identities, a proof's attestors, for a
+// request that builds one.
+func identitiesOf(peers []*peer.Peer) []*msp.Identity {
+	ids := make([]*msp.Identity, len(peers))
+	for i, p := range peers {
+		ids[i] = p.Identity()
+	}
+	return ids
+}
+
+// invocation is q as a chaincode invocation carrying the transient data
+// of a relayed request (chaincode.Interop). A query names no TxID: the
+// chaincode sees "interop-" followed by the request ID.
+func invocation(q *wire.Query, rec *trace.Recorder) chaincode.Invocation {
+	return chaincode.Invocation{
+		Chaincode:   q.Contract,
+		Function:    q.Function,
+		Args:        q.Args,
+		CreatorCert: q.RequesterCertPEM,
+		Relayed:     true,
+		Interop:     chaincode.Interop{RequestingNetwork: q.RequestingNetwork, RequestID: q.RequestID, Nonce: q.Nonce},
+		Trace:       rec,
+	}
 }
 
 // newSpec assembles the proof spec for q. The digest of the requester's
 // certificate labels its session secrets, so a rotated certificate always
-// triggers a fresh ECDH agreement.
-func (d *FabricDriver) newSpec(q *wire.Query, queryDigest, policyDigest, result []byte, clientPub *ecdsa.PublicKey) proof.Spec {
+// triggers a fresh ECDH agreement. The spec keeps the query digest, so
+// only a build copies it off the caller's stack.
+func (d *FabricDriver) newSpec(q *wire.Query, queryDigest [cryptoutil.DigestSize]byte, policyDigest, result []byte, clientPub *ecdsa.PublicKey) proof.Spec {
 	certDigest := cryptoutil.Sum(q.RequesterCertPEM)
 	return proof.Spec{
 		NetworkID:      d.net.ID(),
-		QueryDigest:    queryDigest,
+		QueryDigest:    queryDigest[:],
 		PolicyDigest:   policyDigest,
 		Result:         result,
 		Nonce:          q.Nonce,
@@ -246,27 +270,15 @@ func (d *FabricDriver) ServeQuery(ctx context.Context, q *wire.Query) ([]byte, e
 		return nil, fmt.Errorf("relay: unknown ledger %q", q.Ledger)
 	}
 	var buf [4]*peer.Peer
-	policyDigest, clientPub, peers, attestors, err := d.prepare(q, buf[:0])
+	policyDigest, clientPub, peers, err := d.prepare(q, buf[:0])
 	if err != nil {
 		return nil, err
 	}
 
 	rec := trace.FromContext(ctx)
-	queryDigest := proof.QueryDigestOf(q)
-	inv := chaincode.Invocation{
-		TxID:        "interop-" + q.RequestID,
-		Chaincode:   q.Contract,
-		Function:    q.Function,
-		Args:        q.Args,
-		CreatorCert: q.RequesterCertPEM,
-		ReadOnly:    true,
-		Transient: map[string][]byte{
-			syscc.TransientInteropFlag:       []byte("1"),
-			syscc.TransientRequestingNetwork: []byte(q.RequestingNetwork),
-			syscc.TransientNonce:             q.Nonce,
-		},
-		Trace: rec,
-	}
+	queryDigest := proof.QuerySumOf(q)
+	inv := invocation(q, rec)
+	inv.ReadOnly = true
 
 	var agreed []byte
 	var reads []ledger.KVRead
@@ -310,7 +322,7 @@ func (d *FabricDriver) ServeQuery(ctx context.Context, q *wire.Query) ([]byte, e
 	start = rec.Start()
 	certDigest := cryptoutil.Sum(q.RequesterCertPEM)
 	resultDigest := cryptoutil.Sum(agreed)
-	key := attestCacheKey(queryDigest, policyDigest, resultDigest[:], reads, certDigest[:], peers)
+	key := attestCacheKey(queryDigest[:], policyDigest, resultDigest[:], reads, certDigest[:], peers)
 	raw := d.cache.get(key)
 	rec.End(trace.Cache, start)
 	if raw != nil {
@@ -320,7 +332,7 @@ func (d *FabricDriver) ServeQuery(ctx context.Context, q *wire.Query) ([]byte, e
 	d.notifyCache(false)
 
 	spec := d.newSpec(q, queryDigest, policyDigest, agreed, clientPub)
-	resp, err := d.batcher.Load().submit(ctx, spec, attestors)
+	resp, err := d.batcher.Load().submit(ctx, spec, identitiesOf(peers))
 	if err != nil {
 		return nil, err
 	}
@@ -352,7 +364,8 @@ func (d *FabricDriver) Invoke(ctx context.Context, q *wire.Query) (*wire.QueryRe
 		return nil, fmt.Errorf("relay: invoke aborted: %w", err)
 	}
 	// Fail fast on request defects before anything is committed.
-	policyDigest, clientPub, _, attestors, err := d.prepare(q, nil)
+	var buf [4]*peer.Peer
+	policyDigest, clientPub, peers, err := d.prepare(q, buf[:0])
 	if err != nil {
 		return nil, err
 	}
@@ -374,21 +387,8 @@ func (d *FabricDriver) Invoke(ctx context.Context, q *wire.Query) (*wire.QueryRe
 		txID = "interop-tx-" + fresh
 	}
 	rec := trace.FromContext(ctx)
-	inv := chaincode.Invocation{
-		TxID:        txID,
-		Chaincode:   q.Contract,
-		Function:    q.Function,
-		Args:        q.Args,
-		CreatorCert: q.RequesterCertPEM,
-		Timestamp:   time.Now(),
-		InteropKey:  q.InteropKey(),
-		Transient: map[string][]byte{
-			syscc.TransientInteropFlag:       []byte("1"),
-			syscc.TransientRequestingNetwork: []byte(q.RequestingNetwork),
-			syscc.TransientNonce:             q.Nonce,
-		},
-		Trace: rec,
-	}
+	inv := invocation(q, rec)
+	inv.TxID, inv.Timestamp, inv.InteropKey = txID, time.Now(), q.InteropKey()
 	var responses []*peer.ProposalResponse
 	start := rec.Start()
 	// One height for every endorser: a concurrent invoke's block reaching
@@ -428,7 +428,8 @@ func (d *FabricDriver) Invoke(ctx context.Context, q *wire.Query) (*wire.QueryRe
 	// satisfies it still exists — and persisted inside the transaction. If
 	// the commit is invalidated the proof dies with it; if it commits, the
 	// exact response served below can be replayed verbatim forever.
-	spec := d.newSpec(q, proof.QueryDigestOf(q), policyDigest, tx.Response, clientPub)
+	attestors := identitiesOf(peers)
+	spec := d.newSpec(q, proof.QuerySumOf(q), policyDigest, tx.Response, clientPub)
 	resp, err := d.batcher.Load().submit(ctx, spec, attestors)
 	if err != nil {
 		return nil, err
@@ -595,12 +596,13 @@ func matchesCommitted(tx *ledger.Transaction, q *wire.Query) error {
 // incoming query presents, so it verifies for that requester even though it
 // is not the original artifact.
 func (d *FabricDriver) attestResponse(ctx context.Context, q *wire.Query, result []byte) (*wire.QueryResponse, error) {
-	policyDigest, clientPub, _, attestors, err := d.prepare(q, nil)
+	var buf [4]*peer.Peer
+	policyDigest, clientPub, peers, err := d.prepare(q, buf[:0])
 	if err != nil {
 		return nil, err
 	}
-	spec := d.newSpec(q, proof.QueryDigestOf(q), policyDigest, result, clientPub)
-	resp, err := d.batcher.Load().submit(ctx, spec, attestors)
+	spec := d.newSpec(q, proof.QuerySumOf(q), policyDigest, result, clientPub)
+	resp, err := d.batcher.Load().submit(ctx, spec, identitiesOf(peers))
 	if err != nil {
 		return nil, err
 	}

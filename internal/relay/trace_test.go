@@ -31,7 +31,7 @@ func TestDriverCacheTracedHitLeavesEntryUnwritten(t *testing.T) {
 	if _, err := src.driver.ServeQuery(context.Background(), q); err != nil {
 		t.Fatalf("cold ServeQuery: %v", err)
 	}
-	var key string
+	var key cacheKey
 	for k := range src.driver.cache.entries {
 		key = k
 	}

@@ -18,6 +18,9 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"unsafe"
+
+	"repro/internal/memo"
 )
 
 // ErrInvalidKey is returned for keys that are empty or contain the composite
@@ -224,18 +227,43 @@ func (s *Store) Keys() int {
 	return total
 }
 
+// Bounds of the composite-key intern table. A deployment's chaincodes
+// read a few dozen distinct keys on their hot paths; keys that never
+// repeat, such as a proof's nonce, flush the table every keysMax of them.
+// maxInternedKey is the longest key built on the stack and kept.
+const (
+	keysMax        = 1024
+	maxInternedKey = 128
+)
+
+// keys interns composite keys, keyed and valued by the key itself.
+var keys = memo.Table[string, string]{Max: keysMax}
+
 // CompositeKey builds a scan-friendly key from an object type and
 // attributes, e.g. CompositeKey("shipment", "po-1001"). Parts must not
-// contain the U+0000 separator. The key is built in one allocation.
+// contain the U+0000 separator. The key is built in a stack buffer and
+// interned, so a key built before costs no allocation and a new one costs
+// one; the result never aliases the parts.
 func CompositeKey(objectType string, parts ...string) (string, error) {
 	n, err := compositeLen(objectType, parts)
 	if err != nil {
 		return "", err
 	}
-	var b strings.Builder
-	b.Grow(n)
-	writeComposite(&b, objectType, parts)
-	return b.String(), nil
+	if n > maxInternedKey {
+		var b strings.Builder
+		b.Grow(n)
+		writeComposite(&b, objectType, parts)
+		return b.String(), nil
+	}
+	var buf [maxInternedKey]byte
+	b := appendComposite(buf[:0], objectType, parts)
+	// The lookup reads the stack bytes in place; only a new key is copied.
+	if key, ok := keys.Get(unsafe.String(unsafe.SliceData(b), len(b))); ok {
+		return key, nil
+	}
+	key := string(b)
+	keys.Put(key, key)
+	return key, nil
 }
 
 // CompositeRange returns the [start, end) bounds that cover every composite
@@ -282,6 +310,16 @@ func writeComposite(b *strings.Builder, objectType string, parts []string) {
 		b.WriteString(compositeSep)
 		b.WriteString(p)
 	}
+}
+
+// appendComposite appends the composite key of a validated object type and
+// parts to b.
+func appendComposite(b []byte, objectType string, parts []string) []byte {
+	b = append(b, objectType...)
+	for _, p := range parts {
+		b = append(append(b, compositeSep...), p...)
+	}
+	return b
 }
 
 // SplitCompositeKey splits a composite key into its object type and parts.

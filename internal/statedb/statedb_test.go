@@ -5,9 +5,12 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 // tns is the chaincode namespace most tests operate in.
@@ -199,6 +202,53 @@ func TestCompositeKeyRoundTrip(t *testing.T) {
 		t.Fatalf("SplitCompositeKey = %q, %q", objType, parts)
 	}
 }
+
+// TestCompositeKeyInterned: a key built before is the interned string
+// itself, at no allocation; the intern table never holds more than
+// keysMax keys; and no key, short or past maxInternedKey, aliases the
+// bytes of a part, so a caller that rewrites a part's buffer after the call
+// cannot rewrite the key or an entry of the table.
+func TestCompositeKeyInterned(t *testing.T) {
+	first, _ := CompositeKey("shipment", "po-1001")
+	again, _ := CompositeKey("shipment", "po-1001")
+	if first != "shipment\x00po-1001" || unsafe.StringData(first) != unsafe.StringData(again) {
+		t.Fatalf("a repeated key is %q, not the interned %q", again, first)
+	}
+	if got := testing.AllocsPerRun(100, func() { sinkKey, _ = CompositeKey("shipment", "po-1001") }); got != 0 {
+		t.Fatalf("a repeated key costs %v allocations, want 0", got)
+	}
+
+	for i := range keysMax + 10 {
+		if _, err := CompositeKey("nonce", strconv.Itoa(i)); err != nil {
+			t.Fatalf("CompositeKey: %v", err)
+		}
+		if n := keys.Len(); n > keysMax {
+			t.Fatalf("the intern table holds %d keys after %d new ones, want <= %d", n, i+1, keysMax)
+		}
+	}
+
+	for _, size := range []int{8, maxInternedKey + 1} {
+		buf := bytes.Repeat([]byte("a"), size)
+		part := unsafe.String(&buf[0], len(buf)) // a view, as chaincode.ReadOnlyBytes makes
+		key, err := CompositeKey("t", part)
+		if err != nil {
+			t.Fatalf("CompositeKey: %v", err)
+		}
+		want := "t\x00" + strings.Repeat("a", size)
+		copy(buf, bytes.Repeat([]byte("b"), size))
+		if key != want {
+			t.Fatalf("%d-byte part: the key reads %q after its part was rewritten", size, key)
+		}
+		if again, _ := CompositeKey("t", strings.Repeat("a", size)); again != want {
+			t.Fatalf("%d-byte part: the key built again reads %q", size, again)
+		}
+		if rewritten, _ := CompositeKey("t", part); rewritten != "t\x00"+strings.Repeat("b", size) {
+			t.Fatalf("%d-byte part: the rewritten part's key reads %q", size, rewritten)
+		}
+	}
+}
+
+var sinkKey string
 
 func TestCompositeKeyRejectsSeparator(t *testing.T) {
 	if _, err := CompositeKey("a\x00b"); err == nil {

@@ -46,15 +46,16 @@ const (
 	eccRulesKeyType = "ecc-rule"
 )
 
-// Transient keys the relay driver attaches to cross-network queries.
+// Transient keys the relay driver attaches to cross-network queries, as
+// chaincode.Interop carries them.
 const (
 	// TransientInteropFlag marks an invocation as a relayed cross-network
 	// query.
-	TransientInteropFlag = "interop"
+	TransientInteropFlag = chaincode.TransientInteropFlag
 	// TransientRequestingNetwork carries the requesting network's ID.
-	TransientRequestingNetwork = "interop-network"
+	TransientRequestingNetwork = chaincode.TransientRequestingNetwork
 	// TransientNonce carries the client's replay nonce.
-	TransientNonce = "interop-nonce"
+	TransientNonce = chaincode.TransientNonce
 )
 
 var (

@@ -148,7 +148,7 @@ func TestAuthorizeRelayRequestWarmAllocations(t *testing.T) {
 	}
 	with := testing.AllocsPerRun(200, func() { _, _ = chaincode.Evaluate(reg, state, probe) })
 	without := testing.AllocsPerRun(200, func() { _, _ = chaincode.Evaluate(reg, state, bare) })
-	const max = 7
+	const max = 3
 	if got := with - without; got > max {
 		t.Fatalf("warm AuthorizeRelayRequest: %v allocations, want <= %v", got, max)
 	} else {

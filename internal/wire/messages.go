@@ -368,7 +368,18 @@ type Metadata struct {
 }
 
 // Marshal encodes the metadata.
-func (m *Metadata) Marshal() []byte { w := Writing(m.size()); m.walk(&w); return w.Encoded() }
+func (m *Metadata) Marshal() []byte { return m.AppendMarshal(make([]byte, 0, m.Size())) }
+
+// Size returns the length of the metadata's encoding.
+func (m *Metadata) Size() int { return m.size() }
+
+// AppendMarshal appends the metadata's encoding to b, in place when b has
+// Size bytes of capacity to spare.
+func (m *Metadata) AppendMarshal(b []byte) []byte {
+	w := Walk{e: Encoder{buf: b}}
+	m.walk(&w)
+	return w.Encoded()
+}
 
 func (m *Metadata) size() int { var c Walk; m.walk(&c); return c.Len() }
 
