@@ -318,18 +318,18 @@ func compareRead(a, b ledger.KVRead) int {
 	return cmp.Or(strings.Compare(a.Namespace, b.Namespace), strings.Compare(a.Key, b.Key))
 }
 
-func (s *simStub) Function() string    { return s.inv.Function }
-func (s *simStub) Args() [][]byte      { return s.inv.Args }
-func (s *simStub) CreatorCert() []byte { return s.inv.CreatorCert }
-func (s *simStub) Timestamp() time.Time {
-	return s.inv.Timestamp
-}
-
 func (s *simStub) TxID() string {
 	if s.inv.TxID == "" && s.inv.Relayed {
 		return "interop-" + s.inv.Interop.RequestID
 	}
 	return s.inv.TxID
+}
+
+func (s *simStub) Function() string    { return s.inv.Function }
+func (s *simStub) Args() [][]byte      { return s.inv.Args }
+func (s *simStub) CreatorCert() []byte { return s.inv.CreatorCert }
+func (s *simStub) Timestamp() time.Time {
+	return s.inv.Timestamp
 }
 
 func (s *simStub) StringArgs() []string {
