@@ -249,13 +249,12 @@ func CompositeKey(objectType string, parts ...string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	if n > maxInternedKey {
-		var b strings.Builder
-		b.Grow(n)
-		writeComposite(&b, objectType, parts)
-		return b.String(), nil
-	}
 	var buf [maxInternedKey]byte
+	if n > len(buf) {
+		// Too long to keep: built once on the heap and handed over.
+		b := appendComposite(make([]byte, 0, n), objectType, parts)
+		return unsafe.String(unsafe.SliceData(b), n), nil
+	}
 	b := appendComposite(buf[:0], objectType, parts)
 	// The lookup reads the stack bytes in place; only a new key is copied.
 	if key, ok := keys.Get(unsafe.String(unsafe.SliceData(b), len(b))); ok {
@@ -276,13 +275,9 @@ func CompositeRange(objectType string, parts ...string) (start, end string, err 
 	if err != nil {
 		return "", "", err
 	}
-	var b strings.Builder
-	b.Grow(2 * (n + 1))
-	writeComposite(&b, objectType, parts)
-	b.WriteString(compositeSep)
-	writeComposite(&b, objectType, parts)
-	b.WriteByte(compositeSep[0] + 1)
-	both := b.String()
+	b := append(appendComposite(make([]byte, 0, 2*(n+1)), objectType, parts), compositeSep...)
+	b = append(appendComposite(b, objectType, parts), compositeSep[0]+1)
+	both := unsafe.String(unsafe.SliceData(b), len(b))
 	return both[:n+1], both[n+1:], nil
 }
 
@@ -300,16 +295,6 @@ func compositeLen(objectType string, parts []string) (int, error) {
 		n += len(compositeSep) + len(p)
 	}
 	return n, nil
-}
-
-// writeComposite writes the composite key of a validated object type and
-// parts.
-func writeComposite(b *strings.Builder, objectType string, parts []string) {
-	b.WriteString(objectType)
-	for _, p := range parts {
-		b.WriteString(compositeSep)
-		b.WriteString(p)
-	}
 }
 
 // appendComposite appends the composite key of a validated object type and
