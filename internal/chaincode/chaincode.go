@@ -164,7 +164,7 @@ type Invocation struct {
 	Timestamp   time.Time
 	ReadOnly    bool              // queries may not write
 	Relayed     bool              // a cross-network request a relay serves; see Interop
-	Transient   map[string][]byte // proposal-scoped, never written to the ledger
+	Transient   map[string][]byte // proposal-scoped, never written to the ledger; not the interop keys
 
 	// Interop is a relayed request's transient data, read only when
 	// Relayed is set.
@@ -186,8 +186,9 @@ type Invocation struct {
 // request, carried in the invocation rather than in a Transient map, so
 // serving a request builds none. Under Relayed, GetTransient answers
 // TransientInteropFlag with "1", TransientRequestingNetwork with
-// RequestingNetwork and TransientNonce with Nonce, ahead of the map; and an
-// invocation that names no TxID has "interop-" followed by RequestID,
+// RequestingNetwork and TransientNonce with Nonce; without it, those keys
+// are absent, and the Transient map never answers them. An invocation
+// under Relayed that names no TxID has "interop-" followed by RequestID,
 // built only when a chaincode asks for it.
 type Interop struct {
 	RequestingNetwork string
@@ -204,8 +205,11 @@ type SimResult struct {
 
 // Simulate runs an invocation against the registry and a committed state,
 // producing the response and the read-write set. The state itself is never
-// mutated. The read set is kept in the invocation's own frame while it
-// holds at most readRoom reads, so the result keeps that frame alive.
+// mutated. A read-only invocation's read set stays in the frame's room
+// while it holds at most readRoom reads, so its result keeps the frame, and
+// the invocation in it, alive as long as the caller keeps the result. A
+// transaction's read set outlives the call on the ledger, so it is copied
+// out of the room: a committed transaction keeps no frame alive.
 func Simulate(reg *Registry, state *statedb.Store, inv Invocation) (SimResult, error) {
 	cc, err := reg.Get(inv.Chaincode)
 	if err != nil {
@@ -217,7 +221,11 @@ func Simulate(reg *Registry, state *statedb.Store, inv Invocation) (SimResult, e
 	if err != nil {
 		return SimResult{}, err
 	}
-	return SimResult{Response: resp, RWSet: f.rwset(), Event: f.event}, nil
+	rw := f.rwset()
+	if !inv.ReadOnly && cap(rw.Reads) == readRoom { // still in the room
+		rw.Reads = slices.Clone(rw.Reads)
+	}
+	return SimResult{Response: resp, RWSet: rw, Event: f.event}, nil
 }
 
 // Evaluate runs a read-only invocation against the registry and a committed
@@ -436,18 +444,24 @@ func (s *simStub) InvokeChaincode(name, function string, args [][]byte) ([]byte,
 	return resp, err
 }
 
+// GetTransient answers the interop keys from Interop alone, and only under
+// Relayed; every other key from the Transient map.
 func (s *simStub) GetTransient(key string) []byte {
-	if s.inv.Relayed {
-		switch key {
-		case TransientInteropFlag:
-			return ReadOnlyBytes("1")
-		case TransientRequestingNetwork:
-			return ReadOnlyBytes(s.inv.Interop.RequestingNetwork)
-		case TransientNonce:
-			return s.inv.Interop.Nonce
-		}
+	var v []byte
+	switch key {
+	case TransientInteropFlag:
+		v = ReadOnlyBytes("1")
+	case TransientRequestingNetwork:
+		v = ReadOnlyBytes(s.inv.Interop.RequestingNetwork)
+	case TransientNonce:
+		v = s.inv.Interop.Nonce
+	default:
+		return s.inv.Transient[key]
 	}
-	return s.inv.Transient[key]
+	if !s.inv.Relayed {
+		return nil
+	}
+	return v
 }
 
 func (s *simStub) SetEvent(name string, payload []byte) error {

@@ -229,6 +229,12 @@ func TestHKDFSizes(t *testing.T) {
 	}
 }
 
+// sealPlain seals plaintext under sk as the proof builder does: appended to
+// a NewEnvelope buffer and sealed in place.
+func sealPlain(sk SessionKey, context, plaintext []byte) ([]byte, error) {
+	return sk.SealEnvelope(context, append(NewEnvelope(len(plaintext)), plaintext...))
+}
+
 // sealTo seals plaintext for key under context with a fresh session manager,
 // the one encryption scheme responses travel under.
 func sealTo(t testing.TB, key *ecdsa.PrivateKey, context, plaintext []byte) (SessionKey, []byte) {
@@ -237,7 +243,7 @@ func sealTo(t testing.TB, key *ecdsa.PrivateKey, context, plaintext []byte) (Ses
 	if err != nil {
 		t.Fatalf("KeyFor: %v", err)
 	}
-	env, err := sk.Seal(context, plaintext)
+	env, err := sealPlain(sk, context, plaintext)
 	if err != nil {
 		t.Fatalf("Seal: %v", err)
 	}
@@ -275,7 +281,7 @@ func TestEncryptDecryptProperty(t *testing.T) {
 	}
 	r := NewRecipient(key)
 	prop := func(context, plaintext []byte) bool {
-		env, err := sk.Seal(context, plaintext)
+		env, err := sealPlain(sk, context, plaintext)
 		if err != nil {
 			return false
 		}

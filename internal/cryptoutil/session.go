@@ -194,19 +194,6 @@ func (m *SessionManager) rotateLocked() error {
 	return nil
 }
 
-// Seal encrypts plaintext under the per-query AEAD key derived from this
-// session key and context (the query digest). The envelope layout is:
-//
-//	GCM nonce || ciphertext
-//
-// — deliberately missing the 65-byte point prefix classic Decrypt demands,
-// so a sessioned envelope fed to the classic decoder fails cleanly. The
-// ephemeral point and generation travel in explicit wire fields instead.
-// The envelope is the only allocation beside the cipher's.
-func (k *SessionKey) Seal(context, plaintext []byte) ([]byte, error) {
-	return k.SealEnvelope(context, append(NewEnvelope(len(plaintext)), plaintext...))
-}
-
 // EnvelopeNonceSize is the length of an envelope's GCM nonce, which the
 // ciphertext follows; envelopeTagSize is the GCM tag's, which ends it.
 const (
@@ -222,10 +209,18 @@ func NewEnvelope(n int) []byte {
 	return make([]byte, EnvelopeNonceSize, EnvelopeNonceSize+n+envelopeTagSize)
 }
 
-// SealEnvelope is Seal of the plaintext that follows the first
-// EnvelopeNonceSize bytes of envelope, a NewEnvelope buffer: it draws the
-// nonce into those bytes and encrypts the plaintext in place, so the
-// envelope it returns shares envelope's array and the plaintext is gone.
+// SealEnvelope encrypts the plaintext that follows the first
+// EnvelopeNonceSize bytes of envelope, a NewEnvelope buffer, under the
+// per-query AEAD key derived from this session key and context (the query
+// digest). It draws the nonce into those first bytes and encrypts the
+// plaintext in place, so the envelope it returns shares envelope's array
+// and the plaintext is gone. The envelope layout is:
+//
+//	GCM nonce || ciphertext
+//
+// — deliberately missing the 65-byte point prefix classic Decrypt demands,
+// so a sessioned envelope fed to the classic decoder fails cleanly. The
+// ephemeral point and generation travel in explicit wire fields instead.
 func (k *SessionKey) SealEnvelope(context, envelope []byte) ([]byte, error) {
 	aead, err := sessionAEAD(k.prk, k.Generation, context)
 	if err != nil {
@@ -244,7 +239,7 @@ func (k *SessionKey) SealEnvelope(context, envelope []byte) ([]byte, error) {
 // in flight; a full table is dropped wholesale and refills on demand.
 const recipientPoints = 64
 
-// Recipient opens sessioned envelopes produced by SessionKey.Seal for one
+// Recipient opens sessioned envelopes produced by SessionKey.SealEnvelope for one
 // private key. It remembers, per session point, the HKDF-extracted
 // agreement (PRK) with that point, so only the first envelope from a point
 // pays the ECDH multiplication and every later one is one HKDF expand plus

@@ -25,7 +25,7 @@ func TestSessionSealDecryptRoundTrip(t *testing.T) {
 	}
 	context := []byte("query-digest-1")
 	plaintext := []byte("attested metadata")
-	env, err := sk.Seal(context, plaintext)
+	env, err := sealPlain(sk, context, plaintext)
 	if err != nil {
 		t.Fatalf("Seal: %v", err)
 	}
@@ -49,7 +49,7 @@ func TestSessionedEnvelopeProperty(t *testing.T) {
 	}
 	context := []byte("prop-query-digest")
 	prop := func(data []byte) bool {
-		env, err := sk.Seal(context, data)
+		env, err := sealPlain(sk, context, data)
 		if err != nil {
 			return false
 		}
@@ -70,9 +70,9 @@ func TestSessionSealEmptyPlaintext(t *testing.T) {
 		t.Fatalf("KeyFor: %v", err)
 	}
 	context := []byte("qd-empty")
-	env, err := sk.Seal(context, nil)
+	env, err := sealPlain(sk, context, nil)
 	if err != nil {
-		t.Fatalf("Seal(nil): %v", err)
+		t.Fatalf("seal of nil: %v", err)
 	}
 	got, err := NewRecipient(key).Open(sk.Ephemeral, sk.Generation, context, env)
 	if err != nil || len(got) != 0 {
@@ -90,17 +90,17 @@ func TestSessionSealNondeterministic(t *testing.T) {
 		t.Fatalf("KeyFor: %v", err)
 	}
 	context := []byte("qd-nondet")
-	env1, _ := sk.Seal(context, []byte("same"))
-	env2, _ := sk.Seal(context, []byte("same"))
+	env1, _ := sealPlain(sk, context, []byte("same"))
+	env2, _ := sealPlain(sk, context, []byte("same"))
 	if bytes.Equal(env1, env2) {
 		t.Fatal("two seals of the same plaintext are identical")
 	}
 }
 
-// TestSessionSealEnvelopeLayout: Seal draws its nonce into the envelope it
-// returns, and the layout stays nonce || ciphertext: the envelope opens
-// through Recipient.Open and, split at the nonce size, under the envelope's
-// own AEAD key directly. 1000 seals under one key never repeat a nonce.
+// TestSessionSealEnvelopeLayout: SealEnvelope draws its nonce into the
+// envelope it returns, and the layout stays nonce || ciphertext: the
+// envelope opens through Recipient.Open and, split at the nonce size, under
+// the envelope's own AEAD key directly. 1000 seals under one key never repeat a nonce.
 func TestSessionSealEnvelopeLayout(t *testing.T) {
 	key, _ := GenerateKey()
 	sk, err := newTestManager(t, time.Minute, nil).KeyFor("layout", &key.PublicKey)
@@ -116,7 +116,7 @@ func TestSessionSealEnvelopeLayout(t *testing.T) {
 	r := NewRecipient(key)
 	nonces := make(map[string]bool)
 	for i := range 1000 {
-		env, err := sk.Seal(context, plaintext)
+		env, err := sealPlain(sk, context, plaintext)
 		if err != nil {
 			t.Fatalf("Seal %d: %v", i, err)
 		}
@@ -151,7 +151,7 @@ func TestSessionCrossGenerationRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("KeyFor gen 1: %v", err)
 	}
-	oldEnv, err := old.Seal(context, []byte("sealed under gen 1"))
+	oldEnv, err := sealPlain(old, context, []byte("sealed under gen 1"))
 	if err != nil {
 		t.Fatalf("Seal gen 1: %v", err)
 	}
@@ -167,7 +167,7 @@ func TestSessionCrossGenerationRoundTrip(t *testing.T) {
 	if bytes.Equal(fresh.Ephemeral, old.Ephemeral) {
 		t.Fatal("rotation reused the ephemeral point")
 	}
-	freshEnv, err := fresh.Seal(context, []byte("sealed under gen 2"))
+	freshEnv, err := sealPlain(fresh, context, []byte("sealed under gen 2"))
 	if err != nil {
 		t.Fatalf("Seal gen 2: %v", err)
 	}
@@ -245,7 +245,7 @@ func TestSessionManagerConcurrent(t *testing.T) {
 					errs <- err
 					return
 				}
-				env, err := sk.Seal(context, []byte{byte(g), byte(i)})
+				env, err := sealPlain(sk, context, []byte{byte(g), byte(i)})
 				if err != nil {
 					errs <- err
 					return
@@ -273,7 +273,7 @@ func TestSessionDecryptMalformed(t *testing.T) {
 		t.Fatalf("KeyFor: %v", err)
 	}
 	context := []byte("qd-malformed")
-	env, err := sk.Seal(context, []byte("payload"))
+	env, err := sealPlain(sk, context, []byte("payload"))
 	if err != nil {
 		t.Fatalf("Seal: %v", err)
 	}
@@ -333,7 +333,7 @@ func TestSessionRecipientOneAgreementPerPoint(t *testing.T) {
 	const envelopes = 10
 	for i := 0; i < envelopes; i++ {
 		context := []byte(fmt.Sprintf("qd-%d", i))
-		env, err := sk.Seal(context, []byte{byte(i)})
+		env, err := sealPlain(sk, context, []byte{byte(i)})
 		if err != nil {
 			t.Fatalf("Seal %d: %v", i, err)
 		}
@@ -362,7 +362,7 @@ func TestSessionRecipientOpensOldAndNewGeneration(t *testing.T) {
 	if err != nil {
 		t.Fatalf("KeyFor old: %v", err)
 	}
-	oldEnv, err := old.Seal(context, []byte("old generation"))
+	oldEnv, err := sealPlain(old, context, []byte("old generation"))
 	if err != nil {
 		t.Fatalf("Seal old: %v", err)
 	}
@@ -371,7 +371,7 @@ func TestSessionRecipientOpensOldAndNewGeneration(t *testing.T) {
 	if err != nil {
 		t.Fatalf("KeyFor fresh: %v", err)
 	}
-	freshEnv, err := fresh.Seal(context, []byte("new generation"))
+	freshEnv, err := sealPlain(fresh, context, []byte("new generation"))
 	if err != nil {
 		t.Fatalf("Seal fresh: %v", err)
 	}
@@ -413,7 +413,7 @@ func TestSessionRecipientBadPointLeavesTableUnchanged(t *testing.T) {
 		t.Fatalf("KeyFor: %v", err)
 	}
 	context := []byte("qd-bad-point")
-	env, err := sk.Seal(context, []byte("payload"))
+	env, err := sealPlain(sk, context, []byte("payload"))
 	if err != nil {
 		t.Fatalf("Seal: %v", err)
 	}
@@ -470,7 +470,7 @@ func TestSessionRecipientTableBounded(t *testing.T) {
 		if err != nil {
 			t.Fatalf("KeyFor %d: %v", i, err)
 		}
-		env, err := sk.Seal(context, []byte{byte(i)})
+		env, err := sealPlain(sk, context, []byte{byte(i)})
 		if err != nil {
 			t.Fatalf("Seal %d: %v", i, err)
 		}
@@ -510,11 +510,11 @@ func TestSessionRecipientOtherKeyFails(t *testing.T) {
 		t.Fatal("one generation handed out two session points")
 	}
 	context := []byte("qd-shared-point")
-	aliceEnv, err := forAlice.Seal(context, []byte("for alice"))
+	aliceEnv, err := sealPlain(forAlice, context, []byte("for alice"))
 	if err != nil {
 		t.Fatalf("Seal alice: %v", err)
 	}
-	bobEnv, err := forBob.Seal(context, []byte("for bob"))
+	bobEnv, err := sealPlain(forBob, context, []byte("for bob"))
 	if err != nil {
 		t.Fatalf("Seal bob: %v", err)
 	}
@@ -554,7 +554,7 @@ func FuzzSessionDecrypt(f *testing.F) {
 		f.Fatalf("KeyFor: %v", err)
 	}
 	context := []byte("fuzz-query-digest")
-	genuine, err := sk.Seal(context, []byte("fuzz plaintext"))
+	genuine, err := sealPlain(sk, context, []byte("fuzz plaintext"))
 	if err != nil {
 		f.Fatalf("Seal: %v", err)
 	}

@@ -4,14 +4,17 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
+	"weak"
 
 	"repro/internal/chaincode"
 	"repro/internal/cryptoutil"
 	"repro/internal/endorsement"
 	"repro/internal/ledger"
 	"repro/internal/msp"
+	"repro/internal/trace"
 )
 
 // fixedProviders supplies a static verifier and a single policy for unit
@@ -123,6 +126,30 @@ func TestEndorseSimulationDoesNotCommit(t *testing.T) {
 	if _, ok := p.State().Get("kv", "k"); ok {
 		t.Fatal("endorsement mutated committed state")
 	}
+}
+
+// TestCommittedTransactionKeepsNoInvocation: a committed transaction's
+// read set is an array of its own, so the ledger does not keep the
+// simulation frame alive, nor the invocation in it: the trace recorder the
+// proposal carried is collected once the proposal is dropped.
+func TestCommittedTransactionKeepsNoInvocation(t *testing.T) {
+	p, _ := newPeerFixture(t, "'org-a'")
+	commit(t, p, 0, endorseTx(t, p, inv("put", "k", "v")))
+	proposal := inv("get", "k")
+	proposal.TxID = "tx-2"
+	proposal.Trace = trace.New("trace-1", "relay-a")
+	recorder := weak.Make(proposal.Trace)
+	tx := endorseTx(t, p, proposal)
+	proposal.Trace = nil
+	commit(t, p, 1, tx)
+	if len(tx.RWSet.Reads) != 1 || tx.Validation != ledger.Valid {
+		t.Fatalf("committed tx: reads %+v, validation %v", tx.RWSet.Reads, tx.Validation)
+	}
+	runtime.GC()
+	if recorder.Value() != nil {
+		t.Fatal("the ledger keeps the endorsed invocation's trace recorder alive")
+	}
+	runtime.KeepAlive(p)
 }
 
 func TestCommitBlockAppliesValidTx(t *testing.T) {

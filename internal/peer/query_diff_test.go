@@ -60,11 +60,8 @@ func tradeWorldPeer(t *testing.T) (w *scenario.TradeWorld, p *peer.Peer, admitte
 // the way the relay driver does.
 func relayed(inv chaincode.Invocation, certPEM []byte) chaincode.Invocation {
 	inv.CreatorCert = certPEM
-	inv.Transient = map[string][]byte{
-		syscc.TransientInteropFlag:       []byte("1"),
-		syscc.TransientRequestingNetwork: []byte(wetrade.NetworkID),
-		syscc.TransientNonce:             []byte("nonce"),
-	}
+	inv.Relayed = true
+	inv.Interop = chaincode.Interop{RequestingNetwork: wetrade.NetworkID, RequestID: "req-1", Nonce: []byte("nonce")}
 	return inv
 }
 

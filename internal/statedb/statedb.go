@@ -227,10 +227,19 @@ func (s *Store) Keys() int {
 	return total
 }
 
-// Bounds of the composite-key intern table. A deployment's chaincodes
-// read a few dozen distinct keys on their hot paths; keys that never
-// repeat, such as a proof's nonce, flush the table every keysMax of them.
-// maxInternedKey is the longest key built on the stack and kept.
+// Bounds of the composite-key intern table, set from what it saw in 5 s
+// windows (seed 1) of the four benchmark workloads. The keys that repeat
+// are the CMDAC's configuration and policy keys, two each, and the bills
+// of lading read: 16 on query-hot, 64 on query-cold and transfer, so 68 at
+// most. On query-hot, query-cold and invoke-3hop every call hits (7, 7 and
+// 5 calls per op). transfer also builds a nonce key per op that no later
+// op repeats; each op builds it twice, so it misses once and hits once,
+// and 13.9 of transfer's 15 calls per op hit. Those nonce keys flush the
+// table every ≈ 800 ops, after which the repeated keys are interned again
+// (0.08 misses per op). keysMax is 15 times the repeated set, so only keys
+// that never repeat flush it. The longest key seen is 61 bytes, a nonce
+// key; maxInternedKey, the longest key built on the stack and kept, is
+// twice that, rounded up to a power of two.
 const (
 	keysMax        = 1024
 	maxInternedKey = 128

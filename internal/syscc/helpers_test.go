@@ -51,16 +51,22 @@ func helperEnv(t *testing.T) (*chaincode.Registry, *statedb.Store, *msp.CA) {
 	return reg, state, foreignCA
 }
 
-func probeInv(fn string, transient map[string][]byte, creator []byte) chaincode.Invocation {
-	return chaincode.Invocation{
+// probeInv invokes the probe as a relay would when interop is set, and
+// locally when it is nil.
+func probeInv(fn string, interop *chaincode.Interop, creator []byte) chaincode.Invocation {
+	inv := chaincode.Invocation{
 		TxID: "tx", Chaincode: "probe", Function: fn,
-		CreatorCert: creator, Transient: transient, Timestamp: time.Unix(0, 0),
+		CreatorCert: creator, Timestamp: time.Unix(0, 0),
 	}
+	if interop != nil {
+		inv.Relayed, inv.Interop = true, *interop
+	}
+	return inv
 }
 
 func TestIsRelayQueryAndLocalPassThrough(t *testing.T) {
 	reg, state, _ := helperEnv(t)
-	// No transient: local invocation, authorization is skipped, empty org.
+	// Not relayed: local invocation, authorization is skipped, empty org.
 	res, err := chaincode.Simulate(reg, state, probeInv("read", nil, []byte("whatever")))
 	if err != nil {
 		t.Fatalf("local probe: %v", err)
@@ -76,11 +82,7 @@ func TestAuthorizeRelayRequestHappyPath(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Issue: %v", err)
 	}
-	transient := map[string][]byte{
-		TransientInteropFlag:       []byte("1"),
-		TransientRequestingNetwork: []byte("remote-net"),
-	}
-	res, err := chaincode.Simulate(reg, state, probeInv("read", transient, client.CertPEM()))
+	res, err := chaincode.Simulate(reg, state, probeInv("read", &chaincode.Interop{RequestingNetwork: "remote-net"}, client.CertPEM()))
 	if err != nil {
 		t.Fatalf("relayed probe: %v", err)
 	}
@@ -92,8 +94,7 @@ func TestAuthorizeRelayRequestHappyPath(t *testing.T) {
 func TestAuthorizeRelayRequestMissingNetwork(t *testing.T) {
 	reg, state, foreignCA := helperEnv(t)
 	client, _ := foreignCA.Issue("remote-client", msp.RoleClient)
-	transient := map[string][]byte{TransientInteropFlag: []byte("1")}
-	if _, err := chaincode.Simulate(reg, state, probeInv("read", transient, client.CertPEM())); err == nil {
+	if _, err := chaincode.Simulate(reg, state, probeInv("read", &chaincode.Interop{}, client.CertPEM())); err == nil {
 		t.Fatal("relay query without requesting network authorized")
 	}
 }
@@ -101,12 +102,8 @@ func TestAuthorizeRelayRequestMissingNetwork(t *testing.T) {
 func TestAuthorizeRelayRequestWrongFunction(t *testing.T) {
 	reg, state, foreignCA := helperEnv(t)
 	client, _ := foreignCA.Issue("remote-client", msp.RoleClient)
-	transient := map[string][]byte{
-		TransientInteropFlag:       []byte("1"),
-		TransientRequestingNetwork: []byte("remote-net"),
-	}
 	// The recorded rule covers "read" only.
-	if _, err := chaincode.Simulate(reg, state, probeInv("write", transient, client.CertPEM())); err == nil {
+	if _, err := chaincode.Simulate(reg, state, probeInv("write", &chaincode.Interop{RequestingNetwork: "remote-net"}, client.CertPEM())); err == nil {
 		t.Fatal("unpermitted function authorized")
 	}
 }
@@ -139,8 +136,7 @@ func TestAuthorizeRelayRequestWarmAllocations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	transient := map[string][]byte{TransientInteropFlag: []byte("1"), TransientRequestingNetwork: []byte("remote-net")}
-	probe := probeInv("read", transient, client.CertPEM())
+	probe := probeInv("read", &chaincode.Interop{RequestingNetwork: "remote-net"}, client.CertPEM())
 	bare := probe
 	bare.Chaincode = "bare"
 	if org, err := chaincode.Evaluate(reg, state, probe); err != nil || string(org) != "remote-org" {
