@@ -47,7 +47,7 @@ func (s *worldState) replay(t *testing.T, p *peer.Peer) {
 			if tx.Validation != ledger.Valid {
 				continue
 			}
-			for _, w := range tx.RWSet.StateWrites() {
+			for _, w := range tx.RWSet.Writes {
 				if s.kv[w.Namespace] == nil {
 					s.kv[w.Namespace] = map[string]statedb.VersionedValue{}
 				}

@@ -255,12 +255,11 @@ type recordingStub struct {
 	room [readRoom]ledger.KVRead
 }
 
+// pendingWrite is a buffered write and the sequence number of the call
+// that made it.
 type pendingWrite struct {
-	seq      int
-	ns       string
-	key      string
-	value    []byte
-	isDelete bool
+	ledger.KVWrite
+	seq int32
 }
 
 // slot names a key inside a chaincode namespace.
@@ -308,15 +307,15 @@ func (s *simStub) rwset() ledger.RWSet {
 		rw.Reads = s.reads
 	}
 	if len(s.writes) > 0 {
-		ordered := make([]pendingWrite, 0, len(s.writes))
+		// One copy, the write set itself, sorted into the order the writes
+		// were made.
+		rw.Writes = make([]ledger.KVWrite, 0, len(s.writes))
 		for _, w := range s.writes {
-			ordered = append(ordered, w)
+			rw.Writes = append(rw.Writes, w.KVWrite)
 		}
-		slices.SortFunc(ordered, func(a, b pendingWrite) int { return cmp.Compare(a.seq, b.seq) })
-		rw.Writes = make([]ledger.KVWrite, len(ordered))
-		for i, w := range ordered {
-			rw.Writes[i] = ledger.KVWrite{Namespace: w.ns, Key: w.key, Value: w.value, IsDelete: w.isDelete}
-		}
+		slices.SortFunc(rw.Writes, func(a, b ledger.KVWrite) int {
+			return cmp.Compare(s.writes[slot{a.Namespace, a.Key}].seq, s.writes[slot{b.Namespace, b.Key}].seq)
+		})
 	}
 	return rw
 }
@@ -363,10 +362,10 @@ func (s *simStub) GetState(key string) ([]byte, error) {
 	// Read-your-writes within the invocation: the buffered value itself,
 	// read-only like a committed one. PutState copied it to its length.
 	if w, ok := s.writes[slot{ns, key}]; ok {
-		if w.isDelete {
+		if w.IsDelete {
 			return nil, nil
 		}
-		return w.value, nil
+		return w.Value, nil
 	}
 	vv, exists := s.state.Get(ns, key)
 	// Recorded for MVCC validation; rwset keeps the first observed version.
@@ -386,7 +385,7 @@ func (s *simStub) PutState(key string, value []byte) error {
 	}
 	val := make([]byte, len(value))
 	copy(val, value)
-	s.write(pendingWrite{ns: s.inv.Chaincode, key: key, value: val})
+	s.write(ledger.KVWrite{Namespace: s.inv.Chaincode, Key: key, Value: val})
 	return nil
 }
 
@@ -397,18 +396,17 @@ func (s *simStub) DelState(key string) error {
 	if s.inv.ReadOnly {
 		return ErrReadOnly
 	}
-	s.write(pendingWrite{ns: s.inv.Chaincode, key: key, isDelete: true})
+	s.write(ledger.KVWrite{Namespace: s.inv.Chaincode, Key: key, IsDelete: true})
 	return nil
 }
 
 // write buffers w as the latest write of its key.
-func (s *simStub) write(w pendingWrite) {
+func (s *simStub) write(w ledger.KVWrite) {
 	if s.writes == nil {
 		s.writes = make(map[slot]pendingWrite)
 	}
 	s.writeSeq++
-	w.seq = int(s.writeSeq)
-	s.writes[slot{w.ns, w.key}] = w
+	s.writes[slot{w.Namespace, w.Key}] = pendingWrite{w, s.writeSeq}
 }
 
 // GetStateRange returns the state database's scan result itself.

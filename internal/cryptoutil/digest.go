@@ -71,3 +71,17 @@ func NewNonce() ([]byte, error) {
 	}
 	return nonce, nil
 }
+
+// NewNonceHex returns the hex encoding of n fresh random bytes, for an
+// identifier rather than a replay nonce; n is at most NonceSize. The
+// bytes and their encoding stay on the stack, so the returned string is
+// its only allocation.
+func NewNonceHex(n int) (string, error) {
+	var nonce [NonceSize]byte
+	if _, err := rand.Read(nonce[:n]); err != nil {
+		return "", fmt.Errorf("generate nonce: %w", err)
+	}
+	var out [2 * NonceSize]byte
+	hex.Encode(out[:], nonce[:n])
+	return string(out[:2*n]), nil
+}

@@ -70,36 +70,20 @@ func newPolicy(root node) *Policy {
 	return &Policy{root: root, orgs: orgs}
 }
 
+// node is one node of a policy tree: leafNode, andNode, orNode or
+// outOfNode. satisfied evaluates a tree by type, not through the
+// interface, so a signer list handed to Satisfied never escapes.
 type node interface {
-	satisfied(signers []Principal) bool
 	orgs(into map[string]bool)
 	format() string
 }
 
 type leafNode struct{ p Principal }
 
-func (n leafNode) satisfied(signers []Principal) bool {
-	for _, s := range signers {
-		if n.p.matches(s) {
-			return true
-		}
-	}
-	return false
-}
-
 func (n leafNode) orgs(into map[string]bool) { into[n.p.OrgID] = true }
 func (n leafNode) format() string            { return n.p.String() }
 
 type andNode struct{ subs []node }
-
-func (n andNode) satisfied(signers []Principal) bool {
-	for _, s := range n.subs {
-		if !s.satisfied(signers) {
-			return false
-		}
-	}
-	return true
-}
 
 func (n andNode) orgs(into map[string]bool) {
 	for _, s := range n.subs {
@@ -110,15 +94,6 @@ func (n andNode) orgs(into map[string]bool) {
 func (n andNode) format() string { return "AND(" + joinNodes(n.subs) + ")" }
 
 type orNode struct{ subs []node }
-
-func (n orNode) satisfied(signers []Principal) bool {
-	for _, s := range n.subs {
-		if s.satisfied(signers) {
-			return true
-		}
-	}
-	return false
-}
 
 func (n orNode) orgs(into map[string]bool) {
 	for _, s := range n.subs {
@@ -131,19 +106,6 @@ func (n orNode) format() string { return "OR(" + joinNodes(n.subs) + ")" }
 type outOfNode struct {
 	n    int
 	subs []node
-}
-
-func (n outOfNode) satisfied(signers []Principal) bool {
-	count := 0
-	for _, s := range n.subs {
-		if s.satisfied(signers) {
-			count++
-			if count >= n.n {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 func (n outOfNode) orgs(into map[string]bool) {
@@ -165,11 +127,47 @@ func joinNodes(subs []node) string {
 }
 
 // Satisfied reports whether the given signer set satisfies the policy.
+// It retains nothing, so the caller's list may live on its stack.
 func (p *Policy) Satisfied(signers []Principal) bool {
 	if p == nil || p.root == nil {
 		return false
 	}
-	return p.root.satisfied(signers)
+	return satisfied(p.root, signers)
+}
+
+// satisfied reports whether signers satisfy the tree rooted at n: an AND
+// needs all its branches, an OR one, an OutOf its count. A branch list
+// stops as soon as its outcome is known.
+func satisfied(n node, signers []Principal) bool {
+	var need int
+	var subs []node
+	switch n := n.(type) {
+	case leafNode:
+		for _, s := range signers {
+			if n.p.matches(s) {
+				return true
+			}
+		}
+		return false
+	case andNode:
+		need, subs = len(n.subs), n.subs
+	case orNode:
+		need, subs = 1, n.subs
+	case outOfNode:
+		need, subs = n.n, n.subs
+	default:
+		return false
+	}
+	count := 0
+	for i, s := range subs {
+		if count >= need || count+len(subs)-i < need {
+			break
+		}
+		if satisfied(s, signers) {
+			count++
+		}
+	}
+	return count >= need
 }
 
 // Orgs returns the sorted set of organization IDs the policy references.

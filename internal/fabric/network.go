@@ -6,7 +6,6 @@
 package fabric
 
 import (
-	"encoding/hex"
 	"errors"
 	"fmt"
 	"slices"
@@ -51,6 +50,10 @@ type Network struct {
 	mu       sync.RWMutex
 	orgs     map[string]*Org
 	orgOrder []string
+	// peers is every peer in organization order, rebuilt whenever the
+	// organization set changes and never modified, so AllPeers hands it
+	// out as it is.
+	peers    []*peer.Peer
 	policies map[string]*endorsement.Policy
 	verifier *msp.Verifier
 	// eras records every verifier the network has had and the chain height
@@ -148,6 +151,7 @@ func (n *Network) AddOrg(orgID string, peerCount int) (*Org, error) {
 	}
 	n.orgs[orgID] = org
 	n.orgOrder = append(n.orgOrder, orgID)
+	n.rebuildPeersLocked()
 	if err := n.rebuildVerifierLocked(n.chainHeightLocked()); err != nil {
 		return nil, err
 	}
@@ -181,6 +185,7 @@ func (n *Network) RemoveOrg(orgID string) error {
 			break
 		}
 	}
+	n.rebuildPeersLocked()
 	return n.rebuildVerifierLocked(height)
 }
 
@@ -263,6 +268,17 @@ func (n *Network) rebuildVerifierLocked(fromHeight uint64) error {
 	return nil
 }
 
+// rebuildPeersLocked rebuilds the peer list from the present org set, in
+// a slice of its own with no spare capacity, so a caller appending to
+// what AllPeers returned copies it. Callers hold mu.
+func (n *Network) rebuildPeersLocked() {
+	var peers []*peer.Peer
+	for _, orgID := range n.orgOrder {
+		peers = append(peers, n.orgs[orgID].Peers...)
+	}
+	n.peers = slices.Clip(peers)
+}
+
 // Verifier implements peer.VerifierProvider with the network's current
 // organization roots.
 func (n *Network) Verifier() *msp.Verifier {
@@ -337,15 +353,12 @@ func (n *Network) FirstPeerOf(orgID string) *peer.Peer {
 }
 
 // AllPeers returns every peer in the network, grouped by organization
-// creation order.
+// creation order. The list is shared and read-only: it is the network's
+// own, replaced, not changed, when an organization joins or leaves.
 func (n *Network) AllPeers() []*peer.Peer {
 	n.mu.RLock()
 	defer n.mu.RUnlock()
-	var out []*peer.Peer
-	for _, orgID := range n.orgOrder {
-		out = append(out, n.orgs[orgID].Peers...)
-	}
-	return out
+	return n.peers
 }
 
 // ExportConfig produces the network's shareable configuration (identity
@@ -496,13 +509,7 @@ func (g *Gateway) Identity() *msp.Identity { return g.identity }
 func (g *Gateway) Network() *Network { return g.net }
 
 // newTxID produces a fresh transaction identifier.
-func newTxID() (string, error) {
-	nonce, err := cryptoutil.NewNonce()
-	if err != nil {
-		return "", err
-	}
-	return hex.EncodeToString(nonce), nil
-}
+func newTxID() (string, error) { return cryptoutil.NewNonceHex(cryptoutil.NonceSize) }
 
 // Submit runs the full endorse-order-validate-commit pipeline and returns
 // the chaincode response. It returns ErrTxInvalidated (wrapped with the
@@ -538,13 +545,18 @@ func (g *Gateway) SubmitTx(ccName, function string, args ...[]byte) (*ledger.Tra
 		CreatorCert: g.identity.CertPEM(),
 		Timestamp:   time.Now(),
 	}
-	endorsers := g.endorsersFor(policy)
-	if len(endorsers) == 0 {
-		return nil, ErrNoEndorsers
-	}
-	responses := make([]*peer.ProposalResponse, 0, len(endorsers))
+	// One peer of each organization the policy references endorses.
+	// Organizations absent from this network are skipped; the commit-time
+	// policy check is the final arbiter. The usual endorser count fits on
+	// the stack.
+	var room [4]*peer.ProposalResponse
+	responses := room[:0]
 	if err := g.net.AtOneHeight(func() error {
-		for _, p := range endorsers {
+		for _, orgID := range policy.Orgs() {
+			p := g.net.FirstPeerOf(orgID)
+			if p == nil {
+				continue
+			}
 			resp, err := p.Endorse(inv)
 			if err != nil {
 				return err
@@ -554,6 +566,9 @@ func (g *Gateway) SubmitTx(ccName, function string, args ...[]byte) (*ledger.Tra
 		return nil
 	}); err != nil {
 		return nil, err
+	}
+	if len(responses) == 0 {
+		return nil, ErrNoEndorsers
 	}
 	tx, err := peer.AssembleTransaction(inv, responses)
 	if err != nil {
@@ -599,19 +614,6 @@ func (g *Gateway) EvaluateString(ccName, function string, args ...string) ([]byt
 		views[i] = chaincode.ReadOnlyBytes(a)
 	}
 	return g.Evaluate(ccName, function, views...)
-}
-
-// endorsersFor selects one peer from each organization the policy
-// references. Organizations absent from this network are skipped; the
-// commit-time policy check is the final arbiter.
-func (g *Gateway) endorsersFor(policy *endorsement.Policy) []*peer.Peer {
-	var out []*peer.Peer
-	for _, orgID := range policy.Orgs() {
-		if p := g.net.FirstPeerOf(orgID); p != nil {
-			out = append(out, p)
-		}
-	}
-	return out
 }
 
 func (g *Gateway) queryPeer() *peer.Peer {

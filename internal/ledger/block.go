@@ -1,6 +1,7 @@
 package ledger
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
@@ -31,16 +32,24 @@ type Block struct {
 // walk, so its one allocation is the returned hash for any number or size
 // of transactions.
 func (b *Block) ComputeHash() []byte {
+	sum := b.sum()
+	return sum[:]
+}
+
+// sum is ComputeHash as an array.
+func (b *Block) sum() [sha256.Size]byte {
 	h := sha256.New()
 	var num [8]byte
 	binary.BigEndian.PutUint64(num[:], b.Number)
 	h.Write(num[:])
 	h.Write(b.PrevHash)
 	for _, tx := range b.Transactions {
-		sum := tx.sum()
+		sum := tx.Sum()
 		h.Write(sum[:])
 	}
-	return h.Sum(nil)
+	var sum [sha256.Size]byte
+	h.Sum(sum[:0])
+	return sum
 }
 
 // BlockStore is the append-only hash-chained chain of blocks plus the
@@ -87,7 +96,8 @@ func (s *BlockStore) TipHash() []byte {
 }
 
 // Append validates the chain linkage, computes the block hash and appends
-// the block.
+// the block. Every peer appends the same delivered block, so the hash is
+// set only when the block does not carry it already.
 func (s *BlockStore) Append(b *Block) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -102,7 +112,9 @@ func (s *BlockStore) Append(b *Block) error {
 	} else if len(b.PrevHash) != 0 {
 		return fmt.Errorf("%w: genesis block with non-empty prev hash", ErrBrokenChain)
 	}
-	b.Hash = b.ComputeHash()
+	if sum := b.sum(); string(b.Hash) != string(sum[:]) {
+		b.Hash = bytes.Clone(sum[:])
+	}
 	s.blocks = append(s.blocks, b)
 	for i, tx := range b.Transactions {
 		loc := txLocation{blockNum: b.Number, txIndex: i}
@@ -189,7 +201,7 @@ func (s *BlockStore) VerifyChain() error {
 		if string(b.PrevHash) != string(prev) {
 			return fmt.Errorf("%w: block %d prev hash", ErrBrokenChain, i)
 		}
-		if string(b.ComputeHash()) != string(b.Hash) {
+		if sum := b.sum(); string(sum[:]) != string(b.Hash) {
 			return fmt.Errorf("%w: block %d hash mismatch", ErrBrokenChain, i)
 		}
 		prev = b.Hash

@@ -17,14 +17,6 @@ func txWith(id string, writes ...KVWrite) *Transaction {
 	}
 }
 
-func TestRWSetStateWrites(t *testing.T) {
-	rw := &RWSet{Writes: []KVWrite{{Key: "a", Value: []byte("1")}, {Key: "b", IsDelete: true}}}
-	sw := rw.StateWrites()
-	if len(sw) != 2 || sw[0].Key != "a" || !sw[1].IsDelete {
-		t.Fatalf("StateWrites = %+v", sw)
-	}
-}
-
 func TestSignedPayloadCoversMutations(t *testing.T) {
 	base := func() *Transaction {
 		return &Transaction{

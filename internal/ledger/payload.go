@@ -1,8 +1,6 @@
 package ledger
 
 import (
-	"bytes"
-
 	"repro/internal/cryptoutil"
 	"repro/internal/wire"
 )
@@ -34,14 +32,16 @@ func (r *KVRead) walk(w *wire.Walk) {
 
 func (r *KVRead) size() int { var c wire.Walk; r.walk(&c); return c.Len() }
 
-func (kw *KVWrite) walk(w *wire.Walk) {
+// walkWrite is a write record's walk. KVWrite is statedb.Write, which
+// this package cannot give methods.
+func walkWrite(w *wire.Walk, kw *KVWrite) {
 	w.String(1, &kw.Key)
 	w.Bytes(2, &kw.Value)
 	flag(w, 3, kw.IsDelete)
 	w.String(4, &kw.Namespace)
 }
 
-func (kw *KVWrite) size() int { var c wire.Walk; kw.walk(&c); return c.Len() }
+func writeSize(kw *KVWrite) int { var c wire.Walk; walkWrite(&c, kw); return c.Len() }
 
 // walk writes every read and write record, each as an embedded message
 // that is present even when its fields are all zero.
@@ -53,8 +53,8 @@ func (rw *RWSet) walk(w *wire.Walk) {
 	}
 	for i := range rw.Writes {
 		kw := &rw.Writes[i]
-		w.MessageHeader(2, kw.size())
-		kw.walk(w)
+		w.MessageHeader(2, writeSize(kw))
+		walkWrite(w, kw)
 	}
 }
 
@@ -108,18 +108,19 @@ func (tx *Transaction) SignedPayload() []byte {
 	return w.Encoded()
 }
 
-// Digest returns the SHA-256 digest of the signed payload. It hashes the
-// payload as the walk emits it, through a hashing walk's pooled scratch
-// buffer, so its one allocation is the returned digest at any payload
-// size. Nothing is memoised: every call covers the transaction's current
-// contents.
+// Digest returns the SHA-256 digest of the signed payload, in a slice of
+// its own.
 func (tx *Transaction) Digest() []byte {
-	sum := tx.sum()
-	return bytes.Clone(sum[:])
+	sum := tx.Sum()
+	return sum[:]
 }
 
-// sum is Digest returned as an array.
-func (tx *Transaction) sum() [cryptoutil.DigestSize]byte {
+// Sum is Digest returned as an array. It hashes the payload as the walk
+// emits it, through a hashing walk's pooled scratch buffer, so a caller
+// that keeps the array on its stack allocates nothing at any payload size.
+// Nothing is memoised: every call covers the transaction's current
+// contents.
+func (tx *Transaction) Sum() [cryptoutil.DigestSize]byte {
 	w := wire.Hashing(nil)
 	tx.walk(&w)
 	return w.Sum()

@@ -25,25 +25,12 @@ type KVRead struct {
 }
 
 // KVWrite records a pending write produced during simulation, scoped to the
-// chaincode namespace that issued it.
-type KVWrite struct {
-	Namespace string
-	Key       string
-	Value     []byte
-	IsDelete  bool
-}
+// chaincode namespace that issued it. It is the state database's batch
+// entry itself, so a committer applies a write set as it stands.
+type KVWrite = statedb.Write
 
 // RWSet is the outcome of simulating a transaction proposal.
 type RWSet struct {
 	Reads  []KVRead
 	Writes []KVWrite
-}
-
-// StateWrites converts the write set into statedb batch form.
-func (rw *RWSet) StateWrites() []statedb.Write {
-	out := make([]statedb.Write, len(rw.Writes))
-	for i, w := range rw.Writes {
-		out[i] = statedb.Write{Namespace: w.Namespace, Key: w.Key, Value: w.Value, IsDelete: w.IsDelete}
-	}
-	return out
 }

@@ -34,12 +34,15 @@ func (t *Table[K, V]) Get(key K) (V, bool) {
 }
 
 // Put remembers v for key, first dropping every entry if the table is full.
-func (t *Table[K, V]) Put(key K, v V) {
+// The key is a string whatever K is: a caller converts a byte key once,
+// so the table owns a copy, and a caller whose value is the key string,
+// as an intern table's is, passes that one string as both.
+func (t *Table[K, V]) Put(key string, v V) {
 	t.mu.Lock()
 	if t.m == nil || len(t.m) >= t.Max {
 		t.m = make(map[string]V)
 	}
-	t.m[string(key)] = v
+	t.m[key] = v
 	t.mu.Unlock()
 }
 

@@ -6,18 +6,18 @@ import (
 )
 
 // TestTableBoundedAndOwnsKeys: a full table is dropped wholesale rather
-// than grown, and a byte key is copied on Put, so a caller reusing its
-// buffer cannot rewrite an entry.
+// than grown, and Put takes a byte key as a string, a copy, so a caller
+// reusing its buffer cannot rewrite an entry.
 func TestTableBoundedAndOwnsKeys(t *testing.T) {
 	tab := Table[[]byte, int]{Max: 4}
 	for i := 0; i < 10; i++ {
-		tab.Put([]byte("k"+strconv.Itoa(i)), i)
+		tab.Put("k"+strconv.Itoa(i), i)
 		if n := tab.Len(); n > tab.Max {
 			t.Fatalf("table holds %d > %d after %d puts", n, tab.Max, i+1)
 		}
 	}
 	key := []byte("reused")
-	tab.Put(key, 1)
+	tab.Put(string(key), 1)
 	copy(key, "REUSED")
 	if v, ok := tab.Get([]byte("reused")); !ok || v != 1 {
 		t.Fatalf("Get(reused) = %d, %v after the caller rewrote its key", v, ok)
@@ -34,7 +34,7 @@ func TestTableLookupAllocations(t *testing.T) {
 	byBytes := Table[[]byte, int]{Max: 4}
 	long := string(make([]byte, 100))
 	byString.Put(long, 1)
-	byBytes.Put([]byte(long), 1)
+	byBytes.Put(long, 1)
 	key := []byte(long)
 	for name, fn := range map[string]func(){
 		"string hit":  func() { byString.Get(long) },

@@ -75,7 +75,7 @@ func ParseCertPEM(pemBytes []byte) (*x509.Certificate, error) {
 		return nil, err
 	}
 	if len(pemBytes) <= memoPEMMax {
-		parsedCerts.Put(pemBytes, cert)
+		parsedCerts.Put(string(pemBytes), cert)
 	}
 	return cert, nil
 }
@@ -114,7 +114,7 @@ func VerifySignature(cert *x509.Certificate, digest, sig []byte) error {
 	if err := cryptoutil.VerifyDigest(pub, digest, sig); err != nil {
 		return err
 	}
-	verifiedSigs.Put(key[:], struct{}{})
+	verifiedSigs.Put(string(key[:]), struct{}{})
 	return nil
 }
 

@@ -92,7 +92,7 @@ func VerifierForConfig(cfgBytes []byte) (*Verifier, error) {
 	if err != nil {
 		return nil, err
 	}
-	configVerifiers.Put(cfgBytes, v)
+	configVerifiers.Put(string(cfgBytes), v)
 	return v, nil
 }
 
@@ -117,7 +117,7 @@ func (v *Verifier) Verify(cert *x509.Certificate) (CertInfo, error) {
 	if err != nil {
 		return CertInfo{}, err
 	}
-	v.verdicts.Put(cert.Raw, vd)
+	v.verdicts.Put(string(cert.Raw), vd)
 	return vd.info, nil
 }
 

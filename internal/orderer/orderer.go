@@ -52,10 +52,13 @@ type Config struct {
 	BatchTimeout time.Duration
 }
 
-// batch is the set of transactions pending for the next block and, once
-// that block is delivered, its outcome.
+// batch is the next block, its transactions pending, and once it is
+// delivered its outcome. Consumers keep the block, so it lives in the
+// batch, and so does room for its first transaction: a one-transaction
+// block costs one allocation.
 type batch struct {
-	txs       []*ledger.Transaction
+	block     ledger.Block
+	first     [1]*ledger.Transaction
 	cut       time.Time // when the batch was cut into a block
 	delivered bool
 	err       error
@@ -109,7 +112,7 @@ func (o *Orderer) Submit(tx *ledger.Transaction) error {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	b, err := o.enqueueLocked(tx)
-	if err != nil || len(b.txs) < o.cfg.BatchSize {
+	if err != nil || len(b.block.Transactions) < o.cfg.BatchSize {
 		return err
 	}
 	return o.awaitLocked(b)
@@ -141,8 +144,9 @@ func (o *Orderer) enqueueLocked(tx *ledger.Transaction) (*batch, error) {
 	}
 	if o.open == nil {
 		o.open = &batch{}
+		o.open.block.Transactions = o.open.first[:0]
 	}
-	o.open.txs = append(o.open.txs, tx)
+	o.open.block.Transactions = append(o.open.block.Transactions, tx)
 	return o.open, nil
 }
 
@@ -185,7 +189,7 @@ func (o *Orderer) Pending() int {
 	if o.open == nil {
 		return 0
 	}
-	return len(o.open.txs)
+	return len(o.open.block.Transactions)
 }
 
 // deliverLocked cuts the pending batch into the next block and delivers it
@@ -200,7 +204,8 @@ func (o *Orderer) deliverLocked() error {
 	o.open = nil
 	b.cut = time.Now()
 	o.delivering = true
-	block := &ledger.Block{Number: o.nextNum, PrevHash: o.tipHash, Transactions: b.txs}
+	block := &b.block
+	block.Number, block.PrevHash = o.nextNum, o.tipHash
 	consumers := o.consumers
 	o.mu.Unlock()
 

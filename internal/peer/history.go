@@ -1,7 +1,7 @@
 package peer
 
 import (
-	"sync"
+	"bytes"
 
 	"repro/internal/ledger"
 )
@@ -18,54 +18,35 @@ type KeyChange struct {
 	IsDelete bool
 }
 
-// historyIndex accumulates per-key change logs as blocks commit.
-type historyIndex struct {
-	mu      sync.RWMutex
-	changes map[nsKey][]KeyChange
-}
-
-func newHistoryIndex() *historyIndex {
-	return &historyIndex{changes: make(map[nsKey][]KeyChange)}
-}
-
-func (h *historyIndex) record(block *ledger.Block) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	for txNum, tx := range block.Transactions {
-		if tx.Validation != ledger.Valid {
-			continue
+// KeyHistory returns every committed change to a namespaced key on this
+// peer, oldest first. Like Fabric's history database, which points a key
+// at the block and transaction that wrote it and reads the value from the
+// block, it reads the writes of the valid transactions in the peer's
+// committed blocks: a commit keeps no second copy of them. Values are
+// copies.
+func (p *Peer) KeyHistory(ns, key string) []KeyChange {
+	var out []KeyChange
+	for num := range p.blocks.Height() {
+		block, err := p.blocks.Block(num)
+		if err != nil {
+			break
 		}
-		for _, w := range tx.RWSet.Writes {
-			val := make([]byte, len(w.Value))
-			copy(val, w.Value)
-			nk := nsKey{w.Namespace, w.Key}
-			h.changes[nk] = append(h.changes[nk], KeyChange{
-				TxID:     tx.ID,
-				BlockNum: block.Number,
-				TxNum:    uint64(txNum),
-				Value:    val,
-				IsDelete: w.IsDelete,
-			})
+		for txNum, tx := range block.Transactions {
+			if tx.Validation != ledger.Valid {
+				continue
+			}
+			for _, w := range tx.RWSet.Writes {
+				if w.Key == key && w.Namespace == ns {
+					out = append(out, KeyChange{
+						TxID:     tx.ID,
+						BlockNum: block.Number,
+						TxNum:    uint64(txNum),
+						Value:    bytes.Clone(w.Value),
+						IsDelete: w.IsDelete,
+					})
+				}
+			}
 		}
-	}
-}
-
-func (h *historyIndex) forKey(key nsKey) []KeyChange {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	src := h.changes[key]
-	out := make([]KeyChange, len(src))
-	for i, c := range src {
-		val := make([]byte, len(c.Value))
-		copy(val, c.Value)
-		c.Value = val
-		out[i] = c
 	}
 	return out
-}
-
-// KeyHistory returns every committed change to a namespaced key on this
-// peer, oldest first. Values are copies.
-func (p *Peer) KeyHistory(ns, key string) []KeyChange {
-	return p.history.forKey(nsKey{ns, key})
 }

@@ -145,13 +145,12 @@ func commitReference(p *Peer, block *ledger.Block) error {
 		if tx.InteropKey != "" {
 			seenKeys[tx.InteropKey] = struct{}{}
 		}
-		p.state.ApplyWrites(tx.RWSet.StateWrites(),
+		p.state.ApplyWrites(tx.RWSet.Writes,
 			statedb.Version{BlockNum: block.Number, TxNum: uint64(txNum)})
 	}
 	if err := p.blocks.Append(block); err != nil {
 		return err
 	}
-	p.history.record(block)
 	return nil
 }
 

@@ -81,7 +81,6 @@ type Peer struct {
 	registry  *chaincode.Registry
 	verifiers VerifierProvider
 	policies  PolicyProvider
-	history   *historyIndex
 
 	signedMu sync.Mutex // guards signed; not mu, so Endorse never waits on a commit
 	signed   map[[cryptoutil.DigestSize]byte]string
@@ -105,7 +104,6 @@ func New(identity *msp.Identity, registry *chaincode.Registry, verifiers Verifie
 		registry:  registry,
 		verifiers: verifiers,
 		policies:  policies,
-		history:   newHistoryIndex(),
 	}
 }
 
@@ -135,8 +133,9 @@ func (p *Peer) Endorse(inv chaincode.Invocation) (*ProposalResponse, error) {
 	if err != nil {
 		return nil, fmt.Errorf("peer %s: simulate %s.%s: %w", p.name, inv.Chaincode, inv.Function, err)
 	}
-	digest := BuildTransaction(inv, &res).Digest()
-	sig, err := cryptoutil.SignDigest(p.identity.Key, digest)
+	tx := BuildTransaction(inv, &res)
+	digest := tx.Sum()
+	sig, err := cryptoutil.SignDigest(p.identity.Key, digest[:])
 	if err != nil {
 		return nil, fmt.Errorf("peer %s: sign endorsement: %w", p.name, err)
 	}
@@ -144,7 +143,7 @@ func (p *Peer) Endorse(inv chaincode.Invocation) (*ProposalResponse, error) {
 	if p.signed == nil || len(p.signed) >= maxSigned {
 		p.signed = make(map[[cryptoutil.DigestSize]byte]string)
 	}
-	p.signed[[cryptoutil.DigestSize]byte(digest)] = string(sig) // a copy: the caller owns sig
+	p.signed[digest] = string(sig) // a copy: the caller owns sig
 	p.signedMu.Unlock()
 	return &ProposalResponse{
 		Response: res.Response,
@@ -191,9 +190,10 @@ func (p *Peer) QueryRW(inv chaincode.Invocation) (chaincode.SimResult, error) {
 // BuildTransaction assembles the canonical transaction from a proposal and
 // one endorser's simulation result. Every endorser and the client construct
 // the same bytes, which is what makes the endorsement signatures
-// comparable.
-func BuildTransaction(inv chaincode.Invocation, res *chaincode.SimResult) *ledger.Transaction {
-	return &ledger.Transaction{
+// comparable. It returns the transaction by value, so a caller that only
+// hashes it keeps it on its stack.
+func BuildTransaction(inv chaincode.Invocation, res *chaincode.SimResult) ledger.Transaction {
+	return ledger.Transaction{
 		ID:          inv.TxID,
 		Chaincode:   inv.Chaincode,
 		Function:    inv.Function,
@@ -221,21 +221,22 @@ func AssembleTransaction(inv chaincode.Invocation, responses []*ProposalResponse
 		RWSet:    first.RWSet,
 		Event:    first.Event,
 	})
-	digest := tx.Digest()
+	digest := tx.Sum()
 	for _, r := range responses[1:] {
 		other := BuildTransaction(inv, &chaincode.SimResult{
 			Response: r.Response,
 			RWSet:    r.RWSet,
 			Event:    r.Event,
 		})
-		if !bytes.Equal(digest, other.Digest()) {
+		if other.Sum() != digest {
 			return nil, ErrProposalMismatch
 		}
 	}
-	for _, r := range responses {
-		tx.Endorsements = append(tx.Endorsements, r.Endorsement)
+	tx.Endorsements = make([]ledger.Endorsement, len(responses))
+	for i, r := range responses {
+		tx.Endorsements[i] = r.Endorsement
 	}
-	return tx, nil
+	return &tx, nil
 }
 
 // ErrVerdictMismatch is returned when a peer's verdict on a transaction
@@ -307,7 +308,6 @@ func (p *Peer) CommitChecked(block *ledger.Block, verdicts []ledger.ValidationCo
 	if err := p.blocks.Append(block); err != nil {
 		return fmt.Errorf("peer %s: append block %d: %w", p.name, block.Number, err)
 	}
-	p.history.record(block)
 	return nil
 }
 
@@ -422,7 +422,7 @@ func (p *Peer) apply(block *ledger.Block, verdicts []ledger.ValidationCode) {
 
 // applyTx writes transaction txNum's write set, stamped with its position.
 func (p *Peer) applyTx(block *ledger.Block, txNum int) {
-	p.state.ApplyWrites(block.Transactions[txNum].RWSet.StateWrites(),
+	p.state.ApplyWrites(block.Transactions[txNum].RWSet.Writes,
 		statedb.Version{BlockNum: block.Number, TxNum: uint64(txNum)})
 }
 
@@ -472,12 +472,11 @@ func (p *Peer) isDuplicate(tx *ledger.Transaction, seenIDs, seenKeys map[string]
 
 // takeSigned removes and returns the signature this peer made in Endorse
 // over digest, or "" if it made none or the record was dropped since.
-func (p *Peer) takeSigned(digest []byte) string {
-	key := [cryptoutil.DigestSize]byte(digest)
+func (p *Peer) takeSigned(digest [cryptoutil.DigestSize]byte) string {
 	p.signedMu.Lock()
 	defer p.signedMu.Unlock()
-	sig := p.signed[key]
-	delete(p.signed, key)
+	sig := p.signed[digest]
+	delete(p.signed, digest)
 	return sig
 }
 
@@ -497,9 +496,12 @@ func (p *Peer) takeSigned(digest []byte) string {
 // corrupted copy of its signature, another transaction's check, or a second
 // check of this one all get the full verify.
 func (p *Peer) validateEndorsements(tx *ledger.Transaction, verifier *msp.Verifier) ledger.ValidationCode {
-	digest := tx.Digest()
+	digest := tx.Sum()
 	own := p.takeSigned(digest)
-	signers := make([]endorsement.Principal, 0, len(tx.Endorsements))
+	// Policy.Satisfied retains nothing, so the usual endorser count fits
+	// on the stack.
+	var room [4]endorsement.Principal
+	signers := room[:0]
 	for i := range tx.Endorsements {
 		en := &tx.Endorsements[i]
 		cert, err := msp.ParseCertPEM(en.CertPEM)
@@ -518,7 +520,7 @@ func (p *Peer) validateEndorsements(tx *ledger.Transaction, verifier *msp.Verifi
 		// block itself, and in-process peers sharing verdicts would only
 		// measure co-location.
 		signedHere := own != "" && string(en.Signature) == own && bytes.Equal(en.CertPEM, p.identity.CertPEM())
-		if !signedHere && cryptoutil.VerifyDigest(pub, digest, en.Signature) != nil {
+		if !signedHere && cryptoutil.VerifyDigest(pub, digest[:], en.Signature) != nil {
 			return ledger.BadSignature
 		}
 		// Use the certificate contents, not the self-declared fields, as

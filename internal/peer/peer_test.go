@@ -109,11 +109,11 @@ func TestEndorsementSignaturesInteroperate(t *testing.T) {
 	signed.Endorsements = []ledger.Endorsement{{
 		PeerName: p.Name(), OrgID: p.OrgID(), CertPEM: p.Identity().CertPEM(), Signature: sig,
 	}}
-	if code := p.validateEndorsements(signed, p.verifiers.Verifier()); code != ledger.Valid {
+	if code := p.validateEndorsements(&signed, p.verifiers.Verifier()); code != ledger.Valid {
 		t.Fatalf("signature over SignedPayload validates as %v", code)
 	}
 	signed.Response = []byte("forged")
-	if code := p.validateEndorsements(signed, p.verifiers.Verifier()); code != ledger.BadSignature {
+	if code := p.validateEndorsements(&signed, p.verifiers.Verifier()); code != ledger.BadSignature {
 		t.Fatalf("forged response validates as %v", code)
 	}
 }
@@ -210,7 +210,7 @@ func TestCommitRejectsForeignEndorser(t *testing.T) {
 	tx.Endorsements = []ledger.Endorsement{{
 		PeerName: "org-a-peer0", OrgID: "org-a", CertPEM: rogueID.CertPEM(), Signature: sig,
 	}}
-	block := &ledger.Block{Number: 0, Transactions: []*ledger.Transaction{tx}}
+	block := &ledger.Block{Number: 0, Transactions: []*ledger.Transaction{&tx}}
 	block.Hash = block.ComputeHash()
 	if err := p.CommitBlock(block); err != nil {
 		t.Fatalf("CommitBlock: %v", err)
@@ -231,7 +231,7 @@ func TestCommitRejectsClientEndorser(t *testing.T) {
 	tx.Endorsements = []ledger.Endorsement{{
 		PeerName: "sneaky-client", OrgID: "org-a", CertPEM: clientID.CertPEM(), Signature: sig,
 	}}
-	block := &ledger.Block{Number: 0, Transactions: []*ledger.Transaction{tx}}
+	block := &ledger.Block{Number: 0, Transactions: []*ledger.Transaction{&tx}}
 	block.Hash = block.ComputeHash()
 	if err := p.CommitBlock(block); err != nil {
 		t.Fatalf("CommitBlock: %v", err)

@@ -175,7 +175,7 @@ func UnmarshalVerificationPolicy(data []byte) (VerificationPolicy, error) {
 		return VerificationPolicy{}, fmt.Errorf("policy: unmarshal verification policy: %w", err)
 	}
 	if len(data) <= memoPolicyMax {
-		decoded.Put(data, p)
+		decoded.Put(string(data), p)
 	}
 	return p, nil
 }

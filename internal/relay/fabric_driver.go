@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"crypto/ecdsa"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"sync/atomic"
@@ -481,12 +482,19 @@ func (d *FabricDriver) Invoke(ctx context.Context, q *wire.Query) (*wire.QueryRe
 // choosing the same idempotency key get distinct TxIDs, so neither can
 // occupy or block the other's transaction identity. Empty when the query
 // carries no request ID.
+//
+// The ID is the prefix and the first 16 bytes of the key's digest in hex,
+// built on the stack from InteropKeySum: its string is its one allocation.
 func InteropTxID(q *wire.Query) string {
-	key := q.InteropKey()
-	if key == "" {
+	if q.RequestID == "" {
 		return ""
 	}
-	return "interop-tx-" + cryptoutil.DigestHex([]byte(key))[:32]
+	const prefix = "interop-tx-"
+	sum := q.InteropKeySum()
+	var id [len(prefix) + 32]byte
+	copy(id[:], prefix)
+	hex.Encode(id[len(prefix):], sum[:16])
+	return string(id[:])
 }
 
 // ReplayInvoke implements TxDriver: it recovers the committed outcome of an

@@ -12,7 +12,6 @@ package relay
 import (
 	"bytes"
 	"context"
-	"encoding/hex"
 	"errors"
 	"fmt"
 	"sync"
@@ -497,9 +496,9 @@ func errEnvelope(requestID, msg string) *wire.Envelope {
 }
 
 func newRequestID() (string, error) {
-	nonce, err := cryptoutil.NewNonce()
+	id, err := cryptoutil.NewNonceHex(12)
 	if err != nil {
 		return "", fmt.Errorf("relay: request id: %w", err)
 	}
-	return hex.EncodeToString(nonce[:12]), nil
+	return id, nil
 }

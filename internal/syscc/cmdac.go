@@ -4,6 +4,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"unsafe"
 
 	"repro/internal/chaincode"
 	"repro/internal/endorsement"
@@ -184,20 +185,18 @@ func (c *CMDAC) validateProof(stub chaincode.Stub) ([]byte, error) {
 	if len(args) < 5 {
 		return nil, fmt.Errorf("%w: ValidateProof expects at least 5 args", ErrBadArgs)
 	}
-	sourceNetwork := string(args[0])
-	ledgerName := string(args[1])
-	contract := string(args[2])
-	function := string(args[3])
 	bundle, err := proof.UnmarshalBundle(args[4])
 	if err != nil {
 		return nil, fmt.Errorf("syscc: proof bundle: %w", err)
 	}
 	queryArgs := args[5:]
 
-	if bundle.SourceNetwork != sourceNetwork {
+	if bundle.SourceNetwork != string(args[0]) {
 		return nil, fmt.Errorf("syscc: bundle names source %q, expected %q",
-			bundle.SourceNetwork, sourceNetwork)
+			bundle.SourceNetwork, args[0])
 	}
+	// The bundle's own copy of the name, not another one of the argument.
+	sourceNetwork := bundle.SourceNetwork
 
 	cfgKey, err := statedb.CompositeKey(cmdacConfigKeyType, sourceNetwork)
 	if err != nil {
@@ -224,7 +223,7 @@ func (c *CMDAC) validateProof(stub chaincode.Stub) ([]byte, error) {
 		return nil, err
 	}
 
-	expectedDigest := proof.QueryDigest(sourceNetwork, ledgerName, contract, function, queryArgs, bundle.Nonce)
+	expectedDigest := proof.QueryDigest(sourceNetwork, string(args[1]), string(args[2]), string(args[3]), queryArgs, bundle.Nonce)
 	// The pin check binds the bundle to the policy recorded *here*: a proof
 	// built under some other policy expression is refused even when its
 	// attestor set would incidentally satisfy the recorded one.
@@ -234,7 +233,11 @@ func (c *CMDAC) validateProof(stub chaincode.Stub) ([]byte, error) {
 
 	// Replay protection: the client nonce is recorded on the destination
 	// ledger; a second transaction presenting the same nonce fails here.
-	nonceKey, err := statedb.CompositeKey(cmdacNonceKeyType, hex.EncodeToString(bundle.Nonce))
+	// The hex lives on the stack unless the nonce is over 32 bytes;
+	// CompositeKey never keeps the view.
+	var hexRoom [64]byte
+	nonceHex := hex.AppendEncode(hexRoom[:0], bundle.Nonce)
+	nonceKey, err := statedb.CompositeKey(cmdacNonceKeyType, unsafe.String(unsafe.SliceData(nonceHex), len(nonceHex)))
 	if err != nil {
 		return nil, err
 	}
@@ -245,7 +248,8 @@ func (c *CMDAC) validateProof(stub chaincode.Stub) ([]byte, error) {
 	if seen != nil {
 		return nil, fmt.Errorf("syscc: replay detected: nonce already used in tx %s", seen)
 	}
-	if err := stub.PutState(nonceKey, []byte(stub.TxID())); err != nil {
+	// A view: PutState copies the value it buffers.
+	if err := stub.PutState(nonceKey, chaincode.ReadOnlyBytes(stub.TxID())); err != nil {
 		return nil, err
 	}
 	return bundle.Result, nil

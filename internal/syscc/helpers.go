@@ -45,9 +45,15 @@ func AuthorizeRelayRequest(stub chaincode.Stub, chaincodeName string) (string, e
 //	result, err := stub.InvokeChaincode(syscc.CMDACName, syscc.CMDACValidateProof,
 //	    syscc.ValidateProofArgs("tradelens", "default", "TradeLensCC",
 //	        "GetBillOfLading", bundleBytes, []byte(poRef)))
+//
+// The four names share one buffer, each clipped to its own length, so the
+// list costs two allocations however long they are.
 func ValidateProofArgs(sourceNetwork, ledgerName, contract, function string, bundleBytes []byte, queryArgs ...[]byte) [][]byte {
+	buf := make([]byte, 0, len(sourceNetwork)+len(ledgerName)+len(contract)+len(function))
 	args := make([][]byte, 0, 5+len(queryArgs))
-	args = append(args, []byte(sourceNetwork), []byte(ledgerName), []byte(contract), []byte(function), bundleBytes)
-	args = append(args, queryArgs...)
-	return args
+	for _, name := range [4]string{sourceNetwork, ledgerName, contract, function} {
+		buf = append(buf, name...)
+		args = append(args, buf[len(buf)-len(name):len(buf):len(buf)])
+	}
+	return append(append(args, bundleBytes), queryArgs...)
 }

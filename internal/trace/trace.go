@@ -13,7 +13,6 @@ package trace
 
 import (
 	"context"
-	"encoding/hex"
 	"sync"
 	"time"
 
@@ -65,11 +64,7 @@ func Nested(stage string) bool {
 
 // NewID returns a fresh random trace ID.
 func NewID() (string, error) {
-	nonce, err := cryptoutil.NewNonce()
-	if err != nil {
-		return "", err
-	}
-	return hex.EncodeToString(nonce[:8]), nil
+	return cryptoutil.NewNonceHex(8)
 }
 
 // Recorder collects the spans of one traced request on one relay: its own,

@@ -344,7 +344,7 @@ func Intern(b []byte) string {
 		return s
 	}
 	s := string(b)
-	names.Put(b, s)
+	names.Put(s, s)
 	return s
 }
 

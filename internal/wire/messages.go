@@ -1,7 +1,10 @@
 package wire
 
 import (
+	"bytes"
+	"encoding/hex"
 	"fmt"
+	"unsafe"
 
 	"repro/internal/cryptoutil"
 )
@@ -249,11 +252,44 @@ type Query struct {
 // recognise a request that already committed. Empty when the
 // query carries no request ID — such requests have no exactly-once
 // identity.
+//
+// The key is built in one allocation, its exact length.
 func (m *Query) InteropKey() string {
 	if m.RequestID == "" {
 		return ""
 	}
-	return m.RequestingNetwork + "\x00" + cryptoutil.DigestHex(m.RequesterCertPEM) + "\x00" + m.RequestID
+	var certHex [2 * cryptoutil.DigestSize]byte
+	parts := m.interopKeyParts(&certHex)
+	key := bytes.Join(parts[:], nil)
+	return unsafe.String(unsafe.SliceData(key), len(key))
+}
+
+// InteropKeySum returns the SHA-256 digest of InteropKey for a query that
+// carries a request ID. It hashes the key's parts as they stand, so it
+// builds no key and allocates nothing.
+func (m *Query) InteropKeySum() [cryptoutil.DigestSize]byte {
+	var certHex [2 * cryptoutil.DigestSize]byte
+	parts := m.interopKeyParts(&certHex)
+	return cryptoutil.Sum(parts[:]...)
+}
+
+// interopKeySep separates the parts of an interop key.
+var interopKeySep = []byte{0}
+
+// interopKeyParts returns the parts an interop key joins, in order: the
+// requesting network, the hex of the requester certificate's digest,
+// written to certHex, and the request ID, separated by U+0000. The string
+// parts are read-only views of the query's fields, for reading only.
+func (m *Query) interopKeyParts(certHex *[2 * cryptoutil.DigestSize]byte) [5][]byte {
+	sum := cryptoutil.Sum(m.RequesterCertPEM)
+	hex.Encode(certHex[:], sum[:])
+	return [5][]byte{
+		unsafe.Slice(unsafe.StringData(m.RequestingNetwork), len(m.RequestingNetwork)),
+		interopKeySep,
+		certHex[:],
+		interopKeySep,
+		unsafe.Slice(unsafe.StringData(m.RequestID), len(m.RequestID)),
+	}
 }
 
 // Marshal encodes the query.

@@ -185,3 +185,35 @@ func liveHeap() int64 {
 	runtime.ReadMemStats(&ms)
 	return int64(ms.HeapAlloc)
 }
+
+// TestMemoInternAllocations: interning a name the table does not hold
+// costs one allocation, the string it returns, which the table keeps as
+// both its key and its value; a name it holds costs none. The map's own
+// growth as names arrive is under one allocation a name.
+func TestMemoInternAllocations(t *testing.T) {
+	const runs = 200
+	// Names no earlier run of the test interned, one more than runs:
+	// AllocsPerRun calls once to warm up.
+	internRound++
+	fresh := make([][]byte, runs+1)
+	for i := range fresh {
+		fresh[i] = fmt.Appendf(nil, "intern-alloc-%d-%d", internRound, i)
+	}
+	next := 0
+	if got := testing.AllocsPerRun(runs, func() {
+		sinkName = Intern(fresh[next])
+		next++
+	}); got != 1 {
+		t.Errorf("interning a new name: %v allocations, want 1", got)
+	}
+	known := fresh[runs]
+	Intern(known)
+	if got := testing.AllocsPerRun(runs, func() { sinkName = Intern(known) }); got != 0 {
+		t.Errorf("interning a known name: %v allocations, want 0", got)
+	}
+}
+
+var (
+	sinkName    string
+	internRound int
+)
