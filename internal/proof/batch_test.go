@@ -83,24 +83,26 @@ func TestBuildWindowSharesOneSignaturePerAttestor(t *testing.T) {
 	}
 }
 
-func TestBuildSingleSpecSignsMetadataDirectly(t *testing.T) {
-	// A lone query pays no Merkle overhead: no leaf index, no path, and the
-	// signature covers the metadata bytes themselves.
+func TestBuildLoneSpecIsOneLeafTree(t *testing.T) {
+	// A lone query is a window of one: size 1, index 0, an empty path, and
+	// the signature covers the domain-separated root, which is the leaf
+	// hash of the metadata itself.
 	queries, keys, specs, resps, verifier := windowFixture(t, 1)
 	bundle, err := OpenResponse(cryptoutil.NewRecipient(keys[0]), queries[0], resps[0])
 	if err != nil {
 		t.Fatalf("OpenResponse: %v", err)
 	}
 	for i, att := range resps[0].Attestations {
-		if att.BatchSize != 0 || att.BatchIndex != 0 || att.BatchPath != nil {
-			t.Fatal("lone query paid the batched-proof overhead")
+		if att.BatchSize != 1 || att.BatchIndex != 0 || len(att.BatchPath) != 0 {
+			t.Fatalf("attestation %d: size %d, index %d, path of %d, want a one-leaf tree", i, att.BatchSize, att.BatchIndex, len(att.BatchPath))
 		}
 		cert, err := msp.ParseCertPEM(att.CertPEM)
 		if err != nil {
 			t.Fatalf("ParseCertPEM: %v", err)
 		}
-		if err := cryptoutil.VerifyDigest(cert.PublicKey.(*ecdsa.PublicKey), cryptoutil.Digest(bundle.Elements[i].Metadata), att.Signature); err != nil {
-			t.Fatalf("attestation %d does not sign its metadata: %v", i, err)
+		signed := batchSigDigest(merkleLeafHash(bundle.Elements[i].Metadata))
+		if err := cryptoutil.VerifyDigest(cert.PublicKey.(*ecdsa.PublicKey), signed[:], att.Signature); err != nil {
+			t.Fatalf("attestation %d does not sign its one-leaf root: %v", i, err)
 		}
 	}
 	vp := endorsement.MustParse(queries[0].PolicyExpr)
@@ -121,19 +123,23 @@ func TestBatchedElementTamperingRejected(t *testing.T) {
 		return b
 	}
 
-	// Claiming single-signature mode for a batch-signed element must fail:
-	// the signature is over the domain-separated root, not the metadata.
-	b := open()
-	for i := range b.Elements {
-		b.Elements[i].BatchSize = 0
-		b.Elements[i].BatchPath = nil
-	}
-	if err := Verify(b, verifier, vp, specs[1].QueryDigest, specs[1].PolicyDigest); !errors.Is(err, ErrBadAttestation) {
-		t.Fatalf("mode-stripped element accepted: %v", err)
+	// BatchSize 0 names no tree at all and is refused, with or without
+	// the path that came with the element.
+	for _, stripPath := range []bool{false, true} {
+		b := open()
+		for i := range b.Elements {
+			b.Elements[i].BatchSize = 0
+			if stripPath {
+				b.Elements[i].BatchPath = nil
+			}
+		}
+		if err := Verify(b, verifier, vp, specs[1].QueryDigest, specs[1].PolicyDigest); !errors.Is(err, ErrBadAttestation) {
+			t.Fatalf("size-0 element (path stripped: %v) accepted: %v", stripPath, err)
+		}
 	}
 
 	// A lied-about leaf index recomputes a different root.
-	b = open()
+	b := open()
 	b.Elements[0].BatchIndex = 0
 	if err := Verify(b, verifier, vp, specs[1].QueryDigest, specs[1].PolicyDigest); !errors.Is(err, ErrBadAttestation) {
 		t.Fatalf("wrong-index element accepted: %v", err)

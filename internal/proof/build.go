@@ -92,10 +92,9 @@ func (b *Builder) seal(mgr *cryptoutil.SessionManager, spec *Spec, envelope []by
 
 // Build builds the proofs for a window of queries attested by one attestor
 // set; the result is index-aligned with specs. Each attestor signs once for
-// the whole window: over its metadata when the window holds one query, so a
-// lone request pays no Merkle overhead, and otherwise over the
-// domain-separated Merkle root of every query's metadata leaf, each
-// attestation then carrying its leaf index and inclusion path. Envelopes
+// the whole window, over the domain-separated Merkle root of every query's
+// metadata leaf, and each attestation carries its leaf index and inclusion
+// path; a lone query is a one-leaf tree, whose path is empty. Envelopes
 // stay per query per attestor — metadata and results are sealed to each
 // requester individually — so a window amortizes signing, never
 // confidentiality. Each attestor runs on a goroutine of its own while the
@@ -186,19 +185,18 @@ func (w *build) attest(ai int, id *msp.Identity) {
 	}
 	// A window's leaf hashes and the sibling hashes of every inclusion path
 	// share one array, and the paths one array of slices into it. Both
-	// hash the metadata before it is sealed over.
-	var leaves, store []hash
-	var siblings [][]byte
-	digest := cryptoutil.Sum(envs[0][cryptoutil.EnvelopeNonceSize:])
-	if n > 1 {
-		h := merkleHeight(n)
-		leaves = make([]hash, n+n*h)
-		leaves, store, siblings = leaves[:n], leaves[n:], make([][]byte, 0, n*h)
-		for si, env := range envs {
-			leaves[si] = merkleLeafHash(env[cryptoutil.EnvelopeNonceSize:])
-		}
-		digest = batchSigDigest(merkleRoot(leaves))
+	// hash the metadata before it is sealed over. A lone build's one leaf
+	// is its root and has no path, so it stays on the stack.
+	var lone [1]hash
+	leaves, store, siblings := lone[:], []hash(nil), [][]byte(nil)
+	if h := merkleHeight(n); h > 0 {
+		tree := make([]hash, n+n*h)
+		leaves, store, siblings = tree[:n], tree[n:], make([][]byte, 0, n*h)
 	}
+	for si, env := range envs {
+		leaves[si] = merkleLeafHash(env[cryptoutil.EnvelopeNonceSize:])
+	}
+	digest := batchSigDigest(merkleRoot(leaves))
 	start := w.rec.Start()
 	sig, err := cryptoutil.SignDigest(id.Key, digest[:])
 	w.rec.End(trace.Sign, start)
@@ -222,21 +220,19 @@ func (w *build) attest(ai int, id *msp.Identity) {
 			w.stop(fmt.Errorf("proof: encrypt metadata from %s: %w", id.Name, err))
 			return
 		}
-		if leaves != nil {
-			from := len(siblings)
-			siblings, store = merklePath(siblings, store, leaves, si)
-			att.BatchSize, att.BatchIndex, att.BatchPath = uint64(n), uint64(si), siblings[from:len(siblings):len(siblings)]
-		}
+		from := len(siblings)
+		siblings, store = merklePath(siblings, store, leaves, si)
+		att.BatchSize, att.BatchIndex, att.BatchPath = uint64(n), uint64(si), siblings[from:len(siblings):len(siblings)]
 	}
 }
 
 // metadataEnvelope returns an envelope buffer (cryptoutil.NewEnvelope)
 // holding, behind its nonce room, the exact plaintext metadata bytes an
-// attestation built from spec by the given attestor encrypts: what a lone
-// build signs, and the leaf content of a batched window. The bytes are
-// deterministic in (spec, attestor). The result digest is hashed into an
-// array on the stack and the metadata encoded straight into the envelope
-// it is sealed in, so the envelope is the only allocation.
+// attestation built from spec by the given attestor encrypts, and the
+// content of its Merkle leaf. The bytes are deterministic in (spec,
+// attestor). The result digest is hashed into an array on the stack and the
+// metadata encoded straight into the envelope it is sealed in, so the
+// envelope is the only allocation.
 func metadataEnvelope(id *msp.Identity, spec *Spec) []byte {
 	resultDigest := cryptoutil.Sum(spec.Result)
 	md := wire.Metadata{

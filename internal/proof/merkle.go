@@ -10,17 +10,17 @@ import (
 // Merkle tree over attestation metadata, RFC 6962-style: leaf and interior
 // hashes are domain-separated (0x00 / 0x01 prefixes) so a leaf can never be
 // reinterpreted as an interior node, and trees of non-power-of-two size
-// split at the largest power of two strictly less than n. Batched
-// attestation signs the root once per window; each requester receives its
-// leaf index plus the sibling-hash inclusion path and recomputes the root
-// independently.
+// split at the largest power of two strictly less than n. Every
+// attestation signs the root once per window (a lone query is a one-leaf
+// tree); each requester receives its leaf index plus the sibling-hash
+// inclusion path and recomputes the root independently.
 
 var (
 	merkleLeafPrefix = []byte{0x00}
 	merkleNodePrefix = []byte{0x01}
-	// batchSigDomain separates batch-root signatures from signatures over
-	// plain metadata bytes, so a root signature can never be replayed as a
-	// single-signature attestation of some crafted metadata (or vice versa).
+	// batchSigDomain separates attestation signatures from everything else
+	// a peer key signs (transaction digests, hop pins), so a signature over
+	// a root can never be replayed as one of those.
 	batchSigDomain = []byte("interop-batch-root\x00")
 )
 
@@ -116,9 +116,9 @@ func merkleRootFromPath(leafHash hash, index, size uint64, path [][]byte) (hash,
 	return root, nil
 }
 
-// batchSigDigest is the SHA-256 of the byte string an attestor signs in
-// batched mode: the domain tag followed by the Merkle root over the
-// window's metadata leaf hashes.
+// batchSigDigest is the SHA-256 of the byte string an attestor signs: the
+// domain tag followed by the Merkle root over the window's metadata leaf
+// hashes.
 func batchSigDigest(root hash) hash {
 	return cryptoutil.Sum(batchSigDomain, root[:])
 }

@@ -3,12 +3,12 @@
 //
 //  1. Source side: a Builder collects, from each peer selected to satisfy
 //     the verification policy, an Attestation — an ECDSA signature over
-//     response Metadata (binding the query digest, result digest, client
-//     nonce, policy pin and attestor identity), or over the Merkle root of
-//     a window of such metadata — with the metadata sealed to the
-//     requesting client under sessioned ECIES. The query result itself is
-//     likewise sealed. An untrusted relay carrying the response can neither
-//     read the data nor strip out a usable proof.
+//     the Merkle root of a window of response Metadata (each binding the
+//     query digest, result digest, client nonce, policy pin and attestor
+//     identity; a lone query is a one-leaf window) — with the metadata
+//     sealed to the requesting client under sessioned ECIES. The query
+//     result itself is likewise sealed. An untrusted relay carrying the
+//     response can neither read the data nor strip out a usable proof.
 //
 //  2. Client side: the requesting application decrypts the result and each
 //     attestation's metadata, yielding a plaintext Bundle it embeds in its
@@ -143,17 +143,17 @@ func PinnedPolicyDigest(q *wire.Query) ([]byte, error) {
 }
 
 // Element is one decrypted attestation inside a Bundle: the attestor
-// certificate, the plaintext metadata bytes, and the signature over them —
-// directly over the metadata in single mode, or over the Merkle batch-root
-// payload the metadata's leaf hash chains up to in batched mode.
+// certificate, the plaintext metadata bytes, and the signature over the
+// domain-separated Merkle root (batchSigDigest) the metadata's leaf hash
+// chains up to.
 type Element struct {
 	CertPEM   []byte
 	Metadata  []byte // plaintext wire.Metadata
 	Signature []byte
-	// BatchSize > 0 marks a batched element: Signature covers the
-	// domain-separated Merkle root (batchSigDigest), recomputed from the
-	// metadata's leaf hash at BatchIndex via the BatchPath sibling hashes
-	// (see wire.Attestation). Zero for single-signature elements.
+	// The root is recomputed from the metadata's leaf hash at BatchIndex
+	// of a tree of BatchSize leaves via the BatchPath sibling hashes (see
+	// wire.Attestation). A lone build is a one-leaf tree: size 1, index 0,
+	// empty path. Size 0 is refused.
 	BatchSize  uint64
 	BatchIndex uint64
 	BatchPath  [][]byte
@@ -344,19 +344,14 @@ func Verify(b *Bundle, verifier *msp.Verifier, vp *endorsement.Policy, expectedQ
 		if info.Role != msp.RolePeer {
 			return fmt.Errorf("%w: element %d signed by %s role", ErrNotPeer, i, info.Role)
 		}
-		// Single mode signs the metadata bytes directly; batched mode signs
-		// the domain-separated Merkle root the metadata's leaf hash chains up
-		// to, so the signed payload is recomputed from the inclusion proof.
-		var digest hash
-		if el.BatchSize > 0 {
-			root, err := merkleRootFromPath(merkleLeafHash(el.Metadata), el.BatchIndex, el.BatchSize, el.BatchPath)
-			if err != nil {
-				return fmt.Errorf("%w: element %d: %v", ErrBadAttestation, i, err)
-			}
-			digest = batchSigDigest(root)
-		} else {
-			digest = cryptoutil.Sum(el.Metadata)
+		// The signature covers the domain-separated Merkle root the
+		// metadata's leaf hash chains up to, recomputed from the inclusion
+		// proof; a lone build's tree has one leaf and an empty path.
+		root, err := merkleRootFromPath(merkleLeafHash(el.Metadata), el.BatchIndex, el.BatchSize, el.BatchPath)
+		if err != nil {
+			return fmt.Errorf("%w: element %d: %v", ErrBadAttestation, i, err)
 		}
+		digest := batchSigDigest(root)
 		if err := msp.VerifySignature(cert, digest[:], el.Signature); err != nil {
 			return fmt.Errorf("%w: element %d: signature: %v", ErrBadAttestation, i, err)
 		}

@@ -71,7 +71,8 @@ func TestVerifyRefusesExpiredAttestorWithRememberedSignature(t *testing.T) {
 	q.PolicyExpr = "OR('lapsed-org')"
 	bundle := buildBundle(t, q, []byte("doc"), peer)
 	el := bundle.Elements[0]
-	if err := msp.VerifySignature(peer.Cert, cryptoutil.Digest(el.Metadata), el.Signature); err != nil {
+	signed := batchSigDigest(merkleLeafHash(el.Metadata))
+	if err := msp.VerifySignature(peer.Cert, signed[:], el.Signature); err != nil {
 		t.Fatalf("seeding the signature memo: %v", err)
 	}
 	err := Verify(bundle, verifier, endorsement.MustParse(q.PolicyExpr), QueryDigestOf(q), PolicyDigest(q.PolicyExpr))

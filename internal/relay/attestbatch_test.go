@@ -114,8 +114,8 @@ func TestAttestBatcher(t *testing.T) {
 		if took := time.Since(start); took > 10*time.Second {
 			t.Fatalf("lone submit took %s", took)
 		}
-		if size := batchSize(t, resp); size != 0 {
-			t.Fatalf("lone build batch size = %d, want 0 (signed over its own metadata)", size)
+		if size := batchSize(t, resp); size != 1 {
+			t.Fatalf("lone build batch size = %d, want 1 (a one-leaf tree)", size)
 		}
 		if n := f.builds(); n != 1 {
 			t.Fatalf("Build calls = %d, want 1", n)
@@ -134,8 +134,8 @@ func TestAttestBatcher(t *testing.T) {
 		if took := time.Since(start); took < window {
 			t.Fatalf("first submit returned after %s, before its %s window closed", took, window)
 		}
-		if size := batchSize(t, resp); size != 0 {
-			t.Fatalf("window of one batch size = %d, want 0", size)
+		if size := batchSize(t, resp); size != 1 {
+			t.Fatalf("window of one batch size = %d, want 1", size)
 		}
 		f.settle(t)
 	})
@@ -187,8 +187,8 @@ func TestAttestBatcher(t *testing.T) {
 		if err != nil {
 			t.Fatalf("lone submit after the window: %v", err)
 		}
-		if size := batchSize(t, resp); size != 0 {
-			t.Fatalf("inline build batch size = %d, want 0", size)
+		if size := batchSize(t, resp); size != 1 {
+			t.Fatalf("inline build batch size = %d, want 1", size)
 		}
 		if n := f.builds(); n != 2 {
 			t.Fatalf("Build calls = %d, want 2", n)

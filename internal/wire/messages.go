@@ -333,14 +333,12 @@ type Attestation struct {
 	OrgID             string
 	CertPEM           []byte // attestor certificate, validated against recorded config
 	EncryptedMetadata []byte // sessioned ECIES to the requester; plaintext is a Metadata message
-	Signature         []byte // ECDSA over the plaintext metadata bytes (single mode) or over the batch-root payload (batched mode)
-	// BatchSize > 0 marks a Merkle-batched attestation: the attestor signed
-	// the root of a Merkle tree over BatchSize leaf hashes (one per query in
-	// the window) instead of this query's metadata directly. The Signature
-	// then covers the domain-separated root payload, BatchIndex names this
-	// query's leaf position, and BatchPath carries the sibling hashes of the
-	// RFC 6962 inclusion proof from that leaf to the signed root. Zero for
-	// a query built alone, whose attestation signs its metadata directly.
+	Signature         []byte // ECDSA over the domain-separated Merkle root payload
+	// The attestor signed the root of a Merkle tree over BatchSize leaf
+	// hashes, one per query in the window. BatchIndex names this query's
+	// leaf position, and BatchPath carries the sibling hashes of the RFC
+	// 6962 inclusion proof from that leaf to the signed root. A query built
+	// alone is a one-leaf tree: size 1, index 0, an empty path.
 	BatchSize  uint64
 	BatchIndex uint64
 	BatchPath  [][]byte
