@@ -35,7 +35,7 @@ const (
 	vectorQueryDigestHex  = "ca6eef2678b115aa2cafac19b1766bde69b701bc017f036febd46dbaadc7dc38"
 	vectorPolicyDigestHex = "22e3198f79dead6cd0cf5a161e072790fdd8603add6ac47c273299e757d1d744"
 	vectorMetadataHex     = "0a0974726164656c656e73121073656c6c65722d6f72672d70656572301a0a73656c6c65722d6f72672220ca6eef2678b115aa2cafac19b1766bde69b701bc017f036febd46dbaadc7dc382a20f093853e023798ef8ea70f602b59d47301a30d43930d38d06447f196741ed78d3218000102030405060708090a0b0c0d0e0f1011121314151617388080a8b1e39fe7cb17422022e3198f79dead6cd0cf5a161e072790fdd8603add6ac47c273299e757d1d744"
-	vectorSingleSigHex    = "3046022100a56edac74fe807074311b2c222eb13987f8598cfa58133bec20ca74ea9128591022100d5fad3e774fdbd6bb6808250ae16e4a9f80b789f451b9834f0ac8e9fed95718f"
+	vectorSingleSigHex    = "304402204ed13ee6cae35c97f9748ccf433a89483d9067f66aafbc82a673025f06997b3502203ad52e37f4b7b612bbb0cb5dfb5e673715ecec0b9553c645a5aa50d3923540e9"
 
 	// A three-query window whose leaf 1 is vectorMetadataHex.
 	vectorBatchDomainHex = "696e7465726f702d62617463682d726f6f7400"
@@ -45,7 +45,7 @@ const (
 
 	// Persisted forms.
 	vectorSealedHex = "0a20ca6eef2678b115aa2cafac19b1766bde69b701bc017f036febd46dbaadc7dc38122022e3198f79dead6cd0cf5a161e072790fdd8603add6ac47c273299e757d1d744188080a8b1e39fe7cb17221b73656c6c65722d6f72672f73656c6c65722d6f72672d7065657230221d636172726965722d6f72672f636172726965722d6f72672d70656572302abc01120a656e632d726573756c741a84010a1073656c6c65722d6f72672d7065657230120a73656c6c65722d6f72671a06636572742d612206656e632d6d642a057369672d61300338014220305df59f9590c3c9ac63d2b2743c388e3792449078cebf7fb3dbe6471643b2b74220fca89f57c9f8c8eb4047a7ff9d333acf9e0f3384b20b255bceab0f216dcca2674a0365706850072a2022e3198f79dead6cd0cf5a161e072790fdd8603add6ac47c273299e757d1d74432036570683807"
-	vectorBundleHex = "0a0974726164656c656e7312107b22626c4964223a22626c2d3737227d1a18000102030405060708090a0b0c0d0e0f10111213141516172288020a06636572742d6112b3010a0974726164656c656e73121073656c6c65722d6f72672d70656572301a0a73656c6c65722d6f72672220ca6eef2678b115aa2cafac19b1766bde69b701bc017f036febd46dbaadc7dc382a20f093853e023798ef8ea70f602b59d47301a30d43930d38d06447f196741ed78d3218000102030405060708090a0b0c0d0e0f1011121314151617388080a8b1e39fe7cb17422022e3198f79dead6cd0cf5a161e072790fdd8603add6ac47c273299e757d1d7441a483046022100a56edac74fe807074311b2c222eb13987f8598cfa58133bec20ca74ea9128591022100d5fad3e774fdbd6bb6808250ae16e4a9f80b789f451b9834f0ac8e9fed95718f22d0020a06636572742d6112b3010a0974726164656c656e73121073656c6c65722d6f72672d70656572301a0a73656c6c65722d6f72672220ca6eef2678b115aa2cafac19b1766bde69b701bc017f036febd46dbaadc7dc382a20f093853e023798ef8ea70f602b59d47301a30d43930d38d06447f196741ed78d3218000102030405060708090a0b0c0d0e0f1011121314151617388080a8b1e39fe7cb17422022e3198f79dead6cd0cf5a161e072790fdd8603add6ac47c273299e757d1d7441a483046022100c983fb532cee8a14b00de3ff353d31d6c6230e70d49f87e75fc679bb789de8f0022100b5a2b002c8c57965f754eb14a78e2fdee6976bc47193f3c1227bab5bfabc260f200328013220305df59f9590c3c9ac63d2b2743c388e3792449078cebf7fb3dbe6471643b2b73220fca89f57c9f8c8eb4047a7ff9d333acf9e0f3384b20b255bceab0f216dcca2672a20ca6eef2678b115aa2cafac19b1766bde69b701bc017f036febd46dbaadc7dc38322022e3198f79dead6cd0cf5a161e072790fdd8603add6ac47c273299e757d1d744388080a8b1e39fe7cb17"
+	vectorBundleHex = "0a0974726164656c656e7312107b22626c4964223a22626c2d3737227d1a18000102030405060708090a0b0c0d0e0f10111213141516172288020a06636572742d6112b3010a0974726164656c656e73121073656c6c65722d6f72672d70656572301a0a73656c6c65722d6f72672220ca6eef2678b115aa2cafac19b1766bde69b701bc017f036febd46dbaadc7dc382a20f093853e023798ef8ea70f602b59d47301a30d43930d38d06447f196741ed78d3218000102030405060708090a0b0c0d0e0f1011121314151617388080a8b1e39fe7cb17422022e3198f79dead6cd0cf5a161e072790fdd8603add6ac47c273299e757d1d7441a46304402204ed13ee6cae35c97f9748ccf433a89483d9067f66aafbc82a673025f06997b3502203ad52e37f4b7b612bbb0cb5dfb5e673715ecec0b9553c645a5aa50d3923540e9200122d0020a06636572742d6112b3010a0974726164656c656e73121073656c6c65722d6f72672d70656572301a0a73656c6c65722d6f72672220ca6eef2678b115aa2cafac19b1766bde69b701bc017f036febd46dbaadc7dc382a20f093853e023798ef8ea70f602b59d47301a30d43930d38d06447f196741ed78d3218000102030405060708090a0b0c0d0e0f1011121314151617388080a8b1e39fe7cb17422022e3198f79dead6cd0cf5a161e072790fdd8603add6ac47c273299e757d1d7441a483046022100c983fb532cee8a14b00de3ff353d31d6c6230e70d49f87e75fc679bb789de8f0022100b5a2b002c8c57965f754eb14a78e2fdee6976bc47193f3c1227bab5bfabc260f200328013220305df59f9590c3c9ac63d2b2743c388e3792449078cebf7fb3dbe6471643b2b73220fca89f57c9f8c8eb4047a7ff9d333acf9e0f3384b20b255bceab0f216dcca2672a20ca6eef2678b115aa2cafac19b1766bde69b701bc017f036febd46dbaadc7dc38322022e3198f79dead6cd0cf5a161e072790fdd8603add6ac47c273299e757d1d744388080a8b1e39fe7cb17"
 
 	// A sessioned envelope of vectorMetadataHex: client scalar 0x11
 	// repeated, session-ephemeral scalar 0x22 repeated, generation 7,
@@ -135,9 +135,11 @@ func TestKnownAnswerMetadata(t *testing.T) {
 	checkHex(t, "PolicyDigest", spec.PolicyDigest, vectorPolicyDigestHex)
 	plain := metadataEnvelope(vectorAttestor, spec)[cryptoutil.EnvelopeNonceSize:]
 	checkHex(t, "MetadataPlain", plain, vectorMetadataHex)
-	// A single-signature attestation signs the metadata bytes themselves.
-	if err := cryptoutil.VerifyDigest(vectorAttestorPub(t), cryptoutil.Digest(unhex(t, vectorMetadataHex)), unhex(t, vectorSingleSigHex)); err != nil {
-		t.Fatalf("committed single signature: %v", err)
+	// A lone attestation signs the domain-separated root of a one-leaf
+	// tree: the leaf hash of the metadata bytes.
+	signed := batchSigDigest(merkleLeafHash(unhex(t, vectorMetadataHex)))
+	if err := cryptoutil.VerifyDigest(vectorAttestorPub(t), signed[:], unhex(t, vectorSingleSigHex)); err != nil {
+		t.Fatalf("committed one-leaf signature: %v", err)
 	}
 }
 
@@ -230,7 +232,7 @@ func TestKnownAnswerBundle(t *testing.T) {
 		PolicyDigest:  spec.PolicyDigest,
 		UnixNano:      uint64(spec.Now.UnixNano()),
 		Elements: []Element{
-			{CertPEM: []byte("cert-a"), Metadata: plain, Signature: unhex(t, vectorSingleSigHex)},
+			{CertPEM: []byte("cert-a"), Metadata: plain, Signature: unhex(t, vectorSingleSigHex), BatchSize: 1},
 			{CertPEM: []byte("cert-a"), Metadata: plain, Signature: unhex(t, vectorBatchSigHex),
 				BatchSize: 3, BatchIndex: 1, BatchPath: vectorBatchPath(t)},
 		},
@@ -242,20 +244,18 @@ func TestKnownAnswerBundle(t *testing.T) {
 		t.Fatalf("UnmarshalBundle: %v", err)
 	}
 	checkHex(t, "Bundle re-encoding", decoded.Marshal(), vectorBundleHex)
-	// Each decoded element's signature verifies over the payload its mode
-	// names: the metadata itself, or the root its inclusion path implies.
+	// Each decoded element's signature verifies over the root its
+	// inclusion path implies: a one-leaf tree, then a window of three.
 	pub := vectorAttestorPub(t)
-	if err := cryptoutil.VerifyDigest(pub, cryptoutil.Digest(decoded.Elements[0].Metadata), decoded.Elements[0].Signature); err != nil {
-		t.Fatalf("single element: %v", err)
-	}
-	el := decoded.Elements[1]
-	root, err := merkleRootFromPath(merkleLeafHash(el.Metadata), el.BatchIndex, el.BatchSize, el.BatchPath)
-	if err != nil {
-		t.Fatalf("batched element path: %v", err)
-	}
-	signed := batchSigDigest(root)
-	if err := cryptoutil.VerifyDigest(pub, signed[:], el.Signature); err != nil {
-		t.Fatalf("batched element: %v", err)
+	for i, el := range decoded.Elements {
+		root, err := merkleRootFromPath(merkleLeafHash(el.Metadata), el.BatchIndex, el.BatchSize, el.BatchPath)
+		if err != nil {
+			t.Fatalf("element %d path: %v", i, err)
+		}
+		signed := batchSigDigest(root)
+		if err := cryptoutil.VerifyDigest(pub, signed[:], el.Signature); err != nil {
+			t.Fatalf("element %d: %v", i, err)
+		}
 	}
 }
 
