@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -125,9 +126,9 @@ func TestQueryCancellationMidFlight(t *testing.T) {
 
 // TestDeadlinePropagatesAcrossWire: the requester's deadline travels in the
 // envelope over real TCP and the source relay serves the query under a
-// context carrying (at least) that deadline. Since the receiver takes the
-// laxer of the absolute and relative encodings, the observed deadline may
-// trail the requester's by the one-way transit time, never by more.
+// context carrying (at least) that deadline. Since the budget travels
+// relative and counts from arrival, the observed deadline may trail the
+// requester's by the one-way transit time, never by more.
 func TestDeadlinePropagatesAcrossWire(t *testing.T) {
 	reg := NewStaticRegistry()
 	transport := &TCPTransport{DialTimeout: 2 * time.Second, IOTimeout: 10 * time.Second}
@@ -184,10 +185,8 @@ func (d *deadlineRespectingDriver) ServeQuery(ctx context.Context, q *wire.Query
 }
 
 // TestSkewedClockDoesNotKillRequestOnArrival: a source relay whose clock
-// runs an hour fast reads the absolute deadline as long past — with only
-// DeadlineUnixNano stamped (an older sender) it kills the request on
-// arrival, but with the relative TimeoutNanos alongside it takes the laxer
-// interpretation and serves the request under the true remaining budget.
+// runs an hour fast serves a request under the relative budget it was
+// stamped with, counted from arrival: the clock it reads plays no part.
 func TestSkewedClockDoesNotKillRequestOnArrival(t *testing.T) {
 	reg := NewStaticRegistry()
 	fastClock := func() time.Time { return time.Now().Add(time.Hour) }
@@ -195,44 +194,21 @@ func TestSkewedClockDoesNotKillRequestOnArrival(t *testing.T) {
 	src := New("srcnet", reg, NewHub(), WithClock(fastClock))
 	src.RegisterDriver("srcnet", drv)
 
-	makeEnv := func(deadline time.Time, timeout time.Duration) *wire.Envelope {
-		q := captureQuery(t)
-		q.RequestID = "skew-1"
-		env := &wire.Envelope{
-			Version:          wire.ProtocolVersion,
-			Type:             wire.MsgQuery,
-			RequestID:        q.RequestID,
-			Payload:          q.Marshal(),
-			DeadlineUnixNano: uint64(deadline.UnixNano()),
-		}
-		if timeout > 0 {
-			env.TimeoutNanos = uint64(timeout)
-		}
-		return env
-	}
-
-	// Absolute-only envelope (pre-TimeoutNanos sender): the fast clock sees
-	// the deadline an hour in the past and the query dies on arrival.
-	deadline := time.Now().Add(30 * time.Second)
-	reply := src.HandleEnvelope(context.Background(), makeEnv(deadline, 0))
+	q := captureQuery(t)
+	q.RequestID = "skew-1"
+	reply := src.HandleEnvelope(context.Background(), &wire.Envelope{
+		Version:      wire.ProtocolVersion,
+		Type:         wire.MsgQuery,
+		RequestID:    q.RequestID,
+		Payload:      q.Marshal(),
+		TimeoutNanos: uint64(30 * time.Second),
+	})
 	resp, err := wire.UnmarshalQueryResponse(reply.Payload)
 	if err != nil {
 		t.Fatalf("unmarshal reply: %v", err)
 	}
-	if resp.Error == "" {
-		t.Fatal("absolute-only deadline survived an hour of clock skew; the skew fixture is not exercising the bug")
-	}
-
-	// Both encodings stamped (a current sender): the relative budget is the
-	// laxer interpretation and the query is served.
-	deadline = time.Now().Add(30 * time.Second)
-	reply = src.HandleEnvelope(context.Background(), makeEnv(deadline, 30*time.Second))
-	resp, err = wire.UnmarshalQueryResponse(reply.Payload)
-	if err != nil {
-		t.Fatalf("unmarshal reply: %v", err)
-	}
 	if resp.Error != "" {
-		t.Fatalf("skew-tolerant deadline still killed the query: %s", resp.Error)
+		t.Fatalf("an hour of clock skew killed the query: %s", resp.Error)
 	}
 	select {
 	case got := <-drv.deadlines:
@@ -241,6 +217,53 @@ func TestSkewedClockDoesNotKillRequestOnArrival(t *testing.T) {
 		}
 	case <-time.After(time.Second):
 		t.Fatal("driver never observed the query")
+	}
+}
+
+// TestLegSpentBudgetIsNeverUnbounded: zero TimeoutNanos means unbounded,
+// so a context already past its deadline when an envelope is stamped
+// stamps 1 ns, never 0; and an envelope whose budget is spent on arrival
+// is refused with a deadline error before any driver sees it.
+func TestLegSpentBudgetIsNeverUnbounded(t *testing.T) {
+	r := New("destnet", NewStaticRegistry(), NewHub())
+	for _, past := range []time.Duration{0, time.Nanosecond, time.Second, time.Hour} {
+		ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-past))
+		env := &wire.Envelope{TimeoutNanos: 42}
+		r.stampDeadline(ctx, env)
+		cancel()
+		if env.TimeoutNanos != 1 {
+			t.Fatalf("deadline %v past: stamped TimeoutNanos = %d, want 1", past, env.TimeoutNanos)
+		}
+	}
+	env := &wire.Envelope{TimeoutNanos: 42}
+	r.stampDeadline(context.Background(), env)
+	if env.TimeoutNanos != 0 {
+		t.Fatalf("unbounded context stamped TimeoutNanos = %d, want 0", env.TimeoutNanos)
+	}
+
+	reg := NewStaticRegistry()
+	src, drv := newCaptureRelay(reg, NewHub())
+	txd := &countingTxDriver{}
+	src.RegisterDriver("txnet", txd)
+	for _, c := range []struct {
+		typ    wire.MsgType
+		target string
+	}{{wire.MsgQuery, "srcnet"}, {wire.MsgInvoke, "txnet"}} {
+		q := &wire.Query{TargetNetwork: c.target, Contract: "cc", Function: "fn", RequestID: "spent-" + c.target}
+		reply := src.HandleEnvelope(context.Background(), &wire.Envelope{
+			Version: wire.ProtocolVersion, Type: c.typ, RequestID: q.RequestID, Payload: q.Marshal(), TimeoutNanos: 1,
+		})
+		if reply.Type != wire.MsgError || !strings.Contains(string(reply.Payload), context.DeadlineExceeded.Error()) {
+			t.Fatalf("%s with a 1 ns budget: reply %s %q, want a deadline error", c.typ, reply.Type, reply.Payload)
+		}
+	}
+	if len(drv.deadlines) != 0 {
+		t.Fatal("a query with a spent budget reached the driver")
+	}
+	txd.mu.Lock()
+	defer txd.mu.Unlock()
+	if txd.count != 0 {
+		t.Fatalf("an invoke with a spent budget executed %d times", txd.count)
 	}
 }
 
@@ -268,8 +291,7 @@ func (t *stampRecordingTransport) Send(ctx context.Context, addr string, env *wi
 // TestFailoverRestampsRelativeBudget: the relative budget decays as fan-out
 // burns time, so the envelope resent to the next address must carry the
 // budget remaining at that attempt, not the budget at first stamp —
-// otherwise the receiver's laxer-interpretation rule would let it serve
-// past the requester's true deadline.
+// otherwise the receiver would serve past the requester's true deadline.
 func TestFailoverRestampsRelativeBudget(t *testing.T) {
 	hub := NewHub()
 	reg := NewStaticRegistry()

@@ -15,8 +15,8 @@
 // a query or invoke targeting a network it has no driver for. It appends its
 // own network to the route so cycles are refused structurally at the next
 // hop, bounds the walk with the envelope's hop TTL, and re-stamps the
-// remaining budget of its serving context (HandleEnvelope derived it via
-// remainingBudget) on every attempt. On the way back it extends the verified
+// remaining budget of its serving context (HandleEnvelope derived it from
+// the envelope's TimeoutNanos) on every attempt. On the way back it extends the verified
 // chain with its own signed pin — a forwarder never launders an unverifiable
 // path upstream under its signature — and relays downstream refusals
 // verbatim.
@@ -244,25 +244,17 @@ func recordAttempt(rec *trace.Recorder, start time.Time, next string, reply *wir
 	rec.Record(trace.Queue, start, d)
 }
 
-// stampDeadline records ctx's remaining budget in the envelope so the
-// source relay inherits it: both as an absolute deadline and as a relative
-// remaining duration. The receiver takes the laxer of the two (see
-// remainingBudget), which makes propagation robust to clock skew between
-// relays — a receiver with a fast clock no longer reads the absolute
-// deadline as already past and kills the request on arrival. Because the
-// relative encoding goes stale as time passes, sendLeg restamps before
-// every transport attempt: a failover send after a slow first attempt must
-// carry the budget remaining now, not the budget at first stamp.
+// stampDeadline records ctx's remaining budget in the envelope, relative
+// (TimeoutNanos), so the next relay inherits it on its own clock. Because
+// the budget goes stale as time passes, sendLeg restamps before every
+// transport attempt: a failover send after a slow first attempt must carry
+// the budget remaining now, not the budget at first stamp. A bounded
+// context stamps at least 1 ns, so a budget spent before the send reaches
+// the receiver as spent, never as unbounded.
 func (r *Relay) stampDeadline(ctx context.Context, env *wire.Envelope) {
-	deadline, ok := ctx.Deadline()
-	if !ok {
-		env.DeadlineUnixNano, env.TimeoutNanos = 0, 0
-		return
-	}
-	env.DeadlineUnixNano = uint64(deadline.UnixNano())
 	env.TimeoutNanos = 0
-	if rem := deadline.Sub(r.now()); rem > 0 {
-		env.TimeoutNanos = uint64(rem)
+	if deadline, ok := ctx.Deadline(); ok {
+		env.TimeoutNanos = uint64(max(time.Until(deadline), 1))
 	}
 }
 

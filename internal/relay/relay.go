@@ -355,9 +355,10 @@ func (r *Relay) prepareRequest(q *wire.Query) (*wire.Query, error) {
 // HandleEnvelope is the server-facing entry point (Fig. 2 steps 4-8): it
 // dispatches an incoming envelope and returns the reply envelope. Transport
 // servers (TCP, in-process) call this for every received frame. The serving
-// context is ctx narrowed by the envelope's remaining-budget fields (see
-// remainingBudget), so the source side never works past the requester's
-// remaining budget. A response reply comes back with its Payload encoded.
+// context is ctx narrowed by the envelope's relative budget
+// (TimeoutNanos), so the source side never works past the requester's
+// remaining budget, and a request whose budget is spent on arrival reaches
+// no driver. A response reply comes back with its Payload encoded.
 func (r *Relay) HandleEnvelope(ctx context.Context, env *wire.Envelope) *wire.Envelope {
 	reply := r.handle(ctx, env)
 	reply.EncodePayload()
@@ -388,10 +389,13 @@ func (r *Relay) dispatch(ctx context.Context, env *wire.Envelope) *wire.Envelope
 	if env.Version > wire.ProtocolVersion {
 		return errEnvelope(env.RequestID, fmt.Sprintf("unsupported protocol version %d", env.Version))
 	}
-	if env.DeadlineUnixNano != 0 || env.TimeoutNanos != 0 {
+	if env.TimeoutNanos != 0 {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, r.remainingBudget(env))
+		ctx, cancel = context.WithTimeout(ctx, time.Duration(env.TimeoutNanos))
 		defer cancel()
+		if err := ctx.Err(); err != nil {
+			return errEnvelope(env.RequestID, err.Error())
+		}
 	}
 	switch env.Type {
 	case wire.MsgPing:
@@ -443,26 +447,6 @@ func decodeQuery(ctx context.Context, env *wire.Envelope) (*wire.Query, error) {
 	q, err := wire.UnmarshalQuery(env.Payload)
 	rec.End(trace.Codec, start)
 	return q, err
-}
-
-// remainingBudget converts the envelope's two remaining-budget encodings —
-// absolute deadline and relative timeout — into a serving budget on this
-// relay's clock. When both are present the laxer (later) interpretation
-// wins: under clock skew one of the two is too strict, and serving slightly
-// past the requester's true deadline only wastes a little work, while
-// killing a live request on arrival (a receiver clock running fast reading
-// the absolute deadline as already past) breaks it outright. The
-// requester's own context still expires on its clock regardless.
-func (r *Relay) remainingBudget(env *wire.Envelope) time.Duration {
-	var budget time.Duration
-	haveAbsolute := env.DeadlineUnixNano != 0
-	if haveAbsolute {
-		budget = time.Unix(0, int64(env.DeadlineUnixNano)).Sub(r.now())
-	}
-	if rel := time.Duration(env.TimeoutNanos); env.TimeoutNanos != 0 && (!haveAbsolute || rel > budget) {
-		budget = rel
-	}
-	return budget
 }
 
 // Ping probes a remote relay address, returning the round-trip error if

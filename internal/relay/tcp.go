@@ -532,7 +532,7 @@ func (s *TCPServer) serve(ctx context.Context, frame []byte) *wire.Envelope {
 		return errEnvelope("", fmt.Sprintf("malformed envelope: %v", err))
 	}
 	// The requester's remaining budget arrives in the envelope's
-	// DeadlineUnixNano; handle narrows this context by it. A response
+	// TimeoutNanos; handle narrows this context by it. A response
 	// reply is encoded once, by WriteEnvelope into the frame.
 	return s.relay.handle(ctx, env)
 }

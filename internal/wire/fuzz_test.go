@@ -60,7 +60,7 @@ func FuzzUnmarshalQueryResponse(f *testing.F) {
 func FuzzUnmarshalEnvelope(f *testing.F) {
 	f.Add([]byte{})
 	f.Add((&Envelope{Version: 1, Type: MsgQuery, RequestID: "r", Payload: []byte("p"),
-		DeadlineUnixNano: 1_753_500_000_000_000_000, TimeoutNanos: 30_000_000_000}).Marshal())
+		TimeoutNanos: 30_000_000_000}).Marshal())
 	routed := &Envelope{Version: 1, Type: MsgQuery, RequestID: "r", Payload: []byte("p"),
 		Route: []string{"we-trade", "hub-1-net"}, MaxHops: 4}
 	f.Add(routed.Marshal())

@@ -68,22 +68,14 @@ type Envelope struct {
 	Type      MsgType
 	RequestID string
 	Payload   []byte
-	// DeadlineUnixNano is the absolute deadline of the requester's context
-	// (nanoseconds since the Unix epoch), zero when unbounded. The source
-	// relay derives its serving context from it, so the remaining time
-	// budget travels with the request instead of resetting at every hop.
-	// Being an absolute timestamp it assumes the consortium's relays run
-	// reasonably synchronized clocks (NTP-class skew); a relay whose clock
-	// is far behind the requester's would see an inflated budget, one far
-	// ahead a shrunken one.
-	DeadlineUnixNano uint64
-	// TimeoutNanos is the same budget encoded relative: the time remaining
-	// at the instant the sender stamped the envelope (gRPC-style). Senders
-	// stamp both fields; receivers take the laxer interpretation (the later
-	// effective deadline), which removes the clock-sync assumption — under
-	// skew the relative encoding is off only by the one-way transit time,
-	// so a relay with a fast clock no longer kills requests on arrival.
-	// Zero when unbounded or when stamped by an older relay.
+	// TimeoutNanos is the requester's remaining time budget, relative: the
+	// time left at the instant the sender stamped the envelope
+	// (gRPC-style), zero when unbounded. The receiving relay serves under
+	// that budget from arrival on its own clock, so the budget travels with
+	// the request instead of resetting at every hop, and clock skew between
+	// relays costs only the one-way transit time. A bounded sender stamps at
+	// least 1 ns, so a spent budget is never read as unbounded. Field 5, an
+	// absolute deadline, is retired: no field may reuse its number.
 	TimeoutNanos uint64
 	// Route lists the network IDs of the relays this envelope has already
 	// traversed, origin first. A relay appends its own network before
@@ -125,7 +117,6 @@ func (m *Envelope) walk(w *Walk) {
 		w.MessageHeader(4, n)
 		m.response.walk(w)
 	}
-	w.Uint(5, &m.DeadlineUnixNano)
 	w.Uint(6, &m.TimeoutNanos)
 	w.Strings(7, &m.Route)
 	w.Uint(8, &m.MaxHops)

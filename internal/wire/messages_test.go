@@ -75,31 +75,27 @@ func TestEnvelopeRoundTrip(t *testing.T) {
 
 func TestEnvelopeDeadlineRoundTrip(t *testing.T) {
 	env := &Envelope{
-		Version:          ProtocolVersion,
-		Type:             MsgQuery,
-		RequestID:        "req-8",
-		Payload:          []byte("inner"),
-		DeadlineUnixNano: 1_753_500_000_123_456_789,
-		TimeoutNanos:     30_000_000_000,
+		Version:      ProtocolVersion,
+		Type:         MsgQuery,
+		RequestID:    "req-8",
+		Payload:      []byte("inner"),
+		TimeoutNanos: 30_000_000_000,
 	}
 	got, err := UnmarshalEnvelope(env.Marshal())
 	if err != nil {
 		t.Fatalf("UnmarshalEnvelope: %v", err)
 	}
-	if got.DeadlineUnixNano != env.DeadlineUnixNano {
-		t.Fatalf("deadline = %d, want %d", got.DeadlineUnixNano, env.DeadlineUnixNano)
-	}
 	if got.TimeoutNanos != env.TimeoutNanos {
 		t.Fatalf("timeout = %d, want %d", got.TimeoutNanos, env.TimeoutNanos)
 	}
-	// Zero means unbounded and round-trips as zero for both encodings.
+	// Zero means unbounded and round-trips as zero.
 	unbounded := &Envelope{Version: ProtocolVersion, Type: MsgPing, RequestID: "p"}
 	got, err = UnmarshalEnvelope(unbounded.Marshal())
 	if err != nil {
 		t.Fatalf("UnmarshalEnvelope: %v", err)
 	}
-	if got.DeadlineUnixNano != 0 || got.TimeoutNanos != 0 {
-		t.Fatalf("unbounded deadline = %d/%d, want 0/0", got.DeadlineUnixNano, got.TimeoutNanos)
+	if got.TimeoutNanos != 0 {
+		t.Fatalf("unbounded timeout = %d, want 0", got.TimeoutNanos)
 	}
 }
 

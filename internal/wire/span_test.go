@@ -68,7 +68,7 @@ func TestEnvelopeSpansCappedAndDeduplicated(t *testing.T) {
 // pre-existing encoding stays valid.
 func TestUntracedEnvelopeBytesUnchanged(t *testing.T) {
 	env := &Envelope{Version: ProtocolVersion, Type: MsgQuery, RequestID: "req", Payload: []byte("payload"),
-		DeadlineUnixNano: 7, TimeoutNanos: 3, Route: []string{"a", "b"}, MaxHops: 4}
+		TimeoutNanos: 3, Route: []string{"a", "b"}, MaxHops: 4}
 	before := env.Marshal()
 	traced := *env
 	traced.Trace = &Trace{ID: "abc", Spans: []Span{{Relay: "a", Stage: "codec", DurNanos: 5}}}

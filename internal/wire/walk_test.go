@@ -21,7 +21,6 @@ func oracleEnvelope(m *Envelope) []byte {
 	e.Uint(2, uint64(m.Type))
 	e.String(3, m.RequestID)
 	e.BytesField(4, m.Payload)
-	e.Uint(5, m.DeadlineUnixNano)
 	e.Uint(6, m.TimeoutNanos)
 	for _, hop := range m.Route {
 		e.Message(7, []byte(hop))
@@ -146,7 +145,7 @@ func genRepeated[T any](r *rand.Rand, gen func(*rand.Rand) T) []T {
 func genEnvelope(r *rand.Rand) *Envelope {
 	return &Envelope{
 		Version: genUint(r), Type: MsgType(genUint(r)), RequestID: genString(r), Payload: genBytes(r),
-		DeadlineUnixNano: genUint(r), TimeoutNanos: genUint(r), Route: genRepeated(r, genString), MaxHops: genUint(r),
+		TimeoutNanos: genUint(r), Route: genRepeated(r, genString), MaxHops: genUint(r),
 	}
 }
 
@@ -350,7 +349,7 @@ func TestCodecAllocations(t *testing.T) {
 		Attestations: []Attestation{att, att}, HopPins: []HopPin{pin, pin},
 	}
 	env := &Envelope{Version: ProtocolVersion, Type: MsgQueryResponse, Payload: resp.Marshal(),
-		DeadlineUnixNano: 1_753_500_000_000_000_000, TimeoutNanos: 30_000_000_000}
+		TimeoutNanos: 30_000_000_000}
 	withID := *env
 	withID.RequestID = "req-000017"
 	encoded, encodedWithID := env.Marshal(), withID.Marshal()
