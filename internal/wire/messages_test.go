@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/hex"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -96,6 +97,32 @@ func TestEnvelopeDeadlineRoundTrip(t *testing.T) {
 	}
 	if got.TimeoutNanos != 0 {
 		t.Fatalf("unbounded timeout = %d, want 0", got.TimeoutNanos)
+	}
+}
+
+// TestEnvelopeDeadlineKnownAnswer pins the bytes of a bounded request: its
+// budget travels only as the relative field 6. Field 5, the retired
+// absolute deadline, is never written, and one in an envelope from an
+// older sender is skipped as unknown. A changed constant here is a wire
+// change.
+func TestEnvelopeDeadlineKnownAnswer(t *testing.T) {
+	env := &Envelope{Version: ProtocolVersion, Type: MsgQuery, RequestID: "req-8", Payload: []byte("inner"),
+		TimeoutNanos: 30_000_000_000}
+	const want = "0801" + "1001" + "1a05" + "7265712d38" + "2205" + "696e6e6572" + "3080d88ee16f"
+	if got := hex.EncodeToString(env.Marshal()); got != want {
+		t.Fatalf("bounded envelope = %s, want %s", got, want)
+	}
+	const retired = "28959a86e8dadeebaa18" // field 5: 1_753_500_000_123_456_789
+	legacy, err := hex.DecodeString(want + retired)
+	if err != nil {
+		t.Fatal(err)
+	}
+	decoded, err := UnmarshalEnvelope(legacy)
+	if err != nil || !reflect.DeepEqual(decoded, env) {
+		t.Fatalf("envelope with field 5 decoded to %+v (%v), want %+v", decoded, err, env)
+	}
+	if got := hex.EncodeToString(decoded.Marshal()); got != want {
+		t.Fatalf("re-encoded envelope = %s, want %s", got, want)
 	}
 }
 
