@@ -37,8 +37,7 @@ import (
 //	                across processes
 //
 // Each journal line is one self-contained JSON record: a lease grant or
-// renewal (absolute expiry plus relative TTL — see leaseExpiry for how
-// readers reconcile the two) or a deregistration. Readers keep an
+// renewal (its absolute expiry) or a deregistration. Readers keep an
 // in-memory materialized view and tail the journal from their last byte
 // offset on every read; last record wins per
 // (network, address), lapsed leases are filtered at Resolve time. A torn
@@ -58,6 +57,11 @@ import (
 // excluded by the flock throughout), a reader tailing mid-compaction sees
 // either the complete old generation or the complete new one — never a
 // partial view. netadmin exposes Compact as `registry compact`.
+//
+// Clock contract: the journal is shared through flock on one deployment
+// directory, so every writer and reader runs on one host and reads one
+// clock. A lease therefore travels only as its absolute expiry, stamped by
+// the writer and compared by the reader on that same clock.
 //
 // Cross-process caveat: on platforms without flock support (see
 // flock_other.go) appends from separate processes are still each a single
@@ -106,13 +110,12 @@ type journalRecord struct {
 	Op   string `json:"op"`
 	Net  string `json:"net,omitempty"`
 	Addr string `json:"addr,omitempty"`
-	// Exp is the absolute lease expiry (writer's clock, ns since epoch);
-	// zero with a zero TTL means a permanent entry.
+	// Exp is the absolute lease expiry (ns since epoch on the host clock
+	// the journal's writers and readers share); zero means a permanent
+	// entry. The key "ttl", a relative second encoding of the same expiry,
+	// is retired: encoding/json ignores it in an old record, and no later
+	// field may reuse it.
 	Exp int64 `json:"exp,omitempty"`
-	// TTL is the lease duration at write time (ns, relative — the
-	// TimeoutNanos-style second encoding; readers take the earlier of the
-	// two interpretations, see leaseExpiry).
-	TTL int64 `json:"ttl,omitempty"`
 	// TS stamps the writer's clock at append, for forensics.
 	TS int64 `json:"ts,omitempty"`
 }
@@ -265,14 +268,12 @@ func (r *JournalRegistry) Register(networkID string, addrs ...string) error {
 }
 
 // RegisterLease implements LeaseRegistrar: one appended record carrying
-// the lease both as an absolute expiry and as the relative TTL, so readers
-// on skewed clocks can take the earlier interpretation.
+// the lease's absolute expiry, ttl from now.
 func (r *JournalRegistry) RegisterLease(networkID, addr string, ttl time.Duration) error {
 	now := r.now()
 	rec := journalRecord{Op: opLease, Net: networkID, Addr: addr, TS: now.UnixNano()}
 	if ttl > 0 {
 		rec.Exp = now.Add(ttl).UnixNano()
-		rec.TTL = int64(ttl)
 	}
 	return r.appendRecords(rec)
 }
@@ -386,9 +387,8 @@ func (r *JournalRegistry) Prune() (int, error) {
 // lost. Writers are excluded by the flock for the duration; readers keep
 // serving their materialized view and re-materialize from the snapshot
 // when they observe the pointer move. Lapsed-but-unpruned entries survive
-// compaction (compaction bounds the file, Prune changes membership), with
-// their remaining TTL recomputed so the two lease encodings stay
-// consistent for the next reader. Appends run the same compaction in-band
+// compaction with their expiry (compaction bounds the file, Prune changes
+// membership). Appends run the same compaction in-band
 // once the journal outgrows its threshold; Compact forces one.
 func (r *JournalRegistry) Compact() error {
 	r.mu.Lock()
@@ -445,9 +445,6 @@ func (r *JournalRegistry) writeSnapshot(gen uint64) error {
 			rec := journalRecord{Op: opLease, Net: id, Addr: e.addr, TS: now.UnixNano()}
 			if !e.expires.IsZero() {
 				rec.Exp = e.expires.UnixNano()
-				if remaining := e.expires.Sub(now); remaining > 0 {
-					rec.TTL = int64(remaining)
-				}
 			}
 			line, err := json.Marshal(rec)
 			if err != nil {
@@ -546,7 +543,7 @@ func (r *JournalRegistry) applyLocked(rec journalRecord) {
 			r.skipped++
 			return
 		}
-		r.view.entries[rec.Net] = upsertLease(r.view.entries[rec.Net], rec.Addr, r.leaseExpiry(rec))
+		r.view.entries[rec.Net] = upsertLease(r.view.entries[rec.Net], rec.Addr, leaseExpiry(rec))
 	case opDereg:
 		list, removed := removeLease(r.view.entries[rec.Net], rec.Addr)
 		if !removed {
@@ -562,34 +559,13 @@ func (r *JournalRegistry) applyLocked(rec journalRecord) {
 	}
 }
 
-// leaseExpiry reconciles a lease record's two encodings on the reader's
-// clock: the writer-absolute expiry and the relative TTL anchored at the
-// instant this reader materializes the record. The entry stops resolving
-// at the *earlier* of the two — the laxer interpretation for a lease: under
-// clock skew a dead relay is never served longer than either encoding
-// supports.
-// A writer with a fast clock cannot stretch its lease past the TTL the
-// reader just observed; a reader picking up a stale journal cannot extend
-// a long-lapsed lease by re-anchoring its TTL, because the absolute expiry
-// bounds it.
-func (r *JournalRegistry) leaseExpiry(rec journalRecord) time.Time {
-	var abs, rel time.Time
-	if rec.Exp != 0 {
-		abs = time.Unix(0, rec.Exp)
+// leaseExpiry is a lease record's absolute expiry, zero for a permanent
+// record.
+func leaseExpiry(rec journalRecord) time.Time {
+	if rec.Exp == 0 {
+		return time.Time{}
 	}
-	if rec.TTL > 0 {
-		rel = r.now().Add(time.Duration(rec.TTL))
-	}
-	switch {
-	case abs.IsZero():
-		return rel // zero when the record is permanent
-	case rel.IsZero():
-		return abs
-	case rel.Before(abs):
-		return rel
-	default:
-		return abs
-	}
+	return time.Unix(0, rec.Exp)
 }
 
 // atomicWriteFile writes data to path via a same-directory temp file and

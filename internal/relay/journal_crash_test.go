@@ -10,6 +10,14 @@ import (
 	"time"
 )
 
+// The reference journal's addresses. Each record's length fixes the byte
+// offsets the subtests below are named by.
+const (
+	committed1 = "relay-a.committed.example.net:1"
+	committed2 = "relay-b.committed.example.net:2"
+	torn3      = "relay-c.torn.example.net:3"
+)
+
 // TestJournalTornAppendRecovery is the crash-consistency contract: for a
 // journal whose writer died mid-append, truncated at *every* byte boundary
 // of the final record, a fresh reader recovers exactly the committed
@@ -22,13 +30,13 @@ func TestJournalTornAppendRecovery(t *testing.T) {
 		t.Helper()
 		path = filepath.Join(dir, "registry.jsonl")
 		reg := NewJournalRegistry(path)
-		if err := reg.RegisterLease("net", "committed:1", time.Hour); err != nil {
+		if err := reg.RegisterLease("net", committed1, time.Hour); err != nil {
 			t.Fatalf("RegisterLease: %v", err)
 		}
-		if err := reg.RegisterLease("net", "committed:2", time.Hour); err != nil {
+		if err := reg.RegisterLease("net", committed2, time.Hour); err != nil {
 			t.Fatalf("RegisterLease: %v", err)
 		}
-		if err := reg.RegisterLease("net", "torn:3", time.Hour); err != nil {
+		if err := reg.RegisterLease("net", torn3, time.Hour); err != nil {
 			t.Fatalf("RegisterLease: %v", err)
 		}
 		data, err := os.ReadFile(path)
@@ -64,11 +72,11 @@ func TestJournalTornAppendRecovery(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Resolve over torn journal must not fail: %v", err)
 			}
-			if !containsAddr(addrs, "committed:1") || !containsAddr(addrs, "committed:2") {
+			if !containsAddr(addrs, committed1) || !containsAddr(addrs, committed2) {
 				t.Fatalf("committed prefix lost: %v", addrs)
 			}
 			wantTorn := cut == wholeSize // only the untruncated journal keeps the final record
-			if containsAddr(addrs, "torn:3") != wantTorn {
+			if containsAddr(addrs, torn3) != wantTorn {
 				t.Fatalf("torn record visibility = %v at cut %d, want %v (addrs %v)", !wantTorn, cut, wantTorn, addrs)
 			}
 
@@ -84,7 +92,7 @@ func TestJournalTornAppendRecovery(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Resolve after self-heal: %v", err)
 			}
-			for _, want := range []string{"committed:1", "committed:2", "healed:4"} {
+			for _, want := range []string{committed1, committed2, "healed:4"} {
 				if !containsAddr(addrs, want) {
 					t.Fatalf("address %s missing after self-heal: %v", want, addrs)
 				}

@@ -129,37 +129,12 @@ func TestJournalRegistryLeaseExpiryAndPrune(t *testing.T) {
 }
 
 // TestJournalLeaseSkewTakesEarlierInterpretation is the lease-boundary
-// contract: every lease record carries both an absolute expiry (writer's
-// clock) and a relative TTL (anchored at the reader's first observation),
-// and when skew makes them disagree the entry stops resolving at the
-// *earlier* of the two.
+// contract: a lease record carries only its absolute expiry, stamped on
+// the host clock the journal's writers and readers share (flock on one
+// deployment directory), and the entry stops resolving once that clock
+// passes it — however long the TTL a fresh read of the record would
+// otherwise grant.
 func TestJournalLeaseSkewTakesEarlierInterpretation(t *testing.T) {
-	const ttl = 30 * time.Second
-
-	t.Run("fast writer clock bounded by reader-anchored TTL", func(t *testing.T) {
-		dir := t.TempDir()
-		writerClk := newFakeClock()
-		writerClk.Advance(time.Hour) // writer's clock runs an hour fast
-		writer := journalAt(t, dir)
-		writer.now = writerClk.Now
-		if err := writer.RegisterLease("net", "skewed:1", ttl); err != nil {
-			t.Fatalf("RegisterLease: %v", err)
-		}
-
-		readerClk := newFakeClock() // true time
-		reader := journalAt(t, dir)
-		reader.now = readerClk.Now
-		if addrs, err := reader.Resolve("net"); err != nil || len(addrs) != 1 {
-			t.Fatalf("fresh lease must resolve: %v, %v", addrs, err)
-		}
-		// Under the absolute encoding alone the entry would live another
-		// hour; the reader-anchored TTL is earlier and wins.
-		readerClk.Advance(ttl + time.Second)
-		if _, err := reader.Resolve("net"); !errors.Is(err, ErrUnknownNetwork) {
-			t.Fatalf("fast-clock lease outlived its TTL: %v", err)
-		}
-	})
-
 	t.Run("slow writer clock bounded by absolute expiry", func(t *testing.T) {
 		dir := t.TempDir()
 		writerClk := newFakeClock() // writer's clock runs an hour slow:
@@ -182,34 +157,31 @@ func TestJournalLeaseSkewTakesEarlierInterpretation(t *testing.T) {
 }
 
 // TestJournalPruneCompactAgreeWithReader: the maintenance operations use
-// the same earlier-interpretation expiry as Resolve, so what stops
-// resolving is exactly what Prune removes, and Compact never resurrects
-// it.
+// the same expiry as Resolve, so what stops resolving is exactly what
+// Prune removes, and Compact never resurrects it.
 func TestJournalPruneCompactAgreeWithReader(t *testing.T) {
 	dir := t.TempDir()
-	writerClk := newFakeClock()
-	writerClk.Advance(time.Hour) // fast clock: absolute expiry an hour out
+	clk := newFakeClock() // the one host clock writer and reader share
 	writer := journalAt(t, dir)
-	writer.now = writerClk.Now
+	writer.now = clk.Now
 	const ttl = 30 * time.Second
-	if err := writer.RegisterLease("net", "skewed:1", ttl); err != nil {
+	if err := writer.RegisterLease("net", "leased:1", ttl); err != nil {
 		t.Fatalf("RegisterLease: %v", err)
 	}
 	if err := writer.Register("net", "permanent:1"); err != nil {
 		t.Fatalf("Register: %v", err)
 	}
 
-	readerClk := newFakeClock()
 	reader := journalAt(t, dir)
-	reader.now = readerClk.Now
-	// Materialize now (anchoring the TTL), then cross the earlier boundary.
+	reader.now = clk.Now
+	// Materialize now, then cross the lease's expiry.
 	if addrs, err := reader.Resolve("net"); err != nil || len(addrs) != 2 {
 		t.Fatalf("initial Resolve = %v, %v", addrs, err)
 	}
-	readerClk.Advance(ttl + time.Second)
+	clk.Advance(ttl + time.Second)
 	addrs, err := reader.Resolve("net")
 	if err != nil || len(addrs) != 1 || addrs[0] != "permanent:1" {
-		t.Fatalf("post-boundary Resolve = %v, %v, want just permanent:1", addrs, err)
+		t.Fatalf("post-expiry Resolve = %v, %v, want just permanent:1", addrs, err)
 	}
 	// Prune agrees: exactly the entry the reader stopped resolving.
 	pruned, err := reader.Prune()

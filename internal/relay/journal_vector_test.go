@@ -4,23 +4,24 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 )
 
 // Known-answer vector for the lease journal's on-disk bytes (after
-// SNIPPETS.md 1–2): a fixed clock, one lease with a TTL, one permanent
+// SNIPPETS.md 1–2): a fixed clock, one lease with an expiry, one permanent
 // lease and a deregistration, then a compaction. The generation-0 journal
 // is kept as the grace copy, so all three files are pinned. A change to
 // any of these bytes changes what existing deployments read back, so it
 // must be a deliberate vector update — never a refactor side effect.
 const (
-	vectorGen0 = `{"op":"lease","net":"tradelens","addr":"10.0.0.1:9080","exp":1700000030000000000,"ttl":30000000000,"ts":1700000000000000000}
+	vectorGen0 = `{"op":"lease","net":"tradelens","addr":"10.0.0.1:9080","exp":1700000030000000000,"ts":1700000000000000000}
 {"op":"lease","net":"tradelens","addr":"10.0.0.2:9080","ts":1700000000000000000}
 {"op":"lease","net":"wetrade","addr":"10.0.1.1:9080","ts":1700000000000000000}
 {"op":"dereg","net":"wetrade","addr":"10.0.1.1:9080","ts":1700000000000000000}
 `
-	vectorGen1 = `{"op":"lease","net":"tradelens","addr":"10.0.0.1:9080","exp":1700000030000000000,"ttl":30000000000,"ts":1700000000000000000}
+	vectorGen1 = `{"op":"lease","net":"tradelens","addr":"10.0.0.1:9080","exp":1700000030000000000,"ts":1700000000000000000}
 {"op":"lease","net":"tradelens","addr":"10.0.0.2:9080","ts":1700000000000000000}
 `
 	vectorPointer = `1`
@@ -78,9 +79,13 @@ func TestJournalKnownAnswerBytes(t *testing.T) {
 
 	// A fresh instance materializes the same view from the committed bytes,
 	// from the uncompacted journal alone and from the compacted generation.
+	// A record that still carries the retired "ttl" key reads the same: the
+	// key is ignored, and the lease expires at its "exp".
+	withTTL := strings.Replace(vectorGen0, `"exp":1700000030000000000,`, `"exp":1700000030000000000,"ttl":30000000000,`, 1)
 	for name, files := range map[string]map[string]string{
-		"generation 0": {"registry.jsonl": vectorGen0},
-		"generation 1": {"registry.jsonl.1": vectorGen1, "registry.jsonl.gen": vectorPointer},
+		"generation 0":                  {"registry.jsonl": vectorGen0},
+		"generation 0, retired ttl key": {"registry.jsonl": withTTL},
+		"generation 1":                  {"registry.jsonl.1": vectorGen1, "registry.jsonl.gen": vectorPointer},
 	} {
 		r, _ := vectorRegistry(t, files)
 		if got, err := r.Entries(); err != nil || !reflect.DeepEqual(got, vectorEntries) {
