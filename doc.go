@@ -7,11 +7,10 @@
 //
 // Every request-path operation is context-first: the ctx passed to
 // core.Client.RemoteQuery travels with the query — its deadline is stamped
-// into the wire envelope both as an absolute timestamp
-// (Envelope.DeadlineUnixNano) and as a relative remaining duration
-// (Envelope.TimeoutNanos, gRPC-style); the source relay takes the laxer of
-// the two, so deadline propagation survives clock skew between relays, and
-// cancellation aborts in-flight transport sends. A query tries redundant
+// into the wire envelope as a relative remaining budget
+// (Envelope.TimeoutNanos, gRPC-style) that the next relay counts from
+// arrival on its own clock, so deadline propagation survives clock skew
+// between relays, and cancellation aborts in-flight transport sends. A query tries redundant
 // relay addresses in turn and abandons an attempt once it is past both an
 // equal share of the budget left and four times the address's usual round
 // trip, so a relay that hangs after answering cannot spend all of it.
@@ -91,9 +90,9 @@
 // root per window under a dedicated domain separator, and every requester
 // verifies its own leaf + inclusion proof
 // (proof.Element.BatchSize/BatchIndex/BatchPath); a query alone in its
-// window is signed over its own metadata, and batched invokes persist their
-// batched Sealed artifact so the replay guarantee covers inclusion proofs
-// too. Every envelope is sealed under sessioned ECIES
+// window is a one-leaf tree, so every attestation is signed one way, and
+// batched invokes persist their batched Sealed artifact so the replay
+// guarantee covers inclusion proofs too. Every envelope is sealed under sessioned ECIES
 // (cryptoutil.SessionManager): one ephemeral key per TTL generation, one
 // cached ECDH agreement per requester certificate, a per-query AEAD key
 // derived via HKDF bound to the generation and query digest, and the
