@@ -10,10 +10,11 @@
 // into the wire envelope as a relative remaining budget
 // (Envelope.TimeoutNanos, gRPC-style) that the next relay counts from
 // arrival on its own clock, so deadline propagation survives clock skew
-// between relays, and cancellation aborts in-flight transport sends. A query tries redundant
-// relay addresses in turn and abandons an attempt once it is past both an
-// equal share of the budget left and four times the address's usual round
-// trip, so a relay that hangs after answering cannot spend all of it.
+// between relays, and cancellation aborts in-flight transport sends. A
+// query tries redundant relay addresses in turn and abandons an attempt
+// once it is past both an equal share of the budget left and four times the
+// address's usual round trip, so a relay that hangs after answering cannot
+// spend all of it.
 //
 // Discovery is health-aware and lease-based. Every transport outcome —
 // sequential failover, liveness pings, event pushes —
@@ -92,11 +93,11 @@
 // (proof.Element.BatchSize/BatchIndex/BatchPath); a query alone in its
 // window is a one-leaf tree, so every attestation is signed one way, and
 // batched invokes persist their batched Sealed artifact so the replay
-// guarantee covers inclusion proofs too. Every envelope is sealed under sessioned ECIES
-// (cryptoutil.SessionManager): one ephemeral key per TTL generation, one
-// cached ECDH agreement per requester certificate, a per-query AEAD key
-// derived via HKDF bound to the generation and query digest, and the
-// session point carried in explicit wire fields
+// guarantee covers inclusion proofs too. Every envelope is sealed under
+// sessioned ECIES (cryptoutil.SessionManager): one ephemeral key per TTL
+// generation, one cached ECDH agreement per requester certificate, a
+// per-query AEAD key derived via HKDF bound to the generation and query
+// digest, and the session point carried in explicit wire fields
 // (Attestation.SessionEphemeral). The requester opens through a
 // cryptoutil.Recipient that remembers its agreement per session point, so
 // for a warm requester neither side pays a scalar multiplication per query:

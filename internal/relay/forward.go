@@ -16,10 +16,10 @@
 // own network to the route so cycles are refused structurally at the next
 // hop, bounds the walk with the envelope's hop TTL, and re-stamps the
 // remaining budget of its serving context (HandleEnvelope derived it from
-// the envelope's TimeoutNanos) on every attempt. On the way back it extends the verified
-// chain with its own signed pin — a forwarder never launders an unverifiable
-// path upstream under its signature — and relays downstream refusals
-// verbatim.
+// the envelope's TimeoutNanos) on every attempt. On the way back it extends
+// the verified chain with its own signed pin — a forwarder never launders
+// an unverifiable path upstream under its signature — and relays
+// downstream refusals verbatim.
 package relay
 
 import (
@@ -202,7 +202,7 @@ func (r *Relay) sendLeg(ctx context.Context, leg hopLeg) (*wire.Envelope, error)
 				attemptCtx, cancel = context.WithDeadline(ctx, overdue)
 			}
 		}
-		r.stampDeadline(attemptCtx, leg.env) // per attempt: the relative budget decays
+		stampDeadline(attemptCtx, leg.env) // per attempt: the relative budget decays
 		r.countFanoutAttempt()
 		start := rec.Start()
 		reply, err := r.observeSend(attemptCtx, addr, leg.env)
@@ -251,7 +251,7 @@ func recordAttempt(rec *trace.Recorder, start time.Time, next string, reply *wir
 // the budget remaining now, not the budget at first stamp. A bounded
 // context stamps at least 1 ns, so a budget spent before the send reaches
 // the receiver as spent, never as unbounded.
-func (r *Relay) stampDeadline(ctx context.Context, env *wire.Envelope) {
+func stampDeadline(ctx context.Context, env *wire.Envelope) {
 	env.TimeoutNanos = 0
 	if deadline, ok := ctx.Deadline(); ok {
 		env.TimeoutNanos = uint64(max(time.Until(deadline), 1))

@@ -388,8 +388,8 @@ func (r *JournalRegistry) Prune() (int, error) {
 // serving their materialized view and re-materialize from the snapshot
 // when they observe the pointer move. Lapsed-but-unpruned entries survive
 // compaction with their expiry (compaction bounds the file, Prune changes
-// membership). Appends run the same compaction in-band
-// once the journal outgrows its threshold; Compact forces one.
+// membership). Appends run the same compaction in-band once the journal
+// outgrows its threshold; Compact forces one.
 func (r *JournalRegistry) Compact() error {
 	r.mu.Lock()
 	defer r.mu.Unlock()

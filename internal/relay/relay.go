@@ -459,7 +459,7 @@ func (r *Relay) Ping(ctx context.Context, addr string) error {
 		return err
 	}
 	env := &wire.Envelope{Version: wire.ProtocolVersion, Type: wire.MsgPing, RequestID: reqID}
-	r.stampDeadline(ctx, env)
+	stampDeadline(ctx, env)
 	reply, err := r.observeSend(ctx, addr, env)
 	if err != nil {
 		return err

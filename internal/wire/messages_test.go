@@ -100,12 +100,12 @@ func TestEnvelopeDeadlineRoundTrip(t *testing.T) {
 	}
 }
 
-// TestEnvelopeDeadlineKnownAnswer pins the bytes of a bounded request: its
+// TestKnownAnswerEnvelopeDeadline pins the bytes of a bounded request: its
 // budget travels only as the relative field 6. Field 5, the retired
 // absolute deadline, is never written, and one in an envelope from an
 // older sender is skipped as unknown. A changed constant here is a wire
 // change.
-func TestEnvelopeDeadlineKnownAnswer(t *testing.T) {
+func TestKnownAnswerEnvelopeDeadline(t *testing.T) {
 	env := &Envelope{Version: ProtocolVersion, Type: MsgQuery, RequestID: "req-8", Payload: []byte("inner"),
 		TimeoutNanos: 30_000_000_000}
 	const want = "0801" + "1001" + "1a05" + "7265712d38" + "2205" + "696e6e6572" + "3080d88ee16f"
