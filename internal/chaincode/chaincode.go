@@ -76,7 +76,8 @@ type Stub interface {
 	// committed (or buffered) value itself, so a chaincode must not modify
 	// it. Its capacity is its length, so appending to it reallocates.
 	GetState(key string) ([]byte, error)
-	// PutState buffers a write.
+	// PutState buffers a copy of value as a write, so the chaincode may
+	// reuse its buffer once the call returns.
 	PutState(key string, value []byte) error
 	// DelState buffers a delete.
 	DelState(key string) error
@@ -383,6 +384,9 @@ func (s *simStub) PutState(key string, value []byte) error {
 	if s.inv.ReadOnly {
 		return ErrReadOnly
 	}
+	// The one copy between a chaincode's buffer and committed state: every
+	// peer stores the block's write value itself (statedb.ApplyWrites), so
+	// the caller may reuse value at once.
 	val := make([]byte, len(value))
 	copy(val, value)
 	s.write(ledger.KVWrite{Namespace: s.inv.Chaincode, Key: key, Value: val})

@@ -75,6 +75,31 @@ func TestSimulatePutAndRead(t *testing.T) {
 	}
 }
 
+// TestValueIsolationPutState: PutState buffers a copy, so a chaincode that
+// rewrites its buffer after the call changes neither what it reads back
+// nor the write set, whose values a commit stores as they stand.
+func TestValueIsolationPutState(t *testing.T) {
+	reg, state := newEnv(t)
+	reg.Register("cc", Func(func(stub Stub) ([]byte, error) {
+		buf := []byte("original")
+		if err := stub.PutState("k", buf); err != nil {
+			return nil, err
+		}
+		copy(buf, "REWRITE!")
+		return stub.GetState("k")
+	}))
+	res, err := Simulate(reg, state, inv("cc", "put"))
+	if err != nil {
+		t.Fatalf("Simulate: %v", err)
+	}
+	if string(res.Response) != "original" {
+		t.Fatalf("read-your-writes after a rewrite = %q, want original", res.Response)
+	}
+	if w := res.RWSet.Writes[0]; string(w.Value) != "original" || cap(w.Value) != len(w.Value) {
+		t.Fatalf("write set holds %q (cap %d), want original clipped", w.Value, cap(w.Value))
+	}
+}
+
 func TestSimulateRecordsReadVersions(t *testing.T) {
 	reg, state := newEnv(t)
 	state.ApplyWrites([]statedb.Write{{Namespace: "cc", Key: "k", Value: []byte("v")}},

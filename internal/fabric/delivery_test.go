@@ -386,9 +386,11 @@ var raceEnabled bool
 
 // TestDeliveryAllocations is the allocation tripwire of block delivery:
 // one one-transaction block reaching all four peers, both endorsements
-// checked by each. The bound is the measured count (69.3–70.9 over 20
-// runs; ≈ 20 more with every signature verified), so it fails if a peer's
-// shortcut for its own endorsements stops firing. It may only be lowered.
+// checked by each. The bound is the measured count (62.3–63.2 over 30
+// runs, ≈ 70 with a copy of each written value per peer and a verdict
+// stage's state on the heap; ≈ 20 more with every signature verified), so
+// it fails if a peer's shortcut for its own endorsements stops firing. It
+// may only be lowered.
 // GOMAXPROCS is pinned so the verdict stage starts the same number of
 // goroutines on any host (testing.AllocsPerRun would pin it to 1).
 func TestDeliveryAllocations(t *testing.T) {
@@ -422,7 +424,7 @@ func TestDeliveryAllocations(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	got := float64(after.Mallocs-before.Mallocs) / measured
 	t.Logf("delivering a one-transaction block to 4 peers: %.2f allocs", got)
-	const max = 72
+	const max = 64
 	if got > max {
 		t.Fatalf("delivery allocs = %.2f, want <= %d", got, max)
 	}

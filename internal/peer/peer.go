@@ -258,24 +258,48 @@ func (p *Peer) CommitBlock(block *ledger.Block) error {
 // of peers[i] on transaction j goes to verdicts[i*len(block.Transactions)+j];
 // the caller owns the slice, which must hold one entry per pair. The pairs
 // run on up to GOMAXPROCS goroutines, counting the caller's; with one, or
-// one pair, it starts none.
+// one pair, it starts none. The goroutines share a pooled endorsementCheck,
+// so a block's verdict stage allocates no closure, counter or WaitGroup.
 func CheckEndorsements(peers []*Peer, block *ledger.Block, verifier *msp.Verifier, verdicts []ledger.ValidationCode) {
-	txs := block.Transactions
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	work := func() {
-		defer wg.Done()
-		for i := int(next.Add(1) - 1); i < len(verdicts); i = int(next.Add(1) - 1) {
-			verdicts[i] = peers[i/len(txs)].validateEndorsements(txs[i%len(txs)], verifier)
-		}
-	}
+	c := endorsementChecks.Get().(*endorsementCheck)
+	c.peers, c.txs, c.verifier, c.verdicts = peers, block.Transactions, verifier, verdicts
+	c.next.Store(0)
 	workers := max(1, min(runtime.GOMAXPROCS(0), len(verdicts)))
-	wg.Add(workers)
+	c.wg.Add(workers)
 	for range workers - 1 {
-		go work()
+		go c.work()
 	}
-	work()
-	wg.Wait()
+	c.work()
+	c.wg.Wait()
+	c.peers, c.txs, c.verifier, c.verdicts = nil, nil, nil, nil
+	endorsementChecks.Put(c)
+}
+
+// endorsementCheck is one CheckEndorsements call's shared state. Its work
+// func is bound once, when the pool makes it, so starting a worker
+// allocates nothing.
+type endorsementCheck struct {
+	peers    []*Peer
+	txs      []*ledger.Transaction
+	verifier *msp.Verifier
+	verdicts []ledger.ValidationCode
+	next     atomic.Int64
+	wg       sync.WaitGroup
+	work     func()
+}
+
+var endorsementChecks = sync.Pool{New: func() any {
+	c := new(endorsementCheck)
+	c.work = c.run
+	return c
+}}
+
+// run takes (peer, transaction) pairs until none is left.
+func (c *endorsementCheck) run() {
+	defer c.wg.Done()
+	for i := int(c.next.Add(1) - 1); i < len(c.verdicts); i = int(c.next.Add(1) - 1) {
+		c.verdicts[i] = c.peers[i/len(c.txs)].validateEndorsements(c.txs[i%len(c.txs)], c.verifier)
+	}
 }
 
 // CommitChecked is the in-order stage: it commits block on this peer given

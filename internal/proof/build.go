@@ -297,8 +297,9 @@ func (s *Sealed) walk(w *wire.Walk) {
 	w.Bytes(5, &s.Response)
 }
 
-// UnmarshalSealed decodes a sealed proof. Like UnmarshalBundle it decodes
-// a clone of its ledger-held input.
+// UnmarshalSealed decodes a sealed proof. Its input is ledger-held bytes
+// its caller goes on owning, so it decodes a clone of them: the proof owns
+// everything it holds.
 func UnmarshalSealed(buf []byte) (*Sealed, error) {
 	s, w := &Sealed{}, wire.Decoding(bytes.Clone(buf))
 	for w.Next() {

@@ -24,6 +24,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/cryptoutil"
 	"repro/internal/endorsement"
@@ -221,11 +222,14 @@ func (el *Element) walk(w *wire.Walk) {
 	w.BytesList(6, &el.BatchPath)
 }
 
-// UnmarshalBundle decodes a bundle. Its input is ledger-held or
-// client-submitted bytes its caller goes on owning, so it decodes a clone
-// of them: the bundle owns everything it holds.
+// UnmarshalBundle decodes a bundle that aliases buf: its byte fields,
+// Result among them, are views of the input, which nobody may write
+// afterwards. Its input is a transaction argument bound for the ledger
+// (read-only, like every Stub.Args value) or a file read, so each
+// endorser decodes the submitted bytes in place and verifies alone. A
+// caller that keeps a field past the call copies it, as PutState does.
 func UnmarshalBundle(buf []byte) (*Bundle, error) {
-	b, w := &Bundle{}, wire.Decoding(bytes.Clone(buf))
+	b, w := &Bundle{}, wire.Decoding(buf)
 	for w.Next() {
 		b.walk(&w)
 	}
@@ -330,7 +334,9 @@ func Verify(b *Bundle, verifier *msp.Verifier, vp *endorsement.Policy, expectedQ
 		return fmt.Errorf("%w: bundle query digest", ErrDigestMismatch)
 	}
 	wantResultDigest := cryptoutil.Sum(b.Result)
-	signers := make([]endorsement.Principal, 0, len(b.Elements))
+	// The usual attestor count fits on the stack; only a refusal copies it.
+	var room [4]endorsement.Principal
+	signers := room[:0]
 	for i := range b.Elements {
 		el := &b.Elements[i]
 		cert, err := msp.ParseCertPEM(el.CertPEM)
@@ -380,7 +386,7 @@ func Verify(b *Bundle, verifier *msp.Verifier, vp *endorsement.Policy, expectedQ
 		signers = append(signers, endorsement.Principal{OrgID: info.OrgID, Role: info.Role})
 	}
 	if !vp.Satisfied(signers) {
-		return fmt.Errorf("%w: attestors %v", ErrPolicyUnsatisfied, signers)
+		return fmt.Errorf("%w: attestors %v", ErrPolicyUnsatisfied, slices.Clone(signers))
 	}
 	return nil
 }

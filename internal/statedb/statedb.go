@@ -107,9 +107,10 @@ func (s *Store) shardOf(ns string, create bool) *shard {
 
 // Get returns the value for key in a namespace, or ok=false if absent. The
 // value is the stored slice itself, read-only: a committed value is never
-// written again (ApplyWrites stores a fresh copy and replaces it wholesale
-// on the next write), so a reader may keep it but must not modify it. It is
-// clipped to its length, so an append by a reader always reallocates.
+// written again (nobody writes a value handed to ApplyWrites, and the next
+// write replaces it wholesale), so a reader may keep it but must not modify
+// it. It is clipped to its length, so an append by a reader always
+// reallocates.
 func (s *Store) Get(ns, key string) (VersionedValue, bool) {
 	sh := s.shardOf(ns, false)
 	if sh == nil {
@@ -142,8 +143,11 @@ func (s *Store) Version(ns, key string) (Version, bool) {
 // under that shard's lock; batches touching disjoint namespaces (or
 // disjoint keys — the committer's conflict scheduler guarantees no two
 // concurrent batches write the same key) may be applied concurrently.
-// Each value is stored as a fresh copy that is never written again, which
-// is what lets Get and Range hand it out in place.
+// Each value is stored as it stands, not copied: a value handed to
+// ApplyWrites is never written again, by the caller or anyone else, which
+// is what lets Get and Range hand it out in place. A peer commits its
+// block's write values, so every peer of a process shares them; the copy
+// is made where a caller's buffer enters a write set (chaincode PutState).
 func (s *Store) ApplyWrites(writes []Write, v Version) {
 	for start := 0; start < len(writes); {
 		ns := writes[start].Namespace
@@ -158,8 +162,10 @@ func (s *Store) ApplyWrites(writes []Write, v Version) {
 				delete(sh.data, w.Key)
 				continue
 			}
-			val := make([]byte, len(w.Value))
-			copy(val, w.Value)
+			val := w.Value
+			if val == nil {
+				val = []byte{} // a put of nothing still exists
+			}
 			sh.data[w.Key] = VersionedValue{Value: val, Version: v}
 		}
 		sh.mu.Unlock()

@@ -252,6 +252,8 @@ func (c *CMDAC) validateProof(stub chaincode.Stub) ([]byte, error) {
 	if err := stub.PutState(nonceKey, chaincode.ReadOnlyBytes(stub.TxID())); err != nil {
 		return nil, err
 	}
+	// A view of the bundle argument, read-only like it: a caller that
+	// stores the result hands it to PutState, which copies.
 	return bundle.Result, nil
 }
 

@@ -2,6 +2,7 @@ package syscc
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/chaincode"
 	"repro/internal/wire"
@@ -29,15 +30,22 @@ func AuthorizeRelayRequest(stub chaincode.Stub, chaincodeName string) (string, e
 		return "", fmt.Errorf("%w: relay query without requesting network", ErrAccessDenied)
 	}
 	// The names are views of their strings: the ECC only reads its
-	// arguments and keeps none of them.
-	org, err := stub.InvokeChaincode(ECCName, ECCAuthorize, [][]byte{
-		requestingNet, stub.CreatorCert(), chaincode.ReadOnlyBytes(chaincodeName), chaincode.ReadOnlyBytes(stub.Function()),
-	})
+	// arguments and keeps none of them, and the stub restores the caller's
+	// when the call returns, so the list goes back to the pool after it.
+	args := authorizeArgs.Get().(*[4][]byte)
+	*args = [4][]byte{requestingNet, stub.CreatorCert(), chaincode.ReadOnlyBytes(chaincodeName), chaincode.ReadOnlyBytes(stub.Function())}
+	org, err := stub.InvokeChaincode(ECCName, ECCAuthorize, args[:])
+	*args = [4][]byte{}
+	authorizeArgs.Put(args)
 	if err != nil {
 		return "", err
 	}
 	return wire.Intern(org), nil
 }
+
+// authorizeArgs holds AuthorizeRelayRequest's ECC argument lists, which
+// escape through the Stub interface call.
+var authorizeArgs = sync.Pool{New: func() any { return new([4][]byte) }}
 
 // ValidateProofArgs assembles the argument list for a CMDAC ValidateProof
 // invocation. Destination chaincode uses it as:

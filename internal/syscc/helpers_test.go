@@ -127,8 +127,11 @@ func TestValidateProofArgsLayout(t *testing.T) {
 // TestAuthorizeRelayRequestWarmAllocations is the allocation tripwire of
 // the source's access decision: a warm relayed probe that calls
 // AuthorizeRelayRequest, less the same probe without the call, is what
-// the helper and its ECC call cost. The ECC call stays a chaincode call.
-// A change may lower the row, never raise it.
+// the helper and its ECC call cost. The ECC call stays a chaincode call;
+// its argument list is pooled. The race detector drops about one pooled
+// list in four, less than the one allocation per call that AllocsPerRun's
+// whole-number average would need to show it, so the row holds under
+// -race too. A change may lower the row, never raise it.
 func TestAuthorizeRelayRequestWarmAllocations(t *testing.T) {
 	reg, state, ca := helperEnv(t)
 	reg.Register("bare", chaincode.Func(func(stub chaincode.Stub) ([]byte, error) { return nil, nil }))
@@ -144,7 +147,7 @@ func TestAuthorizeRelayRequestWarmAllocations(t *testing.T) {
 	}
 	with := testing.AllocsPerRun(200, func() { _, _ = chaincode.Evaluate(reg, state, probe) })
 	without := testing.AllocsPerRun(200, func() { _, _ = chaincode.Evaluate(reg, state, bare) })
-	const max = 3
+	const max = 2
 	if got := with - without; got > max {
 		t.Fatalf("warm AuthorizeRelayRequest: %v allocations, want <= %v", got, max)
 	} else {

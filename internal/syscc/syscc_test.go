@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/chaincode"
 	"repro/internal/cryptoutil"
 	"repro/internal/fabric"
 	"repro/internal/msp"
@@ -488,5 +489,42 @@ func TestConfigRotationDropsOrgOnNextCall(t *testing.T) {
 	}
 	if err := validate(sellerPeer); err != nil {
 		t.Fatalf("ValidateProof attested by the remaining org: %v", err)
+	}
+}
+
+// TestValueIsolationValidatedProofResult: a Data Acceptance chaincode that
+// stores what ValidateProof verified commits a value independent of the
+// bundle argument. The verified result is a view of that argument
+// (proof.UnmarshalBundle decodes in place), so PutState's copy is what
+// keeps a later write to the submitted bytes out of every peer's state.
+func TestValueIsolationValidatedProofResult(t *testing.T) {
+	tb := newTestBed(t)
+	tb.recordConfig(t)
+	tb.recordPolicy(t, policy.VerificationPolicy{Network: "tradelens", Expr: twoOrgPolicy})
+	accept := chaincode.Func(func(stub chaincode.Stub) ([]byte, error) {
+		verified, err := stub.InvokeChaincode(CMDACName, CMDACValidateProof,
+			ValidateProofArgs("tradelens", "default", "TradeLensCC", "GetBillOfLading", stub.Args()[0], []byte("po-1001")))
+		if err != nil {
+			return nil, err
+		}
+		return nil, stub.PutState("doc", verified)
+	})
+	if err := tb.net.Deploy("accept", accept, "OR('buyer-bank-org','seller-bank-org')"); err != nil {
+		t.Fatalf("Deploy: %v", err)
+	}
+	sellerPeer, _ := tb.sellerCA.Issue("seller-org-peer0", msp.RolePeer)
+	carrierPeer, _ := tb.carrierCA.Issue("carrier-org-peer0", msp.RolePeer)
+	nonce, _ := cryptoutil.NewNonce()
+	bundleBytes := buildBundleFor(t, twoOrgPolicy, []byte("B/L-77"), nonce, sellerPeer, carrierPeer)
+	if _, err := tb.admin.Submit("accept", "Accept", bundleBytes); err != nil {
+		t.Fatalf("Accept: %v", err)
+	}
+	for i := range bundleBytes {
+		bundleBytes[i] ^= 0xFF
+	}
+	for _, p := range tb.net.AllPeers() {
+		if vv, ok := p.State().Get("accept", "doc"); !ok || string(vv.Value) != "B/L-77" {
+			t.Errorf("peer %s commits %q (present %v), want %q", p.Name(), vv.Value, ok, "B/L-77")
+		}
 	}
 }

@@ -22,8 +22,9 @@
 // reuses or writes afterwards — a frame ReadFrame just allocated, or the
 // output of a Marshal call. The owner of a buffer that outlives the decode
 // and is shared clones it once and decodes the clone, as
-// proof.UnmarshalBundle and proof.UnmarshalSealed do with ledger-held and
-// client-submitted bytes. No decoded string aliases its input. A field that
+// proof.UnmarshalSealed does with ledger-held bytes;
+// proof.UnmarshalBundle decodes a transaction argument in place, since
+// nobody writes one. No decoded string aliases its input. A field that
 // names a configured thing — a network, ledger, contract, function,
 // policy expression, organization or peer — is a name (Walk.Name): the
 // same few recur on every request, so a decode takes the canonical copy
