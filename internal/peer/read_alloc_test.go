@@ -27,9 +27,9 @@ var (
 // without and with a read set, and a client's CMDAC lookup through its
 // gateway. A key built before is the interned one, and the nested calls
 // share the invocation's one frame, so a warm relayed read allocates that
-// frame (its read set inside), the ECC's argument list and the rule scan,
-// and a gateway lookup its frame alone. A change may lower a row, never
-// raise it.
+// frame (its read set inside) and the rule scan (the ECC's argument list
+// is pooled), and a gateway lookup its frame alone. A change may lower a
+// row, never raise it.
 // The last row holds the read in place: the bytes a warm relayed QueryRW
 // allocates do not grow when the requesting network's recorded
 // configuration, which ECC.Authorize reads on every query, grows from 2
@@ -60,8 +60,8 @@ func TestReadPathAllocations(t *testing.T) {
 		{"statedb.CompositeKey", 0, func() { sinkString, _ = statedb.CompositeKey("shipment", "po-1001", "leg-2") }},
 		{"statedb.CompositeRange", 1, func() { sinkString, _, _ = statedb.CompositeRange("shipment", "po-1001") }},
 		{"warm Policy.Orgs", 0, func() { sinkStrings = vp.Orgs() }},
-		{"warm relayed peer.Query", 3, func() { sinkBytes, _ = p.Query(read) }},
-		{"warm relayed peer.QueryRW", 3, func() { sinkSim, _ = p.QueryRW(read) }},
+		{"warm relayed peer.Query", 2, func() { sinkBytes, _ = p.Query(read) }},
+		{"warm relayed peer.QueryRW", 2, func() { sinkSim, _ = p.QueryRW(read) }},
 		{"warm Gateway.Evaluate", 1, func() {
 			sinkBytes, _ = gw.Evaluate(syscc.CMDACName, syscc.CMDACGetVerificationPolicy, policyArgs...)
 		}},

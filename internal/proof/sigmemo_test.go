@@ -167,9 +167,9 @@ func TestHopChainRememberedSignature(t *testing.T) {
 // attestor's metadata only to read it, so it stays on their stacks and its
 // names are interned, and its signer list is a stack array: a warm Verify
 // of two attestors allocates nothing, and a Metadata or signer list that
-// escapes again adds allocations to these rows. A window's bundle also recomputes its Merkle
-// root, over hashes held by value, so it allocates no more than a lone
-// bundle. The hop chain hashes its response
+// escapes again adds allocations to these rows. A window's bundle also
+// recomputes its Merkle root, over hashes held by value, so it allocates
+// no more than a lone bundle. The hop chain hashes its response
 // core, anchor and pins through pooled walks, so its row holds today's
 // count too, except under the race detector, which drops pooled state at
 // random. A change may lower a row, never raise it.

@@ -162,11 +162,7 @@ func (s *Store) ApplyWrites(writes []Write, v Version) {
 				delete(sh.data, w.Key)
 				continue
 			}
-			val := w.Value
-			if val == nil {
-				val = []byte{} // a put of nothing still exists
-			}
-			sh.data[w.Key] = VersionedValue{Value: val, Version: v}
+			sh.data[w.Key] = VersionedValue{Value: w.Value, Version: v}
 		}
 		sh.mu.Unlock()
 		start = end
