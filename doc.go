@@ -81,7 +81,8 @@
 // ID, read-only because a hit is the cache entry itself. The source relay
 // writes it straight into its reply frame, stamping the ID in front as it
 // goes (wire.StampedResponseEnvelope) — no copy, no decode, no re-encode;
-// a hub likewise encodes the response it forwards once, into the frame.
+// a hub likewise encodes the response it forwards once, into the frame,
+// and an origin the query of its request (wire.RequestEnvelope).
 // Stats.AttestationCacheHits/Misses expose its effectiveness and
 // `netadmin proofs show` dumps a persisted artifact. Every proof has one
 // envelope, built by one proof.Builder per driver. A proof build alone at

@@ -256,35 +256,41 @@ type recordingStub struct {
 	room [readRoom]ledger.KVRead
 }
 
-// pendingWrite is a buffered write and the sequence number of the call
-// that made it.
-type pendingWrite struct {
-	ledger.KVWrite
-	seq int32
-}
-
 // slot names a key inside a chaincode namespace.
 type slot struct{ ns, key string }
+
+const (
+	// writeRoom is the capacity of a write set at its first write: the
+	// transactions of the workloads write one or two keys.
+	writeRoom = 4
+	// writeScan is how many buffered writes a stub finds by scanning. Past
+	// it the stub indexes them in a map, so a large write set stays linear.
+	writeScan = 8
+)
 
 // simStub is an invocation's one stub, shared by the whole call tree:
 // cross-chaincode calls reuse it, so the tree yields one read-write set
 // (Fabric's same-channel chaincode-to-chaincode semantics). inv's
 // Chaincode, Function and Args name the chaincode running now, whose
 // namespace it reads and writes: InvokeChaincode swaps in the callee's and
-// restores the caller's on return. Writes are keyed by namespace and key.
-// Reads are appended as they happen, repeats included; rwset keeps the
-// first of each key. Under Evaluate record is off: nothing is recorded,
-// and a read-only invocation has no writes to read back. Under Simulate
-// the write map is made by the first write.
+// restores the caller's on return. Reads are appended as they happen,
+// repeats included; rwset keeps the first of each key. Under Evaluate
+// record is off: nothing is recorded, and a read-only invocation has no
+// writes to read back. Under Simulate the first write makes the write set,
+// one slice that holds each (namespace, key)'s latest write in the order of
+// those writes and that rwset hands over as RWSet.Writes: a rewrite moves
+// its key to the end. Past writeScan writes, index maps each key to its
+// latest write, and a rewrite leaves its earlier write in place for rwset
+// to drop.
 type simStub struct {
-	reg      *Registry
-	state    *statedb.Store
-	inv      Invocation
-	writes   map[slot]pendingWrite
-	reads    []ledger.KVRead
-	event    *ledger.ChaincodeEvent
-	writeSeq int32 // beside record, so the two share a word of the frame
-	record   bool  // under Simulate: record the read-write set
+	reg    *Registry
+	state  *statedb.Store
+	inv    Invocation
+	writes []ledger.KVWrite
+	index  map[slot]int // nil until writes holds more than writeScan
+	reads  []ledger.KVRead
+	event  *ledger.ChaincodeEvent
+	record bool // under Simulate: record the read-write set
 }
 
 var _ Stub = (*simStub)(nil)
@@ -295,11 +301,12 @@ func (s *simStub) read(ns, key string, v statedb.Version, exists bool) {
 }
 
 // rwset returns the recorded reads sorted by (namespace, key), each key
-// once at the version first observed, and the writes in the order they
-// were made. Namespaces hold no U+0000, so the read order is the order of
-// the joined strings namespace+"\x00"+key. The sort is stable, so of a
-// key's reads the first recorded leads its run and is the one kept; the
-// read set is compacted in place.
+// once at the version first observed, and the write set itself, each key's
+// latest write in the order those writes were made. Namespaces hold no
+// U+0000, so the read order is the order of the joined strings
+// namespace+"\x00"+key. The sort is stable, so of a key's reads the first
+// recorded leads its run and is the one kept; the read set is compacted in
+// place.
 func (s *simStub) rwset() ledger.RWSet {
 	rw := ledger.RWSet{}
 	if len(s.reads) > 0 {
@@ -307,17 +314,18 @@ func (s *simStub) rwset() ledger.RWSet {
 		s.reads = slices.CompactFunc(s.reads, func(a, b ledger.KVRead) bool { return compareRead(a, b) == 0 })
 		rw.Reads = s.reads
 	}
-	if len(s.writes) > 0 {
-		// One copy, the write set itself, sorted into the order the writes
-		// were made.
-		rw.Writes = make([]ledger.KVWrite, 0, len(s.writes))
-		for _, w := range s.writes {
-			rw.Writes = append(rw.Writes, w.KVWrite)
+	if s.index != nil && len(s.index) < len(s.writes) {
+		// Drop the writes a later write of the same key superseded.
+		live := s.writes[:0]
+		for i, w := range s.writes {
+			if s.index[slot{w.Namespace, w.Key}] == i {
+				live = append(live, w)
+			}
 		}
-		slices.SortFunc(rw.Writes, func(a, b ledger.KVWrite) int {
-			return cmp.Compare(s.writes[slot{a.Namespace, a.Key}].seq, s.writes[slot{b.Namespace, b.Key}].seq)
-		})
+		clear(s.writes[len(live):])
+		s.writes, s.index = live, nil
 	}
+	rw.Writes = s.writes
 	return rw
 }
 
@@ -362,11 +370,8 @@ func (s *simStub) GetState(key string) ([]byte, error) {
 	}
 	// Read-your-writes within the invocation: the buffered value itself,
 	// read-only like a committed one. PutState copied it to its length.
-	if w, ok := s.writes[slot{ns, key}]; ok {
-		if w.IsDelete {
-			return nil, nil
-		}
-		return w.Value, nil
+	if i := s.find(ns, key); i >= 0 {
+		return s.writes[i].Value, nil // nil for a delete
 	}
 	vv, exists := s.state.Get(ns, key)
 	// Recorded for MVCC validation; rwset keeps the first observed version.
@@ -404,13 +409,41 @@ func (s *simStub) DelState(key string) error {
 	return nil
 }
 
-// write buffers w as the latest write of its key.
-func (s *simStub) write(w ledger.KVWrite) {
-	if s.writes == nil {
-		s.writes = make(map[slot]pendingWrite)
+// find returns the position of the latest write of (ns, key) in the write
+// set, or -1 when the key has none.
+func (s *simStub) find(ns, key string) int {
+	if s.index != nil {
+		if i, ok := s.index[slot{ns, key}]; ok {
+			return i
+		}
+		return -1
 	}
-	s.writeSeq++
-	s.writes[slot{w.Namespace, w.Key}] = pendingWrite{w, s.writeSeq}
+	for i := range s.writes {
+		if w := &s.writes[i]; w.Key == key && w.Namespace == ns {
+			return i
+		}
+	}
+	return -1
+}
+
+// write buffers w as the latest write of its key, at the end of the write
+// set.
+func (s *simStub) write(w ledger.KVWrite) {
+	switch i := s.find(w.Namespace, w.Key); {
+	case s.index != nil:
+		s.index[slot{w.Namespace, w.Key}] = len(s.writes)
+	case i >= 0:
+		s.writes = append(s.writes[:i], s.writes[i+1:]...)
+	case s.writes == nil:
+		s.writes = make([]ledger.KVWrite, 0, writeRoom)
+	}
+	s.writes = append(s.writes, w)
+	if s.index == nil && len(s.writes) > writeScan {
+		s.index = make(map[slot]int, 2*len(s.writes))
+		for i := range s.writes {
+			s.index[slot{s.writes[i].Namespace, s.writes[i].Key}] = i
+		}
+	}
 }
 
 // GetStateRange returns the state database's scan result itself.

@@ -420,3 +420,49 @@ func BenchmarkSimulateReadWrite(b *testing.B) {
 		}
 	}
 }
+
+// TestSimulateWriteAllocations: a transaction's write set is one
+// allocation, made by its first write and handed to the read-write set as
+// it stands, however often each key is rewritten or deleted. The values
+// written are empty, so PutState's copy of them costs nothing, and each
+// row is Simulate's count less that of a transaction that writes nothing.
+// A change may lower a row, never raise it.
+func TestSimulateWriteAllocations(t *testing.T) {
+	reg, state := newEnv(t)
+	reg.Register("none", Func(func(stub Stub) ([]byte, error) { return nil, nil }))
+	reg.Register("once", Func(func(stub Stub) ([]byte, error) {
+		_ = stub.PutState("a", nil)
+		return nil, stub.DelState("b")
+	}))
+	reg.Register("rewrites", Func(func(stub Stub) ([]byte, error) {
+		for range 16 {
+			_ = stub.PutState("a", nil)
+			_ = stub.DelState("b")
+			_ = stub.DelState("a")
+			_ = stub.PutState("b", nil)
+		}
+		return nil, nil
+	}))
+	simulate := func(cc string) func() {
+		proposal := inv(cc, "fn")
+		return func() {
+			if _, err := Simulate(reg, state, proposal); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	base := testing.AllocsPerRun(200, simulate("none"))
+	for _, row := range []struct {
+		cc  string
+		max float64
+	}{
+		{"once", 1},
+		{"rewrites", 1},
+	} {
+		if got := testing.AllocsPerRun(200, simulate(row.cc)) - base; got > row.max {
+			t.Errorf("%s: the write set of 2 keys costs %v allocations, want <= %v", row.cc, got, row.max)
+		} else {
+			t.Logf("%s: the write set of 2 keys costs %v allocations", row.cc, got)
+		}
+	}
+}

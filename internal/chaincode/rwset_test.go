@@ -1,6 +1,8 @@
 package chaincode
 
 import (
+	"bytes"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -95,12 +97,15 @@ func (s *simStub) in(ns string) *simStub {
 // TestRWSetMatchesNSKeyOrder: the recorded rwset returns the same reads and
 // writes, in the same order, as the map oracle, over random invocations
 // whose namespaces are prefixes of each other, whose keys hold U+0000 and
-// 0xff, and during which other transactions commit. The read-set order is
+// 0xff, and during which other transactions commit; then over longer ones
+// that rewrite and delete keys again and again, a few keys or many more
+// than writeScan, reading their own writes back. The read-set order is
 // signed, so a difference here is a format change. Fixed cases pin the
 // order itself (every "a" read precedes every "ab" read, whatever the
 // keys), that a key read twice across a commit keeps the version first
-// observed, and that a point read and a range read of one key record it
-// once.
+// observed, that a point read and a range read of one key record it
+// once, and that a rewrite moves its key behind every other write, below
+// the scan bound and past it.
 func TestRWSetMatchesNSKeyOrder(t *testing.T) {
 	f := recordingFrame(statedb.NewStore())
 	o := newOracle(f.state)
@@ -185,6 +190,61 @@ func TestRWSetMatchesNSKeyOrder(t *testing.T) {
 		got, want := f.rwset(), o.rwset()
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("round %d:\nrwset  %+v\noracle %+v", round, got, want)
+		}
+	}
+
+	for _, n := range []int{3, writeScan, writeScan + 1, 3 * writeScan} {
+		f := recordingFrame(statedb.NewStore())
+		stub := f.in("a")
+		for i := range n {
+			_ = stub.PutState(fmt.Sprint("k", i), []byte{byte(i)})
+		}
+		_ = stub.PutState("k0", []byte("again"))
+		_ = stub.DelState("k1")
+		var order []string
+		for _, w := range f.rwset().Writes {
+			order = append(order, w.Key)
+		}
+		want := []string{}
+		for i := 2; i < n; i++ {
+			want = append(want, fmt.Sprint("k", i))
+		}
+		want = append(want, "k0", "k1")
+		if !reflect.DeepEqual(order, want) {
+			t.Fatalf("%d keys: write order %q, want %q", n, order, want)
+		}
+	}
+
+	for round := 0; round < 200; round++ {
+		f := recordingFrame(state)
+		o := newOracle(state)
+		keys := 1 + rng.Intn(3) // a few keys, rewritten often
+		if round%2 == 1 {
+			keys = writeScan + rng.Intn(3*writeScan) // past the scan bound
+		}
+		for op := 0; op < 4*keys; op++ {
+			ns := namespaces[rng.Intn(2)]
+			stub := f.in(ns)
+			key := fmt.Sprint("k", rng.Intn(keys))
+			switch rng.Intn(4) {
+			case 0:
+				got, _ := stub.GetState(key)
+				if w, written := o.writes[nsKey(ns, key)]; written && !bytes.Equal(got, w.Value) {
+					t.Fatalf("round %d: GetState(%q) = %q, want the buffered %q", round, key, got, w.Value)
+				}
+				o.get(ns, key)
+			case 1:
+				_ = stub.DelState(key)
+				o.put(ns, key, nil, true)
+			default:
+				v := []byte{byte(op), byte(op >> 8)}
+				_ = stub.PutState(key, v)
+				o.put(ns, key, v, false)
+			}
+		}
+		got, want := f.rwset(), o.rwset()
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("rewrite round %d (%d keys):\nrwset  %+v\noracle %+v", round, keys, got, want)
 		}
 	}
 }

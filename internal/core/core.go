@@ -355,10 +355,8 @@ func (c *Client) buildQuery(ctx context.Context, spec RemoteQuerySpec) (*wire.Qu
 	if spec.RequestID != "" {
 		// Idempotent retries must present the same nonce as the original
 		// attempt or the replayed response's proof (which binds the
-		// original nonce) would never verify. Derive it from the client's
-		// private key and the idempotency key: deterministic for this
-		// client+RequestID, unpredictable to anyone else.
-		nonce = cryptoutil.Digest(c.key.D.Bytes(), []byte("idempotent-nonce"), []byte(spec.RequestID))[:cryptoutil.NonceSize]
+		// original nonce) would never verify.
+		nonce = idempotentNonce(c.key, spec.RequestID)
 	} else {
 		var err error
 		nonce, err = cryptoutil.NewNonce()
@@ -382,6 +380,22 @@ func (c *Client) buildQuery(ctx context.Context, spec RemoteQuerySpec) (*wire.Qu
 		// client refuses to accept, a proof under any other policy digest.
 		PolicyDigest: proof.PolicyDigest(policyExpr),
 	}, policyExpr, nil
+}
+
+// idempotentNonce derives the nonce of a request under requestID from the
+// client's private key: deterministic for this client and request ID,
+// unpredictable to anyone else. It is the first NonceSize bytes of SHA-256
+// over the private scalar's big-endian bytes without leading zeros, then
+// "idempotent-nonce", then the request ID. The scalar is copied only into
+// an array on the stack, cleared once it is hashed, so no copy of the key
+// outlives the call.
+func idempotentNonce(key *ecdsa.PrivateKey, requestID string) []byte {
+	var scalar [66]byte // the longest NIST scalar, P-521's
+	n := (key.Curve.Params().BitSize + 7) / 8
+	key.D.FillBytes(scalar[:n])
+	sum := cryptoutil.Sum(scalar[n-(key.D.BitLen()+7)/8:n], []byte("idempotent-nonce"), []byte(requestID))
+	clear(scalar[:])
+	return append([]byte(nil), sum[:cryptoutil.NonceSize]...)
 }
 
 // openResponse decrypts the response, pre-verifies the proof, and packages

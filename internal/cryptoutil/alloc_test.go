@@ -15,8 +15,10 @@ var (
 
 // TestCryptoAllocations is the allocation tripwire of the per-request
 // derivations: a warm open and a seal allocate only what aes.NewCipher,
-// cipher.NewGCM and the output need, a digest only its result, and Sum
-// nothing. A change may lower a row, never raise it.
+// cipher.NewGCM and the output need (an open into a buffer with room for
+// its plaintext, as proof.OpenResponse does, not even the output), a digest
+// only its result, and Sum nothing. A change may lower a row, never raise
+// it.
 func TestCryptoAllocations(t *testing.T) {
 	key, err := GenerateKey()
 	if err != nil {
@@ -32,9 +34,10 @@ func TestCryptoAllocations(t *testing.T) {
 		t.Fatalf("Seal: %v", err)
 	}
 	r := NewRecipient(key)
-	if _, err := r.Open(sk.Ephemeral, sk.Generation, context, envelope); err != nil {
+	if _, err := r.Open(nil, sk.Ephemeral, sk.Generation, context, envelope); err != nil {
 		t.Fatalf("Open: %v", err)
 	}
+	room := make([]byte, PlaintextSize(envelope))
 	domain := []byte("interop-domain")
 	long := strings.Repeat("OR('org-a','org-b') ", 10)
 	for _, row := range []struct {
@@ -42,7 +45,8 @@ func TestCryptoAllocations(t *testing.T) {
 		max  float64
 		fn   func()
 	}{
-		{"warm Recipient.Open", 3, func() { sinkBytes, _ = r.Open(sk.Ephemeral, sk.Generation, context, envelope) }},
+		{"warm Recipient.Open", 3, func() { sinkBytes, _ = r.Open(nil, sk.Ephemeral, sk.Generation, context, envelope) }},
+		{"warm Recipient.Open into a buffer with room", 2, func() { sinkBytes, _ = r.Open(room[:0], sk.Ephemeral, sk.Generation, context, envelope) }},
 		{"SessionKey.SealEnvelope of a new envelope", 3, func() { sinkBytes, _ = sealPlain(sk, context, plaintext) }},
 		{"Digest one part", 1, func() { sinkBytes = Digest(plaintext) }},
 		{"Digest small parts", 1, func() { sinkBytes = Digest(domain, context, plaintext) }},

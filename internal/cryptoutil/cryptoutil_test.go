@@ -261,7 +261,7 @@ func TestEncryptDecryptRoundTrip(t *testing.T) {
 		if size >= 8 && bytes.Contains(env, plaintext[:8]) {
 			t.Fatalf("size %d: envelope carries the plaintext in the clear", size)
 		}
-		got, err := NewRecipient(key).Open(sk.Ephemeral, sk.Generation, context, env)
+		got, err := NewRecipient(key).Open(nil, sk.Ephemeral, sk.Generation, context, env)
 		if err != nil {
 			t.Fatalf("size %d: Open: %v", size, err)
 		}
@@ -285,11 +285,11 @@ func TestEncryptDecryptProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		got, err := r.Open(sk.Ephemeral, sk.Generation, context, env)
+		got, err := r.Open(nil, sk.Ephemeral, sk.Generation, context, env)
 		if err != nil || !bytes.Equal(got, plaintext) {
 			return false
 		}
-		_, err = r.Open(sk.Ephemeral, sk.Generation, append(context, 0), env)
+		_, err = r.Open(nil, sk.Ephemeral, sk.Generation, append(context, 0), env)
 		return errors.Is(err, ErrDecrypt)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 25}); err != nil {
@@ -304,10 +304,10 @@ func TestDecryptWrongKey(t *testing.T) {
 	other, _ := GenerateKey()
 	context := []byte("qd-wrong-key")
 	sk, env := sealTo(t, key, context, []byte("for key only"))
-	if _, err := NewRecipient(other).Open(sk.Ephemeral, sk.Generation, context, env); !errors.Is(err, ErrDecrypt) {
+	if _, err := NewRecipient(other).Open(nil, sk.Ephemeral, sk.Generation, context, env); !errors.Is(err, ErrDecrypt) {
 		t.Fatalf("other key: got %v, want ErrDecrypt", err)
 	}
-	if got, err := NewRecipient(key).Open(sk.Ephemeral, sk.Generation, context, env); err != nil || string(got) != "for key only" {
+	if got, err := NewRecipient(key).Open(nil, sk.Ephemeral, sk.Generation, context, env); err != nil || string(got) != "for key only" {
 		t.Fatalf("own key: %q, %v", got, err)
 	}
 }
@@ -322,7 +322,7 @@ func TestDecryptTamperedCiphertext(t *testing.T) {
 	for i := range env {
 		tampered := append([]byte(nil), env...)
 		tampered[i] ^= 0x01
-		if _, err := r.Open(sk.Ephemeral, sk.Generation, context, tampered); !errors.Is(err, ErrDecrypt) {
+		if _, err := r.Open(nil, sk.Ephemeral, sk.Generation, context, tampered); !errors.Is(err, ErrDecrypt) {
 			t.Fatalf("byte %d flipped: got %v, want ErrDecrypt", i, err)
 		}
 	}
@@ -336,12 +336,12 @@ func TestDecryptTruncated(t *testing.T) {
 	sk, env := sealTo(t, key, context, []byte("payload"))
 	r := NewRecipient(key)
 	for n := 0; n < len(env); n++ {
-		if _, err := r.Open(sk.Ephemeral, sk.Generation, context, env[:n]); !errors.Is(err, ErrDecrypt) {
+		if _, err := r.Open(nil, sk.Ephemeral, sk.Generation, context, env[:n]); !errors.Is(err, ErrDecrypt) {
 			t.Fatalf("%d of %d bytes: got %v, want ErrDecrypt", n, len(env), err)
 		}
 	}
 	extended := append(append([]byte(nil), env...), 0x00)
-	if _, err := r.Open(sk.Ephemeral, sk.Generation, context, extended); !errors.Is(err, ErrDecrypt) {
+	if _, err := r.Open(nil, sk.Ephemeral, sk.Generation, context, extended); !errors.Is(err, ErrDecrypt) {
 		t.Fatalf("byte appended: got %v, want ErrDecrypt", err)
 	}
 }

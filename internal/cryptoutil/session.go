@@ -276,8 +276,12 @@ func NewRecipient(priv *ecdsa.PrivateKey) *Recipient {
 // Open opens a sessioned envelope: it agrees with the session ephemeral
 // point (or reuses the remembered agreement), expands the per-query AEAD key
 // from the generation and context, and opens the nonce||ciphertext
-// envelope. Any malformed input yields ErrDecrypt.
-func (r *Recipient) Open(ephemeral []byte, generation uint64, context, ciphertext []byte) ([]byte, error) {
+// envelope. It appends the plaintext, PlaintextSize(ciphertext) bytes, to
+// dst and returns the extended slice, as cipher.AEAD.Open does, so a caller
+// that opens several envelopes can give them one buffer: dst's spare
+// capacity must not overlap ciphertext. Any malformed input yields
+// ErrDecrypt.
+func (r *Recipient) Open(dst, ephemeral []byte, generation uint64, context, ciphertext []byte) ([]byte, error) {
 	prk, err := r.prk(ephemeral)
 	if err != nil {
 		return nil, err
@@ -290,11 +294,17 @@ func (r *Recipient) Open(ephemeral []byte, generation uint64, context, ciphertex
 		return nil, ErrDecrypt
 	}
 	nonce, sealed := ciphertext[:aead.NonceSize()], ciphertext[aead.NonceSize():]
-	plaintext, err := aead.Open(nil, nonce, sealed, nil)
+	out, err := aead.Open(dst, nonce, sealed, nil)
 	if err != nil {
 		return nil, ErrDecrypt
 	}
-	return plaintext, nil
+	return out, nil
+}
+
+// PlaintextSize is the length of the plaintext an envelope of len(envelope)
+// bytes opens to, 0 for one too short to open.
+func PlaintextSize(envelope []byte) int {
+	return max(0, len(envelope)-EnvelopeNonceSize-envelopeTagSize)
 }
 
 // prk returns the PRK of the agreement with the session point ephemeral.

@@ -29,7 +29,7 @@ func TestSessionSealDecryptRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Seal: %v", err)
 	}
-	got, err := NewRecipient(key).Open(sk.Ephemeral, sk.Generation, context, env)
+	got, err := NewRecipient(key).Open(nil, sk.Ephemeral, sk.Generation, context, env)
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
@@ -53,7 +53,7 @@ func TestSessionedEnvelopeProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		got, err := NewRecipient(key).Open(sk.Ephemeral, sk.Generation, context, env)
+		got, err := NewRecipient(key).Open(nil, sk.Ephemeral, sk.Generation, context, env)
 		return err == nil && bytes.Equal(got, data)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 25}); err != nil {
@@ -74,7 +74,7 @@ func TestSessionSealEmptyPlaintext(t *testing.T) {
 	if err != nil {
 		t.Fatalf("seal of nil: %v", err)
 	}
-	got, err := NewRecipient(key).Open(sk.Ephemeral, sk.Generation, context, env)
+	got, err := NewRecipient(key).Open(nil, sk.Ephemeral, sk.Generation, context, env)
 	if err != nil || len(got) != 0 {
 		t.Fatalf("Open = %q, %v; want empty", got, err)
 	}
@@ -123,7 +123,7 @@ func TestSessionSealEnvelopeLayout(t *testing.T) {
 		if len(env) != n+len(plaintext)+aead.Overhead() {
 			t.Fatalf("seal %d: envelope is %d bytes, want %d", i, len(env), n+len(plaintext)+aead.Overhead())
 		}
-		if got, err := r.Open(sk.Ephemeral, sk.Generation, context, env); err != nil || !bytes.Equal(got, plaintext) {
+		if got, err := r.Open(nil, sk.Ephemeral, sk.Generation, context, env); err != nil || !bytes.Equal(got, plaintext) {
 			t.Fatalf("seal %d: Recipient.Open = %q, %v", i, got, err)
 		}
 		if got, err := aead.Open(nil, env[:n], env[n:], nil); err != nil || !bytes.Equal(got, plaintext) {
@@ -172,16 +172,16 @@ func TestSessionCrossGenerationRoundTrip(t *testing.T) {
 		t.Fatalf("Seal gen 2: %v", err)
 	}
 
-	got, err := NewRecipient(key).Open(old.Ephemeral, old.Generation, context, oldEnv)
+	got, err := NewRecipient(key).Open(nil, old.Ephemeral, old.Generation, context, oldEnv)
 	if err != nil || string(got) != "sealed under gen 1" {
 		t.Fatalf("old-generation envelope: %q, %v", got, err)
 	}
-	got, err = NewRecipient(key).Open(fresh.Ephemeral, fresh.Generation, context, freshEnv)
+	got, err = NewRecipient(key).Open(nil, fresh.Ephemeral, fresh.Generation, context, freshEnv)
 	if err != nil || string(got) != "sealed under gen 2" {
 		t.Fatalf("new-generation envelope: %q, %v", got, err)
 	}
 	// The wrong generation (even with the right ephemeral) must not open.
-	if _, err := NewRecipient(key).Open(old.Ephemeral, fresh.Generation, context, oldEnv); !errors.Is(err, ErrDecrypt) {
+	if _, err := NewRecipient(key).Open(nil, old.Ephemeral, fresh.Generation, context, oldEnv); !errors.Is(err, ErrDecrypt) {
 		t.Fatalf("cross-generation open got %v, want ErrDecrypt", err)
 	}
 }
@@ -250,7 +250,7 @@ func TestSessionManagerConcurrent(t *testing.T) {
 					errs <- err
 					return
 				}
-				got, err := r.Open(sk.Ephemeral, sk.Generation, context, env)
+				got, err := r.Open(nil, sk.Ephemeral, sk.Generation, context, env)
 				if err != nil || !bytes.Equal(got, []byte{byte(g), byte(i)}) {
 					errs <- fmt.Errorf("open %d/%d: %q, %v", g, i, got, err)
 					return
@@ -294,17 +294,17 @@ func TestSessionDecryptMalformed(t *testing.T) {
 	// Each case must fail on a fresh Recipient and on one that has already
 	// opened the genuine envelope, so holds the point's agreement.
 	warm := NewRecipient(key)
-	if _, err := warm.Open(sk.Ephemeral, sk.Generation, context, env); err != nil {
+	if _, err := warm.Open(nil, sk.Ephemeral, sk.Generation, context, env); err != nil {
 		t.Fatalf("genuine envelope: %v", err)
 	}
 	for _, tc := range cases {
 		for _, r := range []*Recipient{NewRecipient(key), warm} {
-			if _, err := r.Open(tc.ephemeral, tc.gen, tc.ctx, tc.ct); !errors.Is(err, ErrDecrypt) {
+			if _, err := r.Open(nil, tc.ephemeral, tc.gen, tc.ctx, tc.ct); !errors.Is(err, ErrDecrypt) {
 				t.Errorf("%s: got %v, want ErrDecrypt", tc.name, err)
 			}
 		}
 	}
-	if _, err := NewRecipient(nil).Open(sk.Ephemeral, sk.Generation, context, env); !errors.Is(err, ErrInvalidKey) {
+	if _, err := NewRecipient(nil).Open(nil, sk.Ephemeral, sk.Generation, context, env); !errors.Is(err, ErrInvalidKey) {
 		t.Errorf("nil key: got %v, want ErrInvalidKey", err)
 	}
 }
@@ -337,7 +337,7 @@ func TestSessionRecipientOneAgreementPerPoint(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Seal %d: %v", i, err)
 		}
-		got, err := r.Open(sk.Ephemeral, sk.Generation, context, env)
+		got, err := r.Open(nil, sk.Ephemeral, sk.Generation, context, env)
 		if err != nil || !bytes.Equal(got, []byte{byte(i)}) {
 			t.Fatalf("Open %d: %q, %v", i, got, err)
 		}
@@ -387,7 +387,7 @@ func TestSessionRecipientOpensOldAndNewGeneration(t *testing.T) {
 		{fresh, freshEnv, "new generation"},
 		{old, oldEnv, "old generation"},
 	} {
-		got, err := r.Open(step.key.Ephemeral, step.key.Generation, context, step.env)
+		got, err := r.Open(nil, step.key.Ephemeral, step.key.Generation, context, step.env)
 		if err != nil || string(got) != step.want {
 			t.Fatalf("generation %d: %q, %v; want %q", step.key.Generation, got, err, step.want)
 		}
@@ -395,10 +395,10 @@ func TestSessionRecipientOpensOldAndNewGeneration(t *testing.T) {
 	if _, agreements := recipientState(r); agreements != 2 {
 		t.Fatalf("two generations cost %d agreements, want 2", agreements)
 	}
-	if _, err := r.Open(old.Ephemeral, fresh.Generation, context, oldEnv); !errors.Is(err, ErrDecrypt) {
+	if _, err := r.Open(nil, old.Ephemeral, fresh.Generation, context, oldEnv); !errors.Is(err, ErrDecrypt) {
 		t.Fatalf("old envelope under the new generation: %v, want ErrDecrypt", err)
 	}
-	if _, err := r.Open(fresh.Ephemeral, old.Generation, context, freshEnv); !errors.Is(err, ErrDecrypt) {
+	if _, err := r.Open(nil, fresh.Ephemeral, old.Generation, context, freshEnv); !errors.Is(err, ErrDecrypt) {
 		t.Fatalf("new envelope under the old generation: %v, want ErrDecrypt", err)
 	}
 }
@@ -418,7 +418,7 @@ func TestSessionRecipientBadPointLeavesTableUnchanged(t *testing.T) {
 		t.Fatalf("Seal: %v", err)
 	}
 	r := NewRecipient(key)
-	if _, err := r.Open(sk.Ephemeral, sk.Generation, context, env); err != nil {
+	if _, err := r.Open(nil, sk.Ephemeral, sk.Generation, context, env); err != nil {
 		t.Fatalf("genuine envelope: %v", err)
 	}
 	before, agreementsBefore := recipientState(r)
@@ -433,7 +433,7 @@ func TestSessionRecipientBadPointLeavesTableUnchanged(t *testing.T) {
 		"compressed":    compressed,
 		"trailing byte": append(append([]byte(nil), sk.Ephemeral...), 0x00),
 	} {
-		if _, err := r.Open(point, sk.Generation, context, env); !errors.Is(err, ErrDecrypt) {
+		if _, err := r.Open(nil, point, sk.Generation, context, env); !errors.Is(err, ErrDecrypt) {
 			t.Errorf("%s point: got %v, want ErrDecrypt", name, err)
 		}
 	}
@@ -479,7 +479,7 @@ func TestSessionRecipientTableBounded(t *testing.T) {
 	r := NewRecipient(key)
 	for round := 0; round < 2; round++ {
 		for i, s := range all {
-			got, err := r.Open(s.key.Ephemeral, s.key.Generation, context, s.env)
+			got, err := r.Open(nil, s.key.Ephemeral, s.key.Generation, context, s.env)
 			if err != nil || !bytes.Equal(got, []byte{byte(i)}) {
 				t.Fatalf("round %d point %d: %q, %v", round, i, got, err)
 			}
@@ -520,13 +520,13 @@ func TestSessionRecipientOtherKeyFails(t *testing.T) {
 	}
 
 	r := NewRecipient(bob)
-	if _, err := r.Open(forAlice.Ephemeral, forAlice.Generation, context, aliceEnv); !errors.Is(err, ErrDecrypt) {
+	if _, err := r.Open(nil, forAlice.Ephemeral, forAlice.Generation, context, aliceEnv); !errors.Is(err, ErrDecrypt) {
 		t.Fatalf("cold: bob opened alice's envelope: %v", err)
 	}
-	if got, err := r.Open(forBob.Ephemeral, forBob.Generation, context, bobEnv); err != nil || string(got) != "for bob" {
+	if got, err := r.Open(nil, forBob.Ephemeral, forBob.Generation, context, bobEnv); err != nil || string(got) != "for bob" {
 		t.Fatalf("bob's own envelope: %q, %v", got, err)
 	}
-	if _, err := r.Open(forAlice.Ephemeral, forAlice.Generation, context, aliceEnv); !errors.Is(err, ErrDecrypt) {
+	if _, err := r.Open(nil, forAlice.Ephemeral, forAlice.Generation, context, aliceEnv); !errors.Is(err, ErrDecrypt) {
 		t.Fatalf("warm: bob opened alice's envelope: %v", err)
 	}
 }
@@ -571,8 +571,8 @@ func FuzzSessionDecrypt(f *testing.F) {
 	f.Add(other.Ephemeral, other.Generation, context, genuine)
 	warm := NewRecipient(key)
 	f.Fuzz(func(t *testing.T, ephemeral []byte, generation uint64, ctx, ct []byte) {
-		plaintext, err := warm.Open(ephemeral, generation, ctx, ct)
-		fresh, freshErr := NewRecipient(key).Open(ephemeral, generation, ctx, ct)
+		plaintext, err := warm.Open(nil, ephemeral, generation, ctx, ct)
+		fresh, freshErr := NewRecipient(key).Open(nil, ephemeral, generation, ctx, ct)
 		if (err == nil) != (freshErr == nil) || !bytes.Equal(plaintext, fresh) {
 			t.Fatalf("warm and fresh recipients disagree: warm %q, %v; fresh %q, %v", plaintext, err, fresh, freshErr)
 		}

@@ -81,7 +81,7 @@ func TestKnownAnswerSessionKey(t *testing.T) {
 		t.Fatalf("session key = %s, want %s", got, vectorSessionKeyHex)
 	}
 	for _, pass := range []string{"cold", "warm"} {
-		got, err := r.Open(point, vectorSessionGeneration, context, envelope)
+		got, err := r.Open(nil, point, vectorSessionGeneration, context, envelope)
 		if err != nil {
 			t.Fatalf("%s open: %v", pass, err)
 		}

@@ -204,7 +204,7 @@ func (b *Bundle) walk(w *wire.Walk) {
 		for w.NextIn(&sub) {
 			el.walk(&sub)
 		}
-		b.Elements = append(b.Elements, el)
+		b.Elements = wire.AppendRepeated(w, 4, b.Elements, el)
 	}
 	w.Bytes(5, &b.QueryDigest)
 	w.Bytes(6, &b.PolicyDigest)
@@ -253,6 +253,11 @@ func pinned(carried, want []byte) bool {
 // digest binding, nonce echo) so that obviously broken responses are
 // rejected before a transaction is attempted; full trust validation happens
 // on the destination peers via Verify.
+//
+// The bundle's QueryDigest, its Result and every element's Metadata share
+// one buffer, allocated at its exact size: each is clipped to its own
+// length, so an append to one reallocates rather than overwrite the next.
+// Its other byte fields alias q and resp.
 func OpenResponse(recipient *cryptoutil.Recipient, q *wire.Query, resp *wire.QueryResponse) (*Bundle, error) {
 	if resp.Error != "" {
 		return nil, fmt.Errorf("proof: remote error: %s", resp.Error)
@@ -261,12 +266,19 @@ func OpenResponse(recipient *cryptoutil.Recipient, q *wire.Query, resp *wire.Que
 	if !pinned(resp.PolicyDigest, wantPolicyDigest) {
 		return nil, fmt.Errorf("%w: response is not pinned to the query's policy", ErrPolicyDigestMismatch)
 	}
-	wantQueryDigest := QueryDigestOf(q)
-	result, err := recipient.Open(resp.SessionEphemeral, resp.SessionGeneration, wantQueryDigest, resp.EncryptedResult)
+	n := cryptoutil.DigestSize + cryptoutil.PlaintextSize(resp.EncryptedResult)
+	for i := range resp.Attestations {
+		n += cryptoutil.PlaintextSize(resp.Attestations[i].EncryptedMetadata)
+	}
+	querySum := QuerySumOf(q)
+	buf := append(make([]byte, 0, n), querySum[:]...)
+	wantQueryDigest := buf[:len(buf):len(buf)]
+	buf, err := recipient.Open(buf, resp.SessionEphemeral, resp.SessionGeneration, wantQueryDigest, resp.EncryptedResult)
 	if err != nil {
 		return nil, fmt.Errorf("proof: decrypt result: %w", err)
 	}
-	wantResultDigest := cryptoutil.Digest(result)
+	result := buf[len(wantQueryDigest):len(buf):len(buf)]
+	wantResultDigest := cryptoutil.Sum(result)
 	bundle := &Bundle{
 		SourceNetwork: q.TargetNetwork,
 		Result:        result,
@@ -277,10 +289,12 @@ func OpenResponse(recipient *cryptoutil.Recipient, q *wire.Query, resp *wire.Que
 	}
 	for i := range resp.Attestations {
 		att := &resp.Attestations[i]
-		plain, err := recipient.Open(att.SessionEphemeral, att.SessionGeneration, wantQueryDigest, att.EncryptedMetadata)
+		start := len(buf)
+		buf, err = recipient.Open(buf, att.SessionEphemeral, att.SessionGeneration, wantQueryDigest, att.EncryptedMetadata)
 		if err != nil {
 			return nil, fmt.Errorf("proof: decrypt metadata of %s: %w", att.PeerName, err)
 		}
+		plain := buf[start:len(buf):len(buf)]
 		md, err := wire.UnmarshalMetadata(plain)
 		if err != nil {
 			return nil, fmt.Errorf("proof: metadata of %s: %w", att.PeerName, err)

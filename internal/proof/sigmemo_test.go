@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/cryptoutil"
 	"repro/internal/endorsement"
@@ -203,7 +204,7 @@ func TestWarmVerifyAllocations(t *testing.T) {
 		fn   func() error
 	}{
 		{"warm Verify, two attestors", 0, func() error { return Verify(bundle, verifier, vp, qd, pd) }},
-		{"warm OpenResponse, two attestors", 13, func() error { _, err := OpenResponse(recipient, q, resp); return err }},
+		{"warm OpenResponse, two attestors", 10, func() error { _, err := OpenResponse(recipient, q, resp); return err }},
 		{"warm Verify, two attestors in a window of 2", 0, func() error {
 			return Verify(batched, windowVerifier, vp, specs[0].QueryDigest, specs[0].PolicyDigest)
 		}},
@@ -217,5 +218,45 @@ func TestWarmVerifyAllocations(t *testing.T) {
 		} else {
 			t.Logf("%s: %v allocations", row.name, got)
 		}
+	}
+}
+
+// TestSessionOpenedPartsShareOneBuffer: OpenResponse opens the result and
+// every attestor's metadata into the one buffer that holds the query
+// digest, each part clipped to its length, so appending to one part
+// reallocates and leaves the next intact, and the bundle still verifies.
+func TestSessionOpenedPartsShareOneBuffer(t *testing.T) {
+	_, _, sellerPeer, carrierPeer, verifier := setup(t)
+	q := sampleQuery(t)
+	spec, clientKey := testSpec(t, q, []byte("doc"))
+	b, err := OpenResponse(cryptoutil.NewRecipient(clientKey), q, buildOne(t, spec, sellerPeer, carrierPeer))
+	if err != nil {
+		t.Fatalf("OpenResponse: %v", err)
+	}
+	parts := [][]byte{b.QueryDigest, b.Result}
+	for i := range b.Elements {
+		parts = append(parts, b.Elements[i].Metadata)
+	}
+	for i, p := range parts {
+		if len(p) != cap(p) {
+			t.Fatalf("part %d: len %d, cap %d; want it clipped", i, len(p), cap(p))
+		}
+		if i == 0 {
+			continue
+		}
+		if prev := parts[i-1]; unsafe.Add(unsafe.Pointer(unsafe.SliceData(prev)), len(prev)) != unsafe.Pointer(unsafe.SliceData(p)) {
+			t.Fatalf("part %d does not follow part %d in one buffer", i, i-1)
+		}
+	}
+	if !bytes.Equal(b.QueryDigest, QueryDigestOf(q)) || !bytes.Equal(b.Result, []byte("doc")) {
+		t.Fatalf("opened query digest %x, result %q", b.QueryDigest, b.Result)
+	}
+	md := bytes.Clone(b.Elements[0].Metadata)
+	_ = append(b.Result, "overflow"...)
+	if !bytes.Equal(b.Elements[0].Metadata, md) {
+		t.Fatal("appending to Result wrote into the next part")
+	}
+	if err := Verify(b, verifier, endorsement.MustParse(q.PolicyExpr), b.QueryDigest, PolicyDigest(q.PolicyExpr)); err != nil {
+		t.Fatalf("Verify: %v", err)
 	}
 }

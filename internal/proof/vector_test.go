@@ -270,7 +270,7 @@ func TestKnownAnswerSessionEnvelope(t *testing.T) {
 	// then warm, from the agreement it remembered for the point.
 	warm := cryptoutil.NewRecipient(vectorKey(t, vectorClientScalarHex))
 	for _, pass := range []string{"cold", "warm"} {
-		got, err := warm.Open(point, vectorSessionGen, unhex(t, vectorQueryDigestHex), envelope)
+		got, err := warm.Open(nil, point, vectorSessionGen, unhex(t, vectorQueryDigestHex), envelope)
 		if err != nil {
 			t.Fatalf("%s open: %v", pass, err)
 		}
@@ -283,10 +283,10 @@ func TestKnownAnswerSessionEnvelope(t *testing.T) {
 		"fresh": cryptoutil.NewRecipient(vectorKey(t, vectorClientScalarHex)),
 		"warm":  warm,
 	} {
-		if _, err := r.Open(point, vectorSessionGen+1, unhex(t, vectorQueryDigestHex), envelope); err == nil {
+		if _, err := r.Open(nil, point, vectorSessionGen+1, unhex(t, vectorQueryDigestHex), envelope); err == nil {
 			t.Fatalf("%s recipient opened the envelope under another generation", name)
 		}
-		if _, err := r.Open(point, vectorSessionGen, unhex(t, vectorPolicyDigestHex), envelope); err == nil {
+		if _, err := r.Open(nil, point, vectorSessionGen, unhex(t, vectorPolicyDigestHex), envelope); err == nil {
 			t.Fatalf("%s recipient opened the envelope under another context", name)
 		}
 	}

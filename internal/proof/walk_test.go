@@ -133,7 +133,8 @@ func TestWalkSealed(t *testing.T) {
 
 // TestBundleMarshalAllocations: a two-attestor bundle, batched elements
 // included, encodes in one allocation. The decode rows pin what decoding
-// it, and a sealed proof, costs.
+// it, and a sealed proof, costs: each repeated field's slice is sized once
+// (the rows were 7 and 4 while each growth of one allocated).
 func TestBundleMarshalAllocations(t *testing.T) {
 	b, s := allocFixture()
 	encodedBundle, encodedSealed := b.Marshal(), s.Marshal()
@@ -143,8 +144,8 @@ func TestBundleMarshalAllocations(t *testing.T) {
 		run  func()
 	}{
 		{"Bundle.Marshal", 1, func() { _ = b.Marshal() }},
-		{"UnmarshalBundle", 7, func() { _, _ = UnmarshalBundle(encodedBundle) }},
-		{"UnmarshalSealed", 4, func() { _, _ = UnmarshalSealed(encodedSealed) }},
+		{"UnmarshalBundle", 4, func() { _, _ = UnmarshalBundle(encodedBundle) }},
+		{"UnmarshalSealed", 3, func() { _, _ = UnmarshalSealed(encodedSealed) }},
 	} {
 		if got := testing.AllocsPerRun(100, c.run); got != c.want {
 			t.Errorf("%s: %v allocations, want %v", c.name, got, c.want)

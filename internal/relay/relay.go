@@ -286,18 +286,11 @@ func (r *Relay) request(ctx context.Context, msgType wire.MsgType, q *wire.Query
 		}
 		return ensureRequestID(resp, q), nil
 	}
-	rec := trace.FromContext(ctx)
-	start := rec.Start()
-	env := &wire.Envelope{
-		Version:   wire.ProtocolVersion,
-		Type:      msgType,
-		RequestID: q.RequestID,
-		Payload:   q.Marshal(),
-	}
-	if rec != nil {
+	// The query is encoded by the transport, straight into each frame.
+	env := wire.RequestEnvelope(msgType, q)
+	if rec := trace.FromContext(ctx); rec != nil {
 		env.Trace = &wire.Trace{ID: rec.ID()}
 	}
-	rec.End(trace.Codec, start)
 	var buf [2]hopLeg
 	legs, err := r.legs(buf[:], env, q.TargetNetwork, true)
 	if err != nil {
@@ -358,8 +351,11 @@ func (r *Relay) prepareRequest(q *wire.Query) (*wire.Query, error) {
 // context is ctx narrowed by the envelope's relative budget
 // (TimeoutNanos), so the source side never works past the requester's
 // remaining budget, and a request whose budget is spent on arrival reaches
-// no driver. A response reply comes back with its Payload encoded.
+// no driver. A request built by wire.RequestEnvelope has its Payload
+// filled first, so env is served as the decoded envelope of its frame
+// would be; a response reply comes back with its Payload encoded.
 func (r *Relay) HandleEnvelope(ctx context.Context, env *wire.Envelope) *wire.Envelope {
+	env.EncodePayload()
 	reply := r.handle(ctx, env)
 	reply.EncodePayload()
 	return reply

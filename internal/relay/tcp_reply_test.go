@@ -1,15 +1,19 @@
 package relay
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"net"
 	"runtime"
+	"strings"
 	"testing"
 
+	"repro/internal/trace"
 	"repro/internal/wire"
 )
 
@@ -90,6 +94,114 @@ func TestTCPReplyFrameEqualsFilledEnvelope(t *testing.T) {
 	q.Ledger = "no-such-ledger"
 	env.Payload = q.Marshal()
 	checkReplyFrame(t, "error reply", src.relay.handle(ctx, env), q.RequestID, 0)
+}
+
+// recordFrames listens on a local address that reads request frames,
+// hands each one's payload to the returned channel and refuses the request
+// with an error reply, so the sender's call returns.
+func recordFrames(t *testing.T) (addr string, frames <-chan []byte) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	out := make(chan []byte, 8)
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer conn.Close()
+				r := bufio.NewReader(conn)
+				for {
+					tag, payload, err := wire.ReadFrame(r)
+					if err != nil {
+						return
+					}
+					out <- payload
+					refusal := &wire.Envelope{Version: wire.ProtocolVersion, Type: wire.MsgError, Payload: []byte("recorded")}
+					if err := wire.WriteEnvelope(conn, tag, refusal); err != nil {
+						return
+					}
+				}
+			}()
+		}
+	}()
+	return ln.Addr().String(), out
+}
+
+// TestTCPRequestFrameEqualsFilledEnvelope: an origin's request leaves with
+// its query unencoded, and the frame the transport writes carries exactly
+// the envelope the origin would have sent with Payload filled — for a
+// direct query, an invoke, a traced query and a via leg, which opens the
+// route and stamps the hop TTL. Then, for a query a source serves, the
+// unencoded envelope and the filled one marshal to the same bytes, and
+// HandleEnvelope answers both with the same reply.
+func TestTCPRequestFrameEqualsFilledEnvelope(t *testing.T) {
+	addr, frames := recordFrames(t)
+	tcp := &TCPTransport{}
+	t.Cleanup(tcp.Close)
+	directReg := NewStaticRegistry()
+	directReg.Register("src-net", addr)
+	direct := New("we-trade", directReg, tcp)
+	viaReg := NewStaticRegistry()
+	viaReg.Register("hub-1-net", addr)
+	routes := NewRouteTable()
+	routes.Set("src-net", "hub-1-net")
+	via := New("we-trade", viaReg, tcp)
+	via.SetRoutes(routes)
+
+	ctx := context.Background()
+	traced := trace.NewContext(ctx, trace.New("trace-request", "we-trade"))
+	for _, c := range []struct {
+		name   string
+		origin *Relay
+		ctx    context.Context
+		typ    wire.MsgType
+		want   wire.Envelope // all but Payload
+	}{
+		{"direct query", direct, ctx, wire.MsgQuery, wire.Envelope{}},
+		{"invoke", direct, ctx, wire.MsgInvoke, wire.Envelope{}},
+		{"traced query", direct, traced, wire.MsgQuery, wire.Envelope{Trace: &wire.Trace{ID: "trace-request"}}},
+		{"via leg", via, ctx, wire.MsgQuery, wire.Envelope{Route: []string{"we-trade"}, MaxHops: routes.MaxHops()}},
+	} {
+		q := forwardQuerySpec("req-" + strings.ReplaceAll(c.name, " ", "-"))
+		q.Args = [][]byte{[]byte("po-1001"), nil}
+		send := c.origin.Query
+		if c.typ == wire.MsgInvoke {
+			send = c.origin.Invoke
+		}
+		if _, err := send(c.ctx, q); !errors.As(err, new(remoteRefusal)) {
+			t.Fatalf("%s: %v, want the recorder's refusal", c.name, err)
+		}
+		filled := c.want
+		filled.Version, filled.Type, filled.RequestID, filled.Payload = wire.ProtocolVersion, c.typ, q.RequestID, q.Marshal()
+		if got := <-frames; !bytes.Equal(got, filled.Marshal()) {
+			t.Fatalf("%s: the request frame differs from that of the envelope with Payload filled", c.name)
+		}
+	}
+
+	src, req := newCacheEnv(t)
+	q := newQuery(t, req)
+	q.RequestID = "req-handled"
+	unencoded := wire.RequestEnvelope(wire.MsgQuery, q)
+	filled := &wire.Envelope{Version: wire.ProtocolVersion, Type: wire.MsgQuery, RequestID: q.RequestID, Payload: q.Marshal()}
+	if !bytes.Equal(unencoded.Marshal(), filled.Marshal()) {
+		t.Fatal("Marshal of the unencoded request differs from that of the filled one")
+	}
+	first, second := src.relay.HandleEnvelope(ctx, unencoded), src.relay.HandleEnvelope(ctx, filled)
+	if !bytes.Equal(unencoded.Payload, filled.Payload) {
+		t.Fatal("HandleEnvelope filled a Payload other than the query's encoding")
+	}
+	if resp, err := wire.UnmarshalQueryResponse(first.Payload); first.Type != wire.MsgQueryResponse || err != nil || resp.Error != "" {
+		t.Fatalf("the unencoded request was not served: %s %q, %v", first.Type, first.Payload, err)
+	}
+	if !bytes.Equal(first.Marshal(), second.Marshal()) {
+		t.Fatal("HandleEnvelope answered the unencoded request and the filled one differently")
+	}
 }
 
 // fixedDriver serves one shared encoding for every query, as the

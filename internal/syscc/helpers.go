@@ -54,14 +54,11 @@ var authorizeArgs = sync.Pool{New: func() any { return new([4][]byte) }}
 //	    syscc.ValidateProofArgs("tradelens", "default", "TradeLensCC",
 //	        "GetBillOfLading", bundleBytes, []byte(poRef)))
 //
-// The four names share one buffer, each clipped to its own length, so the
-// list costs two allocations however long they are.
+// The four names are views of their strings (chaincode.ReadOnlyBytes), read
+// only, like every argument, so the list is the call's one allocation.
 func ValidateProofArgs(sourceNetwork, ledgerName, contract, function string, bundleBytes []byte, queryArgs ...[]byte) [][]byte {
-	buf := make([]byte, 0, len(sourceNetwork)+len(ledgerName)+len(contract)+len(function))
 	args := make([][]byte, 0, 5+len(queryArgs))
-	for _, name := range [4]string{sourceNetwork, ledgerName, contract, function} {
-		buf = append(buf, name...)
-		args = append(args, buf[len(buf)-len(name):len(buf):len(buf)])
-	}
-	return append(append(args, bundleBytes), queryArgs...)
+	args = append(args, chaincode.ReadOnlyBytes(sourceNetwork), chaincode.ReadOnlyBytes(ledgerName),
+		chaincode.ReadOnlyBytes(contract), chaincode.ReadOnlyBytes(function), bundleBytes)
+	return append(args, queryArgs...)
 }

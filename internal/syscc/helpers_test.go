@@ -122,7 +122,15 @@ func TestValidateProofArgsLayout(t *testing.T) {
 			t.Fatalf("args[%d] = %q", i, args[i])
 		}
 	}
+	bundle, arg := []byte("bundle"), []byte("a1")
+	if got := testing.AllocsPerRun(100, func() {
+		sinkArgs = ValidateProofArgs("tradelens", "default", "TradeLensCC", "GetBillOfLading", bundle, arg)
+	}); got != 1 {
+		t.Fatalf("ValidateProofArgs: %v allocations, want 1 (the argument list)", got)
+	}
 }
+
+var sinkArgs [][]byte
 
 // TestAuthorizeRelayRequestWarmAllocations is the allocation tripwire of
 // the source's access decision: a warm relayed probe that calls

@@ -31,7 +31,7 @@ const (
 
 	// Path stages, at the origin relay and at every hub.
 	Queue     = "queue"      // a transport attempt, less the next relay's serve
-	Codec     = "codec"      // encoding the request, decoding query and response
+	Codec     = "codec"      // decoding query and response (a request is encoded into its frame)
 	PinVerify = "pin_verify" // verifying the hop chain of a reply
 	PinSign   = "pin_sign"   // a hub signing its hop pin
 	Serve     = "serve"      // nested: a relay's whole handling of the request

@@ -547,7 +547,7 @@ func (w *Walk) Strings(f int, v *[]string) {
 			put(&w.e, s)
 		}
 	} else if w.take(f) {
-		*v = append(*v, Intern(w.bytes()))
+		*v = AppendRepeated(w, f, *v, Intern(w.bytes()))
 	}
 }
 
@@ -571,8 +571,42 @@ func (w *Walk) BytesList(f int, v *[][]byte) {
 			w.e.Message(f, b)
 		}
 	} else if w.take(f) {
-		*v = append(*v, w.bytes())
+		*v = AppendRepeated(w, f, *v, w.bytes())
 	}
+}
+
+// AppendRepeated appends el, just decoded from the current field f of a
+// repeated field, to s. The first append sizes s for every occurrence of f
+// in the message, so a decode allocates a repeated field's slice once, not
+// once per growth.
+func AppendRepeated[T any](w *Walk, f int, s []T, el T) []T {
+	if s == nil {
+		s = make([]T, 0, 1+w.remaining(f))
+	}
+	return append(s, el)
+}
+
+// remaining counts the occurrences of field f after the current field. It
+// reads only field keys, skipping their values, and stops at the first
+// malformed field, which the decode itself then reports.
+func (w *Walk) remaining(f int) int {
+	d := w.d
+	n := 0
+	for d.pos < len(d.buf) {
+		key, k := binary.Uvarint(d.buf[d.pos:])
+		if k <= 0 {
+			break
+		}
+		d.pos += k
+		d.pendingWire = int(key & 7)
+		if int(key>>3) == f {
+			n++
+		}
+		if d.Skip() != nil {
+			break
+		}
+	}
+	return n
 }
 
 // MessageHeader writes the key and length of an embedded message of n
@@ -586,7 +620,8 @@ func (w *Walk) MessageHeader(f, n int) { w.e.MessageHeader(f, n) }
 //	if w.Encoding() {
 //		for each element el: w.MessageHeader(f, el.size()); el.walk(w)
 //	} else if sub, ok := w.Nested(f); ok {
-//		var el T; for w.NextIn(&sub) { el.walk(&sub) }; append el
+//		var el T; for w.NextIn(&sub) { el.walk(&sub) }
+//		s = AppendRepeated(w, f, s, el)
 //	}
 //
 // The returned walk holds no pointer to w — one would move every walk,

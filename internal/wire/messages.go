@@ -94,10 +94,14 @@ type Envelope struct {
 	// before tracing (and its struct one pointer larger, not two fields).
 	Trace *Trace
 
-	// response is the payload of a reply built by ResponseEnvelope or
-	// StampedResponseEnvelope, not yet encoded: Payload stays empty, and
-	// every encoding of the envelope writes field 4 straight from it.
+	// response and query are a payload not yet encoded, at most one of
+	// them set: response a reply's, built by ResponseEnvelope or
+	// StampedResponseEnvelope, query a request's, built by RequestEnvelope.
+	// Payload stays empty, and every encoding of the envelope writes field
+	// 4 straight from the one that is set; EncodePayload fills Payload from
+	// it instead.
 	response *responseBody
+	query    *Query
 }
 
 // Marshal encodes the envelope.
@@ -111,11 +115,19 @@ func (m *Envelope) walk(w *Walk) {
 	w.Uint(2, &typ)
 	m.Type = MsgType(typ)
 	w.String(3, &m.RequestID)
-	if m.response == nil {
+	switch { // Bytes omits an empty payload, and so do the unencoded ones
+	case m.query != nil:
+		if n := m.query.size(); n > 0 {
+			w.MessageHeader(4, n)
+			m.query.walk(w)
+		}
+	case m.response != nil:
+		if n := m.response.size(); n > 0 {
+			w.MessageHeader(4, n)
+			m.response.walk(w)
+		}
+	default:
 		w.Bytes(4, &m.Payload)
-	} else if n := m.response.size(); n > 0 { // Bytes omits an empty payload too
-		w.MessageHeader(4, n)
-		m.response.walk(w)
 	}
 	w.Uint(6, &m.TimeoutNanos)
 	w.Strings(7, &m.Route)
@@ -140,12 +152,20 @@ func UnmarshalEnvelope(buf []byte) (*Envelope, error) {
 	return m, nil
 }
 
+// RequestEnvelope returns the envelope of type msgType, MsgQuery or
+// MsgInvoke, that carries q under q's RequestID. q is encoded only when the
+// envelope is — by WriteEnvelope straight into the frame, by Marshal or by
+// EncodePayload — and it must not change until then.
+func RequestEnvelope(msgType MsgType, q *Query) *Envelope {
+	return &Envelope{Version: ProtocolVersion, Type: msgType, RequestID: q.RequestID, query: q}
+}
+
 // ResponseEnvelope returns the MsgQueryResponse envelope that carries resp
 // back under requestID. resp is encoded only when the envelope is — by
 // WriteEnvelope straight into the frame, by Marshal or by EncodePayload —
 // and it must not change until then.
 func ResponseEnvelope(requestID string, resp *QueryResponse) *Envelope {
-	return &Envelope{Version: ProtocolVersion, Type: MsgQueryResponse, RequestID: requestID, response: &responseBody{resp: resp}}
+	return newReply(requestID, responseBody{resp: resp})
 }
 
 // StampedResponseEnvelope is ResponseEnvelope for a response held as
@@ -153,15 +173,29 @@ func ResponseEnvelope(requestID string, resp *QueryResponse) *Envelope {
 // encodings stamp with responseID. unstamped is only read, so it may be
 // shared: an attestation-cache entry is served this way without a copy.
 func StampedResponseEnvelope(requestID, responseID string, unstamped []byte) *Envelope {
-	body := &responseBody{id: responseID, unstamped: unstamped}
-	return &Envelope{Version: ProtocolVersion, Type: MsgQueryResponse, RequestID: requestID, response: body}
+	return newReply(requestID, responseBody{id: responseID, unstamped: unstamped})
 }
 
-// EncodePayload fills Payload from a reply's unencoded response, in one
-// exactly-sized allocation, so the envelope reads as a decoded one does.
-// An envelope whose Payload is already encoded is left as it is.
+// newReply returns the MsgQueryResponse envelope carrying body under
+// requestID, allocated together with it: a reply is one allocation.
+func newReply(requestID string, body responseBody) *Envelope {
+	r := &struct {
+		env  Envelope
+		body responseBody
+	}{body: body}
+	r.env = Envelope{Version: ProtocolVersion, Type: MsgQueryResponse, RequestID: requestID, response: &r.body}
+	return &r.env
+}
+
+// EncodePayload fills Payload from a request's unencoded query or a
+// reply's unencoded response, in one exactly-sized allocation, so the
+// envelope reads as a decoded one does. An envelope whose Payload is
+// already encoded is left as it is.
 func (m *Envelope) EncodePayload() {
-	if m.response != nil {
+	switch {
+	case m.query != nil:
+		m.Payload, m.query = m.query.Marshal(), nil
+	case m.response != nil:
 		w := Writing(m.response.size())
 		m.response.walk(&w)
 		m.Payload, m.response = w.Encoded(), nil
@@ -528,7 +562,7 @@ func (m *QueryResponse) walk(w *Walk) {
 		for w.NextIn(&sub) {
 			a.walk(&sub)
 		}
-		m.Attestations = append(m.Attestations, a)
+		m.Attestations = AppendRepeated(w, 3, m.Attestations, a)
 	}
 	w.String(4, &m.Error)
 	w.Bytes(5, &m.PolicyDigest)
@@ -545,7 +579,7 @@ func (m *QueryResponse) walk(w *Walk) {
 		for w.NextIn(&sub) {
 			p.walk(&sub)
 		}
-		m.HopPins = append(m.HopPins, p)
+		m.HopPins = AppendRepeated(w, 8, m.HopPins, p)
 	}
 }
 
@@ -621,7 +655,7 @@ func (m *NetworkConfig) walk(w *Walk) {
 		for w.NextIn(&sub) {
 			o.walk(&sub)
 		}
-		m.Orgs = append(m.Orgs, o)
+		m.Orgs = AppendRepeated(w, 3, m.Orgs, o)
 	}
 }
 

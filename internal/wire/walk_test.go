@@ -312,6 +312,48 @@ func TestWalkResponseEnvelope(t *testing.T) {
 	check("empty stamped response", StampedResponseEnvelope("req", "", nil), nil)
 }
 
+// TestWalkRequestEnvelope: a request whose query is left unencoded
+// (RequestEnvelope) writes the frame, and marshals to the bytes, of the
+// same request with Payload holding the reference encoding of the query,
+// routed or not, for both request types; the empty query's field 4 is
+// omitted. EncodePayload then fills Payload with exactly those bytes, in
+// one exactly-sized buffer.
+func TestWalkRequestEnvelope(t *testing.T) {
+	frame := func(env *Envelope) []byte {
+		var buf bytes.Buffer
+		if err := WriteEnvelope(&buf, 7, env); err != nil {
+			t.Fatalf("WriteEnvelope: %v", err)
+		}
+		return buf.Bytes()
+	}
+	r := rand.New(rand.NewSource(34))
+	for i := 0; i < 150; i++ {
+		q := genQuery(r)
+		if i == 0 {
+			q = &Query{}
+		}
+		typ := []MsgType{MsgQuery, MsgInvoke}[i%2]
+		req := RequestEnvelope(typ, q)
+		req.TimeoutNanos, req.Route, req.MaxHops = genUint(r), genRepeated(r, genString), genUint(r)
+		filled := *req
+		filled.query, filled.Payload = nil, oracleQuery(q)
+		want := frame(&filled)
+		if !bytes.Equal(frame(req), want) {
+			t.Fatalf("query %d: the frame differs from that of the filled envelope", i)
+		}
+		if !bytes.Equal(req.Marshal(), oracleEnvelope(&filled)) {
+			t.Fatalf("query %d: Marshal differs from the reference encoding", i)
+		}
+		req.EncodePayload()
+		if !bytes.Equal(req.Payload, filled.Payload) || len(req.Payload) != cap(req.Payload) {
+			t.Fatalf("query %d: EncodePayload filled %d bytes (cap %d), want the %d of the reference", i, len(req.Payload), cap(req.Payload), len(filled.Payload))
+		}
+		if !bytes.Equal(frame(req), want) {
+			t.Fatalf("query %d: the frame changed once Payload was filled", i)
+		}
+	}
+}
+
 // TestCountingEncoderMatchesWriter: a counting encoder advances by exactly
 // what a writing encoder appends, at every varint width.
 func TestCountingEncoderMatchesWriter(t *testing.T) {
@@ -332,11 +374,12 @@ func TestCountingEncoderMatchesWriter(t *testing.T) {
 // TestCodecAllocations is the allocation tripwire of the response path:
 // each encoding is one exactly-sized allocation, nested messages included,
 // a warm frame write none (its buffer is pooled), a reply's unencoded
-// response included, and a decoded envelope allocates only itself (its
+// response and a request's unencoded query included, and a decoded envelope allocates only itself (its
 // payload aliases the frame) plus a copy of its request ID. The other
 // decode rows pin what a decode costs: the message, each per-request
 // string (an ID; a name is interned, see TestDecodedNames), and each
-// growth of a repeated field's slice.
+// repeated field's slice, sized once for all its elements (the rows were
+// 6, 4 and 6 while each growth of such a slice allocated).
 func TestCodecAllocations(t *testing.T) {
 	att := Attestation{
 		PeerName: "peer0", OrgID: "carrier-org", CertPEM: make([]byte, 700), EncryptedMetadata: make([]byte, 300),
@@ -357,12 +400,13 @@ func TestCodecAllocations(t *testing.T) {
 	idless.RequestID = ""
 	reply := ResponseEnvelope("req-000017", resp)
 	stamped := StampedResponseEnvelope("req-000017", "req-000017", idless.Marshal())
-	query := (&Query{
+	q := &Query{
 		RequestID: "req-000017", RequestingNetwork: "we-trade", TargetNetwork: "tradelens", Ledger: "tradelens",
 		Contract: "trade", Function: "GetBillOfLading", Args: [][]byte{[]byte("po-1001"), []byte("v2")},
 		PolicyExpr: "AND('seller-org','carrier-org')", RequesterCertPEM: make([]byte, 700), RequesterOrg: "buyer-bank",
 		Nonce: make([]byte, 16), PolicyDigest: make([]byte, 32),
-	}).Marshal()
+	}
+	query, request := q.Marshal(), RequestEnvelope(MsgQuery, q)
 	config := (&NetworkConfig{NetworkID: "tradelens", Platform: "fabric", Orgs: []OrgConfig{
 		{OrgID: "seller-org", RootCertPEM: make([]byte, 600), PeerNames: []string{"peer0"}},
 		{OrgID: "carrier-org", RootCertPEM: make([]byte, 600), PeerNames: []string{"peer0", "peer1"}},
@@ -378,11 +422,12 @@ func TestCodecAllocations(t *testing.T) {
 		{"WriteEnvelope", 0, func() { _ = WriteEnvelope(io.Discard, 1, env) }},
 		{"WriteEnvelope of ResponseEnvelope", 0, func() { _ = WriteEnvelope(io.Discard, 1, reply) }},
 		{"WriteEnvelope of StampedResponseEnvelope", 0, func() { _ = WriteEnvelope(io.Discard, 1, stamped) }},
+		{"WriteEnvelope of RequestEnvelope", 0, func() { _ = WriteEnvelope(io.Discard, 1, request) }},
 		{"UnmarshalEnvelope", 1, func() { _, _ = UnmarshalEnvelope(encoded) }},
 		{"UnmarshalEnvelope with RequestID", 2, func() { _, _ = UnmarshalEnvelope(encodedWithID) }},
-		{"UnmarshalQueryResponse", 6, func() { _, _ = UnmarshalQueryResponse(encodedResp) }},
-		{"UnmarshalQuery", 4, func() { _, _ = UnmarshalQuery(query) }},
-		{"UnmarshalNetworkConfig", 6, func() { _, _ = UnmarshalNetworkConfig(config) }},
+		{"UnmarshalQueryResponse", 4, func() { _, _ = UnmarshalQueryResponse(encodedResp) }},
+		{"UnmarshalQuery", 3, func() { _, _ = UnmarshalQuery(query) }},
+		{"UnmarshalNetworkConfig", 4, func() { _, _ = UnmarshalNetworkConfig(config) }},
 	} {
 		if c.want == 0 && raceEnabled {
 			continue // the pooled frame buffer: the race detector drops pooled items
