@@ -587,26 +587,19 @@ func AppendRepeated[T any](w *Walk, f int, s []T, el T) []T {
 }
 
 // remaining counts the occurrences of field f after the current field. It
-// reads only field keys, skipping their values, and stops at the first
-// malformed field, which the decode itself then reports.
+// skips each field's value unread and stops at the first malformed field,
+// which the decode itself then reports.
 func (w *Walk) remaining(f int) int {
-	d := w.d
-	n := 0
-	for d.pos < len(d.buf) {
-		key, k := binary.Uvarint(d.buf[d.pos:])
-		if k <= 0 {
-			break
+	d, n := w.d, 0
+	for {
+		field, ok, err := d.Next()
+		if !ok || err != nil || d.Skip() != nil {
+			return n
 		}
-		d.pos += k
-		d.pendingWire = int(key & 7)
-		if int(key>>3) == f {
+		if field == f {
 			n++
 		}
-		if d.Skip() != nil {
-			break
-		}
 	}
-	return n
 }
 
 // MessageHeader writes the key and length of an embedded message of n
