@@ -244,6 +244,34 @@ func Evaluate(reg *Registry, state *statedb.Store, inv Invocation) ([]byte, erro
 	return cc.Invoke(&simStub{reg: reg, state: state, inv: inv})
 }
 
+// EvaluateStrings is Evaluate with args in place of inv.Args, passed to the
+// chaincode as read-only views of the strings (ReadOnlyBytes), not copies.
+// The views are held in the stub's own allocation while they fit its room.
+func EvaluateStrings(reg *Registry, state *statedb.Store, inv Invocation, args ...string) ([]byte, error) {
+	cc, err := reg.Get(inv.Chaincode)
+	if err != nil {
+		return nil, err
+	}
+	inv.ReadOnly = true
+	f := &stringStub{simStub: simStub{reg: reg, state: state, inv: inv}}
+	f.inv.Args = f.room[:0]
+	for _, a := range args {
+		f.inv.Args = append(f.inv.Args, ReadOnlyBytes(a))
+	}
+	return cc.Invoke(&f.simStub)
+}
+
+// argRoom is how many string arguments an EvaluateStrings frame holds: a
+// client's verification-policy lookup passes two.
+const argRoom = 2
+
+// stringStub is an EvaluateStrings frame: the stub and room for the views
+// of its arguments, allocated together.
+type stringStub struct {
+	simStub
+	room [argRoom][]byte
+}
+
 // readRoom is how many reads a Simulate frame holds before its read set
 // moves to a slice of its own: a relayed read through the exposure
 // control chaincode makes three.

@@ -351,20 +351,18 @@ func (c *Client) buildQuery(ctx context.Context, spec RemoteQuerySpec) (*wire.Qu
 		}
 		policyExpr = vp.Expr
 	}
-	var nonce []byte
+	// Pin the resolved policy: the source refuses to build, and this client
+	// refuses to accept, a proof under any other policy digest.
+	b := &builtQuery{policy: proof.PolicySum(policyExpr)}
 	if spec.RequestID != "" {
 		// Idempotent retries must present the same nonce as the original
 		// attempt or the replayed response's proof (which binds the
 		// original nonce) would never verify.
-		nonce = idempotentNonce(c.key, spec.RequestID)
-	} else {
-		var err error
-		nonce, err = cryptoutil.NewNonce()
-		if err != nil {
-			return nil, "", fmt.Errorf("core: nonce: %w", err)
-		}
+		idempotentNonce(&b.nonce, c.key, spec.RequestID)
+	} else if err := cryptoutil.ReadNonce(&b.nonce); err != nil {
+		return nil, "", fmt.Errorf("core: nonce: %w", err)
 	}
-	return &wire.Query{
+	b.Query = wire.Query{
 		RequestID:         spec.RequestID,
 		RequestingNetwork: c.network.ID(),
 		TargetNetwork:     spec.Network,
@@ -375,27 +373,34 @@ func (c *Client) buildQuery(ctx context.Context, spec RemoteQuerySpec) (*wire.Qu
 		PolicyExpr:        policyExpr,
 		RequesterCertPEM:  c.identity.CertPEM(),
 		RequesterOrg:      c.identity.OrgID,
-		Nonce:             nonce,
-		// Pin the resolved policy: the source refuses to build, and this
-		// client refuses to accept, a proof under any other policy digest.
-		PolicyDigest: proof.PolicyDigest(policyExpr),
-	}, policyExpr, nil
+		Nonce:             b.nonce[:],
+		PolicyDigest:      b.policy[:],
+	}
+	return &b.Query, policyExpr, nil
 }
 
-// idempotentNonce derives the nonce of a request under requestID from the
-// client's private key: deterministic for this client and request ID,
-// unpredictable to anyone else. It is the first NonceSize bytes of SHA-256
-// over the private scalar's big-endian bytes without leading zeros, then
-// "idempotent-nonce", then the request ID. The scalar is copied only into
-// an array on the stack, cleared once it is hashed, so no copy of the key
-// outlives the call.
-func idempotentNonce(key *ecdsa.PrivateKey, requestID string) []byte {
+// builtQuery is a query with the arrays its Nonce and PolicyDigest slice,
+// allocated together: building a query is one allocation.
+type builtQuery struct {
+	wire.Query
+	nonce  [cryptoutil.NonceSize]byte
+	policy [cryptoutil.DigestSize]byte
+}
+
+// idempotentNonce writes into nonce the nonce of a request under requestID,
+// derived from the client's private key: deterministic for this client and
+// request ID, unpredictable to anyone else. It is the first NonceSize bytes
+// of SHA-256 over the private scalar's big-endian bytes without leading
+// zeros, then "idempotent-nonce", then the request ID. The scalar is copied
+// only into an array on the stack, cleared once it is hashed, so no copy of
+// the key outlives the call.
+func idempotentNonce(nonce *[cryptoutil.NonceSize]byte, key *ecdsa.PrivateKey, requestID string) {
 	var scalar [66]byte // the longest NIST scalar, P-521's
 	n := (key.Curve.Params().BitSize + 7) / 8
 	key.D.FillBytes(scalar[:n])
 	sum := cryptoutil.Sum(scalar[n-(key.D.BitLen()+7)/8:n], []byte("idempotent-nonce"), []byte(requestID))
 	clear(scalar[:])
-	return append([]byte(nil), sum[:cryptoutil.NonceSize]...)
+	copy(nonce[:], sum[:])
 }
 
 // openResponse decrypts the response, pre-verifies the proof, and packages

@@ -65,11 +65,20 @@ const NonceSize = 24
 // cross-network queries (§4.3 of the paper: nonces generated by the
 // requesting client and recorded on the destination ledger).
 func NewNonce() ([]byte, error) {
-	nonce := make([]byte, NonceSize)
-	if _, err := rand.Read(nonce); err != nil {
-		return nil, fmt.Errorf("generate nonce: %w", err)
+	nonce := new([NonceSize]byte)
+	if err := ReadNonce(nonce); err != nil {
+		return nil, err
 	}
-	return nonce, nil
+	return nonce[:], nil
+}
+
+// ReadNonce fills nonce with fresh random bytes, as NewNonce does, for a
+// caller that allocates the nonce together with what carries it.
+func ReadNonce(nonce *[NonceSize]byte) error {
+	if _, err := rand.Read(nonce[:]); err != nil {
+		return fmt.Errorf("generate nonce: %w", err)
+	}
+	return nil
 }
 
 // NewNonceHex returns the hex encoding of n fresh random bytes, for an

@@ -8,6 +8,7 @@ import (
 	"math/big"
 	"math/rand"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -390,7 +391,9 @@ var raceEnabled bool
 // runs, ≈ 70 with a copy of each written value per peer and a verdict
 // stage's state on the heap; ≈ 20 more with every signature verified), so
 // it fails if a peer's shortcut for its own endorsements stops firing. It
-// may only be lowered.
+// may only be lowered. The count is the median of rounds of measured
+// blocks, so one busy round cannot fail it: a single round read 62.2–63.7
+// over 30 runs.
 // GOMAXPROCS is pinned so the verdict stage starts the same number of
 // goroutines on any host (testing.AllocsPerRun would pin it to 1).
 func TestDeliveryAllocations(t *testing.T) {
@@ -399,8 +402,8 @@ func TestDeliveryAllocations(t *testing.T) {
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	n := newFourPeerNetwork(t)
-	const warm, measured = 8, 64
-	blocks := make([]*ledger.Block, warm+measured)
+	const warm, measured, rounds = 8, 64, 5
+	blocks := make([]*ledger.Block, warm+rounds*measured)
 	for i := range blocks {
 		tx := endorsed(t, n, kvInv(fmt.Sprintf("tx-%d", i), "put", "k", "v"))
 		blocks[i] = &ledger.Block{Number: uint64(i), Transactions: []*ledger.Transaction{tx}}
@@ -416,14 +419,19 @@ func TestDeliveryAllocations(t *testing.T) {
 	for _, b := range blocks[:warm] {
 		deliver(b)
 	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for _, b := range blocks[warm:] {
-		deliver(b)
+	counts := make([]float64, rounds)
+	for r := range counts {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for _, b := range blocks[warm+r*measured : warm+(r+1)*measured] {
+			deliver(b)
+		}
+		runtime.ReadMemStats(&after)
+		counts[r] = float64(after.Mallocs-before.Mallocs) / measured
 	}
-	runtime.ReadMemStats(&after)
-	got := float64(after.Mallocs-before.Mallocs) / measured
-	t.Logf("delivering a one-transaction block to 4 peers: %.2f allocs", got)
+	slices.Sort(counts)
+	got := counts[rounds/2]
+	t.Logf("delivering a one-transaction block to 4 peers: %.2f allocs (median of %v)", got, counts)
 	const max = 64
 	if got > max {
 		t.Fatalf("delivery allocs = %.2f, want <= %d", got, max)

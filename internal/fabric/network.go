@@ -591,29 +591,35 @@ func (g *Gateway) SubmitTx(ccName, function string, args ...[]byte) (*ledger.Tra
 // response is read-only: it may be a committed value itself (see
 // peer.Query).
 func (g *Gateway) Evaluate(ccName, function string, args ...[]byte) ([]byte, error) {
-	inv := chaincode.Invocation{
-		Chaincode:   ccName,
-		Function:    function,
-		Args:        args,
-		CreatorCert: g.identity.CertPEM(),
-		Timestamp:   time.Now(),
-		ReadOnly:    true,
-	}
 	p := g.queryPeer()
 	if p == nil {
 		return nil, ErrNoEndorsers
 	}
+	inv := g.evaluation(ccName, function)
+	inv.Args = args
 	return p.Query(inv)
 }
 
 // EvaluateString is Evaluate with string arguments, passed to the
-// chaincode as read-only views of the strings, not copies.
+// chaincode as read-only views of the strings, not copies
+// (peer.QueryStrings).
 func (g *Gateway) EvaluateString(ccName, function string, args ...string) ([]byte, error) {
-	views := make([][]byte, len(args))
-	for i, a := range args {
-		views[i] = chaincode.ReadOnlyBytes(a)
+	p := g.queryPeer()
+	if p == nil {
+		return nil, ErrNoEndorsers
 	}
-	return g.Evaluate(ccName, function, views...)
+	return p.QueryStrings(g.evaluation(ccName, function), args...)
+}
+
+// evaluation is the invocation of an evaluation, without its arguments.
+func (g *Gateway) evaluation(ccName, function string) chaincode.Invocation {
+	return chaincode.Invocation{
+		Chaincode:   ccName,
+		Function:    function,
+		CreatorCert: g.identity.CertPEM(),
+		Timestamp:   time.Now(),
+		ReadOnly:    true,
+	}
 }
 
 func (g *Gateway) queryPeer() *peer.Peer {

@@ -167,10 +167,22 @@ func (p *Peer) Endorse(inv chaincode.Invocation) (*ProposalResponse, error) {
 // is read-only: a caller that modified it would modify the world state.
 func (p *Peer) Query(inv chaincode.Invocation) ([]byte, error) {
 	resp, err := chaincode.Evaluate(p.registry, p.state, inv)
-	if err != nil {
-		return nil, fmt.Errorf("peer %s: query %s.%s: %w", p.name, inv.Chaincode, inv.Function, err)
+	return resp, p.queryErr(inv, err)
+}
+
+// QueryStrings is Query with args in place of inv.Args, passed to the
+// chaincode as read-only views of the strings (chaincode.EvaluateStrings).
+func (p *Peer) QueryStrings(inv chaincode.Invocation, args ...string) ([]byte, error) {
+	resp, err := chaincode.EvaluateStrings(p.registry, p.state, inv, args...)
+	return resp, p.queryErr(inv, err)
+}
+
+// queryErr names the peer and the invocation in a failed query's error.
+func (p *Peer) queryErr(inv chaincode.Invocation, err error) error {
+	if err == nil {
+		return nil
 	}
-	return resp, nil
+	return fmt.Errorf("peer %s: query %s.%s: %w", p.name, inv.Chaincode, inv.Function, err)
 }
 
 // QueryRW simulates a read-only invocation and returns the full simulation

@@ -28,8 +28,8 @@ var (
 // gateway. A key built before is the interned one, and the nested calls
 // share the invocation's one frame, so a warm relayed read allocates that
 // frame (its read set inside) and the rule scan (the ECC's argument list
-// is pooled), and a gateway lookup its frame alone. A change may lower a
-// row, never raise it.
+// is pooled), and a gateway lookup its frame alone, with string arguments
+// viewed in the frame's own room. A change may lower a row, never raise it.
 // The last row holds the read in place: the bytes a warm relayed QueryRW
 // allocates do not grow when the requesting network's recorded
 // configuration, which ECC.Authorize reads on every query, grows from 2
@@ -65,7 +65,7 @@ func TestReadPathAllocations(t *testing.T) {
 		{"warm Gateway.Evaluate", 1, func() {
 			sinkBytes, _ = gw.Evaluate(syscc.CMDACName, syscc.CMDACGetVerificationPolicy, policyArgs...)
 		}},
-		{"warm Gateway.EvaluateString", 2, func() {
+		{"warm Gateway.EvaluateString", 1, func() {
 			sinkBytes, _ = gw.EvaluateString(syscc.CMDACName, syscc.CMDACGetVerificationPolicy, tradelens.NetworkID, tradelens.ChaincodeName)
 		}},
 	} {

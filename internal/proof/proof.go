@@ -107,8 +107,14 @@ var policyDigestDomain = []byte("interop-verification-policy\x00")
 // is what guarantees a bundle is verified against exactly the policy it was
 // built under.
 func PolicyDigest(policyExpr string) []byte {
-	sum := cryptoutil.SumString(policyDigestDomain, policyExpr)
+	sum := PolicySum(policyExpr)
 	return sum[:]
+}
+
+// PolicySum is PolicyDigest as an array, which a caller can hold on its
+// stack or inside an allocation of its own.
+func PolicySum(policyExpr string) [cryptoutil.DigestSize]byte {
+	return cryptoutil.SumString(policyDigestDomain, policyExpr)
 }
 
 // PolicyDigestOf returns the query's effective policy pin: the explicit
@@ -137,7 +143,7 @@ func PinnedPolicyDigest(q *wire.Query) ([]byte, error) {
 	if len(q.PolicyDigest) == 0 {
 		return PolicyDigest(q.PolicyExpr), nil
 	}
-	if expect := cryptoutil.SumString(policyDigestDomain, q.PolicyExpr); !bytes.Equal(q.PolicyDigest, expect[:]) {
+	if expect := PolicySum(q.PolicyExpr); !bytes.Equal(q.PolicyDigest, expect[:]) {
 		return nil, ErrPolicyPinMismatch
 	}
 	return q.PolicyDigest, nil

@@ -1,6 +1,7 @@
 package relay
 
 import (
+	"slices"
 	"sync"
 	"time"
 )
@@ -53,7 +54,7 @@ func removeLease(entries []leaseEntry, addr string) ([]leaseEntry, bool) {
 }
 
 // liveAddrs filters a lease list down to the addresses whose lease is still
-// valid at now, in registration order.
+// valid at now, in registration order, clipped so an append reallocates.
 func liveAddrs(entries []leaseEntry, now time.Time) []string {
 	addrs := make([]string, 0, len(entries))
 	for _, e := range entries {
@@ -61,7 +62,7 @@ func liveAddrs(entries []leaseEntry, now time.Time) []string {
 			addrs = append(addrs, e.addr)
 		}
 	}
-	return addrs
+	return slices.Clip(addrs)
 }
 
 // Announce registers addr for networkID under a TTL lease and keeps the

@@ -91,7 +91,15 @@ type muxConn struct {
 	lost    error                  // non-nil once the connection has failed
 	nextTag uint64                 // last tag issued
 	pending map[uint64]chan []byte // tag → the Send waiting for its reply frame
+	// free holds reply channels whose Send received its frame: nothing
+	// else refers to them, and they are empty. A channel the reader may
+	// still send on (its tag abandoned) or that fail closed never returns.
+	free []chan []byte
 }
+
+// maxFreeReplies bounds a connection's free reply channels: the server
+// serves at most maxConnInFlight of its requests at once.
+const maxFreeReplies = maxConnInFlight
 
 // Send implements Transport.
 func (t *TCPTransport) Send(ctx context.Context, addr string, env *wire.Envelope) (*wire.Envelope, error) {
@@ -161,6 +169,7 @@ func (t *TCPTransport) roundTrip(ctx context.Context, addr string, env *wire.Env
 		if !ok {
 			return nil, reused, c.lostErr()
 		}
+		c.recycle(reply)
 		return frame, reused, nil
 	case <-ctx.Done():
 		c.abandon(tag)
@@ -200,11 +209,15 @@ func (t *TCPTransport) established(ctx context.Context, addr string) (c *muxConn
 // peerHungUp), which a connection this Send just watched being dialled
 // does not need.
 func (t *TCPTransport) write(c *muxConn, env *wire.Envelope, probe bool, ioTimeout time.Duration) (tag uint64, reply chan []byte, err error) {
-	reply = make(chan []byte, 1) // the reader never blocks on an abandoned tag
 	c.mu.Lock()
 	if c.lost != nil {
 		c.mu.Unlock()
 		return 0, nil, fmt.Errorf("%w: %w", errNotSent, c.lost)
+	}
+	if n := len(c.free); n > 0 {
+		reply, c.free = c.free[n-1], c.free[:n-1]
+	} else {
+		reply = make(chan []byte, 1) // the reader never blocks on an abandoned tag
 	}
 	c.nextTag++
 	tag = c.nextTag
@@ -329,7 +342,19 @@ func (c *muxConn) lostErr() error {
 	return fmt.Errorf("%w: %s: %w", errConnLost, c.addr, c.lost)
 }
 
+// recycle returns reply, whose one frame its Send has received, to c's
+// free list. The reader dropped its tag before sending, so nothing else
+// holds it.
+func (c *muxConn) recycle(reply chan []byte) {
+	c.mu.Lock()
+	if len(c.free) < maxFreeReplies {
+		c.free = append(c.free, reply)
+	}
+	c.mu.Unlock()
+}
+
 // abandon gives up on tag's reply; the reader drops it if it still comes.
+// Its channel is not recycled: the reader may have taken it already.
 func (c *muxConn) abandon(tag uint64) {
 	c.mu.Lock()
 	delete(c.pending, tag)

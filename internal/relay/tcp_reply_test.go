@@ -187,7 +187,7 @@ func TestTCPRequestFrameEqualsFilledEnvelope(t *testing.T) {
 	src, req := newCacheEnv(t)
 	q := newQuery(t, req)
 	q.RequestID = "req-handled"
-	unencoded := wire.RequestEnvelope(wire.MsgQuery, q)
+	unencoded, _ := wire.RequestEnvelope(wire.MsgQuery, q)
 	filled := &wire.Envelope{Version: wire.ProtocolVersion, Type: wire.MsgQuery, RequestID: q.RequestID, Payload: q.Marshal()}
 	if !bytes.Equal(unencoded.Marshal(), filled.Marshal()) {
 		t.Fatal("Marshal of the unencoded request differs from that of the filled one")

@@ -153,11 +153,17 @@ func UnmarshalEnvelope(buf []byte) (*Envelope, error) {
 }
 
 // RequestEnvelope returns the envelope of type msgType, MsgQuery or
-// MsgInvoke, that carries q under q's RequestID. q is encoded only when the
-// envelope is — by WriteEnvelope straight into the frame, by Marshal or by
-// EncodePayload — and it must not change until then.
-func RequestEnvelope(msgType MsgType, q *Query) *Envelope {
-	return &Envelope{Version: ProtocolVersion, Type: msgType, RequestID: q.RequestID, query: q}
+// MsgInvoke, that carries a copy of q under q's RequestID, and the copy,
+// allocated together: a request is one allocation. The copy is encoded only
+// when the envelope is — by WriteEnvelope straight into the frame, by
+// Marshal or by EncodePayload — and it must not change until then.
+func RequestEnvelope(msgType MsgType, q *Query) (*Envelope, *Query) {
+	r := &struct {
+		env Envelope
+		q   Query
+	}{q: *q}
+	r.env = Envelope{Version: ProtocolVersion, Type: msgType, RequestID: q.RequestID, query: &r.q}
+	return &r.env, &r.q
 }
 
 // ResponseEnvelope returns the MsgQueryResponse envelope that carries resp

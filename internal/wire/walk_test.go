@@ -333,7 +333,10 @@ func TestWalkRequestEnvelope(t *testing.T) {
 			q = &Query{}
 		}
 		typ := []MsgType{MsgQuery, MsgInvoke}[i%2]
-		req := RequestEnvelope(typ, q)
+		req, copied := RequestEnvelope(typ, q)
+		if copied == q || !reflect.DeepEqual(copied, q) {
+			t.Fatalf("query %d: the envelope does not carry a copy of the query", i)
+		}
 		req.TimeoutNanos, req.Route, req.MaxHops = genUint(r), genRepeated(r, genString), genUint(r)
 		filled := *req
 		filled.query, filled.Payload = nil, oracleQuery(q)
@@ -406,7 +409,8 @@ func TestCodecAllocations(t *testing.T) {
 		PolicyExpr: "AND('seller-org','carrier-org')", RequesterCertPEM: make([]byte, 700), RequesterOrg: "buyer-bank",
 		Nonce: make([]byte, 16), PolicyDigest: make([]byte, 32),
 	}
-	query, request := q.Marshal(), RequestEnvelope(MsgQuery, q)
+	query := q.Marshal()
+	request, _ := RequestEnvelope(MsgQuery, q)
 	config := (&NetworkConfig{NetworkID: "tradelens", Platform: "fabric", Orgs: []OrgConfig{
 		{OrgID: "seller-org", RootCertPEM: make([]byte, 600), PeerNames: []string{"peer0"}},
 		{OrgID: "carrier-org", RootCertPEM: make([]byte, 600), PeerNames: []string{"peer0", "peer1"}},
