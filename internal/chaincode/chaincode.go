@@ -236,29 +236,30 @@ func Simulate(reg *Registry, state *statedb.Store, inv Invocation) (SimResult, e
 // pays for building it. Response and error are the ones Simulate would
 // return for the same invocation with ReadOnly set.
 func Evaluate(reg *Registry, state *statedb.Store, inv Invocation) ([]byte, error) {
-	cc, err := reg.Get(inv.Chaincode)
-	if err != nil {
-		return nil, err
-	}
-	inv.ReadOnly = true
-	return cc.Invoke(&simStub{reg: reg, state: state, inv: inv})
+	return (&simStub{reg: reg, state: state, inv: inv}).evaluate()
 }
 
 // EvaluateStrings is Evaluate with args in place of inv.Args, passed to the
 // chaincode as read-only views of the strings (ReadOnlyBytes), not copies.
 // The views are held in the stub's own allocation while they fit its room.
 func EvaluateStrings(reg *Registry, state *statedb.Store, inv Invocation, args ...string) ([]byte, error) {
-	cc, err := reg.Get(inv.Chaincode)
-	if err != nil {
-		return nil, err
-	}
-	inv.ReadOnly = true
 	f := &stringStub{simStub: simStub{reg: reg, state: state, inv: inv}}
 	f.inv.Args = f.room[:0]
 	for _, a := range args {
 		f.inv.Args = append(f.inv.Args, ReadOnlyBytes(a))
 	}
-	return cc.Invoke(&f.simStub)
+	return f.evaluate()
+}
+
+// evaluate runs the stub's invocation read-only and returns its response:
+// the body of Evaluate and EvaluateStrings.
+func (s *simStub) evaluate() ([]byte, error) {
+	cc, err := s.reg.Get(s.inv.Chaincode)
+	if err != nil {
+		return nil, err
+	}
+	s.inv.ReadOnly = true
+	return cc.Invoke(s)
 }
 
 // argRoom is how many string arguments an EvaluateStrings frame holds: a

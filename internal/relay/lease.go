@@ -1,7 +1,6 @@
 package relay
 
 import (
-	"slices"
 	"sync"
 	"time"
 )
@@ -54,7 +53,7 @@ func removeLease(entries []leaseEntry, addr string) ([]leaseEntry, bool) {
 }
 
 // liveAddrs filters a lease list down to the addresses whose lease is still
-// valid at now, in registration order, clipped so an append reallocates.
+// valid at now, in registration order.
 func liveAddrs(entries []leaseEntry, now time.Time) []string {
 	addrs := make([]string, 0, len(entries))
 	for _, e := range entries {
@@ -62,7 +61,7 @@ func liveAddrs(entries []leaseEntry, now time.Time) []string {
 			addrs = append(addrs, e.addr)
 		}
 	}
-	return slices.Clip(addrs)
+	return addrs
 }
 
 // Announce registers addr for networkID under a TTL lease and keeps the

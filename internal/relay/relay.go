@@ -42,36 +42,24 @@ var (
 // re-announcement instead of accumulating forever. A network with no live
 // entry resolves to the bare ErrUnknownNetwork: a relay that reaches a
 // target only through a route misses on every request, so the caller an
-// error reaches names the network. The addresses Resolve returns are
-// read-only: a registry may hand every caller the same slice.
+// error reaches names the network.
 type Discovery interface {
 	Resolve(networkID string) ([]string, error)
 }
 
 // StaticRegistry is an in-memory Discovery with lease-based membership,
-// suitable for tests and in-process deployments. Resolve hands out one
-// cached address slice per network, valid until the earliest lease in it
-// lapses; Register, RegisterLease and Deregister drop it, and the next
-// Resolve builds a new one, so a slice already handed out never changes.
+// suitable for tests and in-process deployments.
 type StaticRegistry struct {
 	mu      sync.RWMutex
 	entries map[string][]leaseEntry
-	live    map[string]liveSet // by network; only networks with entries
-	now     func() time.Time   // overridable in tests
-}
-
-// liveSet is a network's resolved addresses and the instant the earliest
-// lease among them lapses, zero when none does.
-type liveSet struct {
-	addrs []string
-	until time.Time
+	now     func() time.Time // overridable in tests
 }
 
 var _ LeaseRegistrar = (*StaticRegistry)(nil)
 
 // NewStaticRegistry returns an empty registry.
 func NewStaticRegistry() *StaticRegistry {
-	return &StaticRegistry{entries: make(map[string][]leaseEntry), live: make(map[string]liveSet), now: time.Now}
+	return &StaticRegistry{entries: make(map[string][]leaseEntry), now: time.Now}
 }
 
 // Register adds permanent relay addresses for a network, deduplicating by
@@ -83,7 +71,6 @@ func (r *StaticRegistry) Register(networkID string, addrs ...string) {
 	for _, addr := range addrs {
 		r.entries[networkID] = upsertLease(r.entries[networkID], addr, time.Time{})
 	}
-	delete(r.live, networkID)
 }
 
 // RegisterLease implements LeaseRegistrar: the address is registered (or
@@ -97,7 +84,6 @@ func (r *StaticRegistry) RegisterLease(networkID, addr string, ttl time.Duration
 		expires = r.now().Add(ttl)
 	}
 	r.entries[networkID] = upsertLease(r.entries[networkID], addr, expires)
-	delete(r.live, networkID)
 	return nil
 }
 
@@ -107,43 +93,20 @@ func (r *StaticRegistry) Deregister(networkID, addr string) error {
 	defer r.mu.Unlock()
 	if entries, removed := removeLease(r.entries[networkID], addr); removed {
 		r.entries[networkID] = entries
-		delete(r.live, networkID)
 	}
 	return nil
 }
 
 // Resolve implements Discovery, returning addresses whose lease has not
-// lapsed: the network's cached slice, rebuilt once a lease in it lapses.
+// lapsed.
 func (r *StaticRegistry) Resolve(networkID string) ([]string, error) {
-	now := r.now()
 	r.mu.RLock()
-	set, ok := r.live[networkID]
-	r.mu.RUnlock()
-	if !ok || !set.until.IsZero() && !set.until.After(now) {
-		r.mu.Lock()
-		set = r.rebuildLocked(networkID, now)
-		r.mu.Unlock()
-	}
-	if len(set.addrs) == 0 {
+	defer r.mu.RUnlock()
+	addrs := liveAddrs(r.entries[networkID], r.now())
+	if len(addrs) == 0 {
 		return nil, ErrUnknownNetwork
 	}
-	return set.addrs, nil
-}
-
-// rebuildLocked builds networkID's live set at now, and caches it if the
-// network has entries: a lookup of an unregistered network caches nothing.
-func (r *StaticRegistry) rebuildLocked(networkID string, now time.Time) liveSet {
-	entries, ok := r.entries[networkID]
-	set := liveSet{addrs: liveAddrs(entries, now)}
-	for _, e := range entries {
-		if e.live(now) && !e.expires.IsZero() && (set.until.IsZero() || e.expires.Before(set.until)) {
-			set.until = e.expires
-		}
-	}
-	if ok {
-		r.live[networkID] = set
-	}
-	return set
+	return addrs, nil
 }
 
 // Transport delivers an envelope to a remote relay address and returns the

@@ -7,7 +7,6 @@ import (
 	"encoding/pem"
 	"errors"
 	"fmt"
-	"slices"
 	"testing"
 	"time"
 
@@ -465,78 +464,6 @@ func TestStaticRegistryLeases(t *testing.T) {
 	if _, err := reg.Resolve("a"); !errors.Is(err, ErrUnknownNetwork) {
 		t.Fatalf("after Deregister err = %v, want ErrUnknownNetwork", err)
 	}
-}
-
-// TestStaticRegistryResolveSliceNeverMoves: Resolve hands out a cached
-// slice, and a Register, a Deregister or a lease that lapses after it
-// leaves the slice an earlier Resolve returned as it was, while the next
-// Resolve sees the change.
-func TestStaticRegistryResolveSliceNeverMoves(t *testing.T) {
-	clk := newFakeClock()
-	reg := NewStaticRegistry()
-	reg.now = clk.Now
-	reg.Register("a", "permanent")
-	if err := reg.RegisterLease("a", "leased", 30*time.Second); err != nil {
-		t.Fatalf("RegisterLease: %v", err)
-	}
-	resolve := func(want ...string) []string {
-		t.Helper()
-		addrs, err := reg.Resolve("a")
-		if err != nil && len(want) > 0 || !slices.Equal(addrs, want) {
-			t.Fatalf("Resolve = %v, %v; want %v", addrs, err, want)
-		}
-		return addrs
-	}
-	held := []struct {
-		addrs, want []string
-	}{{resolve("permanent", "leased"), []string{"permanent", "leased"}}}
-	if again := resolve("permanent", "leased"); &again[0] != &held[0].addrs[0] {
-		t.Fatal("a second Resolve with nothing changed built a new slice")
-	}
-	for _, step := range []struct {
-		name   string
-		change func()
-		want   []string
-	}{
-		{"Register", func() { reg.Register("a", "added") }, []string{"permanent", "leased", "added"}},
-		{"Deregister", func() { _ = reg.Deregister("a", "permanent") }, []string{"leased", "added"}},
-		{"lease lapse", func() { clk.Advance(31 * time.Second) }, []string{"added"}},
-		{"RegisterLease", func() { _ = reg.RegisterLease("a", "leased", time.Minute) }, []string{"leased", "added"}}, // a lapsed entry keeps its place
-		{"last Deregister", func() { _ = reg.Deregister("a", "added"); _ = reg.Deregister("a", "leased") }, nil},
-	} {
-		step.change()
-		for _, h := range held {
-			if !slices.Equal(h.addrs, h.want) {
-				t.Fatalf("after %s: an earlier Resolve's slice reads %v, was %v", step.name, h.addrs, h.want)
-			}
-		}
-		held = append(held, struct{ addrs, want []string }{resolve(step.want...), step.want})
-	}
-	// A caller's append never writes into a slice another caller holds.
-	reg.Register("b", "one", "two")
-	first, _ := reg.Resolve("b")
-	_ = append(first, "appended")
-	if second, _ := reg.Resolve("b"); len(second) != 2 || cap(second) != 2 {
-		t.Fatalf("Resolve = %v (cap %d), want [one two] clipped", second, cap(second))
-	}
-	if _, err := reg.Resolve("never-registered"); !errors.Is(err, ErrUnknownNetwork) || len(reg.live) != 2 {
-		t.Fatalf("Resolve of an unregistered network: %v, %d cached sets; want ErrUnknownNetwork and none cached for it", err, len(reg.live))
-	}
-}
-
-// TestStaticRegistryResolveAllocations: a warm Resolve of permanent entries
-// is the cached slice, and allocates nothing.
-func TestStaticRegistryResolveAllocations(t *testing.T) {
-	reg := NewStaticRegistry()
-	reg.Register("tradelens", "127.0.0.1:9001", "127.0.0.1:9002")
-	if _, err := reg.Resolve("tradelens"); err != nil {
-		t.Fatalf("Resolve: %v", err)
-	}
-	var sink []string
-	if got := testing.AllocsPerRun(200, func() { sink, _ = reg.Resolve("tradelens") }); got != 0 {
-		t.Fatalf("warm StaticRegistry.Resolve: %v allocations, want 0", got)
-	}
-	_ = sink
 }
 
 func TestTCPTransportEndToEnd(t *testing.T) {
