@@ -239,27 +239,39 @@ func (k *SessionKey) SealEnvelope(context, envelope []byte) ([]byte, error) {
 // in flight; a full table is dropped wholesale and refills on demand.
 const recipientPoints = 64
 
+// recipientCiphers bounds how many AES-GCM ciphers a Recipient keeps. A
+// reply to one query opens attestors+1 envelopes, each under its own key,
+// so a client polling up to 42 queries with two attestors each reopens its
+// replies on warm ciphers; a full table is dropped wholesale and refills on
+// demand.
+const recipientCiphers = 128
+
 // Recipient opens sessioned envelopes produced by SessionKey.SealEnvelope for one
 // private key. It remembers, per session point, the HKDF-extracted
 // agreement (PRK) with that point, so only the first envelope from a point
 // pays the ECDH multiplication and every later one is one HKDF expand plus
 // one AES-GCM open. The table is keyed by the point's bytes — content, so
 // nothing ever invalidates it — and the generation and query context stay in
-// the per-envelope expand, so every query still gets its own AEAD key. Safe
-// for concurrent use.
+// the per-envelope expand, so every query still gets its own AEAD key. It
+// also keeps the AES-GCM cipher of every key an envelope has opened under,
+// keyed by that 32-byte key, so a repeated reply (the same query polled
+// again, served from the relay's attestation cache) reopens without
+// building its ciphers again. Safe for concurrent use.
 type Recipient struct {
 	priv *ecdh.PrivateKey
 	err  error // why priv is unusable; returned by every Open
 
 	mu         sync.Mutex
-	prks       map[string][]byte // session point -> PRK of the agreement with it
-	agreements int               // ECDH agreements run, for tests
+	prks       map[string][]byte        // session point -> PRK of the agreement with it
+	ciphers    map[[32]byte]cipher.AEAD // envelope key -> its cipher, stored once an open under it succeeded
+	agreements int                      // ECDH agreements run, for tests
+	built      int                      // ciphers built, for tests
 }
 
 // NewRecipient converts priv to its ECDH form once. A nil key, or one
 // crypto/ecdh cannot convert, makes every Open fail with ErrInvalidKey.
 func NewRecipient(priv *ecdsa.PrivateKey) *Recipient {
-	r := &Recipient{prks: make(map[string][]byte)}
+	r := &Recipient{prks: make(map[string][]byte), ciphers: make(map[[32]byte]cipher.AEAD, recipientCiphers)}
 	if priv == nil {
 		r.err = ErrInvalidKey
 		return r
@@ -276,25 +288,43 @@ func NewRecipient(priv *ecdsa.PrivateKey) *Recipient {
 // Open opens a sessioned envelope: it agrees with the session ephemeral
 // point (or reuses the remembered agreement), expands the per-query AEAD key
 // from the generation and context, and opens the nonce||ciphertext
-// envelope. It appends the plaintext, PlaintextSize(ciphertext) bytes, to
-// dst and returns the extended slice, as cipher.AEAD.Open does, so a caller
-// that opens several envelopes can give them one buffer: dst's spare
-// capacity must not overlap ciphertext. Any malformed input yields
+// envelope under that key's cipher, built unless an earlier open under the
+// same key kept it. It appends the plaintext, PlaintextSize(ciphertext)
+// bytes, to dst and returns the extended slice, as cipher.AEAD.Open does,
+// so a caller that opens several envelopes can give them one buffer: dst's
+// spare capacity must not overlap ciphertext. Any malformed input yields
 // ErrDecrypt.
 func (r *Recipient) Open(dst, ephemeral []byte, generation uint64, context, ciphertext []byte) ([]byte, error) {
 	prk, err := r.prk(ephemeral)
 	if err != nil {
 		return nil, err
 	}
-	aead, err := sessionAEAD(prk, generation, context)
-	if err != nil {
-		return nil, err
-	}
-	if len(ciphertext) < aead.NonceSize() {
+	if len(ciphertext) < EnvelopeNonceSize {
 		return nil, ErrDecrypt
 	}
-	nonce, sealed := ciphertext[:aead.NonceSize()], ciphertext[aead.NonceSize():]
-	out, err := aead.Open(dst, nonce, sealed, nil)
+	key := sessionKey(prk, generation, context)
+	r.mu.Lock()
+	aead, warm := r.ciphers[key]
+	r.mu.Unlock()
+	if !warm {
+		if aead, err = gcmFromKey(key[:]); err != nil {
+			return nil, err
+		}
+	}
+	out, err := aead.Open(dst, ciphertext[:EnvelopeNonceSize], ciphertext[EnvelopeNonceSize:], nil)
+	if !warm {
+		// Only a cipher whose open succeeded is kept, so a forged
+		// envelope can neither plant an entry nor fill the table.
+		r.mu.Lock()
+		r.built++
+		if err == nil {
+			if len(r.ciphers) >= recipientCiphers {
+				clear(r.ciphers)
+			}
+			r.ciphers[key] = aead
+		}
+		r.mu.Unlock()
+	}
 	if err != nil {
 		return nil, ErrDecrypt
 	}
@@ -341,7 +371,9 @@ func (r *Recipient) prk(ephemeral []byte) ([]byte, error) {
 // sessionAEAD derives the per-query AES-256-GCM cipher for a sessioned
 // envelope from the agreement's PRK (extracted with the session ephemeral
 // point as salt), the generation and the query context. It allocates only
-// what aes.NewCipher and cipher.NewGCM allocate.
+// what aes.NewCipher and cipher.NewGCM allocate. SealEnvelope builds one
+// per seal, since every seal is under a fresh query digest; Recipient.Open
+// keeps the ciphers it has opened under instead.
 func sessionAEAD(prk []byte, generation uint64, context []byte) (cipher.AEAD, error) {
 	key := sessionKey(prk, generation, context)
 	return gcmFromKey(key[:])

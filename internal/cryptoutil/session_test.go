@@ -531,6 +531,240 @@ func TestSessionRecipientOtherKeyFails(t *testing.T) {
 	}
 }
 
+// cipherState copies the keys of a Recipient's cipher table and its count of
+// ciphers built.
+func cipherState(r *Recipient) (map[[32]byte]bool, int) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	keys := make(map[[32]byte]bool, len(r.ciphers))
+	for key := range r.ciphers {
+		keys[key] = true
+	}
+	return keys, r.built
+}
+
+// openWant opens env through r and fails the test unless it opens to want.
+func openWant(t *testing.T, r *Recipient, sk SessionKey, context, env, want []byte) {
+	t.Helper()
+	if got, err := r.Open(nil, sk.Ephemeral, sk.Generation, context, env); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("open under %q: %q, %v; want %q", context, got, err, want)
+	}
+}
+
+// TestRecipientCipherOnePerKey: a client polling three queries round-robin
+// — one session point, one generation, so only the context tells their
+// keys apart — builds one cipher per query however many envelopes it
+// opens, each sealed afresh under its own nonce.
+func TestRecipientCipherOnePerKey(t *testing.T) {
+	key, _ := GenerateKey()
+	sk, err := newTestManager(t, time.Minute, nil).KeyFor("poller", &key.PublicKey)
+	if err != nil {
+		t.Fatalf("KeyFor: %v", err)
+	}
+	contexts := [][]byte{[]byte("qd-a"), []byte("qd-b"), []byte("qd-c")}
+	r := NewRecipient(key)
+	for round := range 20 {
+		for _, context := range contexts {
+			want := fmt.Appendf(nil, "%s round %d", context, round)
+			env, err := sealPlain(sk, context, want)
+			if err != nil {
+				t.Fatalf("Seal: %v", err)
+			}
+			openWant(t, r, sk, context, env, want)
+		}
+	}
+	if keys, built := cipherState(r); built != len(contexts) || len(keys) != len(contexts) {
+		t.Fatalf("60 opens under %d keys: %d ciphers built, %d kept; want %d, %d",
+			len(contexts), built, len(keys), len(contexts), len(contexts))
+	}
+}
+
+// TestRecipientCipherPerContextGenerationAndPoint: an envelope sealed under
+// a different context, generation or session point than a warm entry
+// builds and keeps its own cipher, right after that entry was hit, and
+// never opens under the warm entry's parameters, nor the warm envelope
+// under its own.
+func TestRecipientCipherPerContextGenerationAndPoint(t *testing.T) {
+	key, _ := GenerateKey()
+	sk, err := newTestManager(t, time.Minute, nil).KeyFor("poller", &key.PublicKey)
+	if err != nil {
+		t.Fatalf("KeyFor: %v", err)
+	}
+	otherPoint, err := newTestManager(t, time.Minute, nil).KeyFor("poller", &key.PublicKey)
+	if err != nil {
+		t.Fatalf("KeyFor: %v", err)
+	}
+	context := []byte("qd-warm")
+	warmEnv, err := sealPlain(sk, context, []byte("warm"))
+	if err != nil {
+		t.Fatalf("Seal: %v", err)
+	}
+	r := NewRecipient(key)
+	openWant(t, r, sk, context, warmEnv, []byte("warm"))
+
+	nextGeneration := SessionKey{Ephemeral: sk.Ephemeral, Generation: sk.Generation + 1, prk: sk.prk}
+	for i, v := range []struct {
+		name    string
+		key     SessionKey
+		context []byte
+	}{
+		{"context", sk, []byte("qd-other")},
+		{"generation", nextGeneration, context},
+		{"point", otherPoint, context},
+	} {
+		env, err := sealPlain(v.key, v.context, []byte(v.name))
+		if err != nil {
+			t.Fatalf("Seal %s: %v", v.name, err)
+		}
+		openWant(t, r, sk, context, warmEnv, []byte("warm"))
+		_, before := cipherState(r)
+		if _, err := r.Open(nil, sk.Ephemeral, sk.Generation, context, env); !errors.Is(err, ErrDecrypt) {
+			t.Fatalf("other %s opened under the warm entry's parameters: %v", v.name, err)
+		}
+		openWant(t, r, v.key, v.context, env, []byte(v.name))
+		if _, err := r.Open(nil, v.key.Ephemeral, v.key.Generation, v.context, warmEnv); !errors.Is(err, ErrDecrypt) {
+			t.Fatalf("warm envelope opened under the other %s: %v", v.name, err)
+		}
+		keys, after := cipherState(r)
+		if after-before != 1 || len(keys) != i+2 {
+			t.Fatalf("other %s: %d ciphers built, %d kept; want 1, %d", v.name, after-before, len(keys), i+2)
+		}
+		openWant(t, r, v.key, v.context, env, []byte(v.name))
+		if _, again := cipherState(r); again != after {
+			t.Fatalf("other %s: reopening built %d more ciphers", v.name, again-after)
+		}
+	}
+}
+
+// TestRecipientCipherTamperedStoresNothing: a tampered envelope fails with
+// ErrDecrypt on a warm hit and on a miss, and the table keeps exactly the
+// entries it had, also when it is full, so a forged envelope can neither
+// plant a cipher nor evict one.
+func TestRecipientCipherTamperedStoresNothing(t *testing.T) {
+	key, _ := GenerateKey()
+	sk, err := newTestManager(t, time.Minute, nil).KeyFor("poller", &key.PublicKey)
+	if err != nil {
+		t.Fatalf("KeyFor: %v", err)
+	}
+	r := NewRecipient(key)
+	for _, fill := range []int{1, recipientCiphers} {
+		for i := range fill {
+			context := fmt.Appendf(nil, "qd-%d", i)
+			env, err := sealPlain(sk, context, context)
+			if err != nil {
+				t.Fatalf("Seal: %v", err)
+			}
+			openWant(t, r, sk, context, env, context)
+			if i == 0 {
+				if _, err := r.Open(nil, sk.Ephemeral, sk.Generation, context, flipLast(env)); !errors.Is(err, ErrDecrypt) {
+					t.Fatalf("tampered envelope after a warm hit: %v, want ErrDecrypt", err)
+				}
+			}
+		}
+		before, _ := cipherState(r)
+		if len(before) != fill {
+			t.Fatalf("%d contexts opened: table holds %d", fill, len(before))
+		}
+		forgedContext := []byte("qd-forged")
+		forged, err := sealPlain(sk, forgedContext, []byte("forged"))
+		if err != nil {
+			t.Fatalf("Seal: %v", err)
+		}
+		if _, err := r.Open(nil, sk.Ephemeral, sk.Generation, forgedContext, flipLast(forged)); !errors.Is(err, ErrDecrypt) {
+			t.Fatalf("tampered envelope under a fresh context: %v, want ErrDecrypt", err)
+		}
+		after, _ := cipherState(r)
+		if len(after) != len(before) {
+			t.Fatalf("table of %d: a tampered envelope left %d entries", len(before), len(after))
+		}
+		for k := range before {
+			if !after[k] {
+				t.Fatalf("table of %d: a tampered envelope evicted an entry", len(before))
+			}
+		}
+	}
+}
+
+// TestRecipientCipherTableBounded: more distinct contexts than the table
+// holds never grow it past recipientCiphers, and every envelope still
+// opens, first time and again after its cipher has been dropped.
+func TestRecipientCipherTableBounded(t *testing.T) {
+	key, _ := GenerateKey()
+	sk, err := newTestManager(t, time.Minute, nil).KeyFor("poller", &key.PublicKey)
+	if err != nil {
+		t.Fatalf("KeyFor: %v", err)
+	}
+	envs := make([][]byte, 2*recipientCiphers+5)
+	for i := range envs {
+		if envs[i], err = sealPlain(sk, fmt.Appendf(nil, "qd-%d", i), []byte{byte(i)}); err != nil {
+			t.Fatalf("Seal %d: %v", i, err)
+		}
+	}
+	r := NewRecipient(key)
+	for round := range 2 {
+		for i, env := range envs {
+			openWant(t, r, sk, fmt.Appendf(nil, "qd-%d", i), env, []byte{byte(i)})
+			if keys, _ := cipherState(r); len(keys) > recipientCiphers {
+				t.Fatalf("round %d context %d: table holds %d ciphers, bound %d", round, i, len(keys), recipientCiphers)
+			}
+		}
+	}
+}
+
+// TestRecipientCipherConcurrentOpen: 8 goroutines open one envelope at once
+// through a cold Recipient, each beside a forged envelope under a fresh
+// context; run under -race this is the cipher table's data-race proof.
+// Every open returns the plaintext, every forgery fails, and the table
+// ends holding the one genuine key.
+func TestRecipientCipherConcurrentOpen(t *testing.T) {
+	key, _ := GenerateKey()
+	sk, err := newTestManager(t, time.Minute, nil).KeyFor("poller", &key.PublicKey)
+	if err != nil {
+		t.Fatalf("KeyFor: %v", err)
+	}
+	context, plaintext := []byte("qd-shared"), []byte("one reply, many readers")
+	env, err := sealPlain(sk, context, plaintext)
+	if err != nil {
+		t.Fatalf("Seal: %v", err)
+	}
+	forgedContext := []byte("qd-forged")
+	forged, err := sealPlain(sk, forgedContext, plaintext)
+	if err != nil {
+		t.Fatalf("Seal: %v", err)
+	}
+	forged = flipLast(forged)
+	r := NewRecipient(key)
+	start := make(chan struct{})
+	errs := make(chan error, 8)
+	var wg sync.WaitGroup
+	for g := range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			for i := range 50 {
+				if got, err := r.Open(nil, sk.Ephemeral, sk.Generation, context, env); err != nil || !bytes.Equal(got, plaintext) {
+					errs <- fmt.Errorf("goroutine %d open %d: %q, %v", g, i, got, err)
+					return
+				}
+				if _, err := r.Open(nil, sk.Ephemeral, sk.Generation, forgedContext, forged); !errors.Is(err, ErrDecrypt) {
+					errs <- fmt.Errorf("goroutine %d forgery %d: %v, want ErrDecrypt", g, i, err)
+					return
+				}
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if keys, _ := cipherState(r); len(keys) != 1 || !keys[sessionKey(sk.prk, sk.Generation, context)] {
+		t.Fatalf("table holds %d ciphers after concurrent opens; want only the genuine key", len(keys))
+	}
+}
+
 func flipLast(b []byte) []byte {
 	out := append([]byte(nil), b...)
 	out[len(out)-1] ^= 0xff

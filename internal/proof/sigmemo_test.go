@@ -204,7 +204,7 @@ func TestWarmVerifyAllocations(t *testing.T) {
 		fn   func() error
 	}{
 		{"warm Verify, two attestors", 0, func() error { return Verify(bundle, verifier, vp, qd, pd) }},
-		{"warm OpenResponse, two attestors", 10, func() error { _, err := OpenResponse(recipient, q, resp); return err }},
+		{"warm OpenResponse, two attestors", 4, func() error { _, err := OpenResponse(recipient, q, resp); return err }},
 		{"warm Verify, two attestors in a window of 2", 0, func() error {
 			return Verify(batched, windowVerifier, vp, specs[0].QueryDigest, specs[0].PolicyDigest)
 		}},
